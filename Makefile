@@ -24,7 +24,7 @@ bench:
 ## graph construction, propagation, full pipeline) as machine-readable JSON
 ## for cross-commit comparison.
 bench-json:
-	( $(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkWeightedSimilarity|BenchmarkSimKernelWeighted|BenchmarkJaccard' -benchmem ; \
+	( $(GO) test ./internal/feature/ -run xxx -bench 'BenchmarkWeightedSimilarity|BenchmarkArenaWeighted|BenchmarkJaccard' -benchmem ; \
 	  $(GO) test ./internal/labelprop/ -run xxx -bench 'BenchmarkBuildGraph|BenchmarkPropagate' -benchmem ; \
 	  $(GO) test . -run xxx -bench 'BenchmarkPipelineRun' -benchmem -benchtime 3x ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_curation.json

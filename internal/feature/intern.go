@@ -16,10 +16,12 @@ var interner = struct {
 	ids map[string]uint32
 }{ids: make(map[string]uint32, 256)}
 
-// internID returns the dense ID of category c, assigning the next free ID
+// InternID returns the dense ID of category c, assigning the next free ID
 // on first sight. Safe for concurrent use; the read path is an RLock, so
-// steady-state featurization only shares the lock.
-func internID(c string) uint32 {
+// steady-state featurization only shares the lock. Exported so indexes
+// keyed by single categories (the blocked graph builder's block table) can
+// use the same integers the similarity kernel compares.
+func InternID(c string) uint32 {
 	interner.RLock()
 	id, ok := interner.ids[c]
 	interner.RUnlock()
@@ -46,7 +48,7 @@ func internCategories(cats []string) []uint32 {
 	}
 	ids := make([]uint32, len(cats))
 	for i, c := range cats {
-		ids[i] = internID(c)
+		ids[i] = InternID(c)
 	}
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
@@ -109,7 +111,8 @@ func JaccardIDs(a, b []uint32) float64 {
 // maps into index-aligned slices once, so the per-pair path performs no map
 // lookups and no allocations. Build one per graph-construction or
 // weight-fitting call; all vectors scored by the kernel must carry the
-// kernel's schema.
+// kernel's schema. Per-feature similarities come from Similarity; the
+// weighted whole-vector score lives on the kernel's packed Arena.
 type SimKernel struct {
 	kinds   []Kind
 	scales  []float64 // per feature index; <= 0 falls back to 1 (NumericSimilarity)
@@ -158,30 +161,6 @@ func (k *SimKernel) Similarity(a, b *Vector, i int) (float64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// Weighted is the kernel form of WeightedSimilarity: the weighted mean of
-// per-feature similarities over features present on both sides. It performs
-// no allocations and no map lookups per pair, and returns bit-identical
-// results to WeightedSimilarity with the maps the kernel was compiled from.
-func (k *SimKernel) Weighted(a, b *Vector) float64 {
-	var sum, wsum float64
-	for i := range k.kinds {
-		w := k.weights[i]
-		if w <= 0 {
-			continue
-		}
-		s, ok := k.Similarity(a, b, i)
-		if !ok {
-			continue
-		}
-		sum += w * s
-		wsum += w
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
 }
 
 // categoricalSimilarity intersects two categorical values, preferring the

@@ -92,9 +92,18 @@ func randomVector(t *testing.T, rng *rand.Rand, schema *Schema) *Vector {
 	return v
 }
 
-// TestSimKernelMatchesWeightedSimilarity checks the compiled kernel is
-// bit-identical to the map-keyed WeightedSimilarity for random vectors,
-// scales, and weights (including absent, zero, and negative weights).
+// packPair packs a and b into a fresh arena of kern as vertices 0 and 1.
+func packPair(kern *SimKernel, a, b *Vector) *Arena {
+	arena := kern.NewArena()
+	arena.Append(a)
+	arena.Append(b)
+	return arena
+}
+
+// TestSimKernelMatchesWeightedSimilarity checks the compiled kernel and its
+// packed arena are bit-identical to the map-keyed Similarity and
+// WeightedSimilarity for random vectors, scales, and weights (including
+// absent, zero, and negative weights).
 func TestSimKernelMatchesWeightedSimilarity(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	schema := internTestSchema(t)
@@ -110,7 +119,7 @@ func TestSimKernelMatchesWeightedSimilarity(t *testing.T) {
 		kern := NewSimKernel(schema, scales, weights)
 		a, b := randomVector(t, rng, schema), randomVector(t, rng, schema)
 		want := WeightedSimilarity(a, b, scales, weights)
-		if got := kern.Weighted(a, b); got != want {
+		if got, ok := packPair(kern, a, b).Weighted(0, 1, 0); !ok || got != want {
 			t.Fatalf("trial %d: kernel %v != WeightedSimilarity %v (weights %v)", trial, got, want, weights)
 		}
 		for i := 0; i < schema.Len(); i++ {
@@ -125,7 +134,7 @@ func TestSimKernelMatchesWeightedSimilarity(t *testing.T) {
 
 // TestSimilarityPairAllocFree pins the per-pair hot path at zero allocations:
 // the string Jaccard, the interned kernel, and full weighted similarity in
-// both its map-keyed and compiled forms.
+// both its map-keyed and packed forms.
 func TestSimilarityPairAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	schema := internTestSchema(t)
@@ -134,13 +143,13 @@ func TestSimilarityPairAllocFree(t *testing.T) {
 	b.MustSet("cat", CategoricalValue("y", "z", "w"))
 	scales := Scales{"num": 2}
 	weights := Weights{"cat": 2, "num": 0.5}
-	kern := NewSimKernel(schema, scales, weights)
+	arena := packPair(NewSimKernel(schema, scales, weights), a, b)
 	cats := []string{"x", "y", "x"}
 	for name, fn := range map[string]func(){
 		"Jaccard":            func() { Jaccard(cats, cats) },
 		"JaccardIDs":         func() { JaccardIDs(a.values[0].catIDs, b.values[0].catIDs) },
 		"WeightedSimilarity": func() { WeightedSimilarity(a, b, scales, weights) },
-		"SimKernel.Weighted": func() { kern.Weighted(a, b) },
+		"Arena.Weighted":     func() { arena.Weighted(0, 1, 0.3) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs per pair, want 0", name, allocs)
@@ -208,13 +217,13 @@ func BenchmarkWeightedSimilarity(b *testing.B) {
 	}
 }
 
-func BenchmarkSimKernelWeighted(b *testing.B) {
+func BenchmarkArenaWeighted(b *testing.B) {
 	va, vb, scales, weights := benchVectors(b)
-	kern := NewSimKernel(va.Schema(), scales, weights)
+	arena := packPair(NewSimKernel(va.Schema(), scales, weights), va, vb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kern.Weighted(va, vb)
+		arena.Weighted(0, 1, 0)
 	}
 }
 

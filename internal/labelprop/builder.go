@@ -1,8 +1,10 @@
 package labelprop
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,15 +61,18 @@ const (
 // The streaming pipeline uses this to fold each spilled chunk's graph
 // window into the propagation graph without rebuilding from scratch.
 type Builder struct {
-	cfg  GraphConfig
-	kern *feature.SimKernel
-	vecs []*feature.Vector
-	g    *Graph
-	mode builderMode
+	cfg GraphConfig
+	// arena is the vertex store: every applied vector lives here in packed
+	// form and pairs are scored by vertex index, so the builder keeps no
+	// reference to the caller's vectors.
+	arena *feature.Arena
+	g     *Graph
+	mode  builderMode
 
-	// blocked-mode state: "feat=cat" → vertices, plus per-vertex keys.
-	blockIndex map[string][]int
-	vertexKeys [][]string
+	// blocked-mode state: block key (blocking-feature slot << 32 | category
+	// intern ID) → vertices, plus per-vertex keys.
+	blockIndex map[uint64][]int
+	vertexKeys [][]uint64
 
 	// LSH-mode state: the salt set (fixed by Seed, independent of corpus
 	// size — what makes the index appendable) and the growing bucket index.
@@ -82,9 +87,9 @@ type Builder struct {
 func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) (*Builder, error) {
 	cfg = cfg.withDefaults()
 	b := &Builder{
-		cfg:  cfg,
-		kern: feature.NewSimKernel(schema, scales, cfg.Weights),
-		g:    &Graph{},
+		cfg:   cfg,
+		arena: feature.NewSimKernel(schema, scales, cfg.Weights).NewArena(),
+		g:     &Graph{},
 	}
 	switch {
 	case cfg.LSH.Enable && !cfg.Exact:
@@ -99,13 +104,13 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 		b.mode = modeAllPairs
 	default:
 		b.mode = modeBlocked
-		b.blockIndex = make(map[string][]int)
+		b.blockIndex = make(map[uint64][]int)
 	}
 	return b, nil
 }
 
 // NumVertices returns the number of vertices applied so far.
-func (b *Builder) NumVertices() int { return len(b.vecs) }
+func (b *Builder) NumVertices() int { return b.arena.Len() }
 
 // Graph returns the graph over all applied vertices. The same *Graph is
 // updated in place by subsequent deltas.
@@ -122,9 +127,11 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 	}
 	ctx, span := trace.Start(ctx, "labelprop.apply_delta")
 	defer span.End()
-	base := len(b.vecs)
-	b.vecs = append(b.vecs, newVecs...)
-	n := len(b.vecs)
+	base := b.arena.Len()
+	for _, v := range newVecs {
+		b.arena.Append(v)
+	}
+	n := b.arena.Len()
 
 	var affected []int
 	switch b.mode {
@@ -197,28 +204,42 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 
 	candidates := b.candidateFunc()
 	scratch := sync.Pool{New: func() any {
-		return &dedupeSet{stamp: make([]int32, n)}
+		return &vertexScratch{seen: dedupeSet{stamp: make([]int32, n)}}
 	}}
+	k, minWeight := b.cfg.K, b.cfg.MinWeight
 	edges, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, recompute, func(i int) ([]Edge, error) {
-		seen := scratch.Get().(*dedupeSet)
-		defer scratch.Put(seen)
+		sc := scratch.Get().(*vertexScratch)
+		defer scratch.Put(sc)
 		rng := xrand.New(b.cfg.Seed ^ int64(i)*0x9e3779b9)
-		var es []Edge
-		for _, j := range candidates(i, rng, seen) {
-			w := b.kern.Weighted(b.vecs[i], b.vecs[j])
-			if w >= b.cfg.MinWeight {
-				es = append(es, Edge{To: j, Weight: w})
+		// top is a heap of the best <= K edges so far with the worst at the
+		// root. Once it is full, the root's weight is the floor a candidate
+		// must reach, which lets the kernel abandon hopeless pairs early.
+		top := sc.top[:0]
+		for _, j := range candidates(i, rng, &sc.seen) {
+			floor := minWeight
+			if len(top) == k {
+				floor = top[0].Weight
+			}
+			w, ok := b.arena.Weighted(i, j, floor)
+			if !ok || !(w >= minWeight) { // written so a NaN weight is dropped too
+				continue
+			}
+			e := Edge{To: j, Weight: w}
+			switch {
+			case len(top) < k:
+				top = append(top, e)
+				siftUp(top, len(top)-1)
+			case rankEdges(e, top[0]) < 0:
+				top[0] = e
+				siftDown(top, 0)
 			}
 		}
-		sort.Slice(es, func(a, c int) bool {
-			if es[a].Weight != es[c].Weight {
-				return es[a].Weight > es[c].Weight
-			}
-			return es[a].To < es[c].To
-		})
-		if len(es) > b.cfg.K {
-			es = es[:b.cfg.K]
+		sc.top = top
+		if len(top) == 0 {
+			return nil, nil
 		}
+		es := slices.Clone(top)
+		slices.SortFunc(es, rankEdges)
 		return es, nil
 	})
 	if err != nil {
@@ -251,9 +272,10 @@ func (b *Builder) candidateFunc() func(i int, rng *rand.Rand, seen *dedupeSet) [
 	case modeLSH:
 		return b.lsh.candidatesFor(b.cfg.MaxCandidates)
 	case modeAllPairs:
+		n := b.arena.Len()
 		return func(i int, _ *rand.Rand, seen *dedupeSet) []int {
 			out := seen.buf[:0]
-			for j := 0; j < len(b.vecs); j++ {
+			for j := 0; j < n; j++ {
 				if j != i {
 					out = append(out, j)
 				}
@@ -279,6 +301,51 @@ func (b *Builder) candidateFunc() func(i int, rng *rand.Rand, seen *dedupeSet) [
 			}
 			return out
 		}
+	}
+}
+
+// vertexScratch is one worker's reusable per-vertex state.
+type vertexScratch struct {
+	seen dedupeSet
+	top  []Edge
+}
+
+// rankEdges is the selection order of a vertex's directed edges: weight
+// descending, then neighbor index ascending. Neighbor indexes are distinct
+// within one vertex's candidates, so the order is total.
+func rankEdges(a, b Edge) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.To, b.To)
+}
+
+// siftUp and siftDown maintain h as a binary heap whose root is the edge
+// ranked last by rankEdges.
+func siftUp(h []Edge, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if rankEdges(h[i], h[parent]) <= 0 {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func siftDown(h []Edge, i int) {
+	for {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if rankEdges(h[c], h[worst]) > 0 {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 

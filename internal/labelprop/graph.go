@@ -14,9 +14,10 @@
 package labelprop
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/trace"
@@ -185,7 +186,7 @@ func symmetrize(directed [][]Edge) [][]Edge {
 	}
 	for i := range adj {
 		es := adj[i]
-		sort.Slice(es, func(a, b int) bool { return es[a].To < es[b].To })
+		slices.SortFunc(es, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
 		// Collapse double-selected edges (equal To ⇒ equal weight).
 		out := es[:0]
 		for _, e := range es {
@@ -199,15 +200,20 @@ func symmetrize(directed [][]Edge) [][]Edge {
 	return adj
 }
 
-func blockKeys(v *feature.Vector, feats []string) []string {
-	var keys []string
-	for _, f := range feats {
+// blockKeys returns v's block-table keys: for each blocking feature, in
+// cfg order, one key per category in the order the value lists them
+// (feature slot in the high word, the category's intern ID in the low).
+// Candidate enumeration walks keys in this order, so it must not follow the
+// sorted ID set instead.
+func blockKeys(v *feature.Vector, feats []string) []uint64 {
+	var keys []uint64
+	for slot, f := range feats {
 		val := v.Get(f)
 		if val.Missing {
 			continue
 		}
 		for _, c := range val.Categories {
-			keys = append(keys, f+"="+c)
+			keys = append(keys, uint64(slot)<<32|uint64(feature.InternID(c)))
 		}
 	}
 	return keys
