@@ -108,6 +108,18 @@ func run(cfg runConfig) error {
 	return stopProf()
 }
 
+// singleModalitySpec is the pipeline's train spec narrowed to one corpus,
+// for the text-only and image-only comparison rows. There is nothing to fuse
+// in one modality, so it always trains with early fusion: inheriting -fusion
+// devise here failed the whole run with "DeViSE needs both modalities" after
+// the pipeline had finished.
+func singleModalitySpec(pipe *core.Pipeline, text bool) core.TrainSpec {
+	spec := pipe.DefaultTrainSpec()
+	spec.UseText, spec.UseImage = text, !text
+	spec.Fusion = core.EarlyFusion
+	return spec
+}
+
 func pipelineReport(cfg runConfig) error {
 	taskName, scale, seed := cfg.task, cfg.scale, cfg.seed
 	fusionKind, noLabelProp, expertLFs := cfg.fusion, cfg.noLabelProp, cfg.expertLFs
@@ -197,9 +209,7 @@ func pipelineReport(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	textSpec := pipe.DefaultTrainSpec()
-	textSpec.UseText, textSpec.UseImage = true, false
-	textPred, err := pipe.Train(ctx, res.Curation, textSpec)
+	textPred, err := pipe.Train(ctx, res.Curation, singleModalitySpec(pipe, true))
 	if err != nil {
 		return err
 	}
@@ -207,9 +217,7 @@ func pipelineReport(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	imageSpec := pipe.DefaultTrainSpec()
-	imageSpec.UseText, imageSpec.UseImage = false, true
-	imagePred, err := pipe.Train(ctx, res.Curation, imageSpec)
+	imagePred, err := pipe.Train(ctx, res.Curation, singleModalitySpec(pipe, false))
 	if err != nil {
 		return err
 	}

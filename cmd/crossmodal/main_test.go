@@ -67,3 +67,17 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 		t.Fatalf("invalid config took %v to reject", elapsed)
 	}
 }
+
+// TestPipelineReportEveryFusionKind: the comparison table trains text-only
+// and image-only models after the main run; those must not inherit a fusion
+// kind that needs both modalities (-fusion devise used to fail here, after
+// the whole pipeline had run).
+func TestPipelineReportEveryFusionKind(t *testing.T) {
+	for _, fusion := range []string{"devise", "intermediate"} {
+		cfg := goodConfig()
+		cfg.fusion, cfg.scale = fusion, 0.05
+		if err := pipelineReport(cfg); err != nil {
+			t.Fatalf("-fusion %s: %v", fusion, err)
+		}
+	}
+}

@@ -255,7 +255,7 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream) (*StreamedCur
 	mrCfg := mapreduce.Config{Workers: r.p.opts.Workers}
 
 	start = time.Now()
-	corpus := &storeCorpus{store: r.text, schema: lfSchema, onChunk: func(seq int) error { return r.hook("mine", seq) }}
+	corpus := &storeCorpus{run: r, schema: lfSchema}
 	lfs, miningReport, err := mining.MineStream(ctx, mrCfg, r.p.opts.Mining, corpus)
 	if err != nil {
 		return nil, fmt.Errorf("core: mine LFs: %w", err)
@@ -406,8 +406,8 @@ func (r *streamRun) spill(ctx context.Context, store *disk.Store, ch *synth.Chun
 // corpus because votes are per-point.
 func (r *streamRun) applyChunked(ctx context.Context, mrCfg mapreduce.Config, lfs []*lf.LF, store *disk.Store, schema *feature.Schema, stage string) (*lf.Matrix, error) {
 	var matrix *lf.Matrix
-	err := store.ScanChunks(ctx, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		m, err := lf.Apply(ctx, mrCfg, lfs, reprojectAll(vecs, schema))
+	err := store.ScanProjected(ctx, schema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
+		m, err := lf.Apply(ctx, mrCfg, lfs, vecs)
 		if err != nil {
 			return err
 		}
@@ -421,19 +421,19 @@ func (r *streamRun) applyChunked(ctx context.Context, mrCfg mapreduce.Config, lf
 	return matrix, err
 }
 
-// scanWindow replays the first window image rows in append order,
-// reprojected into schema.
+// scanWindow replays the first window image rows in append order, decoded
+// into schema.
 func (r *streamRun) scanWindow(ctx context.Context, schema *feature.Schema, window int, stage string, fn func([]*feature.Vector) error) error {
 	if window == 0 {
 		return nil
 	}
 	seen := 0
-	err := r.image.ScanChunks(ctx, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
+	err := r.image.ScanProjected(ctx, schema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
 		if take := window - seen; take < len(vecs) {
 			vecs = vecs[:take]
 		}
 		seen += len(vecs)
-		if err := fn(reprojectAll(vecs, schema)); err != nil {
+		if err := fn(vecs); err != nil {
 			return err
 		}
 		if err := r.hook(stage, seq); err != nil {
@@ -609,24 +609,20 @@ func (r *streamRun) propagateStreamed(ctx context.Context, matrix, devMatrix *lf
 	return cuts, res.Iters, nil
 }
 
-// storeCorpus adapts a disk store to mining.Corpus, reprojecting each chunk
-// into the LF feature space.
+// storeCorpus adapts the run's text store to mining.Corpus, decoding each
+// chunk straight into the LF feature space.
 type storeCorpus struct {
-	store   *disk.Store
-	schema  *feature.Schema
-	onChunk func(seq int) error
+	run    *streamRun
+	schema *feature.Schema
 }
 
 func (c *storeCorpus) Schema() *feature.Schema { return c.schema }
 
 func (c *storeCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int8) error) error {
-	return c.store.ScanChunks(ctx, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
-		if err := fn(reprojectAll(vecs, c.schema), labels); err != nil {
+	return c.run.text.ScanProjected(ctx, c.schema, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
+		if err := fn(vecs, labels); err != nil {
 			return err
 		}
-		if c.onChunk != nil {
-			return c.onChunk(seq)
-		}
-		return nil
+		return c.run.hook("mine", seq)
 	})
 }

@@ -250,15 +250,28 @@ type Vector struct {
 
 // NewVector returns an all-missing vector for schema.
 func NewVector(schema *Schema) *Vector {
-	values := make([]Value, schema.Len())
-	for i := range values {
-		values[i].Missing = true
-	}
-	return &Vector{schema: schema, values: values}
+	return &NewVectors(schema, 1)[0]
 }
 
 // Schema returns the vector's schema.
 func (v *Vector) Schema() *Schema { return v.schema }
+
+// NewVectors returns n all-missing vectors for schema carved out of two
+// allocations (one []Vector, one []Value) instead of two per vector: the
+// chunk-granular form the disk store decodes into. Each vector's value
+// window is capacity-limited, so vectors never alias one another.
+func NewVectors(schema *Schema, n int) []Vector {
+	width := schema.Len()
+	values := make([]Value, n*width)
+	for i := range values {
+		values[i].Missing = true
+	}
+	vecs := make([]Vector, n)
+	for r := range vecs {
+		vecs[r] = Vector{schema: schema, values: values[r*width : (r+1)*width : (r+1)*width]}
+	}
+	return vecs
+}
 
 // Set assigns the named feature's value. It returns an error if the feature
 // does not exist or the value shape does not match the feature kind.
@@ -267,10 +280,17 @@ func (v *Vector) Set(name string, val Value) error {
 	if !ok {
 		return fmt.Errorf("feature: unknown feature %q", name)
 	}
+	return v.SetAt(i, val)
+}
+
+// SetAt is Set addressed by schema position: callers that already iterate in
+// schema order (featurization, the disk store's decoder) skip the per-value
+// name lookup. i must be in [0, Schema().Len()).
+func (v *Vector) SetAt(i int, val Value) error {
 	if !val.Missing {
-		d := v.schema.Def(i)
+		d := &v.schema.defs[i]
 		if d.Kind == Embedding && len(val.Vec) != d.Dim {
-			return fmt.Errorf("feature: embedding %q wants dim %d, got %d", name, d.Dim, len(val.Vec))
+			return fmt.Errorf("feature: embedding %q wants dim %d, got %d", d.Name, d.Dim, len(val.Vec))
 		}
 		// Vectorize time is when categorical values are interned: every
 		// vector-borne value carries its ID set from here on, so pairwise
@@ -287,6 +307,15 @@ func (v *Vector) Set(name string, val Value) error {
 // vectors.
 func (v *Vector) MustSet(name string, val Value) {
 	if err := v.Set(name, val); err != nil {
+		panic(err)
+	}
+}
+
+// MustSetAt is SetAt that panics on error; for callers whose values are
+// kind-correct by construction (a resource filling its own feature, a
+// decoder whose column definition was matched against the schema).
+func (v *Vector) MustSetAt(i int, val Value) {
+	if err := v.SetAt(i, val); err != nil {
 		panic(err)
 	}
 }

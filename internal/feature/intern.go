@@ -1,6 +1,10 @@
 package feature
 
-import "sync"
+import (
+	"maps"
+	"sync"
+	"sync/atomic"
+)
 
 // The category interner maps category strings to dense uint32 IDs so the
 // similarity hot path can intersect categorical sets by integer merge
@@ -11,37 +15,58 @@ import "sync"
 // intersection/union counts, not ID order — so the assignment order being
 // scheduling-dependent under parallel featurization cannot leak into
 // results.
+//
+// Lookups of an already published category read an immutable snapshot map
+// behind an atomic pointer: no lock, and no shared cache line written (an
+// RWMutex reader count is one, and every categorical value of every row
+// crosses this function). Assignment stays under one mutex so IDs are dense.
 var interner = struct {
-	sync.RWMutex
-	ids map[string]uint32
+	snap atomic.Pointer[map[string]uint32] // immutable once stored; nil until the first publish
+
+	mu     sync.Mutex
+	ids    map[string]uint32 // every assignment; guarded by mu
+	misses int               // locked lookups since snap was published; guarded by mu
 }{ids: make(map[string]uint32, 256)}
 
 // InternID returns the dense ID of category c, assigning the next free ID
-// on first sight. Safe for concurrent use; the read path is an RLock, so
-// steady-state featurization only shares the lock. Exported so indexes
-// keyed by single categories (the blocked graph builder's block table) can
-// use the same integers the similarity kernel compares.
+// on first sight. Safe for concurrent use. Exported so indexes keyed by
+// single categories (the blocked graph builder's block table) can use the
+// same integers the similarity kernel compares.
 func InternID(c string) uint32 {
-	interner.RLock()
+	if snap := interner.snap.Load(); snap != nil {
+		if id, ok := (*snap)[c]; ok {
+			return id
+		}
+	}
+	interner.mu.Lock()
+	defer interner.mu.Unlock()
 	id, ok := interner.ids[c]
-	interner.RUnlock()
-	if ok {
-		return id
+	if !ok {
+		id = uint32(len(interner.ids))
+		interner.ids[c] = id
 	}
-	interner.Lock()
-	defer interner.Unlock()
-	if id, ok = interner.ids[c]; ok {
-		return id
+	// Republish once the lookups that had to lock add up to the table size:
+	// the copy is then amortised O(1) per locked lookup, and a category that
+	// keeps being seen moves to the lock-free path.
+	if interner.misses++; interner.misses >= len(interner.ids) {
+		snap := maps.Clone(interner.ids)
+		interner.snap.Store(&snap)
+		interner.misses = 0
 	}
-	id = uint32(len(interner.ids))
-	interner.ids[c] = id
 	return id
 }
 
+// InternCount returns how many categories the process-wide table holds (IDs
+// are dense, so also the next ID to be assigned). It lets a caller assert
+// that some operation — opening a corrupt segment, say — interned nothing.
+func InternCount() int {
+	interner.mu.Lock()
+	defer interner.mu.Unlock()
+	return len(interner.ids)
+}
+
 // internCategories returns the sorted, deduplicated intern IDs of cats, or
-// nil when cats is empty. Category sets are tiny (a handful of values), so
-// an insertion sort beats sort.Slice and allocates nothing beyond the
-// result.
+// nil when cats is empty.
 func internCategories(cats []string) []uint32 {
 	if len(cats) == 0 {
 		return nil
@@ -50,12 +75,19 @@ func internCategories(cats []string) []uint32 {
 	for i, c := range cats {
 		ids[i] = InternID(c)
 	}
+	return sortedIDSet(ids)
+}
+
+// sortedIDSet sorts ids and drops duplicates in place (multisets collapse to
+// sets, matching Jaccard). Category sets are tiny (a handful of values), so
+// an insertion sort beats sort.Slice and allocates nothing. ids must be
+// non-empty.
+func sortedIDSet(ids []uint32) []uint32 {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	// Dedupe in place (multisets collapse to sets, matching Jaccard).
 	out := ids[:1]
 	for _, id := range ids[1:] {
 		if id != out[len(out)-1] {
@@ -63,6 +95,20 @@ func internCategories(cats []string) []uint32 {
 		}
 	}
 	return out
+}
+
+// InternedCategoricalValue returns a present categorical value whose intern
+// IDs the caller already holds: ids[k] must be InternID(categories[k]). A
+// decoder that interns a segment dictionary once builds row values this way
+// instead of paying one table lookup per category per row. ids is normalised
+// in place (sorted, deduplicated) and retained, so the value is exactly what
+// Vector.Set would have cached; both slices must not be mutated afterwards.
+// Empty categories carry no ID set, as under Set.
+func InternedCategoricalValue(categories []string, ids []uint32) Value {
+	if len(categories) == 0 {
+		return Value{Categories: categories}
+	}
+	return Value{Categories: categories, catIDs: sortedIDSet(ids)}
 }
 
 // InternedCategories returns the value's categories as sorted, deduplicated

@@ -3,6 +3,8 @@ package feature
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -234,5 +236,111 @@ func BenchmarkJaccard(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Jaccard(x, y)
+	}
+}
+
+// TestInternConcurrentAgreement: goroutines interning overlapping category
+// sets at once (so lock-free snapshot hits, locked hits, first assignments
+// and republishes all interleave) must agree on every ID, and the IDs of the
+// newly assigned categories must be dense. Run under -race.
+func TestInternConcurrentAgreement(t *testing.T) {
+	const goroutines, vocab, rounds = 8, 600, 3
+	name := func(k int) string { return fmt.Sprintf("concurrent-intern-%d", k) }
+	got := make([][]uint32, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]uint32, vocab)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine walks the vocabulary from its own offset, so
+			// every category is first seen by a different goroutine.
+			for round := 0; round < rounds; round++ {
+				for step := 0; step < vocab; step++ {
+					k := (step + g*vocab/goroutines) % vocab
+					id := InternID(name(k))
+					if round > 0 && id != got[g][k] {
+						t.Errorf("goroutine %d: %q changed ID %d -> %d", g, name(k), got[g][k], id)
+						return
+					}
+					got[g][k] = id
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint32]bool, vocab)
+	lo, hi := ^uint32(0), uint32(0)
+	for k := 0; k < vocab; k++ {
+		id := got[0][k]
+		for g := 1; g < goroutines; g++ {
+			if got[g][k] != id {
+				t.Fatalf("%q: goroutine 0 got ID %d, goroutine %d got %d", name(k), id, g, got[g][k])
+			}
+		}
+		if seen[id] {
+			t.Fatalf("ID %d assigned to two categories", id)
+		}
+		seen[id] = true
+		lo, hi = min(lo, id), max(hi, id)
+		if again := InternID(name(k)); again != id {
+			t.Fatalf("%q: ID %d, then %d", name(k), id, again)
+		}
+	}
+	// Nothing else interns while this test runs (package tests are serial),
+	// so the vocab fresh IDs form one contiguous range.
+	if int(hi-lo) != vocab-1 {
+		t.Fatalf("fresh IDs span [%d, %d], want %d dense IDs", lo, hi, vocab)
+	}
+}
+
+// TestSetAtMatchesSet: addressing by index, carving vectors from a slab and
+// handing Set pre-interned IDs are all representations of the same vector
+// that Set-by-name builds.
+func TestSetAtMatchesSet(t *testing.T) {
+	schema := internTestSchema(t)
+	rng := rand.New(rand.NewSource(77))
+	const n = 200
+	slab := NewVectors(schema, n)
+	for r := 0; r < n; r++ {
+		want := randomVector(t, rng, schema)
+		byIndex := NewVector(schema)
+		for i := 0; i < schema.Len(); i++ {
+			val := want.At(i)
+			plain := Value{Categories: val.Categories, Num: val.Num, Vec: val.Vec, Missing: val.Missing}
+			if err := byIndex.SetAt(i, plain); err != nil {
+				t.Fatal(err)
+			}
+			if schema.Def(i).Kind == Categorical && !val.Missing {
+				ids := make([]uint32, len(val.Categories))
+				for k, c := range val.Categories {
+					ids[k] = InternID(c)
+				}
+				plain = InternedCategoricalValue(val.Categories, ids)
+			}
+			if err := slab[r].SetAt(i, plain); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(want, byIndex) {
+			t.Fatalf("row %d: SetAt built %v, Set built %v", r, byIndex, want)
+		}
+		if !reflect.DeepEqual(want, &slab[r]) {
+			t.Fatalf("row %d: slab vector %v, Set built %v", r, &slab[r], want)
+		}
+	}
+	if err := slab[0].SetAt(3, EmbeddingValue(make([]float64, 3))); err == nil {
+		t.Fatal("SetAt accepted an embedding of the wrong dimension")
+	}
+	// A slab vector's window is capacity-limited: it cannot reach its
+	// neighbour's values.
+	if got := cap(slab[0].values); got != schema.Len() {
+		t.Fatalf("slab vector value capacity %d, want %d", got, schema.Len())
+	}
+	fresh := NewVectors(schema, 2)
+	for i := 0; i < schema.Len(); i++ {
+		if !fresh[1].At(i).Missing {
+			t.Fatalf("NewVectors: feature %d not missing", i)
+		}
 	}
 }

@@ -49,9 +49,9 @@
 // Floats round-trip as raw bits and categorical values keep their exact
 // order and multiplicity, so a vector read back is bit-identical to the
 // one written — the property the golden streamed-pipeline gate depends on.
-// Interned-categorical encoding: the per-segment dictionary plus local IDs
-// is exactly the shape feature.SimKernel consumes after re-interning at
-// materialization (Vector.Set).
+// Interned-categorical encoding: the per-segment dictionary is interned once
+// when the segment opens, so materializing a row maps its local IDs to the
+// intern-ID set feature.SimKernel consumes by index.
 package disk
 
 import (
@@ -196,6 +196,9 @@ type colMeta struct {
 	data int // numeric/embedding data, or the cat offsets array
 	ids  int // categorical local-ID array offset
 	dict []string
+	// dictIDs[k] is feature.InternID(dict[k]); filled by openSegment once the
+	// segment is fully validated.
+	dictIDs []uint32
 }
 
 // payloadLayout walks and validates the columnar payload, returning the
@@ -345,74 +348,88 @@ func (c *cursor) u32() uint32 {
 }
 
 // encodeSegment serializes one shard's slice of a chunk. ids, ords,
-// labels, and vecs are parallel; every vector must carry schema.
+// labels, and vecs are parallel; every vector must carry schema. The whole
+// file image — header, payload, payload CRC — is appended into one buffer
+// sized up front, the header filled in last once the payload length is
+// known.
 func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, chunk int, ids []uint64, ords []uint32, labels []int8, vecs []*feature.Vector) ([]byte, error) {
 	rows := len(vecs)
 	if rows == 0 || rows > maxRows {
 		return nil, fmt.Errorf("disk: segment row count %d out of range", rows)
 	}
-	var payload bytes.Buffer
-	var scratch [8]byte
+	bitmapLen := (rows + 7) / 8
+	// Fixed-width columns are sized exactly; a categorical column is guessed
+	// at two categories a row plus a small dictionary, and append grows the
+	// buffer if a segment turns out denser.
+	size := headerSize + 13*rows + 4
+	for i := 0; i < schema.Len(); i++ {
+		size += bitmapLen
+		switch d := schema.Def(i); d.Kind {
+		case feature.Numeric:
+			size += 8 * rows
+		case feature.Embedding:
+			size += 8 * rows * d.Dim
+		case feature.Categorical:
+			size += 4 + 1024 + 4*(rows+1) + 8*rows
+		}
+	}
 	le := binary.LittleEndian
+	out := make([]byte, headerSize, size)
 	for _, id := range ids {
-		le.PutUint64(scratch[:], id)
-		payload.Write(scratch[:8])
+		out = le.AppendUint64(out, id)
 	}
 	for _, o := range ords {
-		le.PutUint32(scratch[:4], o)
-		payload.Write(scratch[:4])
+		out = le.AppendUint32(out, o)
 	}
 	for _, l := range labels {
-		payload.WriteByte(byte(l))
+		out = append(out, byte(l))
 	}
-	bitmap := make([]byte, (rows+7)/8)
+	// Per-column dictionary state, reused across the categorical columns.
+	dictIdx := make(map[string]uint32)
+	var dict []string
+	offsets := make([]uint32, 0, rows+1)
+	var localIDs []uint32
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
-		for b := range bitmap {
-			bitmap[b] = 0
-		}
-		for r, v := range vecs {
-			if !v.At(i).Missing {
-				bitmap[r/8] |= 1 << (r % 8)
-			}
-		}
-		payload.Write(bitmap)
+		// The presence bitmap is reserved here and its bits are set by the
+		// column loop below, which reads each value once (a Value is 88
+		// bytes; At copies it).
+		pres := len(out)
+		out = append(out, make([]byte, bitmapLen)...)
 		switch d.Kind {
 		case feature.Numeric:
-			for _, v := range vecs {
+			for r, v := range vecs {
 				val := v.At(i)
 				var bits uint64
 				if !val.Missing {
+					out[pres+r/8] |= 1 << (r % 8)
 					bits = math.Float64bits(val.Num)
 				}
-				le.PutUint64(scratch[:], bits)
-				payload.Write(scratch[:8])
+				out = le.AppendUint64(out, bits)
 			}
 		case feature.Embedding:
-			zero := make([]byte, 8*d.Dim)
-			for _, v := range vecs {
+			for r, v := range vecs {
 				val := v.At(i)
 				if val.Missing {
-					payload.Write(zero)
+					out = append(out, make([]byte, 8*d.Dim)...)
 					continue
 				}
+				out[pres+r/8] |= 1 << (r % 8)
 				if len(val.Vec) != d.Dim {
 					return nil, fmt.Errorf("disk: feature %q: embedding dim %d, schema wants %d", d.Name, len(val.Vec), d.Dim)
 				}
 				for _, x := range val.Vec {
-					le.PutUint64(scratch[:], math.Float64bits(x))
-					payload.Write(scratch[:8])
+					out = le.AppendUint64(out, math.Float64bits(x))
 				}
 			}
 		case feature.Categorical:
-			dictIdx := make(map[string]uint32)
-			var dict []string
-			offsets := make([]uint32, 0, rows+1)
-			var localIDs []uint32
-			offsets = append(offsets, 0)
-			for _, v := range vecs {
+			clear(dictIdx)
+			dict, localIDs = dict[:0], localIDs[:0]
+			offsets = append(offsets[:0], 0)
+			for r, v := range vecs {
 				val := v.At(i)
 				if !val.Missing {
+					out[pres+r/8] |= 1 << (r % 8)
 					for _, cat := range val.Categories {
 						id, ok := dictIdx[cat]
 						if !ok {
@@ -431,36 +448,29 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 			if len(localIDs) > maxCatIDs {
 				return nil, fmt.Errorf("disk: feature %q: category IDs overflow %d", d.Name, maxCatIDs)
 			}
-			le.PutUint32(scratch[:4], uint32(len(dict)))
-			payload.Write(scratch[:4])
+			out = le.AppendUint32(out, uint32(len(dict)))
 			for _, s := range dict {
 				if len(s) > math.MaxUint16 {
 					return nil, fmt.Errorf("disk: feature %q: category longer than %d bytes", d.Name, math.MaxUint16)
 				}
-				le.PutUint16(scratch[:2], uint16(len(s)))
-				payload.Write(scratch[:2])
-				payload.WriteString(s)
+				out = le.AppendUint16(out, uint16(len(s)))
+				out = append(out, s...)
 			}
 			for _, o := range offsets {
-				le.PutUint32(scratch[:4], o)
-				payload.Write(scratch[:4])
+				out = le.AppendUint32(out, o)
 			}
 			for _, id := range localIDs {
-				le.PutUint32(scratch[:4], id)
-				payload.Write(scratch[:4])
+				out = le.AppendUint32(out, id)
 			}
 		}
 	}
-	if payload.Len() > maxPayload {
-		return nil, fmt.Errorf("disk: segment payload %d bytes exceeds cap", payload.Len())
+	payloadLen := len(out) - headerSize
+	if payloadLen > maxPayload {
+		return nil, fmt.Errorf("disk: segment payload %d bytes exceeds cap", payloadLen)
 	}
-	out := make([]byte, 0, headerSize+payload.Len()+4)
-	out = append(out, putHeader(header{
+	copy(out, putHeader(header{
 		Shard: shard, NShards: nshards, Chunk: chunk,
-		Rows: rows, SchemaHash: schemaHash, PayloadLen: payload.Len(),
-	})...)
-	out = append(out, payload.Bytes()...)
-	le.PutUint32(scratch[:4], crc32.ChecksumIEEE(payload.Bytes()))
-	out = append(out, scratch[:4]...)
-	return out, nil
+		Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen,
+	}))
+	return le.AppendUint32(out, crc32.ChecksumIEEE(out[headerSize:])), nil
 }

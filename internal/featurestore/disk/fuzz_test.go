@@ -4,10 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"crossmodal/internal/feature"
 )
 
 // fuzzSeeds builds the seed corpus for FuzzShardLoad: a real encoded
@@ -42,18 +46,32 @@ func fuzzSeeds(f *testing.F) {
 
 // FuzzShardLoad feeds arbitrary bytes through the full segment-open path
 // (mmap + header + CRC + column layout). Corrupt inputs must come back as
-// ErrCorrupt — never a panic, and never an allocation driven by a length
-// field rather than by bytes actually present in the file.
+// ErrCorrupt — never a panic, never an allocation driven by a length field
+// rather than by bytes actually present in the file, and never a category
+// interned from a file that was then rejected. Accepted inputs must decode:
+// every accessor and the projected slab decoder stay in bounds over every
+// row, and the slab decode agrees with the row-at-a-time decode.
 func FuzzShardLoad(f *testing.F) {
 	fuzzSeeds(f)
 	schema := testSchema()
 	hash := SchemaHash(schema)
+	identity, err := newProjection(schema, schema)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Reordered, skipping a stored column, naming one the store lacks.
+	subset, err := newProjection(schema, feature.MustSchema(
+		schema.Def(3), feature.Def{Name: "absent", Kind: feature.Categorical}, schema.Def(1), schema.Def(2)))
+	if err != nil {
+		f.Fatal(err)
+	}
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(dir, segName(0, 0))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		interned := feature.InternCount()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		seg, err := openSegment(path, schema, hash, true)
@@ -69,8 +87,12 @@ func FuzzShardLoad(f *testing.F) {
 			if grew := int64(after.TotalAlloc - before.TotalAlloc); grew > int64(len(data))+1<<20 {
 				t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), grew)
 			}
+			if got := feature.InternCount(); got != interned {
+				t.Fatalf("rejecting a file interned %d categories", got-interned)
+			}
 			return
 		}
+		defer seg.Close()
 		// Accepted: every accessor over every row must stay in bounds.
 		for r := 0; r < seg.Rows(); r++ {
 			_ = seg.ID(r)
@@ -78,8 +100,36 @@ func FuzzShardLoad(f *testing.F) {
 			_ = seg.Label(r)
 			_ = seg.VectorAt(schema, r)
 		}
-		seg.Close()
+		for _, proj := range []*projection{identity, subset} {
+			slab := feature.NewVectors(proj.target, seg.Rows())
+			dec := seg.decoder(proj, true)
+			for r := range slab {
+				dec.row(r, &slab[r])
+				single := feature.NewVector(proj.target)
+				seg.decoder(proj, false).row(r, single)
+				if !reflect.DeepEqual(single, &slab[r]) && !hasNaN(single) {
+					t.Fatalf("row %d: slab decode %v, single-row decode %v", r, &slab[r], single)
+				}
+			}
+		}
 	})
+}
+
+// hasNaN reports whether v holds a NaN, which reflect.DeepEqual never finds
+// equal to itself (fuzzed payloads can hold any float bits).
+func hasNaN(v *feature.Vector) bool {
+	for i := 0; i < v.Schema().Len(); i++ {
+		val := v.At(i)
+		if math.IsNaN(val.Num) {
+			return true
+		}
+		for _, x := range val.Vec {
+			if math.IsNaN(x) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // FuzzShardHeader fuzzes the fixed-header parser in isolation: arbitrary

@@ -1,0 +1,291 @@
+package disk
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"crossmodal/internal/feature"
+	"crossmodal/internal/xrand"
+)
+
+// randomChunk builds n vectors under testSchema with every shape the
+// decoder distinguishes: missing values, present-but-empty category sets,
+// duplicate categories, odd float bits. Features named in allMissing are
+// missing on every row, so their columns hold an all-zero presence bitmap
+// (and, for categoricals, an empty dictionary).
+func randomChunk(rng *rand.Rand, schema *feature.Schema, n int, allMissing map[string]bool) []*feature.Vector {
+	floats := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	vecs := make([]*feature.Vector, n)
+	for r := range vecs {
+		v := feature.NewVector(schema)
+		for i := 0; i < schema.Len(); i++ {
+			d := schema.Def(i)
+			if allMissing[d.Name] || rng.Intn(4) == 0 {
+				continue
+			}
+			switch d.Kind {
+			case feature.Numeric:
+				x := rng.NormFloat64()
+				if rng.Intn(3) == 0 {
+					x = floats[rng.Intn(len(floats))]
+				}
+				v.MustSet(d.Name, feature.NumericValue(x))
+			case feature.Embedding:
+				emb := make([]float64, d.Dim)
+				for k := range emb {
+					emb[k] = rng.Float64()*2 - 1
+				}
+				v.MustSet(d.Name, feature.EmbeddingValue(emb))
+			case feature.Categorical:
+				cats := make([]string, rng.Intn(5)) // 0: present but empty
+				for k := range cats {
+					cats[k] = fmt.Sprintf("%s-%d", d.Name, rng.Intn(6)) // small pool: duplicates are common
+				}
+				if len(cats) == 0 {
+					cats = nil
+				}
+				v.MustSet(d.Name, feature.CategoricalValue(cats...))
+			}
+		}
+		vecs[r] = v
+	}
+	return vecs
+}
+
+// wantIdentical asserts got is the vector want in every observable respect:
+// reflect.DeepEqual (schema, presence, payloads, cached intern IDs), and —
+// because DeepEqual treats -0 and 0 alike — float bits (wantSameVector) and
+// the exported intern-ID view as well.
+func wantIdentical(t *testing.T, where string, want, got *feature.Vector) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: decoded %v, want %v", where, got, want)
+	}
+	wantSameVector(t, where, want, got)
+	for i := 0; i < want.Schema().Len(); i++ {
+		if a, b := want.At(i).InternedCategories(), got.At(i).InternedCategories(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: feature %d: intern IDs %v, want %v", where, i, b, a)
+		}
+	}
+}
+
+// TestScanProjectedMatchesReproject: decoding a chunk straight into a
+// consumer's schema yields, row for row, the vector that was written
+// reprojected onto that schema — and the vector ScanChunks + Reproject
+// yields — for the identity, a reordered subset, and a target naming
+// features the store lacks. A target that defines a stored feature
+// differently is refused before any row is read.
+func TestScanProjectedMatchesReproject(t *testing.T) {
+	ctx := context.Background()
+	schema := testSchema()
+	s, err := Open(t.TempDir(), schema, Options{Shards: 3})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	rng := xrand.New(101)
+	var written [][]*feature.Vector
+	base := 0
+	for c, allMissing := range []map[string]bool{
+		nil,
+		{"tags": true},
+		{"score": true, "emb": true},
+		{"score": true, "emb": true, "topic": true, "tags": true},
+		nil,
+	} {
+		n := []int{97, 1, 40, 5, 260}[c]
+		vecs := randomChunk(rng, schema, n, allMissing)
+		ids := make([]int, n)
+		labels := make([]int8, n)
+		for i := range ids {
+			ids[i] = base + i
+			labels[i] = int8(rng.Intn(3) - 1)
+		}
+		base += n
+		if err := s.AppendChunk(ctx, ids, labels, vecs); err != nil {
+			t.Fatalf("AppendChunk: %v", err)
+		}
+		written = append(written, vecs)
+	}
+
+	def := func(name string) feature.Def { return schema.Def(schemaIndex(t, schema, name)) }
+	targets := map[string]*feature.Schema{
+		"identity":  schema,
+		"reordered": feature.MustSchema(def("tags"), def("score")),
+		"lacking": feature.MustSchema(
+			def("emb"),
+			feature.Def{Name: "absent", Kind: feature.Categorical, Set: "Z"},
+			def("topic"),
+			feature.Def{Name: "absent_emb", Kind: feature.Embedding, Dim: 3},
+			def("score"),
+		),
+	}
+	for name, target := range targets {
+		var viaChunks [][]*feature.Vector
+		if err := s.ScanChunks(ctx, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
+			out := make([]*feature.Vector, len(vecs))
+			for i, v := range vecs {
+				out[i] = v.Reproject(target)
+			}
+			viaChunks = append(viaChunks, out)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: ScanChunks: %v", name, err)
+		}
+		chunks := 0
+		err := s.ScanProjected(ctx, target, func(seq int, ids []int, _ []int8, vecs []*feature.Vector) error {
+			if len(vecs) != len(written[seq]) || len(ids) != len(vecs) {
+				t.Fatalf("%s: chunk %d has %d rows, wrote %d", name, seq, len(vecs), len(written[seq]))
+			}
+			for r, v := range vecs {
+				where := fmt.Sprintf("%s chunk %d row %d", name, seq, r)
+				if v.Schema() != target {
+					t.Fatalf("%s: vector carries schema %v, want the target", where, v.Schema())
+				}
+				wantIdentical(t, where+" vs written", written[seq][r].Reproject(target), v)
+				wantIdentical(t, where+" vs ScanChunks+Reproject", viaChunks[seq][r], v)
+			}
+			chunks++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: ScanProjected: %v", name, err)
+		}
+		if chunks != len(written) {
+			t.Fatalf("%s: scanned %d chunks, want %d", name, chunks, len(written))
+		}
+	}
+
+	// Decoded values never alias one another: appending to one row's
+	// categories must not reach the next row's.
+	if err := s.ScanChunks(ctx, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
+		for _, v := range vecs {
+			for i := 0; i < schema.Len(); i++ {
+				val := v.At(i)
+				if cap(val.Categories) != len(val.Categories) || cap(val.Vec) != len(val.Vec) {
+					t.Fatalf("decoded value has spare capacity into its arena: %d/%d categories, %d/%d floats",
+						len(val.Categories), cap(val.Categories), len(val.Vec), cap(val.Vec))
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, bad := range map[string]feature.Def{
+		"kind":     {Name: "score", Kind: feature.Categorical, Set: "A", Servable: true},
+		"dim":      {Name: "emb", Kind: feature.Embedding, Dim: 5, Set: "B"},
+		"set":      {Name: "topic", Kind: feature.Categorical, Set: "B", Servable: true},
+		"servable": {Name: "tags", Kind: feature.Categorical, Set: "C", Servable: true},
+	} {
+		called := false
+		// A good feature first: the mismatch must be found wherever it sits.
+		target := feature.MustSchema(feature.Def{Name: "absent", Kind: feature.Numeric}, bad)
+		err := s.ScanProjected(ctx, target, func(int, []int, []int8, []*feature.Vector) error {
+			called = true
+			return nil
+		})
+		if err == nil || called {
+			t.Fatalf("mismatched %s: err = %v, rows read = %v; want an error before any row", name, err, called)
+		}
+	}
+}
+
+// TestScanAllocsPerChunk: a scan allocates per chunk and per segment (the
+// slabs and arenas), never per row — two stores with the same chunk and
+// segment counts but 16x the rows cost the same number of allocations.
+func TestScanAllocsPerChunk(t *testing.T) {
+	ctx := context.Background()
+	schema := testSchema()
+	lf := feature.MustSchema(schema.Def(schemaIndex(t, schema, "topic")), schema.Def(schemaIndex(t, schema, "emb")))
+	allocs := func(rowsPerChunk int) (identity, projected float64) {
+		s, err := Open(t.TempDir(), schema, Options{Shards: 4})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		for c := 0; c < 2; c++ {
+			appendTestChunk(t, s, c*rowsPerChunk, rowsPerChunk, int64(31+c))
+		}
+		if got := len(s.Segments(0)) + len(s.Segments(1)); got != 8 {
+			t.Fatalf("%d rows per chunk landed in %d segments, want 8", rowsPerChunk, got)
+		}
+		rows := 0
+		count := func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
+			rows += len(vecs)
+			return nil
+		}
+		identity = testing.AllocsPerRun(5, func() {
+			if err := s.ScanChunks(ctx, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		projected = testing.AllocsPerRun(5, func() {
+			if err := s.ScanProjected(ctx, lf, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rows != 12*2*rowsPerChunk {
+			t.Fatalf("scans saw %d rows, want %d", rows, 12*2*rowsPerChunk)
+		}
+		return identity, projected
+	}
+	smallID, smallProj := allocs(128)
+	largeID, largeProj := allocs(2048)
+	if smallID != largeID || smallProj != largeProj {
+		t.Fatalf("allocations grew with rows per segment: identity %v -> %v, projected %v -> %v",
+			smallID, largeID, smallProj, largeProj)
+	}
+	// 2 chunks x (5 slabs + 4 segments x (decoder + 3 arenas)) plus the
+	// projection and span: O(segments). Leave slack, but nowhere near rows.
+	if largeID > 100 {
+		t.Fatalf("a scan of 2 chunks x 4 segments allocated %v times", largeID)
+	}
+}
+
+// TestEncodeSegmentBytesPinned pins the on-disk bytes of a fixed
+// multi-shard chunk: format version 1, column order, dictionary
+// first-appearance order and both CRCs. The digest was computed at the
+// commit before encodeSegment was rewritten to append into one buffer; a
+// change here is a format change and needs a version bump, not a new digest.
+func TestEncodeSegmentBytesPinned(t *testing.T) {
+	const want = "d914f07222a4cc7c764042ea518f17223fba590d2d1dbc400d6e696a6800af0f"
+	dir := t.TempDir()
+	s, err := Open(dir, testSchema(), Options{Shards: 4})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	appendTestChunk(t, s, 5000, 257, 19)
+	appendTestChunk(t, s, 9000, 3, 23) // a chunk smaller than the shard count
+	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	if len(names) < 5 {
+		t.Fatalf("expected a multi-shard chunk, got segments %v", names)
+	}
+	h := sha256.New()
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.Base(name)))
+		h.Write(data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("segment bytes changed: sha256 %s, pinned %s", got, want)
+	}
+}

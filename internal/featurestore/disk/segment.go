@@ -2,8 +2,10 @@ package disk
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 
 	"crossmodal/internal/feature"
@@ -71,6 +73,17 @@ func openSegment(path string, schema *feature.Schema, schemaHash uint64, verifyC
 	if err != nil {
 		err.(*ErrCorrupt).Path = path
 		return nil, err
+	}
+	// Intern each dictionary once, and only now that the file has passed
+	// every check: a rejected segment must not grow the process-wide intern
+	// table. Row decoding then maps local IDs to intern IDs by index.
+	for i := range cols {
+		if c := &cols[i]; c.kind == feature.Categorical {
+			c.dictIDs = make([]uint32, len(c.dict))
+			for k, cat := range c.dict {
+				c.dictIDs[k] = feature.InternID(cat)
+			}
+		}
 	}
 	return &Segment{
 		path:    path,
@@ -164,30 +177,143 @@ func (s *Segment) Dict(col int) []string { return s.cols[col].dict }
 // be the schema the segment was validated against). Values round-trip
 // bit-exactly: float bits, category order, and duplicates are preserved.
 func (s *Segment) VectorAt(schema *feature.Schema, r int) *feature.Vector {
+	proj, err := newProjection(schema, schema)
+	if err != nil {
+		panic(err) // unreachable: a schema projects onto itself
+	}
 	v := feature.NewVector(schema)
-	for col := 0; col < schema.Len(); col++ {
-		if !s.Present(col, r) {
+	s.decoder(proj, false).row(r, v)
+	return v
+}
+
+// projection maps a consumer's schema onto a store's columns, so a scan
+// decodes straight into the schema its consumer works in (the LF or graph
+// sub-schema) and never touches columns that consumer does not read.
+type projection struct {
+	target *feature.Schema
+	cols   []int // per target position: the stored column, or -1 when the store lacks the feature
+}
+
+// newProjection matches target features to stored columns by name. A matched
+// feature must have the identical definition — decoding a column under
+// another kind or dimension would mis-read it — and a feature the store
+// lacks stays Missing on every row.
+func newProjection(stored, target *feature.Schema) (*projection, error) {
+	if target == nil || target.Len() == 0 {
+		return nil, fmt.Errorf("disk: projection needs a non-empty target schema")
+	}
+	p := &projection{target: target, cols: make([]int, target.Len())}
+	for j := range p.cols {
+		want := target.Def(j)
+		i, ok := stored.Index(want.Name)
+		switch {
+		case !ok:
+			p.cols[j] = -1
+		case stored.Def(i) != want:
+			return nil, fmt.Errorf("disk: feature %q is %+v in the target schema but stored as %+v", want.Name, want, stored.Def(i))
+		default:
+			p.cols[j] = i
+		}
+	}
+	return p, nil
+}
+
+// rowDecoder decodes rows of one segment into vectors of a projection's
+// target schema: the one decoder behind ScanProjected, Find and VectorAt.
+// Category strings, intern-ID sets and embeddings are carved from three
+// arenas; a decoder built for single rows has none and allocates per value.
+type rowDecoder struct {
+	seg  *Segment
+	proj *projection
+	cats []string
+	ids  []uint32
+	embs []float64
+}
+
+// decoder returns a row decoder over the segment. With allRows the arenas
+// are sized to decode every row once, from quantities payloadLayout already
+// checked against the bytes present (each projected categorical column's
+// final offset, each embedding column's presence count) — never from a
+// length field on its own.
+func (s *Segment) decoder(proj *projection, allRows bool) *rowDecoder {
+	d := &rowDecoder{seg: s, proj: proj}
+	if !allRows {
+		return d
+	}
+	var nCats, nEmb int
+	for _, col := range proj.cols {
+		if col < 0 {
 			continue
 		}
-		d := schema.Def(col)
+		switch c := &s.cols[col]; c.kind {
+		case feature.Categorical:
+			nCats += int(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
+		case feature.Embedding:
+			nEmb += c.dim * s.presentCount(col)
+		}
+	}
+	d.cats = make([]string, 0, nCats)
+	d.ids = make([]uint32, 0, nCats)
+	d.embs = make([]float64, 0, nEmb)
+	return d
+}
+
+// presentCount returns how many rows carry a value for feature col.
+func (s *Segment) presentCount(col int) int {
+	bitmap := s.payload[s.cols[col].pres : s.cols[col].pres+(s.rows+7)/8]
+	n := 0
+	for _, b := range bitmap {
+		n += bits.OnesCount8(b)
+	}
+	if tail := s.rows % 8; tail != 0 {
+		// Padding bits past the last row are not validated; do not count them.
+		n -= bits.OnesCount8(bitmap[len(bitmap)-1] >> tail)
+	}
+	return n
+}
+
+// carve extends arena by n elements and returns them as a capacity-limited
+// window (appending to one value can never reach its neighbour). An arena
+// without room — single-row decoders have none — yields a fresh allocation.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		return make([]T, n)
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+// row decodes row r into v, which must be an all-missing vector of the
+// projection's target schema. Values are what Vector.Set would have stored:
+// exact float bits, categories in written order with duplicates, embedding
+// dimensions checked by SetAt, and the intern-ID set mapped from the
+// segment's once-interned dictionary rather than looked up per category.
+func (d *rowDecoder) row(r int, v *feature.Vector) {
+	s := d.seg
+	le := binary.LittleEndian
+	for j, col := range d.proj.cols {
+		if col < 0 || !s.Present(col, r) {
+			continue
+		}
+		c := &s.cols[col]
 		var val feature.Value
-		switch d.Kind {
+		switch c.kind {
 		case feature.Numeric:
 			val = feature.NumericValue(s.Numeric(col, r))
 		case feature.Embedding:
-			val = feature.EmbeddingValue(s.EmbeddingInto(col, r, make([]float64, 0, d.Dim)))
+			val = feature.EmbeddingValue(s.EmbeddingInto(col, r, carve(&d.embs, c.dim)[:0]))
 		case feature.Categorical:
-			if n := s.NumCategories(col, r); n > 0 {
-				cats := make([]string, n)
+			start := int(le.Uint32(s.payload[c.data+4*r:]))
+			if n := int(le.Uint32(s.payload[c.data+4*(r+1):])) - start; n > 0 {
+				cats, ids := carve(&d.cats, n), carve(&d.ids, n)
 				for k := range cats {
-					cats[k] = s.Category(col, r, k)
+					local := le.Uint32(s.payload[c.ids+4*(start+k):])
+					cats[k], ids[k] = c.dict[local], c.dictIDs[local]
 				}
-				val = feature.CategoricalValue(cats...)
-			} else {
-				val = feature.CategoricalValue()
+				val = feature.InternedCategoricalValue(cats, ids)
 			}
 		}
-		v.MustSet(d.Name, val)
+		v.MustSetAt(j, val) // cannot fail: the projection matched this column's Def
 	}
-	return v
 }

@@ -370,10 +370,31 @@ func (s *Store) atomicWrite(path string, data []byte, op string) (err error) {
 }
 
 // ScanChunks streams every committed chunk in sequence order, handing fn
-// the chunk's rows in their original append order. The materialized slices
-// are freshly allocated per chunk and owned by fn; memory stays O(chunk),
-// never O(store).
+// the chunk's rows in their original append order under the store's schema.
+// It is ScanProjected with the identity projection.
 func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	return s.ScanProjected(ctx, s.schema, fn)
+}
+
+// ScanProjected is the store's one scan loop: every committed chunk in
+// sequence order, rows in their original append order, decoded straight into
+// target — the schema the consumer works in. Target features are matched to
+// stored columns by name and must be defined identically (checked before any
+// row is read); features the store lacks stay Missing; stored columns target
+// omits are never touched. The result is what scanning under the store
+// schema and then Reprojecting every vector would give, without building the
+// full-schema vector.
+//
+// A chunk is materialized as a few chunk-level slabs (one []Value, one
+// []Vector, and per segment one arena each for category strings, intern IDs
+// and embeddings), freshly allocated per chunk and owned by fn: retaining any
+// vector keeps its chunk's slabs alive. Memory stays O(chunk), never
+// O(store).
+func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	proj, err := newProjection(s.schema, target)
+	if err != nil {
+		return err
+	}
 	ctx, span := trace.Start(ctx, "diskstore.scan")
 	defer span.End()
 	n := s.Chunks()
@@ -382,7 +403,7 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ids, labels, vecs, err := s.readChunk(seq)
+		ids, labels, vecs, err := s.readChunk(seq, proj)
 		if err != nil {
 			return err
 		}
@@ -396,14 +417,16 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 }
 
 // readChunk materializes one committed chunk in append order.
-func (s *Store) readChunk(seq int) ([]int, []int8, []*feature.Vector, error) {
+func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.Vector, error) {
 	s.mu.RLock()
 	cs := s.chunks[seq]
 	s.mu.RUnlock()
 	ids := make([]int, cs.rows)
 	labels := make([]int8, cs.rows)
+	slab := feature.NewVectors(proj.target, cs.rows)
 	vecs := make([]*feature.Vector, cs.rows)
 	for _, seg := range cs.segs {
+		dec := seg.decoder(proj, true)
 		for r := 0; r < seg.Rows(); r++ {
 			ord := seg.Ord(r)
 			if ord < 0 || ord >= cs.rows || vecs[ord] != nil {
@@ -411,7 +434,8 @@ func (s *Store) readChunk(seq int) ([]int, []int8, []*feature.Vector, error) {
 			}
 			ids[ord] = int(seg.ID(r))
 			labels[ord] = seg.Label(r)
-			vecs[ord] = seg.VectorAt(s.schema, r)
+			vecs[ord] = &slab[ord]
+			dec.row(r, vecs[ord])
 		}
 	}
 	return ids, labels, vecs, nil
@@ -422,6 +446,10 @@ func (s *Store) readChunk(seq int) ([]int, []int8, []*feature.Vector, error) {
 // index — which is the right trade for the pipeline's only random-access
 // consumer, the few thousand sampled propagation seeds.
 func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error) {
+	proj, err := newProjection(s.schema, s.schema)
+	if err != nil {
+		return nil, err
+	}
 	want := make(map[uint64]bool, len(ids))
 	for _, id := range ids {
 		want[uint64(id)] = true
@@ -435,9 +463,12 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 			return nil, err
 		}
 		for _, seg := range cs.segs {
+			dec := seg.decoder(proj, false)
 			for r := 0; r < seg.Rows(); r++ {
 				if id := seg.ID(r); want[id] {
-					out[int(id)] = seg.VectorAt(s.schema, r)
+					v := feature.NewVector(s.schema)
+					dec.row(r, v)
+					out[int(id)] = v
 				}
 			}
 		}

@@ -12,8 +12,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Config controls job execution.
@@ -31,18 +31,22 @@ func (c Config) workers() int {
 }
 
 // Map applies fn to every input in parallel and returns the outputs in input
-// order. The first error cancels the job's context, so queued work is
+// order. The first error cancels the job's context, so unclaimed work is
 // dropped and only already in-flight calls finish; the first error is
 // returned. A nil context is treated as context.Background().
+//
+// Workers claim contiguous index blocks from one atomic cursor, so the
+// hand-off cost is paid per block rather than per item. The block length
+// depends only on len(inputs) and the worker count (see blockLen) and outputs
+// land at their input index, so results never depend on Workers or on
+// scheduling.
 func Map[In, Out any](ctx context.Context, cfg Config, inputs []In, fn func(In) (Out, error)) ([]Out, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	outputs := make([]Out, len(inputs))
-	workers := cfg.workers()
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
+	n := len(inputs)
+	outputs := make([]Out, n)
+	workers := min(cfg.workers(), n)
 	if workers <= 1 {
 		for i, in := range inputs {
 			if err := ctx.Err(); err != nil {
@@ -57,59 +61,69 @@ func Map[In, Out any](ctx context.Context, cfg Config, inputs []In, fn func(In) 
 		return outputs, nil
 	}
 
-	// Cancelling on the first mapper error stops the feed loop and lets
-	// workers skip anything already queued, so the job short-circuits
-	// instead of running the remaining inputs to completion.
+	// Cancelling on the first mapper error makes every worker stop before
+	// its next item, so the job short-circuits instead of running the
+	// remaining inputs to completion.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Polling the Done channel is a lock-free read; ctx.Err() takes the
+	// context's mutex, a cache line every worker would write per item.
+	done := ctx.Done()
+	block := blockLen(n, workers)
+	workers = min(workers, (n+block-1)/block)
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
+		cursor   atomic.Int64
+		errOnce  sync.Once
 		firstErr error
 	)
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue
+			for {
+				lo := int(cursor.Add(int64(block))) - block
+				if lo >= n {
+					return
 				}
-				out, err := fn(inputs[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("mapreduce: map input %d: %w", i, err)
-						cancel()
+				for i := lo; i < min(lo+block, n); i++ {
+					select {
+					case <-done:
+						return
+					default:
 					}
-					mu.Unlock()
-					continue
+					out, err := fn(inputs[i])
+					if err != nil {
+						errOnce.Do(func() {
+							firstErr = fmt.Errorf("mapreduce: map input %d: %w", i, err)
+							cancel()
+						})
+						return
+					}
+					outputs[i] = out
 				}
-				outputs[i] = out
 			}
 		}()
 	}
-feed:
-	for i := range inputs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return outputs, nil
+}
+
+// blockLen is how many consecutive inputs a worker claims at once:
+// n/(8*workers) clamped to [1, 64]. Eight blocks per worker keep the tail
+// balanced when items cost unevenly, the cap bounds how much work a cancelled
+// job can still have claimed, and short jobs (an 8-point serving request)
+// degrade to one item per claim so they spread over every worker. It is a
+// function of the job's shape alone, not a knob: no caller has a reason to
+// want a different value, and results do not depend on it.
+func blockLen(n, workers int) int {
+	return max(1, min(n/(8*workers), 64))
 }
 
 // KV is one intermediate key/value pair emitted by a MapReduce mapper.
@@ -181,28 +195,4 @@ func Count[In any, K comparable](ctx context.Context, cfg Config, inputs []In, m
 			}
 			return total, nil
 		})
-}
-
-// TopK returns the k keys with the largest counts, ties broken by the less
-// function over keys (and deterministically even without it when keys are
-// ordered). If less is nil, ties are broken arbitrarily but stably by count
-// only when counts differ; callers wanting full determinism should pass less.
-func TopK[K comparable](counts map[K]int, k int, less func(a, b K) bool) []K {
-	keys := make([]K, 0, len(counts))
-	for key := range counts {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		if less != nil {
-			return less(keys[i], keys[j])
-		}
-		return false
-	})
-	if k < len(keys) {
-		keys = keys[:k]
-	}
-	return keys
 }

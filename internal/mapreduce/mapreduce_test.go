@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -147,23 +148,6 @@ func TestCountMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	counts := map[string]int{"a": 5, "b": 9, "c": 5, "d": 1}
-	got := TopK(counts, 3, func(a, b string) bool { return a < b })
-	want := []string{"b", "a", "c"}
-	if len(got) != 3 {
-		t.Fatalf("TopK len = %d, want 3", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TopK[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if all := TopK(counts, 10, nil); len(all) != 4 {
-		t.Errorf("TopK with large k = %d entries, want 4", len(all))
-	}
-}
-
 func TestRunDeterministicValueOrder(t *testing.T) {
 	// Values for a key must arrive at the reducer in input order even with
 	// many workers, so reductions like "first seen" are reproducible.
@@ -235,5 +219,71 @@ func TestMapParentCancellationReported(t *testing.T) {
 		return i, nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestMapBlockClaims pins the block-claim contract at the block boundaries:
+// every index is mapped exactly once, outputs keep input order, and a job
+// shorter than one full block still spreads over more than one worker.
+func TestMapBlockClaims(t *testing.T) {
+	const block = 64 // blockLen's cap, reached once n >= 8*workers*64
+	for _, workers := range []int{1, 2, 3, 16} {
+		for _, n := range []int{0, 1, block - 1, block, block + 1, 10*block + 3, 8*16*block + 5} {
+			inputs := make([]int, n)
+			for i := range inputs {
+				inputs[i] = i
+			}
+			calls := make([]atomic.Int32, n)
+			got, err := Map(context.Background(), Config{Workers: workers}, inputs, func(i int) (int, error) {
+				calls[i].Add(1)
+				return 3*i + 1, nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			if len(got) != n {
+				t.Fatalf("workers=%d n=%d: %d outputs", workers, n, len(got))
+			}
+			for i := range got {
+				if c := calls[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: input %d mapped %d times", workers, n, i, c)
+				}
+				if got[i] != 3*i+1 {
+					t.Fatalf("workers=%d n=%d: got[%d] = %d, want %d", workers, n, i, got[i], 3*i+1)
+				}
+			}
+		}
+	}
+
+	// Block length is a function of (n, workers) only and never lets a
+	// short job collapse onto one worker.
+	for _, tc := range []struct{ n, workers, want int }{
+		{8, 4, 1}, {8, 8, 1}, {63, 2, 3}, {8192, 2, 64}, {8192, 4, 64}, {1000, 16, 7}, {1 << 20, 3, 64},
+	} {
+		if got := blockLen(tc.n, tc.workers); got != tc.want {
+			t.Errorf("blockLen(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
+		}
+	}
+
+	// Small n uses more than one worker: two items that each wait for the
+	// other to start can only both finish when they run on different
+	// goroutines.
+	for _, n := range []int{2, 8, block - 1} {
+		var started sync.WaitGroup
+		started.Add(2)
+		inputs := make([]int, n)
+		for i := range inputs {
+			inputs[i] = i
+		}
+		_, err := Map(context.Background(), Config{Workers: 2}, inputs, func(i int) (int, error) {
+			if i == 0 || i == n-1 {
+				started.Done()
+				started.Wait()
+			}
+			return i, nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 	}
 }

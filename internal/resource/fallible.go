@@ -319,7 +319,7 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 			continue
 		}
 		succeeded++
-		v.MustSet(r.Def().Name, val)
+		v.MustSetAt(i, val)
 	}
 	if attempted > 0 && succeeded == 0 && len(failed) > 0 {
 		err := fmt.Errorf("resource: point %d: %w", p.ID, ErrUnavailable)

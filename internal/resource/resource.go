@@ -133,13 +133,13 @@ func ObservePoint(r Resource, p *synth.Point) feature.Value {
 // frames rendered through the image channel and merged.
 func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
 	v := feature.NewVector(l.schema)
-	for _, r := range l.resources {
+	for i, r := range l.resources {
 		if !Applicable(r, p) {
 			continue
 		}
-		// Set cannot fail: name comes from the schema and resources
-		// produce kind-correct values.
-		v.MustSet(r.Def().Name, ObservePoint(r, p))
+		// Resources sit in schema order (NewLibrary builds the schema from
+		// them), so resource i fills position i without a name lookup.
+		v.MustSetAt(i, ObservePoint(r, p))
 	}
 	return v
 }

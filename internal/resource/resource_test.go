@@ -2,7 +2,11 @@ package resource
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"crossmodal/internal/feature"
@@ -322,4 +326,67 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// TestFeaturizePointByIndexMatchesByName: FeaturizePoint addresses features
+// by resource position; the result must be the vector that setting each
+// observation by feature name builds, for every modality (video points go
+// through the per-frame merge).
+func TestFeaturizePointByIndexMatchesByName(t *testing.T) {
+	lib, pts := testDataset(t, 40)
+	task, _ := synth.TaskByName("CT1")
+	if err := task.Calibrate(lib.World(), 2000, 3); err != nil {
+		t.Fatal(err)
+	}
+	pts = append(pts, synth.SampleVideo(lib.World(), task, 20, 3, 17)...)
+	seen := map[synth.Modality]int{}
+	for _, p := range pts {
+		seen[p.Modality]++
+		want := feature.NewVector(lib.Schema())
+		for _, r := range lib.Resources() {
+			if Applicable(r, p) {
+				want.MustSet(r.Def().Name, ObservePoint(r, p))
+			}
+		}
+		if got := lib.FeaturizePoint(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s point %d: by index %v, by name %v", p.Modality, p.ID, got, want)
+		}
+	}
+	for _, m := range []synth.Modality{synth.Text, synth.Image, synth.Video} {
+		if seen[m] == 0 {
+			t.Fatalf("no %s point exercised", m)
+		}
+	}
+}
+
+// TestCategoryNamesMatchSprintf pins the precomputed "<prefix><i>" tables of
+// the categorical services to the strings Observe used to format per call,
+// in range and (formatted on the spot) out of range.
+func TestCategoryNamesMatchSprintf(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		n      int
+	}{{"t", 24}, {"url", 60}, {"kw", 80}, {"obj", 40}, {"set", 8}, {"x", 0}, {"", 3}} {
+		names := newCategoryNames(tc.prefix, tc.n)
+		for i := -2; i < tc.n+3; i++ {
+			if got, want := names.name(i), fmt.Sprintf("%s%d", tc.prefix, i); got != want {
+				t.Fatalf("newCategoryNames(%q, %d).name(%d) = %q, want %q", tc.prefix, tc.n, i, got, want)
+			}
+		}
+	}
+	// And through the services: every observed category is a table entry.
+	lib, pts := testDataset(t, 30)
+	for _, p := range pts {
+		v := lib.FeaturizePoint(p)
+		for name, prefix := range map[string]string{"topic": "t", "keywords": "kw", "objects": "obj", "url_category": "url", "setting": "set"} {
+			for _, c := range v.Get(name).Categories {
+				if !strings.HasPrefix(c, prefix) {
+					t.Fatalf("feature %q observed category %q, want prefix %q", name, c, prefix)
+				}
+				if _, err := strconv.Atoi(strings.TrimPrefix(c, prefix)); err != nil {
+					t.Fatalf("feature %q observed category %q: not <prefix><index>", name, c)
+				}
+			}
+		}
+	}
 }

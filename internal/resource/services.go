@@ -38,7 +38,7 @@ func (s *baseService) obs(m synth.Modality) ObsParams { return s.params[m] }
 type CategoryService struct {
 	baseService
 	n       int
-	prefix  string
+	names   categoryNames
 	extract func(*synth.Entity) int
 	// errorDist, when set, draws misclassification targets from the
 	// observed modality's distribution instead of uniformly. Production
@@ -52,7 +52,32 @@ type CategoryService struct {
 // "<prefix><i>"; extract maps an entity to its true value index.
 func NewCategoryService(def feature.Def, n int, prefix string, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, extract func(*synth.Entity) int) *CategoryService {
 	def.Kind = feature.Categorical
-	return &CategoryService{baseService{def, supports, params}, n, prefix, extract, nil}
+	return &CategoryService{baseService{def, supports, params}, n, newCategoryNames(prefix, n), extract, nil}
+}
+
+// categoryNames is a service's value vocabulary "<prefix><i>" for i in
+// [0, n), formatted once at construction so Observe indexes a table instead
+// of formatting a string per observation.
+type categoryNames struct {
+	prefix string
+	table  []string
+}
+
+func newCategoryNames(prefix string, n int) categoryNames {
+	table := make([]string, max(n, 0))
+	for i := range table {
+		table[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return categoryNames{prefix, table}
+}
+
+// name returns "<prefix><i>"; an index outside the table (an extract function
+// that strays past n) is formatted on the spot, as every index once was.
+func (c categoryNames) name(i int) string {
+	if i >= 0 && i < len(c.table) {
+		return c.table[i]
+	}
+	return fmt.Sprintf("%s%d", c.prefix, i)
 }
 
 // WithErrorDists sets per-modality misclassification target distributions
@@ -98,7 +123,7 @@ func (s *CategoryService) Observe(e *synth.Entity, m synth.Modality, rng *rand.R
 			idx = (idx + 1 + rng.Intn(s.n-1)) % s.n
 		}
 	}
-	return feature.CategoricalValue(fmt.Sprintf("%s%d", s.prefix, idx))
+	return feature.CategoricalValue(s.names.name(idx))
 }
 
 // SetService observes a latent index set (objects present, keywords) as a
@@ -108,7 +133,7 @@ func (s *CategoryService) Observe(e *synth.Entity, m synth.Modality, rng *rand.R
 type SetService struct {
 	baseService
 	n       int
-	prefix  string
+	names   categoryNames
 	extract func(*synth.Entity) []int
 }
 
@@ -116,7 +141,7 @@ type SetService struct {
 // "<prefix><i>".
 func NewSetService(def feature.Def, n int, prefix string, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, extract func(*synth.Entity) []int) *SetService {
 	def.Kind = feature.Categorical
-	return &SetService{baseService{def, supports, params}, n, prefix, extract}
+	return &SetService{baseService{def, supports, params}, n, newCategoryNames(prefix, n), extract}
 }
 
 // Observe implements Resource.
@@ -128,11 +153,11 @@ func (s *SetService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) 
 	var cats []string
 	for _, idx := range s.extract(e) {
 		if rng.Float64() < p.Fidelity {
-			cats = append(cats, fmt.Sprintf("%s%d", s.prefix, idx))
+			cats = append(cats, s.names.name(idx))
 		}
 	}
 	if rng.Float64() < p.FalsePositive {
-		cats = append(cats, fmt.Sprintf("%s%d", s.prefix, rng.Intn(s.n)))
+		cats = append(cats, s.names.name(rng.Intn(s.n)))
 	}
 	return feature.CategoricalValue(cats...)
 }
