@@ -185,16 +185,6 @@ func pipelineReport(cfg runConfig) error {
 		}
 	}
 
-	var stages []string
-	for name := range rep.Timings {
-		stages = append(stages, name)
-	}
-	sort.Strings(stages)
-	fmt.Println("\nstage timings:")
-	for _, name := range stages {
-		fmt.Printf("  %-18s %s\n", name, rep.Timings[name].Round(1e6))
-	}
-
 	// Comparisons.
 	crossAUPRC, err := pipe.EvaluateAUPRC(ctx, res.Predictor, ds.TestImage)
 	if err != nil {

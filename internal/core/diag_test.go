@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"crossmodal/internal/feature"
 	"crossmodal/internal/lf"
 	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/metrics"
+	"crossmodal/internal/mining"
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
@@ -39,13 +41,15 @@ func TestDiagnostics(t *testing.T) {
 
 	// Image-side LF quality against hidden truth.
 	imgVecs, _ := p.Featurize(ctx, ds.UnlabeledImage)
-	lfSchema := p.lib.Schema().Sets(p.opts.LFSets...)
+	lfSchema := p.lfSchema()
+	inLF := func(vecs []*feature.Vector) []*feature.Vector {
+		out, _ := scanAll(t, &memCorpus{vecs: vecs, labels: make([]int8, len(vecs))}, lfSchema)
+		return out
+	}
 	imgLabels := synth.Labels(ds.UnlabeledImage)
-	lfs, _, _ := p.buildLFs(ctx, reprojectAll(imgVecs, lfSchema), imgLabels) // re-mine on image for reference only
-	_ = lfs
 	textVecs, _ := p.Featurize(ctx, ds.LabeledText)
-	textLFs, _, _ := p.buildLFs(ctx, reprojectAll(textVecs, lfSchema), synth.Labels(ds.LabeledText))
-	m2, _ := lf.Apply(ctx, mapreduce.Config{}, textLFs, reprojectAll(imgVecs, lfSchema))
+	textLFs, _, _ := mining.Mine(ctx, mapreduce.Config{}, p.opts.Mining, inLF(textVecs), synth.Labels(ds.LabeledText))
+	m2, _ := lf.Apply(ctx, mapreduce.Config{}, textLFs, inLF(imgVecs))
 	fmt.Println("image-side quality of text-mined LFs:")
 	for _, s := range lf.EvaluateAll(m2, imgLabels) {
 		fmt.Printf("  LF %-40s p=%.3f r=%.4f cov=%.4f\n", s.Name, s.Precision, s.Recall, s.Coverage)

@@ -1,0 +1,438 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"crossmodal/internal/feature"
+	"crossmodal/internal/labelprop"
+	"crossmodal/internal/lf"
+	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/metrics"
+	"crossmodal/internal/mining"
+	"crossmodal/internal/trace"
+	"crossmodal/internal/xrand"
+)
+
+// corpus is what the curation stages need from a featurized corpus: its row
+// count, an in-order chunked scan decoded into the schema the stage works
+// in, and random access by point ID. *disk.Store satisfies it as is;
+// memCorpus backs it with slices. Every scan must yield the same rows in the
+// same order, and the stages never depend on where chunks break.
+type corpus interface {
+	Rows() int
+	ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error
+	Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error)
+}
+
+// memCorpus is the in-memory corpus: all rows as one chunk, or chunk-row
+// chunks when chunk > 0. Row index is point ID. Each target schema is
+// projected once and kept for the run — the stages scan the text corpus in
+// the LF schema once per mining pass and the image corpus in the graph
+// schema three times.
+type memCorpus struct {
+	vecs   []*feature.Vector
+	labels []int8
+	chunk  int
+	proj   map[*feature.Schema][]*feature.Vector
+}
+
+func (c *memCorpus) Rows() int { return len(c.vecs) }
+
+func (c *memCorpus) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	vecs, ok := c.proj[target]
+	if !ok {
+		vecs = make([]*feature.Vector, len(c.vecs))
+		for i, v := range c.vecs {
+			vecs[i] = v.Reproject(target)
+		}
+		if c.proj == nil {
+			c.proj = make(map[*feature.Schema][]*feature.Vector)
+		}
+		c.proj[target] = vecs
+	}
+	n := c.chunk
+	if n <= 0 {
+		n = len(vecs)
+	}
+	for seq, lo := 0, 0; lo < len(vecs); seq, lo = seq+1, lo+n {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		hi := min(lo+n, len(vecs))
+		// Point IDs are the row indices lo..hi-1; no stage reads them.
+		if err := fn(seq, nil, c.labels[lo:hi], vecs[lo:hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector, error) {
+	out := make(map[int]*feature.Vector, len(ids))
+	for _, id := range ids {
+		if id >= 0 && id < len(c.vecs) {
+			out[id] = c.vecs[id]
+		}
+	}
+	return out, nil
+}
+
+// errStopScan aborts a corpus scan early once enough rows were consumed.
+var errStopScan = errors.New("core: stop scan")
+
+// scanFirst hands fn the first n rows of c decoded into schema, chunk by
+// chunk in append order, and stops reading once n rows were seen.
+func scanFirst(ctx context.Context, c corpus, schema *feature.Schema, n int, fn func(seq int, vecs []*feature.Vector) error) error {
+	if n <= 0 {
+		return nil
+	}
+	seen := 0
+	err := c.ScanProjected(ctx, schema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
+		if take := n - seen; take < len(vecs) {
+			vecs = vecs[:take]
+		}
+		seen += len(vecs)
+		if err := fn(seq, vecs); err != nil {
+			return err
+		}
+		if seen >= n {
+			return errStopScan
+		}
+		return nil
+	})
+	if errors.Is(err, errStopScan) {
+		return nil
+	}
+	return err
+}
+
+// firstRows gathers the first limit rows of c (limit <= 0: all), decoded
+// into schema, in memory.
+func firstRows(ctx context.Context, c corpus, schema *feature.Schema, limit int) ([]*feature.Vector, error) {
+	n := c.Rows()
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	out := make([]*feature.Vector, 0, n)
+	err := scanFirst(ctx, c, schema, n, func(_ int, vecs []*feature.Vector) error {
+		out = append(out, vecs...)
+		return nil
+	})
+	return out, err
+}
+
+// curateRun is the one curation stage sequence (Figure 3 B: mine LFs →
+// apply → propagate → label model) over a labeled text corpus and an
+// unlabeled image corpus. Curate runs it over memCorpus, CurateStreamed
+// over disk stores; window, warm and chunkHook are the stream-only inputs,
+// zero-valued from Curate.
+type curateRun struct {
+	p           *Pipeline
+	task        string
+	text, image corpus
+	textLabels  []int8
+	// imageTruth is the unlabeled corpus's hidden ground truth, read only
+	// for the Report's WS quality diagnostics.
+	imageTruth []int8
+
+	// window caps how many image rows join the propagation graph (<= 0: all).
+	window int
+	// warm re-propagates after every graph delta (StreamOptions.WarmPropagate).
+	warm      bool
+	chunkHook func(stage string, chunk int) error
+
+	// Composed once per run: memCorpus keys its projections by pointer.
+	lfSchema, graphSchema *feature.Schema
+}
+
+// runChunkHook runs a StreamOptions.ChunkHook, if any, after a
+// chunk-granular step.
+func runChunkHook(hook func(stage string, chunk int) error, stage string, chunk int) error {
+	if hook == nil {
+		return nil
+	}
+	if err := hook(stage, chunk); err != nil {
+		return fmt.Errorf("core: chunk hook at %s[%d]: %w", stage, chunk, err)
+	}
+	return nil
+}
+
+// curate runs the weak-supervision stages and returns the probabilistic
+// labels, coverage and report for the image corpus. When the image modality
+// is disabled the stages are skipped entirely.
+func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, error) {
+	p := r.p
+	report := Report{Task: r.task}
+	nImages := r.image.Rows()
+	if !p.opts.UseImage {
+		// Text-only configuration: no new-modality corpus to curate.
+		return make([]float64, nImages), make([]bool, nImages), report, nil
+	}
+	if r.text.Rows() == 0 || nImages == 0 {
+		return nil, nil, report, fmt.Errorf("core: curation needs a non-empty labeled and unlabeled corpus (%d labeled, %d unlabeled points)", r.text.Rows(), nImages)
+	}
+	r.lfSchema, r.graphSchema = p.lfSchema(), p.graphSchema()
+	if r.window <= 0 || r.window > nImages {
+		r.window = nImages
+	}
+
+	lfs, miningReport, err := r.buildLFs(ctx)
+	if err != nil {
+		return nil, nil, report, err
+	}
+
+	applyCtx, applySpan := trace.Start(ctx, "lf.apply")
+	devMatrix, err := r.apply(applyCtx, lfs, r.text, "lf-apply:text")
+	if err != nil {
+		applySpan.End()
+		return nil, nil, report, fmt.Errorf("core: apply LFs to dev: %w", err)
+	}
+	// Drop LFs that near-duplicate a better LF on the dev set: distinct
+	// services often observe the same latent attribute, and duplicated
+	// votes break the generative model's independence assumption.
+	mined := len(lfs)
+	if !p.opts.DisableLFDedup {
+		lfs, devMatrix = dedupeLFs(lfs, devMatrix, r.textLabels)
+	}
+	applySpan.Add("lfs_kept", int64(len(lfs)))
+	applySpan.Add("lfs_rejected", int64(mined-len(lfs)))
+	matrix, err := r.apply(applyCtx, lfs, r.image, "lf-apply:image")
+	applySpan.End()
+	if err != nil {
+		return nil, nil, report, fmt.Errorf("core: apply LFs: %w", err)
+	}
+	report.Mining = miningReport
+	report.DevStats = lf.EvaluateAll(devMatrix, r.textLabels)
+
+	if p.opts.UseLabelProp {
+		lpCtx, lpSpan := trace.Start(ctx, "labelprop")
+		report.Cuts, report.PropIters, err = r.propagate(lpCtx, matrix, devMatrix)
+		lpSpan.End()
+		if err != nil {
+			return nil, nil, report, err
+		}
+	}
+	report.LFCount = matrix.NumLFs()
+
+	lmCtx, lmSpan := trace.Start(ctx, "labelmodel")
+	probs, covered, lm, err := p.denoise(lmCtx, matrix, devMatrix, r.textLabels)
+	lmSpan.End()
+	if err != nil {
+		return nil, nil, report, err
+	}
+	report.LabelModel = lm
+	report.WSCoverage = coverageRate(covered)
+	report.WSPrecision, report.WSRecall, report.WSF1 = wsQuality(probs, covered, r.imageTruth, metrics.BaseRate(r.textLabels))
+	return probs, covered, report, nil
+}
+
+// buildLFs generates labeling functions from the labeled text corpus per
+// the configured source.
+func (r *curateRun) buildLFs(ctx context.Context) ([]*lf.LF, mining.Report, error) {
+	if r.p.opts.LFSource == ExpertLFs {
+		// The simulated expert samples the whole dev set, so it is gathered
+		// in memory — why CurateStreamed refuses ExpertLFs.
+		devVecs, err := firstRows(ctx, r.text, r.lfSchema, 0)
+		if err != nil {
+			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
+		}
+		lfs, err := lf.DefaultExpert().Develop(devVecs, r.textLabels, xrand.New(r.p.opts.Seed^0xe4be27))
+		if err != nil {
+			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
+		}
+		return lfs, mining.Report{}, nil
+	}
+	lfs, rep, err := mining.MineStream(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, r.p.opts.Mining, miningCorpus{r})
+	if err != nil {
+		return nil, rep, fmt.Errorf("core: mine LFs: %w", err)
+	}
+	return lfs, rep, nil
+}
+
+// miningCorpus adapts the run's text corpus to mining.Corpus, decoding each
+// chunk straight into the LF feature space.
+type miningCorpus struct{ r *curateRun }
+
+func (c miningCorpus) Schema() *feature.Schema { return c.r.lfSchema }
+
+func (c miningCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int8) error) error {
+	return c.r.text.ScanProjected(ctx, c.r.lfSchema, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
+		if err := fn(vecs, labels); err != nil {
+			return err
+		}
+		return runChunkHook(c.r.chunkHook, "mine", seq)
+	})
+}
+
+// apply applies LFs to a corpus chunk by chunk, concatenating the per-chunk
+// vote matrices — identical to one lf.Apply over the whole corpus because
+// votes are per-point.
+func (r *curateRun) apply(ctx context.Context, lfs []*lf.LF, c corpus, stage string) (*lf.Matrix, error) {
+	var matrix *lf.Matrix
+	err := c.ScanProjected(ctx, r.lfSchema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
+		m, err := lf.Apply(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, lfs, vecs)
+		if err != nil {
+			return err
+		}
+		if matrix == nil {
+			matrix = m
+		} else {
+			matrix.Votes = append(matrix.Votes, m.Votes...)
+		}
+		return runChunkHook(r.chunkHook, stage, seq)
+	})
+	return matrix, err
+}
+
+// scanWindow replays the image rows inside the graph window in append
+// order, decoded into the graph schema.
+func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]*feature.Vector) error) error {
+	return scanFirst(ctx, r.image, r.graphSchema, r.window, func(seq int, vecs []*feature.Vector) error {
+		if err := fn(vecs); err != nil {
+			return err
+		}
+		return runChunkHook(r.chunkHook, stage, seq)
+	})
+}
+
+// propagate runs label propagation from labeled text seeds through the
+// common-feature graph to the image rows inside the graph window, tunes
+// vote cuts on held-out text, and appends the resulting score LF to the
+// image matrix. Seed and dev text nodes are fetched by ID (they are bounded
+// by MaxGraphSeeds and GraphDevNodes), scales are fitted with the chunked
+// accumulator, and the graph grows by one labelprop.Builder delta per image
+// chunk. Node order is seeds, dev, images; by the Builder's delta property
+// the graph — and so a cold propagation — does not depend on where the
+// chunks break.
+func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix) (labelprop.Cuts, int, error) {
+	p := r.p
+	gSchema := r.graphSchema
+	seedIdx, devIdx, err := p.graphSplit(r.text.Rows())
+	if err != nil {
+		return labelprop.Cuts{}, 0, err
+	}
+	nSeeds, nDev := len(seedIdx), len(devIdx)
+
+	textIdx := append(append(make([]int, 0, nSeeds+nDev), seedIdx...), devIdx...)
+	found, err := r.text.Find(ctx, textIdx)
+	if err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fetch graph seeds: %w", err)
+	}
+	textNodes := make([]*feature.Vector, len(textIdx))
+	for i, ti := range textIdx {
+		v, ok := found[ti]
+		if !ok {
+			return labelprop.Cuts{}, 0, fmt.Errorf("core: text row %d missing from corpus", ti)
+		}
+		textNodes[i] = v.Reproject(gSchema)
+	}
+
+	seeds := make(map[int]float64, nSeeds)
+	seedLabels := make([]int8, nSeeds)
+	var posSeeds float64
+	for i, ti := range seedIdx {
+		seedLabels[i] = r.textLabels[ti]
+		seeds[i] = 0
+		if seedLabels[i] > 0 {
+			seeds[i] = 1
+			posSeeds++
+		}
+	}
+	prior := posSeeds / float64(nSeeds)
+
+	// Scales over the full node list in node order: the chunked accumulator
+	// is bit-identical to feature.FitScales over the assembled nodes.
+	acc := feature.NewScalesAccum(gSchema)
+	acc.AddMeans(textNodes)
+	if err := r.scanWindow(ctx, "scales:means", func(proj []*feature.Vector) error {
+		acc.AddMeans(proj)
+		return nil
+	}); err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+	}
+	acc.FinishMeans()
+	acc.AddDevs(textNodes)
+	if err := r.scanWindow(ctx, "scales:devs", func(proj []*feature.Vector) error {
+		acc.AddDevs(proj)
+		return nil
+	}); err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+	}
+	scales := acc.Scales()
+
+	gcfg := p.opts.Graph
+	gcfg.Seed = p.opts.Seed ^ 0x6a7f
+	gcfg.Workers = p.opts.Workers
+	if gcfg.Weights == nil && !p.opts.UniformGraphWeights {
+		// Learn per-feature edge weights from the seeded labeled nodes so
+		// discriminative features dominate the graph.
+		if weights, werr := FitGraphWeights(textNodes[:nSeeds], seedLabels, scales, 20000, p.opts.Seed^0x77); werr == nil {
+			gcfg.Weights = weights
+		}
+	}
+	b, err := labelprop.NewBuilder(gSchema, gcfg, scales)
+	if err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
+	}
+
+	pcfg := p.opts.Prop
+	pcfg.Prior = prior
+	var res *labelprop.Result
+	// The text nodes ride in the first image chunk's delta, so a one-chunk
+	// corpus is one delta over the whole node list.
+	pending := textNodes
+	err = r.scanWindow(ctx, "graph", func(proj []*feature.Vector) error {
+		if pending != nil {
+			proj, pending = append(pending, proj...), nil
+		}
+		if err := b.ApplyDelta(ctx, proj); err != nil {
+			return err
+		}
+		if r.warm {
+			var prev []float64
+			if res != nil {
+				prev = res.Scores
+			}
+			warm, werr := labelprop.PropagateWarm(ctx, b.Graph(), seeds, pcfg, prev)
+			if werr != nil {
+				return werr
+			}
+			res = warm
+		}
+		return nil
+	})
+	if err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
+	}
+	if res == nil {
+		res, err = labelprop.Propagate(ctx, b.Graph(), seeds, pcfg)
+		if err != nil {
+			return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
+		}
+	}
+
+	imageStart := nSeeds + nDev
+	devScores := res.Scores[nSeeds:imageStart]
+	devLabels := make([]int8, nDev)
+	for i, ti := range devIdx {
+		devLabels[i] = r.textLabels[ti]
+	}
+	cuts, err := p.tunePropCuts(devScores, devLabels, prior, res.Scores[imageStart:])
+	if err != nil {
+		return labelprop.Cuts{}, 0, err
+	}
+
+	// Rows past the graph window abstain (zero-valued Present).
+	nImages := r.image.Rows()
+	imageScores := make([]float64, nImages)
+	imagePresent := make([]bool, nImages)
+	copy(imageScores, res.Scores[imageStart:])
+	copy(imagePresent, res.Reached[imageStart:])
+	if err := appendPropLF(matrix, devMatrix, cuts, imageScores, imagePresent,
+		devIdx, devScores, res.Reached[nSeeds:imageStart]); err != nil {
+		return labelprop.Cuts{}, 0, err
+	}
+	return cuts, res.Iters, nil
+}

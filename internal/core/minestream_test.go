@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"math"
-
-	"crossmodal/internal/feature"
 	"testing"
 )
 
@@ -49,55 +47,5 @@ func TestStreamMiningCurationBitIdentical(t *testing.T) {
 		if oneShot.Covered[i] != streamed.Covered[i] {
 			t.Fatalf("coverage %d differs", i)
 		}
-	}
-}
-
-// chunkedCorpus must deliver every row exactly once, in order, for any chunk
-// size — including sizes that do not divide the corpus length.
-func TestChunkedCorpusScan(t *testing.T) {
-	lib, ds := testEnv(t)
-	p, err := NewPipeline(lib, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vecs, err := p.Featurize(context.Background(), ds.LabeledText[:100])
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := make([]int8, len(vecs))
-	for i := range labels {
-		labels[i] = int8(i % 3)
-	}
-	for _, chunk := range []int{1, 7, 100, 1000, 0} {
-		c := &chunkedCorpus{vecs: vecs, labels: labels, chunk: chunk}
-		if c.Schema() != vecs[0].Schema() {
-			t.Fatal("schema mismatch")
-		}
-		var gotVecs int
-		var gotLabels []int8
-		err := c.Scan(context.Background(), func(vs []*feature.Vector, ls []int8) error {
-			gotVecs += len(vs)
-			gotLabels = append(gotLabels, ls...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotVecs != len(vecs) || len(gotLabels) != len(labels) {
-			t.Fatalf("chunk %d: scanned %d vecs / %d labels, want %d", chunk, gotVecs, len(gotLabels), len(vecs))
-		}
-		for i := range labels {
-			if gotLabels[i] != labels[i] {
-				t.Fatalf("chunk %d: label %d out of order", chunk, i)
-			}
-		}
-	}
-
-	// Context cancellation aborts the scan.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := &chunkedCorpus{vecs: vecs, labels: labels, chunk: 10}
-	if err := c.Scan(ctx, func([]*feature.Vector, []int8) error { return nil }); err == nil {
-		t.Error("canceled scan returned nil error")
 	}
 }

@@ -105,11 +105,11 @@ type Options struct {
 	// target for the negative cut. Defaults 6 and 0.97.
 	PosCutLift, NegCutPrecision float64
 
-	// StreamMining routes mined-LF discovery through mining.MineStream over
-	// a chunked view of the dev corpus instead of the one-shot mining.Mine
-	// call. Results are identical (MineStream's contract); the lifecycle
-	// controller turns this on so retraining exercises the same streamed
-	// path a production re-mine over the disk store would.
+	// StreamMining makes Curate hand the miner the in-memory dev corpus in
+	// 2048-row chunks instead of one whole-corpus chunk. Results are
+	// identical (MineStream's contract); the lifecycle controller turns
+	// this on so retraining exercises the same chunk-merge path a
+	// production re-mine over the disk store would.
 	StreamMining bool
 
 	// MaxVocab caps one-hot vocabularies in the end model (default 0:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/fusion"
@@ -133,8 +132,6 @@ type Report struct {
 	// truth of the unlabeled corpus — the paper's Table 3 metrics. These
 	// are diagnostics: the pipeline itself never trains on this truth.
 	WSPrecision, WSRecall, WSF1, WSCoverage float64
-	// Timings per stage.
-	Timings map[string]time.Duration
 }
 
 // Run executes the full pipeline on a dataset and returns the trained
@@ -150,12 +147,10 @@ func (p *Pipeline) Run(ctx context.Context, ds *synth.Dataset) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	predictor, err := p.Train(ctx, cur, p.DefaultTrainSpec())
 	if err != nil {
 		return nil, err
 	}
-	cur.Report.Timings["train"] = time.Since(start)
 	return &Result{
 		Predictor:  predictor,
 		Curation:   cur,
@@ -166,19 +161,16 @@ func (p *Pipeline) Run(ctx context.Context, ds *synth.Dataset) (*Result, error) 
 }
 
 // Curate runs feature generation and training-data curation (stages A and B)
-// and returns the reusable curation. When the image modality is disabled the
-// weak-supervision stages are skipped entirely.
+// and returns the reusable curation: both corpora are featurized in memory
+// and the curation stages run over them as memCorpus. When the image
+// modality is disabled the weak-supervision stages are skipped entirely.
 func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, curSpan := trace.Start(ctx, "pipeline.curate")
 	defer curSpan.End()
-	timings := make(map[string]time.Duration)
-	stage := func(name string, start time.Time) { timings[name] = time.Since(start) }
 
-	// --- Stage A: feature generation (§3) ---
-	start := time.Now()
 	textVecs, err := p.Featurize(ctx, ds.LabeledText)
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize text: %w", err)
@@ -187,86 +179,23 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize image: %w", err)
 	}
-	stage("featurize", start)
-	textLabels := synth.Labels(ds.LabeledText)
+	textLabels, imageTruth := synth.Labels(ds.LabeledText), synth.Labels(ds.UnlabeledImage)
 
-	report := Report{Task: ds.Task.Name, Timings: timings}
-	if !p.opts.UseImage {
-		// Text-only configuration: no new-modality corpus to curate.
-		return &Curation{
-			Dataset:    ds,
-			TextVecs:   textVecs,
-			ImageVecs:  imageVecs,
-			TextLabels: textLabels,
-			ProbLabels: make([]float64, len(imageVecs)),
-			Covered:    make([]bool, len(imageVecs)),
-			Report:     report,
-		}, nil
+	text := &memCorpus{vecs: textVecs, labels: textLabels}
+	if p.opts.StreamMining {
+		// The miner (and the dev LF apply) see the corpus in chunks, so the
+		// chunk-merge path runs instead of one whole-corpus chunk.
+		text.chunk = 2048
 	}
-
-	// --- Stage B: training data curation (§4) ---
-	lfSchema := p.lfSchema()
-	lfTextVecs := reprojectAll(textVecs, lfSchema)
-	lfImageVecs := reprojectAll(imageVecs, lfSchema)
-
-	start = time.Now()
-	lfs, miningReport, err := p.buildLFs(ctx, lfTextVecs, textLabels)
+	r := &curateRun{
+		p: p, task: ds.Task.Name,
+		text: text, image: &memCorpus{vecs: imageVecs, labels: imageTruth},
+		textLabels: textLabels, imageTruth: imageTruth,
+	}
+	probs, covered, report, err := r.curate(ctx)
 	if err != nil {
 		return nil, err
 	}
-	stage("lf-generation", start)
-
-	start = time.Now()
-	applyCtx, applySpan := trace.Start(ctx, "lf.apply")
-	devMatrix, err := lf.Apply(applyCtx, mapreduce.Config{Workers: p.opts.Workers}, lfs, lfTextVecs)
-	if err != nil {
-		applySpan.End()
-		return nil, fmt.Errorf("core: apply LFs to dev: %w", err)
-	}
-	// Drop LFs that near-duplicate a better LF on the dev set: distinct
-	// services often observe the same latent attribute, and duplicated
-	// votes break the generative model's independence assumption.
-	mined := len(lfs)
-	if !p.opts.DisableLFDedup {
-		lfs, devMatrix = dedupeLFs(lfs, devMatrix, textLabels)
-	}
-	applySpan.Add("lfs_kept", int64(len(lfs)))
-	applySpan.Add("lfs_rejected", int64(mined-len(lfs)))
-	matrix, err := lf.Apply(applyCtx, mapreduce.Config{Workers: p.opts.Workers}, lfs, lfImageVecs)
-	applySpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: apply LFs: %w", err)
-	}
-	stage("lf-apply", start)
-
-	report.Mining = miningReport
-	report.DevStats = lf.EvaluateAll(devMatrix, textLabels)
-
-	if p.opts.UseLabelProp {
-		start = time.Now()
-		lpCtx, lpSpan := trace.Start(ctx, "labelprop")
-		cuts, iters, err := p.propagate(lpCtx, textVecs, textLabels, imageVecs, matrix, devMatrix)
-		lpSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		report.Cuts, report.PropIters = cuts, iters
-		stage("label-propagation", start)
-	}
-	report.LFCount = matrix.NumLFs()
-
-	start = time.Now()
-	lmCtx, lmSpan := trace.Start(ctx, "labelmodel")
-	probs, covered, lm, err := p.denoise(lmCtx, matrix, devMatrix, textLabels)
-	lmSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	report.LabelModel = lm
-	stage("label-model", start)
-	report.WSCoverage = coverageRate(covered)
-	report.WSPrecision, report.WSRecall, report.WSF1 = wsQuality(probs, covered, ds.UnlabeledImage, metrics.BaseRate(textLabels))
-
 	return &Curation{
 		Dataset:    ds,
 		TextVecs:   textVecs,
@@ -319,10 +248,7 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 					}
 				}
 			}
-			smaller := votesJ
-			if votesK < smaller {
-				smaller = votesK
-			}
+			smaller := min(votesJ, votesK)
 			if smaller > 0 && overlap >= smaller*3/5 && float64(agree) >= 0.95*float64(overlap) {
 				dup = true
 				break
@@ -353,46 +279,8 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 	return kept, &lf.Matrix{Votes: votes, Names: names}
 }
 
-func reprojectAll(vecs []*feature.Vector, schema *feature.Schema) []*feature.Vector {
-	out := make([]*feature.Vector, len(vecs))
-	for i, v := range vecs {
-		out[i] = v.Reproject(schema)
-	}
-	return out
-}
-
-// buildLFs generates labeling functions from the labeled old-modality corpus
-// per the configured source.
-func (p *Pipeline) buildLFs(ctx context.Context, devVecs []*feature.Vector, devLabels []int8) ([]*lf.LF, mining.Report, error) {
-	switch p.opts.LFSource {
-	case ExpertLFs:
-		expert := lf.DefaultExpert()
-		rng := xrand.New(p.opts.Seed ^ 0xe4be27)
-		lfs, err := expert.Develop(devVecs, devLabels, rng)
-		if err != nil {
-			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
-		}
-		return lfs, mining.Report{}, nil
-	default:
-		if p.opts.StreamMining {
-			corpus := &chunkedCorpus{vecs: devVecs, labels: devLabels, chunk: 2048}
-			lfs, rep, err := mining.MineStream(ctx, mapreduce.Config{Workers: p.opts.Workers}, p.opts.Mining, corpus)
-			if err != nil {
-				return nil, rep, fmt.Errorf("core: mine LFs (streamed): %w", err)
-			}
-			return lfs, rep, nil
-		}
-		lfs, rep, err := mining.Mine(ctx, mapreduce.Config{Workers: p.opts.Workers}, p.opts.Mining, devVecs, devLabels)
-		if err != nil {
-			return nil, rep, fmt.Errorf("core: mine LFs: %w", err)
-		}
-		return lfs, rep, nil
-	}
-}
-
 // graphSplit deterministically splits the labeled corpus into propagation
-// seed indices and held-out cut-tuning indices. Both the in-memory and the
-// streamed curation paths derive their node layout from this one split.
+// seed indices and held-out cut-tuning indices.
 func (p *Pipeline) graphSplit(nText int) (seedIdx, devIdx []int, err error) {
 	rng := xrand.New(p.opts.Seed ^ 0x9a6b)
 	perm := rng.Perm(nText)
@@ -472,80 +360,6 @@ func appendPropLF(matrix, devMatrix *lf.Matrix, cuts labelprop.Cuts, imageScores
 		return fmt.Errorf("core: append dev propagation LF: %w", err)
 	}
 	return nil
-}
-
-// propagate runs label propagation from labeled text seeds through the
-// common-feature graph to the unlabeled image corpus, tunes vote cuts on
-// held-out text, and appends the resulting score LF to the image matrix.
-func (p *Pipeline) propagate(ctx context.Context, textVecs []*feature.Vector, textLabels []int8, imageVecs []*feature.Vector, matrix, devMatrix *lf.Matrix) (labelprop.Cuts, int, error) {
-	gSchema := p.graphSchema()
-	seedIdx, devIdx, err := p.graphSplit(len(textVecs))
-	if err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-	nSeeds, nDev := len(seedIdx), len(devIdx)
-
-	nodes := make([]*feature.Vector, 0, nSeeds+nDev+len(imageVecs))
-	seeds := make(map[int]float64, nSeeds)
-	var posSeeds float64
-	for _, ti := range seedIdx {
-		if textLabels[ti] > 0 {
-			seeds[len(nodes)] = 1
-			posSeeds++
-		} else {
-			seeds[len(nodes)] = 0
-		}
-		nodes = append(nodes, textVecs[ti].Reproject(gSchema))
-	}
-	devStart := len(nodes)
-	for _, ti := range devIdx {
-		nodes = append(nodes, textVecs[ti].Reproject(gSchema))
-	}
-	imageStart := len(nodes)
-	nodes = append(nodes, reprojectAll(imageVecs, gSchema)...)
-
-	scales := feature.FitScales(gSchema, nodes)
-	gcfg := p.opts.Graph
-	gcfg.Seed = p.opts.Seed ^ 0x6a7f
-	gcfg.Workers = p.opts.Workers
-	if gcfg.Weights == nil && !p.opts.UniformGraphWeights {
-		// Learn per-feature edge weights from the seeded labeled nodes so
-		// discriminative features dominate the graph.
-		seedLabels := make([]int8, nSeeds)
-		for si, ti := range seedIdx {
-			seedLabels[si] = textLabels[ti]
-		}
-		weights, werr := FitGraphWeights(nodes[:nSeeds], seedLabels, scales, 20000, p.opts.Seed^0x77)
-		if werr == nil {
-			gcfg.Weights = weights
-		}
-	}
-	graph, err := labelprop.BuildGraph(ctx, gcfg, nodes, scales)
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
-	}
-	pcfg := p.opts.Prop
-	pcfg.Prior = posSeeds / float64(nSeeds)
-	res, err := labelprop.Propagate(ctx, graph, seeds, pcfg)
-	if err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
-	}
-
-	devScores := res.Scores[devStart:imageStart]
-	devLabels := make([]int8, nDev)
-	for i, ti := range devIdx {
-		devLabels[i] = textLabels[ti]
-	}
-	cuts, err := p.tunePropCuts(devScores, devLabels, posSeeds/float64(nSeeds), res.Scores[imageStart:])
-	if err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-	if err := appendPropLF(matrix, devMatrix, cuts,
-		res.Scores[imageStart:], res.Reached[imageStart:],
-		devIdx, devScores, res.Reached[devStart:imageStart]); err != nil {
-		return labelprop.Cuts{}, 0, err
-	}
-	return cuts, res.Iters, nil
 }
 
 // denoise converts the vote matrix into probabilistic labels via the
@@ -693,13 +507,7 @@ func coverageRate(covered []bool) float64 {
 // heavily imbalanced tasks a well-calibrated posterior rarely crosses 0.5
 // even for clear positives, yet a posterior several times the prior is a
 // confident positive call.
-func wsQuality(probs []float64, covered []bool, pts []*synth.Point, prior float64) (precision, recall, f1 float64) {
-	return wsQualityLabels(probs, covered, synth.Labels(pts), prior)
-}
-
-// wsQualityLabels is wsQuality over bare truth labels — the streamed path
-// retains only the hidden labels of the generated points, not the points.
-func wsQualityLabels(probs []float64, covered []bool, labels []int8, prior float64) (precision, recall, f1 float64) {
+func wsQuality(probs []float64, covered []bool, labels []int8, prior float64) (precision, recall, f1 float64) {
 	cut := 0.5
 	if rel := 5 * prior; rel < cut && rel > 0 {
 		cut = rel
@@ -722,11 +530,4 @@ func wsQualityLabels(probs []float64, covered []bool, labels []int8, prior float
 		c.Add(label, pred)
 	}
 	return c.Precision(), c.Recall(), c.F1()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

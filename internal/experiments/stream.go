@@ -6,14 +6,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"crossmodal/internal/core"
 )
 
 // StreamScaleResult summarizes one streamed-curation run against the cached
-// in-memory curation of the same task: corpus sizes, per-stage wall-clock,
-// and whether the streamed probabilistic labels are bit-identical to the
+// in-memory curation of the same task: corpus sizes and whether the streamed probabilistic labels are bit-identical to the
 // in-memory ones (they must be — the streamed path's contract).
 type StreamScaleResult struct {
 	Task                string
@@ -21,18 +19,7 @@ type StreamScaleResult struct {
 	Chunks              int
 	BitIdentical        bool
 	WSF1, WSCoverage    float64
-	Stages              []StageTiming
 }
-
-// StageTiming is one pipeline stage's wall-clock share.
-type StageTiming struct {
-	Name     string
-	Duration time.Duration
-}
-
-// streamStageOrder fixes the rendered stage order (map iteration is not
-// deterministic).
-var streamStageOrder = []string{"ingest", "lf-generation", "lf-apply", "label-propagation", "label-model"}
 
 // StreamScale runs the disk-backed streaming curation path on one task at
 // the suite's scale and checks it against the cached in-memory curation.
@@ -70,7 +57,7 @@ func (s *Suite) StreamScale(ctx context.Context, taskName string) (*StreamScaleR
 		}
 	}
 
-	res := &StreamScaleResult{
+	return &StreamScaleResult{
 		Task:         taskName,
 		TextRows:     sc.Text.Rows(),
 		ImageRows:    sc.Image.Rows(),
@@ -78,13 +65,7 @@ func (s *Suite) StreamScale(ctx context.Context, taskName string) (*StreamScaleR
 		BitIdentical: bit,
 		WSF1:         sc.Report.WSF1,
 		WSCoverage:   sc.Report.WSCoverage,
-	}
-	for _, name := range streamStageOrder {
-		if d, ok := sc.Report.Timings[name]; ok {
-			res.Stages = append(res.Stages, StageTiming{Name: name, Duration: d})
-		}
-	}
-	return res, nil
+	}, nil
 }
 
 // RenderStreamScale writes the streamed-curation summary.
@@ -95,9 +76,5 @@ func RenderStreamScale(w io.Writer, r *StreamScaleResult) {
 	}
 	fmt.Fprintf(w, "Streamed curation on %s: %d text + %d image rows over %d store chunks, %s.\n",
 		r.Task, r.TextRows, r.ImageRows, r.Chunks, verdict)
-	fmt.Fprintf(w, "WS quality: F1 %.3f at %.0f%% coverage.\n\n", r.WSF1, 100*r.WSCoverage)
-	fmt.Fprintf(w, "| stage | wall-clock |\n|---|---|\n")
-	for _, st := range r.Stages {
-		fmt.Fprintf(w, "| %s | %s |\n", st.Name, st.Duration.Round(time.Millisecond))
-	}
+	fmt.Fprintf(w, "WS quality: F1 %.3f at %.0f%% coverage.\n", r.WSF1, 100*r.WSCoverage)
 }

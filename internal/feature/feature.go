@@ -244,7 +244,7 @@ type Vector struct {
 	// degraded lists channels whose service calls failed when this vector
 	// was featurized through the checked path: their values are Missing not
 	// because the resource abstained but because it was unreachable. The
-	// annotation is in-memory only (it does not persist through JSON).
+	// annotation is in-memory only (it is not persisted).
 	degraded []string
 }
 

@@ -49,78 +49,3 @@ func (s *Schema) UnmarshalJSON(data []byte) error {
 	*s = decoded
 	return nil
 }
-
-// jsonValue is the wire form of one present feature value; exactly one
-// payload field is set, keyed by the schema's kind on decode.
-type jsonValue struct {
-	Categories []string  `json:"cats,omitempty"`
-	Num        *float64  `json:"num,omitempty"`
-	Vec        []float64 `json:"vec,omitempty"`
-}
-
-// MarshalJSON encodes the vector as a name → value object holding only the
-// present features. The schema itself is not embedded; pair the payload with
-// its schema (see UnmarshalVector).
-func (v *Vector) MarshalJSON() ([]byte, error) {
-	out := make(map[string]jsonValue)
-	for i, d := range v.schema.defs {
-		val := v.values[i]
-		if val.Missing {
-			continue
-		}
-		switch d.Kind {
-		case Categorical:
-			cats := val.Categories
-			if cats == nil {
-				cats = []string{}
-			}
-			out[d.Name] = jsonValue{Categories: cats}
-		case Numeric:
-			n := val.Num
-			out[d.Name] = jsonValue{Num: &n}
-		case Embedding:
-			out[d.Name] = jsonValue{Vec: val.Vec}
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalVector decodes a vector payload produced by Vector.MarshalJSON
-// against its schema. Unknown feature names are rejected; absent features
-// stay missing; payload shapes are validated against the schema.
-func UnmarshalVector(schema *Schema, data []byte) (*Vector, error) {
-	var raw map[string]jsonValue
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("feature: decode vector: %w", err)
-	}
-	v := NewVector(schema)
-	for name, jv := range raw {
-		i, ok := schema.Index(name)
-		if !ok {
-			return nil, fmt.Errorf("feature: unknown feature %q in payload", name)
-		}
-		d := schema.Def(i)
-		var val Value
-		switch d.Kind {
-		case Categorical:
-			if jv.Num != nil || jv.Vec != nil {
-				return nil, fmt.Errorf("feature: %q wants categories", name)
-			}
-			val = CategoricalValue(jv.Categories...)
-		case Numeric:
-			if jv.Num == nil {
-				return nil, fmt.Errorf("feature: %q wants a number", name)
-			}
-			val = NumericValue(*jv.Num)
-		case Embedding:
-			if jv.Vec == nil {
-				return nil, fmt.Errorf("feature: %q wants a vector", name)
-			}
-			val = EmbeddingValue(jv.Vec)
-		}
-		if err := v.Set(name, val); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}

@@ -2,7 +2,6 @@ package feature
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -36,75 +35,5 @@ func TestSchemaJSONRejectsBadKind(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`[{"name":"a","kind":"numeric"},{"name":"a","kind":"numeric"}]`), &s); err == nil {
 		t.Error("expected duplicate-name error")
-	}
-}
-
-func TestVectorJSONRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	v := NewVector(s)
-	v.MustSet("topic", CategoricalValue("sports", "news"))
-	v.MustSet("reports", NumericValue(3.25))
-	v.MustSet("emb", EmbeddingValue([]float64{1, -2, 0.5}))
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalVector(s, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Get("topic").HasCategory("news") {
-		t.Error("categories lost")
-	}
-	if got.Get("reports").Num != 3.25 {
-		t.Error("numeric lost")
-	}
-	if got.Get("emb").Vec[1] != -2 {
-		t.Error("embedding lost")
-	}
-	if !got.Get("objects").Missing {
-		t.Error("absent feature should stay missing")
-	}
-}
-
-func TestVectorJSONEmptyCategorical(t *testing.T) {
-	// A present-but-empty category set must survive the round trip (it is
-	// distinct from missing).
-	s := testSchema(t)
-	v := NewVector(s)
-	v.MustSet("topic", CategoricalValue())
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "topic") {
-		t.Fatalf("empty categorical dropped: %s", data)
-	}
-	got, err := UnmarshalVector(s, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Get("topic").Missing {
-		t.Error("present empty set decoded as missing")
-	}
-}
-
-func TestUnmarshalVectorValidation(t *testing.T) {
-	s := testSchema(t)
-	cases := []struct {
-		name    string
-		payload string
-	}{
-		{"unknown feature", `{"bogus":{"num":1}}`},
-		{"wrong shape for categorical", `{"topic":{"num":1}}`},
-		{"wrong shape for numeric", `{"reports":{"cats":["x"]}}`},
-		{"wrong shape for embedding", `{"emb":{"num":1}}`},
-		{"wrong embedding dim", `{"emb":{"vec":[1,2]}}`},
-		{"syntax", `nope`},
-	}
-	for _, tc := range cases {
-		if _, err := UnmarshalVector(s, []byte(tc.payload)); err == nil {
-			t.Errorf("%s: expected error", tc.name)
-		}
 	}
 }

@@ -2,18 +2,14 @@
 // production setting assumes (§2.3, §6.2: "services we use are pre-computed
 // for each data point as the generated features assist teams across the
 // organization", under per-team storage budgets). The store memoizes
-// featurization results under a capacity bound with LRU eviction, and can
-// persist its contents as JSON lines for reuse across processes.
+// featurization results under a capacity bound with LRU eviction; the
+// persistent, disk-backed store is featurestore/disk.
 package featurestore
 
 import (
-	"bufio"
 	"container/list"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -197,15 +193,8 @@ func (s *Store) recordSample(vecs []*feature.Vector) {
 	}
 }
 
-// insert stores a vector under a point ID, evicting the least recently used
-// entry when over capacity.
-func (s *Store) insert(id int, vec *feature.Vector) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.insertLocked(id, vec)
-}
-
-// insertLocked is insert with s.mu already held.
+// insertLocked stores a vector under a point ID, evicting the least recently
+// used entry when over capacity. The caller holds s.mu.
 func (s *Store) insertLocked(id int, vec *feature.Vector) {
 	var at time.Time
 	if s.ttl > 0 {
@@ -394,75 +383,4 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*
 		return err
 	}
 	return firstErr
-}
-
-// persistedRow is the JSONL wire form of one cached vector.
-type persistedRow struct {
-	ID  int             `json:"id"`
-	Vec json.RawMessage `json:"vec"`
-}
-
-// Save writes the cache contents as JSON lines, most recently used first.
-func (s *Store) Save(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		entry := el.Value.(*cacheEntry)
-		vecJSON, err := json.Marshal(entry.vec)
-		if err != nil {
-			return fmt.Errorf("featurestore: encode point %d: %w", entry.id, err)
-		}
-		if err := enc.Encode(persistedRow{ID: entry.id, Vec: vecJSON}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Load fills the cache from JSON lines previously written by Save. Existing
-// entries with the same IDs are overwritten; capacity eviction applies.
-func (s *Store) Load(r io.Reader) error {
-	schema := s.lib.Schema()
-	dec := json.NewDecoder(bufio.NewReader(r))
-	n := 0
-	for {
-		var row persistedRow
-		if err := dec.Decode(&row); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("featurestore: decode row %d: %w", n, err)
-		}
-		vec, err := feature.UnmarshalVector(schema, row.Vec)
-		if err != nil {
-			return fmt.Errorf("featurestore: decode vector %d: %w", row.ID, err)
-		}
-		s.insert(row.ID, vec)
-		n++
-	}
-}
-
-// SaveFile persists the cache to path.
-func (s *Store) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	return s.Save(f)
-}
-
-// LoadFile fills the cache from path.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.Load(f)
 }

@@ -1,9 +1,7 @@
 package featurestore
 
 import (
-	"bytes"
 	"context"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -132,80 +130,6 @@ func mustFeaturize(t *testing.T, s *Store, ctx context.Context, cfg mapreduce.Co
 	t.Helper()
 	if _, err := s.Featurize(ctx, cfg, pts); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	lib, pts := env(t)
-	store, err := New(lib, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	orig, err := store.Featurize(ctx, mapreduce.Config{}, pts[:40])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := New(lib, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 40 {
-		t.Fatalf("restored %d entries, want 40", restored.Len())
-	}
-	warm, err := restored.Featurize(ctx, mapreduce.Config{}, pts[:40])
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, _ := restored.Stats()
-	if hits != 40 || misses != 0 {
-		t.Errorf("restored store should serve from cache: hits=%d misses=%d", hits, misses)
-	}
-	for i := range warm {
-		if warm[i].String() != orig[i].String() {
-			t.Fatalf("restored vector %d differs", i)
-		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	lib, pts := env(t)
-	store, _ := New(lib, 0)
-	ctx := context.Background()
-	if _, err := store.Featurize(ctx, mapreduce.Config{}, pts[:10]); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	if err := store.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, _ := New(lib, 0)
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 10 {
-		t.Errorf("restored %d, want 10", restored.Len())
-	}
-	if err := restored.LoadFile(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Error("expected error for missing file")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	lib, _ := env(t)
-	store, _ := New(lib, 0)
-	if err := store.Load(bytes.NewBufferString("not json\n")); err == nil {
-		t.Error("expected decode error")
-	}
-	if err := store.Load(bytes.NewBufferString(`{"id":1,"vec":{"bogus":{"num":1}}}` + "\n")); err == nil {
-		t.Error("expected unknown-feature error")
 	}
 }
 
