@@ -220,18 +220,6 @@ func BenchmarkMining(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRun measures one full pipeline run (all three stages).
-func BenchmarkPipelineRun(b *testing.B) {
-	e := stageEnv(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.pipe.Run(ctx, e.ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkVideoFeaturization measures frame-split video featurization.
 func BenchmarkVideoFeaturization(b *testing.B) {
 	e := stageEnv(b)

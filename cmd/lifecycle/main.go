@@ -180,7 +180,7 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	go hs.Serve(ln)
 	defer hs.Close()
 
@@ -244,4 +244,22 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 		return fmt.Errorf("static world but the controller retrained %d times", res.Retrains)
 	}
 	return nil
+}
+
+// Connection timeouts: a client that stalls sending its headers or body, or
+// parks an idle keep-alive connection, cannot hold a server goroutine.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer serves h under the connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

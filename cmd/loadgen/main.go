@@ -1,9 +1,7 @@
 // Command loadgen drives the inference service at a target rate and reports
-// latency and shed-rate statistics. It emits its summary both as a human
-// table and as `go test -bench`-style lines, so the existing benchjson flow
-// archives serving benchmarks the same way it archives training ones:
+// latency and shed-rate statistics as a human table:
 //
-//	loadgen -url http://127.0.0.1:8099 -qps 2000 -duration 10s | benchjson -o BENCH_serve.json
+//	loadgen -url http://127.0.0.1:8099 -qps 2000 -duration 10s
 //
 // Two load modes:
 //
@@ -285,19 +283,4 @@ func report(r *result, mode string, qps int) {
 		pMax = r.latencies[n-1]
 	}
 	fmt.Printf("latency p50=%s p95=%s p99=%s max=%s\n", p50, p95, p99, pMax)
-
-	// Bench-format lines for benchjson: `<name> <iterations> <value> ns/op`.
-	// Iterations carry the sample count; the value is the statistic.
-	fmt.Println()
-	emit := func(name string, n uint64, ns float64) {
-		fmt.Printf("Benchmark%s \t%d\t%.0f ns/op\n", name, n, ns)
-	}
-	emit("ServeLatencyP50", r.ok, float64(p50.Nanoseconds()))
-	emit("ServeLatencyP95", r.ok, float64(p95.Nanoseconds()))
-	emit("ServeLatencyP99", r.ok, float64(p99.Nanoseconds()))
-	if achieved > 0 {
-		// Mean inter-completion time: 1e9/achieved — "ns per served request".
-		emit("ServeThroughput", r.ok, 1e9/achieved)
-	}
-	emit("ServeShedCount", total, float64(r.shed))
 }

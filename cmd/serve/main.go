@@ -227,7 +227,7 @@ func run(cfg runConfig) error {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(cfg.pprofAddr, nil)) }()
 	}
 
-	hs := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
+	hs := newHTTPServer(cfg.addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -327,4 +327,23 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 		}
 	}
 	return fusion.SaveFile(cfg.trainPath, m)
+}
+
+// Connection timeouts: a client that stalls sending its headers or body, or
+// parks an idle keep-alive connection, cannot hold a server goroutine.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer serves h on addr under the connection timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -73,5 +74,23 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("invalid config took %v to reject", elapsed)
+	}
+}
+
+// TestHTTPServerSetsTimeouts: the listener must bound how long a stalled or
+// idle connection can hold a goroutine.
+func TestHTTPServerSetsTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	for _, tc := range []struct {
+		name string
+		got  time.Duration
+	}{
+		{"ReadHeaderTimeout", hs.ReadHeaderTimeout},
+		{"ReadTimeout", hs.ReadTimeout},
+		{"IdleTimeout", hs.IdleTimeout},
+	} {
+		if tc.got <= 0 {
+			t.Errorf("%s is unset", tc.name)
+		}
 	}
 }

@@ -250,51 +250,6 @@ func TestEmbeddingOnlySchema(t *testing.T) {
 	}
 }
 
-func TestTuneModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	_, res := runPipeline(t, smallOptions())
-	lib, _ := testEnv(t)
-	p, err := NewPipeline(lib, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := p.TuneModel(context.Background(), res.Curation, p.DefaultTrainSpec(), 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuned.Trials) != 4 {
-		t.Fatalf("trials = %d, want 4", len(tuned.Trials))
-	}
-	if tuned.Score <= 0 {
-		t.Errorf("tuned validation score = %v", tuned.Score)
-	}
-	for _, tr := range tuned.Trials {
-		if tr.Score > tuned.Score {
-			t.Errorf("best score %.3f below trial %.3f", tuned.Score, tr.Score)
-		}
-	}
-	// The tuned config must be usable for a final fit.
-	spec := p.DefaultTrainSpec()
-	spec.Model = tuned.Config
-	if _, err := p.Train(context.Background(), res.Curation, spec); err != nil {
-		t.Fatalf("final fit with tuned config: %v", err)
-	}
-}
-
-func TestTuneModelValidation(t *testing.T) {
-	lib, _ := testEnv(t)
-	p, err := NewPipeline(lib, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny := &Curation{}
-	if _, err := p.TuneModel(context.Background(), tiny, p.DefaultTrainSpec(), 2, 1); err == nil {
-		t.Error("expected error for tiny curation")
-	}
-}
-
 func TestTrainSpecVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")

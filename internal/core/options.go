@@ -63,8 +63,6 @@ type Options struct {
 
 	// LFSource selects mined or simulated-expert LFs. Default MinedLFs.
 	LFSource LFSource
-	// Expert configures the simulated expert when LFSource is ExpertLFs.
-	Expert *struct{}
 
 	// UseLabelProp augments mined LFs with a label-propagation LF (§4.4).
 	// Default true.

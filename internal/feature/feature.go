@@ -123,13 +123,6 @@ func (s *Schema) Len() int { return len(s.defs) }
 // Def returns the i'th feature definition.
 func (s *Schema) Def(i int) Def { return s.defs[i] }
 
-// Defs returns a copy of all feature definitions in order.
-func (s *Schema) Defs() []Def {
-	out := make([]Def, len(s.defs))
-	copy(out, s.defs)
-	return out
-}
-
 // Index returns the position of the named feature and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.index[name]

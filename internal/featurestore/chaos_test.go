@@ -275,7 +275,7 @@ func TestBreakerOpenSurfacesInError(t *testing.T) {
 
 // TestChaosStoreRaceClean: the full store path under a 30% mixed fault
 // schedule with concurrent workers — no panics, no deadlocks (run under
-// -race via make chaos), retries bounded, counters consistent.
+// -race via make gate-full), retries bounded, counters consistent.
 func TestChaosStoreRaceClean(t *testing.T) {
 	lib, pts := env(t)
 	wrapped, _, err := faulty.WrapLibrary(lib, faulty.Schedule{

@@ -46,12 +46,6 @@ type Store struct {
 	coalesced int
 	stale     uint64 // stale vectors served because recomputation failed
 	degraded  uint64 // vectors served with a degraded-channels annotation
-
-	// Sampling tap: when enabled, every vector returned by Featurize is
-	// recorded (up to sampleCap) until drained. The lifecycle drift
-	// detectors snapshot served feature distributions through this.
-	sampleCap int
-	sample    []*feature.Vector
 }
 
 // Options configures a store beyond the library it fronts.
@@ -150,47 +144,6 @@ func (s *Store) DegradedServed() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.degraded
-}
-
-// EnableSampling starts recording served vectors, keeping at most capacity
-// per drain interval (capacity <= 0 disables). The window semantics are a
-// multiset: sample order follows request completion order, which is not
-// deterministic under concurrency, so consumers must treat a drained window
-// as unordered (monitor's detectors sort or bin before comparing).
-func (s *Store) EnableSampling(capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sampleCap = capacity
-	s.sample = nil
-}
-
-// DrainSample returns the vectors recorded since the last drain (or since
-// EnableSampling) and resets the window.
-func (s *Store) DrainSample() []*feature.Vector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.sample
-	s.sample = nil
-	return out
-}
-
-// recordSample appends served vectors to the sampling window, bounded by the
-// configured capacity. Nil slots (unfilled on error paths) are skipped.
-func (s *Store) recordSample(vecs []*feature.Vector) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sampleCap <= 0 {
-		return
-	}
-	for _, v := range vecs {
-		if v == nil {
-			continue
-		}
-		if len(s.sample) >= s.sampleCap {
-			return
-		}
-		s.sample = append(s.sample, v)
-	}
 }
 
 // insertLocked stores a vector under a point ID, evicting the least recently
@@ -304,7 +257,6 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	if computeErr != nil {
 		return nil, computeErr
 	}
-	s.recordSample(out)
 	return out, nil
 }
 

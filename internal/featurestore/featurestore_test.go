@@ -164,49 +164,3 @@ func TestConcurrentFeaturize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSamplingTap covers the drift-detection window: enabled sampling
-// records served vectors (hits and misses alike) up to the cap, and a drain
-// resets the window.
-func TestSamplingTap(t *testing.T) {
-	lib, pts := env(t)
-	store, err := New(lib, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	cfg := mapreduce.Config{Workers: 2}
-
-	// Disabled by default: nothing recorded.
-	mustFeaturize(t, store, ctx, cfg, pts[:4])
-	if got := store.DrainSample(); len(got) != 0 {
-		t.Fatalf("recorded %d vectors with sampling disabled", len(got))
-	}
-
-	store.EnableSampling(5)
-	mustFeaturize(t, store, ctx, cfg, pts[:8]) // all cache hits now
-	if got := store.DrainSample(); len(got) != 5 {
-		t.Fatalf("drained %d vectors, want cap 5", len(got))
-	}
-	if got := store.DrainSample(); len(got) != 0 {
-		t.Fatalf("second drain returned %d vectors, want 0", len(got))
-	}
-
-	// Fresh windows keep recording after a drain, and misses count too.
-	mustFeaturize(t, store, ctx, cfg, pts[8:11])
-	got := store.DrainSample()
-	if len(got) != 3 {
-		t.Fatalf("drained %d vectors, want 3", len(got))
-	}
-	for i, v := range got {
-		if v == nil {
-			t.Fatalf("sample %d is nil", i)
-		}
-	}
-
-	store.EnableSampling(0)
-	mustFeaturize(t, store, ctx, cfg, pts[:2])
-	if got := store.DrainSample(); len(got) != 0 {
-		t.Fatalf("EnableSampling(0) did not disable the tap (%d recorded)", len(got))
-	}
-}

@@ -26,7 +26,7 @@ func stressPoints(t *testing.T, world *synth.World, n int) []*synth.Point {
 // TestFeaturizeConcurrentStress hammers one store from many goroutines with
 // overlapping point ranges under a small capacity, the access pattern the
 // serving path creates (many HTTP handlers featurizing live traffic through
-// one store). Run under -race via `make race`. Every returned vector must
+// one store). Run under -race via `make gate-full`. Every returned vector must
 // equal the library's direct featurization, and the counters must balance.
 func TestFeaturizeConcurrentStress(t *testing.T) {
 	world, err := synth.NewWorld(synth.DefaultConfig())

@@ -2,13 +2,9 @@ package fusion
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/model"
@@ -173,36 +169,8 @@ func Kind(p Predictor) string {
 	}
 }
 
-// Save writes p as a versioned, checksummed artifact.
-func Save(w io.Writer, p Predictor) error {
-	kind := Kind(p)
-	if kind == "" {
-		return fmt.Errorf("fusion: cannot serialize predictor of type %T", p)
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(p); err != nil {
-		return fmt.Errorf("fusion: encode %s model: %w", kind, err)
-	}
-	if _, err := w.Write(artifactMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(artifactVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(kind))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, kind); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(payload.Len())); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(payload.Bytes()))
-}
+// Save writes p as a versioned, checksummed version-1 artifact.
+func Save(w io.Writer, p Predictor) error { return SaveLineage(w, p, nil) }
 
 // Load reads an artifact written by Save (or SaveLineage — the lineage
 // section, if present, is verified and discarded), verifying magic, version,
@@ -212,36 +180,11 @@ func Load(r io.Reader) (Predictor, string, error) {
 	return p, kind, err
 }
 
-// SaveFile writes p to path atomically: a temp file in the same directory is
-// renamed over path only after a successful write, so a crashed save never
-// leaves a serving process able to load half an artifact.
-func SaveFile(path string, p Predictor) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), ".artifact-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	if err = Save(f, p); err != nil {
-		f.Close()
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+// SaveFile writes p to path atomically (see SaveFileLineage).
+func SaveFile(path string, p Predictor) error { return SaveFileLineage(path, p, nil) }
 
-// LoadFile reads an artifact from path.
+// LoadFile reads an artifact from path, discarding any lineage.
 func LoadFile(path string) (Predictor, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	return Load(f)
+	p, kind, _, err := LoadFileLineage(path)
+	return p, kind, err
 }

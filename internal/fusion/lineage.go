@@ -22,9 +22,8 @@ import (
 //
 // Wire format: lineage appends a version-2 section after the version-1
 // layout, so v1 readers fail loudly on the version field rather than
-// misparse, and a nil-lineage SaveLineage emits a byte-identical v1 file
-// (the fuzz corpus and every artifact written before this section existed
-// stay valid):
+// misparse, and a nil lineage writes a plain version-1 file (the fuzz corpus
+// and every artifact written before this section existed stay valid):
 //
 //	... version-1 layout with version = 2 ...
 //	lineage uint32   length n, then n bytes of JSON
@@ -54,12 +53,9 @@ const artifactVersionLineage = 2
 // maxLineageLen caps the lineage JSON Load will read.
 const maxLineageLen = 1 << 20
 
-// SaveLineage writes p with lineage metadata. A nil lineage produces a file
-// byte-identical to Save's version-1 output.
+// SaveLineage writes p with lineage metadata. A nil lineage writes the
+// version-1 layout, which ends at the payload checksum.
 func SaveLineage(w io.Writer, p Predictor, lg *Lineage) error {
-	if lg == nil {
-		return Save(w, p)
-	}
 	kind := Kind(p)
 	if kind == "" {
 		return fmt.Errorf("fusion: cannot serialize predictor of type %T", p)
@@ -68,17 +64,22 @@ func SaveLineage(w io.Writer, p Predictor, lg *Lineage) error {
 	if err := gob.NewEncoder(&payload).Encode(p); err != nil {
 		return fmt.Errorf("fusion: encode %s model: %w", kind, err)
 	}
-	meta, err := json.Marshal(lg)
-	if err != nil {
-		return fmt.Errorf("fusion: encode lineage: %w", err)
-	}
-	if len(meta) > maxLineageLen {
-		return fmt.Errorf("fusion: lineage JSON %d bytes exceeds cap %d", len(meta), maxLineageLen)
+	version := uint32(artifactVersion)
+	var meta []byte
+	if lg != nil {
+		version = artifactVersionLineage
+		var err error
+		if meta, err = json.Marshal(lg); err != nil {
+			return fmt.Errorf("fusion: encode lineage: %w", err)
+		}
+		if len(meta) > maxLineageLen {
+			return fmt.Errorf("fusion: lineage JSON %d bytes exceeds cap %d", len(meta), maxLineageLen)
+		}
 	}
 	if _, err := w.Write(artifactMagic[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(artifactVersionLineage)); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, version); err != nil {
 		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(kind))); err != nil {
@@ -95,6 +96,9 @@ func SaveLineage(w io.Writer, p Predictor, lg *Lineage) error {
 	}
 	if err := binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(payload.Bytes())); err != nil {
 		return err
+	}
+	if lg == nil {
+		return nil
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(meta))); err != nil {
 		return err
@@ -217,8 +221,10 @@ func LoadLineage(r io.Reader) (Predictor, string, *Lineage, error) {
 	return p, kind, lg, nil
 }
 
-// SaveFileLineage writes p with lineage to path atomically (same rename
-// discipline as SaveFile).
+// SaveFileLineage writes p with lineage to path atomically: a temp file in
+// the same directory is renamed over path only after a successful write, so
+// a crashed save never leaves a serving process able to load half an
+// artifact.
 func SaveFileLineage(path string, p Predictor, lg *Lineage) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), ".artifact-*")
 	if err != nil {

@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -17,23 +18,33 @@ func lineageTestModel(t *testing.T) Predictor {
 	return m
 }
 
-// A nil lineage must keep SaveLineage byte-identical to Save: every artifact
+// A nil lineage must write the version-1 layout byte for byte: every artifact
 // written before the lineage section existed — and the fuzz corpus — stays
 // valid, and bootstrap saves stay reproducible against golden files.
-func TestSaveLineageNilIsByteIdenticalV1(t *testing.T) {
-	m := lineageTestModel(t)
-	var v1, v2 bytes.Buffer
-	if err := Save(&v1, m); err != nil {
+func TestSaveNilLineageIsVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Save(&buf, lineageTestModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveLineage(&v2, m, nil); err != nil {
-		t.Fatal(err)
+	raw := buf.Bytes()
+	if string(raw[:8]) != "XMODART1" {
+		t.Fatalf("magic %q", raw[:8])
 	}
-	if !bytes.Equal(v1.Bytes(), v2.Bytes()) {
-		t.Fatal("SaveLineage(nil) output differs from Save")
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != 1 {
+		t.Fatalf("version %d, want 1", v)
 	}
-	// And a v1 stream loads through the lineage reader with nil lineage.
-	p, kind, lg, err := LoadLineage(bytes.NewReader(v1.Bytes()))
+	kindLen := int(binary.LittleEndian.Uint32(raw[12:]))
+	if kind := string(raw[16 : 16+kindLen]); kind != KindEarly {
+		t.Fatalf("kind %q", kind)
+	}
+	header := 16 + kindLen + 8
+	payloadLen := int(binary.LittleEndian.Uint64(raw[16+kindLen:]))
+	// Nothing follows the payload checksum: no lineage section, not even an
+	// empty one.
+	if want := header + payloadLen + 4; len(raw) != want {
+		t.Fatalf("file is %d bytes, want header %d + payload %d + crc 4 = %d", len(raw), header, payloadLen, want)
+	}
+	p, kind, lg, err := LoadLineage(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,13 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"crossmodal/internal/core"
+	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore"
 	"crossmodal/internal/fusion"
+	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/monitor"
 	"crossmodal/internal/synth"
 )
@@ -66,8 +67,13 @@ type Config struct {
 	// Config.PointSource must be Traffic-derived so both see the same
 	// points.
 	Traffic *synth.Traffic
-	// Store is the serving featurestore; the controller taps its served
-	// vectors for feature-drift snapshots.
+	// Store is the serving featurestore. After scoring a window the
+	// controller reads the window's vectors back through it for the
+	// feature-drift snapshots: cache hits on the very vectors just served
+	// (featurization is deterministic in the point, so an evicted entry
+	// recomputes to the same values). Under a guarded library a degraded
+	// vector is never cached, so the read-back retries the resources
+	// instead of replaying the degraded copy the request saw.
 	Store *featurestore.Store
 	// Pipe re-mines and retrains candidates (StreamMining should be on).
 	Pipe *core.Pipeline
@@ -182,8 +188,7 @@ type Controller struct {
 	incumbentPath string
 
 	catRef    monitor.CatSnapshot // reference categorical frequencies
-	refCounts []float64           // reference window's serve_scores per-bucket counts
-	prevCum   []float64           // cumulative bucket counts at the last window edge
+	refCounts []float64           // reference window's per-bucket score counts
 
 	cooldown int
 	needRef  bool // rebaseline on the next window (startup, post-promotion)
@@ -207,24 +212,13 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // Run replays the full traffic schedule window by window and returns the
-// event log. The featurestore's sampling tap is enabled for the duration.
+// event log.
 func (c *Controller) Run(ctx context.Context) (*Result, error) {
 	windows := c.cfg.Traffic.Total() / c.cfg.WindowSize
 	if windows == 0 {
 		return nil, fmt.Errorf("lifecycle: traffic (%d points) smaller than one window (%d)",
 			c.cfg.Traffic.Total(), c.cfg.WindowSize)
 	}
-	c.cfg.Store.EnableSampling(c.cfg.WindowSize)
-	defer c.cfg.Store.EnableSampling(0)
-
-	// Prime the cumulative score-histogram baseline so window 0's diff is
-	// against the pre-run state (the bootstrap canary scores land there).
-	cum, err := c.fetchScoreCum(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.prevCum = cum
-
 	for w := 0; w < windows; w++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -240,25 +234,15 @@ func (c *Controller) Run(ctx context.Context) (*Result, error) {
 
 // step observes one traffic window and reacts.
 func (c *Controller) step(ctx context.Context, w int) error {
-	c.cfg.Store.DrainSample() // discard anything recorded between windows
-
 	pts := c.cfg.Traffic.Window(w*c.cfg.WindowSize, c.cfg.WindowSize)
-	scores, err := c.scoreWindow(ctx, pts)
+	scores, vecs, err := c.observe(ctx, pts)
 	if err != nil {
 		return err
 	}
-
-	vecs := c.cfg.Store.DrainSample()
 	snap := monitor.NumericSnapshot(vecs)
 	snap["serve_score"] = scores
 	cat := monitor.CategoricalSnapshot(vecs)
-
-	cum, err := c.fetchScoreCum(ctx)
-	if err != nil {
-		return err
-	}
-	counts := diffCounts(c.prevCum, cum)
-	c.prevCum = cum
+	counts := monitor.HistCounts(scoreEdges, scores)
 
 	if c.needRef {
 		c.tracker.SetReference(snap)
@@ -271,7 +255,7 @@ func (c *Controller) step(ctx context.Context, w int) error {
 	}
 
 	// The categorical channels (topic mix, URL groups, rule firings) and the
-	// /metrics score histogram have no raw-sample form, so they ride along as
+	// binned score histogram have no raw-sample form, so they ride along as
 	// extra verdicts and share the tracker's streak logic.
 	extra := monitor.DetectCategoricalDrift(c.cfg.Detect, c.catRef, cat)
 	thr := c.cfg.Detect.PSIThreshold
@@ -294,12 +278,24 @@ func (c *Controller) step(ctx context.Context, w int) error {
 	c.res.Detections++
 	c.emit(Event{Window: w, Type: EventDrift, Channel: channels,
 		Detail: monitor.Summarize(verdicts)})
-	return c.retrainAndMaybePromote(ctx, w, pts, channels)
+	return c.retrainAndMaybePromote(ctx, w, pts, vecs, channels)
+}
+
+// observe serves pts through /predict and reads the vectors the server
+// featurized for them back through the shared store: the server put exactly
+// these IDs there a moment ago, so the read-back is all cache hits.
+func (c *Controller) observe(ctx context.Context, pts []*synth.Point) ([]float64, []*feature.Vector, error) {
+	scores, err := c.scoreWindow(ctx, pts)
+	if err != nil {
+		return nil, nil, err
+	}
+	vecs, err := c.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: c.cfg.Pipe.Options().Workers}, pts)
+	return scores, vecs, err
 }
 
 // retrainAndMaybePromote runs the re-mine → retrain → shadow → promote arm
 // of the loop, retrying training up to MaxRetrainAttempts.
-func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*synth.Point, channels string) error {
+func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string) error {
 	for attempt := 1; attempt <= c.cfg.MaxRetrainAttempts; attempt++ {
 		if hook := c.cfg.RetrainHook; hook != nil {
 			if err := hook(w, attempt); err != nil {
@@ -320,7 +316,7 @@ func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*s
 		c.res.Retrains++
 		c.emit(Event{Window: w, Type: EventRetrain,
 			Detail: fmt.Sprintf("attempt %d, %d LFs", attempt, lfCount)})
-		return c.shadowAndPromote(ctx, w, pts, channels, cand)
+		return c.shadowAndPromote(ctx, w, pts, vecs, channels, cand)
 	}
 	// Out of attempts: give up until the next trip. The streak persists,
 	// so a sustained shift re-trips on the next window.
@@ -350,13 +346,9 @@ func (c *Controller) retrain(ctx context.Context, w, attempt int) (fusion.Predic
 }
 
 // shadowAndPromote compares the candidate against the incumbent on the
-// tripped window's live traffic and promotes through /admin/reload on
-// non-regression.
-func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.Point, channels string, cand fusion.Predictor) error {
-	vecs, err := c.cfg.Pipe.Featurize(ctx, pts)
-	if err != nil {
-		return err
-	}
+// tripped window's live traffic (pts and the vecs served for them) and
+// promotes through /admin/reload on non-regression.
+func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string, cand fusion.Predictor) error {
 	shadowCfg := c.cfg.Shadow
 	shadowCfg.Seed = c.cfg.Seed ^ int64(w)<<16
 	if shadowCfg.Threshold <= 0 {
@@ -436,32 +428,11 @@ func (c *Controller) scoreWindow(ctx context.Context, pts []*synth.Point) ([]flo
 		for _, p := range pts[lo:hi] {
 			batch.Points = append(batch.Points, map[string]any{"id": p.ID, "modality": string(p.Modality)})
 		}
-		body, err := json.Marshal(batch)
-		if err != nil {
-			return nil, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/predict", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.cfg.Client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("predict: %d %s", resp.StatusCode, bytes.TrimSpace(raw))
-		}
 		var pr struct {
 			Scores []float64 `json:"scores"`
 		}
-		if err := json.Unmarshal(raw, &pr); err != nil {
-			return nil, err
+		if err := c.post(ctx, "/predict", batch, &pr); err != nil {
+			return nil, fmt.Errorf("predict: %w", err)
 		}
 		if len(pr.Scores) != hi-lo {
 			return nil, fmt.Errorf("predict returned %d scores for %d points", len(pr.Scores), hi-lo)
@@ -473,98 +444,49 @@ func (c *Controller) scoreWindow(ctx context.Context, pts []*synth.Point) ([]flo
 
 // reload POSTs /admin/reload and returns the new serving generation.
 func (c *Controller) reload(ctx context.Context, path string) (uint64, error) {
-	body, err := json.Marshal(map[string]string{"path": path})
-	if err != nil {
-		return 0, err
+	var rr struct {
+		Seq uint64 `json:"seq"`
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/admin/reload", bytes.NewReader(body))
+	err := c.post(ctx, "/admin/reload", map[string]string{"path": path}, &rr)
+	return rr.Seq, err
+}
+
+// post sends in as a JSON POST to the serving endpoint and decodes a 200
+// reply into out; any other status is an error carrying the reply body.
+func (c *Controller) post(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
 	if err != nil {
-		return 0, err
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(raw))
+		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	var rr struct {
-		Seq uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(raw, &rr); err != nil {
-		return 0, err
-	}
-	return rr.Seq, nil
+	return json.Unmarshal(raw, out)
 }
 
-// fetchScoreCum scrapes the cumulative serve_scores bucket counts from
-// /metrics, in bucket order (including +Inf).
-func (c *Controller) fetchScoreCum(ctx context.Context) ([]float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.BaseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
+// scoreEdges are the nineteen 0.05-wide score-histogram edges 0.05 … 0.95,
+// the same edges the server's serve_scores histogram exposes to operators.
+var scoreEdges = func() []float64 {
+	var e []float64
+	for x := 0.05; x < 0.999; x += 0.05 {
+		e = append(e, math.Round(x*100)/100)
 	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	return ParseScoreBuckets(string(raw))
-}
-
-// ParseScoreBuckets extracts the cumulative serve_scores histogram buckets
-// from a /metrics exposition, in exposition order.
-func ParseScoreBuckets(metrics string) ([]float64, error) {
-	var cum []float64
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, "serve_scores_bucket{le=") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("lifecycle: malformed bucket line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("lifecycle: malformed bucket count %q: %w", line, err)
-		}
-		cum = append(cum, v)
-	}
-	if len(cum) == 0 {
-		return nil, fmt.Errorf("lifecycle: /metrics exposes no serve_scores buckets")
-	}
-	return cum, nil
-}
-
-// diffCounts converts two cumulative bucket snapshots into this window's
-// per-bucket counts. Mismatched lengths (a restarted server) yield the
-// current snapshot de-cumulated from zero.
-func diffCounts(prevCum, cum []float64) []float64 {
-	counts := make([]float64, len(cum))
-	var prevTotal float64
-	for i, v := range cum {
-		base := 0.0
-		if i < len(prevCum) && len(prevCum) == len(cum) {
-			base = prevCum[i]
-		}
-		counts[i] = (v - base) - prevTotal
-		prevTotal += counts[i]
-		if counts[i] < 0 {
-			counts[i] = 0
-		}
-	}
-	return counts
-}
+	return e
+}()
 
 // scoreQuantile returns the q-quantile of scores (sorted copy, nearest
 // rank), clamped into (0, 1) so it is always a usable flag threshold.
@@ -581,23 +503,4 @@ func scoreQuantile(scores []float64, q float64) float64 {
 // emit appends one event to the log.
 func (c *Controller) emit(e Event) {
 	c.res.Events = append(c.res.Events, e)
-}
-
-// ChannelsOf lists the distinct channels named by a run's drift events,
-// sorted — a convenience for smoke-test assertions.
-func ChannelsOf(events []Event) []string {
-	set := map[string]bool{}
-	for _, e := range events {
-		if e.Type == EventDrift && e.Channel != "" {
-			for _, ch := range strings.Split(e.Channel, ",") {
-				set[ch] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for ch := range set {
-		out = append(out, ch)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,7 +17,9 @@ import (
 	"crossmodal/internal/faulty"
 	"crossmodal/internal/featurestore"
 	"crossmodal/internal/fusion"
+	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/model"
+	"crossmodal/internal/monitor"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/serve"
 	"crossmodal/internal/synth"
@@ -409,51 +412,79 @@ func TestControllerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestParseScoreBuckets pins the /metrics scrape against the exposition
-// format internal/serve writes.
-func TestParseScoreBuckets(t *testing.T) {
-	metrics := "# HELP serve_scores\n" +
-		"serve_scores_bucket{le=\"0.05\"} 3\n" +
-		"serve_scores_bucket{le=\"0.1\"} 7\n" +
-		"serve_scores_bucket{le=\"+Inf\"} 10\n" +
-		"serve_scores_count 10\n"
-	cum, err := ParseScoreBuckets(metrics)
-	if err != nil {
-		t.Fatal(err)
+// TestScoreHistMatchesServeHistogram pins the controller's score binning to
+// the serve_scores histogram operators read off /metrics: same nineteen
+// edges, and a score sitting exactly on an edge lands in that edge's bucket
+// on both sides.
+func TestScoreHistMatchesServeHistogram(t *testing.T) {
+	xs := []float64{0, 0.05, 0.1, 0.95, 1}
+	rng := rand.New(rand.NewSource(epSeed))
+	for i := 0; i < 500; i++ {
+		xs = append(xs, rng.Float64())
 	}
-	want := []float64{3, 7, 10}
-	if len(cum) != len(want) {
-		t.Fatalf("got %v, want %v", cum, want)
+	hist := serve.NewMetrics().Scores
+	for _, x := range xs {
+		hist.Observe(x)
 	}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("got %v, want %v", cum, want)
+	bounds, counts := hist.Buckets()
+	if len(bounds) != len(scoreEdges) {
+		t.Fatalf("serve exposes %d score edges, controller bins on %d", len(bounds), len(scoreEdges))
+	}
+	for i := range bounds {
+		if bounds[i] != scoreEdges[i] {
+			t.Fatalf("edge %d: serve %v, controller %v", i, bounds[i], scoreEdges[i])
 		}
 	}
-	if _, err := ParseScoreBuckets("nothing here"); err == nil {
-		t.Error("metrics without buckets accepted")
+	got := monitor.HistCounts(scoreEdges, xs)
+	if len(got) != len(counts) {
+		t.Fatalf("%d buckets, serve has %d", len(got), len(counts))
+	}
+	for i, c := range counts {
+		if got[i] != float64(c) {
+			t.Errorf("bucket %d: HistCounts %v, serve histogram %d", i, got[i], c)
+		}
 	}
 }
 
-// TestDiffCounts pins cumulative-to-window de-accumulation, including the
-// restart fallback.
-func TestDiffCounts(t *testing.T) {
-	prev := []float64{3, 7, 10}
-	cum := []float64{5, 12, 20}
-	got := diffCounts(prev, cum)
-	want := []float64{2, 3, 5} // per-bucket deltas of the cumulative diff
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("diffCounts = %v, want %v", got, want)
-		}
+// TestStepReadsBackServedVectors pins the one observation path: the vectors
+// a window's snapshots are taken from are the very vectors the server put in
+// the shared store while scoring that window, read back without one miss.
+func TestStepReadsBackServedVectors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
 	}
-	// Length mismatch (server restarted with different buckets): de-cumulate
-	// the current snapshot from zero.
-	got = diffCounts([]float64{1}, []float64{4, 6, 6})
-	want = []float64{4, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("restart diffCounts = %v, want %v", got, want)
+	ep := newEpisode(t, epOpts{})
+	ctrl, err := New(ep.controllerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	pts := ep.traffic.Window(0, epWindow)
+	h0, m0, _ := ep.store.Stats()
+	_, vecs, err := ctrl.observe(ctx, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1, m1, _ := ep.store.Stats()
+	// Serving the window and reading it back touch every point twice; the
+	// server's pass takes all the misses there are to take.
+	if h1-h0+m1-m0 != 2*epWindow || h1-h0 < epWindow {
+		t.Fatalf("window cost %d hits / %d misses, want the %d-point read-back to be all hits",
+			h1-h0, m1-m0, epWindow)
+	}
+	direct, err := ep.store.Featurize(ctx, mapreduce.Config{Workers: 1}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m2, _ := ep.store.Stats(); m2 != m1 {
+		t.Fatalf("direct featurization of the served window missed %d times", m2-m1)
+	}
+	if len(vecs) != len(direct) {
+		t.Fatalf("observed %d vectors, store serves %d", len(vecs), len(direct))
+	}
+	for i := range direct {
+		if vecs[i] != direct[i] {
+			t.Fatalf("point %d: observed vector is not the cached one the server used", i)
 		}
 	}
 }
@@ -469,24 +500,5 @@ func TestScoreQuantile(t *testing.T) {
 	}
 	if got := scoreQuantile([]float64{0, 0, 0}, 0.9); got != 0.01 {
 		t.Errorf("all-zero quantile = %v, want clamped 0.01", got)
-	}
-}
-
-// TestChannelsOf pins the smoke-test helper.
-func TestChannelsOf(t *testing.T) {
-	events := []Event{
-		{Type: EventDrift, Channel: "b,a"},
-		{Type: EventDrift, Channel: "a,c"},
-		{Type: EventPromote, Channel: "z"},
-	}
-	got := ChannelsOf(events)
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("ChannelsOf = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ChannelsOf = %v, want %v", got, want)
-		}
 	}
 }

@@ -412,9 +412,6 @@ func (t *Tracker) SetReference(ref Snapshot) {
 	t.streak = make(map[string]int)
 }
 
-// HasReference reports whether a baseline is installed.
-func (t *Tracker) HasReference() bool { return t.ref != nil }
-
 // Observe scores one window against the reference. extra verdicts (e.g.
 // computed from a serving-metrics histogram rather than raw samples) join
 // streak tracking under their own channel names. Returns all verdicts and

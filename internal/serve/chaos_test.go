@@ -247,7 +247,7 @@ func TestChaosServeShedsOnBreakerOpen(t *testing.T) {
 // TestChaosServeRaceCleanUnderMixedFaults hammers /predict concurrently at a
 // 30% mixed fault rate: every response must be a well-formed success or a
 // mapped degradation status, retries stay bounded, and nothing panics or
-// deadlocks (run with -race via make chaos).
+// deadlocks (run with -race via make gate-full).
 func TestChaosServeRaceCleanUnderMixedFaults(t *testing.T) {
 	sched := faulty.Schedule{
 		Seed:        6300,

@@ -196,7 +196,7 @@ type Metrics struct {
 
 	Latency   *Histogram // seconds per request
 	BatchSize *Histogram // points per executed batch
-	Scores    *Histogram // served model scores (drift detectors diff this)
+	Scores    *Histogram // served model scores, for operators
 
 	qps rateWindow
 }

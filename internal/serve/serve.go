@@ -77,6 +77,30 @@ func (c Config) validate() error {
 // ptCacheSize is the direct-mapped request-point cache size (power of two).
 const ptCacheSize = 4096
 
+// Request limits: a body over maxBodyBytes or a /predict naming more than
+// maxPointsPerRequest points is refused with 413 before any work is queued
+// (each point of a multi-point request costs a goroutine and a batcher slot).
+const (
+	maxBodyBytes        = 1 << 20
+	maxPointsPerRequest = 1024
+)
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v,
+// answering 413 or 400 itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request body: "+err.Error(), status)
+	return false
+}
+
 // Server is the online inference service. Create with New, expose with
 // Handler, stop with Close.
 type Server struct {
@@ -243,14 +267,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !decodeBody(w, r, &req) {
 		s.met.ClientErrors.Add(1)
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if len(req.Points) == 0 {
 		s.met.ClientErrors.Add(1)
 		http.Error(w, "no points", http.StatusBadRequest)
+		return
+	}
+	if len(req.Points) > maxPointsPerRequest {
+		s.met.ClientErrors.Add(1)
+		http.Error(w, fmt.Sprintf("%d points in one request (limit %d)", len(req.Points), maxPointsPerRequest),
+			http.StatusRequestEntityTooLarge)
 		return
 	}
 	pts := make([]*synth.Point, len(req.Points))
@@ -352,8 +381,7 @@ type reloadRequest struct {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Path == "" {

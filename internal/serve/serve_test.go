@@ -524,3 +524,57 @@ func TestBadRequestsAre400(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizeRequestsAre413 pins the request limits: a /predict naming more
+// than maxPointsPerRequest points, and a body over maxBodyBytes on either
+// POST endpoint, are refused before anything reaches the batcher or the
+// registry.
+func TestOversizeRequestsAre413(t *testing.T) {
+	s, ts := newTestServer(t, BatcherConfig{}, 30*time.Second)
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		t.Fatal(err)
+	}
+	seq := s.Registry().Current().Seq
+	many := predictRequest{Points: make([]PointRequest, maxPointsPerRequest+1)}
+	for i := range many.Points {
+		many.Points[i].ID = i
+	}
+	manyBody, err := json.Marshal(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat(" ", 2<<20)
+	for _, tc := range []struct {
+		name, path, body string
+		clientErrors     uint64
+	}{
+		{"too many points", "/predict", string(manyBody), 1},
+		{"predict body", "/predict", pad + `{"points":[{"id":1}]}`, 2},
+		{"reload body", "/admin/reload", pad + `{"path":"x.xma"}`, 2},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d, want 413", tc.name, resp.StatusCode)
+		}
+		if got := s.Metrics().ClientErrors.Load(); got != tc.clientErrors {
+			t.Errorf("%s: ClientErrors = %d, want %d", tc.name, got, tc.clientErrors)
+		}
+	}
+	m := s.Metrics()
+	if m.BatchSize.Count() != 0 || m.ShedQueue.Load() != 0 || m.Requests.Load() != 0 {
+		t.Errorf("oversize requests reached the batcher: %d batches, %d shed, %d served",
+			m.BatchSize.Count(), m.ShedQueue.Load(), m.Requests.Load())
+	}
+	if got := s.Registry().Current().Seq; got != seq {
+		t.Errorf("oversize reload moved seq %d → %d", seq, got)
+	}
+	// The limit is inclusive: exactly maxPointsPerRequest points still score.
+	many.Points = many.Points[:maxPointsPerRequest]
+	if resp, body := postJSON(t, ts.URL+"/predict", many); resp.StatusCode != http.StatusOK {
+		t.Errorf("%d-point request: %d %s, want 200", maxPointsPerRequest, resp.StatusCode, body)
+	}
+}

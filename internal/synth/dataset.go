@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"crossmodal/internal/xrand"
@@ -107,43 +108,27 @@ type Dataset struct {
 	TestImage []*Point
 }
 
-// BuildDataset samples a dataset for the task. The task is calibrated as a
-// side effect if it has not been already.
+// BuildDataset samples a dataset for the task: the whole of Stream's output,
+// one chunk per corpus. The task is calibrated as a side effect if it has
+// not been already.
 func BuildDataset(w *World, task *Task, cfg DatasetConfig) (*Dataset, error) {
-	if err := cfg.validate(); err != nil {
+	s, err := NewStream(w, task, cfg)
+	if err != nil {
 		return nil, err
 	}
-	calN := cfg.CalibrationSamples
-	if calN == 0 {
-		calN = 40000
-	}
-	if !task.calibrated {
-		if err := task.Calibrate(w, calN, cfg.Seed^0x5ca1ab1e); err != nil {
-			return nil, err
-		}
-	}
-	rng := xrand.New(cfg.Seed)
 	ds := &Dataset{Task: task, World: w}
-	nextID := 0
-	sample := func(n int, m Modality) []*Point {
-		pts := make([]*Point, n)
-		for i := range pts {
-			e := w.SampleEntity(rng, m, nextID)
-			pts[i] = &Point{
-				ID:       nextID,
-				Entity:   e,
-				Modality: m,
-				Seed:     xrand.Mix(uint64(cfg.Seed)<<20 ^ uint64(nextID)),
-				Label:    task.Label(w, e),
-			}
-			nextID++
+	for c := s.Next(math.MaxInt); c != nil; c = s.Next(math.MaxInt) {
+		switch c.Corpus {
+		case TextCorpus:
+			ds.LabeledText = c.Points
+		case ImageCorpus:
+			ds.UnlabeledImage = c.Points
+		case PoolCorpus:
+			ds.HandLabelPool = c.Points
+		case TestCorpus:
+			ds.TestImage = c.Points
 		}
-		return pts
 	}
-	ds.LabeledText = sample(cfg.NumText, Text)
-	ds.UnlabeledImage = sample(cfg.NumUnlabeledImage, Image)
-	ds.HandLabelPool = sample(cfg.NumHandLabelPool, Image)
-	ds.TestImage = sample(cfg.NumTest, Image)
 	return ds, nil
 }
 

@@ -1,10 +1,10 @@
 package synth
 
-// Stream generates the same dataset BuildDataset would — same shared RNG,
-// same ID sequence, same labels — but hands it out in bounded chunks so
-// million-point corpora never exist as one slice. The pipeline's streaming
-// front half (core.CurateStreamed) drives it and spills each chunk to the
-// disk feature store.
+// Stream is the dataset generator: one shared RNG, one ID sequence, handed
+// out in bounded chunks so million-point corpora never exist as one slice.
+// The pipeline's streaming front half (core.CurateStreamed) drives it and
+// spills each chunk to the disk feature store; BuildDataset is the
+// one-chunk-per-corpus case.
 
 import (
 	"math/rand"
@@ -48,7 +48,7 @@ type Chunk struct {
 }
 
 // Stream yields a dataset chunk by chunk. The generation order — and every
-// RNG draw — is identical to BuildDataset at the same config, which is what
+// RNG draw — is independent of the chunk sizes asked for, which is what
 // makes the streamed pipeline bit-identical to the in-memory one: text,
 // then unlabeled image, then hand-label pool, then test, all from one
 // sequential generator.
@@ -63,8 +63,8 @@ type Stream struct {
 	nextID int
 }
 
-// NewStream validates cfg, calibrates the task exactly as BuildDataset
-// does, and returns a stream positioned at the first text point.
+// NewStream validates cfg, calibrates the task if it has not been already,
+// and returns a stream positioned at the first text point.
 func NewStream(w *World, task *Task, cfg DatasetConfig) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -83,7 +83,7 @@ func NewStream(w *World, task *Task, cfg DatasetConfig) (*Stream, error) {
 	return s, nil
 }
 
-// modalityOf maps a corpus to the modality BuildDataset samples it in.
+// modalityOf maps a corpus to the modality it is sampled in.
 func modalityOf(k CorpusKind) Modality {
 	if k == TextCorpus {
 		return Text
@@ -125,19 +125,6 @@ func (s *Stream) Next(max int) *Chunk {
 	c := &Chunk{Corpus: s.corpus, Start: s.offset, Points: pts}
 	s.offset += n
 	return c
-}
-
-// Remaining returns how many points are left in corpus k (including not-yet
-// reached corpora in full).
-func (s *Stream) Remaining(k CorpusKind) int {
-	switch {
-	case k < s.corpus:
-		return 0
-	case k == s.corpus:
-		return s.sizes[k] - s.offset
-	default:
-		return s.sizes[k]
-	}
 }
 
 // Size returns corpus k's total size under the stream's config.

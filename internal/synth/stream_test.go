@@ -87,15 +87,9 @@ func TestStreamRemaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Remaining(TextCorpus) != 10 || s.Remaining(TestCorpus) != 4 {
-		t.Fatalf("fresh stream remaining wrong: %d/%d", s.Remaining(TextCorpus), s.Remaining(TestCorpus))
-	}
 	c := s.Next(6)
 	if c.Corpus != TextCorpus || len(c.Points) != 6 {
 		t.Fatalf("first chunk: %v/%d", c.Corpus, len(c.Points))
-	}
-	if s.Remaining(TextCorpus) != 4 {
-		t.Fatalf("remaining text = %d, want 4", s.Remaining(TextCorpus))
 	}
 	// Pool is empty; the stream must skip it without emitting a chunk.
 	var kinds []CorpusKind
@@ -138,8 +132,7 @@ func TestCorpusKindString(t *testing.T) {
 }
 
 // TestStreamSizeAndPastCorpus: Size reports config totals regardless of
-// position, Remaining reports 0 for a corpus the stream has moved past, and
-// a non-positive max falls back to the default chunk size.
+// position, and a non-positive max falls back to the default chunk size.
 func TestStreamSizeAndPastCorpus(t *testing.T) {
 	cfg := DatasetConfig{Seed: 9, NumText: 6, NumUnlabeledImage: 3, NumHandLabelPool: 2, NumTest: 4, CalibrationSamples: 500}
 	w := MustWorld(DefaultConfig())
@@ -162,9 +155,6 @@ func TestStreamSizeAndPastCorpus(t *testing.T) {
 	c = s.Next(-1)
 	if c == nil || c.Corpus != ImageCorpus || len(c.Points) != 3 {
 		t.Fatalf("Next(-1) did not drain the image corpus under the default max: %+v", c)
-	}
-	if got := s.Remaining(TextCorpus); got != 0 {
-		t.Fatalf("Remaining(text) = %d after moving past it, want 0", got)
 	}
 	if s.Size(TextCorpus) != 6 {
 		t.Fatalf("Size(text) changed mid-stream: %d", s.Size(TextCorpus))

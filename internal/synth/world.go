@@ -347,9 +347,6 @@ func sampleIndex(rng *rand.Rand, p []float64) int {
 // TopicRisk returns the risk loading of topic t.
 func (w *World) TopicRisk(t int) float64 { return w.topicRisk[t] }
 
-// ObjectRisk returns the risk loading of object o.
-func (w *World) ObjectRisk(o int) float64 { return w.objectRisk[o] }
-
 // UserBadness returns the latent badness of user u.
 func (w *World) UserBadness(u int) float64 { return w.userBadness[u] }
 

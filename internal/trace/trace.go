@@ -36,9 +36,6 @@ func SetDefault(t *Tracer) {
 	current.Store(t)
 }
 
-// Default returns the installed tracer, or nil when tracing is disabled.
-func Default() *Tracer { return current.Load() }
-
 // Enabled reports whether a process-wide tracer is installed.
 func Enabled() bool { return current.Load() != nil }
 

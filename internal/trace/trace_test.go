@@ -250,7 +250,7 @@ func TestSpanNamesAndLen(t *testing.T) {
 }
 
 // TestConcurrentSpans drives many goroutines through Start/End/Count; run
-// with -race (make race covers this package).
+// with -race (make gate-full covers this package).
 func TestConcurrentSpans(t *testing.T) {
 	tr := install(t)
 	var wg sync.WaitGroup
