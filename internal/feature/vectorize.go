@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/sparse"
 )
 
 // Vocabulary maps the category strings observed for one categorical feature
@@ -55,18 +57,29 @@ type numericStats struct {
 	mean, std float64
 }
 
-// Vectorizer converts Vectors into dense float64 rows for model training:
+// Vectorizer converts Vectors into design rows for model training:
 // categorical features one-hot (multi-hot) encode against a fitted
 // vocabulary plus an OOV slot and a missing indicator; numeric features are
 // standardized and paired with a missing indicator; embedding features are
-// copied through. Fit on training data once, then Transform anywhere.
+// copied through. Rows are emitted sparse (Encode, TransformSparse) — a
+// one-hot row is mostly zeros — and the dense Transform* forms scatter the
+// same entries. Fit on training data once, then transform anywhere.
 type Vectorizer struct {
 	schema  *Schema
 	vocabs  map[string]*Vocabulary
 	stats   map[string]numericStats
+	enc     []featureEnc // per schema position: what appendRow needs, no map lookups
 	offsets []int
 	width   int
 	maxVoc  int
+}
+
+// featureEnc is one feature's fitted encoding, resolved once by layout.
+type featureEnc struct {
+	kind Kind
+	dim  int
+	voc  *Vocabulary
+	numericStats
 }
 
 // VectorizerOption configures FitVectorizer.
@@ -78,8 +91,31 @@ func WithMaxVocabulary(n int) VectorizerOption {
 	return func(v *Vectorizer) { v.maxVoc = n }
 }
 
+// colMap caches which column of a source schema holds each feature of a
+// target schema (-1: absent). Features match by name; the map is rebuilt only
+// when either schema changes, so a batch resolves its columns once.
+type colMap struct {
+	to, from *Schema
+	idx      []int
+}
+
+func (m *colMap) resolve(to, from *Schema) []int {
+	if m.to != to || m.from != from {
+		m.to, m.from, m.idx = to, from, m.idx[:0]
+		for i := range to.defs {
+			j, ok := from.index[to.defs[i].Name]
+			if !ok {
+				j = -1
+			}
+			m.idx = append(m.idx, j)
+		}
+	}
+	return m.idx
+}
+
 // FitVectorizer learns vocabularies and numeric standardization statistics
-// from the training vectors, which must all share schema.
+// from the training vectors in one pass; vectors may carry any schema
+// (features are matched by name).
 func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *Vectorizer {
 	vz := &Vectorizer{
 		schema: schema,
@@ -89,37 +125,46 @@ func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *V
 	for _, opt := range opts {
 		opt(vz)
 	}
-	for i := 0; i < schema.Len(); i++ {
+	type acc struct {
+		counts     map[string]int
+		sum, sumSq float64
+		n          int
+	}
+	accs := make([]acc, schema.Len())
+	for i := range accs {
+		if schema.defs[i].Kind == Categorical {
+			accs[i].counts = make(map[string]int)
+		}
+	}
+	var cm colMap
+	for _, v := range train {
+		for i, j := range cm.resolve(schema, v.schema) {
+			if j < 0 || v.values[j].Missing {
+				continue
+			}
+			val, a := &v.values[j], &accs[i]
+			switch schema.defs[i].Kind {
+			case Categorical:
+				for _, c := range val.Categories {
+					a.counts[c]++
+				}
+			case Numeric:
+				a.sum += val.Num
+				a.sumSq += val.Num * val.Num
+				a.n++
+			}
+		}
+	}
+	for i, a := range accs {
 		d := schema.Def(i)
 		switch d.Kind {
 		case Categorical:
-			counts := make(map[string]int)
-			for _, v := range train {
-				val := v.Get(d.Name)
-				if val.Missing {
-					continue
-				}
-				for _, c := range val.Categories {
-					counts[c]++
-				}
-			}
-			vz.vocabs[d.Name] = fitVocab(counts, vz.maxVoc)
+			vz.vocabs[d.Name] = fitVocab(a.counts, vz.maxVoc)
 		case Numeric:
-			var sum, sumSq float64
-			var n int
-			for _, v := range train {
-				val := v.Get(d.Name)
-				if val.Missing {
-					continue
-				}
-				sum += val.Num
-				sumSq += val.Num * val.Num
-				n++
-			}
 			st := numericStats{mean: 0, std: 1}
-			if n > 0 {
-				st.mean = sum / float64(n)
-				variance := sumSq/float64(n) - st.mean*st.mean
+			if a.n > 0 {
+				st.mean = a.sum / float64(a.n)
+				variance := a.sumSq/float64(a.n) - st.mean*st.mean
 				if variance > 1e-12 {
 					st.std = math.Sqrt(variance)
 				}
@@ -148,13 +193,15 @@ func fitVocab(counts map[string]int, maxVoc int) *Vocabulary {
 	return NewVocabulary(words)
 }
 
-// layout computes each feature's offset into the dense row.
+// layout computes each feature's offset into the row and its encoding.
 func (vz *Vectorizer) layout() {
 	vz.offsets = make([]int, vz.schema.Len()+1)
+	vz.enc = make([]featureEnc, vz.schema.Len())
 	off := 0
 	for i := 0; i < vz.schema.Len(); i++ {
 		vz.offsets[i] = off
 		d := vz.schema.Def(i)
+		vz.enc[i] = featureEnc{kind: d.Kind, dim: d.Dim, voc: vz.vocabs[d.Name], numericStats: vz.stats[d.Name]}
 		switch d.Kind {
 		case Categorical:
 			// one slot per vocab word + OOV slot + missing indicator
@@ -171,7 +218,7 @@ func (vz *Vectorizer) layout() {
 	vz.width = off
 }
 
-// Width returns the dense row length produced by Transform.
+// Width returns the row length produced by Transform.
 func (vz *Vectorizer) Width() int { return vz.width }
 
 // Schema returns the schema the vectorizer was fitted on.
@@ -187,6 +234,100 @@ func (vz *Vectorizer) FeatureSpan(name string) (start, end int, ok bool) {
 	return vz.offsets[i], vz.offsets[i+1], true
 }
 
+// Encoder is a reusable block of encoded rows for one vectorizer, plus the
+// source-schema column map of the last vector it encoded. Not safe for
+// concurrent use; the zero value is ready.
+type Encoder struct {
+	sparse.Rows
+	src colMap
+}
+
+// Encode replaces e's rows with the encodings of vecs, which may carry any
+// schema (features are matched by name). A warm encoder allocates nothing.
+func (vz *Vectorizer) Encode(e *Encoder, vecs []*Vector) {
+	e.Reset(vz.width)
+	for _, v := range vecs {
+		vz.appendRow(e, v)
+	}
+}
+
+// appendRow encodes v as one more row of e: exactly the non-zeros of the
+// dense encoding, columns ascending — a feature's category slots sorted and
+// de-duplicated, its OOV slot at most once.
+func (vz *Vectorizer) appendRow(e *Encoder, v *Vector) {
+	src := e.src.resolve(vz.schema, v.schema)
+	for i := range vz.enc {
+		f, off := &vz.enc[i], vz.offsets[i]
+		var val *Value // nil: missing or absent from v's schema
+		if j := src[i]; j >= 0 && !v.values[j].Missing {
+			val = &v.values[j]
+		}
+		switch f.kind {
+		case Categorical:
+			if val == nil {
+				e.Add(off+f.voc.Len()+1, 1)
+				continue
+			}
+			from := len(e.Cols)
+			for _, c := range val.Categories {
+				slot, ok := f.voc.index[c]
+				if !ok {
+					slot = f.voc.Len() // OOV
+				}
+				e.Cols = append(e.Cols, int32(off+slot))
+			}
+			e.OneHot(from)
+		case Numeric:
+			if val == nil {
+				e.Add(off+1, 1)
+				continue
+			}
+			e.Add(off, (val.Num-f.mean)/f.std)
+		case Embedding:
+			if val == nil || len(val.Vec) != f.dim {
+				e.Add(off+f.dim, 1)
+				continue
+			}
+			for k, x := range val.Vec {
+				e.Add(off+k, x)
+			}
+		}
+	}
+	e.EndRow()
+}
+
+// transformChunk is how many rows one batch-transform work item encodes; it
+// amortizes scheduling without starving the workers.
+const transformChunk = 128
+
+// TransformSparse encodes a batch into one CSR block, sharding it across
+// workers (0 means GOMAXPROCS, 1 is serial). Chunks encode independently
+// and are concatenated in order, so the result is identical for any count.
+func (vz *Vectorizer) TransformSparse(vectors []*Vector, workers int) *sparse.Rows {
+	blocks := make([]sparse.Rows, (len(vectors)+transformChunk-1)/transformChunk)
+	mapreduce.ForChunks(mapreduce.Config{Workers: workers}, len(vectors), transformChunk, func(lo, hi int) {
+		e := encoders.Get().(*Encoder) // grown once, so each chunk keeps an exact-size copy
+		vz.Encode(e, vectors[lo:hi])
+		b := &blocks[lo/transformChunk]
+		b.Reset(vz.width)
+		b.Append(&e.Rows)
+		encoders.Put(e)
+	})
+	nnz := 0
+	for i := range blocks {
+		nnz += len(blocks[i].Cols)
+	}
+	out := &sparse.Rows{Ptr: make([]int, 0, len(vectors)+1), Cols: make([]int32, 0, nnz), Vals: make([]float64, 0, nnz)}
+	out.Reset(vz.width)
+	for i := range blocks {
+		out.Append(&blocks[i])
+	}
+	return out
+}
+
+// encoders recycles the scratch encoders of the dense adapters.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
 // Transform encodes v (which may carry any schema; features are matched by
 // name) into a dense row of length Width.
 func (vz *Vectorizer) Transform(v *Vector) []float64 {
@@ -195,53 +336,20 @@ func (vz *Vectorizer) Transform(v *Vector) []float64 {
 	return row
 }
 
-// TransformInto encodes v into row, which must have length Width.
-// It panics if the row length is wrong, since that is a programming error.
+// TransformInto encodes v into row, which must have length Width: the dense
+// adapter over appendRow. It panics if the row length is wrong, since that
+// is a programming error.
 func (vz *Vectorizer) TransformInto(v *Vector, row []float64) {
 	if len(row) != vz.width {
 		panic(fmt.Sprintf("feature: TransformInto row length %d, want %d", len(row), vz.width))
 	}
-	for i := range row {
-		row[i] = 0
-	}
-	for i := 0; i < vz.schema.Len(); i++ {
-		d := vz.schema.Def(i)
-		off := vz.offsets[i]
-		val := v.Get(d.Name)
-		switch d.Kind {
-		case Categorical:
-			voc := vz.vocabs[d.Name]
-			if val.Missing {
-				row[off+voc.Len()+1] = 1
-				continue
-			}
-			for _, c := range val.Categories {
-				if slot, ok := voc.Index(c); ok {
-					row[off+slot] = 1
-				} else {
-					row[off+voc.Len()] = 1 // OOV
-				}
-			}
-		case Numeric:
-			if val.Missing {
-				row[off+1] = 1
-				continue
-			}
-			st := vz.stats[d.Name]
-			row[off] = (val.Num - st.mean) / st.std
-		case Embedding:
-			if val.Missing || len(val.Vec) != d.Dim {
-				row[off+d.Dim] = 1
-				continue
-			}
-			copy(row[off:off+d.Dim], val.Vec)
-		}
-	}
+	clear(row)
+	e := encoders.Get().(*Encoder)
+	e.Reset(vz.width)
+	vz.appendRow(e, v)
+	e.Scatter(0, row)
+	encoders.Put(e)
 }
-
-// transformChunk is how many rows one TransformAll work item encodes; it
-// amortizes scheduling without starving the workers.
-const transformChunk = 128
 
 // TransformAll encodes a batch of vectors into a row-major matrix, sharding
 // the batch across GOMAXPROCS workers.
@@ -255,31 +363,14 @@ func (vz *Vectorizer) TransformAll(vectors []*Vector) [][]float64 {
 func (vz *Vectorizer) TransformAllWorkers(vectors []*Vector, workers int) [][]float64 {
 	rows := make([][]float64, len(vectors))
 	flat := make([]float64, len(vectors)*vz.width)
-	for i := range rows {
-		rows[i] = flat[i*vz.width : (i+1)*vz.width]
-	}
-	if workers == 1 || len(vectors) <= transformChunk {
-		for i, v := range vectors {
-			vz.TransformInto(v, rows[i])
-		}
-		return rows
-	}
-	nChunks := (len(vectors) + transformChunk - 1) / transformChunk
-	chunks := make([]int, nChunks)
-	for c := range chunks {
-		chunks[c] = c
-	}
-	// The mapper writes disjoint rows and never errors.
-	_, _ = mapreduce.Map(nil, mapreduce.Config{Workers: workers}, chunks, func(c int) (struct{}, error) {
-		lo := c * transformChunk
-		hi := lo + transformChunk
-		if hi > len(vectors) {
-			hi = len(vectors)
-		}
+	mapreduce.ForChunks(mapreduce.Config{Workers: workers}, len(vectors), transformChunk, func(lo, hi int) {
+		e := encoders.Get().(*Encoder)
+		vz.Encode(e, vectors[lo:hi])
 		for i := lo; i < hi; i++ {
-			vz.TransformInto(vectors[i], rows[i])
+			rows[i] = flat[i*vz.width : (i+1)*vz.width]
+			e.Scatter(i-lo, rows[i])
 		}
-		return struct{}{}, nil
+		encoders.Put(e)
 	})
 	return rows
 }

@@ -81,17 +81,9 @@ func predictAll(cfg mapreduce.Config, vs []*feature.Vector, fn func(*feature.Vec
 	return out
 }
 
-// reproject maps corpus vectors onto the end-model schema.
-func reproject(schema *feature.Schema, vecs []*feature.Vector) []*feature.Vector {
-	out := make([]*feature.Vector, len(vecs))
-	for i, v := range vecs {
-		out[i] = v.Reproject(schema)
-	}
-	return out
-}
-
-// pooled merges all corpora (already reprojected) into single slices.
-func pooled(schema *feature.Schema, corpora []Corpus) (vecs []*feature.Vector, targets, weights []float64) {
+// pooled merges all corpora into single slices. Vectors keep their own
+// schemas: fitting and transforming match features by name.
+func pooled(corpora []Corpus) (vecs []*feature.Vector, targets, weights []float64) {
 	hasWeights := false
 	for _, c := range corpora {
 		if c.Weights != nil {
@@ -99,7 +91,7 @@ func pooled(schema *feature.Schema, corpora []Corpus) (vecs []*feature.Vector, t
 		}
 	}
 	for _, c := range corpora {
-		vecs = append(vecs, reproject(schema, c.Vectors)...)
+		vecs = append(vecs, c.Vectors...)
 		targets = append(targets, c.Targets...)
 		if hasWeights {
 			if c.Weights != nil {
@@ -122,17 +114,11 @@ type EarlyModel struct {
 	net     *model.MLP
 	workers int
 	prec    model.Precision // serving precision (artifact-stamped; default f64)
-	arena   sync.Pool       // *earlyArena: reusable batch transform buffers
+	arena   sync.Pool       // *feature.Encoder: reusable sparse batch buffers
 }
 
-// earlyArena is one reusable batch transform buffer: rows are views into
-// one flat backing array, grown monotonically to the largest batch seen.
-type earlyArena struct {
-	rows [][]float64
-	flat []float64
-}
-
-// TrainEarly fits the early-fusion model on all corpora.
+// TrainEarly fits the early-fusion model on all corpora: vectors encode
+// straight to sparse rows and the network trains on those.
 func TrainEarly(ctx context.Context, corpora []Corpus, cfg Config) (*EarlyModel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -147,29 +133,56 @@ func TrainEarly(ctx context.Context, corpora []Corpus, cfg Config) (*EarlyModel,
 	}
 	ctx, span := trace.Start(ctx, "fusion.early")
 	defer span.End()
-	vecs, targets, weights := pooled(cfg.Schema, corpora)
+	vecs, targets, weights := pooled(corpora)
 	span.SetInt("rows", int64(len(vecs)))
 	vctx, vspan := trace.Start(ctx, "fusion.vectorize")
 	vz := feature.FitVectorizer(cfg.Schema, vecs, feature.WithMaxVocabulary(cfg.MaxVocab))
-	rows := vz.TransformAllWorkers(vecs, cfg.Model.Workers)
+	rows := vz.TransformSparse(vecs, cfg.Model.Workers)
 	trace.SetInt(vctx, "dims", int64(vz.Width()))
 	vspan.End()
-	net, err := model.Train(ctx, rows, targets, weights, cfg.Model)
+	net, err := model.TrainRows(ctx, rows, targets, weights, cfg.Model)
 	if err != nil {
 		return nil, err
 	}
 	return &EarlyModel{vz: vz, net: net, workers: cfg.Model.Workers}, nil
 }
 
-// Predict implements Predictor.
-func (m *EarlyModel) Predict(v *feature.Vector) float64 {
-	return m.net.PredictProba(m.vz.Transform(v))
+// encoder takes a pooled batch buffer; the caller returns it to m.arena.
+func (m *EarlyModel) encoder() *feature.Encoder {
+	if e, _ := m.arena.Get().(*feature.Encoder); e != nil {
+		return e
+	}
+	return new(feature.Encoder)
 }
 
-// PredictBatch implements Predictor: the batch transform and the network
-// forward passes both shard across the model's workers.
+// score is the one scoring path: vectors encode into a pooled sparse block
+// (grown monotonically) and the network scores it at precision p into out,
+// so a steady-state quantized batch allocates nothing.
+func (m *EarlyModel) score(vs []*feature.Vector, p model.Precision, out []float64) {
+	e := m.encoder()
+	m.vz.Encode(e, vs)
+	m.net.PredictRowsInto(&e.Rows, p, out)
+	m.arena.Put(e)
+}
+
+// earlyChunk is how many vectors one PredictBatch work item scores.
+const earlyChunk = 128
+
+// Predict implements Predictor.
+func (m *EarlyModel) Predict(v *feature.Vector) float64 {
+	var out [1]float64
+	m.score([]*feature.Vector{v}, model.Float64, out[:])
+	return out[0]
+}
+
+// PredictBatch implements Predictor on the exact float64 engine, sharded
+// across the model's workers.
 func (m *EarlyModel) PredictBatch(vs []*feature.Vector) []float64 {
-	return m.net.PredictBatch(m.vz.TransformAllWorkers(vs, m.workers))
+	out := make([]float64, len(vs))
+	mapreduce.ForChunks(mapreduce.Config{Workers: m.workers}, len(vs), earlyChunk, func(lo, hi int) {
+		m.score(vs[lo:hi], model.Float64, out[lo:hi])
+	})
+	return out
 }
 
 // SetServePrecision selects the reduced precision PredictBatchQ serves at
@@ -187,52 +200,29 @@ func (m *EarlyModel) SetServePrecision(p model.Precision) error {
 // ServePrecision reports the precision PredictBatchQ serves at.
 func (m *EarlyModel) ServePrecision() model.Precision { return m.prec }
 
-// PredictBatchQ scores through the configured serve precision's quantized
-// engine; at Float64 it is PredictBatch.
+// PredictBatchQ scores through the configured serve precision's engine.
 func (m *EarlyModel) PredictBatchQ(vs []*feature.Vector) []float64 {
 	out := make([]float64, len(vs))
 	m.PredictBatchQInto(vs, out)
 	return out
 }
 
-// PredictBatchQInto is the serving hot path: vectors are transformed into a
-// pooled arena (rows are views of one flat array) and scored through the
-// quantized engine into out, so a steady-state batch allocates nothing. At
-// Float64 precision it falls back to the allocating exact path — that
-// configuration serves for compatibility, not speed.
+// PredictBatchQInto is the serving hot path: score at the configured serve
+// precision, serially, into out.
 func (m *EarlyModel) PredictBatchQInto(vs []*feature.Vector, out []float64) {
 	if len(out) != len(vs) {
 		panic(fmt.Sprintf("fusion: PredictBatchQInto out length %d, want %d", len(out), len(vs)))
 	}
-	if m.prec == model.Float64 {
-		copy(out, m.PredictBatch(vs))
-		return
-	}
-	a, _ := m.arena.Get().(*earlyArena)
-	if a == nil {
-		a = &earlyArena{}
-	}
-	width := m.vz.Width()
-	if need := len(vs) * width; cap(a.flat) < need {
-		a.flat = make([]float64, need)
-	}
-	if cap(a.rows) < len(vs) {
-		a.rows = make([][]float64, len(vs))
-	}
-	a.rows = a.rows[:len(vs)]
-	for i, v := range vs {
-		row := a.flat[i*width : (i+1)*width]
-		m.vz.TransformInto(v, row)
-		a.rows[i] = row
-	}
-	m.net.PredictBatchQInto(a.rows, m.prec, out)
-	m.arena.Put(a)
+	m.score(vs, m.prec, out)
 }
 
 // Hidden returns the activation feeding the model's prediction layer; the
 // DeViSE architecture anchors its projection on this.
 func (m *EarlyModel) Hidden(v *feature.Vector) []float64 {
-	return m.net.HiddenActivation(m.vz.Transform(v))
+	e := m.encoder()
+	defer m.arena.Put(e)
+	m.vz.Encode(e, []*feature.Vector{v})
+	return m.net.Hidden(e.Row(0))
 }
 
 // PredictFromHidden applies only the frozen prediction head.
@@ -267,17 +257,17 @@ func TrainIntermediate(ctx context.Context, corpora []Corpus, cfg Config) (*Inte
 	ctx, span := trace.Start(ctx, "fusion.intermediate")
 	defer span.End()
 	span.SetInt("modalities", int64(len(corpora)))
-	allVecs, allTargets, allWeights := pooled(cfg.Schema, corpora)
+	allVecs, allTargets, allWeights := pooled(corpora)
 	vz := feature.FitVectorizer(cfg.Schema, allVecs, feature.WithMaxVocabulary(cfg.MaxVocab))
 
 	// Stage 1: independent per-modality models.
 	m := &IntermediateModel{vz: vz, workers: cfg.Model.Workers}
 	seed := cfg.Model.Seed
 	for ci, c := range corpora {
-		rows := vz.TransformAllWorkers(reproject(cfg.Schema, c.Vectors), cfg.Model.Workers)
+		rows := vz.TransformSparse(c.Vectors, cfg.Model.Workers)
 		mcfg := cfg.Model
 		mcfg.Seed = seed + int64(ci)*101
-		net, err := model.Train(ctx, rows, c.Targets, c.Weights, mcfg)
+		net, err := model.TrainRows(ctx, rows, c.Targets, c.Weights, mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fusion: modality %q: %w", c.Name, err)
 		}
@@ -301,19 +291,21 @@ func TrainIntermediate(ctx context.Context, corpora []Corpus, cfg Config) (*Inte
 	return m, nil
 }
 
-// embed concatenates every per-modality model's hidden activation for v.
+// embed concatenates every per-modality model's hidden activation for v,
+// all fed from one sparse encoding of it.
 func (m *IntermediateModel) embed(v *feature.Vector) []float64 {
-	row := m.vz.Transform(v)
+	var e feature.Encoder
+	m.vz.Encode(&e, []*feature.Vector{v})
 	var out []float64
 	for _, part := range m.parts {
-		out = append(out, part.HiddenActivation(row)...)
+		out = append(out, part.Hidden(e.Row(0))...)
 	}
 	return out
 }
 
 // Predict implements Predictor.
 func (m *IntermediateModel) Predict(v *feature.Vector) float64 {
-	return m.final.PredictProba(m.embed(v.Reproject(m.vz.Schema())))
+	return m.final.PredictProba(m.embed(v))
 }
 
 // PredictBatch implements Predictor, sharded across the model's workers.
@@ -356,8 +348,7 @@ func TrainDeViSE(ctx context.Context, oldCorpora []Corpus, newCorpus Corpus, cfg
 	// the new-modality corpus, whose shared features exist in both.
 	type pair struct{ src, dst []float64 }
 	pairs, err := mapreduce.Map(nil, mapWorkers(cfg), newCorpus.Vectors, func(v *feature.Vector) (pair, error) {
-		pv := v.Reproject(cfg.Schema)
-		return pair{src: b.Hidden(pv), dst: a.Hidden(pv)}, nil
+		return pair{src: b.Hidden(v), dst: a.Hidden(v)}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package fusion
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crossmodal/internal/feature"
@@ -210,5 +211,62 @@ func TestWeightedCorpusMixing(t *testing.T) {
 	}
 	if _, err := TrainEarly(ctxbg, []Corpus{text, img}, baseConfig()); err != nil {
 		t.Fatalf("mixed weighted/unweighted corpora: %v", err)
+	}
+}
+
+// TestPooledWithoutReprojectIsIdentical: training on vectors that carry the
+// full library schema equals training on the same vectors reprojected onto
+// the end-model schema first (what pooled used to do) — parameters and
+// vocabularies to the last bit, for every architecture's scores too.
+func TestPooledWithoutReprojectIsIdentical(t *testing.T) {
+	text, _ := corpusFor("text", 300, false, 0.1, 23)
+	img, _ := corpusFor("image", 300, true, 0.1, 24)
+	cfg := baseConfig()
+	cfg.Schema = feature.MustSchema(schema.Def(2), schema.Def(0)) // a strict sub-schema, reordered
+	reprojected := func(c Corpus) Corpus {
+		out := c
+		out.Vectors = make([]*feature.Vector, len(c.Vectors))
+		for i, v := range c.Vectors {
+			out.Vectors[i] = v.Reproject(cfg.Schema)
+		}
+		return out
+	}
+	full, err := TrainEarly(ctxbg, []Corpus{text, img}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := TrainEarly(ctxbg, []Corpus{reprojected(text), reprojected(img)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := full.net.Params(), pre.net.Params()
+	if len(a) != len(b) {
+		t.Fatalf("%d params vs %d", len(a), len(b))
+	}
+	for j := range a {
+		if a[j] != b[j] {
+			t.Fatalf("param[%d] = %x without reprojection, %x with", j, a[j], b[j])
+		}
+	}
+	if got, want := full.vz.Vocabulary("topic").Words(), pre.vz.Vocabulary("topic").Words(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("vocabulary %v without reprojection, %v with", got, want)
+	}
+
+	// Every predictor scores a full-schema vector as it scores its projection.
+	inter, err := TrainIntermediate(ctxbg, []Corpus{text, img}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devise, err := TrainDeViSE(ctxbg, []Corpus{text}, img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Predictor{full, inter, devise} {
+		scores := p.PredictBatch(img.Vectors[:40])
+		for i, v := range img.Vectors[:40] {
+			if got := p.Predict(v.Reproject(cfg.Schema)); got != scores[i] {
+				t.Fatalf("%T: vector %d scores %x on its own schema, %x reprojected", p, i, scores[i], got)
+			}
+		}
 	}
 }

@@ -126,6 +126,21 @@ func blockLen(n, workers int) int {
 	return max(1, min(n/(8*workers), 64))
 }
 
+// ForChunks calls fn(lo, hi) once for every size-long run [lo, hi) of
+// [0, n) (the last may be shorter), spread over the workers like Map. fn
+// writes its own disjoint outputs and cannot fail, so nothing is returned.
+func ForChunks(cfg Config, n, size int, fn func(lo, hi int)) {
+	starts := make([]int, (n+size-1)/size)
+	for c := range starts {
+		starts[c] = c * size
+	}
+	// The mapper never errors and the context never cancels.
+	_, _ = Map(nil, cfg, starts, func(lo int) (struct{}, error) {
+		fn(lo, min(lo+size, n))
+		return struct{}{}, nil
+	})
+}
+
 // KV is one intermediate key/value pair emitted by a MapReduce mapper.
 type KV[K comparable, V any] struct {
 	Key   K

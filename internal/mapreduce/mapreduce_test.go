@@ -287,3 +287,27 @@ func TestMapBlockClaims(t *testing.T) {
 		}
 	}
 }
+
+// TestForChunksCoversEveryIndexOnce: the chunk runs tile [0, n) exactly, at
+// any worker count, with only the last one short.
+func TestForChunksCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		for _, n := range []int{0, 1, 7, 8, 9, 100} {
+			const size = 8
+			seen := make([]atomic.Int32, n)
+			ForChunks(Config{Workers: workers}, n, size, func(lo, hi int) {
+				if lo%size != 0 || hi-lo > size || (hi-lo < size && hi != n) {
+					t.Errorf("workers=%d n=%d: bad chunk [%d, %d)", workers, n, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+				}
+			}
+		}
+	}
+}

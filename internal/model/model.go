@@ -5,6 +5,13 @@
 // machinery the fusion architectures need (access to pre-prediction-layer
 // activations, linear projections).
 //
+// Every engine reads its input as sparse rows (internal/sparse): a layer
+// iterates its input's entries in ascending column order — the first layer a
+// design row's non-zeros, later layers every column of the activations
+// below. A skipped zero would only have added ±0, so results are
+// bit-identical to a dense walk (only a non-finite weight, Inf·0, could
+// differ). The [][]float64 entry points convert and delegate.
+//
 // Training is data-parallel and allocation-lean: every minibatch is split
 // into a fixed number of gradient shards processed by up to Config.Workers
 // goroutines, each accumulating into preallocated buffers (see train.go).
@@ -18,8 +25,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/sparse"
 )
 
 // Config controls training.
@@ -85,6 +94,7 @@ type MLP struct {
 	biases  [][]float64 // biases[l]: view of length out
 	wOff    []int       // offset of weights[l] within params
 	bOff    []int       // offset of biases[l] within params
+	allCols []int32     // 0..max layer width: the columns of a dense activation row
 	workers int         // preferred batch-op worker count (0 = GOMAXPROCS)
 	quant   *quantState // lazily built reduced-precision engines (quant.go)
 }
@@ -122,6 +132,9 @@ func New(inDim int, hidden []int, seed int64) (*MLP, error) {
 		}
 		m.weights = append(m.weights, W)
 		m.biases = append(m.biases, b)
+		for len(m.allCols) < out {
+			m.allCols = append(m.allCols, int32(len(m.allCols)))
+		}
 	}
 	return m, nil
 }
@@ -149,19 +162,11 @@ func (m *MLP) Params() []float64 {
 // defaultWorkers is the worker count a zero Config.Workers resolves to.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// resolveWorkers maps the configured worker count to an effective one.
-func (m *MLP) resolveWorkers() int {
-	if m.workers > 0 {
-		return m.workers
-	}
-	return defaultWorkers()
-}
-
 // scratch holds one goroutine's preallocated forward/backward buffers: the
 // per-layer activations and backprop deltas live in a single flat arena so a
 // steady-state training step allocates nothing per sample.
 type scratch struct {
-	acts   [][]float64 // acts[0] aliases the input row; acts[l+1] is layer l's output
+	acts   [][]float64 // acts[l+1] is layer l's output; acts[0] is unused (the input is sparse)
 	deltas [][]float64 // deltas[l] is dL/dz at layer l's output
 }
 
@@ -189,19 +194,17 @@ func (s *scratch) output() float64 {
 	return s.acts[len(s.acts)-1][0]
 }
 
-// forward computes all layer activations into s; s.acts[0] aliases x.
-func (m *MLP) forward(x []float64, s *scratch) {
-	s.acts[0] = x
+// forward computes all layer activations into s from one input row's
+// entries (cols ascending and below inDim — see sparse.Rows.Validate).
+func (m *MLP) forward(cols []int32, vals []float64, s *scratch) {
 	last := len(m.weights) - 1
-	for l := range m.weights {
-		in, out := s.acts[l], s.acts[l+1]
-		W, bias := m.weights[l], m.biases[l]
-		width := m.sizes[l]
+	for l, W := range m.weights {
+		out, bias, width := s.acts[l+1], m.biases[l], m.sizes[l]
 		for o := range out {
 			row := W[o*width : (o+1)*width]
 			z := bias[o]
-			for i, w := range row {
-				z += w * in[i]
+			for k, c := range cols {
+				z += row[c] * vals[k]
 			}
 			switch {
 			case l == last:
@@ -212,6 +215,7 @@ func (m *MLP) forward(x []float64, s *scratch) {
 				out[o] = 0 // buffers are reused, so write the ReLU zero
 			}
 		}
+		cols, vals = m.allCols[:len(out)], out // the next layer reads every column
 	}
 }
 
@@ -223,15 +227,51 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
+// PredictRowsInto scores every row of rows into out (len(out) == rows.Len())
+// at precision p, serially and — for Float32 / Int8, once the engine is warm
+// — without allocating. rows must be valid (sparse.Rows.Validate); blocks
+// built by the vectorizer or AddDense are. Panics on a shape mismatch.
+func (m *MLP) PredictRowsInto(rows *sparse.Rows, p Precision, out []float64) {
+	if rows.Width != m.inDim {
+		panic(fmt.Sprintf("model: input width %d, want %d", rows.Width, m.inDim))
+	}
+	if len(out) != rows.Len() {
+		panic(fmt.Sprintf("model: PredictRowsInto out length %d, want %d", len(out), rows.Len()))
+	}
+	if p != Float64 {
+		m.engine(p).predict(rows, out)
+		return
+	}
+	s := m.newScratch()
+	for i := range out {
+		cols, vals := rows.Row(i)
+		m.forward(cols, vals, s)
+		out[i] = s.output()
+	}
+}
+
+// denseBlocks recycles the CSR blocks the dense adapters convert into.
+var denseBlocks = sync.Pool{New: func() any { return new(sparse.Rows) }}
+
+// predictDense is the dense adapter: X converts, zeros skipped, into a
+// pooled block and scores through PredictRowsInto. A row of the wrong width
+// panics — a programming error.
+func (m *MLP) predictDense(X [][]float64, p Precision, out []float64) {
+	rows := denseBlocks.Get().(*sparse.Rows)
+	rows.Reset(m.inDim)
+	for _, x := range X {
+		rows.AddDense(x)
+	}
+	m.PredictRowsInto(rows, p, out)
+	denseBlocks.Put(rows)
+}
+
 // PredictProba returns P(y = +1 | x). It panics if x has the wrong width —
 // a programming error.
 func (m *MLP) PredictProba(x []float64) float64 {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("model: input width %d, want %d", len(x), m.inDim))
-	}
-	s := m.newScratch()
-	m.forward(x, s)
-	return s.output()
+	var out [1]float64
+	m.predictDense([][]float64{x}, Float64, out[:])
+	return out[0]
 }
 
 // predictChunk is the batch size one PredictBatch work item scores with a
@@ -242,48 +282,38 @@ const predictChunk = 64
 // the model's configured workers.
 func (m *MLP) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
-	workers := m.resolveWorkers()
-	if workers <= 1 || len(X) <= predictChunk {
-		s := m.newScratch()
-		for i, x := range X {
-			m.forward(x, s)
-			out[i] = s.output()
-		}
-		return out
-	}
-	nChunks := (len(X) + predictChunk - 1) / predictChunk
-	chunks := make([]int, nChunks)
-	for c := range chunks {
-		chunks[c] = c
-	}
-	// The mapper writes disjoint slices of out and never errors.
-	_, _ = mapreduce.Map(nil, mapreduce.Config{Workers: workers}, chunks, func(c int) (struct{}, error) {
-		lo := c * predictChunk
-		hi := lo + predictChunk
-		if hi > len(X) {
-			hi = len(X)
-		}
-		s := m.newScratch()
-		for i := lo; i < hi; i++ {
-			m.forward(X[i], s)
-			out[i] = s.output()
-		}
-		return struct{}{}, nil
+	mapreduce.ForChunks(mapreduce.Config{Workers: m.workers}, len(X), predictChunk, func(lo, hi int) {
+		m.predictDense(X[lo:hi], Float64, out[lo:hi])
 	})
 	return out
 }
 
-// HiddenActivation returns the activation vector feeding the final
-// prediction layer (the "output prior to the final softmax" the DeViSE and
-// intermediate-fusion architectures consume, paper §5). For logistic
-// regression this is the input itself.
+// Hidden returns the activation vector feeding the final prediction layer
+// for one input row's entries (the "output prior to the final softmax" the
+// DeViSE and intermediate-fusion architectures consume, paper §5). For
+// logistic regression this is the input itself, as a dense row.
+func (m *MLP) Hidden(cols []int32, vals []float64) []float64 {
+	if len(m.weights) == 1 {
+		x := make([]float64, m.inDim)
+		for k, c := range cols {
+			x[c] = vals[k]
+		}
+		return x
+	}
+	s := m.newScratch()
+	m.forward(cols, vals, s)
+	return s.acts[len(s.acts)-2]
+}
+
+// HiddenActivation is Hidden for a dense row.
 func (m *MLP) HiddenActivation(x []float64) []float64 {
 	if len(m.weights) == 1 {
 		return x
 	}
-	s := m.newScratch()
-	m.forward(x, s)
-	return s.acts[len(s.acts)-2]
+	var rows sparse.Rows
+	rows.Reset(m.inDim)
+	rows.AddDense(x)
+	return m.Hidden(rows.Row(0))
 }
 
 // PredictFromHidden applies only the final prediction layer to a hidden
@@ -291,6 +321,9 @@ func (m *MLP) HiddenActivation(x []float64) []float64 {
 // modality head scores projected new-modality embeddings.
 func (m *MLP) PredictFromHidden(h []float64) float64 {
 	l := len(m.weights) - 1
+	if l == 0 {
+		return m.PredictProba(h) // logistic regression: the head is the first layer
+	}
 	z := m.biases[l][0]
 	for i, w := range m.weights[l][:m.sizes[l]] {
 		z += w * h[i]

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"crossmodal/internal/sparse"
 )
 
 // Quantized inference: the serving hot path runs the forward pass in
@@ -94,10 +96,10 @@ type qlayer struct {
 	bias    []float32
 }
 
-// qscratch is one forward pass's reusable arena: the float32 input block
-// and two ping-pong activation blocks.
+// qscratch is one forward pass's reusable arena: the block's input entries
+// in float32 (grown monotonically) and two ping-pong activation blocks.
 type qscratch struct {
-	xin  []float32 // qBlockRows × inDim
+	xin  []float32 // the input block's values, entry for entry
 	a, b []float32 // qBlockRows × max layer width
 }
 
@@ -106,8 +108,8 @@ type qscratch struct {
 // cycle through a pool so steady-state scoring allocates nothing.
 type qengine struct {
 	prec    Precision
-	inDim   int
 	layers  []qlayer
+	allCols []int32 // the columns of a dense activation row (MLP.allCols)
 	scratch sync.Pool
 }
 
@@ -141,7 +143,7 @@ func (m *MLP) engine(p Precision) *qengine {
 
 // buildEngine converts the float64 parameters into precision-p slabs.
 func (m *MLP) buildEngine(p Precision) *qengine {
-	e := &qengine{prec: p, inDim: m.inDim, layers: make([]qlayer, len(m.weights))}
+	e := &qengine{prec: p, allCols: m.allCols, layers: make([]qlayer, len(m.weights))}
 	maxW := 0
 	for l := range m.weights {
 		in, out := m.sizes[l], m.sizes[l+1]
@@ -183,13 +185,8 @@ func (m *MLP) buildEngine(p Precision) *qengine {
 		}
 		e.layers[l] = ql
 	}
-	inDim := m.inDim
 	e.scratch = sync.Pool{New: func() any {
-		return &qscratch{
-			xin: make([]float32, qBlockRows*inDim),
-			a:   make([]float32, qBlockRows*maxW),
-			b:   make([]float32, qBlockRows*maxW),
-		}
+		return &qscratch{a: make([]float32, qBlockRows*maxW), b: make([]float32, qBlockRows*maxW)}
 	}}
 	return e
 }
@@ -205,11 +202,11 @@ func (m *MLP) PredictBatchQ(X [][]float64, p Precision) []float64 {
 	return out
 }
 
-// PredictBatchQInto scores X into out (len(out) == len(X)) through the
-// precision-p engine without allocating in steady state: the engine is
-// built on first use and arenas are pooled. p must be Float32 or Int8 —
-// callers needing the float64 path use PredictBatch. Panics on misuse,
-// like PredictProba on a bad width.
+// PredictBatchQInto scores dense rows X into out (len(out) == len(X))
+// through the precision-p engine without allocating in steady state: the
+// adapter over PredictRowsInto. p must be Float32 or Int8 — callers needing
+// the float64 path use PredictBatch. Panics on misuse, like PredictProba on
+// a bad width.
 func (m *MLP) PredictBatchQInto(X [][]float64, p Precision, out []float64) {
 	if p != Float32 && p != Int8 {
 		panic(fmt.Sprintf("model: PredictBatchQInto precision %v, want f32 or int8", p))
@@ -217,34 +214,32 @@ func (m *MLP) PredictBatchQInto(X [][]float64, p Precision, out []float64) {
 	if len(out) != len(X) {
 		panic(fmt.Sprintf("model: PredictBatchQInto out length %d, want %d", len(out), len(X)))
 	}
-	e := m.engine(p)
+	m.predictDense(X, p, out)
+}
+
+// predict scores rows into out, one row block at a time.
+func (e *qengine) predict(rows *sparse.Rows, out []float64) {
 	s := e.scratch.Get().(*qscratch)
-	for lo := 0; lo < len(X); lo += qBlockRows {
-		hi := lo + qBlockRows
-		if hi > len(X) {
-			hi = len(X)
-		}
-		e.forwardBlock(X[lo:hi], s, out[lo:hi])
+	for lo := 0; lo < len(out); lo += qBlockRows {
+		hi := min(lo+qBlockRows, len(out))
+		e.forwardBlock(rows.Ptr[lo:hi+1], rows, s, out[lo:hi])
 	}
 	e.scratch.Put(s)
 }
 
-// forwardBlock runs one row block through every layer. The input rows are
-// flattened into the float32 arena once; each layer then streams its
-// weight slab across the whole block (weight row hot in cache while the
-// block's rows consume it) into the ping-pong activation arenas.
-func (e *qengine) forwardBlock(X [][]float64, s *qscratch, out []float64) {
-	rows := len(X)
-	for r, x := range X {
-		if len(x) != e.inDim {
-			panic(fmt.Sprintf("model: input width %d, want %d", len(x), e.inDim))
-		}
-		dst := s.xin[r*e.inDim : (r+1)*e.inDim]
-		for i, v := range x {
-			dst[i] = float32(v)
-		}
+// forwardBlock runs the rows delimited by ptr through every layer. The
+// block's entry values are narrowed into the float32 arena once; each layer
+// then streams its weight slab across the whole block (weight row hot in
+// cache while the block's rows consume it) into the ping-pong activation
+// arenas — the first layer over each row's entries, the later ones over
+// every column of the activations below.
+func (e *qengine) forwardBlock(ptr []int, rows *sparse.Rows, s *qscratch, out []float64) {
+	base := ptr[0]
+	s.xin = s.xin[:0]
+	for _, v := range rows.Vals[base:ptr[len(out)]] {
+		s.xin = append(s.xin, float32(v))
 	}
-	cur := s.xin
+	cur, cols := s.xin, rows.Cols[base:]
 	ping := true // next destination arena: a, then b, alternating
 	last := len(e.layers) - 1
 	for l := range e.layers {
@@ -252,21 +247,23 @@ func (e *qengine) forwardBlock(X [][]float64, s *qscratch, out []float64) {
 		if ping {
 			dst = s.a
 		}
-		e.layers[l].forward(cur, rows, dst, l == last)
-		cur, ping = dst, !ping
+		e.layers[l].forward(ptr, cols, cur, len(out), dst, l == last)
+		cur, cols, ptr, ping = dst, e.allCols, nil, !ping
 	}
 	// The final layer has width 1: cur holds one probability per row.
-	for r := 0; r < rows; r++ {
+	for r := range out {
 		out[r] = float64(cur[r])
 	}
 }
 
-// forward computes one layer over a row block: out[r*l.out+j] =
-// act(Σ_i x[r*l.in+i]·W[j,i] + bias[j]), sigmoid on the final layer, ReLU
-// elsewhere. The j-outer loop keeps one weight row resident while it is
-// dotted against every row of the block — the cache-blocking this engine
-// exists for.
-func (l *qlayer) forward(x []float32, rows int, out []float32, final bool) {
+// forward computes one layer over a block of rows: out[r*l.out+j] =
+// act(Σ_i x_r[i]·W[j,i] + bias[j]), sigmoid on the final layer, ReLU
+// elsewhere. With ptr set, row r's input is the entries ptr[r]-ptr[0] up to
+// ptr[r+1]-ptr[0] of cols and x; with ptr nil it is every column of the
+// dense row x[r*l.in:(r+1)*l.in]. The j-outer loop keeps one weight row resident
+// while it is dotted against every row of the block — the cache-blocking
+// this engine exists for.
+func (l *qlayer) forward(ptr []int, cols []int32, x []float32, rows int, out []float32, final bool) {
 	for j := 0; j < l.out; j++ {
 		bias := l.bias[j]
 		var wf []float32
@@ -279,12 +276,17 @@ func (l *qlayer) forward(x []float32, rows int, out []float32, final bool) {
 			wf = l.wf[j*l.in : (j+1)*l.in]
 		}
 		for r := 0; r < rows; r++ {
-			xr := x[r*l.in : (r+1)*l.in]
+			c, lo, hi := cols, r*l.in, (r+1)*l.in
+			if ptr != nil {
+				lo, hi = ptr[r]-ptr[0], ptr[r+1]-ptr[0]
+				c = cols[lo:]
+			}
+			c, xr := c[:hi-lo], x[lo:hi]
 			var z float32
 			if wi != nil {
-				z = dotI8(wi, xr)*scale + bias
+				z = dot(wi, c, xr)*scale + bias
 			} else {
-				z = dotF32(wf, xr) + bias
+				z = dot(wf, c, xr) + bias
 			}
 			idx := r*l.out + j
 			switch {
@@ -299,37 +301,21 @@ func (l *qlayer) forward(x []float32, rows int, out []float32, final bool) {
 	}
 }
 
-// dotF32 is a 4-way unrolled float32 dot product.
-func dotF32(w, x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(w) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 += w[i] * x[i]
-		s1 += w[i+1] * x[i+1]
-		s2 += w[i+2] * x[i+2]
-		s3 += w[i+3] * x[i+3]
+// dot dots weight row w against the entries (cols ascending, x) in the
+// accumulation order of a 4-way unrolled dense dot: an entry whose column is
+// below len(w)&^3 adds into lane col&3, the lanes are summed, then the tail
+// columns add in order — so skipping zeros (±0 terms) is bit-identical. For
+// int8 weights the caller applies the row's dequantization scale once.
+func dot[W float32 | int8](w []W, cols []int32, x []float32) float32 {
+	var lane [4]float32
+	n := int32(len(w) &^ 3)
+	k := 0
+	for ; k < len(cols) && cols[k] < n; k++ {
+		lane[cols[k]&3] += float32(w[cols[k]]) * x[k]
 	}
-	s := s0 + s1 + s2 + s3
-	for i := n; i < len(w); i++ {
-		s += w[i] * x[i]
-	}
-	return s
-}
-
-// dotI8 dots an int8 weight row against a float32 input row, accumulating
-// in float32; the caller applies the row's dequantization scale once.
-func dotI8(w []int8, x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(w) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 += float32(w[i]) * x[i]
-		s1 += float32(w[i+1]) * x[i+1]
-		s2 += float32(w[i+2]) * x[i+2]
-		s3 += float32(w[i+3]) * x[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for i := n; i < len(w); i++ {
-		s += float32(w[i]) * x[i]
+	s := lane[0] + lane[1] + lane[2] + lane[3]
+	for ; k < len(cols); k++ {
+		s += float32(w[cols[k]]) * x[k]
 	}
 	return s
 }

@@ -222,15 +222,26 @@ func TestQuantZeroWeightRow(t *testing.T) {
 
 func BenchmarkPredictBatchQ(b *testing.B) {
 	m, X := quantFixture(b, 96, []int{16}, 64, 13)
+	benchmarkPredictBatchQ(b, "", m, X)
+	// The serving shape: CT1's 431-wide one-hot rows through a [16] network.
+	onehot, targets := onehot431(264)
+	m, err := Train(context.Background(), onehot[:200], targets[:200], nil, Config{Hidden: []int{16}, Epochs: 1, Seed: 13, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkPredictBatchQ(b, "onehot431/", m, onehot[200:])
+}
+
+func benchmarkPredictBatchQ(b *testing.B, prefix string, m *MLP, X [][]float64) {
 	out := make([]float64, len(X))
-	b.Run("f64", func(b *testing.B) {
+	b.Run(prefix+"f64", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.PredictBatch(X)
 		}
 	})
 	for _, p := range []Precision{Float32, Int8} {
-		b.Run(p.String(), func(b *testing.B) {
+		b.Run(prefix+p.String(), func(b *testing.B) {
 			m.PredictBatchQInto(X, p, out)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"crossmodal/internal/sparse"
 	"crossmodal/internal/trace"
 )
 
@@ -24,29 +25,41 @@ const numGradShards = 8
 type gradShard struct {
 	grad  []float64
 	total float64
-	fresh bool // true until the first sample writes the buffer this step
+	fresh bool // true until the first contributing sample zeroes the buffer this step
 	scr   *scratch
 }
+
+// poolMinMACs is the multiply-add count below which a minibatch step runs
+// its shards inline: eight channel hand-offs cost 3–8 µs, more than a sparse
+// logistic step's whole ~1k multiply-adds; measured at 2 workers the pool
+// draws level near 59k and leads by 118k. The partition and merge order do
+// not depend on who runs a shard, so the choice cannot change a result.
+const poolMinMACs = 1 << 16
 
 // trainer is the data-parallel minibatch engine. With more than one worker
 // it keeps a persistent goroutine pool fed by an unbuffered shard-index
 // channel, so a steady-state step performs zero heap allocations.
 type trainer struct {
-	m      *MLP
-	opt    *adam
-	cfg    Config
-	shards [numGradShards]gradShard
+	m         *MLP
+	opt       *adam
+	cfg       Config
+	shards    [numGradShards]gradShard
+	innerMACs int // multiply-adds per sample above the first layer
 
-	nWorkers int
-	work     chan int                 // shard indices for the in-flight step
-	wg       sync.WaitGroup           // completion of the in-flight step
-	active   [numGradShards][]float64 // backing array for the per-step active-shard list
+	work   chan int                 // shard indices for the in-flight step
+	wg     sync.WaitGroup           // completion of the in-flight step
+	active [numGradShards][]float64 // backing array for the per-step active-shard list
 
 	// In-flight minibatch, published to workers via the work channel.
-	X             [][]float64
+	rows          *sparse.Rows
 	targets       []float64
 	sampleWeights []float64
 	batch         []int
+
+	// The dense adapter's gathered minibatch (see step).
+	gathered           sparse.Rows
+	gTargets, gWeights []float64
+	gBatch             []int
 }
 
 func newTrainer(m *MLP, cfg Config) *trainer {
@@ -55,18 +68,19 @@ func newTrainer(m *MLP, cfg Config) *trainer {
 		t.shards[s].grad = make([]float64, len(m.params))
 		t.shards[s].scr = m.newScratch()
 	}
-	t.nWorkers = cfg.Workers
-	if t.nWorkers <= 0 {
-		t.nWorkers = m.resolveWorkers()
+	for l := 1; l < len(m.weights); l++ {
+		t.innerMACs += len(m.weights[l])
 	}
-	if t.nWorkers > numGradShards {
-		t.nWorkers = numGradShards
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = defaultWorkers()
 	}
-	if t.nWorkers > 1 {
-		t.work = make(chan int)
-		for w := 0; w < t.nWorkers; w++ {
+	if workers = min(workers, numGradShards); workers > 1 {
+		work := make(chan int) // captured: close may clear t.work before a worker first runs
+		t.work = work
+		for w := 0; w < workers; w++ {
 			go func() {
-				for s := range t.work {
+				for s := range work {
 					t.runShard(s)
 					t.wg.Done()
 				}
@@ -84,11 +98,37 @@ func (t *trainer) close() {
 	}
 }
 
-// step accumulates gradients over one minibatch, shard-parallel, then merges
-// them in fixed shard order and applies a single Adam update.
+// step is the dense adapter: it gathers the minibatch's rows, zeros
+// skipped, into the trainer's reusable block and steps on that.
 func (t *trainer) step(X [][]float64, targets, sampleWeights []float64, batch []int) {
-	t.X, t.targets, t.sampleWeights, t.batch = X, targets, sampleWeights, batch
-	if t.work == nil {
+	t.gathered.Reset(t.m.inDim)
+	t.gTargets, t.gWeights, t.gBatch = t.gTargets[:0], t.gWeights[:0], t.gBatch[:0]
+	for k, idx := range batch {
+		t.gathered.AddDense(X[idx])
+		t.gTargets = append(t.gTargets, targets[idx])
+		t.gBatch = append(t.gBatch, k)
+		if sampleWeights != nil {
+			t.gWeights = append(t.gWeights, sampleWeights[idx])
+		}
+	}
+	weights := t.gWeights
+	if sampleWeights == nil {
+		weights = nil
+	}
+	t.stepRows(&t.gathered, t.gTargets, weights, t.gBatch)
+}
+
+// stepRows accumulates gradients over one minibatch (batch indexes rows,
+// targets and sampleWeights alike), shard-parallel when the step is big
+// enough to pay for the hand-off, then merges them in fixed shard order and
+// applies a single Adam update.
+func (t *trainer) stepRows(rows *sparse.Rows, targets, sampleWeights []float64, batch []int) {
+	t.rows, t.targets, t.sampleWeights, t.batch = rows, targets, sampleWeights, batch
+	macs := len(batch) * t.innerMACs
+	for _, idx := range batch {
+		macs += (rows.Ptr[idx+1] - rows.Ptr[idx]) * t.m.sizes[1]
+	}
+	if t.work == nil || macs < poolMinMACs {
 		for s := range t.shards {
 			t.runShard(s)
 		}
@@ -124,14 +164,10 @@ func (t *trainer) step(X [][]float64, targets, sampleWeights []float64, batch []
 func (t *trainer) runShard(s int) {
 	sh := &t.shards[s]
 	sh.total = 0
-	sh.fresh = true // the first sample overwrites instead of zero+add
+	sh.fresh = true
 	n := len(t.batch)
-	lo, hi := s*n/numGradShards, (s+1)*n/numGradShards
-	if lo == hi {
-		return // empty shard; merge skips it via total == 0
-	}
-	for _, idx := range t.batch[lo:hi] {
-		x, target := t.X[idx], t.targets[idx]
+	for _, idx := range t.batch[s*n/numGradShards : (s+1)*n/numGradShards] {
+		target := t.targets[idx]
 		w := 1.0
 		if t.sampleWeights != nil {
 			w = t.sampleWeights[idx]
@@ -142,44 +178,43 @@ func (t *trainer) runShard(s int) {
 		if w == 0 {
 			continue
 		}
+		if sh.fresh {
+			// A sparse sample touches only its own first-layer columns, so
+			// the buffer is zeroed once and every sample adds (0 + d·x is
+			// d·x); an empty shard is skipped by the merge via total == 0.
+			clear(sh.grad)
+			sh.fresh = false
+		}
 		sh.total += w
-		t.accumulate(sh, x, target, w)
-		sh.fresh = false
+		cols, vals := t.rows.Row(idx)
+		t.accumulate(sh, cols, vals, target, w)
 	}
 }
 
-// accumulate backpropagates one sample into the shard's gradient buffer.
-// All intermediates live in the shard's scratch arena — no allocations. A
-// sample's gradient is dense over every parameter, so the shard's first
-// sample overwrites the buffer (sparing a zeroing pass) and later ones add.
-func (t *trainer) accumulate(sh *gradShard, x []float64, target, w float64) {
+// accumulate backpropagates one sample into the shard's gradient buffer,
+// entries in sample order. All intermediates live in the shard's scratch
+// arena — no allocations.
+func (t *trainer) accumulate(sh *gradShard, cols []int32, vals []float64, target, w float64) {
 	m := t.m
 	s := sh.scr
-	m.forward(x, s)
+	m.forward(cols, vals, s)
 	L := len(m.weights)
 	// Output delta: dL/dz = p - target for sigmoid cross-entropy.
 	s.deltas[L-1][0] = (s.output() - target) * w
 	for l := L - 1; l >= 0; l-- {
-		in := s.acts[l]
+		inCols, in := cols, vals
+		if l > 0 {
+			inCols, in = m.allCols[:m.sizes[l]], s.acts[l]
+		}
 		delta := s.deltas[l]
 		width := m.sizes[l]
 		gW := sh.grad[m.wOff[l] : m.wOff[l]+width*len(delta)]
 		gB := sh.grad[m.bOff[l] : m.bOff[l]+len(delta)]
-		if sh.fresh {
-			for o, d := range delta {
-				gB[o] = d
-				row := gW[o*width : (o+1)*width]
-				for i, v := range in {
-					row[i] = d * v
-				}
-			}
-		} else {
-			for o, d := range delta {
-				gB[o] += d
-				row := gW[o*width : (o+1)*width]
-				for i, v := range in {
-					row[i] += d * v
-				}
+		for o, d := range delta {
+			gB[o] += d
+			row := gW[o*width : (o+1)*width]
+			for k, c := range inCols {
+				row[c] += d * in[k]
 			}
 		}
 		if l == 0 {
@@ -202,21 +237,49 @@ func (t *trainer) accumulate(sh *gradShard, x []float64, target, w float64) {
 	}
 }
 
-// Train fits the network on rows X with soft targets in [0,1] (probabilistic
-// labels; hard labels are 0/1) and optional per-example weights (nil means
-// uniform). Uses Adam with minibatches and the noise-aware cross-entropy
-// whose gradient at the output is simply p - target. Minibatches are
-// gradient-sharded across cfg.Workers goroutines; the result is identical
-// for any worker count.
+// Train fits the network on dense rows X: the adapter over TrainRows' engine
+// that converts each minibatch as it is drawn (zeros skipped), so no second
+// copy of the design is held.
 func Train(ctx context.Context, X [][]float64, targets []float64, sampleWeights []float64, cfg Config) (*MLP, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("model: no training data")
 	}
-	if len(targets) != len(X) {
-		return nil, fmt.Errorf("model: %d rows vs %d targets", len(X), len(targets))
+	for i, x := range X {
+		if len(x) != len(X[0]) {
+			return nil, fmt.Errorf("model: row %d has width %d, want %d", i, len(x), len(X[0]))
+		}
 	}
-	if sampleWeights != nil && len(sampleWeights) != len(X) {
-		return nil, fmt.Errorf("model: %d rows vs %d weights", len(X), len(sampleWeights))
+	return train(ctx, len(X), len(X[0]), targets, sampleWeights, cfg, func(t *trainer, batch []int) {
+		t.step(X, targets, sampleWeights, batch)
+	})
+}
+
+// TrainRows fits the network on sparse rows with soft targets in [0,1]
+// (probabilistic labels; hard labels are 0/1) and optional per-example
+// weights (nil means uniform). Uses Adam with minibatches and the
+// noise-aware cross-entropy whose gradient at the output is simply
+// p - target. Minibatches are gradient-sharded across up to cfg.Workers
+// goroutines; the result is identical for any worker count. rows is
+// validated once here, so the inner loops check nothing.
+func TrainRows(ctx context.Context, rows *sparse.Rows, targets []float64, sampleWeights []float64, cfg Config) (*MLP, error) {
+	if rows.Len() == 0 {
+		return nil, fmt.Errorf("model: no training data")
+	}
+	if err := rows.Validate(); err != nil {
+		return nil, fmt.Errorf("model: %w", err)
+	}
+	return train(ctx, rows.Len(), rows.Width, targets, sampleWeights, cfg, func(t *trainer, batch []int) {
+		t.stepRows(rows, targets, sampleWeights, batch)
+	})
+}
+
+// train is the epoch loop both entry points share; step runs one minibatch.
+func train(ctx context.Context, n, width int, targets, sampleWeights []float64, cfg Config, step func(*trainer, []int)) (*MLP, error) {
+	if len(targets) != n {
+		return nil, fmt.Errorf("model: %d rows vs %d targets", n, len(targets))
+	}
+	if sampleWeights != nil && len(sampleWeights) != n {
+		return nil, fmt.Errorf("model: %d rows vs %d weights", n, len(sampleWeights))
 	}
 	for i, t := range targets {
 		if t < 0 || t > 1 || math.IsNaN(t) {
@@ -226,10 +289,10 @@ func Train(ctx context.Context, X [][]float64, targets []float64, sampleWeights 
 	cfg = cfg.withDefaults()
 	ctx, span := trace.Start(ctx, "model.train")
 	defer span.End()
-	span.SetInt("rows", int64(len(X)))
-	span.SetInt("features", int64(len(X[0])))
+	span.SetInt("rows", int64(n))
+	span.SetInt("features", int64(width))
 	span.SetInt("epochs", int64(cfg.Epochs))
-	m, err := New(len(X[0]), cfg.Hidden, cfg.Seed)
+	m, err := New(width, cfg.Hidden, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +300,7 @@ func Train(ctx context.Context, X [][]float64, targets []float64, sampleWeights 
 	t := newTrainer(m, cfg)
 	defer t.close()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	order := make([]int, len(X))
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
@@ -245,11 +308,7 @@ func Train(ctx context.Context, X [][]float64, targets []float64, sampleWeights 
 		_, epSpan := trace.Start(ctx, "model.epoch")
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			t.step(X, targets, sampleWeights, order[start:end])
+			step(t, order[start:min(start+cfg.BatchSize, len(order))])
 			epSpan.Add("batches", 1)
 		}
 		epSpan.End()
