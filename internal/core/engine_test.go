@@ -51,22 +51,11 @@ func scanAll(t *testing.T, c corpus, target *feature.Schema) ([]*feature.Vector,
 }
 
 // sameVectorBits asserts two vectors are equal in every observable respect,
-// float payloads compared by bits (reflect.DeepEqual treats -0 and 0 alike).
+// float payloads compared by bits.
 func sameVectorBits(t *testing.T, where string, want, got *feature.Vector) {
 	t.Helper()
-	if !reflect.DeepEqual(want, got) {
+	if !want.Equal(got) {
 		t.Fatalf("%s: got %v, want %v", where, got, want)
-	}
-	for i := 0; i < want.Schema().Len(); i++ {
-		a, b := want.At(i), got.At(i)
-		if math.Float64bits(a.Num) != math.Float64bits(b.Num) {
-			t.Fatalf("%s: feature %d: numeric bits differ", where, i)
-		}
-		for k := range a.Vec {
-			if math.Float64bits(a.Vec[k]) != math.Float64bits(b.Vec[k]) {
-				t.Fatalf("%s: feature %d: embedding bits differ at %d", where, i, k)
-			}
-		}
 	}
 }
 
@@ -197,7 +186,7 @@ func TestChunkedCorpusScan(t *testing.T) {
 			if gotLabels[i] != labels[i] {
 				t.Fatalf("chunk %d: label %d out of order", chunk, i)
 			}
-			if !reflect.DeepEqual(gotVecs[i], want[i]) {
+			if !gotVecs[i].Equal(want[i]) {
 				t.Fatalf("chunk %d: row %d out of order", chunk, i)
 			}
 		}

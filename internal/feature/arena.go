@@ -7,9 +7,9 @@ import (
 
 // Arena is a packed, append-only store of vectors laid out for one
 // SimKernel, scored pairwise by vertex index. Graph construction scores
-// each vertex against hundreds of candidates; walking two scattered
-// []Value slices per pair (a pointer chase per categorical set, embedding
-// norms recomputed per pair) made that loop memory-bound. The arena keeps,
+// each vertex against hundreds of candidates; walking two vectors' cells and
+// payloads per pair (an indirection per categorical set, embedding norms
+// recomputed per pair) made that loop memory-bound. The arena keeps,
 // per vertex:
 //
 //   - a presence mask, one bit per active feature in schema order
@@ -88,8 +88,6 @@ func (k *SimKernel) NewArena() *Arena {
 func (a *Arena) Len() int { return len(a.catPos) }
 
 // Append packs v as the next vertex. v must carry the kernel's schema.
-// Categorical values that never passed through Vector.Set are interned
-// here, so the scoring path only ever sees ID sets.
 func (a *Arena) Append(v *Vector) {
 	maskBase, numBase, recBase := len(a.masks), len(a.nums), len(a.catRec)
 	a.masks = append(a.masks, make([]uint64, a.words)...)
@@ -101,26 +99,22 @@ func (a *Arena) Append(v *Vector) {
 	// Features are visited in schema order, so categorical and embedding
 	// columns fill in column order and their offsets stay monotone.
 	for s, f := range a.feats {
-		val := &v.values[f.schemaIdx]
-		if !val.Missing {
+		if v.Present(f.schemaIdx) {
 			a.masks[maskBase+s/64] |= 1 << (s % 64)
 		}
 		switch f.kind {
 		case Numeric:
-			if !val.Missing {
-				a.nums[numBase+f.col] = val.Num
-			}
+			a.nums[numBase+f.col] = v.Num(f.schemaIdx)
 		case Categorical:
-			a.catRec = append(a.catRec, val.InternedCategories()...)
+			a.catRec = append(a.catRec, v.CategoryIDs(f.schemaIdx)...)
 			a.catRec[recBase+f.col] = uint32(len(a.catRec) - idBase)
 		case Embedding:
+			vec := v.Vec(f.schemaIdx)
 			var norm float64
-			if !val.Missing {
-				a.embData = append(a.embData, val.Vec...)
-				for _, x := range val.Vec {
-					norm += x * x
-				}
+			for _, x := range vec {
+				norm += x * x
 			}
+			a.embData = append(a.embData, vec...)
 			a.embOff = append(a.embOff, len(a.embData))
 			a.embNorm = append(a.embNorm, norm)
 		}

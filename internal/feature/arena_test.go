@@ -10,9 +10,9 @@ import (
 // randomPackedCase draws a schema of nFeat features with random kinds, a
 // scales/weights pair (absent, zero and negative entries included) and two
 // vectors covering every layout edge case: missing values, present-but-
-// empty categorical sets, values written past Vector.Set (no cached intern
-// IDs; embeddings of the wrong, zero or mismatched length), and zero-norm
-// embeddings.
+// empty categorical sets, embeddings written past SetVec's dimension check
+// (the wrong, zero or mismatched length a reprojection can carry), and
+// zero-norm embeddings.
 func randomPackedCase(rng *rand.Rand, nFeat int) (*Schema, Scales, Weights, *Vector, *Vector) {
 	defs := make([]Def, nFeat)
 	for i := range defs {
@@ -71,12 +71,12 @@ func randomPackedCase(rng *rand.Rand, nFeat int) (*Schema, Scales, Weights, *Vec
 				}
 				val = EmbeddingValue(vec)
 				if handBuilt {
-					v.values[i] = val
+					setRaw(v, i, val)
 					continue
 				}
 			}
 			if rng.Intn(3) == 0 {
-				v.values[i] = val // hand-built: never interned by Set
+				v.MustSetAt(i, val)
 			} else {
 				v.MustSet(d.Name, val)
 			}
@@ -166,12 +166,12 @@ func TestArenaLayoutEdgeCases(t *testing.T) {
 	}
 	vec := func(cat, emb *Value) *Vector {
 		v := NewVector(schema)
-		v.values[1] = NumericValue(7) // never read: its weight is 0
+		v.SetNum(1, 7) // never read: its weight is 0
 		if cat != nil {
-			v.values[0] = *cat
+			v.MustSetAt(0, *cat)
 		}
 		if emb != nil {
-			v.values[2] = *emb
+			setRaw(v, 2, *emb)
 		}
 		return v
 	}
@@ -181,10 +181,9 @@ func TestArenaLayoutEdgeCases(t *testing.T) {
 	if got := score(vec(val(CategoricalValue()), nil), vec(val(CategoricalValue()), nil)); got != 1 {
 		t.Errorf("empty-set pair = %v, want 1", got)
 	}
-	// Hand-built categorical values carry no cached IDs; they are interned
-	// at pack time: {x,y} vs {y,z,y} = 1/3.
+	// Duplicates collapse: {x,y} vs {y,z,y} = 1/3.
 	if got := score(vec(val(CategoricalValue("x", "y")), nil), vec(val(CategoricalValue("y", "z", "y")), nil)); got != 1.0/3 {
-		t.Errorf("hand-built categorical pair = %v, want 1/3", got)
+		t.Errorf("duplicate-bearing categorical pair = %v, want 1/3", got)
 	}
 	// Cosine 0 → contribution 0.5 for unequal lengths, zero length, zero norm.
 	one := val(EmbeddingValue([]float64{1, 2, 3}))

@@ -13,6 +13,7 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -184,21 +185,17 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Value holds one feature value. Exactly one of the payload fields is
-// meaningful, selected by the owning Def's Kind; Missing marks a feature the
-// generating service could not compute for this data point (e.g. a
-// text-specific service applied to an image).
+// Value holds one feature value: the exchange type at a Vector's boundary —
+// what a resource returns and what At, Get and SetAt give and take. Exactly
+// one of the payload fields is meaningful, selected by the owning Def's Kind;
+// Missing marks a feature the generating service could not compute for this
+// data point (e.g. a text-specific service applied to an image). A Value
+// read from a Vector aliases the vector's payload: do not mutate its slices.
 type Value struct {
 	Categories []string  // Categorical payload (a set; order is not significant).
 	Num        float64   // Numeric payload.
 	Vec        []float64 // Embedding payload.
 	Missing    bool
-
-	// catIDs caches Categories as sorted, deduplicated intern IDs; filled
-	// when the value enters a Vector (Vector.Set) so the similarity hot
-	// path intersects integer sets instead of hashing strings. Categories
-	// must not be mutated after Set, or the cache goes stale.
-	catIDs []uint32
 }
 
 // CategoricalValue returns a present categorical value with the given
@@ -218,22 +215,61 @@ func MissingValue() Value { return Value{Missing: true} }
 
 // HasCategory reports whether the value contains category c.
 func (v Value) HasCategory(c string) bool {
-	if v.Missing {
-		return false
+	return !v.Missing && slices.Contains(v.Categories, c)
+}
+
+// cell is one feature slot of a Vector: 16 bytes and no pointers, so a slab
+// of cells is one zeroed allocation the garbage collector never scans. The
+// zero cell is Missing.
+type cell struct {
+	w    uint64 // Numeric: the float's bits; Categorical, Embedding: payload offset<<32 | length
+	m    uint32 // Categorical: count of distinct intern IDs (<= length)
+	kind uint8  // 0: Missing; otherwise 1 + the Kind the value was stored under
+}
+
+func present(k Kind) uint8 { return 1 + uint8(k) }
+
+// window returns the payload range of a categorical or embedding cell.
+func (c cell) window() (off, end int) { return int(c.w >> 32), int(c.w>>32) + int(uint32(c.w)) }
+
+// packWindow is the w of a value occupying n payload slots from off on; a
+// window 32 bits cannot address is an error, never a wrap-around.
+func packWindow(off, n int) (uint64, error) {
+	if uint64(off)+uint64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("feature: %d values at payload offset %d overflow the cell's 32-bit window", n, off)
 	}
-	for _, got := range v.Categories {
-		if got == c {
-			return true
-		}
-	}
-	return false
+	return uint64(off)<<32 | uint64(n), nil
+}
+
+// payload is the append-only store behind the cells of one vector, or of
+// every vector of one NewVectors slab.
+type payload struct {
+	cats []string
+	// ids runs parallel to cats: the value at cats[off:off+n] keeps its m
+	// sorted, distinct intern IDs at ids[off:off+m], so the similarity hot
+	// path intersects integer sets and never hashes strings.
+	ids  []uint32
+	embs []float64
 }
 
 // Vector is one data point's feature values under a Schema, indexed in
-// schema order.
+// schema order: one cell per feature over a payload of category strings,
+// intern IDs and embedding floats.
+//
+// Ownership and concurrency: a vector — or a whole NewVectors slab — is
+// written by the goroutine that created it, before it is shared; after that
+// any number of goroutines may read it. Setters copy their arguments into
+// the payload, so mutating a slice after handing it to Set cannot change the
+// vector. Reproject shares the source's payload read-only (a later write to
+// either side is invisible to the other), the vectors of one slab share one
+// payload (retaining one retains it all), and Clone is a deep copy.
 type Vector struct {
 	schema *Schema
-	values []Value
+	cells  []cell
+	pay    *payload
+	// borrowed marks pay as another vector's (Reproject): the first write
+	// that needs payload room moves this vector to a private copy.
+	borrowed bool
 	// degraded lists channels whose service calls failed when this vector
 	// was featurized through the checked path: their values are Missing not
 	// because the resource abstained but because it was unreachable. The
@@ -243,27 +279,48 @@ type Vector struct {
 
 // NewVector returns an all-missing vector for schema.
 func NewVector(schema *Schema) *Vector {
-	return &NewVectors(schema, 1)[0]
+	o := &struct {
+		Vector
+		payload
+	}{}
+	o.Vector = Vector{schema: schema, cells: make([]cell, schema.Len()), pay: &o.payload}
+	return &o.Vector
 }
 
 // Schema returns the vector's schema.
 func (v *Vector) Schema() *Schema { return v.schema }
 
-// NewVectors returns n all-missing vectors for schema carved out of two
-// allocations (one []Vector, one []Value) instead of two per vector: the
-// chunk-granular form the disk store decodes into. Each vector's value
-// window is capacity-limited, so vectors never alias one another.
+// NewVectors returns n all-missing vectors for schema carved out of one
+// []Vector, one []cell and one shared payload: the chunk-granular form the
+// disk store decodes into. Each vector's cell window is capacity-limited.
 func NewVectors(schema *Schema, n int) []Vector {
 	width := schema.Len()
-	values := make([]Value, n*width)
-	for i := range values {
-		values[i].Missing = true
-	}
+	cells := make([]cell, n*width)
+	pay := new(payload)
 	vecs := make([]Vector, n)
 	for r := range vecs {
-		vecs[r] = Vector{schema: schema, values: values[r*width : (r+1)*width : (r+1)*width]}
+		vecs[r] = Vector{schema: schema, cells: cells[r*width : (r+1)*width : (r+1)*width], pay: pay}
 	}
 	return vecs
+}
+
+// Grow reserves room in v's payload (its slab's, for a slab vector) for cats
+// more category strings and embs more embedding floats.
+func (v *Vector) Grow(cats, embs int) {
+	p := v.own()
+	p.cats = slices.Grow(p.cats, cats)
+	p.ids = slices.Grow(p.ids, cats)
+	p.embs = slices.Grow(p.embs, embs)
+}
+
+// own returns the payload v may append to, first moving a borrowed vector
+// to a private copy of the windows its cells use.
+func (v *Vector) own() *payload {
+	if v.borrowed {
+		c := v.Clone()
+		v.cells, v.pay, v.borrowed = c.cells, c.pay, false
+	}
+	return v.pay
 }
 
 // Set assigns the named feature's value. It returns an error if the feature
@@ -277,22 +334,74 @@ func (v *Vector) Set(name string, val Value) error {
 }
 
 // SetAt is Set addressed by schema position: callers that already iterate in
-// schema order (featurization, the disk store's decoder) skip the per-value
-// name lookup. i must be in [0, Schema().Len()).
+// schema order skip the per-value name lookup. It stores the payload field
+// the feature's Kind selects. i must be in [0, Schema().Len()).
 func (v *Vector) SetAt(i int, val Value) error {
-	if !val.Missing {
-		d := &v.schema.defs[i]
-		if d.Kind == Embedding && len(val.Vec) != d.Dim {
-			return fmt.Errorf("feature: embedding %q wants dim %d, got %d", d.Name, d.Dim, len(val.Vec))
-		}
-		// Vectorize time is when categorical values are interned: every
-		// vector-borne value carries its ID set from here on, so pairwise
-		// similarity never touches the strings again.
-		if d.Kind == Categorical && val.catIDs == nil {
-			val.catIDs = internCategories(val.Categories)
-		}
+	switch d := &v.schema.defs[i]; {
+	case val.Missing:
+		v.cells[i] = cell{}
+	case d.Kind == Numeric:
+		v.SetNum(i, val.Num)
+	case d.Kind == Categorical:
+		return v.SetCategories(i, val.Categories, nil)
+	case d.Kind == Embedding:
+		return v.SetVec(i, val.Vec)
+	default:
+		return fmt.Errorf("feature: %q has unknown kind %v", d.Name, d.Kind)
 	}
-	v.values[i] = val
+	return nil
+}
+
+// SetNum stores a present numeric value at position i.
+func (v *Vector) SetNum(i int, x float64) {
+	v.cells[i] = cell{w: math.Float64bits(x), kind: present(Numeric)}
+}
+
+// SetCategories stores a present categorical value at position i: a copy of
+// cats, order and duplicates kept (an empty set stays distinct from Missing).
+// ids is nil, or holds InternID(cats[k]) at k for a caller that interned a
+// whole dictionary once (the disk decoder) rather than per category per row.
+func (v *Vector) SetCategories(i int, cats []string, ids []uint32) error {
+	if ids != nil && len(ids) != len(cats) {
+		return fmt.Errorf("feature: %d intern IDs for %d categories", len(ids), len(cats))
+	}
+	p := v.own()
+	off := len(p.cats)
+	w, err := packWindow(off, len(cats))
+	if err != nil {
+		return err
+	}
+	p.cats = append(p.cats, cats...)
+	if ids == nil {
+		for _, c := range cats {
+			p.ids = append(p.ids, InternID(c))
+		}
+	} else {
+		p.ids = append(p.ids, ids...)
+	}
+	v.cells[i] = cell{w: w, m: uint32(len(sortedIDSet(p.ids[off:]))), kind: present(Categorical)}
+	return nil
+}
+
+// SetVec stores a present embedding at position i, copying vec. It returns
+// an error if vec is not of the feature's dimension.
+func (v *Vector) SetVec(i int, vec []float64) error {
+	if d := &v.schema.defs[i]; len(vec) != d.Dim {
+		return fmt.Errorf("feature: embedding %q wants dim %d, got %d", d.Name, d.Dim, len(vec))
+	}
+	return v.setVec(i, vec)
+}
+
+// setVec is SetVec without the dimension check (Clone carries whatever
+// length a reprojection brought along).
+func (v *Vector) setVec(i int, vec []float64) error {
+	p := v.own()
+	w, err := packWindow(len(p.embs), len(vec))
+	if err != nil {
+		return err
+	}
+	p.embs = append(p.embs, vec...)
+	v.cells[i] = cell{w: w, kind: present(Embedding)}
 	return nil
 }
 
@@ -305,25 +414,77 @@ func (v *Vector) MustSet(name string, val Value) {
 }
 
 // MustSetAt is SetAt that panics on error; for callers whose values are
-// kind-correct by construction (a resource filling its own feature, a
-// decoder whose column definition was matched against the schema).
+// kind-correct by construction (a resource filling its own feature).
 func (v *Vector) MustSetAt(i int, val Value) {
 	if err := v.SetAt(i, val); err != nil {
 		panic(err)
 	}
 }
 
+// Present reports whether position i holds a value. The typed readers below
+// never build a Value; each returns the zero value when the position is
+// Missing or holds another kind, and their slices alias the payload.
+func (v *Vector) Present(i int) bool { return v.cells[i].kind != 0 }
+
+// Num returns the numeric value at position i.
+func (v *Vector) Num(i int) float64 {
+	if c := v.cells[i]; c.kind == present(Numeric) {
+		return math.Float64frombits(c.w)
+	}
+	return 0
+}
+
+// Categories returns the category strings at position i, in written order
+// with duplicates; nil for an empty set.
+func (v *Vector) Categories(i int) []string {
+	c := v.cells[i]
+	if off, end := c.window(); c.kind == present(Categorical) && end > off {
+		return v.pay.cats[off:end:end]
+	}
+	return nil
+}
+
+// CategoryIDs returns the categories at position i as sorted, distinct
+// intern IDs: the sets the similarity kernels intersect, exposed so
+// MinHash-LSH (internal/labelprop) hashes exactly what they compare.
+func (v *Vector) CategoryIDs(i int) []uint32 {
+	c := v.cells[i]
+	if off, m := int(c.w>>32), int(c.m); c.kind == present(Categorical) && m > 0 {
+		return v.pay.ids[off : off+m : off+m]
+	}
+	return nil
+}
+
+// Vec returns the embedding at position i.
+func (v *Vector) Vec(i int) []float64 {
+	c := v.cells[i]
+	if off, end := c.window(); c.kind == present(Embedding) {
+		return v.pay.embs[off:end:end]
+	}
+	return nil
+}
+
 // Get returns the named feature's value; missing names yield a missing value.
 func (v *Vector) Get(name string) Value {
-	i, ok := v.schema.Index(name)
-	if !ok {
-		return MissingValue()
+	if i, ok := v.schema.Index(name); ok {
+		return v.At(i)
 	}
-	return v.values[i]
+	return MissingValue()
 }
 
 // At returns the value at schema position i.
-func (v *Vector) At(i int) Value { return v.values[i] }
+func (v *Vector) At(i int) Value {
+	switch v.cells[i].kind {
+	case 0:
+		return Value{Missing: true}
+	case present(Numeric):
+		return Value{Num: v.Num(i)}
+	case present(Categorical):
+		return Value{Categories: v.Categories(i)}
+	default:
+		return Value{Vec: v.Vec(i)}
+	}
+}
 
 // MarkDegraded records channels whose featurization failed (a copy is
 // taken). Passing an empty slice clears the annotation.
@@ -341,37 +502,50 @@ func (v *Vector) Degraded() []string { return v.degraded }
 
 // Reproject copies the vector onto target, carrying over values for features
 // that exist in both schemas (matched by name) and leaving the rest missing.
+// Only cells are copied: the result borrows v's payload.
 func (v *Vector) Reproject(target *Schema) *Vector {
-	out := NewVector(target)
-	for i, d := range v.schema.defs {
-		if j, ok := target.Index(d.Name); ok {
-			out.values[j] = v.values[i]
+	out := &Vector{schema: target, cells: make([]cell, target.Len()), pay: v.pay, borrowed: true}
+	for i := range v.schema.defs {
+		if j, ok := target.index[v.schema.defs[i].Name]; ok {
+			out.cells[j] = v.cells[i]
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy of the vector.
+// Clone returns a deep copy of the vector, its payload compacted to the
+// windows the cells use.
 func (v *Vector) Clone() *Vector {
-	out := &Vector{schema: v.schema, values: make([]Value, len(v.values))}
-	if v.degraded != nil {
-		out.degraded = append([]string(nil), v.degraded...)
-	}
-	for i, val := range v.values {
-		cp := val
-		if val.Categories != nil {
-			cp.Categories = append([]string(nil), val.Categories...)
-			// The copy owns its categories and may mutate them, which
-			// would stale a shared intern cache; drop it and let Set (or
-			// the string fallback) rebuild on demand.
-			cp.catIDs = nil
+	out := NewVector(v.schema)
+	out.MarkDegraded(v.degraded)
+	for i, c := range v.cells {
+		switch c.kind { // neither write can fail: the copy's windows are no larger than the source's
+		case present(Categorical):
+			_ = out.SetCategories(i, v.Categories(i), nil)
+		case present(Embedding):
+			_ = out.setVec(i, v.Vec(i))
+		default:
+			out.cells[i] = c
 		}
-		if val.Vec != nil {
-			cp.Vec = append([]float64(nil), val.Vec...)
-		}
-		out.values[i] = cp
 	}
 	return out
+}
+
+// Equal reports whether v and o hold the same values under equal schemas:
+// presence, numeric and embedding floats by their bits, categories in order
+// with duplicates.
+func (v *Vector) Equal(o *Vector) bool {
+	if v.schema != o.schema && !slices.Equal(v.schema.defs, o.schema.defs) {
+		return false
+	}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range v.cells {
+		if v.cells[i].kind != o.cells[i].kind || !bits(v.Num(i), o.Num(i)) ||
+			!slices.Equal(v.Categories(i), o.Categories(i)) || !slices.EqualFunc(v.Vec(i), o.Vec(i), bits) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the non-missing entries as "name=value" pairs.
@@ -380,7 +554,7 @@ func (v *Vector) String() string {
 	b.WriteByte('{')
 	first := true
 	for i, d := range v.schema.defs {
-		val := v.values[i]
+		val := v.At(i)
 		if val.Missing {
 			continue
 		}
@@ -411,19 +585,19 @@ func (v *Vector) String() string {
 func Jaccard(a, b []string) float64 {
 	inter, union := 0, 0
 	for i, s := range a {
-		if containsBefore(a, i, s) {
+		if slices.Contains(a[:i], s) {
 			continue // duplicate within a
 		}
 		union++
-		if contains(b, s) {
+		if slices.Contains(b, s) {
 			inter++
 		}
 	}
 	for i, s := range b {
-		if containsBefore(b, i, s) {
+		if slices.Contains(b[:i], s) {
 			continue // duplicate within b
 		}
-		if !contains(a, s) {
+		if !slices.Contains(a, s) {
 			union++
 		}
 	}
@@ -431,24 +605,6 @@ func Jaccard(a, b []string) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
-}
-
-func contains(set []string, s string) bool {
-	for _, t := range set {
-		if t == s {
-			return true
-		}
-	}
-	return false
-}
-
-func containsBefore(set []string, i int, s string) bool {
-	for _, t := range set[:i] {
-		if t == s {
-			return true
-		}
-	}
-	return false
 }
 
 // NumericSimilarity maps an absolute difference to (0, 1] using the feature's
@@ -528,18 +684,21 @@ func FitScales(schema *Schema, vectors []*Vector) Scales {
 // distance similarity, and embedding features [0,1]-rescaled cosine
 // similarity — the per-feature terms of paper Algorithm 1.
 func Similarity(a, b *Vector, i int, scales Scales) (float64, bool) {
-	av, bv := a.values[i], b.values[i]
-	if av.Missing || bv.Missing {
+	d := &a.schema.defs[i]
+	return similarity(a, b, i, d.Kind, scales[d.Name])
+}
+
+func similarity(a, b *Vector, i int, kind Kind, scale float64) (float64, bool) {
+	if !a.Present(i) || !b.Present(i) {
 		return 0, false
 	}
-	d := a.schema.defs[i]
-	switch d.Kind {
+	switch kind {
 	case Categorical:
-		return categoricalSimilarity(&av, &bv), true
+		return JaccardIDs(a.CategoryIDs(i), b.CategoryIDs(i)), true
 	case Numeric:
-		return NumericSimilarity(av.Num, bv.Num, scales[d.Name]), true
+		return NumericSimilarity(a.Num(i), b.Num(i), scale), true
 	case Embedding:
-		return (CosineSimilarity(av.Vec, bv.Vec) + 1) / 2, true
+		return (CosineSimilarity(a.Vec(i), b.Vec(i)) + 1) / 2, true
 	default:
 		return 0, false
 	}

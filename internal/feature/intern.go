@@ -80,16 +80,15 @@ func internCategories(cats []string) []uint32 {
 
 // sortedIDSet sorts ids and drops duplicates in place (multisets collapse to
 // sets, matching Jaccard). Category sets are tiny (a handful of values), so
-// an insertion sort beats sort.Slice and allocates nothing. ids must be
-// non-empty.
+// an insertion sort beats sort.Slice and allocates nothing.
 func sortedIDSet(ids []uint32) []uint32 {
 	for i := 1; i < len(ids); i++ {
 		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	out := ids[:1]
-	for _, id := range ids[1:] {
+	out := ids[:min(1, len(ids))]
+	for _, id := range ids[len(out):] {
 		if id != out[len(out)-1] {
 			out = append(out, id)
 		}
@@ -97,33 +96,12 @@ func sortedIDSet(ids []uint32) []uint32 {
 	return out
 }
 
-// InternedCategoricalValue returns a present categorical value whose intern
-// IDs the caller already holds: ids[k] must be InternID(categories[k]). A
-// decoder that interns a segment dictionary once builds row values this way
-// instead of paying one table lookup per category per row. ids is normalised
-// in place (sorted, deduplicated) and retained, so the value is exactly what
-// Vector.Set would have cached; both slices must not be mutated afterwards.
-// Empty categories carry no ID set, as under Set.
-func InternedCategoricalValue(categories []string, ids []uint32) Value {
-	if len(categories) == 0 {
-		return Value{Categories: categories}
-	}
-	return Value{Categories: categories, catIDs: sortedIDSet(ids)}
-}
-
 // InternedCategories returns the value's categories as sorted, deduplicated
-// intern IDs — the integer sets the similarity hot path intersects, exposed
-// so approximate indexes (MinHash-LSH over categorical sets in
-// internal/labelprop) can hash exactly what the exact kernel compares.
-// Values that entered a Vector via Set return their cached ID set; values
-// that never did (hand-built in tests) intern on the fly. Missing or empty
-// values return nil. Callers must not mutate the returned slice.
+// intern IDs, interning them on the fly; Missing or empty values return nil.
+// A vector-borne value's IDs are already in hand: read Vector.CategoryIDs.
 func (v Value) InternedCategories() []uint32 {
-	if v.Missing || len(v.Categories) == 0 {
+	if v.Missing {
 		return nil
-	}
-	if v.catIDs != nil {
-		return v.catIDs
 	}
 	return internCategories(v.Categories)
 }
@@ -193,29 +171,5 @@ func NewSimKernel(schema *Schema, scales Scales, weights Weights) *SimKernel {
 // contribution of feature position i between two vectors, and false when
 // the feature is missing on either side.
 func (k *SimKernel) Similarity(a, b *Vector, i int) (float64, bool) {
-	av, bv := &a.values[i], &b.values[i]
-	if av.Missing || bv.Missing {
-		return 0, false
-	}
-	switch k.kinds[i] {
-	case Categorical:
-		return categoricalSimilarity(av, bv), true
-	case Numeric:
-		return NumericSimilarity(av.Num, bv.Num, k.scales[i]), true
-	case Embedding:
-		return (CosineSimilarity(av.Vec, bv.Vec) + 1) / 2, true
-	default:
-		return 0, false
-	}
-}
-
-// categoricalSimilarity intersects two categorical values, preferring the
-// interned-ID merge and falling back to the string kernel for values that
-// never passed through Vector.Set (hand-built Values in tests).
-func categoricalSimilarity(av, bv *Value) float64 {
-	if (av.catIDs != nil || len(av.Categories) == 0) &&
-		(bv.catIDs != nil || len(bv.Categories) == 0) {
-		return JaccardIDs(av.catIDs, bv.catIDs)
-	}
-	return Jaccard(av.Categories, bv.Categories)
+	return similarity(a, b, i, k.kinds[i], k.scales[i])
 }

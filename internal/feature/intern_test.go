@@ -3,7 +3,7 @@ package feature
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -149,7 +149,7 @@ func TestSimilarityPairAllocFree(t *testing.T) {
 	cats := []string{"x", "y", "x"}
 	for name, fn := range map[string]func(){
 		"Jaccard":            func() { Jaccard(cats, cats) },
-		"JaccardIDs":         func() { JaccardIDs(a.values[0].catIDs, b.values[0].catIDs) },
+		"JaccardIDs":         func() { JaccardIDs(a.CategoryIDs(0), b.CategoryIDs(0)) },
 		"WeightedSimilarity": func() { WeightedSimilarity(a, b, scales, weights) },
 		"Arena.Weighted":     func() { arena.Weighted(0, 1, 0.3) },
 	} {
@@ -159,29 +159,30 @@ func TestSimilarityPairAllocFree(t *testing.T) {
 	}
 }
 
-// TestInternedValueCopySemantics checks the copy paths keep the intern cache
-// coherent: Reproject shares the (immutable) payload and keeps the IDs, while
-// Clone hands out mutable categories and so must drop the cache rather than
-// risk it going stale.
+// TestInternedValueCopySemantics checks the copy paths keep the intern IDs
+// coherent with the strings: Set interns, Reproject carries the IDs along
+// with the payload it shares, and Clone's deep copy can be rewritten without
+// the original's strings or IDs moving.
 func TestInternedValueCopySemantics(t *testing.T) {
 	schema := internTestSchema(t)
 	v := NewVector(schema)
 	v.MustSet("cat", CategoricalValue("x", "y"))
-	if v.values[0].catIDs == nil {
-		t.Fatal("Set did not intern categories")
+	want := []uint32{InternID("x"), InternID("y")}
+	slices.Sort(want)
+	if got := v.CategoryIDs(0); !slices.Equal(got, want) {
+		t.Fatalf("Set interned %v, want %v", got, want)
 	}
 	onlyCat := schema.Project(func(d Def) bool { return d.Name == "cat" })
-	if got := v.Reproject(onlyCat).values[0].catIDs; got == nil {
-		t.Error("Reproject dropped interned IDs")
+	if got := v.Reproject(onlyCat).CategoryIDs(0); !slices.Equal(got, want) {
+		t.Errorf("Reproject carries IDs %v, want %v", got, want)
 	}
 	c := v.Clone()
-	if c.values[0].catIDs != nil {
-		t.Error("Clone kept a cache its mutable categories can stale")
+	c.MustSet("cat", CategoricalValue("mutated", "y"))
+	if got, ok := Similarity(c, v, 0, nil); !ok || got != Jaccard(c.Categories(0), v.Categories(0)) || got != 1.0/3 {
+		t.Errorf("rewritten clone similarity %v, want the string path's 1/3", got)
 	}
-	c.values[0].Categories[0] = "mutated"
-	want := Jaccard(c.values[0].Categories, v.values[0].Categories)
-	if got := categoricalSimilarity(&c.values[0], &v.values[0]); got != want {
-		t.Errorf("mutated clone similarity %v, want string-path %v", got, want)
+	if !slices.Equal(v.Categories(0), []string{"x", "y"}) || !slices.Equal(v.CategoryIDs(0), want) {
+		t.Errorf("rewriting the clone moved the original: %v", v)
 	}
 }
 
@@ -295,8 +296,8 @@ func TestInternConcurrentAgreement(t *testing.T) {
 }
 
 // TestSetAtMatchesSet: addressing by index, carving vectors from a slab and
-// handing Set pre-interned IDs are all representations of the same vector
-// that Set-by-name builds.
+// handing SetCategories pre-interned IDs are all representations of the same
+// vector that Set-by-name builds.
 func TestSetAtMatchesSet(t *testing.T) {
 	schema := internTestSchema(t)
 	rng := rand.New(rand.NewSource(77))
@@ -311,31 +312,39 @@ func TestSetAtMatchesSet(t *testing.T) {
 			if err := byIndex.SetAt(i, plain); err != nil {
 				t.Fatal(err)
 			}
+			err := slab[r].SetAt(i, plain)
 			if schema.Def(i).Kind == Categorical && !val.Missing {
 				ids := make([]uint32, len(val.Categories))
 				for k, c := range val.Categories {
 					ids[k] = InternID(c)
 				}
-				plain = InternedCategoricalValue(val.Categories, ids)
+				err = slab[r].SetCategories(i, val.Categories, ids)
 			}
-			if err := slab[r].SetAt(i, plain); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(want, byIndex) {
-			t.Fatalf("row %d: SetAt built %v, Set built %v", r, byIndex, want)
+		for name, got := range map[string]*Vector{"SetAt": byIndex, "slab": &slab[r]} {
+			if !want.Equal(got) {
+				t.Fatalf("row %d: %s built %v, Set built %v", r, name, got, want)
+			}
+			for i := 0; i < schema.Len(); i++ {
+				if !slices.Equal(want.CategoryIDs(i), got.CategoryIDs(i)) {
+					t.Fatalf("row %d feature %d: %s interned %v, Set %v", r, i, name, got.CategoryIDs(i), want.CategoryIDs(i))
+				}
+			}
 		}
-		if !reflect.DeepEqual(want, &slab[r]) {
-			t.Fatalf("row %d: slab vector %v, Set built %v", r, &slab[r], want)
-		}
+	}
+	if err := slab[0].SetCategories(0, []string{"a", "b"}, []uint32{1}); err == nil {
+		t.Fatal("SetCategories accepted IDs that do not pair up with the categories")
 	}
 	if err := slab[0].SetAt(3, EmbeddingValue(make([]float64, 3))); err == nil {
 		t.Fatal("SetAt accepted an embedding of the wrong dimension")
 	}
 	// A slab vector's window is capacity-limited: it cannot reach its
-	// neighbour's values.
-	if got := cap(slab[0].values); got != schema.Len() {
-		t.Fatalf("slab vector value capacity %d, want %d", got, schema.Len())
+	// neighbour's cells.
+	if got := cap(slab[0].cells); got != schema.Len() {
+		t.Fatalf("slab vector cell capacity %d, want %d", got, schema.Len())
 	}
 	fresh := NewVectors(schema, 2)
 	for i := 0; i < schema.Len(); i++ {

@@ -49,8 +49,8 @@ func (a *ScalesAccum) AddMeans(vectors []*Vector) {
 	}
 	for j, col := range a.cols {
 		for _, v := range vectors {
-			if val := v.At(col); !val.Missing {
-				a.sum[j] += val.Num
+			if v.Present(col) {
+				a.sum[j] += v.Num(col)
 				a.n[j]++
 			}
 		}
@@ -81,8 +81,8 @@ func (a *ScalesAccum) AddDevs(vectors []*Vector) {
 			continue
 		}
 		for _, v := range vectors {
-			if val := v.At(col); !val.Missing {
-				a.dev[j] += math.Abs(val.Num - a.mean[j])
+			if v.Present(col) {
+				a.dev[j] += math.Abs(v.Num(col) - a.mean[j])
 			}
 		}
 	}

@@ -274,9 +274,9 @@ func FuzzSparseRowMatchesDense(f *testing.F) {
 		set := func(bit uint8, name string, val Value) {
 			if missing&bit == 0 {
 				i, _ := schema.Index(name)
-				// Written directly: Set would reject the off-length
+				// Written raw: Set would reject the off-length
 				// embeddings the encoder must flag as missing.
-				v.values[i] = val
+				setRaw(v, i, val)
 			}
 		}
 		set(1, "topic", CategoricalValue(strings.Split(topic, ",")...))

@@ -139,18 +139,19 @@ func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *V
 	var cm colMap
 	for _, v := range train {
 		for i, j := range cm.resolve(schema, v.schema) {
-			if j < 0 || v.values[j].Missing {
+			if j < 0 || !v.Present(j) {
 				continue
 			}
-			val, a := &v.values[j], &accs[i]
+			a := &accs[i]
 			switch schema.defs[i].Kind {
 			case Categorical:
-				for _, c := range val.Categories {
+				for _, c := range v.Categories(j) {
 					a.counts[c]++
 				}
 			case Numeric:
-				a.sum += val.Num
-				a.sumSq += val.Num * val.Num
+				x := v.Num(j)
+				a.sum += x
+				a.sumSq += x * x
 				a.n++
 			}
 		}
@@ -258,18 +259,16 @@ func (vz *Vectorizer) appendRow(e *Encoder, v *Vector) {
 	src := e.src.resolve(vz.schema, v.schema)
 	for i := range vz.enc {
 		f, off := &vz.enc[i], vz.offsets[i]
-		var val *Value // nil: missing or absent from v's schema
-		if j := src[i]; j >= 0 && !v.values[j].Missing {
-			val = &v.values[j]
-		}
+		j := src[i] // < 0: absent from v's schema
+		missing := j < 0 || !v.Present(j)
 		switch f.kind {
 		case Categorical:
-			if val == nil {
+			if missing {
 				e.Add(off+f.voc.Len()+1, 1)
 				continue
 			}
 			from := len(e.Cols)
-			for _, c := range val.Categories {
+			for _, c := range v.Categories(j) {
 				slot, ok := f.voc.index[c]
 				if !ok {
 					slot = f.voc.Len() // OOV
@@ -278,17 +277,17 @@ func (vz *Vectorizer) appendRow(e *Encoder, v *Vector) {
 			}
 			e.OneHot(from)
 		case Numeric:
-			if val == nil {
+			if missing {
 				e.Add(off+1, 1)
 				continue
 			}
-			e.Add(off, (val.Num-f.mean)/f.std)
+			e.Add(off, (v.Num(j)-f.mean)/f.std)
 		case Embedding:
-			if val == nil || len(val.Vec) != f.dim {
+			if missing || len(v.Vec(j)) != f.dim {
 				e.Add(off+f.dim, 1)
 				continue
 			}
-			for k, x := range val.Vec {
+			for k, x := range v.Vec(j) {
 				e.Add(off+k, x)
 			}
 		}

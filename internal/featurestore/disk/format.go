@@ -392,33 +392,29 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
 		// The presence bitmap is reserved here and its bits are set by the
-		// column loop below, which reads each value once (a Value is 88
-		// bytes; At copies it).
+		// column loop below, which reads each cell once.
 		pres := len(out)
 		out = append(out, make([]byte, bitmapLen)...)
 		switch d.Kind {
 		case feature.Numeric:
 			for r, v := range vecs {
-				val := v.At(i)
-				var bits uint64
-				if !val.Missing {
+				if v.Present(i) {
 					out[pres+r/8] |= 1 << (r % 8)
-					bits = math.Float64bits(val.Num)
 				}
-				out = le.AppendUint64(out, bits)
+				out = le.AppendUint64(out, math.Float64bits(v.Num(i)))
 			}
 		case feature.Embedding:
 			for r, v := range vecs {
-				val := v.At(i)
-				if val.Missing {
+				if !v.Present(i) {
 					out = append(out, make([]byte, 8*d.Dim)...)
 					continue
 				}
 				out[pres+r/8] |= 1 << (r % 8)
-				if len(val.Vec) != d.Dim {
-					return nil, fmt.Errorf("disk: feature %q: embedding dim %d, schema wants %d", d.Name, len(val.Vec), d.Dim)
+				vec := v.Vec(i)
+				if len(vec) != d.Dim {
+					return nil, fmt.Errorf("disk: feature %q: embedding dim %d, schema wants %d", d.Name, len(vec), d.Dim)
 				}
-				for _, x := range val.Vec {
+				for _, x := range vec {
 					out = le.AppendUint64(out, math.Float64bits(x))
 				}
 			}
@@ -427,10 +423,9 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 			dict, localIDs = dict[:0], localIDs[:0]
 			offsets = append(offsets[:0], 0)
 			for r, v := range vecs {
-				val := v.At(i)
-				if !val.Missing {
+				if v.Present(i) {
 					out[pres+r/8] |= 1 << (r % 8)
-					for _, cat := range val.Categories {
+					for _, cat := range v.Categories(i) {
 						id, ok := dictIdx[cat]
 						if !ok {
 							id = uint32(len(dict))

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -102,34 +100,19 @@ func FuzzShardLoad(f *testing.F) {
 		}
 		for _, proj := range []*projection{identity, subset} {
 			slab := feature.NewVectors(proj.target, seg.Rows())
-			dec := seg.decoder(proj, true)
+			slab[0].Grow(seg.payloadSize(proj))
+			dec := rowDecoder{seg: seg, proj: proj}
 			for r := range slab {
-				dec.row(r, &slab[r])
 				single := feature.NewVector(proj.target)
-				seg.decoder(proj, false).row(r, single)
-				if !reflect.DeepEqual(single, &slab[r]) && !hasNaN(single) {
+				if err := errors.Join(dec.row(r, &slab[r]), (&rowDecoder{seg: seg, proj: proj}).row(r, single)); err != nil {
+					t.Fatalf("row %d: %v", r, err)
+				}
+				if !single.Equal(&slab[r]) {
 					t.Fatalf("row %d: slab decode %v, single-row decode %v", r, &slab[r], single)
 				}
 			}
 		}
 	})
-}
-
-// hasNaN reports whether v holds a NaN, which reflect.DeepEqual never finds
-// equal to itself (fuzzed payloads can hold any float bits).
-func hasNaN(v *feature.Vector) bool {
-	for i := 0; i < v.Schema().Len(); i++ {
-		val := v.At(i)
-		if math.IsNaN(val.Num) {
-			return true
-		}
-		for _, x := range val.Vec {
-			if math.IsNaN(x) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // FuzzShardHeader fuzzes the fixed-header parser in isolation: arbitrary

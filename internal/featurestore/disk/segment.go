@@ -182,7 +182,7 @@ func (s *Segment) VectorAt(schema *feature.Schema, r int) *feature.Vector {
 		panic(err) // unreachable: a schema projects onto itself
 	}
 	v := feature.NewVector(schema)
-	s.decoder(proj, false).row(r, v)
+	_ = (&rowDecoder{seg: s, proj: proj}).row(r, v) // cannot fail: one row of a segment under 2 GiB fits any payload window
 	return v
 }
 
@@ -220,42 +220,34 @@ func newProjection(stored, target *feature.Schema) (*projection, error) {
 
 // rowDecoder decodes rows of one segment into vectors of a projection's
 // target schema: the one decoder behind ScanProjected, Find and VectorAt.
-// Category strings, intern-ID sets and embeddings are carved from three
-// arenas; a decoder built for single rows has none and allocates per value.
+// cats, ids and emb are scratch one value is gathered in before the vector
+// copies it into its payload.
 type rowDecoder struct {
 	seg  *Segment
 	proj *projection
 	cats []string
 	ids  []uint32
-	embs []float64
+	emb  []float64
 }
 
-// decoder returns a row decoder over the segment. With allRows the arenas
-// are sized to decode every row once, from quantities payloadLayout already
-// checked against the bytes present (each projected categorical column's
-// final offset, each embedding column's presence count) — never from a
-// length field on its own.
-func (s *Segment) decoder(proj *projection, allRows bool) *rowDecoder {
-	d := &rowDecoder{seg: s, proj: proj}
-	if !allRows {
-		return d
-	}
-	var nCats, nEmb int
+// payloadSize returns how many category entries and embedding floats
+// decoding every row under proj appends to a vector payload, from quantities
+// payloadLayout already checked against the bytes present (each projected
+// categorical column's final offset, each embedding column's presence
+// count) — never from a length field on its own.
+func (s *Segment) payloadSize(proj *projection) (cats, embs int) {
 	for _, col := range proj.cols {
 		if col < 0 {
 			continue
 		}
 		switch c := &s.cols[col]; c.kind {
 		case feature.Categorical:
-			nCats += int(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
+			cats += int(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
 		case feature.Embedding:
-			nEmb += c.dim * s.presentCount(col)
+			embs += c.dim * s.presentCount(col)
 		}
 	}
-	d.cats = make([]string, 0, nCats)
-	d.ids = make([]uint32, 0, nCats)
-	d.embs = make([]float64, 0, nEmb)
-	return d
+	return cats, embs
 }
 
 // presentCount returns how many rows carry a value for feature col.
@@ -272,48 +264,38 @@ func (s *Segment) presentCount(col int) int {
 	return n
 }
 
-// carve extends arena by n elements and returns them as a capacity-limited
-// window (appending to one value can never reach its neighbour). An arena
-// without room — single-row decoders have none — yields a fresh allocation.
-func carve[T any](arena *[]T, n int) []T {
-	a := *arena
-	if cap(a)-len(a) < n {
-		return make([]T, n)
-	}
-	*arena = a[:len(a)+n]
-	return a[len(a) : len(a)+n : len(a)+n]
-}
-
 // row decodes row r into v, which must be an all-missing vector of the
 // projection's target schema. Values are what Vector.Set would have stored:
-// exact float bits, categories in written order with duplicates, embedding
-// dimensions checked by SetAt, and the intern-ID set mapped from the
-// segment's once-interned dictionary rather than looked up per category.
-func (d *rowDecoder) row(r int, v *feature.Vector) {
+// exact float bits, categories in written order with duplicates, and the
+// intern-ID set mapped from the segment's once-interned dictionary rather
+// than looked up per category. A write fails only if v's payload outgrows
+// its 32-bit windows.
+func (d *rowDecoder) row(r int, v *feature.Vector) error {
 	s := d.seg
 	le := binary.LittleEndian
 	for j, col := range d.proj.cols {
 		if col < 0 || !s.Present(col, r) {
 			continue
 		}
-		c := &s.cols[col]
-		var val feature.Value
-		switch c.kind {
+		var err error
+		switch c := &s.cols[col]; c.kind {
 		case feature.Numeric:
-			val = feature.NumericValue(s.Numeric(col, r))
+			v.SetNum(j, s.Numeric(col, r))
 		case feature.Embedding:
-			val = feature.EmbeddingValue(s.EmbeddingInto(col, r, carve(&d.embs, c.dim)[:0]))
+			d.emb = s.EmbeddingInto(col, r, d.emb[:0])
+			err = v.SetVec(j, d.emb) // the projection matched this column's Dim
 		case feature.Categorical:
-			start := int(le.Uint32(s.payload[c.data+4*r:]))
-			if n := int(le.Uint32(s.payload[c.data+4*(r+1):])) - start; n > 0 {
-				cats, ids := carve(&d.cats, n), carve(&d.ids, n)
-				for k := range cats {
-					local := le.Uint32(s.payload[c.ids+4*(start+k):])
-					cats[k], ids[k] = c.dict[local], c.dictIDs[local]
-				}
-				val = feature.InternedCategoricalValue(cats, ids)
+			d.cats, d.ids = d.cats[:0], d.ids[:0]
+			start, end := le.Uint32(s.payload[c.data+4*r:]), le.Uint32(s.payload[c.data+4*(r+1):])
+			for k := start; k < end; k++ {
+				local := le.Uint32(s.payload[c.ids+4*int(k):])
+				d.cats, d.ids = append(d.cats, c.dict[local]), append(d.ids, c.dictIDs[local])
 			}
+			err = v.SetCategories(j, d.cats, d.ids)
 		}
-		v.MustSetAt(j, val) // cannot fail: the projection matched this column's Def
+		if err != nil {
+			return &ErrCorrupt{Path: s.path, Detail: err.Error()}
+		}
 	}
+	return nil
 }

@@ -3,6 +3,7 @@ package disk
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -385,11 +386,11 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 // schema and then Reprojecting every vector would give, without building the
 // full-schema vector.
 //
-// A chunk is materialized as a few chunk-level slabs (one []Value, one
-// []Vector, and per segment one arena each for category strings, intern IDs
-// and embeddings), freshly allocated per chunk and owned by fn: retaining any
-// vector keeps its chunk's slabs alive. Memory stays O(chunk), never
-// O(store).
+// A chunk is materialized as a few chunk-level slabs (one []Vector, one
+// pointer-free cell slab and one payload of category strings, intern IDs and
+// embeddings sized before the first row), freshly allocated per chunk and
+// owned by fn: retaining any vector keeps its chunk's slabs alive. Memory
+// stays O(chunk), never O(store).
 func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
 	proj, err := newProjection(s.schema, target)
 	if err != nil {
@@ -421,12 +422,22 @@ func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.
 	s.mu.RLock()
 	cs := s.chunks[seq]
 	s.mu.RUnlock()
+	var nCats, nEmbs int
+	for _, seg := range cs.segs {
+		c, e := seg.payloadSize(proj)
+		nCats, nEmbs = nCats+c, nEmbs+e
+	}
+	if max(nCats, nEmbs) > math.MaxUint32 {
+		return nil, nil, nil, &ErrCorrupt{Path: cs.segs[0].Path(), Detail: fmt.Sprintf("chunk payload of %d categories / %d floats overflows a vector slab", nCats, nEmbs)}
+	}
 	ids := make([]int, cs.rows)
 	labels := make([]int8, cs.rows)
 	slab := feature.NewVectors(proj.target, cs.rows)
+	slab[0].Grow(nCats, nEmbs)
 	vecs := make([]*feature.Vector, cs.rows)
+	dec := rowDecoder{proj: proj}
 	for _, seg := range cs.segs {
-		dec := seg.decoder(proj, true)
+		dec.seg = seg // the scratch buffers carry over
 		for r := 0; r < seg.Rows(); r++ {
 			ord := seg.Ord(r)
 			if ord < 0 || ord >= cs.rows || vecs[ord] != nil {
@@ -435,7 +446,9 @@ func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.
 			ids[ord] = int(seg.ID(r))
 			labels[ord] = seg.Label(r)
 			vecs[ord] = &slab[ord]
-			dec.row(r, vecs[ord])
+			if err := dec.row(r, vecs[ord]); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 	}
 	return ids, labels, vecs, nil
@@ -463,11 +476,13 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 			return nil, err
 		}
 		for _, seg := range cs.segs {
-			dec := seg.decoder(proj, false)
+			dec := rowDecoder{seg: seg, proj: proj}
 			for r := 0; r < seg.Rows(); r++ {
 				if id := seg.ID(r); want[id] {
 					v := feature.NewVector(s.schema)
-					dec.row(r, v)
+					if err := dec.row(r, v); err != nil {
+						return nil, err
+					}
 					out[int(id)] = v
 				}
 			}

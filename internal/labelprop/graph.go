@@ -208,11 +208,11 @@ func symmetrize(directed [][]Edge) [][]Edge {
 func blockKeys(v *feature.Vector, feats []string) []uint64 {
 	var keys []uint64
 	for slot, f := range feats {
-		val := v.Get(f)
-		if val.Missing {
+		i, ok := v.Schema().Index(f)
+		if !ok {
 			continue
 		}
-		for _, c := range val.Categories {
+		for _, c := range v.Categories(i) {
 			keys = append(keys, uint64(slot)<<32|uint64(feature.InternID(c)))
 		}
 	}

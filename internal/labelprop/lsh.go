@@ -159,7 +159,7 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	}
 	any := false
 	for fi, f := range h.feats {
-		for _, id := range v.At(f).InternedCategories() {
+		for _, id := range v.CategoryIDs(f) {
 			any = true
 			elem := xrand.Mix(h.featSalt[fi] ^ (uint64(id) + 0x9e3779b97f4a7c15))
 			for k, salt := range h.salts {

@@ -8,6 +8,7 @@ package lf
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"crossmodal/internal/feature"
@@ -45,7 +46,7 @@ func CategoryLF(featName, category string, vote int8, source string) *LF {
 		Name:   fmt.Sprintf("%s=%s→%+d", featName, category, vote),
 		Source: source,
 		Func: func(v *feature.Vector) int8 {
-			if v.Get(featName).HasCategory(category) {
+			if i, ok := v.Schema().Index(featName); ok && slices.Contains(v.Categories(i), category) {
 				return vote
 			}
 			return Abstain
@@ -73,7 +74,7 @@ func ConjunctionLF(terms []string, vote int8, source string) (*LF, error) {
 		Source: source,
 		Func: func(v *feature.Vector) int8 {
 			for _, p := range preds {
-				if !v.Get(p.feat).HasCategory(p.cat) {
+				if i, ok := v.Schema().Index(p.feat); !ok || !slices.Contains(v.Categories(i), p.cat) {
 					return Abstain
 				}
 			}
@@ -93,12 +94,10 @@ func ThresholdLF(featName string, cut float64, above bool, vote int8, source str
 		Name:   fmt.Sprintf("%s%s%.3g→%+d", featName, op, cut, vote),
 		Source: source,
 		Func: func(v *feature.Vector) int8 {
-			val := v.Get(featName)
-			if val.Missing {
-				return Abstain
-			}
-			if (above && val.Num >= cut) || (!above && val.Num <= cut) {
-				return vote
+			if i, ok := v.Schema().Index(featName); ok && v.Present(i) {
+				if x := v.Num(i); (above && x >= cut) || (!above && x <= cut) {
+					return vote
+				}
 			}
 			return Abstain
 		},

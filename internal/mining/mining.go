@@ -16,6 +16,7 @@ package mining
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -228,12 +229,12 @@ func countItemsetList(ctx context.Context, mrCfg mapreduce.Config, schema *featu
 	}
 	counts, err := mapreduce.Count(ctx, mrCfg, corpus, func(v *feature.Vector, emit func(string)) error {
 		for f, sets := range byFeat {
-			val := v.Get(f)
-			if val.Missing {
+			i, ok := v.Schema().Index(f)
+			if !ok || !v.Present(i) {
 				continue
 			}
 			for _, s := range sets {
-				if containsAll(val, s.cats) {
+				if containsAll(v.Categories(i), s.cats) {
 					emit(s.key())
 				}
 			}
@@ -250,9 +251,9 @@ func countItemsetList(ctx context.Context, mrCfg mapreduce.Config, schema *featu
 	return out, nil
 }
 
-func containsAll(val feature.Value, cats []string) bool {
+func containsAll(have, cats []string) bool {
 	for _, c := range cats {
-		if !val.HasCategory(c) {
+		if !slices.Contains(have, c) {
 			return false
 		}
 	}
@@ -354,7 +355,7 @@ func itemsetLF(s itemset, vote int8) *lf.LF {
 		Name:   name,
 		Source: "mined",
 		Func: func(v *feature.Vector) int8 {
-			if containsAll(v.Get(s.feat), cats) {
+			if i, ok := v.Schema().Index(s.feat); ok && containsAll(v.Categories(i), cats) {
 				return vote
 			}
 			return lf.Abstain

@@ -103,8 +103,8 @@ func MineStream(ctx context.Context, mrCfg mapreduce.Config, cfg Config, corpus 
 		if collectNumeric {
 			for j, col := range numCols {
 				for i, v := range vecs {
-					if val := v.At(col); !val.Missing {
-						observed[j] = append(observed[j], numObs{val.Num, labels[i]})
+					if v.Present(col) {
+						observed[j] = append(observed[j], numObs{v.Num(col), labels[i]})
 					}
 				}
 			}
@@ -187,11 +187,7 @@ func countOrder1(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Sc
 			if d.Kind != feature.Categorical {
 				continue
 			}
-			val := v.At(i)
-			if val.Missing {
-				continue
-			}
-			for _, c := range dedupe(val.Categories) {
+			for _, c := range dedupe(v.Categories(i)) {
 				emit(itemset{d.Name, []string{c}}.key())
 			}
 		}

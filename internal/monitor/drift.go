@@ -41,8 +41,8 @@ func NumericSnapshot(vecs []*feature.Vector) Snapshot {
 		}
 		var vals []float64
 		for _, v := range vecs {
-			if val := v.At(i); !val.Missing {
-				vals = append(vals, val.Num)
+			if v.Present(i) {
+				vals = append(vals, v.Num(i))
 			}
 		}
 		if len(vals) > 0 {
@@ -74,10 +74,8 @@ func CategoricalSnapshot(vecs []*feature.Vector) CatSnapshot {
 		}
 		counts := make(map[string]float64)
 		for _, v := range vecs {
-			if val := v.At(i); !val.Missing {
-				for _, cat := range val.Categories {
-					counts[cat]++
-				}
+			for _, cat := range v.Categories(i) {
+				counts[cat]++
 			}
 		}
 		if len(counts) > 0 {

@@ -177,9 +177,15 @@ func (g *Guard) backoff(attempt int) time.Duration {
 // gated by the breaker. Infallible resources short-circuit to ObservePoint —
 // same bits as the unchecked path, no breaker bookkeeping.
 func (g *Guard) Observe(ctx context.Context, p *synth.Point) (feature.Value, error) {
+	return g.observe(ctx, p, xrand.New(0))
+}
+
+// observe is Observe with the caller's per-point generator, which only the
+// infallible short-circuit draws from (a Fallible call owns its noise).
+func (g *Guard) observe(ctx context.Context, p *synth.Point, rng *rand.Rand) (feature.Value, error) {
 	g.calls.Add(1)
 	if g.fal == nil {
-		return ObservePoint(g.res, p), nil
+		return observePoint(g.res, p, rng), nil
 	}
 	name := g.res.Def().Name
 	var lastErr error
@@ -299,15 +305,18 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 	if l.guards == nil {
 		return l.FeaturizePoint(p), nil, nil
 	}
-	v := feature.NewVector(l.schema)
+	rng := xrand.New(0)
+	var buf [24]feature.Value
+	vals := buf[:0]
 	attempted, succeeded := 0, 0
 	breakerOpen := false
 	for i, r := range l.resources {
+		vals = append(vals, feature.MissingValue())
 		if !Applicable(r, p) {
 			continue
 		}
 		attempted++
-		val, err := l.guards[i].Observe(ctx, p)
+		val, err := l.guards[i].observe(ctx, p, rng)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, nil, cerr
@@ -319,7 +328,7 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 			continue
 		}
 		succeeded++
-		v.MustSetAt(i, val)
+		vals[i] = val
 	}
 	if attempted > 0 && succeeded == 0 && len(failed) > 0 {
 		err := fmt.Errorf("resource: point %d: %w", p.ID, ErrUnavailable)
@@ -328,7 +337,7 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 		}
 		return nil, failed, err
 	}
-	return v, failed, nil
+	return l.vector(vals), failed, nil
 }
 
 // FeaturizeChecked runs the checked path over a corpus in parallel. Per-point

@@ -20,6 +20,7 @@ import (
 	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/synth"
+	"crossmodal/internal/xrand"
 )
 
 // ObsParams sets the reliability of one observation channel.
@@ -121,10 +122,18 @@ func Applicable(r Resource, p *synth.Point) bool {
 // ObservePoint is the failure of one organizational-service call.
 // Callers must check Applicable first.
 func ObservePoint(r Resource, p *synth.Point) feature.Value {
+	return observePoint(r, p, xrand.New(0))
+}
+
+// observePoint is ObservePoint drawing its noise from rng, which it reseeds
+// to the channel's (or each video frame's) own stream: featurizing a point
+// costs one generator, not one per resource.
+func observePoint(r Resource, p *synth.Point, rng *rand.Rand) feature.Value {
 	if p.Modality == synth.Video {
-		return observeVideo(r, p)
+		return observeVideo(r, p, rng)
 	}
-	return r.Observe(p.Entity, p.Modality, p.ObservationRNG(r.Def().Name))
+	p.SeedObservation(rng, r.Def().Name)
+	return r.Observe(p.Entity, p.Modality, rng)
 }
 
 // FeaturizePoint runs every applicable resource on one point and returns its
@@ -132,14 +141,32 @@ func ObservePoint(r Resource, p *synth.Point) feature.Value {
 // point's modality leave their feature missing. Video points are split into
 // frames rendered through the image channel and merged.
 func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
-	v := feature.NewVector(l.schema)
-	for i, r := range l.resources {
-		if !Applicable(r, p) {
-			continue
+	rng := xrand.New(0)
+	var buf [24]feature.Value // the standard library's 18 observations stay on the stack
+	vals := buf[:0]
+	for _, r := range l.resources {
+		val := feature.MissingValue()
+		if Applicable(r, p) {
+			val = observePoint(r, p, rng)
 		}
-		// Resources sit in schema order (NewLibrary builds the schema from
-		// them), so resource i fills position i without a name lookup.
-		v.MustSetAt(i, ObservePoint(r, p))
+		vals = append(vals, val)
+	}
+	return l.vector(vals)
+}
+
+// vector assembles one observation per resource into a vector whose payload
+// is sized once. Resources sit in schema order (NewLibrary builds the schema
+// from them), so observation i fills position i without a name lookup.
+func (l *Library) vector(vals []feature.Value) *feature.Vector {
+	var cats, embs int
+	for i := range vals {
+		cats += len(vals[i].Categories)
+		embs += len(vals[i].Vec)
+	}
+	v := feature.NewVector(l.schema)
+	v.Grow(cats, embs)
+	for i := range vals {
+		v.MustSetAt(i, vals[i])
 	}
 	return v
 }
@@ -147,18 +174,22 @@ func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
 // observeVideo merges per-frame image observations: categorical values
 // union, numeric and embedding values average; all-missing frames leave the
 // feature missing.
-func observeVideo(r Resource, p *synth.Point) feature.Value {
+func observeVideo(r Resource, p *synth.Point, rng *rand.Rand) feature.Value {
 	d := r.Def()
 	frames := p.Frames
 	if frames <= 0 {
 		frames = 1
+	}
+	frame := func(f int) feature.Value {
+		p.SeedFrame(rng, d.Name, f)
+		return r.Observe(p.Entity, synth.Image, rng)
 	}
 	switch d.Kind {
 	case feature.Categorical:
 		seen := make(map[string]bool)
 		any := false
 		for f := 0; f < frames; f++ {
-			val := r.Observe(p.Entity, synth.Image, p.FrameRNG(d.Name, f))
+			val := frame(f)
 			if val.Missing {
 				continue
 			}
@@ -180,7 +211,7 @@ func observeVideo(r Resource, p *synth.Point) feature.Value {
 		var sum float64
 		n := 0
 		for f := 0; f < frames; f++ {
-			val := r.Observe(p.Entity, synth.Image, p.FrameRNG(d.Name, f))
+			val := frame(f)
 			if val.Missing {
 				continue
 			}
@@ -195,7 +226,7 @@ func observeVideo(r Resource, p *synth.Point) feature.Value {
 		acc := make([]float64, d.Dim)
 		n := 0
 		for f := 0; f < frames; f++ {
-			val := r.Observe(p.Entity, synth.Image, p.FrameRNG(d.Name, f))
+			val := frame(f)
 			if val.Missing || len(val.Vec) != d.Dim {
 				continue
 			}

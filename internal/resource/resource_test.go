@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/synth"
+	"crossmodal/internal/xrand"
 )
 
 func testWorld(t *testing.T) *synth.World {
@@ -348,7 +348,7 @@ func TestFeaturizePointByIndexMatchesByName(t *testing.T) {
 				want.MustSet(r.Def().Name, ObservePoint(r, p))
 			}
 		}
-		if got := lib.FeaturizePoint(p); !reflect.DeepEqual(got, want) {
+		if got := lib.FeaturizePoint(p); !got.Equal(want) {
 			t.Fatalf("%s point %d: by index %v, by name %v", p.Modality, p.ID, got, want)
 		}
 	}
@@ -388,5 +388,42 @@ func TestCategoryNamesMatchSprintf(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFeaturizePointAllocs pins what a point costs beyond what its services
+// return: the vector and its payload header in one object, the cell slab, at
+// most three payload arrays sized once, and one generator with its source —
+// not a generator per resource or a payload array per append.
+func TestFeaturizePointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	lib, pts := testDataset(t, 40)
+	task, _ := synth.TaskByName("CT1")
+	if err := task.Calibrate(lib.World(), 2000, 3); err != nil {
+		t.Fatal(err)
+	}
+	pts = append(pts, synth.SampleVideo(lib.World(), task, 1, 3, 17)...)
+	seen := map[synth.Modality]bool{}
+	for _, p := range pts {
+		if seen[p.Modality] {
+			continue
+		}
+		seen[p.Modality] = true
+		rng := xrand.New(0)
+		var services float64
+		for _, r := range lib.Resources() {
+			if Applicable(r, p) {
+				services += testing.AllocsPerRun(10, func() { observePoint(r, p, rng) })
+			}
+		}
+		got := testing.AllocsPerRun(10, func() { lib.FeaturizePoint(p) })
+		if extra := got - services; extra > 7 {
+			t.Errorf("%s point: %v allocations, %v of them the services' own: %v on the vector, want <= 7", p.Modality, got, services, extra)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("modalities exercised: %v, want text, image and video", seen)
 	}
 }

@@ -30,10 +30,19 @@ type Point struct {
 // ObservationRNG returns a deterministic RNG for one named observation
 // channel of this point (e.g. a particular service observing it). Distinct
 // channels get independent streams; the same channel always gets the same
-// stream. Construction is O(1): one RNG is built per point per channel, so
-// this sits on the featurization hot path.
+// stream.
 func (p *Point) ObservationRNG(channel string) *rand.Rand {
-	return xrand.New(int64(xrand.HashString(p.Seed, channel)))
+	rng := xrand.New(0)
+	p.SeedObservation(rng, channel)
+	return rng
+}
+
+// SeedObservation restarts rng (an xrand generator) on the channel's stream
+// — exactly the draws ObservationRNG(channel) yields — so a caller observing
+// many channels of one point, the featurization hot path, builds one
+// generator instead of one per channel.
+func (p *Point) SeedObservation(rng *rand.Rand, channel string) {
+	rng.Seed(int64(xrand.HashString(p.Seed, channel)))
 }
 
 // FrameRNG returns a deterministic RNG for one frame of a video point. The
@@ -41,8 +50,15 @@ func (p *Point) ObservationRNG(channel string) *rand.Rand {
 // independent of each other and of the whole-point ObservationRNG stream
 // without formatting a per-frame channel name.
 func (p *Point) FrameRNG(channel string, frame int) *rand.Rand {
+	rng := xrand.New(0)
+	p.SeedFrame(rng, channel, frame)
+	return rng
+}
+
+// SeedFrame is SeedObservation for FrameRNG(channel, frame)'s stream.
+func (p *Point) SeedFrame(rng *rand.Rand, channel string, frame int) {
 	sub := xrand.HashString(p.Seed, channel)
-	return xrand.New(int64(xrand.Mix(sub + uint64(frame+1)*0x9e3779b97f4a7c15)))
+	rng.Seed(int64(xrand.Mix(sub + uint64(frame+1)*0x9e3779b97f4a7c15)))
 }
 
 // DatasetConfig sets corpus sizes for one task dataset. The paper's corpora

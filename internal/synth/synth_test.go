@@ -1,9 +1,12 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"crossmodal/internal/xrand"
 )
 
 func TestNewWorldValidation(t *testing.T) {
@@ -219,6 +222,49 @@ func TestObservationRNGDeterminism(t *testing.T) {
 	f1 := p.FrameRNG("svc", 1).Float64()
 	if f0 == f1 {
 		t.Error("different frames should give different streams")
+	}
+}
+
+// TestSeedObservationMatchesObservationRNG: one generator reseeded per
+// channel (and per video frame) — already drawn from, so stale state would
+// show — yields exactly the streams the per-channel constructors always
+// produced, for every modality.
+func TestSeedObservationMatchesObservationRNG(t *testing.T) {
+	same := func(where string, got, want *rand.Rand) {
+		t.Helper()
+		for k := 0; k < 64; k++ {
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("%s draw %d: Float64 %v, want %v", where, k, g, w)
+			}
+			if g, w := got.Intn(k+1), want.Intn(k+1); g != w {
+				t.Fatalf("%s draw %d: Intn %v, want %v", where, k, g, w)
+			}
+			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("%s draw %d: NormFloat64 %v, want %v", where, k, g, w)
+			}
+		}
+	}
+	rng := xrand.New(99)
+	for _, p := range []*Point{
+		{ID: 1, Seed: 42, Modality: Text},
+		{ID: 2, Seed: 43, Modality: Image},
+		{ID: 3, Seed: 44, Modality: Video, Frames: 5},
+	} {
+		for _, ch := range []string{"topic", "objects", "image_embedding"} {
+			where := fmt.Sprintf("%s %q", p.Modality, ch)
+			sub := xrand.HashString(p.Seed, ch)
+			p.SeedObservation(rng, ch)
+			same(where, rng, xrand.New(int64(sub)))
+			p.SeedObservation(rng, ch)
+			same(where, rng, p.ObservationRNG(ch))
+			for f := 0; f < p.Frames; f++ {
+				where := fmt.Sprintf("%s frame %d", where, f)
+				p.SeedFrame(rng, ch, f)
+				same(where, rng, xrand.New(int64(xrand.Mix(sub+uint64(f+1)*0x9e3779b97f4a7c15))))
+				p.SeedFrame(rng, ch, f)
+				same(where, rng, p.FrameRNG(ch, f))
+			}
+		}
 	}
 }
 
