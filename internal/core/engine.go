@@ -297,6 +297,21 @@ func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]*fea
 	})
 }
 
+// fitGraphWeights learns per-feature edge weights from the seeded labeled
+// nodes so discriminative features dominate the graph. A fit that cannot run
+// (fewer than two positive seeds, say) is not fatal — the graph is built with
+// uniform weights — but it is not silent either: the enclosing labelprop
+// span carries graph_weights_fitted = 1 or 0.
+func fitGraphWeights(ctx context.Context, seedNodes []*feature.Vector, seedLabels []int8, scales feature.Scales, seed int64) feature.Weights {
+	weights, err := FitGraphWeights(seedNodes, seedLabels, scales, 20000, seed)
+	if err != nil {
+		trace.SetInt(ctx, "graph_weights_fitted", 0)
+		return nil
+	}
+	trace.SetInt(ctx, "graph_weights_fitted", 1)
+	return weights
+}
+
 // propagate runs label propagation from labeled text seeds through the
 // common-feature graph to the image rows inside the graph window, tunes
 // vote cuts on held-out text, and appends the resulting score LF to the
@@ -366,11 +381,7 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 	gcfg.Seed = p.opts.Seed ^ 0x6a7f
 	gcfg.Workers = p.opts.Workers
 	if gcfg.Weights == nil && !p.opts.UniformGraphWeights {
-		// Learn per-feature edge weights from the seeded labeled nodes so
-		// discriminative features dominate the graph.
-		if weights, werr := FitGraphWeights(textNodes[:nSeeds], seedLabels, scales, 20000, p.opts.Seed^0x77); werr == nil {
-			gcfg.Weights = weights
-		}
+		gcfg.Weights = fitGraphWeights(ctx, textNodes[:nSeeds], seedLabels, scales, p.opts.Seed^0x77)
 	}
 	b, err := labelprop.NewBuilder(gSchema, gcfg, scales)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore/disk"
 	"crossmodal/internal/synth"
+	"crossmodal/internal/trace"
 )
 
 // streamDataset is the streaming fixture's corpus built in memory.
@@ -244,6 +245,48 @@ func TestCurateRejectsEmptyCorpus(t *testing.T) {
 		_, err := p.Curate(context.Background(), &empty)
 		if err == nil || !strings.HasPrefix(err.Error(), "core:") || !strings.Contains(err.Error(), "non-empty") {
 			t.Errorf("%s: got %v, want a core: non-empty-corpus error", name, err)
+		}
+	}
+}
+
+// TestFitGraphWeightsFallbackIsRecorded: seeds with fewer than two positives
+// cannot fit edge weights; the graph falls back to uniform weights (nil) and
+// the labelprop span says so, where a fit that ran says graph_weights_fitted=1.
+func TestFitGraphWeightsFallbackIsRecorded(t *testing.T) {
+	schema := feature.MustSchema(
+		feature.Def{Name: "c", Kind: feature.Categorical},
+		feature.Def{Name: "x", Kind: feature.Numeric},
+	)
+	nodes := make([]*feature.Vector, 8)
+	for i := range nodes {
+		v := feature.NewVector(schema)
+		v.MustSet("c", feature.CategoricalValue(fmt.Sprintf("c%d", i%2)))
+		v.MustSet("x", feature.NumericValue(float64(i%2)))
+		nodes[i] = v
+	}
+	for _, tc := range []struct {
+		labels []int8
+		fitted bool
+	}{
+		{[]int8{-1, 1, -1, -1, -1, -1, -1, -1}, false},
+		{[]int8{-1, 1, -1, 1, -1, 1, -1, 1}, true},
+	} {
+		tr := trace.New()
+		trace.SetDefault(tr)
+		ctx, span := trace.Start(context.Background(), "labelprop")
+		weights := fitGraphWeights(ctx, nodes, tc.labels, feature.Scales{"x": 1}, 7)
+		span.End()
+		trace.SetDefault(nil)
+		var summary strings.Builder
+		if err := tr.WriteSummary(&summary); err != nil {
+			t.Fatal(err)
+		}
+		want := "graph_weights_fitted=0"
+		if tc.fitted {
+			want = "graph_weights_fitted=1"
+		}
+		if (weights != nil) != tc.fitted || !strings.Contains(summary.String(), want) {
+			t.Errorf("labels %v: weights %v, span summary lacks %q:\n%s", tc.labels, weights, want, summary.String())
 		}
 	}
 }

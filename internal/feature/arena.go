@@ -121,16 +121,6 @@ func (a *Arena) Append(v *Vector) {
 	}
 }
 
-// catSet returns the ID set of categorical column col from one vertex's
-// record (catRec from the vertex's catPos on).
-func (a *Arena) catSet(rec []uint32, col int) []uint32 {
-	lo := uint32(0)
-	if col > 0 {
-		lo = rec[col-1]
-	}
-	return rec[a.nCat:][lo:rec[col]]
-}
-
 // Weighted returns the weighted similarity of vertices i and j — the
 // weighted mean of per-feature similarities over the features present on
 // both sides, bit-identical to WeightedSimilarity — and true.
@@ -172,7 +162,19 @@ func (a *Arena) Weighted(i, j int, floor float64) (float64, bool) {
 			var s float64
 			switch f.kind {
 			case Categorical:
-				s = JaccardIDs(a.catSet(ci, f.col), a.catSet(cj, f.col))
+				// The two sets' bounds come straight from the records' end
+				// offsets. Two singletons — almost every pair — need no
+				// merge: JaccardIDs would return 1/1 or 0/2.
+				var li, lj uint32
+				if f.col > 0 {
+					li, lj = ci[f.col-1], cj[f.col-1]
+				}
+				hi, hj := ci[f.col], cj[f.col]
+				if hi-li != 1 || hj-lj != 1 {
+					s = JaccardIDs(ci[a.nCat:][li:hi], cj[a.nCat:][lj:hj])
+				} else if ci[a.nCat+int(li)] == cj[a.nCat+int(lj)] {
+					s = 1
+				}
 			case Numeric:
 				s = math.Exp(-math.Abs(a.nums[i*a.nNum+f.col]-a.nums[j*a.nNum+f.col]) / f.scale)
 			case Embedding:

@@ -116,22 +116,52 @@ func checkPackedPair(t *testing.T, seed int64, nFeat int, floor float64) {
 	}
 }
 
+// packedFuzzSeeds is FuzzPackedWeighted's seed corpus. The last three cases
+// were picked for the categorical pairs they score (catPairClasses): Weighted
+// answers two singleton sets without a merge, and every neighbouring shape —
+// singleton against a larger, an empty or an absent set — must still reach
+// JaccardIDs or be skipped.
+var packedFuzzSeeds = []struct {
+	seed  int64
+	nFeat uint8
+	floor float64
+}{
+	{1, 4, 0.5}, {2, 18, 0.3}, {3, 64, 0.9}, {4, 65, 0.05}, {5, 200, 1.0}, {6, 1, -1.0},
+	{100, 13, 0.2}, // 1/-, 1/n
+	{103, 13, 0.4}, // 1/0, 1/n, 1≠1
+	{127, 13, 0.6}, // 1=1
+}
+
 // FuzzPackedWeighted fuzzes the packed kernel against the reference over
 // random schemas (up to 255 features, so multi-word masks are reached),
 // vectors and floors.
 func FuzzPackedWeighted(f *testing.F) {
-	f.Add(int64(1), uint8(4), 0.5)
-	f.Add(int64(2), uint8(18), 0.3)
-	f.Add(int64(3), uint8(64), 0.9)
-	f.Add(int64(4), uint8(65), 0.05)
-	f.Add(int64(5), uint8(200), 1.0)
-	f.Add(int64(6), uint8(1), -1.0)
+	for _, c := range packedFuzzSeeds {
+		f.Add(c.seed, c.nFeat, c.floor)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nFeat uint8, floor float64) {
 		if nFeat == 0 {
 			nFeat = 1
 		}
 		checkPackedPair(t, seed, int(nFeat), floor)
 	})
+}
+
+// TestPackedFuzzSeedsCoverSingletonPairs keeps the seed corpus honest: it
+// must score two equal singletons, two different ones, and a singleton
+// against a multi-ID, an empty and an absent set.
+func TestPackedFuzzSeedsCoverSingletonPairs(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range packedFuzzSeeds {
+		for class := range catPairClasses(c.seed, int(c.nFeat)) {
+			seen[class] = true
+		}
+	}
+	for _, class := range []string{"1=1", "1≠1", "1/n", "1/0", "1/-"} {
+		if !seen[class] {
+			t.Errorf("no fuzz seed scores a %s categorical pair", class)
+		}
+	}
 }
 
 // TestPackedWeightedMatchesReference runs the fuzz property over a fixed
@@ -181,6 +211,21 @@ func TestArenaLayoutEdgeCases(t *testing.T) {
 	if got := score(vec(val(CategoricalValue()), nil), vec(val(CategoricalValue()), nil)); got != 1 {
 		t.Errorf("empty-set pair = %v, want 1", got)
 	}
+	// Two singletons skip the merge: equal 1, different 0, and a repeated
+	// ID is still a singleton; a singleton against a pair goes through it.
+	x := val(CategoricalValue("x"))
+	for _, tc := range []struct {
+		other *Value
+		want  float64
+	}{{x, 1}, {val(CategoricalValue("y")), 0}, {val(CategoricalValue("x", "x")), 1},
+		{val(CategoricalValue("x", "y")), 0.5}, {val(CategoricalValue()), 0}} {
+		if got := score(vec(x, nil), vec(tc.other, nil)); got != tc.want {
+			t.Errorf("{x} vs %v = %v, want %v", tc.other, got, tc.want)
+		}
+		if got := score(vec(tc.other, nil), vec(x, nil)); got != tc.want {
+			t.Errorf("%v vs {x} = %v, want %v", tc.other, got, tc.want)
+		}
+	}
 	// Duplicates collapse: {x,y} vs {y,z,y} = 1/3.
 	if got := score(vec(val(CategoricalValue("x", "y")), nil), vec(val(CategoricalValue("y", "z", "y")), nil)); got != 1.0/3 {
 		t.Errorf("duplicate-bearing categorical pair = %v, want 1/3", got)
@@ -229,4 +274,38 @@ func TestArenaWideSchema(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { arena.Weighted(0, 1, 0.2) }); allocs != 0 {
 		t.Errorf("%v allocs per wide pair, want 0", allocs)
 	}
+}
+
+// catPairClasses names the kinds of categorical pair the fuzz case (seed,
+// nFeat) scores on a feature the kernel keeps: by set size on each side,
+// "1=1" / "1≠1" for two singletons, "1/n", "1/0" (present but empty) and
+// "1/-" (absent).
+func catPairClasses(seed int64, nFeat int) map[string]bool {
+	schema, _, weights, a, b := randomPackedCase(rand.New(rand.NewSource(seed)), nFeat)
+	classes := map[string]bool{}
+	for i := 0; i < schema.Len(); i++ {
+		w, set := weights[schema.Def(i).Name]
+		if schema.Def(i).Kind != Categorical || (set && w <= 0) {
+			continue
+		}
+		x, y := a, b
+		if len(x.CategoryIDs(i)) != 1 {
+			x, y = b, a
+		}
+		xs, ys := x.CategoryIDs(i), y.CategoryIDs(i)
+		switch {
+		case len(xs) != 1:
+		case !y.Present(i):
+			classes["1/-"] = true
+		case len(ys) == 0:
+			classes["1/0"] = true
+		case len(ys) > 1:
+			classes["1/n"] = true
+		case xs[0] == ys[0]:
+			classes["1=1"] = true
+		default:
+			classes["1≠1"] = true
+		}
+	}
+	return classes
 }

@@ -3,9 +3,8 @@ package labelprop
 import (
 	"cmp"
 	"context"
-	"math/rand"
+	"encoding/binary"
 	"slices"
-	"sort"
 	"sync"
 
 	"crossmodal/internal/feature"
@@ -13,34 +12,6 @@ import (
 	"crossmodal/internal/trace"
 	"crossmodal/internal/xrand"
 )
-
-// GraphDelta is one batch of graph changes produced by Builder.ApplyDelta:
-// directed adjacency for appended vertices plus recomputed directed
-// adjacency for the existing vertices whose candidate sets the new
-// vertices changed.
-type GraphDelta struct {
-	// Appended holds the directed edge selections of the new vertices, in
-	// ascending vertex order starting at the graph's previous vertex count.
-	Appended [][]Edge
-	// Updated maps an existing vertex to its recomputed directed edge
-	// selection.
-	Updated map[int][]Edge
-}
-
-// ApplyDelta folds one delta into the graph: appended vertices extend the
-// directed selection lists, updated vertices replace theirs, and the
-// symmetric adjacency is rebuilt from the directed lists. Rebuilding is
-// O(edges) — independent of how small the delta is — which keeps the
-// incremental path simple and exactly equivalent to a full build; the
-// savings live in not re-scoring unaffected vertices' candidates, which is
-// where construction time actually goes.
-func (g *Graph) ApplyDelta(d *GraphDelta) {
-	g.directed = append(g.directed, d.Appended...)
-	for i, es := range d.Updated {
-		g.directed[i] = es
-	}
-	g.adj = symmetrize(g.directed)
-}
 
 type builderMode int
 
@@ -70,9 +41,13 @@ type Builder struct {
 	mode  builderMode
 
 	// blocked-mode state: block key (blocking-feature slot << 32 | category
-	// intern ID) → vertices, plus per-vertex keys.
-	blockIndex map[uint64][]int
-	vertexKeys [][]uint64
+	// intern ID) → vertices, and the vertices grouped by their ordered
+	// block-key list. Vertices of one group enumerate the same block union,
+	// so a delta builds it once per group, not once per vertex.
+	blockIndex map[uint64][]int32
+	groupOf    []int32          // vertex → group
+	groupKeys  [][]uint64       // group → its ordered block keys
+	groupIDs   map[string]int32 // a key list's bytes → group
 
 	// LSH-mode state: the salt set (fixed by Seed, independent of corpus
 	// size — what makes the index appendable) and the growing bucket index.
@@ -89,7 +64,7 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 	b := &Builder{
 		cfg:   cfg,
 		arena: feature.NewSimKernel(schema, scales, cfg.Weights).NewArena(),
-		g:     &Graph{},
+		g:     &Graph{k: cfg.K},
 	}
 	switch {
 	case cfg.LSH.Enable && !cfg.Exact:
@@ -99,12 +74,13 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 		}
 		b.mode = modeLSH
 		b.hasher = h
-		b.lsh = &lshIndex{bands: h.bands, rows: h.rows, buckets: make(map[uint64][]int)}
+		b.lsh = &lshIndex{bands: h.bands, rows: h.rows, buckets: make(map[uint64][]int32)}
 	case len(cfg.BlockFeatures) == 0:
 		b.mode = modeAllPairs
 	default:
 		b.mode = modeBlocked
-		b.blockIndex = make(map[uint64][]int)
+		b.blockIndex = make(map[uint64][]int32)
+		b.groupIDs = make(map[string]int32)
 	}
 	return b, nil
 }
@@ -133,27 +109,38 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 	}
 	n := b.arena.Len()
 
-	var affected []int
+	// recompute collects the existing vertices whose candidate set the new
+	// vertices changed, then the new vertices themselves.
+	var recompute []int
 	switch b.mode {
 	case modeAllPairs:
-		affected = make([]int, base)
-		for i := range affected {
-			affected[i] = i
+		recompute = make([]int, base, n)
+		for i := range recompute {
+			recompute[i] = i
 		}
 	case modeBlocked:
 		mark := make([]bool, base)
+		var listKey []byte
 		for k, v := range newVecs {
 			keys := blockKeys(v, b.cfg.BlockFeatures)
-			b.vertexKeys = append(b.vertexKeys, keys)
+			listKey = listKey[:0]
 			for _, key := range keys {
+				listKey = binary.LittleEndian.AppendUint64(listKey, key)
 				for _, j := range b.blockIndex[key] {
-					if j < base && !mark[j] {
+					if int(j) < base && !mark[j] {
 						mark[j] = true
-						affected = append(affected, j)
+						recompute = append(recompute, int(j))
 					}
 				}
-				b.blockIndex[key] = append(b.blockIndex[key], base+k)
+				b.blockIndex[key] = append(b.blockIndex[key], int32(base+k))
 			}
+			g, ok := b.groupIDs[string(listKey)]
+			if !ok {
+				g = int32(len(b.groupKeys))
+				b.groupIDs[string(listKey)] = g
+				b.groupKeys = append(b.groupKeys, keys)
+			}
+			b.groupOf = append(b.groupOf, g)
 		}
 	case modeLSH:
 		bands := b.lsh.bands
@@ -185,37 +172,45 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 			copy(b.lsh.keys[i*bands:], keys[k])
 			for _, key := range keys[k] {
 				for _, j := range b.lsh.buckets[key] {
-					if j < base && !mark[j] {
+					if int(j) < base && !mark[j] {
 						mark[j] = true
-						affected = append(affected, j)
+						recompute = append(recompute, int(j))
 					}
 				}
-				b.lsh.buckets[key] = append(b.lsh.buckets[key], i)
+				b.lsh.buckets[key] = append(b.lsh.buckets[key], int32(i))
 			}
 		}
 	}
-	sort.Ints(affected)
-
-	recompute := make([]int, 0, len(affected)+len(newVecs))
-	recompute = append(recompute, affected...)
+	updated := len(recompute)
 	for i := base; i < n; i++ {
 		recompute = append(recompute, i)
 	}
+	if groupOf := b.groupOf; groupOf != nil {
+		// Vertices of one group sit together, so the worker that claims a run
+		// of them builds their shared block union once (see blockCandidates).
+		slices.SortFunc(recompute, func(x, y int) int {
+			return cmp.Or(cmp.Compare(groupOf[x], groupOf[y]), cmp.Compare(x, y))
+		})
+	} else {
+		slices.Sort(recompute)
+	}
 
+	g := b.g
+	g.dir = append(g.dir, make([]Edge, (n-base)*g.k)...)
+	g.dirLen = append(g.dirLen, make([]int32, n-base)...)
 	candidates := b.candidateFunc()
-	scratch := sync.Pool{New: func() any {
-		return &vertexScratch{seen: dedupeSet{stamp: make([]int32, n)}}
-	}}
+	scratch := sync.Pool{New: func() any { return newVertexScratch(n) }}
 	k, minWeight := b.cfg.K, b.cfg.MinWeight
-	edges, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, recompute, func(i int) ([]Edge, error) {
+	_, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, recompute, func(i int) (struct{}, error) {
 		sc := scratch.Get().(*vertexScratch)
 		defer scratch.Put(sc)
-		rng := xrand.New(b.cfg.Seed ^ int64(i)*0x9e3779b9)
 		// top is a heap of the best <= K edges so far with the worst at the
-		// root. Once it is full, the root's weight is the floor a candidate
-		// must reach, which lets the kernel abandon hopeless pairs early.
-		top := sc.top[:0]
-		for _, j := range candidates(i, rng, &sc.seen) {
+		// root, kept in the vertex's own slot of the directed slab. Once it is
+		// full, the root's weight is the floor a candidate must reach, which
+		// lets the kernel abandon hopeless pairs early.
+		top := g.dir[i*k : i*k : (i+1)*k]
+		for _, c := range candidates(i, sc) {
+			j := int(c)
 			floor := minWeight
 			if len(top) == k {
 				floor = top[0].Weight
@@ -234,32 +229,16 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 				siftDown(top, 0)
 			}
 		}
-		sc.top = top
-		if len(top) == 0 {
-			return nil, nil
-		}
-		es := slices.Clone(top)
-		slices.SortFunc(es, rankEdges)
-		return es, nil
+		slices.SortFunc(top, rankEdges)
+		g.dirLen[i] = int32(len(top))
+		return struct{}{}, nil
 	})
 	if err != nil {
 		return err
 	}
-
-	delta := &GraphDelta{
-		Appended: make([][]Edge, n-base),
-		Updated:  make(map[int][]Edge, len(affected)),
-	}
-	for idx, i := range recompute {
-		if i >= base {
-			delta.Appended[i-base] = edges[idx]
-		} else {
-			delta.Updated[i] = edges[idx]
-		}
-	}
-	b.g.ApplyDelta(delta)
+	g.symmetrize()
 	span.SetInt("added", int64(len(newVecs)))
-	span.SetInt("updated", int64(len(affected)))
+	span.SetInt("updated", int64(updated))
 	span.SetInt("vertices", int64(n))
 	return nil
 }
@@ -267,47 +246,80 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 // candidateFunc returns the per-vertex candidate generator for the
 // builder's current index state. The closures read the live indexes, so
 // one call per ApplyDelta suffices.
-func (b *Builder) candidateFunc() func(i int, rng *rand.Rand, seen *dedupeSet) []int {
+func (b *Builder) candidateFunc() func(i int, sc *vertexScratch) []int32 {
 	switch b.mode {
 	case modeLSH:
-		return b.lsh.candidatesFor(b.cfg.MaxCandidates)
-	case modeAllPairs:
-		n := b.arena.Len()
-		return func(i int, _ *rand.Rand, seen *dedupeSet) []int {
-			out := seen.buf[:0]
-			for j := 0; j < n; j++ {
-				if j != i {
-					out = append(out, j)
-				}
+		return b.sampled(b.lsh.candidates)
+	case modeBlocked:
+		return b.sampled(b.blockCandidates)
+	}
+	n := b.arena.Len()
+	return func(i int, sc *vertexScratch) []int32 {
+		out := sc.cand[:0]
+		for j := 0; j < n; j++ {
+			if j != i {
+				out = append(out, int32(j))
 			}
-			seen.buf = out
-			return out
 		}
-	default:
-		return func(i int, rng *rand.Rand, seen *dedupeSet) []int {
-			seen.reset()
-			for _, key := range b.vertexKeys[i] {
-				for _, j := range b.blockIndex[key] {
-					if j != i {
-						seen.add(j)
-					}
-				}
-			}
-			out := seen.buf
-			if len(out) > b.cfg.MaxCandidates {
-				rng.Shuffle(len(out), func(a, c int) { out[a], out[c] = out[c], out[a] })
-				out = out[:b.cfg.MaxCandidates]
-				sort.Ints(out)
-			}
-			return out
-		}
+		sc.cand = out
+		return out
 	}
 }
 
-// vertexScratch is one worker's reusable per-vertex state.
+// sampled caps an enumeration at MaxCandidates: a longer list is cut to a
+// sorted sample drawn from the vertex's own stream (Seed, vertex index).
+// Recorded outputs depend on which candidates that is, so the sampler must
+// stay draw-for-draw rand.New(src).Shuffle (see xrand.ShuffleInts).
+func (b *Builder) sampled(enumerate func(i int, sc *vertexScratch) []int32) func(i int, sc *vertexScratch) []int32 {
+	return func(i int, sc *vertexScratch) []int32 {
+		out := enumerate(i, sc)
+		if len(out) > b.cfg.MaxCandidates {
+			var src xrand.Source
+			src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
+			src.ShuffleInts(out)
+			out = out[:b.cfg.MaxCandidates]
+			slices.Sort(out)
+		}
+		return out
+	}
+}
+
+// blockCandidates enumerates the vertices sharing a block key with i: i's
+// blocks in key order, each in vertex order, first occurrence kept, i
+// itself dropped. Everything but the last step depends only on i's group,
+// so the deduplicated union stays in the worker's scratch until the worker
+// reaches a vertex of another group.
+func (b *Builder) blockCandidates(i int, sc *vertexScratch) []int32 {
+	if g := b.groupOf[i]; g != sc.group {
+		sc.group = g
+		sc.seen.reset()
+		for _, key := range b.groupKeys[g] {
+			for _, j := range b.blockIndex[key] {
+				sc.seen.add(j)
+			}
+		}
+	}
+	out := sc.cand[:0]
+	for _, j := range sc.seen.buf {
+		if j != int32(i) {
+			out = append(out, j)
+		}
+	}
+	sc.cand = out
+	return out
+}
+
+// vertexScratch is one worker's reusable candidate state, valid for one
+// ApplyDelta: the stamp set, the group whose block union seen.buf holds
+// (-1: none) and the buffer a vertex's own candidate list is cut in.
 type vertexScratch struct {
-	seen dedupeSet
-	top  []Edge
+	seen  dedupeSet
+	group int32
+	cand  []int32
+}
+
+func newVertexScratch(n int) *vertexScratch {
+	return &vertexScratch{seen: dedupeSet{stamp: make([]int32, n)}, group: -1}
 }
 
 // rankEdges is the selection order of a vertex's directed edges: weight

@@ -77,27 +77,37 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is a symmetric weighted kNN graph over data points. The directed
-// per-vertex selections are retained alongside the symmetrized adjacency so
-// ApplyDelta can fold in new vertices without recomputing old selections.
+// Graph is a symmetric weighted kNN graph over data points, held in two
+// flat edge slabs. The directed per-vertex selections are retained alongside
+// the symmetrized adjacency so a Builder delta can fold in new vertices
+// without recomputing old selections.
 type Graph struct {
-	adj      [][]Edge
-	directed [][]Edge
+	// Vertex i's directed selection, best first, is dir[i*k : i*k+dirLen[i]]:
+	// a fixed stride of K slots per vertex, so a delta rewrites the affected
+	// vertices in place and appends the new ones.
+	k      int
+	dir    []Edge
+	dirLen []int32
+	// Vertex i's adjacency, ascending by neighbor, is adj[adjOff[i]:adjOff[i+1]].
+	adjOff []int
+	adj    []Edge
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return len(g.dirLen) }
 
 // Neighbors returns vertex i's adjacency list (shared slice; do not modify).
-func (g *Graph) Neighbors(i int) []Edge { return g.adj[i] }
+func (g *Graph) Neighbors(i int) []Edge { return g.adj[g.adjOff[i]:g.adjOff[i+1]] }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, es := range g.adj {
-		total += len(es)
+func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
+
+// directed returns vertex i's directed selection, nil when it selected nothing.
+func (g *Graph) directed(i int) []Edge {
+	if g.dirLen[i] == 0 {
+		return nil
 	}
-	return total / 2
+	return g.dir[i*g.k : i*g.k+int(g.dirLen[i])]
 }
 
 // dedupeSet is a reusable epoch-stamped membership set: stamp[j] == epoch
@@ -107,7 +117,7 @@ func (g *Graph) NumEdges() int {
 type dedupeSet struct {
 	stamp []int32
 	epoch int32
-	buf   []int // reusable candidate buffer
+	buf   []int32 // members in insertion order
 }
 
 func (s *dedupeSet) reset() {
@@ -121,7 +131,7 @@ func (s *dedupeSet) reset() {
 	s.buf = s.buf[:0]
 }
 
-func (s *dedupeSet) add(j int) bool {
+func (s *dedupeSet) add(j int32) bool {
 	if s.stamp[j] == s.epoch {
 		return false
 	}
@@ -159,45 +169,55 @@ func BuildGraph(ctx context.Context, cfg GraphConfig, vecs []*feature.Vector, sc
 	return g, nil
 }
 
-// symmetrize keeps an edge if either endpoint selected it. Each vertex's
-// final list is the merge of its own selections with the mirrored selections
-// of its in-neighbors, deduplicated after a per-vertex sort — no global
-// pair-keyed map. Similarity is symmetric, so when both directions selected
-// an edge the duplicate entries carry equal weights and collapsing keeps
-// either.
-func symmetrize(directed [][]Edge) [][]Edge {
-	n := len(directed)
-	deg := make([]int, n)
-	for i, es := range directed {
-		deg[i] += len(es)
+// symmetrize rebuilds the adjacency from the directed selections, keeping an
+// edge if either endpoint selected it. Each vertex's list is the merge of
+// its own selections with the mirrored selections of its in-neighbors,
+// deduplicated after a per-vertex sort — no global pair-keyed map.
+// Similarity is symmetric, so when both directions selected an edge the
+// duplicate entries carry equal weights and collapsing keeps either.
+// Rebuilding is O(edges) — independent of how small the delta was — which
+// keeps the incremental path exactly equivalent to a full build; the savings
+// live in not re-scoring unaffected vertices' candidates, which is where
+// construction time actually goes.
+func (g *Graph) symmetrize() {
+	n := g.NumVertices()
+	off := make([]int, n+1) // counts at i+1, then starts, then (after the fill) ends
+	for i := 0; i < n; i++ {
+		es := g.directed(i)
+		off[i+1] += len(es)
 		for _, e := range es {
-			deg[e.To]++
+			off[e.To+1]++
 		}
 	}
-	adj := make([][]Edge, n)
-	for i := range adj {
-		adj[i] = make([]Edge, 0, deg[i])
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
 	}
-	for i, es := range directed {
-		for _, e := range es {
-			adj[i] = append(adj[i], e)
-			adj[e.To] = append(adj[e.To], Edge{To: i, Weight: e.Weight})
+	adj := make([]Edge, off[n])
+	for i := 0; i < n; i++ {
+		for _, e := range g.directed(i) {
+			adj[off[i]] = e
+			off[i]++
+			adj[off[e.To]] = Edge{To: i, Weight: e.Weight}
+			off[e.To]++
 		}
 	}
-	for i := range adj {
-		es := adj[i]
+	// Sort each list, collapse double-selected edges (equal To ⇒ equal
+	// weight) and close the gaps they leave: w trails the read position.
+	lo, w := 0, 0
+	for i := 0; i < n; i++ {
+		es := adj[lo:off[i]]
+		lo, off[i] = off[i], w
 		slices.SortFunc(es, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
-		// Collapse double-selected edges (equal To ⇒ equal weight).
-		out := es[:0]
 		for _, e := range es {
-			if len(out) > 0 && out[len(out)-1].To == e.To {
+			if w > off[i] && adj[w-1].To == e.To {
 				continue
 			}
-			out = append(out, e)
+			adj[w] = e
+			w++
 		}
-		adj[i] = out
 	}
-	return adj
+	off[n] = w
+	g.adjOff, g.adj = off, adj[:w]
 }
 
 // blockKeys returns v's block-table keys: for each blocking feature, in

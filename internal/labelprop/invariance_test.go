@@ -1,11 +1,15 @@
 package labelprop
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"crossmodal/internal/feature"
+	"crossmodal/internal/xrand"
 )
 
 func graphEqual(a, b *Graph) error {
@@ -167,24 +171,115 @@ func benchGraphInputs(b *testing.B, n int) ([]*feature.Vector, feature.Scales) {
 	return vecs, feature.FitScales(schema, vecs)
 }
 
-func BenchmarkBuildGraph(b *testing.B) {
-	for _, mode := range []string{"allpairs", "blocked"} {
-		b.Run(mode, func(b *testing.B) {
-			vecs, scales := benchGraphInputs(b, 600)
-			cfg := GraphConfig{K: 8, Seed: 3, Workers: 1}
-			if mode == "blocked" {
-				cfg.BlockFeatures = []string{"topic"}
-				cfg.MaxCandidates = 150
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildGraph(context.Background(), cfg, vecs, scales); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// curateShapeVecs builds a corpus shaped like the graph stage of the
+// in-memory curation benchmark: 13 categoricals holding ~13.6 IDs per vertex
+// (all singletons but one), 168 fine topics nested in 6 coarse ones — so
+// blocking on both gives ~170 distinct key lists and a block union of ~n/6 —
+// four numerics and a 16-d embedding that only the later ("image") half of
+// the vertices carries.
+func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
+	defs := []feature.Def{
+		{Name: "topic", Kind: feature.Categorical},
+		{Name: "topic_coarse", Kind: feature.Categorical},
+		{Name: "objects", Kind: feature.Categorical},
 	}
+	for c := 0; c < 10; c++ {
+		defs = append(defs, feature.Def{Name: fmt.Sprintf("cat%d", c), Kind: feature.Categorical})
+	}
+	for c := 0; c < 4; c++ {
+		defs = append(defs, feature.Def{Name: fmt.Sprintf("num%d", c), Kind: feature.Numeric})
+	}
+	defs = append(defs, feature.Def{Name: "emb", Kind: feature.Embedding, Dim: 16})
+	s := feature.MustSchema(defs...)
+	rng := xrand.New(seed)
+	vecs := make([]*feature.Vector, n)
+	for i := range vecs {
+		v := feature.NewVector(s)
+		topic := rng.Intn(168)
+		if rng.Intn(100) > 0 { // 1%: coarse topic only, six more key lists
+			v.MustSet("topic", feature.CategoricalValue(fmt.Sprintf("t%d", topic)))
+		}
+		v.MustSet("topic_coarse", feature.CategoricalValue(fmt.Sprintf("c%d", topic%6)))
+		objects := []string{fmt.Sprintf("o%d", topic%40)}
+		for rng.Intn(5) < 2 {
+			objects = append(objects, fmt.Sprintf("o%d", rng.Intn(40)))
+		}
+		v.MustSet("objects", feature.CategoricalValue(objects...))
+		for c := 0; c < 10; c++ {
+			v.MustSet(fmt.Sprintf("cat%d", c), feature.CategoricalValue(fmt.Sprintf("v%d", (topic+rng.Intn(2+c))%(3+2*c))))
+		}
+		for c := 0; c < 4; c++ {
+			v.MustSet(fmt.Sprintf("num%d", c), feature.NumericValue(float64(topic%(7+c))+rng.NormFloat64()))
+		}
+		if i >= n/2 {
+			emb := make([]float64, 16)
+			for d := range emb {
+				emb[d] = float64((topic>>(d%8))&1) + rng.NormFloat64()*0.3
+			}
+			v.MustSet("emb", feature.EmbeddingValue(emb))
+		}
+		vecs[i] = v
+	}
+	return s, vecs
+}
+
+// BenchmarkBuildGraph times one whole-corpus build. The blocked case has the
+// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10) and
+// also reports the two halves of the per-vertex loop, each timed on its own
+// over the built index: choosing a vertex's candidates (block union, sample,
+// sort) and scoring one candidate pair at the MinWeight floor.
+func BenchmarkBuildGraph(b *testing.B) {
+	b.Run("allpairs", func(b *testing.B) {
+		vecs, scales := benchGraphInputs(b, 600)
+		cfg := GraphConfig{K: 8, Seed: 3, Workers: 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BuildGraph(context.Background(), cfg, vecs, scales); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("blocked", func(b *testing.B) {
+		s, vecs := curateShapeVecs(20000, 53)
+		scales := feature.FitScales(s, vecs)
+		cfg := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}
+		var bld *Builder
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if bld, err = NewBuilder(s, cfg, scales); err != nil {
+				b.Fatal(err)
+			}
+			if err := bld.ApplyDelta(context.Background(), vecs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		order := make([]int, len(vecs))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bld.groupOf[x], bld.groupOf[y]) })
+		candidates, sc := bld.candidateFunc(), newVertexScratch(len(vecs))
+		var choose, score time.Duration
+		pairs, union := 0, 0
+		for _, i := range order {
+			t0 := time.Now()
+			cands := candidates(i, sc)
+			t1 := time.Now()
+			for _, j := range cands {
+				bld.arena.Weighted(i, int(j), bld.cfg.MinWeight)
+			}
+			score += time.Since(t1)
+			choose += t1.Sub(t0)
+			pairs += len(cands)
+			union += len(sc.seen.buf)
+		}
+		b.ReportMetric(float64(choose.Nanoseconds())/float64(len(vecs)), "candidates-ns/vertex")
+		b.ReportMetric(float64(score.Nanoseconds())/float64(pairs), "score-ns/pair")
+		b.ReportMetric(float64(union)/float64(len(vecs)), "union/vertex")
+		b.ReportMetric(float64(len(bld.groupKeys)), "keylists")
+	})
 }
 
 func BenchmarkPropagate(b *testing.B) {

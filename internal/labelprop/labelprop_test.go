@@ -215,6 +215,77 @@ func TestPropagateUnreachedStayAtPrior(t *testing.T) {
 	}
 }
 
+// TestPropagateFixedPoint checks what "converged" means on random blocked
+// graphs, warm- and cold-started: every reached non-seed vertex scores the
+// weighted mean of its neighbours' scores to within Tol (one Jacobi step
+// moves nothing further than that), seeds keep their clamped value, and
+// vertices no seed reaches — the corpus has whole unseeded topics and
+// vertices without any block key — rest exactly at the prior.
+func TestPropagateFixedPoint(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		_, vecs := blockCorpus(500, 60+seed)
+		cfg := GraphConfig{K: 6, Seed: seed, BlockFeatures: []string{"topic"}, MaxCandidates: 30}
+		g, err := BuildGraph(context.Background(), cfg, vecs, feature.Scales{"score": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		seeds := map[int]float64{3: 1} // vertex 3 has no block key: an isolated seed
+		for len(seeds) < 25 {
+			// Topics t8 and t9 get no seed; blocking on the topic confines
+			// edges to it, so their vertices stay unreached.
+			if i := rng.Intn(len(vecs)); len(g.Neighbors(i)) > 0 && vecs[i].Categories(0)[0] < "t8" {
+				seeds[i] = float64(rng.Intn(2))
+			}
+		}
+		pcfg := PropConfig{MaxIters: 2000, Tol: 1e-6, Prior: 0.2, Shards: 3}
+		cold, err := Propagate(context.Background(), g, seeds, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := PropagateWarm(context.Background(), g, seeds, pcfg, cold.Scores[:300])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{"cold": cold, "warm": warm} {
+			if res.Iters >= pcfg.MaxIters {
+				t.Fatalf("seed %d %s: no convergence in %d iterations", seed, name, res.Iters)
+			}
+			reached, unreached := 0, 0
+			for i, score := range res.Scores {
+				want, isSeed := seeds[i]
+				switch {
+				case isSeed:
+					if score != want || !res.Reached[i] {
+						t.Fatalf("seed %d %s: seed vertex %d scores %v (reached %v), clamped at %v", seed, name, i, score, res.Reached[i], want)
+					}
+				case !res.Reached[i]:
+					unreached++
+					if score != pcfg.Prior {
+						t.Fatalf("seed %d %s: unreached vertex %d scores %v, prior %v", seed, name, i, score, pcfg.Prior)
+					}
+				default:
+					reached++
+					var num, den float64
+					for _, e := range g.Neighbors(i) {
+						if !res.Reached[e.To] {
+							t.Fatalf("seed %d %s: reached vertex %d has unreached neighbour %d", seed, name, i, e.To)
+						}
+						num += e.Weight * res.Scores[e.To]
+						den += e.Weight
+					}
+					if d := math.Abs(score - num/den); !(d <= pcfg.Tol) {
+						t.Fatalf("seed %d %s: vertex %d scores %v, neighbour mean %v (off by %v > Tol)", seed, name, i, score, num/den, d)
+					}
+				}
+			}
+			if reached < 100 || unreached < 50 {
+				t.Fatalf("seed %d %s: %d reached, %d unreached non-seeds; the case lost a side", seed, name, reached, unreached)
+			}
+		}
+	}
+}
+
 func TestChooseCuts(t *testing.T) {
 	scores := []float64{0.95, 0.9, 0.85, 0.6, 0.4, 0.15, 0.1, 0.05}
 	labels := []int8{1, 1, -1, 1, -1, -1, -1, -1}

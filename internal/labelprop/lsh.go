@@ -3,8 +3,6 @@ package labelprop
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/xrand"
@@ -14,9 +12,9 @@ import (
 // path scans every vertex sharing a blocking category, so its per-vertex
 // cost grows with block size — O(n²/blocks)-flavored on corpora whose
 // blocking features are coarse. LSH replaces the block scan with bucket
-// lookups: each vertex's categorical intern-ID sets (the exact sets
-// feature.SimKernel intersects) are MinHash-signed, the signature is cut
-// into bands, and only vertices colliding in at least one band become
+// lookups: each vertex's categorical sets (the sets feature.SimKernel
+// intersects, hashed by category string) are MinHash-signed, the signature
+// is cut into bands, and only vertices colliding in at least one band become
 // candidates. Candidates are still re-scored with the exact kernel, so
 // edge weights are bit-identical to the exact paths — only recall over
 // which edges exist can differ.
@@ -85,7 +83,7 @@ type lshIndex struct {
 	bands, rows int
 	keys        []uint64 // vertex i's band keys at [i*bands, (i+1)*bands)
 	indexed     []bool   // false: no hashed elements (vertex gets no candidates)
-	buckets     map[uint64][]int
+	buckets     map[uint64][]int32
 }
 
 // lshHasher is the corpus-independent signing state: which categorical
@@ -159,9 +157,11 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	}
 	any := false
 	for fi, f := range h.feats {
-		for _, id := range v.CategoryIDs(f) {
+		// Elements are hashed by category string: intern IDs follow the order
+		// featurization happened to run in, so they are not reproducible.
+		for _, c := range v.Categories(f) {
 			any = true
-			elem := xrand.Mix(h.featSalt[fi] ^ (uint64(id) + 0x9e3779b97f4a7c15))
+			elem := xrand.HashString(h.featSalt[fi], c)
 			for k, salt := range h.salts {
 				if hv := xrand.Mix(elem ^ salt); hv < sig[k] {
 					sig[k] = hv
@@ -183,32 +183,23 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	return keys
 }
 
-// candidatesFor returns the LSH candidate generator: the union of the
-// vertex's band buckets, deduplicated through the shared epoch-stamped set
-// and capped with the same deterministic per-vertex sampling the blocked
-// path uses — so worker invariance and seed determinism carry over
-// unchanged.
-func (x *lshIndex) candidatesFor(maxCandidates int) func(i int, rng *rand.Rand, seen *dedupeSet) []int {
-	return func(i int, rng *rand.Rand, seen *dedupeSet) []int {
-		seen.reset()
-		if !x.indexed[i] {
-			return seen.buf
-		}
-		for b := 0; b < x.bands; b++ {
-			for _, j := range x.buckets[x.keys[i*x.bands+b]] {
-				if j != i {
-					seen.add(j)
-				}
+// candidates enumerates vertex i's LSH candidates: the union of its band
+// buckets, deduplicated through the worker's epoch-stamped set. The builder
+// caps it with the same deterministic per-vertex sampling the blocked path
+// uses — so worker invariance and seed determinism carry over unchanged.
+func (x *lshIndex) candidates(i int, sc *vertexScratch) []int32 {
+	if !x.indexed[i] {
+		return nil
+	}
+	sc.seen.reset()
+	for b := 0; b < x.bands; b++ {
+		for _, j := range x.buckets[x.keys[i*x.bands+b]] {
+			if j != int32(i) {
+				sc.seen.add(j)
 			}
 		}
-		out := seen.buf
-		if len(out) > maxCandidates {
-			rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
-			out = out[:maxCandidates]
-			sort.Ints(out)
-		}
-		return out
 	}
+	return sc.seen.buf
 }
 
 // Recall reports the fraction of ref's edges also present in g — the
@@ -218,10 +209,10 @@ func (x *lshIndex) candidatesFor(maxCandidates int) func(i int, rng *rand.Rand, 
 // the comparison is a linear merge. An empty reference has recall 1.
 func Recall(ref, g *Graph) float64 {
 	total, hit := 0, 0
-	for i := range ref.adj {
-		gs := g.adj[i]
+	for i := 0; i < ref.NumVertices(); i++ {
+		gs := g.Neighbors(i)
 		j := 0
-		for _, e := range ref.adj[i] {
+		for _, e := range ref.Neighbors(i) {
 			total++
 			for j < len(gs) && gs[j].To < e.To {
 				j++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -263,25 +264,45 @@ func TestLSHConfigErrors(t *testing.T) {
 	}
 }
 
+// graphOf lays hand-written directed selections out in a Graph's slabs and
+// symmetrizes them, the way a Builder delta does.
+func graphOf(directed [][]Edge) *Graph {
+	g := &Graph{k: 1, dirLen: make([]int32, len(directed))}
+	for _, es := range directed {
+		g.k = max(g.k, len(es))
+	}
+	g.dir = make([]Edge, len(directed)*g.k)
+	for i, es := range directed {
+		g.dirLen[i] = int32(copy(g.dir[i*g.k:], es))
+	}
+	g.symmetrize()
+	return g
+}
+
+// symmetrize returns the adjacency lists graphOf(directed) ends with.
+func symmetrize(directed [][]Edge) [][]Edge {
+	g := graphOf(directed)
+	adj := make([][]Edge, g.NumVertices())
+	for i := range adj {
+		adj[i] = g.Neighbors(i)
+	}
+	return adj
+}
+
 // TestRecallMetric pins the Recall helper on hand-built graphs.
 func TestRecallMetric(t *testing.T) {
-	ref := &Graph{adj: [][]Edge{
-		{{To: 1, Weight: 1}, {To: 2, Weight: 0.5}},
-		{{To: 0, Weight: 1}},
-		{{To: 0, Weight: 0.5}},
-	}}
+	ref := graphOf([][]Edge{{{To: 1, Weight: 1}, {To: 2, Weight: 0.5}}, {}, {}})
+	if ref.NumEdges() != 2 || len(ref.Neighbors(2)) != 1 {
+		t.Fatalf("reference graph: %+v", ref)
+	}
 	if r := Recall(ref, ref); r != 1 {
 		t.Errorf("self recall = %v", r)
 	}
-	half := &Graph{adj: [][]Edge{
-		{{To: 1, Weight: 1}},
-		{{To: 0, Weight: 1}},
-		{},
-	}}
+	half := graphOf([][]Edge{{{To: 1, Weight: 1}}, {}, {}})
 	if r := Recall(ref, half); r != 0.5 {
 		t.Errorf("recall = %v, want 0.5", r)
 	}
-	empty := &Graph{adj: [][]Edge{{}, {}, {}}}
+	empty := graphOf([][]Edge{{}, {}, {}})
 	if r := Recall(empty, ref); r != 1 {
 		t.Errorf("empty reference recall = %v, want 1", r)
 	}
@@ -443,5 +464,26 @@ func BenchmarkBuildGraphSweep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestLSHBandKeysPinned pins the band keys of one fixed vector. Signatures
+// hash category strings, so they depend on (Seed, schema position, content)
+// alone; the intern IDs the categories receive follow whatever was
+// featurized first — here 1000 unrelated strings — and must not leak in.
+func TestLSHBandKeysPinned(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		feature.InternID(fmt.Sprintf("lsh-pin-noise-%d", i))
+	}
+	v := feature.NewVector(sweepSchema)
+	v.MustSet("topic", feature.CategoricalValue("lsh-pin-topic"))
+	v.MustSet("tags", feature.CategoricalValue("lsh-pin-a", "lsh-pin-b", "lsh-pin-c", "lsh-pin-a"))
+	h, err := newLSHHasher(sweepSchema, GraphConfig{Seed: 5, LSH: LSHConfig{Enable: true, Bands: 4, Rows: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{0x4d1e1a5a13694ffe, 0x5a409979528a98ab, 0x7020e51fae246b6f, 0x71fa877514460581}
+	if got := h.sign(v); !slices.Equal(got, want) {
+		t.Fatalf("band keys %#x, pinned %#x", got, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"crossmodal/internal/feature"
-	"crossmodal/internal/xrand"
 )
 
 // checkSelections builds the graph over vecs in one delta and requires
@@ -26,13 +25,12 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 		t.Fatal(err)
 	}
 	candidates := b.candidateFunc()
-	seen := &dedupeSet{stamp: make([]int32, len(vecs))}
+	sc := newVertexScratch(len(vecs))
 	for i := range vecs {
-		rng := xrand.New(b.cfg.Seed ^ int64(i)*0x9e3779b9)
 		var want []Edge
-		for _, j := range candidates(i, rng, seen) {
+		for _, j := range candidates(i, sc) {
 			if w := feature.WeightedSimilarity(vecs[i], vecs[j], scales, cfg.Weights); w >= b.cfg.MinWeight {
-				want = append(want, Edge{To: j, Weight: w})
+				want = append(want, Edge{To: int(j), Weight: w})
 			}
 		}
 		sort.Slice(want, func(a, c int) bool {
@@ -44,7 +42,7 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 		if len(want) > b.cfg.K {
 			want = want[:b.cfg.K]
 		}
-		got := b.g.directed[i]
+		got := b.g.directed(i)
 		if (got == nil) != (want == nil) || len(got) != len(want) {
 			t.Fatalf("vertex %d: selection %v, reference %v", i, got, want)
 		}
@@ -130,13 +128,13 @@ func TestSelectionExactTies(t *testing.T) {
 		Weights: feature.Weights{"topic": 0, "coarse": 0}}
 	b := checkSelections(t, cfg, vecs, feature.Scales{"score": 1})
 	var got []int
-	for _, e := range b.g.directed[12] {
+	for _, e := range b.g.directed(12) {
 		got = append(got, e.To)
 	}
 	if want := []int{4, 5, 0, 1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("vertex 12 selected %v, want %v", got, want)
 	}
-	if w := b.g.directed[12]; w[2].Weight != w[4].Weight || w[1].Weight <= w[2].Weight {
+	if w := b.g.directed(12); w[2].Weight != w[4].Weight || w[1].Weight <= w[2].Weight {
 		t.Fatalf("expected a tie at ranks 2..4 below ranks 0..1, got %+v", w)
 	}
 }

@@ -81,3 +81,24 @@ func HashString(seed uint64, s string) uint64 {
 	}
 	return Mix(seed ^ h)
 }
+
+// ShuffleInts permutes p exactly as rand.New(s).Shuffle(len(p), swap) would,
+// draw for draw, without allocating a *rand.Rand or calling through a swap
+// closure: a descending Fisher-Yates whose index comes from math/rand's
+// frozen int31n — the top 32 bits of one draw (Rand.Uint32 is
+// uint32(Int63()>>31), and Int63 is Uint64()>>1), multiply-shift, and the
+// thresh rejection loop that removes the bias. Sampled candidate sets recorded in golden outputs depend
+// on this equivalence; TestShuffleIntsMatchesMathRand pins it.
+func (s *Source) ShuffleInts(p []int32) {
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := (s.Uint64() >> 32) * uint64(n)
+		if low := uint32(prod); low < n {
+			for thresh := -n % n; low < thresh; low = uint32(prod) {
+				prod = (s.Uint64() >> 32) * uint64(n)
+			}
+		}
+		j := prod >> 32
+		p[i], p[j] = p[j], p[i]
+	}
+}

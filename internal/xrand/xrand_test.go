@@ -115,3 +115,89 @@ func BenchmarkLegacyNew(b *testing.B) {
 		_ = rand.New(rand.NewSource(int64(i)))
 	}
 }
+
+// countingSource counts Int63 draws, so a test can tell that math/rand's
+// int31n took its rejection branch (more draws than swaps).
+type countingSource struct {
+	Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.Source.Int63()
+}
+
+// shufflePair shuffles 0..n-1 with rand.New(src).Shuffle and with
+// ShuffleInts from the same seed and reports the first disagreement; it
+// returns how many draws math/rand rejected.
+func shufflePair(t testing.TB, seed int64, n int) (rejected int) {
+	t.Helper()
+	want, got := make([]int32, n), make([]int32, n)
+	for i := range want {
+		want[i], got[i] = int32(i), int32(i)
+	}
+	ref := &countingSource{Source: Source{state: uint64(seed)}}
+	rand.New(ref).Shuffle(n, func(a, b int) { want[a], want[b] = want[b], want[a] })
+	src := NewSource(seed)
+	src.ShuffleInts(got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d len %d: position %d holds %d, math/rand put %d", seed, n, i, got[i], want[i])
+		}
+	}
+	if src.state != ref.state {
+		t.Fatalf("seed %d len %d: sources diverged after the shuffle (different draw counts)", seed, n)
+	}
+	return ref.draws - max(n-1, 0)
+}
+
+// TestShuffleIntsMatchesMathRand requires ShuffleInts to equal
+// rand.New(src).Shuffle element for element, and to leave the source in the
+// same state, over lengths 0–5000 under 50 seeds: every seed takes every
+// length up to 256 and every 50th length above (each seed a different
+// residue, so the seeds together cover every length). int31n's rejection
+// loop fires about once per 2^34/n² shuffles of length n — too rare for the
+// sweep to rely on — so (seed, length) pairs found by search pin it, and the
+// test fails if they stop reaching it.
+func TestShuffleIntsMatchesMathRand(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		n    int
+	}{{1197, 5000}, {1289, 5000}, {1436, 5000}, {35039, 1500}, {37963, 1500}, {46277, 1500}} {
+		if shufflePair(t, c.seed, c.n) == 0 {
+			t.Errorf("seed %d len %d no longer reaches the rejection loop", c.seed, c.n)
+		}
+	}
+	for s := 0; s < 50; s++ {
+		seed := int64(s)*0x9e3779b9 + 7
+		for n := 0; n <= 256; n++ {
+			shufflePair(t, seed, n)
+		}
+		for n := 257 + s; n <= 5000; n += 50 {
+			shufflePair(t, seed, n)
+		}
+	}
+}
+
+// FuzzShuffleIntsMatchesMathRand is the same equivalence over arbitrary
+// seeds and lengths.
+func FuzzShuffleIntsMatchesMathRand(f *testing.F) {
+	f.Add(int64(0), uint16(0))
+	f.Add(int64(1), uint16(1))
+	f.Add(int64(-7), uint16(2))
+	f.Add(int64(1197), uint16(5000))
+	f.Add(int64(35039), uint16(1500))
+	f.Add(int64(1)<<62, uint16(65535))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		shufflePair(t, seed, int(n))
+	})
+}
+
+func BenchmarkShuffleInts(b *testing.B) {
+	p := make([]int32, 3300)
+	src := NewSource(1)
+	for i := 0; i < b.N; i++ {
+		src.ShuffleInts(p)
+	}
+}
