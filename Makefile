@@ -27,7 +27,7 @@ cover-check:
 	  coverage_baseline.txt cover.out; status=$$?; rm -f cover.out; exit $$status
 
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
-## then what `go test` alone does not reach — the nine fuzz smokes; the
+## then what `go test` alone does not reach — the ten fuzz smokes; the
 ## 10^5-entity streamed curation driven through injected commit crashes with
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
 ## zero-drift control through cmd/lifecycle (the first must detect and
@@ -40,6 +40,7 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzShardLoad -fuzztime 5s ./internal/featurestore/disk/
+	$(GO) test -run xxx -fuzz FuzzColumnVotesMatchClosures -fuzztime 5s ./internal/lf/
 	$(GO) test -run xxx -fuzz FuzzPackedWeighted -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzPackedVectorMatchesReference -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzSparseRowMatchesDense -fuzztime 5s ./internal/feature/

@@ -16,21 +16,22 @@ import (
 )
 
 // corpus is what the curation stages need from a featurized corpus: its row
-// count, an in-order chunked scan decoded into the schema the stage works
-// in, and random access by point ID. *disk.Store satisfies it as is;
-// memCorpus backs it with slices. Every scan must yield the same rows in the
-// same order, and the stages never depend on where chunks break.
+// count, an in-order chunked scan in the schema the stage works in — as
+// column views for the LF stages (mining, LF apply), decoded into vectors for
+// the graph stages — and random access by point ID. *disk.Store satisfies it
+// as is; memCorpus backs it with slices. Every scan must yield the same rows
+// in the same order, and the stages never depend on where chunks break.
 type corpus interface {
 	Rows() int
+	ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error
 	ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error
 	Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error)
 }
 
 // memCorpus is the in-memory corpus: all rows as one chunk, or chunk-row
-// chunks when chunk > 0. Row index is point ID. Each target schema is
-// projected once and kept for the run — the stages scan the text corpus in
-// the LF schema once per mining pass and the image corpus in the graph
-// schema three times.
+// chunks when chunk > 0. Row index is point ID. Column scans read the vectors
+// where they are; each ScanProjected target is projected once and kept for
+// the run — the stages scan the image corpus in the graph schema three times.
 type memCorpus struct {
 	vecs   []*feature.Vector
 	labels []int8
@@ -39,6 +40,29 @@ type memCorpus struct {
 }
 
 func (c *memCorpus) Rows() int { return len(c.vecs) }
+
+// chunks calls fn with the bounds of every chunk in order.
+func (c *memCorpus) chunks(ctx context.Context, fn func(seq, lo, hi int) error) error {
+	n := c.chunk
+	if n <= 0 {
+		n = len(c.vecs)
+	}
+	for seq, lo := 0, 0; lo < len(c.vecs); seq, lo = seq+1, lo+n {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(seq, lo, min(lo+n, len(c.vecs))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *memCorpus) ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error {
+	return c.chunks(ctx, func(seq, lo, hi int) error {
+		return fn(seq, c.labels[lo:hi], feature.VectorColumns(target, c.vecs[lo:hi]))
+	})
+}
 
 func (c *memCorpus) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
 	vecs, ok := c.proj[target]
@@ -52,21 +76,10 @@ func (c *memCorpus) ScanProjected(ctx context.Context, target *feature.Schema, f
 		}
 		c.proj[target] = vecs
 	}
-	n := c.chunk
-	if n <= 0 {
-		n = len(vecs)
-	}
-	for seq, lo := 0, 0; lo < len(vecs); seq, lo = seq+1, lo+n {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+n, len(vecs))
+	return c.chunks(ctx, func(seq, lo, hi int) error {
 		// Point IDs are the row indices lo..hi-1; no stage reads them.
-		if err := fn(seq, nil, c.labels[lo:hi], vecs[lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(seq, nil, c.labels[lo:hi], vecs[lo:hi])
+	})
 }
 
 func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector, error) {
@@ -244,43 +257,33 @@ func (r *curateRun) buildLFs(ctx context.Context) ([]*lf.LF, mining.Report, erro
 		}
 		return lfs, mining.Report{}, nil
 	}
-	lfs, rep, err := mining.MineStream(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, r.p.opts.Mining, miningCorpus{r})
+	lfs, rep, err := mining.MineColumns(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, r.p.opts.Mining, r.lfSchema,
+		func(ctx context.Context, fn func([]int8, []feature.Columns) error) error {
+			return r.text.ScanColumns(ctx, r.lfSchema, func(seq int, labels []int8, parts []feature.Columns) error {
+				if err := fn(labels, parts); err != nil {
+					return err
+				}
+				return runChunkHook(r.chunkHook, "mine", seq)
+			})
+		})
 	if err != nil {
 		return nil, rep, fmt.Errorf("core: mine LFs: %w", err)
 	}
 	return lfs, rep, nil
 }
 
-// miningCorpus adapts the run's text corpus to mining.Corpus, decoding each
-// chunk straight into the LF feature space.
-type miningCorpus struct{ r *curateRun }
-
-func (c miningCorpus) Schema() *feature.Schema { return c.r.lfSchema }
-
-func (c miningCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int8) error) error {
-	return c.r.text.ScanProjected(ctx, c.r.lfSchema, func(seq int, _ []int, labels []int8, vecs []*feature.Vector) error {
-		if err := fn(vecs, labels); err != nil {
-			return err
-		}
-		return runChunkHook(c.r.chunkHook, "mine", seq)
-	})
-}
-
-// apply applies LFs to a corpus chunk by chunk, concatenating the per-chunk
-// vote matrices — identical to one lf.Apply over the whole corpus because
-// votes are per-point.
+// apply votes the LFs on a corpus chunk by chunk, each chunk's vote rows
+// appended to one matrix — identical to one lf.Apply over the whole corpus
+// because votes are per-point. ctx carries the lf.apply span.
 func (r *curateRun) apply(ctx context.Context, lfs []*lf.LF, c corpus, stage string) (*lf.Matrix, error) {
-	var matrix *lf.Matrix
-	err := c.ScanProjected(ctx, r.lfSchema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		m, err := lf.Apply(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, lfs, vecs)
-		if err != nil {
-			return err
-		}
-		if matrix == nil {
-			matrix = m
-		} else {
-			matrix.Votes = append(matrix.Votes, m.Votes...)
-		}
+	plan := lf.Compile(lfs, r.lfSchema)
+	matrix := &lf.Matrix{Names: plan.Names, Votes: make([][]int8, 0, c.Rows())}
+	err := c.ScanColumns(ctx, r.lfSchema, func(seq int, labels []int8, parts []feature.Columns) error {
+		var cast int
+		matrix.Votes, cast = plan.Vote(mapreduce.Config{Workers: r.p.opts.Workers}, parts, len(labels), matrix.Votes)
+		trace.Count(ctx, "rows", int64(len(labels)))
+		trace.Count(ctx, "votes", int64(cast))
+		trace.Count(ctx, "segments", int64(len(parts)))
 		return runChunkHook(r.chunkHook, stage, seq)
 	})
 	return matrix, err

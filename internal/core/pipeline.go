@@ -224,31 +224,30 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 		}
 		return lfs[order[a]].Name < lfs[order[b]].Name
 	})
-	cols := make([][]int8, len(lfs))
-	for j := range lfs {
-		cols[j] = devMatrix.Column(j)
+	// voted[j] lists the rows LF j votes on: each column is counted once, and
+	// a pair is compared only over the candidate's own votes.
+	voted := make([][]int32, len(lfs))
+	for i, row := range devMatrix.Votes {
+		for j, v := range row {
+			if v != 0 {
+				voted[j] = append(voted[j], int32(i))
+			}
+		}
 	}
 	var keptIdx []int
 	for _, j := range order {
 		dup := false
 		for _, k := range keptIdx {
-			var agree, overlap, votesJ, votesK int
-			for i := range cols[j] {
-				vj, vk := cols[j][i], cols[k][i]
-				if vj != 0 {
-					votesJ++
-				}
-				if vk != 0 {
-					votesK++
-				}
-				if vj != 0 && vk != 0 {
+			var agree, overlap int
+			for _, i := range voted[j] {
+				if row := devMatrix.Votes[i]; row[k] != 0 {
 					overlap++
-					if vj == vk {
+					if row[j] == row[k] {
 						agree++
 					}
 				}
 			}
-			smaller := min(votesJ, votesK)
+			smaller := min(len(voted[j]), len(voted[k]))
 			if smaller > 0 && overlap >= smaller*3/5 && float64(agree) >= 0.95*float64(overlap) {
 				dup = true
 				break
@@ -264,13 +263,15 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 	}
 	kept := make([]*lf.LF, len(keptIdx))
 	names := make([]string, len(keptIdx))
+	// One slab, with room for the propagation column appendPropLF adds.
+	n, stride := len(keptIdx), len(keptIdx)+1
+	slab := make([]int8, devMatrix.NumPoints()*stride)
 	votes := make([][]int8, devMatrix.NumPoints())
 	for i := range votes {
-		row := make([]int8, len(keptIdx))
+		votes[i] = slab[i*stride : i*stride+n : (i+1)*stride]
 		for c, j := range keptIdx {
-			row[c] = devMatrix.Votes[i][j]
+			votes[i][c] = devMatrix.Votes[i][j]
 		}
-		votes[i] = row
 	}
 	for c, j := range keptIdx {
 		kept[c] = lfs[j]

@@ -25,6 +25,7 @@ var interner = struct {
 
 	mu     sync.Mutex
 	ids    map[string]uint32 // every assignment; guarded by mu
+	names  []string          // names[id] is the category ID id was assigned to; guarded by mu
 	misses int               // locked lookups since snap was published; guarded by mu
 }{ids: make(map[string]uint32, 256)}
 
@@ -44,6 +45,7 @@ func InternID(c string) uint32 {
 	if !ok {
 		id = uint32(len(interner.ids))
 		interner.ids[c] = id
+		interner.names = append(interner.names, c)
 	}
 	// Republish once the lookups that had to lock add up to the table size:
 	// the copy is then amortised O(1) per locked lookup, and a category that
@@ -63,6 +65,14 @@ func InternCount() int {
 	interner.mu.Lock()
 	defer interner.mu.Unlock()
 	return len(interner.ids)
+}
+
+// InternedCategory returns the category InternID assigned id to: how a table
+// counted by intern ID (the miner's supports) gets its strings back.
+func InternedCategory(id uint32) string {
+	interner.mu.Lock()
+	defer interner.mu.Unlock()
+	return interner.names[id]
 }
 
 // internCategories returns the sorted, deduplicated intern IDs of cats, or

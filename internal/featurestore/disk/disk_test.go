@@ -136,7 +136,7 @@ func encodeTestSegment(t testing.TB, schema *feature.Schema, rows int, seed int6
 		ords[i] = uint32(i)
 		labels[i] = int8(i%3 - 1)
 	}
-	data, err := encodeSegment(schema, SchemaHash(schema), 0, 1, 0, ids, ords, labels, vecs)
+	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 0, 1, 0, ids, ords, labels, vecs)
 	if err != nil {
 		t.Fatalf("encodeSegment: %v", err)
 	}

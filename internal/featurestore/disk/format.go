@@ -61,6 +61,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"crossmodal/internal/feature"
 )
@@ -347,12 +348,23 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+// encoder is the scratch a Store encodes its segments in — the file image
+// and the per-column dictionary state — kept across segments and chunks.
+type encoder struct {
+	buf      []byte
+	dictIdx  map[string]uint32
+	dict     []string
+	offsets  []uint32
+	localIDs []uint32
+}
+
 // encodeSegment serializes one shard's slice of a chunk. ids, ords,
 // labels, and vecs are parallel; every vector must carry schema. The whole
-// file image — header, payload, payload CRC — is appended into one buffer
-// sized up front, the header filled in last once the payload length is
-// known.
-func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, chunk int, ids []uint64, ords []uint32, labels []int8, vecs []*feature.Vector) ([]byte, error) {
+// file image — header, payload, payload CRC — is appended into the encoder's
+// buffer, sized up front, the header filled in last once the payload length
+// is known. The returned bytes alias that buffer: they are valid until the
+// next encodeSegment, by when atomicWrite has consumed them.
+func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, chunk int, ids []uint64, ords []uint32, labels []int8, vecs []*feature.Vector) ([]byte, error) {
 	rows := len(vecs)
 	if rows == 0 || rows > maxRows {
 		return nil, fmt.Errorf("disk: segment row count %d out of range", rows)
@@ -374,7 +386,12 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 		}
 	}
 	le := binary.LittleEndian
-	out := make([]byte, headerSize, size)
+	out := slices.Grow(e.buf[:0], size)[:headerSize]
+	if e.dictIdx == nil {
+		e.dictIdx = make(map[string]uint32)
+	}
+	dictIdx, dict, offsets, localIDs := e.dictIdx, e.dict, e.offsets, e.localIDs
+	defer func() { e.buf, e.dict, e.offsets, e.localIDs = out[:0], dict, offsets, localIDs }()
 	for _, id := range ids {
 		out = le.AppendUint64(out, id)
 	}
@@ -384,11 +401,6 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 	for _, l := range labels {
 		out = append(out, byte(l))
 	}
-	// Per-column dictionary state, reused across the categorical columns.
-	dictIdx := make(map[string]uint32)
-	var dict []string
-	offsets := make([]uint32, 0, rows+1)
-	var localIDs []uint32
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
 		// The presence bitmap is reserved here and its bits are set by the
@@ -467,5 +479,6 @@ func encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, ch
 		Shard: shard, NShards: nshards, Chunk: chunk,
 		Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen,
 	}))
-	return le.AppendUint32(out, crc32.ChecksumIEEE(out[headerSize:])), nil
+	out = le.AppendUint32(out, crc32.ChecksumIEEE(out[headerSize:]))
+	return out, nil
 }

@@ -364,7 +364,7 @@ func TestReadChunkPayloadOverflow(t *testing.T) {
 		cs.segs = append(cs.segs, &Segment{path: "huge.seg", rows: 1, payload: payload, cols: []colMeta{{kind: feature.Categorical}}})
 	}
 	s := &Store{schema: schema, chunks: []*chunkSet{cs}}
-	_, _, _, err = s.readChunk(0, proj)
+	_, _, _, err = s.readChunk(cs, proj)
 	var ce *ErrCorrupt
 	if !errors.As(err, &ce) {
 		t.Fatalf("readChunk of an overflowing chunk: err = %v, want *ErrCorrupt", err)

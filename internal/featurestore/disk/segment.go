@@ -218,6 +218,35 @@ func newProjection(stored, target *feature.Schema) (*projection, error) {
 	return p, nil
 }
 
+// segColumns is the feature.Columns view of one segment under a projection:
+// no row is decoded, every read goes to the mapped payload.
+type segColumns struct {
+	seg  *Segment
+	cols []int // projection.cols
+}
+
+func (c *segColumns) Rows() int     { return c.seg.rows }
+func (c *segColumns) Ord(r int) int { return c.seg.Ord(r) }
+
+func (c *segColumns) Present(col, r int) bool {
+	sc := c.cols[col]
+	return sc >= 0 && c.seg.Present(sc, r)
+}
+
+func (c *segColumns) Num(col, r int) float64 { return c.seg.Numeric(c.cols[col], r) }
+
+func (c *segColumns) CatIDs(col, r int, buf []uint32) []uint32 {
+	if !c.Present(col, r) {
+		return buf
+	}
+	s, m := c.seg, &c.seg.cols[c.cols[col]]
+	le := binary.LittleEndian
+	for k, end := le.Uint32(s.payload[m.data+4*r:]), le.Uint32(s.payload[m.data+4*(r+1):]); k < end; k++ {
+		buf = append(buf, m.dictIDs[le.Uint32(s.payload[m.ids+4*int(k):])])
+	}
+	return buf
+}
+
 // rowDecoder decodes rows of one segment into vectors of a projection's
 // target schema: the one decoder behind ScanProjected, Find and VectorAt.
 // cats, ids and emb are scratch one value is gathered in before the vector

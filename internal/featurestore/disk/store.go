@@ -56,6 +56,8 @@ type Store struct {
 	schemaHash uint64
 	opts       Options
 
+	enc encoder // AppendChunk's scratch; appends are serialized by the caller
+
 	mu          sync.RWMutex
 	chunks      []*chunkSet
 	rows        int
@@ -303,7 +305,7 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 		if len(p.vecs) == 0 {
 			continue
 		}
-		data, err := encodeSegment(s.schema, s.schemaHash, sh, s.opts.Shards, seq, p.ids, p.ords, p.labels, p.vecs)
+		data, err := s.enc.encodeSegment(s.schema, s.schemaHash, sh, s.opts.Shards, seq, p.ids, p.ords, p.labels, p.vecs)
 		if err != nil {
 			return err
 		}
@@ -377,14 +379,14 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 	return s.ScanProjected(ctx, s.schema, fn)
 }
 
-// ScanProjected is the store's one scan loop: every committed chunk in
-// sequence order, rows in their original append order, decoded straight into
-// target — the schema the consumer works in. Target features are matched to
-// stored columns by name and must be defined identically (checked before any
-// row is read); features the store lacks stay Missing; stored columns target
-// omits are never touched. The result is what scanning under the store
-// schema and then Reprojecting every vector would give, without building the
-// full-schema vector.
+// ScanProjected scans every committed chunk in sequence order, rows in their
+// original append order, decoded straight into target — the schema the
+// consumer works in. Target features are matched to stored columns by name
+// and must be defined identically (checked before any row is read); features
+// the store lacks stay Missing; stored columns target omits are never
+// touched. The result is what scanning under the store schema and then
+// Reprojecting every vector would give, without building the full-schema
+// vector.
 //
 // A chunk is materialized as a few chunk-level slabs (one []Vector, one
 // pointer-free cell slab and one payload of category strings, intern IDs and
@@ -392,36 +394,86 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 // owned by fn: retaining any vector keeps its chunk's slabs alive. Memory
 // stays O(chunk), never O(store).
 func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	return s.scan(ctx, target, func(ctx context.Context, cs *chunkSet, proj *projection) error {
+		ids, labels, vecs, err := s.readChunk(cs, proj)
+		if err != nil {
+			return err
+		}
+		trace.Count(ctx, "vectors", int64(len(vecs)))
+		return fn(cs.seq, ids, labels, vecs)
+	})
+}
+
+// ScanColumns is ScanProjected without the vectors: fn gets each chunk's
+// labels in append order and one column view per segment, straight over the
+// mapped bytes and addressed by target's positions, valid until fn returns.
+// Ordinals are validated per chunk as readChunk does; everything else a view
+// reads was validated when its segment opened.
+func (s *Store) ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error {
+	var views []segColumns
+	var parts []feature.Columns
+	return s.scan(ctx, target, func(_ context.Context, cs *chunkSet, proj *projection) error {
+		labels, err := cs.order()
+		if err != nil {
+			return err
+		}
+		views, parts = views[:0], parts[:0]
+		for _, seg := range cs.segs {
+			views = append(views, segColumns{seg, proj.cols})
+		}
+		for i := range views {
+			parts = append(parts, &views[i])
+		}
+		return fn(cs.seq, labels, parts)
+	})
+}
+
+// scan is the store's one scan loop: fn on every committed chunk in sequence
+// order, under a diskstore.scan span (fn's ctx) counting the rows and
+// segments read; ScanProjected adds the vectors it decoded.
+func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx context.Context, cs *chunkSet, proj *projection) error) error {
 	proj, err := newProjection(s.schema, target)
 	if err != nil {
 		return err
 	}
 	ctx, span := trace.Start(ctx, "diskstore.scan")
 	defer span.End()
-	n := s.Chunks()
-	var rows int
-	for seq := 0; seq < n; seq++ {
+	for seq, n := 0, s.Chunks(); seq < n; seq++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ids, labels, vecs, err := s.readChunk(seq, proj)
-		if err != nil {
-			return err
-		}
-		rows += len(vecs)
-		if err := fn(seq, ids, labels, vecs); err != nil {
+		s.mu.RLock()
+		cs := s.chunks[seq]
+		s.mu.RUnlock()
+		span.Add("rows", int64(cs.rows))
+		span.Add("segments", int64(len(cs.segs)))
+		if err := fn(ctx, cs, proj); err != nil {
 			return err
 		}
 	}
-	span.Add("rows", int64(rows))
 	return nil
 }
 
+// order validates the chunk's row ordinals for every reader — each in range
+// and none repeated, so the segments' rows are exactly the chunk's rows — and
+// gathers the label column in append order.
+func (cs *chunkSet) order() ([]int8, error) {
+	labels := make([]int8, cs.rows)
+	seen := make([]bool, cs.rows)
+	for _, seg := range cs.segs {
+		for r := 0; r < seg.Rows(); r++ {
+			ord := seg.Ord(r)
+			if ord < 0 || ord >= cs.rows || seen[ord] {
+				return nil, &ErrCorrupt{Path: seg.Path(), Detail: fmt.Sprintf("row ordinal %d invalid for chunk of %d rows", ord, cs.rows)}
+			}
+			seen[ord], labels[ord] = true, seg.Label(r)
+		}
+	}
+	return labels, nil
+}
+
 // readChunk materializes one committed chunk in append order.
-func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.Vector, error) {
-	s.mu.RLock()
-	cs := s.chunks[seq]
-	s.mu.RUnlock()
+func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*feature.Vector, error) {
 	var nCats, nEmbs int
 	for _, seg := range cs.segs {
 		c, e := seg.payloadSize(proj)
@@ -430,8 +482,11 @@ func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.
 	if max(nCats, nEmbs) > math.MaxUint32 {
 		return nil, nil, nil, &ErrCorrupt{Path: cs.segs[0].Path(), Detail: fmt.Sprintf("chunk payload of %d categories / %d floats overflows a vector slab", nCats, nEmbs)}
 	}
+	labels, err := cs.order()
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	ids := make([]int, cs.rows)
-	labels := make([]int8, cs.rows)
 	slab := feature.NewVectors(proj.target, cs.rows)
 	slab[0].Grow(nCats, nEmbs)
 	vecs := make([]*feature.Vector, cs.rows)
@@ -440,11 +495,7 @@ func (s *Store) readChunk(seq int, proj *projection) ([]int, []int8, []*feature.
 		dec.seg = seg // the scratch buffers carry over
 		for r := 0; r < seg.Rows(); r++ {
 			ord := seg.Ord(r)
-			if ord < 0 || ord >= cs.rows || vecs[ord] != nil {
-				return nil, nil, nil, &ErrCorrupt{Path: seg.Path(), Detail: fmt.Sprintf("row ordinal %d invalid for chunk of %d rows", ord, cs.rows)}
-			}
 			ids[ord] = int(seg.ID(r))
-			labels[ord] = seg.Label(r)
 			vecs[ord] = &slab[ord]
 			if err := dec.row(r, vecs[ord]); err != nil {
 				return nil, nil, nil, err
@@ -475,6 +526,9 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if _, err := cs.order(); err != nil {
+			return nil, err
+		}
 		for _, seg := range cs.segs {
 			dec := rowDecoder{seg: seg, proj: proj}
 			for r := 0; r < seg.Rows(); r++ {
@@ -487,31 +541,6 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 				}
 			}
 		}
-	}
-	return out, nil
-}
-
-// Labels returns every committed row's stored label in append order — the
-// cheap column read the streaming pipeline uses on resume, when vectors
-// are already on disk but the in-RAM label slice must be rebuilt.
-func (s *Store) Labels() ([]int8, error) {
-	s.mu.RLock()
-	chunks := s.chunks
-	total := s.rows
-	s.mu.RUnlock()
-	out := make([]int8, 0, total)
-	for _, cs := range chunks {
-		part := make([]int8, cs.rows)
-		for _, seg := range cs.segs {
-			for r := 0; r < seg.Rows(); r++ {
-				ord := seg.Ord(r)
-				if ord < 0 || ord >= cs.rows {
-					return nil, &ErrCorrupt{Path: seg.Path(), Detail: "row ordinal out of range"}
-				}
-				part[ord] = seg.Label(r)
-			}
-		}
-		out = append(out, part...)
 	}
 	return out, nil
 }

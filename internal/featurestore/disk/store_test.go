@@ -107,24 +107,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	wantSameVector(t, "Find", want[1].vecs[0], got[10000])
 	wantSameVector(t, "Find", want[1].vecs[69], got[10069])
 	wantSameVector(t, "Find", want[2].vecs[82], got[20082])
-
-	// Labels reassembles the full label column in append order.
-	labels, err := s2.Labels()
-	if err != nil {
-		t.Fatalf("Labels: %v", err)
-	}
-	var wantLabels []int8
-	for _, w := range want {
-		wantLabels = append(wantLabels, w.labels...)
-	}
-	if len(labels) != len(wantLabels) {
-		t.Fatalf("Labels() len %d, want %d", len(labels), len(wantLabels))
-	}
-	for i := range labels {
-		if labels[i] != wantLabels[i] {
-			t.Fatalf("Labels()[%d] = %d, want %d", i, labels[i], wantLabels[i])
-		}
-	}
 }
 
 func TestStoreShardRouting(t *testing.T) {

@@ -8,7 +8,6 @@ package lf
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"crossmodal/internal/feature"
@@ -22,19 +21,37 @@ const (
 	Abstain  int8 = 0
 )
 
-// LF is one labeling function. Func must be safe for concurrent use.
+// Term is one (feature ∋ category) test of a categorical LF.
+type Term struct{ Feature, Category string }
+
+// LF is one labeling function, as data: it votes Vote when every Term holds
+// or, with no Terms, when numeric Feature is present and on the Above side of
+// Cut (value >= Cut; otherwise value <= Cut) — and abstains otherwise,
+// including when a feature is missing or of another kind. Being data, a set
+// of LFs compiles to column tests (Compile) and never needs a row's Vector.
 type LF struct {
 	// Name uniquely identifies the LF in reports.
 	Name string
 	// Source records how the LF was created: "mined", "expert",
 	// "labelprop", or "manual".
 	Source string
-	// Func votes on a feature vector.
-	Func func(*feature.Vector) int8
+	Vote   int8
+
+	Terms   []Term
+	Feature string
+	Cut     float64
+	Above   bool
 }
 
-// Apply returns the LF's vote on v.
-func (l *LF) Apply(v *feature.Vector) int8 { return l.Func(v) }
+// Apply returns the LF's vote on v: the one-row case of Plan.Vote.
+func (l *LF) Apply(v *feature.Vector) int8 {
+	t := compile(l, v.Schema())
+	var buf []uint32
+	if !t.dead && t.holds(feature.VectorColumns(v.Schema(), []*feature.Vector{v})[0], 0, &buf) {
+		return l.Vote
+	}
+	return Abstain
+}
 
 // String returns the LF's name and source.
 func (l *LF) String() string { return fmt.Sprintf("%s(%s)", l.Name, l.Source) }
@@ -45,26 +62,21 @@ func CategoryLF(featName, category string, vote int8, source string) *LF {
 	return &LF{
 		Name:   fmt.Sprintf("%s=%s→%+d", featName, category, vote),
 		Source: source,
-		Func: func(v *feature.Vector) int8 {
-			if i, ok := v.Schema().Index(featName); ok && slices.Contains(v.Categories(i), category) {
-				return vote
-			}
-			return Abstain
-		},
+		Vote:   vote,
+		Terms:  []Term{{featName, category}},
 	}
 }
 
 // ConjunctionLF votes vote when every (feature, category) predicate holds,
 // and abstains otherwise. Predicates are given as "feat=cat" terms.
 func ConjunctionLF(terms []string, vote int8, source string) (*LF, error) {
-	type pred struct{ feat, cat string }
-	preds := make([]pred, len(terms))
+	preds := make([]Term, len(terms))
 	for i, t := range terms {
 		parts := strings.SplitN(t, "=", 2)
 		if len(parts) != 2 || parts[0] == "" || parts[1] == "" {
 			return nil, fmt.Errorf("lf: bad conjunction term %q (want feat=cat)", t)
 		}
-		preds[i] = pred{parts[0], parts[1]}
+		preds[i] = Term{parts[0], parts[1]}
 	}
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("lf: empty conjunction")
@@ -72,14 +84,8 @@ func ConjunctionLF(terms []string, vote int8, source string) (*LF, error) {
 	return &LF{
 		Name:   fmt.Sprintf("%s→%+d", strings.Join(terms, "∧"), vote),
 		Source: source,
-		Func: func(v *feature.Vector) int8 {
-			for _, p := range preds {
-				if i, ok := v.Schema().Index(p.feat); !ok || !slices.Contains(v.Categories(i), p.cat) {
-					return Abstain
-				}
-			}
-			return vote
-		},
+		Vote:   vote,
+		Terms:  preds,
 	}, nil
 }
 
@@ -91,16 +97,12 @@ func ThresholdLF(featName string, cut float64, above bool, vote int8, source str
 		op = "≤"
 	}
 	return &LF{
-		Name:   fmt.Sprintf("%s%s%.3g→%+d", featName, op, cut, vote),
-		Source: source,
-		Func: func(v *feature.Vector) int8 {
-			if i, ok := v.Schema().Index(featName); ok && v.Present(i) {
-				if x := v.Num(i); (above && x >= cut) || (!above && x <= cut) {
-					return vote
-				}
-			}
-			return Abstain
-		},
+		Name:    fmt.Sprintf("%s%s%.3g→%+d", featName, op, cut, vote),
+		Source:  source,
+		Vote:    vote,
+		Feature: featName,
+		Cut:     cut,
+		Above:   above,
 	}
 }
 
@@ -169,24 +171,20 @@ func (m *Matrix) AppendScoreLF(s *ScoreLF) error {
 	return nil
 }
 
-// Apply evaluates every LF on every vector in parallel (the paper applies
-// LFs as a MapReduce job) and returns the label matrix.
+// Apply evaluates every LF on every vector (the paper applies LFs as a
+// MapReduce job) and returns the label matrix: Plan.Vote over the vectors'
+// column adapter, read under the first vector's schema.
 func Apply(ctx context.Context, cfg mapreduce.Config, lfs []*LF, vecs []*feature.Vector) (*Matrix, error) {
-	rows, err := mapreduce.Map(ctx, cfg, vecs, func(v *feature.Vector) ([]int8, error) {
-		row := make([]int8, len(lfs))
-		for j, l := range lfs {
-			row[j] = l.Apply(v)
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
 	}
-	names := make([]string, len(lfs))
-	for j, l := range lfs {
-		names[j] = l.Name
+	schema := new(feature.Schema)
+	if len(vecs) > 0 {
+		schema = vecs[0].Schema()
 	}
-	return &Matrix{Votes: rows, Names: names}, nil
+	plan := Compile(lfs, schema)
+	votes, _ := plan.Vote(cfg, feature.VectorColumns(schema, vecs), len(vecs), [][]int8{})
+	return &Matrix{Votes: votes, Names: plan.Names}, nil
 }
 
 // Stats summarizes one LF's behaviour on a labeled development set.
@@ -208,21 +206,22 @@ func EvaluateColumn(name string, votes, labels []int8) Stats {
 		panic(fmt.Sprintf("lf: %d votes vs %d labels", len(votes), len(labels)))
 	}
 	var correct, voted int
-	classTotals := map[int8]int{}
-	classCorrect := map[int8]int{}
-	votesClass := map[int8]bool{}
+	// Per class, indexed by uint8(label or vote): maps here cost more than
+	// the votes themselves.
+	var classTotals, classCorrect [256]int
+	var votesClass [256]bool
 	for i, v := range votes {
 		if labels[i] != 0 {
-			classTotals[labels[i]]++
+			classTotals[uint8(labels[i])]++
 		}
 		if v == 0 {
 			continue
 		}
 		voted++
-		votesClass[v] = true
+		votesClass[uint8(v)] = true
 		if v == labels[i] {
 			correct++
-			classCorrect[v]++
+			classCorrect[uint8(v)]++
 		}
 	}
 	s := Stats{Name: name, Votes: voted}
@@ -230,9 +229,11 @@ func EvaluateColumn(name string, votes, labels []int8) Stats {
 		s.Precision = float64(correct) / float64(voted)
 	}
 	var recallDenom, recallNum int
-	for class := range votesClass {
-		recallDenom += classTotals[class]
-		recallNum += classCorrect[class]
+	for class, ok := range votesClass {
+		if ok {
+			recallDenom += classTotals[class]
+			recallNum += classCorrect[class]
+		}
 	}
 	if recallDenom > 0 {
 		s.Recall = float64(recallNum) / float64(recallDenom)

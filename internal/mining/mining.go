@@ -16,7 +16,6 @@ package mining
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -160,21 +159,6 @@ type itemsetCount struct {
 	count int
 }
 
-func dedupe(cats []string) []string {
-	if len(cats) <= 1 {
-		return cats
-	}
-	sorted := append([]string(nil), cats...)
-	sort.Strings(sorted)
-	out := sorted[:1]
-	for _, c := range sorted[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func parseKey(key string) itemset {
 	parts := strings.SplitN(key, "|", 2)
 	return itemset{feat: parts[0], cats: strings.Split(parts[1], ",")}
@@ -215,45 +199,6 @@ func joinCandidates(frequent map[string][]itemset, order int) []itemset {
 func equalPrefix(a, b []string, n int) bool {
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// countItemsetList counts exact support of explicit candidate itemsets.
-func countItemsetList(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus []*feature.Vector, candidates []itemset) (map[string]itemsetCount, error) {
-	byFeat := make(map[string][]itemset)
-	for _, s := range candidates {
-		byFeat[s.feat] = append(byFeat[s.feat], s)
-	}
-	counts, err := mapreduce.Count(ctx, mrCfg, corpus, func(v *feature.Vector, emit func(string)) error {
-		for f, sets := range byFeat {
-			i, ok := v.Schema().Index(f)
-			if !ok || !v.Present(i) {
-				continue
-			}
-			for _, s := range sets {
-				if containsAll(v.Categories(i), s.cats) {
-					emit(s.key())
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]itemsetCount, len(candidates))
-	for _, s := range candidates {
-		out[s.key()] = itemsetCount{set: s, count: counts[s.key()]}
-	}
-	return out, nil
-}
-
-func containsAll(have, cats []string) bool {
-	for _, c := range cats {
-		if !slices.Contains(have, c) {
 			return false
 		}
 	}
@@ -349,16 +294,13 @@ func itemsetLF(s itemset, vote int8) *lf.LF {
 	if len(s.cats) == 1 {
 		return lf.CategoryLF(s.feat, s.cats[0], vote, "mined")
 	}
-	cats := append([]string(nil), s.cats...)
-	name := fmt.Sprintf("%s⊇{%s}→%+d", s.feat, strings.Join(cats, ","), vote)
-	return &lf.LF{
-		Name:   name,
+	l := &lf.LF{
+		Name:   fmt.Sprintf("%s⊇{%s}→%+d", s.feat, strings.Join(s.cats, ","), vote),
 		Source: "mined",
-		Func: func(v *feature.Vector) int8 {
-			if i, ok := v.Schema().Index(s.feat); ok && containsAll(v.Categories(i), cats) {
-				return vote
-			}
-			return lf.Abstain
-		},
+		Vote:   vote,
 	}
+	for _, c := range s.cats {
+		l.Terms = append(l.Terms, lf.Term{Feature: s.feat, Category: c})
+	}
+	return l
 }

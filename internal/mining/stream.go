@@ -13,12 +13,17 @@ import (
 
 // Corpus is a labeled development corpus the miner can scan chunk by
 // chunk, possibly more than once (higher-order Apriori passes re-scan).
-// Implementations back onto in-memory slices or the disk feature store;
-// every Scan must yield the same rows in the same order.
+// Every Scan must yield the same rows in the same order.
 type Corpus interface {
 	Schema() *feature.Schema
 	Scan(ctx context.Context, fn func(vecs []*feature.Vector, labels []int8) error) error
 }
+
+// ColumnScan is one pass over a labeled development corpus as column views:
+// fn gets each chunk's labels in row order and the chunk's views, opened for
+// the schema being mined. The disk feature store backs it straight with its
+// segments, vectorScan with any Corpus; the miner itself never sees a Vector.
+type ColumnScan func(ctx context.Context, fn func(labels []int8, parts []feature.Columns) error) error
 
 // sliceCorpus adapts the classic in-memory dev set to Corpus.
 type sliceCorpus struct {
@@ -32,18 +37,36 @@ func (s *sliceCorpus) Scan(ctx context.Context, fn func([]*feature.Vector, []int
 	return fn(s.vecs, s.labels)
 }
 
+// vectorScan scans a Corpus through the vector adapter.
+func vectorScan(corpus Corpus) ColumnScan {
+	schema := corpus.Schema()
+	return func(ctx context.Context, fn func([]int8, []feature.Columns) error) error {
+		return corpus.Scan(ctx, func(vecs []*feature.Vector, labels []int8) error {
+			if len(vecs) != len(labels) {
+				return fmt.Errorf("mining: %d vectors vs %d labels", len(vecs), len(labels))
+			}
+			return fn(labels, feature.VectorColumns(schema, vecs))
+		})
+	}
+}
+
 // numObs is one observed (value, label) pair of a numeric feature.
 type numObs struct {
 	val float64
 	lbl int8
 }
 
-// MineStream is Mine over a chunked corpus: order-1 class counts, numeric
-// observations, and class totals all accumulate in one scan (counts are
-// additive, so chunk merging is exact); only MaxOrder >= 2 Apriori joins
-// re-scan the corpus. The result is identical to Mine over the
-// concatenated chunks — the property TestMineStreamMatchesMine pins.
+// MineStream is MineColumns over a corpus of vectors: the adapter case.
 func MineStream(ctx context.Context, mrCfg mapreduce.Config, cfg Config, corpus Corpus) ([]*lf.LF, Report, error) {
+	return MineColumns(ctx, mrCfg, cfg, corpus.Schema(), vectorScan(corpus))
+}
+
+// MineColumns is the miner: order-1 class counts, numeric observations, and
+// class totals all accumulate in one scan (counts are additive, so chunk
+// merging is exact); only MaxOrder >= 2 Apriori joins re-scan the corpus. The
+// result does not depend on where chunks or views break — the property
+// TestMineStreamMatchesMine pins.
+func MineColumns(ctx context.Context, mrCfg mapreduce.Config, cfg Config, schema *feature.Schema, corpus ColumnScan) ([]*lf.LF, Report, error) {
 	var report Report
 	if err := cfg.validate(); err != nil {
 		return nil, report, err
@@ -56,64 +79,14 @@ func MineStream(ctx context.Context, mrCfg mapreduce.Config, cfg Config, corpus 
 		span.Add("lfs_neg", int64(report.NegativeLFs))
 		span.Add("lfs_numeric", int64(report.NumericLFs))
 	}()
-	schema := corpus.Schema()
-	var numCols []int
-	for i := 0; i < schema.Len(); i++ {
-		if schema.Def(i).Kind == feature.Numeric {
-			numCols = append(numCols, i)
-		}
-	}
-	collectNumeric := cfg.NumericQuantiles >= 2
-	observed := make([][]numObs, len(numCols))
-
 	// Single accumulation pass: order-1 itemset counts per class, class
 	// totals, and (value, label) observations for the numeric miner.
-	posCount1 := make(map[string]int)
-	negCount1 := make(map[string]int)
-	var nPos, nNeg int
-	err := corpus.Scan(ctx, func(vecs []*feature.Vector, labels []int8) error {
-		if len(vecs) != len(labels) {
-			return fmt.Errorf("mining: %d vectors vs %d labels", len(vecs), len(labels))
-		}
-		var pos, neg []*feature.Vector
-		for i, v := range vecs {
-			if labels[i] > 0 {
-				pos = append(pos, v)
-			} else {
-				neg = append(neg, v)
-			}
-		}
-		nPos += len(pos)
-		nNeg += len(neg)
-		for _, half := range []struct {
-			vecs []*feature.Vector
-			into map[string]int
-		}{{pos, posCount1}, {neg, negCount1}} {
-			if len(half.vecs) == 0 {
-				continue
-			}
-			counts, err := countOrder1(ctx, mrCfg, schema, half.vecs)
-			if err != nil {
-				return err
-			}
-			for key, n := range counts {
-				half.into[key] += n
-			}
-		}
-		if collectNumeric {
-			for j, col := range numCols {
-				for i, v := range vecs {
-					if v.Present(col) {
-						observed[j] = append(observed[j], numObs{v.Num(col), labels[i]})
-					}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	first := &counter{cfg: mrCfg, schema: schema, order1: true, observe: cfg.NumericQuantiles >= 2, cands: make([][]candidate, schema.Len())}
+	if err := first.scan(ctx, corpus); err != nil {
 		return nil, report, err
 	}
+	negCount1, posCount1 := first.order1Keys(0), first.order1Keys(1)
+	nNeg, nPos := first.rows[0], first.rows[1]
 	if nPos+nNeg == 0 {
 		return nil, report, fmt.Errorf("mining: empty development set")
 	}
@@ -170,29 +143,12 @@ func MineStream(ctx context.Context, mrCfg mapreduce.Config, cfg Config, corpus 
 	lfs = append(lfs, negLFs...)
 
 	// --- Numeric threshold LFs ---
-	numLFs := mineNumericObserved(schema, numCols, observed, nPos, nNeg, cfg, posThreshold, negThreshold)
+	numLFs := mineNumericObserved(schema, first.observed, nPos, nNeg, cfg, posThreshold, negThreshold)
 	report.NumericLFs = len(numLFs)
 	lfs = append(lfs, numLFs...)
 
 	sort.Slice(lfs, func(i, j int) bool { return lfs[i].Name < lfs[j].Name })
 	return lfs, report, nil
-}
-
-// countOrder1 counts every (feature, category) itemset over one class
-// slice of one chunk.
-func countOrder1(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus []*feature.Vector) (map[string]int, error) {
-	return mapreduce.Count(ctx, mrCfg, corpus, func(v *feature.Vector, emit func(string)) error {
-		for i := 0; i < schema.Len(); i++ {
-			d := schema.Def(i)
-			if d.Kind != feature.Categorical {
-				continue
-			}
-			for _, c := range dedupe(v.Categories(i)) {
-				emit(itemset{d.Name, []string{c}}.key())
-			}
-		}
-		return nil
-	})
 }
 
 // frequentFromCounts filters accumulated order-1 counts by support.
@@ -209,7 +165,7 @@ func frequentFromCounts(counts map[string]int, minSupport int) map[string]itemse
 // extendFrequent grows the frequent-set map to maxOrder Apriori-style; each
 // order re-scans the corpus once to count candidate support in the voted
 // class.
-func extendFrequent(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus Corpus, class int8, out map[string]itemsetCount, maxOrder, minSupport int) error {
+func extendFrequent(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus ColumnScan, class int8, out map[string]itemsetCount, maxOrder, minSupport int) error {
 	prev := make(map[string][]itemset)
 	for _, ic := range out {
 		prev[ic.set.feat] = append(prev[ic.set.feat], ic.set)
@@ -237,49 +193,39 @@ func extendFrequent(ctx context.Context, mrCfg mapreduce.Config, schema *feature
 }
 
 // countItemsetStream counts candidate support within one class across the
-// whole corpus, chunk by chunk.
-func countItemsetStream(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus Corpus, class int8, candidates []itemset) (map[string]itemsetCount, error) {
-	total := make(map[string]itemsetCount, len(candidates))
-	for _, s := range candidates {
-		total[s.key()] = itemsetCount{set: s}
+// whole corpus: one more scan, candidates as intern-ID sets per column.
+func countItemsetStream(ctx context.Context, mrCfg mapreduce.Config, schema *feature.Schema, corpus ColumnScan, vote int8, candidates []itemset) (map[string]itemsetCount, error) {
+	k := &counter{cfg: mrCfg, schema: schema, cands: make([][]candidate, schema.Len()), candClass: class(vote), candCount: make([]int, len(candidates))}
+	for idx, s := range candidates {
+		col, _ := schema.Index(s.feat) // a candidate joins itemsets counted under schema
+		ids := make([]uint32, len(s.cats))
+		for i, c := range s.cats {
+			ids[i] = feature.InternID(c)
+		}
+		k.cands[col] = append(k.cands[col], candidate{ids, idx})
 	}
-	err := corpus.Scan(ctx, func(vecs []*feature.Vector, labels []int8) error {
-		var in []*feature.Vector
-		for i, v := range vecs {
-			if (class > 0) == (labels[i] > 0) {
-				in = append(in, v)
-			}
-		}
-		if len(in) == 0 {
-			return nil
-		}
-		cc, err := countItemsetList(ctx, mrCfg, schema, in, candidates)
-		if err != nil {
-			return err
-		}
-		for key, ic := range cc {
-			t := total[key]
-			t.count += ic.count
-			total[key] = t
-		}
-		return nil
-	})
-	return total, err
+	if err := k.scan(ctx, corpus); err != nil {
+		return nil, err
+	}
+	total := make(map[string]itemsetCount, len(candidates))
+	for idx, s := range candidates {
+		total[s.key()] = itemsetCount{set: s, count: k.candCount[idx]}
+	}
+	return total, nil
 }
 
 // mineNumericObserved is the numeric threshold miner over pre-collected
-// observations (cols[j] is the schema position observed[j] belongs to).
-// Observations must be in corpus order; quantile cuts and tie handling then
-// match the in-memory miner exactly.
-func mineNumericObserved(schema *feature.Schema, cols []int, observed [][]numObs, totalPos, totalNeg int, cfg Config, posThreshold, negThreshold float64) []*lf.LF {
+// observations (observed[fi] belongs to schema position fi). Observations
+// must be in corpus order; quantile cuts and tie handling then match the
+// in-memory miner exactly.
+func mineNumericObserved(schema *feature.Schema, observed [][]numObs, totalPos, totalNeg int, cfg Config, posThreshold, negThreshold float64) []*lf.LF {
 	q := cfg.NumericQuantiles
 	if q < 2 {
 		return nil
 	}
 	var out []*lf.LF
-	for j, fi := range cols {
+	for fi, obs := range observed {
 		d := schema.Def(fi)
-		obs := observed[j]
 		if len(obs) < 2*cfg.MinSupport {
 			continue
 		}

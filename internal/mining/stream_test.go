@@ -74,7 +74,7 @@ func TestMineStreamMatchesMine(t *testing.T) {
 					}
 					// The functions themselves must vote identically.
 					for _, v := range vecs[:200] {
-						if got[i].Func(v) != want[i].Func(v) {
+						if got[i].Apply(v) != want[i].Apply(v) {
 							t.Fatalf("chunk=%d: LF %q votes diverge", chunk, got[i].Name)
 						}
 					}
