@@ -8,6 +8,7 @@ package crossmodal_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -193,13 +194,20 @@ func stageEnv(b *testing.B) benchEnvT {
 func BenchmarkFeaturization(b *testing.B) {
 	e := stageEnv(b)
 	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.pipe.Featurize(ctx, e.ds.LabeledText); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(e.ds.LabeledText)*b.N)/b.Elapsed().Seconds(), "points/s")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	points := float64(len(e.ds.LabeledText) * b.N)
+	b.ReportMetric(points/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/points, "ns/point")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/points, "B/point")
 }
 
 // BenchmarkMining measures automatic LF generation over the dev corpus

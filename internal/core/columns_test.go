@@ -30,7 +30,7 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// stage → its own line, and the diskstore.scan line nested under it.
-	stageLine, scanLine := map[string]string{}, map[string]string{}
+	stageLine, scanLine, ingestLine := map[string]string{}, map[string]string{}, map[string]string{}
 	stage := ""
 	for _, line := range strings.Split(summary.String(), "\n") {
 		name := strings.Fields(line + " .")[0]
@@ -40,6 +40,20 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 			stageLine[stage] = line
 		case indent == 4 && name == "diskstore.scan":
 			scanLine[stage] = line
+		case indent == 4 && stage == "stream.ingest":
+			ingestLine[name] = line
+		}
+	}
+	// Ingest's three overlapped stages each report under stream.ingest, so
+	// its self time is hand-off waiting: 7 + 4 + 1 + 2 chunks generated
+	// (800 text, 400 image, 120 pool, 150 test at 128 a chunk), 11 spilled.
+	for name, want := range map[string]string{
+		"synth.generate":         "×15  [points=1470 chunks=14]", // the 15th call finds the stream dry
+		"featurize":              "×11  [points=1200]",
+		"diskstore.append_chunk": "×11  [rows=1200 ",
+	} {
+		if !strings.Contains(ingestLine[name], want) {
+			t.Errorf("stream.ingest: span %q = %q, want %q\n%s", name, ingestLine[name], want, summary.String())
 		}
 	}
 	text, image := sc.Text.Rows(), sc.Image.Rows()

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sync"
 
+	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore/disk"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
@@ -213,55 +215,72 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream, task *synth.T
 // are kept in memory. With Resume, chunks already committed to a store are
 // not re-featurized — generation replays deterministically, so labels and
 // row order still line up with the stored prefix.
+//
+// The three stages overlap: one goroutine generates chunk k+1 while the
+// caller featurizes chunk k and one goroutine commits chunk k-1, then runs
+// its ingest hook. Both hand-offs are rendezvous, so at most two chunks of
+// points and two of vectors are alive at once. Only the committing goroutine
+// touches the stores, in generation order: hook k runs before commit k+1, and
+// nothing is committed once a commit or a hook has failed or ctx has ended.
+// The first error of any stage stops the other two and is returned after
+// both goroutines have exited.
 func (r *streamRun) ingest(ctx context.Context, stream *synth.Stream, text, image *disk.Store) error {
 	ctx, span := trace.Start(ctx, "stream.ingest")
 	defer span.End()
 	if !r.opts.Resume && (text.Chunks() > 0 || image.Chunks() > 0) {
 		return fmt.Errorf("core: store at %s already has data; set StreamOptions.Resume or start from an empty directory", r.opts.Dir)
 	}
-	textSkip, imageSkip := 0, 0
-	if r.opts.Resume {
-		textSkip, imageSkip = text.Chunks(), image.Chunks()
+	// Without Resume both stores were just checked empty: nothing to skip.
+	sinks := map[synth.CorpusKind]*corpusSink{
+		synth.TextCorpus:  {store: text, stage: "ingest:text", skip: text.Chunks(), labels: &r.textLabels},
+		synth.ImageCorpus: {store: image, stage: "ingest:image", skip: image.Chunks(), labels: &r.imageTruth},
 	}
-	textChunks, imageChunks := 0, 0
-	for {
-		ch := stream.Next(r.opts.ChunkSize)
-		if ch == nil {
+	// The first cause given to fail wins, the caller's cancellation included.
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
+	chunks, spills := make(chan *synth.Chunk), make(chan spillJob) // unbuffered: the memory bound
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(chunks)
+		for {
+			_, gen := trace.Start(ctx, "synth.generate")
+			ch := stream.Next(r.opts.ChunkSize)
+			if ch != nil {
+				gen.Add("points", int64(len(ch.Points)))
+				gen.Add("chunks", 1)
+			}
+			gen.End()
+			if ch == nil {
+				return
+			}
+			select {
+			case chunks <- ch:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for job := range spills {
+			if err := r.commit(ctx, job); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}()
+	for ch := range chunks {
+		if err := r.featurize(ctx, sinks[ch.Corpus], ch, spills); err != nil {
+			fail(err)
 			break
 		}
-		switch ch.Corpus {
-		case synth.TextCorpus:
-			// Text row index must equal point ID: propagation addresses
-			// seed rows in the store by Find(ID).
-			for i, pt := range ch.Points {
-				if pt.ID != ch.Start+i {
-					return fmt.Errorf("core: text point ID %d at corpus offset %d", pt.ID, ch.Start+i)
-				}
-			}
-			labels := synth.Labels(ch.Points)
-			r.textLabels = append(r.textLabels, labels...)
-			if err := r.spill(ctx, text, ch, labels, textChunks, textSkip); err != nil {
-				return err
-			}
-			if err := runChunkHook(r.opts.ChunkHook, "ingest:text", textChunks); err != nil {
-				return err
-			}
-			textChunks++
-		case synth.ImageCorpus:
-			truth := synth.Labels(ch.Points)
-			r.imageTruth = append(r.imageTruth, truth...)
-			if err := r.spill(ctx, image, ch, truth, imageChunks, imageSkip); err != nil {
-				return err
-			}
-			if err := runChunkHook(r.opts.ChunkHook, "ingest:image", imageChunks); err != nil {
-				return err
-			}
-			imageChunks++
-		case synth.PoolCorpus:
-			r.pool = append(r.pool, ch.Points...)
-		case synth.TestCorpus:
-			r.test = append(r.test, ch.Points...)
-		}
+	}
+	close(spills)
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return err
 	}
 	if text.Rows() != len(r.textLabels) || image.Rows() != len(r.imageTruth) {
 		return fmt.Errorf("core: store rows (%d text, %d image) disagree with generated corpus (%d, %d); was the store written with a different dataset config?",
@@ -273,24 +292,75 @@ func (r *streamRun) ingest(ctx context.Context, stream *synth.Stream, text, imag
 	return nil
 }
 
-func (r *streamRun) spill(ctx context.Context, store *disk.Store, ch *synth.Chunk, labels []int8, seq, skip int) error {
-	if seq < skip {
-		if got := store.ChunkRows(seq); got != len(ch.Points) {
-			return fmt.Errorf("core: resume mismatch: store chunk %d has %d rows, generator produced %d (different ChunkSize or dataset config?)", seq, got, len(ch.Points))
-		}
-		r.reused++
+// corpusSink is where ingest sends one corpus's chunks.
+type corpusSink struct {
+	store  *disk.Store
+	stage  string  // the chunk hook's tag
+	skip   int     // chunks already committed, reused on Resume
+	labels *[]int8 // the run's label column for the corpus
+}
+
+// spillJob is one chunk on its way to its store; nil vecs: already there.
+type spillJob struct {
+	sink   *corpusSink
+	seq    int
+	ids    []int
+	labels []int8
+	vecs   []*feature.Vector
+}
+
+// featurize is ingest's middle stage for one chunk, on the caller's
+// goroutine: record the labels, featurize unless the store already holds the
+// chunk, and hand the result on. The pool and test corpora have no sink.
+func (r *streamRun) featurize(ctx context.Context, sink *corpusSink, ch *synth.Chunk, spills chan<- spillJob) error {
+	switch ch.Corpus {
+	case synth.PoolCorpus:
+		r.pool = append(r.pool, ch.Points...)
+		return nil
+	case synth.TestCorpus:
+		r.test = append(r.test, ch.Points...)
 		return nil
 	}
-	vecs, err := r.p.Featurize(ctx, ch.Points)
-	if err != nil {
-		return fmt.Errorf("core: featurize chunk: %w", err)
-	}
-	ids := make([]int, len(ch.Points))
+	// Chunks of one corpus are ChunkSize long but the last, so Start counts them.
+	job := spillJob{sink: sink, seq: ch.Start / r.opts.ChunkSize, ids: make([]int, len(ch.Points)), labels: synth.Labels(ch.Points)}
 	for i, pt := range ch.Points {
-		ids[i] = pt.ID
+		// Text row index must equal point ID: propagation addresses seed
+		// rows in the store by Find(ID).
+		if ch.Corpus == synth.TextCorpus && pt.ID != ch.Start+i {
+			return fmt.Errorf("core: text point ID %d at corpus offset %d", pt.ID, ch.Start+i)
+		}
+		job.ids[i] = pt.ID
 	}
-	if err := store.AppendChunk(ctx, ids, labels, vecs); err != nil {
+	*sink.labels = append(*sink.labels, job.labels...)
+	if job.seq >= sink.skip {
+		var err error
+		if job.vecs, err = r.p.Featurize(ctx, ch.Points); err != nil {
+			return fmt.Errorf("core: featurize chunk: %w", err)
+		}
+	}
+	select {
+	case spills <- job:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// commit is ingest's last stage for one chunk, on the committing goroutine:
+// append it to its store — or, on Resume, check the store's copy — then run
+// the chunk's ingest hook.
+func (r *streamRun) commit(ctx context.Context, job spillJob) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	store := job.sink.store
+	if job.vecs == nil {
+		if got := store.ChunkRows(job.seq); got != len(job.ids) {
+			return fmt.Errorf("core: resume mismatch: store chunk %d has %d rows, generator produced %d (different ChunkSize or dataset config?)", job.seq, got, len(job.ids))
+		}
+		r.reused++
+	} else if err := store.AppendChunk(ctx, job.ids, job.labels, job.vecs); err != nil {
 		return fmt.Errorf("core: spill chunk: %w", err)
 	}
-	return nil
+	return runChunkHook(r.opts.ChunkHook, job.sink.stage, job.seq)
 }

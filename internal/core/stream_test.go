@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"crossmodal/internal/faulty"
+	"crossmodal/internal/featurestore/disk"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/xrand"
@@ -494,6 +497,95 @@ func TestCurateStreamedChunkInvariance(t *testing.T) {
 		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 			got := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: chunk})
 			streamedEqual(t, got, want)
+		})
+	}
+}
+
+// TestIngestOverlapFailures: ingest's three stages run on three goroutines,
+// so each way a run can die mid-ingest — a commit that fails, an ingest hook
+// that fails, the caller's context ending — must surface that error, leave no
+// chunk past the failing one committed, and return with every goroutine it
+// started gone. A Resume afterwards reuses exactly the committed prefix and
+// lands bit-identical to a run that never failed.
+func TestIngestOverlapFailures(t *testing.T) {
+	opts := streamOptions()
+	clean := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
+	lib, w, task := streamEnv(t)
+	const k, textChunks, imageChunks = 3, 7, 4 // fail at text chunk 3 of ceil(800/128), ceil(400/128)
+	boom := errors.New("injected failure")
+
+	for name, tc := range map[string]struct {
+		arm       func(sopts *StreamOptions, cancel context.CancelFunc)
+		want      error
+		committed int // text chunks on disk afterwards
+	}{
+		"commit hook": {func(sopts *StreamOptions, _ context.CancelFunc) {
+			sopts.CommitHook = func(op, path string) error {
+				if op == "marker" && strings.Contains(path, "text") && strings.Contains(path, "c000003") {
+					return boom
+				}
+				return nil
+			}
+		}, boom, k},
+		"chunk hook": {func(sopts *StreamOptions, _ context.CancelFunc) {
+			sopts.ChunkHook = func(stage string, chunk int) error {
+				if stage == "ingest:text" && chunk == k {
+					return boom
+				}
+				return nil
+			}
+		}, boom, k + 1},
+		"context": {func(sopts *StreamOptions, cancel context.CancelFunc) {
+			sopts.ChunkHook = func(stage string, chunk int) error {
+				if stage == "ingest:text" && chunk == k {
+					cancel()
+				}
+				return nil
+			}
+		}, context.Canceled, k + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sopts := StreamOptions{Dir: dir, ChunkSize: 128}
+			tc.arm(&sopts, cancel)
+			before := runtime.NumGoroutine()
+			_, err := newStreamPipeline(t, opts).CurateStreamed(ctx, w, task, streamDSConfig(), sopts)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			// A joined goroutine has called Done but may not have left the
+			// scheduler's count yet; one that was never joined stays forever.
+			for wait := time.Millisecond; runtime.NumGoroutine() > before; wait *= 2 {
+				if wait > time.Second {
+					t.Fatalf("%d goroutines after the failed run, %d before it", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(wait)
+			}
+			for corpus, want := range map[string]int{"text": tc.committed, "image": 0} {
+				st, err := disk.Open(filepath.Join(dir, corpus), lib.Schema(), disk.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Chunks(); got != want {
+					t.Errorf("%s store holds %d chunks after failing at text chunk %d, want %d", corpus, got, k, want)
+				}
+				st.Close()
+			}
+
+			var commits int
+			resumed := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128, Resume: true,
+				CommitHook: func(op, path string) error {
+					if op == "marker" {
+						commits++
+					}
+					return nil
+				}})
+			streamedEqual(t, resumed, clean)
+			if want := textChunks + imageChunks - tc.committed; commits != want || resumed.ReusedChunks != tc.committed {
+				t.Errorf("resume committed %d chunks and reused %d, want %d and %d", commits, resumed.ReusedChunks, want, tc.committed)
+			}
 		})
 	}
 }

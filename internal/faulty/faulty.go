@@ -219,8 +219,8 @@ func (in *Injector) Supports(m synth.Modality) bool { return in.inner.Supports(m
 // Observe implements resource.Resource by delegating fault-free: the
 // unchecked featurization path is never injected, preserving the infallible
 // pipeline bit-for-bit.
-func (in *Injector) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	return in.inner.Observe(e, m, rng)
+func (in *Injector) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	in.inner.Observe(dst, i, e, m, rng)
 }
 
 // Schedule returns the injector's fault plan (for offline replay in tests).

@@ -313,6 +313,10 @@ func (v *Vector) Grow(cats, embs int) {
 	p.embs = slices.Grow(p.embs, embs)
 }
 
+// PayloadLen returns how many category strings and embedding floats v's
+// payload holds — what keeping v alive keeps alive: a NewVectors slab's all.
+func (v *Vector) PayloadLen() (cats, embs int) { return len(v.pay.cats), len(v.pay.embs) }
+
 // own returns the payload v may append to, first moving a borrowed vector
 // to a private copy of the windows its cells use.
 func (v *Vector) own() *payload {

@@ -27,8 +27,8 @@ var errToggled = errors.New("toggleSvc: induced outage")
 
 func (s *toggleSvc) Def() feature.Def               { return feature.Def{Name: s.name, Kind: feature.Numeric} }
 func (s *toggleSvc) Supports(_ synth.Modality) bool { return true }
-func (s *toggleSvc) Observe(_ *synth.Entity, _ synth.Modality, _ *rand.Rand) feature.Value {
-	return feature.NumericValue(1)
+func (s *toggleSvc) Observe(dst *feature.Vector, i int, _ *synth.Entity, _ synth.Modality, _ *rand.Rand) {
+	dst.SetNum(i, 1)
 }
 
 func (s *toggleSvc) CheckPoint(_ context.Context, p *synth.Point) (feature.Value, error) {

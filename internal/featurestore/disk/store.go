@@ -271,11 +271,17 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 	if len(vecs) == 0 {
 		return fmt.Errorf("disk: empty chunk")
 	}
-	for _, v := range vecs {
-		if SchemaHash(v.Schema()) != s.schemaHash {
-			return fmt.Errorf("disk: vector schema does not match store schema")
+	// encodeSegment indexes every vector by the store schema's positions, so
+	// every vector is checked: by schema pointer, which the vectors of a
+	// featurized corpus share, and by hash only when the pointer changes.
+	ok := s.schema
+	for r, v := range vecs {
+		if sc := v.Schema(); sc != ok {
+			if SchemaHash(sc) != s.schemaHash {
+				return fmt.Errorf("disk: row %d: vector schema does not match store schema", r)
+			}
+			ok = sc
 		}
-		break // all vectors of a featurized corpus share one schema object
 	}
 	_, span := trace.Start(ctx, "diskstore.append_chunk")
 	defer span.End()

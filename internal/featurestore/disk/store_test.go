@@ -154,6 +154,32 @@ func TestStoreRejectsBadAppends(t *testing.T) {
 	if err := s.AppendChunk(ctx, []int{1}, []int8{0}, []*feature.Vector{v}); err == nil {
 		t.Fatal("foreign-schema vector accepted")
 	}
+
+	// Every vector is checked, not the first: a chunk whose third vector
+	// carries a narrower schema (its positions are not the store's) fails,
+	// names the row, and writes no segment file; an equal schema under
+	// another pointer is fine.
+	dir := t.TempDir()
+	var writes int
+	s2, err := Open(dir, testSchema(), Options{CommitHook: func(op, path string) error { writes++; return nil }})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s2.Close()
+	vecs := makeVecs(t, s2.Schema(), 4, 2)
+	vecs[2] = vecs[2].Reproject(s2.Schema().Sets("A"))
+	err = s2.AppendChunk(ctx, []int{1, 2, 3, 4}, []int8{0, 0, 0, 0}, vecs)
+	if err == nil || !strings.Contains(err.Error(), "row 2") {
+		t.Fatalf("narrower schema on the third vector: err = %v, want a schema error naming row 2", err)
+	}
+	files, globErr := filepath.Glob(filepath.Join(dir, "*"))
+	if globErr != nil || len(files) != 0 || writes != 0 || s2.Chunks() != 0 {
+		t.Fatalf("rejected chunk left %v (%d writes, %d chunks, %v), want nothing on disk", files, writes, s2.Chunks(), globErr)
+	}
+	twin := makeVecs(t, testSchema(), 4, 2) // equal schema, different object
+	if err := s2.AppendChunk(ctx, []int{1, 2, 3, 4}, []int8{0, 0, 0, 0}, twin); err != nil {
+		t.Fatalf("equal schema under another pointer rejected: %v", err)
+	}
 }
 
 func TestStoreSchemaMismatchOnOpen(t *testing.T) {

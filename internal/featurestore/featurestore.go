@@ -30,6 +30,9 @@ import (
 // (many HTTP handlers featurizing overlapping traffic, see internal/serve),
 // exactly one computes it and the rest wait for that result, so a hot point
 // is never featurized twice concurrently.
+//
+// Ownership: a cached vector outlives the request that computed it, so it
+// owns its payload — its own values and nothing of the batch it arrived in.
 type Store struct {
 	lib      *resource.Library
 	capacity int
@@ -267,7 +270,11 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*
 	mine []*synth.Point, mineIdx []int, mineFl []*inflight, mineStale []*feature.Vector) error {
 
 	if !s.lib.Guarded() {
-		computed, err := s.lib.Featurize(ctx, cfg, mine)
+		// Point by point, not Library.Featurize: a cached vector outlives its
+		// request, so it owns its payload rather than pinning a batch slab.
+		computed, err := mapreduce.Map(ctx, cfg, mine, func(p *synth.Point) (*feature.Vector, error) {
+			return s.lib.FeaturizePoint(p), nil
+		})
 		s.mu.Lock()
 		for j, fl := range mineFl {
 			if err != nil {

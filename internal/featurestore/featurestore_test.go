@@ -164,3 +164,49 @@ func TestConcurrentFeaturize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCachedVectorOwnsItsPayload: the ownership rule. After one request for
+// a full 1 024-point batch, every cached vector's payload holds exactly its
+// own categories and embedding floats — no entry pins a slab of the request's
+// other points — on the plain and on the guarded miss path.
+func TestCachedVectorOwnsItsPayload(t *testing.T) {
+	lib, _ := env(t)
+	task, err := synth.TaskByName("CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := synth.BuildDataset(lib.World(), task, synth.DatasetConfig{
+		Seed: 8, NumText: 512, NumUnlabeledImage: 512, NumHandLabelPool: 1, NumTest: 1, CalibrationSamples: 2000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := append(append([]*synth.Point{}, ds.LabeledText...), ds.UnlabeledImage...)
+	for name, l := range map[string]*resource.Library{"plain": lib, "guarded": lib.WithGuards(resource.Policy{}, nil)} {
+		s, err := New(l, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts); err != nil {
+			t.Fatal(err)
+		}
+		cached, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits, _, _ := s.Stats(); hits != len(pts) {
+			t.Fatalf("%s: %d hits on the second pass, want %d", name, hits, len(pts))
+		}
+		for k, v := range cached {
+			var cats, embs int
+			for i := 0; i < v.Schema().Len(); i++ {
+				cats += len(v.Categories(i))
+				embs += len(v.Vec(i))
+			}
+			if gotCats, gotEmbs := v.PayloadLen(); gotCats != cats || gotEmbs != embs {
+				t.Fatalf("%s: cached vector %d keeps a payload of %d categories / %d floats alive, its own values are %d / %d",
+					name, k, gotCats, gotEmbs, cats, embs)
+			}
+		}
+	}
+}

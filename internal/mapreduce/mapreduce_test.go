@@ -3,13 +3,10 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -72,113 +69,6 @@ func TestMapHonorsContextCancellation(t *testing.T) {
 	if n := calls.Load(); n >= 10000 {
 		t.Errorf("all %d inputs ran despite cancellation", n)
 	}
-}
-
-func TestRunWordCount(t *testing.T) {
-	docs := []string{"a b a", "b c", "a"}
-	counts, err := Run(context.Background(), Config{Workers: 3}, docs,
-		func(doc string, emit func(string, int)) error {
-			for _, w := range strings.Fields(doc) {
-				emit(w, 1)
-			}
-			return nil
-		},
-		func(_ string, vs []int) (int, error) {
-			n := 0
-			for _, v := range vs {
-				n += v
-			}
-			return n, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"a": 3, "b": 2, "c": 1}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Errorf("counts[%q] = %d, want %d", k, counts[k], v)
-		}
-	}
-}
-
-func TestRunReduceError(t *testing.T) {
-	_, err := Run(context.Background(), Config{}, []int{1},
-		func(x int, emit func(string, int)) error { emit("k", x); return nil },
-		func(string, []int) (int, error) { return 0, errors.New("reduce failed") })
-	if err == nil {
-		t.Fatal("expected reduce error")
-	}
-}
-
-func TestCountMatchesSequential(t *testing.T) {
-	f := func(xs []uint8) bool {
-		inputs := make([]int, len(xs))
-		for i, x := range xs {
-			inputs[i] = int(x % 7)
-		}
-		got, err := Count(context.Background(), Config{Workers: 4}, inputs, func(x int, emit func(int)) error {
-			emit(x)
-			if x%2 == 0 {
-				emit(-x)
-			}
-			return nil
-		})
-		if err != nil {
-			return false
-		}
-		want := map[int]int{}
-		for _, x := range inputs {
-			want[x]++
-			if x%2 == 0 {
-				want[-x]++
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for k, v := range want {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunDeterministicValueOrder(t *testing.T) {
-	// Values for a key must arrive at the reducer in input order even with
-	// many workers, so reductions like "first seen" are reproducible.
-	inputs := make([]int, 200)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	for trial := 0; trial < 5; trial++ {
-		out, err := Run(context.Background(), Config{Workers: 8}, inputs,
-			func(x int, emit func(string, int)) error { emit("k", x); return nil },
-			func(_ string, vs []int) ([]int, error) { return vs, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		vs := out["k"]
-		if !sort.IntsAreSorted(vs) {
-			t.Fatalf("trial %d: values not in input order: %v...", trial, vs[:10])
-		}
-	}
-}
-
-func ExampleCount() {
-	posts := []string{"dog park", "dog", "cat"}
-	counts, _ := Count(context.Background(), Config{Workers: 2}, posts, func(p string, emit func(string)) error {
-		for _, w := range strings.Fields(p) {
-			emit(w)
-		}
-		return nil
-	})
-	fmt.Println(counts["dog"], counts["cat"], counts["park"])
-	// Output: 2 1 1
 }
 
 // TestMapShortCircuitsOnError: the first mapper error must cancel the job so
@@ -308,6 +198,67 @@ func TestForChunksCoversEveryIndexOnce(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
 				}
 			}
+		}
+	}
+}
+
+// TestBlocksTilesAndStops: Blocks tiles [0, n) with consecutive blocks of
+// blockLen's length at any worker count (serial included), reports the first
+// block error and stops claiming after it, and reports a cancelled context.
+func TestBlocksTilesAndStops(t *testing.T) {
+	for _, workers := range []int{1, 2, 16} {
+		for _, n := range []int{0, 1, 63, 64, 1025} {
+			want := blockLen(n, min(workers, max(n, 1)))
+			seen := make([]atomic.Int32, n)
+			err := Blocks(nil, Config{Workers: workers}, n, func(_ context.Context, lo, hi int) error {
+				if lo%want != 0 || hi <= lo || hi-lo > want || (hi-lo < want && hi != n) {
+					t.Errorf("workers=%d n=%d: bad block [%d, %d), block length %d", workers, n, lo, hi, want)
+				}
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+			}
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+				}
+			}
+		}
+
+		boom := errors.New("boom")
+		var calls atomic.Int32
+		err := Blocks(context.Background(), Config{Workers: workers}, 64*100, func(_ context.Context, lo, hi int) error {
+			calls.Add(1)
+			if lo == 0 {
+				return boom
+			}
+			time.Sleep(time.Millisecond)
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if got := calls.Load(); got > 50 {
+			t.Errorf("workers=%d: %d of 100 blocks ran after the first error", workers, got)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		calls.Store(0)
+		err = Blocks(ctx, Config{Workers: workers}, 64*100, func(_ context.Context, lo, hi int) error {
+			if calls.Add(1) == 3 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if got := calls.Load(); got > 3+int32(workers) {
+			t.Errorf("workers=%d: %d blocks ran, cancelled during the third", workers, got)
 		}
 	}
 }

@@ -110,10 +110,11 @@ type GuardStats struct {
 // Guard wraps one resource with the retry/timeout/breaker discipline. Build
 // via Library.WithGuards.
 type Guard struct {
-	res Resource
-	fal Fallible // nil when the resource cannot fail
-	pol Policy
-	brk *Breaker
+	res  Resource
+	fal  Fallible // nil when the resource cannot fail
+	hash uint64   // xrand.Hash of the channel name
+	pol  Policy
+	brk  *Breaker
 
 	mu     sync.Mutex
 	jitter *rand.Rand
@@ -131,6 +132,7 @@ func NewGuard(r Resource, pol Policy) *Guard {
 	name := r.Def().Name
 	g := &Guard{
 		res:    r,
+		hash:   xrand.Hash(name),
 		pol:    pol,
 		brk:    NewBreaker(pol.BreakerThreshold, pol.BreakerCooldown, pol.Now),
 		jitter: xrand.New(int64(xrand.HashString(pol.Seed, name))),
@@ -174,40 +176,47 @@ func (g *Guard) backoff(attempt int) time.Duration {
 
 // Observe performs one checked observation of p: at most MaxAttempts calls,
 // each under the per-attempt timeout, with backoff between attempts, all
-// gated by the breaker. Infallible resources short-circuit to ObservePoint —
-// same bits as the unchecked path, no breaker bookkeeping.
+// gated by the breaker. Infallible resources short-circuit to the unchecked
+// path's write — same bits, no breaker bookkeeping. The one-cell case of
+// observe: a vector of the resource's feature alone, read back.
 func (g *Guard) Observe(ctx context.Context, p *synth.Point) (feature.Value, error) {
-	return g.observe(ctx, p, xrand.New(0))
+	cell := feature.NewVector(feature.MustSchema(g.res.Def()))
+	if err := g.observe(ctx, cell, 0, p, xrand.New(0)); err != nil {
+		return feature.Value{Missing: true}, err
+	}
+	return cell.At(0), nil
 }
 
-// observe is Observe with the caller's per-point generator, which only the
-// infallible short-circuit draws from (a Fallible call owns its noise).
-func (g *Guard) observe(ctx context.Context, p *synth.Point, rng *rand.Rand) (feature.Value, error) {
+// observe writes the checked observation into the still-Missing position i of
+// dst, which an error leaves Missing. Only the infallible short-circuit draws
+// from rng, the caller's per-point generator (a Fallible call owns its noise).
+func (g *Guard) observe(ctx context.Context, dst *feature.Vector, i int, p *synth.Point, rng *rand.Rand) error {
 	g.calls.Add(1)
 	if g.fal == nil {
-		return observePoint(g.res, p, rng), nil
+		observeInto(dst, i, g.res, g.hash, p, rng)
+		return nil
 	}
 	name := g.res.Def().Name
 	var lastErr error
 	for attempt := 0; attempt < g.pol.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return feature.Value{Missing: true}, err
+			return err
 		}
 		if attempt > 0 {
 			g.retries.Add(1)
 			g.pol.Sleep(g.backoff(attempt))
 			if err := ctx.Err(); err != nil {
-				return feature.Value{Missing: true}, err
+				return err
 			}
 		}
 		if !g.brk.Allow() {
 			g.breakerRejects.Add(1)
-			return feature.Value{Missing: true}, fmt.Errorf("resource %q: %w", name, ErrBreakerOpen)
+			return fmt.Errorf("resource %q: %w", name, ErrBreakerOpen)
 		}
 		val, err := g.attempt(ctx, p)
 		if err == nil {
 			g.brk.Success()
-			return val, nil
+			return dst.SetAt(i, val)
 		}
 		g.brk.Failure()
 		lastErr = err
@@ -217,7 +226,7 @@ func (g *Guard) observe(ctx context.Context, p *synth.Point, rng *rand.Rand) (fe
 		}
 	}
 	g.failures.Add(1)
-	return feature.Value{Missing: true}, fmt.Errorf("resource %q: %w", name, lastErr)
+	return fmt.Errorf("resource %q: %w", name, lastErr)
 }
 
 // attempt runs one call under the per-attempt timeout.
@@ -242,7 +251,7 @@ func (l *Library) WithGuards(def Policy, per map[string]Policy) *Library {
 		}
 		guards[i] = NewGuard(r, pol)
 	}
-	return &Library{world: l.world, resources: l.resources, schema: l.schema, guards: guards}
+	return &Library{world: l.world, resources: l.resources, schema: l.schema, hashes: l.hashes, guards: guards}
 }
 
 // Guarded reports whether the library was built WithGuards.
@@ -306,18 +315,16 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 		return l.FeaturizePoint(p), nil, nil
 	}
 	rng := xrand.New(0)
-	var buf [24]feature.Value
-	vals := buf[:0]
+	vec = feature.NewVector(l.schema)
+	vec.Grow(l.reserve(p, 1))
 	attempted, succeeded := 0, 0
 	breakerOpen := false
 	for i, r := range l.resources {
-		vals = append(vals, feature.MissingValue())
 		if !Applicable(r, p) {
 			continue
 		}
 		attempted++
-		val, err := l.guards[i].observe(ctx, p, rng)
-		if err != nil {
+		if err := l.guards[i].observe(ctx, vec, i, p, rng); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, nil, cerr
 			}
@@ -328,7 +335,6 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 			continue
 		}
 		succeeded++
-		vals[i] = val
 	}
 	if attempted > 0 && succeeded == 0 && len(failed) > 0 {
 		err := fmt.Errorf("resource: point %d: %w", p.ID, ErrUnavailable)
@@ -337,7 +343,7 @@ func (l *Library) FeaturizePointChecked(ctx context.Context, p *synth.Point) (ve
 		}
 		return nil, failed, err
 	}
-	return l.vector(vals), failed, nil
+	return vec, failed, nil
 }
 
 // FeaturizeChecked runs the checked path over a corpus in parallel. Per-point

@@ -33,8 +33,8 @@ func newFakeSvc(name string, failN int) *fakeSvc {
 
 func (f *fakeSvc) Def() feature.Def               { return f.def }
 func (f *fakeSvc) Supports(m synth.Modality) bool { return true }
-func (f *fakeSvc) Observe(_ *synth.Entity, _ synth.Modality, _ *rand.Rand) feature.Value {
-	return feature.NumericValue(42)
+func (f *fakeSvc) Observe(dst *feature.Vector, i int, _ *synth.Entity, _ synth.Modality, _ *rand.Rand) {
+	dst.SetNum(i, 42)
 }
 
 func (f *fakeSvc) CheckPoint(ctx context.Context, _ *synth.Point) (feature.Value, error) {

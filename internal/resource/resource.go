@@ -51,9 +51,11 @@ type Resource interface {
 	Def() feature.Def
 	// Supports reports whether the resource can process modality m.
 	Supports(m synth.Modality) bool
-	// Observe renders the resource's (noisy) view of entity e through
-	// modality m, using rng for all observation noise.
-	Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value
+	// Observe writes the resource's (noisy) view of entity e through modality
+	// m into position i of dst — the position of a feature of the resource's
+	// kind, still Missing — using rng for all observation noise. An
+	// observation that drops out leaves the position Missing.
+	Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand)
 }
 
 // Library is a collection of resources applied together to build the common
@@ -64,20 +66,40 @@ type Library struct {
 	world     *synth.World
 	resources []Resource
 	schema    *feature.Schema
+	hashes    []uint64 // xrand.Hash of each resource's channel (feature) name
 	guards    []*Guard // nil unless built WithGuards
 }
 
 // NewLibrary assembles a library. Resource feature names must be unique.
 func NewLibrary(world *synth.World, resources ...Resource) (*Library, error) {
 	defs := make([]feature.Def, len(resources))
+	hashes := make([]uint64, len(resources))
 	for i, r := range resources {
 		defs[i] = r.Def()
+		hashes[i] = xrand.Hash(defs[i].Name)
 	}
 	schema, err := feature.NewSchema(defs...)
 	if err != nil {
 		return nil, fmt.Errorf("resource: %w", err)
 	}
-	return &Library{world: world, resources: resources, schema: schema}, nil
+	return &Library{world: world, resources: resources, schema: schema, hashes: hashes}, nil
+}
+
+// reserve is the payload room n points like p are expected to fill, erring
+// high so append never regrows a slab: a category and a quarter per
+// categorical service that applies (most write one, a few two or three).
+func (l *Library) reserve(p *synth.Point, n int) (cats, embs int) {
+	for i, r := range l.resources {
+		if !Applicable(r, p) {
+			continue
+		}
+		if d := l.schema.Def(i); d.Kind == feature.Categorical {
+			cats += 5 // quarters
+		} else {
+			embs += d.Dim // 0 for a numeric
+		}
+	}
+	return n * cats / 4, n * embs
 }
 
 // Schema returns the feature schema induced by the library.
@@ -116,141 +138,119 @@ func Applicable(r Resource, p *synth.Point) bool {
 	return r.Supports(p.Modality)
 }
 
-// ObservePoint renders one resource's view of one point: the unit of work a
-// single "service call" performs, including the per-frame merge for video
-// points. It is the seam the fault-injection layer wraps — a failure of one
-// ObservePoint is the failure of one organizational-service call.
-// Callers must check Applicable first.
+// ObservePoint renders one resource's view of one point as a Value: the unit
+// of work a single "service call" performs, including the per-frame merge for
+// video points, and so the seam the fault-injection layer wraps. It is the
+// one-cell case of featurization's write: a vector of r's feature alone,
+// observed into and read back. Callers must check Applicable first.
 func ObservePoint(r Resource, p *synth.Point) feature.Value {
-	return observePoint(r, p, xrand.New(0))
+	d := r.Def()
+	cell := feature.NewVector(feature.MustSchema(d))
+	observeInto(cell, 0, r, xrand.Hash(d.Name), p, xrand.New(0))
+	return cell.At(0)
 }
 
-// observePoint is ObservePoint drawing its noise from rng, which it reseeds
-// to the channel's (or each video frame's) own stream: featurizing a point
-// costs one generator, not one per resource.
-func observePoint(r Resource, p *synth.Point, rng *rand.Rand) feature.Value {
+// observeInto writes r's view of p into the still-Missing position i of dst,
+// reseeding rng to the channel's (or each video frame's) own stream, so a
+// point or a block of points costs one generator; hash is the channel name's.
+func observeInto(dst *feature.Vector, i int, r Resource, hash uint64, p *synth.Point, rng *rand.Rand) {
 	if p.Modality == synth.Video {
-		return observeVideo(r, p, rng)
+		dst.MustSetAt(i, observeVideo(r, p, rng))
+		return
 	}
-	p.SeedObservation(rng, r.Def().Name)
-	return r.Observe(p.Entity, p.Modality, rng)
+	p.SeedChannel(rng, hash)
+	r.Observe(dst, i, p.Entity, p.Modality, rng)
+}
+
+// featurizeInto runs every applicable resource on p, each writing its own
+// position of the all-Missing dst. Resources sit in schema order (NewLibrary
+// builds the schema from them), so resource i fills position i.
+func (l *Library) featurizeInto(dst *feature.Vector, p *synth.Point, rng *rand.Rand) {
+	for i, r := range l.resources {
+		if Applicable(r, p) {
+			observeInto(dst, i, r, l.hashes[i], p, rng)
+		}
+	}
 }
 
 // FeaturizePoint runs every applicable resource on one point and returns its
-// feature vector under the library schema. Resources that do not support the
-// point's modality leave their feature missing. Video points are split into
-// frames rendered through the image channel and merged.
+// feature vector under the library schema, owning its payload. Resources that
+// do not support the point's modality leave their feature missing. Video
+// points are split into frames rendered through the image channel and merged.
 func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
-	rng := xrand.New(0)
-	var buf [24]feature.Value // the standard library's 18 observations stay on the stack
-	vals := buf[:0]
-	for _, r := range l.resources {
-		val := feature.MissingValue()
-		if Applicable(r, p) {
-			val = observePoint(r, p, rng)
-		}
-		vals = append(vals, val)
-	}
-	return l.vector(vals)
-}
-
-// vector assembles one observation per resource into a vector whose payload
-// is sized once. Resources sit in schema order (NewLibrary builds the schema
-// from them), so observation i fills position i without a name lookup.
-func (l *Library) vector(vals []feature.Value) *feature.Vector {
-	var cats, embs int
-	for i := range vals {
-		cats += len(vals[i].Categories)
-		embs += len(vals[i].Vec)
-	}
 	v := feature.NewVector(l.schema)
-	v.Grow(cats, embs)
-	for i := range vals {
-		v.MustSetAt(i, vals[i])
-	}
+	v.Grow(l.reserve(p, 1))
+	l.featurizeInto(v, p, xrand.New(0))
 	return v
 }
 
 // observeVideo merges per-frame image observations: categorical values
 // union, numeric and embedding values average; all-missing frames leave the
-// feature missing.
+// feature missing. Each frame is the one-cell case — observed into a scratch
+// vector of r's feature alone, then read through the typed readers, which
+// return nothing for the kinds the feature is not.
 func observeVideo(r Resource, p *synth.Point, rng *rand.Rand) feature.Value {
 	d := r.Def()
-	frames := p.Frames
-	if frames <= 0 {
-		frames = 1
-	}
-	frame := func(f int) feature.Value {
+	cell := feature.NewVector(feature.MustSchema(d))
+	seen := make(map[string]bool)
+	acc := make([]float64, d.Dim)
+	var sum float64
+	n := 0
+	for f := 0; f < max(p.Frames, 1); f++ {
 		p.SeedFrame(rng, d.Name, f)
-		return r.Observe(p.Entity, synth.Image, rng)
+		cell.MustSetAt(0, feature.MissingValue())
+		r.Observe(cell, 0, p.Entity, synth.Image, rng)
+		if !cell.Present(0) {
+			continue
+		}
+		n++
+		for _, c := range cell.Categories(0) {
+			seen[c] = true
+		}
+		sum += cell.Num(0)
+		for k, x := range cell.Vec(0) {
+			acc[k] += x
+		}
 	}
-	switch d.Kind {
-	case feature.Categorical:
-		seen := make(map[string]bool)
-		any := false
-		for f := 0; f < frames; f++ {
-			val := frame(f)
-			if val.Missing {
-				continue
-			}
-			any = true
-			for _, c := range val.Categories {
-				seen[c] = true
-			}
-		}
-		if !any {
-			return feature.MissingValue()
-		}
+	switch {
+	case n == 0:
+		return feature.MissingValue()
+	case d.Kind == feature.Categorical:
 		cats := make([]string, 0, len(seen))
 		for c := range seen {
 			cats = append(cats, c)
 		}
 		sort.Strings(cats)
 		return feature.CategoricalValue(cats...)
-	case feature.Numeric:
-		var sum float64
-		n := 0
-		for f := 0; f < frames; f++ {
-			val := frame(f)
-			if val.Missing {
-				continue
-			}
-			sum += val.Num
-			n++
-		}
-		if n == 0 {
-			return feature.MissingValue()
-		}
+	case d.Kind == feature.Numeric:
 		return feature.NumericValue(sum / float64(n))
-	case feature.Embedding:
-		acc := make([]float64, d.Dim)
-		n := 0
-		for f := 0; f < frames; f++ {
-			val := frame(f)
-			if val.Missing || len(val.Vec) != d.Dim {
-				continue
-			}
-			for i, x := range val.Vec {
-				acc[i] += x
-			}
-			n++
-		}
-		if n == 0 {
-			return feature.MissingValue()
-		}
-		for i := range acc {
-			acc[i] /= float64(n)
+	default:
+		for k := range acc {
+			acc[k] /= float64(n)
 		}
 		return feature.EmbeddingValue(acc)
-	default:
-		return feature.MissingValue()
 	}
 }
 
 // Featurize runs the library over a corpus in parallel (the paper's
 // MapReduce featurization job) and returns one vector per point, in order.
+// Each block a worker claims lands in one feature.NewVectors slab with one
+// generator — a handful of objects per block, none per point — so a block's
+// vectors share a payload: FeaturizePoint a vector kept past its batch.
 func (l *Library) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
-	return mapreduce.Map(ctx, cfg, pts, func(p *synth.Point) (*feature.Vector, error) {
-		return l.FeaturizePoint(p), nil
+	out := make([]*feature.Vector, len(pts))
+	err := mapreduce.Blocks(ctx, cfg, len(pts), func(_ context.Context, lo, hi int) error {
+		vecs := feature.NewVectors(l.schema, hi-lo)
+		vecs[0].Grow(l.reserve(pts[lo], hi-lo))
+		rng := xrand.New(0)
+		for k := range vecs {
+			l.featurizeInto(&vecs[k], pts[lo+k], rng)
+			out[lo+k] = &vecs[k]
+		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -391,39 +391,38 @@ func TestCategoryNamesMatchSprintf(t *testing.T) {
 	}
 }
 
-// TestFeaturizePointAllocs pins what a point costs beyond what its services
-// return: the vector and its payload header in one object, the cell slab, at
-// most three payload arrays sized once, and one generator with its source —
-// not a generator per resource or a payload array per append.
+// TestFeaturizePointAllocs pins what a self-owned vector costs, absolutely —
+// the services write cells and allocate nothing: the vector and its payload
+// header in one object, the cell slab, at most three payload arrays sized
+// once, and one generator. Not a Value, []string or []float64 per
+// observation, a generator per resource, or a payload array per append.
 func TestFeaturizePointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
 	}
 	lib, pts := testDataset(t, 40)
-	task, _ := synth.TaskByName("CT1")
-	if err := task.Calibrate(lib.World(), 2000, 3); err != nil {
-		t.Fatal(err)
-	}
-	pts = append(pts, synth.SampleVideo(lib.World(), task, 1, 3, 17)...)
 	seen := map[synth.Modality]bool{}
 	for _, p := range pts {
 		if seen[p.Modality] {
 			continue
 		}
 		seen[p.Modality] = true
+		if got := testing.AllocsPerRun(10, func() { lib.FeaturizePoint(p) }); got > 6 {
+			t.Errorf("%s point: %v allocations, want <= 6", p.Modality, got)
+		}
 		rng := xrand.New(0)
-		var services float64
-		for _, r := range lib.Resources() {
-			if Applicable(r, p) {
-				services += testing.AllocsPerRun(10, func() { observePoint(r, p, rng) })
+		v := feature.NewVector(lib.Schema())
+		v.Grow(1<<12, 1<<12)
+		for i, r := range lib.Resources() {
+			if !Applicable(r, p) {
+				continue
+			}
+			if got := testing.AllocsPerRun(10, func() { observeInto(v, i, r, lib.hashes[i], p, rng) }); got != 0 {
+				t.Errorf("%s point: service %q allocates %v per observation, want 0", p.Modality, r.Def().Name, got)
 			}
 		}
-		got := testing.AllocsPerRun(10, func() { lib.FeaturizePoint(p) })
-		if extra := got - services; extra > 7 {
-			t.Errorf("%s point: %v allocations, %v of them the services' own: %v on the vector, want <= 7", p.Modality, got, services, extra)
-		}
 	}
-	if len(seen) != 3 {
-		t.Fatalf("modalities exercised: %v, want text, image and video", seen)
+	if len(seen) != 2 {
+		t.Fatalf("modalities exercised: %v, want text and image", seen)
 	}
 }

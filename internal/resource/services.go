@@ -18,18 +18,92 @@ var textOnly = map[synth.Modality]bool{synth.Text: true}
 
 var imageOnly = map[synth.Modality]bool{synth.Image: true}
 
+// channelOf is the slot a service keeps modality m's settings in — text,
+// image, and a zero slot for every modality a service cannot declare — so an
+// observation indexes an array resolved at construction, not a map.
+func channelOf(m synth.Modality) int {
+	switch m {
+	case synth.Text:
+		return 0
+	case synth.Image:
+		return 1
+	}
+	return 2
+}
+
 // baseService carries the fields shared by all concrete services.
 type baseService struct {
 	def      feature.Def
-	supports map[synth.Modality]bool
-	params   map[synth.Modality]ObsParams
+	supports [3]bool
+	params   [3]ObsParams
+}
+
+func newBase(def feature.Def, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams) baseService {
+	return baseService{def, [3]bool{supports[synth.Text], supports[synth.Image]}, [3]ObsParams{params[synth.Text], params[synth.Image]}}
 }
 
 func (s *baseService) Def() feature.Def { return s.def }
 
-func (s *baseService) Supports(m synth.Modality) bool { return s.supports[m] }
+func (s *baseService) Supports(m synth.Modality) bool { return s.supports[channelOf(m)] }
 
-func (s *baseService) obs(m synth.Modality) ObsParams { return s.params[m] }
+// vocab is a categorical service's value table with every entry's intern ID
+// beside it, interned once at construction: writing a value copies a string
+// header and an ID out of the two tables and never touches the interner.
+type vocab struct {
+	prefix string // of a "<prefix><i>" table, for a value past its end
+	names  []string
+	ids    []uint32
+}
+
+func newVocab(prefix string, names []string) vocab {
+	ids := make([]uint32, len(names))
+	for k, name := range names {
+		ids[k] = feature.InternID(name)
+	}
+	return vocab{prefix, names, ids}
+}
+
+// newCategoryNames is the vocabulary "<prefix><i>" for i in [0, n), formatted
+// once so Observe indexes a table instead of formatting a string per
+// observation.
+func newCategoryNames(prefix string, n int) vocab {
+	table := make([]string, max(n, 0))
+	for i := range table {
+		table[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return newVocab(prefix, table)
+}
+
+// name returns "<prefix><i>"; an index outside the table (an extract function
+// that strays past n) is formatted on the spot, as every index once was.
+func (v vocab) name(i int) string {
+	if i >= 0 && i < len(v.names) {
+		return v.names[i]
+	}
+	return fmt.Sprintf("%s%d", v.prefix, i)
+}
+
+// at returns value k as one-element lists of its name and intern ID:
+// sub-slices of the two tables, or, outside them, interned on the spot.
+func (v vocab) at(k int) ([]string, []uint32) {
+	if k >= 0 && k < len(v.names) {
+		return v.names[k : k+1], v.ids[k : k+1]
+	}
+	return []string{v.name(k)}, []uint32{feature.InternID(v.name(k))}
+}
+
+// write stores the single value k at position i of dst.
+func (v vocab) write(dst *feature.Vector, i, k int) {
+	cats, ids := v.at(k)
+	must(dst.SetCategories(i, cats, ids))
+}
+
+// must panics on a write a service's own value fails only past 32-bit windows.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 // CategoryService observes one latent categorical attribute (topic, URL
 // group, setting, ...). With probability Fidelity it reports the true value;
@@ -38,52 +112,27 @@ func (s *baseService) obs(m synth.Modality) ObsParams { return s.params[m] }
 type CategoryService struct {
 	baseService
 	n       int
-	names   categoryNames
+	names   vocab
 	extract func(*synth.Entity) int
 	// errorDist, when set, draws misclassification targets from the
 	// observed modality's distribution instead of uniformly. Production
 	// classifiers are biased toward the prior of the traffic they run
 	// on, so errors land on locally popular values — which keeps
 	// observations of *rare* values precise.
-	errorDist map[synth.Modality][]float64
+	errorDist [3][]float64
 }
 
 // NewCategoryService builds a categorical service over n values named
 // "<prefix><i>"; extract maps an entity to its true value index.
 func NewCategoryService(def feature.Def, n int, prefix string, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, extract func(*synth.Entity) int) *CategoryService {
 	def.Kind = feature.Categorical
-	return &CategoryService{baseService{def, supports, params}, n, newCategoryNames(prefix, n), extract, nil}
-}
-
-// categoryNames is a service's value vocabulary "<prefix><i>" for i in
-// [0, n), formatted once at construction so Observe indexes a table instead
-// of formatting a string per observation.
-type categoryNames struct {
-	prefix string
-	table  []string
-}
-
-func newCategoryNames(prefix string, n int) categoryNames {
-	table := make([]string, max(n, 0))
-	for i := range table {
-		table[i] = fmt.Sprintf("%s%d", prefix, i)
-	}
-	return categoryNames{prefix, table}
-}
-
-// name returns "<prefix><i>"; an index outside the table (an extract function
-// that strays past n) is formatted on the spot, as every index once was.
-func (c categoryNames) name(i int) string {
-	if i >= 0 && i < len(c.table) {
-		return c.table[i]
-	}
-	return fmt.Sprintf("%s%d", c.prefix, i)
+	return &CategoryService{baseService: newBase(def, supports, params), n: n, names: newCategoryNames(prefix, n), extract: extract}
 }
 
 // WithErrorDists sets per-modality misclassification target distributions
 // (each of length n) and returns the service for chaining.
 func (s *CategoryService) WithErrorDists(dists map[synth.Modality][]float64) *CategoryService {
-	s.errorDist = dists
+	s.errorDist = [3][]float64{dists[synth.Text], dists[synth.Image]}
 	return s
 }
 
@@ -101,10 +150,11 @@ func sampleIndex(rng *rand.Rand, p []float64) int {
 }
 
 // Observe implements Resource.
-func (s *CategoryService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	p := s.obs(m)
+func (s *CategoryService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	ch := channelOf(m)
+	p := &s.params[ch]
 	if rng.Float64() < p.Dropout {
-		return feature.MissingValue()
+		return
 	}
 	idx := s.extract(e)
 	if rng.Float64() >= p.Fidelity && s.n > 1 {
@@ -117,13 +167,13 @@ func (s *CategoryService) Observe(e *synth.Entity, m synth.Modality, rng *rand.R
 		switch {
 		case p.ConfusionShift > 0 && rng.Float64() < 0.5:
 			idx = (idx + p.ConfusionShift) % s.n
-		case s.errorDist[m] != nil:
-			idx = sampleIndex(rng, s.errorDist[m])
+		case s.errorDist[ch] != nil:
+			idx = sampleIndex(rng, s.errorDist[ch])
 		default:
 			idx = (idx + 1 + rng.Intn(s.n-1)) % s.n
 		}
 	}
-	return feature.CategoricalValue(s.names.name(idx))
+	s.names.write(dst, i, idx)
 }
 
 // SetService observes a latent index set (objects present, keywords) as a
@@ -133,7 +183,7 @@ func (s *CategoryService) Observe(e *synth.Entity, m synth.Modality, rng *rand.R
 type SetService struct {
 	baseService
 	n       int
-	names   categoryNames
+	names   vocab
 	extract func(*synth.Entity) []int
 }
 
@@ -141,25 +191,30 @@ type SetService struct {
 // "<prefix><i>".
 func NewSetService(def feature.Def, n int, prefix string, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, extract func(*synth.Entity) []int) *SetService {
 	def.Kind = feature.Categorical
-	return &SetService{baseService{def, supports, params}, n, newCategoryNames(prefix, n), extract}
+	return &SetService{newBase(def, supports, params), n, newCategoryNames(prefix, n), extract}
 }
 
 // Observe implements Resource.
-func (s *SetService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	p := s.obs(m)
+func (s *SetService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	p := &s.params[channelOf(m)]
 	if rng.Float64() < p.Dropout {
-		return feature.MissingValue()
+		return
 	}
-	var cats []string
+	// The detected elements gather on the stack; SetCategories copies them.
+	var catBuf [8]string
+	var idBuf [8]uint32
+	cats, ids := catBuf[:0], idBuf[:0]
 	for _, idx := range s.extract(e) {
 		if rng.Float64() < p.Fidelity {
-			cats = append(cats, s.names.name(idx))
+			c, id := s.names.at(idx)
+			cats, ids = append(cats, c...), append(ids, id...)
 		}
 	}
 	if rng.Float64() < p.FalsePositive {
-		cats = append(cats, s.names.name(rng.Intn(s.n)))
+		c, id := s.names.at(rng.Intn(s.n))
+		cats, ids = append(cats, c...), append(ids, id...)
 	}
-	return feature.CategoricalValue(cats...)
+	must(dst.SetCategories(i, cats, ids))
 }
 
 // BucketService observes a latent scalar quantized into named buckets, with
@@ -168,7 +223,7 @@ func (s *SetService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) 
 type BucketService struct {
 	baseService
 	cuts    []float64
-	names   []string
+	names   vocab
 	extract func(*synth.World, *synth.Entity) float64
 	world   *synth.World
 }
@@ -180,21 +235,21 @@ func NewBucketService(def feature.Def, world *synth.World, cuts []float64, names
 		return nil, fmt.Errorf("resource: bucket service %s wants %d names for %d cuts", def.Name, len(cuts)+1, len(cuts))
 	}
 	def.Kind = feature.Categorical
-	return &BucketService{baseService{def, supports, params}, cuts, names, extract, world}, nil
+	return &BucketService{newBase(def, supports, params), cuts, newVocab("", names), extract, world}, nil
 }
 
 // Observe implements Resource.
-func (s *BucketService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	p := s.obs(m)
+func (s *BucketService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	p := &s.params[channelOf(m)]
 	if rng.Float64() < p.Dropout {
-		return feature.MissingValue()
+		return
 	}
 	v := s.extract(s.world, e) + rng.NormFloat64()*p.Noise
-	i := 0
-	for i < len(s.cuts) && v >= s.cuts[i] {
-		i++
+	k := 0
+	for k < len(s.cuts) && v >= s.cuts[k] {
+		k++
 	}
-	return feature.CategoricalValue(s.names[i])
+	s.names.write(dst, i, k)
 }
 
 // StatService observes an aggregate statistic or other numeric signal
@@ -210,16 +265,16 @@ type StatService struct {
 // NewStatService builds a numeric aggregate-statistic service.
 func NewStatService(def feature.Def, world *synth.World, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, extract func(*synth.World, *synth.Entity) float64) *StatService {
 	def.Kind = feature.Numeric
-	return &StatService{baseService{def, supports, params}, extract, world}
+	return &StatService{newBase(def, supports, params), extract, world}
 }
 
 // Observe implements Resource.
-func (s *StatService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	p := s.obs(m)
+func (s *StatService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	p := &s.params[channelOf(m)]
 	if rng.Float64() < p.Dropout {
-		return feature.MissingValue()
+		return
 	}
-	return feature.NumericValue(s.extract(s.world, e) + rng.NormFloat64()*p.Noise)
+	dst.SetNum(i, s.extract(s.world, e)+rng.NormFloat64()*p.Noise)
 }
 
 // RuleService is a rule-based resource: a heuristic predicate a team wrote
@@ -227,6 +282,7 @@ func (s *StatService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand)
 // with modality-dependent reliability.
 type RuleService struct {
 	baseService
+	names     vocab // "quiet", "fired"
 	predicate func(*synth.World, *synth.Entity) bool
 	world     *synth.World
 }
@@ -235,23 +291,24 @@ type RuleService struct {
 // "fired" or "quiet".
 func NewRuleService(def feature.Def, world *synth.World, supports map[synth.Modality]bool, params map[synth.Modality]ObsParams, predicate func(*synth.World, *synth.Entity) bool) *RuleService {
 	def.Kind = feature.Categorical
-	return &RuleService{baseService{def, supports, params}, predicate, world}
+	return &RuleService{newBase(def, supports, params), newVocab("", []string{"quiet", "fired"}), predicate, world}
 }
 
 // Observe implements Resource.
-func (s *RuleService) Observe(e *synth.Entity, m synth.Modality, rng *rand.Rand) feature.Value {
-	p := s.obs(m)
+func (s *RuleService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	p := &s.params[channelOf(m)]
 	if rng.Float64() < p.Dropout {
-		return feature.MissingValue()
+		return
 	}
 	fired := s.predicate(s.world, e)
 	if rng.Float64() >= p.Fidelity {
 		fired = !fired
 	}
+	k := 0
 	if fired {
-		return feature.CategoricalValue("fired")
+		k = 1
 	}
-	return feature.CategoricalValue("quiet")
+	s.names.write(dst, i, k)
 }
 
 // EmbeddingService renders the "pre-trained image embedding": a dense vector
@@ -268,27 +325,27 @@ type EmbeddingService struct {
 func NewEmbeddingService(def feature.Def, world *synth.World, supports map[synth.Modality]bool, noise float64) *EmbeddingService {
 	def.Kind = feature.Embedding
 	def.Dim = world.Config().EmbeddingDim
-	return &EmbeddingService{baseService{def, supports, nil}, world, noise}
+	return &EmbeddingService{newBase(def, supports, nil), world, noise}
 }
 
 // Observe implements Resource.
-func (s *EmbeddingService) Observe(e *synth.Entity, _ synth.Modality, rng *rand.Rand) feature.Value {
-	dim := s.def.Dim
-	vec := make([]float64, dim)
-	copy(vec, s.world.TopicEmbedding(e.Topic))
-	for i := range vec {
-		vec[i] *= 0.8
+func (s *EmbeddingService) Observe(dst *feature.Vector, i int, e *synth.Entity, _ synth.Modality, rng *rand.Rand) {
+	// Composed on the stack at the usual dimensions; SetVec copies it.
+	var buf [64]float64
+	vec := buf[:0]
+	for _, x := range s.world.TopicEmbedding(e.Topic)[:s.def.Dim] {
+		vec = append(vec, x*0.8)
 	}
 	for _, o := range e.Objects {
 		oe := s.world.ObjectEmbedding(o)
-		for i := range vec {
-			vec[i] += 0.8 * oe[i] / float64(len(e.Objects))
+		for k := range vec {
+			vec[k] += 0.8 * oe[k] / float64(len(e.Objects))
 		}
 	}
-	for i := range vec {
-		vec[i] += rng.NormFloat64() * s.noise
+	for k := range vec {
+		vec[k] += rng.NormFloat64() * s.noise
 	}
-	return feature.EmbeddingValue(vec)
+	must(dst.SetVec(i, vec))
 }
 
 // FeatureSets names the service sets of the paper's evaluation (§6.2).

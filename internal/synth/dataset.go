@@ -42,7 +42,13 @@ func (p *Point) ObservationRNG(channel string) *rand.Rand {
 // many channels of one point, the featurization hot path, builds one
 // generator instead of one per channel.
 func (p *Point) SeedObservation(rng *rand.Rand, channel string) {
-	rng.Seed(int64(xrand.HashString(p.Seed, channel)))
+	p.SeedChannel(rng, xrand.Hash(channel))
+}
+
+// SeedChannel is SeedObservation for a caller that keeps xrand.Hash(channel),
+// as a resource library does: restarting the stream is one Mix.
+func (p *Point) SeedChannel(rng *rand.Rand, channelHash uint64) {
+	rng.Seed(int64(xrand.Mix(p.Seed ^ channelHash)))
 }
 
 // FrameRNG returns a deterministic RNG for one frame of a video point. The

@@ -257,6 +257,8 @@ func TestSeedObservationMatchesObservationRNG(t *testing.T) {
 			same(where, rng, xrand.New(int64(sub)))
 			p.SeedObservation(rng, ch)
 			same(where, rng, p.ObservationRNG(ch))
+			p.SeedChannel(rng, xrand.Hash(ch))
+			same(where+" by kept hash", rng, p.ObservationRNG(ch))
 			for f := 0; f < p.Frames; f++ {
 				where := fmt.Sprintf("%s frame %d", where, f)
 				p.SeedFrame(rng, ch, f)

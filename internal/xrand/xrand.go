@@ -42,7 +42,13 @@ func NewSource(seed int64) *Source {
 // It is the drop-in replacement for rand.New(rand.NewSource(seed)) on hot
 // per-item paths.
 func New(seed int64) *rand.Rand {
-	return rand.New(NewSource(seed))
+	// One object for the source and the Rand over it (rand.New inlines in place).
+	g := &struct {
+		src Source
+		rnd rand.Rand
+	}{src: Source{state: uint64(seed)}}
+	g.rnd = *rand.New(&g.src)
+	return &g.rnd
 }
 
 // Uint64 advances the Weyl sequence and returns the mixed state.
@@ -70,17 +76,21 @@ func Mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// HashString folds s into seed with FNV-1a and mixes the result, producing
-// a decorrelated sub-seed for a named stream (an observation channel, a
-// stage name). The same (seed, s) pair always yields the same sub-seed.
-func HashString(seed uint64, s string) uint64 {
+// Hash is the FNV-1a hash of s: the seed-independent half of HashString, so a
+// caller that seeds the same named stream for many items hashes the name once.
+func Hash(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return Mix(seed ^ h)
+	return h
 }
+
+// HashString folds s into seed with FNV-1a and mixes the result, producing
+// a decorrelated sub-seed for a named stream (an observation channel, a
+// stage name). The same (seed, s) pair always yields the same sub-seed.
+func HashString(seed uint64, s string) uint64 { return Mix(seed ^ Hash(s)) }
 
 // ShuffleInts permutes p exactly as rand.New(s).Shuffle(len(p), swap) would,
 // draw for draw, without allocating a *rand.Rand or calling through a swap

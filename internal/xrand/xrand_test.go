@@ -89,16 +89,36 @@ func TestHashString(t *testing.T) {
 	if HashString(1, "a") != HashString(1, "a") {
 		t.Error("sub-seed not deterministic")
 	}
+	// A caller that keeps Hash(name) seeds the stream with one Mix; that must
+	// be the sub-seed HashString always gave (values recorded before the split).
+	for _, tc := range []struct {
+		seed uint64
+		s    string
+		want uint64
+	}{
+		{0x1234, "topic", 0x307b14287e39c70c},
+		{0, "", 0xf52a15e9a9b5e89b},
+		{^uint64(0), "img_embedding", 0xe76bbed4d51f2b7d},
+	} {
+		if got := HashString(tc.seed, tc.s); got != tc.want || got != Mix(tc.seed^Hash(tc.s)) {
+			t.Errorf("HashString(%#x, %q) = %#x, Mix(seed^Hash) = %#x, want %#x", tc.seed, tc.s, got, Mix(tc.seed^Hash(tc.s)), tc.want)
+		}
+	}
 }
 
 // TestConstructionCheap asserts O(1) construction cost: building a Rand
-// allocates only the Rand and Source structs, not a large seeded state.
+// allocates one object holding the Rand and its Source, not a large seeded
+// state.
 func TestConstructionCheap(t *testing.T) {
+	var sink *rand.Rand
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = New(123)
+		sink = New(123)
 	})
-	if allocs > 2 {
-		t.Errorf("New allocates %v objects, want <= 2", allocs)
+	if allocs > 1 {
+		t.Errorf("New allocates %v objects, want 1", allocs)
+	}
+	if want := rand.New(NewSource(123)); sink.Uint64() != want.Uint64() || sink.Intn(10) != want.Intn(10) {
+		t.Error("New's stream differs from rand.New(NewSource(seed))")
 	}
 }
 
