@@ -137,12 +137,8 @@ func pipelineReport(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	dsCfg := synth.DefaultDatasetConfig()
+	dsCfg := synth.DefaultDatasetConfig().Scaled(scale, 1)
 	dsCfg.Seed = seed
-	dsCfg.NumText = int(float64(dsCfg.NumText) * scale)
-	dsCfg.NumUnlabeledImage = int(float64(dsCfg.NumUnlabeledImage) * scale)
-	dsCfg.NumHandLabelPool = int(float64(dsCfg.NumHandLabelPool) * scale)
-	dsCfg.NumTest = int(float64(dsCfg.NumTest) * scale)
 	ds, err := synth.BuildDataset(world, task, dsCfg)
 	if err != nil {
 		return err

@@ -68,6 +68,19 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 	}
 }
 
+// TestTinyScaleFloorsCorpusSizes: -scale 0.00001 used to round every corpus
+// to zero rows and die in synth's size validation; every binary now floors at
+// one point per corpus, so the run reaches curation, which names the real
+// problem with a one-point corpus.
+func TestTinyScaleFloorsCorpusSizes(t *testing.T) {
+	cfg := goodConfig()
+	cfg.scale = 0.00001
+	err := pipelineReport(cfg)
+	if err == nil || strings.Contains(err.Error(), "dataset sizes must be positive") || !strings.Contains(err.Error(), "both classes") {
+		t.Fatalf("-scale 0.00001: %v, want the miner's both-classes error", err)
+	}
+}
+
 // TestPipelineReportEveryFusionKind: the comparison table trains text-only
 // and image-only models after the main run; those must not inherit a fusion
 // kind that needs both modalities (-fusion devise used to fail here, after

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -126,12 +125,8 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 		return err
 	}
 
-	dsCfg := synth.DefaultDatasetConfig()
+	dsCfg := synth.DefaultDatasetConfig().Scaled(scale, 1)
 	dsCfg.Seed = seed
-	dsCfg.NumText = max(1, int(float64(dsCfg.NumText)*scale))
-	dsCfg.NumUnlabeledImage = max(1, int(float64(dsCfg.NumUnlabeledImage)*scale))
-	dsCfg.NumHandLabelPool = max(1, int(float64(dsCfg.NumHandLabelPool)*scale))
-	dsCfg.NumTest = max(1, int(float64(dsCfg.NumTest)*scale))
 
 	ctx := context.Background()
 	log.Printf("bootstrapping %s model (scale %.2f, stream-mined)", taskName, scale)
@@ -180,7 +175,7 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 	if err != nil {
 		return err
 	}
-	hs := newHTTPServer(srv.Handler())
+	hs := serve.NewHTTPServer("", srv.Handler())
 	go hs.Serve(ln)
 	defer hs.Close()
 
@@ -244,22 +239,4 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 		return fmt.Errorf("static world but the controller retrained %d times", res.Retrains)
 	}
 	return nil
-}
-
-// Connection timeouts: a client that stalls sending its headers or body, or
-// parks an idle keep-alive connection, cannot hold a server goroutine.
-const (
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = 30 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer serves h under the connection timeouts.
-func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
 }

@@ -4,12 +4,14 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"crossmodal/internal/serve"
 )
 
 // TestHTTPServerSetsTimeouts: the in-process server must bound how long a
 // stalled or idle connection can hold a goroutine.
 func TestHTTPServerSetsTimeouts(t *testing.T) {
-	hs := newHTTPServer(http.NotFoundHandler())
+	hs := serve.NewHTTPServer("", http.NotFoundHandler())
 	for _, tc := range []struct {
 		name string
 		got  time.Duration

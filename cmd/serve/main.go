@@ -227,7 +227,7 @@ func run(cfg runConfig) error {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(cfg.pprofAddr, nil)) }()
 	}
 
-	hs := newHTTPServer(cfg.addr, srv.Handler())
+	hs := serve.NewHTTPServer(cfg.addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -253,12 +253,8 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 	if err != nil {
 		return err
 	}
-	dsCfg := synth.DefaultDatasetConfig()
+	dsCfg := synth.DefaultDatasetConfig().Scaled(cfg.scale, 1)
 	dsCfg.Seed = cfg.seed
-	dsCfg.NumText = max(1, int(float64(dsCfg.NumText)*cfg.scale))
-	dsCfg.NumUnlabeledImage = max(1, int(float64(dsCfg.NumUnlabeledImage)*cfg.scale))
-	dsCfg.NumHandLabelPool = max(1, int(float64(dsCfg.NumHandLabelPool)*cfg.scale))
-	dsCfg.NumTest = max(1, int(float64(dsCfg.NumTest)*cfg.scale))
 	ds, err := synth.BuildDataset(world, task, dsCfg)
 	if err != nil {
 		return err
@@ -271,13 +267,7 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 		if err != nil {
 			return fusion.Corpus{}, err
 		}
-		targets := make([]float64, len(pts))
-		for i, p := range pts {
-			if p.Label > 0 {
-				targets[i] = 1
-			}
-		}
-		return fusion.Corpus{Name: name, Vectors: vecs, Targets: targets}, nil
+		return fusion.Corpus{Name: name, Vectors: vecs, Targets: fusion.HardTargets(synth.Labels(pts))}, nil
 	}
 	text, err := corpusOf("text", ds.LabeledText)
 	if err != nil {
@@ -327,23 +317,4 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 		}
 	}
 	return fusion.SaveFile(cfg.trainPath, m)
-}
-
-// Connection timeouts: a client that stalls sending its headers or body, or
-// parks an idle keep-alive connection, cannot hold a server goroutine.
-const (
-	readHeaderTimeout = 5 * time.Second
-	readTimeout       = 30 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newHTTPServer serves h on addr under the connection timeouts.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
-	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crossmodal/internal/serve"
 )
 
 // goodConfig mirrors the flag defaults.
@@ -80,7 +82,7 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 // TestHTTPServerSetsTimeouts: the listener must bound how long a stalled or
 // idle connection can hold a goroutine.
 func TestHTTPServerSetsTimeouts(t *testing.T) {
-	hs := newHTTPServer(":0", http.NotFoundHandler())
+	hs := serve.NewHTTPServer(":0", http.NotFoundHandler())
 	for _, tc := range []struct {
 		name string
 		got  time.Duration

@@ -295,6 +295,9 @@ func CompareModels(nameA string, a Predictor, nameB string, b Predictor, traffic
 // TrainSpec.Extra to add e.g. human-reviewed points).
 type TrainingCorpus = fusion.Corpus
 
+// HardTargets turns hard labels into a TrainingCorpus's Targets.
+func HardTargets(labels []int8) []float64 { return fusion.HardTargets(labels) }
+
 // FeatureStore is a bounded LRU cache of featurized points with JSONL
 // persistence — the paper's precomputed-feature store (§2.3).
 type FeatureStore = featurestore.Store

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	// Retrain the final grown model the same way the loop did internally.
-	grown, err := growModel(ctx, pipe, res.Curation, ds, oracle, activeRes.Rounds[len(activeRes.Rounds)-1].Reviewed)
+	grown, err := growModel(ctx, pipe, res.Curation, ds, activeRes.Rounds[len(activeRes.Rounds)-1].Reviewed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func main() {
 
 // growModel retrains with the first n reviewed pool points as hard labels —
 // reproducing what the active-learning loop converged to.
-func growModel(ctx context.Context, pipe *crossmodal.Pipeline, cur *crossmodal.Curation, ds *crossmodal.Dataset, oracle crossmodal.ReviewOracle, n int) (crossmodal.Predictor, error) {
+func growModel(ctx context.Context, pipe *crossmodal.Pipeline, cur *crossmodal.Curation, ds *crossmodal.Dataset, n int) (crossmodal.Predictor, error) {
 	if n > len(ds.HandLabelPool) {
 		n = len(ds.HandLabelPool)
 	}
@@ -113,12 +113,9 @@ func growModel(ctx context.Context, pipe *crossmodal.Pipeline, cur *crossmodal.C
 	if err != nil {
 		return nil, err
 	}
-	targets := make([]float64, len(reviewed))
+	targets := crossmodal.HardTargets(crossmodal.Labels(reviewed)) // what the reviewer answered
 	weights := make([]float64, len(reviewed))
-	for i, p := range reviewed {
-		if oracle(p) > 0 {
-			targets[i] = 1
-		}
+	for i := range weights {
 		weights[i] = 3
 	}
 	spec := pipe.DefaultTrainSpec()

@@ -42,6 +42,10 @@ const (
 // Oracle reveals a point's true label — the stand-in for a human reviewer.
 type Oracle func(*synth.Point) int8
 
+// reviewWeight is the training weight of each reviewed point relative to a
+// weakly labeled one: hard labels are worth more.
+const reviewWeight = 3.0
+
 // Config controls the loop.
 type Config struct {
 	// Strategy selects the review policy (default Uncertainty).
@@ -50,9 +54,6 @@ type Config struct {
 	BatchSize int
 	// Rounds is how many review rounds run (default 5).
 	Rounds int
-	// ReviewWeight is the training weight of each reviewed point relative
-	// to a weakly labeled one (default 3: hard labels are worth more).
-	ReviewWeight float64
 	// Seed drives random sampling.
 	Seed int64
 }
@@ -66,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 5
-	}
-	if c.ReviewWeight <= 0 {
-		c.ReviewWeight = 3
 	}
 	return c
 }
@@ -143,7 +141,7 @@ func Run(ctx context.Context, pipe *core.Pipeline, cur *core.Curation, pool, tes
 			}
 			reviewedVecs = append(reviewedVecs, poolVecs[idx])
 			reviewedTargets = append(reviewedTargets, target)
-			reviewedWeights = append(reviewedWeights, cfg.ReviewWeight)
+			reviewedWeights = append(reviewedWeights, reviewWeight)
 		}
 		roundSpec := spec
 		roundSpec.Extra = []fusion.Corpus{{

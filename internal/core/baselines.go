@@ -6,7 +6,6 @@ import (
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/fusion"
-	"crossmodal/internal/labelprop"
 	"crossmodal/internal/metrics"
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
@@ -52,13 +51,7 @@ func (p *Pipeline) TrainSupervised(ctx context.Context, pts []*synth.Point, sche
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize supervised corpus: %w", err)
 	}
-	targets := make([]float64, len(pts))
-	for i, pt := range pts {
-		if pt.Label > 0 {
-			targets[i] = 1
-		}
-	}
-	corpus := fusion.Corpus{Name: "supervised", Vectors: vecs, Targets: targets}
+	corpus := fusion.Corpus{Name: "supervised", Vectors: vecs, Targets: fusion.HardTargets(synth.Labels(pts))}
 	return fusion.TrainEarly(ctx, []fusion.Corpus{corpus}, fusion.Config{
 		Schema:   schema,
 		Model:    p.modelConfig(mcfg),
@@ -122,10 +115,4 @@ func CrossOver(curve []BudgetPoint, target float64) int {
 		}
 	}
 	return 0
-}
-
-// FitGraphWeights exposes label-propagation feature-weight fitting for the
-// pipeline and tools; see labelprop.FitFeatureWeights.
-func FitGraphWeights(vecs []*feature.Vector, labels []int8, scales feature.Scales, pairs int, seed int64) (feature.Weights, error) {
-	return labelprop.FitFeatureWeights(vecs, labels, scales, pairs, seed)
 }

@@ -35,7 +35,7 @@ func TestDiagnostics(t *testing.T) {
 	}
 	if res.Report.LabelModel != nil {
 		for j, name := range res.Report.LabelModel.Names {
-			fmt.Printf("  acc %-40s %.3f (prop %.3f)\n", name, res.Report.LabelModel.Accuracy(j), res.Report.LabelModel.Propensity(j))
+			fmt.Printf("  acc %-40s %.3f\n", name, res.Report.LabelModel.Accuracy(j))
 		}
 	}
 

@@ -56,7 +56,7 @@ func TestDiagLabelProp(t *testing.T) {
 		nodes = append(nodes, v.Reproject(gSchema))
 	}
 	scales := feature.FitScales(gSchema, nodes)
-	weights, err := FitGraphWeights(nodes[:nSeeds], seedLabels, scales, 20000, 3)
+	weights, err := labelprop.FitFeatureWeights(nodes[:nSeeds], seedLabels, scales, 20000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,15 +121,10 @@ func scanFirst(ctx context.Context, c corpus, schema *feature.Schema, n int, fn 
 	return err
 }
 
-// firstRows gathers the first limit rows of c (limit <= 0: all), decoded
-// into schema, in memory.
-func firstRows(ctx context.Context, c corpus, schema *feature.Schema, limit int) ([]*feature.Vector, error) {
-	n := c.Rows()
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]*feature.Vector, 0, n)
-	err := scanFirst(ctx, c, schema, n, func(_ int, vecs []*feature.Vector) error {
+// allRows gathers every row of c, decoded into schema, in memory.
+func allRows(ctx context.Context, c corpus, schema *feature.Schema) ([]*feature.Vector, error) {
+	out := make([]*feature.Vector, 0, c.Rows())
+	err := c.ScanProjected(ctx, schema, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
 		out = append(out, vecs...)
 		return nil
 	})
@@ -247,7 +242,7 @@ func (r *curateRun) buildLFs(ctx context.Context) ([]*lf.LF, mining.Report, erro
 	if r.p.opts.LFSource == ExpertLFs {
 		// The simulated expert samples the whole dev set, so it is gathered
 		// in memory — why CurateStreamed refuses ExpertLFs.
-		devVecs, err := firstRows(ctx, r.text, r.lfSchema, 0)
+		devVecs, err := allRows(ctx, r.text, r.lfSchema)
 		if err != nil {
 			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
 		}
@@ -306,7 +301,7 @@ func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]*fea
 // uniform weights — but it is not silent either: the enclosing labelprop
 // span carries graph_weights_fitted = 1 or 0.
 func fitGraphWeights(ctx context.Context, seedNodes []*feature.Vector, seedLabels []int8, scales feature.Scales, seed int64) feature.Weights {
-	weights, err := FitGraphWeights(seedNodes, seedLabels, scales, 20000, seed)
+	weights, err := labelprop.FitFeatureWeights(seedNodes, seedLabels, scales, 20000, seed)
 	if err != nil {
 		trace.SetInt(ctx, "graph_weights_fitted", 0)
 		return nil

@@ -451,13 +451,7 @@ func (p *Pipeline) Train(ctx context.Context, cur *Curation, spec TrainSpec) (fu
 	var corpora []fusion.Corpus
 	var textCorpus, imageCorpus fusion.Corpus
 	if spec.UseText {
-		targets := make([]float64, len(cur.TextLabels))
-		for i, l := range cur.TextLabels {
-			if l > 0 {
-				targets[i] = 1
-			}
-		}
-		textCorpus = fusion.Corpus{Name: "text", Vectors: cur.TextVecs, Targets: targets}
+		textCorpus = fusion.Corpus{Name: "text", Vectors: cur.TextVecs, Targets: fusion.HardTargets(cur.TextLabels)}
 		corpora = append(corpora, textCorpus)
 	}
 	if spec.UseImage {

@@ -37,12 +37,8 @@ type StreamOptions struct {
 	// for bit-identity with the in-memory pipeline; rows past the window
 	// get no propagation vote (the score LF abstains on them).
 	GraphWindow int
-	// TrainCap bounds the per-corpus rows Materialize loads back into
-	// memory for end-model training (0 = all).
-	TrainCap int
-	// SkipCRC and CommitHook pass through to the disk stores (see
-	// disk.Options); CommitHook is the crash-injection seam.
-	SkipCRC    bool
+	// CommitHook passes through to the disk stores (see disk.Options): the
+	// crash-injection seam.
 	CommitHook func(op, path string) error
 	// ChunkHook, when non-nil, runs after every chunk-granular step with a
 	// stage tag and the chunk sequence number; an error aborts the run.
@@ -87,7 +83,6 @@ type StreamedCuration struct {
 	ReusedChunks int
 
 	task *synth.Task
-	opts StreamOptions
 }
 
 // Close closes both stores.
@@ -100,15 +95,15 @@ func (sc *StreamedCuration) Close() error {
 }
 
 // Materialize loads the curated corpora back into memory as a Curation for
-// end-model training, bounded by StreamOptions.TrainCap rows per corpus.
-// Vectors round-trip the store bit-exactly, so training on a materialized
-// curation matches training on the in-memory pipeline's output.
+// end-model training. Vectors round-trip the store bit-exactly, so training
+// on a materialized curation matches training on the in-memory pipeline's
+// output.
 func (sc *StreamedCuration) Materialize(ctx context.Context) (*Curation, error) {
-	textVecs, err := firstRows(ctx, sc.Text, sc.Text.Schema(), sc.opts.TrainCap)
+	textVecs, err := allRows(ctx, sc.Text, sc.Text.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("core: materialize text: %w", err)
 	}
-	imageVecs, err := firstRows(ctx, sc.Image, sc.Image.Schema(), sc.opts.TrainCap)
+	imageVecs, err := allRows(ctx, sc.Image, sc.Image.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("core: materialize image: %w", err)
 	}
@@ -116,9 +111,9 @@ func (sc *StreamedCuration) Materialize(ctx context.Context) (*Curation, error) 
 		Dataset:    &synth.Dataset{Task: sc.task, HandLabelPool: sc.Pool, TestImage: sc.Test},
 		TextVecs:   textVecs,
 		ImageVecs:  imageVecs,
-		TextLabels: sc.TextLabels[:len(textVecs)],
-		ProbLabels: sc.ProbLabels[:len(imageVecs)],
-		Covered:    sc.Covered[:len(imageVecs)],
+		TextLabels: sc.TextLabels,
+		ProbLabels: sc.ProbLabels,
+		Covered:    sc.Covered,
 		Report:     sc.Report,
 	}, nil
 }
@@ -147,7 +142,7 @@ func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *syn
 	if err != nil {
 		return nil, err
 	}
-	dopts := disk.Options{Shards: sopts.Shards, SkipCRC: sopts.SkipCRC, CommitHook: sopts.CommitHook}
+	dopts := disk.Options{Shards: sopts.Shards, CommitHook: sopts.CommitHook}
 	schema := p.lib.Schema()
 	text, err := disk.Open(filepath.Join(sopts.Dir, "text"), schema, dopts)
 	if err != nil {
@@ -206,7 +201,6 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream, task *synth.T
 		Report:       report,
 		ReusedChunks: r.reused,
 		task:         task,
-		opts:         r.opts,
 	}, nil
 }
 

@@ -283,6 +283,42 @@ func TestCurateStreamedResumeAfterTornCommit(t *testing.T) {
 	}
 }
 
+// TestCurateStreamedResumeAfterBitFlip: segment payload checksums are always
+// verified at open — there is no unverified open for Resume to reach — so one
+// flipped payload byte in a committed segment quarantines its chunk and the
+// ones after it, and the resumed run re-featurizes exactly those, landing
+// bit-identical to a clean run.
+func TestCurateStreamedResumeAfterBitFlip(t *testing.T) {
+	opts := streamOptions()
+	clean := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
+
+	dir := t.TempDir()
+	if err := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "image", "c000001-s*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no image chunk 1 segments (err %v)", err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0x01 // the last payload byte; the trailing four are its CRC
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128, Resume: true})
+	streamedEqual(t, resumed, clean)
+	if q := resumed.Image.Quarantined(); len(q) == 0 {
+		t.Error("the flipped segment was not quarantined on reopen")
+	}
+	if want := 7 + 1; resumed.ReusedChunks != want { // all text chunks, image chunk 0
+		t.Errorf("resume reused %d chunks, want %d", resumed.ReusedChunks, want)
+	}
+}
+
 // TestCurateStreamedWindowed: a graph window smaller than the corpus still
 // completes; rows past the window simply get no propagation vote. The
 // windowed run must agree with the full run on everything upstream of

@@ -151,16 +151,10 @@ func (s *Suite) trainMasked(ctx context.Context, tc *taskContext, textSets, imag
 	endSchema := tc.pipe.SchemaFor(unionSets, useImage, true)
 
 	cur := tc.curation
-	textTargets := make([]float64, len(cur.TextLabels))
-	for i, l := range cur.TextLabels {
-		if l > 0 {
-			textTargets[i] = 1
-		}
-	}
 	corpora := []fusion.Corpus{{
 		Name:    "text",
 		Vectors: maskVectors(cur.TextVecs, textSchema),
-		Targets: textTargets,
+		Targets: fusion.HardTargets(cur.TextLabels),
 	}}
 	if useImage {
 		var vecs []*feature.Vector

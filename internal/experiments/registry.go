@@ -172,13 +172,3 @@ func ExperimentNames() []string {
 	}
 	return names
 }
-
-// LookupExperiment returns the named experiment from the manifest.
-func LookupExperiment(name string) (Experiment, error) {
-	for _, e := range Manifest() {
-		if e.Name == name {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, ExperimentNames())
-}

@@ -27,21 +27,6 @@ func TestManifestShape(t *testing.T) {
 	}
 }
 
-func TestLookupExperiment(t *testing.T) {
-	e, err := LookupExperiment("table2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Name != "table2" || e.Run == nil {
-		t.Errorf("lookup returned %+v", e)
-	}
-	if _, err := LookupExperiment("table9"); err == nil {
-		t.Error("lookup accepted an unknown name")
-	} else if !strings.Contains(err.Error(), "table9") {
-		t.Errorf("error %q does not name the unknown experiment", err)
-	}
-}
-
 func TestExperimentNamesMatchManifestOrder(t *testing.T) {
 	names := ExperimentNames()
 	m := Manifest()

@@ -94,27 +94,10 @@ func NewSuite(cfg Config) (*Suite, error) {
 	return &Suite{cfg: cfg, world: world, lib: lib, tasks: make(map[string]*taskContext)}, nil
 }
 
-// World returns the suite's synthetic world.
-func (s *Suite) World() *synth.World { return s.world }
-
-// Library returns the suite's resource library.
-func (s *Suite) Library() *resource.Library { return s.lib }
-
 // datasetConfig scales the default corpus sizes.
 func (s *Suite) datasetConfig() synth.DatasetConfig {
-	base := synth.DefaultDatasetConfig()
+	base := synth.DefaultDatasetConfig().Scaled(s.cfg.Scale, 200)
 	base.Seed = s.cfg.Seed
-	scale := func(n int) int {
-		v := int(float64(n) * s.cfg.Scale)
-		if v < 200 {
-			v = 200
-		}
-		return v
-	}
-	base.NumText = scale(base.NumText)
-	base.NumUnlabeledImage = scale(base.NumUnlabeledImage)
-	base.NumHandLabelPool = scale(base.NumHandLabelPool)
-	base.NumTest = scale(base.NumTest)
 	return base
 }
 

@@ -712,19 +712,13 @@ func similarity(a, b *Vector, i int, kind Kind, scale float64) (float64, bool) {
 // keyed by feature name. Absent features default to weight 1.
 type Weights map[string]float64
 
-// Weight implements paper Algorithm 1 (compute-weight): the similarity
-// between two data points under their shared schema, as the unweighted mean
-// of per-feature Similarity contributions. Features missing on either side
-// contribute nothing; the result is in [0, 1], and 0 when the points share
-// no present features.
-func Weight(a, b *Vector, scales Scales) float64 {
-	return WeightedSimilarity(a, b, scales, nil)
-}
-
-// WeightedSimilarity generalizes Weight with per-feature importance weights
-// (the "each feature's contribution is normalized" refinement of Algorithm
-// 1): the weighted mean of per-feature similarities over features present on
-// both sides. nil weights mean uniform; non-positive weights drop a feature.
+// WeightedSimilarity implements paper Algorithm 1 (compute-weight) with
+// per-feature importance weights (its "each feature's contribution is
+// normalized" refinement): the similarity between two data points under
+// their shared schema, as the weighted mean of per-feature Similarity
+// contributions over features present on both sides. nil weights mean
+// uniform; non-positive weights drop a feature. The result is in [0, 1], and
+// 0 when the points share no present features.
 func WeightedSimilarity(a, b *Vector, scales Scales, weights Weights) float64 {
 	schema := a.schema
 	var sum, wsum float64

@@ -247,7 +247,7 @@ func TestWeightAlgorithm1Example(t *testing.T) {
 	fi := NewVector(s)
 	fi.MustSet("profanity", CategoricalValue("false"))
 	fi.MustSet("setting", CategoricalValue("outdoor"))
-	if got := Weight(ft, fi, nil); math.Abs(got-0.5) > 1e-12 {
+	if got := WeightedSimilarity(ft, fi, nil, nil); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Weight = %v, want 0.5", got)
 	}
 }
@@ -255,13 +255,13 @@ func TestWeightAlgorithm1Example(t *testing.T) {
 func TestWeightSkipsMissing(t *testing.T) {
 	s := testSchema(t)
 	a, b := NewVector(s), NewVector(s)
-	if got := Weight(a, b, nil); got != 0 {
+	if got := WeightedSimilarity(a, b, nil, nil); got != 0 {
 		t.Errorf("all-missing Weight = %v, want 0", got)
 	}
 	a.MustSet("reports", NumericValue(1))
 	b.MustSet("reports", NumericValue(1))
 	a.MustSet("topic", CategoricalValue("x")) // b's topic missing: ignored
-	if got := Weight(a, b, Scales{"reports": 1}); got != 1 {
+	if got := WeightedSimilarity(a, b, Scales{"reports": 1}, nil); got != 1 {
 		t.Errorf("Weight = %v, want 1 (only shared feature agrees)", got)
 	}
 }
@@ -285,7 +285,7 @@ func TestWeightBoundsProperty(t *testing.T) {
 	scales := Scales{"reports": 5}
 	for i := 0; i < 500; i++ {
 		a, b := randVec(), randVec()
-		w, w2 := Weight(a, b, scales), Weight(b, a, scales)
+		w, w2 := WeightedSimilarity(a, b, scales, nil), WeightedSimilarity(b, a, scales, nil)
 		if w < 0 || w > 1 {
 			t.Fatalf("Weight out of [0,1]: %v", w)
 		}

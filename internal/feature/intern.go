@@ -106,16 +106,6 @@ func sortedIDSet(ids []uint32) []uint32 {
 	return out
 }
 
-// InternedCategories returns the value's categories as sorted, deduplicated
-// intern IDs, interning them on the fly; Missing or empty values return nil.
-// A vector-borne value's IDs are already in hand: read Vector.CategoryIDs.
-func (v Value) InternedCategories() []uint32 {
-	if v.Missing {
-		return nil
-	}
-	return internCategories(v.Categories)
-}
-
 // JaccardIDs returns the Jaccard similarity of two sorted, deduplicated
 // intern-ID sets by allocation-free sorted merge. Two empty sets have
 // similarity 1, mirroring Jaccard.

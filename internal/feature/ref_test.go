@@ -229,9 +229,6 @@ func (tw twin) check(t *testing.T, where string) {
 		if got := tw.got.CategoryIDs(i); !slices.Equal(got, ids) {
 			t.Fatalf("%s: CategoryIDs(%d) = %v, reference %v", where, i, got, ids)
 		}
-		if got := tw.got.At(i).InternedCategories(); !slices.Equal(got, ids) {
-			t.Fatalf("%s: At(%d).InternedCategories() = %v, reference %v", where, i, got, ids)
-		}
 	}
 	if got := tw.got.Get("no such feature"); !got.Missing {
 		t.Fatalf("%s: Get of an unknown name = %+v, want Missing", where, got)

@@ -350,14 +350,8 @@ func (vz *Vectorizer) TransformInto(v *Vector, row []float64) {
 	encoders.Put(e)
 }
 
-// TransformAll encodes a batch of vectors into a row-major matrix, sharding
-// the batch across GOMAXPROCS workers.
-func (vz *Vectorizer) TransformAll(vectors []*Vector) [][]float64 {
-	return vz.TransformAllWorkers(vectors, 0)
-}
-
-// TransformAllWorkers is TransformAll with an explicit worker count
-// (0 means GOMAXPROCS, 1 is serial). Rows are written into disjoint slices
+// TransformAllWorkers encodes a batch of vectors into a row-major matrix,
+// sharding the batch across workers (0 means GOMAXPROCS, 1 is serial). Rows are written into disjoint slices
 // of one flat backing array, so the result is identical for any count.
 func (vz *Vectorizer) TransformAllWorkers(vectors []*Vector, workers int) [][]float64 {
 	rows := make([][]float64, len(vectors))

@@ -140,7 +140,7 @@ func TestVectorizerTransformAllMatchesTransform(t *testing.T) {
 		train = append(train, vecWith(t, s, string(rune('a'+rng.Intn(5))), rng.NormFloat64()))
 	}
 	vz := FitVectorizer(s, train)
-	rows := vz.TransformAll(train)
+	rows := vz.TransformAllWorkers(train, 0)
 	for i, v := range train {
 		single := vz.Transform(v)
 		for j := range single {

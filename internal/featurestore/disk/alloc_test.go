@@ -15,7 +15,7 @@ func TestShardReadAllocs(t *testing.T) {
 	if err := writeFile(path, encodeTestSegment(t, schema, 128, 11)); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := openSegment(path, schema, SchemaHash(schema), true)
+	seg, err := openSegment(path, schema, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("openSegment: %v", err)
 	}

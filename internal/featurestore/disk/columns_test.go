@@ -120,9 +120,18 @@ func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
 	var ords []uint32
 	var labels []int8
 	var vecs []*feature.Vector
+	proj, err := newProjection(schema, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := rowDecoder{seg: seg, proj: proj}
 	for r := 0; r < seg.Rows(); r++ {
+		v := feature.NewVector(schema)
+		if err := dec.row(r, v); err != nil {
+			t.Fatal(err)
+		}
 		segIDs, ords = append(segIDs, seg.ID(r)), append(ords, uint32(seg.Ord(r)))
-		labels, vecs = append(labels, seg.Label(r)), append(vecs, seg.VectorAt(schema, r))
+		labels, vecs = append(labels, seg.Label(r)), append(vecs, v)
 	}
 	ords[0] = uint32(segs[0].Ord(0))
 	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 1, 2, 0, segIDs, ords, labels, vecs)

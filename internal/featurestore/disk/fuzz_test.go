@@ -72,7 +72,7 @@ func FuzzShardLoad(f *testing.F) {
 		interned := feature.InternCount()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		seg, err := openSegment(path, schema, hash, true)
+		seg, err := openSegment(path, schema, hash)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			var ce *ErrCorrupt
@@ -96,7 +96,6 @@ func FuzzShardLoad(f *testing.F) {
 			_ = seg.ID(r)
 			_ = seg.Ord(r)
 			_ = seg.Label(r)
-			_ = seg.VectorAt(schema, r)
 		}
 		for _, proj := range []*projection{identity, subset} {
 			slab := feature.NewVectors(proj.target, seg.Rows())

@@ -25,11 +25,11 @@ type Segment struct {
 	unmap   func() error
 }
 
-// openSegment maps and validates one segment file against schema. With
-// verifyCRC the payload checksum is verified once at open (scans then
-// trust the mapping); structural validation — magic, version, schema hash,
-// column bounds, dictionary ranges — always runs.
-func openSegment(path string, schema *feature.Schema, schemaHash uint64, verifyCRC bool) (seg *Segment, err error) {
+// openSegment maps and validates one segment file against schema: the
+// payload checksum is verified once, here (scans then trust the mapping),
+// then the structure — magic, version, schema hash, column bounds,
+// dictionary ranges.
+func openSegment(path string, schema *feature.Schema, schemaHash uint64) (seg *Segment, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -63,11 +63,9 @@ func openSegment(path string, schema *feature.Schema, schemaHash uint64, verifyC
 		return nil, &ErrCorrupt{Path: path, Detail: "schema hash mismatch"}
 	}
 	payload := data[headerSize : headerSize+h.PayloadLen]
-	if verifyCRC {
-		want := binary.LittleEndian.Uint32(data[headerSize+h.PayloadLen:])
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, &ErrCorrupt{Path: path, Detail: "payload CRC mismatch"}
-		}
+	want := binary.LittleEndian.Uint32(data[headerSize+h.PayloadLen:])
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, &ErrCorrupt{Path: path, Detail: "payload CRC mismatch"}
 	}
 	cols, err := payloadLayout(payload, schema, h.Rows)
 	if err != nil {
@@ -167,23 +165,6 @@ func (s *Segment) Category(col, r, k int) string {
 	start := int(le.Uint32(s.payload[c.data+4*r:]))
 	id := le.Uint32(s.payload[c.ids+4*(start+k):])
 	return c.dict[id]
-}
-
-// Dict returns feature col's segment-local dictionary in first-appearance
-// order. Callers must not mutate it.
-func (s *Segment) Dict(col int) []string { return s.cols[col].dict }
-
-// VectorAt materializes row r as a feature vector under schema (which must
-// be the schema the segment was validated against). Values round-trip
-// bit-exactly: float bits, category order, and duplicates are preserved.
-func (s *Segment) VectorAt(schema *feature.Schema, r int) *feature.Vector {
-	proj, err := newProjection(schema, schema)
-	if err != nil {
-		panic(err) // unreachable: a schema projects onto itself
-	}
-	v := feature.NewVector(schema)
-	_ = (&rowDecoder{seg: s, proj: proj}).row(r, v) // cannot fail: one row of a segment under 2 GiB fits any payload window
-	return v
 }
 
 // projection maps a consumer's schema onto a store's columns, so a scan

@@ -19,10 +19,6 @@ type Options struct {
 	// Shards is the shard count rows are hash-routed across (default 8).
 	// Segments recorded with a different count are rejected as corrupt.
 	Shards int
-	// SkipCRC disables payload checksum verification at segment open
-	// (structural validation still runs). Scans over committed data the
-	// same process just wrote can skip the extra pass.
-	SkipCRC bool
 	// CommitHook, when set, runs immediately before each atomic rename
 	// during AppendChunk: op is "segment" or "marker", path the final
 	// destination. Returning an error aborts the append mid-commit — the
@@ -137,7 +133,7 @@ func Open(dir string, schema *feature.Schema, opts Options) (*Store, error) {
 		cs := &chunkSet{seq: committed}
 		ok := len(names) > 0
 		for _, name := range names {
-			seg, err := openSegment(filepath.Join(dir, name), schema, s.schemaHash, !opts.SkipCRC)
+			seg, err := openSegment(filepath.Join(dir, name), schema, s.schemaHash)
 			if err != nil {
 				ok = false
 				break
@@ -209,9 +205,6 @@ func parseName(name, pattern string, out ...*int) bool {
 
 // Schema returns the store's schema.
 func (s *Store) Schema() *feature.Schema { return s.schema }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Chunks returns the number of committed chunks.
 func (s *Store) Chunks() int {
@@ -331,7 +324,7 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 
 	cs := &chunkSet{seq: seq}
 	for _, path := range written {
-		seg, err := openSegment(path, s.schema, s.schemaHash, false)
+		seg, err := openSegment(path, s.schema, s.schemaHash)
 		if err != nil {
 			for _, open := range cs.segs {
 				open.Close()

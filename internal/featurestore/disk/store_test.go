@@ -220,7 +220,7 @@ func TestSegmentAccessors(t *testing.T) {
 	if err := writeFile(path, data); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := openSegment(path, schema, SchemaHash(schema), true)
+	seg, err := openSegment(path, schema, SchemaHash(schema))
 	if err != nil {
 		t.Fatalf("openSegment: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestSegmentAccessors(t *testing.T) {
 		}
 	}
 	// Dictionary is segment-local, deduplicated, first-appearance ordered.
-	dict := seg.Dict(topicCol)
+	dict := seg.cols[topicCol].dict
 	seen := map[string]bool{}
 	for _, cat := range dict {
 		if seen[cat] {

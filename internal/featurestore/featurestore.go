@@ -269,27 +269,10 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*feature.Vector,
 	mine []*synth.Point, mineIdx []int, mineFl []*inflight, mineStale []*feature.Vector) error {
 
-	if !s.lib.Guarded() {
-		// Point by point, not Library.Featurize: a cached vector outlives its
-		// request, so it owns its payload rather than pinning a batch slab.
-		computed, err := mapreduce.Map(ctx, cfg, mine, func(p *synth.Point) (*feature.Vector, error) {
-			return s.lib.FeaturizePoint(p), nil
-		})
-		s.mu.Lock()
-		for j, fl := range mineFl {
-			if err != nil {
-				fl.err = err
-			} else {
-				fl.vec = computed[j]
-				out[mineIdx[j]] = computed[j]
-				s.insertLocked(mine[j].ID, computed[j])
-			}
-			delete(s.pending, mine[j].ID)
-		}
-		s.mu.Unlock()
-		return err
-	}
-
+	// The checked path featurizes point by point — on an unguarded library
+	// it is exactly FeaturizePoint — never Library.Featurize: a cached vector
+	// outlives its request, so it owns its payload rather than pinning a
+	// batch slab.
 	checked, err := s.lib.FeaturizeChecked(ctx, cfg, mine)
 	s.mu.Lock()
 	defer s.mu.Unlock()

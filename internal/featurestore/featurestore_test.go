@@ -45,6 +45,9 @@ func env(t *testing.T) (*resource.Library, []*synth.Point) {
 	return envLib, envPts
 }
 
+// TestFeaturizeCachesAndMatchesLibrary: the store has one miss body, the
+// checked one; over an unguarded library it must hand back exactly what
+// Library.FeaturizePoint computes, cache all of it, and degrade nothing.
 func TestFeaturizeCachesAndMatchesLibrary(t *testing.T) {
 	lib, pts := env(t)
 	store, err := New(lib, 0)
@@ -73,10 +76,13 @@ func TestFeaturizeCachesAndMatchesLibrary(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatal("warm pass returned a different vector instance")
 		}
-		want := lib.FeaturizePoint(pts[i]).String()
-		if first[i].String() != want {
+		if want := lib.FeaturizePoint(pts[i]); !first[i].Equal(want) || first[i].Degraded() != nil {
 			t.Fatalf("cached vector differs from direct featurization for point %d", pts[i].ID)
 		}
+	}
+	if store.Len() != len(pts) || store.StaleServed() != 0 || store.DegradedServed() != 0 {
+		t.Errorf("unguarded store cached %d of %d vectors, served %d stale / %d degraded",
+			store.Len(), len(pts), store.StaleServed(), store.DegradedServed())
 	}
 }
 

@@ -27,6 +27,18 @@ type Corpus struct {
 	Weights []float64
 }
 
+// HardTargets turns hard labels into training targets: 1 for a positive
+// label, 0 otherwise.
+func HardTargets(labels []int8) []float64 {
+	targets := make([]float64, len(labels))
+	for i, l := range labels {
+		if l > 0 {
+			targets[i] = 1
+		}
+	}
+	return targets
+}
+
 func (c Corpus) validate() error {
 	if len(c.Vectors) == 0 {
 		return fmt.Errorf("fusion: corpus %q is empty", c.Name)

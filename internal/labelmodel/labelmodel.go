@@ -35,11 +35,12 @@ type Config struct {
 	// on imbalanced tasks supply this (it is far easier to estimate than
 	// labels); <= 0 lets EM learn it.
 	ClassBalance float64
-	// Smoothing is the Dirichlet pseudo-count added in the M step
-	// (default 1). It also encodes the better-than-random prior: the
-	// pseudo-count mass for an LF's "correct" vote is doubled.
-	Smoothing float64
 }
+
+// smoothing is the Dirichlet pseudo-count added in the M step. It also
+// encodes the better-than-random prior: the pseudo-count mass for an LF's
+// "correct" vote is doubled.
+const smoothing = 1.0
 
 func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
@@ -47,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tol <= 0 {
 		c.Tol = 1e-5
-	}
-	if c.Smoothing <= 0 {
-		c.Smoothing = 1
 	}
 	return c
 }
@@ -89,12 +87,6 @@ func (mod *Model) Accuracy(j int) float64 {
 		return 0
 	}
 	return correct / voted
-}
-
-// Propensity returns LF j's implied vote rate P(vote ≠ 0).
-func (mod *Model) Propensity(j int) float64 {
-	p := mod.Prior
-	return 1 - (p*mod.ThetaPos[j][2] + (1-p)*mod.ThetaNeg[j][2])
 }
 
 // FitGenerative fits the model to a vote matrix by EM.
@@ -152,12 +144,11 @@ func FitGenerative(ctx context.Context, m *lf.Matrix, cfg Config) (*Model, error
 			maxDelta = math.Abs(newPrior - model.Prior)
 			model.Prior = newPrior
 		}
-		s := cfg.Smoothing
 		for j := 0; j < k; j++ {
-			// Pseudo-counts: s for every vote, an extra s on the
+			// Pseudo-counts: smoothing for every vote, as much again on the
 			// class-correct vote.
-			pos := [3]float64{2 * s, s, s}
-			neg := [3]float64{s, 2 * s, s}
+			pos := [3]float64{2 * smoothing, smoothing, smoothing}
+			neg := [3]float64{smoothing, 2 * smoothing, smoothing}
 			for i := 0; i < n; i++ {
 				vi := voteIndex(m.Votes[i][j])
 				pos[vi] += post[i]
@@ -280,10 +271,9 @@ func FitSupervised(ctx context.Context, m *lf.Matrix, labels []int8, cfg Config)
 	if model.Prior <= 0 || model.Prior >= 1 {
 		model.Prior = nPos / float64(n)
 	}
-	s := cfg.Smoothing
 	for j := 0; j < k; j++ {
-		pos := [3]float64{2 * s, s, s}
-		neg := [3]float64{s, 2 * s, s}
+		pos := [3]float64{2 * smoothing, smoothing, smoothing}
+		neg := [3]float64{smoothing, 2 * smoothing, smoothing}
 		for i := 0; i < n; i++ {
 			vi := voteIndex(m.Votes[i][j])
 			if labels[i] > 0 {
@@ -331,21 +321,6 @@ func Covered(m *lf.Matrix) []bool {
 				out[i] = true
 				break
 			}
-		}
-	}
-	return out
-}
-
-// HardLabels thresholds probabilistic labels at cut into +1/-1 votes
-// (0 is never produced); useful for computing the generative model's
-// precision/recall/F1 against a labeled set (paper §6.7).
-func HardLabels(probs []float64, cut float64) []int8 {
-	out := make([]int8, len(probs))
-	for i, p := range probs {
-		if p >= cut {
-			out[i] = 1
-		} else {
-			out[i] = -1
 		}
 	}
 	return out

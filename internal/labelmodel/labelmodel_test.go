@@ -56,7 +56,9 @@ func TestFitRecoversAccuracies(t *testing.T) {
 		}
 	}
 	for j, want := range props {
-		if got := model.Propensity(j); math.Abs(got-want) > 0.03 {
+		// The implied vote rate P(vote ≠ 0) under the learned parameters.
+		got := 1 - (model.Prior*model.ThetaPos[j][2] + (1-model.Prior)*model.ThetaNeg[j][2])
+		if math.Abs(got-want) > 0.03 {
 			t.Errorf("propensity[%d] = %.3f, want ≈%.3f", j, got, want)
 		}
 	}
@@ -234,16 +236,6 @@ func TestCovered(t *testing.T) {
 	got := Covered(m)
 	if got[0] || !got[1] {
 		t.Errorf("Covered = %v", got)
-	}
-}
-
-func TestHardLabels(t *testing.T) {
-	got := HardLabels([]float64{0.9, 0.5, 0.1}, 0.5)
-	want := []int8{1, 1, -1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("HardLabels[%d] = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 

@@ -94,25 +94,9 @@ type Config struct {
 	WindowSize int
 	BatchSize  int
 
-	// Detect tunes the drift detectors; Shadow the candidate-vs-incumbent
-	// comparison (its Seed is re-derived per window).
-	Detect monitor.DriftConfig
-	Shadow monitor.Config
-
-	// PrecisionMargin and RecallMargin bound the regression a candidate may
-	// show in shadow scoring and still promote (default 0.1 each).
-	PrecisionMargin float64
-	RecallMargin    float64
-
 	// Retrain sizes the fresh dataset each retraining attempt draws; its
 	// Seed field is overridden per (window, attempt).
 	Retrain synth.DatasetConfig
-	// MaxRetrainAttempts bounds back-to-back training attempts per tripped
-	// window before giving up until the next trip (default 3).
-	MaxRetrainAttempts int
-	// CooldownWindows suppresses new retrains for this many windows after
-	// a promotion or rejection, letting the new baseline settle (default 2).
-	CooldownWindows int
 
 	// ArtifactDir receives candidate artifacts.
 	ArtifactDir string
@@ -135,20 +119,21 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
-	if c.PrecisionMargin <= 0 {
-		c.PrecisionMargin = 0.1
-	}
-	if c.RecallMargin <= 0 {
-		c.RecallMargin = 0.1
-	}
-	if c.MaxRetrainAttempts <= 0 {
-		c.MaxRetrainAttempts = 3
-	}
-	if c.CooldownWindows <= 0 {
-		c.CooldownWindows = 2
-	}
 	return c
 }
+
+const (
+	// precisionMargin and recallMargin bound the regression a candidate may
+	// show in shadow scoring and still promote.
+	precisionMargin = 0.1
+	recallMargin    = 0.1
+	// maxRetrainAttempts bounds back-to-back training attempts per tripped
+	// window before giving up until the next trip.
+	maxRetrainAttempts = 3
+	// cooldownWindows suppresses new retrains for this many windows after a
+	// promotion or rejection, letting the new baseline settle.
+	cooldownWindows = 2
+)
 
 func (c Config) validate() error {
 	switch {
@@ -204,7 +189,7 @@ func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	return &Controller{
 		cfg:           cfg,
-		tracker:       monitor.NewTracker(cfg.Detect),
+		tracker:       monitor.NewTracker(monitor.DriftConfig{}),
 		incumbent:     cfg.Incumbent,
 		incumbentPath: cfg.IncumbentPath,
 		needRef:       true,
@@ -257,13 +242,8 @@ func (c *Controller) step(ctx context.Context, w int) error {
 	// The categorical channels (topic mix, URL groups, rule firings) and the
 	// binned score histogram have no raw-sample form, so they ride along as
 	// extra verdicts and share the tracker's streak logic.
-	extra := monitor.DetectCategoricalDrift(c.cfg.Detect, c.catRef, cat)
-	thr := c.cfg.Detect.PSIThreshold
-	if thr <= 0 {
-		thr = 0.25 // monitor.DriftConfig's own default
-	}
-	psi := monitor.PSI(c.refCounts, counts)
-	extra = append(extra, monitor.Verdict{Channel: "scores_hist", N: len(scores), KSP: 1, PSI: psi, Drifted: psi > thr})
+	extra := monitor.DetectCategoricalDrift(monitor.DriftConfig{}, c.catRef, cat)
+	extra = append(extra, monitor.HistDrift("scores_hist", len(scores), c.refCounts, counts))
 	verdicts, tripped := c.tracker.Observe(snap, extra...)
 
 	if c.cooldown > 0 {
@@ -294,9 +274,9 @@ func (c *Controller) observe(ctx context.Context, pts []*synth.Point) ([]float64
 }
 
 // retrainAndMaybePromote runs the re-mine → retrain → shadow → promote arm
-// of the loop, retrying training up to MaxRetrainAttempts.
+// of the loop, retrying training up to maxRetrainAttempts.
 func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string) error {
-	for attempt := 1; attempt <= c.cfg.MaxRetrainAttempts; attempt++ {
+	for attempt := 1; attempt <= maxRetrainAttempts; attempt++ {
 		if hook := c.cfg.RetrainHook; hook != nil {
 			if err := hook(w, attempt); err != nil {
 				c.emit(Event{Window: w, Type: EventRetrainError,
@@ -349,14 +329,13 @@ func (c *Controller) retrain(ctx context.Context, w, attempt int) (fusion.Predic
 // tripped window's live traffic (pts and the vecs served for them) and
 // promotes through /admin/reload on non-regression.
 func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string, cand fusion.Predictor) error {
-	shadowCfg := c.cfg.Shadow
-	shadowCfg.Seed = c.cfg.Seed ^ int64(w)<<16
-	if shadowCfg.Threshold <= 0 {
-		// A fixed 0.5 cut can sit above everything a low-base-rate model
-		// emits, making every estimate vacuously zero. Anchor the flag
-		// threshold to the incumbent's own score distribution on this
-		// window instead: flag its top decile.
-		shadowCfg.Threshold = scoreQuantile(c.incumbent.PredictBatch(vecs), 0.9)
+	// A fixed 0.5 cut can sit above everything a low-base-rate model emits,
+	// making every estimate vacuously zero. Anchor the flag threshold to the
+	// incumbent's own score distribution on this window instead: flag its
+	// top decile.
+	shadowCfg := monitor.Config{
+		Seed:      c.cfg.Seed ^ int64(w)<<16,
+		Threshold: scoreQuantile(c.incumbent.PredictBatch(vecs), 0.9),
 	}
 	cmp, err := monitor.Compare("incumbent", c.incumbent, "candidate", cand,
 		pts, vecs, func(p *synth.Point) int8 { return p.Label }, shadowCfg)
@@ -368,11 +347,11 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 		Detail: fmt.Sprintf("incumbent p=%.3f r=%.3f, candidate p=%.3f r=%.3f, disagree=%.3f",
 			inc.Precision, inc.RecallProxy, cnd.Precision, cnd.RecallProxy, cmp.Disagreement)})
 
-	pass := cnd.Precision >= inc.Precision-c.cfg.PrecisionMargin &&
-		cnd.RecallProxy >= inc.RecallProxy-c.cfg.RecallMargin
+	pass := cnd.Precision >= inc.Precision-precisionMargin &&
+		cnd.RecallProxy >= inc.RecallProxy-recallMargin
 	if !pass {
 		c.res.Rejections++
-		c.cooldown = c.cfg.CooldownWindows
+		c.cooldown = cooldownWindows
 		c.emit(Event{Window: w, Type: EventReject,
 			Detail: fmt.Sprintf("candidate regressed beyond margins (p %.3f vs %.3f, r %.3f vs %.3f)",
 				cnd.Precision, inc.Precision, cnd.RecallProxy, inc.RecallProxy)})
@@ -395,7 +374,7 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 		// The serving canary refused the artifact: the incumbent keeps
 		// serving untouched. Cool down rather than hammering the gate.
 		c.res.Rejections++
-		c.cooldown = c.cfg.CooldownWindows
+		c.cooldown = cooldownWindows
 		c.emit(Event{Window: w, Type: EventRollback,
 			Detail: fmt.Sprintf("serving canary refused artifact: %v", reloadErr)})
 		return nil
@@ -404,7 +383,7 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 	c.res.FinalSeq = seq
 	c.incumbent = cand
 	c.incumbentPath = path
-	c.cooldown = c.cfg.CooldownWindows
+	c.cooldown = cooldownWindows
 	// The world under the model changed and so did the model: rebaseline
 	// detection on the next window.
 	c.needRef = true

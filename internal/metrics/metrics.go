@@ -56,32 +56,10 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct outcomes.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // String renders the counts compactly.
 func (c Confusion) String() string {
 	return fmt.Sprintf("tp=%d fp=%d tn=%d fn=%d p=%.3f r=%.3f f1=%.3f",
 		c.TP, c.FP, c.TN, c.FN, c.Precision(), c.Recall(), c.F1())
-}
-
-// Evaluate builds a confusion matrix from parallel label/prediction slices.
-// It panics on length mismatch — a programming error.
-func Evaluate(labels, preds []int8) Confusion {
-	if len(labels) != len(preds) {
-		panic(fmt.Sprintf("metrics: %d labels vs %d predictions", len(labels), len(preds)))
-	}
-	var c Confusion
-	for i := range labels {
-		c.Add(labels[i], preds[i])
-	}
-	return c
 }
 
 // PRPoint is one operating point on a precision-recall curve.
@@ -169,21 +147,6 @@ func AUPRC(labels []int8, scores []float64) float64 {
 	return area
 }
 
-// BestF1 returns the maximum F1 over all thresholds of the PR curve and the
-// threshold attaining it.
-func BestF1(labels []int8, scores []float64) (f1, threshold float64) {
-	for _, pt := range PRCurve(labels, scores) {
-		if pt.Precision+pt.Recall == 0 {
-			continue
-		}
-		f := 2 * pt.Precision * pt.Recall / (pt.Precision + pt.Recall)
-		if f > f1 {
-			f1, threshold = f, pt.Threshold
-		}
-	}
-	return f1, threshold
-}
-
 // Relative expresses value as a multiple of baseline, the form in which the
 // paper reports every AUPRC (relative to the fully supervised
 // embeddings-only image model). A non-positive baseline yields 0.
@@ -252,23 +215,4 @@ func BaseRate(labels []int8) float64 {
 		}
 	}
 	return float64(n) / float64(len(labels))
-}
-
-// CrossEntropy returns the mean binary cross-entropy of probabilistic
-// predictions probs against soft targets (both in [0,1]), clamping
-// probabilities away from {0,1} for stability. It panics on length mismatch.
-func CrossEntropy(targets, probs []float64) float64 {
-	if len(targets) != len(probs) {
-		panic(fmt.Sprintf("metrics: %d targets vs %d probs", len(targets), len(probs)))
-	}
-	if len(targets) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	var sum float64
-	for i, y := range targets {
-		p := math.Min(math.Max(probs[i], eps), 1-eps)
-		sum -= y*math.Log(p) + (1-y)*math.Log(1-p)
-	}
-	return sum / float64(len(targets))
 }

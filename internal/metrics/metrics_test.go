@@ -26,29 +26,13 @@ func TestConfusion(t *testing.T) {
 	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("f1 = %v", got)
 	}
-	if got := c.Accuracy(); math.Abs(got-5.0/7) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
 }
 
 func TestConfusionZeroDivision(t *testing.T) {
 	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("empty confusion should yield all zeros")
 	}
-}
-
-func TestEvaluate(t *testing.T) {
-	c := Evaluate([]int8{1, -1}, []int8{1, 1})
-	if c.TP != 1 || c.FP != 1 {
-		t.Errorf("Evaluate = %+v", c)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on length mismatch")
-		}
-	}()
-	Evaluate([]int8{1}, nil)
 }
 
 func TestAUPRCPerfectClassifier(t *testing.T) {
@@ -155,18 +139,6 @@ func TestPRCurveMonotoneRecall(t *testing.T) {
 	}
 }
 
-func TestBestF1(t *testing.T) {
-	labels := []int8{1, 1, -1, -1}
-	scores := []float64{0.9, 0.8, 0.7, 0.1}
-	f1, thr := BestF1(labels, scores)
-	if math.Abs(f1-1) > 1e-12 {
-		t.Errorf("best F1 = %v, want 1", f1)
-	}
-	if thr != 0.8 {
-		t.Errorf("best threshold = %v, want 0.8", thr)
-	}
-}
-
 func TestRelative(t *testing.T) {
 	if got := Relative(1.5, 1.0); got != 1.5 {
 		t.Errorf("Relative = %v", got)
@@ -188,23 +160,6 @@ func TestCoverage(t *testing.T) {
 func TestBaseRate(t *testing.T) {
 	if got := BaseRate([]int8{1, -1, -1, -1}); got != 0.25 {
 		t.Errorf("BaseRate = %v", got)
-	}
-}
-
-func TestCrossEntropy(t *testing.T) {
-	// Perfect confident predictions approach zero loss.
-	if got := CrossEntropy([]float64{1, 0}, []float64{1, 0}); got > 1e-9 {
-		t.Errorf("perfect CE = %v", got)
-	}
-	// Uniform predictions give ln 2.
-	if got := CrossEntropy([]float64{1, 0}, []float64{0.5, 0.5}); math.Abs(got-math.Ln2) > 1e-12 {
-		t.Errorf("uniform CE = %v, want ln2", got)
-	}
-	// Soft targets are supported.
-	got := CrossEntropy([]float64{0.7}, []float64{0.7})
-	want := -(0.7*math.Log(0.7) + 0.3*math.Log(0.3))
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("soft CE = %v, want %v", got, want)
 	}
 }
 
@@ -233,9 +188,6 @@ func TestPRCurveEmptyInput(t *testing.T) {
 	}
 	if got := AUPRC(nil, nil); got != 0 {
 		t.Errorf("empty AUPRC = %v, want 0", got)
-	}
-	if f1, th := BestF1(nil, nil); f1 != 0 || th != 0 {
-		t.Errorf("empty BestF1 = %v @ %v, want 0 @ 0", f1, th)
 	}
 }
 
@@ -295,11 +247,14 @@ func TestPRCurveNaNScores(t *testing.T) {
 
 func TestConfusionEmptyAndSingleClass(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Errorf("zero confusion should report all-zero metrics: %v", c)
 	}
 	// Single-class all-negative stream: everything lands in TN/FP.
-	neg := Evaluate([]int8{-1, -1, -1}, []int8{-1, 1, -1})
+	var neg Confusion
+	for _, pred := range []int8{-1, 1, -1} {
+		neg.Add(-1, pred)
+	}
 	if neg.TP != 0 || neg.FN != 0 || neg.TN != 2 || neg.FP != 1 {
 		t.Errorf("all-negative confusion = %+v", neg)
 	}
@@ -307,7 +262,10 @@ func TestConfusionEmptyAndSingleClass(t *testing.T) {
 		t.Errorf("all-negative recall/F1 should be 0: %v", neg)
 	}
 	// Single-class all-positive stream: everything lands in TP/FN.
-	pos := Evaluate([]int8{1, 1, 1}, []int8{1, -1, 1})
+	var pos Confusion
+	for _, pred := range []int8{1, -1, 1} {
+		pos.Add(1, pred)
+	}
 	if pos.TP != 2 || pos.FN != 1 || pos.FP != 0 || pos.TN != 0 {
 		t.Errorf("all-positive confusion = %+v", pos)
 	}

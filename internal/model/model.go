@@ -305,17 +305,6 @@ func (m *MLP) Hidden(cols []int32, vals []float64) []float64 {
 	return s.acts[len(s.acts)-2]
 }
 
-// HiddenActivation is Hidden for a dense row.
-func (m *MLP) HiddenActivation(x []float64) []float64 {
-	if len(m.weights) == 1 {
-		return x
-	}
-	var rows sparse.Rows
-	rows.Reset(m.inDim)
-	rows.AddDense(x)
-	return m.Hidden(rows.Row(0))
-}
-
 // PredictFromHidden applies only the final prediction layer to a hidden
 // activation vector — used at DeViSE inference, where the frozen old-
 // modality head scores projected new-modality embeddings.

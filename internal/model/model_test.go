@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crossmodal/internal/metrics"
+	"crossmodal/internal/sparse"
 )
 
 var ctxbg = context.Background()
@@ -175,7 +176,11 @@ func TestPredictProbaPanicsOnWidth(t *testing.T) {
 func TestHiddenActivation(t *testing.T) {
 	lr, _ := New(4, nil, 1)
 	x := []float64{1, 2, 3, 4}
-	h := lr.HiddenActivation(x)
+	var rows sparse.Rows
+	rows.Reset(4)
+	rows.AddDense(x)
+	cols, vals := rows.Row(0)
+	h := lr.Hidden(cols, vals)
 	if len(h) != 4 {
 		t.Fatalf("LR hidden dim = %d, want input dim 4", len(h))
 	}
@@ -183,11 +188,11 @@ func TestHiddenActivation(t *testing.T) {
 		t.Errorf("HiddenDim = %d", lr.HiddenDim())
 	}
 	mlp, _ := New(4, []int{7}, 1)
-	h = mlp.HiddenActivation(x)
+	h = mlp.Hidden(cols, vals)
 	if len(h) != 7 || mlp.HiddenDim() != 7 {
 		t.Fatalf("MLP hidden dim = %d/%d, want 7", len(h), mlp.HiddenDim())
 	}
-	// PredictFromHidden(HiddenActivation(x)) must equal PredictProba(x).
+	// PredictFromHidden(Hidden(x)) must equal PredictProba(x).
 	if got, want := mlp.PredictFromHidden(h), mlp.PredictProba(x); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PredictFromHidden = %v, PredictProba = %v", got, want)
 	}

@@ -165,27 +165,36 @@ func DetectCategoricalDrift(cfg DriftConfig, ref, cur CatSnapshot) []Verdict {
 		v := Verdict{Channel: name, N: int(curTot), KSP: 1}
 		if int(refTot) >= cfg.MinSamples && int(curTot) >= cfg.MinSamples {
 			v.PSI = CatPSI(ref[name], cur[name])
-			v.Drifted = v.PSI > cfg.PSIThreshold
+			v.Drifted = v.PSI > psiThreshold
 		}
 		verdicts = append(verdicts, v)
 	}
 	return verdicts
 }
 
+// HistDrift is the verdict for a channel that arrives already binned (ref
+// and cur are per-bucket counts over the same edges, n the current window's
+// sample count): like a categorical channel, the PSI threshold alone decides.
+func HistDrift(channel string, n int, ref, cur []float64) Verdict {
+	psi := PSI(ref, cur)
+	return Verdict{Channel: channel, N: n, KSP: 1, PSI: psi, Drifted: psi > psiThreshold}
+}
+
+const (
+	// ksAlpha is the significance level of the KS test: a channel drifts
+	// when the asymptotic p-value of its KS statistic falls below it
+	// (conservative, because many channels are tested per window).
+	ksAlpha = 0.005
+	// psiThreshold flags a channel when its PSI against the reference window
+	// exceeds it (the conventional "significant shift" cut).
+	psiThreshold = 0.25
+	// psiBins is the histogram resolution for PSI, with edges at reference
+	// quantiles.
+	psiBins = 10
+)
+
 // DriftConfig tunes the detectors.
 type DriftConfig struct {
-	// KSAlpha is the significance level of the KS test: a channel drifts
-	// when the asymptotic p-value of its KS statistic falls below it
-	// (default 0.005 — conservative, because many channels are tested per
-	// window).
-	KSAlpha float64
-	// PSIThreshold flags a channel when its PSI against the reference
-	// window exceeds it (default 0.25, the conventional "significant
-	// shift" cut).
-	PSIThreshold float64
-	// Bins is the histogram resolution for PSI, with edges at reference
-	// quantiles (default 10).
-	Bins int
 	// MinSamples skips channels with fewer samples than this on either
 	// side — tiny windows make both tests meaningless (default 50).
 	MinSamples int
@@ -195,15 +204,6 @@ type DriftConfig struct {
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.KSAlpha <= 0 {
-		c.KSAlpha = 0.005
-	}
-	if c.PSIThreshold <= 0 {
-		c.PSIThreshold = 0.25
-	}
-	if c.Bins <= 1 {
-		c.Bins = 10
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 50
 	}
@@ -360,8 +360,8 @@ func PSIFromSamples(ref, cur []float64, bins int) float64 {
 
 // DetectDrift compares the current window against the reference window
 // channel by channel and returns a verdict per channel present in both, in
-// channel-name order. A channel drifts when the KS test rejects at KSAlpha
-// or the PSI exceeds PSIThreshold. Pure: the same (cfg, ref, cur) always
+// channel-name order. A channel drifts when the KS test rejects at ksAlpha
+// or the PSI exceeds psiThreshold. Pure: the same (cfg, ref, cur) always
 // returns the same verdicts.
 func DetectDrift(cfg DriftConfig, ref, cur Snapshot) []Verdict {
 	cfg = cfg.withDefaults()
@@ -379,8 +379,8 @@ func DetectDrift(cfg DriftConfig, ref, cur Snapshot) []Verdict {
 		if len(r) >= cfg.MinSamples && len(c) >= cfg.MinSamples {
 			v.KS = KSStat(r, c)
 			v.KSP = KSPValue(v.KS, len(r), len(c))
-			v.PSI = PSIFromSamples(r, c, cfg.Bins)
-			v.Drifted = v.KSP < cfg.KSAlpha || v.PSI > cfg.PSIThreshold
+			v.PSI = PSIFromSamples(r, c, psiBins)
+			v.Drifted = v.KSP < ksAlpha || v.PSI > psiThreshold
 		} else {
 			v.KSP = 1
 		}

@@ -77,6 +77,18 @@ func TestPSIDetectsMixShift(t *testing.T) {
 	}
 }
 
+// TestHistDrift: a pre-binned channel has no KS form (KSP pinned to 1); the
+// PSI cut alone decides, as for categorical channels.
+func TestHistDrift(t *testing.T) {
+	ref := []float64{100, 200, 300}
+	if v := HistDrift("h", 600, ref, ref); v.Drifted || v.PSI != 0 || v.KSP != 1 || v.N != 600 || v.Channel != "h" {
+		t.Errorf("identical histograms: %+v", v)
+	}
+	if v := HistDrift("h", 600, ref, []float64{300, 200, 100}); !v.Drifted || v.PSI <= 0.25 {
+		t.Errorf("reversed histogram: %+v, want drifted with PSI > 0.25", v)
+	}
+}
+
 func TestHistEdgesCollapsesTies(t *testing.T) {
 	ref := []float64{1, 1, 1, 1, 1, 1, 1, 1, 2, 3}
 	edges := HistEdges(ref, 10)

@@ -25,25 +25,21 @@ type Oracle func(*synth.Point) int8
 type Config struct {
 	// Budget is the number of human reviews available (default 200).
 	Budget int
-	// ImportanceFraction is the share of the budget spent on importance
-	// sampling — traffic where the candidates disagree or either flags a
-	// positive — with the remainder sampled uniformly (default 0.7, the
-	// paper's "combination of random and importance sampling").
-	ImportanceFraction float64
 	// Threshold converts scores into flag decisions (default 0.5).
 	Threshold float64
 	// Seed drives sampling.
 	Seed int64
 }
 
+// importanceFraction is the share of the budget spent on importance
+// sampling — traffic where the candidates disagree or either flags a
+// positive — with the remainder sampled uniformly (the paper's "combination
+// of random and importance sampling").
+const importanceFraction = 0.7
+
 func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = 200
-	}
-	if c.ImportanceFraction < 0 || c.ImportanceFraction > 1 {
-		c.ImportanceFraction = 0.7
-	} else if c.ImportanceFraction == 0 {
-		c.ImportanceFraction = 0.7
 	}
 	if c.Threshold <= 0 || c.Threshold >= 1 {
 		c.Threshold = 0.5
@@ -121,7 +117,7 @@ func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor,
 	if budget > n {
 		budget = n
 	}
-	impBudget := int(float64(budget) * cfg.ImportanceFraction)
+	impBudget := int(float64(budget) * importanceFraction)
 	if impBudget > len(interesting) {
 		impBudget = len(interesting)
 	}

@@ -55,10 +55,6 @@ type Policy struct {
 	// further retry doubles it, capped at MaxBackoff (default 50ms).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterFrac scales each backoff by a factor uniform in
-	// [1-JitterFrac, 1+JitterFrac] (default 0.2), drawn from a
-	// deterministic per-guard xrand stream so runs replay exactly.
-	JitterFrac float64
 	// BreakerThreshold trips the breaker after this many consecutive
 	// failures (default 5; negative disables the breaker).
 	BreakerThreshold int
@@ -80,9 +76,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 50 * time.Millisecond
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
 	}
 	if p.BreakerThreshold == 0 {
 		p.BreakerThreshold = 5
@@ -159,6 +152,11 @@ func (g *Guard) Stats() GuardStats {
 	}
 }
 
+// jitterFrac scales each backoff by a factor uniform in
+// [1-jitterFrac, 1+jitterFrac], drawn from a deterministic per-guard xrand
+// stream so runs replay exactly.
+const jitterFrac = 0.2
+
 // backoff computes the jittered delay before retry attempt (attempt >= 1).
 func (g *Guard) backoff(attempt int) time.Duration {
 	d := g.pol.BaseBackoff
@@ -169,7 +167,7 @@ func (g *Guard) backoff(attempt int) time.Duration {
 		d = g.pol.MaxBackoff
 	}
 	g.mu.Lock()
-	f := 1 + g.pol.JitterFrac*(2*g.jitter.Float64()-1)
+	f := 1 + jitterFrac*(2*g.jitter.Float64()-1)
 	g.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }
@@ -253,9 +251,6 @@ func (l *Library) WithGuards(def Policy, per map[string]Policy) *Library {
 	}
 	return &Library{world: l.world, resources: l.resources, schema: l.schema, hashes: l.hashes, guards: guards}
 }
-
-// Guarded reports whether the library was built WithGuards.
-func (l *Library) Guarded() bool { return l.guards != nil }
 
 // Guard returns the guard for the named resource, or nil if the library is
 // unguarded or the name is unknown.

@@ -113,22 +113,6 @@ func (l *Library) Resources() []Resource {
 	return append([]Resource(nil), l.resources...)
 }
 
-// Subset returns a library containing only resources whose feature set label
-// is in sets, preserving order. Unknown set labels simply select nothing.
-func (l *Library) Subset(sets ...string) (*Library, error) {
-	want := make(map[string]bool, len(sets))
-	for _, s := range sets {
-		want[s] = true
-	}
-	var keep []Resource
-	for _, r := range l.resources {
-		if want[r.Def().Set] {
-			keep = append(keep, r)
-		}
-	}
-	return NewLibrary(l.world, keep...)
-}
-
 // Applicable reports whether resource r can featurize point p at all (video
 // points are served through the image channel, frame by frame).
 func Applicable(r Resource, p *synth.Point) bool {

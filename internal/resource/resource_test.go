@@ -247,24 +247,6 @@ func TestVideoFrameMerging(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	lib := testLibrary(t)
-	ab, err := lib.Subset(SetA, SetB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ab.Schema().Len(); got != 5 {
-		t.Errorf("A+B features = %d, want 5", got)
-	}
-	empty, err := lib.Subset("nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Schema().Len() != 0 {
-		t.Error("unknown set should select nothing")
-	}
-}
-
 func TestNewLibraryRejectsDuplicates(t *testing.T) {
 	w := testWorld(t)
 	svc := NewStatService(feature.Def{Name: "dup", Set: "X", Servable: true}, w, textImage, nil,

@@ -23,9 +23,10 @@ import (
 // The hot path is arena-style: request and batch structs cycle through
 // sync.Pools and the score buffer belongs to the batch, so a steady-state
 // request allocates nothing in the batcher. Dispatch is adaptive — a batch
-// hands off immediately when an executor is idle (latency-bound traffic
-// never pays the coalescing window) and only waits out MaxWait when all
-// executors are busy (throughput-bound traffic batches up).
+// hands off immediately when the executor is idle (latency-bound traffic
+// never pays the coalescing window) and only waits out MaxWait when it is
+// busy (throughput-bound traffic batches up). One goroutine executes batches;
+// a batch already parallelizes internally via the Workers knobs.
 
 // Shedding and lifecycle errors. The HTTP layer maps these to status codes
 // (429 for shed load, 503 before a model is loaded).
@@ -46,15 +47,12 @@ type BatcherConfig struct {
 	// scores (default 64).
 	MaxBatchSize int
 	// MaxWait bounds how long the first request of a batch waits for
-	// company when every executor is busy; with an idle executor the batch
+	// company when the executor is busy; with an idle executor the batch
 	// dispatches immediately (default 2ms).
 	MaxWait time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with ErrQueueFull (default 1024).
 	QueueDepth int
-	// Executors is the number of goroutines executing batches (default 1;
-	// the batch itself already parallelizes internally via Workers knobs).
-	Executors int
 }
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
@@ -66,9 +64,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.Executors <= 0 {
-		c.Executors = 1
 	}
 	return c
 }
@@ -103,8 +98,7 @@ type batch struct {
 // ExecFunc scores one batch of points into scores (len(scores) ==
 // len(pts)), returning the sequence number of the model that produced
 // them. The scores buffer is owned by the caller and reused across batches.
-// It must be safe for concurrent use when BatcherConfig.Executors > 1. ctx
-// carries the batch's scoring budget — the latest deadline among the
+// ctx carries the batch's scoring budget — the latest deadline among the
 // batch's live requests — so featurization work under it is abandoned once
 // no request can still use the result.
 type ExecFunc func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error)
@@ -134,12 +128,9 @@ func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 		execQ: make(chan *batch),
 		stop:  make(chan struct{}),
 	}
-	b.wg.Add(1)
+	b.wg.Add(2)
 	go b.dispatch()
-	for i := 0; i < cfg.Executors; i++ {
-		b.wg.Add(1)
-		go b.executor()
-	}
+	go b.executor()
 	return b
 }
 
@@ -225,8 +216,8 @@ func (b *Batcher) Close() {
 
 // dispatch collects requests into batches. A batch opens on its first
 // request, greedily absorbs everything already queued, and then hands off
-// immediately if an executor is free — the common idle-server case pays no
-// wait. Only when all executors are busy does the batch hold its MaxWait
+// immediately if the executor is free — the common idle-server case pays no
+// wait. Only when it is busy does the batch hold its MaxWait
 // window (more requests can only help a batch that must wait anyway).
 func (b *Batcher) dispatch() {
 	defer b.wg.Done()
@@ -256,12 +247,12 @@ outer:
 		}
 		if len(bt.reqs) < b.cfg.MaxBatchSize {
 			select {
-			case b.execQ <- bt: // an executor was idle: dispatch now
+			case b.execQ <- bt: // the executor was idle: dispatch now
 				continue
 			case <-b.stop:
 				b.failBatch(bt)
 				return
-			default: // all executors busy: collect while we wait
+			default: // executor busy: collect while we wait
 			}
 			timer.Reset(b.cfg.MaxWait)
 		collect:
@@ -270,7 +261,7 @@ outer:
 				case req := <-b.queue:
 					bt.reqs = append(bt.reqs, req)
 				case b.execQ <- bt:
-					// An executor freed up mid-window; it owns bt now.
+					// The executor freed up mid-window; it owns bt now.
 					if !timer.Stop() {
 						<-timer.C
 					}
@@ -292,7 +283,7 @@ outer:
 		select {
 		case b.execQ <- bt:
 		case <-b.stop:
-			// Executors may already be gone; fail the batch directly.
+			// The executor may already be gone; fail the batch directly.
 			b.failBatch(bt)
 			return
 		}

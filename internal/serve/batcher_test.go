@@ -40,22 +40,55 @@ func (e *countingExec) batchSizes() []int {
 
 func pt(id int) *synth.Point { return &synth.Point{ID: id} }
 
+// admitCtx counts Submit's admissions: Submit first consults its context when
+// it starts waiting for the response — after the request entered the queue.
+type admitCtx struct {
+	context.Context
+	admitted *sync.WaitGroup
+}
+
+func (c admitCtx) Done() <-chan struct{} {
+	c.admitted.Done()
+	return c.Context.Done()
+}
+
+// TestBatcherCoalescesConcurrentRequests: requests that queue up behind a
+// busy executor run together. Gated, not raced — adaptive dispatch hands
+// racing submits to an idle executor one at a time, and rightly so: the
+// executor is held on a first singleton batch until the other 31 requests
+// are all admitted, then released.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 64, MaxWait: 20 * time.Millisecond}, exec.exec, nil)
+	exec := &countingExec{block: make(chan struct{})}
+	entered := make(chan struct{}, 1)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 64, MaxWait: 20 * time.Millisecond},
+		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			return exec.exec(ctx, pts, scores)
+		}, nil)
 	defer b.Close()
 
 	const n = 32
-	var wg sync.WaitGroup
+	var wg, admitted sync.WaitGroup
 	errs := make([]error, n)
 	scores := make([]float64, n)
-	for i := 0; i < n; i++ {
+	submit := func(ctx context.Context, i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			scores[i], _, errs[i] = b.Submit(context.Background(), pt(i), time.Time{})
-		}(i)
+			scores[i], _, errs[i] = b.Submit(ctx, pt(i), time.Time{})
+		}()
 	}
+	submit(context.Background(), 0)
+	<-entered // the executor holds [0] and waits on exec.block
+	admitted.Add(n - 1)
+	for i := 1; i < n; i++ {
+		submit(admitCtx{context.Background(), &admitted}, i)
+	}
+	admitted.Wait()
+	close(exec.block)
 	wg.Wait()
 	for i := range errs {
 		if errs[i] != nil {
@@ -73,10 +106,10 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	if total != n {
 		t.Fatalf("executed %d points across %v, want %d", total, sizes, n)
 	}
-	// 32 concurrent requests inside one 20ms window must not run as 32
-	// singleton batches; coalescing is the whole point.
-	if len(sizes) == n {
-		t.Errorf("no coalescing happened: batches %v", sizes)
+	// What the dispatcher collected inside its MaxWait window is one batch,
+	// everything queued behind it the next.
+	if sizes[0] != 1 || len(sizes) > 3 {
+		t.Errorf("31 requests queued behind a busy executor ran as batches %v, want [1] then at most two", sizes)
 	}
 }
 
@@ -154,7 +187,7 @@ func TestBatcherShedsExpiredDeadlines(t *testing.T) {
 	block := make(chan struct{})
 	exec := &countingExec{block: block}
 	met := NewMetrics()
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, MaxWait: time.Millisecond, QueueDepth: 64, Executors: 1}, exec.exec, met)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, MaxWait: time.Millisecond, QueueDepth: 64}, exec.exec, met)
 	defer b.Close()
 
 	// First batch occupies the executor long enough for the second

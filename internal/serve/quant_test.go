@@ -84,17 +84,44 @@ func TestQuantizedServingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInstallExactKeepsReferencePath pins that a Float64-stamped (or plain)
-// predictor takes the reference path: no quantized scorer is attached.
-func TestInstallExactKeepsReferencePath(t *testing.T) {
+// TestInstalledScorerMatchesPredictBatch: execBatch has one scoring call, so
+// every installed model carries a scorer — the early model's in-place engine
+// at its stamped precision (bit-equal to PredictBatch for float64, within the
+// precision's Tolerance otherwise), PredictBatch itself for the rest.
+func TestInstalledScorerMatchesPredictBatch(t *testing.T) {
 	fixture(t)
-	r := NewRegistry(nil)
-	l, err := r.Install(fx.modelA, "")
+	inter, err := fusion.TrainIntermediate(ctxbg, []fusion.Corpus{fx.corpus}, fusion.Config{
+		Schema: fx.store.Library().Schema().Servable(),
+		Model:  model.Config{Hidden: []int{8}, Epochs: 1, Seed: 5, LearningRate: 0.05},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Precision != model.Float64 || l.scoreInto != nil {
-		t.Errorf("exact install got precision %v, scorer %v", l.Precision, l.scoreInto != nil)
+	vecs := fx.corpus.Vectors[:150] // more than one PredictBatch work item
+	for _, c := range []struct {
+		name string
+		m    fusion.Predictor
+		prec model.Precision
+	}{
+		{"float64 early", fx.modelA, model.Float64},
+		{"f32 early", quantCopy(t, model.Float32), model.Float32},
+		{"intermediate", inter, model.Float64},
+	} {
+		l, err := NewRegistry(nil).Install(c.m, "")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if l.Precision != c.prec || l.scoreInto == nil {
+			t.Fatalf("%s: installed precision %v, scorer %v", c.name, l.Precision, l.scoreInto != nil)
+		}
+		got := make([]float64, len(vecs))
+		l.scoreInto(vecs, got)
+		tol, _ := c.prec.Tolerance()
+		for i, want := range c.m.PredictBatch(vecs) {
+			if d := math.Abs(got[i] - want); d > tol {
+				t.Fatalf("%s: point %d scored %v in place, PredictBatch %v (limit %g)", c.name, i, got[i], want, tol)
+			}
+		}
 	}
 }
 

@@ -37,8 +37,9 @@ type Loaded struct {
 	// Precision is the arithmetic the hot path scores with: the artifact's
 	// stamped serve precision, or Float64 for predictors without one.
 	Precision model.Precision
-	// scoreInto is the quantized batch scorer, nil when Precision is
-	// Float64 (execBatch then takes the reference PredictBatch path).
+	// scoreInto is the batch scorer execBatch calls: the early model's
+	// in-place engine at Precision (Float64 included), PredictBatch copied
+	// into out for predictors without one.
 	scoreInto func(vs []*feature.Vector, out []float64)
 	// Lineage is the artifact's provenance stamp, nil for artifacts
 	// written without one (and for in-process installs).
@@ -133,9 +134,11 @@ func (r *Registry) install(m fusion.Predictor, path string, lg *fusion.Lineage) 
 		LoadedAt: time.Now(),
 		Lineage:  lg,
 	}
-	if qp, ok := m.(quantPredictor); ok && qp.ServePrecision() != model.Float64 {
+	if qp, ok := m.(quantPredictor); ok {
 		l.Precision = qp.ServePrecision()
 		l.scoreInto = qp.PredictBatchQInto
+	} else {
+		l.scoreInto = func(vs []*feature.Vector, out []float64) { copy(out, m.PredictBatch(vs)) }
 	}
 	r.cur.Store(l)
 	return l, nil

@@ -155,18 +155,38 @@ func (s *Server) Metrics() *Metrics { return s.met }
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts: a client that stalls sending its headers or body, or
+// parks an idle keep-alive connection, cannot hold a server goroutine.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer serves h on addr (empty when the caller brings its own
+// listener) under the connection timeouts.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Close stops the batcher. The handler keeps answering health and metrics
 // but sheds predictions.
 func (s *Server) Close() { s.bat.Close() }
 
 // DerivePoint renders a (seed, id) pair into the synthetic data point it
-// names: the entity and observation noise derive deterministically, with the
-// same seed mix synth.BuildDataset uses for corpus points, so the same ID
-// always featurizes identically — in this process, in a restarted one, and
+// names: the entity and observation noise derive deterministically from
+// synth.PointSeed, the seed corpus points carry, so the same ID always
+// featurizes identically — in this process, in a restarted one, and
 // in a test comparing against in-process Predict. cmd/serve uses it to build
 // the canary batch before the server exists.
 func DerivePoint(w *synth.World, baseSeed int64, id int, m synth.Modality, frames int) *synth.Point {
-	seed := xrand.Mix(uint64(baseSeed)<<20 ^ uint64(id))
+	seed := synth.PointSeed(baseSeed, id)
 	rng := xrand.New(int64(seed))
 	return &synth.Point{
 		ID:       id,
@@ -198,9 +218,8 @@ func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 
 // execBatch is the batcher's ExecFunc: snapshot the model once, featurize
 // the whole batch through the store under the batch's deadline, score it
-// into the batcher-owned buffer — through the model's quantized serving
-// path when the installed artifact was stamped with one, the float64
-// reference path otherwise.
+// into the batcher-owned buffer through the scorer the registry installed
+// with the model.
 func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 	cur := s.reg.Current()
 	if cur == nil {
@@ -210,11 +229,7 @@ func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []flo
 	if err != nil {
 		return 0, err
 	}
-	if cur.scoreInto != nil {
-		cur.scoreInto(vecs, scores)
-	} else {
-		copy(scores, cur.Model.PredictBatch(vecs))
-	}
+	cur.scoreInto(vecs, scores)
 	for _, sc := range scores[:len(pts)] {
 		s.met.Scores.Observe(sc)
 	}

@@ -40,6 +40,7 @@ var fx struct {
 	store  *featurestore.Store
 	modelA fusion.Predictor // install generation 1
 	modelB fusion.Predictor // hot-swap generation 2
+	corpus fusion.Corpus    // what both were trained on
 }
 
 func fixture(t *testing.T) {
@@ -84,13 +85,7 @@ func buildFixture() error {
 	if err != nil {
 		return err
 	}
-	targets := make([]float64, len(ds.HandLabelPool))
-	for i, p := range ds.HandLabelPool {
-		if p.Label > 0 {
-			targets[i] = 1
-		}
-	}
-	corpus := fusion.Corpus{Name: "hand", Vectors: vecs, Targets: targets}
+	corpus := fusion.Corpus{Name: "hand", Vectors: vecs, Targets: fusion.HardTargets(synth.Labels(ds.HandLabelPool))}
 	train := func(seed int64) (fusion.Predictor, error) {
 		return fusion.TrainEarly(ctxbg, []fusion.Corpus{corpus}, fusion.Config{
 			Schema: lib.Schema().Servable(),
@@ -103,7 +98,7 @@ func buildFixture() error {
 	if fx.modelB, err = train(4); err != nil {
 		return err
 	}
-	fx.world, fx.store = world, store
+	fx.world, fx.store, fx.corpus = world, store, corpus
 	return nil
 }
 

@@ -99,6 +99,17 @@ func DefaultDatasetConfig() DatasetConfig {
 	}
 }
 
+// Scaled returns c with its four corpus sizes multiplied by factor, none
+// below floor — the one place a -scale flag turns into corpus sizes.
+func (c DatasetConfig) Scaled(factor float64, floor int) DatasetConfig {
+	scale := func(n int) int { return max(floor, int(float64(n)*factor)) }
+	c.NumText = scale(c.NumText)
+	c.NumUnlabeledImage = scale(c.NumUnlabeledImage)
+	c.NumHandLabelPool = scale(c.NumHandLabelPool)
+	c.NumTest = scale(c.NumTest)
+	return c
+}
+
 func (c DatasetConfig) validate() error {
 	if c.NumText <= 0 || c.NumUnlabeledImage <= 0 || c.NumTest <= 0 {
 		return fmt.Errorf("synth: dataset sizes must be positive: %+v", c)
@@ -152,6 +163,14 @@ func BuildDataset(w *World, task *Task, cfg DatasetConfig) (*Dataset, error) {
 		}
 	}
 	return ds, nil
+}
+
+// PointSeed is the observation-noise seed of point id under a base seed: the
+// one mix corpus generation, drifting traffic and serving (serve.DerivePoint)
+// share, so the same (seed, id) featurizes identically wherever it is
+// rendered.
+func PointSeed(seed int64, id int) uint64 {
+	return xrand.Mix(uint64(seed)<<20 ^ uint64(id))
 }
 
 // SampleVideo draws n video points, each splitting into frames image frames,

@@ -132,9 +132,6 @@ func NewTraffic(base *World, task *Task, sched DriftSchedule) (*Traffic, error) 
 // Task returns the (calibrated) task labels derive from.
 func (t *Traffic) Task() *Task { return t.task }
 
-// Schedule returns the drift schedule.
-func (t *Traffic) Schedule() DriftSchedule { return t.sched }
-
 // Total returns the traffic size.
 func (t *Traffic) Total() int { return t.sched.Total() }
 
@@ -154,12 +151,12 @@ func (t *Traffic) WorldAt(epoch int) *World { return t.worlds[epoch] }
 
 // Point renders traffic ordinal id: entity sampled from its epoch's shifted
 // prior, labeled against the true entity, then decayed per the epoch's
-// fidelity. Point seeds use the same mix as BuildDataset and
-// serve.DerivePoint, so featurestore caching by ID stays sound.
+// fidelity. Point seeds are PointSeed's, as everywhere, so featurestore
+// caching by ID stays sound.
 func (t *Traffic) Point(id int) *Point {
 	ep := t.EpochOf(id)
 	w := t.worlds[ep]
-	seed := xrand.Mix(uint64(t.sched.Seed)<<20 ^ uint64(id))
+	seed := PointSeed(t.sched.Seed, id)
 	rng := xrand.New(int64(seed))
 	e := w.SampleEntity(rng, Image, id)
 	p := &Point{

@@ -117,7 +117,7 @@ func (s *Stream) Next(max int) *Chunk {
 			ID:       s.nextID,
 			Entity:   e,
 			Modality: m,
-			Seed:     xrand.Mix(uint64(s.cfg.Seed)<<20 ^ uint64(s.nextID)),
+			Seed:     PointSeed(s.cfg.Seed, s.nextID),
 			Label:    s.task.Label(s.w, e),
 		}
 		s.nextID++

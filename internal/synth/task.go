@@ -101,9 +101,6 @@ func (t *Task) Label(w *World, e *Entity) int8 {
 	return -1
 }
 
-// Threshold returns the calibrated decision threshold.
-func (t *Task) Threshold() float64 { return t.threshold }
-
 // StandardTasks returns the five classification tasks CT1–CT5 with the
 // positive rates of paper Table 1 and difficulty profiles chosen to
 // reproduce the paper's qualitative spread (Table 2):
