@@ -255,7 +255,7 @@ func FitLabelModel(ctx context.Context, m *LFMatrix, labels []int8, cfg LabelMod
 type (
 	// ActiveConfig controls the human-in-the-loop review loop.
 	ActiveConfig = active.Config
-	// ActiveResult tracks per-round review outcomes.
+	// ActiveResult tracks per-round review outcomes and the grown model.
 	ActiveResult = active.Result
 	// ReviewOracle reveals a point's true label (a human reviewer).
 	ReviewOracle = active.Oracle

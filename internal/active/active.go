@@ -88,6 +88,9 @@ type Result struct {
 	Initial float64
 	// Rounds has one entry per review round.
 	Rounds []Round
+	// Predictor is the model the loop grew: the last round's retrain (the
+	// bootstrap model when no round ran).
+	Predictor fusion.Predictor
 }
 
 // Run executes the loop: the pipeline's curation provides the bootstrap
@@ -160,6 +163,7 @@ func Run(ctx context.Context, pipe *core.Pipeline, cur *core.Curation, pool, tes
 			TestAUPRC:      metrics.AUPRC(testLabels, predictor.PredictBatch(testVecs)),
 		})
 	}
+	res.Predictor = predictor
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crossmodal/internal/core"
+	"crossmodal/internal/metrics"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 )
@@ -85,6 +86,14 @@ func TestRunActiveLearning(t *testing.T) {
 	final := res.Rounds[len(res.Rounds)-1].TestAUPRC
 	if final < res.Initial*0.85 {
 		t.Errorf("review should not collapse the model: initial %.3f, final %.3f", res.Initial, final)
+	}
+	// The returned predictor is the model the last round evaluated.
+	testVecs, err := pipe.Featurize(context.Background(), ds.TestImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.AUPRC(synth.Labels(ds.TestImage), res.Predictor.PredictBatch(testVecs)); got != final {
+		t.Errorf("returned predictor's test AUPRC %v, last round's %v", got, final)
 	}
 }
 

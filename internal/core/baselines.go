@@ -73,46 +73,3 @@ func (p *Pipeline) EvaluateAUPRC(ctx context.Context, predictor fusion.Predictor
 	span.SetFloat("auprc", auprc)
 	return auprc, nil
 }
-
-// BudgetPoint is one point on a hand-label budget curve (Figure 5).
-type BudgetPoint struct {
-	Budget int
-	AUPRC  float64
-}
-
-// SupervisedCurve trains fully supervised image models at increasing
-// hand-label budgets drawn from the pool and evaluates each on the test set.
-// Budgets exceeding the pool are skipped.
-func (p *Pipeline) SupervisedCurve(ctx context.Context, pool, test []*synth.Point, budgets []int, schema *feature.Schema, mcfg model.Config) ([]BudgetPoint, error) {
-	var curve []BudgetPoint
-	for _, n := range budgets {
-		if n <= 0 || n > len(pool) {
-			continue
-		}
-		predictor, err := p.TrainSupervised(ctx, pool[:n], schema, mcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: supervised budget %d: %w", n, err)
-		}
-		auprc, err := p.EvaluateAUPRC(ctx, predictor, test)
-		if err != nil {
-			return nil, err
-		}
-		curve = append(curve, BudgetPoint{Budget: n, AUPRC: auprc})
-	}
-	if len(curve) == 0 {
-		return nil, fmt.Errorf("core: no feasible budgets (pool %d)", len(pool))
-	}
-	return curve, nil
-}
-
-// CrossOver returns the smallest budget on the curve whose supervised AUPRC
-// meets or beats target, or 0 if no budget does (the cross-over lies beyond
-// the pool — the paper reports these as very large cross-over points).
-func CrossOver(curve []BudgetPoint, target float64) int {
-	for _, pt := range curve {
-		if pt.AUPRC >= target {
-			return pt.Budget
-		}
-	}
-	return 0
-}

@@ -203,41 +203,6 @@ func TestEndSchemaRespectsServability(t *testing.T) {
 	}
 }
 
-func TestSupervisedCurveMonotoneTrend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	lib, ds := testEnv(t)
-	p, err := NewPipeline(lib, smallOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	schema := p.SchemaFor(resource.ABCD, true, false)
-	curve, err := p.SupervisedCurve(ctx, ds.HandLabelPool, ds.TestImage,
-		[]int{100, 2500, 999999}, schema, model.Config{Epochs: 5, Seed: 3, LearningRate: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 2 {
-		t.Fatalf("curve has %d points, want 2 (oversized budget skipped)", len(curve))
-	}
-	if curve[1].AUPRC <= curve[0].AUPRC {
-		t.Errorf("more hand labels should help: %.3f @%d vs %.3f @%d",
-			curve[0].AUPRC, curve[0].Budget, curve[1].AUPRC, curve[1].Budget)
-	}
-}
-
-func TestCrossOver(t *testing.T) {
-	curve := []BudgetPoint{{100, 0.3}, {500, 0.5}, {1000, 0.7}}
-	if got := CrossOver(curve, 0.45); got != 500 {
-		t.Errorf("CrossOver = %d, want 500", got)
-	}
-	if got := CrossOver(curve, 0.9); got != 0 {
-		t.Errorf("unreachable CrossOver = %d, want 0", got)
-	}
-}
-
 func TestEmbeddingOnlySchema(t *testing.T) {
 	lib, _ := testEnv(t)
 	p, _ := NewPipeline(lib, DefaultOptions())

@@ -186,7 +186,7 @@ func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, erro
 		r.window = nImages
 	}
 
-	lfs, miningReport, err := r.buildLFs(ctx)
+	lfs, err := r.buildLFs(ctx, &report)
 	if err != nil {
 		return nil, nil, report, err
 	}
@@ -211,7 +211,6 @@ func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, erro
 	if err != nil {
 		return nil, nil, report, fmt.Errorf("core: apply LFs: %w", err)
 	}
-	report.Mining = miningReport
 	report.DevStats = lf.EvaluateAll(devMatrix, r.textLabels)
 
 	if p.opts.UseLabelProp {
@@ -237,20 +236,23 @@ func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, erro
 }
 
 // buildLFs generates labeling functions from the labeled text corpus per
-// the configured source.
-func (r *curateRun) buildLFs(ctx context.Context) ([]*lf.LF, mining.Report, error) {
+// the configured source, recording its Mining and LFExamined in report.
+func (r *curateRun) buildLFs(ctx context.Context, report *Report) ([]*lf.LF, error) {
+	report.LFExamined = r.text.Rows()
 	if r.p.opts.LFSource == ExpertLFs {
 		// The simulated expert samples the whole dev set, so it is gathered
 		// in memory — why CurateStreamed refuses ExpertLFs.
+		expert := lf.DefaultExpert()
+		report.LFExamined = min(expert.SampleSize, r.text.Rows())
 		devVecs, err := allRows(ctx, r.text, r.lfSchema)
 		if err != nil {
-			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
+			return nil, fmt.Errorf("core: expert LFs: %w", err)
 		}
-		lfs, err := lf.DefaultExpert().Develop(devVecs, r.textLabels, xrand.New(r.p.opts.Seed^0xe4be27))
+		lfs, err := expert.Develop(devVecs, r.textLabels, xrand.New(r.p.opts.Seed^0xe4be27))
 		if err != nil {
-			return nil, mining.Report{}, fmt.Errorf("core: expert LFs: %w", err)
+			return nil, fmt.Errorf("core: expert LFs: %w", err)
 		}
-		return lfs, mining.Report{}, nil
+		return lfs, nil
 	}
 	lfs, rep, err := mining.MineColumns(ctx, mapreduce.Config{Workers: r.p.opts.Workers}, r.p.opts.Mining, r.lfSchema,
 		func(ctx context.Context, fn func([]int8, []feature.Columns) error) error {
@@ -262,9 +264,10 @@ func (r *curateRun) buildLFs(ctx context.Context) ([]*lf.LF, mining.Report, erro
 			})
 		})
 	if err != nil {
-		return nil, rep, fmt.Errorf("core: mine LFs: %w", err)
+		return nil, fmt.Errorf("core: mine LFs: %w", err)
 	}
-	return lfs, rep, nil
+	report.Mining = rep
+	return lfs, nil
 }
 
 // apply votes the LFs on a corpus chunk by chunk, each chunk's vote rows

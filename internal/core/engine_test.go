@@ -12,6 +12,7 @@ import (
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore/disk"
+	"crossmodal/internal/lf"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
 )
@@ -228,6 +229,9 @@ func TestCurateExpertLFsThroughEngine(t *testing.T) {
 	}
 	if cur.Report.LFCount != 26 {
 		t.Errorf("expert-LF run kept %d LFs, want 26", cur.Report.LFCount)
+	}
+	if want := min(lf.DefaultExpert().SampleSize, len(cur.TextVecs)); cur.Report.LFExamined != want {
+		t.Errorf("expert examined %d points, want its sample of %d", cur.Report.LFExamined, want)
 	}
 }
 

@@ -42,9 +42,6 @@ func NewPipeline(lib *resource.Library, opts Options) (*Pipeline, error) {
 // Options returns the pipeline's resolved options.
 func (p *Pipeline) Options() Options { return p.opts }
 
-// Library returns the pipeline's resource library.
-func (p *Pipeline) Library() *resource.Library { return p.lib }
-
 // Featurize maps points into the library's common feature space.
 func (p *Pipeline) Featurize(ctx context.Context, pts []*synth.Point) ([]*feature.Vector, error) {
 	ctx, span := trace.Start(ctx, "featurize")
@@ -119,6 +116,9 @@ type Report struct {
 	// (including the propagation LF when enabled).
 	Mining  mining.Report
 	LFCount int
+	// LFExamined counts the labeled points the LF source read: the whole
+	// corpus for the miner, the simulated expert's sample (§6.7.1).
+	LFExamined int
 	// DevStats holds each LF's precision/recall/coverage on the labeled
 	// old-modality dev set.
 	DevStats []lf.Stats

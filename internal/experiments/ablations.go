@@ -21,49 +21,35 @@ type AblationRow struct {
 // Ablations runs the design-choice ablations DESIGN.md calls out, on one
 // task: the dev-anchored label model vs unsupervised EM vs majority vote,
 // learned vs uniform propagation-graph feature weights, LF deduplication on
-// vs off, and order-1 vs order-2 itemset mining. Each variant re-runs the
+// vs off, and order-1 vs order-2 itemset mining. Each variant is the suite's
 // curation with a single switch flipped.
 func (s *Suite) Ablations(ctx context.Context, taskName string) ([]AblationRow, error) {
 	tc, err := s.ctxFor(ctx, taskName)
 	if err != nil {
 		return nil, err
 	}
-	variants := []struct {
-		name   string
-		modify func(*core.Options)
-	}{
-		{"full pipeline (default)", func(*core.Options) {}},
+	variants := []variant{
+		defaultVariant,
 		{"label model: unsupervised EM", func(o *core.Options) { o.UseEMLabelModel = true }},
 		{"label model: majority vote", func(o *core.Options) { o.UseGenerative = false }},
 		{"graph: uniform feature weights", func(o *core.Options) { o.UniformGraphWeights = true }},
 		{"LF dedup: off", func(o *core.Options) { o.DisableLFDedup = true }},
 		{"mining: order-2 itemsets", func(o *core.Options) { o.Mining.MaxOrder = 2 }},
-		{"no label propagation", func(o *core.Options) { o.UseLabelProp = false }},
+		noPropVariant,
 		{"expert LFs instead of mining", func(o *core.Options) { o.LFSource = core.ExpertLFs }},
 	}
 	var rows []AblationRow
-	for _, variant := range variants {
-		opts := s.pipelineOptions()
-		variant.modify(&opts)
-		pipe, err := core.NewPipeline(s.lib, opts)
+	for _, v := range variants {
+		cur, err := s.curation(ctx, tc, v)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %q: %w", variant.name, err)
+			return nil, err
 		}
-		var cur *core.Curation
-		if variant.name == "full pipeline (default)" {
-			cur = tc.curation // reuse the cached default curation
-		} else {
-			cur, err = pipe.Curate(ctx, tc.ds)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: ablation %q curate: %w", variant.name, err)
-			}
-		}
-		auprc, err := tc.trainAndEval(ctx, cur, pipe.DefaultTrainSpec())
+		auprc, err := tc.trainAndEval(ctx, cur, tc.pipe.DefaultTrainSpec())
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %q train: %w", variant.name, err)
+			return nil, fmt.Errorf("experiments: ablation %q train: %w", v.name, err)
 		}
 		rows = append(rows, AblationRow{
-			Name:     variant.name,
+			Name:     v.name,
 			WSF1:     cur.Report.WSF1,
 			EndAUPRC: tc.relative(auprc),
 		})

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"crossmodal/internal/core"
+	"crossmodal/internal/resource"
 )
 
 // The suite is expensive to build; share one small-scale instance.
@@ -206,24 +209,65 @@ func TestFusionComparison(t *testing.T) {
 	}
 }
 
+// TestLFGeneration: §6.7.1's rows are pipeline curations read off their
+// Reports — the mined row is the one no-propagation curation Table 3 and the
+// ablation row also read, curated once per suite.
 func TestLFGeneration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	s := smallSuite(t)
-	rows, err := s.LFGeneration(context.Background(), "CT1")
+	ctx := context.Background()
+	tc, err := s.ctxFor(ctx, "CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noProp, err := s.curation(ctx, tc, noPropVariant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.LFGeneration(ctx, "CT1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 || rows[0].Source != "mined" || rows[1].Source != "expert" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if rows[0].CorpusExamined <= rows[1].CorpusExamined {
-		t.Errorf("miner should examine more data: %d vs %d",
-			rows[0].CorpusExamined, rows[1].CorpusExamined)
+	expert := tc.variants[expertNoPropVariant.name]
+	for i, cur := range []*core.Curation{noProp, expert} {
+		r, rep := rows[i], cur.Report
+		want := LFGenResult{Source: r.Source, LFCount: rep.LFCount, CorpusExamined: rep.LFExamined,
+			Precision: rep.WSPrecision, Recall: rep.WSRecall, F1: rep.WSF1, Coverage: rep.WSCoverage, EndAUPRC: r.EndAUPRC}
+		if r != want {
+			t.Errorf("%s row %+v, want its curation's Report %+v", r.Source, r, want)
+		}
+	}
+	if rows[0].CorpusExamined != len(noProp.TextVecs) || rows[0].CorpusExamined <= rows[1].CorpusExamined {
+		t.Errorf("miner should examine the whole %d-point corpus, more than the expert: %d vs %d",
+			len(noProp.TextVecs), rows[0].CorpusExamined, rows[1].CorpusExamined)
 	}
 	if rows[0].LFCount == 0 || rows[1].LFCount == 0 {
 		t.Error("both sources should produce LFs")
+	}
+
+	t3, err := s.Table3(ctx, []string{"CT1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ablations, err := s.Ablations(ctx, "CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.variants[noPropVariant.name] != noProp {
+		t.Error("the no-propagation curation was curated more than once")
+	}
+	if want := ratio(tc.curation.Report.WSF1, noProp.Report.WSF1); t3[0].F1 != want {
+		t.Errorf("Table 3 F1 lift %v, want %v from the shared curation", t3[0].F1, want)
+	}
+	for _, a := range ablations {
+		if a.Name == noPropVariant.name && (a.WSF1 != rows[0].F1 || a.EndAUPRC != rows[0].EndAUPRC) {
+			t.Errorf("ablation row %+v disagrees with §6.7.1's mined row %+v", a, rows[0])
+		}
 	}
 	var buf bytes.Buffer
 	RenderLFGen(&buf, rows)
@@ -247,6 +291,41 @@ func TestRawVsFeatures(t *testing.T) {
 	// The paper finds the feature space beats the raw embedding.
 	if res.Features < 1.0 {
 		t.Errorf("feature model %.2f should beat the embedding baseline", res.Features)
+	}
+}
+
+func TestSupervisedCurveMonotoneTrend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	s := smallSuite(t)
+	ctx := context.Background()
+	tc, err := s.ctxFor(ctx, "CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := tc.budgets()
+	ends := []int{budgets[0], budgets[len(budgets)-1]}
+	curve, err := tc.supervisedCurve(ctx, ends, tc.pipe.SchemaFor(resource.ABCD, true, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curve) != 2 || curve[0].Budget != ends[0] || curve[1].Budget != ends[1] {
+		t.Fatalf("curve = %+v, want budgets %v", curve, ends)
+	}
+	if curve[1].AUPRC <= curve[0].AUPRC {
+		t.Errorf("more hand labels should help: %.3f @%d vs %.3f @%d",
+			curve[0].AUPRC, curve[0].Budget, curve[1].AUPRC, curve[1].Budget)
+	}
+}
+
+func TestCrossOver(t *testing.T) {
+	curve := []BudgetPoint{{100, 0.3}, {500, 0.5}, {1000, 0.7}}
+	if got := crossOver(curve, 0.45); got != 500 {
+		t.Errorf("crossOver = %d, want 500", got)
+	}
+	if got := crossOver(curve, 0.9); got != 0 {
+		t.Errorf("unreachable crossOver = %d, want 0", got)
 	}
 }
 

@@ -6,20 +6,9 @@ import (
 	"io"
 
 	"crossmodal/internal/core"
-	"crossmodal/internal/labelmodel"
-	"crossmodal/internal/lf"
-	"crossmodal/internal/mapreduce"
-	"crossmodal/internal/metrics"
-	"crossmodal/internal/mining"
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
-	"crossmodal/internal/synth"
-	"crossmodal/internal/xrand"
 )
-
-func auprcOf(labels []int8, scores []float64) float64 {
-	return metrics.AUPRC(labels, scores)
-}
 
 // FusionRow compares the three multi-modal architectures on one task
 // (paper §6.6: early fusion beats intermediate fusion by up to 1.22× and
@@ -93,116 +82,42 @@ type LFGenResult struct {
 	EndAUPRC float64
 }
 
-// LFGeneration runs the mined-vs-expert comparison for one task. Both
-// variants run without label propagation so the comparison isolates LF
-// authorship.
+// LFGeneration runs the mined-vs-expert comparison for one task: each row
+// is a pipeline curation without label propagation, so the comparison
+// isolates LF authorship, and reads its WS quality off the curation's
+// Report. The mined row is the curation Table 3 and the "no label
+// propagation" ablation read.
 func (s *Suite) LFGeneration(ctx context.Context, taskName string) ([]LFGenResult, error) {
 	tc, err := s.ctxFor(ctx, taskName)
 	if err != nil {
 		return nil, err
 	}
-	cur := tc.curation
-	lfSchema := tc.pipe.Library().Schema().Sets(resource.ABCD...)
-	textVecs := maskVectors(cur.TextVecs, lfSchema)
-	imageVecs := maskVectors(cur.ImageVecs, lfSchema)
-	mrCfg := mapreduce.Config{Workers: s.cfg.Workers}
-
 	var out []LFGenResult
-	for _, source := range []string{"mined", "expert"} {
-		var lfs []*lf.LF
-		examined := len(textVecs)
-		switch source {
-		case "mined":
-			mined, _, err := mining.Mine(ctx, mrCfg, mining.DefaultConfig(), textVecs, cur.TextLabels)
-			if err != nil {
-				return nil, err
-			}
-			lfs = mined
-		case "expert":
-			expert := lf.DefaultExpert()
-			examined = expert.SampleSize
-			rng := xrand.New(s.cfg.Seed ^ 0xe4be27)
-			authored, err := expert.Develop(textVecs, cur.TextLabels, rng)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: expert LFs: %w", err)
-			}
-			lfs = authored
-		}
-		devMatrix, err := lf.Apply(ctx, mrCfg, lfs, textVecs)
+	for _, row := range []struct {
+		source string
+		v      variant
+	}{{"mined", noPropVariant}, {"expert", expertNoPropVariant}} {
+		cur, err := s.curation(ctx, tc, row.v)
 		if err != nil {
 			return nil, err
 		}
-		matrix, err := lf.Apply(ctx, mrCfg, lfs, imageVecs)
+		auprc, err := tc.trainAndEval(ctx, cur, tc.pipe.DefaultTrainSpec())
 		if err != nil {
 			return nil, err
 		}
-		lm, err := labelmodel.FitSupervised(ctx, devMatrix, cur.TextLabels, labelmodel.Config{
-			ClassBalance: metrics.BaseRate(cur.TextLabels),
+		rep := cur.Report
+		out = append(out, LFGenResult{
+			Source:         row.source,
+			LFCount:        rep.LFCount,
+			CorpusExamined: rep.LFExamined,
+			Precision:      rep.WSPrecision,
+			Recall:         rep.WSRecall,
+			F1:             rep.WSF1,
+			Coverage:       rep.WSCoverage,
+			EndAUPRC:       tc.relative(auprc),
 		})
-		if err != nil {
-			return nil, err
-		}
-		probs, err := lm.Predict(matrix)
-		if err != nil {
-			return nil, err
-		}
-		covered := labelmodel.Covered(matrix)
-		res := LFGenResult{
-			Source:         source,
-			LFCount:        len(lfs),
-			CorpusExamined: examined,
-			Coverage:       metrics.Coverage(flattenVotes(matrix)),
-		}
-		res.Precision, res.Recall, res.F1 = wsAgainstTruth(probs, covered, tc.ds.UnlabeledImage)
-
-		// Train the cross-modal end model on this curation variant.
-		variant := *cur
-		variant.ProbLabels = probs
-		variant.Covered = covered
-		auprc, err := tc.trainAndEval(ctx, &variant, tc.pipe.DefaultTrainSpec())
-		if err != nil {
-			return nil, err
-		}
-		res.EndAUPRC = tc.relative(auprc)
-		out = append(out, res)
 	}
 	return out, nil
-}
-
-// flattenVotes returns one per-point vote summary (non-abstain if any LF
-// voted) for coverage computation.
-func flattenVotes(m *lf.Matrix) []int8 {
-	out := make([]int8, m.NumPoints())
-	for i, row := range m.Votes {
-		for _, v := range row {
-			if v != 0 {
-				out[i] = 1
-				break
-			}
-		}
-	}
-	return out
-}
-
-// wsAgainstTruth mirrors the pipeline's WS quality diagnostic.
-func wsAgainstTruth(probs []float64, covered []bool, pts []*synth.Point) (precision, recall, f1 float64) {
-	var c metrics.Confusion
-	for i, pt := range pts {
-		if !covered[i] {
-			if pt.Label > 0 {
-				c.FN++
-			} else {
-				c.TN++
-			}
-			continue
-		}
-		pred := int8(-1)
-		if probs[i] >= 0.5 {
-			pred = 1
-		}
-		c.Add(pt.Label, pred)
-	}
-	return c.Precision(), c.Recall(), c.F1()
 }
 
 // RenderLFGen writes the comparison as a markdown table.

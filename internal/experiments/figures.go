@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
-	"crossmodal/internal/core"
 	"crossmodal/internal/feature"
-	"crossmodal/internal/fusion"
+	"crossmodal/internal/metrics"
 	"crossmodal/internal/resource"
 )
 
@@ -21,7 +21,7 @@ type Figure5Series struct {
 	Label      string
 	Sets       []string
 	CrossModal float64 // baseline-relative AUPRC of the cross-modal pipeline
-	Supervised []core.BudgetPoint
+	Supervised []BudgetPoint
 	CrossOver  int
 }
 
@@ -57,7 +57,7 @@ func (s *Suite) Figure5(ctx context.Context, taskName string) ([]Figure5Series, 
 			Sets:       panel.sets,
 			CrossModal: rel,
 			Supervised: curve,
-			CrossOver:  core.CrossOver(curve, rel),
+			CrossOver:  crossOver(curve, rel),
 		})
 	}
 	return out, nil
@@ -117,7 +117,7 @@ func (s *Suite) Figure6(ctx context.Context, taskName string) ([]Figure6Step, er
 		{TextSets: []string{"A", "B", "C", "D"}, ImageSets: []string{"A", "B", "C", "D"}},
 	}
 	for i := range steps {
-		auprc, err := s.trainMasked(ctx, tc, steps[i].TextSets, steps[i].ImageSets, steps[i].ImageSets != nil)
+		auprc, err := tc.trainMasked(ctx, steps[i].TextSets, steps[i].ImageSets)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure6 step %d: %w", i, err)
 		}
@@ -126,58 +126,30 @@ func (s *Suite) Figure6(ctx context.Context, taskName string) ([]Figure6Step, er
 	return steps, nil
 }
 
-// trainMasked trains an early-fusion model where the text corpus sees
-// textSets (plus text-specific features) and the image corpus sees imageSets
-// (plus image-specific features); the end-model schema is their union. This
-// implements the per-modality feature-set configurations of Figures 6 and 7.
-func (s *Suite) trainMasked(ctx context.Context, tc *taskContext, textSets, imageSets []string, useImage bool) (float64, error) {
-	lib := tc.pipe.Library()
-	textSchema := lib.Schema().Sets(append(append([]string{}, textSets...), resource.TextSet)...).Servable()
-	var imageSchema *feature.Schema
-	union := map[string]bool{}
-	for _, set := range textSets {
-		union[set] = true
-	}
+// trainMasked trains the pipeline's early-fusion model on a copy of the
+// default curation whose text corpus sees only textSets (plus text-specific
+// features) and whose image corpus sees only imageSets (plus image-specific
+// features; nil imageSets trains on text alone); the end-model schema is
+// their union. This implements the per-modality feature-set configurations
+// of Figures 6 and 7.
+func (tc *taskContext) trainMasked(ctx context.Context, textSets, imageSets []string) (float64, error) {
+	useImage := imageSets != nil
+	masked := *tc.curation
+	testSchema := tc.pipe.SchemaFor(textSets, false, true)
+	masked.TextVecs = maskVectors(masked.TextVecs, testSchema)
+	spec := tc.pipe.DefaultTrainSpec()
+	spec.UseImage = useImage
+	spec.Schema = tc.pipe.SchemaFor(slices.Concat(textSets, imageSets), useImage, true)
 	if useImage {
-		imageSchema = lib.Schema().Sets(append(append([]string{}, imageSets...), resource.ImageSet)...).Servable()
-		for _, set := range imageSets {
-			union[set] = true
-		}
+		// Test vectors are masked to the image-side view.
+		testSchema = tc.pipe.SchemaFor(imageSets, true, false)
+		masked.ImageVecs = maskVectors(masked.ImageVecs, testSchema)
 	}
-	var unionSets []string
-	for set := range union {
-		unionSets = append(unionSets, set)
-	}
-	endSchema := tc.pipe.SchemaFor(unionSets, useImage, true)
-
-	cur := tc.curation
-	corpora := []fusion.Corpus{{
-		Name:    "text",
-		Vectors: maskVectors(cur.TextVecs, textSchema),
-		Targets: fusion.HardTargets(cur.TextLabels),
-	}}
-	if useImage {
-		var vecs []*feature.Vector
-		var targets []float64
-		for i, v := range cur.ImageVecs {
-			if cur.Covered[i] {
-				vecs = append(vecs, v.Reproject(imageSchema))
-				targets = append(targets, cur.ProbLabels[i])
-			}
-		}
-		corpora = append(corpora, fusion.Corpus{Name: "image", Vectors: vecs, Targets: targets})
-	}
-	pred, err := fusion.TrainEarly(ctx, corpora, fusion.Config{Schema: endSchema, Model: endModelConfig(s.cfg.Workers)})
+	pred, err := tc.pipe.Train(ctx, &masked, spec)
 	if err != nil {
 		return 0, err
 	}
-	// Test vectors are masked to the image-side view.
-	testSchema := textSchema
-	if useImage {
-		testSchema = imageSchema
-	}
-	masked := maskVectors(tc.testVecs, testSchema)
-	return metricsAUPRC(tc.testLabels, pred, masked), nil
+	return metrics.AUPRC(tc.testLabels, pred.PredictBatch(maskVectors(tc.testVecs, testSchema))), nil
 }
 
 func maskVectors(vecs []*feature.Vector, schema *feature.Schema) []*feature.Vector {
@@ -186,10 +158,6 @@ func maskVectors(vecs []*feature.Vector, schema *feature.Schema) []*feature.Vect
 		out[i] = v.Reproject(schema)
 	}
 	return out
-}
-
-func metricsAUPRC(labels []int8, pred fusion.Predictor, vecs []*feature.Vector) float64 {
-	return auprcOf(labels, pred.PredictBatch(vecs))
 }
 
 // RenderFigure6 writes the steps as a markdown table.
@@ -227,7 +195,7 @@ func (s *Suite) Figure7(ctx context.Context, taskName string) ([]Figure7Row, err
 	for _, sets := range prefixes {
 		row := Figure7Row{Sets: sets}
 
-		textOnly, err := s.trainMasked(ctx, tc, sets, nil, false)
+		textOnly, err := tc.trainMasked(ctx, sets, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +210,7 @@ func (s *Suite) Figure7(ctx context.Context, taskName string) ([]Figure7Row, err
 		}
 		row.ImageOnly = tc.relative(imageOnly)
 
-		both, err := s.trainMasked(ctx, tc, sets, sets, true)
+		both, err := tc.trainMasked(ctx, sets, sets)
 		if err != nil {
 			return nil, err
 		}

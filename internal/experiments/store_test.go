@@ -4,13 +4,15 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"crossmodal/internal/core"
 )
 
 // TestStoreDirBitIdentityAndReuse pins the -store contract: a suite routed
 // through a disk-backed feature store produces bit-identical curations to
-// the regenerating in-memory suite, and later runs over the same store
-// (including the no-propagation ablation) reuse the featurized chunks
-// instead of recomputing them.
+// the regenerating in-memory suite, later runs over the same store (and every
+// other mined-LF variant) reuse the featurized chunks instead of recomputing
+// them, and an expert-LF variant — which cannot stream — curates in memory.
 func TestStoreDirBitIdentityAndReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds several curations")
@@ -43,7 +45,7 @@ func TestStoreDirBitIdentityAndReuse(t *testing.T) {
 	if cold.ReusedChunks() != 0 {
 		t.Errorf("cold store run reused %d chunks, want 0", cold.ReusedChunks())
 	}
-	sameCuration(t, "cold store vs in-memory", tcMem, tcCold)
+	sameCuration(t, "cold store vs in-memory", tcMem.curation, tcCold.curation)
 
 	warm, err := NewSuite(storeCfg)
 	if err != nil {
@@ -57,21 +59,46 @@ func TestStoreDirBitIdentityAndReuse(t *testing.T) {
 	if afterCtx == 0 {
 		t.Fatal("second run over the same store reused no featurized chunks")
 	}
-	sameCuration(t, "warm store vs in-memory", tcMem, tcWarm)
+	sameCuration(t, "warm store vs in-memory", tcMem.curation, tcWarm.curation)
+	for _, tc := range []*taskContext{tcCold, tcWarm} {
+		if tc.baseline != tcMem.baseline {
+			t.Errorf("baseline AUPRC %v vs in-memory %v", tc.baseline, tcMem.baseline)
+		}
+	}
 
-	// The ablation's featurization is identical, so it reuses the same store.
-	if _, err := warm.noPropCuration(ctx, tcWarm); err != nil {
+	// The no-propagation variant's featurization is identical, so it reuses
+	// the same store; a second lookup is the cached curation.
+	noProp, err := warm.curation(ctx, tcWarm, noPropVariant)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := warm.ReusedChunks(); got <= afterCtx {
-		t.Errorf("no-prop ablation reused no chunks: %d after vs %d before", got, afterCtx)
+	afterNoProp := warm.ReusedChunks()
+	if afterNoProp <= afterCtx {
+		t.Errorf("no-prop variant reused no chunks: %d after vs %d before", afterNoProp, afterCtx)
 	}
+	if again, _ := warm.curation(ctx, tcWarm, noPropVariant); again != noProp || warm.ReusedChunks() != afterNoProp {
+		t.Error("second no-prop lookup curated again instead of hitting the cache")
+	}
+
+	// Expert LFs cannot stream: under a store the expert variant curates in
+	// memory, touches no chunk, and matches the in-memory suite's.
+	expWarm, err := warm.curation(ctx, tcWarm, expertNoPropVariant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.ReusedChunks() != afterNoProp {
+		t.Errorf("expert variant read the store: %d reused chunks, want %d", warm.ReusedChunks(), afterNoProp)
+	}
+	expMem, err := mem.curation(ctx, tcMem, expertNoPropVariant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCuration(t, "expert variant, store vs in-memory", expMem, expWarm)
 }
 
-// sameCuration asserts two task contexts hold bitwise-identical curations.
-func sameCuration(t *testing.T, label string, a, b *taskContext) {
+// sameCuration asserts two curations are bitwise identical.
+func sameCuration(t *testing.T, label string, ca, cb *core.Curation) {
 	t.Helper()
-	ca, cb := a.curation, b.curation
 	if ca.Report.LFCount != cb.Report.LFCount {
 		t.Errorf("%s: LF count %d vs %d", label, ca.Report.LFCount, cb.Report.LFCount)
 	}
@@ -85,8 +112,5 @@ func sameCuration(t *testing.T, label string, a, b *taskContext) {
 		if ca.Covered[i] != cb.Covered[i] {
 			t.Fatalf("%s: coverage bit %d diverged", label, i)
 		}
-	}
-	if a.baseline != b.baseline {
-		t.Errorf("%s: baseline AUPRC %v vs %v", label, a.baseline, b.baseline)
 	}
 }

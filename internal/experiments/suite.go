@@ -58,22 +58,45 @@ type Suite struct {
 	world *synth.World
 	lib   *resource.Library
 
-	mu     sync.Mutex
-	tasks  map[string]*taskContext
-	reused int // store chunks whose featurization was skipped (StoreDir runs)
+	mu    sync.Mutex // guards tasks
+	tasks map[string]*taskContext
+
+	curMu  sync.Mutex // guards every taskContext's variants, and reused
+	reused int        // store chunks whose featurization was skipped (StoreDir runs)
 }
 
 // taskContext caches the expensive artifacts for one classification task.
 type taskContext struct {
 	task       *synth.Task
 	ds         *synth.Dataset
-	pipe       *core.Pipeline
-	curation   *core.Curation // with label propagation (pipeline default)
-	noProp     *core.Curation // without label propagation (Table 3 ablation)
+	pipe       *core.Pipeline // default options: trains every variant
+	curation   *core.Curation // the default variant's curation
+	variants   map[string]*core.Curation
 	testVecs   []*feature.Vector
 	testLabels []int8
 	baseline   float64 // AUPRC of the embedding-only supervised model
 }
+
+// variant is one pipeline configuration the experiments curate under: name
+// keys the suite's curation cache and labels ablation rows, modify turns the
+// suite's default options into the variant's.
+type variant struct {
+	name   string
+	modify func(*core.Options)
+}
+
+// The variants more than one experiment reads.
+var (
+	defaultVariant = variant{"full pipeline (default)", func(*core.Options) {}}
+	// noPropVariant is Table 3's denominator, §6.7.1's mined row and the
+	// "no label propagation" ablation row.
+	noPropVariant = variant{"no label propagation", func(o *core.Options) { o.UseLabelProp = false }}
+	// expertNoPropVariant is §6.7.1's expert row.
+	expertNoPropVariant = variant{"expert LFs, no label propagation", func(o *core.Options) {
+		o.UseLabelProp = false
+		o.LFSource = core.ExpertLFs
+	}}
+)
 
 // NewSuite builds a suite.
 func NewSuite(cfg Config) (*Suite, error) {
@@ -148,22 +171,14 @@ func (s *Suite) ctxFor(ctx context.Context, taskName string) (*taskContext, erro
 	if err != nil {
 		return nil, err
 	}
-	cur, err := s.curate(ctx, pipe, ds)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: curate %s: %w", taskName, err)
-	}
-	testVecs, err := pipe.Featurize(ctx, ds.TestImage)
-	if err != nil {
+	tc := &taskContext{task: task, ds: ds, pipe: pipe, variants: make(map[string]*core.Curation)}
+	if tc.curation, err = s.curation(ctx, tc, defaultVariant); err != nil {
 		return nil, err
 	}
-	tc := &taskContext{
-		task:       task,
-		ds:         ds,
-		pipe:       pipe,
-		curation:   cur,
-		testVecs:   testVecs,
-		testLabels: synth.Labels(ds.TestImage),
+	if tc.testVecs, err = pipe.Featurize(ctx, ds.TestImage); err != nil {
+		return nil, err
 	}
+	tc.testLabels = synth.Labels(ds.TestImage)
 	// Baseline: fully supervised image model on the pre-trained embedding
 	// only, trained on the whole hand-label pool (§6.3).
 	basePred, err := pipe.TrainSupervised(ctx, ds.HandLabelPool, pipe.EmbeddingOnlySchema(), endModelConfig(s.cfg.Workers))
@@ -178,36 +193,38 @@ func (s *Suite) ctxFor(ctx context.Context, taskName string) (*taskContext, erro
 	return tc, nil
 }
 
-// noPropCuration lazily computes the curation ablation without label
-// propagation.
-func (s *Suite) noPropCuration(ctx context.Context, tc *taskContext) (*core.Curation, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tc.noProp != nil {
-		return tc.noProp, nil
+// curation returns tc's curation under v, curating it on first use: each
+// (task, variant) curates once per suite, and always through curate, so
+// Config.StoreDir applies to every variant.
+func (s *Suite) curation(ctx context.Context, tc *taskContext, v variant) (*core.Curation, error) {
+	s.curMu.Lock()
+	defer s.curMu.Unlock()
+	if cur, ok := tc.variants[v.name]; ok {
+		return cur, nil
 	}
 	opts := s.pipelineOptions()
-	opts.UseLabelProp = false
+	v.modify(&opts)
 	pipe, err := core.NewPipeline(s.lib, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: variant %q: %w", v.name, err)
 	}
 	cur, err := s.curate(ctx, pipe, tc.ds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: curate %s, %s: %w", tc.task.Name, v.name, err)
 	}
-	tc.noProp = cur
+	tc.variants[v.name] = cur
 	return cur, nil
 }
 
 // curate runs one curation, in memory by default or through the disk-backed
 // streaming path when Config.StoreDir is set. The streamed path spills
 // featurized chunks under StoreDir/<task> and, on later runs against the
-// same store (including the no-propagation ablation, whose featurization is
+// same store (including every other variant, whose featurization is
 // identical), reuses committed chunks instead of recomputing them; with
-// GraphWindow 0 its output is bit-identical to Pipeline.Curate.
+// GraphWindow 0 its output is bit-identical to Pipeline.Curate. The streamed
+// path mines its LFs, so expert-LF variants always curate in memory.
 func (s *Suite) curate(ctx context.Context, pipe *core.Pipeline, ds *synth.Dataset) (*core.Curation, error) {
-	if s.cfg.StoreDir == "" {
+	if s.cfg.StoreDir == "" || pipe.Options().LFSource == core.ExpertLFs {
 		return pipe.Curate(ctx, ds)
 	}
 	sc, err := pipe.CurateStreamed(ctx, s.world, ds.Task, s.datasetConfig(), core.StreamOptions{
@@ -235,8 +252,8 @@ func (s *Suite) curate(ctx context.Context, pipe *core.Pipeline, ds *synth.Datas
 // ReusedChunks reports how many featurized store chunks were reused from
 // Config.StoreDir across all curations so far (always 0 without a store).
 func (s *Suite) ReusedChunks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.curMu.Lock()
+	defer s.curMu.Unlock()
 	return s.reused
 }
 
@@ -279,17 +296,37 @@ func (tc *taskContext) budgets() []int {
 	return out
 }
 
-// supervisedCurve trains fully supervised image models at each budget over
-// the given schema and returns baseline-relative AUPRCs.
-func (tc *taskContext) supervisedCurve(ctx context.Context, budgets []int, schema *feature.Schema) ([]core.BudgetPoint, error) {
-	curve, err := tc.pipe.SupervisedCurve(ctx, tc.ds.HandLabelPool, tc.ds.TestImage, budgets, schema, endModelConfig(0))
-	if err != nil {
-		return nil, err
-	}
-	for i := range curve {
-		curve[i].AUPRC = tc.relative(curve[i].AUPRC)
+// BudgetPoint is one point on a hand-label budget curve (Figure 5).
+type BudgetPoint struct {
+	Budget int
+	AUPRC  float64
+}
+
+// supervisedCurve trains a fully supervised image model on the first n
+// hand-labeled pool points for each budget n, over the given schema, and
+// returns the baseline-relative AUPRCs.
+func (tc *taskContext) supervisedCurve(ctx context.Context, budgets []int, schema *feature.Schema) ([]BudgetPoint, error) {
+	var curve []BudgetPoint
+	for _, n := range budgets {
+		pred, err := tc.pipe.TrainSupervised(ctx, tc.ds.HandLabelPool[:n], schema, endModelConfig(0))
+		if err != nil {
+			return nil, fmt.Errorf("experiments: supervised budget %d: %w", n, err)
+		}
+		curve = append(curve, BudgetPoint{Budget: n, AUPRC: tc.relative(tc.evaluate(ctx, pred))})
 	}
 	return curve, nil
+}
+
+// crossOver returns the smallest budget on the curve whose supervised AUPRC
+// meets or beats target, or 0 if no budget does (the cross-over lies beyond
+// the pool — the paper reports these as very large cross-over points).
+func crossOver(curve []BudgetPoint, target float64) int {
+	for _, pt := range curve {
+		if pt.AUPRC >= target {
+			return pt.Budget
+		}
+	}
+	return 0
 }
 
 // AllTasks lists the evaluation tasks in order.

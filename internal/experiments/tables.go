@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"crossmodal/internal/core"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 )
@@ -103,7 +102,7 @@ func (s *Suite) Table2(ctx context.Context, tasks []string) ([]Table2Row, error)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s supervised curve: %w", name, err)
 		}
-		row.CrossOver = core.CrossOver(curve, row.CrossModal)
+		row.CrossOver = crossOver(curve, row.CrossModal)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -142,7 +141,7 @@ func (s *Suite) Table3(ctx context.Context, tasks []string) ([]Table3Row, error)
 		if err != nil {
 			return nil, err
 		}
-		noProp, err := s.noPropCuration(ctx, tc)
+		noProp, err := s.curation(ctx, tc, noPropVariant)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s no-prop curation: %w", name, err)
 		}

@@ -26,7 +26,7 @@ import (
 // Concurrency: all cache state is guarded by mu, and cached *feature.Vector
 // values are shared across callers, who must treat them as read-only (every
 // in-repo consumer does: vectorization and similarity only read). Misses are
-// coalesced — when several goroutines miss on the same point ID at once
+// coalesced — when several goroutines miss on the same point at once
 // (many HTTP handlers featurizing overlapping traffic, see internal/serve),
 // exactly one computes it and the rest wait for that result, so a hot point
 // is never featurized twice concurrently.
@@ -40,9 +40,9 @@ type Store struct {
 	now      func() time.Time // clock seam for TTL tests
 
 	mu        sync.Mutex
-	entries   map[int]*list.Element // point ID → LRU element
-	lru       *list.List            // front = most recent
-	pending   map[int]*inflight     // point ID → in-progress featurization
+	entries   map[pointKey]*list.Element // point → LRU element
+	lru       *list.List                 // front = most recent
+	pending   map[pointKey]*inflight     // point → in-progress featurization
 	hits      int
 	misses    int
 	evicted   int
@@ -74,9 +74,20 @@ type inflight struct {
 	err  error
 }
 
+// pointKey is the cache key: a point's rendering. One ID names one entity,
+// but its modality and frame count change what the resources observe, so
+// two renderings of an ID are two vectors.
+type pointKey struct {
+	id       int
+	modality synth.Modality
+	frames   int
+}
+
+func keyOf(p *synth.Point) pointKey { return pointKey{p.ID, p.Modality, p.Frames} }
+
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
-	id       int
+	key      pointKey
 	vec      *feature.Vector
 	storedAt time.Time // zero unless the store has a TTL
 }
@@ -101,9 +112,9 @@ func NewWithOptions(lib *resource.Library, opts Options) (*Store, error) {
 		capacity: opts.Capacity,
 		ttl:      opts.TTL,
 		now:      now,
-		entries:  make(map[int]*list.Element),
+		entries:  make(map[pointKey]*list.Element),
 		lru:      list.New(),
-		pending:  make(map[int]*inflight),
+		pending:  make(map[pointKey]*inflight),
 	}, nil
 }
 
@@ -149,36 +160,37 @@ func (s *Store) DegradedServed() uint64 {
 	return s.degraded
 }
 
-// insertLocked stores a vector under a point ID, evicting the least recently
-// used entry when over capacity. The caller holds s.mu.
-func (s *Store) insertLocked(id int, vec *feature.Vector) {
+// insertLocked stores a vector under a point key, evicting the least
+// recently used entry when over capacity. The caller holds s.mu.
+func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 	var at time.Time
 	if s.ttl > 0 {
 		at = s.now()
 	}
-	if el, ok := s.entries[id]; ok {
+	if el, ok := s.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.vec = vec
 		ent.storedAt = at
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.entries[id] = s.lru.PushFront(&cacheEntry{id: id, vec: vec, storedAt: at})
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, vec: vec, storedAt: at})
 	if s.capacity > 0 && s.lru.Len() > s.capacity {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).id)
+		delete(s.entries, oldest.Value.(*cacheEntry).key)
 		s.evicted++
 	}
 }
 
 // Featurize returns feature vectors for pts, computing only cache misses
-// (in parallel) and memoizing them. Point IDs key the cache, so IDs must be
-// unique across everything featurized through one store — true for points
-// sampled from one synth.Dataset and for serve traffic, whose point
-// identity is its request ID.
+// (in parallel) and memoizing them. A point's ID, modality and frame count
+// key the cache, so that triple must name one point across everything
+// featurized through one store — true for points sampled from one
+// synth.Dataset and for serve traffic, whose point is its request's (id,
+// modality, frames).
 //
-// Concurrent calls that miss on the same ID coalesce: one caller computes,
+// Concurrent calls that miss on the same key coalesce: one caller computes,
 // the others wait for its result. A nil ctx is treated as
 // context.Background().
 //
@@ -206,7 +218,8 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	s.mu.Lock()
 	for i, p := range pts {
 		var staleVec *feature.Vector
-		if el, ok := s.entries[p.ID]; ok {
+		key := keyOf(p)
+		if el, ok := s.entries[key]; ok {
 			ent := el.Value.(*cacheEntry)
 			if s.ttl <= 0 || s.now().Sub(ent.storedAt) <= s.ttl {
 				s.hits++
@@ -219,14 +232,14 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 			staleVec = ent.vec
 		}
 		s.misses++
-		if fl, ok := s.pending[p.ID]; ok {
+		if fl, ok := s.pending[key]; ok {
 			s.coalesced++
 			waitFl = append(waitFl, fl)
 			waitIdx = append(waitIdx, i)
 			continue
 		}
 		fl := &inflight{done: make(chan struct{})}
-		s.pending[p.ID] = fl
+		s.pending[key] = fl
 		mine = append(mine, p)
 		mineIdx = append(mineIdx, i)
 		mineFl = append(mineFl, fl)
@@ -278,7 +291,8 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*
 	defer s.mu.Unlock()
 	var firstErr error
 	for j, fl := range mineFl {
-		delete(s.pending, mine[j].ID)
+		key := keyOf(mine[j])
+		delete(s.pending, key)
 		if err != nil { // context cancellation: nothing was computed
 			fl.err = err
 			continue
@@ -290,7 +304,7 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*
 			out[mineIdx[j]] = mineStale[j]
 			// Keep the entry warm in the LRU but leave storedAt alone: it
 			// stays stale, so the next access retries the resources.
-			if el, ok := s.entries[mine[j].ID]; ok {
+			if el, ok := s.entries[key]; ok {
 				s.lru.MoveToFront(el)
 			}
 		}
@@ -318,7 +332,7 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*
 		default:
 			fl.vec = c.Vec
 			out[mineIdx[j]] = c.Vec
-			s.insertLocked(mine[j].ID, c.Vec)
+			s.insertLocked(key, c.Vec)
 		}
 	}
 	if err != nil {

@@ -227,7 +227,7 @@ func (c *Controller) step(ctx context.Context, w int) error {
 	snap := monitor.NumericSnapshot(vecs)
 	snap["serve_score"] = scores
 	cat := monitor.CategoricalSnapshot(vecs)
-	counts := monitor.HistCounts(scoreEdges, scores)
+	counts := monitor.HistCounts(monitor.ScoreEdges(), scores)
 
 	if c.needRef {
 		c.tracker.SetReference(snap)
@@ -456,16 +456,6 @@ func (c *Controller) post(ctx context.Context, path string, in, out any) error {
 	}
 	return json.Unmarshal(raw, out)
 }
-
-// scoreEdges are the nineteen 0.05-wide score-histogram edges 0.05 … 0.95,
-// the same edges the server's serve_scores histogram exposes to operators.
-var scoreEdges = func() []float64 {
-	var e []float64
-	for x := 0.05; x < 0.999; x += 0.05 {
-		e = append(e, math.Round(x*100)/100)
-	}
-	return e
-}()
 
 // scoreQuantile returns the q-quantile of scores (sorted copy, nearest
 // rank), clamped into (0, 1) so it is always a usable flag threshold.

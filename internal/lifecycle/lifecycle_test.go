@@ -427,6 +427,7 @@ func TestScoreHistMatchesServeHistogram(t *testing.T) {
 		hist.Observe(x)
 	}
 	bounds, counts := hist.Buckets()
+	scoreEdges := monitor.ScoreEdges()
 	if len(bounds) != len(scoreEdges) {
 		t.Fatalf("serve exposes %d score edges, controller bins on %d", len(bounds), len(scoreEdges))
 	}

@@ -187,21 +187,6 @@ func BootstrapAUPRC(labels []int8, scores []float64, rounds int, seed int64) (me
 	return sum / float64(rounds), vals[loIdx], vals[hiIdx]
 }
 
-// Coverage returns the fraction of votes that are non-abstaining (non-zero),
-// the weak-supervision coverage metric (paper §4.1).
-func Coverage(votes []int8) float64 {
-	if len(votes) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range votes {
-		if v != 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(len(votes))
-}
-
 // BaseRate returns the fraction of positive labels; a random classifier's
 // expected AUPRC.
 func BaseRate(labels []int8) float64 {

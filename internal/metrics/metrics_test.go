@@ -148,15 +148,6 @@ func TestRelative(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	if got := Coverage([]int8{1, 0, -1, 0}); got != 0.5 {
-		t.Errorf("Coverage = %v, want 0.5", got)
-	}
-	if got := Coverage(nil); got != 0 {
-		t.Errorf("Coverage(nil) = %v", got)
-	}
-}
-
 func TestBaseRate(t *testing.T) {
 	if got := BaseRate([]int8{1, -1, -1, -1}); got != 0.25 {
 		t.Errorf("BaseRate = %v", got)

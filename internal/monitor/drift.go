@@ -309,6 +309,18 @@ func HistEdges(ref []float64, bins int) []float64 {
 	return edges
 }
 
+// ScoreEdges returns the nineteen 0.05-wide score-histogram edges 0.05 …
+// 0.95: fine enough for PSI over a score distribution, coarse enough to
+// bin per request. The server's serve_scores histogram and the lifecycle
+// controller's score channel both bin on them.
+func ScoreEdges() []float64 {
+	var e []float64
+	for x := 0.05; x < 0.999; x += 0.05 {
+		e = append(e, math.Round(x*100)/100)
+	}
+	return e
+}
+
 // HistCounts bins xs by edges (len(edges)+1 buckets; bucket i holds values
 // in (edges[i-1], edges[i]]).
 func HistCounts(edges, xs []float64) []float64 {

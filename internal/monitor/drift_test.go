@@ -89,6 +89,20 @@ func TestHistDrift(t *testing.T) {
 	}
 }
 
+// TestScoreEdges pins the shared score-histogram edges: exactly the
+// hundredths 0.05, 0.10, …, 0.95, with no float accumulation error.
+func TestScoreEdges(t *testing.T) {
+	edges := ScoreEdges()
+	if len(edges) != 19 {
+		t.Fatalf("%d edges, want 19", len(edges))
+	}
+	for i, e := range edges {
+		if want := float64(5*(i+1)) / 100; e != want {
+			t.Errorf("edge %d = %v, want %v", i, e, want)
+		}
+	}
+}
+
 func TestHistEdgesCollapsesTies(t *testing.T) {
 	ref := []float64{1, 1, 1, 1, 1, 1, 1, 1, 2, 3}
 	edges := HistEdges(ref, 10)

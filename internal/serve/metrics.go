@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"crossmodal/internal/monitor"
 )
 
 // Observability for the serving path: lock-free counters, fixed-bucket
@@ -210,7 +212,7 @@ func NewMetrics() *Metrics {
 			0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5,
 		}),
 		BatchSize: NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		Scores:    NewHistogram(scoreBuckets()),
+		Scores:    NewHistogram(monitor.ScoreEdges()),
 	}
 }
 
@@ -253,16 +255,6 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, modelKind string, modelSe
 	writeHistogram(w, "serve_latency_seconds", m.Latency)
 	writeHistogram(w, "serve_batch_size", m.BatchSize)
 	writeHistogram(w, "serve_scores", m.Scores)
-}
-
-// scoreBuckets covers the probability range in 0.05 steps: fine enough for
-// PSI over the score distribution, coarse enough to stay cheap per request.
-func scoreBuckets() []float64 {
-	var b []float64
-	for x := 0.05; x < 0.999; x += 0.05 {
-		b = append(b, math.Round(x*100)/100)
-	}
-	return b
 }
 
 // writeHistogram renders one histogram: count, sum, quantiles, and buckets.

@@ -45,8 +45,8 @@ type Config struct {
 	// it must match the world the loadgen or caller derives IDs against.
 	World *synth.World
 	// Seed is the base seed request points derive their observation
-	// noise from, so a point ID always renders identically (and the
-	// featurestore cache key — the ID — is sound).
+	// noise from, so a request always renders identically (and the
+	// featurestore cache key — id, modality, frames — is sound).
 	Seed int64
 	// Batcher tunes micro-batching and admission control.
 	Batcher BatcherConfig
@@ -57,7 +57,7 @@ type Config struct {
 	// of request points: the lifecycle simulator plugs in time-varying
 	// traffic (synth.Traffic.Point) here so the same server stack serves a
 	// drifting world. It must be deterministic in its arguments — points
-	// are memoized by ID through the point cache and featurestore.
+	// are memoized by them through the point cache and featurestore.
 	PointSource func(id int, m synth.Modality, frames int) *synth.Point
 	// Timeout is the per-request scoring budget; a request that cannot be
 	// scored inside it is shed (default 500ms).

@@ -218,6 +218,43 @@ func TestServedPredictionsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPredictKeysRenderingsApart: one ID requested as different renderings
+// (modality, frames) is different points, so each request must score its
+// own rendering's vector — after each other, and side by side in one batch —
+// never the cached vector of another rendering of the same ID.
+func TestPredictKeysRenderingsApart(t *testing.T) {
+	_, ts := newTestServer(t, BatcherConfig{}, 5*time.Second)
+	resp, body := postJSON(t, ts.URL+"/admin/reload", map[string]string{"path": saveArtifact(t, fx.modelA, "a.xma")})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d %s", resp.StatusCode, body)
+	}
+	predict := func(reqs ...PointRequest) []float64 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/predict", predictRequest{Points: reqs})
+		var pr predictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Scores) != len(reqs) {
+			t.Fatalf("predict %+v: %d %s", reqs, resp.StatusCode, body)
+		}
+		return pr.Scores
+	}
+	check := func(scores []float64, reqs ...PointRequest) {
+		t.Helper()
+		for i, r := range reqs {
+			m, _ := parseModality(r.Modality)
+			want := fx.modelA.Predict(fx.store.Library().FeaturizePoint(DerivePoint(fx.world, fxSeed, r.ID, m, r.Frames)))
+			if scores[i] != want {
+				t.Errorf("%+v: served %v, its own rendering scores %v", r, scores[i], want)
+			}
+		}
+	}
+	for _, r := range []PointRequest{{ID: 70001, Modality: "text"}, {ID: 70001, Modality: "image"}} {
+		check(predict(r), r)
+	}
+	batch := []PointRequest{{ID: 70002, Modality: "text"}, {ID: 70002, Modality: "image"},
+		{ID: 70002, Modality: "video", Frames: 2}, {ID: 70002, Modality: "video", Frames: 5}}
+	check(predict(batch...), batch...)
+}
+
 // TestHotSwapUnderLoadZeroFailures is the acceptance hot-swap test: while
 // concurrent clients hammer /predict, an /admin/reload swaps model A for
 // model B. Every request must succeed, and every returned score must be

@@ -28,7 +28,6 @@ var optionAllow = map[string]string{
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
 	"core.StreamOptions.WarmPropagate":       "paper hyperparameter: warm propagation, ROADMAP item 5's subject",
 	"core.TrainSpec.IncludeModalityFeatures": "paper hyperparameter: copied from core.Options by DefaultTrainSpec",
-	"core.TrainSpec.Schema":                  "paper hyperparameter: the embeddings-only baseline's schema override (§6.3)",
 	"featurestore.Options.Capacity":          "deployment setting: arrives through featurestore.New (cmd/serve -cache)",
 	"featurestore.Options.TTL":               "injection seam: the chaos suites' staleness clock, with Now",
 	"labelprop.GraphConfig.Exact":            "paper hyperparameter: pins the exact graph under LSH, ROADMAP item 7's subject",
