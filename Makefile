@@ -27,7 +27,9 @@ cover-check:
 	  coverage_baseline.txt cover.out; status=$$?; rm -f cover.out; exit $$status
 
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
-## then what `go test` alone does not reach — the eleven fuzz smokes; the
+## then what `go test` alone does not reach — the twelve fuzz smokes (the
+## /predict one bounds minimization: its oversize-body seed grows whitespace
+## inputs that would take the whole budget to shrink); the
 ## 10^5-entity streamed curation driven through injected commit crashes with
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
 ## zero-drift control through cmd/lifecycle (the first must detect and
@@ -47,6 +49,7 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzQuantSparseMatchesF64 -fuzztime 5s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzShuffleIntsMatchesMathRand -fuzztime 5s ./internal/xrand/
 	$(GO) test -run xxx -fuzz FuzzFeaturizeMatchesReference -fuzztime 5s ./internal/resource/
+	$(GO) test -run xxx -fuzz FuzzHandlePredict -fuzztime 5s -fuzzminimizetime 10x ./internal/serve/
 	CROSSMODAL_SCALE_SMOKE=1 CROSSMODAL_SCALE_N=$(SCALE_N) \
 		$(GO) test -race -count=1 -run TestScaleSmokeStreamed -v -timeout 30m ./internal/core/
 	mkdir -p bin

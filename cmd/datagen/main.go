@@ -6,13 +6,11 @@
 //
 // Usage:
 //
-//	datagen [-task CT1] [-n 1000] [-seed 17] [-corpus text|image|test] [-o out.jsonl]
+//	datagen [-task CT1] [-n 1000] [-seed 17] [-corpus text|image|test] [-chunk 4096] [-o out.jsonl]
 //
-// With -stream the corpus is generated, featurized, and written chunk by
-// chunk (chunk size -chunk) instead of materializing the whole dataset
-// first, so memory stays bounded by the chunk size — the CLI face of the
-// streaming curation path. The emitted records are byte-identical to the
-// materialized mode at the same flags.
+// The corpus is generated, featurized, and written chunk by chunk (chunk size
+// -chunk) rather than materialized whole, so memory stays bounded by the
+// chunk size — the CLI face of the streaming curation path.
 package main
 
 import (
@@ -44,7 +42,6 @@ type runConfig struct {
 	seed   int64
 	corpus string
 	out    string
-	stream bool
 	chunk  int
 }
 
@@ -55,8 +52,8 @@ func (c runConfig) validate() error {
 	if c.n <= 0 {
 		return fmt.Errorf("-n must be positive, got %d", c.n)
 	}
-	if c.stream && c.chunk <= 0 {
-		return fmt.Errorf("-chunk must be positive in -stream mode, got %d", c.chunk)
+	if c.chunk <= 0 {
+		return fmt.Errorf("-chunk must be positive, got %d", c.chunk)
 	}
 	switch c.corpus {
 	case "text", "image", "test":
@@ -75,8 +72,7 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 17, "random seed")
 	flag.StringVar(&cfg.corpus, "corpus", "text", "corpus to export: text, image, or test")
 	flag.StringVar(&cfg.out, "o", "", "output file (default stdout)")
-	flag.BoolVar(&cfg.stream, "stream", false, "generate and featurize chunk by chunk (bounded memory)")
-	flag.IntVar(&cfg.chunk, "chunk", 4096, "points per chunk in -stream mode")
+	flag.IntVar(&cfg.chunk, "chunk", 4096, "points generated and featurized per chunk (bounds memory)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		log.Fatal(err)
@@ -141,44 +137,20 @@ func run(cfg runConfig) error {
 		return nil
 	}
 
-	if cfg.stream {
-		want := map[string]synth.CorpusKind{
-			"text": synth.TextCorpus, "image": synth.ImageCorpus, "test": synth.TestCorpus,
-		}[corpus]
-		stream, err := synth.NewStream(world, task, dsCfg)
-		if err != nil {
-			return err
-		}
-		for {
-			ch := stream.Next(cfg.chunk)
-			if ch == nil {
-				break
-			}
-			if ch.Corpus != want {
-				continue
-			}
-			if err := emit(ch.Points); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	}
-
-	ds, err := synth.BuildDataset(world, task, dsCfg)
+	want := map[string]synth.CorpusKind{
+		"text": synth.TextCorpus, "image": synth.ImageCorpus, "test": synth.TestCorpus,
+	}[corpus]
+	stream, err := synth.NewStream(world, task, dsCfg)
 	if err != nil {
 		return err
 	}
-	var pts []*synth.Point
-	switch corpus {
-	case "text":
-		pts = ds.LabeledText
-	case "image":
-		pts = ds.UnlabeledImage
-	case "test":
-		pts = ds.TestImage
-	}
-	if err := emit(pts); err != nil {
-		return err
+	for ch := stream.Next(cfg.chunk); ch != nil; ch = stream.Next(cfg.chunk) {
+		if ch.Corpus != want {
+			continue
+		}
+		if err := emit(ch.Points); err != nil {
+			return err
+		}
 	}
 	return w.Flush()
 }

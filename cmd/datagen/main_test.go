@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"strings"
@@ -10,7 +12,7 @@ import (
 
 // goodConfig mirrors the flag defaults.
 func goodConfig() runConfig {
-	return runConfig{task: "CT1", n: 1000, seed: 17, corpus: "text"}
+	return runConfig{task: "CT1", n: 1000, seed: 17, corpus: "text", chunk: 4096}
 }
 
 func TestRunConfigValidate(t *testing.T) {
@@ -30,6 +32,7 @@ func TestRunConfigValidate(t *testing.T) {
 		{"negative n", func(c *runConfig) { c.n = -5 }, "-n"},
 		{"unknown corpus", func(c *runConfig) { c.corpus = "video" }, "corpus"},
 		{"empty corpus", func(c *runConfig) { c.corpus = "" }, "corpus"},
+		{"zero chunk", func(c *runConfig) { c.chunk = 0 }, "-chunk"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,7 +74,7 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 func TestRunWritesJSONL(t *testing.T) {
 	dir := t.TempDir()
 	out := dir + "/pts.jsonl"
-	cfg := runConfig{task: "CT1", n: 8, seed: 3, corpus: "test", out: out}
+	cfg := runConfig{task: "CT1", n: 8, seed: 3, corpus: "test", out: out, chunk: 4096}
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -97,40 +100,35 @@ func TestRunWritesJSONL(t *testing.T) {
 	}
 }
 
-// TestStreamModeMatchesMaterialized: -stream emits byte-identical output to
-// the materialized path at every corpus, including with a chunk size that
-// does not divide the corpus.
-func TestStreamModeMatchesMaterialized(t *testing.T) {
+// TestExportDigestsPinned: the export of every corpus is pinned to the bytes
+// the materialized BuildDataset path wrote at these flags before streaming
+// became the only mode, with a chunk size that does not divide the corpus.
+func TestExportDigestsPinned(t *testing.T) {
 	dir := t.TempDir()
-	for _, corpus := range []string{"text", "image", "test"} {
-		mat := dir + "/" + corpus + "-mat.jsonl"
-		str := dir + "/" + corpus + "-str.jsonl"
-		if err := run(runConfig{task: "CT1", n: 20, seed: 5, corpus: corpus, out: mat}); err != nil {
+	for corpus, want := range map[string]string{
+		"text":  "09a90531a9860bc627f95134f4138aeb4e333b03f79052e82a2766882fce7630",
+		"image": "7c7ecd53835a9bfb7540a70c4918a16916dc797fcecc5f0c0b191e07e35e43c0",
+		"test":  "00f72db848dccf48d193c444df5ee0dc84ec7853f8316fbe69619ad9a819a792",
+	} {
+		out := dir + "/" + corpus + ".jsonl"
+		if err := run(runConfig{task: "CT1", n: 20, seed: 5, corpus: corpus, out: out, chunk: 7}); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(runConfig{task: "CT1", n: 20, seed: 5, corpus: corpus, out: str, stream: true, chunk: 7}); err != nil {
-			t.Fatal(err)
-		}
-		a, err := os.ReadFile(mat)
+		raw, err := os.ReadFile(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(str)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("%s: streamed export differs from materialized export", corpus)
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s: export digest %x, want %s", corpus, sum, want)
 		}
 	}
 }
 
-// TestStreamModeRejectsBadChunk: chunk validation applies in stream mode.
+// TestStreamModeRejectsBadChunk: run rejects a non-positive chunk size.
 func TestStreamModeRejectsBadChunk(t *testing.T) {
 	cfg := goodConfig()
-	cfg.stream = true
 	cfg.chunk = 0
 	if err := run(cfg); err == nil {
-		t.Fatal("stream mode accepted chunk 0")
+		t.Fatal("run accepted chunk 0")
 	}
 }

@@ -8,7 +8,7 @@
 //	serve [-addr :8099] [-model model.xma] [-train model.xma [-train-only]]
 //	      [-fusion early|intermediate|devise] [-task CT1] [-scale 0.1]
 //	      [-seed 17] [-workers N] [-cache 65536] [-canary 32]
-//	      [-max-batch 64] [-max-wait 2ms] [-queue 1024] [-timeout 500ms]
+//	      [-max-batch 64] [-queue 1024] [-timeout 500ms]
 //
 // Typical flows:
 //
@@ -59,8 +59,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines per parallel stage (0 = GOMAXPROCS)")
 		cache      = flag.Int("cache", 65536, "featurestore capacity (points)")
 		canaryN    = flag.Int("canary", 32, "canary batch size validating every hot swap (0 disables)")
-		maxBatch   = flag.Int("max-batch", 64, "micro-batch size cap")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "micro-batch window")
+		maxBatch   = flag.Int("max-batch", 64, "micro-batch size cap (points)")
 		queue      = flag.Int("queue", 1024, "admission queue depth; excess load is shed with 429")
 		timeout    = flag.Duration("timeout", 500*time.Millisecond, "per-request scoring budget")
 		quant      = flag.String("quant", "f32", "serving precision stamped into trained early-fusion artifacts: off (float64), f32, int8")
@@ -73,7 +72,7 @@ func main() {
 		addr: *addr, modelPath: *modelPath, trainPath: *trainPath, trainOnly: *trainOnly,
 		fusionKind: *fusionKind, taskName: *taskName, scale: *scale, seed: *seed,
 		workers: *workers, cache: *cache, canaryN: *canaryN,
-		maxBatch: *maxBatch, maxWait: *maxWait, queue: *queue, timeout: *timeout,
+		maxBatch: *maxBatch, queue: *queue, timeout: *timeout,
 		quant: *quant, pprofAddr: *pprofAddr, tracePath: *tracePath, traceSummary: *traceSum,
 	}); err != nil {
 		log.Fatal(err)
@@ -89,7 +88,7 @@ type runConfig struct {
 	seed                 int64
 	workers, cache       int
 	canaryN, maxBatch    int
-	maxWait, timeout     time.Duration
+	timeout              time.Duration
 	queue                int
 	quant                string
 	pprofAddr            string
@@ -129,9 +128,6 @@ func (c runConfig) validate() error {
 	}
 	if c.maxBatch < 0 {
 		return fmt.Errorf("-max-batch %d: must be >= 0", c.maxBatch)
-	}
-	if c.maxWait < 0 {
-		return fmt.Errorf("-max-wait %v: must be >= 0", c.maxWait)
 	}
 	if c.queue < 0 {
 		return fmt.Errorf("-queue %d: must be >= 0", c.queue)
@@ -202,7 +198,6 @@ func run(cfg runConfig) error {
 		Timeout: cfg.timeout,
 		Batcher: serve.BatcherConfig{
 			MaxBatchSize: cfg.maxBatch,
-			MaxWait:      cfg.maxWait,
 			QueueDepth:   cfg.queue,
 		},
 	}, canary)

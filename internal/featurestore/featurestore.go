@@ -25,11 +25,13 @@ import (
 //
 // Concurrency: all cache state is guarded by mu, and cached *feature.Vector
 // values are shared across callers, who must treat them as read-only (every
-// in-repo consumer does: vectorization and similarity only read). Misses are
-// coalesced — when several goroutines miss on the same point at once
-// (many HTTP handlers featurizing overlapping traffic, see internal/serve),
-// exactly one computes it and the rest wait for that result, so a hot point
-// is never featurized twice concurrently.
+// in-repo consumer does: vectorization and similarity only read). Misses
+// are computed outside the lock and are not coalesced across calls: two
+// goroutines that miss on the same point at once both featurize it, compute
+// the same bits (featurization is deterministic in the point), and the later
+// insert replaces the earlier. Serving featurizes from one goroutine — the
+// micro-batcher's loop — so no duplicate work happens there; within one call
+// a repeated point is featurized once.
 //
 // Ownership: a cached vector outlives the request that computed it, so it
 // owns its payload — its own values and nothing of the batch it arrived in.
@@ -42,7 +44,6 @@ type Store struct {
 	mu        sync.Mutex
 	entries   map[pointKey]*list.Element // point → LRU element
 	lru       *list.List                 // front = most recent
-	pending   map[pointKey]*inflight     // point → in-progress featurization
 	hits      int
 	misses    int
 	evicted   int
@@ -62,16 +63,6 @@ type Options struct {
 	TTL time.Duration
 	// Now is the clock used for TTL decisions (nil = time.Now).
 	Now func() time.Time
-}
-
-// inflight is one in-progress featurization another goroutine may wait on.
-// The owner fills vec or err, then closes done; waiters read the fields only
-// after done is closed, so the result survives even if the cache entry is
-// evicted before the waiter wakes.
-type inflight struct {
-	done chan struct{}
-	vec  *feature.Vector
-	err  error
 }
 
 // pointKey is the cache key: a point's rendering. One ID names one entity,
@@ -114,7 +105,6 @@ func NewWithOptions(lib *resource.Library, opts Options) (*Store, error) {
 		now:      now,
 		entries:  make(map[pointKey]*list.Element),
 		lru:      list.New(),
-		pending:  make(map[pointKey]*inflight),
 	}, nil
 }
 
@@ -135,8 +125,8 @@ func (s *Store) Stats() (hits, misses, evicted int) {
 	return s.hits, s.misses, s.evicted
 }
 
-// Coalesced reports how many misses were satisfied by waiting on another
-// goroutine's in-flight featurization instead of recomputing.
+// Coalesced reports how many misses repeated a point already missed in the
+// same Featurize call, and so shared its featurization.
 func (s *Store) Coalesced() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -188,11 +178,9 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // key the cache, so that triple must name one point across everything
 // featurized through one store — true for points sampled from one
 // synth.Dataset and for serve traffic, whose point is its request's (id,
-// modality, frames).
-//
-// Concurrent calls that miss on the same key coalesce: one caller computes,
-// the others wait for its result. A nil ctx is treated as
-// context.Background().
+// modality, frames). A key that misses more than once in one call is
+// featurized once and its repeats count as coalesced. A nil ctx is treated
+// as context.Background().
 //
 // When the library is guarded (resource.Library.WithGuards), failures
 // degrade gracefully per point: a stale cached vector (older than TTL) is
@@ -209,12 +197,13 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	defer span.End()
 	span.Add("points", int64(len(pts)))
 	out := make([]*feature.Vector, len(pts))
-	var mine []*synth.Point // misses this call owns and computes
-	var mineIdx []int
-	var mineFl []*inflight
-	var mineStale []*feature.Vector // stale fallback per owned miss (or nil)
-	var waitFl []*inflight          // misses another goroutine is already computing
-	var waitIdx []int
+	var (
+		miss   []*synth.Point    // distinct missed keys, computed below
+		stale  []*feature.Vector // each miss's stale fallback, or nil
+		slot   map[pointKey]int  // missed key → its index in miss
+		outIdx []int             // out position of every missed lookup ...
+		missOf []int             // ... and the miss that fills it
+	)
 	s.mu.Lock()
 	for i, p := range pts {
 		var staleVec *feature.Vector
@@ -232,111 +221,78 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 			staleVec = ent.vec
 		}
 		s.misses++
-		if fl, ok := s.pending[key]; ok {
+		j, ok := slot[key]
+		if ok {
 			s.coalesced++
-			waitFl = append(waitFl, fl)
-			waitIdx = append(waitIdx, i)
-			continue
+		} else {
+			if slot == nil {
+				slot = make(map[pointKey]int)
+			}
+			j = len(miss)
+			slot[key] = j
+			miss = append(miss, p)
+			stale = append(stale, staleVec)
 		}
-		fl := &inflight{done: make(chan struct{})}
-		s.pending[key] = fl
-		mine = append(mine, p)
-		mineIdx = append(mineIdx, i)
-		mineFl = append(mineFl, fl)
-		mineStale = append(mineStale, staleVec)
+		outIdx = append(outIdx, i)
+		missOf = append(missOf, j)
 	}
 	s.mu.Unlock()
-	span.Add("misses", int64(len(mine)))
-	span.Add("coalesced", int64(len(waitFl)))
-	span.Add("hits", int64(len(pts)-len(mine)-len(waitFl)))
-
-	var computeErr error
-	if len(mine) > 0 {
-		computeErr = s.computeMisses(ctx, cfg, out, mine, mineIdx, mineFl, mineStale)
-		// Release waiters only after the pending entries are gone, so a
-		// waiter that retries cleanly becomes a fresh owner.
-		for _, fl := range mineFl {
-			close(fl.done)
-		}
+	span.Add("misses", int64(len(miss)))
+	span.Add("coalesced", int64(len(outIdx)-len(miss)))
+	span.Add("hits", int64(len(pts)-len(outIdx)))
+	if len(miss) == 0 {
+		return out, nil
 	}
-	for k, fl := range waitFl {
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if fl.err != nil {
-			return nil, fl.err
-		}
-		out[waitIdx[k]] = fl.vec
+	vecs, err := s.computeMisses(ctx, cfg, miss, stale)
+	if err != nil {
+		return nil, err
 	}
-	if computeErr != nil {
-		return nil, computeErr
+	for k, i := range outIdx {
+		out[i] = vecs[missOf[k]]
 	}
 	return out, nil
 }
 
-// computeMisses featurizes the misses this call owns, fills out, resolves
-// the inflight slots, and removes the pending entries. It returns the error
-// the overall Featurize call should fail with, if any.
-func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, out []*feature.Vector,
-	mine []*synth.Point, mineIdx []int, mineFl []*inflight, mineStale []*feature.Vector) error {
-
+// computeMisses featurizes miss, caches the clean results and returns one
+// vector per miss, or the error the whole Featurize call fails with.
+func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, miss []*synth.Point, stale []*feature.Vector) ([]*feature.Vector, error) {
 	// The checked path featurizes point by point — on an unguarded library
 	// it is exactly FeaturizePoint — never Library.Featurize: a cached vector
 	// outlives its request, so it owns its payload rather than pinning a
 	// batch slab.
-	checked, err := s.lib.FeaturizeChecked(ctx, cfg, mine)
+	checked, err := s.lib.FeaturizeChecked(ctx, cfg, miss)
+	if err != nil { // context cancellation: nothing was computed
+		return nil, err
+	}
+	vecs := make([]*feature.Vector, len(miss))
+	var firstErr error
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstErr error
-	for j, fl := range mineFl {
-		key := keyOf(mine[j])
-		delete(s.pending, key)
-		if err != nil { // context cancellation: nothing was computed
-			fl.err = err
-			continue
-		}
-		c := checked[j]
-		serveStale := func() {
+	for j, c := range checked {
+		key := keyOf(miss[j])
+		switch {
+		case (c.Err != nil || len(c.Failed) > 0) && stale[j] != nil:
+			// A complete stale vector beats a failure or a freshly degraded
+			// one. Keep the entry warm in the LRU but leave storedAt alone:
+			// it stays stale, so the next access retries the resources.
 			s.stale++
-			fl.vec = mineStale[j]
-			out[mineIdx[j]] = mineStale[j]
-			// Keep the entry warm in the LRU but leave storedAt alone: it
-			// stays stale, so the next access retries the resources.
+			vecs[j] = stale[j]
 			if el, ok := s.entries[key]; ok {
 				s.lru.MoveToFront(el)
 			}
-		}
-		switch {
 		case c.Err != nil:
-			if mineStale[j] != nil {
-				serveStale()
-				continue
-			}
-			fl.err = c.Err
 			if firstErr == nil {
 				firstErr = c.Err
 			}
 		case len(c.Failed) > 0:
-			// A complete stale vector beats a freshly degraded one.
-			if mineStale[j] != nil {
-				serveStale()
-				continue
-			}
 			c.Vec.MarkDegraded(c.Failed)
 			s.degraded++
-			fl.vec = c.Vec
-			out[mineIdx[j]] = c.Vec
+			vecs[j] = c.Vec
 			// Not cached: a later retry may well produce the full vector.
 		default:
-			fl.vec = c.Vec
-			out[mineIdx[j]] = c.Vec
+			vecs[j] = c.Vec
 			s.insertLocked(key, c.Vec)
 		}
 	}
-	if err != nil {
-		return err
-	}
-	return firstErr
+	return vecs, firstErr
 }

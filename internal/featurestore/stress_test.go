@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
@@ -130,5 +131,54 @@ func TestFeaturizeCoalescesDuplicateMisses(t *testing.T) {
 	}
 	if hits, misses, _ := store.Stats(); hits != 0 || misses != 2 {
 		t.Errorf("hits=%d misses=%d, want 0/2", hits, misses)
+	}
+}
+
+// TestConcurrentColdMissesAgree: misses are not coalesced across calls, so
+// callers that miss on the same cold keys at once each featurize them. Every
+// caller must still get vectors Equal to the library's, the counters must
+// balance, and no caller may wait on another (run with -race -count=20).
+func TestConcurrentColdMissesAgree(t *testing.T) {
+	lib, pts := env(t)
+	pts = pts[:16]
+	want := make([]*feature.Vector, len(pts))
+	for i, p := range pts {
+		want[i] = lib.FeaturizePoint(p)
+	}
+	store, err := New(lib, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	got := make([][]*feature.Vector, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = store.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for i, v := range got[g] {
+			if !v.Equal(want[i]) {
+				t.Fatalf("caller %d: point %d differs from the library's vector", g, pts[i].ID)
+			}
+		}
+	}
+	if hits, misses, _ := store.Stats(); hits+misses != callers*len(pts) {
+		t.Errorf("hits %d + misses %d != %d lookups", hits, misses, callers*len(pts))
+	}
+	if store.Len() != len(pts) || store.Coalesced() != 0 {
+		t.Errorf("store holds %d entries (want %d), coalesced %d (want 0: no key repeats within a call)",
+			store.Len(), len(pts), store.Coalesced())
 	}
 }

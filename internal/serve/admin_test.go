@@ -128,7 +128,7 @@ func TestShedResponsesCarryRetryAfterOne(t *testing.T) {
 // TestServeDeadlineShedCounted: a request whose budget is already exhausted
 // when it reaches the batcher is shed with 504 and counted.
 func TestServeDeadlineShedCounted(t *testing.T) {
-	s, ts := newTestServer(t, BatcherConfig{MaxWait: 20 * time.Millisecond}, time.Nanosecond)
+	s, ts := newTestServer(t, BatcherConfig{}, time.Nanosecond)
 	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
 		t.Fatal(err)
 	}

@@ -12,21 +12,22 @@ import (
 )
 
 // The micro-batcher is the serving-side twin of the training engine's batch
-// parallelism: individual requests from many HTTP handler goroutines
-// coalesce into batches that flow through featurestore.Store.Featurize and
-// the predictor's batch path together, amortizing the parallel batch
-// machinery (PR 1) across concurrent callers. Admission is a bounded queue —
-// when the server falls behind, excess load is shed immediately with a
-// retryable error instead of building an unbounded backlog (the classic
-// load-shedding discipline of production serving stacks).
+// parallelism: requests from many HTTP handler goroutines coalesce into
+// batches that flow through featurestore.Store.Featurize and the predictor's
+// batch path together. A request is one queue entry however many points it
+// carries, and an entry is never split across batches, so one request is
+// scored by one model generation. Admission is a bounded queue — when the
+// server falls behind, excess load is shed immediately with a retryable
+// error instead of building an unbounded backlog (the classic load-shedding
+// discipline of production serving stacks).
 //
-// The hot path is arena-style: request and batch structs cycle through
-// sync.Pools and the score buffer belongs to the batch, so a steady-state
-// request allocates nothing in the batcher. Dispatch is adaptive — a batch
-// hands off immediately when the executor is idle (latency-bound traffic
-// never pays the coalescing window) and only waits out MaxWait when it is
-// busy (throughput-bound traffic batches up). One goroutine executes batches;
-// a batch already parallelizes internally via the Workers knobs.
+// Batching is one loop on one goroutine: wait for the first entry, drain
+// whatever else is already queued while the batch has room, run the batch,
+// repeat. An idle server runs a lone request at once; a busy one finds the
+// requests that queued during the last batch and runs them together. A batch
+// already parallelizes internally via the Workers knobs. Requests cycle
+// through a sync.Pool and the loop owns its point and score buffers, so a
+// steady-state request allocates nothing in the batcher.
 
 // Shedding and lifecycle errors. The HTTP layer maps these to status codes
 // (429 for shed load, 503 before a model is loaded).
@@ -43,15 +44,15 @@ var (
 
 // BatcherConfig tunes the micro-batcher.
 type BatcherConfig struct {
-	// MaxBatchSize caps how many queued requests one batch execution
-	// scores (default 64).
+	// MaxBatchSize caps how many points one batch execution scores
+	// (default 64); a request carrying more runs alone.
 	MaxBatchSize int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company when the executor is busy; with an idle executor the batch
-	// dispatches immediately (default 2ms).
+	// MaxWait is ignored: with one batch loop, a coalescing window could
+	// only close a batch before the loop is free to run it, never add a
+	// request to it. It stays for callers that still set it.
 	MaxWait time.Duration
-	// QueueDepth bounds the admission queue; requests beyond it are shed
-	// with ErrQueueFull (default 1024).
+	// QueueDepth bounds the admission queue in requests; requests beyond it
+	// are shed with ErrQueueFull (default 1024).
 	QueueDepth int
 }
 
@@ -59,40 +60,32 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatchSize <= 0 {
 		c.MaxBatchSize = 64
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
 	return c
 }
 
-// request is one enqueued point waiting to be scored. Requests cycle
-// through a pool: a request is returned only from the paths that prove its
-// done channel is empty (refused admission, or its response was received).
-// A request abandoned to ctx cancellation is left to the garbage collector,
-// because a late response may still land in its channel.
+// request is one queue entry: a request's points and the buffer their
+// scores land in. Requests cycle through a pool: a request is returned only
+// from the paths that prove its done channel is empty (refused admission, or
+// its response was received). A request abandoned to ctx cancellation is
+// left to the garbage collector, because a late response may still land in
+// its channel.
 type request struct {
-	pt       *synth.Point
+	pts      []*synth.Point
+	scores   []float64
 	deadline time.Time // zero = no deadline
 	done     chan response
+	// one and oneScore hold Submit's single point and score inline.
+	one      [1]*synth.Point
+	oneScore [1]float64
 }
 
 // response is the terminal state of one request.
 type response struct {
-	score float64
-	seq   uint64 // model sequence number that scored it
-	err   error
-}
-
-// batch is one dispatch unit: the collected requests plus the reusable
-// point and score buffers their execution fills. Batches cycle through a
-// pool; the executor owns a batch from dispatch until it returns it.
-type batch struct {
-	reqs   []*request
-	pts    []*synth.Point
-	scores []float64
+	seq uint64 // model sequence number that scored it
+	err error
 }
 
 // ExecFunc scores one batch of points into scores (len(scores) ==
@@ -103,21 +96,24 @@ type batch struct {
 // no request can still use the result.
 type ExecFunc func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error)
 
-// Batcher coalesces single-point requests into batches. Create with
-// NewBatcher, feed with Submit, stop with Close.
+// Batcher coalesces requests into batches. Create with NewBatcher, feed with
+// SubmitPoints or Submit, stop with Close.
 type Batcher struct {
-	cfg       BatcherConfig
-	exec      ExecFunc
-	met       *Metrics
-	queue     chan *request
-	execQ     chan *batch
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	reqPool   sync.Pool
-	batchPool sync.Pool
+	cfg     BatcherConfig
+	exec    ExecFunc
+	met     *Metrics
+	queue   chan *request
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	reqPool sync.Pool
+
+	// The batch being run; only the loop goroutine touches these.
+	reqs   []*request
+	pts    []*synth.Point
+	scores []float64
 }
 
-// NewBatcher starts the dispatcher and executor goroutines.
+// NewBatcher starts the batch loop.
 func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 	cfg = cfg.withDefaults()
 	b := &Batcher{
@@ -125,85 +121,97 @@ func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 		exec:  exec,
 		met:   met,
 		queue: make(chan *request, cfg.QueueDepth),
-		execQ: make(chan *batch),
 		stop:  make(chan struct{}),
 	}
-	b.wg.Add(2)
-	go b.dispatch()
-	go b.executor()
+	b.wg.Add(1)
+	go b.loop()
 	return b
 }
 
 // QueueDepth reports how many admitted requests are waiting to be batched.
 func (b *Batcher) QueueDepth() int { return len(b.queue) }
 
-func (b *Batcher) getBatch() *batch {
-	if bt, ok := b.batchPool.Get().(*batch); ok {
-		return bt
+// SubmitPoints admits pts as one request and blocks until they are scored
+// into scores (len(scores) >= len(pts)), shed, or ctx ends; it returns the
+// sequence number of the one model that scored them all. deadline zero
+// means no deadline beyond ctx. When ctx ends first the batcher may still
+// write scores later, so the caller must not reuse the buffer.
+func (b *Batcher) SubmitPoints(ctx context.Context, pts []*synth.Point, scores []float64, deadline time.Time) (uint64, error) {
+	req := b.getRequest(deadline)
+	req.pts, req.scores = pts, scores[:len(pts)]
+	resp, back := b.await(ctx, req)
+	if back {
+		b.putRequest(req)
 	}
-	return &batch{
-		reqs:   make([]*request, 0, b.cfg.MaxBatchSize),
-		pts:    make([]*synth.Point, 0, b.cfg.MaxBatchSize),
-		scores: make([]float64, b.cfg.MaxBatchSize),
-	}
+	return resp.seq, resp.err
 }
 
-// putBatch clears the batch's pointers (so a pooled batch does not pin
-// requests or points past its lifetime) and returns it to the pool.
-func (b *Batcher) putBatch(bt *batch) {
-	for i := range bt.reqs {
-		bt.reqs[i] = nil
-	}
-	for i := range bt.pts {
-		bt.pts[i] = nil
-	}
-	bt.reqs, bt.pts = bt.reqs[:0], bt.pts[:0]
-	b.batchPool.Put(bt)
-}
-
-// Submit admits one point and blocks until it is scored, shed, or ctx ends.
-// deadline zero means no deadline beyond ctx.
+// Submit scores one point: the one-point case of SubmitPoints, through a
+// pooled request that holds the point and its score inline.
 func (b *Batcher) Submit(ctx context.Context, pt *synth.Point, deadline time.Time) (float64, uint64, error) {
-	select {
-	case <-b.stop:
-		return 0, 0, ErrStopped
-	default:
+	req := b.getRequest(deadline)
+	req.one[0] = pt
+	req.pts, req.scores = req.one[:], req.oneScore[:]
+	resp, back := b.await(ctx, req)
+	if !back {
+		return 0, 0, resp.err
 	}
+	score := req.oneScore[0]
+	b.putRequest(req)
+	if resp.err != nil {
+		return 0, 0, resp.err
+	}
+	return score, resp.seq, nil
+}
+
+func (b *Batcher) getRequest(deadline time.Time) *request {
 	req, ok := b.reqPool.Get().(*request)
 	if !ok {
 		req = &request{done: make(chan response, 1)}
 	}
-	req.pt, req.deadline = pt, deadline
+	req.deadline = deadline
+	return req
+}
+
+// putRequest clears the request's pointers (so a pooled request does not
+// pin points or a caller's buffer) and returns it to the pool.
+func (b *Batcher) putRequest(req *request) {
+	req.pts, req.scores, req.one[0] = nil, nil, nil
+	b.reqPool.Put(req)
+}
+
+// await admits req and waits for its response. back reports that req came
+// back — refused or answered — so its channel is empty and it may be pooled.
+func (b *Batcher) await(ctx context.Context, req *request) (resp response, back bool) {
+	select {
+	case <-b.stop:
+		return response{err: ErrStopped}, true
+	default:
+	}
 	select {
 	case b.queue <- req:
 	default:
-		req.pt = nil
-		b.reqPool.Put(req) // never admitted: its channel is provably empty
 		if b.met != nil {
 			b.met.ShedQueue.Add(1)
 			trace.Count(nil, "serve.shed_queue", 1)
 		}
-		return 0, 0, ErrQueueFull
+		return response{err: ErrQueueFull}, true
 	}
 	select {
 	case resp := <-req.done:
-		req.pt = nil
-		b.reqPool.Put(req) // answered: the buffered channel is empty again
-		return resp.score, resp.seq, resp.err
+		return resp, true
 	case <-ctx.Done():
 		// The request is still in the pipeline; its eventual response is
-		// dropped (done is buffered). The caller has already gone away. Do
-		// NOT pool the request — the late response occupies its channel.
-		return 0, 0, ctx.Err()
+		// dropped (done is buffered). The caller has already gone away.
+		return response{err: ctx.Err()}, false
 	}
 }
 
 // Close stops the batcher and fails any still-queued requests with
-// ErrStopped. In-flight batches finish first.
+// ErrStopped. The running batch finishes first.
 func (b *Batcher) Close() {
 	close(b.stop)
 	b.wg.Wait()
-	// Drain whatever was admitted but never dispatched.
 	for {
 		select {
 		case req := <-b.queue:
@@ -214,110 +222,52 @@ func (b *Batcher) Close() {
 	}
 }
 
-// dispatch collects requests into batches. A batch opens on its first
-// request, greedily absorbs everything already queued, and then hands off
-// immediately if the executor is free — the common idle-server case pays no
-// wait. Only when it is busy does the batch hold its MaxWait
-// window (more requests can only help a batch that must wait anyway).
-func (b *Batcher) dispatch() {
+// loop is the batcher's one goroutine. A batch opens on the first queued
+// request and absorbs what is already queued behind it up to MaxBatchSize
+// points; a request that would overflow the batch opens the next one.
+func (b *Batcher) loop() {
 	defer b.wg.Done()
-	defer close(b.execQ)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-outer:
+	var next *request
 	for {
-		var first *request
-		select {
-		case first = <-b.queue:
-		case <-b.stop:
-			return
+		first := next
+		next = nil
+		if first == nil {
+			select {
+			case first = <-b.queue:
+			case <-b.stop:
+				return
+			}
 		}
-		bt := b.getBatch()
-		bt.reqs = append(bt.reqs, first)
+		b.reqs = append(b.reqs[:0], first)
+		n := len(first.pts)
 	drain:
-		for len(bt.reqs) < b.cfg.MaxBatchSize {
+		for n < b.cfg.MaxBatchSize {
 			select {
 			case req := <-b.queue:
-				bt.reqs = append(bt.reqs, req)
+				if n+len(req.pts) > b.cfg.MaxBatchSize {
+					next = req
+					break drain
+				}
+				b.reqs = append(b.reqs, req)
+				n += len(req.pts)
 			default:
 				break drain
 			}
 		}
-		if len(bt.reqs) < b.cfg.MaxBatchSize {
-			select {
-			case b.execQ <- bt: // the executor was idle: dispatch now
-				continue
-			case <-b.stop:
-				b.failBatch(bt)
-				return
-			default: // executor busy: collect while we wait
-			}
-			timer.Reset(b.cfg.MaxWait)
-		collect:
-			for len(bt.reqs) < b.cfg.MaxBatchSize {
-				select {
-				case req := <-b.queue:
-					bt.reqs = append(bt.reqs, req)
-				case b.execQ <- bt:
-					// The executor freed up mid-window; it owns bt now.
-					if !timer.Stop() {
-						<-timer.C
-					}
-					continue outer
-				case <-timer.C:
-					break collect
-				case <-b.stop:
-					// Shutting down: run what we have, then exit.
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		select {
-		case b.execQ <- bt:
-		case <-b.stop:
-			// The executor may already be gone; fail the batch directly.
-			b.failBatch(bt)
-			return
-		}
-		select {
-		case <-b.stop:
-			return
-		default:
-		}
+		b.run()
+		clear(b.reqs)
+		clear(b.pts)
 	}
 }
 
-// failBatch answers every request in bt with ErrStopped.
-func (b *Batcher) failBatch(bt *batch) {
-	for _, req := range bt.reqs {
-		req.done <- response{err: ErrStopped}
-	}
-}
-
-// executor runs batches: expired requests are shed, the rest are scored in
-// one ExecFunc call and answered individually.
-func (b *Batcher) executor() {
-	defer b.wg.Done()
-	for bt := range b.execQ {
-		b.run(bt)
-	}
-}
-
-// run executes one batch and returns it to the pool.
-func (b *Batcher) run(bt *batch) {
+// run executes the batch in b.reqs: expired requests are shed, the rest are
+// scored in one ExecFunc call and answered individually.
+func (b *Batcher) run() {
 	sctx, span := trace.Start(context.Background(), "serve.batch")
 	defer span.End()
 	now := time.Now()
-	live := bt.reqs[:0]
-	for _, req := range bt.reqs {
+	live := b.reqs[:0]
+	for _, req := range b.reqs {
 		if !req.deadline.IsZero() && now.After(req.deadline) {
 			if b.met != nil {
 				b.met.ShedDeadline.Add(1)
@@ -329,21 +279,20 @@ func (b *Batcher) run(bt *batch) {
 		live = append(live, req)
 	}
 	if len(live) == 0 {
-		b.putBatch(bt)
 		return
 	}
-	if b.met != nil {
-		b.met.BatchSize.Observe(float64(len(live)))
-	}
-	bt.pts = bt.pts[:0]
+	b.pts = b.pts[:0]
 	for _, req := range live {
-		bt.pts = append(bt.pts, req.pt)
+		b.pts = append(b.pts, req.pts...)
 	}
-	if cap(bt.scores) < len(live) {
-		bt.scores = make([]float64, len(live))
+	if cap(b.scores) < len(b.pts) {
+		b.scores = make([]float64, len(b.pts))
 	}
-	scores := bt.scores[:len(live)]
-	span.Add("items", int64(len(live)))
+	scores := b.scores[:len(b.pts)]
+	if b.met != nil {
+		b.met.BatchSize.Observe(float64(len(b.pts)))
+	}
+	span.Add("items", int64(len(b.pts)))
 	// The batch runs under the latest deadline any live request still has;
 	// requests without deadlines leave the batch unbounded.
 	ctx := sctx
@@ -363,16 +312,11 @@ func (b *Batcher) run(bt *batch) {
 		ctx, cancel = context.WithDeadline(ctx, latest)
 		defer cancel()
 	}
-	seq, err := b.exec(ctx, bt.pts, scores)
-	if err != nil {
-		for _, req := range live {
-			req.done <- response{err: err}
+	seq, err := b.exec(ctx, b.pts, scores)
+	for _, req := range live {
+		if err == nil {
+			scores = scores[copy(req.scores, scores):]
 		}
-		b.putBatch(bt)
-		return
+		req.done <- response{seq: seq, err: err}
 	}
-	for i, req := range live {
-		req.done <- response{score: scores[i], seq: seq}
-	}
-	b.putBatch(bt)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,14 +54,14 @@ func (c admitCtx) Done() <-chan struct{} {
 }
 
 // TestBatcherCoalescesConcurrentRequests: requests that queue up behind a
-// busy executor run together. Gated, not raced — adaptive dispatch hands
-// racing submits to an idle executor one at a time, and rightly so: the
-// executor is held on a first singleton batch until the other 31 requests
-// are all admitted, then released.
+// busy batch loop run together. Gated, not raced — an idle loop takes racing
+// submits one at a time, and rightly so: the loop is held on a first
+// singleton batch until the other 31 requests are all admitted, then
+// released.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	exec := &countingExec{block: make(chan struct{})}
 	entered := make(chan struct{}, 1)
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 64, MaxWait: 20 * time.Millisecond},
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 64},
 		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 			select {
 			case entered <- struct{}{}:
@@ -106,8 +107,8 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	if total != n {
 		t.Fatalf("executed %d points across %v, want %d", total, sizes, n)
 	}
-	// What the dispatcher collected inside its MaxWait window is one batch,
-	// everything queued behind it the next.
+	// The held singleton is one batch; the loop drains everything queued
+	// behind it into the next.
 	if sizes[0] != 1 || len(sizes) > 3 {
 		t.Errorf("31 requests queued behind a busy executor ran as batches %v, want [1] then at most two", sizes)
 	}
@@ -115,7 +116,7 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 
 func TestBatcherMaxBatchSize(t *testing.T) {
 	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 4, MaxWait: 50 * time.Millisecond, QueueDepth: 64}, exec.exec, nil)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 4, QueueDepth: 64}, exec.exec, nil)
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -135,16 +136,18 @@ func TestBatcherMaxBatchSize(t *testing.T) {
 	}
 }
 
-func TestBatcherMaxWaitFlushesPartialBatch(t *testing.T) {
+// TestBatcherRunsLoneRequestWithoutWaiting: a request that finds the loop
+// idle runs at once as a batch of its own; it never waits for company.
+func TestBatcherRunsLoneRequestWithoutWaiting(t *testing.T) {
 	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 1024, MaxWait: 5 * time.Millisecond}, exec.exec, nil)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 1024}, exec.exec, nil)
 	defer b.Close()
 	start := time.Now()
 	if _, _, err := b.Submit(context.Background(), pt(1), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("single request waited %v; MaxWait flush broken", elapsed)
+		t.Fatalf("single request waited %v for a batch to fill", elapsed)
 	}
 	if sizes := exec.batchSizes(); len(sizes) != 1 || sizes[0] != 1 {
 		t.Fatalf("batches = %v, want [1]", sizes)
@@ -155,10 +158,10 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	exec := &countingExec{block: block}
 	var met = NewMetrics()
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, MaxWait: time.Millisecond, QueueDepth: 2}, exec.exec, met)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 2}, exec.exec, met)
 	defer func() { close(block); b.Close() }()
 
-	// Saturate: the executor blocks, the dispatcher holds batches, the
+	// Saturate: the executor blocks, the batch loop waits on it, the
 	// queue fills. Submit from goroutines until ErrQueueFull shows up.
 	var full atomic.Int32
 	var wg sync.WaitGroup
@@ -187,7 +190,7 @@ func TestBatcherShedsExpiredDeadlines(t *testing.T) {
 	block := make(chan struct{})
 	exec := &countingExec{block: block}
 	met := NewMetrics()
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, MaxWait: time.Millisecond, QueueDepth: 64}, exec.exec, met)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, QueueDepth: 64}, exec.exec, met)
 	defer b.Close()
 
 	// First batch occupies the executor long enough for the second
@@ -222,12 +225,100 @@ func TestBatcherShedsExpiredDeadlines(t *testing.T) {
 
 func TestBatcherCloseFailsPending(t *testing.T) {
 	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxWait: time.Millisecond}, exec.exec, nil)
+	b := NewBatcher(BatcherConfig{}, exec.exec, nil)
 	if _, _, err := b.Submit(context.Background(), pt(1), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
 	if _, _, err := b.Submit(context.Background(), pt(2), time.Time{}); !errors.Is(err, ErrStopped) {
 		t.Errorf("post-close submit err = %v, want ErrStopped", err)
+	}
+}
+
+// TestBatcherPacksWholeRequests: queued requests pack into a batch while
+// their points fit MaxBatchSize; a request that would overflow it opens the
+// next batch, and one larger than MaxBatchSize runs alone — never split.
+func TestBatcherPacksWholeRequests(t *testing.T) {
+	exec := &countingExec{block: make(chan struct{})}
+	entered := make(chan struct{}, 1)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 64},
+		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			return exec.exec(ctx, pts, scores)
+		}, nil)
+	defer b.Close()
+
+	var wg sync.WaitGroup
+	submit := func(ctx context.Context, first, n int) {
+		pts := make([]*synth.Point, n)
+		for i := range pts {
+			pts[i] = pt(first + i)
+		}
+		scores := make([]float64, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.SubmitPoints(ctx, pts, scores, time.Time{}); err != nil {
+				t.Errorf("request at %d: %v", first, err)
+				return
+			}
+			for i, sc := range scores {
+				if sc != float64(first+i) {
+					t.Errorf("point %d scored %v", first+i, sc)
+					return
+				}
+			}
+		}()
+	}
+	submit(context.Background(), 0, 1)
+	<-entered // the loop holds the singleton; queue the rest behind it in order
+	for i, n := range []int{30, 30, 10, 100} {
+		var admitted sync.WaitGroup
+		admitted.Add(1)
+		submit(admitCtx{context.Background(), &admitted}, 1000*(i+1), n)
+		admitted.Wait()
+	}
+	close(exec.block)
+	wg.Wait()
+	// 30 + 30 fill 60 of 64; the 10 would overflow and opens the next batch;
+	// the 100 overflows that one and runs alone.
+	if got, want := exec.batchSizes(), []int{1, 60, 10, 100}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batches %v, want %v", got, want)
+	}
+}
+
+// TestBatcherSubmitPointsZeroAllocs is TestBatcherSubmitZeroAllocs for an
+// n-point request: the caller's points and score buffer ride in the pooled
+// request, and the loop reuses its batch buffers.
+func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 8},
+		func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+			for i := range pts {
+				scores[i] = 0.5
+			}
+			return 1, nil
+		}, nil)
+	defer b.Close()
+	pts := make([]*synth.Point, 8)
+	for i := range pts {
+		pts[i] = pt(i)
+	}
+	scores := make([]float64, len(pts))
+	if _, err := b.SubmitPoints(ctxbg, pts, scores, time.Time{}); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := b.SubmitPoints(ctxbg, pts, scores, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per steady-state 8-point SubmitPoints, want 0", allocs)
 	}
 }

@@ -1,0 +1,227 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"crossmodal/internal/synth"
+)
+
+// useExec replaces s's batcher with one that runs exec; the server's Close
+// stops it.
+func useExec(s *Server, exec ExecFunc) {
+	s.bat.Close()
+	s.bat = NewBatcher(BatcherConfig{}, exec, s.met)
+}
+
+// TestPredictRequestIsOneBatch: a /predict request is one batcher entry — an
+// 8-point request and a 100-point one (over the default 64-point
+// MaxBatchSize) each reach ExecFunc in exactly one call.
+func TestPredictRequestIsOneBatch(t *testing.T) {
+	s, ts := newTestServer(t, BatcherConfig{}, 10*time.Second)
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var calls []int
+	useExec(s, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+		mu.Lock()
+		calls = append(calls, len(pts))
+		mu.Unlock()
+		return s.execBatch(ctx, pts, scores)
+	})
+	for _, n := range []int{8, 100} {
+		mu.Lock()
+		calls = nil
+		mu.Unlock()
+		req := predictRequest{Points: make([]PointRequest, n)}
+		for i := range req.Points {
+			req.Points[i].ID = 1000*n + i
+		}
+		resp, body := postJSON(t, ts.URL+"/predict", req)
+		var pr predictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Scores) != n {
+			t.Fatalf("%d-point predict: %d %s", n, resp.StatusCode, body)
+		}
+		mu.Lock()
+		got := append([]int(nil), calls...)
+		mu.Unlock()
+		if !reflect.DeepEqual(got, []int{n}) {
+			t.Errorf("%d-point request reached ExecFunc as batches %v, want one of %d", n, got, n)
+		}
+	}
+}
+
+// TestHotSwapMidRequestScoresOneGeneration: the batch loop is held right
+// after scoring a request's first batch, a reload installs model B, then the
+// loop is released. Every score in the response must come from the model
+// generation the response names.
+func TestHotSwapMidRequestScoresOneGeneration(t *testing.T) {
+	s, ts := newTestServer(t, BatcherConfig{}, 10*time.Second)
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		t.Fatal(err)
+	}
+	pathB := saveArtifact(t, fx.modelB, "b.xma")
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	want := map[uint64][]float64{}
+	for _, id := range ids {
+		want[1] = append(want[1], wantScore(t, fx.modelA, id))
+		want[2] = append(want[2], wantScore(t, fx.modelB, id))
+	}
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	useExec(s, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+		seq, err := s.execBatch(ctx, pts, scores)
+		select {
+		case held <- struct{}{}: // the first batch holds until release
+			<-release
+		default:
+		}
+		return seq, err
+	})
+
+	predict := func() predictResponse {
+		req := predictRequest{}
+		for _, id := range ids {
+			req.Points = append(req.Points, PointRequest{ID: id})
+		}
+		resp, body := postJSON(t, ts.URL+"/predict", req)
+		var pr predictResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Scores) != len(ids) {
+			t.Errorf("predict: %d %s", resp.StatusCode, body)
+		}
+		return pr
+	}
+	out := make(chan predictResponse, 1)
+	go func() { out <- predict() }()
+	<-held
+	if resp, body := postJSON(t, ts.URL+"/admin/reload", map[string]string{"path": pathB}); resp.StatusCode != http.StatusOK {
+		close(release)
+		t.Fatalf("reload: %d %s", resp.StatusCode, body)
+	}
+	close(release)
+	for _, pr := range []predictResponse{<-out, predict()} {
+		w, ok := want[pr.ModelSeq]
+		if !ok {
+			t.Fatalf("response names model seq %d", pr.ModelSeq)
+		}
+		if !reflect.DeepEqual(pr.Scores, w) {
+			t.Errorf("seq %d response scored %v, that generation scores %v", pr.ModelSeq, pr.Scores, w)
+		}
+	}
+}
+
+// TestPredictRejectsUnboundedFrames: a point's frame count is bounded before
+// anything is queued; one request asking for a billion frames must not pin
+// the batch loop. The server is deliberately never closed: where the bound
+// is missing its loop is busy for minutes, and the 2 s guard fails the test
+// instead.
+func TestPredictRejectsUnboundedFrames(t *testing.T) {
+	fixture(t)
+	s, err := New(Config{Store: fx.store, World: fx.world, Seed: fxSeed, Timeout: time.Second}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(frames int) int {
+		body := fmt.Sprintf(`{"points":[{"id":1,"modality":"video","frames":%d}]}`, frames)
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		}()
+		select {
+		case <-done:
+			return rec.Code
+		case <-time.After(2 * time.Second):
+			t.Fatalf("frames %d: no answer within 2 s", frames)
+			return 0
+		}
+	}
+	for _, frames := range []int{1_000_000_000, maxFramesPerPoint + 1, -1} {
+		if code := serve(frames); code != http.StatusBadRequest {
+			t.Fatalf("frames %d: status %d, want 400", frames, code)
+		}
+	}
+	if m := s.Metrics(); m.BatchSize.Count() != 0 {
+		t.Fatalf("rejected points reached the batcher: %d batches", m.BatchSize.Count())
+	}
+	// The bound is inclusive.
+	if code := serve(maxFramesPerPoint); code != http.StatusOK {
+		t.Fatalf("frames %d: status %d, want 200", maxFramesPerPoint, code)
+	}
+	s.Close()
+}
+
+// FuzzHandlePredict feeds raw bodies to /predict with a model loaded: the
+// handler must never panic, must answer within the request timeout, and may
+// only answer with a status the serving contract names.
+func FuzzHandlePredict(f *testing.F) {
+	fixture(f)
+	const timeout = 2 * time.Second
+	s, err := New(Config{Store: fx.store, World: fx.world, Seed: fxSeed, Timeout: timeout}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		f.Fatal(err)
+	}
+	var many strings.Builder
+	many.WriteString(`{"points":[`)
+	for i := 0; i <= maxPointsPerRequest; i++ {
+		if i > 0 {
+			many.WriteByte(',')
+		}
+		fmt.Fprintf(&many, `{"id":%d}`, i)
+	}
+	many.WriteString(`]}`)
+	for _, seed := range []string{
+		`{"points":[{"id":1,"modality":"video","frames":1000000000}]}`,
+		strings.Repeat(" ", maxBodyBytes) + `{"points":[{"id":1}]}`,
+		many.String(),
+		`{"points":[{"id":1,"modality":"smell"}]}`,
+		`{"points":[{"id":1}]} trailing garbage`,
+		`{"points":[]}`,
+		`{"points":[{"id":7},{"id":7,"modality":"text"},{"id":-3,"modality":"video","frames":64}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if elapsed := time.Since(start); elapsed > timeout+time.Second {
+			t.Fatalf("answered after %v (timeout %v)", elapsed, timeout)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+			var pr predictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || len(pr.Scores) == 0 {
+				t.Fatalf("200 with body %q (%v)", rec.Body.Bytes(), err)
+			}
+			for _, sc := range pr.Scores {
+				if !(sc >= 0 && sc <= 1) {
+					t.Fatalf("score %v is not a probability", sc)
+				}
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
+}

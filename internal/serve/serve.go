@@ -7,9 +7,11 @@
 // traffic (§2.4 deploys the fused model behind TFX-style serving infra);
 // this package is that deployment stage. A request names a data point of
 // the new modality; the server featurizes it through the shared
-// featurestore (paper §2.3's precomputed-feature services), coalesces
-// concurrent requests into batches for the parallel PredictBatch engine,
-// and returns P(y = +1).
+// featurestore (paper §2.3's precomputed-feature services), and returns
+// P(y = +1). A request, however many points it names, is one entry in the
+// micro-batcher, whose one loop packs queued requests into batches for the
+// parallel PredictBatch engine; each response is scored by one model
+// generation.
 //
 // Endpoints:
 //
@@ -78,11 +80,14 @@ func (c Config) validate() error {
 const ptCacheSize = 4096
 
 // Request limits: a body over maxBodyBytes or a /predict naming more than
-// maxPointsPerRequest points is refused with 413 before any work is queued
-// (each point of a multi-point request costs a goroutine and a batcher slot).
+// maxPointsPerRequest points is refused with 413, and a point asking for
+// more than maxFramesPerPoint video frames (each frame is one observation
+// per service) with 400, before any work is queued — a request runs as one
+// batch on the batcher's one loop, so its size bounds everyone's wait.
 const (
 	maxBodyBytes        = 1 << 20
 	maxPointsPerRequest = 1024
+	maxFramesPerPoint   = 64
 )
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v,
@@ -246,7 +251,7 @@ type PointRequest struct {
 	Frames   int    `json:"frames,omitempty"`
 }
 
-// predictRequest is the /predict body: a batch of points (or exactly one).
+// predictRequest is the /predict body: one or more points.
 type predictRequest struct {
 	Points []PointRequest `json:"points"`
 }
@@ -300,6 +305,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	pts := make([]*synth.Point, len(req.Points))
 	for i, p := range req.Points {
 		m, err := parseModality(p.Modality)
+		if err == nil && (p.Frames < 0 || p.Frames > maxFramesPerPoint) {
+			err = fmt.Errorf("point %d: frames %d outside [0, %d]", p.ID, p.Frames, maxFramesPerPoint)
+		}
 		if err != nil {
 			s.met.ClientErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -311,46 +319,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
 
-	type pending struct {
-		score float64
-		seq   uint64
-		err   error
+	// The whole request is one batcher entry, scored by one model generation.
+	resp := predictResponse{Scores: make([]float64, len(pts))}
+	seq, err := s.bat.SubmitPoints(ctx, pts, resp.Scores, deadline)
+	if err != nil {
+		s.writeSubmitError(w, err)
+		return
 	}
-	results := make([]pending, len(pts))
-	if len(pts) == 1 {
-		// Fast path: the overwhelmingly common single-point request costs
-		// no extra goroutine.
-		score, seq, err := s.bat.Submit(ctx, pts[0], deadline)
-		results[0] = pending{score: score, seq: seq, err: err}
-	} else {
-		// Submit every point before waiting on any, so one request's
-		// points land in the same dispatch window and batch together.
-		done := make(chan struct{}, len(pts))
-		for i, pt := range pts {
-			go func(i int, pt *synth.Point) {
-				score, seq, err := s.bat.Submit(ctx, pt, deadline)
-				results[i] = pending{score: score, seq: seq, err: err}
-				done <- struct{}{}
-			}(i, pt)
-		}
-		for range pts {
-			<-done
-		}
-	}
-
-	resp := predictResponse{Scores: make([]float64, len(results))}
-	for _, res := range results {
-		if res.err != nil {
-			s.writeSubmitError(w, res.err)
-			return
-		}
-	}
-	for i, res := range results {
-		resp.Scores[i] = res.score
-		if res.seq > resp.ModelSeq {
-			resp.ModelSeq = res.seq
-		}
-	}
+	resp.ModelSeq = seq
 	if cur := s.reg.Current(); cur != nil {
 		resp.Kind = cur.Kind
 	}

@@ -43,7 +43,7 @@ var fx struct {
 	corpus fusion.Corpus    // what both were trained on
 }
 
-func fixture(t *testing.T) {
+func fixture(t testing.TB) {
 	t.Helper()
 	fx.once.Do(func() {
 		fx.err = buildFixture()
@@ -177,8 +177,8 @@ func TestServedPredictionsBitIdentical(t *testing.T) {
 		t.Fatalf("reload: %d %s", resp.StatusCode, body)
 	}
 
-	// Single-point requests (fast path) and one multi-point request
-	// (fan-out path) must both match in-process Predict exactly.
+	// Single-point requests and one multi-point request must both match
+	// in-process Predict exactly.
 	ids := []int{0, 1, 2, 3, 42, 9999}
 	for _, id := range ids {
 		resp, body := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: id}}})
@@ -457,7 +457,7 @@ func TestPredictShedsWith429(t *testing.T) {
 	// released, so the pipeline wedges deterministically.
 	block := make(chan struct{})
 	s.bat.Close()
-	s.bat = NewBatcher(BatcherConfig{MaxBatchSize: 1, MaxWait: time.Millisecond, QueueDepth: 1}, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+	s.bat = NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 1}, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 		<-block
 		return s.execBatch(ctx, pts, scores)
 	}, s.met)
@@ -469,10 +469,11 @@ func TestPredictShedsWith429(t *testing.T) {
 		}
 	}()
 
-	// Fill the pipeline: req 1 reaches the blocked executor, req 2 is held
-	// by the dispatcher, req 3 sits in the depth-1 queue.
-	results := make(chan int, 3)
-	for i := 0; i < 3; i++ {
+	// Fill the pipeline: req 1 reaches the blocked batch loop, req 2 sits in
+	// the depth-1 queue.
+	const wedged = 2
+	results := make(chan int, wedged)
+	for i := 0; i < wedged; i++ {
 		id := i
 		go func() {
 			resp, _ := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: id}}})
@@ -492,7 +493,7 @@ func TestPredictShedsWith429(t *testing.T) {
 		t.Error("shed not counted")
 	}
 	close(block)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < wedged; i++ {
 		if code := <-results; code != http.StatusOK {
 			t.Errorf("wedged request %d finished with %d, want 200", i, code)
 		}
