@@ -56,7 +56,7 @@ func main() {
 		taskName   = flag.String("task", "CT1", "classification task to train on (CT1..CT5)")
 		scale      = flag.Float64("scale", 0.1, "training corpus scale factor")
 		seed       = flag.Int64("seed", 17, "base seed for request point derivation and training")
-		workers    = flag.Int("workers", 0, "worker goroutines per parallel stage (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "worker goroutines for training and canary featurization (0 = GOMAXPROCS)")
 		cache      = flag.Int("cache", 65536, "featurestore capacity (points)")
 		canaryN    = flag.Int("canary", 32, "canary batch size validating every hot swap (0 disables)")
 		maxBatch   = flag.Int("max-batch", 64, "micro-batch size cap (points)")

@@ -21,13 +21,14 @@ import (
 // error instead of building an unbounded backlog (the classic load-shedding
 // discipline of production serving stacks).
 //
-// Batching is one loop on one goroutine: wait for the first entry, drain
-// whatever else is already queued while the batch has room, run the batch,
-// repeat. An idle server runs a lone request at once; a busy one finds the
-// requests that queued during the last batch and runs them together. A batch
-// already parallelizes internally via the Workers knobs. Requests cycle
-// through a sync.Pool and the loop owns its point and score buffers, so a
-// steady-state request allocates nothing in the batcher.
+// The batcher has no goroutine of its own: a submitter runs batches. After
+// enqueueing, it waits for its response or for the one-slot run token; the
+// token holder packs one batch from the head of the queue, runs it, answers
+// every entry in it and hands the token on. An idle server runs a lone
+// request on the request's own goroutine and wakes no other; a busy one finds
+// the requests that queued during the last batch and runs them together.
+// Requests cycle through a sync.Pool and the token holder reuses the point
+// and score buffers, so a steady-state request allocates nothing here.
 
 // Shedding and lifecycle errors. The HTTP layer maps these to status codes
 // (429 for shed load, 503 before a model is loaded).
@@ -47,9 +48,9 @@ type BatcherConfig struct {
 	// MaxBatchSize caps how many points one batch execution scores
 	// (default 64); a request carrying more runs alone.
 	MaxBatchSize int
-	// MaxWait is ignored: with one batch loop, a coalescing window could
-	// only close a batch before the loop is free to run it, never add a
-	// request to it. It stays for callers that still set it.
+	// MaxWait is ignored: with one batch running at a time, a coalescing
+	// window could only close a batch before the token is free to run it,
+	// never add a request to it. It stays for callers that still set it.
 	MaxWait time.Duration
 	// QueueDepth bounds the admission queue in requests; requests beyond it
 	// are shed with ErrQueueFull (default 1024).
@@ -69,9 +70,9 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 // request is one queue entry: a request's points and the buffer their
 // scores land in. Requests cycle through a pool: a request is returned only
 // from the paths that prove its done channel is empty (refused admission, or
-// its response was received). A request abandoned to ctx cancellation is
-// left to the garbage collector, because a late response may still land in
-// its channel.
+// its response was received). A request abandoned to ctx cancellation or to
+// Close is left to the garbage collector, because a late response may still
+// land in its channel.
 type request struct {
 	pts      []*synth.Point
 	scores   []float64
@@ -93,7 +94,8 @@ type response struct {
 // them. The scores buffer is owned by the caller and reused across batches.
 // ctx carries the batch's scoring budget — the latest deadline among the
 // batch's live requests — so featurization work under it is abandoned once
-// no request can still use the result.
+// no request can still use the result. It runs on the goroutine of a
+// submitter, which returns only when it does, so it must honor ctx.
 type ExecFunc func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error)
 
 // Batcher coalesces requests into batches. Create with NewBatcher, feed with
@@ -104,28 +106,28 @@ type Batcher struct {
 	met     *Metrics
 	queue   chan *request
 	stop    chan struct{}
-	wg      sync.WaitGroup
+	token   chan struct{} // one slot: sending into it takes the right to run a batch
 	reqPool sync.Pool
 
-	// The batch being run; only the loop goroutine touches these.
+	// The batch being run and the request held over for the next one; only
+	// the token holder touches these.
+	next   *request
 	reqs   []*request
 	pts    []*synth.Point
 	scores []float64
 }
 
-// NewBatcher starts the batch loop.
+// NewBatcher builds a batcher; it starts no goroutine.
 func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 	cfg = cfg.withDefaults()
-	b := &Batcher{
+	return &Batcher{
 		cfg:   cfg,
 		exec:  exec,
 		met:   met,
 		queue: make(chan *request, cfg.QueueDepth),
 		stop:  make(chan struct{}),
+		token: make(chan struct{}, 1),
 	}
-	b.wg.Add(1)
-	go b.loop()
-	return b
 }
 
 // QueueDepth reports how many admitted requests are waiting to be batched.
@@ -134,8 +136,10 @@ func (b *Batcher) QueueDepth() int { return len(b.queue) }
 // SubmitPoints admits pts as one request and blocks until they are scored
 // into scores (len(scores) >= len(pts)), shed, or ctx ends; it returns the
 // sequence number of the one model that scored them all. deadline zero
-// means no deadline beyond ctx. When ctx ends first the batcher may still
-// write scores later, so the caller must not reuse the buffer.
+// means no deadline beyond ctx. While it waits, the call may run batches;
+// it then returns only when the running batch does. When ctx or Close ends
+// the wait first the batcher may still write scores later, so the caller
+// must not reuse the buffer.
 func (b *Batcher) SubmitPoints(ctx context.Context, pts []*synth.Point, scores []float64, deadline time.Time) (uint64, error) {
 	req := b.getRequest(deadline)
 	req.pts, req.scores = pts, scores[:len(pts)]
@@ -197,84 +201,92 @@ func (b *Batcher) await(ctx context.Context, req *request) (resp response, back 
 		}
 		return response{err: ErrQueueFull}, true
 	}
-	select {
-	case resp := <-req.done:
-		return resp, true
-	case <-ctx.Done():
-		// The request is still in the pipeline; its eventual response is
-		// dropped (done is buffered). The caller has already gone away.
-		return response{err: ctx.Err()}, false
-	}
-}
-
-// Close stops the batcher and fails any still-queued requests with
-// ErrStopped. The running batch finishes first.
-func (b *Batcher) Close() {
-	close(b.stop)
-	b.wg.Wait()
+	done := ctx.Done() // read once: a context may count its calls
 	for {
 		select {
-		case req := <-b.queue:
-			req.done <- response{err: ErrStopped}
-		default:
-			return
+		case resp := <-req.done:
+			return resp, true
+		case b.token <- struct{}{}:
+			if len(req.done) == 0 { // else the batch that handed over the token answered it
+				b.pack()
+				b.run()
+				clear(b.reqs)
+				clear(b.pts)
+			}
+			<-b.token
+		case <-done:
+			// The request is still queued; its eventual response is dropped
+			// (done is buffered). The caller has already gone away.
+			return response{err: ctx.Err()}, false
+		case <-b.stop:
+			// Close answers the request later, or already has.
+			return response{err: ErrStopped}, false
 		}
 	}
 }
 
-// loop is the batcher's one goroutine. A batch opens on the first queued
-// request and absorbs what is already queued behind it up to MaxBatchSize
-// points; a request that would overflow the batch opens the next one.
-func (b *Batcher) loop() {
-	defer b.wg.Done()
-	var next *request
-	for {
-		first := next
-		next = nil
-		if first == nil {
+// Close stops the batcher: it takes the run token for good, which waits out
+// the running batch, and fails the held-over and still-queued requests with
+// ErrStopped.
+func (b *Batcher) Close() {
+	close(b.stop)
+	b.token <- struct{}{}
+	for b.pack(); len(b.reqs) > 0; b.pack() {
+		for _, req := range b.reqs {
+			req.done <- response{err: ErrStopped}
+		}
+	}
+}
+
+// pack fills b.reqs with one batch from the head of the queue, the held-over
+// request first: requests join while their points fit MaxBatchSize, the first
+// one that would overflow is held over for the next batch, and one larger
+// than MaxBatchSize runs alone.
+func (b *Batcher) pack() {
+	b.reqs = b.reqs[:0]
+	for n := 0; n < b.cfg.MaxBatchSize; {
+		req := b.next
+		b.next = nil
+		if req == nil {
 			select {
-			case first = <-b.queue:
-			case <-b.stop:
+			case req = <-b.queue:
+			default:
 				return
 			}
 		}
-		b.reqs = append(b.reqs[:0], first)
-		n := len(first.pts)
-	drain:
-		for n < b.cfg.MaxBatchSize {
-			select {
-			case req := <-b.queue:
-				if n+len(req.pts) > b.cfg.MaxBatchSize {
-					next = req
-					break drain
-				}
-				b.reqs = append(b.reqs, req)
-				n += len(req.pts)
-			default:
-				break drain
-			}
+		if n > 0 && n+len(req.pts) > b.cfg.MaxBatchSize {
+			b.next = req
+			return
 		}
-		b.run()
-		clear(b.reqs)
-		clear(b.pts)
+		b.reqs = append(b.reqs, req)
+		n += len(req.pts)
 	}
 }
 
 // run executes the batch in b.reqs: expired requests are shed, the rest are
 // scored in one ExecFunc call and answered individually.
 func (b *Batcher) run() {
-	sctx, span := trace.Start(context.Background(), "serve.batch")
+	ctx, span := trace.Start(context.Background(), "serve.batch")
 	defer span.End()
+	// The batch runs under the latest deadline any live request still has;
+	// requests without deadlines leave the batch unbounded.
 	now := time.Now()
+	var latest time.Time
+	bounded := true
 	live := b.reqs[:0]
 	for _, req := range b.reqs {
-		if !req.deadline.IsZero() && now.After(req.deadline) {
+		switch {
+		case req.deadline.IsZero():
+			bounded = false
+		case now.After(req.deadline):
 			if b.met != nil {
 				b.met.ShedDeadline.Add(1)
 			}
 			span.Add("shed_deadline", 1)
 			req.done <- response{err: fmt.Errorf("%w (late by %s)", ErrDeadline, now.Sub(req.deadline))}
 			continue
+		case req.deadline.After(latest):
+			latest = req.deadline
 		}
 		live = append(live, req)
 	}
@@ -293,20 +305,6 @@ func (b *Batcher) run() {
 		b.met.BatchSize.Observe(float64(len(b.pts)))
 	}
 	span.Add("items", int64(len(b.pts)))
-	// The batch runs under the latest deadline any live request still has;
-	// requests without deadlines leave the batch unbounded.
-	ctx := sctx
-	var latest time.Time
-	bounded := true
-	for _, req := range live {
-		if req.deadline.IsZero() {
-			bounded = false
-			break
-		}
-		if req.deadline.After(latest) {
-			latest = req.deadline
-		}
-	}
 	if bounded {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, latest)

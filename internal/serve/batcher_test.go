@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,10 +56,9 @@ func (c admitCtx) Done() <-chan struct{} {
 }
 
 // TestBatcherCoalescesConcurrentRequests: requests that queue up behind a
-// busy batch loop run together. Gated, not raced — an idle loop takes racing
-// submits one at a time, and rightly so: the loop is held on a first
-// singleton batch until the other 31 requests are all admitted, then
-// released.
+// running batch run together. Gated, not raced — an idle batcher takes
+// racing submits one at a time, and rightly so: a first singleton batch is
+// held until the other 31 requests are all admitted, then released.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	exec := &countingExec{block: make(chan struct{})}
 	entered := make(chan struct{}, 1)
@@ -107,8 +108,8 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 	if total != n {
 		t.Fatalf("executed %d points across %v, want %d", total, sizes, n)
 	}
-	// The held singleton is one batch; the loop drains everything queued
-	// behind it into the next.
+	// The held singleton is one batch; the next token holder drains
+	// everything queued behind it into the next.
 	if sizes[0] != 1 || len(sizes) > 3 {
 		t.Errorf("31 requests queued behind a busy executor ran as batches %v, want [1] then at most two", sizes)
 	}
@@ -136,8 +137,9 @@ func TestBatcherMaxBatchSize(t *testing.T) {
 	}
 }
 
-// TestBatcherRunsLoneRequestWithoutWaiting: a request that finds the loop
-// idle runs at once as a batch of its own; it never waits for company.
+// TestBatcherRunsLoneRequestWithoutWaiting: a request that finds the
+// batcher idle runs at once as a batch of its own; it never waits for
+// company.
 func TestBatcherRunsLoneRequestWithoutWaiting(t *testing.T) {
 	exec := &countingExec{}
 	b := NewBatcher(BatcherConfig{MaxBatchSize: 1024}, exec.exec, nil)
@@ -159,11 +161,13 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 	exec := &countingExec{block: block}
 	var met = NewMetrics()
 	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 2}, exec.exec, met)
-	defer func() { close(block); b.Close() }()
+	defer b.Close()
 
-	// Saturate: the executor blocks, the batch loop waits on it, the
-	// queue fills. Submit from goroutines until ErrQueueFull shows up.
+	// Saturate: the executor blocks the submitter running it (it ignores
+	// ctx) until a shed is seen, so the queue fills. Submit from goroutines
+	// until ErrQueueFull shows up.
 	var full atomic.Int32
+	var unblock sync.Once
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -174,6 +178,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 			_, _, err := b.Submit(ctx, pt(i), time.Time{})
 			if errors.Is(err, ErrQueueFull) {
 				full.Add(1)
+				unblock.Do(func() { close(block) })
 			}
 		}(i)
 	}
@@ -292,7 +297,7 @@ func TestBatcherPacksWholeRequests(t *testing.T) {
 
 // TestBatcherSubmitPointsZeroAllocs is TestBatcherSubmitZeroAllocs for an
 // n-point request: the caller's points and score buffer ride in the pooled
-// request, and the loop reuses its batch buffers.
+// request, and the token holder reuses the batch buffers.
 func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
@@ -320,5 +325,61 @@ func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocs per steady-state 8-point SubmitPoints, want 0", allocs)
+	}
+}
+
+// TestBatcherRunsOnSubmitter: the batcher has no goroutine of its own —
+// NewBatcher and Close add none — and a lone request's batch runs on the
+// goroutine that submitted it.
+func TestBatcherRunsOnSubmitter(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var stack []byte
+	b := NewBatcher(BatcherConfig{}, func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+		buf := make([]byte, 64<<10)
+		stack = buf[:runtime.Stack(buf, false)]
+		return 1, nil
+	}, nil)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("NewBatcher: %d goroutines, %d before it", n, before)
+	}
+	if _, _, err := b.Submit(ctxbg, pt(1), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("after Close: %d goroutines, %d before NewBatcher", n, before)
+	}
+	if !bytes.Contains(stack, []byte("TestBatcherRunsOnSubmitter")) {
+		t.Errorf("ExecFunc ran off the submitting goroutine:\n%s", stack)
+	}
+}
+
+// TestSubmitRacingCloseReturns: a Submit racing Close returns — scored or
+// ErrStopped — even when its request is enqueued after Close drained the
+// queue, where nobody is left to answer it.
+func TestSubmitRacingCloseReturns(t *testing.T) {
+	exec := &countingExec{}
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 4}, exec.exec, nil)
+	const n = 64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if _, _, err := b.Submit(context.Background(), pt(i), time.Time{}); err != nil && !errors.Is(err, ErrStopped) {
+				t.Errorf("submit %d: %v", i, err)
+			}
+		}(i)
+	}
+	close(start)
+	b.Close()
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a Submit racing Close has not returned after 2 s")
 	}
 }

@@ -5,14 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"crossmodal/internal/feature"
+	"crossmodal/internal/featurestore"
+	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 )
 
@@ -120,10 +126,77 @@ func TestHotSwapMidRequestScoresOneGeneration(t *testing.T) {
 	}
 }
 
+// handlerCheck wraps a resource and counts the observations made off the
+// /predict handler's goroutine, read from each caller's stack.
+type handlerCheck struct {
+	resource.Resource
+	calls, offHandler atomic.Int32
+}
+
+func (h *handlerCheck) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	buf := make([]byte, 64<<10)
+	if !bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*Server).handlePredict")) {
+		h.offHandler.Add(1)
+	}
+	h.calls.Add(1)
+	h.Resource.Observe(dst, i, e, m, rng)
+}
+
+// TestColdPredictFeaturizesOnHandler: a cold 8-point /predict on an idle
+// server featurizes its misses on the request's own handler goroutine — no
+// batch goroutine and no featurization workers.
+func TestColdPredictFeaturizesOnHandler(t *testing.T) {
+	fixture(t)
+	res := fx.store.Library().Resources()
+	var check *handlerCheck
+	for i, r := range res {
+		if r.Supports(synth.Image) {
+			check = &handlerCheck{Resource: r}
+			res[i] = check
+			break
+		}
+	}
+	lib, err := resource.NewLibrary(fx.world, res...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := featurestore.New(lib, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: store, World: fx.world, Seed: fxSeed, Timeout: 5 * time.Second}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		t.Fatal(err)
+	}
+	req := predictRequest{Points: make([]PointRequest, 8)}
+	for i := range req.Points {
+		req.Points[i].ID = 90_000 + i
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("predict: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if check.calls.Load() == 0 {
+		t.Fatal("the cold request never reached the wrapped resource")
+	}
+	if off := check.offHandler.Load(); off != 0 {
+		t.Errorf("%d of %d observations ran off the handler's goroutine", off, check.calls.Load())
+	}
+}
+
 // TestPredictRejectsUnboundedFrames: a point's frame count is bounded before
 // anything is queued; one request asking for a billion frames must not pin
-// the batch loop. The server is deliberately never closed: where the bound
-// is missing its loop is busy for minutes, and the 2 s guard fails the test
+// the batcher. The server is deliberately never closed: where the bound is
+// missing its batch runs for minutes, and the 2 s guard fails the test
 // instead.
 func TestPredictRejectsUnboundedFrames(t *testing.T) {
 	fixture(t)

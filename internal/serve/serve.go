@@ -9,9 +9,9 @@
 // the new modality; the server featurizes it through the shared
 // featurestore (paper §2.3's precomputed-feature services), and returns
 // P(y = +1). A request, however many points it names, is one entry in the
-// micro-batcher, whose one loop packs queued requests into batches for the
-// parallel PredictBatch engine; each response is scored by one model
-// generation.
+// micro-batcher, which packs queued requests into batches and runs each on
+// the goroutine of a request in it, featurization included; each response
+// is scored by one model generation.
 //
 // Endpoints:
 //
@@ -52,8 +52,8 @@ type Config struct {
 	Seed int64
 	// Batcher tunes micro-batching and admission control.
 	Batcher BatcherConfig
-	// Workers is the per-batch parallelism handed to featurization and
-	// PredictBatch (0 = GOMAXPROCS).
+	// Workers sizes New's featurization of the canary batch (0 =
+	// GOMAXPROCS). A serving batch featurizes on its own goroutine.
 	Workers int
 	// PointSource, when set, overrides the default static-world derivation
 	// of request points: the lifecycle simulator plugs in time-varying
@@ -83,7 +83,7 @@ const ptCacheSize = 4096
 // maxPointsPerRequest points is refused with 413, and a point asking for
 // more than maxFramesPerPoint video frames (each frame is one observation
 // per service) with 400, before any work is queued — a request runs as one
-// batch on the batcher's one loop, so its size bounds everyone's wait.
+// batch, and one batch runs at a time, so its size bounds everyone's wait.
 const (
 	maxBodyBytes        = 1 << 20
 	maxPointsPerRequest = 1024
@@ -224,13 +224,14 @@ func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 // execBatch is the batcher's ExecFunc: snapshot the model once, featurize
 // the whole batch through the store under the batch's deadline, score it
 // into the batcher-owned buffer through the scorer the registry installed
-// with the model.
+// with the model. Misses featurize serially on the calling goroutine — a
+// request's handler — so an idle server wakes no goroutine for a request.
 func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 	cur := s.reg.Current()
 	if cur == nil {
 		return 0, errNotReady
 	}
-	vecs, err := s.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: s.cfg.Workers}, pts)
+	vecs, err := s.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: 1}, pts)
 	if err != nil {
 		return 0, err
 	}
