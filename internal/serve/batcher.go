@@ -18,8 +18,7 @@ import (
 // carries, and an entry is never split across batches, so one request is
 // scored by one model generation. Admission is a bounded queue — when the
 // server falls behind, excess load is shed immediately with a retryable
-// error instead of building an unbounded backlog (the classic load-shedding
-// discipline of production serving stacks).
+// error instead of building an unbounded backlog.
 //
 // The batcher has no goroutine of its own: a submitter runs batches. After
 // enqueueing, it waits for its response or for the one-slot run token; the
@@ -48,9 +47,8 @@ type BatcherConfig struct {
 	// MaxBatchSize caps how many points one batch execution scores
 	// (default 64); a request carrying more runs alone.
 	MaxBatchSize int
-	// MaxWait is ignored: with one batch running at a time, a coalescing
-	// window could only close a batch before the token is free to run it,
-	// never add a request to it. It stays for callers that still set it.
+	// MaxWait is ignored: one batch runs at a time, so a coalescing window
+	// could never add a request to it. It stays for callers that set it.
 	MaxWait time.Duration
 	// QueueDepth bounds the admission queue in requests; requests beyond it
 	// are shed with ErrQueueFull (default 1024).
@@ -68,11 +66,9 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 }
 
 // request is one queue entry: a request's points and the buffer their
-// scores land in. Requests cycle through a pool: a request is returned only
-// from the paths that prove its done channel is empty (refused admission, or
-// its response was received). A request abandoned to ctx cancellation or to
-// Close is left to the garbage collector, because a late response may still
-// land in its channel.
+// scores land in. A request returns to the pool only from the paths that
+// prove its done channel empty (refused admission, or response received);
+// one abandoned to its ctx or to Close is left to the garbage collector.
 type request struct {
 	pts      []*synth.Point
 	scores   []float64
@@ -94,8 +90,8 @@ type response struct {
 // them. The scores buffer is owned by the caller and reused across batches.
 // ctx carries the batch's scoring budget — the latest deadline among the
 // batch's live requests — so featurization work under it is abandoned once
-// no request can still use the result. It runs on the goroutine of a
-// submitter, which returns only when it does, so it must honor ctx.
+// no request can still use the result. It runs on a submitter's goroutine,
+// which returns only when it does, so it must honor ctx.
 type ExecFunc func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error)
 
 // Batcher coalesces requests into batches. Create with NewBatcher, feed with
@@ -192,9 +188,7 @@ func (b *Batcher) await(ctx context.Context, req *request) (resp response, back 
 		return response{err: ErrStopped}, true
 	default:
 	}
-	select {
-	case b.queue <- req:
-	default:
+	if !b.enqueue(req) {
 		if b.met != nil {
 			b.met.ShedQueue.Add(1)
 			trace.Count(nil, "serve.shed_queue", 1)
@@ -208,10 +202,7 @@ func (b *Batcher) await(ctx context.Context, req *request) (resp response, back 
 			return resp, true
 		case b.token <- struct{}{}:
 			if len(req.done) == 0 { // else the batch that handed over the token answered it
-				b.pack()
 				b.run()
-				clear(b.reqs)
-				clear(b.pts)
 			}
 			<-b.token
 		case <-done:
@@ -225,9 +216,31 @@ func (b *Batcher) await(ctx context.Context, req *request) (resp response, back 
 	}
 }
 
+// enqueue admits req. A full queue sheds it unless no batch is running: the
+// queued requests' submitters may then all have left on their ctx, leaving
+// nobody to drain it, so the caller runs one batch and tries once more.
+func (b *Batcher) enqueue(req *request) bool {
+	for try := 0; try < 2; try++ {
+		select {
+		case b.queue <- req:
+			return true
+		default:
+		}
+		select {
+		case b.token <- struct{}{}:
+			b.run()
+			<-b.token
+		default:
+			return false
+		}
+	}
+	return false
+}
+
 // Close stops the batcher: it takes the run token for good, which waits out
 // the running batch, and fails the held-over and still-queued requests with
-// ErrStopped.
+// ErrStopped. A submitter whose request is in the running batch returns
+// ErrStopped at once, even though that batch may still go on to score it.
 func (b *Batcher) Close() {
 	close(b.stop)
 	b.token <- struct{}{}
@@ -263,9 +276,12 @@ func (b *Batcher) pack() {
 	}
 }
 
-// run executes the batch in b.reqs: expired requests are shed, the rest are
-// scored in one ExecFunc call and answered individually.
+// run packs one batch and executes it: expired requests are shed, the rest
+// are scored in one ExecFunc call and answered individually. The caller holds
+// the token.
 func (b *Batcher) run() {
+	b.pack()
+	defer clear(b.reqs) // a finished batch pins no request
 	ctx, span := trace.Start(context.Background(), "serve.batch")
 	defer span.End()
 	// The batch runs under the latest deadline any live request still has;
@@ -317,4 +333,5 @@ func (b *Batcher) run() {
 		}
 		req.done <- response{seq: seq, err: err}
 	}
+	clear(b.pts)
 }

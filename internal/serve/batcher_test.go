@@ -354,6 +354,66 @@ func TestBatcherRunsOnSubmitter(t *testing.T) {
 	}
 }
 
+// TestBatcherDrainsAbandonedFullQueue: when every request in a full queue
+// was abandoned by its submitter (a client that went away) and no batch is
+// running, nobody is left to drain it; the next submitter must run a batch to
+// make room instead of being shed, and so must every one after it.
+func TestBatcherDrainsAbandonedFullQueue(t *testing.T) {
+	exec := &countingExec{block: make(chan struct{})}
+	entered := make(chan struct{}, 1)
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 2},
+		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			return exec.exec(ctx, pts, scores)
+		}, nil)
+	defer b.Close()
+
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := b.Submit(ctxbg, pt(0), time.Time{})
+		held <- err
+	}()
+	<-entered // the executor holds [0] on the goroutine that submitted it
+	ctx, cancel := context.WithCancel(ctxbg)
+	var wg sync.WaitGroup
+	for i := 1; i <= 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := b.Submit(ctx, pt(i), time.Time{}); !errors.Is(err, context.Canceled) {
+				t.Errorf("abandoned request %d: %v, want context.Canceled", i, err)
+			}
+		}(i)
+	}
+	for b.QueueDepth() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+	close(exec.block)
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+
+	// The queue is full of abandoned requests and no batch is running.
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := b.Submit(ctxbg, pt(3), time.Time{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("submit behind a full queue of abandoned requests: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("submit behind a full queue of abandoned requests has not returned after 2 s")
+	}
+}
+
 // TestSubmitRacingCloseReturns: a Submit racing Close returns — scored or
 // ErrStopped — even when its request is enqueued after Close drained the
 // queue, where nobody is left to answer it.

@@ -30,11 +30,10 @@ type Histogram struct {
 
 // NewHistogram builds a histogram over ascending upper bounds.
 func NewHistogram(bounds []float64) *Histogram {
-	h := &Histogram{
+	return &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	return h
 }
 
 // Observe records one value.
@@ -53,11 +52,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 	// Observations are non-negative (latencies, batch sizes), so the zero
 	// initial max is a safe floor.
-	for {
-		old := h.max.Load()
-		if floatFrom(old) >= v {
-			break
-		}
+	for old := h.max.Load(); floatFrom(old) < v; old = h.max.Load() {
 		if h.max.CompareAndSwap(old, floatBits(v)) {
 			break
 		}
@@ -74,12 +69,7 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 func (h *Histogram) Sum() float64 { return floatFrom(h.sum.Load()) }
 
 // Max returns the largest observation, or 0 with no observations.
-func (h *Histogram) Max() float64 {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return floatFrom(h.max.Load())
-}
+func (h *Histogram) Max() float64 { return floatFrom(h.max.Load()) }
 
 // Mean returns the mean observation, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
@@ -98,12 +88,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
+	target := min(max(q, 0), 1) * float64(total)
 	var cum float64
 	lo := 0.0
 	for i := range h.counts {
@@ -112,12 +97,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 			if i >= len(h.bounds) {
 				return h.Max()
 			}
-			hi := h.bounds[i]
-			frac := (target - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + frac*(hi-lo)
+			frac := max(0, (target-cum)/c)
+			return lo + frac*(h.bounds[i]-lo)
 		}
 		cum += c
 		if i < len(h.bounds) {
@@ -224,9 +205,6 @@ func (m *Metrics) ObserveRequest(latency time.Duration, points int, now time.Tim
 	m.qps.Add(now)
 }
 
-// QPS reports the trailing-window request rate.
-func (m *Metrics) QPS(now time.Time) float64 { return m.qps.Rate(now) }
-
 // WriteTo renders the Prometheus-style exposition. queueDepth and modelSeq
 // are gauges owned elsewhere (batcher, registry) and passed in by the
 // handler.
@@ -242,7 +220,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, modelKind string, modelSe
 	fmt.Fprintf(w, "serve_client_errors_total %d\n", m.ClientErrors.Load())
 	fmt.Fprintf(w, "serve_errors_total %d\n", m.Errors.Load())
 	fmt.Fprintf(w, "serve_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "serve_qps_window %.2f\n", m.QPS(now))
+	fmt.Fprintf(w, "serve_qps_window %.2f\n", m.qps.Rate(now))
 	if up := now.Sub(m.start).Seconds(); up > 0 {
 		fmt.Fprintf(w, "serve_qps_cumulative %.2f\n", float64(m.Requests.Load())/up)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/fusion"
@@ -29,11 +28,10 @@ type quantPredictor interface {
 
 // Loaded is one installed model generation. Immutable once published.
 type Loaded struct {
-	Model    fusion.Predictor
-	Kind     string
-	Path     string // artifact path, "" for in-process installs
-	Seq      uint64 // monotone generation number, 1-based
-	LoadedAt time.Time
+	Model fusion.Predictor
+	Kind  string
+	Path  string // artifact path, "" for in-process installs
+	Seq   uint64 // monotone generation number, 1-based
 	// Precision is the arithmetic the hot path scores with: the artifact's
 	// stamped serve precision, or Float64 for predictors without one.
 	Precision model.Precision
@@ -127,12 +125,11 @@ func (r *Registry) install(m fusion.Predictor, path string, lg *fusion.Lineage) 
 		kind = fmt.Sprintf("%T", m)
 	}
 	l := &Loaded{
-		Model:    m,
-		Kind:     kind,
-		Path:     path,
-		Seq:      r.seq.Add(1),
-		LoadedAt: time.Now(),
-		Lineage:  lg,
+		Model:   m,
+		Kind:    kind,
+		Path:    path,
+		Seq:     r.seq.Add(1),
+		Lineage: lg,
 	}
 	if qp, ok := m.(quantPredictor); ok {
 		l.Precision = qp.ServePrecision()

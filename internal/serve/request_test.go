@@ -172,24 +172,81 @@ func TestColdPredictFeaturizesOnHandler(t *testing.T) {
 	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
 		t.Fatal(err)
 	}
-	req := predictRequest{Points: make([]PointRequest, 8)}
-	for i := range req.Points {
-		req.Points[i].ID = 90_000 + i
+	// predict sends one cold n-point request and reports how many of its
+	// observations ran off the handler's goroutine.
+	predict := func(first, n int) int32 {
+		check.calls.Store(0)
+		check.offHandler.Store(0)
+		req := predictRequest{Points: make([]PointRequest, n)}
+		for i := range req.Points {
+			req.Points[i].ID = first + i
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d-point predict: %d %s", n, rec.Code, rec.Body.Bytes())
+		}
+		if check.calls.Load() == 0 {
+			t.Fatalf("the cold %d-point request never reached the wrapped resource", n)
+		}
+		return check.offHandler.Load()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("predict: %d %s", rec.Code, rec.Body.Bytes())
-	}
-	if check.calls.Load() == 0 {
-		t.Fatal("the cold request never reached the wrapped resource")
-	}
-	if off := check.offHandler.Load(); off != 0 {
+	if off := predict(90_000, 8); off != 0 {
 		t.Errorf("%d of %d observations ran off the handler's goroutine", off, check.calls.Load())
+	}
+	// A large cold request still spreads its featurization over the CPUs.
+	if n := 4 * pointsPerWorker; runtime.GOMAXPROCS(0) >= 2 && predict(91_000, n) == 0 {
+		t.Errorf("a cold %d-point request featurized serially on its handler", n)
+	}
+}
+
+// BenchmarkColdPredict: one /predict naming n points the server has never
+// seen, on an idle server — derivation, featurization of every point and
+// scoring. 8 and 64 points featurize on the handler, 256 and 1024 fan out
+// (pointsPerWorker).
+func BenchmarkColdPredict(b *testing.B) {
+	fixture(b)
+	for _, n := range []int{8, 64, 256, 1024} {
+		next := 1_000_000 * n // IDs no other round or size names
+		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			store, err := featurestore.New(fx.store.Library(), 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := New(Config{Store: store, World: fx.world, Seed: fxSeed, Timeout: 10 * time.Second}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+				b.Fatal(err)
+			}
+			req := predictRequest{Points: make([]PointRequest, n)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := range req.Points {
+					req.Points[j].ID = next
+					next++
+				}
+				body, err := json.Marshal(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				r := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body))
+				b.StartTimer()
+				s.Handler().ServeHTTP(rec, r)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("predict: %d %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		})
 	}
 }
 

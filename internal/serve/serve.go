@@ -10,8 +10,8 @@
 // featurestore (paper §2.3's precomputed-feature services), and returns
 // P(y = +1). A request, however many points it names, is one entry in the
 // micro-batcher, which packs queued requests into batches and runs each on
-// the goroutine of a request in it, featurization included; each response
-// is scored by one model generation.
+// the goroutine of a request in it, featurization included unless the batch
+// is large; each response is scored by one model generation.
 //
 // Endpoints:
 //
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +54,7 @@ type Config struct {
 	// Batcher tunes micro-batching and admission control.
 	Batcher BatcherConfig
 	// Workers sizes New's featurization of the canary batch (0 =
-	// GOMAXPROCS). A serving batch featurizes on its own goroutine.
+	// GOMAXPROCS). A serving batch sizes its own from its point count.
 	Workers int
 	// PointSource, when set, overrides the default static-world derivation
 	// of request points: the lifecycle simulator plugs in time-varying
@@ -78,6 +79,12 @@ func (c Config) validate() error {
 
 // ptCacheSize is the direct-mapped request-point cache size (power of two).
 const ptCacheSize = 4096
+
+// pointsPerWorker is a serving batch's featurization grain, up to GOMAXPROCS
+// workers: a second worker saves a cold 64-point batch under 5 % on an idle
+// server (BenchmarkColdPredict), but one woken on a loaded server can wait
+// milliseconds for a CPU.
+const pointsPerWorker = 64
 
 // Request limits: a body over maxBodyBytes or a /predict naming more than
 // maxPointsPerRequest points is refused with 413, and a point asking for
@@ -132,15 +139,11 @@ func New(cfg Config, canary []*synth.Point) (*Server, error) {
 		cfg.Timeout = 500 * time.Millisecond
 	}
 	s := &Server{cfg: cfg, met: NewMetrics(), ptCache: make([]atomic.Pointer[synth.Point], ptCacheSize)}
-	if len(canary) > 0 {
-		vecs, err := cfg.Store.Featurize(context.Background(), mapreduce.Config{Workers: cfg.Workers}, canary)
-		if err != nil {
-			return nil, fmt.Errorf("serve: featurize canary: %w", err)
-		}
-		s.reg = NewRegistry(vecs)
-	} else {
-		s.reg = NewRegistry(nil)
+	vecs, err := cfg.Store.Featurize(context.Background(), mapreduce.Config{Workers: cfg.Workers}, canary)
+	if err != nil {
+		return nil, fmt.Errorf("serve: featurize canary: %w", err)
 	}
+	s.reg = NewRegistry(vecs)
 	s.bat = NewBatcher(cfg.Batcher, s.execBatch, s.met)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /predict", s.handlePredict)
@@ -224,14 +227,18 @@ func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 // execBatch is the batcher's ExecFunc: snapshot the model once, featurize
 // the whole batch through the store under the batch's deadline, score it
 // into the batcher-owned buffer through the scorer the registry installed
-// with the model. Misses featurize serially on the calling goroutine — a
-// request's handler — so an idle server wakes no goroutine for a request.
+// with the model. A batch under 2*pointsPerWorker points featurizes on the
+// calling goroutine — a request's handler — and wakes no other.
 func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 	cur := s.reg.Current()
 	if cur == nil {
 		return 0, errNotReady
 	}
-	vecs, err := s.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: 1}, pts)
+	workers := 1
+	if len(pts) >= 2*pointsPerWorker {
+		workers = min(len(pts)/pointsPerWorker, runtime.GOMAXPROCS(0))
+	}
+	vecs, err := s.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: workers}, pts)
 	if err != nil {
 		return 0, err
 	}
