@@ -29,7 +29,7 @@ cover-check:
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
 ## then the serving tests twenty more times under it (which submitter runs a
 ## batch is decided at run time, so one pass sees few interleavings), then
-## what `go test` alone does not reach — the twelve fuzz smokes (the
+## what `go test` alone does not reach — the eleven fuzz smokes (the
 ## /predict one bounds minimization: its oversize-body seed grows whitespace
 ## inputs that would take the whole budget to shrink); the
 ## 10^5-entity streamed curation driven through injected commit crashes with
@@ -49,7 +49,6 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzPackedWeighted -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzPackedVectorMatchesReference -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzSparseRowMatchesDense -fuzztime 5s ./internal/feature/
-	$(GO) test -run xxx -fuzz FuzzQuantSparseMatchesF64 -fuzztime 5s ./internal/model/
 	$(GO) test -run xxx -fuzz FuzzShuffleIntsMatchesMathRand -fuzztime 5s ./internal/xrand/
 	$(GO) test -run xxx -fuzz FuzzFeaturizeMatchesReference -fuzztime 5s ./internal/resource/
 	$(GO) test -run xxx -fuzz FuzzHandlePredict -fuzztime 5s -fuzzminimizetime 10x ./internal/serve/

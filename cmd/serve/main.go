@@ -62,7 +62,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 64, "micro-batch size cap (points)")
 		queue      = flag.Int("queue", 1024, "admission queue depth; excess load is shed with 429")
 		timeout    = flag.Duration("timeout", 500*time.Millisecond, "per-request scoring budget")
-		quant      = flag.String("quant", "f32", "serving precision stamped into trained early-fusion artifacts: off (float64), f32, int8")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file on shutdown (open in chrome://tracing or ui.perfetto.dev)")
 		traceSum   = flag.Bool("trace-summary", false, "print the aggregated stage tree to stderr on shutdown")
@@ -73,7 +72,7 @@ func main() {
 		fusionKind: *fusionKind, taskName: *taskName, scale: *scale, seed: *seed,
 		workers: *workers, cache: *cache, canaryN: *canaryN,
 		maxBatch: *maxBatch, queue: *queue, timeout: *timeout,
-		quant: *quant, pprofAddr: *pprofAddr, tracePath: *tracePath, traceSummary: *traceSum,
+		pprofAddr: *pprofAddr, tracePath: *tracePath, traceSummary: *traceSum,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +89,6 @@ type runConfig struct {
 	canaryN, maxBatch    int
 	timeout              time.Duration
 	queue                int
-	quant                string
 	pprofAddr            string
 	tracePath            string
 	traceSummary         bool
@@ -134,11 +132,6 @@ func (c runConfig) validate() error {
 	}
 	if c.timeout <= 0 {
 		return fmt.Errorf("-timeout %v: must be > 0", c.timeout)
-	}
-	if c.quant != "" {
-		if _, err := model.ParsePrecision(c.quant); err != nil {
-			return fmt.Errorf("-quant %q: %w", c.quant, err)
-		}
 	}
 	return nil
 }
@@ -296,20 +289,6 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 	}
 	if err != nil {
 		return err
-	}
-	// Stamp the serving precision into the artifact. Only early fusion has
-	// a quantized engine; the other architectures keep the float64 path.
-	if cfg.quant != "" {
-		prec, perr := model.ParsePrecision(cfg.quant)
-		if perr != nil {
-			return perr
-		}
-		if em, ok := m.(*fusion.EarlyModel); ok && prec != model.Float64 {
-			if err := em.SetServePrecision(prec); err != nil {
-				return err
-			}
-			log.Printf("artifact stamped for %s serving", prec)
-		}
 	}
 	return fusion.SaveFile(cfg.trainPath, m)
 }

@@ -298,8 +298,9 @@ type TrainingCorpus = fusion.Corpus
 // HardTargets turns hard labels into a TrainingCorpus's Targets.
 func HardTargets(labels []int8) []float64 { return fusion.HardTargets(labels) }
 
-// FeatureStore is a bounded LRU cache of featurized points with JSONL
-// persistence — the paper's precomputed-feature store (§2.3).
+// FeatureStore is a bounded, in-memory LRU cache of featurized points — the
+// paper's precomputed-feature store (§2.3). It persists nothing; the
+// disk-backed store is internal/featurestore/disk.
 type FeatureStore = featurestore.Store
 
 // NewFeatureStore builds a feature store over a resource library holding at

@@ -49,9 +49,10 @@ const (
 	maxKindLen         = 64
 )
 
-// earlyWire is the gob form of EarlyModel. Prec is the serving precision
-// the model was published for; gob leaves absent fields zero, so artifacts
-// written before the flag existed decode as Float64 (exact serving).
+// earlyWire is the gob form of EarlyModel. Prec is the precision stamp the
+// model was published with; it round-trips but selects nothing, and gob
+// leaves absent fields zero, so artifacts written without one decode as
+// Float64.
 type earlyWire struct {
 	VZ      *feature.Vectorizer
 	Net     *model.MLP

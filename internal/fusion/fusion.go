@@ -125,7 +125,7 @@ type EarlyModel struct {
 	vz      *feature.Vectorizer
 	net     *model.MLP
 	workers int
-	prec    model.Precision // serving precision (artifact-stamped; default f64)
+	prec    model.Precision // artifact-carried precision stamp; selects nothing
 	arena   sync.Pool       // *feature.Encoder: reusable sparse batch buffers
 }
 
@@ -168,12 +168,12 @@ func (m *EarlyModel) encoder() *feature.Encoder {
 }
 
 // score is the one scoring path: vectors encode into a pooled sparse block
-// (grown monotonically) and the network scores it at precision p into out,
-// so a steady-state quantized batch allocates nothing.
-func (m *EarlyModel) score(vs []*feature.Vector, p model.Precision, out []float64) {
+// (grown monotonically) and the network scores it on the exact float64
+// engine into out, so a steady-state batch allocates nothing.
+func (m *EarlyModel) score(vs []*feature.Vector, out []float64) {
 	e := m.encoder()
 	m.vz.Encode(e, vs)
-	m.net.PredictRowsInto(&e.Rows, p, out)
+	m.net.PredictRowsInto(&e.Rows, out)
 	m.arena.Put(e)
 }
 
@@ -183,24 +183,22 @@ const earlyChunk = 128
 // Predict implements Predictor.
 func (m *EarlyModel) Predict(v *feature.Vector) float64 {
 	var out [1]float64
-	m.score([]*feature.Vector{v}, model.Float64, out[:])
+	m.score([]*feature.Vector{v}, out[:])
 	return out[0]
 }
 
-// PredictBatch implements Predictor on the exact float64 engine, sharded
-// across the model's workers.
+// PredictBatch implements Predictor, sharded across the model's workers.
 func (m *EarlyModel) PredictBatch(vs []*feature.Vector) []float64 {
 	out := make([]float64, len(vs))
 	mapreduce.ForChunks(mapreduce.Config{Workers: m.workers}, len(vs), earlyChunk, func(lo, hi int) {
-		m.score(vs[lo:hi], model.Float64, out[lo:hi])
+		m.score(vs[lo:hi], out[lo:hi])
 	})
 	return out
 }
 
-// SetServePrecision selects the reduced precision PredictBatchQ serves at
-// (persisted into artifacts, see artifact.go). Float64 disables the
-// quantized path. Training and the golden pipeline never consult it — they
-// stay on the exact float64 engine regardless.
+// SetServePrecision sets the precision stamp artifacts carry (see
+// artifact.go). It selects nothing: the model scores on the float64 engine
+// at every precision.
 func (m *EarlyModel) SetServePrecision(p model.Precision) error {
 	if !p.Valid() {
 		return fmt.Errorf("fusion: invalid serve precision %d", int(p))
@@ -209,23 +207,16 @@ func (m *EarlyModel) SetServePrecision(p model.Precision) error {
 	return nil
 }
 
-// ServePrecision reports the precision PredictBatchQ serves at.
+// ServePrecision reports the precision stamp.
 func (m *EarlyModel) ServePrecision() model.Precision { return m.prec }
 
-// PredictBatchQ scores through the configured serve precision's engine.
-func (m *EarlyModel) PredictBatchQ(vs []*feature.Vector) []float64 {
-	out := make([]float64, len(vs))
-	m.PredictBatchQInto(vs, out)
-	return out
-}
-
-// PredictBatchQInto is the serving hot path: score at the configured serve
-// precision, serially, into out.
+// PredictBatchQInto is the serving hot path: PredictBatch's scores, computed
+// serially into out without allocating in steady state.
 func (m *EarlyModel) PredictBatchQInto(vs []*feature.Vector, out []float64) {
 	if len(out) != len(vs) {
 		panic(fmt.Sprintf("fusion: PredictBatchQInto out length %d, want %d", len(out), len(vs)))
 	}
-	m.score(vs, m.prec, out)
+	m.score(vs, out)
 }
 
 // Hidden returns the activation feeding the model's prediction layer; the

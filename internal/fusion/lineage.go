@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -118,7 +119,8 @@ func LoadLineage(r io.Reader) (Predictor, string, *Lineage, error) {
 		return nil, "", nil, fmt.Errorf("fusion: read artifact magic: %w", err)
 	}
 	if magic != artifactMagic {
-		return nil, "", nil, fmt.Errorf("fusion: bad artifact magic %q", magic[:])
+		// Never echo the bytes: a reload request names any readable file.
+		return nil, "", nil, errors.New("fusion: not an artifact (bad magic)")
 	}
 	var version uint32
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {

@@ -3,14 +3,14 @@ package fusion
 import (
 	"bytes"
 	"encoding/gob"
-	"math"
 	"testing"
 
+	"crossmodal/internal/feature"
 	"crossmodal/internal/model"
 )
 
-// quantEarly trains a small early-fusion model for the quantized-serving
-// tests.
+// quantEarly trains a small early-fusion model for the precision-stamp and
+// serving-scorer tests.
 func quantEarly(t *testing.T) *EarlyModel {
 	t.Helper()
 	text, _ := corpusFor("text", 900, false, 0.1, 41)
@@ -22,42 +22,11 @@ func quantEarly(t *testing.T) *EarlyModel {
 	return m
 }
 
-// TestEarlyQuantParity is the serving-path property test at the fusion
-// layer: float32 scores track the float64 reference within 1e-3 with
-// identical decisions, on real transformed vectors rather than raw rows.
-func TestEarlyQuantParity(t *testing.T) {
-	m := quantEarly(t)
-	test, _ := corpusFor("parity-test", 400, true, 0.15, 43)
-	ref := m.PredictBatch(test.Vectors)
-	if err := m.SetServePrecision(model.Float32); err != nil {
-		t.Fatal(err)
-	}
-	got := m.PredictBatchQ(test.Vectors)
-	for i := range ref {
-		if d := math.Abs(got[i] - ref[i]); d >= 1e-3 {
-			t.Fatalf("vector %d: |f32-f64| = %g, want < 1e-3", i, d)
-		}
-		if (got[i] >= 0.5) != (ref[i] >= 0.5) {
-			t.Fatalf("vector %d: f32 decision differs (%v vs %v)", i, got[i], ref[i])
-		}
-	}
-}
-
-// TestEarlyQuantFloat64Passthrough pins the default: with no precision set,
-// PredictBatchQ is exactly the reference path.
-func TestEarlyQuantFloat64Passthrough(t *testing.T) {
-	m := quantEarly(t)
-	if m.ServePrecision() != model.Float64 {
-		t.Fatalf("fresh model serve precision = %v, want f64", m.ServePrecision())
-	}
-	test, _ := corpusFor("pass-test", 200, true, 0.15, 44)
-	ref := m.PredictBatch(test.Vectors)
-	got := m.PredictBatchQ(test.Vectors)
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("vector %d: %v != %v", i, got[i], ref[i])
-		}
-	}
+// PredictBatchQ returns PredictBatchQInto's scores in a fresh slice.
+func (m *EarlyModel) PredictBatchQ(vs []*feature.Vector) []float64 {
+	out := make([]float64, len(vs))
+	m.PredictBatchQInto(vs, out)
+	return out
 }
 
 func TestSetServePrecisionValidation(t *testing.T) {
@@ -117,6 +86,40 @@ func TestArtifactPreservesPrecision(t *testing.T) {
 	}
 }
 
+// TestStampedArtifactsScoreExactly: artifacts stamped f32 or int8 load with
+// their stamp and score bit-identical to the float64 PredictBatch, through
+// the serving scorer and PredictBatch alike.
+func TestStampedArtifactsScoreExactly(t *testing.T) {
+	m := quantEarly(t)
+	test, _ := corpusFor("stamp-test", 200, true, 0.15, 48)
+	want := m.PredictBatch(test.Vectors)
+	for _, p := range []model.Precision{model.Float32, model.Int8} {
+		if err := m.SetServePrecision(p); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := got.(*EarlyModel)
+		if back.ServePrecision() != p {
+			t.Fatalf("decoded precision = %v, want %v", back.ServePrecision(), p)
+		}
+		served := make([]float64, len(test.Vectors))
+		back.PredictBatchQInto(test.Vectors, served)
+		batch := back.PredictBatch(test.Vectors)
+		for i := range want {
+			if served[i] != want[i] || batch[i] != want[i] {
+				t.Fatalf("%v vector %d: served %x, PredictBatch %x, want %x", p, i, served[i], batch[i], want[i])
+			}
+		}
+	}
+}
+
 // TestArtifactRejectsUnknownPrecision corrupts the wire precision and
 // asserts decode refuses it instead of serving at a precision it cannot
 // dispatch.
@@ -134,14 +137,13 @@ func TestArtifactRejectsUnknownPrecision(t *testing.T) {
 }
 
 // TestEarlyQuantArenaReuse exercises the pooled transform arena across
-// differently sized batches (grow, shrink, regrow) for score stability.
+// differently sized batches (grow, shrink, regrow): the serving scorer
+// returns PredictBatch's scores exactly, and once its pools are warm a batch
+// allocates nothing.
 func TestEarlyQuantArenaReuse(t *testing.T) {
 	m := quantEarly(t)
-	if err := m.SetServePrecision(model.Float32); err != nil {
-		t.Fatal(err)
-	}
 	test, _ := corpusFor("arena-test", 300, true, 0.15, 47)
-	ref := m.PredictBatchQ(test.Vectors)
+	ref := m.PredictBatch(test.Vectors)
 	for _, n := range []int{300, 17, 300, 1, 128} {
 		out := make([]float64, n)
 		m.PredictBatchQInto(test.Vectors[:n], out)
@@ -150,5 +152,14 @@ func TestEarlyQuantArenaReuse(t *testing.T) {
 				t.Fatalf("batch %d vector %d: %v != %v", n, i, out[i], ref[i])
 			}
 		}
+	}
+	if raceEnabled {
+		return // the race runtime adds bookkeeping allocations
+	}
+	out := make([]float64, 64)
+	if allocs := testing.AllocsPerRun(50, func() {
+		m.PredictBatchQInto(test.Vectors[:64], out)
+	}); allocs != 0 {
+		t.Errorf("%v allocs per 64-vector batch, want 0", allocs)
 	}
 }

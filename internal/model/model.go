@@ -96,7 +96,9 @@ type MLP struct {
 	bOff    []int       // offset of biases[l] within params
 	allCols []int32     // 0..max layer width: the columns of a dense activation row
 	workers int         // preferred batch-op worker count (0 = GOMAXPROCS)
-	quant   *quantState // lazily built reduced-precision engines (quant.go)
+	// scratches recycles PredictRowsInto's forward buffers. A pointer, so
+	// copying the MLP value (GobDecode does) shares rather than copies it.
+	scratches *sync.Pool
 }
 
 // New initializes an untrained network for inDim inputs.
@@ -110,7 +112,7 @@ func New(inDim int, hidden []int, seed int64) (*MLP, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &MLP{inDim: inDim, quant: newQuantState()}
+	m := &MLP{inDim: inDim, scratches: new(sync.Pool)}
 	m.sizes = append(append([]int{inDim}, hidden...), 1)
 	total := 0
 	for l := 0; l+1 < len(m.sizes); l++ {
@@ -228,26 +230,27 @@ func sigmoid(z float64) float64 {
 }
 
 // PredictRowsInto scores every row of rows into out (len(out) == rows.Len())
-// at precision p, serially and — for Float32 / Int8, once the engine is warm
-// — without allocating. rows must be valid (sparse.Rows.Validate); blocks
-// built by the vectorizer or AddDense are. Panics on a shape mismatch.
-func (m *MLP) PredictRowsInto(rows *sparse.Rows, p Precision, out []float64) {
+// serially on the exact float64 forward pass; its buffers are pooled, so a
+// steady-state call allocates nothing. rows must be valid
+// (sparse.Rows.Validate); blocks built by the vectorizer or AddDense are.
+// Panics on a shape mismatch.
+func (m *MLP) PredictRowsInto(rows *sparse.Rows, out []float64) {
 	if rows.Width != m.inDim {
 		panic(fmt.Sprintf("model: input width %d, want %d", rows.Width, m.inDim))
 	}
 	if len(out) != rows.Len() {
 		panic(fmt.Sprintf("model: PredictRowsInto out length %d, want %d", len(out), rows.Len()))
 	}
-	if p != Float64 {
-		m.engine(p).predict(rows, out)
-		return
+	s, _ := m.scratches.Get().(*scratch)
+	if s == nil {
+		s = m.newScratch()
 	}
-	s := m.newScratch()
 	for i := range out {
 		cols, vals := rows.Row(i)
 		m.forward(cols, vals, s)
 		out[i] = s.output()
 	}
+	m.scratches.Put(s)
 }
 
 // denseBlocks recycles the CSR blocks the dense adapters convert into.
@@ -256,13 +259,13 @@ var denseBlocks = sync.Pool{New: func() any { return new(sparse.Rows) }}
 // predictDense is the dense adapter: X converts, zeros skipped, into a
 // pooled block and scores through PredictRowsInto. A row of the wrong width
 // panics — a programming error.
-func (m *MLP) predictDense(X [][]float64, p Precision, out []float64) {
+func (m *MLP) predictDense(X [][]float64, out []float64) {
 	rows := denseBlocks.Get().(*sparse.Rows)
 	rows.Reset(m.inDim)
 	for _, x := range X {
 		rows.AddDense(x)
 	}
-	m.PredictRowsInto(rows, p, out)
+	m.PredictRowsInto(rows, out)
 	denseBlocks.Put(rows)
 }
 
@@ -270,7 +273,7 @@ func (m *MLP) predictDense(X [][]float64, p Precision, out []float64) {
 // a programming error.
 func (m *MLP) PredictProba(x []float64) float64 {
 	var out [1]float64
-	m.predictDense([][]float64{x}, Float64, out[:])
+	m.predictDense([][]float64{x}, out[:])
 	return out[0]
 }
 
@@ -283,7 +286,7 @@ const predictChunk = 64
 func (m *MLP) PredictBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	mapreduce.ForChunks(mapreduce.Config{Workers: m.workers}, len(X), predictChunk, func(lo, hi int) {
-		m.predictDense(X[lo:hi], Float64, out[lo:hi])
+		m.predictDense(X[lo:hi], out[lo:hi])
 	})
 	return out
 }
@@ -318,4 +321,57 @@ func (m *MLP) PredictFromHidden(h []float64) float64 {
 		z += w * h[i]
 	}
 	return sigmoid(z)
+}
+
+// Precision is a serving-precision stamp, carried by early-fusion artifacts
+// (fusion.EarlyModel.SetServePrecision) so every artifact written with one
+// still loads. It selects nothing: every precision scores on the exact
+// float64 path.
+type Precision int
+
+const (
+	Float64 Precision = iota
+	Float32
+	Int8
+)
+
+// String implements fmt.Stringer.
+func (p Precision) String() string {
+	switch p {
+	case Float64:
+		return "f64"
+	case Float32:
+		return "f32"
+	case Int8:
+		return "int8"
+	default:
+		return fmt.Sprintf("Precision(%d)", int(p))
+	}
+}
+
+// Valid reports whether p is a known precision.
+func (p Precision) Valid() bool { return p >= Float64 && p <= Int8 }
+
+// Tolerance is the score divergence from float64 a check may allow for a
+// p-stamped model, and the distance from 0.5 beyond which its decisions must
+// match. Scores are exact at every precision, so any check passes.
+func (p Precision) Tolerance() (tol, margin float64) {
+	switch p {
+	case Float32:
+		return 1e-3, 0
+	case Int8:
+		return 5e-2, 5e-2
+	default:
+		return 0, 0
+	}
+}
+
+// PredictBatchQInto scores dense rows X into out (len(out) == len(X)) on the
+// float64 path, whatever p is: the dense adapter over PredictRowsInto,
+// allocation-free in steady state. Panics on a shape mismatch.
+func (m *MLP) PredictBatchQInto(X [][]float64, p Precision, out []float64) {
+	if len(out) != len(X) {
+		panic(fmt.Sprintf("model: PredictBatchQInto out length %d, want %d", len(out), len(X)))
+	}
+	m.predictDense(X, out)
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -135,71 +134,6 @@ func refTrain(t *testing.T, X [][]float64, targets, sampleWeights []float64, cfg
 	return m
 }
 
-// refDotF32 / refDotI8 are the 4-way unrolled dense dots of the parent's
-// quantized engine.
-func refDotF32(w, x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(w) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 += w[i] * x[i]
-		s1 += w[i+1] * x[i+1]
-		s2 += w[i+2] * x[i+2]
-		s3 += w[i+3] * x[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for i := n; i < len(w); i++ {
-		s += w[i] * x[i]
-	}
-	return s
-}
-
-func refDotI8(w []int8, x []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(w) &^ 3
-	for i := 0; i < n; i += 4 {
-		s0 += float32(w[i]) * x[i]
-		s1 += float32(w[i+1]) * x[i+1]
-		s2 += float32(w[i+2]) * x[i+2]
-		s3 += float32(w[i+3]) * x[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for i := n; i < len(w); i++ {
-		s += float32(w[i]) * x[i]
-	}
-	return s
-}
-
-// refQuantScore is the parent's qlayer.forward over one dense row, layer by
-// layer, on the engine's own weight slabs.
-func refQuantScore(e *qengine, x []float64) float64 {
-	cur := make([]float32, len(x))
-	for i, v := range x {
-		cur[i] = float32(v)
-	}
-	for li := range e.layers {
-		l := &e.layers[li]
-		out := make([]float32, l.out)
-		for j := range out {
-			var z float32
-			if l.wi != nil {
-				z = refDotI8(l.wi[j*l.in:(j+1)*l.in], cur)*l.scale[j] + l.bias[j]
-			} else {
-				z = refDotF32(l.wf[j*l.in:(j+1)*l.in], cur) + l.bias[j]
-			}
-			switch {
-			case li == len(e.layers)-1:
-				out[j] = float32(sigmoid(float64(z)))
-			case z > 0:
-				out[j] = z
-			default:
-				out[j] = 0
-			}
-		}
-		cur = out
-	}
-	return float64(cur[0])
-}
-
 // onehotFixture builds one-hot-shaped design rows through the vectorizer,
 // dense and sparse, covering what the encoder can emit: duplicate and
 // out-of-vocabulary categories, a missing feature of each kind, explicit
@@ -315,10 +249,10 @@ func TestPoolStepMatchesInline(t *testing.T) {
 	sameParams(t, "pooled", got, want)
 }
 
-// TestSparseScoreMatchesDenseReference: f64, f32 and int8 scores from a
-// row's entries equal the dense engines' exactly, through the sparse entry
-// point and the dense adapter, at batch sizes that stay inside one quantized
-// row block and that cross it.
+// TestSparseScoreMatchesDenseReference: scores from a row's entries equal
+// the dense engine's exactly, through the sparse entry point and the dense
+// adapter at every precision stamp, at batch sizes that reuse one pooled
+// scratch and that cross a PredictBatch work item.
 func TestSparseScoreMatchesDenseReference(t *testing.T) {
 	X, rows, targets, weights := onehotFixture(t, 120)
 	for _, hidden := range [][]int{nil, {16}, {32, 8}} {
@@ -326,15 +260,13 @@ func TestSparseScoreMatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := map[Precision][]float64{}
+		var want []float64
 		scr := m.newScratch()
 		for _, x := range X {
 			refForward(m, x, scr)
-			want[Float64] = append(want[Float64], scr.output())
-			want[Float32] = append(want[Float32], refQuantScore(m.engine(Float32), x))
-			want[Int8] = append(want[Int8], refQuantScore(m.engine(Int8), x))
+			want = append(want, scr.output())
 		}
-		for _, size := range []int{1, 8, qBlockRows + 1} {
+		for _, size := range []int{1, 8, predictChunk + 1} {
 			for lo := 0; lo+size <= len(X); lo += size {
 				block := &sparse.Rows{}
 				block.Reset(rows.Width)
@@ -346,17 +278,22 @@ func TestSparseScoreMatchesDenseReference(t *testing.T) {
 					block.EndRow()
 				}
 				got := make([]float64, size)
-				for _, p := range []Precision{Float64, Float32, Int8} {
-					m.PredictRowsInto(block, p, got)
-					for i, g := range got {
-						if g != want[p][lo+i] {
-							t.Fatalf("hidden=%v %v batch=%d: row %d scored %x, dense reference %x", hidden, p, size, lo+i, g, want[p][lo+i])
-						}
+				m.PredictRowsInto(block, got)
+				for i, g := range got {
+					if g != want[lo+i] {
+						t.Fatalf("hidden=%v batch=%d: row %d scored %x, dense reference %x", hidden, size, lo+i, g, want[lo+i])
 					}
-					dense := m.PredictBatchQ(X[lo:lo+size], p)
-					for i, g := range dense {
-						if g != want[p][lo+i] {
-							t.Fatalf("hidden=%v %v batch=%d: dense adapter row %d scored %x, reference %x", hidden, p, size, lo+i, g, want[p][lo+i])
+				}
+				for i, g := range m.PredictBatch(X[lo : lo+size]) {
+					if g != want[lo+i] {
+						t.Fatalf("hidden=%v batch=%d: PredictBatch row %d scored %x, reference %x", hidden, size, lo+i, g, want[lo+i])
+					}
+				}
+				for _, p := range []Precision{Float64, Float32, Int8} {
+					m.PredictBatchQInto(X[lo:lo+size], p, got)
+					for i, g := range got {
+						if g != want[lo+i] {
+							t.Fatalf("hidden=%v %v batch=%d: dense adapter row %d scored %x, reference %x", hidden, p, size, lo+i, g, want[lo+i])
 						}
 					}
 				}
@@ -364,12 +301,12 @@ func TestSparseScoreMatchesDenseReference(t *testing.T) {
 		}
 		// The single-row dense entry points ride the same engine.
 		for i, x := range X[:20] {
-			if got := m.PredictProba(x); got != want[Float64][i] {
-				t.Fatalf("hidden=%v: PredictProba row %d = %x, reference %x", hidden, i, got, want[Float64][i])
+			if got := m.PredictProba(x); got != want[i] {
+				t.Fatalf("hidden=%v: PredictProba row %d = %x, reference %x", hidden, i, got, want[i])
 			}
 			cols, vals := rows.Row(i)
-			if got := m.PredictFromHidden(m.Hidden(cols, vals)); hidden == nil && got != want[Float64][i] {
-				t.Fatalf("logreg PredictFromHidden row %d = %x, reference %x", i, got, want[Float64][i])
+			if got := m.PredictFromHidden(m.Hidden(cols, vals)); hidden == nil && got != want[i] {
+				t.Fatalf("logreg PredictFromHidden row %d = %x, reference %x", i, got, want[i])
 			}
 		}
 	}
@@ -400,70 +337,4 @@ func TestTrainRejectsMalformedRows(t *testing.T) {
 	if _, err := TrainRows(ctxbg, &sparse.Rows{}, nil, nil, Config{}); err == nil {
 		t.Error("empty block accepted")
 	}
-}
-
-// FuzzQuantSparseMatchesF64 is the quantized-vs-float64 differential fuzz:
-// for random finite weights and sparse rows the f32 and int8 engines stay
-// within Precision.Tolerance() of the float64 score. Magnitudes are bounded
-// (|w| ≤ 1/4 below, 1/2 above, |x| ≤ 1, ≤ 16 entries, ≤ 4 hidden units) so
-// the int8 rounding error provably fits: ≤ 0.065 in the logit, × ¼ slope.
-func FuzzQuantSparseMatchesF64(f *testing.F) {
-	f.Add(int64(1), uint16(431), uint8(0), []byte{3, 200, 40, 255, 9, 1})
-	f.Add(int64(2), uint16(7), uint8(4), []byte{0, 0, 0, 0})
-	f.Add(int64(3), uint16(64), uint8(2), []byte{})
-	f.Add(int64(4), uint16(1), uint8(1), []byte{0, 128})
-	f.Fuzz(func(t *testing.T, seed int64, width uint16, hidden uint8, entries []byte) {
-		inDim := int(width)%600 + 1
-		var arch []int
-		if h := int(hidden) % 5; h > 0 {
-			arch = []int{h}
-		}
-		m, err := New(inDim, arch, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for l := range m.weights {
-			bound := 0.25 * float64(l+1)
-			for j := range m.weights[l] {
-				m.weights[l][j] = (rng.Float64()*2 - 1) * bound
-			}
-			for j := range m.biases[l] {
-				m.biases[l][j] = (rng.Float64()*2 - 1) * 0.25
-			}
-		}
-		// entries are (column gap, value) byte pairs; a zero gap after the
-		// first entry starts the next row, so rows stay strictly ascending.
-		rows := &sparse.Rows{}
-		rows.Reset(inDim)
-		col, n := -1, 0
-		for k := 0; k+1 < len(entries); k += 2 {
-			gap := int(entries[k])
-			if (gap == 0 && col >= 0) || col+max(gap, 1) >= inDim || n == 16 {
-				rows.EndRow()
-				col, n = -1, 0
-				continue
-			}
-			col += max(gap, 1)
-			rows.Add(col, float64(int(entries[k+1])-128)/128)
-			n++
-		}
-		rows.EndRow()
-		if err := rows.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		ref := make([]float64, rows.Len())
-		got := make([]float64, rows.Len())
-		m.PredictRowsInto(rows, Float64, ref)
-		for _, p := range []Precision{Float32, Int8} {
-			tol, _ := p.Tolerance()
-			m.PredictRowsInto(rows, p, got)
-			for i := range ref {
-				if d := math.Abs(got[i] - ref[i]); !(d <= tol) {
-					cols, vals := rows.Row(i)
-					t.Fatalf("%v row %d (cols %v vals %v): |%v - %v| = %g > %g", p, i, cols, vals, got[i], ref[i], d, tol)
-				}
-			}
-		}
-	})
 }

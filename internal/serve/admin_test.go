@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -35,6 +38,23 @@ func TestReloadNonexistentPathKeepsServing(t *testing.T) {
 	resp, body = postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: 7}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict after failed reload: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestReloadDoesNotEchoFileBytes: a reload naming a readable file that is
+// not an artifact returns 422 without quoting any of the file's bytes.
+func TestReloadDoesNotEchoFileBytes(t *testing.T) {
+	_, ts := newTestServer(t, BatcherConfig{}, 5*time.Second)
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte("TOPSECRET=hunter2\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/admin/reload", map[string]string{"path": path})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("non-artifact reload: %d %s, want 422", resp.StatusCode, body)
+	}
+	if bytes.Contains(body, []byte("TOPSE")) {
+		t.Fatalf("reload error echoes the file's bytes: %s", body)
 	}
 }
 

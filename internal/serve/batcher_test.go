@@ -443,3 +443,32 @@ func TestSubmitRacingCloseReturns(t *testing.T) {
 		t.Fatal("a Submit racing Close has not returned after 2 s")
 	}
 }
+
+// TestBatcherSubmitZeroAllocs is the arena contract on the serving hot
+// path: once pools are warm, a steady-state no-deadline Submit allocates
+// nothing in the batcher (request, batch, points, and scores all reuse).
+func TestBatcherSubmitZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, MaxWait: time.Millisecond},
+		func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+			for i := range pts {
+				scores[i] = 0.5
+			}
+			return 1, nil
+		}, nil)
+	defer b.Close()
+	p := pt(1)
+	if _, _, err := b.Submit(ctxbg, p, time.Time{}); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := b.Submit(ctxbg, p, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocs per steady-state Submit, want 0", allocs)
+	}
+}

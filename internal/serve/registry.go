@@ -18,9 +18,9 @@ import (
 // a hot-swap never drops or corrupts a request (paper §2.4's "deploy the
 // fused model behind serving infra" without downtime).
 
-// quantPredictor is the optional serving surface a predictor exposes when
-// it can score through a reduced-precision engine (fusion.EarlyModel).
-type quantPredictor interface {
+// inPlaceScorer is the optional serving surface of a predictor that scores a
+// batch into a caller's slice without allocating (fusion.EarlyModel).
+type inPlaceScorer interface {
 	fusion.Predictor
 	ServePrecision() model.Precision
 	PredictBatchQInto(vs []*feature.Vector, out []float64)
@@ -32,12 +32,12 @@ type Loaded struct {
 	Kind  string
 	Path  string // artifact path, "" for in-process installs
 	Seq   uint64 // monotone generation number, 1-based
-	// Precision is the arithmetic the hot path scores with: the artifact's
-	// stamped serve precision, or Float64 for predictors without one.
+	// Precision is the artifact's precision stamp, Float64 for predictors
+	// without one. It selects nothing: every model scores on float64.
 	Precision model.Precision
 	// scoreInto is the batch scorer execBatch calls: the early model's
-	// in-place engine at Precision (Float64 included), PredictBatch copied
-	// into out for predictors without one.
+	// in-place scorer, PredictBatch copied into out for predictors without
+	// one. Both return PredictBatch's scores exactly.
 	scoreInto func(vs []*feature.Vector, out []float64)
 	// Lineage is the artifact's provenance stamp, nil for artifacts
 	// written without one (and for in-process installs).
@@ -70,11 +70,6 @@ func (r *Registry) Ready() bool { return r.cur.Load() != nil }
 // validate scores the canary batch with m and rejects models that return
 // non-finite or out-of-range probabilities — the cheap liveness gate that
 // catches shape-mismatched or corrupt artifacts before they take traffic.
-// A model stamped with a reduced serve precision additionally has its
-// quantized path gated against the float64 reference on the same canary:
-// every score must agree within the precision's Tolerance (1e-3 for f32;
-// 5e-2 for int8, decisions compared where the reference has margin), so a
-// bad quantization can never take traffic the exact path would not.
 func (r *Registry) validate(m fusion.Predictor) error {
 	if len(r.canary) == 0 {
 		return nil
@@ -86,23 +81,6 @@ func (r *Registry) validate(m fusion.Predictor) error {
 	for i, s := range scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 || s > 1 {
 			return fmt.Errorf("serve: canary point %d scored %v, want a probability", i, s)
-		}
-	}
-	if qp, ok := m.(quantPredictor); ok && qp.ServePrecision() != model.Float64 {
-		prec := qp.ServePrecision()
-		tol, margin := prec.Tolerance()
-		q := make([]float64, len(r.canary))
-		qp.PredictBatchQInto(r.canary, q)
-		for i, s := range q {
-			if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 || s > 1 {
-				return fmt.Errorf("serve: quantized canary point %d scored %v, want a probability", i, s)
-			}
-			if d := math.Abs(s - scores[i]); d > tol {
-				return fmt.Errorf("serve: quantized canary point %d diverges by %g from float64 (%v limit %g)", i, d, prec, tol)
-			}
-			if math.Abs(scores[i]-0.5) >= margin && (s >= 0.5) != (scores[i] >= 0.5) {
-				return fmt.Errorf("serve: quantized canary point %d flips the decision (%v vs %v)", i, s, scores[i])
-			}
 		}
 	}
 	return nil
@@ -131,9 +109,9 @@ func (r *Registry) install(m fusion.Predictor, path string, lg *fusion.Lineage) 
 		Seq:     r.seq.Add(1),
 		Lineage: lg,
 	}
-	if qp, ok := m.(quantPredictor); ok {
-		l.Precision = qp.ServePrecision()
-		l.scoreInto = qp.PredictBatchQInto
+	if s, ok := m.(inPlaceScorer); ok {
+		l.Precision = s.ServePrecision()
+		l.scoreInto = s.PredictBatchQInto
 	} else {
 		l.scoreInto = func(vs []*feature.Vector, out []float64) { copy(out, m.PredictBatch(vs)) }
 	}

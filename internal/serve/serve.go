@@ -395,10 +395,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := map[string]any{
-		"seq":       l.Seq,
-		"kind":      l.Kind,
-		"path":      l.Path,
-		"precision": l.Precision.String(),
+		"seq":  l.Seq,
+		"kind": l.Kind,
+		"path": l.Path,
 	}
 	if l.Lineage != nil {
 		resp["trigger"] = l.Lineage.Trigger

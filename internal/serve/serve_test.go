@@ -611,3 +611,85 @@ func TestOversizeRequestsAre413(t *testing.T) {
 		t.Errorf("%d-point request: %d %s, want 200", maxPointsPerRequest, resp.StatusCode, body)
 	}
 }
+
+// quantCopy clones the fixture's early-fusion model through an artifact
+// round trip (the fixture is shared and read-only) and stamps it with p.
+func quantCopy(t *testing.T, p model.Precision) *fusion.EarlyModel {
+	t.Helper()
+	fixture(t)
+	var buf bytes.Buffer
+	if err := fusion.Save(&buf, fx.modelA); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := fusion.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := got.(*fusion.EarlyModel)
+	if err := em.SetServePrecision(p); err != nil {
+		t.Fatal(err)
+	}
+	return em
+}
+
+// TestInstalledScorerMatchesPredictBatch: execBatch has one scoring call, so
+// every installed model carries a scorer — the early model's in-place engine
+// at its stamped precision (bit-equal to PredictBatch for float64, within the
+// precision's Tolerance otherwise), PredictBatch itself for the rest.
+func TestInstalledScorerMatchesPredictBatch(t *testing.T) {
+	fixture(t)
+	inter, err := fusion.TrainIntermediate(ctxbg, []fusion.Corpus{fx.corpus}, fusion.Config{
+		Schema: fx.store.Library().Schema().Servable(),
+		Model:  model.Config{Hidden: []int{8}, Epochs: 1, Seed: 5, LearningRate: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := fx.corpus.Vectors[:150] // more than one PredictBatch work item
+	for _, c := range []struct {
+		name string
+		m    fusion.Predictor
+		prec model.Precision
+	}{
+		{"float64 early", fx.modelA, model.Float64},
+		{"f32 early", quantCopy(t, model.Float32), model.Float32},
+		{"intermediate", inter, model.Float64},
+	} {
+		l, err := NewRegistry(nil).Install(c.m, "")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if l.Precision != c.prec || l.scoreInto == nil {
+			t.Fatalf("%s: installed precision %v, scorer %v", c.name, l.Precision, l.scoreInto != nil)
+		}
+		got := make([]float64, len(vecs))
+		l.scoreInto(vecs, got)
+		tol, _ := c.prec.Tolerance()
+		for i, want := range c.m.PredictBatch(vecs) {
+			if d := math.Abs(got[i] - want); d > tol {
+				t.Fatalf("%s: point %d scored %v in place, PredictBatch %v (limit %g)", c.name, i, got[i], want, tol)
+			}
+		}
+	}
+}
+
+// TestBuildPointCache pins the direct-mapped request-point cache: repeated
+// builds return the identical cached point, and the cached point is exactly
+// what DerivePoint renders.
+func TestBuildPointCache(t *testing.T) {
+	s, _ := newTestServer(t, BatcherConfig{}, time.Second)
+	a := s.BuildPoint(7, synth.Image, 0)
+	b := s.BuildPoint(7, synth.Image, 0)
+	if a != b {
+		t.Error("repeated BuildPoint did not return the cached point")
+	}
+	ref := DerivePoint(fx.world, fxSeed, 7, synth.Image, 0)
+	if a.ID != ref.ID || a.Seed != ref.Seed || a.Modality != ref.Modality || a.Frames != ref.Frames || a.Entity.ID != ref.Entity.ID {
+		t.Errorf("cached point %+v differs from derived %+v", a, ref)
+	}
+	// A different key must not serve point 7's data.
+	c := s.BuildPoint(7, synth.Video, 3)
+	if c.Modality != synth.Video || c.Frames != 3 || c.ID != 7 {
+		t.Errorf("distinct key returned wrong point %+v", c)
+	}
+}
