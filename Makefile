@@ -29,7 +29,8 @@ cover-check:
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
 ## then the serving tests twenty more times under it (which submitter runs a
 ## batch is decided at run time, so one pass sees few interleavings), then
-## what `go test` alone does not reach — the eleven fuzz smokes (the
+## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
+## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
 ## /predict one bounds minimization: its oversize-body seed grows whitespace
 ## inputs that would take the whole budget to shrink); the
 ## 10^5-entity streamed curation driven through injected commit crashes with

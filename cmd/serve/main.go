@@ -118,8 +118,8 @@ func (c runConfig) validate() error {
 	if c.workers < 0 {
 		return fmt.Errorf("-workers %d: must be >= 0", c.workers)
 	}
-	if c.cache < 0 {
-		return fmt.Errorf("-cache %d: must be >= 0", c.cache)
+	if c.cache <= 0 { // 0 would make the store unbounded
+		return fmt.Errorf("-cache %d: must be > 0", c.cache)
 	}
 	if c.canaryN < 0 {
 		return fmt.Errorf("-canary %d: must be >= 0", c.canaryN)
@@ -150,64 +150,11 @@ func run(cfg runConfig) error {
 			log.Printf("trace: %v", terr)
 		}
 	}()
-	world, err := synth.NewWorld(synth.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	lib, err := resource.StandardLibrary(world)
-	if err != nil {
-		return err
-	}
-	store, err := featurestore.New(lib, cfg.cache)
-	if err != nil {
-		return err
-	}
-
-	startPath := cfg.modelPath
-	if cfg.trainPath != "" {
-		if err := train(world, lib, store, cfg); err != nil {
-			return err
-		}
-		log.Printf("trained %s model for %s → %s", cfg.fusionKind, cfg.taskName, cfg.trainPath)
-		if cfg.trainOnly {
-			return nil
-		}
-		if startPath == "" {
-			startPath = cfg.trainPath
-		}
-	}
-
-	canary := make([]*synth.Point, cfg.canaryN)
-	for i := range canary {
-		// IDs far above live traffic, so canary cache slots never collide
-		// with request points.
-		canary[i] = serve.DerivePoint(world, cfg.seed, 1<<30+i, synth.Image, 0)
-	}
-	srv, err := serve.New(serve.Config{
-		Store:   store,
-		World:   world,
-		Seed:    cfg.seed,
-		Workers: cfg.workers,
-		Timeout: cfg.timeout,
-		Batcher: serve.BatcherConfig{
-			MaxBatchSize: cfg.maxBatch,
-			QueueDepth:   cfg.queue,
-		},
-	}, canary)
-	if err != nil {
+	srv, err := newServer(cfg)
+	if err != nil || srv == nil {
 		return err
 	}
 	defer srv.Close()
-
-	if startPath != "" {
-		l, err := srv.Registry().LoadArtifact(startPath)
-		if err != nil {
-			return fmt.Errorf("load %s: %w", startPath, err)
-		}
-		log.Printf("serving %s model (seq %d) from %s", l.Kind, l.Seq, l.Path)
-	} else {
-		log.Printf("no model loaded; POST /admin/reload to install one")
-	}
 
 	if cfg.pprofAddr != "" {
 		// net/http/pprof registers on the default mux; expose it on its own
@@ -232,11 +179,76 @@ func run(cfg runConfig) error {
 	}
 }
 
+// newServer builds the serving stack cfg names — world, library, feature
+// store, the -train model, canary batch — and installs the start model, if
+// any. It returns a nil server after -train-only.
+func newServer(cfg runConfig) (*serve.Server, error) {
+	world, err := synth.NewWorld(synth.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	lib, err := resource.StandardLibrary(world)
+	if err != nil {
+		return nil, err
+	}
+	store, err := featurestore.New(lib, cfg.cache)
+	if err != nil {
+		return nil, err
+	}
+
+	startPath := cfg.modelPath
+	if cfg.trainPath != "" {
+		if err := train(world, lib, cfg); err != nil {
+			return nil, err
+		}
+		log.Printf("trained %s model for %s → %s", cfg.fusionKind, cfg.taskName, cfg.trainPath)
+		if cfg.trainOnly {
+			return nil, nil
+		}
+		if startPath == "" {
+			startPath = cfg.trainPath
+		}
+	}
+
+	canary := make([]*synth.Point, cfg.canaryN)
+	for i := range canary {
+		// Derived as the server derives a request — the serving store holds
+		// only such points — at IDs far above live traffic's.
+		canary[i] = serve.DerivePoint(world, cfg.seed, 1<<30+i, synth.Image, 0)
+	}
+	srv, err := serve.New(serve.Config{
+		Store:   store,
+		World:   world,
+		Seed:    cfg.seed,
+		Workers: cfg.workers,
+		Timeout: cfg.timeout,
+		Batcher: serve.BatcherConfig{
+			MaxBatchSize: cfg.maxBatch,
+			QueueDepth:   cfg.queue,
+		},
+	}, canary)
+	if err != nil {
+		return nil, err
+	}
+	if startPath == "" {
+		log.Printf("no model loaded; POST /admin/reload to install one")
+		return srv, nil
+	}
+	l, err := srv.Registry().LoadArtifact(startPath)
+	if err != nil {
+		srv.Close()
+		return nil, fmt.Errorf("load %s: %w", startPath, err)
+	}
+	log.Printf("serving %s model (seq %d) from %s", l.Kind, l.Seq, l.Path)
+	return srv, nil
+}
+
 // train builds a dataset for the task and trains the requested fusion
 // architecture on the labeled text corpus plus the hand-labeled image pool —
 // the fully supervised path, which is all serving needs (the weak-supervision
-// pipeline lives in cmd/crossmodal).
-func train(world *synth.World, lib *resource.Library, store *featurestore.Store, cfg runConfig) error {
+// pipeline lives in cmd/crossmodal). It bypasses the serving store: dataset
+// entities are not DerivePoint's, so there they would answer their IDs.
+func train(world *synth.World, lib *resource.Library, cfg runConfig) error {
 	task, err := synth.TaskByName(cfg.taskName)
 	if err != nil {
 		return err
@@ -251,7 +263,7 @@ func train(world *synth.World, lib *resource.Library, store *featurestore.Store,
 	ctx := context.Background()
 	mrCfg := mapreduce.Config{Workers: cfg.workers}
 	corpusOf := func(name string, pts []*synth.Point) (fusion.Corpus, error) {
-		vecs, err := store.Featurize(ctx, mrCfg, pts)
+		vecs, err := lib.Featurize(ctx, mrCfg, pts)
 		if err != nil {
 			return fusion.Corpus{}, err
 		}

@@ -1,12 +1,21 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"crossmodal/internal/fusion"
+	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/resource"
 	"crossmodal/internal/serve"
+	"crossmodal/internal/synth"
 )
 
 // goodConfig mirrors the flag defaults.
@@ -38,6 +47,7 @@ func TestRunConfigValidate(t *testing.T) {
 		{"negative scale", func(c *runConfig) { c.scale = -1 }, "-scale"},
 		{"negative workers", func(c *runConfig) { c.workers = -1 }, "-workers"},
 		{"negative cache", func(c *runConfig) { c.cache = -1 }, "-cache"},
+		{"unbounded cache", func(c *runConfig) { c.cache = 0 }, "-cache"},
 		{"negative canary", func(c *runConfig) { c.canaryN = -1 }, "-canary"},
 		{"negative max-batch", func(c *runConfig) { c.maxBatch = -1 }, "-max-batch"},
 		{"negative queue", func(c *runConfig) { c.queue = -1 }, "-queue"},
@@ -75,6 +85,69 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("invalid config took %v to reject", elapsed)
+	}
+}
+
+// TestTrainedServerScoresDerivedPoints: -train featurizes corpora whose IDs
+// overlap live traffic's but whose entities are not DerivePoint's. A request
+// for any of loadgen's default 4 096 image IDs must still score the point the
+// server derives, exactly as in-process scoring does — no training vector may
+// answer it from the serving store.
+func TestTrainedServerScoresDerivedPoints(t *testing.T) {
+	cfg := goodConfig()
+	cfg.trainPath = filepath.Join(t.TempDir(), "m.xma")
+	cfg.scale = 0.05
+	cfg.canaryN = 0
+	cfg.timeout = time.Minute
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m, _, err := fusion.LoadFile(cfg.trainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := synth.NewWorld(synth.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := resource.StandardLibrary(world)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perRequest = 1024
+	for lo := 0; lo < 4096; lo += perRequest {
+		var req struct {
+			Points []serve.PointRequest `json:"points"`
+		}
+		pts := make([]*synth.Point, perRequest)
+		for i := range pts {
+			req.Points = append(req.Points, serve.PointRequest{ID: lo + i})
+			pts[i] = serve.DerivePoint(world, cfg.seed, lo+i, synth.Image, 0)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ids %d..: %d %s", lo, rec.Code, rec.Body)
+		}
+		var resp struct{ Scores []float64 }
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		vecs, err := lib.Featurize(context.Background(), mapreduce.Config{}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range m.PredictBatch(vecs) {
+			if resp.Scores[i] != want {
+				t.Fatalf("image id %d served %v, in-process score of the derived point %v", lo+i, resp.Scores[i], want)
+			}
+		}
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 // are computed outside the lock and are not coalesced across calls: two
 // goroutines that miss on the same point at once both featurize it, compute
 // the same bits (featurization is deterministic in the point), and the later
-// insert replaces the earlier. Serving featurizes from one goroutine — the
-// micro-batcher's loop — so no duplicate work happens there; within one call
-// a repeated point is featurized once.
+// insert replaces the earlier. Serving runs one batch at a time — the
+// batcher's one-slot run token — so two serving batches never featurize at
+// once; within one call a repeated point is featurized once.
 //
 // Ownership: a cached vector outlives the request that computed it, so it
 // owns its payload — its own values and nothing of the batch it arrived in.
@@ -178,9 +178,10 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // key the cache, so that triple must name one point across everything
 // featurized through one store — true for points sampled from one
 // synth.Dataset and for serve traffic, whose point is its request's (id,
-// modality, frames). A key that misses more than once in one call is
-// featurized once and its repeats count as coalesced. A nil ctx is treated
-// as context.Background().
+// modality, frames), but not for the two mixed: a dataset draws its entities
+// from its own stream, so a serving store admits only server-derived points.
+// A key that misses more than once in one call is featurized once and its
+// repeats count as coalesced. A nil ctx is treated as context.Background().
 //
 // When the library is guarded (resource.Library.WithGuards), failures
 // degrade gracefully per point: a stale cached vector (older than TTL) is

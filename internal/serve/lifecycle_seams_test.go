@@ -14,7 +14,8 @@ import (
 )
 
 // The lifecycle controller plugs time-varying traffic into the server via
-// Config.PointSource; BuildPoint must route through it and still memoize.
+// Config.PointSource; BuildPoint must consult it on every build — the
+// featurestore is serving's only memo.
 func TestPointSourceOverride(t *testing.T) {
 	fixture(t)
 	calls := 0
@@ -36,15 +37,12 @@ func TestPointSourceOverride(t *testing.T) {
 
 	p1 := s.BuildPoint(5, synth.Image, 0)
 	p2 := s.BuildPoint(5, synth.Image, 0)
-	if p1 != p2 {
-		t.Error("BuildPoint did not memoize the sourced point")
-	}
-	if calls != 1 {
-		t.Errorf("PointSource called %d times for one hot ID, want 1", calls)
+	if calls != 2 {
+		t.Errorf("PointSource called %d times for two builds, want 2", calls)
 	}
 	want := DerivePoint(fx.world, fxSeed+1, 5, synth.Image, 0)
-	if p1.Seed != want.Seed {
-		t.Errorf("BuildPoint ignored PointSource: seed %d, want %d", p1.Seed, want.Seed)
+	if p1.Seed != want.Seed || p2.Seed != want.Seed {
+		t.Errorf("BuildPoint ignored PointSource: seeds %d, %d, want %d", p1.Seed, p2.Seed, want.Seed)
 	}
 	def := DerivePoint(fx.world, fxSeed, 5, synth.Image, 0)
 	if p1.Seed == def.Seed {

@@ -30,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"crossmodal/internal/featurestore"
@@ -42,7 +41,8 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Store featurizes request points (and caches hot ones).
+	// Store featurizes request points (and caches hot ones). Only points
+	// this server derives may enter it: its key names BuildPoint's point.
 	Store *featurestore.Store
 	// World is the synthetic traffic source requests are sampled from;
 	// it must match the world the loadgen or caller derives IDs against.
@@ -59,8 +59,8 @@ type Config struct {
 	// PointSource, when set, overrides the default static-world derivation
 	// of request points: the lifecycle simulator plugs in time-varying
 	// traffic (synth.Traffic.Point) here so the same server stack serves a
-	// drifting world. It must be deterministic in its arguments — points
-	// are memoized by them through the point cache and featurestore.
+	// drifting world. It is consulted on every request point and must be
+	// deterministic in its arguments — the featurestore keys vectors by them.
 	PointSource func(id int, m synth.Modality, frames int) *synth.Point
 	// Timeout is the per-request scoring budget; a request that cannot be
 	// scored inside it is shed (default 500ms).
@@ -76,9 +76,6 @@ func (c Config) validate() error {
 	}
 	return nil
 }
-
-// ptCacheSize is the direct-mapped request-point cache size (power of two).
-const ptCacheSize = 4096
 
 // pointsPerWorker is a serving batch's featurization grain, up to GOMAXPROCS
 // workers: a second worker saves a cold 64-point batch under 5 % on an idle
@@ -121,11 +118,6 @@ type Server struct {
 	bat *Batcher
 	met *Metrics
 	mux *http.ServeMux
-	// ptCache memoizes derived request points, direct-mapped by a hash of
-	// (id, modality, frames). Points are immutable once derived and the
-	// derivation is deterministic, so a stale or racing slot only costs a
-	// redundant derive, never a wrong point.
-	ptCache []atomic.Pointer[synth.Point]
 }
 
 // New builds a server with an empty registry: it is alive (healthz) but not
@@ -138,7 +130,7 @@ func New(cfg Config, canary []*synth.Point) (*Server, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
 	}
-	s := &Server{cfg: cfg, met: NewMetrics(), ptCache: make([]atomic.Pointer[synth.Point], ptCacheSize)}
+	s := &Server{cfg: cfg, met: NewMetrics()}
 	vecs, err := cfg.Store.Featurize(context.Background(), mapreduce.Config{Workers: cfg.Workers}, canary)
 	if err != nil {
 		return nil, fmt.Errorf("serve: featurize canary: %w", err)
@@ -205,23 +197,15 @@ func DerivePoint(w *synth.World, baseSeed int64, id int, m synth.Modality, frame
 	}
 }
 
-// BuildPoint renders a request into the data point it names under the
-// server's base seed, memoized through the direct-mapped point cache so a
-// hot ID costs a few loads instead of re-rendering entity and noise state.
+// BuildPoint renders a request into the data point it names: the
+// PointSource's point when one is set, else DerivePoint's under the server's
+// base seed. Each call derives afresh; the featurestore is serving's only
+// memo.
 func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
-	h := xrand.Mix(xrand.HashString(uint64(id)<<17^uint64(frames), string(m)))
-	slot := &s.ptCache[h&(ptCacheSize-1)]
-	if p := slot.Load(); p != nil && p.ID == id && p.Modality == m && p.Frames == frames {
-		return p
-	}
-	var p *synth.Point
 	if s.cfg.PointSource != nil {
-		p = s.cfg.PointSource(id, m, frames)
-	} else {
-		p = DerivePoint(s.cfg.World, s.cfg.Seed, id, m, frames)
+		return s.cfg.PointSource(id, m, frames)
 	}
-	slot.Store(p)
-	return p
+	return DerivePoint(s.cfg.World, s.cfg.Seed, id, m, frames)
 }
 
 // execBatch is the batcher's ExecFunc: snapshot the model once, featurize

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,7 +82,9 @@ func buildFixture() error {
 	if err != nil {
 		return err
 	}
-	vecs, err := store.Featurize(context.Background(), mapreduce.Config{}, ds.HandLabelPool)
+	// Through the library, not the serving store: the store admits only
+	// server-derived points, and the pool's entities are not DerivePoint's.
+	vecs, err := lib.Featurize(context.Background(), mapreduce.Config{}, ds.HandLabelPool)
 	if err != nil {
 		return err
 	}
@@ -126,15 +129,11 @@ func newTestServer(t *testing.T, bc BatcherConfig, timeout time.Duration) (*Serv
 	return s, ts
 }
 
-// wantScore computes the in-process ground truth for one served point.
+// wantScore computes the in-process ground truth for one served point,
+// featurized past the serving store.
 func wantScore(t *testing.T, m fusion.Predictor, id int) float64 {
 	t.Helper()
-	pt := DerivePoint(fx.world, fxSeed, id, synth.Image, 0)
-	vecs, err := fx.store.Featurize(context.Background(), mapreduce.Config{}, []*synth.Point{pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Predict(vecs[0])
+	return m.Predict(fx.store.Library().FeaturizePoint(DerivePoint(fx.world, fxSeed, id, synth.Image, 0)))
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -673,23 +672,33 @@ func TestInstalledScorerMatchesPredictBatch(t *testing.T) {
 	}
 }
 
-// TestBuildPointCache pins the direct-mapped request-point cache: repeated
-// builds return the identical cached point, and the cached point is exactly
-// what DerivePoint renders.
-func TestBuildPointCache(t *testing.T) {
+// TestBuildPointMatchesDerivePoint: with no PointSource, a request point is
+// exactly what DerivePoint renders under the server's seed, field for field
+// (entity included), every time it is built — the featurestore keys vectors
+// by (id, modality, frames) on that promise — and distinct keys render
+// distinct points.
+func TestBuildPointMatchesDerivePoint(t *testing.T) {
 	s, _ := newTestServer(t, BatcherConfig{}, time.Second)
-	a := s.BuildPoint(7, synth.Image, 0)
-	b := s.BuildPoint(7, synth.Image, 0)
-	if a != b {
-		t.Error("repeated BuildPoint did not return the cached point")
+	keys := []struct {
+		id     int
+		m      synth.Modality
+		frames int
+	}{{7, synth.Image, 0}, {7, synth.Text, 0}, {7, synth.Video, 3}, {7, synth.Video, 4}, {8, synth.Image, 0}}
+	built := make([]*synth.Point, len(keys))
+	for i, k := range keys {
+		built[i] = s.BuildPoint(k.id, k.m, k.frames)
+		ref := DerivePoint(fx.world, fxSeed, k.id, k.m, k.frames)
+		for range 2 {
+			if p := s.BuildPoint(k.id, k.m, k.frames); !reflect.DeepEqual(p, ref) {
+				t.Errorf("BuildPoint%v = %+v (entity %+v), DerivePoint %+v (entity %+v)", k, p, p.Entity, ref, ref.Entity)
+			}
+		}
 	}
-	ref := DerivePoint(fx.world, fxSeed, 7, synth.Image, 0)
-	if a.ID != ref.ID || a.Seed != ref.Seed || a.Modality != ref.Modality || a.Frames != ref.Frames || a.Entity.ID != ref.Entity.ID {
-		t.Errorf("cached point %+v differs from derived %+v", a, ref)
-	}
-	// A different key must not serve point 7's data.
-	c := s.BuildPoint(7, synth.Video, 3)
-	if c.Modality != synth.Video || c.Frames != 3 || c.ID != 7 {
-		t.Errorf("distinct key returned wrong point %+v", c)
+	for i := range built {
+		for j := range i {
+			if reflect.DeepEqual(built[i], built[j]) {
+				t.Errorf("keys %v and %v rendered the same point", keys[i], keys[j])
+			}
+		}
 	}
 }
