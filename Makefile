@@ -27,8 +27,9 @@ cover-check:
 	  coverage_baseline.txt cover.out; status=$$?; rm -f cover.out; exit $$status
 
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
-## then the serving tests twenty more times under it (which submitter runs a
-## batch is decided at run time, so one pass sees few interleavings), then
+## then the serving tests twenty more times under it (concurrent requests
+## share the feature store and the scorer pool, so one pass sees few
+## interleavings), then
 ## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
 ## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
 ## /predict one bounds minimization: its oversize-body seed grows whitespace
@@ -41,7 +42,7 @@ cover-check:
 SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Chaos' ./internal/serve/
+	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Chaos|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/

@@ -1,6 +1,6 @@
 // Command serve runs the online inference service: it loads (or trains) a
-// fusion model and serves predictions over HTTP with micro-batching, atomic
-// hot-swap via POST /admin/reload, and bounded-queue load shedding — the
+// fusion model and serves predictions over HTTP with atomic hot-swap via
+// POST /admin/reload and bounded-queue load shedding — the
 // deployment stage that terminates the paper's adaptation pipeline.
 //
 // Usage:
@@ -8,7 +8,7 @@
 //	serve [-addr :8099] [-model model.xma] [-train model.xma [-train-only]]
 //	      [-fusion early|intermediate|devise] [-task CT1] [-scale 0.1]
 //	      [-seed 17] [-workers N] [-cache 65536] [-canary 32]
-//	      [-max-batch 64] [-queue 1024] [-timeout 500ms]
+//	      [-queue 1024] [-timeout 500ms]
 //
 // Typical flows:
 //
@@ -59,8 +59,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines for training and canary featurization (0 = GOMAXPROCS)")
 		cache      = flag.Int("cache", 65536, "featurestore capacity (points)")
 		canaryN    = flag.Int("canary", 32, "canary batch size validating every hot swap (0 disables)")
-		maxBatch   = flag.Int("max-batch", 64, "micro-batch size cap (points)")
-		queue      = flag.Int("queue", 1024, "admission queue depth; excess load is shed with 429")
+		queue      = flag.Int("queue", 1024, "requests that may wait for a run slot; excess load is shed with 429")
 		timeout    = flag.Duration("timeout", 500*time.Millisecond, "per-request scoring budget")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
 		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file on shutdown (open in chrome://tracing or ui.perfetto.dev)")
@@ -71,7 +70,7 @@ func main() {
 		addr: *addr, modelPath: *modelPath, trainPath: *trainPath, trainOnly: *trainOnly,
 		fusionKind: *fusionKind, taskName: *taskName, scale: *scale, seed: *seed,
 		workers: *workers, cache: *cache, canaryN: *canaryN,
-		maxBatch: *maxBatch, queue: *queue, timeout: *timeout,
+		queue: *queue, timeout: *timeout,
 		pprofAddr: *pprofAddr, tracePath: *tracePath, traceSummary: *traceSum,
 	}); err != nil {
 		log.Fatal(err)
@@ -86,7 +85,7 @@ type runConfig struct {
 	scale                float64
 	seed                 int64
 	workers, cache       int
-	canaryN, maxBatch    int
+	canaryN              int
 	timeout              time.Duration
 	queue                int
 	pprofAddr            string
@@ -123,9 +122,6 @@ func (c runConfig) validate() error {
 	}
 	if c.canaryN < 0 {
 		return fmt.Errorf("-canary %d: must be >= 0", c.canaryN)
-	}
-	if c.maxBatch < 0 {
-		return fmt.Errorf("-max-batch %d: must be >= 0", c.maxBatch)
 	}
 	if c.queue < 0 {
 		return fmt.Errorf("-queue %d: must be >= 0", c.queue)
@@ -222,10 +218,7 @@ func newServer(cfg runConfig) (*serve.Server, error) {
 		Seed:    cfg.seed,
 		Workers: cfg.workers,
 		Timeout: cfg.timeout,
-		Batcher: serve.BatcherConfig{
-			MaxBatchSize: cfg.maxBatch,
-			QueueDepth:   cfg.queue,
-		},
+		Batcher: serve.BatcherConfig{QueueDepth: cfg.queue},
 	}, canary)
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ import (
 func goodConfig() runConfig {
 	return runConfig{
 		addr: ":8099", fusionKind: "early", taskName: "CT1", scale: 0.1,
-		seed: 17, cache: 65536, canaryN: 32, maxBatch: 64,
+		seed: 17, cache: 65536, canaryN: 32,
 		queue: 1024, timeout: 500 * time.Millisecond,
 	}
 }
@@ -49,7 +49,6 @@ func TestRunConfigValidate(t *testing.T) {
 		{"negative cache", func(c *runConfig) { c.cache = -1 }, "-cache"},
 		{"unbounded cache", func(c *runConfig) { c.cache = 0 }, "-cache"},
 		{"negative canary", func(c *runConfig) { c.canaryN = -1 }, "-canary"},
-		{"negative max-batch", func(c *runConfig) { c.maxBatch = -1 }, "-max-batch"},
 		{"negative queue", func(c *runConfig) { c.queue = -1 }, "-queue"},
 		{"zero timeout", func(c *runConfig) { c.timeout = 0 }, "-timeout"},
 	}

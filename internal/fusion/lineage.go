@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // Artifact lineage: provenance metadata riding along with a model artifact,
@@ -248,12 +249,22 @@ func SaveFileLineage(path string, p Predictor, lg *Lineage) (err error) {
 	return os.Rename(tmp, path)
 }
 
-// LoadFileLineage reads an artifact plus lineage from path.
+// LoadFileLineage reads an artifact plus lineage from path, which must name a
+// regular file. The open does not block (a FIFO without a writer would hold
+// it forever), and the check reads the opened file, not the path, so nothing
+// can be swapped in between.
 func LoadFileLineage(path string) (Predictor, string, *Lineage, error) {
-	f, err := os.Open(path)
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
 	if err != nil {
 		return nil, "", nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, "", nil, fmt.Errorf("fusion: %s is not a regular file (%s)", path, fi.Mode().Type())
+	}
 	return LoadLineage(f)
 }

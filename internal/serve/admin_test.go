@@ -146,17 +146,20 @@ func TestShedResponsesCarryRetryAfterOne(t *testing.T) {
 }
 
 // TestServeDeadlineShedCounted: a request whose budget is already exhausted
-// when it reaches the batcher is shed with 504 and counted.
+// when it is admitted is shed with 504 and counted exactly once.
 func TestServeDeadlineShedCounted(t *testing.T) {
 	s, ts := newTestServer(t, BatcherConfig{}, time.Nanosecond)
 	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: 1}}})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired-budget predict: %d %s, want 504", resp.StatusCode, body)
+	const n = 20
+	for i := range n {
+		resp, body := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: i}}})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("expired-budget predict: %d %s, want 504", resp.StatusCode, body)
+		}
 	}
-	if s.met.ShedDeadline.Load() == 0 {
-		t.Error("deadline shed not counted")
+	if got := s.met.ShedDeadline.Load(); got != n {
+		t.Errorf("ShedDeadline = %d after %d deadline sheds, want %d", got, n, n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,15 +13,19 @@ import (
 	"crossmodal/internal/synth"
 )
 
-// countingExec records the batch sizes it was handed and scores every point
-// with its ID.
+// countingExec records the request sizes it was handed and scores every
+// point with its ID.
 type countingExec struct {
 	mu      sync.Mutex
 	batches []int
-	block   chan struct{} // when non-nil, exec waits on it
+	entered chan struct{} // when non-nil, exec signals on it as it starts
+	block   chan struct{} // when non-nil, exec then waits on it
 }
 
 func (e *countingExec) exec(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+	if e.entered != nil {
+		e.entered <- struct{}{}
+	}
 	if e.block != nil {
 		<-e.block
 	}
@@ -43,106 +46,38 @@ func (e *countingExec) batchSizes() []int {
 
 func pt(id int) *synth.Point { return &synth.Point{ID: id} }
 
-// admitCtx counts Submit's admissions: Submit first consults its context when
-// it starts waiting for the response — after the request entered the queue.
-type admitCtx struct {
-	context.Context
-	admitted *sync.WaitGroup
+// wedgedExec is a countingExec whose calls signal entered and then hold
+// until block is closed. entered holds more signals than any test makes
+// calls, so a call nobody waits for never blocks on it.
+func wedgedExec() *countingExec {
+	return &countingExec{entered: make(chan struct{}, 1024), block: make(chan struct{})}
 }
 
-func (c admitCtx) Done() <-chan struct{} {
-	c.admitted.Done()
-	return c.Context.Done()
-}
-
-// TestBatcherCoalescesConcurrentRequests: requests that queue up behind a
-// running batch run together. Gated, not raced — an idle batcher takes
-// racing submits one at a time, and rightly so: a first singleton batch is
-// held until the other 31 requests are all admitted, then released.
-func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	exec := &countingExec{block: make(chan struct{})}
-	entered := make(chan struct{}, 1)
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 64},
-		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			return exec.exec(ctx, pts, scores)
-		}, nil)
-	defer b.Close()
-
-	const n = 32
-	var wg, admitted sync.WaitGroup
-	errs := make([]error, n)
-	scores := make([]float64, n)
-	submit := func(ctx context.Context, i int) {
+// occupy takes every run slot of b with a request held inside exec (a
+// wedgedExec) and returns once all of them are running; the returned wait
+// blocks until they have all returned, and fails t if one was not scored.
+func occupy(t *testing.T, b *Batcher, exec *countingExec) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := range cap(b.slots) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scores[i], _, errs[i] = b.Submit(ctx, pt(i), time.Time{})
-		}()
-	}
-	submit(context.Background(), 0)
-	<-entered // the executor holds [0] and waits on exec.block
-	admitted.Add(n - 1)
-	for i := 1; i < n; i++ {
-		submit(admitCtx{context.Background(), &admitted}, i)
-	}
-	admitted.Wait()
-	close(exec.block)
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if scores[i] != float64(i) {
-			t.Fatalf("request %d scored %v", i, scores[i])
-		}
-	}
-	sizes := exec.batchSizes()
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != n {
-		t.Fatalf("executed %d points across %v, want %d", total, sizes, n)
-	}
-	// The held singleton is one batch; the next token holder drains
-	// everything queued behind it into the next.
-	if sizes[0] != 1 || len(sizes) > 3 {
-		t.Errorf("31 requests queued behind a busy executor ran as batches %v, want [1] then at most two", sizes)
-	}
-}
-
-func TestBatcherMaxBatchSize(t *testing.T) {
-	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 4, QueueDepth: 64}, exec.exec, nil)
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := b.Submit(context.Background(), pt(i), time.Time{}); err != nil {
-				t.Errorf("submit %d: %v", i, err)
+			if _, _, err := b.Submit(ctxbg, pt(i), time.Time{}); err != nil {
+				t.Errorf("slot holder %d: %v", i, err)
 			}
-		}(i)
+		}()
+		<-exec.entered
 	}
-	wg.Wait()
-	for _, s := range exec.batchSizes() {
-		if s > 4 {
-			t.Errorf("batch of %d exceeds MaxBatchSize 4", s)
-		}
-	}
+	return wg.Wait
 }
 
 // TestBatcherRunsLoneRequestWithoutWaiting: a request that finds the
-// batcher idle runs at once as a batch of its own; it never waits for
+// batcher idle runs at once, as one ExecFunc call; it never waits for
 // company.
 func TestBatcherRunsLoneRequestWithoutWaiting(t *testing.T) {
 	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 1024}, exec.exec, nil)
+	b := NewBatcher(BatcherConfig{}, exec.exec, nil)
 	defer b.Close()
 	start := time.Now()
 	if _, _, err := b.Submit(context.Background(), pt(1), time.Time{}); err != nil {
@@ -160,16 +95,16 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	exec := &countingExec{block: block}
 	var met = NewMetrics()
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 2}, exec.exec, met)
+	b := NewBatcher(BatcherConfig{QueueDepth: 2}, exec.exec, met)
 	defer b.Close()
 
-	// Saturate: the executor blocks the submitter running it (it ignores
-	// ctx) until a shed is seen, so the queue fills. Submit from goroutines
-	// until ErrQueueFull shows up.
+	// Saturate: the executor blocks the submitters running it (it ignores
+	// ctx) until a shed is seen, so every run slot and then the queue fill.
+	// Submit from goroutines until ErrQueueFull shows up.
 	var full atomic.Int32
 	var unblock sync.Once
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < cap(b.slots)+32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -192,117 +127,113 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestBatcherShedsExpiredDeadlines(t *testing.T) {
-	block := make(chan struct{})
-	exec := &countingExec{block: block}
+	exec := wedgedExec()
 	met := NewMetrics()
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, QueueDepth: 64}, exec.exec, met)
+	b := NewBatcher(BatcherConfig{QueueDepth: 64}, exec.exec, met)
 	defer b.Close()
 
-	// First batch occupies the executor long enough for the second
-	// request's deadline to lapse in the queue.
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var err1, err2 error
+	// The requests holding every run slot occupy the executor long enough
+	// for the next request's deadline to lapse while it waits for one.
+	held := occupy(t, b, exec)
+	var err error
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		_, _, err1 = b.Submit(context.Background(), pt(1), time.Time{})
-	}()
-	time.Sleep(20 * time.Millisecond) // let request 1 reach the blocked executor
-	go func() {
-		defer wg.Done()
+		defer close(done)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		_, _, err2 = b.Submit(ctx, pt(2), time.Now().Add(10*time.Millisecond))
+		_, _, err = b.Submit(ctx, pt(-1), time.Now().Add(10*time.Millisecond))
 	}()
-	time.Sleep(50 * time.Millisecond) // request 2's deadline expires while queued
-	close(block)
-	wg.Wait()
-	if err1 != nil {
-		t.Errorf("request 1: %v", err1)
+	time.Sleep(50 * time.Millisecond) // its deadline expires while queued
+	close(exec.block)
+	held()
+	<-done
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("queued request err = %v, want ErrDeadline", err)
 	}
-	if !errors.Is(err2, ErrDeadline) {
-		t.Errorf("request 2 err = %v, want ErrDeadline", err2)
-	}
-	if met.ShedDeadline.Load() == 0 {
-		t.Error("deadline shed not counted")
+	if got := met.ShedDeadline.Load(); got != 1 {
+		t.Errorf("ShedDeadline = %d after one deadline shed, want 1", got)
 	}
 }
 
+// TestBatcherCloseFailsPending: with every run slot held and the queue full,
+// Close fails the waiting requests with ErrStopped, returns only once the
+// requests already scoring have, and every later request fails with
+// ErrStopped too.
 func TestBatcherCloseFailsPending(t *testing.T) {
-	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{}, exec.exec, nil)
-	if _, _, err := b.Submit(context.Background(), pt(1), time.Time{}); err != nil {
-		t.Fatal(err)
+	exec := wedgedExec()
+	const depth = 4
+	b := NewBatcher(BatcherConfig{QueueDepth: depth}, exec.exec, nil)
+	held := occupy(t, b, exec)
+	waiters := make(chan error, depth)
+	for i := range depth {
+		go func() {
+			_, _, err := b.Submit(context.Background(), pt(100+i), time.Time{})
+			waiters <- err
+		}()
 	}
-	b.Close()
+	for b.QueueDepth() < depth {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	for range depth {
+		if err := <-waiters; !errors.Is(err, ErrStopped) {
+			t.Errorf("waiting request err = %v, want ErrStopped", err)
+		}
+	}
+	select {
+	case <-closed:
+		t.Error("Close returned while requests were still scoring")
+	default:
+	}
+	close(exec.block)
+	held()
+	<-closed
 	if _, _, err := b.Submit(context.Background(), pt(2), time.Time{}); !errors.Is(err, ErrStopped) {
 		t.Errorf("post-close submit err = %v, want ErrStopped", err)
 	}
 }
 
-// TestBatcherPacksWholeRequests: queued requests pack into a batch while
-// their points fit MaxBatchSize; a request that would overflow it opens the
-// next batch, and one larger than MaxBatchSize runs alone — never split.
-func TestBatcherPacksWholeRequests(t *testing.T) {
-	exec := &countingExec{block: make(chan struct{})}
-	entered := make(chan struct{}, 1)
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 64},
-		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			return exec.exec(ctx, pts, scores)
-		}, nil)
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	submit := func(ctx context.Context, first, n int) {
-		pts := make([]*synth.Point, n)
-		for i := range pts {
-			pts[i] = pt(first + i)
+// TestRequestsScoreConcurrently: a request never waits for another's
+// scoring while a run slot is free — with two slots, two requests whose
+// ExecFuncs each wait for the other both finish.
+func TestRequestsScoreConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	b := NewBatcher(BatcherConfig{}, func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+		arrived.Done()
+		select {
+		case <-both:
+			return 1, nil
+		case <-time.After(2 * time.Second):
+			return 0, errors.New("the other request did not start scoring within 2 s")
 		}
-		scores := make([]float64, n)
-		wg.Add(1)
+	}, nil)
+	defer b.Close()
+	errs := make(chan error, 2)
+	for i := range 2 {
 		go func() {
-			defer wg.Done()
-			if _, err := b.SubmitPoints(ctx, pts, scores, time.Time{}); err != nil {
-				t.Errorf("request at %d: %v", first, err)
-				return
-			}
-			for i, sc := range scores {
-				if sc != float64(first+i) {
-					t.Errorf("point %d scored %v", first+i, sc)
-					return
-				}
-			}
+			_, err := b.SubmitPoints(ctxbg, []*synth.Point{pt(i)}, make([]float64, 1), time.Time{})
+			errs <- err
 		}()
 	}
-	submit(context.Background(), 0, 1)
-	<-entered // the loop holds the singleton; queue the rest behind it in order
-	for i, n := range []int{30, 30, 10, 100} {
-		var admitted sync.WaitGroup
-		admitted.Add(1)
-		submit(admitCtx{context.Background(), &admitted}, 1000*(i+1), n)
-		admitted.Wait()
-	}
-	close(exec.block)
-	wg.Wait()
-	// 30 + 30 fill 60 of 64; the 10 would overflow and opens the next batch;
-	// the 100 overflows that one and runs alone.
-	if got, want := exec.batchSizes(), []int{1, 60, 10, 100}; !reflect.DeepEqual(got, want) {
-		t.Errorf("batches %v, want %v", got, want)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
-// TestBatcherSubmitPointsZeroAllocs is TestBatcherSubmitZeroAllocs for an
-// n-point request: the caller's points and score buffer ride in the pooled
-// request, and the token holder reuses the batch buffers.
+// TestBatcherSubmitPointsZeroAllocs: admission allocates nothing — an n-point
+// request scores straight from the caller's points into its score buffer.
 func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
 	}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 8},
+	b := NewBatcher(BatcherConfig{},
 		func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 			for i := range pts {
 				scores[i] = 0.5
@@ -315,7 +246,7 @@ func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
 		pts[i] = pt(i)
 	}
 	scores := make([]float64, len(pts))
-	if _, err := b.SubmitPoints(ctxbg, pts, scores, time.Time{}); err != nil { // warm the pools
+	if _, err := b.SubmitPoints(ctxbg, pts, scores, time.Time{}); err != nil { // warm up
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -329,8 +260,8 @@ func TestBatcherSubmitPointsZeroAllocs(t *testing.T) {
 }
 
 // TestBatcherRunsOnSubmitter: the batcher has no goroutine of its own —
-// NewBatcher and Close add none — and a lone request's batch runs on the
-// goroutine that submitted it.
+// NewBatcher and Close add none — and a request runs on the goroutine that
+// submitted it.
 func TestBatcherRunsOnSubmitter(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var stack []byte
@@ -355,35 +286,22 @@ func TestBatcherRunsOnSubmitter(t *testing.T) {
 }
 
 // TestBatcherDrainsAbandonedFullQueue: when every request in a full queue
-// was abandoned by its submitter (a client that went away) and no batch is
-// running, nobody is left to drain it; the next submitter must run a batch to
-// make room instead of being shed, and so must every one after it.
+// was abandoned by its submitter (a client that went away) while every run
+// slot was held, the next submitter must not be shed once the slots free up,
+// and neither must any one after it.
 func TestBatcherDrainsAbandonedFullQueue(t *testing.T) {
-	exec := &countingExec{block: make(chan struct{})}
-	entered := make(chan struct{}, 1)
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 2},
-		func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
-			return exec.exec(ctx, pts, scores)
-		}, nil)
+	exec := wedgedExec()
+	b := NewBatcher(BatcherConfig{QueueDepth: 2}, exec.exec, nil)
 	defer b.Close()
 
-	held := make(chan error, 1)
-	go func() {
-		_, _, err := b.Submit(ctxbg, pt(0), time.Time{})
-		held <- err
-	}()
-	<-entered // the executor holds [0] on the goroutine that submitted it
+	held := occupy(t, b, exec) // the executor holds every slot on the goroutines that submitted
 	ctx, cancel := context.WithCancel(ctxbg)
 	var wg sync.WaitGroup
 	for i := 1; i <= 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := b.Submit(ctx, pt(i), time.Time{}); !errors.Is(err, context.Canceled) {
+			if _, _, err := b.Submit(ctx, pt(100+i), time.Time{}); !errors.Is(err, context.Canceled) {
 				t.Errorf("abandoned request %d: %v, want context.Canceled", i, err)
 			}
 		}(i)
@@ -394,11 +312,9 @@ func TestBatcherDrainsAbandonedFullQueue(t *testing.T) {
 	cancel()
 	wg.Wait()
 	close(exec.block)
-	if err := <-held; err != nil {
-		t.Fatalf("held request: %v", err)
-	}
+	held()
 
-	// The queue is full of abandoned requests and no batch is running.
+	// The queue filled with abandoned requests and no request is running.
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := b.Submit(ctxbg, pt(3), time.Time{})
@@ -414,13 +330,15 @@ func TestBatcherDrainsAbandonedFullQueue(t *testing.T) {
 	}
 }
 
-// TestSubmitRacingCloseReturns: a Submit racing Close returns — scored or
-// ErrStopped — even when its request is enqueued after Close drained the
-// queue, where nobody is left to answer it.
+// TestSubmitRacingCloseReturns: Submits racing Close — released together
+// with the requests holding every run slot — each return, scored or
+// ErrStopped: a waiter either wins a freed slot before Close takes them all
+// or sees the batcher stopped.
 func TestSubmitRacingCloseReturns(t *testing.T) {
-	exec := &countingExec{}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 4}, exec.exec, nil)
 	const n = 64
+	exec := wedgedExec()
+	b := NewBatcher(BatcherConfig{QueueDepth: n}, exec.exec, nil)
+	held := occupy(t, b, exec)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -434,41 +352,14 @@ func TestSubmitRacingCloseReturns(t *testing.T) {
 		}(i)
 	}
 	close(start)
+	close(exec.block)
 	b.Close()
+	held()
 	returned := make(chan struct{})
 	go func() { wg.Wait(); close(returned) }()
 	select {
 	case <-returned:
 	case <-time.After(2 * time.Second):
 		t.Fatal("a Submit racing Close has not returned after 2 s")
-	}
-}
-
-// TestBatcherSubmitZeroAllocs is the arena contract on the serving hot
-// path: once pools are warm, a steady-state no-deadline Submit allocates
-// nothing in the batcher (request, batch, points, and scores all reuse).
-func TestBatcherSubmitZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race runtime adds bookkeeping allocations")
-	}
-	b := NewBatcher(BatcherConfig{MaxBatchSize: 8, MaxWait: time.Millisecond},
-		func(_ context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
-			for i := range pts {
-				scores[i] = 0.5
-			}
-			return 1, nil
-		}, nil)
-	defer b.Close()
-	p := pt(1)
-	if _, _, err := b.Submit(ctxbg, p, time.Time{}); err != nil { // warm the pools
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := b.Submit(ctxbg, p, time.Time{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per steady-state Submit, want 0", allocs)
 	}
 }

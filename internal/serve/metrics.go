@@ -163,14 +163,14 @@ func (w *rateWindow) Rate(now time.Time) float64 {
 }
 
 // Metrics aggregates the serving counters the ISSUE's observability layer
-// calls for: QPS, queue depth (read live from the batcher), batch-size and
-// latency distributions, and shed counts.
+// calls for: QPS, queue depth (requests waiting for a run slot, read live
+// from the batcher), request-size and latency distributions, and shed counts.
 type Metrics struct {
 	start time.Time
 
 	Requests     atomic.Uint64 // HTTP /predict requests admitted to scoring
 	Predictions  atomic.Uint64 // points scored (a request may carry several)
-	ShedQueue    atomic.Uint64 // rejected: admission queue full
+	ShedQueue    atomic.Uint64 // rejected: QueueDepth requests already waiting
 	ShedDeadline atomic.Uint64 // rejected: deadline expired before scoring
 	ShedBreaker  atomic.Uint64 // rejected: resource circuit breaker open
 	NotReady     atomic.Uint64 // rejected: no model loaded
@@ -178,7 +178,7 @@ type Metrics struct {
 	Errors       atomic.Uint64 // internal scoring failures
 
 	Latency   *Histogram // seconds per request
-	BatchSize *Histogram // points per executed batch
+	BatchSize *Histogram // points per scored request
 	Scores    *Histogram // served model scores, for operators
 
 	qps rateWindow

@@ -14,7 +14,7 @@ import (
 // The registry owns the serving model. The current model lives behind an
 // atomic.Pointer: request goroutines snapshot it wait-free, and a reload
 // validates the incoming artifact on a canary batch and then swaps the
-// pointer — in-flight batches keep scoring with the snapshot they took, so
+// pointer — in-flight requests keep scoring with the snapshot they took, so
 // a hot-swap never drops or corrupts a request (paper §2.4's "deploy the
 // fused model behind serving infra" without downtime).
 
@@ -60,8 +60,8 @@ func NewRegistry(canary []*feature.Vector) *Registry {
 }
 
 // Current returns the serving model, or nil before the first install.
-// Callers must keep using the returned snapshot for a whole batch rather
-// than re-reading, so a concurrent swap cannot split a batch across models.
+// Callers must keep using the returned snapshot for a whole request rather
+// than re-reading, so a concurrent swap cannot split a request across models.
 func (r *Registry) Current() *Loaded { return r.cur.Load() }
 
 // Ready reports whether a model is installed.

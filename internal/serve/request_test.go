@@ -29,9 +29,9 @@ func useExec(s *Server, exec ExecFunc) {
 	s.bat = NewBatcher(BatcherConfig{}, exec, s.met)
 }
 
-// TestPredictRequestIsOneBatch: a /predict request is one batcher entry — an
-// 8-point request and a 100-point one (over the default 64-point
-// MaxBatchSize) each reach ExecFunc in exactly one call.
+// TestPredictRequestIsOneBatch: a /predict request is one ExecFunc call — an
+// 8-point request and a 100-point one (over the pointsPerWorker grain) each
+// reach ExecFunc in exactly one call.
 func TestPredictRequestIsOneBatch(t *testing.T) {
 	s, ts := newTestServer(t, BatcherConfig{}, 10*time.Second)
 	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
@@ -67,9 +67,9 @@ func TestPredictRequestIsOneBatch(t *testing.T) {
 	}
 }
 
-// TestHotSwapMidRequestScoresOneGeneration: the batch loop is held right
-// after scoring a request's first batch, a reload installs model B, then the
-// loop is released. Every score in the response must come from the model
+// TestHotSwapMidRequestScoresOneGeneration: the first request is held right
+// after its ExecFunc scored it, a reload installs model B, then the request
+// is released. Every score in each response must come from the model
 // generation the response names.
 func TestHotSwapMidRequestScoresOneGeneration(t *testing.T) {
 	s, ts := newTestServer(t, BatcherConfig{}, 10*time.Second)
@@ -88,7 +88,7 @@ func TestHotSwapMidRequestScoresOneGeneration(t *testing.T) {
 	useExec(s, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 		seq, err := s.execBatch(ctx, pts, scores)
 		select {
-		case held <- struct{}{}: // the first batch holds until release
+		case held <- struct{}{}: // the first request holds until release
 			<-release
 		default:
 		}
@@ -144,7 +144,7 @@ func (h *handlerCheck) Observe(dst *feature.Vector, i int, e *synth.Entity, m sy
 
 // TestColdPredictFeaturizesOnHandler: a cold 8-point /predict on an idle
 // server featurizes its misses on the request's own handler goroutine — no
-// batch goroutine and no featurization workers.
+// other goroutine and no featurization workers.
 func TestColdPredictFeaturizesOnHandler(t *testing.T) {
 	fixture(t)
 	res := fx.store.Library().Resources()
@@ -251,9 +251,9 @@ func BenchmarkColdPredict(b *testing.B) {
 }
 
 // TestPredictRejectsUnboundedFrames: a point's frame count is bounded before
-// anything is queued; one request asking for a billion frames must not pin
-// the batcher. The server is deliberately never closed: where the bound is
-// missing its batch runs for minutes, and the 2 s guard fails the test
+// anything is admitted; one request asking for a billion frames must not pin
+// a run slot. The server is deliberately never closed: where the bound is
+// missing its request runs for minutes, and the 2 s guard fails the test
 // instead.
 func TestPredictRejectsUnboundedFrames(t *testing.T) {
 	fixture(t)
@@ -286,7 +286,7 @@ func TestPredictRejectsUnboundedFrames(t *testing.T) {
 		}
 	}
 	if m := s.Metrics(); m.BatchSize.Count() != 0 {
-		t.Fatalf("rejected points reached the batcher: %d batches", m.BatchSize.Count())
+		t.Fatalf("rejected points reached the batcher: %d requests", m.BatchSize.Count())
 	}
 	// The bound is inclusive.
 	if code := serve(maxFramesPerPoint); code != http.StatusOK {

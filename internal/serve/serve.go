@@ -1,17 +1,16 @@
 // Package serve is the online inference subsystem: it exposes trained
-// fusion models over HTTP with request micro-batching, atomic model
-// hot-swap, bounded-queue admission control with deadline-aware load
-// shedding, and a metrics surface.
+// fusion models over HTTP with atomic model hot-swap, bounded admission
+// control with deadline-aware load shedding, and a metrics surface.
 //
 // The paper's pipeline terminates in a production classifier serving live
 // traffic (§2.4 deploys the fused model behind TFX-style serving infra);
 // this package is that deployment stage. A request names a data point of
 // the new modality; the server featurizes it through the shared
 // featurestore (paper §2.3's precomputed-feature services), and returns
-// P(y = +1). A request, however many points it names, is one entry in the
-// micro-batcher, which packs queued requests into batches and runs each on
-// the goroutine of a request in it, featurization included unless the batch
-// is large; each response is scored by one model generation.
+// P(y = +1). A request, however many points it names, takes one of
+// GOMAXPROCS run slots and scores itself on its handler's goroutine,
+// featurization included unless it is large; each response is scored by one
+// model generation.
 //
 // Endpoints:
 //
@@ -51,10 +50,10 @@ type Config struct {
 	// noise from, so a request always renders identically (and the
 	// featurestore cache key — id, modality, frames — is sound).
 	Seed int64
-	// Batcher tunes micro-batching and admission control.
+	// Batcher bounds admission: how many requests may wait for a run slot.
 	Batcher BatcherConfig
 	// Workers sizes New's featurization of the canary batch (0 =
-	// GOMAXPROCS). A serving batch sizes its own from its point count.
+	// GOMAXPROCS). A request sizes its own from its point count.
 	Workers int
 	// PointSource, when set, overrides the default static-world derivation
 	// of request points: the lifecycle simulator plugs in time-varying
@@ -77,8 +76,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// pointsPerWorker is a serving batch's featurization grain, up to GOMAXPROCS
-// workers: a second worker saves a cold 64-point batch under 5 % on an idle
+// pointsPerWorker is a request's featurization grain, up to GOMAXPROCS
+// workers: a second worker saves a cold 64-point request under 5 % on an idle
 // server (BenchmarkColdPredict), but one woken on a loaded server can wait
 // milliseconds for a CPU.
 const pointsPerWorker = 64
@@ -86,8 +85,9 @@ const pointsPerWorker = 64
 // Request limits: a body over maxBodyBytes or a /predict naming more than
 // maxPointsPerRequest points is refused with 413, and a point asking for
 // more than maxFramesPerPoint video frames (each frame is one observation
-// per service) with 400, before any work is queued — a request runs as one
-// batch, and one batch runs at a time, so its size bounds everyone's wait.
+// per service) with 400, before any work is admitted — a request holds its
+// run slot until all of its points are scored, so its size bounds the wait
+// of every request queued behind it.
 const (
 	maxBodyBytes        = 1 << 20
 	maxPointsPerRequest = 1024
@@ -209,10 +209,10 @@ func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 }
 
 // execBatch is the batcher's ExecFunc: snapshot the model once, featurize
-// the whole batch through the store under the batch's deadline, score it
-// into the batcher-owned buffer through the scorer the registry installed
-// with the model. A batch under 2*pointsPerWorker points featurizes on the
-// calling goroutine — a request's handler — and wakes no other.
+// the request's points through the store under its deadline, and score them
+// into the response buffer through the scorer the registry installed with
+// the model. A request under 2*pointsPerWorker points featurizes on the
+// calling goroutine — its handler — and wakes no other.
 func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
 	cur := s.reg.Current()
 	if cur == nil {
@@ -311,7 +311,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
 
-	// The whole request is one batcher entry, scored by one model generation.
+	// The whole request is one ExecFunc call, scored by one model generation.
 	resp := predictResponse{Scores: make([]float64, len(pts))}
 	seq, err := s.bat.SubmitPoints(ctx, pts, resp.Scores, deadline)
 	if err != nil {
@@ -342,7 +342,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		s.met.ShedDeadline.Add(1)
+		if !errors.Is(err, ErrDeadline) { // the batcher counts the sheds it makes
+			s.met.ShedDeadline.Add(1)
+		}
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 	case errors.Is(err, errNotReady):
 		s.met.NotReady.Add(1)

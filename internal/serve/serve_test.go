@@ -444,9 +444,9 @@ func TestCanaryRejectsInvalidModel(t *testing.T) {
 	}
 }
 
-// TestPredictShedsWith429 pins the admission-control surface: with a
-// depth-1 queue, a singleton batcher, and the executor wedged, excess
-// requests get 429 + Retry-After, and the counter matches.
+// TestPredictShedsWith429 pins the admission-control surface: with every
+// run slot wedged in the executor and the depth-1 queue full, an excess
+// request gets 429 + Retry-After, and the counter matches.
 func TestPredictShedsWith429(t *testing.T) {
 	s, ts := newTestServer(t, BatcherConfig{}, 5*time.Second)
 	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
@@ -456,7 +456,10 @@ func TestPredictShedsWith429(t *testing.T) {
 	// released, so the pipeline wedges deterministically.
 	block := make(chan struct{})
 	s.bat.Close()
-	s.bat = NewBatcher(BatcherConfig{MaxBatchSize: 1, QueueDepth: 1}, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+	slots := cap(s.bat.slots)
+	entered := make(chan struct{}, slots+1)
+	s.bat = NewBatcher(BatcherConfig{QueueDepth: 1}, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+		entered <- struct{}{}
 		<-block
 		return s.execBatch(ctx, pts, scores)
 	}, s.met)
@@ -468,9 +471,9 @@ func TestPredictShedsWith429(t *testing.T) {
 		}
 	}()
 
-	// Fill the pipeline: req 1 reaches the blocked batch loop, req 2 sits in
-	// the depth-1 queue.
-	const wedged = 2
+	// Fill the pipeline: one request per run slot reaches the blocked
+	// executor, then one more waits in the depth-1 queue.
+	wedged := slots + 1
 	results := make(chan int, wedged)
 	for i := 0; i < wedged; i++ {
 		id := i
@@ -478,7 +481,12 @@ func TestPredictShedsWith429(t *testing.T) {
 			resp, _ := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: id}}})
 			results <- resp.StatusCode
 		}()
-		time.Sleep(30 * time.Millisecond)
+		if i < slots {
+			<-entered
+		}
+	}
+	for s.bat.QueueDepth() < 1 {
+		time.Sleep(time.Millisecond)
 	}
 	// The pipeline is full; the next request must be shed immediately.
 	resp, body := postJSON(t, ts.URL+"/predict", predictRequest{Points: []PointRequest{{ID: 3}}})
