@@ -23,7 +23,6 @@ import (
 	"crossmodal/internal/core"
 	"crossmodal/internal/metrics"
 	"crossmodal/internal/model"
-	"crossmodal/internal/profiling"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
@@ -86,26 +85,24 @@ func main() {
 	}
 }
 
-func run(cfg runConfig) error {
+func run(cfg runConfig) (err error) {
 	if err := cfg.validate(); err != nil {
-		return err
-	}
-	stopProf, err := profiling.Start(cfg.cpuProfile, cfg.memProfile)
-	if err != nil {
 		return err
 	}
 	var summaryW io.Writer
 	if cfg.traceSummary {
 		summaryW = os.Stderr
 	}
-	stopTrace := trace.Capture(cfg.tracePath, summaryW)
-	if err := pipelineReport(cfg); err != nil {
+	stop, err := trace.Capture(cfg.tracePath, summaryW, cfg.cpuProfile, cfg.memProfile)
+	if err != nil {
 		return err
 	}
-	if err := stopTrace(); err != nil {
-		return err
-	}
-	return stopProf()
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
+	return pipelineReport(cfg)
 }
 
 // singleModalitySpec is the pipeline's train spec narrowed to one corpus,

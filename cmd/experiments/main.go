@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"crossmodal/internal/experiments"
-	"crossmodal/internal/profiling"
 	"crossmodal/internal/trace"
 )
 
@@ -116,27 +115,31 @@ func main() {
 	}
 }
 
-func run(cfg runConfig) error {
+func run(cfg runConfig) (err error) {
 	if err := cfg.validate(); err != nil {
-		return err
-	}
-	stopProf, err := profiling.Start(cfg.cpuProfile, cfg.memProfile)
-	if err != nil {
 		return err
 	}
 	var summaryW io.Writer
 	if cfg.traceSummary {
 		summaryW = os.Stderr
 	}
-	stopTrace := trace.Capture(cfg.tracePath, summaryW)
+	stop, err := trace.Capture(cfg.tracePath, summaryW, cfg.cpuProfile, cfg.memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 
 	w := io.Writer(os.Stdout)
 	if cfg.out != "" {
-		f, err := os.Create(cfg.out)
-		if err != nil {
-			return err
+		f, ferr := os.Create(cfg.out)
+		if ferr != nil {
+			return ferr
 		}
-		defer func() {
+		defer func() { // sets run's err: a failed close fails the run
 			if cerr := f.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
@@ -154,10 +157,7 @@ func run(cfg runConfig) error {
 	if cfg.store != "" {
 		log.Printf("feature store %s: reused %d previously featurized chunks", cfg.store, suite.ReusedChunks())
 	}
-	if err := stopTrace(); err != nil {
-		return err
-	}
-	return stopProf()
+	return nil
 }
 
 // dispatch runs the selected subset of the experiment manifest in order.

@@ -1,6 +1,6 @@
 // Command serve runs the online inference service: it loads (or trains) a
 // fusion model and serves predictions over HTTP with atomic hot-swap via
-// POST /admin/reload and bounded-queue load shedding — the
+// POST /admin/reload and load shedding at an admission bound — the
 // deployment stage that terminates the paper's adaptation pipeline.
 //
 // Usage:
@@ -123,8 +123,8 @@ func (c runConfig) validate() error {
 	if c.canaryN < 0 {
 		return fmt.Errorf("-canary %d: must be >= 0", c.canaryN)
 	}
-	if c.queue < 0 {
-		return fmt.Errorf("-queue %d: must be >= 0", c.queue)
+	if c.queue <= 0 { // 0 would mean the batcher's default of 1024 waiters
+		return fmt.Errorf("-queue %d: must be > 0", c.queue)
 	}
 	if c.timeout <= 0 {
 		return fmt.Errorf("-timeout %v: must be > 0", c.timeout)
@@ -140,7 +140,10 @@ func run(cfg runConfig) error {
 	if cfg.traceSummary {
 		summaryW = os.Stderr
 	}
-	stopTrace := trace.Capture(cfg.tracePath, summaryW)
+	stopTrace, err := trace.Capture(cfg.tracePath, summaryW, "", "")
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if terr := stopTrace(); terr != nil {
 			log.Printf("trace: %v", terr)

@@ -50,6 +50,7 @@ func TestRunConfigValidate(t *testing.T) {
 		{"unbounded cache", func(c *runConfig) { c.cache = 0 }, "-cache"},
 		{"negative canary", func(c *runConfig) { c.canaryN = -1 }, "-canary"},
 		{"negative queue", func(c *runConfig) { c.queue = -1 }, "-queue"},
+		{"zero queue", func(c *runConfig) { c.queue = 0 }, "-queue"},
 		{"zero timeout", func(c *runConfig) { c.timeout = 0 }, "-timeout"},
 	}
 	for _, tc := range cases {

@@ -99,7 +99,7 @@ type Options struct {
 	MaxGraphSeeds, GraphDevNodes int
 	// PosCutLift is the dev-set precision target for the positive
 	// propagation-score cut, as a multiple of the dev positive rate
-	// (clamped to [0.15, 0.8]); NegCutPrecision is the absolute precision
+	// (clamped to [0.03, 0.8]); NegCutPrecision is the absolute precision
 	// target for the negative cut. Defaults 6 and 0.97.
 	PosCutLift, NegCutPrecision float64
 

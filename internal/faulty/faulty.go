@@ -223,9 +223,6 @@ func (in *Injector) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth
 	in.inner.Observe(dst, i, e, m, rng)
 }
 
-// Schedule returns the injector's fault plan (for offline replay in tests).
-func (in *Injector) Schedule() Schedule { return in.sched }
-
 // Stats snapshots the injected-fault counters.
 func (in *Injector) Stats() Stats {
 	return Stats{
@@ -246,23 +243,21 @@ func (in *Injector) nextAttempt(pointSeed uint64) int {
 	return a
 }
 
-// CheckPoint implements resource.Fallible: one full service call for p,
-// subjected to the schedule.
-func (in *Injector) CheckPoint(ctx context.Context, p *synth.Point) (feature.Value, error) {
+// CheckPoint implements resource.Fallible: one full service call for p into
+// position i of dst, subjected to the schedule.
+func (in *Injector) CheckPoint(ctx context.Context, dst *feature.Vector, i int, p *synth.Point) error {
 	n := in.calls.Add(1)
 	if in.sched.FlapPeriod > 0 && in.sched.FlapOpen > 0 &&
 		int((n-1)%uint64(in.sched.FlapPeriod)) < in.sched.FlapOpen {
 		in.flaps.Add(1)
-		return feature.Value{Missing: true},
-			fmt.Errorf("faulty: %s: flap window (call %d): %w", in.name, n, ErrInjected)
+		return fmt.Errorf("faulty: %s: flap window (call %d): %w", in.name, n, ErrInjected)
 	}
 	attempt := in.nextAttempt(p.Seed)
 	d := in.sched.Decide(p.Seed, in.name, attempt)
 	switch d.Mode {
 	case ModeError:
 		in.errors.Add(1)
-		return feature.Value{Missing: true},
-			fmt.Errorf("faulty: %s: point %d attempt %d: %w", in.name, p.ID, attempt, ErrInjected)
+		return fmt.Errorf("faulty: %s: point %d attempt %d: %w", in.name, p.ID, attempt, ErrInjected)
 	case ModeLatency:
 		in.latencies.Add(1)
 		t := time.NewTimer(d.Latency)
@@ -270,42 +265,42 @@ func (in *Injector) CheckPoint(ctx context.Context, p *synth.Point) (feature.Val
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return feature.Value{Missing: true}, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	val := resource.ObservePoint(in.inner, p)
+	resource.ObserveInto(dst, i, in.inner, p)
 	if d.Mode == ModePartial {
 		in.partials.Add(1)
-		val = degrade(val, in.inner.Def())
+		degrade(dst, i)
 	}
-	return val, nil
+	return nil
 }
 
-// degrade truncates a value the way a throttled service truncates a
-// response: half the categories vanish, numerics drop entirely, the tail of
-// an embedding zeroes out. Deterministic in the input value, and
-// shape-preserving so the schema still accepts it.
-func degrade(v feature.Value, d feature.Def) feature.Value {
-	if v.Missing {
-		return v
+// degrade truncates position i of dst the way a throttled service truncates
+// a response: half the categories vanish (a single one leaves nothing),
+// numerics drop entirely, the tail of an embedding zeroes out. Deterministic
+// in the value, and shape-preserving so the schema still accepts it. i holds
+// the value written last, so unsetting it gives its payload room back and
+// the rewrite lands in that room: neither write can fail.
+func degrade(dst *feature.Vector, i int) {
+	if !dst.Present(i) {
+		return
 	}
-	switch d.Kind {
+	switch dst.Schema().Def(i).Kind {
 	case feature.Categorical:
-		if len(v.Categories) <= 1 {
-			return feature.MissingValue()
+		cats := dst.Categories(i) // aliases the room Unset gives back
+		dst.Unset(i)
+		if len(cats) > 1 {
+			_ = dst.SetCategories(i, cats[:(len(cats)+1)/2], nil)
 		}
-		keep := (len(v.Categories) + 1) / 2
-		return feature.CategoricalValue(v.Categories[:keep]...)
-	case feature.Numeric:
-		return feature.MissingValue()
 	case feature.Embedding:
-		vec := append([]float64(nil), v.Vec...)
-		for i := len(vec) / 2; i < len(vec); i++ {
-			vec[i] = 0
-		}
-		return feature.EmbeddingValue(vec)
+		var buf [64]float64 // composed on the stack at the usual dimensions
+		vec := append(buf[:0], dst.Vec(i)...)
+		clear(vec[len(vec)/2:])
+		dst.Unset(i)
+		_ = dst.SetVec(i, vec)
 	default:
-		return feature.MissingValue()
+		dst.Unset(i)
 	}
 }
 

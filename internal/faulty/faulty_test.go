@@ -3,6 +3,8 @@ package faulty
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -272,6 +274,85 @@ func TestPartialModeDegradesShapes(t *testing.T) {
 	}
 }
 
+// refDegrade is degrade as it was, on a boxed value: the reference the
+// in-place degrade is pinned to.
+func refDegrade(v feature.Value, d feature.Def) feature.Value {
+	if v.Missing {
+		return v
+	}
+	switch d.Kind {
+	case feature.Categorical:
+		if len(v.Categories) <= 1 {
+			return feature.MissingValue()
+		}
+		keep := (len(v.Categories) + 1) / 2
+		return feature.CategoricalValue(v.Categories[:keep]...)
+	case feature.Numeric:
+		return feature.MissingValue()
+	case feature.Embedding:
+		vec := append([]float64(nil), v.Vec...)
+		for i := len(vec) / 2; i < len(vec); i++ {
+			vec[i] = 0
+		}
+		return feature.EmbeddingValue(vec)
+	default:
+		return feature.MissingValue()
+	}
+}
+
+// TestDegradeInPlaceMatchesReference: degrading a partial result in place
+// leaves, bit for bit, the cell the Value-based reference returned — over
+// every StandardLibrary channel of text, image and multi-frame video points,
+// so categorical channels with one and with several categories, numeric and
+// embedding channels — and a payload holding the degraded value alone.
+func TestDegradeInPlaceMatchesReference(t *testing.T) {
+	lib := testLibrary(t)
+	task, _ := synth.TaskByName("CT1")
+	if err := task.Calibrate(lib.World(), 2000, 1); err != nil {
+		t.Fatal(err)
+	}
+	pts := append(testPoints(t, lib, 150), synth.SampleVideo(lib.World(), task, 150, 3, 5)...)
+	schema := lib.Schema()
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	seen := map[string]int{}
+	for _, p := range pts {
+		for i, r := range lib.Resources() {
+			if !resource.Applicable(r, p) {
+				continue
+			}
+			full, want, got := feature.NewVector(schema), feature.NewVector(schema), feature.NewVector(schema)
+			resource.ObserveInto(full, i, r, p)
+			want.MustSetAt(i, refDegrade(full.At(i), r.Def()))
+			resource.ObserveInto(got, i, r, p)
+			degrade(got, i)
+			g, w := got.At(i), want.At(i)
+			if !got.Equal(want) || g.Missing != w.Missing || !bits(g.Num, w.Num) ||
+				!slices.Equal(g.Categories, w.Categories) || !slices.EqualFunc(g.Vec, w.Vec, bits) ||
+				!slices.Equal(got.CategoryIDs(i), want.CategoryIDs(i)) {
+				t.Fatalf("%s point %d %s: degraded in place to %v, reference %v", p.Modality, p.ID, r.Def().Name, got, want)
+			}
+			if cats, embs := got.PayloadLen(); cats != len(got.Categories(i)) || embs != len(got.Vec(i)) {
+				t.Fatalf("%s point %d %s: payload holds %d categories / %d floats for a value of %d / %d",
+					p.Modality, p.ID, r.Def().Name, cats, embs, len(got.Categories(i)), len(got.Vec(i)))
+			}
+			switch n := len(full.Categories(i)); {
+			case !full.Present(i):
+			case r.Def().Kind != feature.Categorical:
+				seen[r.Def().Kind.String()]++
+			case n == 1:
+				seen["categorical, one category"]++
+			case n > 1:
+				seen["categorical, several categories"]++
+			}
+		}
+	}
+	for _, c := range []string{"categorical, one category", "categorical, several categories", "numeric", "embedding"} {
+		if seen[c] == 0 {
+			t.Errorf("no %s value degraded: nothing compared", c)
+		}
+	}
+}
+
 // TestFlapWindows: the first FlapOpen of every FlapPeriod calls fail.
 func TestFlapWindows(t *testing.T) {
 	lib := testLibrary(t)
@@ -285,7 +366,7 @@ func TestFlapWindows(t *testing.T) {
 		if !resource.Applicable(r, p) {
 			p = pts[(call+1)%len(pts)]
 		}
-		_, err := in.CheckPoint(ctx, p)
+		err := in.CheckPoint(ctx, feature.NewVector(lib.Schema()), 0, p)
 		outcomes = append(outcomes, err == nil)
 	}
 	want := []bool{false, false, true, true, false, false, true, true}
@@ -313,9 +394,13 @@ func TestLatencyModeRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := in.CheckPoint(ctx, p)
+	dst := feature.NewVector(lib.Schema())
+	err := in.CheckPoint(ctx, dst, 0, p)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if dst.Present(0) {
+		t.Fatalf("failed call wrote %v", dst)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("CheckPoint held the full injected latency (%v) past cancellation", elapsed)

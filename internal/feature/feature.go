@@ -185,8 +185,8 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Value holds one feature value: the exchange type at a Vector's boundary —
-// what a resource returns and what At, Get and SetAt give and take. Exactly
+// Value holds one feature value boxed: what At and Get return and Set and
+// SetAt take, for callers that build or inspect vectors by value. Exactly
 // one of the payload fields is meaningful, selected by the owning Def's Kind;
 // Missing marks a feature the generating service could not compute for this
 // data point (e.g. a text-specific service applied to an image). A Value
@@ -270,11 +270,6 @@ type Vector struct {
 	// borrowed marks pay as another vector's (Reproject): the first write
 	// that needs payload room moves this vector to a private copy.
 	borrowed bool
-	// degraded lists channels whose service calls failed when this vector
-	// was featurized through the checked path: their values are Missing not
-	// because the resource abstained but because it was unreachable. The
-	// annotation is in-memory only (it is not persisted).
-	degraded []string
 }
 
 // NewVector returns an all-missing vector for schema.
@@ -409,6 +404,30 @@ func (v *Vector) setVec(i int, vec []float64) error {
 	return nil
 }
 
+// Unset returns position i to Missing. When i holds the last value written
+// to the payload, its room is given back too, so observing into a position,
+// reading it and unsetting it (a video frame, a result being degraded)
+// leaves the payload as it was. Like every write it is for v's writer, before
+// v is shared: a reprojection of v may still be reading that room.
+func (v *Vector) Unset(i int) {
+	c := v.cells[i]
+	v.cells[i] = cell{}
+	if v.borrowed {
+		return
+	}
+	p := v.pay
+	switch off, end := c.window(); c.kind {
+	case present(Categorical):
+		if end == len(p.cats) {
+			p.cats, p.ids = p.cats[:off], p.ids[:off]
+		}
+	case present(Embedding):
+		if end == len(p.embs) {
+			p.embs = p.embs[:off]
+		}
+	}
+}
+
 // MustSet is Set that panics on error; for construction of statically known
 // vectors.
 func (v *Vector) MustSet(name string, val Value) {
@@ -490,20 +509,6 @@ func (v *Vector) At(i int) Value {
 	}
 }
 
-// MarkDegraded records channels whose featurization failed (a copy is
-// taken). Passing an empty slice clears the annotation.
-func (v *Vector) MarkDegraded(channels []string) {
-	if len(channels) == 0 {
-		v.degraded = nil
-		return
-	}
-	v.degraded = append([]string(nil), channels...)
-}
-
-// Degraded returns the channels recorded by MarkDegraded (nil for a fully
-// featurized vector). Callers must not mutate the returned slice.
-func (v *Vector) Degraded() []string { return v.degraded }
-
 // Reproject copies the vector onto target, carrying over values for features
 // that exist in both schemas (matched by name) and leaving the rest missing.
 // Only cells are copied: the result borrows v's payload.
@@ -521,7 +526,6 @@ func (v *Vector) Reproject(target *Schema) *Vector {
 // windows the cells use.
 func (v *Vector) Clone() *Vector {
 	out := NewVector(v.schema)
-	out.MarkDegraded(v.degraded)
 	for i, c := range v.cells {
 		switch c.kind { // neither write can fail: the copy's windows are no larger than the source's
 		case present(Categorical):

@@ -139,6 +139,43 @@ func TestVectorClone(t *testing.T) {
 	}
 }
 
+// TestVectorUnset: Unset leaves the position Missing, gives back the payload
+// room of the last write and only of it, and never truncates a borrowed
+// payload.
+func TestVectorUnset(t *testing.T) {
+	s := testSchema(t)
+	v := NewVector(s)
+	v.MustSet("topic", CategoricalValue("a"))
+	v.MustSet("objects", CategoricalValue("b", "c"))
+	v.MustSet("reports", NumericValue(7))
+	v.MustSet("emb", EmbeddingValue([]float64{1, 2, 3}))
+	v.Unset(0) // not the last categorical write: its room stays
+	if cats, embs := v.PayloadLen(); cats != 3 || embs != 3 || v.Present(0) {
+		t.Fatalf("after Unset(topic): payload %d/%d, present %v", cats, embs, v.Present(0))
+	}
+	v.Unset(1)
+	v.Unset(2)
+	v.Unset(3)
+	if cats, embs := v.PayloadLen(); cats != 1 || embs != 0 {
+		t.Fatalf("after unsetting the last writes: payload %d/%d, want 1/0", cats, embs)
+	}
+	v.MustSet("objects", CategoricalValue("d"))
+	if got := v.Get("objects").Categories; len(got) != 1 || got[0] != "d" || v.Present(0) || v.Present(2) {
+		t.Fatalf("rewrite after Unset: %v", v)
+	}
+	if ids := v.CategoryIDs(1); len(ids) != 1 || ids[0] != InternID("d") {
+		t.Fatalf("rewrite after Unset: intern IDs %v", ids)
+	}
+
+	src := NewVector(s)
+	src.MustSet("emb", EmbeddingValue([]float64{4, 5, 6}))
+	b := src.Reproject(s)
+	b.Unset(3)
+	if _, embs := src.PayloadLen(); embs != 3 || src.Get("emb").Vec[2] != 6 {
+		t.Fatal("Unset on a reprojection truncated its source's payload")
+	}
+}
+
 func TestVectorString(t *testing.T) {
 	s := testSchema(t)
 	v := NewVector(s)

@@ -405,10 +405,14 @@ func FuzzPackedVectorMatchesReference(f *testing.F) {
 
 // TestCellLayout guards the slab's two properties: 16 bytes a cell, and no
 // pointer anywhere in it — a pointer field would make every slab scannable
-// by the garbage collector again.
+// by the garbage collector again. A vector header, one per row of every
+// slab, stays at 48 bytes.
 func TestCellLayout(t *testing.T) {
 	if got := unsafe.Sizeof(cell{}); got != 16 {
 		t.Errorf("cell is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Vector{}); got != 48 {
+		t.Errorf("Vector is %d bytes, want 48", got)
 	}
 	var walk func(reflect.Type)
 	walk = func(ty reflect.Type) {

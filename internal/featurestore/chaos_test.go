@@ -31,11 +31,12 @@ func (s *toggleSvc) Observe(dst *feature.Vector, i int, _ *synth.Entity, _ synth
 	dst.SetNum(i, 1)
 }
 
-func (s *toggleSvc) CheckPoint(_ context.Context, p *synth.Point) (feature.Value, error) {
+func (s *toggleSvc) CheckPoint(_ context.Context, dst *feature.Vector, i int, p *synth.Point) error {
 	if s.failing.Load() {
-		return feature.Value{}, errToggled
+		return errToggled
 	}
-	return feature.NumericValue(float64(p.ID)), nil
+	dst.SetNum(i, float64(p.ID))
+	return nil
 }
 
 // quietPolicy retries fast and never trips a breaker unless asked.
@@ -86,9 +87,9 @@ func TestGuardedStoreMatchesPlainStoreAtZeroFaults(t *testing.T) {
 		if want[i].String() != got[i].String() {
 			t.Fatalf("point %d: guarded store diverges at zero fault rate", pts[i].ID)
 		}
-		if len(got[i].Degraded()) != 0 {
-			t.Fatalf("point %d marked degraded at zero fault rate", pts[i].ID)
-		}
+	}
+	if guarded.Len() != plain.Len() { // a degraded vector is never cached
+		t.Fatalf("guarded store cached %d vectors, plain %d", guarded.Len(), plain.Len())
 	}
 	ph, pm, _ := plain.Stats()
 	gh, gm, _ := guarded.Stats()
@@ -174,7 +175,8 @@ func TestColdMissFailsWithoutStaleCopy(t *testing.T) {
 }
 
 // TestDegradedChannelsAnnotatedAndNotCached: when one of two channels fails,
-// the vector is served with the failed channel annotated and is not cached —
+// the library reports it in Checked.Failed, and the store serves the vector
+// with the failed channel missing, counts it degraded and does not cache it —
 // a later healthy call recomputes and caches a clean copy.
 func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 	world, pts := toggleWorld(t)
@@ -185,7 +187,8 @@ func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := New(lib.WithGuards(quietPolicy(), nil), 0)
+	glib := lib.WithGuards(quietPolicy(), nil)
+	store, err := New(glib, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +196,15 @@ func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 	cfg := mapreduce.Config{Workers: 2}
 	sub := pts[:6]
 
+	checked, err := glib.FeaturizeChecked(ctx, cfg, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range checked {
+		if c.Err != nil || len(c.Failed) != 1 || c.Failed[0] != "bad" {
+			t.Fatalf("point %d: failed = %v (err %v), want [bad]", sub[i].ID, c.Failed, c.Err)
+		}
+	}
 	vecs, err := store.Featurize(ctx, cfg, sub)
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +215,6 @@ func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 		t.Fatal("schema missing toggle channels")
 	}
 	for i, v := range vecs {
-		deg := v.Degraded()
-		if len(deg) != 1 || deg[0] != "bad" {
-			t.Fatalf("point %d: degraded = %v, want [bad]", sub[i].ID, deg)
-		}
 		if !v.At(idxBad).Missing {
 			t.Fatalf("point %d: failed channel not missing", sub[i].ID)
 		}
@@ -218,6 +226,9 @@ func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 		t.Fatalf("DegradedServed = %d, want %d", got, len(sub))
 	}
 	// Degraded vectors must not have been cached.
+	if store.Len() != 0 {
+		t.Fatalf("%d degraded vectors cached", store.Len())
+	}
 	bad.failing.Store(false)
 	vecs2, err := store.Featurize(ctx, cfg, sub)
 	if err != nil {
@@ -228,12 +239,13 @@ func TestDegradedChannelsAnnotatedAndNotCached(t *testing.T) {
 		t.Fatalf("degraded vectors were cached: %d hits on recovery pass", hits)
 	}
 	for i, v := range vecs2 {
-		if len(v.Degraded()) != 0 {
-			t.Fatalf("point %d still degraded after recovery", sub[i].ID)
-		}
 		if v.At(idxBad).Missing {
 			t.Fatalf("point %d: recovered channel still missing", sub[i].ID)
 		}
+	}
+	if store.DegradedServed() != uint64(len(sub)) || store.Len() != len(sub) {
+		t.Fatalf("recovery pass: %d degraded served, %d cached; want %d and %d",
+			store.DegradedServed(), store.Len(), len(sub), len(sub))
 	}
 	// Third pass: the clean copies are served from cache.
 	if _, err := store.Featurize(ctx, cfg, sub); err != nil {

@@ -27,11 +27,10 @@ import (
 // values are shared across callers, who must treat them as read-only (every
 // in-repo consumer does: vectorization and similarity only read). Misses
 // are computed outside the lock and are not coalesced across calls: two
-// goroutines that miss on the same point at once both featurize it, compute
-// the same bits (featurization is deterministic in the point), and the later
-// insert replaces the earlier. Serving runs one batch at a time — the
-// batcher's one-slot run token — so two serving batches never featurize at
-// once; within one call a repeated point is featurized once.
+// goroutines that miss on the same point at once — two concurrent /predict
+// requests, say — both featurize it, compute the same bits (featurization is
+// deterministic in the point), and the later insert replaces the earlier.
+// Within one call a repeated point is featurized once.
 //
 // Ownership: a cached vector outlives the request that computed it, so it
 // owns its payload — its own values and nothing of the batch it arrived in.
@@ -49,7 +48,7 @@ type Store struct {
 	evicted   int
 	coalesced int
 	stale     uint64 // stale vectors served because recomputation failed
-	degraded  uint64 // vectors served with a degraded-channels annotation
+	degraded  uint64 // vectors served with failed channels missing
 }
 
 // Options configures a store beyond the library it fronts.
@@ -142,8 +141,8 @@ func (s *Store) StaleServed() uint64 {
 }
 
 // DegradedServed reports how many requests were answered with a vector
-// carrying a degraded-channels annotation (some service calls failed, no
-// stale copy existed). Degraded vectors are never cached.
+// whose failed channels are missing (some service calls failed, no stale
+// copy existed). Degraded vectors are never cached.
 func (s *Store) DegradedServed() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -186,9 +185,9 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // When the library is guarded (resource.Library.WithGuards), failures
 // degrade gracefully per point: a stale cached vector (older than TTL) is
 // served if recomputation fails; otherwise the vector is returned with its
-// failed channels missing and annotated via feature.Vector.Degraded (and
-// not cached). Only a point with no surviving channels and no stale copy
-// fails the call — its error wraps resource.ErrUnavailable, plus
+// failed channels missing (resource.Checked.Failed names them), counted by
+// DegradedServed and not cached. Only a point with no surviving channels and
+// no stale copy fails the call — its error wraps resource.ErrUnavailable, plus
 // resource.ErrBreakerOpen when a breaker caused it.
 func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
 	if ctx == nil {
@@ -286,7 +285,6 @@ func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, miss []
 				firstErr = c.Err
 			}
 		case len(c.Failed) > 0:
-			c.Vec.MarkDegraded(c.Failed)
 			s.degraded++
 			vecs[j] = c.Vec
 			// Not cached: a later retry may well produce the full vector.

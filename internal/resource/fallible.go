@@ -21,17 +21,19 @@ import (
 // brown out. A resource that can fail implements Fallible, and a Library
 // built WithGuards calls it through a Guard: per-attempt timeout,
 // capped-exponential-backoff retry with deterministic jitter, and a circuit
-// breaker per resource. Libraries without guards (every production caller
-// today) never touch this path, so the infallible pipeline is bit-identical
-// to before.
+// breaker per resource. An unguarded library's checked path is exactly
+// FeaturizePoint (the serving feature store calls it either way), so the
+// infallible pipeline is bit-identical to the unchecked one.
 
 // Fallible is the error-returning variant of Resource. CheckPoint performs
-// one full service call for one point (the same unit ObservePoint computes)
-// and must honor ctx: simulated or real latency must return ctx.Err() when
-// the context ends first. Implementations must be safe for concurrent use.
+// one full service call for one point — the write ObserveInto makes, video
+// frame merge included — into the still-Missing position i of dst, which an
+// error leaves Missing. It must honor ctx: simulated or real latency must
+// return ctx.Err() when the context ends first. Implementations must be safe
+// for concurrent use.
 type Fallible interface {
 	Resource
-	CheckPoint(ctx context.Context, p *synth.Point) (feature.Value, error)
+	CheckPoint(ctx context.Context, dst *feature.Vector, i int, p *synth.Point) error
 }
 
 // Sentinel errors for the checked path. The serving layer maps
@@ -100,8 +102,8 @@ type GuardStats struct {
 	BreakerRejects uint64 // observations refused by an open breaker
 }
 
-// Guard wraps one resource with the retry/timeout/breaker discipline. Build
-// via Library.WithGuards.
+// Guard wraps one resource with the retry/timeout/breaker discipline;
+// Library.WithGuards builds one per resource.
 type Guard struct {
 	res  Resource
 	fal  Fallible // nil when the resource cannot fail
@@ -118,9 +120,8 @@ type Guard struct {
 	breakerRejects atomic.Uint64
 }
 
-// NewGuard wraps r under pol. Exposed for tests; pipelines should use
-// Library.WithGuards.
-func NewGuard(r Resource, pol Policy) *Guard {
+// newGuard wraps r under pol.
+func newGuard(r Resource, pol Policy) *Guard {
 	pol = pol.withDefaults()
 	name := r.Def().Name
 	g := &Guard{
@@ -135,12 +136,6 @@ func NewGuard(r Resource, pol Policy) *Guard {
 	}
 	return g
 }
-
-// Resource returns the wrapped resource.
-func (g *Guard) Resource() Resource { return g.res }
-
-// Breaker returns the guard's circuit breaker.
-func (g *Guard) Breaker() *Breaker { return g.brk }
 
 // Stats snapshots the guard's counters.
 func (g *Guard) Stats() GuardStats {
@@ -172,22 +167,13 @@ func (g *Guard) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-// Observe performs one checked observation of p: at most MaxAttempts calls,
-// each under the per-attempt timeout, with backoff between attempts, all
-// gated by the breaker. Infallible resources short-circuit to the unchecked
-// path's write — same bits, no breaker bookkeeping. The one-cell case of
-// observe: a vector of the resource's feature alone, read back.
-func (g *Guard) Observe(ctx context.Context, p *synth.Point) (feature.Value, error) {
-	cell := feature.NewVector(feature.MustSchema(g.res.Def()))
-	if err := g.observe(ctx, cell, 0, p, xrand.New(0)); err != nil {
-		return feature.Value{Missing: true}, err
-	}
-	return cell.At(0), nil
-}
-
-// observe writes the checked observation into the still-Missing position i of
-// dst, which an error leaves Missing. Only the infallible short-circuit draws
-// from rng, the caller's per-point generator (a Fallible call owns its noise).
+// observe performs one checked observation of p into the still-Missing
+// position i of dst, which an error leaves Missing: at most MaxAttempts
+// calls, each under the per-attempt timeout, with backoff between attempts,
+// all gated by the breaker. Infallible resources short-circuit to the
+// unchecked path's write — same bits, no breaker bookkeeping — and only they
+// draw from rng, the caller's per-point generator (a Fallible call owns its
+// noise).
 func (g *Guard) observe(ctx context.Context, dst *feature.Vector, i int, p *synth.Point, rng *rand.Rand) error {
 	g.calls.Add(1)
 	if g.fal == nil {
@@ -211,10 +197,10 @@ func (g *Guard) observe(ctx context.Context, dst *feature.Vector, i int, p *synt
 			g.breakerRejects.Add(1)
 			return fmt.Errorf("resource %q: %w", name, ErrBreakerOpen)
 		}
-		val, err := g.attempt(ctx, p)
+		err := g.attempt(ctx, dst, i, p)
 		if err == nil {
 			g.brk.Success()
-			return dst.SetAt(i, val)
+			return nil
 		}
 		g.brk.Failure()
 		lastErr = err
@@ -228,13 +214,13 @@ func (g *Guard) observe(ctx context.Context, dst *feature.Vector, i int, p *synt
 }
 
 // attempt runs one call under the per-attempt timeout.
-func (g *Guard) attempt(ctx context.Context, p *synth.Point) (feature.Value, error) {
+func (g *Guard) attempt(ctx context.Context, dst *feature.Vector, i int, p *synth.Point) error {
 	if g.pol.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, g.pol.Timeout)
 		defer cancel()
 	}
-	return g.fal.CheckPoint(ctx, p)
+	return g.fal.CheckPoint(ctx, dst, i, p)
 }
 
 // WithGuards returns a copy of the library whose checked featurization path
@@ -247,20 +233,9 @@ func (l *Library) WithGuards(def Policy, per map[string]Policy) *Library {
 		if o, ok := per[r.Def().Name]; ok {
 			pol = o
 		}
-		guards[i] = NewGuard(r, pol)
+		guards[i] = newGuard(r, pol)
 	}
 	return &Library{world: l.world, resources: l.resources, schema: l.schema, hashes: l.hashes, guards: guards}
-}
-
-// Guard returns the guard for the named resource, or nil if the library is
-// unguarded or the name is unknown.
-func (l *Library) Guard(name string) *Guard {
-	for i, r := range l.resources {
-		if l.guards != nil && r.Def().Name == name {
-			return l.guards[i]
-		}
-	}
-	return nil
 }
 
 // GuardStatus is one resource's health snapshot, as exported on /metrics.

@@ -11,6 +11,7 @@ import (
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/synth"
+	"crossmodal/internal/xrand"
 )
 
 // fakeSvc is a scripted Fallible resource: the first failN CheckPoint calls
@@ -37,7 +38,7 @@ func (f *fakeSvc) Observe(dst *feature.Vector, i int, _ *synth.Entity, _ synth.M
 	dst.SetNum(i, 42)
 }
 
-func (f *fakeSvc) CheckPoint(ctx context.Context, _ *synth.Point) (feature.Value, error) {
+func (f *fakeSvc) CheckPoint(ctx context.Context, dst *feature.Vector, i int, _ *synth.Point) error {
 	n := f.calls.Add(1)
 	if f.block > 0 {
 		t := time.NewTimer(f.block)
@@ -45,13 +46,26 @@ func (f *fakeSvc) CheckPoint(ctx context.Context, _ *synth.Point) (feature.Value
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return feature.Value{Missing: true}, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	if n <= f.failN {
-		return feature.Value{Missing: true}, fmt.Errorf("%w (call %d)", errFake, n)
+		return fmt.Errorf("%w (call %d)", errFake, n)
 	}
-	return feature.NumericValue(42), nil
+	dst.SetNum(i, 42)
+	return nil
+}
+
+// observeOne runs one checked observation of p through g into a vector of
+// g's feature alone and reads it back; an error must leave the cell Missing.
+func observeOne(t *testing.T, g *Guard, ctx context.Context, p *synth.Point) (feature.Value, error) {
+	t.Helper()
+	v := feature.NewVector(feature.MustSchema(g.res.Def()))
+	err := g.observe(ctx, v, 0, p, xrand.New(0))
+	if err != nil && v.Present(0) {
+		t.Fatalf("failed observation wrote %v", v)
+	}
+	return v.At(0), err
 }
 
 func testPoint(id int) *synth.Point {
@@ -76,9 +90,9 @@ func quietPolicy(slept *[]time.Duration) Policy {
 func TestGuardRetriesRescueTransientFailure(t *testing.T) {
 	svc := newFakeSvc("svc", 2) // fails twice, third attempt succeeds
 	var slept []time.Duration
-	g := NewGuard(svc, quietPolicy(&slept))
+	g := newGuard(svc, quietPolicy(&slept))
 
-	val, err := g.Observe(context.Background(), testPoint(1))
+	val, err := observeOne(t, g, context.Background(), testPoint(1))
 	if err != nil {
 		t.Fatalf("observe: %v", err)
 	}
@@ -110,9 +124,9 @@ func TestGuardRetriesRescueTransientFailure(t *testing.T) {
 
 func TestGuardExhaustsBoundedAttempts(t *testing.T) {
 	svc := newFakeSvc("svc", 1<<20) // never recovers
-	g := NewGuard(svc, quietPolicy(nil))
+	g := newGuard(svc, quietPolicy(nil))
 
-	_, err := g.Observe(context.Background(), testPoint(1))
+	_, err := observeOne(t, g, context.Background(), testPoint(1))
 	if !errors.Is(err, errFake) {
 		t.Fatalf("err = %v, want wrapped errFake", err)
 	}
@@ -129,8 +143,8 @@ func TestGuardBackoffCapsAtMax(t *testing.T) {
 	var slept []time.Duration
 	pol := quietPolicy(&slept)
 	pol.MaxAttempts = 8
-	g := NewGuard(svc, pol)
-	g.Observe(context.Background(), testPoint(1))
+	g := newGuard(svc, pol)
+	observeOne(t, g, context.Background(), testPoint(1))
 	if len(slept) != 7 {
 		t.Fatalf("slept %d times, want 7", len(slept))
 	}
@@ -147,9 +161,9 @@ func TestGuardHonorsParentContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pol := quietPolicy(nil)
 	pol.Sleep = func(time.Duration) { cancel() } // cancel during first backoff
-	g := NewGuard(svc, pol)
+	g := newGuard(svc, pol)
 
-	_, err := g.Observe(ctx, testPoint(1))
+	_, err := observeOne(t, g, ctx, testPoint(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -164,9 +178,9 @@ func TestGuardPerAttemptTimeout(t *testing.T) {
 	pol := quietPolicy(nil)
 	pol.Timeout = 2 * time.Millisecond
 	pol.MaxAttempts = 2
-	g := NewGuard(svc, pol)
+	g := newGuard(svc, pol)
 
-	_, err := g.Observe(context.Background(), testPoint(1))
+	_, err := observeOne(t, g, context.Background(), testPoint(1))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded from per-attempt timeout", err)
 	}
@@ -182,24 +196,24 @@ func TestGuardBreakerTripsAndRejects(t *testing.T) {
 	pol.BreakerThreshold = 4
 	pol.BreakerCooldown = 100 * time.Millisecond
 	pol.Now = func() time.Time { return now }
-	g := NewGuard(svc, pol)
+	g := newGuard(svc, pol)
 
 	// First observation: 3 attempts, 3 failures — breaker still closed.
-	g.Observe(context.Background(), testPoint(1))
-	if st := g.Breaker().State(); st != BreakerClosed {
+	observeOne(t, g, context.Background(), testPoint(1))
+	if st := g.brk.State(); st != BreakerClosed {
 		t.Fatalf("breaker %v after 3 failures, want closed (threshold 4)", st)
 	}
 	// Second observation: 4th consecutive failure trips it mid-retry.
-	_, err := g.Observe(context.Background(), testPoint(2))
+	_, err := observeOne(t, g, context.Background(), testPoint(2))
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen once tripped", err)
 	}
-	if st := g.Breaker().State(); st != BreakerOpen {
+	if st := g.brk.State(); st != BreakerOpen {
 		t.Fatalf("breaker %v, want open", st)
 	}
 	calls := svc.calls.Load()
 	// Further observations are rejected without touching the service.
-	_, err = g.Observe(context.Background(), testPoint(3))
+	_, err = observeOne(t, g, context.Background(), testPoint(3))
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
@@ -213,14 +227,14 @@ func TestGuardBreakerTripsAndRejects(t *testing.T) {
 	svc.failN = 0
 	svc.calls.Store(0)
 	now = now.Add(200 * time.Millisecond)
-	val, err := g.Observe(context.Background(), testPoint(4))
+	val, err := observeOne(t, g, context.Background(), testPoint(4))
 	if err != nil {
 		t.Fatalf("post-recovery observe: %v", err)
 	}
 	if val.Num != 42 {
 		t.Fatalf("post-recovery value = %+v", val)
 	}
-	if st := g.Breaker().State(); st != BreakerClosed {
+	if st := g.brk.State(); st != BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", st)
 	}
 }

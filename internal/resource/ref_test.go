@@ -243,7 +243,8 @@ func refPoints(t testing.TB, lib *Library, n int, seed int64) []*synth.Point {
 // TestDirectWriteMatchesReference: every StandardLibrary service, through
 // every modality, over thousands of seeded points, writes the cell the
 // reference's returned Value would have been copied to — per service through
-// ObservePoint (the one-cell case) and per point through FeaturizePoint.
+// ObserveInto (the write a fault-injected call makes) and per point through
+// FeaturizePoint.
 func TestDirectWriteMatchesReference(t *testing.T) {
 	lib := testLibrary(t)
 	n := 2000
@@ -260,9 +261,15 @@ func TestDirectWriteMatchesReference(t *testing.T) {
 				continue
 			}
 			one, ref := feature.NewVector(lib.schema), feature.NewVector(lib.schema)
-			one.MustSetAt(i, ObservePoint(r, p))
+			ObserveInto(one, i, r, p)
 			ref.MustSetAt(i, refObservePoint(r, p, rng))
 			sameVector(t, where+" "+r.Def().Name, one, ref)
+			// A video point's frames give their payload room back: the
+			// vector keeps only the merged value.
+			if cats, embs := one.PayloadLen(); cats != len(one.Categories(i)) || embs != len(one.Vec(i)) {
+				t.Fatalf("%s %s: payload holds %d categories / %d floats for a value of %d / %d",
+					where, r.Def().Name, cats, embs, len(one.Categories(i)), len(one.Vec(i)))
+			}
 			if one.Present(i) {
 				present[i]++
 			}

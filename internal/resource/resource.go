@@ -122,24 +122,21 @@ func Applicable(r Resource, p *synth.Point) bool {
 	return r.Supports(p.Modality)
 }
 
-// ObservePoint renders one resource's view of one point as a Value: the unit
-// of work a single "service call" performs, including the per-frame merge for
-// video points, and so the seam the fault-injection layer wraps. It is the
-// one-cell case of featurization's write: a vector of r's feature alone,
-// observed into and read back. Callers must check Applicable first.
-func ObservePoint(r Resource, p *synth.Point) feature.Value {
-	d := r.Def()
-	cell := feature.NewVector(feature.MustSchema(d))
-	observeInto(cell, 0, r, xrand.Hash(d.Name), p, xrand.New(0))
-	return cell.At(0)
+// ObserveInto writes r's view of p into the still-Missing position i of dst on
+// a generator of its own: one service call's result, video frame merge
+// included, as featurization writes it — the write a Fallible wrapper
+// (internal/faulty) makes when a call succeeds. Callers must check Applicable
+// first.
+func ObserveInto(dst *feature.Vector, i int, r Resource, p *synth.Point) {
+	observeInto(dst, i, r, xrand.Hash(r.Def().Name), p, xrand.New(0))
 }
 
-// observeInto writes r's view of p into the still-Missing position i of dst,
-// reseeding rng to the channel's (or each video frame's) own stream, so a
-// point or a block of points costs one generator; hash is the channel name's.
+// observeInto is ObserveInto reseeding rng to the channel's (or each video
+// frame's) own stream, so a point or a block of points costs one generator;
+// hash is the channel name's.
 func observeInto(dst *feature.Vector, i int, r Resource, hash uint64, p *synth.Point, rng *rand.Rand) {
 	if p.Modality == synth.Video {
-		dst.MustSetAt(i, observeVideo(r, p, rng))
+		observeVideo(dst, i, r, p, rng)
 		return
 	}
 	p.SeedChannel(rng, hash)
@@ -168,51 +165,49 @@ func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
 	return v
 }
 
-// observeVideo merges per-frame image observations: categorical values
-// union, numeric and embedding values average; all-missing frames leave the
-// feature missing. Each frame is the one-cell case — observed into a scratch
-// vector of r's feature alone, then read through the typed readers, which
-// return nothing for the kinds the feature is not.
-func observeVideo(r Resource, p *synth.Point, rng *rand.Rand) feature.Value {
+// observeVideo merges p's frames into the still-Missing position i of dst:
+// categorical values union, numeric and embedding values average, and
+// all-missing frames leave i Missing. Each frame is observed into i through
+// the image channel, read through the typed readers (which return nothing for
+// the kinds the feature is not) and unset, which gives its payload room back.
+func observeVideo(dst *feature.Vector, i int, r Resource, p *synth.Point, rng *rand.Rand) {
 	d := r.Def()
-	cell := feature.NewVector(feature.MustSchema(d))
 	seen := make(map[string]bool)
 	acc := make([]float64, d.Dim)
 	var sum float64
 	n := 0
 	for f := 0; f < max(p.Frames, 1); f++ {
 		p.SeedFrame(rng, d.Name, f)
-		cell.MustSetAt(0, feature.MissingValue())
-		r.Observe(cell, 0, p.Entity, synth.Image, rng)
-		if !cell.Present(0) {
+		r.Observe(dst, i, p.Entity, synth.Image, rng)
+		if !dst.Present(i) {
 			continue
 		}
 		n++
-		for _, c := range cell.Categories(0) {
+		for _, c := range dst.Categories(i) {
 			seen[c] = true
 		}
-		sum += cell.Num(0)
-		for k, x := range cell.Vec(0) {
+		sum += dst.Num(i)
+		for k, x := range dst.Vec(i) {
 			acc[k] += x
 		}
+		dst.Unset(i)
 	}
 	switch {
-	case n == 0:
-		return feature.MissingValue()
+	case n == 0: // every frame dropped out: i stays Missing
 	case d.Kind == feature.Categorical:
 		cats := make([]string, 0, len(seen))
 		for c := range seen {
 			cats = append(cats, c)
 		}
 		sort.Strings(cats)
-		return feature.CategoricalValue(cats...)
+		must(dst.SetCategories(i, cats, nil))
 	case d.Kind == feature.Numeric:
-		return feature.NumericValue(sum / float64(n))
+		dst.SetNum(i, sum/float64(n))
 	default:
 		for k := range acc {
 			acc[k] /= float64(n)
 		}
-		return feature.EmbeddingValue(acc)
+		must(dst.SetVec(i, acc))
 	}
 }
 

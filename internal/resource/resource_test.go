@@ -326,8 +326,8 @@ func TestFeaturizePointByIndexMatchesByName(t *testing.T) {
 		seen[p.Modality]++
 		want := feature.NewVector(lib.Schema())
 		for _, r := range lib.Resources() {
-			if Applicable(r, p) {
-				want.MustSet(r.Def().Name, ObservePoint(r, p))
+			if i, _ := want.Schema().Index(r.Def().Name); Applicable(r, p) {
+				ObserveInto(want, i, r, p)
 			}
 		}
 		if got := lib.FeaturizePoint(p); !got.Equal(want) {

@@ -162,9 +162,9 @@ func (w *rateWindow) Rate(now time.Time) float64 {
 	return float64(n) / qpsWindowSeconds
 }
 
-// Metrics aggregates the serving counters the ISSUE's observability layer
-// calls for: QPS, queue depth (requests waiting for a run slot, read live
-// from the batcher), request-size and latency distributions, and shed counts.
+// Metrics aggregates the serving counters /metrics exports: QPS, queue depth
+// (requests waiting for a run slot, read live from the batcher), request-size
+// and latency distributions, and shed counts.
 type Metrics struct {
 	start time.Time
 

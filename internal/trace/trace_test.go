@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -284,7 +286,10 @@ func TestCaptureWritesChromeAndSummary(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.json")
 	var summary bytes.Buffer
-	stop := Capture(path, &summary)
+	stop, err := Capture(path, &summary, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !Enabled() {
 		t.Fatal("Capture should install a tracer")
 	}
@@ -311,7 +316,10 @@ func TestCaptureWritesChromeAndSummary(t *testing.T) {
 }
 
 func TestCaptureDisabledPath(t *testing.T) {
-	stop := Capture("", nil)
+	stop, err := Capture("", nil, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if Enabled() {
 		t.Error("empty Capture must not install a tracer")
 	}
@@ -320,12 +328,120 @@ func TestCaptureDisabledPath(t *testing.T) {
 	}
 }
 
+func TestCaptureProfilesDisabled(t *testing.T) {
+	stop, err := Capture("", nil, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no CPU profile path Capture must leave the profiler free.
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Errorf("empty Capture started a CPU profile: %v", err)
+	} else {
+		pprof.StopCPUProfile()
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCaptureBadPath(t *testing.T) {
-	stop := Capture(filepath.Join(t.TempDir(), "no", "such", "dir", "t.json"), nil)
+	stop, err := Capture(filepath.Join(t.TempDir(), "no", "such", "dir", "t.json"), nil, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, sp := Start(context.Background(), "s")
 	sp.End()
 	if err := stop(); err == nil {
 		t.Error("expected error for unwritable trace path")
+	}
+}
+
+func TestCaptureWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	stop, err := Capture("", nil, cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Enabled() {
+		t.Error("profiling alone must not install a tracer")
+	}
+	// Burn a little CPU so the profile has something to sample.
+	x := 0.0
+	for i := 0; i < 1_000_000; i++ {
+		x += float64(i) * 1.000001
+	}
+	_ = x
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if info.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+}
+
+func TestCaptureMemProfileOnly(t *testing.T) {
+	mem := filepath.Join(t.TempDir(), "mem.pprof")
+	stop, err := Capture("", nil, "", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(mem); err != nil || info.Size() == 0 {
+		t.Fatalf("heap profile missing or empty: %v", err)
+	}
+}
+
+// TestCaptureBadCPUProfilePath: a CPU profile that cannot start fails
+// Capture before it installs a tracer.
+func TestCaptureBadCPUProfilePath(t *testing.T) {
+	if _, err := Capture("", &bytes.Buffer{}, filepath.Join(t.TempDir(), "no", "such", "dir", "cpu"), ""); err == nil {
+		t.Fatal("expected error for uncreatable CPU profile path")
+	}
+	if Enabled() {
+		t.Error("a failed Capture left a tracer installed")
+	}
+}
+
+// TestCaptureBadMemProfilePath: a heap profile that cannot be written fails
+// the stop, which still writes the trace.
+func TestCaptureBadMemProfilePath(t *testing.T) {
+	var summary bytes.Buffer
+	stop, err := Capture("", &summary, "", filepath.Join(t.TempDir(), "no", "such", "dir", "mem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sp := Start(context.Background(), "stage")
+	sp.End()
+	if err := stop(); err == nil {
+		t.Fatal("expected error for uncreatable heap profile path")
+	}
+	if !strings.Contains(summary.String(), "stage") {
+		t.Errorf("summary not written past the heap profile's failure:\n%s", summary.String())
+	}
+}
+
+// TestCaptureTwiceSequential: a stopped capture must be restartable — the
+// commands defer stop and may be invoked back to back in tests.
+func TestCaptureTwiceSequential(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		stop, err := Capture("", nil, filepath.Join(dir, "cpu"), "")
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		if err := stop(); err != nil {
+			t.Fatalf("round %d stop: %v", i, err)
+		}
 	}
 }
 

@@ -26,13 +26,13 @@ var optionAllow = map[string]string{
 	"core.Options.Prop":                      "paper hyperparameter: propagation settings (labelprop.PropConfig)",
 	"core.StreamOptions.ChunkHook":           "injection seam: the crash / resume suite's per-chunk hook",
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
-	"core.StreamOptions.WarmPropagate":       "paper hyperparameter: warm propagation, ROADMAP item 5's subject",
+	"core.StreamOptions.WarmPropagate":       "paper hyperparameter: warm propagation, ROADMAP item 10's subject",
 	"core.TrainSpec.IncludeModalityFeatures": "paper hyperparameter: copied from core.Options by DefaultTrainSpec",
 	"featurestore.Options.Capacity":          "deployment setting: arrives through featurestore.New (cmd/serve -cache)",
 	"featurestore.Options.TTL":               "injection seam: the chaos suites' staleness clock, with Now",
-	"labelprop.GraphConfig.Exact":            "paper hyperparameter: pins the exact graph under LSH, ROADMAP item 7's subject",
-	"labelprop.GraphConfig.MinWeight":        "paper hyperparameter: edge-weight floor, ROADMAP item 2 sweeps it",
-	"labelprop.LSHConfig":                    "paper hyperparameter: ROADMAP item 7's subject",
+	"labelprop.GraphConfig.Exact":            "paper hyperparameter: pins the exact graph under LSH, ROADMAP item 12's subject",
+	"labelprop.GraphConfig.MinWeight":        "paper hyperparameter: edge-weight floor, ROADMAP item 12 sweeps it",
+	"labelprop.LSHConfig":                    "paper hyperparameter: ROADMAP item 12's subject",
 	"mining.Config":                          "paper hyperparameter: the mining thresholds internal/experiments ablates",
 	"model.Config":                           "paper hyperparameter: the end model",
 	"monitor.DriftConfig.Consecutive":        "paper hyperparameter: the drift suite varies it",
