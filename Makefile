@@ -3,7 +3,9 @@ GO ?= go
 .PHONY: check gate-fast gate-full cover-check
 
 ## gate-fast: the tier-1 gate — build everything, vet it, run every test,
-## hold every internal/ package at its coverage floor.
+## hold every internal/ package at its coverage floor. `go test ./...` runs
+## TestContract, which recomputes the behaviour contract in
+## testdata/contract.json.
 gate-fast:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -38,7 +40,10 @@ cover-check:
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
 ## zero-drift control through cmd/lifecycle (the first must detect and
 ## promote, the second must stay silent); and a real Chrome trace from
-## cmd/experiments that names every pipeline stage.
+## cmd/experiments that names every pipeline stage. The bit-identity of the
+## pipeline, the fusion artifacts and the cmd/ outputs is TestContract's, in
+## both gates; `go test -run TestContract -update .` is the one command that
+## moves a digest in testdata/contract.json.
 SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...

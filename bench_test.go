@@ -44,103 +44,54 @@ func suite(b *testing.B) *experiments.Suite {
 	return benchSuite
 }
 
-func BenchmarkTable1(b *testing.B) {
+// ct1 is the task subset of the experiment benchmarks.
+var ct1 = []string{"CT1"}
+
+// benchExperiment times one regeneration of an experiment per iteration.
+func benchExperiment(b *testing.B, run func(context.Context, *experiments.Suite) (any, error)) {
 	s := suite(b)
-	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Table1(ctx, []string{"CT1"}); err != nil {
+		if _, err := run(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkTable1(b *testing.B) {
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Table1(ctx, ct1) })
 }
 
 func BenchmarkTable2(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Table2(ctx, []string{"CT1"}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Table2(ctx, ct1) })
 }
 
 func BenchmarkTable3(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Table3(ctx, []string{"CT1"}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Table3(ctx, ct1) })
 }
 
 func BenchmarkFigure5(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Figure5(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Figure5(ctx, "CT1") })
 }
 
 func BenchmarkFigure6(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Figure6(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Figure6(ctx, "CT1") })
 }
 
 func BenchmarkFigure7(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Figure7(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Figure7(ctx, "CT1") })
 }
 
 func BenchmarkFusionComparison(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.FusionComparison(ctx, []string{"CT1"}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.FusionComparison(ctx, ct1) })
 }
 
 func BenchmarkLFGeneration(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.LFGeneration(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.LFGeneration(ctx, "CT1") })
 }
 
 func BenchmarkRawVsFeatures(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.RawVsFeatures(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.RawVsFeatures(ctx, "CT1") })
 }
 
 // --- Per-stage microbenchmarks ---
@@ -243,12 +194,5 @@ func BenchmarkVideoFeaturization(b *testing.B) {
 }
 
 func BenchmarkAblations(b *testing.B) {
-	s := suite(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Ablations(ctx, "CT1"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExperiment(b, func(ctx context.Context, s *experiments.Suite) (any, error) { return s.Ablations(ctx, "CT1") })
 }

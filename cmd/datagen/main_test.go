@@ -100,16 +100,29 @@ func TestRunWritesJSONL(t *testing.T) {
 	}
 }
 
-// TestExportDigestsPinned: the export of every corpus is pinned to the bytes
-// the materialized BuildDataset path wrote at these flags before streaming
-// became the only mode, with a chunk size that does not divide the corpus.
+// TestExportDigestsPinned: the in-process export of every corpus, with a
+// chunk size that does not divide the corpus, hashes to the datagen entries
+// of the behaviour contract (testdata/contract.json at the module root),
+// which the root TestContract computes from the built binary at these flags.
+// They are the bytes the materialized BuildDataset path wrote before
+// streaming became the only mode.
 func TestExportDigestsPinned(t *testing.T) {
+	raw, err := os.ReadFile("../../testdata/contract.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var contract struct {
+		SHA256 map[string]string `json:"sha256"`
+	}
+	if err := json.Unmarshal(raw, &contract); err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for corpus, want := range map[string]string{
-		"text":  "09a90531a9860bc627f95134f4138aeb4e333b03f79052e82a2766882fce7630",
-		"image": "7c7ecd53835a9bfb7540a70c4918a16916dc797fcecc5f0c0b191e07e35e43c0",
-		"test":  "00f72db848dccf48d193c444df5ee0dc84ec7853f8316fbe69619ad9a819a792",
-	} {
+	for _, corpus := range []string{"text", "image", "test"} {
+		want, ok := contract.SHA256["datagen/"+corpus]
+		if !ok {
+			t.Fatalf("contract has no datagen/%s entry", corpus)
+		}
 		out := dir + "/" + corpus + ".jsonl"
 		if err := run(runConfig{task: "CT1", n: 20, seed: 5, corpus: corpus, out: out, chunk: 7}); err != nil {
 			t.Fatal(err)
@@ -119,7 +132,7 @@ func TestExportDigestsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
-			t.Errorf("%s: export digest %x, want %s", corpus, sum, want)
+			t.Errorf("%s: export digest %x, contract %s", corpus, sum, want)
 		}
 	}
 }

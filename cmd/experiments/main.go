@@ -16,7 +16,9 @@
 // the same scale and seed reuses the featurized chunks instead of
 // recomputing them, with bit-identical results. -trace writes a Chrome
 // trace_event JSON file loadable in chrome://tracing or ui.perfetto.dev;
-// -trace-summary prints the aggregated stage tree to stderr on exit.
+// -trace-summary prints the aggregated stage tree to stderr on exit. Each
+// experiment's wall time goes to stderr too, so same-seed outputs are
+// byte-identical.
 package main
 
 import (
@@ -180,7 +182,7 @@ func dispatch(ctx context.Context, w io.Writer, suite *experiments.Suite, run st
 		if err := exp.Run(ctx, w, suite, tasks); err != nil {
 			return fmt.Errorf("%s: %w", exp.Name, err)
 		}
-		fmt.Fprintf(w, "\n_(generated in %s)_\n", time.Since(start).Round(time.Second))
+		log.Printf("%s generated in %s", exp.Name, time.Since(start).Round(time.Second))
 	}
 	return nil
 }

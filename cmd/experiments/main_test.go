@@ -136,3 +136,23 @@ func TestRunRejectsInvalidConfigFast(t *testing.T) {
 		t.Fatalf("invalid config took %v to reject", elapsed)
 	}
 }
+
+// TestRunOutputIsReproducible: same-seed runs write byte-equal markdown;
+// wall times go to stderr, not into the -o file.
+func TestRunOutputIsReproducible(t *testing.T) {
+	var outs [2][]byte
+	for i := range outs {
+		md := filepath.Join(t.TempDir(), "results.md")
+		if err := run(runConfig{run: "table1", scale: 0.05, seed: 5, tasks: "CT1", out: md}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = raw
+	}
+	if string(outs[0]) != string(outs[1]) || strings.Contains(string(outs[0]), "generated in") {
+		t.Fatalf("same-seed outputs differ or carry a wall time:\n%s\n---\n%s", outs[0], outs[1])
+	}
+}

@@ -52,7 +52,7 @@ func main() {
 		decay       = flag.Float64("decay", 0.35, "per-attribute observation decay in the shifted regime")
 		simDrift    = flag.Bool("simulate-drift", true, "inject the drift episode (false: static world, loop must stay quiet)")
 		scale       = flag.Float64("scale", 0.05, "training corpus scale factor for bootstrap and retrains")
-		workers     = flag.Int("workers", 1, "worker goroutines per parallel stage (1 for bit-reproducible runs)")
+		workers     = flag.Int("workers", 1, "worker goroutines per parallel stage (results do not depend on it)")
 		artifacts   = flag.String("artifacts", "", "artifact directory (default: a fresh temp dir)")
 		outPath     = flag.String("out", "", "write the run result (event log + counters) as JSON here")
 	)

@@ -104,7 +104,7 @@ func TestTrainedServerScoresDerivedPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m, _, err := fusion.LoadFile(cfg.trainPath)
+	m, _, _, err := fusion.LoadFileLineage(cfg.trainPath)
 	if err != nil {
 		t.Fatal(err)
 	}

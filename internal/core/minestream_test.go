@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"testing"
 )
 
@@ -31,21 +30,5 @@ func TestStreamMiningCurationBitIdentical(t *testing.T) {
 		return cur
 	}
 
-	oneShot := run(false)
-	streamed := run(true)
-
-	if a, b := oneShot.Report.LFCount, streamed.Report.LFCount; a != b {
-		t.Fatalf("LF count differs: one-shot %d, streamed %d", a, b)
-	}
-	if len(oneShot.ProbLabels) != len(streamed.ProbLabels) {
-		t.Fatalf("prob label count differs: %d vs %d", len(oneShot.ProbLabels), len(streamed.ProbLabels))
-	}
-	for i := range oneShot.ProbLabels {
-		if math.Float64bits(oneShot.ProbLabels[i]) != math.Float64bits(streamed.ProbLabels[i]) {
-			t.Fatalf("prob label %d differs: %v vs %v", i, oneShot.ProbLabels[i], streamed.ProbLabels[i])
-		}
-		if oneShot.Covered[i] != streamed.Covered[i] {
-			t.Fatalf("coverage %d differs", i)
-		}
-	}
+	streamedEqual(t, asStreamed(run(true)), asStreamed(run(false)))
 }

@@ -123,7 +123,7 @@ func (sc *StreamedCuration) Materialize(ctx context.Context) (*Curation, error) 
 // stores chunk by chunk, then the same curation stages Curate runs scan the
 // stores instead of in-memory slices. With GraphWindow 0 and WarmPropagate
 // off the result is bit-identical to BuildDataset + Curate at the same
-// configuration (TestGoldenPipelineStreamed pins this).
+// configuration (TestContract pins this).
 func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *synth.Task, dsCfg synth.DatasetConfig, sopts StreamOptions) (*StreamedCuration, error) {
 	if ctx == nil {
 		ctx = context.Background()

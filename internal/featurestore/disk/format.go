@@ -48,7 +48,7 @@
 //
 // Floats round-trip as raw bits and categorical values keep their exact
 // order and multiplicity, so a vector read back is bit-identical to the
-// one written — the property the golden streamed-pipeline gate depends on.
+// one written — the property the behaviour contract's streamed runs depend on.
 // Interned-categorical encoding: the per-segment dictionary is interned once
 // when the segment opens, so materializing a row maps its local IDs to the
 // intern-ID set feature.SimKernel consumes by index.
@@ -71,7 +71,7 @@ const (
 	headerSize    = 48
 
 	// Hard caps, validated before any size-driven allocation so a corrupt
-	// or adversarial header cannot force a huge allocation (the fusion.Load
+	// or adversarial header cannot force a huge allocation (the fusion.LoadLineage
 	// progressive-read discipline).
 	maxRows        = 1 << 26
 	maxPayload     = 1<<31 - 1

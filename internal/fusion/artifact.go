@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/model"
@@ -28,7 +27,7 @@ import (
 //
 // The checksum guards against truncated or bit-rotted files; the version
 // and per-type gob wire versions (see model/serialize.go, feature/gob.go)
-// guard against format skew. Load rejects any mismatch instead of
+// guard against format skew. LoadLineage rejects any mismatch instead of
 // deserializing garbage into a serving model.
 
 // Artifact kinds, also reported by serve's admin endpoints.
@@ -42,8 +41,9 @@ var artifactMagic = [8]byte{'X', 'M', 'O', 'D', 'A', 'R', 'T', '1'}
 
 const artifactVersion = 1
 
-// maxArtifactSection caps the payload length Load will read, and maxKindLen
-// the kind string, so a corrupt header cannot trigger an absurd allocation.
+// maxArtifactSection caps the payload length LoadLineage will read, and
+// maxKindLen the kind string, so a corrupt header cannot trigger an absurd
+// allocation.
 const (
 	maxArtifactSection = 1 << 30
 	maxKindLen         = 64
@@ -170,22 +170,5 @@ func Kind(p Predictor) string {
 	}
 }
 
-// Save writes p as a versioned, checksummed version-1 artifact.
-func Save(w io.Writer, p Predictor) error { return SaveLineage(w, p, nil) }
-
-// Load reads an artifact written by Save (or SaveLineage — the lineage
-// section, if present, is verified and discarded), verifying magic, version,
-// and checksum, and returns the predictor plus its kind.
-func Load(r io.Reader) (Predictor, string, error) {
-	p, kind, _, err := LoadLineage(r)
-	return p, kind, err
-}
-
 // SaveFile writes p to path atomically (see SaveFileLineage).
 func SaveFile(path string, p Predictor) error { return SaveFileLineage(path, p, nil) }
-
-// LoadFile reads an artifact from path, discarding any lineage.
-func LoadFile(path string) (Predictor, string, error) {
-	p, kind, _, err := LoadFileLineage(path)
-	return p, kind, err
-}

@@ -11,10 +11,10 @@ import (
 func roundTrip(t *testing.T, p Predictor, wantKind string) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, p); err != nil {
+	if err := SaveLineage(&buf, p, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, kind, err := Load(bytes.NewReader(buf.Bytes()))
+	got, kind, _, err := LoadLineage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 	if err := SaveFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, kind, err := LoadFile(path)
+	got, kind, _, err := LoadFileLineage(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := SaveLineage(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -104,26 +104,26 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[0] ^= 0xff
-		if _, _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, _, _, err := LoadLineage(bytes.NewReader(bad)); err == nil {
 			t.Fatal("corrupt magic accepted")
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[8] = 0xee
-		if _, _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, _, _, err := LoadLineage(bytes.NewReader(bad)); err == nil {
 			t.Fatal("unknown version accepted")
 		}
 	})
 	t.Run("flipped payload bit", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[len(bad)/2] ^= 0x10
-		if _, _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, _, _, err := LoadLineage(bytes.NewReader(bad)); err == nil {
 			t.Fatal("corrupt payload accepted")
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, _, err := Load(bytes.NewReader(raw[:len(raw)-7])); err == nil {
+		if _, _, _, err := LoadLineage(bytes.NewReader(raw[:len(raw)-7])); err == nil {
 			t.Fatal("truncated artifact accepted")
 		}
 	})

@@ -18,13 +18,13 @@ var fuzzArtifact = sync.OnceValues(func() ([]byte, error) {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := SaveLineage(&buf, m, nil); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 })
 
-// FuzzArtifactLoad: Load on arbitrary bytes must either succeed with a
+// FuzzArtifactLoad: LoadLineage on arbitrary bytes must either succeed with a
 // usable predictor or return an error — never panic, and never allocate
 // anywhere near what a lying length header claims.
 func FuzzArtifactLoad(f *testing.F) {
@@ -49,17 +49,17 @@ func FuzzArtifactLoad(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, kind, err := Load(bytes.NewReader(data))
+		p, kind, _, err := LoadLineage(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if p == nil {
-			t.Fatal("Load returned nil predictor without error")
+			t.Fatal("LoadLineage returned nil predictor without error")
 		}
 		switch kind {
 		case KindEarly, KindIntermediate, KindDeViSE:
 		default:
-			t.Fatalf("Load accepted unknown kind %q", kind)
+			t.Fatalf("LoadLineage accepted unknown kind %q", kind)
 		}
 	})
 }

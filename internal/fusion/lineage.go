@@ -52,7 +52,7 @@ type Lineage struct {
 
 const artifactVersionLineage = 2
 
-// maxLineageLen caps the lineage JSON Load will read.
+// maxLineageLen caps the lineage JSON LoadLineage will read.
 const maxLineageLen = 1 << 20
 
 // SaveLineage writes p with lineage metadata. A nil lineage writes the
@@ -111,7 +111,7 @@ func SaveLineage(w io.Writer, p Predictor, lg *Lineage) error {
 	return binary.Write(w, binary.LittleEndian, crc32.ChecksumIEEE(meta))
 }
 
-// LoadLineage reads an artifact written by Save or SaveLineage, verifying
+// LoadLineage reads an artifact written by SaveLineage, verifying
 // magic, version, and both checksums. Version-1 artifacts return a nil
 // lineage.
 func LoadLineage(r io.Reader) (Predictor, string, *Lineage, error) {

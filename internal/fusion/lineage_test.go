@@ -23,7 +23,7 @@ func lineageTestModel(t *testing.T) Predictor {
 // valid, and bootstrap saves stay reproducible against golden files.
 func TestSaveNilLineageIsVersion1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, lineageTestModel(t)); err != nil {
+	if err := SaveLineage(&buf, lineageTestModel(t), nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -84,11 +84,6 @@ func TestLineageRoundTrip(t *testing.T) {
 			t.Fatalf("vector %d: Predict %v != %v after lineage round trip", i, w, g)
 		}
 	}
-	// Plain Load accepts v2 streams too (discarding the lineage), so older
-	// call sites keep working against lifecycle-written artifacts.
-	if _, kind, err := Load(bytes.NewReader(buf.Bytes())); err != nil || kind != KindEarly {
-		t.Fatalf("Load on v2 artifact: kind=%q err=%v", kind, err)
-	}
 }
 
 func TestLineageFileRoundTrip(t *testing.T) {
@@ -129,7 +124,7 @@ func TestLineageChecksumRejected(t *testing.T) {
 func TestLineageUnknownVersionRejected(t *testing.T) {
 	m := lineageTestModel(t)
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := SaveLineage(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

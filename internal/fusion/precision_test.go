@@ -62,10 +62,10 @@ func TestArtifactPreservesPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	if err := SaveLineage(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, kind, err := Load(bytes.NewReader(buf.Bytes()))
+	got, kind, _, err := LoadLineage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestStampedArtifactsScoreExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
+		if err := SaveLineage(&buf, m, nil); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := Load(bytes.NewReader(buf.Bytes()))
+		got, _, _, err := LoadLineage(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -625,10 +625,10 @@ func quantCopy(t *testing.T, p model.Precision) *fusion.EarlyModel {
 	t.Helper()
 	fixture(t)
 	var buf bytes.Buffer
-	if err := fusion.Save(&buf, fx.modelA); err != nil {
+	if err := fusion.SaveLineage(&buf, fx.modelA, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fusion.Load(bytes.NewReader(buf.Bytes()))
+	got, _, _, err := fusion.LoadLineage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
