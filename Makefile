@@ -31,7 +31,9 @@ cover-check:
 ## gate-full: everything under the race detector (~4 min on a 2-CPU box),
 ## then the serving tests twenty more times under it (concurrent requests
 ## share the feature store and the scorer pool, so one pass sees few
-## interleavings), then
+## interleavings) and the streamed-ingest tests ten more times (its three
+## stages hand chunks forward and recycled buffers back across goroutines),
+## then
 ## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
 ## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
 ## /predict one bounds minimization: its oversize-body seed grows whitespace
@@ -48,6 +50,7 @@ SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Chaos|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
+	$(GO) test -race -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/

@@ -144,7 +144,9 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	for ch := stream.Next(cfg.chunk); ch != nil; ch = stream.Next(cfg.chunk) {
+	// Each chunk is written out before the next is generated, so the next
+	// refills it.
+	for ch := stream.Next(cfg.chunk); ch != nil; ch = stream.NextInto(ch, cfg.chunk) {
 		if ch.Corpus != want {
 			continue
 		}

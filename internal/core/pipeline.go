@@ -44,10 +44,16 @@ func (p *Pipeline) Options() Options { return p.opts }
 
 // Featurize maps points into the library's common feature space.
 func (p *Pipeline) Featurize(ctx context.Context, pts []*synth.Point) ([]*feature.Vector, error) {
+	return p.featurizeInto(ctx, pts, nil)
+}
+
+// featurizeInto is Featurize refilling b unless it is nil (see
+// resource.Library.FeaturizeInto).
+func (p *Pipeline) featurizeInto(ctx context.Context, pts []*synth.Point, b *resource.Batch) ([]*feature.Vector, error) {
 	ctx, span := trace.Start(ctx, "featurize")
 	defer span.End()
 	span.Add("points", int64(len(pts)))
-	return p.lib.Featurize(ctx, mapreduce.Config{Workers: p.opts.Workers}, pts)
+	return p.lib.FeaturizeInto(ctx, mapreduce.Config{Workers: p.opts.Workers}, pts, b)
 }
 
 // EndSchema returns the feature schema the discriminative end model trains

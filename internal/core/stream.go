@@ -8,6 +8,7 @@ import (
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore/disk"
+	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
 )
@@ -213,7 +214,10 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream, task *synth.T
 // The three stages overlap: one goroutine generates chunk k+1 while the
 // caller featurizes chunk k and one goroutine commits chunk k-1, then runs
 // its ingest hook. Both hand-offs are rendezvous, so at most two chunks of
-// points and two of vectors are alive at once. Only the committing goroutine
+// points and two of vectors are alive at once — and those are the only two of
+// each ever made: the stage that finishes with a buffer puts it on a ring for
+// the stage that refills it (featurize returns the points to the generator,
+// the committer the vectors to featurize). Only the committing goroutine
 // touches the stores, in generation order: hook k runs before commit k+1, and
 // nothing is committed once a commit or a hook has failed or ctx has ended.
 // The first error of any stage stops the other two and is returned after
@@ -233,6 +237,8 @@ func (r *streamRun) ingest(ctx context.Context, stream *synth.Stream, text, imag
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
 	chunks, spills := make(chan *synth.Chunk), make(chan spillJob) // unbuffered: the memory bound
+	// Depth 2: the bound above, so a put never finds its ring full.
+	points, batches := make(ring[*synth.Chunk], 2), make(ring[*resource.Batch], 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -240,7 +246,7 @@ func (r *streamRun) ingest(ctx context.Context, stream *synth.Stream, text, imag
 		defer close(chunks)
 		for {
 			_, gen := trace.Start(ctx, "synth.generate")
-			ch := stream.Next(r.opts.ChunkSize)
+			ch := stream.NextInto(points.get(), r.opts.ChunkSize)
 			if ch != nil {
 				gen.Add("points", int64(len(ch.Points)))
 				gen.Add("chunks", 1)
@@ -263,12 +269,19 @@ func (r *streamRun) ingest(ctx context.Context, stream *synth.Stream, text, imag
 				fail(err)
 				return
 			}
+			if job.batch != nil {
+				batches.put(job.batch)
+			}
 		}
 	}()
 	for ch := range chunks {
-		if err := r.featurize(ctx, sinks[ch.Corpus], ch, spills); err != nil {
+		if err := r.featurize(ctx, sinks[ch.Corpus], ch, spills, batches); err != nil {
 			fail(err)
 			break
+		}
+		// The pool and test corpora keep their points.
+		if sinks[ch.Corpus] != nil {
+			points.put(ch)
 		}
 	}
 	close(spills)
@@ -294,6 +307,26 @@ type corpusSink struct {
 	labels *[]int8 // the run's label column for the corpus
 }
 
+// ring is where a stage puts the buffers it is done with, for the stage that
+// refills them. Neither end waits: get on an empty ring yields nil, which the
+// refilling stage replaces with a new buffer, and put on a full one drops.
+type ring[T any] chan T
+
+func (r ring[T]) get() (buf T) {
+	select {
+	case buf = <-r:
+	default:
+	}
+	return buf
+}
+
+func (r ring[T]) put(buf T) {
+	select {
+	case r <- buf:
+	default:
+	}
+}
+
 // spillJob is one chunk on its way to its store; nil vecs: already there.
 type spillJob struct {
 	sink   *corpusSink
@@ -301,12 +334,14 @@ type spillJob struct {
 	ids    []int
 	labels []int8
 	vecs   []*feature.Vector
+	batch  *resource.Batch // the memory behind vecs
 }
 
 // featurize is ingest's middle stage for one chunk, on the caller's
 // goroutine: record the labels, featurize unless the store already holds the
-// chunk, and hand the result on. The pool and test corpora have no sink.
-func (r *streamRun) featurize(ctx context.Context, sink *corpusSink, ch *synth.Chunk, spills chan<- spillJob) error {
+// chunk — refilling a batch from the ring — and hand the result on. The pool
+// and test corpora have no sink.
+func (r *streamRun) featurize(ctx context.Context, sink *corpusSink, ch *synth.Chunk, spills chan<- spillJob, batches ring[*resource.Batch]) error {
 	switch ch.Corpus {
 	case synth.PoolCorpus:
 		r.pool = append(r.pool, ch.Points...)
@@ -327,8 +362,11 @@ func (r *streamRun) featurize(ctx context.Context, sink *corpusSink, ch *synth.C
 	}
 	*sink.labels = append(*sink.labels, job.labels...)
 	if job.seq >= sink.skip {
+		if job.batch = batches.get(); job.batch == nil {
+			job.batch = new(resource.Batch)
+		}
 		var err error
-		if job.vecs, err = r.p.Featurize(ctx, ch.Points); err != nil {
+		if job.vecs, err = r.p.featurizeInto(ctx, ch.Points, job.batch); err != nil {
 			return fmt.Errorf("core: featurize chunk: %w", err)
 		}
 	}

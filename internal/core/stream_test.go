@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -141,6 +142,20 @@ func TestCurateStreamedMatchesCurate(t *testing.T) {
 
 	sc := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
 	streamedEqual(t, sc, asStreamed(cur))
+	// Ingest refills the text and image chunks it is done with; the pool and
+	// test points it keeps must still be the dataset's.
+	for name, pts := range map[string][2][]*synth.Point{"pool": {sc.Pool, ds.HandLabelPool}, "test": {sc.Test, ds.TestImage}} {
+		got, want := pts[0], pts[1]
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, dataset has %d", name, len(got), len(want))
+		}
+		for i, a := range want {
+			if b := got[i]; a.ID != b.ID || a.Seed != b.Seed || a.Label != b.Label || !reflect.DeepEqual(a.Entity, b.Entity) {
+				t.Fatalf("%s point %d: id %d label %d entity %+v, dataset id %d label %d entity %+v",
+					name, i, b.ID, b.Label, *b.Entity, a.ID, a.Label, *a.Entity)
+			}
+		}
+	}
 
 	// Materialize must hand back the stored vectors bit-exactly and in order.
 	mat, err := sc.Materialize(context.Background())

@@ -288,7 +288,23 @@ func (v *Vector) Schema() *Schema { return v.schema }
 // NewVectors returns n all-missing vectors for schema carved out of one
 // []Vector, one []cell and one shared payload: the chunk-granular form the
 // disk store decodes into. Each vector's cell window is capacity-limited.
-func NewVectors(schema *Schema, n int) []Vector {
+func NewVectors(schema *Schema, n int) []Vector { return ReuseVectors(nil, schema, n) }
+
+// ReuseVectors is NewVectors over slab, an earlier result of it for the same
+// schema whose vectors nothing reads any more: when slab's capacity holds n
+// vectors, its first n are cleared to Missing and its payload is truncated,
+// keeping its capacity, so refilling it appends into the same arrays. A
+// slab without that room, or of another schema, is replaced by a new one.
+func ReuseVectors(slab []Vector, schema *Schema, n int) []Vector {
+	if n > 0 && cap(slab) >= n && slab[:1][0].schema == schema {
+		slab = slab[:n]
+		for r := range slab {
+			clear(slab[r].cells)
+		}
+		p := slab[0].pay
+		p.cats, p.ids, p.embs = p.cats[:0], p.ids[:0], p.embs[:0]
+		return slab
+	}
 	width := schema.Len()
 	cells := make([]cell, n*width)
 	pay := new(payload)

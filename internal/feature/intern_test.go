@@ -353,3 +353,57 @@ func TestSetAtMatchesSet(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseVectors: a reused slab is a NewVectors result again — every row
+// Missing, the payload empty — in the same memory, keeping the payload's
+// capacity, and refills to what Set builds; a slab without room for the rows
+// asked for, or of another schema, is replaced.
+func TestReuseVectors(t *testing.T) {
+	schema := internTestSchema(t)
+	rng := rand.New(rand.NewSource(5))
+	const n = 50
+	fill := func(slab []Vector) {
+		for r := range slab {
+			want := randomVector(t, rng, schema)
+			for i := 0; i < schema.Len(); i++ {
+				if err := slab[r].SetAt(i, want.At(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !want.Equal(&slab[r]) {
+				t.Fatalf("row %d: slab holds %v, Set built %v", r, &slab[r], want)
+			}
+		}
+	}
+	slab := NewVectors(schema, n)
+	fill(slab)
+	pay := slab[0].pay
+	cats, embs := cap(pay.cats), cap(pay.embs)
+
+	reused := ReuseVectors(slab, schema, n-1)
+	if len(reused) != n-1 || &reused[0] != &slab[0] || reused[0].pay != pay {
+		t.Fatalf("ReuseVectors made a new slab of %d rows, want slab's first %d", len(reused), n-1)
+	}
+	for r := range reused {
+		for i := 0; i < schema.Len(); i++ {
+			if reused[r].Present(i) {
+				t.Fatalf("reused row %d keeps feature %d", r, i)
+			}
+		}
+	}
+	if c, e := reused[0].PayloadLen(); c != 0 || e != 0 || cap(pay.cats) != cats || cap(pay.embs) != embs {
+		t.Fatalf("reused payload holds %d categories / %d floats with capacity %d / %d, want none with %d / %d",
+			c, e, cap(pay.cats), cap(pay.embs), cats, embs)
+	}
+	fill(reused)
+	// The slab's capacity is n: all n rows are reusable after n-1 were asked for.
+	if again := ReuseVectors(reused, schema, n); &again[0] != &slab[0] {
+		t.Fatal("ReuseVectors did not reuse a slab with room for every row")
+	}
+	if grown := ReuseVectors(slab, schema, n+1); &grown[0] == &slab[0] || len(grown) != n+1 {
+		t.Fatal("ReuseVectors reused a slab without room for the rows asked for")
+	}
+	if other := ReuseVectors(slab, MustSchema(Def{Name: "n", Kind: Numeric}), 2); &other[0] == &slab[0] {
+		t.Fatal("ReuseVectors reused a slab of another schema")
+	}
+}

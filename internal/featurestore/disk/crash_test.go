@@ -239,3 +239,48 @@ func TestQuarantineIdempotent(t *testing.T) {
 		t.Fatalf("second recovery re-quarantined %v", s2.Quarantined())
 	}
 }
+
+// TestAppendRefusedAfterLostCommit: a chunk whose marker lands but whose
+// segments cannot be reopened is committed on disk and unknown in memory.
+// The store must refuse the next append — which would otherwise reuse the
+// chunk's sequence number and silently replace it — until it is reopened.
+func TestAppendRefusedAfterLostCommit(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, 1)
+	truncated := false
+	s, err := Open(dir, testSchema(), Options{Shards: 3, CommitHook: func(op, path string) error {
+		if op == "marker" && !truncated {
+			truncated = true
+			for _, seg := range segPaths(t, dir, 1) {
+				if err := os.Truncate(seg, 0); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	for i, base := range []int{5000, 6000} {
+		vecs := makeVecs(t, s.Schema(), 40, int64(i))
+		ids := make([]int, 40)
+		for r := range ids {
+			ids[r] = base + r
+		}
+		if err := s.AppendChunk(context.Background(), ids, make([]int8, 40), vecs); err == nil {
+			t.Fatalf("append %d succeeded after chunk 1 committed unreadable", i)
+		}
+	}
+	if got := s.Chunks(); got != 1 {
+		t.Fatalf("store holds %d chunks in memory, want 1", got)
+	}
+
+	// Reopening quarantines the unreadable chunk; appends resume after chunk 0.
+	s2 := wantRecovery(t, dir, 1, len(segPaths(t, dir, 1))+1)
+	appendTestChunk(t, s2, 9000, 25, 7)
+	if got, err := s2.Find(context.Background(), []int{5000, 6000, 9000}); err != nil || len(got) != 1 || got[9000] == nil {
+		t.Fatalf("Find after recovery: %v, hits %v, want only 9000", err, got)
+	}
+}

@@ -348,14 +348,52 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// encoder is the scratch a Store encodes its segments in — the file image
-// and the per-column dictionary state — kept across segments and chunks.
+// encoder is the scratch a Store encodes its segments in — the chunk's shard
+// partitions, the file image and the per-column dictionary state — kept
+// across segments and chunks.
 type encoder struct {
+	parts    []part
 	buf      []byte
 	dictIdx  map[string]uint32
 	dict     []string
 	offsets  []uint32
 	localIDs []uint32
+}
+
+// part is one shard's rows of a chunk, each with its chunk ordinal.
+type part struct {
+	ids    []uint64
+	ords   []uint32
+	labels []int8
+	vecs   []*feature.Vector
+}
+
+// partition routes a chunk's rows to shards by entity hash, refilling the
+// partitions of the previous chunk.
+func (e *encoder) partition(shards int, ids []int, labels []int8, vecs []*feature.Vector) []part {
+	if len(e.parts) != shards {
+		e.parts = make([]part, shards)
+	}
+	for sh := range e.parts {
+		p := &e.parts[sh]
+		p.ids, p.ords, p.labels, p.vecs = p.ids[:0], p.ords[:0], p.labels[:0], p.vecs[:0]
+	}
+	for r, id := range ids {
+		p := &e.parts[shardOf(uint64(id), shards)]
+		p.ids = append(p.ids, uint64(id))
+		p.ords = append(p.ords, uint32(r))
+		p.labels = append(p.labels, labels[r])
+		p.vecs = append(p.vecs, vecs[r])
+	}
+	return e.parts
+}
+
+// release drops the partitions' references to the chunk's vectors, which
+// belong to the caller once AppendChunk returns.
+func (e *encoder) release() {
+	for sh := range e.parts {
+		clear(e.parts[sh].vecs)
+	}
 }
 
 // encodeSegment serializes one shard's slice of a chunk. ids, ords,

@@ -53,6 +53,10 @@ type Store struct {
 	opts       Options
 
 	enc encoder // AppendChunk's scratch; appends are serialized by the caller
+	// lost is set when a chunk committed on disk could not be reopened: the
+	// store no longer knows its next sequence number, so it refuses appends
+	// until it is opened again.
+	lost error
 
 	mu          sync.RWMutex
 	chunks      []*chunkSet
@@ -256,13 +260,19 @@ func (s *Store) Close() error {
 // commit marker is renamed into place only after every segment — a crash
 // anywhere leaves no committed partial chunk, and Open quarantines the
 // debris. Vectors must carry the store's schema; ids, labels, and vecs are
-// parallel and their append order is preserved by ScanChunks.
+// parallel and their append order is preserved by ScanChunks. None of them is
+// retained: the caller may refill them once AppendChunk returns. A chunk that
+// commits but whose segments fail to reopen is on disk and not in the store,
+// so the store refuses every later append until it is opened again.
 func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs []*feature.Vector) error {
 	if len(ids) != len(vecs) || len(labels) != len(vecs) {
 		return fmt.Errorf("disk: %d ids / %d labels / %d vectors", len(ids), len(labels), len(vecs))
 	}
 	if len(vecs) == 0 {
 		return fmt.Errorf("disk: empty chunk")
+	}
+	if s.lost != nil {
+		return s.lost
 	}
 	// encodeSegment indexes every vector by the store schema's positions, so
 	// every vector is checked: by schema pointer, which the vectors of a
@@ -280,22 +290,8 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 	defer span.End()
 	seq := s.Chunks()
 
-	// Partition rows by entity hash, remembering each row's chunk ordinal.
-	type part struct {
-		ids    []uint64
-		ords   []uint32
-		labels []int8
-		vecs   []*feature.Vector
-	}
-	parts := make([]part, s.opts.Shards)
-	for r, id := range ids {
-		sh := shardOf(uint64(id), s.opts.Shards)
-		p := &parts[sh]
-		p.ids = append(p.ids, uint64(id))
-		p.ords = append(p.ords, uint32(r))
-		p.labels = append(p.labels, labels[r])
-		p.vecs = append(p.vecs, vecs[r])
-	}
+	parts := s.enc.partition(s.opts.Shards, ids, labels, vecs)
+	defer s.enc.release()
 
 	var bytesOut int
 	written := make([]string, 0, s.opts.Shards)
@@ -329,7 +325,8 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 			for _, open := range cs.segs {
 				open.Close()
 			}
-			return err
+			s.lost = fmt.Errorf("disk: chunk %d committed but not reopened, reopen the store to append: %w", seq, err)
+			return s.lost
 		}
 		cs.segs = append(cs.segs, seg)
 		cs.rows += seg.Rows()

@@ -344,7 +344,10 @@ func FuzzFeaturizeMatchesReference(f *testing.F) {
 
 // TestSlabFeaturizeMatchesPerPoint: the block slabs of Featurize hold, vector
 // for vector, what FeaturizePoint builds alone, at any worker count and at
-// the lengths around a request's block boundaries.
+// the lengths around a request's block boundaries — fresh, and refilled
+// through one Batch. Each length featurizes the last n of the shuffled text,
+// image and video points, so a refilled slab row held another point before
+// (often of another modality) and a cell its reset left behind shows.
 func TestSlabFeaturizeMatchesPerPoint(t *testing.T) {
 	lib := testLibrary(t)
 	pts := refPoints(t, lib, 342, 5) // 342 each of text, image, video: 1026 mixed points
@@ -354,16 +357,20 @@ func TestSlabFeaturizeMatchesPerPoint(t *testing.T) {
 		want[i] = lib.FeaturizePoint(p)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, n := range []int{0, 1, 1023, 1025} {
-			got, err := lib.Featurize(context.Background(), mapreduce.Config{Workers: workers}, pts[:n])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != n {
-				t.Fatalf("workers=%d n=%d: %d vectors", workers, n, len(got))
-			}
-			for i := range got {
-				sameVector(t, fmt.Sprintf("workers=%d n=%d vector %d", workers, n, i), got[i], want[i])
+		var batch Batch
+		for _, n := range []int{0, 1, 1025, 1023, 1025} {
+			off := len(pts) - n
+			for _, b := range []*Batch{nil, &batch} {
+				got, err := lib.FeaturizeInto(context.Background(), mapreduce.Config{Workers: workers}, pts[off:], b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != n {
+					t.Fatalf("workers=%d n=%d: %d vectors", workers, n, len(got))
+				}
+				for i := range got {
+					sameVector(t, fmt.Sprintf("workers=%d n=%d reused=%v vector %d", workers, n, b != nil, i), got[i], want[off+i])
+				}
 			}
 		}
 	}
@@ -371,7 +378,8 @@ func TestSlabFeaturizeMatchesPerPoint(t *testing.T) {
 
 // TestFeaturizeAllocsPerBlock: a batch costs a fixed handful of objects per
 // block a worker claims — the slab's vectors, cells, payload and its three
-// arrays, one generator — and none per point.
+// arrays, one generator — and none per point; a Batch that has held one
+// batch refills it with none per block.
 func TestFeaturizeAllocsPerBlock(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds bookkeeping allocations")
@@ -388,6 +396,15 @@ func TestFeaturizeAllocsPerBlock(t *testing.T) {
 		if perBlock := (got - 1) / blocks; perBlock > 8 { // 1: the output slice
 			t.Errorf("%s: %v allocations for %d points in %d blocks: %.1f per block, want <= 8 (and so none per point)",
 				name, got, len(pts), blocks, perBlock)
+		}
+		var b Batch
+		got = testing.AllocsPerRun(5, func() { // AllocsPerRun's warm-up call fills b
+			if _, err := lib.FeaturizeInto(context.Background(), mapreduce.Config{Workers: 1}, pts, &b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 8 { // what remains is the job's own bookkeeping, once per batch
+			t.Errorf("%s: refilling a Batch made %v allocations for %d blocks, want <= 8 (and so none per block)", name, got, blocks)
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
@@ -217,13 +219,64 @@ func observeVideo(dst *feature.Vector, i int, r Resource, p *synth.Point, rng *r
 // generator — a handful of objects per block, none per point — so a block's
 // vectors share a payload: FeaturizePoint a vector kept past its batch.
 func (l *Library) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
-	out := make([]*feature.Vector, len(pts))
+	return l.FeaturizeInto(ctx, cfg, pts, nil)
+}
+
+// Batch is the memory of one featurized batch — the output slice and every
+// block's slab and generator — kept so the next batch refills it instead of
+// allocating its own. The zero Batch holds nothing yet.
+type Batch struct {
+	vecs   []*feature.Vector
+	mu     sync.Mutex
+	blocks []*block // blocks[:used] are the current batch's
+	used   int
+}
+
+// block is one claimed block's slab and generator.
+type block struct {
+	slab []feature.Vector
+	rng  *rand.Rand
+}
+
+// claim hands the calling block a block of b's, reused when a previous batch
+// left one over.
+func (b *Batch) claim() *block {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.used == len(b.blocks) {
+		b.blocks = append(b.blocks, new(block))
+	}
+	b.used++
+	return b.blocks[b.used-1]
+}
+
+// FeaturizeInto is Featurize refilling b, when b is not nil: its blocks'
+// slabs are cleared and refilled (feature.ReuseVectors), and the returned
+// slice is b's, so the vectors of b's previous batch are overwritten and
+// must no longer be read. Which block gets which slab does not matter:
+// every slab is reset before it is written.
+func (l *Library) FeaturizeInto(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point, b *Batch) ([]*feature.Vector, error) {
+	var out []*feature.Vector
+	if b != nil {
+		b.vecs, b.used = slices.Grow(b.vecs[:0], len(pts))[:len(pts)], 0
+		out = b.vecs
+	} else {
+		out = make([]*feature.Vector, len(pts))
+	}
 	err := mapreduce.Blocks(ctx, cfg, len(pts), func(_ context.Context, lo, hi int) error {
-		vecs := feature.NewVectors(l.schema, hi-lo)
+		var fresh block
+		blk := &fresh
+		if b != nil {
+			blk = b.claim()
+		}
+		blk.slab = feature.ReuseVectors(blk.slab, l.schema, hi-lo)
+		vecs := blk.slab
 		vecs[0].Grow(l.reserve(pts[lo], hi-lo))
-		rng := xrand.New(0)
+		if blk.rng == nil {
+			blk.rng = xrand.New(0)
+		}
 		for k := range vecs {
-			l.featurizeInto(&vecs[k], pts[lo+k], rng)
+			l.featurizeInto(&vecs[k], pts[lo+k], blk.rng)
 			out[lo+k] = &vecs[k]
 		}
 		return nil

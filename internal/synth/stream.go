@@ -8,6 +8,7 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 
 	"crossmodal/internal/xrand"
 )
@@ -93,7 +94,15 @@ func modalityOf(k CorpusKind) Modality {
 
 // Next returns the next chunk of at most max points, never crossing a
 // corpus boundary. It returns nil when the dataset is exhausted.
-func (s *Stream) Next(max int) *Chunk {
+func (s *Stream) Next(max int) *Chunk { return s.NextInto(nil, max) }
+
+// NextInto is Next refilling c, a chunk this stream returned whose points
+// nothing reads any more: its Points slice and the Points and Entities it
+// holds, up to its capacity, are overwritten with exactly the values a fresh
+// chunk would carry, and only the points c lacks are allocated. A nil c
+// refills nothing. At the end of the dataset it returns nil and leaves c as
+// it was.
+func (s *Stream) NextInto(c *Chunk, max int) *Chunk {
 	if max <= 0 {
 		max = 4096
 	}
@@ -109,20 +118,32 @@ func (s *Stream) Next(max int) *Chunk {
 	if n > max {
 		n = max
 	}
+	if c == nil {
+		c = new(Chunk)
+	}
+	// The points past len are a longer earlier chunk's: still c's to reuse.
+	pts := c.Points[:cap(c.Points)]
+	if len(pts) < n {
+		pts = slices.Grow(pts, n-len(pts))
+	}
+	pts = pts[:n]
 	m := modalityOf(s.corpus)
-	pts := make([]*Point, n)
-	for i := range pts {
-		e := s.w.SampleEntity(s.rng, m, s.nextID)
-		pts[i] = &Point{
+	for i, p := range pts {
+		if p == nil {
+			p = &Point{Entity: new(Entity)}
+			pts[i] = p
+		}
+		s.w.sampleInto(p.Entity, s.rng, m, s.nextID)
+		*p = Point{
 			ID:       s.nextID,
-			Entity:   e,
+			Entity:   p.Entity,
 			Modality: m,
 			Seed:     PointSeed(s.cfg.Seed, s.nextID),
-			Label:    s.task.Label(s.w, e),
+			Label:    s.task.Label(s.w, p.Entity),
 		}
 		s.nextID++
 	}
-	c := &Chunk{Corpus: s.corpus, Start: s.offset, Points: pts}
+	*c = Chunk{Corpus: s.corpus, Start: s.offset, Points: pts}
 	s.offset += n
 	return c
 }

@@ -1,77 +1,103 @@
 package synth
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 // TestStreamMatchesBuildDataset is the bit-identity gate for the streamed
 // generator: chunked emission must reproduce BuildDataset's points exactly
 // — same IDs, entities, seeds, labels — for every corpus, at any chunk
-// size, including one that does not divide the corpus sizes.
+// size, including one that does not divide the corpus sizes. The recycled
+// runs generate through a ring of two chunks, as streamed ingest does, and
+// alternate the size asked for, so a refilled chunk crosses the text → image
+// boundary, grows past its capacity and ends short.
 func TestStreamMatchesBuildDataset(t *testing.T) {
-	for _, chunk := range []int{1, 7, 64, 100000} {
-		cfg := DatasetConfig{
-			Seed:               41,
-			NumText:            300,
-			NumUnlabeledImage:  120,
-			NumHandLabelPool:   35,
-			NumTest:            90,
-			CalibrationSamples: 2000,
+	for _, recycle := range []bool{false, true} {
+		for _, chunk := range []int{1, 7, 64, 100000} {
+			streamMatchesBuildDataset(t, chunk, recycle)
 		}
-		w := MustWorld(DefaultConfig())
-		task, err := TaskByName("CT1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := BuildDataset(w, task, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	}
+}
 
-		// Fresh world and task: calibration must happen inside NewStream
-		// exactly as it does inside BuildDataset.
-		w2 := MustWorld(DefaultConfig())
-		task2, err := TaskByName("CT1")
-		if err != nil {
-			t.Fatal(err)
+func streamMatchesBuildDataset(t *testing.T, chunk int, recycle bool) {
+	cfg := DatasetConfig{
+		Seed:               41,
+		NumText:            300,
+		NumUnlabeledImage:  120,
+		NumHandLabelPool:   35,
+		NumTest:            90,
+		CalibrationSamples: 2000,
+	}
+	w := MustWorld(DefaultConfig())
+	task, err := TaskByName("CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := BuildDataset(w, task, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Fresh world and task: calibration must happen inside NewStream
+	// exactly as it does inside BuildDataset.
+	w2 := MustWorld(DefaultConfig())
+	task2, err := TaskByName("CT1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := NewStream(w2, task2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[CorpusKind][]*Point{
+		TextCorpus:  ds.LabeledText,
+		ImageCorpus: ds.UnlabeledImage,
+		PoolCorpus:  ds.HandLabelPool,
+		TestCorpus:  ds.TestImage,
+	}
+	// A recycled chunk's points are overwritten by the next refill, so each
+	// chunk is checked as it arrives.
+	got := map[CorpusKind]int{}
+	var ring [2]*Chunk
+	for k := 0; ; k++ {
+		var c *Chunk
+		if recycle {
+			max := chunk
+			if k%2 == 1 {
+				max = chunk/2 + 1
+			}
+			c = stream.NextInto(ring[k%2], max)
+			ring[k%2] = c
+		} else {
+			c = stream.Next(chunk)
 		}
-		stream, err := NewStream(w2, task2, cfg)
-		if err != nil {
-			t.Fatal(err)
+		if c == nil {
+			break
 		}
-		want := map[CorpusKind][]*Point{
-			TextCorpus:  ds.LabeledText,
-			ImageCorpus: ds.UnlabeledImage,
-			PoolCorpus:  ds.HandLabelPool,
-			TestCorpus:  ds.TestImage,
+		where := fmt.Sprintf("chunk=%d recycle=%v: corpus %v", chunk, recycle, c.Corpus)
+		if c.Start != got[c.Corpus] {
+			t.Fatalf("%s chunk starts at %d, have %d points", where, c.Start, got[c.Corpus])
 		}
-		got := map[CorpusKind][]*Point{}
-		for {
-			c := stream.Next(chunk)
-			if c == nil {
-				break
-			}
-			if c.Start != len(got[c.Corpus]) {
-				t.Fatalf("chunk=%d: corpus %v chunk starts at %d, have %d points", chunk, c.Corpus, c.Start, len(got[c.Corpus]))
-			}
-			if len(c.Points) == 0 || len(c.Points) > chunk {
-				t.Fatalf("chunk=%d: corpus %v chunk has %d points", chunk, c.Corpus, len(c.Points))
-			}
-			got[c.Corpus] = append(got[c.Corpus], c.Points...)
+		if len(c.Points) == 0 || len(c.Points) > chunk {
+			t.Fatalf("%s chunk has %d points", where, len(c.Points))
 		}
-		for k, wantPts := range want {
-			gotPts := got[k]
-			if len(gotPts) != len(wantPts) {
-				t.Fatalf("chunk=%d: corpus %v: %d points, want %d", chunk, k, len(gotPts), len(wantPts))
+		for i, b := range c.Points {
+			a := want[c.Corpus][c.Start+i]
+			if a.ID != b.ID || a.Seed != b.Seed || a.Label != b.Label || a.Modality != b.Modality || a.Frames != b.Frames {
+				t.Fatalf("%s point %d: got {id %d seed %x label %d}, want {id %d seed %x label %d}",
+					where, c.Start+i, b.ID, b.Seed, b.Label, a.ID, a.Seed, a.Label)
 			}
-			for i := range wantPts {
-				a, b := wantPts[i], gotPts[i]
-				if a.ID != b.ID || a.Seed != b.Seed || a.Label != b.Label || a.Modality != b.Modality {
-					t.Fatalf("chunk=%d: corpus %v point %d: got {id %d seed %x label %d}, want {id %d seed %x label %d}",
-						chunk, k, i, b.ID, b.Seed, b.Label, a.ID, a.Seed, a.Label)
-				}
-				if a.Entity.Topic != b.Entity.Topic || a.Entity.Eps != b.Entity.Eps || a.Entity.User != b.Entity.User {
-					t.Fatalf("chunk=%d: corpus %v point %d: entity diverged", chunk, k, i)
-				}
+			if !reflect.DeepEqual(a.Entity, b.Entity) {
+				t.Fatalf("%s point %d: entity %+v, want %+v", where, c.Start+i, *b.Entity, *a.Entity)
 			}
+		}
+		got[c.Corpus] += len(c.Points)
+	}
+	for k, wantPts := range want {
+		if got[k] != len(wantPts) {
+			t.Fatalf("chunk=%d recycle=%v: corpus %v: %d points, want %d", chunk, recycle, k, got[k], len(wantPts))
 		}
 	}
 }

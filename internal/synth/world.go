@@ -274,6 +274,14 @@ type Entity struct {
 // SampleEntity draws an entity from the world prior for the given modality
 // (the image prior is drifted; see Config.TopicDrift).
 func (w *World) SampleEntity(rng *rand.Rand, m Modality, id int) *Entity {
+	e := new(Entity)
+	w.sampleInto(e, rng, m, id)
+	return e
+}
+
+// sampleInto is SampleEntity overwriting e, whose Objects and Keywords
+// arrays it refills: the same draws, without a new entity.
+func (w *World) sampleInto(e *Entity, rng *rand.Rand, m Modality, id int) {
 	pop := w.topicPopText
 	if m == Image || m == Video {
 		pop = w.topicPopImage
@@ -282,11 +290,13 @@ func (w *World) SampleEntity(rng *rand.Rand, m Modality, id int) *Entity {
 	if m == Image || m == Video {
 		urlPop = w.urlPopImage
 	}
-	e := &Entity{
+	*e = Entity{
 		ID:       id,
 		Topic:    sampleIndex(rng, pop),
+		Objects:  e.Objects[:0],
 		User:     rng.Intn(w.cfg.NumUsers),
 		URLGroup: sampleIndex(rng, urlPop),
+		Keywords: e.Keywords[:0],
 		Eps:      rng.NormFloat64(),
 	}
 	// Objects co-occur with the topic: half drawn from a topic-conditioned
@@ -317,7 +327,6 @@ func (w *World) SampleEntity(rng *rand.Rand, m Modality, id int) *Entity {
 		}
 	}
 	sort.Ints(e.Keywords)
-	return e
 }
 
 func containsInt(xs []int, x int) bool {
