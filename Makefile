@@ -49,7 +49,7 @@ cover-check:
 SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Chaos|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
+	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
 	$(GO) test -race -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"crossmodal/internal/faulty"
 	"crossmodal/internal/featurestore/disk"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
@@ -429,8 +428,8 @@ func TestCurateStreamedMemoryCeiling(t *testing.T) {
 
 // TestScaleSmokeStreamed is the `make scale-smoke` gate: a 10^5-entity
 // streamed curation driven to completion through repeated injected commit
-// crashes. An internal/faulty schedule decides deterministically which
-// store commits die; every crash aborts the run mid-ingest, and the next
+// crashes. A seeded hash of each commit's path and attempt ordinal decides
+// deterministically which store commits die; every crash aborts the run mid-ingest, and the next
 // attempt resumes from the last committed chunk. The run must finish within
 // a bounded number of attempts with the corpus fully ingested and a sane
 // weak-supervision report — proving crash recovery composes with scale, not
@@ -460,24 +459,27 @@ func TestScaleSmokeStreamed(t *testing.T) {
 	p := newStreamPipeline(t, opts)
 	_, w, task := streamEnv(t)
 
-	// Deterministic crash plan: each commit is a "call" to the faulty
-	// schedule, keyed by the target path, with per-path attempt ordinals so
-	// a commit that died once succeeds on a later attempt instead of
-	// wedging the run forever.
-	sched := faulty.Schedule{Seed: 7, ErrorRate: 0.02}
+	// Deterministic crash plan: about 2% of commits die, decided by a hash
+	// of the operation, the target path under dir and a per-path attempt
+	// ordinal, so a commit that died once draws afresh on a later attempt
+	// instead of wedging the run forever.
+	dir := t.TempDir()
+	const crashRate = 0.02
+	errCrash := errors.New("scale smoke: injected commit crash")
 	attempts := make(map[string]int)
-	var crashes int
+	var commits, crashes int
 	hook := func(op, path string) error {
+		commits++
 		a := attempts[path]
 		attempts[path]++
-		if d := sched.Decide(xrand.Mix(uint64(len(path))^hashString(path)), op, a); d.Mode == faulty.ModeError {
+		draw := xrand.HashString(7+uint64(a), op+" "+strings.TrimPrefix(path, dir))
+		if float64(draw>>11)/(1<<53) < crashRate {
 			crashes++
-			return fmt.Errorf("scale smoke: injected commit crash at %s %s: %w", op, path, faulty.ErrInjected)
+			return fmt.Errorf("%w at %s %s", errCrash, op, path)
 		}
 		return nil
 	}
 
-	dir := t.TempDir()
 	sopts := StreamOptions{Dir: dir, ChunkSize: 2048, GraphWindow: 2000, CommitHook: hook}
 	var sc *StreamedCuration
 	const maxAttempts = 30
@@ -488,7 +490,7 @@ func TestScaleSmokeStreamed(t *testing.T) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, faulty.ErrInjected) {
+		if !errors.Is(err, errCrash) {
 			t.Fatalf("attempt %d died on a non-injected error: %v", attempt, err)
 		}
 		sopts.Resume = true
@@ -497,8 +499,8 @@ func TestScaleSmokeStreamed(t *testing.T) {
 		t.Fatalf("did not complete within %d attempts (%d injected crashes)", maxAttempts, crashes)
 	}
 	defer sc.Close()
-	t.Logf("completed after %d attempts, %d injected commit crashes, %d+%d rows",
-		attempt+1, crashes, sc.Text.Rows(), sc.Image.Rows())
+	t.Logf("completed after %d attempts, %d injected crashes in %d commits, %d+%d rows",
+		attempt+1, crashes, commits, sc.Text.Rows(), sc.Image.Rows())
 	if crashes == 0 {
 		t.Error("crash injection never fired; the smoke exercised nothing")
 	}
@@ -514,15 +516,6 @@ func TestScaleSmokeStreamed(t *testing.T) {
 	if sc.Report.LFCount <= 0 {
 		t.Errorf("no LFs mined at scale")
 	}
-}
-
-// hashString folds a path into a seed for the fault schedule.
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }
 
 // TestCurateStreamedChunkInvariance: the curation must not depend on the

@@ -22,8 +22,7 @@ type Options struct {
 	// CommitHook, when set, runs immediately before each atomic rename
 	// during AppendChunk: op is "segment" or "marker", path the final
 	// destination. Returning an error aborts the append mid-commit — the
-	// crash-injection seam the fault-tolerance suite drives (the disk
-	// analogue of internal/faulty's service-call injection).
+	// crash-injection seam the fault-tolerance suite drives.
 	CommitHook func(op, path string) error
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
@@ -37,8 +36,6 @@ import (
 type Store struct {
 	lib      *resource.Library
 	capacity int
-	ttl      time.Duration    // 0 = entries never go stale
-	now      func() time.Time // clock seam for TTL tests
 
 	mu        sync.Mutex
 	entries   map[pointKey]*list.Element // point → LRU element
@@ -47,21 +44,6 @@ type Store struct {
 	misses    int
 	evicted   int
 	coalesced int
-	stale     uint64 // stale vectors served because recomputation failed
-	degraded  uint64 // vectors served with failed channels missing
-}
-
-// Options configures a store beyond the library it fronts.
-type Options struct {
-	// Capacity bounds the cache (<= 0 means unbounded).
-	Capacity int
-	// TTL makes cached vectors stale after this age: a stale hit triggers
-	// recomputation, but on resource failure the stale copy is served
-	// instead (counted by StaleServed). 0 disables staleness — every hit is
-	// fresh forever, exactly the pre-degradation behavior.
-	TTL time.Duration
-	// Now is the clock used for TTL decisions (nil = time.Now).
-	Now func() time.Time
 }
 
 // pointKey is the cache key: a point's rendering. One ID names one entity,
@@ -77,31 +59,19 @@ func keyOf(p *synth.Point) pointKey { return pointKey{p.ID, p.Modality, p.Frames
 
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
-	key      pointKey
-	vec      *feature.Vector
-	storedAt time.Time // zero unless the store has a TTL
+	key pointKey
+	vec *feature.Vector
 }
 
 // New builds a store over lib holding at most capacity vectors (capacity <=
 // 0 means unbounded).
 func New(lib *resource.Library, capacity int) (*Store, error) {
-	return NewWithOptions(lib, Options{Capacity: capacity})
-}
-
-// NewWithOptions builds a store over lib under opts.
-func NewWithOptions(lib *resource.Library, opts Options) (*Store, error) {
 	if lib == nil {
 		return nil, fmt.Errorf("featurestore: nil library")
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
 	return &Store{
 		lib:      lib,
-		capacity: opts.Capacity,
-		ttl:      opts.TTL,
-		now:      now,
+		capacity: capacity,
 		entries:  make(map[pointKey]*list.Element),
 		lru:      list.New(),
 	}, nil
@@ -132,38 +102,15 @@ func (s *Store) Coalesced() int {
 	return s.coalesced
 }
 
-// StaleServed reports how many requests were answered with a stale cached
-// vector because recomputing it through the resources failed.
-func (s *Store) StaleServed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stale
-}
-
-// DegradedServed reports how many requests were answered with a vector
-// whose failed channels are missing (some service calls failed, no stale
-// copy existed). Degraded vectors are never cached.
-func (s *Store) DegradedServed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
-
 // insertLocked stores a vector under a point key, evicting the least
 // recently used entry when over capacity. The caller holds s.mu.
 func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
-	var at time.Time
-	if s.ttl > 0 {
-		at = s.now()
-	}
 	if el, ok := s.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.vec = vec
-		ent.storedAt = at
+		el.Value.(*cacheEntry).vec = vec
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, vec: vec, storedAt: at})
+	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, vec: vec})
 	if s.capacity > 0 && s.lru.Len() > s.capacity {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
@@ -180,15 +127,8 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // modality, frames), but not for the two mixed: a dataset draws its entities
 // from its own stream, so a serving store admits only server-derived points.
 // A key that misses more than once in one call is featurized once and its
-// repeats count as coalesced. A nil ctx is treated as context.Background().
-//
-// When the library is guarded (resource.Library.WithGuards), failures
-// degrade gracefully per point: a stale cached vector (older than TTL) is
-// served if recomputation fails; otherwise the vector is returned with its
-// failed channels missing (resource.Checked.Failed names them), counted by
-// DegradedServed and not cached. Only a point with no surviving channels and
-// no stale copy fails the call — its error wraps resource.ErrUnavailable, plus
-// resource.ErrBreakerOpen when a breaker caused it.
+// repeats count as coalesced. A nil ctx is treated as context.Background();
+// a canceled ctx fails the call and caches nothing.
 func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -198,27 +138,19 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	span.Add("points", int64(len(pts)))
 	out := make([]*feature.Vector, len(pts))
 	var (
-		miss   []*synth.Point    // distinct missed keys, computed below
-		stale  []*feature.Vector // each miss's stale fallback, or nil
-		slot   map[pointKey]int  // missed key → its index in miss
-		outIdx []int             // out position of every missed lookup ...
-		missOf []int             // ... and the miss that fills it
+		miss   []*synth.Point   // distinct missed keys, computed below
+		slot   map[pointKey]int // missed key → its index in miss
+		outIdx []int            // out position of every missed lookup ...
+		missOf []int            // ... and the miss that fills it
 	)
 	s.mu.Lock()
 	for i, p := range pts {
-		var staleVec *feature.Vector
 		key := keyOf(p)
 		if el, ok := s.entries[key]; ok {
-			ent := el.Value.(*cacheEntry)
-			if s.ttl <= 0 || s.now().Sub(ent.storedAt) <= s.ttl {
-				s.hits++
-				s.lru.MoveToFront(el)
-				out[i] = ent.vec
-				continue
-			}
-			// Past TTL: recompute, but keep the old vector as the
-			// degradation fallback.
-			staleVec = ent.vec
+			s.hits++
+			s.lru.MoveToFront(el)
+			out[i] = el.Value.(*cacheEntry).vec
+			continue
 		}
 		s.misses++
 		j, ok := slot[key]
@@ -231,7 +163,6 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 			j = len(miss)
 			slot[key] = j
 			miss = append(miss, p)
-			stale = append(stale, staleVec)
 		}
 		outIdx = append(outIdx, i)
 		missOf = append(missOf, j)
@@ -243,55 +174,21 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	if len(miss) == 0 {
 		return out, nil
 	}
-	vecs, err := s.computeMisses(ctx, cfg, miss, stale)
-	if err != nil {
+	// Point by point, never Library.Featurize: a cached vector outlives its
+	// request, so it owns its payload rather than pinning a batch slab.
+	vecs, err := mapreduce.Map(ctx, cfg, miss, func(p *synth.Point) (*feature.Vector, error) {
+		return s.lib.FeaturizePoint(p), nil
+	})
+	if err != nil { // context cancellation: nothing is cached
 		return nil, err
 	}
+	s.mu.Lock()
+	for j, p := range miss {
+		s.insertLocked(keyOf(p), vecs[j])
+	}
+	s.mu.Unlock()
 	for k, i := range outIdx {
 		out[i] = vecs[missOf[k]]
 	}
 	return out, nil
-}
-
-// computeMisses featurizes miss, caches the clean results and returns one
-// vector per miss, or the error the whole Featurize call fails with.
-func (s *Store) computeMisses(ctx context.Context, cfg mapreduce.Config, miss []*synth.Point, stale []*feature.Vector) ([]*feature.Vector, error) {
-	// The checked path featurizes point by point — on an unguarded library
-	// it is exactly FeaturizePoint — never Library.Featurize: a cached vector
-	// outlives its request, so it owns its payload rather than pinning a
-	// batch slab.
-	checked, err := s.lib.FeaturizeChecked(ctx, cfg, miss)
-	if err != nil { // context cancellation: nothing was computed
-		return nil, err
-	}
-	vecs := make([]*feature.Vector, len(miss))
-	var firstErr error
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for j, c := range checked {
-		key := keyOf(miss[j])
-		switch {
-		case (c.Err != nil || len(c.Failed) > 0) && stale[j] != nil:
-			// A complete stale vector beats a failure or a freshly degraded
-			// one. Keep the entry warm in the LRU but leave storedAt alone:
-			// it stays stale, so the next access retries the resources.
-			s.stale++
-			vecs[j] = stale[j]
-			if el, ok := s.entries[key]; ok {
-				s.lru.MoveToFront(el)
-			}
-		case c.Err != nil:
-			if firstErr == nil {
-				firstErr = c.Err
-			}
-		case len(c.Failed) > 0:
-			s.degraded++
-			vecs[j] = c.Vec
-			// Not cached: a later retry may well produce the full vector.
-		default:
-			vecs[j] = c.Vec
-			s.insertLocked(key, c.Vec)
-		}
-	}
-	return vecs, firstErr
 }

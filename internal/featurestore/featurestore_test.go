@@ -2,6 +2,7 @@ package featurestore
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -45,9 +46,8 @@ func env(t *testing.T) (*resource.Library, []*synth.Point) {
 	return envLib, envPts
 }
 
-// TestFeaturizeCachesAndMatchesLibrary: the store has one miss body, the
-// checked one; over an unguarded library it must hand back exactly what
-// Library.FeaturizePoint computes, cache all of it, and degrade nothing.
+// TestFeaturizeCachesAndMatchesLibrary: a miss must hand back exactly what
+// Library.FeaturizePoint computes, and the store caches all of it.
 func TestFeaturizeCachesAndMatchesLibrary(t *testing.T) {
 	lib, pts := env(t)
 	store, err := New(lib, 0)
@@ -80,9 +80,36 @@ func TestFeaturizeCachesAndMatchesLibrary(t *testing.T) {
 			t.Fatalf("cached vector differs from direct featurization for point %d", pts[i].ID)
 		}
 	}
-	if store.Len() != len(pts) || store.StaleServed() != 0 || store.DegradedServed() != 0 {
-		t.Errorf("unguarded store cached %d of %d vectors, served %d stale / %d degraded",
-			store.Len(), len(pts), store.StaleServed(), store.DegradedServed())
+	if store.Len() != len(pts) {
+		t.Errorf("store cached %d of %d vectors", store.Len(), len(pts))
+	}
+}
+
+// TestCanceledMissCachesNothing: a Featurize call whose ctx is already
+// canceled fails with context.Canceled and leaves the cache as it was, so a
+// later live call misses on every point.
+func TestCanceledMissCachesNothing(t *testing.T) {
+	lib, pts := env(t)
+	store, err := New(lib, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mapreduce.Config{Workers: 4}
+	mustFeaturize(t, store, context.Background(), cfg, pts[:10])
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cold := pts[10:]
+	if _, err := store.Featurize(ctx, cfg, cold); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Featurize: err = %v, want context.Canceled", err)
+	}
+	if store.Len() != 10 {
+		t.Fatalf("canceled Featurize left %d cached vectors, want 10", store.Len())
+	}
+	_, missesBefore, _ := store.Stats()
+	mustFeaturize(t, store, context.Background(), cfg, cold)
+	if hits, misses, _ := store.Stats(); misses-missesBefore != len(cold) || hits != 0 {
+		t.Errorf("live call after a canceled one: %d misses, %d hits; want %d misses, 0 hits",
+			misses-missesBefore, hits, len(cold))
 	}
 }
 
@@ -174,7 +201,7 @@ func TestConcurrentFeaturize(t *testing.T) {
 // TestCachedVectorOwnsItsPayload: the ownership rule. After one request for
 // a full 1 024-point batch, every cached vector's payload holds exactly its
 // own categories and embedding floats — no entry pins a slab of the request's
-// other points — on the plain and on the guarded miss path.
+// other points.
 func TestCachedVectorOwnsItsPayload(t *testing.T) {
 	lib, _ := env(t)
 	task, err := synth.TaskByName("CT1")
@@ -188,31 +215,29 @@ func TestCachedVectorOwnsItsPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := append(append([]*synth.Point{}, ds.LabeledText...), ds.UnlabeledImage...)
-	for name, l := range map[string]*resource.Library{"plain": lib, "guarded": lib.WithGuards(resource.Policy{}, nil)} {
-		s, err := New(l, 0)
-		if err != nil {
-			t.Fatal(err)
+	s, err := New(lib, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _, _ := s.Stats(); hits != len(pts) {
+		t.Fatalf("%d hits on the second pass, want %d", hits, len(pts))
+	}
+	for k, v := range cached {
+		var cats, embs int
+		for i := 0; i < v.Schema().Len(); i++ {
+			cats += len(v.Categories(i))
+			embs += len(v.Vec(i))
 		}
-		if _, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts); err != nil {
-			t.Fatal(err)
-		}
-		cached, err := s.Featurize(context.Background(), mapreduce.Config{Workers: 2}, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hits, _, _ := s.Stats(); hits != len(pts) {
-			t.Fatalf("%s: %d hits on the second pass, want %d", name, hits, len(pts))
-		}
-		for k, v := range cached {
-			var cats, embs int
-			for i := 0; i < v.Schema().Len(); i++ {
-				cats += len(v.Categories(i))
-				embs += len(v.Vec(i))
-			}
-			if gotCats, gotEmbs := v.PayloadLen(); gotCats != cats || gotEmbs != embs {
-				t.Fatalf("%s: cached vector %d keeps a payload of %d categories / %d floats alive, its own values are %d / %d",
-					name, k, gotCats, gotEmbs, cats, embs)
-			}
+		if gotCats, gotEmbs := v.PayloadLen(); gotCats != cats || gotEmbs != embs {
+			t.Fatalf("cached vector %d keeps a payload of %d categories / %d floats alive, its own values are %d / %d",
+				k, gotCats, gotEmbs, cats, embs)
 		}
 	}
 }

@@ -44,7 +44,7 @@ const (
 	EventReference    = "reference"     // baseline window installed
 	EventDrift        = "drift"         // tracker tripped
 	EventRetrain      = "retrain"       // candidate trained
-	EventRetrainError = "retrain-error" // training attempt failed (chaos, crash)
+	EventRetrainError = "retrain-error" // training attempt failed (a crash)
 	EventShadow       = "shadow"        // candidate vs incumbent comparison done
 	EventPromote      = "promote"       // candidate hot-swapped (Seq bump)
 	EventReject       = "reject"        // candidate regressed in shadow; kept incumbent
@@ -71,9 +71,7 @@ type Config struct {
 	// controller reads the window's vectors back through it for the
 	// feature-drift snapshots: cache hits on the very vectors just served
 	// (featurization is deterministic in the point, so an evicted entry
-	// recomputes to the same values). Under a guarded library a degraded
-	// vector is never cached, so the read-back retries the resources
-	// instead of replaying the degraded copy the request saw.
+	// recomputes to the same values).
 	Store *featurestore.Store
 	// Pipe re-mines and retrains candidates (StreamMining should be on).
 	Pipe *core.Pipeline
@@ -104,7 +102,7 @@ type Config struct {
 	Seed int64
 
 	// RetrainHook, when set, runs before each training attempt; an error
-	// simulates a crash mid-retrain (the chaos rider's seam). The attempt
+	// simulates a crash mid-retrain (the crash seam). The attempt
 	// is logged as retrain-error and retried.
 	RetrainHook func(window, attempt int) error
 }

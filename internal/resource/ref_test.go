@@ -243,8 +243,8 @@ func refPoints(t testing.TB, lib *Library, n int, seed int64) []*synth.Point {
 // TestDirectWriteMatchesReference: every StandardLibrary service, through
 // every modality, over thousands of seeded points, writes the cell the
 // reference's returned Value would have been copied to — per service through
-// ObserveInto (the write a fault-injected call makes) and per point through
-// FeaturizePoint.
+// observeInto (one service call on a generator of its own) and per point
+// through FeaturizePoint.
 func TestDirectWriteMatchesReference(t *testing.T) {
 	lib := testLibrary(t)
 	n := 2000
@@ -261,7 +261,7 @@ func TestDirectWriteMatchesReference(t *testing.T) {
 				continue
 			}
 			one, ref := feature.NewVector(lib.schema), feature.NewVector(lib.schema)
-			ObserveInto(one, i, r, p)
+			observeInto(one, i, r, lib.hashes[i], p, xrand.New(0))
 			ref.MustSetAt(i, refObservePoint(r, p, rng))
 			sameVector(t, where+" "+r.Def().Name, one, ref)
 			// A video point's frames give their payload room back: the

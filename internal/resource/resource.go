@@ -61,15 +61,12 @@ type Resource interface {
 }
 
 // Library is a collection of resources applied together to build the common
-// feature space. A library built WithGuards additionally carries per-resource
-// retry/breaker guards for the checked featurization path; Subset and
-// NewLibrary always produce unguarded libraries.
+// feature space.
 type Library struct {
 	world     *synth.World
 	resources []Resource
 	schema    *feature.Schema
 	hashes    []uint64 // xrand.Hash of each resource's channel (feature) name
-	guards    []*Guard // nil unless built WithGuards
 }
 
 // NewLibrary assembles a library. Resource feature names must be unique.
@@ -124,18 +121,11 @@ func Applicable(r Resource, p *synth.Point) bool {
 	return r.Supports(p.Modality)
 }
 
-// ObserveInto writes r's view of p into the still-Missing position i of dst on
-// a generator of its own: one service call's result, video frame merge
-// included, as featurization writes it — the write a Fallible wrapper
-// (internal/faulty) makes when a call succeeds. Callers must check Applicable
-// first.
-func ObserveInto(dst *feature.Vector, i int, r Resource, p *synth.Point) {
-	observeInto(dst, i, r, xrand.Hash(r.Def().Name), p, xrand.New(0))
-}
-
-// observeInto is ObserveInto reseeding rng to the channel's (or each video
-// frame's) own stream, so a point or a block of points costs one generator;
-// hash is the channel name's.
+// observeInto writes r's view of p into the still-Missing position i of dst:
+// one service call's result, video frame merge included. It reseeds rng to
+// the channel's (or each video frame's) own stream, so a point or a block of
+// points costs one generator; hash is the channel name's. Callers must check
+// Applicable first.
 func observeInto(dst *feature.Vector, i int, r Resource, hash uint64, p *synth.Point, rng *rand.Rand) {
 	if p.Modality == synth.Video {
 		observeVideo(dst, i, r, p, rng)

@@ -327,7 +327,7 @@ func TestFeaturizePointByIndexMatchesByName(t *testing.T) {
 		want := feature.NewVector(lib.Schema())
 		for _, r := range lib.Resources() {
 			if i, _ := want.Schema().Index(r.Def().Name); Applicable(r, p) {
-				ObserveInto(want, i, r, p)
+				observeInto(want, i, r, xrand.Hash(r.Def().Name), p, xrand.New(0))
 			}
 		}
 		if got := lib.FeaturizePoint(p); !got.Equal(want) {

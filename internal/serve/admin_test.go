@@ -13,7 +13,6 @@ import (
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/mapreduce"
-	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 )
 
@@ -116,8 +115,8 @@ func mustVec(t *testing.T, id int) *feature.Vector {
 }
 
 // TestShedResponsesCarryRetryAfterOne pins the exact Retry-After value on
-// every shed path: queue-full, breaker-open, and not-ready all advertise a
-// 1-second backoff.
+// every shed path: queue-full and not-ready both advertise a 1-second
+// backoff.
 func TestShedResponsesCarryRetryAfterOne(t *testing.T) {
 	fixture(t)
 	s := &Server{met: NewMetrics()}
@@ -127,7 +126,6 @@ func TestShedResponsesCarryRetryAfterOne(t *testing.T) {
 		code int
 	}{
 		{"queue full", ErrQueueFull, http.StatusTooManyRequests},
-		{"breaker open", resource.ErrBreakerOpen, http.StatusServiceUnavailable},
 		{"not ready", errNotReady, http.StatusServiceUnavailable},
 	}
 	for _, tc := range cases {
@@ -139,9 +137,6 @@ func TestShedResponsesCarryRetryAfterOne(t *testing.T) {
 		if ra := rec.Header().Get("Retry-After"); ra != "1" {
 			t.Errorf("%s: Retry-After = %q, want \"1\"", tc.name, ra)
 		}
-	}
-	if s.met.ShedBreaker.Load() != 1 {
-		t.Error("breaker shed not counted")
 	}
 }
 

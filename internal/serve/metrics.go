@@ -172,7 +172,9 @@ type Metrics struct {
 	Predictions  atomic.Uint64 // points scored (a request may carry several)
 	ShedQueue    atomic.Uint64 // rejected: QueueDepth requests already waiting
 	ShedDeadline atomic.Uint64 // rejected: deadline expired before scoring
-	ShedBreaker  atomic.Uint64 // rejected: resource circuit breaker open
+	// ShedBreaker is never incremented and always reads 0: nothing sheds on
+	// a resource failure. It is kept only for bench/'s serve.shed sum.
+	ShedBreaker  atomic.Uint64
 	NotReady     atomic.Uint64 // rejected: no model loaded
 	ClientErrors atomic.Uint64 // malformed requests
 	Errors       atomic.Uint64 // internal scoring failures
@@ -215,7 +217,6 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, modelKind string, modelSe
 	fmt.Fprintf(w, "serve_predictions_total %d\n", m.Predictions.Load())
 	fmt.Fprintf(w, "serve_shed_queue_total %d\n", m.ShedQueue.Load())
 	fmt.Fprintf(w, "serve_shed_deadline_total %d\n", m.ShedDeadline.Load())
-	fmt.Fprintf(w, "serve_shed_breaker_total %d\n", m.ShedBreaker.Load())
 	fmt.Fprintf(w, "serve_not_ready_total %d\n", m.NotReady.Load())
 	fmt.Fprintf(w, "serve_client_errors_total %d\n", m.ClientErrors.Load())
 	fmt.Fprintf(w, "serve_errors_total %d\n", m.Errors.Load())

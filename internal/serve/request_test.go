@@ -355,3 +355,90 @@ func FuzzHandlePredict(f *testing.F) {
 		}
 	})
 }
+
+// slowOdd wraps a resource so observing an odd-ID entity takes delay: a
+// request naming one outlives a tight budget in the middle of featurization.
+type slowOdd struct {
+	resource.Resource
+	delay time.Duration
+}
+
+func (r slowOdd) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	if e.ID%2 == 1 {
+		time.Sleep(r.delay)
+	}
+	r.Resource.Observe(dst, i, e, m, rng)
+}
+
+// TestPredictConcurrentSharedStore: concurrent /predict traffic through one
+// shared store from two servers. A 5-s server's even IDs all answer 200 with
+// the scores the library gives; a 1-ms server's odd IDs outlive their budget
+// mid-featurization and all shed 504, and their canceled misses cache nothing.
+func TestPredictConcurrentSharedStore(t *testing.T) {
+	fixture(t)
+	res := fx.store.Library().Resources()
+	for i, r := range res {
+		if r.Supports(synth.Image) {
+			res[i] = slowOdd{Resource: r, delay: 10 * time.Millisecond}
+			break
+		}
+	}
+	lib, err := resource.NewLibrary(fx.world, res...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := featurestore.New(lib, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverWith := func(timeout time.Duration) *httptest.Server {
+		s, err := New(Config{Store: store, World: fx.world, Seed: fxSeed, Timeout: timeout}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		return ts
+	}
+	loose, tight := serverWith(5*time.Second), serverWith(time.Millisecond)
+
+	const workers, perWorker = 6, 16
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ts, want := loose, http.StatusOK
+			if w%2 == 1 {
+				ts, want = tight, http.StatusGatewayTimeout
+			}
+			for i := range perWorker {
+				id := 2*(w/2*perWorker+i) + w%2
+				raw := fmt.Sprintf(`{"points":[{"id":%d}]}`, id)
+				resp, err := ts.Client().Post(ts.URL+"/predict", "application/json", strings.NewReader(raw))
+				if err != nil {
+					t.Errorf("id %d: %v", id, err)
+					return
+				}
+				var pr predictResponse
+				switch {
+				case resp.StatusCode != want:
+					t.Errorf("id %d: status %d, want %d", id, resp.StatusCode, want)
+				case want != http.StatusOK:
+				case json.NewDecoder(resp.Body).Decode(&pr) != nil:
+					t.Errorf("id %d: undecodable 200 body", id)
+				case len(pr.Scores) != 1 || pr.Scores[0] != wantScore(t, fx.modelA, id):
+					t.Errorf("id %d: scores %v, want [%v]", id, pr.Scores, wantScore(t, fx.modelA, id))
+				}
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := store.Len(), workers/2*perWorker; got != want {
+		t.Errorf("store holds %d vectors after %d served points and %d shed ones", got, want, workers/2*perWorker)
+	}
+}

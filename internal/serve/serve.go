@@ -26,14 +26,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"time"
 
 	"crossmodal/internal/featurestore"
 	"crossmodal/internal/mapreduce"
-	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/xrand"
 )
@@ -327,20 +325,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSubmitError maps batcher errors to HTTP statuses: shed load is 429
-// with a Retry-After hint, readiness and open breakers are 503, timeouts
-// are 504.
+// with a Retry-After hint, not-ready is 503, timeouts are 504.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, resource.ErrBreakerOpen):
-		// The resources behind featurization are browning out; hammering
-		// them helps nobody. Shed and ask the client to come back after
-		// the breaker's cooldown has had a chance to probe.
-		s.met.ShedBreaker.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		if !errors.Is(err, ErrDeadline) { // the batcher counts the sheds it makes
 			s.met.ShedDeadline.Add(1)
@@ -397,28 +387,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// breakersOpen counts resources whose breaker is not closed (0 for an
-// unguarded library, where no breakers exist).
-func (s *Server) breakersOpen() int {
-	n := 0
-	for _, g := range s.cfg.Store.Library().GuardStatuses() {
-		if g.State != resource.BreakerClosed {
-			n++
-		}
-	}
-	return n
-}
-
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.reg.Ready() {
 		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
 		return
 	}
-	// Open breakers degrade but do not unready the server: cached and
-	// partially featurized traffic still serves, so stay in rotation and
-	// let the gauge tell the operator which resources are browning out.
 	cur := s.reg.Current()
-	fmt.Fprintf(w, "ready kind=%s seq=%d breakers_open=%d\n", cur.Kind, cur.Seq, s.breakersOpen())
+	fmt.Fprintf(w, "ready kind=%s seq=%d\n", cur.Kind, cur.Seq)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -429,29 +404,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		kind, seq = cur.Kind, cur.Seq
 	}
 	s.met.WriteTo(w, s.bat.QueueDepth(), kind, seq)
-	s.writeDegradationMetrics(w)
-}
-
-// writeDegradationMetrics renders the featurestore degradation counters and
-// per-resource breaker health: the serving-side view of organizational
-// resources failing under it.
-func (s *Server) writeDegradationMetrics(w io.Writer) {
 	hits, misses, evicted := s.cfg.Store.Stats()
 	fmt.Fprintf(w, "serve_featurestore_hits_total %d\n", hits)
 	fmt.Fprintf(w, "serve_featurestore_misses_total %d\n", misses)
 	fmt.Fprintf(w, "serve_featurestore_evicted_total %d\n", evicted)
-	fmt.Fprintf(w, "serve_featurestore_stale_served_total %d\n", s.cfg.Store.StaleServed())
-	fmt.Fprintf(w, "serve_featurestore_degraded_served_total %d\n", s.cfg.Store.DegradedServed())
-	fmt.Fprintf(w, "serve_breakers_open %d\n", s.breakersOpen())
-	for _, g := range s.cfg.Store.Library().GuardStatuses() {
-		fmt.Fprintf(w, "serve_resource_breaker_state{resource=%q,state=%q} %d\n",
-			g.Name, g.State.String(), int(g.State))
-		fmt.Fprintf(w, "serve_resource_breaker_opens_total{resource=%q} %d\n", g.Name, g.Opens)
-		fmt.Fprintf(w, "serve_resource_calls_total{resource=%q} %d\n", g.Name, g.Calls)
-		fmt.Fprintf(w, "serve_resource_retries_total{resource=%q} %d\n", g.Name, g.Retries)
-		fmt.Fprintf(w, "serve_resource_failures_total{resource=%q} %d\n", g.Name, g.Failures)
-		fmt.Fprintf(w, "serve_resource_breaker_rejects_total{resource=%q} %d\n", g.Name, g.BreakerRejects)
-	}
 }
 
 // writeJSON writes v with the given status.

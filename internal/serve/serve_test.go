@@ -536,6 +536,9 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		"serve_model_seq 1",
 		"serve_latency_seconds{quantile=\"0.99\"}",
 		"serve_batch_size_count",
+		"serve_featurestore_hits_total ",
+		"serve_featurestore_misses_total ",
+		"serve_featurestore_evicted_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)

@@ -28,8 +28,6 @@ var optionAllow = map[string]string{
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
 	"core.StreamOptions.WarmPropagate":       "paper hyperparameter: warm propagation, ROADMAP item 10's subject",
 	"core.TrainSpec.IncludeModalityFeatures": "paper hyperparameter: copied from core.Options by DefaultTrainSpec",
-	"featurestore.Options.Capacity":          "deployment setting: arrives through featurestore.New (cmd/serve -cache)",
-	"featurestore.Options.TTL":               "injection seam: the chaos suites' staleness clock, with Now",
 	"labelprop.GraphConfig.Exact":            "paper hyperparameter: pins the exact graph under LSH, ROADMAP item 12's subject",
 	"labelprop.GraphConfig.MinWeight":        "paper hyperparameter: edge-weight floor, ROADMAP item 12 sweeps it",
 	"labelprop.LSHConfig":                    "paper hyperparameter: ROADMAP item 12's subject",
@@ -37,21 +35,14 @@ var optionAllow = map[string]string{
 	"model.Config":                           "paper hyperparameter: the end model",
 	"monitor.DriftConfig.Consecutive":        "paper hyperparameter: the drift suite varies it",
 	"monitor.DriftConfig.MinSamples":         "paper hyperparameter: the drift suite varies it",
-	"resource.Policy.BaseBackoff":            "deployment setting: per-resource retry budget",
-	"resource.Policy.BreakerCooldown":        "deployment setting: per-resource breaker",
-	"resource.Policy.BreakerThreshold":       "deployment setting: per-resource breaker",
-	"resource.Policy.MaxAttempts":            "deployment setting: per-resource retry budget",
-	"resource.Policy.MaxBackoff":             "deployment setting: per-resource retry budget",
-	"resource.Policy.Now":                    "injection seam: the chaos suites' clock",
-	"resource.Policy.Sleep":                  "injection seam: the chaos suites' clock",
 	"synth.Config":                           "the synthetic world's definition",
 	"synth.DatasetConfig.CalibrationSamples": "the synthetic world's definition: task-threshold calibration size",
 }
 
-var optionType = regexp.MustCompile(`^([A-Z]\w*)?(Config|Options|Spec)$|^Policy$`)
+var optionType = regexp.MustCompile(`^([A-Z]\w*)?(Config|Options|Spec)$`)
 
 // TestEveryOptionHasACaller: every exported field of a *Config / *Options /
-// Policy / *Spec struct is given a value — a composite-literal key, an
+// *Spec struct is given a value — a composite-literal key, an
 // assignment, or a flag.*Var(&x.F) — by some non-test file outside its
 // declaring package, or is in optionAllow. Types resolve by syntax only
 // (pkg.Type literals, the root façade's aliases); assignments and &x.F match
