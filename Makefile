@@ -2,13 +2,15 @@ GO ?= go
 
 .PHONY: check gate-fast gate-full cover-check
 
-## gate-fast: the tier-1 gate — build everything, vet it, run every test,
+## gate-fast: the tier-1 gate — build everything, vet it (also for 32-bit
+## 386, where an int holds no more than math.MaxInt32), run every test,
 ## hold every internal/ package at its coverage floor. `go test ./...` runs
 ## TestContract, which recomputes the behaviour contract in
 ## testdata/contract.json.
 gate-fast:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 	$(GO) test ./...
 	@$(MAKE) --no-print-directory cover-check
 
@@ -40,8 +42,8 @@ cover-check:
 ## inputs that would take the whole budget to shrink); the
 ## 10^5-entity streamed curation driven through injected commit crashes with
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
-## zero-drift control through cmd/lifecycle (the first must detect and
-## promote, the second must stay silent); and a real Chrome trace from
+## zero-drift control through cmd/lifecycle (the command itself fails unless
+## the first promotes and the second never detects); and a real Chrome trace from
 ## cmd/experiments that names every pipeline stage. The bit-identity of the
 ## pipeline, the fusion artifacts and the cmd/ outputs is TestContract's, in
 ## both gates; `go test -run TestContract -update .` is the one command that
@@ -66,10 +68,7 @@ gate-full:
 		$(GO) test -race -count=1 -run TestScaleSmokeStreamed -v -timeout 30m ./internal/core/
 	mkdir -p bin
 	$(GO) run -race ./cmd/lifecycle -out bin/lifecycle-events.json >/dev/null
-	@grep -q '"type": "drift"' bin/lifecycle-events.json || { echo "gate-full: no drift event in the episode log"; exit 1; }
-	@grep -q '"type": "promote"' bin/lifecycle-events.json || { echo "gate-full: no promote event in the episode log"; exit 1; }
 	$(GO) run -race ./cmd/lifecycle -simulate-drift=false -out bin/lifecycle-quiet.json >/dev/null
-	@if grep -q '"type": "drift"' bin/lifecycle-quiet.json; then echo "gate-full: zero-drift control run tripped the detector"; exit 1; fi
 	$(GO) run -race ./cmd/experiments -run rawvsfeat -tasks CT1 -scale 0.05 -trace bin/trace-smoke.json -trace-summary >/dev/null
 	@grep -q '"traceEvents"' bin/trace-smoke.json || { echo "gate-full: not a Chrome trace"; exit 1; }
 	@for stage in featurize mining labelprop labelmodel train eval; do \

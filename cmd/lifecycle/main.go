@@ -15,7 +15,8 @@
 // With -simulate-drift (the default) the traffic schedule injects a
 // topic/URL prior shift plus fidelity decay at -drift-window; with
 // -simulate-drift=false the world never moves and the controller must never
-// retrain — the zero-drift control run the smoke test asserts.
+// detect drift. The command exits non-zero when the episode breaks either
+// rule, so the zero-drift control run checks itself.
 package main
 
 import (
@@ -231,12 +232,20 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 		}
 		log.Printf("wrote %s", outPath)
 	}
+	return checkResult(res, simDrift)
+}
+
+// checkResult is the episode's own verdict: a drift run must promote a
+// candidate (which implies a detection), and a static world must never trip
+// a detector, whether or not a retrain followed.
+func checkResult(res *lifecycle.Result, simDrift bool) error {
 	if simDrift && res.Promotions == 0 {
 		return fmt.Errorf("drift was injected but no candidate was promoted (detections=%d retrains=%d)",
 			res.Detections, res.Retrains)
 	}
-	if !simDrift && res.Retrains > 0 {
-		return fmt.Errorf("static world but the controller retrained %d times", res.Retrains)
+	if !simDrift && res.Detections > 0 {
+		return fmt.Errorf("static world but the controller detected drift %d times (retrains=%d)",
+			res.Detections, res.Retrains)
 	}
 	return nil
 }

@@ -41,7 +41,6 @@ package crossmodal
 import (
 	"context"
 
-	"crossmodal/internal/active"
 	"crossmodal/internal/core"
 	"crossmodal/internal/experiments"
 	"crossmodal/internal/feature"
@@ -249,54 +248,23 @@ func FitLabelModel(ctx context.Context, m *LFMatrix, labels []int8, cfg LabelMod
 	return labelmodel.FitSupervised(ctx, m, labels, cfg)
 }
 
-// Post-deployment lifecycle: active learning / self-training to grow beyond
-// the bootstrap (§6.4) and parallel-model monitoring with budgeted human
-// review (§7.4).
+// Post-deployment: parallel-model monitoring with budgeted human review
+// (§7.4). The drift-driven retrain-and-promote loop is internal/lifecycle's,
+// run by cmd/lifecycle.
 type (
-	// ActiveConfig controls the human-in-the-loop review loop.
-	ActiveConfig = active.Config
-	// ActiveResult tracks per-round review outcomes and the grown model.
-	ActiveResult = active.Result
 	// ReviewOracle reveals a point's true label (a human reviewer).
-	ReviewOracle = active.Oracle
+	ReviewOracle = monitor.Oracle
 	// MonitorConfig controls an online model comparison.
 	MonitorConfig = monitor.Config
 	// Comparison is the outcome of a monitored comparison.
 	Comparison = monitor.Comparison
 )
 
-// Review strategies for ActiveLearn.
-const (
-	UncertaintySampling = active.Uncertainty
-	ImportanceSampling  = active.Importance
-	RandomSampling      = active.Random
-)
-
-// ActiveLearn runs review rounds on top of a curation: select points by the
-// configured strategy, reveal their labels through the oracle, retrain, and
-// track test AUPRC per round.
-func ActiveLearn(ctx context.Context, pipe *Pipeline, cur *Curation, pool, test []*Point, oracle ReviewOracle, cfg ActiveConfig) (*ActiveResult, error) {
-	return active.Run(ctx, pipe, cur, pool, test, oracle, cfg)
-}
-
-// SelfTrain folds the model's own confident predictions on a pool back into
-// training as pseudo-labels and retrains.
-func SelfTrain(ctx context.Context, pipe *Pipeline, cur *Curation, pool []*Point, confidence, weight float64) (Predictor, int, error) {
-	return active.SelfTrain(ctx, pipe, cur, pool, confidence, weight)
-}
-
 // CompareModels estimates two candidates' live precision and recall on
 // traffic using a budgeted mix of random and importance-sampled human review.
 func CompareModels(nameA string, a Predictor, nameB string, b Predictor, traffic []*Point, vecs []*Vector, oracle ReviewOracle, cfg MonitorConfig) (*Comparison, error) {
-	return monitor.Compare(nameA, a, nameB, b, traffic, vecs, monitor.Oracle(oracle), cfg)
+	return monitor.Compare(nameA, a, nameB, b, traffic, vecs, oracle, cfg)
 }
-
-// TrainingCorpus is one training data source for fusion training (used via
-// TrainSpec.Extra to add e.g. human-reviewed points).
-type TrainingCorpus = fusion.Corpus
-
-// HardTargets turns hard labels into a TrainingCorpus's Targets.
-func HardTargets(labels []int8) []float64 { return fusion.HardTargets(labels) }
 
 // FeatureStore is a bounded, in-memory LRU cache of featurized points — the
 // paper's precomputed-feature store (§2.3). It persists nothing; the

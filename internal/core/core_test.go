@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"crossmodal/internal/fusion"
 	"crossmodal/internal/metrics"
 	"crossmodal/internal/mining"
 	"crossmodal/internal/model"
@@ -256,40 +255,6 @@ func TestTrainSpecVariants(t *testing.T) {
 	devise.UseText = false
 	if _, err := p.Train(context.Background(), res.Curation, devise); err == nil {
 		t.Error("expected error for single-modality DeViSE")
-	}
-
-	// Extra corpora join training and shift predictions.
-	extraSpec := p.DefaultTrainSpec()
-	plain, err := p.Train(context.Background(), res.Curation, extraSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extraVecs, err := p.Featurize(ctx, ds.HandLabelPool[:200])
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make([]float64, len(extraVecs))
-	weights := make([]float64, len(extraVecs))
-	for i, pt := range ds.HandLabelPool[:200] {
-		if pt.Label > 0 {
-			targets[i] = 1
-		}
-		weights[i] = 5
-	}
-	extraSpec.Extra = []fusion.Corpus{{Name: "extra", Vectors: extraVecs, Targets: targets, Weights: weights}}
-	boosted, err := p.Train(context.Background(), res.Curation, extraSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := 0; i < 20; i++ {
-		if plain.Predict(testVecs[i]) != boosted.Predict(testVecs[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("extra corpus had no effect on the trained model")
 	}
 }
 

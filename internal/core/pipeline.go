@@ -399,7 +399,9 @@ func (p *Pipeline) denoise(ctx context.Context, matrix, devMatrix *lf.Matrix, te
 	return probs, covered, lm, nil
 }
 
-// TrainSpec selects one end-model variant to train from a curation.
+// TrainSpec selects one end-model variant to train from a curation. Its
+// corpora are the curation's own: the labeled text and the covered,
+// weakly labeled images, every example weighted alike.
 type TrainSpec struct {
 	// ModelSets are the organizational service sets available to the
 	// model (servable features only).
@@ -415,9 +417,6 @@ type TrainSpec struct {
 	// Schema, when non-nil, overrides the schema composed from ModelSets
 	// (e.g. the embedding-only baseline schema).
 	Schema *feature.Schema
-	// Extra appends additional training corpora (e.g. hand-reviewed
-	// points from an active-learning loop) alongside the curation's.
-	Extra []fusion.Corpus
 }
 
 // DefaultTrainSpec returns the spec implied by the pipeline options.
@@ -475,7 +474,6 @@ func (p *Pipeline) Train(ctx context.Context, cur *Curation, spec TrainSpec) (fu
 		imageCorpus = fusion.Corpus{Name: "image", Vectors: vecs, Targets: targets}
 		corpora = append(corpora, imageCorpus)
 	}
-	corpora = append(corpora, spec.Extra...)
 	switch spec.Fusion {
 	case IntermediateFusion:
 		return fusion.TrainIntermediate(ctx, corpora, cfg)

@@ -474,7 +474,7 @@ func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*fea
 		c, e := seg.payloadSize(proj)
 		nCats, nEmbs = nCats+c, nEmbs+e
 	}
-	if max(nCats, nEmbs) > math.MaxUint32 {
+	if uint64(max(nCats, nEmbs)) > math.MaxUint32 {
 		return nil, nil, nil, &ErrCorrupt{Path: cs.segs[0].Path(), Detail: fmt.Sprintf("chunk payload of %d categories / %d floats overflows a vector slab", nCats, nEmbs)}
 	}
 	labels, err := cs.order()

@@ -18,13 +18,11 @@ import (
 )
 
 // Corpus is one training data source: vectors of a single data modality with
-// probabilistic targets (hard labels are 0/1) and optional per-example
-// weights.
+// probabilistic targets (hard labels are 0/1). Every example weighs the same.
 type Corpus struct {
 	Name    string
 	Vectors []*feature.Vector
 	Targets []float64
-	Weights []float64
 }
 
 // HardTargets turns hard labels into training targets: 1 for a positive
@@ -45,9 +43,6 @@ func (c Corpus) validate() error {
 	}
 	if len(c.Targets) != len(c.Vectors) {
 		return fmt.Errorf("fusion: corpus %q has %d vectors vs %d targets", c.Name, len(c.Vectors), len(c.Targets))
-	}
-	if c.Weights != nil && len(c.Weights) != len(c.Vectors) {
-		return fmt.Errorf("fusion: corpus %q has %d vectors vs %d weights", c.Name, len(c.Vectors), len(c.Weights))
 	}
 	return nil
 }
@@ -95,27 +90,12 @@ func predictAll(cfg mapreduce.Config, vs []*feature.Vector, fn func(*feature.Vec
 
 // pooled merges all corpora into single slices. Vectors keep their own
 // schemas: fitting and transforming match features by name.
-func pooled(corpora []Corpus) (vecs []*feature.Vector, targets, weights []float64) {
-	hasWeights := false
-	for _, c := range corpora {
-		if c.Weights != nil {
-			hasWeights = true
-		}
-	}
+func pooled(corpora []Corpus) (vecs []*feature.Vector, targets []float64) {
 	for _, c := range corpora {
 		vecs = append(vecs, c.Vectors...)
 		targets = append(targets, c.Targets...)
-		if hasWeights {
-			if c.Weights != nil {
-				weights = append(weights, c.Weights...)
-			} else {
-				for range c.Vectors {
-					weights = append(weights, 1)
-				}
-			}
-		}
 	}
-	return vecs, targets, weights
+	return vecs, targets
 }
 
 // EarlyModel is the early-fusion predictor: one vectorizer and one network
@@ -145,14 +125,14 @@ func TrainEarly(ctx context.Context, corpora []Corpus, cfg Config) (*EarlyModel,
 	}
 	ctx, span := trace.Start(ctx, "fusion.early")
 	defer span.End()
-	vecs, targets, weights := pooled(corpora)
+	vecs, targets := pooled(corpora)
 	span.SetInt("rows", int64(len(vecs)))
 	vctx, vspan := trace.Start(ctx, "fusion.vectorize")
 	vz := feature.FitVectorizer(cfg.Schema, vecs, feature.WithMaxVocabulary(cfg.MaxVocab))
 	rows := vz.TransformSparse(vecs, cfg.Model.Workers)
 	trace.SetInt(vctx, "dims", int64(vz.Width()))
 	vspan.End()
-	net, err := model.TrainRows(ctx, rows, targets, weights, cfg.Model)
+	net, err := model.TrainRows(ctx, rows, targets, nil, cfg.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +240,7 @@ func TrainIntermediate(ctx context.Context, corpora []Corpus, cfg Config) (*Inte
 	ctx, span := trace.Start(ctx, "fusion.intermediate")
 	defer span.End()
 	span.SetInt("modalities", int64(len(corpora)))
-	allVecs, allTargets, allWeights := pooled(corpora)
+	allVecs, allTargets := pooled(corpora)
 	vz := feature.FitVectorizer(cfg.Schema, allVecs, feature.WithMaxVocabulary(cfg.MaxVocab))
 
 	// Stage 1: independent per-modality models.
@@ -270,7 +250,7 @@ func TrainIntermediate(ctx context.Context, corpora []Corpus, cfg Config) (*Inte
 		rows := vz.TransformSparse(c.Vectors, cfg.Model.Workers)
 		mcfg := cfg.Model
 		mcfg.Seed = seed + int64(ci)*101
-		net, err := model.TrainRows(ctx, rows, c.Targets, c.Weights, mcfg)
+		net, err := model.TrainRows(ctx, rows, c.Targets, nil, mcfg)
 		if err != nil {
 			return nil, fmt.Errorf("fusion: modality %q: %w", c.Name, err)
 		}
@@ -286,7 +266,7 @@ func TrainIntermediate(ctx context.Context, corpora []Corpus, cfg Config) (*Inte
 	}
 	mcfg := cfg.Model
 	mcfg.Seed = seed + 7919
-	final, err := model.Train(ctx, concat, allTargets, allWeights, mcfg)
+	final, err := model.Train(ctx, concat, allTargets, nil, mcfg)
 	if err != nil {
 		return nil, err
 	}

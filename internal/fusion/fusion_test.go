@@ -162,7 +162,6 @@ func TestCorpusValidation(t *testing.T) {
 		{"no corpora", nil},
 		{"empty corpus", []Corpus{{Name: "empty"}}},
 		{"target mismatch", []Corpus{{Name: "bad", Vectors: good.Vectors, Targets: good.Targets[:2]}}},
-		{"weight mismatch", []Corpus{{Name: "bad", Vectors: good.Vectors, Targets: good.Targets, Weights: []float64{1}}}},
 	}
 	for _, tc := range cases {
 		if _, err := TrainEarly(ctxbg, tc.corpora, baseConfig()); err == nil {
@@ -198,19 +197,6 @@ func TestSchemaRestriction(t *testing.T) {
 	b.MustSet("score", feature.NumericValue(1))
 	if m.Predict(a) != m.Predict(b) {
 		t.Error("restricted model leaked excluded features")
-	}
-}
-
-func TestWeightedCorpusMixing(t *testing.T) {
-	// One corpus weighted, one not: pooled weights must align.
-	text, _ := corpusFor("text", 300, false, 0.1, 18)
-	img, _ := corpusFor("image", 300, true, 0.1, 19)
-	img.Weights = make([]float64, len(img.Vectors))
-	for i := range img.Weights {
-		img.Weights[i] = 0.5
-	}
-	if _, err := TrainEarly(ctxbg, []Corpus{text, img}, baseConfig()); err != nil {
-		t.Fatalf("mixed weighted/unweighted corpora: %v", err)
 	}
 }
 

@@ -123,10 +123,18 @@ func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor,
 	}
 	rndBudget := budget - impBudget
 
-	reviewed := make(map[int]int8, budget)
+	// Reviews are kept in the order they were made, so every estimate below
+	// sums its floats in one fixed order and replays bit for bit.
+	type labeled struct {
+		idx   int
+		label int8
+	}
+	reviewed := make([]labeled, 0, budget)
+	seen := make([]bool, n)
 	review := func(idx int) {
-		if _, done := reviewed[idx]; !done {
-			reviewed[idx] = oracle(traffic[idx])
+		if !seen[idx] {
+			seen[idx] = true
+			reviewed = append(reviewed, labeled{idx, oracle(traffic[idx])})
 		}
 	}
 	impPick := samplePrefix(rng, interesting, impBudget)
@@ -159,13 +167,13 @@ func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor,
 	var posMass, totalMassCheck float64
 	htPrecision := func(flags []bool) float64 {
 		var hit, tot float64
-		for idx, label := range reviewed {
-			if !flags[idx] {
+		for _, r := range reviewed {
+			if !flags[r.idx] {
 				continue
 			}
-			w := 1 / inclusion(idx)
+			w := 1 / inclusion(r.idx)
 			tot += w
-			if label > 0 {
+			if r.label > 0 {
 				hit += w
 			}
 		}
@@ -174,10 +182,10 @@ func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor,
 		}
 		return hit / tot
 	}
-	for idx, label := range reviewed {
-		w := 1 / inclusion(idx)
+	for _, r := range reviewed {
+		w := 1 / inclusion(r.idx)
 		totalMassCheck += w
-		if label > 0 {
+		if r.label > 0 {
 			posMass += w
 		}
 	}
@@ -204,15 +212,15 @@ func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor,
 	// Recall proxy: flagged-positive mass over all positive mass.
 	if posMass > 0 {
 		var caughtA, caughtB float64
-		for idx, label := range reviewed {
-			if label <= 0 {
+		for _, r := range reviewed {
+			if r.label <= 0 {
 				continue
 			}
-			w := 1 / inclusion(idx)
-			if flagsA[idx] {
+			w := 1 / inclusion(r.idx)
+			if flagsA[r.idx] {
 				caughtA += w
 			}
-			if flagsB[idx] {
+			if flagsB[r.idx] {
 				caughtB += w
 			}
 		}

@@ -109,6 +109,32 @@ func TestCompareIdenticalModels(t *testing.T) {
 	}
 }
 
+// TestCompareIsBitDeterministic: one comparison repeated must return the same
+// bits in every estimate — the lifecycle controller promotes on them and
+// promises a bit-identical replay.
+func TestCompareIsBitDeterministic(t *testing.T) {
+	pts, vecs, good, bad := env(t, 3000, 0.08, 0.9, 0.7, 12)
+	bits := func(c *Comparison) [5]uint64 {
+		return [5]uint64{
+			math.Float64bits(c.A.Precision), math.Float64bits(c.B.Precision),
+			math.Float64bits(c.A.RecallProxy), math.Float64bits(c.B.RecallProxy),
+			math.Float64bits(c.EstimatedPositiveRate),
+		}
+	}
+	var first [5]uint64
+	for i := 0; i < 100; i++ {
+		comp, err := Compare("a", good, "b", bad, pts, vecs, truth, Config{Budget: 600, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = bits(comp)
+		} else if got := bits(comp); got != first {
+			t.Fatalf("call %d: estimate bits %x, first call %x", i, got, first)
+		}
+	}
+}
+
 func TestCompareValidation(t *testing.T) {
 	pts, vecs, good, bad := env(t, 10, 0.5, 0.9, 0.5, 7)
 	if _, err := Compare("a", good, "b", bad, nil, nil, truth, Config{}); err == nil {
