@@ -35,6 +35,8 @@ cover-check:
 ## share the feature store and the scorer pool, so one pass sees few
 ## interleavings) and the streamed-ingest tests ten more times (its three
 ## stages hand chunks forward and recycled buffers back across goroutines),
+## then the short tests natively for 32-bit 386 (every package but
+## internal/core, whose expert-LF digest differs there: ROADMAP item 15b),
 ## then
 ## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
 ## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
@@ -53,6 +55,7 @@ gate-full:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
 	$(GO) test -race -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
+	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/

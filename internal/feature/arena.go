@@ -3,6 +3,7 @@ package feature
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Arena is a packed, append-only store of vectors laid out for one
@@ -87,36 +88,59 @@ func (k *SimKernel) NewArena() *Arena {
 // Len returns the number of vectors appended so far.
 func (a *Arena) Len() int { return len(a.catPos) }
 
-// Append packs v as the next vertex. v must carry the kernel's schema.
-func (a *Arena) Append(v *Vector) {
-	maskBase, numBase, recBase := len(a.masks), len(a.nums), len(a.catRec)
-	a.masks = append(a.masks, make([]uint64, a.words)...)
-	a.nums = append(a.nums, make([]float64, a.nNum)...)
-	a.catPos = append(a.catPos, recBase)
-	a.catRec = append(a.catRec, make([]uint32, a.nCat)...)
-	idBase := len(a.catRec)
-
-	// Features are visited in schema order, so categorical and embedding
-	// columns fill in column order and their offsets stay monotone.
-	for s, f := range a.feats {
-		if v.Present(f.schemaIdx) {
-			a.masks[maskBase+s/64] |= 1 << (s % 64)
-		}
-		switch f.kind {
-		case Numeric:
-			a.nums[numBase+f.col] = v.Num(f.schemaIdx)
-		case Categorical:
-			a.catRec = append(a.catRec, v.CategoryIDs(f.schemaIdx)...)
-			a.catRec[recBase+f.col] = uint32(len(a.catRec) - idBase)
-		case Embedding:
-			vec := v.Vec(f.schemaIdx)
-			var norm float64
-			for _, x := range vec {
-				norm += x * x
+// Append packs vs as the next vertices, in order. Each must carry the
+// kernel's schema. One pass counts the batch's category IDs and embedding
+// floats, so every column grows once per call, not once per vertex.
+func (a *Arena) Append(vs ...*Vector) {
+	var ids, floats int
+	for _, v := range vs {
+		for _, f := range a.feats {
+			switch f.kind {
+			case Categorical:
+				ids += len(v.CategoryIDs(f.schemaIdx))
+			case Embedding:
+				floats += len(v.Vec(f.schemaIdx))
 			}
-			a.embData = append(a.embData, vec...)
-			a.embOff = append(a.embOff, len(a.embData))
-			a.embNorm = append(a.embNorm, norm)
+		}
+	}
+	n := len(vs)
+	a.masks = slices.Grow(a.masks, n*a.words)
+	a.nums = slices.Grow(a.nums, n*a.nNum)
+	a.catPos = slices.Grow(a.catPos, n)
+	a.catRec = slices.Grow(a.catRec, n*a.nCat+ids)
+	a.embOff = slices.Grow(a.embOff, n*a.nEmb)
+	a.embNorm = slices.Grow(a.embNorm, n*a.nEmb)
+	a.embData = slices.Grow(a.embData, floats)
+	for _, v := range vs {
+		maskBase, numBase, recBase := len(a.masks), len(a.nums), len(a.catRec)
+		a.masks = append(a.masks, make([]uint64, a.words)...)
+		a.nums = append(a.nums, make([]float64, a.nNum)...)
+		a.catPos = append(a.catPos, recBase)
+		a.catRec = append(a.catRec, make([]uint32, a.nCat)...)
+		idBase := len(a.catRec)
+
+		// Features are visited in schema order, so categorical and embedding
+		// columns fill in column order and their offsets stay monotone.
+		for s, f := range a.feats {
+			if v.Present(f.schemaIdx) {
+				a.masks[maskBase+s/64] |= 1 << (s % 64)
+			}
+			switch f.kind {
+			case Numeric:
+				a.nums[numBase+f.col] = v.Num(f.schemaIdx)
+			case Categorical:
+				a.catRec = append(a.catRec, v.CategoryIDs(f.schemaIdx)...)
+				a.catRec[recBase+f.col] = uint32(len(a.catRec) - idBase)
+			case Embedding:
+				vec := v.Vec(f.schemaIdx)
+				var norm float64
+				for _, x := range vec {
+					norm += x * x
+				}
+				a.embData = append(a.embData, vec...)
+				a.embOff = append(a.embOff, len(a.embData))
+				a.embNorm = append(a.embNorm, norm)
+			}
 		}
 	}
 }

@@ -14,6 +14,12 @@ import (
 // (the wrong, zero or mismatched length a reprojection can carry), and
 // zero-norm embeddings.
 func randomPackedCase(rng *rand.Rand, nFeat int) (*Schema, Scales, Weights, *Vector, *Vector) {
+	schema, scales, weights := randomPackedSchema(rng, nFeat)
+	return schema, scales, weights, randomPackedVector(rng, schema), randomPackedVector(rng, schema)
+}
+
+// randomPackedSchema draws randomPackedCase's schema, scales and weights.
+func randomPackedSchema(rng *rand.Rand, nFeat int) (*Schema, Scales, Weights) {
 	defs := make([]Def, nFeat)
 	for i := range defs {
 		d := Def{Name: fmt.Sprintf("f%d", i), Kind: Kind(rng.Intn(3))}
@@ -44,46 +50,47 @@ func randomPackedCase(rng *rand.Rand, nFeat int) (*Schema, Scales, Weights, *Vec
 			}
 		}
 	}
+	return schema, scales, weights
+}
 
-	mk := func() *Vector {
-		v := NewVector(schema)
-		for i, d := range defs {
-			if rng.Intn(4) == 0 {
-				continue // missing
+// randomPackedVector draws one of randomPackedCase's vectors.
+func randomPackedVector(rng *rand.Rand, schema *Schema) *Vector {
+	v := NewVector(schema)
+	for i, d := range schema.defs {
+		if rng.Intn(4) == 0 {
+			continue // missing
+		}
+		var val Value
+		switch d.Kind {
+		case Categorical:
+			val = CategoricalValue(randomCategories(rng, 6)...)
+		case Numeric:
+			val = NumericValue(rng.NormFloat64() * 3)
+		case Embedding:
+			dim := d.Dim
+			handBuilt := rng.Intn(4) == 0
+			if handBuilt {
+				dim = rng.Intn(d.Dim + 2) // wrong, zero or right length
 			}
-			var val Value
-			switch d.Kind {
-			case Categorical:
-				val = CategoricalValue(randomCategories(rng, 6)...)
-			case Numeric:
-				val = NumericValue(rng.NormFloat64() * 3)
-			case Embedding:
-				dim := d.Dim
-				handBuilt := rng.Intn(4) == 0
-				if handBuilt {
-					dim = rng.Intn(d.Dim + 2) // wrong, zero or right length
-				}
-				vec := make([]float64, dim)
-				if rng.Intn(5) > 0 { // else zero norm
-					for k := range vec {
-						vec[k] = rng.NormFloat64()
-					}
-				}
-				val = EmbeddingValue(vec)
-				if handBuilt {
-					setRaw(v, i, val)
-					continue
+			vec := make([]float64, dim)
+			if rng.Intn(5) > 0 { // else zero norm
+				for k := range vec {
+					vec[k] = rng.NormFloat64()
 				}
 			}
-			if rng.Intn(3) == 0 {
-				v.MustSetAt(i, val)
-			} else {
-				v.MustSet(d.Name, val)
+			val = EmbeddingValue(vec)
+			if handBuilt {
+				setRaw(v, i, val)
+				continue
 			}
 		}
-		return v
+		if rng.Intn(3) == 0 {
+			v.MustSetAt(i, val)
+		} else {
+			v.MustSet(d.Name, val)
+		}
 	}
-	return schema, scales, weights, mk(), mk()
+	return v
 }
 
 // checkPackedPair requires the packed kernel to agree with
@@ -144,7 +151,87 @@ func FuzzPackedWeighted(f *testing.F) {
 			nFeat = 1
 		}
 		checkPackedPair(t, seed, int(nFeat), floor)
+		checkArenaSplits(t, seed, int(nFeat))
 	})
+}
+
+// checkArenaSplits packs one random batch into three arenas — all of it in
+// one Append, in random splits, and one vertex at a time — and requires
+// every pair to score bit-identically in all three and against
+// WeightedSimilarity: how a batch is split never changes the arena.
+func checkArenaSplits(t *testing.T, seed int64, nFeat int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	schema, scales, weights := randomPackedSchema(rng, nFeat)
+	vecs := make([]*Vector, 1+rng.Intn(12))
+	for i := range vecs {
+		vecs[i] = randomPackedVector(rng, schema)
+	}
+	kern := NewSimKernel(schema, scales, weights)
+	batch, split, single := kern.NewArena(), kern.NewArena(), kern.NewArena()
+	batch.Append(vecs...)
+	for lo := 0; lo < len(vecs); {
+		hi := lo + rng.Intn(len(vecs)-lo+1) // an empty split included
+		split.Append(vecs[lo:hi]...)
+		lo = hi
+	}
+	for _, v := range vecs {
+		single.Append(v)
+	}
+	for i := range vecs {
+		for j := range vecs {
+			want := WeightedSimilarity(vecs[i], vecs[j], scales, weights)
+			for name, a := range map[string]*Arena{"batch": batch, "split": split, "single": single} {
+				if got, ok := a.Weighted(i, j, 0); !ok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d n %d: %s arena pair (%d, %d) = (%v, %v), WeightedSimilarity %v", seed, nFeat, name, i, j, got, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestArenaAppendSplits runs checkArenaSplits over a fixed sweep.
+func TestArenaAppendSplits(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 500; trial++ {
+		checkArenaSplits(t, rng.Int63(), 1+rng.Intn(90))
+	}
+}
+
+// arenaBatch is n vectors of the sparse tests' end-model schema and its
+// kernel: the arena tests' and benchmark's batch.
+func arenaBatch(n int) (*SimKernel, []*Vector) {
+	end, _ := sparseSchemas()
+	rng := rand.New(rand.NewSource(17))
+	vecs := make([]*Vector, n)
+	for i := range vecs {
+		vecs[i] = randomSparseVector(rng, end)
+	}
+	return NewSimKernel(end, nil, nil), vecs
+}
+
+// TestArenaAppendAllocsPerBatch: a batch appended to an empty arena sizes
+// each column once, so ten times the vertices cost no more allocations.
+func TestArenaAppendAllocsPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations")
+	}
+	allocs := func(n int) float64 {
+		kern, vecs := arenaBatch(n)
+		return testing.AllocsPerRun(10, func() { kern.NewArena().Append(vecs...) })
+	}
+	if small, large := allocs(300), allocs(3000); small != large {
+		t.Errorf("Append into an empty arena: %v allocations at 300 vertices, %v at 3000", small, large)
+	}
+}
+
+func BenchmarkArenaAppend(b *testing.B) {
+	kern, vecs := arenaBatch(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kern.NewArena().Append(vecs...)
+	}
 }
 
 // TestPackedFuzzSeedsCoverSingletonPairs keeps the seed corpus honest: it

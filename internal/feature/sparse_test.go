@@ -3,6 +3,8 @@ package feature
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -298,4 +300,130 @@ func FuzzSparseRowMatchesDense(f *testing.F) {
 		checkSparseRow(t, vz, v, &e.Rows, 0)
 		checkSparseRow(t, vz, v, &e.Rows, 1)
 	})
+}
+
+// adversarialSparseBatch is n vectors for TransformSparse's window bound:
+// duplicate and out-of-vocabulary categories, present-but-empty sets,
+// embeddings of the wrong length, and source schemas that lack the
+// vectorizer's features or carry one under another kind or dimension.
+func adversarialSparseBatch(rng *rand.Rand, n int) []*Vector {
+	end, wide := sparseSchemas()
+	odd := MustSchema(
+		Def{Name: "topic", Kind: Numeric},
+		Def{Name: "emb", Kind: Embedding, Dim: 9},
+		Def{Name: "tags", Kind: Categorical},
+	)
+	vecs := make([]*Vector, n)
+	for i := range vecs {
+		schema := [...]*Schema{end, wide, odd}[rng.Intn(3)]
+		v := randomSparseVector(rng, schema)
+		if j, ok := schema.Index("tags"); ok && rng.Intn(3) == 0 {
+			// Every category repeated, with words the vocabulary never saw.
+			cats := append(v.Categories(j), "zz", "zz", "yy")
+			v.MustSetAt(j, CategoricalValue(append(cats, cats...)...))
+		}
+		if j, ok := schema.Index("emb"); ok && rng.Intn(3) == 0 {
+			setRaw(v, j, EmbeddingValue(make([]float64, rng.Intn(12))))
+		}
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// tightSparseBatch is n vectors whose every bounded entry is written: all
+// features present and non-zero, categories distinct and at most one of
+// them outside vocab (a vocabulary's words), embeddings of the right
+// length. Their rows fill TransformSparse's slab exactly.
+func tightSparseBatch(rng *rand.Rand, n int, vocab []string) []*Vector {
+	end, _ := sparseSchemas()
+	vecs := make([]*Vector, n)
+	for i := range vecs {
+		v := NewVector(end)
+		v.MustSet("topic", CategoricalValue("never seen"))
+		v.MustSet("tags", CategoricalValue(append(slices.Clone(vocab[:rng.Intn(len(vocab)+1)]), "never seen")...))
+		v.MustSet("score", NumericValue(1+rng.Float64()))
+		v.MustSet("emb", EmbeddingValue([]float64{1, -2, 3, 1 + rng.Float64()}))
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// TestTransformSparseMatchesEncode: TransformSparse's block is, row for row,
+// what encoding each vector alone gives, at batch sizes around the chunk
+// length and at any worker count; a tight batch fills its slab exactly.
+func TestTransformSparseMatchesEncode(t *testing.T) {
+	end, _ := sparseSchemas()
+	rng := rand.New(rand.NewSource(29))
+	vz := FitVectorizer(end, adversarialSparseBatch(rng, 300), WithMaxVocabulary(5))
+	var e Encoder
+	for _, n := range []int{0, 1, 127, 128, 129, 300} {
+		for _, tight := range []bool{false, true} {
+			vecs := adversarialSparseBatch(rng, n)
+			if tight {
+				vecs = tightSparseBatch(rng, n, vz.Vocabulary("tags").Words())
+			}
+			for _, workers := range []int{1, 2, 8} {
+				got := vz.TransformSparse(vecs, workers)
+				if err := got.Validate(); err != nil || got.Len() != n {
+					t.Fatalf("tight=%v n=%d workers=%d: %d rows, Validate = %v", tight, n, workers, got.Len(), err)
+				}
+				if tight && cap(got.Cols) != len(got.Cols) {
+					t.Fatalf("tight n=%d workers=%d: %d entries in a %d-entry slab", n, workers, len(got.Cols), cap(got.Cols))
+				}
+				checkRowsMatchEncode(t, vz, &e, vecs, got)
+			}
+		}
+	}
+}
+
+// checkRowsMatchEncode requires rows to hold, row for row, the encoding of
+// each vector on its own.
+func checkRowsMatchEncode(t *testing.T, vz *Vectorizer, e *Encoder, vecs []*Vector, rows *sparse.Rows) {
+	t.Helper()
+	for i, v := range vecs {
+		vz.Encode(e, []*Vector{v})
+		gc, gv := rows.Row(i)
+		wc, wv := e.Row(0)
+		if !slices.Equal(gc, wc) || !slices.EqualFunc(gv, wv, sameBits) {
+			t.Fatalf("row %d of %d: %v %v, Encode %v %v (vector %v)", i, len(vecs), gc, gv, wc, wv, v)
+		}
+	}
+}
+
+// TestTransformSparseAllocsPerBatch: the block is sized once and every
+// chunk encodes through a pooled encoder, so ten times the rows cost no
+// more allocations. The collector is off while it counts: a collection
+// empties the encoder pool, and refilling it is not a per-chunk cost.
+func TestTransformSparseAllocsPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	end, _ := sparseSchemas()
+	rng := rand.New(rand.NewSource(31))
+	vecs := adversarialSparseBatch(rng, 3000)
+	vz := FitVectorizer(end, vecs)
+	for _, workers := range []int{1, 2} {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(10, func() { vz.TransformSparse(vecs[:n], workers) })
+		}
+		if small, large := allocs(300), allocs(3000); small != large {
+			t.Errorf("workers=%d: %v allocations at 300 rows, %v at 3000", workers, small, large)
+		}
+	}
+}
+
+func BenchmarkTransformSparse(b *testing.B) {
+	end, wide := sparseSchemas()
+	rng := rand.New(rand.NewSource(37))
+	vecs := make([]*Vector, 20000)
+	for i := range vecs {
+		vecs[i] = randomSparseVector(rng, wide)
+	}
+	vz := FitVectorizer(end, vecs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vz.TransformSparse(vecs, 1)
+	}
 }

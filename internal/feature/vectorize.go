@@ -300,28 +300,69 @@ func (vz *Vectorizer) appendRow(e *Encoder, v *Vector) {
 const transformChunk = 128
 
 // TransformSparse encodes a batch into one CSR block, sharding it across
-// workers (0 means GOMAXPROCS, 1 is serial). Chunks encode independently
-// and are concatenated in order, so the result is identical for any count.
+// workers (0 means GOMAXPROCS, 1 is serial). A serial pass bounds every
+// row's entries and sizes one slab; each chunk encodes in place into its own
+// capacity-limited window of it, and a last serial pass closes the windows
+// up in order. Chunks encode independently, so the result is identical for
+// any count.
 func (vz *Vectorizer) TransformSparse(vectors []*Vector, workers int) *sparse.Rows {
-	blocks := make([]sparse.Rows, (len(vectors)+transformChunk-1)/transformChunk)
+	chunks := (len(vectors) + transformChunk - 1) / transformChunk
+	starts := make([]int, chunks+1) // chunk c's window is [starts[c], starts[c+1])
+	e := encoders.Get().(*Encoder)
+	for i, v := range vectors {
+		starts[i/transformChunk+1] += vz.rowBound(e.src.resolve(vz.schema, v.schema), v)
+	}
+	encoders.Put(e)
+	for c := range chunks {
+		starts[c+1] += starts[c]
+	}
+	// Chunk c's row pointers run over [lo+c, hi+c+1): one more than its rows.
+	ptr := make([]int, len(vectors)+chunks+1)
+	cols, vals := make([]int32, starts[chunks]), make([]float64, starts[chunks])
 	mapreduce.ForChunks(mapreduce.Config{Workers: workers}, len(vectors), transformChunk, func(lo, hi int) {
-		e := encoders.Get().(*Encoder) // grown once, so each chunk keeps an exact-size copy
+		c := lo / transformChunk
+		w0, w1 := starts[c], starts[c+1]
+		e := encoders.Get().(*Encoder)
+		own := e.Rows
+		e.Rows = sparse.Rows{Ptr: ptr[lo+c : lo+c : hi+c+1], Cols: cols[w0:w0:w1], Vals: vals[w0:w0:w1]}
 		vz.Encode(e, vectors[lo:hi])
-		b := &blocks[lo/transformChunk]
-		b.Reset(vz.width)
-		b.Append(&e.Rows)
+		if cap(e.Cols) != w1-w0 { // reallocated; Vals never outgrows Cols, nor Ptr its rows
+			panic(fmt.Sprintf("feature: TransformSparse rows [%d, %d) outgrew their %d-entry window", lo, hi, w1-w0))
+		}
+		e.Rows = own
 		encoders.Put(e)
 	})
 	nnz := 0
-	for i := range blocks {
-		nnz += len(blocks[i].Cols)
+	for c := range chunks {
+		lo, hi := c*transformChunk, min((c+1)*transformChunk, len(vectors))
+		rel := ptr[lo+c : hi+c+1] // rel[0] = 0; rel[k] ends the chunk's k'th row
+		w, n := starts[c], rel[len(rel)-1]
+		copy(cols[nnz:], cols[w:w+n])
+		copy(vals[nnz:], vals[w:w+n])
+		for k, p := range rel[1:] { // writes index lo+1+k, reads lo+c+1+k: never behind
+			ptr[lo+1+k] = nnz + p
+		}
+		nnz += n
 	}
-	out := &sparse.Rows{Ptr: make([]int, 0, len(vectors)+1), Cols: make([]int32, 0, nnz), Vals: make([]float64, 0, nnz)}
-	out.Reset(vz.width)
-	for i := range blocks {
-		out.Append(&blocks[i])
+	return &sparse.Rows{Width: vz.width, Ptr: ptr[:len(vectors)+1], Cols: cols[:nnz], Vals: vals[:nnz]}
+}
+
+// rowBound bounds the entries appendRow writes for v (src: v's column of
+// each feature): one per feature, but the category count of a present
+// categorical (the run OneHot dedups) and dim of a present embedding.
+func (vz *Vectorizer) rowBound(src []int, v *Vector) int {
+	n := len(src)
+	for i, j := range src {
+		if j >= 0 && v.Present(j) {
+			switch f := &vz.enc[i]; f.kind {
+			case Categorical:
+				n += len(v.Categories(j)) - 1
+			case Embedding:
+				n += f.dim - 1
+			}
+		}
 	}
-	return out
+	return n
 }
 
 // encoders recycles the scratch encoders of the dense adapters.

@@ -99,7 +99,8 @@ func FuzzShardLoad(f *testing.F) {
 		}
 		for _, proj := range []*projection{identity, subset} {
 			slab := feature.NewVectors(proj.target, seg.Rows())
-			slab[0].Grow(seg.payloadSize(proj))
+			cats, embs := seg.payloadSize(proj)
+			slab[0].Grow(int(cats), int(embs))
 			dec := rowDecoder{seg: seg, proj: proj}
 			for r := range slab {
 				single := feature.NewVector(proj.target)

@@ -244,17 +244,18 @@ type rowDecoder struct {
 // decoding every row under proj appends to a vector payload, from quantities
 // payloadLayout already checked against the bytes present (each projected
 // categorical column's final offset, each embedding column's presence
-// count) — never from a length field on its own.
-func (s *Segment) payloadSize(proj *projection) (cats, embs int) {
+// count) — never from a length field on its own. The sums are 64-bit, so
+// they cannot wrap where an int is 32 bits wide.
+func (s *Segment) payloadSize(proj *projection) (cats, embs uint64) {
 	for _, col := range proj.cols {
 		if col < 0 {
 			continue
 		}
 		switch c := &s.cols[col]; c.kind {
 		case feature.Categorical:
-			cats += int(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
+			cats += uint64(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
 		case feature.Embedding:
-			embs += c.dim * s.presentCount(col)
+			embs += uint64(c.dim) * uint64(s.presentCount(col))
 		}
 	}
 	return cats, embs

@@ -469,12 +469,12 @@ func (cs *chunkSet) order() ([]int8, error) {
 
 // readChunk materializes one committed chunk in append order.
 func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*feature.Vector, error) {
-	var nCats, nEmbs int
+	var nCats, nEmbs uint64
 	for _, seg := range cs.segs {
 		c, e := seg.payloadSize(proj)
 		nCats, nEmbs = nCats+c, nEmbs+e
 	}
-	if uint64(max(nCats, nEmbs)) > math.MaxUint32 {
+	if max(nCats, nEmbs) > min(math.MaxUint32, math.MaxInt) {
 		return nil, nil, nil, &ErrCorrupt{Path: cs.segs[0].Path(), Detail: fmt.Sprintf("chunk payload of %d categories / %d floats overflows a vector slab", nCats, nEmbs)}
 	}
 	labels, err := cs.order()
@@ -483,7 +483,7 @@ func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*fea
 	}
 	ids := make([]int, cs.rows)
 	slab := feature.NewVectors(proj.target, cs.rows)
-	slab[0].Grow(nCats, nEmbs)
+	slab[0].Grow(int(nCats), int(nEmbs))
 	vecs := make([]*feature.Vector, cs.rows)
 	dec := rowDecoder{proj: proj}
 	for _, seg := range cs.segs {

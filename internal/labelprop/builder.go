@@ -104,9 +104,7 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 	ctx, span := trace.Start(ctx, "labelprop.apply_delta")
 	defer span.End()
 	base := b.arena.Len()
-	for _, v := range newVecs {
-		b.arena.Append(v)
-	}
+	b.arena.Append(newVecs...)
 	n := b.arena.Len()
 
 	// recompute collects the existing vertices whose candidate set the new

@@ -116,14 +116,17 @@ func (k *counter) observeColumn(col int, labels []int8, parts []feature.Columns)
 		k.vals[col], k.has[col] = make([]float64, len(labels)), make([]bool, len(labels))
 	}
 	vals, has := k.vals[col], k.has[col]
+	present := 0
 	for _, c := range parts {
 		for r, n := 0, c.Rows(); r < n; r++ {
 			if c.Present(col, r) {
 				ord := c.Ord(r)
 				vals[ord], has[ord] = c.Num(col, r), true
+				present++
 			}
 		}
 	}
+	k.observed[col] = slices.Grow(k.observed[col], present)
 	for ord, ok := range has[:len(labels)] {
 		if ok {
 			k.observed[col] = append(k.observed[col], numObs{vals[ord], labels[ord]})

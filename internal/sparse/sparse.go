@@ -95,16 +95,6 @@ func (r *Rows) AddDense(x []float64) {
 	r.EndRow()
 }
 
-// Append copies every row of o (same width) onto the end of r.
-func (r *Rows) Append(o *Rows) {
-	base := len(r.Cols)
-	r.Cols = append(r.Cols, o.Cols...)
-	r.Vals = append(r.Vals, o.Vals...)
-	for _, p := range o.Ptr[1:] {
-		r.Ptr = append(r.Ptr, base+p)
-	}
-}
-
 // Scatter writes row i's entries into the dense row dst, which the caller
 // has zeroed and sized to Width.
 func (r *Rows) Scatter(i int, dst []float64) {

@@ -36,27 +36,10 @@ func TestBuildAndRead(t *testing.T) {
 		t.Errorf("row 2 = %v %v", cols, vals)
 	}
 
-	// Append concatenates blocks; Reset keeps capacity and starts over.
-	var both Rows
-	both.Reset(6)
-	both.Append(&r)
-	both.Append(&r)
-	if err := both.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if both.Len() != 6 {
-		t.Fatalf("appended block has %d rows, want 6", both.Len())
-	}
-	for i := 0; i < 6; i++ {
-		gc, gv := both.Row(i)
-		wc, wv := r.Row(i % 3)
-		if len(gc) != len(wc) || (len(gc) > 0 && (!reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gv, wv))) {
-			t.Errorf("appended row %d = %v %v, want %v %v", i, gc, gv, wc, wv)
-		}
-	}
-	both.Reset(2)
-	if both.Len() != 0 || both.Width != 2 || cap(both.Cols) == 0 {
-		t.Errorf("Reset left %d rows, width %d, cap %d", both.Len(), both.Width, cap(both.Cols))
+	// Reset keeps capacity and starts over.
+	r.Reset(2)
+	if r.Len() != 0 || r.Width != 2 || cap(r.Cols) == 0 {
+		t.Errorf("Reset left %d rows, width %d, cap %d", r.Len(), r.Width, cap(r.Cols))
 	}
 }
 
