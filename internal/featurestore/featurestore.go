@@ -17,6 +17,7 @@ import (
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
+	"crossmodal/internal/xrand"
 )
 
 // Store is a bounded, concurrency-safe cache of featurized data points in
@@ -127,8 +128,9 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // modality, frames), but not for the two mixed: a dataset draws its entities
 // from its own stream, so a serving store admits only server-derived points.
 // A key that misses more than once in one call is featurized once and its
-// repeats count as coalesced. A nil ctx is treated as context.Background();
-// a canceled ctx fails the call and caches nothing.
+// repeats count as coalesced. Misses run in mapreduce blocks, one generator
+// per block, and each missed vector owns its payload. A nil ctx is treated
+// as context.Background(); a canceled ctx fails the call and caches nothing.
 func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -138,10 +140,9 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 	span.Add("points", int64(len(pts)))
 	out := make([]*feature.Vector, len(pts))
 	var (
-		miss   []*synth.Point   // distinct missed keys, computed below
-		slot   map[pointKey]int // missed key → its index in miss
-		outIdx []int            // out position of every missed lookup ...
-		missOf []int            // ... and the miss that fills it
+		miss  []*synth.Point   // distinct missed keys, computed below
+		slot  map[pointKey]int // missed key → its index in miss
+		fills []fill           // every missed lookup
 	)
 	s.mu.Lock()
 	for i, p := range pts {
@@ -153,31 +154,45 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 			continue
 		}
 		s.misses++
+		if slot == nil { // the first miss sizes the bookkeeping for the rest
+			left := len(pts) - i
+			slot = make(map[pointKey]int, left)
+			miss = make([]*synth.Point, 0, left)
+			fills = make([]fill, 0, left)
+		}
 		j, ok := slot[key]
 		if ok {
 			s.coalesced++
 		} else {
-			if slot == nil {
-				slot = make(map[pointKey]int)
-			}
 			j = len(miss)
 			slot[key] = j
 			miss = append(miss, p)
 		}
-		outIdx = append(outIdx, i)
-		missOf = append(missOf, j)
+		fills = append(fills, fill{out: i, miss: j})
 	}
 	s.mu.Unlock()
 	span.Add("misses", int64(len(miss)))
-	span.Add("coalesced", int64(len(outIdx)-len(miss)))
-	span.Add("hits", int64(len(pts)-len(outIdx)))
+	span.Add("coalesced", int64(len(fills)-len(miss)))
+	span.Add("hits", int64(len(pts)-len(fills)))
 	if len(miss) == 0 {
 		return out, nil
 	}
 	// Point by point, never Library.Featurize: a cached vector outlives its
-	// request, so it owns its payload rather than pinning a batch slab.
-	vecs, err := mapreduce.Map(ctx, cfg, miss, func(p *synth.Point) (*feature.Vector, error) {
-		return s.lib.FeaturizePoint(p), nil
+	// request, so each owns its payload rather than pinning a batch slab.
+	// Only the generator is shared, one per block. Polling Done before every
+	// point stops a canceled block early, and Blocks then fails the call.
+	vecs := make([]*feature.Vector, len(miss))
+	err := mapreduce.Blocks(ctx, cfg, len(miss), func(ctx context.Context, lo, hi int) error {
+		rng, done := xrand.New(0), ctx.Done()
+		for j := lo; j < hi; j++ {
+			select {
+			case <-done:
+				return nil
+			default:
+			}
+			vecs[j] = s.lib.FeaturizePointWith(miss[j], rng)
+		}
+		return nil
 	})
 	if err != nil { // context cancellation: nothing is cached
 		return nil, err
@@ -187,8 +202,11 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 		s.insertLocked(keyOf(p), vecs[j])
 	}
 	s.mu.Unlock()
-	for k, i := range outIdx {
-		out[i] = vecs[missOf[k]]
+	for _, f := range fills {
+		out[f.out] = vecs[f.miss]
 	}
 	return out, nil
 }
+
+// fill is one missed lookup: the out position and the miss that fills it.
+type fill struct{ out, miss int }

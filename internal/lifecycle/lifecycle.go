@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -36,6 +35,7 @@ import (
 	"crossmodal/internal/fusion"
 	"crossmodal/internal/mapreduce"
 	"crossmodal/internal/monitor"
+	"crossmodal/internal/serve"
 	"crossmodal/internal/synth"
 )
 
@@ -175,6 +175,8 @@ type Controller struct {
 
 	cooldown int
 	needRef  bool // rebaseline on the next window (startup, post-promotion)
+
+	body, reply bytes.Buffer // post's request and reply bodies, reused
 
 	res Result
 }
@@ -391,24 +393,25 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 }
 
 // scoreWindow posts the window's points through /predict in BatchSize
-// chunks and returns their scores in traffic order.
+// chunks and returns their scores in traffic order. One request slice serves
+// every chunk, and each reply decodes straight into the tail of scores.
 func (c *Controller) scoreWindow(ctx context.Context, pts []*synth.Point) ([]float64, error) {
 	scores := make([]float64, 0, len(pts))
+	batch := struct {
+		Points []serve.PointRequest `json:"points"`
+	}{Points: make([]serve.PointRequest, 0, min(c.cfg.BatchSize, len(pts)))}
 	for lo := 0; lo < len(pts); lo += c.cfg.BatchSize {
-		hi := lo + c.cfg.BatchSize
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		batch := struct {
-			Points []map[string]any `json:"points"`
-		}{}
+		hi := min(lo+c.cfg.BatchSize, len(pts))
+		batch.Points = batch.Points[:0]
 		for _, p := range pts[lo:hi] {
-			batch.Points = append(batch.Points, map[string]any{"id": p.ID, "modality": string(p.Modality)})
+			batch.Points = append(batch.Points, serve.PointRequest{ID: p.ID, Modality: string(p.Modality)})
 		}
-		var pr struct {
+		// Unmarshal appends to a slice it empties first, so the reply lands
+		// in scores' spare capacity unless it is longer than the batch.
+		pr := struct {
 			Scores []float64 `json:"scores"`
-		}
-		if err := c.post(ctx, "/predict", batch, &pr); err != nil {
+		}{Scores: scores[len(scores):]}
+		if err := c.post(ctx, "/predict", &batch, &pr); err != nil {
 			return nil, fmt.Errorf("predict: %w", err)
 		}
 		if len(pr.Scores) != hi-lo {
@@ -429,13 +432,15 @@ func (c *Controller) reload(ctx context.Context, path string) (uint64, error) {
 }
 
 // post sends in as a JSON POST to the serving endpoint and decodes a 200
-// reply into out; any other status is an error carrying the reply body.
+// reply into out; any other status is an error carrying the reply body. The
+// request and reply bodies reuse the controller's two buffers.
 func (c *Controller) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
+	c.body.Reset()
+	if err := json.NewEncoder(&c.body).Encode(in); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(body))
+	c.body.Truncate(c.body.Len() - 1) // Encode's newline: send what Marshal would
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(c.body.Bytes()))
 	if err != nil {
 		return err
 	}
@@ -444,15 +449,16 @@ func (c *Controller) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	raw, err := io.ReadAll(resp.Body)
+	c.reply.Reset()
+	_, err = c.reply.ReadFrom(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(raw))
+		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(c.reply.Bytes()))
 	}
-	return json.Unmarshal(raw, out)
+	return json.Unmarshal(c.reply.Bytes(), out)
 }
 
 // scoreQuantile returns the q-quantile of scores (sorted copy, nearest

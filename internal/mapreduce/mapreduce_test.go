@@ -248,9 +248,16 @@ func TestBlocksTilesAndStops(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		calls.Store(0)
-		err = Blocks(ctx, Config{Workers: workers}, 64*100, func(_ context.Context, lo, hi int) error {
-			if calls.Add(1) == 3 {
+		err = Blocks(ctx, Config{Workers: workers}, 64*100, func(jobCtx context.Context, lo, hi int) error {
+			switch n := calls.Add(1); {
+			case n == 3:
 				cancel()
+			case n > 3:
+				// A block that started before the cancel reached the job's
+				// own context waits for it there, so each other worker runs
+				// at most this one block. (The parent's Done closes before
+				// its children are canceled, so waiting on it is not enough.)
+				<-jobCtx.Done()
 			}
 			return nil
 		})

@@ -151,9 +151,16 @@ func (l *Library) featurizeInto(dst *feature.Vector, p *synth.Point, rng *rand.R
 // do not support the point's modality leave their feature missing. Video
 // points are split into frames rendered through the image channel and merged.
 func (l *Library) FeaturizePoint(p *synth.Point) *feature.Vector {
+	return l.FeaturizePointWith(p, xrand.New(0))
+}
+
+// FeaturizePointWith is FeaturizePoint on the caller's generator, which it
+// reseeds for every channel, so a caller featurizing many points one by one
+// needs one generator, not one per point. The vector still owns its payload.
+func (l *Library) FeaturizePointWith(p *synth.Point, rng *rand.Rand) *feature.Vector {
 	v := feature.NewVector(l.schema)
 	v.Grow(l.reserve(p, 1))
-	l.featurizeInto(v, p, xrand.New(0))
+	l.featurizeInto(v, p, rng)
 	return v
 }
 

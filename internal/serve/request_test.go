@@ -356,30 +356,44 @@ func FuzzHandlePredict(f *testing.F) {
 	})
 }
 
-// slowOdd wraps a resource so observing an odd-ID entity takes delay: a
-// request naming one outlives a tight budget in the middle of featurization.
-type slowOdd struct {
+// heldIDs wraps a resource so observing a listed entity reports on entered
+// and blocks until release closes: a request naming one holds its run slot
+// mid-featurization for as long as the test wants.
+type heldIDs struct {
 	resource.Resource
-	delay time.Duration
+	ids     map[int]bool
+	entered chan int
+	release chan struct{}
 }
 
-func (r slowOdd) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
-	if e.ID%2 == 1 {
-		time.Sleep(r.delay)
+func (r heldIDs) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Modality, rng *rand.Rand) {
+	if r.ids[e.ID] {
+		select {
+		case r.entered <- e.ID:
+		default:
+		}
+		<-r.release
 	}
 	r.Resource.Observe(dst, i, e, m, rng)
 }
 
 // TestPredictConcurrentSharedStore: concurrent /predict traffic through one
 // shared store from two servers. A 5-s server's even IDs all answer 200 with
-// the scores the library gives; a 1-ms server's odd IDs outlive their budget
-// mid-featurization and all shed 504, and their canceled misses cache nothing.
+// the scores the library gives. A 1-ms server has every run slot held
+// mid-featurization (the way occupy holds an executor) by requests for IDs
+// nobody else asks for, so its odd IDs can never meet their deadline and all
+// shed 504. The holders outlive their budget inside Featurize and shed 504
+// too, and neither kind of canceled miss caches anything.
 func TestPredictConcurrentSharedStore(t *testing.T) {
 	fixture(t)
+	const workers, perWorker = 6, 16
+	tightSlots := runtime.GOMAXPROCS(0) // the tight server's batcher has as many run slots
+	held := heldIDs{ids: map[int]bool{}, entered: make(chan int, tightSlots), release: make(chan struct{})}
 	res := fx.store.Library().Resources()
 	for i, r := range res {
 		if r.Supports(synth.Image) {
-			res[i] = slowOdd{Resource: r, delay: 10 * time.Millisecond}
+			held.Resource = r
+			res[i] = held
 			break
 		}
 	}
@@ -391,7 +405,7 @@ func TestPredictConcurrentSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverWith := func(timeout time.Duration) *httptest.Server {
+	serverWith := func(timeout time.Duration) (*Server, *httptest.Server) {
 		s, err := New(Config{Store: store, World: fx.world, Seed: fxSeed, Timeout: timeout}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -401,13 +415,51 @@ func TestPredictConcurrentSharedStore(t *testing.T) {
 		}
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() { ts.Close(); s.Close() })
-		return ts
+		return s, ts
 	}
-	loose, tight := serverWith(5*time.Second), serverWith(time.Millisecond)
+	_, loose := serverWith(5 * time.Second)
+	tightServer, tight := serverWith(time.Millisecond)
+	post := func(ts *httptest.Server, id int) (*http.Response, error) {
+		raw := fmt.Sprintf(`{"points":[{"id":%d}]}`, id)
+		return ts.Client().Post(ts.URL+"/predict", "application/json", strings.NewReader(raw))
+	}
 
-	const workers, perWorker = 6, 16
-	var wg sync.WaitGroup
+	// Hold every run slot of the tight server on an odd ID above every
+	// worker's, so a holder's miss, if it were cached, would show in Len.
+	if got := cap(tightServer.bat.slots); got != tightSlots {
+		t.Fatalf("tight server has %d run slots, want %d", got, tightSlots)
+	}
+	holdID := func(k int) int { return 2*workers*perWorker + 2*k + 1 }
+	for k := range tightSlots {
+		held.ids[holdID(k)] = true
+	}
+	var holders sync.WaitGroup
+	for k := range tightSlots {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			id := holdID(k)
+			resp, err := post(tight, id)
+			if err != nil {
+				t.Errorf("holder %d: %v", id, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Errorf("holder %d: status %d, want %d", id, resp.StatusCode, http.StatusGatewayTimeout)
+			}
+		}()
+	}
+	for range tightSlots {
+		<-held.entered
+	}
+
+	var tightWG, looseWG sync.WaitGroup
 	for w := range workers {
+		wg := &looseWG
+		if w%2 == 1 {
+			wg = &tightWG
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -417,8 +469,7 @@ func TestPredictConcurrentSharedStore(t *testing.T) {
 			}
 			for i := range perWorker {
 				id := 2*(w/2*perWorker+i) + w%2
-				raw := fmt.Sprintf(`{"points":[{"id":%d}]}`, id)
-				resp, err := ts.Client().Post(ts.URL+"/predict", "application/json", strings.NewReader(raw))
+				resp, err := post(ts, id)
 				if err != nil {
 					t.Errorf("id %d: %v", id, err)
 					return
@@ -437,8 +488,11 @@ func TestPredictConcurrentSharedStore(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
+	tightWG.Wait() // every 504 is in: only now may the holders finish
+	close(held.release)
+	looseWG.Wait()
+	holders.Wait()
 	if got, want := store.Len(), workers/2*perWorker; got != want {
-		t.Errorf("store holds %d vectors after %d served points and %d shed ones", got, want, workers/2*perWorker)
+		t.Errorf("store holds %d vectors after %d served points and %d shed ones", got, want, workers/2*perWorker+tightSlots)
 	}
 }

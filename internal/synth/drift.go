@@ -151,8 +151,10 @@ func (t *Traffic) WorldAt(epoch int) *World { return t.worlds[epoch] }
 
 // Point renders traffic ordinal id: entity sampled from its epoch's shifted
 // prior, labeled against the true entity, then decayed per the epoch's
-// fidelity. Point seeds are PointSeed's, as everywhere, so featurestore
-// caching by ID stays sound.
+// fidelity. The entity is the point's own, so it is decayed in place once
+// Label has read it, and one generator serves both draws: reseeded to the
+// "synth.decay" channel, it draws the stream DecayPoints would. Point seeds
+// are PointSeed's, as everywhere, so featurestore caching by ID stays sound.
 func (t *Traffic) Point(id int) *Point {
 	ep := t.EpochOf(id)
 	w := t.worlds[ep]
@@ -169,7 +171,8 @@ func (t *Traffic) Point(id int) *Point {
 		Label: t.task.Label(w, e),
 	}
 	if d := t.sched.Epochs[ep].Decay; d > 0 {
-		p.Entity = decayEntity(decayRNG(seed), w, e, d)
+		rng.Seed(decaySeed(seed))
+		decayInPlace(rng, w, e, d)
 	}
 	return p
 }
@@ -206,42 +209,49 @@ func (t *Traffic) FreshDataset(epoch int, cfg DatasetConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// DecayPoints applies fidelity decay to each point's observed entity in
-// place (labels, already assigned from the true entities, are untouched).
-// The decay stream derives from each point's own seed, so it is independent
-// of slice order and identical across replays.
+// DecayPoints applies fidelity decay to each point's observed entity (labels,
+// already assigned from the true entities, are untouched). Each point gets a
+// decayed copy, because a dataset's entities may be shared; the original
+// entity is never mutated. The decay stream derives from each point's own
+// seed, so it is independent of slice order and identical across replays.
 func DecayPoints(pts []*Point, w *World, decay float64) {
 	if decay <= 0 {
 		return
 	}
 	for _, p := range pts {
-		p.Entity = decayEntity(decayRNG(p.Seed), w, p.Entity, decay)
+		p.Entity = decayEntity(xrand.New(decaySeed(p.Seed)), w, p.Entity, decay)
 	}
 }
 
-// decayRNG is the dedicated observation channel for fidelity decay.
-func decayRNG(pointSeed uint64) *rand.Rand {
-	return xrand.New(int64(xrand.HashString(pointSeed, "synth.decay")))
+// decaySeed is the seed of the dedicated observation channel for fidelity
+// decay.
+func decaySeed(pointSeed uint64) int64 {
+	return int64(xrand.HashString(pointSeed, "synth.decay"))
 }
 
-// decayEntity returns a degraded copy of e: each latent attribute is
-// independently misread with probability decay. The true entity is never
-// mutated.
+// decayEntity returns a degraded copy of e (see decayInPlace). The true
+// entity is never mutated.
 func decayEntity(rng *rand.Rand, w *World, e *Entity, decay float64) *Entity {
 	d := *e
 	d.Objects = append([]int(nil), e.Objects...)
 	d.Keywords = append([]int(nil), e.Keywords...)
-	if rng.Float64() < decay {
-		d.Topic = rng.Intn(w.cfg.NumTopics)
-	}
-	if rng.Float64() < decay && len(d.Objects) > 1 {
-		d.Objects = d.Objects[:(len(d.Objects)+1)/2]
-	}
-	if rng.Float64() < decay {
-		d.URLGroup = rng.Intn(w.cfg.NumURLGroups)
-	}
-	if rng.Float64() < decay && len(d.Keywords) > 1 {
-		d.Keywords = d.Keywords[:(len(d.Keywords)+1)/2]
-	}
+	decayInPlace(rng, w, &d, decay)
 	return &d
+}
+
+// decayInPlace degrades e: each latent attribute is independently misread
+// with probability decay, and truncated lists keep their first half.
+func decayInPlace(rng *rand.Rand, w *World, e *Entity, decay float64) {
+	if rng.Float64() < decay {
+		e.Topic = rng.Intn(w.cfg.NumTopics)
+	}
+	if rng.Float64() < decay && len(e.Objects) > 1 {
+		e.Objects = e.Objects[:(len(e.Objects)+1)/2]
+	}
+	if rng.Float64() < decay {
+		e.URLGroup = rng.Intn(w.cfg.NumURLGroups)
+	}
+	if rng.Float64() < decay && len(e.Keywords) > 1 {
+		e.Keywords = e.Keywords[:(len(e.Keywords)+1)/2]
+	}
 }

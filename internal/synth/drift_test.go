@@ -3,6 +3,8 @@ package synth
 import (
 	"reflect"
 	"testing"
+
+	"crossmodal/internal/xrand"
 )
 
 func testSchedule(seed int64) DriftSchedule {
@@ -250,4 +252,98 @@ func TestTrafficCalibratesTaskOnce(t *testing.T) {
 		// decay in this schedule the observed entity is the true one.
 		t.Error("point label inconsistent with task labeling")
 	}
+}
+
+// refTrafficPoint is Traffic.Point as it was: a fresh generator to sample,
+// then a second one on the decay channel and a decayed copy of the entity.
+func refTrafficPoint(t *Traffic, id int) *Point {
+	ep := t.EpochOf(id)
+	w := t.worlds[ep]
+	seed := PointSeed(t.sched.Seed, id)
+	e := w.SampleEntity(xrand.New(int64(seed)), Image, id)
+	p := &Point{ID: id, Entity: e, Modality: Image, Seed: seed, Label: t.task.Label(w, e)}
+	if decay := t.sched.Epochs[ep].Decay; decay > 0 {
+		rng := xrand.New(int64(xrand.HashString(seed, "synth.decay")))
+		d := *e
+		d.Objects = append([]int(nil), e.Objects...)
+		d.Keywords = append([]int(nil), e.Keywords...)
+		if rng.Float64() < decay {
+			d.Topic = rng.Intn(w.cfg.NumTopics)
+		}
+		if rng.Float64() < decay && len(d.Objects) > 1 {
+			d.Objects = d.Objects[:(len(d.Objects)+1)/2]
+		}
+		if rng.Float64() < decay {
+			d.URLGroup = rng.Intn(w.cfg.NumURLGroups)
+		}
+		if rng.Float64() < decay && len(d.Keywords) > 1 {
+			d.Keywords = d.Keywords[:(len(d.Keywords)+1)/2]
+		}
+		p.Entity = &d
+	}
+	return p
+}
+
+// TestTrafficPointMatchesReference: one generator reseeded to the decay
+// channel and an in-place decay render every point exactly as the two
+// generators and the decayed copy did, over a clean and a decaying epoch.
+func TestTrafficPointMatchesReference(t *testing.T) {
+	tr, err := NewTraffic(MustWorld(DefaultConfig()), StandardTasks()[0], DriftSchedule{Seed: 11, Epochs: []Epoch{
+		{N: 5000},
+		{N: 5000, TopicShift: 2.0, URLShift: 1.5, Decay: 0.3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range tr.Total() {
+		if got, want := tr.Point(id), refTrafficPoint(tr, id); !reflect.DeepEqual(got, want) {
+			t.Fatalf("point %d (epoch %d):\n got %+v %+v\nwant %+v %+v", id, tr.EpochOf(id), got, got.Entity, want, want.Entity)
+		}
+	}
+}
+
+// TestTrafficPointAllocs: decaying a point costs no allocation — no second
+// generator and no copy of the entity — so a decayed point allocates what
+// the same point does clean: the generator, the entity and its two lists,
+// and the point.
+func TestTrafficPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations")
+	}
+	w, task := MustWorld(DefaultConfig()), StandardTasks()[0]
+	clean, err := NewTraffic(w, task, DriftSchedule{Seed: 11, Epochs: []Epoch{{N: 100}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decayed, err := NewTraffic(w, task, DriftSchedule{Seed: 11, Epochs: []Epoch{{N: 100, Decay: 0.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range 20 {
+		c := testing.AllocsPerRun(20, func() { clean.Point(id) })
+		e := clean.Point(id).Entity
+		// Objects and Keywords grow by append from nil, as grown here.
+		lists := testing.AllocsPerRun(20, func() {
+			grownInts = appendInts(len(e.Objects))
+			grownInts = appendInts(len(e.Keywords))
+		})
+		if want := 3 + lists; c != want {
+			t.Errorf("clean point %d: %v allocations, want %v", id, c, want)
+		}
+		if d := testing.AllocsPerRun(20, func() { decayed.Point(id) }); d != c {
+			t.Errorf("decayed point %d: %v allocations, clean %v", id, d, c)
+		}
+	}
+}
+
+// grownInts keeps appendInts' slices on the heap, where the entity's are.
+var grownInts []int
+
+// appendInts appends n ints one by one to a nil slice.
+func appendInts(n int) []int {
+	var s []int
+	for i := range n {
+		s = append(s, i)
+	}
+	return s
 }
