@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"crossmodal/internal/labelprop"
 	"crossmodal/internal/lf"
 	"crossmodal/internal/trace"
 )
@@ -74,6 +76,24 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 	}
 }
 
+// column is LF j's votes over every point.
+func column(m *lf.Matrix, j int) []int8 {
+	out := make([]int8, len(m.Votes))
+	for i, row := range m.Votes {
+		out[i] = row[j]
+	}
+	return out
+}
+
+// cloneMatrix deep-copies m, keeping each row's capacity.
+func cloneMatrix(m *lf.Matrix) *lf.Matrix {
+	c := &lf.Matrix{Votes: make([][]int8, len(m.Votes)), Names: append([]string(nil), m.Names...)}
+	for i, row := range m.Votes {
+		c.Votes[i] = append(make([]int8, 0, cap(row)), row...)
+	}
+	return c
+}
+
 // dedupeLFsReference is dedupeLFs as it was before it counted each column
 // once: every pair recounts both columns over every row.
 func dedupeLFsReference(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) []string {
@@ -92,7 +112,7 @@ func dedupeLFsReference(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) []
 	})
 	cols := make([][]int8, len(lfs))
 	for j := range lfs {
-		cols[j] = devMatrix.Column(j)
+		cols[j] = column(devMatrix, j)
 	}
 	var keptIdx []int
 	for _, j := range order {
@@ -135,7 +155,9 @@ func dedupeLFsReference(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) []
 // TestDedupeLFsMatchesReference: the kept set, its order and the kept vote
 // columns equal the pair-recounting reference on matrices with exact
 // duplicates, near duplicates on either side of both thresholds, sign-flipped
-// twins, silent LFs and quality ties.
+// twins, silent LFs and quality ties. dedupeLFs compacts its input in place,
+// so the columns are checked against a copy taken before the call, and every
+// row must keep the spare column appendPropLF appends into.
 func TestDedupeLFsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dropping := 0
@@ -152,7 +174,7 @@ func TestDedupeLFsMatchesReference(t *testing.T) {
 			matrix.Names = append(matrix.Names, lfs[j].Name)
 		}
 		for i := range matrix.Votes {
-			matrix.Votes[i] = make([]int8, m)
+			matrix.Votes[i] = make([]int8, m, m+1) // Plan.Vote's spare column
 		}
 		for j := 0; j < m; j++ {
 			switch src := rng.Intn(j + 1); {
@@ -187,7 +209,11 @@ func TestDedupeLFsMatchesReference(t *testing.T) {
 		if len(want) < m {
 			dropping++
 		}
+		source := cloneMatrix(matrix)
 		kept, keptMatrix := dedupeLFs(lfs, matrix, labels)
+		if keptMatrix != matrix {
+			t.Fatalf("trial %d: dedupeLFs returned a new matrix, want its input compacted in place", trial)
+		}
 		var got []string
 		for _, l := range kept {
 			got = append(got, l.Name)
@@ -195,11 +221,17 @@ func TestDedupeLFsMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(keptMatrix.Names, want) {
 			t.Fatalf("trial %d: kept %v (matrix %v), reference keeps %v", trial, got, keptMatrix.Names, want)
 		}
+		if len(keptMatrix.Votes) != n {
+			t.Fatalf("trial %d: %d rows kept, want %d", trial, len(keptMatrix.Votes), n)
+		}
 		for i, row := range keptMatrix.Votes {
+			if len(row) != len(want) || cap(row) <= len(row) {
+				t.Fatalf("trial %d: row %d has len %d cap %d, want len %d and a spare column", trial, i, len(row), cap(row), len(want))
+			}
 			for c, name := range want {
-				j := indexOf(matrix.Names, name)
-				if row[c] != matrix.Votes[i][j] {
-					t.Fatalf("trial %d: kept column %s row %d holds %d, source %d", trial, name, i, row[c], matrix.Votes[i][j])
+				j := indexOf(source.Names, name)
+				if row[c] != source.Votes[i][j] {
+					t.Fatalf("trial %d: kept column %s row %d holds %d, source %d", trial, name, i, row[c], source.Votes[i][j])
 				}
 			}
 		}
@@ -216,4 +248,178 @@ func indexOf(names []string, name string) int {
 		}
 	}
 	return -1
+}
+
+// appendPropLFReference is appendPropLF as it was: the dev column goes
+// through AppendScoreLF as a ScoreLF over dev-length score and presence
+// arrays.
+func appendPropLFReference(matrix, devMatrix *lf.Matrix, cuts labelprop.Cuts, imageScores []float64, imagePresent []bool, devIdx []int, devScores []float64, devReached []bool) error {
+	img := &lf.ScoreLF{Name: "labelprop", Source: "labelprop", Scores: imageScores, Present: imagePresent, PosCut: cuts.Pos, NegCut: cuts.Neg}
+	if err := matrix.AppendScoreLF(img); err != nil {
+		return err
+	}
+	dev := &lf.ScoreLF{Name: "labelprop", Source: "labelprop", PosCut: cuts.Pos, NegCut: cuts.Neg,
+		Scores: make([]float64, devMatrix.NumPoints()), Present: make([]bool, devMatrix.NumPoints())}
+	for i, ti := range devIdx {
+		dev.Scores[ti] = devScores[i]
+		dev.Present[ti] = devReached[i]
+	}
+	return devMatrix.AppendScoreLF(dev)
+}
+
+// propInputs draws an n-row dev matrix and a nImages-row image matrix of m
+// LFs (each row with Plan.Vote's spare column) and propagation outputs for
+// nDev held-out dev rows, drawn with repeats; about a fifth are unreached.
+func propInputs(rng *rand.Rand, n, nImages, m, nDev int) (matrix, devMatrix *lf.Matrix, imageScores []float64, imagePresent []bool, devIdx []int, devScores []float64, devReached []bool) {
+	votes := func(rows int) *lf.Matrix {
+		mat := &lf.Matrix{Votes: make([][]int8, rows)}
+		for j := 0; j < m; j++ {
+			mat.Names = append(mat.Names, fmt.Sprintf("lf%d", j))
+		}
+		for i := range mat.Votes {
+			mat.Votes[i] = make([]int8, m, m+1)
+			for j := range mat.Votes[i] {
+				mat.Votes[i][j] = int8(rng.Intn(3) - 1)
+			}
+		}
+		return mat
+	}
+	matrix, devMatrix = votes(nImages), votes(n)
+	imageScores, imagePresent = make([]float64, nImages), make([]bool, nImages)
+	for i := range imageScores {
+		imageScores[i], imagePresent[i] = rng.Float64(), rng.Intn(5) > 0
+	}
+	devIdx, devScores, devReached = make([]int, nDev), make([]float64, nDev), make([]bool, nDev)
+	for i := range devIdx {
+		devIdx[i], devScores[i], devReached[i] = rng.Intn(n), rng.Float64(), rng.Intn(5) > 0
+	}
+	return
+}
+
+// TestAppendPropLFMatchesScoreLF: the dev propagation column written only at
+// devIdx equals the dev-length ScoreLF the column used to be, with repeated
+// and unreached held-out rows, and the image column is unchanged.
+func TestAppendPropLFMatchesScoreLF(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	cuts := labelprop.Cuts{Pos: 0.7, Neg: 0.3}
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300)
+		matrix, devMatrix, imageScores, imagePresent, devIdx, devScores, devReached := propInputs(rng, n, 1+rng.Intn(200), rng.Intn(6), rng.Intn(2*n))
+		wantMatrix, wantDev := cloneMatrix(matrix), cloneMatrix(devMatrix)
+		if err := appendPropLFReference(wantMatrix, wantDev, cuts, imageScores, imagePresent, devIdx, devScores, devReached); err != nil {
+			t.Fatal(err)
+		}
+		if err := appendPropLF(matrix, devMatrix, cuts, imageScores, imagePresent, devIdx, devScores, devReached); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(matrix, wantMatrix) || !reflect.DeepEqual(devMatrix, wantDev) {
+			t.Fatalf("trial %d: appendPropLF differs from the dev-length ScoreLF form", trial)
+		}
+	}
+	matrix, devMatrix, imageScores, imagePresent, _, _, _ := propInputs(rng, 4, 4, 2, 0)
+	if err := appendPropLF(matrix, devMatrix, cuts, imageScores[:3], imagePresent[:3], nil, nil, nil); err == nil {
+		t.Error("an image score LF short of the matrix must fail")
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes one run
+// allocates.
+func allocsPerRun(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestLFStageAllocsPerLF: dedupeLFs and appendPropLF allocate per LF, not per
+// dev row — a 64k-row dev matrix costs the objects of a 4k-row one, and the
+// bytes too, but for the 4 B per vote of dedupeLFs' vote lists (plus one
+// page of size-class rounding). The 64k matrix tiles the 4k one, so both
+// keep the same LFs.
+func TestLFStageAllocsPerLF(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations")
+	}
+	const m, base = 9, 4 << 10
+	rng := rand.New(rand.NewSource(7))
+	labels := make([]int8, base)
+	pattern := make([][]int8, base)
+	votes := uint64(0)
+	for i := range pattern {
+		labels[i] = int8(2*rng.Intn(2) - 1)
+		row := make([]int8, m)
+		for j := range row {
+			switch {
+			case j%3 == 2: // an exact duplicate of the column before
+				row[j] = row[j-1]
+			case rng.Intn(4) == 0:
+				row[j] = labels[i]
+			}
+			if row[j] != 0 {
+				votes++
+			}
+		}
+		pattern[i] = row
+	}
+	lfs, names := make([]*lf.LF, m), make([]string, m)
+	for j := range lfs {
+		names[j] = fmt.Sprintf("lf%d", j)
+		lfs[j] = &lf.LF{Name: names[j]}
+	}
+	var keptLFs []*lf.LF
+	dedupe := func(tiles int) (objects, bytes uint64, kept []string) {
+		matrix := &lf.Matrix{Votes: make([][]int8, base*tiles)}
+		devLabels := make([]int8, 0, base*tiles)
+		for i := range matrix.Votes {
+			matrix.Votes[i] = make([]int8, m, m+1)
+		}
+		for range tiles {
+			devLabels = append(devLabels, labels...)
+		}
+		objects, bytes = allocsPerRun(5, func() {
+			for i, row := range matrix.Votes { // undo the last run's compaction
+				matrix.Votes[i] = append(row[:0], pattern[i%base]...)
+			}
+			matrix.Names = names
+			keptLFs, _ = dedupeLFs(lfs, matrix, devLabels)
+		})
+		for _, l := range keptLFs {
+			kept = append(kept, l.Name)
+		}
+		return objects, bytes, kept
+	}
+	smallObj, smallBytes, smallKept := dedupe(1)
+	largeObj, largeBytes, largeKept := dedupe(16)
+	if len(smallKept) == m || !reflect.DeepEqual(smallKept, largeKept) {
+		t.Fatalf("dedupe keeps %v at 4k rows and %v at 64k; the pin needs the same, proper subset", smallKept, largeKept)
+	}
+	if extraVotes := 15 * votes; smallObj != largeObj || largeBytes > smallBytes+4*extraVotes+8<<10 {
+		t.Errorf("dedupeLFs: %d objects / %d B at 4k rows (%d votes), %d / %d B at 64k", smallObj, smallBytes, votes, largeObj, largeBytes)
+	}
+
+	appendProp := func(n int) (uint64, uint64) {
+		matrix, devMatrix, imageScores, imagePresent, devIdx, devScores, devReached := propInputs(rand.New(rand.NewSource(9)), n, 1000, m, 200)
+		cuts := labelprop.Cuts{Pos: 0.7, Neg: 0.3}
+		return allocsPerRun(5, func() {
+			for _, mat := range []*lf.Matrix{matrix, devMatrix} { // drop the last run's column
+				for i, row := range mat.Votes {
+					mat.Votes[i] = row[:m]
+				}
+				mat.Names = mat.Names[:m]
+			}
+			if err := appendPropLF(matrix, devMatrix, cuts, imageScores, imagePresent, devIdx, devScores, devReached); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallObj, smallBytes = appendProp(4 << 10)
+	largeObj, largeBytes = appendProp(64 << 10)
+	if smallObj != largeObj || smallBytes != largeBytes {
+		t.Errorf("appendPropLF: %d objects / %d B at 4k dev rows, %d / %d B at 64k", smallObj, smallBytes, largeObj, largeBytes)
+	}
 }

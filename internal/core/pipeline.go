@@ -216,6 +216,9 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 // dedupeLFs greedily keeps LFs in descending dev-quality order, dropping
 // any whose non-abstain votes agree with an already kept LF on >= 95% of
 // their overlap (with overlap covering >= 60% of the smaller LF's votes).
+// It compacts the kept columns of devMatrix in place and returns devMatrix
+// itself: each row keeps its capacity, so the spare column Plan.Vote leaves
+// for appendPropLF still fits.
 func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, *lf.Matrix) {
 	stats := lf.EvaluateAll(devMatrix, devLabels)
 	order := make([]int, len(lfs))
@@ -231,8 +234,17 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 		return lfs[order[a]].Name < lfs[order[b]].Name
 	})
 	// voted[j] lists the rows LF j votes on: each column is counted once, and
-	// a pair is compared only over the candidate's own votes.
+	// a pair is compared only over the candidate's own votes. The lists are
+	// cut from one slab, sized by the vote counts stats already holds.
+	total := 0
+	for _, s := range stats {
+		total += s.Votes
+	}
+	slab := make([]int32, total)
 	voted := make([][]int32, len(lfs))
+	for j, s := range stats {
+		voted[j], slab = slab[:0:s.Votes], slab[s.Votes:]
+	}
 	for i, row := range devMatrix.Votes {
 		for j, v := range row {
 			if v != 0 {
@@ -269,21 +281,20 @@ func dedupeLFs(lfs []*lf.LF, devMatrix *lf.Matrix, devLabels []int8) ([]*lf.LF, 
 	}
 	kept := make([]*lf.LF, len(keptIdx))
 	names := make([]string, len(keptIdx))
-	// One slab, with room for the propagation column appendPropLF adds.
-	n, stride := len(keptIdx), len(keptIdx)+1
-	slab := make([]int8, devMatrix.NumPoints()*stride)
-	votes := make([][]int8, devMatrix.NumPoints())
-	for i := range votes {
-		votes[i] = slab[i*stride : i*stride+n : (i+1)*stride]
-		for c, j := range keptIdx {
-			votes[i][c] = devMatrix.Votes[i][j]
-		}
-	}
 	for c, j := range keptIdx {
 		kept[c] = lfs[j]
 		names[c] = lfs[j].Name
 	}
-	return kept, &lf.Matrix{Votes: votes, Names: names}
+	// keptIdx ascends, so row[c] = row[j] (c <= j) never overwrites a column
+	// still to be read.
+	for i, row := range devMatrix.Votes {
+		for c, j := range keptIdx {
+			row[c] = row[j]
+		}
+		devMatrix.Votes[i] = row[:len(keptIdx)]
+	}
+	devMatrix.Names = names
+	return kept, devMatrix
 }
 
 // graphSplit deterministically splits the labeled corpus into propagation
@@ -338,7 +349,9 @@ func (p *Pipeline) tunePropCuts(devScores []float64, devLabels []int8, base floa
 // appendPropLF appends the propagation score LF to the image matrix and
 // mirrors it onto the labeled dev matrix (scores of the held-out, unseeded
 // text nodes) so the dev-anchored label model can estimate its reliability
-// like any other LF. Dev rows outside the held-out sample abstain.
+// like any other LF. Every dev row gets an abstaining column first, then
+// only the devIdx rows get their vote, read from devScores / devReached as
+// given; dev rows outside the held-out sample abstain.
 func appendPropLF(matrix, devMatrix *lf.Matrix, cuts labelprop.Cuts, imageScores []float64, imagePresent []bool, devIdx []int, devScores []float64, devReached []bool) error {
 	scoreLF := &lf.ScoreLF{
 		Name:    "labelprop",
@@ -351,20 +364,14 @@ func appendPropLF(matrix, devMatrix *lf.Matrix, cuts labelprop.Cuts, imageScores
 	if err := matrix.AppendScoreLF(scoreLF); err != nil {
 		return fmt.Errorf("core: append propagation LF: %w", err)
 	}
-	devVotes := &lf.ScoreLF{
-		Name:    "labelprop",
-		Source:  "labelprop",
-		Scores:  make([]float64, devMatrix.NumPoints()),
-		Present: make([]bool, devMatrix.NumPoints()),
-		PosCut:  cuts.Pos,
-		NegCut:  cuts.Neg,
+	devVotes := &lf.ScoreLF{Scores: devScores, Present: devReached, PosCut: cuts.Pos, NegCut: cuts.Neg}
+	col := devMatrix.NumLFs()
+	for i, row := range devMatrix.Votes {
+		devMatrix.Votes[i] = append(row, lf.Abstain)
 	}
+	devMatrix.Names = append(devMatrix.Names, scoreLF.Name)
 	for i, ti := range devIdx {
-		devVotes.Scores[ti] = devScores[i]
-		devVotes.Present[ti] = devReached[i]
-	}
-	if err := devMatrix.AppendScoreLF(devVotes); err != nil {
-		return fmt.Errorf("core: append dev propagation LF: %w", err)
+		devMatrix.Votes[ti][col] = devVotes.VoteAt(i)
 	}
 	return nil
 }

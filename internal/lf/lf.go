@@ -8,6 +8,7 @@ package lf
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"crossmodal/internal/feature"
@@ -149,15 +150,6 @@ func (m *Matrix) NumPoints() int { return len(m.Votes) }
 // NumLFs returns the number of labeling functions.
 func (m *Matrix) NumLFs() int { return len(m.Names) }
 
-// Column extracts LF j's votes over all points.
-func (m *Matrix) Column(j int) []int8 {
-	out := make([]int8, len(m.Votes))
-	for i, row := range m.Votes {
-		out[i] = row[j]
-	}
-	return out
-}
-
 // AppendScoreLF adds a score-based LF column to the matrix. The score LF
 // must cover exactly the matrix's points.
 func (m *Matrix) AppendScoreLF(s *ScoreLF) error {
@@ -196,59 +188,57 @@ type Stats struct {
 	Votes     int
 }
 
-// EvaluateColumn computes Stats for one vote column against dev labels.
+// EvaluateAll computes Stats for every LF column of m against dev labels in
+// one pass over the rows, with a few counters per LF and no column copy.
 // Precision counts votes matching the label; recall is class-conditional on
 // the voted class (a positive LF's recall is over true positives, a negative
 // LF's over true negatives; mixed-vote columns report recall over all points
 // whose label matches some vote).
-func EvaluateColumn(name string, votes, labels []int8) Stats {
-	if len(votes) != len(labels) {
-		panic(fmt.Sprintf("lf: %d votes vs %d labels", len(votes), len(labels)))
-	}
-	var correct, voted int
-	// Per class, indexed by uint8(label or vote): maps here cost more than
-	// the votes themselves.
-	var classTotals, classCorrect [256]int
-	var votesClass [256]bool
-	for i, v := range votes {
-		if labels[i] != 0 {
-			classTotals[uint8(labels[i])]++
-		}
-		if v == 0 {
-			continue
-		}
-		voted++
-		votesClass[uint8(v)] = true
-		if v == labels[i] {
-			correct++
-			classCorrect[uint8(v)]++
-		}
-	}
-	s := Stats{Name: name, Votes: voted}
-	if voted > 0 {
-		s.Precision = float64(correct) / float64(voted)
-	}
-	var recallDenom, recallNum int
-	for class, ok := range votesClass {
-		if ok {
-			recallDenom += classTotals[class]
-			recallNum += classCorrect[class]
-		}
-	}
-	if recallDenom > 0 {
-		s.Recall = float64(recallNum) / float64(recallDenom)
-	}
-	if len(votes) > 0 {
-		s.Coverage = float64(voted) / float64(len(votes))
-	}
-	return s
-}
-
-// EvaluateAll computes Stats for every LF column in the matrix.
 func EvaluateAll(m *Matrix, labels []int8) []Stats {
 	out := make([]Stats, m.NumLFs())
+	if len(out) == 0 {
+		return out
+	}
+	if len(m.Votes) != len(labels) {
+		panic(fmt.Sprintf("lf: %d votes vs %d labels", len(m.Votes), len(labels)))
+	}
+	// classes[j] is the set of classes LF j votes, a bit per uint8(vote). A
+	// correct vote's class is voted, so the recall numerator is correct[j].
+	voted, correct, classes := make([]int, len(out)), make([]int, len(out)), make([][4]uint64, len(out))
+	var classTotals [256]int
+	for i, row := range m.Votes {
+		l := labels[i]
+		if l != 0 {
+			classTotals[uint8(l)]++
+		}
+		for j, v := range row[:len(out)] {
+			if v != 0 {
+				voted[j]++
+				classes[j][uint8(v)>>6] |= 1 << (uint8(v) & 63)
+				if v == l {
+					correct[j]++
+				}
+			}
+		}
+	}
 	for j := range out {
-		out[j] = EvaluateColumn(m.Names[j], m.Column(j), labels)
+		s := Stats{Name: m.Names[j], Votes: voted[j]}
+		if voted[j] > 0 {
+			s.Precision = float64(correct[j]) / float64(voted[j])
+		}
+		var recallDenom int
+		for w, set := range classes[j] {
+			for ; set != 0; set &= set - 1 {
+				recallDenom += classTotals[w*64+bits.TrailingZeros64(set)]
+			}
+		}
+		if recallDenom > 0 {
+			s.Recall = float64(correct[j]) / float64(recallDenom)
+		}
+		if len(m.Votes) > 0 {
+			s.Coverage = float64(voted[j]) / float64(len(m.Votes))
+		}
+		out[j] = s
 	}
 	return out
 }

@@ -123,7 +123,7 @@ func TestApplyMatrix(t *testing.T) {
 	if m.Votes[1][0] != Abstain || m.Votes[1][1] != Abstain {
 		t.Errorf("row 1 = %v", m.Votes[1])
 	}
-	col := m.Column(1)
+	col := column(m, 1)
 	if col[0] != Positive || col[1] != Abstain {
 		t.Errorf("column 1 = %v", col)
 	}
@@ -144,10 +144,25 @@ func TestAppendScoreLF(t *testing.T) {
 	}
 }
 
+// evaluateOne is the Stats of one vote column by EvaluateAll, checked against
+// the reference evaluateColumn.
+func evaluateOne(t *testing.T, name string, votes, labels []int8) Stats {
+	t.Helper()
+	m := &Matrix{Votes: make([][]int8, len(votes)), Names: []string{name}}
+	for i, v := range votes {
+		m.Votes[i] = []int8{v}
+	}
+	s := EvaluateAll(m, labels)[0]
+	if ref := evaluateColumn(name, votes, labels); s != ref {
+		t.Fatalf("EvaluateAll %+v, reference %+v", s, ref)
+	}
+	return s
+}
+
 func TestEvaluateColumn(t *testing.T) {
 	votes := []int8{1, 1, 0, -1, 0, 1}
 	labels := []int8{1, -1, 1, -1, -1, 1}
-	s := EvaluateColumn("t", votes, labels)
+	s := evaluateOne(t, "t", votes, labels)
 	// voted: 4, correct: 3 (votes 0,3,5)
 	if math.Abs(s.Precision-0.75) > 1e-12 {
 		t.Errorf("precision = %v", s.Precision)
@@ -164,7 +179,7 @@ func TestEvaluateColumn(t *testing.T) {
 func TestEvaluateColumnPositiveOnly(t *testing.T) {
 	votes := []int8{1, 0, 0, 0}
 	labels := []int8{1, 1, -1, -1}
-	s := EvaluateColumn("p", votes, labels)
+	s := evaluateOne(t, "p", votes, labels)
 	if s.Precision != 1 {
 		t.Errorf("precision = %v", s.Precision)
 	}

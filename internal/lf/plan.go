@@ -72,8 +72,9 @@ func Compile(lfs []*LF, schema *feature.Schema) *Plan {
 // Vote is the vote kernel: every LF on one chunk of rows rows, read through
 // the chunk's column views, which write disjoint ordinals and are fanned over
 // cfg's workers. The chunk's vote rows, in ordinal order, are appended to
-// votes; they are carved from one flat slab with room for the propagation
-// column AppendScoreLF adds later. The second result counts the votes cast.
+// votes; they are carved from one flat slab with room for one more column,
+// which curation keeps through its in-place LF dedupe and fills with the
+// propagation LF without reallocating. The second result counts the votes cast.
 func (p *Plan) Vote(cfg mapreduce.Config, parts []feature.Columns, rows int, votes [][]int8) ([][]int8, int) {
 	n, stride := len(p.tests), len(p.tests)+1
 	slab := make([]int8, rows*stride)
