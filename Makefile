@@ -63,6 +63,7 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzShardLoad -fuzztime 5s ./internal/featurestore/disk/
+	$(GO) test -run xxx -fuzz FuzzScanFirstMatchesScanProjected -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzColumnVotesMatchClosures -fuzztime 5s ./internal/lf/
 	$(GO) test -run xxx -fuzz FuzzEvaluateAllMatchesColumns -fuzztime 5s ./internal/lf/
 	$(GO) test -run xxx -fuzz FuzzPackedWeighted -fuzztime 5s ./internal/feature/

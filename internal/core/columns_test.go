@@ -25,7 +25,8 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 	}
 	tr := trace.New()
 	trace.SetDefault(tr)
-	sc := runStreamed(t, streamOptions(), StreamOptions{Dir: t.TempDir(), ChunkSize: 128, Shards: 4})
+	const window = 100 // inside the first 128-row image chunk
+	sc := runStreamed(t, streamOptions(), StreamOptions{Dir: t.TempDir(), ChunkSize: 128, Shards: 4, GraphWindow: window})
 	trace.SetDefault(nil)
 	var summary strings.Builder
 	if err := tr.WriteSummary(&summary); err != nil {
@@ -71,8 +72,10 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 	if own := stageLine["lf.apply"]; !strings.Contains(own, "votes=") || strings.Contains(own, "votes=0 ") {
 		t.Errorf("lf.apply span lacks a votes counter: %q", own)
 	}
-	if scan := scanLine["labelprop"]; !strings.Contains(scan, "vectors=") {
-		t.Errorf("labelprop: the graph window scans decode vectors; span: %q", scan)
+	// The three graph window scans (scales:means, scales:devs, graph) decode
+	// the window's rows and nothing past it, though its chunk is longer.
+	if scan := scanLine["labelprop"]; !strings.Contains(scan, fmt.Sprintf("vectors=%d]", 3*window)) {
+		t.Errorf("labelprop: the graph window scans must decode %d vectors; span: %q", 3*window, scan)
 	}
 }
 

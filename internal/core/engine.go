@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"crossmodal/internal/feature"
@@ -17,21 +16,23 @@ import (
 
 // corpus is what the curation stages need from a featurized corpus: its row
 // count, an in-order chunked scan in the schema the stage works in — as
-// column views for the LF stages (mining, LF apply), decoded into vectors for
-// the graph stages — and random access by point ID. *disk.Store satisfies it
-// as is; memCorpus backs it with slices. Every scan must yield the same rows
-// in the same order, and the stages never depend on where chunks break.
+// column views for the LF stages (mining, LF apply), decoded into vectors of
+// the first n rows for the graph stages, optionally into a buffer the caller
+// keeps across scans — and random access by point ID. *disk.Store satisfies
+// it as is; memCorpus backs it with slices. Every scan must yield the same
+// rows in the same order, and the stages never depend on where chunks break.
 type corpus interface {
 	Rows() int
 	ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error
-	ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error
+	ScanFirst(ctx context.Context, target *feature.Schema, n int, buf *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error
 	Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error)
 }
 
 // memCorpus is the in-memory corpus: all rows as one chunk, or chunk-row
 // chunks when chunk > 0. Row index is point ID. Column scans read the vectors
-// where they are; each ScanProjected target is projected once and kept for
-// the run — the stages scan the image corpus in the graph schema three times.
+// where they are; each ScanFirst target is projected once and kept for the
+// run — the stages scan the image corpus in the graph schema three times — so
+// ScanFirst slices that projection and never needs a buffer.
 type memCorpus struct {
 	vecs   []*feature.Vector
 	labels []int8
@@ -41,17 +42,19 @@ type memCorpus struct {
 
 func (c *memCorpus) Rows() int { return len(c.vecs) }
 
-// chunks calls fn with the bounds of every chunk in order.
-func (c *memCorpus) chunks(ctx context.Context, fn func(seq, lo, hi int) error) error {
-	n := c.chunk
-	if n <= 0 {
-		n = len(c.vecs)
+// chunks calls fn with the bounds of every chunk of the first n rows in
+// order.
+func (c *memCorpus) chunks(ctx context.Context, n int, fn func(seq, lo, hi int) error) error {
+	size := c.chunk
+	if size <= 0 {
+		size = len(c.vecs)
 	}
-	for seq, lo := 0, 0; lo < len(c.vecs); seq, lo = seq+1, lo+n {
+	n = min(n, len(c.vecs))
+	for seq, lo := 0, 0; lo < n; seq, lo = seq+1, lo+size {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := fn(seq, lo, min(lo+n, len(c.vecs))); err != nil {
+		if err := fn(seq, lo, min(lo+size, n)); err != nil {
 			return err
 		}
 	}
@@ -59,12 +62,12 @@ func (c *memCorpus) chunks(ctx context.Context, fn func(seq, lo, hi int) error) 
 }
 
 func (c *memCorpus) ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error {
-	return c.chunks(ctx, func(seq, lo, hi int) error {
+	return c.chunks(ctx, len(c.vecs), func(seq, lo, hi int) error {
 		return fn(seq, c.labels[lo:hi], feature.VectorColumns(target, c.vecs[lo:hi]))
 	})
 }
 
-func (c *memCorpus) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+func (c *memCorpus) ScanFirst(ctx context.Context, target *feature.Schema, n int, _ *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
 	vecs, ok := c.proj[target]
 	if !ok {
 		vecs = make([]*feature.Vector, len(c.vecs))
@@ -76,7 +79,7 @@ func (c *memCorpus) ScanProjected(ctx context.Context, target *feature.Schema, f
 		}
 		c.proj[target] = vecs
 	}
-	return c.chunks(ctx, func(seq, lo, hi int) error {
+	return c.chunks(ctx, n, func(seq, lo, hi int) error {
 		// Point IDs are the row indices lo..hi-1; no stage reads them.
 		return fn(seq, nil, c.labels[lo:hi], vecs[lo:hi])
 	})
@@ -92,39 +95,10 @@ func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector,
 	return out, nil
 }
 
-// errStopScan aborts a corpus scan early once enough rows were consumed.
-var errStopScan = errors.New("core: stop scan")
-
-// scanFirst hands fn the first n rows of c decoded into schema, chunk by
-// chunk in append order, and stops reading once n rows were seen.
-func scanFirst(ctx context.Context, c corpus, schema *feature.Schema, n int, fn func(seq int, vecs []*feature.Vector) error) error {
-	if n <= 0 {
-		return nil
-	}
-	seen := 0
-	err := c.ScanProjected(ctx, schema, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		if take := n - seen; take < len(vecs) {
-			vecs = vecs[:take]
-		}
-		seen += len(vecs)
-		if err := fn(seq, vecs); err != nil {
-			return err
-		}
-		if seen >= n {
-			return errStopScan
-		}
-		return nil
-	})
-	if errors.Is(err, errStopScan) {
-		return nil
-	}
-	return err
-}
-
 // allRows gathers every row of c, decoded into schema, in memory.
 func allRows(ctx context.Context, c corpus, schema *feature.Schema) ([]*feature.Vector, error) {
 	out := make([]*feature.Vector, 0, c.Rows())
-	err := c.ScanProjected(ctx, schema, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
+	err := c.ScanFirst(ctx, schema, c.Rows(), nil, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
 		out = append(out, vecs...)
 		return nil
 	})
@@ -153,6 +127,8 @@ type curateRun struct {
 
 	// Composed once per run: memCorpus keys its projections by pointer.
 	lfSchema, graphSchema *feature.Schema
+	// windowSlab is the slab every graph window scan decodes into.
+	windowSlab []feature.Vector
 }
 
 // runChunkHook runs a StreamOptions.ChunkHook, if any, after a
@@ -288,9 +264,10 @@ func (r *curateRun) apply(ctx context.Context, lfs []*lf.LF, c corpus, stage str
 }
 
 // scanWindow replays the image rows inside the graph window in append
-// order, decoded into the graph schema.
+// order, decoded into the graph schema and into r.windowSlab: fn must not
+// keep the vectors.
 func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]*feature.Vector) error) error {
-	return scanFirst(ctx, r.image, r.graphSchema, r.window, func(seq int, vecs []*feature.Vector) error {
+	return r.image.ScanFirst(ctx, r.graphSchema, r.window, &r.windowSlab, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
 		if err := fn(vecs); err != nil {
 			return err
 		}

@@ -28,13 +28,13 @@ func streamDataset(t *testing.T) *synth.Dataset {
 	return ds
 }
 
-// scanAll concatenates one full ScanProjected pass.
+// scanAll concatenates one full ScanFirst pass.
 func scanAll(t *testing.T, c corpus, target *feature.Schema) ([]*feature.Vector, []int8) {
 	t.Helper()
 	var vecs []*feature.Vector
 	var labels []int8
 	wantSeq := 0
-	err := c.ScanProjected(context.Background(), target, func(seq int, _ []int, ls []int8, vs []*feature.Vector) error {
+	err := c.ScanFirst(context.Background(), target, c.Rows(), nil, func(seq int, _ []int, ls []int8, vs []*feature.Vector) error {
 		if seq != wantSeq {
 			t.Fatalf("chunk sequence %d, want %d", seq, wantSeq)
 		}
@@ -118,6 +118,32 @@ func TestMemCorpusMatchesDiskStore(t *testing.T) {
 		}
 	}
 
+	// Graph windows: the first n rows of either backing, the store's decoded
+	// into one buffer every window scan refills.
+	graph := targets["graph"]
+	all, _ := scanAll(t, mem, graph)
+	var buf []feature.Vector
+	for _, n := range []int{1, 99, 100, 101, 300, 301} {
+		for name, c := range map[string]corpus{"memory": mem, "disk": store} {
+			got := 0
+			if err := c.ScanFirst(ctx, graph, n, &buf, func(_ int, _ []int, ls []int8, vs []*feature.Vector) error {
+				for i, v := range vs {
+					sameVectorBits(t, fmt.Sprintf("%s window %d row %d", name, n, got), all[got], v)
+					if ls[i] != labels[got] {
+						t.Fatalf("%s window %d row %d: label %d, want %d", name, n, got, ls[i], labels[got])
+					}
+					got++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got != min(n, len(vecs)) {
+				t.Fatalf("%s window %d: scanned %d rows", name, n, got)
+			}
+		}
+	}
+
 	ids := []int{0, 150, 299, 300, -1, 7}
 	memFound, err := mem.Find(ctx, ids)
 	if err != nil {
@@ -197,7 +223,7 @@ func TestChunkedCorpusScan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := &memCorpus{vecs: vecs, labels: labels, chunk: 10}
-	if err := c.ScanProjected(ctx, target, func(int, []int, []int8, []*feature.Vector) error { return nil }); err == nil {
+	if err := c.ScanFirst(ctx, target, c.Rows(), nil, func(int, []int, []int8, []*feature.Vector) error { return nil }); err == nil {
 		t.Error("canceled scan returned nil error")
 	}
 }

@@ -99,7 +99,8 @@ func TestScanColumnsMatchesScanProjected(t *testing.T) {
 // TestRepeatedOrdinalFailsEveryReader: a two-segment chunk in which one
 // segment repeats a row ordinal (every per-segment check passes: the damage
 // only shows across segments) is ErrCorrupt to every reader — the vector
-// scan, the column scan and Find — never a silently defaulted row.
+// scan, the column scan, Find, and a ScanFirst window that ends before the
+// damaged ordinals — never a silently defaulted row.
 func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -113,8 +114,8 @@ func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("%d segments, want 2", len(segs))
 	}
-	// Re-encode shard 1's rows with its first ordinal replaced by one shard 0
-	// holds: in range, properly checksummed, but repeated within the chunk.
+	// Re-encode shard 1's rows with its last ordinal replaced by shard 0's
+	// last: in range, properly checksummed, but repeated within the chunk.
 	seg := segs[1]
 	var segIDs []uint64
 	var ords []uint32
@@ -133,7 +134,12 @@ func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
 		segIDs, ords = append(segIDs, seg.ID(r)), append(ords, uint32(seg.Ord(r)))
 		labels, vecs = append(labels, seg.Label(r)), append(vecs, v)
 	}
-	ords[0] = uint32(segs[0].Ord(0))
+	last := len(ords) - 1
+	window := min(int(ords[last]), segs[0].Ord(segs[0].Rows()-1)) // rows below both damaged ordinals
+	ords[last] = uint32(segs[0].Ord(segs[0].Rows() - 1))
+	if window == 0 {
+		t.Fatal("damaged ordinal 0: no window ends before it")
+	}
 	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 1, 2, 0, segIDs, ords, labels, vecs)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +168,13 @@ func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
 			return s.ScanColumns(ctx, schema, func(int, []int8, []feature.Columns) error { return nil })
 		},
 		"Find": func() error { _, err := s.Find(ctx, ids[:3]); return err },
+		"ScanFirst": func() error {
+			var buf []feature.Vector
+			return s.ScanFirst(ctx, schema, window, &buf, func(int, []int, []int8, []*feature.Vector) error {
+				t.Error("ScanFirst handed out rows of a corrupt chunk")
+				return nil
+			})
+		},
 	} {
 		if err := read(); !errors.As(err, &ce) || filepath.Base(ce.Path) != filepath.Base(path) {
 			t.Errorf("%s over a repeated ordinal: err = %v, want ErrCorrupt naming %s", name, err, filepath.Base(path))

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"crossmodal/internal/feature"
+	"crossmodal/internal/xrand"
 )
 
 // fuzzSeeds builds the seed corpus for FuzzShardLoad: a real encoded
@@ -99,7 +101,11 @@ func FuzzShardLoad(f *testing.F) {
 		}
 		for _, proj := range []*projection{identity, subset} {
 			slab := feature.NewVectors(proj.target, seg.Rows())
-			cats, embs := seg.payloadSize(proj)
+			var cats, embs uint64
+			for r := range slab {
+				c, e := seg.rowPayloadSize(proj, r)
+				cats, embs = cats+c, embs+e
+			}
 			slab[0].Grow(int(cats), int(embs))
 			dec := rowDecoder{seg: seg, proj: proj}
 			for r := range slab {
@@ -147,6 +153,48 @@ func FuzzShardHeader(f *testing.F) {
 		}
 		if got := putHeader(h); string(got) != string(data[:headerSize]) {
 			t.Fatalf("header does not round-trip:\n got %x\nwant %x", got, data[:headerSize])
+		}
+	})
+}
+
+// FuzzScanFirstMatchesScanProjected: for any row count, chunk size, shard
+// count and n, ScanFirst hands out exactly the first n rows ScanProjected
+// yields — under the store schema and a reordered sub-schema naming a
+// feature the store lacks — both into a fresh buffer and into the one the
+// previous scan filled.
+func FuzzScanFirstMatchesScanProjected(f *testing.F) {
+	f.Add(int64(1), uint16(100), uint8(30), uint8(4), uint16(45))
+	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(0))
+	f.Add(int64(3), uint16(257), uint8(64), uint8(8), uint16(300))
+	f.Add(int64(4), uint16(90), uint8(29), uint8(3), uint16(30))
+	schema := testSchema()
+	sub := feature.MustSchema(schema.Def(3), feature.Def{Name: "absent", Kind: feature.Categorical}, schema.Def(1))
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, chunk, shards uint8, n uint16) {
+		nRows := 1 + int(rows)%300
+		size := max(1+int(chunk), (nRows+15)/16) // at most 16 chunks
+		nScan := int(n) % (nRows + 6)
+		s, err := Open(t.TempDir(), schema, Options{Shards: 1 + int(shards)%8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rng := xrand.New(seed)
+		for lo := 0; lo < nRows; lo += size {
+			vecs := randomChunk(rng, schema, min(size, nRows-lo), nil)
+			ids := make([]int, len(vecs))
+			labels := make([]int8, len(vecs))
+			for i := range ids {
+				ids[i], labels[i] = lo+i, int8(rng.Intn(3)-1)
+			}
+			if err := s.AppendChunk(context.Background(), ids, labels, vecs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf []feature.Vector
+		for _, target := range []*feature.Schema{schema, sub} {
+			want := scanRows(t, s, target)
+			checkScanFirst(t, s, target, nScan, &buf, want)
+			checkScanFirst(t, s, target, nScan, &buf, want)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 	"os"
 
 	"crossmodal/internal/feature"
@@ -240,39 +239,28 @@ type rowDecoder struct {
 	emb  []float64
 }
 
-// payloadSize returns how many category entries and embedding floats
-// decoding every row under proj appends to a vector payload, from quantities
+// rowPayloadSize returns how many category entries and embedding floats
+// decoding row r under proj appends to a vector payload, from quantities
 // payloadLayout already checked against the bytes present (each projected
-// categorical column's final offset, each embedding column's presence
-// count) — never from a length field on its own. The sums are 64-bit, so
-// they cannot wrap where an int is 32 bits wide.
-func (s *Segment) payloadSize(proj *projection) (cats, embs uint64) {
+// categorical column's monotone offsets, each embedding column's presence
+// bit) — never from a length field on its own. The sizes are 64-bit, so a
+// caller's sum cannot wrap where an int is 32 bits wide.
+func (s *Segment) rowPayloadSize(proj *projection, r int) (cats, embs uint64) {
+	le := binary.LittleEndian
 	for _, col := range proj.cols {
 		if col < 0 {
 			continue
 		}
 		switch c := &s.cols[col]; c.kind {
 		case feature.Categorical:
-			cats += uint64(binary.LittleEndian.Uint32(s.payload[c.data+4*s.rows:]))
+			cats += uint64(le.Uint32(s.payload[c.data+4*(r+1):]) - le.Uint32(s.payload[c.data+4*r:]))
 		case feature.Embedding:
-			embs += uint64(c.dim) * uint64(s.presentCount(col))
+			if s.Present(col, r) {
+				embs += uint64(c.dim)
+			}
 		}
 	}
 	return cats, embs
-}
-
-// presentCount returns how many rows carry a value for feature col.
-func (s *Segment) presentCount(col int) int {
-	bitmap := s.payload[s.cols[col].pres : s.cols[col].pres+(s.rows+7)/8]
-	n := 0
-	for _, b := range bitmap {
-		n += bits.OnesCount8(b)
-	}
-	if tail := s.rows % 8; tail != 0 {
-		// Padding bits past the last row are not validated; do not count them.
-		n -= bits.OnesCount8(bitmap[len(bitmap)-1] >> tail)
-	}
-	return n
 }
 
 // row decodes row r into v, which must be an all-missing vector of the

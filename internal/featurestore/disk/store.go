@@ -2,6 +2,7 @@ package disk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -383,20 +384,48 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 // Reprojecting every vector would give, without building the full-schema
 // vector.
 //
-// A chunk is materialized as a few chunk-level slabs (one []Vector, one
-// pointer-free cell slab and one payload of category strings, intern IDs and
-// embeddings sized before the first row), freshly allocated per chunk and
-// owned by fn: retaining any vector keeps its chunk's slabs alive. Memory
-// stays O(chunk), never O(store).
+// It is ScanFirst over every row without a buffer: a chunk is materialized as
+// a few chunk-level slabs (one []Vector, one pointer-free cell slab and one
+// payload of category strings, intern IDs and embeddings sized before the
+// first row), freshly allocated per chunk and owned by fn: retaining any
+// vector keeps its chunk's slabs alive. Memory stays O(chunk), never O(store).
 func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
-	return s.scan(ctx, target, func(ctx context.Context, cs *chunkSet, proj *projection) error {
-		ids, labels, vecs, err := s.readChunk(cs, proj)
+	return s.ScanFirst(ctx, target, math.MaxInt, nil, fn)
+}
+
+// errScanDone ends ScanFirst's scan once its n rows were handed out.
+var errScanDone = errors.New("disk: scan done")
+
+// ScanFirst is ScanProjected over the first n rows in append order: the chunk
+// holding row n-1 is decoded only up to it (every ordinal of it is still
+// validated) and no later chunk is read. With buf nil each chunk gets fresh
+// slabs owned by fn. Otherwise every chunk is decoded into *buf, refilled by
+// feature.ReuseVectors (replaced only when it lacks room or holds another
+// schema), and the vectors are valid only until fn returns: a caller that
+// keeps nothing decodes each scan into the memory of the last.
+func (s *Store) ScanFirst(ctx context.Context, target *feature.Schema, n int, buf *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	if n <= 0 {
+		_, err := newProjection(s.schema, target)
+		return err
+	}
+	err := s.scan(ctx, target, func(ctx context.Context, cs *chunkSet, proj *projection) error {
+		ids, labels, vecs, err := s.readChunk(cs, proj, n, buf)
 		if err != nil {
 			return err
 		}
 		trace.Count(ctx, "vectors", int64(len(vecs)))
-		return fn(cs.seq, ids, labels, vecs)
+		if err := fn(cs.seq, ids, labels, vecs); err != nil {
+			return err
+		}
+		if n -= len(vecs); n == 0 {
+			return errScanDone
+		}
+		return nil
 	})
+	if errors.Is(err, errScanDone) {
+		return nil
+	}
+	return err
 }
 
 // ScanColumns is ScanProjected without the vectors: fn gets each chunk's
@@ -425,7 +454,7 @@ func (s *Store) ScanColumns(ctx context.Context, target *feature.Schema, fn func
 
 // scan is the store's one scan loop: fn on every committed chunk in sequence
 // order, under a diskstore.scan span (fn's ctx) counting the rows and
-// segments read; ScanProjected adds the vectors it decoded.
+// segments read; ScanFirst adds the vectors it decoded.
 func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx context.Context, cs *chunkSet, proj *projection) error) error {
 	proj, err := newProjection(s.schema, target)
 	if err != nil {
@@ -467,29 +496,46 @@ func (cs *chunkSet) order() ([]int8, error) {
 	return labels, nil
 }
 
-// readChunk materializes one committed chunk in append order.
-func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*feature.Vector, error) {
+// readChunk materializes the rows of one committed chunk whose ordinal is
+// below take, in append order: into *buf, refilled, when buf is set, else
+// into fresh slabs. The payload is sized for exactly those rows before the
+// first is decoded.
+func (s *Store) readChunk(cs *chunkSet, proj *projection, take int, buf *[]feature.Vector) ([]int, []int8, []*feature.Vector, error) {
+	take = min(take, cs.rows)
 	var nCats, nEmbs uint64
 	for _, seg := range cs.segs {
-		c, e := seg.payloadSize(proj)
-		nCats, nEmbs = nCats+c, nEmbs+e
+		for r := 0; r < seg.Rows(); r++ {
+			if seg.Ord(r) < take {
+				c, e := seg.rowPayloadSize(proj, r)
+				nCats, nEmbs = nCats+c, nEmbs+e
+			}
+		}
 	}
-	if max(nCats, nEmbs) > min(math.MaxUint32, math.MaxInt) {
-		return nil, nil, nil, &ErrCorrupt{Path: cs.segs[0].Path(), Detail: fmt.Sprintf("chunk payload of %d categories / %d floats overflows a vector slab", nCats, nEmbs)}
+	if err := checkSlabPayload(cs.segs[0].Path(), nCats, nEmbs); err != nil {
+		return nil, nil, nil, err
 	}
 	labels, err := cs.order()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ids := make([]int, cs.rows)
-	slab := feature.NewVectors(proj.target, cs.rows)
+	var slab []feature.Vector
+	if buf != nil {
+		slab = feature.ReuseVectors(*buf, proj.target, take)
+		*buf = slab
+	} else {
+		slab = feature.NewVectors(proj.target, take)
+	}
 	slab[0].Grow(int(nCats), int(nEmbs))
-	vecs := make([]*feature.Vector, cs.rows)
+	ids := make([]int, take)
+	vecs := make([]*feature.Vector, take)
 	dec := rowDecoder{proj: proj}
 	for _, seg := range cs.segs {
 		dec.seg = seg // the scratch buffers carry over
 		for r := 0; r < seg.Rows(); r++ {
 			ord := seg.Ord(r)
+			if ord >= take {
+				continue
+			}
 			ids[ord] = int(seg.ID(r))
 			vecs[ord] = &slab[ord]
 			if err := dec.row(r, vecs[ord]); err != nil {
@@ -497,13 +543,27 @@ func (s *Store) readChunk(cs *chunkSet, proj *projection) ([]int, []int8, []*fea
 			}
 		}
 	}
-	return ids, labels, vecs, nil
+	return ids, labels[:take], vecs, nil
+}
+
+// checkSlabPayload reports a payload of cats category entries and embs
+// floats that one slab's 32-bit windows cannot address as corrupt, before
+// anything is sized from it. The counts come from validated segment bytes,
+// so only a damaged or hostile store gets here.
+func checkSlabPayload(path string, cats, embs uint64) error {
+	if max(cats, embs) > min(math.MaxUint32, math.MaxInt) {
+		return &ErrCorrupt{Path: path, Detail: fmt.Sprintf("payload of %d categories / %d floats overflows a vector slab", cats, embs)}
+	}
+	return nil
 }
 
 // Find materializes the vectors of the requested point IDs (those present
 // in the store). It scans segment ID columns — O(rows) integer reads, no
 // index — which is the right trade for the pipeline's only random-access
-// consumer, the few thousand sampled propagation seeds.
+// consumer, the few thousand sampled propagation seeds. A first pass
+// collects the hits and sizes their payload; the second decodes them into
+// one NewVectors slab, so the found vectors share it and keeping any one of
+// them keeps them all alive.
 func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error) {
 	proj, err := newProjection(s.schema, s.schema)
 	if err != nil {
@@ -513,7 +573,12 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 	for _, id := range ids {
 		want[uint64(id)] = true
 	}
-	out := make(map[int]*feature.Vector, len(ids))
+	type hit struct {
+		seg *Segment
+		r   int
+	}
+	hits := make([]hit, 0, len(want))
+	var nCats, nEmbs uint64
 	s.mu.RLock()
 	chunks := s.chunks
 	s.mu.RUnlock()
@@ -525,17 +590,31 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 			return nil, err
 		}
 		for _, seg := range cs.segs {
-			dec := rowDecoder{seg: seg, proj: proj}
 			for r := 0; r < seg.Rows(); r++ {
-				if id := seg.ID(r); want[id] {
-					v := feature.NewVector(s.schema)
-					if err := dec.row(r, v); err != nil {
-						return nil, err
-					}
-					out[int(id)] = v
+				if want[seg.ID(r)] {
+					hits = append(hits, hit{seg, r})
+					c, e := seg.rowPayloadSize(proj, r)
+					nCats, nEmbs = nCats+c, nEmbs+e
 				}
 			}
 		}
+	}
+	out := make(map[int]*feature.Vector, len(hits))
+	if len(hits) == 0 {
+		return out, nil
+	}
+	if err := checkSlabPayload(hits[0].seg.Path(), nCats, nEmbs); err != nil {
+		return nil, err
+	}
+	slab := feature.NewVectors(s.schema, len(hits))
+	slab[0].Grow(int(nCats), int(nEmbs))
+	dec := rowDecoder{proj: proj}
+	for i, h := range hits {
+		dec.seg = h.seg
+		if err := dec.row(h.r, &slab[i]); err != nil {
+			return nil, err
+		}
+		out[int(h.seg.ID(h.r))] = &slab[i]
 	}
 	return out, nil
 }
