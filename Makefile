@@ -36,7 +36,8 @@ cover-check:
 ## interleavings), the streamed-ingest tests ten more times (its three
 ## stages hand chunks forward and recycled buffers back across goroutines)
 ## and the feature store's concurrency tests ten more times (each block of a
-## miss shares one generator across its points),
+## miss shares one generator across its points), each under a 5-minute
+## -timeout so a hang fails with a goroutine dump,
 ## then the short tests natively for 32-bit 386 (every package but
 ## internal/core, whose expert-LF digest differs there: ROADMAP item 15b),
 ## then
@@ -55,9 +56,9 @@ cover-check:
 SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
-	$(GO) test -race -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
-	$(GO) test -race -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
+	$(GO) test -race -timeout 5m -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
+	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
+	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/

@@ -26,7 +26,7 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 	tr := trace.New()
 	trace.SetDefault(tr)
 	const window = 100 // inside the first 128-row image chunk
-	sc := runStreamed(t, streamOptions(), StreamOptions{Dir: t.TempDir(), ChunkSize: 128, Shards: 4, GraphWindow: window})
+	sc := runStreamed(t, streamOptions(), StreamOptions{Dir: t.TempDir(), ChunkSize: 128, GraphWindow: window})
 	trace.SetDefault(nil)
 	var summary strings.Builder
 	if err := tr.WriteSummary(&summary); err != nil {

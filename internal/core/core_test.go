@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"crossmodal/internal/metrics"
-	"crossmodal/internal/mining"
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
 	"crossmodal/internal/synth"
@@ -144,15 +143,18 @@ func TestPipelineCrossModalBeatsTextOnly(t *testing.T) {
 	ctx := context.Background()
 	_, ds := testEnv(t)
 
-	textOnly := smallOptions()
+	p, res := runPipeline(t, smallOptions())
+	textOnly := p.DefaultTrainSpec()
 	textOnly.UseImage = false
-	pText, resText := runPipeline(t, textOnly)
-	aucText, err := pText.EvaluateAUPRC(ctx, resText.Predictor, ds.TestImage)
+	predText, err := p.Train(ctx, res.Curation, textOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pBoth, resBoth := runPipeline(t, smallOptions())
-	aucBoth, err := pBoth.EvaluateAUPRC(ctx, resBoth.Predictor, ds.TestImage)
+	aucText, err := p.EvaluateAUPRC(ctx, predText, ds.TestImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aucBoth, err := p.EvaluateAUPRC(ctx, res.Predictor, ds.TestImage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +168,8 @@ func TestPipelineCrossModalBeatsTextOnly(t *testing.T) {
 func TestPipelineOptionValidation(t *testing.T) {
 	lib, _ := testEnv(t)
 	bad := []Options{
-		{UseText: false, UseImage: false},
-		{UseText: true, UseImage: true, Fusion: "bogus"},
-		{UseText: true, UseImage: true, LFSource: "bogus"},
-		{UseText: true, UseImage: false, Fusion: DeViSE},
+		{Fusion: "bogus"},
+		{LFSource: "bogus"},
 	}
 	for i, o := range bad {
 		if _, err := NewPipeline(lib, o); err == nil {
@@ -255,28 +255,5 @@ func TestTrainSpecVariants(t *testing.T) {
 	devise.UseText = false
 	if _, err := p.Train(context.Background(), res.Curation, devise); err == nil {
 		t.Error("expected error for single-modality DeViSE")
-	}
-}
-
-func TestCurationSkipsWSWithoutImage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	lib, ds := testEnv(t)
-	opts := smallOptions()
-	opts.UseImage = false
-	p, err := NewPipeline(lib, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := p.Curate(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Report.LFCount != 0 || cur.Report.WSCoverage != 0 {
-		t.Error("text-only curation should skip weak supervision")
-	}
-	if cur.Report.Mining != (mining.Report{}) {
-		t.Errorf("text-only curation should not run LF generation: %+v", cur.Report.Mining)
 	}
 }

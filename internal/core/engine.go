@@ -144,16 +144,11 @@ func runChunkHook(hook func(stage string, chunk int) error, stage string, chunk 
 }
 
 // curate runs the weak-supervision stages and returns the probabilistic
-// labels, coverage and report for the image corpus. When the image modality
-// is disabled the stages are skipped entirely.
+// labels, coverage and report for the image corpus.
 func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, error) {
 	p := r.p
 	report := Report{Task: r.task}
 	nImages := r.image.Rows()
-	if !p.opts.UseImage {
-		// Text-only configuration: no new-modality corpus to curate.
-		return make([]float64, nImages), make([]bool, nImages), report, nil
-	}
 	if r.text.Rows() == 0 || nImages == 0 {
 		return nil, nil, report, fmt.Errorf("core: curation needs a non-empty labeled and unlabeled corpus (%d labeled, %d unlabeled points)", r.text.Rows(), nImages)
 	}

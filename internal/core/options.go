@@ -46,20 +46,15 @@ const (
 // Options configures a Pipeline run.
 type Options struct {
 	// LFSets are the service sets whose features feed labeling functions
-	// (nonservable features included — LFs run offline, §4.1).
-	// Default: A, B, C, D.
+	// (nonservable features included — LFs run offline, §4.1) and, servable
+	// features only, the discriminative end model (TrainSpec.ModelSets
+	// varies the latter per variant). Default: A, B, C, D.
 	LFSets []string
-	// ModelSets are the service sets available to the discriminative end
-	// model (servable features only). Default: same as LFSets.
-	ModelSets []string
 	// IncludeModalityFeatures adds the modality-specific feature sets
 	// (pre-trained image embeddings, text-only features) to the end
 	// model, matching the paper's T+... and I+... configurations.
 	// Default true.
 	IncludeModalityFeatures bool
-	// UseText / UseImage include each modality's corpus in end-model
-	// training (the §6.6 lesion study toggles these). Both default true.
-	UseText, UseImage bool
 
 	// LFSource selects mined or simulated-expert LFs. Default MinedLFs.
 	LFSource LFSource
@@ -127,8 +122,6 @@ func DefaultOptions() Options {
 	return Options{
 		LFSets:                  resource.ABCD,
 		IncludeModalityFeatures: true,
-		UseText:                 true,
-		UseImage:                true,
 		LFSource:                MinedLFs,
 		UseLabelProp:            true,
 		UseGenerative:           true,
@@ -151,9 +144,6 @@ func DefaultOptions() Options {
 func (o Options) withDefaults() Options {
 	if len(o.LFSets) == 0 {
 		o.LFSets = resource.ABCD
-	}
-	if len(o.ModelSets) == 0 {
-		o.ModelSets = o.LFSets
 	}
 	if o.LFSource == "" {
 		o.LFSource = MinedLFs
@@ -180,9 +170,6 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) validate() error {
-	if !o.UseText && !o.UseImage {
-		return fmt.Errorf("core: at least one modality must be enabled")
-	}
 	switch o.Fusion {
 	case EarlyFusion, IntermediateFusion, DeViSE:
 	default:
@@ -192,9 +179,6 @@ func (o Options) validate() error {
 	case MinedLFs, ExpertLFs:
 	default:
 		return fmt.Errorf("core: unknown LF source %q", o.LFSource)
-	}
-	if o.Fusion == DeViSE && (!o.UseText || !o.UseImage) {
-		return fmt.Errorf("core: DeViSE needs both an old and a new modality")
 	}
 	return nil
 }

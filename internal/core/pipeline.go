@@ -27,7 +27,9 @@ type Pipeline struct {
 	opts Options
 }
 
-// NewPipeline builds a pipeline. Options zero values fall back to defaults.
+// NewPipeline builds a pipeline. Zero numeric, string and slice options fall
+// back to their documented defaults; booleans are taken as given, so start
+// from DefaultOptions to get the defaults they document.
 func NewPipeline(lib *resource.Library, opts Options) (*Pipeline, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -57,10 +59,10 @@ func (p *Pipeline) featurizeInto(ctx context.Context, pts []*synth.Point, b *res
 }
 
 // EndSchema returns the feature schema the discriminative end model trains
-// on: the servable features of the configured model sets, plus the
-// modality-specific sets when enabled.
+// on: the servable features of the LF sets, plus the modality-specific sets
+// when enabled.
 func (p *Pipeline) EndSchema() *feature.Schema {
-	sets := append([]string{}, p.opts.ModelSets...)
+	sets := append([]string{}, p.opts.LFSets...)
 	if p.opts.IncludeModalityFeatures {
 		sets = append(sets, resource.ImageSet, resource.TextSet)
 	}
@@ -426,13 +428,14 @@ type TrainSpec struct {
 	Schema *feature.Schema
 }
 
-// DefaultTrainSpec returns the spec implied by the pipeline options.
+// DefaultTrainSpec returns the spec implied by the pipeline options, over
+// both modalities' corpora.
 func (p *Pipeline) DefaultTrainSpec() TrainSpec {
 	return TrainSpec{
-		ModelSets:               p.opts.ModelSets,
+		ModelSets:               p.opts.LFSets,
 		IncludeModalityFeatures: p.opts.IncludeModalityFeatures,
-		UseText:                 p.opts.UseText,
-		UseImage:                p.opts.UseImage,
+		UseText:                 true,
+		UseImage:                true,
 		Fusion:                  p.opts.Fusion,
 		Model:                   p.opts.Model,
 	}

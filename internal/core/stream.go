@@ -25,8 +25,6 @@ type StreamOptions struct {
 	// ChunkSize bounds how many points are resident per pipeline stage
 	// (default 4096).
 	ChunkSize int
-	// Shards is the per-store shard count (0: the store's default).
-	Shards int
 	// Resume reopens existing stores and skips re-featurizing chunks that
 	// already committed: generation is replayed from the seed (cheap, and
 	// it keeps the RNG stream and the label arrays aligned) while the
@@ -143,7 +141,7 @@ func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *syn
 	if err != nil {
 		return nil, err
 	}
-	dopts := disk.Options{Shards: sopts.Shards, CommitHook: sopts.CommitHook}
+	dopts := disk.Options{CommitHook: sopts.CommitHook}
 	schema := p.lib.Schema()
 	text, err := disk.Open(filepath.Join(sopts.Dir, "text"), schema, dopts)
 	if err != nil {

@@ -359,22 +359,6 @@ func TestCurateStreamedWarmPropagate(t *testing.T) {
 	}
 }
 
-// TestCurateStreamedTextOnly: with the image modality off the streamed path
-// returns an empty (all-abstain) curation without touching the WS stages.
-func TestCurateStreamedTextOnly(t *testing.T) {
-	opts := streamOptions()
-	opts.UseImage = false
-	sc := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
-	if sc.Report.LFCount != 0 {
-		t.Errorf("text-only run mined %d LFs", sc.Report.LFCount)
-	}
-	for i, c := range sc.Covered {
-		if c || sc.ProbLabels[i] != 0 {
-			t.Fatalf("text-only run produced a label at row %d", i)
-		}
-	}
-}
-
 // streamedPeakHeap runs a streamed curation over a corpus scaled by mult and
 // returns the post-GC heap high-water mark sampled after every chunk step.
 // Numeric quantile mining is off (its candidate buffer is O(corpus) by

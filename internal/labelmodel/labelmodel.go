@@ -26,15 +26,16 @@ import (
 
 // Config controls EM fitting.
 type Config struct {
-	// MaxIters bounds EM iterations (default 100).
-	MaxIters int
-	// Tol stops EM when the largest parameter change falls below it
-	// (default 1e-5).
-	Tol float64
 	// ClassBalance fixes the prior P(y=+1). Weak-supervision deployments
 	// on imbalanced tasks supply this (it is far easier to estimate than
 	// labels); <= 0 lets EM learn it.
 	ClassBalance float64
+
+	// maxIters bounds EM iterations (default 100); tol stops EM when the
+	// largest parameter change falls below it (default 1e-5). Only this
+	// package's tests set them.
+	maxIters int
+	tol      float64
 }
 
 // smoothing is the Dirichlet pseudo-count added in the M step. It also
@@ -43,11 +44,11 @@ type Config struct {
 const smoothing = 1.0
 
 func (c Config) withDefaults() Config {
-	if c.MaxIters <= 0 {
-		c.MaxIters = 100
+	if c.maxIters <= 0 {
+		c.maxIters = 100
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-5
+	if c.tol <= 0 {
+		c.tol = 1e-5
 	}
 	return c
 }
@@ -130,7 +131,7 @@ func FitGenerative(ctx context.Context, m *lf.Matrix, cfg Config) (*Model, error
 	}
 
 	post := make([]float64, n)
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
+	for iter := 1; iter <= cfg.maxIters; iter++ {
 		model.Iters = iter
 		model.posterior(m, post)
 
@@ -163,7 +164,7 @@ func FitGenerative(ctx context.Context, m *lf.Matrix, cfg Config) (*Model, error
 			}
 			model.ThetaPos[j], model.ThetaNeg[j] = newPos, newNeg
 		}
-		if maxDelta < cfg.Tol {
+		if maxDelta < cfg.tol {
 			break
 		}
 	}

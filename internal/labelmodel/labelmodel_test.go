@@ -241,7 +241,7 @@ func TestCovered(t *testing.T) {
 
 func TestFitConvergesAndStops(t *testing.T) {
 	m, _ := plant(5000, []float64{0.9, 0.8}, []float64{0.9, 0.9}, 0.5, 5)
-	model, err := FitGenerative(ctxbg, m, Config{MaxIters: 500, Tol: 1e-4})
+	model, err := FitGenerative(ctxbg, m, Config{maxIters: 500, tol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,14 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 		g:     &Graph{k: cfg.K},
 	}
 	switch {
-	case cfg.LSH.Enable && !cfg.Exact:
+	case cfg.LSH.Enable:
 		h, err := newLSHHasher(schema, cfg)
 		if err != nil {
 			return nil, err
 		}
 		b.mode = modeLSH
 		b.hasher = h
-		b.lsh = &lshIndex{bands: h.bands, rows: h.rows, buckets: make(map[uint64][]int32)}
+		b.lsh = &lshIndex{buckets: make(map[uint64][]int32)}
 	case len(cfg.BlockFeatures) == 0:
 		b.mode = modeAllPairs
 	default:
@@ -141,7 +141,6 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 			b.groupOf = append(b.groupOf, g)
 		}
 	case modeLSH:
-		bands := b.lsh.bands
 		// Sign the new vertices in parallel (disjoint writes keep the
 		// result worker-invariant), then grow the bucket table serially in
 		// vertex order — the same order a from-scratch index build uses,
@@ -158,7 +157,7 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 		}); err != nil {
 			return err
 		}
-		b.lsh.keys = append(b.lsh.keys, make([]uint64, len(newVecs)*bands)...)
+		b.lsh.keys = append(b.lsh.keys, make([]uint64, len(newVecs)*lshBands)...)
 		b.lsh.indexed = append(b.lsh.indexed, make([]bool, len(newVecs))...)
 		mark := make([]bool, base)
 		for k := range newVecs {
@@ -167,7 +166,7 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 			}
 			i := base + k
 			b.lsh.indexed[i] = true
-			copy(b.lsh.keys[i*bands:], keys[k])
+			copy(b.lsh.keys[i*lshBands:], keys[k])
 			for _, key := range keys[k] {
 				for _, j := range b.lsh.buckets[key] {
 					if int(j) < base && !mark[j] {
@@ -357,12 +356,4 @@ func siftDown(h []Edge, i int) {
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
-}
-
-// lshInfo exposes the derived banding for BuildGraph's trace span.
-func (b *Builder) lshInfo() (bands, rows int, ok bool) {
-	if b.mode != modeLSH {
-		return 0, 0, false
-	}
-	return b.lsh.bands, b.lsh.rows, true
 }

@@ -131,9 +131,12 @@ func TestBuilderEmptyDelta(t *testing.T) {
 // TestBuilderLSHConfigError: hasher construction failures surface from
 // NewBuilder, not first use.
 func TestBuilderLSHConfigError(t *testing.T) {
-	cfg := GraphConfig{LSH: LSHConfig{Enable: true, Features: []string{"nope"}}}
-	if _, err := NewBuilder(sweepSchema, cfg, nil); err == nil {
-		t.Fatal("bad LSH feature did not fail NewBuilder")
+	embOnly := feature.MustSchema(
+		feature.Def{Name: "emb", Kind: feature.Embedding, Set: "I", Servable: true, Dim: 2},
+	)
+	cfg := GraphConfig{LSH: LSHConfig{Enable: true}}
+	if _, err := NewBuilder(embOnly, cfg, nil); err == nil {
+		t.Fatal("a schema without categorical features did not fail NewBuilder")
 	}
 }
 
@@ -156,7 +159,7 @@ func TestPropagateWarm(t *testing.T) {
 			seeds[i] = 0
 		}
 	}
-	cfg := PropConfig{Tol: 1e-6}
+	cfg := PropConfig{tol: 1e-6}
 	cold, err := Propagate(context.Background(), g, seeds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestPropagateWarmFromPrefix(t *testing.T) {
 			seeds[i] = 0
 		}
 	}
-	pcfg := PropConfig{Tol: 1e-7, MaxIters: 200}
+	pcfg := PropConfig{tol: 1e-7, maxIters: 200}
 	prev, err := Propagate(context.Background(), b.Graph(), seeds, pcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -194,8 +194,8 @@ func TestLSHCandidatesMatchPerVertexReference(t *testing.T) {
 	order := make([]int, len(vecs))
 	for i := range vecs {
 		order[i] = i
-		for band := 0; band < b.lsh.bands && b.lsh.indexed[i]; band++ {
-			lists[i] = append(lists[i], b.lsh.buckets[b.lsh.keys[i*b.lsh.bands+band]])
+		for band := 0; band < lshBands && b.lsh.indexed[i]; band++ {
+			lists[i] = append(lists[i], b.lsh.buckets[b.lsh.keys[i*lshBands+band]])
 		}
 	}
 	if sampled, whole := checkCandidates(t, b, order, lists); sampled == 0 || whole == 0 {

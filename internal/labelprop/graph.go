@@ -52,10 +52,6 @@ type GraphConfig struct {
 	// of block scans, then are re-scored with the exact kernel. The zero
 	// value is disabled.
 	LSH LSHConfig
-	// Exact forces the exact candidate paths (all-pairs or blocked) even
-	// when LSH is enabled — the escape hatch pinning today's output
-	// bit-for-bit.
-	Exact bool
 }
 
 func (c GraphConfig) withDefaults() GraphConfig {
@@ -156,10 +152,6 @@ func BuildGraph(ctx context.Context, cfg GraphConfig, vecs []*feature.Vector, sc
 	b, err := NewBuilder(vecs[0].Schema(), cfg, scales)
 	if err != nil {
 		return nil, err
-	}
-	if bands, rows, ok := b.lshInfo(); ok {
-		span.SetInt("lsh_bands", int64(bands))
-		span.SetInt("lsh_rows", int64(rows))
 	}
 	if err := b.ApplyDelta(ctx, vecs); err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func TestPropagateReachedMatchesBFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := map[int]float64{0: 1, 1: 0, 7: 1}
-	res, err := Propagate(context.Background(), g, seeds, PropConfig{MaxIters: 200})
+	res, err := Propagate(context.Background(), g, seeds, PropConfig{maxIters: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,24 +142,24 @@ func TestPropagateShardInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := map[int]float64{0: 1, 1: 0, 10: 1, 33: 0}
-	ref, err := Propagate(context.Background(), g, seeds, PropConfig{Shards: 1})
+	ref, err := Propagate(context.Background(), g, seeds, PropConfig{shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 5, 16} {
-		res, err := Propagate(context.Background(), g, seeds, PropConfig{Shards: shards})
+		res, err := Propagate(context.Background(), g, seeds, PropConfig{shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Iters != ref.Iters {
-			t.Errorf("Shards=%d: %d iters vs %d", shards, res.Iters, ref.Iters)
+			t.Errorf("shards=%d: %d iters vs %d", shards, res.Iters, ref.Iters)
 		}
 		for i := range ref.Scores {
 			if res.Scores[i] != ref.Scores[i] {
-				t.Fatalf("Shards=%d: score[%d] = %v vs %v", shards, i, res.Scores[i], ref.Scores[i])
+				t.Fatalf("shards=%d: score[%d] = %v vs %v", shards, i, res.Scores[i], ref.Scores[i])
 			}
 			if res.Reached[i] != ref.Reached[i] {
-				t.Fatalf("Shards=%d: reached[%d] = %v vs %v", shards, i, res.Reached[i], ref.Reached[i])
+				t.Fatalf("shards=%d: reached[%d] = %v vs %v", shards, i, res.Reached[i], ref.Reached[i])
 			}
 		}
 	}
@@ -295,7 +295,7 @@ func BenchmarkPropagate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Propagate(context.Background(), g, seeds, PropConfig{Shards: 1}); err != nil {
+		if _, err := Propagate(context.Background(), g, seeds, PropConfig{shards: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

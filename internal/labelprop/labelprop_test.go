@@ -163,7 +163,7 @@ func TestPropagateScoresBounded(t *testing.T) {
 	vecs, _ := clusterVecs(80, 7)
 	g, _ := BuildGraph(context.Background(), GraphConfig{K: 5}, vecs, nil)
 	seeds := map[int]float64{0: 1, 3: 0, 7: 1}
-	res, err := Propagate(context.Background(), g, seeds, PropConfig{Shards: 3})
+	res, err := Propagate(context.Background(), g, seeds, PropConfig{shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPropagateUnreachedStayAtPrior(t *testing.T) {
 
 // TestPropagateFixedPoint checks what "converged" means on random blocked
 // graphs, warm- and cold-started: every reached non-seed vertex scores the
-// weighted mean of its neighbours' scores to within Tol (one Jacobi step
+// weighted mean of its neighbours' scores to within tol (one Jacobi step
 // moves nothing further than that), seeds keep their clamped value, and
 // vertices no seed reaches — the corpus has whole unseeded topics and
 // vertices without any block key — rest exactly at the prior.
@@ -238,7 +238,7 @@ func TestPropagateFixedPoint(t *testing.T) {
 				seeds[i] = float64(rng.Intn(2))
 			}
 		}
-		pcfg := PropConfig{MaxIters: 2000, Tol: 1e-6, Prior: 0.2, Shards: 3}
+		pcfg := PropConfig{maxIters: 2000, tol: 1e-6, Prior: 0.2, shards: 3}
 		cold, err := Propagate(context.Background(), g, seeds, pcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +248,7 @@ func TestPropagateFixedPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, res := range map[string]*Result{"cold": cold, "warm": warm} {
-			if res.Iters >= pcfg.MaxIters {
+			if res.Iters >= pcfg.maxIters {
 				t.Fatalf("seed %d %s: no convergence in %d iterations", seed, name, res.Iters)
 			}
 			reached, unreached := 0, 0
@@ -274,8 +274,8 @@ func TestPropagateFixedPoint(t *testing.T) {
 						num += e.Weight * res.Scores[e.To]
 						den += e.Weight
 					}
-					if d := math.Abs(score - num/den); !(d <= pcfg.Tol) {
-						t.Fatalf("seed %d %s: vertex %d scores %v, neighbour mean %v (off by %v > Tol)", seed, name, i, score, num/den, d)
+					if d := math.Abs(score - num/den); !(d <= pcfg.tol) {
+						t.Fatalf("seed %d %s: vertex %d scores %v, neighbour mean %v (off by %v > tol)", seed, name, i, score, num/den, d)
 					}
 				}
 			}

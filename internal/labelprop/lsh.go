@@ -23,56 +23,19 @@ import (
 // disabled, so existing GraphConfigs (and recorded golden outputs) are
 // untouched.
 type LSHConfig struct {
-	// Enable turns the LSH candidate path on. GraphConfig.Exact overrides
-	// it, forcing the exact all-pairs/blocked paths bit-for-bit.
+	// Enable turns the LSH candidate path on.
 	Enable bool
-	// Threshold is the Jaccard similarity at which pairs should start
-	// colliding with high probability (default 0.4). Band/row parameters
-	// derive from it; pairs well above it collide almost surely, pairs
-	// well below almost never.
-	Threshold float64
-	// MaxHashes budgets the MinHash signature length (default 64); the
-	// derived banding uses the largest bands×rows product that fits.
-	MaxHashes int
-	// Bands and Rows override the derived banding when both are positive.
-	Bands, Rows int
-	// Features names the categorical features hashed into signatures;
-	// empty hashes every categorical feature in the schema.
-	Features []string
 }
 
-func (c LSHConfig) withDefaults() LSHConfig {
-	if c.Threshold <= 0 || c.Threshold >= 1 {
-		c.Threshold = 0.4
-	}
-	if c.MaxHashes <= 0 {
-		c.MaxHashes = 64
-	}
-	if c.Bands <= 0 || c.Rows <= 0 {
-		c.Bands, c.Rows = deriveBanding(c.Threshold, c.MaxHashes)
-	}
-	return c
-}
-
-// deriveBanding picks b bands of r rows (b·r ≤ maxHashes) from the target
-// similarity threshold. A pair with Jaccard J collides in at least one band
-// with probability 1-(1-J^r)^b, an S-curve steepest near (1/b)^(1/r); that
-// knee grows with r, so the derivation takes the largest r whose knee stays
-// at or below the target — the most junk-suppressing banding that still
-// catches pairs at the threshold with high probability.
-func deriveBanding(threshold float64, maxHashes int) (bands, rows int) {
-	bands, rows = maxHashes, 1
-	for r := 2; r <= maxHashes; r++ {
-		b := maxHashes / r
-		if b < 2 {
-			break
-		}
-		if math.Pow(1/float64(b), 1/float64(r)) <= threshold {
-			bands, rows = b, r
-		}
-	}
-	return bands, rows
-}
+// Signatures hash every categorical feature of the schema into lshBands
+// bands of lshRows rows: the banding a 64-hash budget gets for a target
+// Jaccard of 0.4. A pair with Jaccard J collides in at least one band with
+// probability 1-(1-J^r)^b, an S-curve steepest near (1/b)^(1/r), a knee that
+// grows with r. With b = 64/r, r = 3 (b = 21, knee 0.362) is the largest r
+// whose knee stays at or below 0.4 (r = 4: 0.5), so it is the most
+// junk-suppressing banding that still catches pairs at the target with high
+// probability.
+const lshBands, lshRows = 21, 3
 
 // lshIndex holds per-vertex band keys and the bucket table mapping a band
 // key to the vertices that produced it. Builder.ApplyDelta grows it in
@@ -80,43 +43,27 @@ func deriveBanding(threshold float64, maxHashes int) (bands, rows int) {
 // size), and buckets append vertices in ascending order, so an
 // incrementally grown index is identical to one built from scratch.
 type lshIndex struct {
-	bands, rows int
-	keys        []uint64 // vertex i's band keys at [i*bands, (i+1)*bands)
-	indexed     []bool   // false: no hashed elements (vertex gets no candidates)
-	buckets     map[uint64][]int32
+	keys    []uint64 // vertex i's band keys at [i*lshBands, (i+1)*lshBands)
+	indexed []bool   // false: no hashed elements (vertex gets no candidates)
+	buckets map[uint64][]int32
 }
 
 // lshHasher is the corpus-independent signing state: which categorical
 // features feed signatures and the per-hash/band/feature salts, all
 // derived from the graph seed alone.
 type lshHasher struct {
-	bands, rows int
-	feats       []int
-	salts       []uint64
-	bandSalt    []uint64
-	featSalt    []uint64
+	feats    []int
+	salts    []uint64
+	bandSalt []uint64
+	featSalt []uint64
 }
 
-// newLSHHasher resolves the signed features and derives the salt set from
-// cfg.Seed.
+// newLSHHasher picks the schema's categorical features and derives the salt
+// set from cfg.Seed.
 func newLSHHasher(schema *feature.Schema, cfg GraphConfig) (*lshHasher, error) {
-	lcfg := cfg.LSH.withDefaults()
 	var feats []int
-	if len(lcfg.Features) == 0 {
-		for i := 0; i < schema.Len(); i++ {
-			if schema.Def(i).Kind == feature.Categorical {
-				feats = append(feats, i)
-			}
-		}
-	} else {
-		for _, name := range lcfg.Features {
-			i, ok := schema.Index(name)
-			if !ok {
-				return nil, fmt.Errorf("labelprop: LSH feature %q not in schema", name)
-			}
-			if schema.Def(i).Kind != feature.Categorical {
-				return nil, fmt.Errorf("labelprop: LSH feature %q is not categorical", name)
-			}
+	for i := 0; i < schema.Len(); i++ {
+		if schema.Def(i).Kind == feature.Categorical {
 			feats = append(feats, i)
 		}
 	}
@@ -124,17 +71,15 @@ func newLSHHasher(schema *feature.Schema, cfg GraphConfig) (*lshHasher, error) {
 		return nil, fmt.Errorf("labelprop: LSH needs at least one categorical feature")
 	}
 
-	bands, rows := lcfg.Bands, lcfg.Rows
-	H := bands * rows
 	// Hash salts derive from the graph seed so signatures are reproducible
 	// per (Seed, vertex) — the same contract the candidate sampler has.
 	base := xrand.Mix(uint64(cfg.Seed) ^ 0xc2b2ae3d27d4eb4f)
-	h := &lshHasher{bands: bands, rows: rows, feats: feats}
-	h.salts = make([]uint64, H)
+	h := &lshHasher{feats: feats}
+	h.salts = make([]uint64, lshBands*lshRows)
 	for k := range h.salts {
 		h.salts[k] = xrand.Mix(base + uint64(k+1)*0x9e3779b97f4a7c15)
 	}
-	h.bandSalt = make([]uint64, bands)
+	h.bandSalt = make([]uint64, lshBands)
 	for b := range h.bandSalt {
 		h.bandSalt[b] = xrand.Mix(base ^ uint64(b+1)*0xff51afd7ed558ccd)
 	}
@@ -150,8 +95,7 @@ func newLSHHasher(schema *feature.Schema, cfg GraphConfig) (*lshHasher, error) {
 // candidates, matching the blocked path's treatment of unblockable
 // vertices).
 func (h *lshHasher) sign(v *feature.Vector) []uint64 {
-	H := h.bands * h.rows
-	sig := make([]uint64, H)
+	sig := make([]uint64, lshBands*lshRows)
 	for k := range sig {
 		sig[k] = math.MaxUint64
 	}
@@ -172,11 +116,11 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	if !any {
 		return nil
 	}
-	keys := make([]uint64, h.bands)
-	for b := 0; b < h.bands; b++ {
+	keys := make([]uint64, lshBands)
+	for b := 0; b < lshBands; b++ {
 		key := h.bandSalt[b]
-		for r := 0; r < h.rows; r++ {
-			key = xrand.Mix(key ^ sig[b*h.rows+r])
+		for r := 0; r < lshRows; r++ {
+			key = xrand.Mix(key ^ sig[b*lshRows+r])
 		}
 		keys[b] = key
 	}
@@ -192,8 +136,8 @@ func (x *lshIndex) candidates(i int, sc *vertexScratch) []int32 {
 		return nil
 	}
 	sc.seen.reset()
-	for b := 0; b < x.bands; b++ {
-		for _, j := range x.buckets[x.keys[i*x.bands+b]] {
+	for b := 0; b < lshBands; b++ {
+		for _, j := range x.buckets[x.keys[i*lshBands+b]] {
 			if j != int32(i) {
 				sc.seen.add(j)
 			}

@@ -12,32 +12,32 @@ import (
 
 // PropConfig controls the propagation iteration.
 type PropConfig struct {
-	// MaxIters bounds Jacobi iterations (default 50).
-	MaxIters int
-	// Tol stops iteration when the largest score change falls below it
-	// (default 1e-4).
-	Tol float64
 	// Prior is the resting score of vertices with no labeled influence,
 	// typically the class base rate (default 0.5).
 	Prior float64
-	// Shards is the number of parallel shards per iteration — the
-	// "streaming, distributed" Expander execution mode on goroutines
-	// (default 4).
-	Shards int
+
+	// maxIters bounds Jacobi iterations (default 50); tol stops iteration
+	// when the largest score change falls below it (default 1e-4); shards
+	// is the number of parallel shards per iteration — the "streaming,
+	// distributed" Expander execution mode on goroutines (default 4). Only
+	// this package's tests set them.
+	maxIters int
+	tol      float64
+	shards   int
 }
 
 func (c PropConfig) withDefaults() PropConfig {
-	if c.MaxIters <= 0 {
-		c.MaxIters = 50
+	if c.maxIters <= 0 {
+		c.maxIters = 50
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-4
+	if c.tol <= 0 {
+		c.tol = 1e-4
 	}
 	if c.Prior <= 0 || c.Prior >= 1 {
 		c.Prior = 0.5
 	}
-	if c.Shards <= 0 {
-		c.Shards = 4
+	if c.shards <= 0 {
+		c.shards = 4
 	}
 	return c
 }
@@ -65,7 +65,7 @@ func Propagate(ctx context.Context, g *Graph, seeds map[int]float64, cfg PropCon
 // prev[i] (its score from an earlier propagation over a prefix of this
 // graph) instead of the prior when i < len(prev) and prev[i] lies in [0,1].
 // The clamped system has a unique fixed point on the reached component, so
-// the converged result matches a cold Propagate to within Tol — warm
+// the converged result matches a cold Propagate to within tol — warm
 // starting only cuts the iterations needed to get there, which is what lets
 // the streaming pipeline restart propagation cheaply after each graph delta.
 func PropagateWarm(ctx context.Context, g *Graph, seeds map[int]float64, cfg PropConfig, prev []float64) (*Result, error) {
@@ -121,16 +121,16 @@ func PropagateWarm(ctx context.Context, g *Graph, seeds map[int]float64, cfg Pro
 	}
 
 	// Shard vertices for parallel Jacobi sweeps.
-	shardIDs := make([]int, cfg.Shards)
+	shardIDs := make([]int, cfg.shards)
 	for s := range shardIDs {
 		shardIDs[s] = s
 	}
 	res := &Result{}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
+	for iter := 1; iter <= cfg.maxIters; iter++ {
 		res.Iters = iter
-		deltas, err := mapreduce.Map(ctx, mapreduce.Config{Workers: cfg.Shards}, shardIDs, func(s int) (float64, error) {
+		deltas, err := mapreduce.Map(ctx, mapreduce.Config{Workers: cfg.shards}, shardIDs, func(s int) (float64, error) {
 			var maxDelta float64
-			for i := s; i < n; i += cfg.Shards {
+			for i := s; i < n; i += cfg.shards {
 				if isSeed[i] {
 					next[i] = cur[i]
 					continue
@@ -188,7 +188,7 @@ func PropagateWarm(ctx context.Context, g *Graph, seeds map[int]float64, cfg Pro
 				maxDelta = d
 			}
 		}
-		if maxDelta < cfg.Tol && !newlyReached {
+		if maxDelta < cfg.tol && !newlyReached {
 			break
 		}
 	}

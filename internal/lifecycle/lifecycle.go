@@ -87,10 +87,8 @@ type Config struct {
 	IncumbentPath string
 
 	// WindowSize is the number of traffic points per observation window
-	// (default 400); BatchSize how many points ride one /predict request
-	// (default 32).
+	// (default 400).
 	WindowSize int
-	BatchSize  int
 
 	// Retrain sizes the fresh dataset each retraining attempt draws; its
 	// Seed field is overridden per (window, attempt).
@@ -114,13 +112,12 @@ func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 400
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
 	return c
 }
 
 const (
+	// batchSize is how many points ride one /predict request.
+	batchSize = 32
 	// precisionMargin and recallMargin bound the regression a candidate may
 	// show in shadow scoring and still promote.
 	precisionMargin = 0.1
@@ -392,16 +389,16 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 	return nil
 }
 
-// scoreWindow posts the window's points through /predict in BatchSize
+// scoreWindow posts the window's points through /predict in batchSize
 // chunks and returns their scores in traffic order. One request slice serves
 // every chunk, and each reply decodes straight into the tail of scores.
 func (c *Controller) scoreWindow(ctx context.Context, pts []*synth.Point) ([]float64, error) {
 	scores := make([]float64, 0, len(pts))
 	batch := struct {
 		Points []serve.PointRequest `json:"points"`
-	}{Points: make([]serve.PointRequest, 0, min(c.cfg.BatchSize, len(pts)))}
-	for lo := 0; lo < len(pts); lo += c.cfg.BatchSize {
-		hi := min(lo+c.cfg.BatchSize, len(pts))
+	}{Points: make([]serve.PointRequest, 0, min(batchSize, len(pts)))}
+	for lo := 0; lo < len(pts); lo += batchSize {
+		hi := min(lo+batchSize, len(pts))
 		batch.Points = batch.Points[:0]
 		for _, p := range pts[lo:hi] {
 			batch.Points = append(batch.Points, serve.PointRequest{ID: p.ID, Modality: string(p.Modality)})

@@ -42,7 +42,7 @@ func (f *fakePredict) RoundTrip(req *http.Request) (*http.Response, error) {
 // wireController is a controller whose /predict is f, 32 points a request.
 func wireController(f *fakePredict) *Controller {
 	f.replies = map[int][]byte{}
-	return &Controller{cfg: Config{BaseURL: "http://predict.test", Client: &http.Client{Transport: f}, BatchSize: 32}}
+	return &Controller{cfg: Config{BaseURL: "http://predict.test", Client: &http.Client{Transport: f}}}
 }
 
 // wirePoints returns n image points with IDs above 255, which the map form

@@ -383,7 +383,9 @@ func (r heldIDs) Observe(dst *feature.Vector, i int, e *synth.Entity, m synth.Mo
 // mid-featurization (the way occupy holds an executor) by requests for IDs
 // nobody else asks for, so its odd IDs can never meet their deadline and all
 // shed 504. The holders outlive their budget inside Featurize and shed 504
-// too, and neither kind of canceled miss caches anything.
+// too, and neither kind of canceled miss caches anything. A holder shed
+// before featurization reaches the held resource posts again, and the wait
+// for every slot to be held fails after a minute rather than hanging.
 func TestPredictConcurrentSharedStore(t *testing.T) {
 	fixture(t)
 	const workers, perWorker = 6, 16
@@ -434,24 +436,42 @@ func TestPredictConcurrentSharedStore(t *testing.T) {
 		held.ids[holdID(k)] = true
 	}
 	var holders sync.WaitGroup
+	var shedEarly atomic.Int64 // holder posts shed before they reached the held resource
 	for k := range tightSlots {
 		holders.Add(1)
 		go func() {
 			defer holders.Done()
 			id := holdID(k)
-			resp, err := post(tight, id)
-			if err != nil {
-				t.Errorf("holder %d: %v", id, err)
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusGatewayTimeout {
-				t.Errorf("holder %d: status %d, want %d", id, resp.StatusCode, http.StatusGatewayTimeout)
+			for {
+				resp, err := post(tight, id)
+				if err != nil {
+					t.Errorf("holder %d: %v", id, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusGatewayTimeout {
+					t.Errorf("holder %d: status %d, want %d", id, resp.StatusCode, http.StatusGatewayTimeout)
+				}
+				select {
+				case <-held.release:
+					return
+				default:
+					// Back before the release: its 1 ms ran out before
+					// featurization reached the held resource. Post again.
+					shedEarly.Add(1)
+				}
 			}
 		}()
 	}
-	for range tightSlots {
-		<-held.entered
+	deadline := time.After(time.Minute)
+	for n := 0; n < tightSlots; n++ {
+		select {
+		case <-held.entered:
+		case <-deadline:
+			close(held.release)
+			holders.Wait()
+			t.Fatalf("after 1 min only %d of %d holders hold a run slot (%d holder posts shed before featurization)", n, tightSlots, shedEarly.Load())
+		}
 	}
 
 	var tightWG, looseWG sync.WaitGroup

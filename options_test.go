@@ -1,14 +1,20 @@
 package crossmodal_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,24 +23,23 @@ import (
 // ("pkg.Type.Field") that stay without a caller outside their package, each
 // with the reason. Anything else nobody sets becomes a constant beside its use.
 var optionAllow = map[string]string{
-	"core.Options.IncludeModalityFeatures":   "paper hyperparameter: modality-specific feature sets in the end model (§4.1)",
-	"core.Options.LFSets":                    "paper hyperparameter: the service sets LFs may read (Table 2's ablation axis)",
-	"core.Options.LabelModel":                "paper hyperparameter: the label model's EM settings (labelmodel.Config)",
-	"core.Options.MaxVocab":                  "paper hyperparameter: end-model vocabulary cap",
+	"core.Options.IncludeModalityFeatures":   "paper hyperparameter: the T+… / I+… end-model feature sets; the core suite turns it off",
+	"core.Options.LFSets":                    "read by bench/'s stage replay, which rebuilds the LF and graph schemas from it (ROADMAP item 2)",
+	"core.Options.LabelModel":                "read by bench/'s stage replay (ROADMAP item 2); its one exported field, ClassBalance, defaults to the dev base rate",
+	"core.Options.MaxVocab":                  "end-model vocabulary cap passed to fusion.Config; nothing sets it yet (0: unlimited)",
 	"core.Options.NegCutPrecision":           "paper hyperparameter: propagation-score cut fitted on dev (§4.4)",
 	"core.Options.PosCutLift":                "paper hyperparameter: propagation-score cut fitted on dev (§4.4)",
-	"core.Options.Prop":                      "paper hyperparameter: propagation settings (labelprop.PropConfig)",
+	"core.Options.Prop":                      "read by bench/'s stage replay (ROADMAP item 2); curation sets its one exported field, Prior, to the dev base rate",
 	"core.StreamOptions.ChunkHook":           "injection seam: the crash / resume suite's per-chunk hook",
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
-	"core.StreamOptions.WarmPropagate":       "paper hyperparameter: warm propagation, ROADMAP item 10's subject",
-	"core.TrainSpec.IncludeModalityFeatures": "paper hyperparameter: copied from core.Options by DefaultTrainSpec",
-	"labelprop.GraphConfig.Exact":            "paper hyperparameter: pins the exact graph under LSH, ROADMAP item 12's subject",
-	"labelprop.GraphConfig.MinWeight":        "paper hyperparameter: edge-weight floor, ROADMAP item 12 sweeps it",
-	"labelprop.LSHConfig":                    "paper hyperparameter: ROADMAP item 12's subject",
-	"mining.Config":                          "paper hyperparameter: the mining thresholds internal/experiments ablates",
-	"model.Config":                           "paper hyperparameter: the end model",
-	"monitor.DriftConfig.Consecutive":        "paper hyperparameter: the drift suite varies it",
-	"monitor.DriftConfig.MinSamples":         "paper hyperparameter: the drift suite varies it",
+	"core.StreamOptions.WarmPropagate":       "streaming mode: re-propagate warm after every graph delta; the stream suite checks it against a cold run",
+	"core.TrainSpec.IncludeModalityFeatures": "copied from core.Options by DefaultTrainSpec",
+	"disk.Options.Shards":                    "on-disk layout: segments record nshards and Open checks each segment's shard against it; the disk, lf and mining suites vary it",
+	"labelprop.GraphConfig.MinWeight":        "graph hyperparameter: the edge-weight floor (default 0.05); the selection tests vary it",
+	"mining.Config":                          "paper hyperparameter: the mining thresholds (§4.3); internal/experiments sets only MaxOrder, bench/ only NumericQuantiles",
+	"model.Config":                           "paper hyperparameter: the end model; the model suite varies BatchSize, L2 and PositiveWeight",
+	"monitor.DriftConfig.Consecutive":        "drift-detector setting (default 2 windows); the drift suite sets it only to its default",
+	"monitor.DriftConfig.MinSamples":         "drift-detector setting (default 50 samples); nothing sets it yet",
 	"synth.Config":                           "the synthetic world's definition",
 	"synth.DatasetConfig.CalibrationSamples": "the synthetic world's definition: task-threshold calibration size",
 }
@@ -42,114 +47,182 @@ var optionAllow = map[string]string{
 var optionType = regexp.MustCompile(`^([A-Z]\w*)?(Config|Options|Spec)$`)
 
 // TestEveryOptionHasACaller: every exported field of a *Config / *Options /
-// *Spec struct is given a value — a composite-literal key, an
-// assignment, or a flag.*Var(&x.F) — by some non-test file outside its
-// declaring package, or is in optionAllow. Types resolve by syntax only
-// (pkg.Type literals, the root façade's aliases); assignments and &x.F match
-// by field name.
+// *Spec struct declared in this module is given a value by some non-test
+// file of another module package (bench/ and cmd/ included), or is in
+// optionAllow.
 func TestEveryOptionHasACaller(t *testing.T) {
-	fields := map[string][]string{} // "pkg.Type" -> exported fields
-	declDir := map[string]string{}  // "pkg.Type" -> declaring directory
-	alias := map[string]string{}    // "crossmodal.MiningConfig" -> "mining.Config"
-	keyed := map[string]bool{}      // "pkg.Type.Field" keyed in a pkg.Type{...} literal
-	named := map[string][]string{}  // field name -> directories that assign it or take its address
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir, imports := filepath.Dir(p), map[string]string{}
-		for _, im := range f.Imports {
-			pkg, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(pkg)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = path.Base(pkg)
-		}
-		qualified := func(e ast.Expr) string { // "pkg.Type" of a pkg.Type expression, else ""
-			if sel, ok := e.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					return imports[x.Name] + "." + sel.Sel.Name
-				}
-			}
-			return ""
-		}
-		name := func(e ast.Expr) { // x.A.F: A and F are given values here
-			for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
-				named[sel.Sel.Name] = append(named[sel.Sel.Name], dir)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				typ := f.Name.Name + "." + n.Name.Name
-				if st, ok := n.Type.(*ast.StructType); ok && optionType.MatchString(n.Name.Name) {
-					declDir[typ] = dir
-					for _, fl := range st.Fields.List {
-						for _, id := range fl.Names {
-							if id.IsExported() {
-								fields[typ] = append(fields[typ], id.Name)
-							}
-						}
-					}
-				} else if q := qualified(n.Type); q != "" && n.Assign.IsValid() {
-					alias[typ] = q
-				}
-			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							keyed[qualified(n.Type)+"."+id.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					name(lhs)
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					name(n.X)
-				}
-			}
-			return true
-		})
-		return nil
-	})
+	pkgs, std, err := loadModule(fset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a, typ := range alias {
-		for _, f := range fields[typ] {
-			keyed[typ+"."+f] = keyed[typ+"."+f] || keyed[a+"."+f]
-		}
+	uncalled, err := uncalledOptions(fset, pkgs, std)
+	if err != nil {
+		t.Fatal(err)
 	}
 	used := map[string]bool{}
-	for typ, fs := range fields {
-	field:
-		for _, f := range fs {
-			if keyed[typ+"."+f] {
-				continue
-			}
-			for _, dir := range named[f] {
-				if dir != declDir[typ] {
-					continue field
-				}
-			}
-			if optionAllow[typ] == "" && optionAllow[typ+"."+f] == "" {
-				t.Errorf("%s.%s: no non-test caller outside %s sets it — make it a constant beside its use, or allowlist it with a reason", typ, f, declDir[typ])
-			}
-			used[typ], used[typ+"."+f] = true, true
+	for _, field := range uncalled {
+		typ := field[:strings.LastIndexByte(field, '.')]
+		if optionAllow[typ] == "" && optionAllow[field] == "" {
+			t.Errorf("%s: no non-test caller outside its package sets it — make it a constant beside its use, or allowlist it with a reason", field)
 		}
+		used[typ], used[field] = true, true
 	}
 	for entry := range optionAllow {
 		if !used[entry] {
 			t.Errorf("optionAllow[%q] excuses nothing: every field it names has a caller", entry)
 		}
 	}
+}
+
+// TestOptionAuditResolvesTypes: an option struct and another struct share a
+// field name, and another package sets only the other struct's. A match by
+// field name would count the option's field as set.
+func TestOptionAuditResolvesTypes(t *testing.T) {
+	fset := token.NewFileSet()
+	var pkgs []srcPackage
+	for _, src := range []struct{ path, code string }{
+		{"p", "package p\ntype Config struct{ N int }\ntype Other struct{ N int }\n"},
+		{"q", "package q\nimport \"p\"\nfunc F() { var o p.Other; o.N = 1; _ = o }\n"},
+	} {
+		f, err := parser.ParseFile(fset, src.path+".go", src.code, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, srcPackage{src.path, []*ast.File{f}})
+	}
+	uncalled, err := uncalledOptions(fset, pkgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(uncalled, []string{"p.Config.N"}) {
+		t.Errorf("uncalled = %q, want [p.Config.N]", uncalled)
+	}
+}
+
+// srcPackage is one module package's non-test files.
+type srcPackage struct {
+	path  string
+	files []*ast.File
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadModule parses every module package's non-test files, in dependency
+// order, and returns an importer that reads the standard library's export
+// data, all from one `go list -export -deps`.
+func loadModule(fset *token.FileSet) ([]srcPackage, types.Importer, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...").Output()
+	if err != nil {
+		return nil, nil, err
+	}
+	var pkgs []srcPackage
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			Standard                bool
+		}
+		if err := dec.Decode(&lp); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, nil, err
+		}
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
+		}
+		p := srcPackage{path: lp.ImportPath}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		pkgs = append(pkgs, p)
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	return pkgs, std, nil
+}
+
+// uncalledOptions type-checks pkgs, which must come in dependency order
+// (imports outside them resolve through std), and returns as "pkg.Type.Field"
+// every exported field of an option struct they declare that no other of
+// them sets. A field is set where a keyed composite literal, an assignment,
+// an increment or &x.F (a flag.*Var) resolves to that exact field; assigning
+// x.A.F sets both A and F.
+func uncalledOptions(fset *token.FileSet, pkgs []srcPackage, std types.Importer) ([]string, error) {
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var options []*types.TypeName
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		tp, err := conf.Check(p.path, fset, p.files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.path] = tp
+		for _, name := range tp.Scope().Names() {
+			if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && optionType.MatchString(name) {
+				if _, ok := tn.Type().Underlying().(*types.Struct); ok {
+					options = append(options, tn)
+				}
+			}
+		}
+		mark := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != tp {
+				set[v.Origin()] = true
+			}
+		}
+		chain := func(e ast.Expr) { // x.A.F: A and F are given values here
+			for sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok; sel, ok = ast.Unparen(sel.X).(*ast.SelectorExpr) {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					mark(s.Obj())
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						mark(info.Uses[id])
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						chain(lhs)
+					}
+				case *ast.IncDecStmt:
+					chain(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var uncalled []string
+	for _, tn := range options {
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !set[f] {
+				uncalled = append(uncalled, tn.Pkg().Name()+"."+tn.Name()+"."+f.Name())
+			}
+		}
+	}
+	return uncalled, nil
 }
