@@ -67,6 +67,7 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzScanFirstMatchesScanProjected -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzColumnVotesMatchClosures -fuzztime 5s ./internal/lf/
 	$(GO) test -run xxx -fuzz FuzzEvaluateAllMatchesColumns -fuzztime 5s ./internal/lf/
+	$(GO) test -run xxx -fuzz FuzzBuilderDeltaMatchesOneShot -fuzztime 5s ./internal/labelprop/
 	$(GO) test -run xxx -fuzz FuzzPackedWeighted -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzPackedVectorMatchesReference -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzSparseRowMatchesDense -fuzztime 5s ./internal/feature/

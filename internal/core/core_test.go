@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
+	"crossmodal/internal/labelprop"
 	"crossmodal/internal/metrics"
 	"crossmodal/internal/model"
 	"crossmodal/internal/resource"
@@ -178,6 +180,28 @@ func TestPipelineOptionValidation(t *testing.T) {
 	}
 	if _, err := NewPipeline(nil, DefaultOptions()); err == nil {
 		t.Error("nil library should be rejected")
+	}
+}
+
+// TestZeroOptionsGraphIsDefaultGraph: a zero Options builds the blocked
+// graph DefaultOptions builds, field for field — never an unblocked one
+// (labelprop.NewBuilder refuses empty BlockFeatures) — while a field the
+// caller set stays set.
+func TestZeroOptionsGraphIsDefaultGraph(t *testing.T) {
+	lib, _ := testEnv(t)
+	p, err := NewPipeline(lib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Options().Graph, DefaultOptions().Graph; !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Options graph %+v, DefaultOptions graph %+v", got, want)
+	}
+	p, err = NewPipeline(lib, Options{Graph: labelprop.GraphConfig{MaxCandidates: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := p.Options().Graph; g.MaxCandidates != 7 || g.K != DefaultOptions().Graph.K || len(g.BlockFeatures) == 0 {
+		t.Fatalf("partly set graph resolved to %+v", g)
 	}
 }
 

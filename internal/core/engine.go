@@ -108,7 +108,7 @@ func allRows(ctx context.Context, c corpus, schema *feature.Schema) ([]*feature.
 // curateRun is the one curation stage sequence (Figure 3 B: mine LFs →
 // apply → propagate → label model) over a labeled text corpus and an
 // unlabeled image corpus. Curate runs it over memCorpus, CurateStreamed
-// over disk stores; window, warm and chunkHook are the stream-only inputs,
+// over disk stores; window and chunkHook are the stream-only inputs,
 // zero-valued from Curate.
 type curateRun struct {
 	p           *Pipeline
@@ -120,9 +120,7 @@ type curateRun struct {
 	imageTruth []int8
 
 	// window caps how many image rows join the propagation graph (<= 0: all).
-	window int
-	// warm re-propagates after every graph delta (StreamOptions.WarmPropagate).
-	warm      bool
+	window    int
 	chunkHook func(stage string, chunk int) error
 
 	// Composed once per run: memCorpus keys its projections by pointer.
@@ -361,9 +359,6 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
 	}
 
-	pcfg := p.opts.Prop
-	pcfg.Prior = prior
-	var res *labelprop.Result
 	// The text nodes ride in the first image chunk's delta, so a one-chunk
 	// corpus is one delta over the whole node list.
 	pending := textNodes
@@ -371,30 +366,16 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 		if pending != nil {
 			proj, pending = append(pending, proj...), nil
 		}
-		if err := b.ApplyDelta(ctx, proj); err != nil {
-			return err
-		}
-		if r.warm {
-			var prev []float64
-			if res != nil {
-				prev = res.Scores
-			}
-			warm, werr := labelprop.PropagateWarm(ctx, b.Graph(), seeds, pcfg, prev)
-			if werr != nil {
-				return werr
-			}
-			res = warm
-		}
-		return nil
+		return b.ApplyDelta(ctx, proj)
 	})
 	if err != nil {
 		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
 	}
-	if res == nil {
-		res, err = labelprop.Propagate(ctx, b.Graph(), seeds, pcfg)
-		if err != nil {
-			return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
-		}
+	pcfg := p.opts.Prop
+	pcfg.Prior = prior
+	res, err := labelprop.Propagate(ctx, b.Graph(), seeds, pcfg)
+	if err != nil {
+		return labelprop.Cuts{}, 0, fmt.Errorf("core: propagate: %w", err)
 	}
 
 	imageStart := nSeeds + nDev

@@ -127,21 +127,38 @@ func DefaultOptions() Options {
 		UseGenerative:           true,
 		Fusion:                  EarlyFusion,
 		Mining:                  mining.DefaultConfig(),
-		Graph: labelprop.GraphConfig{
-			K:             10,
-			BlockFeatures: []string{"topic", "topic_coarse"},
-			MaxCandidates: 200,
-		},
-		MaxGraphSeeds:   3000,
-		GraphDevNodes:   1000,
-		PosCutLift:      6,
-		NegCutPrecision: 0.97,
-		Model:           model.Config{Epochs: 6, LearningRate: 0.02, Seed: 11},
-		Seed:            11,
+		Graph:                   defaultGraph(),
+		MaxGraphSeeds:           3000,
+		GraphDevNodes:           1000,
+		PosCutLift:              6,
+		NegCutPrecision:         0.97,
+		Model:                   model.Config{Epochs: 6, LearningRate: 0.02, Seed: 11},
+		Seed:                    11,
+	}
+}
+
+// defaultGraph is the propagation graph the experiment suite builds: K 10,
+// blocked on the fine and coarse topic. DefaultOptions uses it, and
+// withDefaults fills each zero field of Options.Graph from it.
+func defaultGraph() labelprop.GraphConfig {
+	return labelprop.GraphConfig{
+		K:             10,
+		BlockFeatures: []string{"topic", "topic_coarse"},
+		MaxCandidates: 200,
 	}
 }
 
 func (o Options) withDefaults() Options {
+	def := defaultGraph()
+	if o.Graph.K <= 0 {
+		o.Graph.K = def.K
+	}
+	if len(o.Graph.BlockFeatures) == 0 {
+		o.Graph.BlockFeatures = def.BlockFeatures
+	}
+	if o.Graph.MaxCandidates <= 0 {
+		o.Graph.MaxCandidates = def.MaxCandidates
+	}
 	if len(o.LFSets) == 0 {
 		o.LFSets = resource.ABCD
 	}

@@ -43,12 +43,6 @@ type StreamOptions struct {
 	// stage tag and the chunk sequence number; an error aborts the run.
 	// Tests use it for crash injection and memory-ceiling probes.
 	ChunkHook func(stage string, chunk int) error
-	// WarmPropagate re-propagates after every graph delta, warm-started
-	// from the previous scores (labelprop.PropagateWarm), yielding
-	// intermediate label estimates as the corpus streams in. Final scores
-	// then agree with a cold run only to within Prop.Tol, so this is off
-	// in bit-identity mode.
-	WarmPropagate bool
 }
 
 func (o StreamOptions) withDefaults() StreamOptions {
@@ -120,9 +114,9 @@ func (sc *StreamedCuration) Materialize(ctx context.Context) (*Curation, error) 
 // CurateStreamed is Curate over a generated-on-the-fly dataset with
 // bounded memory: points are generated, featurized, and spilled to disk
 // stores chunk by chunk, then the same curation stages Curate runs scan the
-// stores instead of in-memory slices. With GraphWindow 0 and WarmPropagate
-// off the result is bit-identical to BuildDataset + Curate at the same
-// configuration (TestContract pins this).
+// stores instead of in-memory slices. With GraphWindow 0 the result is
+// bit-identical to BuildDataset + Curate at the same configuration
+// (TestContract pins this).
 func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *synth.Task, dsCfg synth.DatasetConfig, sopts StreamOptions) (*StreamedCuration, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -182,7 +176,7 @@ func (r *streamRun) run(ctx context.Context, stream *synth.Stream, task *synth.T
 		p: r.p, task: task.Name,
 		text: text, image: image,
 		textLabels: r.textLabels, imageTruth: r.imageTruth,
-		window: r.opts.GraphWindow, warm: r.opts.WarmPropagate, chunkHook: r.opts.ChunkHook,
+		window: r.opts.GraphWindow, chunkHook: r.opts.ChunkHook,
 	}
 	probs, covered, report, err := eng.curate(ctx)
 	if err != nil {

@@ -340,25 +340,6 @@ func TestCurateStreamedWindowed(t *testing.T) {
 	}
 }
 
-// TestCurateStreamedWarmPropagate: the warm incremental-propagation mode
-// (re-propagate after every graph delta, warm-started from the previous
-// scores) must complete and converge to scores near the cold fixed point.
-func TestCurateStreamedWarmPropagate(t *testing.T) {
-	opts := streamOptions()
-	cold := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
-	warm := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128, WarmPropagate: true})
-
-	if warm.Report.PropIters <= 0 {
-		t.Fatal("warm run reports no propagation iterations")
-	}
-	if len(warm.ProbLabels) != len(cold.ProbLabels) {
-		t.Fatalf("warm probs %d, cold %d", len(warm.ProbLabels), len(cold.ProbLabels))
-	}
-	if d := math.Abs(warm.Report.WSCoverage - cold.Report.WSCoverage); d > 0.1 {
-		t.Errorf("warm coverage %v far from cold %v", warm.Report.WSCoverage, cold.Report.WSCoverage)
-	}
-}
-
 // streamedPeakHeap runs a streamed curation over a corpus scaled by mult and
 // returns the post-GC heap high-water mark sampled after every chunk step.
 // Numeric quantile mining is off (its candidate buffer is O(corpus) by

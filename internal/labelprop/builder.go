@@ -13,21 +13,18 @@ import (
 	"crossmodal/internal/xrand"
 )
 
-type builderMode int
-
-const (
-	modeAllPairs builderMode = iota
-	modeBlocked
-	modeLSH
-)
-
 // Builder constructs a similarity graph incrementally. Feeding the whole
-// corpus through one ApplyDelta is exactly BuildGraph (which is now
-// implemented this way); feeding it in chunks produces a bit-identical
-// graph, because every per-vertex decision — candidate enumeration order,
-// sampling RNG, edge scoring, top-K truncation — depends only on (Seed,
-// vertex index, final candidate index state), and the candidate indexes
-// (block table or LSH buckets) grow append-only in vertex order.
+// corpus through one ApplyDelta is exactly BuildGraph (which is implemented
+// this way); feeding it in chunks produces a bit-identical graph, because
+// every per-vertex decision — candidate enumeration order, sampling RNG,
+// edge scoring, top-K truncation — depends only on (Seed, vertex index,
+// final block index state), and the block index grows append-only in
+// vertex order.
+//
+// There is one candidate path: a vertex's candidates are the vertices
+// sharing one of its block keys. Only the key function varies, chosen once
+// by NewBuilder: the vertex's categories on the blocking features, or its
+// MinHash-LSH band keys (GraphConfig.LSH).
 //
 // The streaming pipeline uses this to fold each spilled chunk's graph
 // window into the propagation graph without rebuilding from scratch.
@@ -38,21 +35,15 @@ type Builder struct {
 	// reference to the caller's vectors.
 	arena *feature.Arena
 	g     *Graph
-	mode  builderMode
+	keys  func(v *feature.Vector) []uint64
 
-	// blocked-mode state: block key (blocking-feature slot << 32 | category
-	// intern ID) → vertices, and the vertices grouped by their ordered
-	// block-key list. Vertices of one group enumerate the same block union,
-	// so a delta builds it once per group, not once per vertex.
+	// The block index: block key → vertices, and the vertices grouped by
+	// their ordered key list. Vertices of one group enumerate the same block
+	// union, so a delta builds it once per group, not once per vertex.
 	blockIndex map[uint64][]int32
 	groupOf    []int32          // vertex → group
 	groupKeys  [][]uint64       // group → its ordered block keys
 	groupIDs   map[string]int32 // a key list's bytes → group
-
-	// LSH-mode state: the salt set (fixed by Seed, independent of corpus
-	// size — what makes the index appendable) and the growing bucket index.
-	hasher *lshHasher
-	lsh    *lshIndex
 }
 
 // NewBuilder prepares an incremental builder for vectors of the given
@@ -62,26 +53,25 @@ type Builder struct {
 func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) (*Builder, error) {
 	cfg = cfg.withDefaults()
 	b := &Builder{
-		cfg:   cfg,
-		arena: feature.NewSimKernel(schema, scales, cfg.Weights).NewArena(),
-		g:     &Graph{k: cfg.K},
+		cfg:        cfg,
+		arena:      feature.NewSimKernel(schema, scales, cfg.Weights).NewArena(),
+		g:          &Graph{k: cfg.K},
+		blockIndex: make(map[uint64][]int32),
+		groupIDs:   make(map[string]int32),
 	}
-	switch {
-	case cfg.LSH.Enable:
+	if cfg.LSH.Enable {
 		h, err := newLSHHasher(schema, cfg)
 		if err != nil {
 			return nil, err
 		}
-		b.mode = modeLSH
-		b.hasher = h
-		b.lsh = &lshIndex{buckets: make(map[uint64][]int32)}
-	case len(cfg.BlockFeatures) == 0:
-		b.mode = modeAllPairs
-	default:
-		b.mode = modeBlocked
-		b.blockIndex = make(map[uint64][]int32)
-		b.groupIDs = make(map[string]int32)
+		b.keys = h.sign
+		return b, nil
 	}
+	slots, err := blockSlots(schema, cfg.BlockFeatures)
+	if err != nil {
+		return nil, err
+	}
+	b.keys = func(v *feature.Vector) []uint64 { return blockKeys(v, slots) }
 	return b, nil
 }
 
@@ -92,11 +82,9 @@ func (b *Builder) NumVertices() int { return b.arena.Len() }
 // updated in place by subsequent deltas.
 func (b *Builder) Graph() *Graph { return b.g }
 
-// ApplyDelta appends newVecs as vertices and updates the graph: candidate
-// indexes grow in place, then directed edges are recomputed for the new
-// vertices and for every existing vertex whose candidate set changed
-// (all-pairs mode: all of them; blocked/LSH modes: only vertices sharing a
-// block key or signature bucket with a new vertex).
+// ApplyDelta appends newVecs as vertices and updates the graph: each new
+// vertex joins its blocks, then directed edges are recomputed for the new
+// vertices and for every existing vertex sharing a block key with one.
 func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) error {
 	if len(newVecs) == 0 {
 		return nil
@@ -107,95 +95,48 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 	b.arena.Append(newVecs...)
 	n := b.arena.Len()
 
-	// recompute collects the existing vertices whose candidate set the new
-	// vertices changed, then the new vertices themselves.
+	// Grow the block index serially in vertex order — the order a one-shot
+	// build uses, so block contents (and hence candidate enumeration) match
+	// it exactly. recompute collects the existing vertices whose candidate
+	// set the new vertices changed, then the new vertices themselves.
 	var recompute []int
-	switch b.mode {
-	case modeAllPairs:
-		recompute = make([]int, base, n)
-		for i := range recompute {
-			recompute[i] = i
-		}
-	case modeBlocked:
-		mark := make([]bool, base)
-		var listKey []byte
-		for k, v := range newVecs {
-			keys := blockKeys(v, b.cfg.BlockFeatures)
-			listKey = listKey[:0]
-			for _, key := range keys {
-				listKey = binary.LittleEndian.AppendUint64(listKey, key)
-				for _, j := range b.blockIndex[key] {
-					if int(j) < base && !mark[j] {
-						mark[j] = true
-						recompute = append(recompute, int(j))
-					}
+	mark := make([]bool, base)
+	var listKey []byte
+	for k, v := range newVecs {
+		keys := b.keys(v)
+		listKey = listKey[:0]
+		for _, key := range keys {
+			listKey = binary.LittleEndian.AppendUint64(listKey, key)
+			for _, j := range b.blockIndex[key] {
+				if int(j) < base && !mark[j] {
+					mark[j] = true
+					recompute = append(recompute, int(j))
 				}
-				b.blockIndex[key] = append(b.blockIndex[key], int32(base+k))
 			}
-			g, ok := b.groupIDs[string(listKey)]
-			if !ok {
-				g = int32(len(b.groupKeys))
-				b.groupIDs[string(listKey)] = g
-				b.groupKeys = append(b.groupKeys, keys)
-			}
-			b.groupOf = append(b.groupOf, g)
+			b.blockIndex[key] = append(b.blockIndex[key], int32(base+k))
 		}
-	case modeLSH:
-		// Sign the new vertices in parallel (disjoint writes keep the
-		// result worker-invariant), then grow the bucket table serially in
-		// vertex order — the same order a from-scratch index build uses,
-		// so bucket contents (and hence candidate enumeration) match a
-		// full rebuild exactly.
-		keys := make([][]uint64, len(newVecs))
-		ids := make([]int, len(newVecs))
-		for i := range ids {
-			ids[i] = i
+		g, ok := b.groupIDs[string(listKey)]
+		if !ok {
+			g = int32(len(b.groupKeys))
+			b.groupIDs[string(listKey)] = g
+			b.groupKeys = append(b.groupKeys, keys)
 		}
-		if _, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, ids, func(k int) (struct{}, error) {
-			keys[k] = b.hasher.sign(newVecs[k])
-			return struct{}{}, nil
-		}); err != nil {
-			return err
-		}
-		b.lsh.keys = append(b.lsh.keys, make([]uint64, len(newVecs)*lshBands)...)
-		b.lsh.indexed = append(b.lsh.indexed, make([]bool, len(newVecs))...)
-		mark := make([]bool, base)
-		for k := range newVecs {
-			if keys[k] == nil {
-				continue
-			}
-			i := base + k
-			b.lsh.indexed[i] = true
-			copy(b.lsh.keys[i*lshBands:], keys[k])
-			for _, key := range keys[k] {
-				for _, j := range b.lsh.buckets[key] {
-					if int(j) < base && !mark[j] {
-						mark[j] = true
-						recompute = append(recompute, int(j))
-					}
-				}
-				b.lsh.buckets[key] = append(b.lsh.buckets[key], int32(i))
-			}
-		}
+		b.groupOf = append(b.groupOf, g)
 	}
 	updated := len(recompute)
 	for i := base; i < n; i++ {
 		recompute = append(recompute, i)
 	}
-	if groupOf := b.groupOf; groupOf != nil {
-		// Vertices of one group sit together, so the worker that claims a run
-		// of them builds their shared block union once (see blockCandidates).
-		slices.SortFunc(recompute, func(x, y int) int {
-			return cmp.Or(cmp.Compare(groupOf[x], groupOf[y]), cmp.Compare(x, y))
-		})
-	} else {
-		slices.Sort(recompute)
-	}
+	// Vertices of one group sit together, so the worker that claims a run of
+	// them builds their shared block union once (see blockCandidates).
+	groupOf := b.groupOf
+	slices.SortFunc(recompute, func(x, y int) int {
+		return cmp.Or(cmp.Compare(groupOf[x], groupOf[y]), cmp.Compare(x, y))
+	})
 
 	g := b.g
 	g.dir = append(g.dir, make([]Edge, (n-base)*g.k)...)
 	g.dirLen = append(g.dirLen, make([]int32, n-base)...)
-	candidates := b.candidateFunc()
 	scratch := sync.Pool{New: func() any { return newVertexScratch(n) }}
 	k, minWeight := b.cfg.K, b.cfg.MinWeight
 	_, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, recompute, func(i int) (struct{}, error) {
@@ -206,7 +147,7 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 		// full, the root's weight is the floor a candidate must reach, which
 		// lets the kernel abandon hopeless pairs early.
 		top := g.dir[i*k : i*k : (i+1)*k]
-		for _, c := range candidates(i, sc) {
+		for _, c := range b.candidates(i, sc) {
 			j := int(c)
 			floor := minWeight
 			if len(top) == k {
@@ -240,45 +181,21 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 	return nil
 }
 
-// candidateFunc returns the per-vertex candidate generator for the
-// builder's current index state. The closures read the live indexes, so
-// one call per ApplyDelta suffices.
-func (b *Builder) candidateFunc() func(i int, sc *vertexScratch) []int32 {
-	switch b.mode {
-	case modeLSH:
-		return b.sampled(b.lsh.candidates)
-	case modeBlocked:
-		return b.sampled(b.blockCandidates)
+// candidates returns vertex i's block candidates capped at MaxCandidates: a
+// longer list is cut to a sorted sample drawn from the vertex's own stream
+// (Seed, vertex index). Recorded outputs depend on which candidates that is,
+// so the sampler must stay draw-for-draw rand.New(src).Shuffle (see
+// xrand.ShuffleInts).
+func (b *Builder) candidates(i int, sc *vertexScratch) []int32 {
+	out := b.blockCandidates(i, sc)
+	if len(out) > b.cfg.MaxCandidates {
+		var src xrand.Source
+		src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
+		src.ShuffleInts(out)
+		out = out[:b.cfg.MaxCandidates]
+		slices.Sort(out)
 	}
-	n := b.arena.Len()
-	return func(i int, sc *vertexScratch) []int32 {
-		out := sc.cand[:0]
-		for j := 0; j < n; j++ {
-			if j != i {
-				out = append(out, int32(j))
-			}
-		}
-		sc.cand = out
-		return out
-	}
-}
-
-// sampled caps an enumeration at MaxCandidates: a longer list is cut to a
-// sorted sample drawn from the vertex's own stream (Seed, vertex index).
-// Recorded outputs depend on which candidates that is, so the sampler must
-// stay draw-for-draw rand.New(src).Shuffle (see xrand.ShuffleInts).
-func (b *Builder) sampled(enumerate func(i int, sc *vertexScratch) []int32) func(i int, sc *vertexScratch) []int32 {
-	return func(i int, sc *vertexScratch) []int32 {
-		out := enumerate(i, sc)
-		if len(out) > b.cfg.MaxCandidates {
-			var src xrand.Source
-			src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
-			src.ShuffleInts(out)
-			out = out[:b.cfg.MaxCandidates]
-			slices.Sort(out)
-		}
-		return out
-	}
+	return out
 }
 
 // blockCandidates enumerates the vertices sharing a block key with i: i's

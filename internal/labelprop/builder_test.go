@@ -2,7 +2,11 @@ package labelprop
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"crossmodal/internal/feature"
@@ -31,29 +35,37 @@ func applyChunked(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scales 
 // TestBuilderDeltaMatchesBuildGraph is the delta-equivalence property the
 // streaming pipeline's correctness rests on: N ApplyDelta calls over chunks
 // must produce a graph bit-identical (exact edge sets and weight bits) to
-// one BuildGraph over the concatenation — in all three candidate modes and
-// at every chunking, including chunk size 1.
+// one BuildGraph over the concatenation — with categorical and LSH block
+// keys, and with every vertex in one block (where the one-shot graph must be
+// the exact reference) — at every chunking, including chunk size 1.
 func TestBuilderDeltaMatchesBuildGraph(t *testing.T) {
 	vecs := sweepVecs(240, 77)
 	scales := feature.FitScales(sweepSchema, vecs)
+	allPairs, allVecs := oneBlock(GraphConfig{K: 5, Seed: 3, Workers: 2}, vecs)
 	for _, tc := range []struct {
 		name string
 		cfg  GraphConfig
+		vecs []*feature.Vector
 	}{
-		{"allpairs", GraphConfig{K: 5, Seed: 3, Workers: 2}},
-		{"blocked", GraphConfig{K: 5, Seed: 3, Workers: 2, BlockFeatures: []string{"topic"}, MaxCandidates: 40}},
-		{"lsh", GraphConfig{K: 5, Seed: 3, Workers: 2, LSH: LSHConfig{Enable: true}}},
+		{"allpairs", allPairs, allVecs},
+		{"blocked", GraphConfig{K: 5, Seed: 3, Workers: 2, BlockFeatures: []string{"topic"}, MaxCandidates: 40}, vecs},
+		{"lsh", GraphConfig{K: 5, Seed: 3, Workers: 2, LSH: LSHConfig{Enable: true}}, vecs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := BuildGraph(context.Background(), tc.cfg, vecs, scales)
+			want, err := BuildGraph(context.Background(), tc.cfg, tc.vecs, scales)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.NumEdges() == 0 {
 				t.Fatal("reference graph has no edges; test has no teeth")
 			}
+			if tc.name == "allpairs" {
+				if err := graphEqual(exactGraph(GraphConfig{K: 5}, vecs, scales), want); err != nil {
+					t.Fatalf("one block differs from the exact graph: %v", err)
+				}
+			}
 			for _, chunk := range []int{1, 7, 64, len(vecs)} {
-				b := applyChunked(t, tc.cfg, vecs, scales, chunk)
+				b := applyChunked(t, tc.cfg, tc.vecs, scales, chunk)
 				if err := graphEqual(want, b.Graph()); err != nil {
 					t.Errorf("chunk=%d: %v", chunk, err)
 				}
@@ -102,7 +114,7 @@ func TestBuilderPrefixesMatchBuildGraph(t *testing.T) {
 func TestBuilderEmptyDelta(t *testing.T) {
 	vecs, _ := clusterVecs(30, 21)
 	scales := feature.FitScales(schema, vecs)
-	cfg := GraphConfig{K: 3, Seed: 1}
+	cfg := GraphConfig{K: 3, Seed: 1, BlockFeatures: []string{"topic"}}
 	b, err := NewBuilder(schema, cfg, scales)
 	if err != nil {
 		t.Fatal(err)
@@ -140,130 +152,92 @@ func TestBuilderLSHConfigError(t *testing.T) {
 	}
 }
 
-// TestPropagateWarm: warm-starting from converged scores must land on the
-// same fixed point (the clamped system's solution is unique on the reached
-// component) without exceeding the cold iteration count, and the reached
-// set — a pure graph property — must be identical.
-func TestPropagateWarm(t *testing.T) {
-	vecs, clusters := clusterVecs(120, 31)
-	scales := feature.FitScales(schema, vecs)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 6, Seed: 2}, vecs, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := map[int]float64{}
-	for i, c := range clusters {
-		if len(seeds) < 6 && c == 0 {
-			seeds[i] = 1
-		} else if len(seeds) < 12 && c == 1 {
-			seeds[i] = 0
+// adjacencyDigest hashes g's adjacency in vertex order: each vertex's
+// neighbor count, then each neighbor's index and weight bits.
+func adjacencyDigest(g *Graph) string {
+	h := sha256.New()
+	var buf []byte
+	for i := 0; i < g.NumVertices(); i++ {
+		es := g.Neighbors(i)
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(len(es)))
+		for _, e := range es {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.To))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Weight))
 		}
+		h.Write(buf)
 	}
-	cfg := PropConfig{tol: 1e-6}
-	cold, err := Propagate(context.Background(), g, seeds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestAdjacencyDigestsPinned pins one blocked and one LSH graph over a fixed
+// corpus shaped like the curation graph, bit for bit. The digests were
+// recorded when each key kind still had its own index and candidate
+// enumerator; the one block index must reproduce both. Float results differ
+// between architectures, so each pinned architecture has its own digests
+// and the rest skip.
+func TestAdjacencyDigestsPinned(t *testing.T) {
+	pinned := map[string][2]string{
+		"amd64": {"2bbca1e1f8c3be94f0aa33171a072fc07d43b3b97c10d22ad0655345809728bb", "03cf012fec36c92a045607c5b85e510d26c59d57a2768d1bc7a3cb9de85e5181"},
+		"386":   {"fec4c2bd23c15cb28483501bc4a3883630fd12d38134f1fa51d290348dda655b", "dbb71cb3d1c42e258e5c3646b778374b38221811af675fcc0e280924ad9ed5f3"},
 	}
-	warm, err := PropagateWarm(context.Background(), g, seeds, cfg, cold.Scores)
-	if err != nil {
-		t.Fatal(err)
+	digests, ok := pinned[runtime.GOARCH]
+	if !ok {
+		t.Skipf("no digests pinned for %s", runtime.GOARCH)
 	}
-	if warm.Iters > cold.Iters {
-		t.Errorf("warm start took %d iters, cold took %d", warm.Iters, cold.Iters)
-	}
-	for i := range cold.Scores {
-		if warm.Reached[i] != cold.Reached[i] {
-			t.Fatalf("vertex %d: warm reached %v, cold %v", i, warm.Reached[i], cold.Reached[i])
+	s, vecs := curateShapeVecs(2000, 53)
+	scales := feature.FitScales(s, vecs)
+	for k, tc := range []struct {
+		name  string
+		cfg   GraphConfig
+		edges int
+	}{
+		{"blocked", GraphConfig{K: 10, Seed: 3, Workers: 2, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}, 15104},
+		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 2, LSH: LSHConfig{Enable: true}, MaxCandidates: 200}, 11570},
+	} {
+		g, err := BuildGraph(context.Background(), tc.cfg, vecs, scales)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := math.Abs(warm.Scores[i] - cold.Scores[i]); d > 1e-4 {
-			t.Errorf("vertex %d: warm score %v vs cold %v (|Δ|=%g)", i, warm.Scores[i], cold.Scores[i], d)
+		if got := adjacencyDigest(g); g.NumEdges() != tc.edges || got != digests[k] {
+			t.Errorf("%s: %d edges, digest %s; pinned %d, %s", tc.name, g.NumEdges(), got, tc.edges, digests[k])
 		}
 	}
 }
 
-// TestPropagateWarmFromPrefix mirrors the streaming use: propagate over a
-// prefix graph, grow the graph, then warm-start the full run from the
-// prefix scores. The converged scores must match a cold full run.
-func TestPropagateWarmFromPrefix(t *testing.T) {
-	vecs, clusters := clusterVecs(160, 32)
-	scales := feature.FitScales(schema, vecs)
-	cfg := GraphConfig{K: 6, Seed: 4}
-	const prefix = 100
-
-	b, err := NewBuilder(schema, cfg, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ApplyDelta(context.Background(), vecs[:prefix]); err != nil {
-		t.Fatal(err)
-	}
-	seeds := map[int]float64{}
-	for i, c := range clusters[:prefix] {
-		if len(seeds) < 4 && c == 0 {
-			seeds[i] = 1
-		} else if len(seeds) < 8 && c == 1 {
-			seeds[i] = 0
+// FuzzBuilderDeltaMatchesOneShot: a build fed in chunks (sizes alternating
+// between two fuzzed values) equals the one-shot build, for either key kind
+// and a small candidate cap, so sampling is exercised.
+func FuzzBuilderDeltaMatchesOneShot(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(7), false, uint8(5))
+	f.Add(int64(2), uint8(64), uint8(3), true, uint8(2))
+	f.Add(int64(3), uint8(130), uint8(0), false, uint8(31))
+	f.Fuzz(func(t *testing.T, seed int64, chunkA, chunkB uint8, lsh bool, maxCandidates uint8) {
+		_, vecs := blockCorpus(130, seed)
+		scales := feature.Scales{"score": 1}
+		cfg := GraphConfig{K: 4, Seed: seed, Workers: 2, MaxCandidates: 1 + int(maxCandidates%32)}
+		if lsh {
+			cfg.LSH.Enable = true
+		} else {
+			cfg.BlockFeatures = []string{"tags", "topic"}
 		}
-	}
-	pcfg := PropConfig{tol: 1e-7, maxIters: 200}
-	prev, err := Propagate(context.Background(), b.Graph(), seeds, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := b.ApplyDelta(context.Background(), vecs[prefix:]); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := PropagateWarm(context.Background(), b.Graph(), seeds, pcfg, prev.Scores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Propagate(context.Background(), b.Graph(), seeds, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold.Scores {
-		if warm.Reached[i] != cold.Reached[i] {
-			t.Fatalf("vertex %d: warm reached %v, cold %v", i, warm.Reached[i], cold.Reached[i])
+		want, err := BuildGraph(context.Background(), cfg, vecs, scales)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := math.Abs(warm.Scores[i] - cold.Scores[i]); d > 1e-4 {
-			t.Errorf("vertex %d: warm score %v vs cold %v (|Δ|=%g)", i, warm.Scores[i], cold.Scores[i], d)
+		b, err := NewBuilder(vecs[0].Schema(), cfg, scales)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestPropagateWarmIgnoresGarbagePrev: out-of-range or NaN warm scores fall
-// back to the prior instead of poisoning the iteration.
-func TestPropagateWarmIgnoresGarbagePrev(t *testing.T) {
-	vecs, _ := clusterVecs(40, 33)
-	scales := feature.FitScales(schema, vecs)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 4, Seed: 5}, vecs, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := map[int]float64{0: 1, 1: 0}
-	prev := make([]float64, 40)
-	for i := range prev {
-		switch i % 3 {
-		case 0:
-			prev[i] = math.NaN()
-		case 1:
-			prev[i] = -7
-		default:
-			prev[i] = 42
+		chunks := []int{1 + int(chunkA)%64, 1 + int(chunkB)%64}
+		for lo, k := 0, 0; lo < len(vecs); k++ {
+			hi := min(lo+chunks[k%2], len(vecs))
+			if err := b.ApplyDelta(context.Background(), vecs[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
 		}
-	}
-	warm, err := PropagateWarm(context.Background(), g, seeds, PropConfig{}, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := Propagate(context.Background(), g, seeds, PropConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold.Scores {
-		if math.Float64bits(warm.Scores[i]) != math.Float64bits(cold.Scores[i]) {
-			t.Fatalf("vertex %d: garbage warm scores changed result: %v vs %v", i, warm.Scores[i], cold.Scores[i])
+		if err := graphEqual(want, b.Graph()); err != nil {
+			t.Fatalf("chunks %v: %v", chunks, err)
 		}
-	}
+	})
 }

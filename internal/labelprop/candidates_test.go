@@ -14,10 +14,10 @@ import (
 // refCandidates is the per-vertex candidate enumeration the Builder ran
 // before vertices were grouped by key list, kept here as the reference the
 // grouped path must reproduce exactly: walk the vertex's lists (its blocks in
-// key order, or its LSH band buckets) in order, skip the vertex itself, keep
-// first occurrences through an epoch-stamped set, and when more than
-// maxCandidates remain draw a sample with rand.Rand.Shuffle from the
-// vertex's own stream and sort it.
+// key order, whether the keys are categories or LSH band keys) in order,
+// skip the vertex itself, keep first occurrences through an epoch-stamped
+// set, and when more than maxCandidates remain draw a sample with
+// rand.Rand.Shuffle from the vertex's own stream and sort it.
 type refCandidates struct {
 	stamp []int32
 	epoch int32
@@ -43,20 +43,21 @@ func (r *refCandidates) of(i int, lists [][]int32, maxCandidates int, seed int64
 	return out
 }
 
-// blockedLists rebuilds the block table over vecs from nothing — no Builder
-// state — and returns each vertex's blocks in its key order.
-func blockedLists(vecs []*feature.Vector, feats []string) [][][]int32 {
+// keyLists rebuilds a block index over vecs from nothing — no Builder state
+// — under the given key function, and returns each vertex's blocks in its
+// key order.
+func keyLists(vecs []*feature.Vector, keys func(*feature.Vector) []uint64) [][][]int32 {
 	index := make(map[uint64][]int32)
-	keys := make([][]uint64, len(vecs))
+	vkeys := make([][]uint64, len(vecs))
 	for i, v := range vecs {
-		keys[i] = blockKeys(v, feats)
-		for _, key := range keys[i] {
+		vkeys[i] = keys(v)
+		for _, key := range vkeys[i] {
 			index[key] = append(index[key], int32(i))
 		}
 	}
 	lists := make([][][]int32, len(vecs))
 	for i := range vecs {
-		for _, key := range keys[i] {
+		for _, key := range vkeys[i] {
 			lists[i] = append(lists[i], index[key])
 		}
 	}
@@ -68,11 +69,11 @@ func blockedLists(vecs []*feature.Vector, feats []string) [][][]int32 {
 func checkCandidates(t *testing.T, b *Builder, order []int, lists [][][]int32) (sampled, whole int) {
 	t.Helper()
 	n := b.NumVertices()
-	candidates, sc := b.candidateFunc(), newVertexScratch(n)
+	sc := newVertexScratch(n)
 	ref := &refCandidates{stamp: make([]int32, n)}
 	for _, i := range order {
 		want := ref.of(i, lists[i], b.cfg.MaxCandidates, b.cfg.Seed)
-		got := candidates(i, sc)
+		got := b.candidates(i, sc)
 		if len(got) != len(want) {
 			t.Fatalf("%d vertices, vertex %d: %d candidates, reference %d", n, i, len(got), len(want))
 		}
@@ -152,13 +153,18 @@ func TestBlockedCandidatesMatchPerVertexReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			slots, err := blockSlots(s, tc.feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := func(v *feature.Vector) []uint64 { return blockKeys(v, slots) }
 			sampled, whole := 0, 0
 			for lo := 0; lo < len(vecs); lo += chunk {
 				hi := min(lo+chunk, len(vecs))
 				if err := b.ApplyDelta(context.Background(), vecs[lo:hi]); err != nil {
 					t.Fatal(err)
 				}
-				lists := blockedLists(vecs[:hi], tc.feats)
+				lists := keyLists(vecs[:hi], keys)
 				order := make([]int, hi)
 				for i := range order {
 					order[i] = i
@@ -183,22 +189,22 @@ func TestBlockedCandidatesMatchPerVertexReference(t *testing.T) {
 	}
 }
 
-// TestLSHCandidatesMatchPerVertexReference is the same comparison for the
-// LSH generator, whose enumeration did not change but whose sampler did: the
-// reference reads the builder's own buckets and samples with rand.Rand.
+// TestLSHCandidatesMatchPerVertexReference is the same comparison with LSH
+// band keys as the block keys: the reference rebuilds the block index from
+// the hasher's keys alone and samples with rand.Rand.
 func TestLSHCandidatesMatchPerVertexReference(t *testing.T) {
 	vecs := sweepVecs(400, 9)
 	cfg := GraphConfig{K: 4, Seed: 7, Workers: 2, LSH: LSHConfig{Enable: true}, MaxCandidates: 22}
 	b := applyChunked(t, cfg, vecs, feature.FitScales(sweepSchema, vecs), 257)
-	lists := make([][][]int32, len(vecs))
-	order := make([]int, len(vecs))
-	for i := range vecs {
-		order[i] = i
-		for band := 0; band < lshBands && b.lsh.indexed[i]; band++ {
-			lists[i] = append(lists[i], b.lsh.buckets[b.lsh.keys[i*lshBands+band]])
-		}
+	h, err := newLSHHasher(sweepSchema, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sampled, whole := checkCandidates(t, b, order, lists); sampled == 0 || whole == 0 {
+	order := make([]int, len(vecs))
+	for i := range order {
+		order[i] = i
+	}
+	if sampled, whole := checkCandidates(t, b, order, keyLists(vecs, h.sign)); sampled == 0 || whole == 0 {
 		t.Errorf("%d sampled, %d whole lists; the case lost a side", sampled, whole)
 	}
 }
@@ -216,10 +222,10 @@ func TestSampledCandidatesAllocateNothing(t *testing.T) {
 	if err := b.ApplyDelta(context.Background(), vecs); err != nil {
 		t.Fatal(err)
 	}
-	candidates, sc := b.candidateFunc(), newVertexScratch(len(vecs))
+	sc := newVertexScratch(len(vecs))
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if i = (i + 1) % len(vecs); i%17 != 3 && len(candidates(i, sc)) != cfg.MaxCandidates {
+		if i = (i + 1) % len(vecs); i%17 != 3 && len(b.candidates(i, sc)) != cfg.MaxCandidates {
 			t.Fatalf("vertex %d was not sampled", i)
 		}
 	}); allocs != 0 {

@@ -29,12 +29,14 @@ type GraphConfig struct {
 	K int
 	// BlockFeatures names the categorical features used to block candidate
 	// generation: only pairs sharing at least one category on a blocking
-	// feature are scored, which keeps construction far below O(n²).
-	// Empty means exact all-pairs construction (small inputs only).
+	// feature are scored, which keeps construction far below O(n²). Each
+	// name must be a categorical feature of the builder's schema, and at
+	// least one is required unless LSH is enabled (which blocks on band keys
+	// instead and ignores them).
 	BlockFeatures []string
-	// MaxCandidates caps the number of scored candidates per vertex when
-	// blocking (default 300); candidates beyond the cap are sampled
-	// deterministically from Seed.
+	// MaxCandidates caps the number of scored candidates per vertex
+	// (default 300); candidates beyond the cap are sampled deterministically
+	// from Seed.
 	MaxCandidates int
 	// MinWeight drops edges with weight below it (default 0.05).
 	MinWeight float64
@@ -48,9 +50,9 @@ type GraphConfig struct {
 	// work depends only on the vertex index and Seed.
 	Workers int
 	// LSH enables MinHash-LSH approximate candidate generation (see
-	// LSHConfig): candidates come from signature-band collisions instead
-	// of block scans, then are re-scored with the exact kernel. The zero
-	// value is disabled.
+	// LSHConfig): a vertex's block keys are its signature band keys instead
+	// of its categories on BlockFeatures; candidates are scored with the
+	// same kernel. The zero value is disabled.
 	LSH LSHConfig
 }
 
@@ -212,20 +214,37 @@ func (g *Graph) symmetrize() {
 	g.adjOff, g.adj = off, adj[:w]
 }
 
-// blockKeys returns v's block-table keys: for each blocking feature, in
-// cfg order, one key per category in the order the value lists them
-// (feature slot in the high word, the category's intern ID in the low).
-// Candidate enumeration walks keys in this order, so it must not follow the
-// sorted ID set instead.
-func blockKeys(v *feature.Vector, feats []string) []uint64 {
-	var keys []uint64
-	for slot, f := range feats {
-		i, ok := v.Schema().Index(f)
+// blockSlots resolves the blocking feature names to schema positions, in
+// cfg order. A name the schema lacks, or one that is not categorical, would
+// block nothing and leave the graph silently edgeless, so it is an error.
+func blockSlots(schema *feature.Schema, feats []string) ([]int, error) {
+	if len(feats) == 0 {
+		return nil, fmt.Errorf("labelprop: no BlockFeatures (and LSH is off)")
+	}
+	slots := make([]int, len(feats))
+	for pos, f := range feats {
+		i, ok := schema.Index(f)
 		if !ok {
-			continue
+			return nil, fmt.Errorf("labelprop: block feature %q is not in the schema", f)
 		}
+		if kind := schema.Def(i).Kind; kind != feature.Categorical {
+			return nil, fmt.Errorf("labelprop: block feature %q is %v, not categorical", f, kind)
+		}
+		slots[pos] = i
+	}
+	return slots, nil
+}
+
+// blockKeys returns v's block-table keys: for each blocking feature slot,
+// in cfg order, one key per category in the order the value lists them
+// (the feature's cfg position in the high word, the category's intern ID in
+// the low). Candidate enumeration walks keys in this order, so it must not
+// follow the sorted ID set instead.
+func blockKeys(v *feature.Vector, slots []int) []uint64 {
+	var keys []uint64
+	for pos, i := range slots {
 		for _, c := range v.Categories(i) {
-			keys = append(keys, uint64(slot)<<32|uint64(feature.InternID(c)))
+			keys = append(keys, uint64(pos)<<32|uint64(feature.InternID(c)))
 		}
 	}
 	return keys

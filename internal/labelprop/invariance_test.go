@@ -31,20 +31,17 @@ func graphEqual(a, b *Graph) error {
 }
 
 // TestBuildGraphWorkerInvariance requires the graph to be bit-identical for
-// every worker count, on both the all-pairs and blocked paths. Per-vertex
-// RNGs are derived from (Seed, vertex index) alone and mapreduce preserves
-// input order, so nothing may depend on scheduling.
+// every worker count, with candidate sampling on and off (TestLSHWorkerInvariance
+// covers LSH keys). Per-vertex RNGs are derived from (Seed, vertex index)
+// alone and mapreduce preserves input order, so nothing may depend on
+// scheduling.
 func TestBuildGraphWorkerInvariance(t *testing.T) {
 	vecs, _ := clusterVecs(150, 11)
 	scales := feature.FitScales(schema, vecs)
 	for _, cfg := range []GraphConfig{
-		{K: 5, Seed: 3},
 		{K: 5, Seed: 3, BlockFeatures: []string{"topic"}, MaxCandidates: 40},
+		{K: 5, Seed: 3, BlockFeatures: []string{"topic"}, MaxCandidates: 150},
 	} {
-		name := "allpairs"
-		if len(cfg.BlockFeatures) > 0 {
-			name = "blocked"
-		}
 		base := cfg
 		base.Workers = 1
 		ref, err := BuildGraph(context.Background(), base, vecs, scales)
@@ -59,7 +56,7 @@ func TestBuildGraphWorkerInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := graphEqual(ref, g); err != nil {
-				t.Errorf("%s: Workers=%d differs from Workers=1: %v", name, workers, err)
+				t.Errorf("MaxCandidates=%d: Workers=%d differs from Workers=1: %v", cfg.MaxCandidates, workers, err)
 			}
 		}
 	}
@@ -98,10 +95,7 @@ func TestBuildGraphSeedDeterminism(t *testing.T) {
 func TestPropagateReachedMatchesBFS(t *testing.T) {
 	vecs, _ := clusterVecs(120, 13)
 	scales := feature.FitScales(schema, vecs)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 4, Seed: 5}, vecs, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exactGraph(GraphConfig{K: 4}, vecs, scales)
 	seeds := map[int]float64{0: 1, 1: 0, 7: 1}
 	res, err := Propagate(context.Background(), g, seeds, PropConfig{maxIters: 200})
 	if err != nil {
@@ -137,10 +131,7 @@ func TestPropagateReachedMatchesBFS(t *testing.T) {
 func TestPropagateShardInvariance(t *testing.T) {
 	vecs, _ := clusterVecs(120, 14)
 	scales := feature.FitScales(schema, vecs)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 4, Seed: 6}, vecs, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exactGraph(GraphConfig{K: 4}, vecs, scales)
 	seeds := map[int]float64{0: 1, 1: 0, 10: 1, 33: 0}
 	ref, err := Propagate(context.Background(), g, seeds, PropConfig{shards: 1})
 	if err != nil {
@@ -163,12 +154,6 @@ func TestPropagateShardInvariance(t *testing.T) {
 			}
 		}
 	}
-}
-
-func benchGraphInputs(b *testing.B, n int) ([]*feature.Vector, feature.Scales) {
-	b.Helper()
-	vecs, _ := clusterVecs(n, 17)
-	return vecs, feature.FitScales(schema, vecs)
 }
 
 // curateShapeVecs builds a corpus shaped like the graph stage of the
@@ -223,71 +208,66 @@ func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
 	return s, vecs
 }
 
-// BenchmarkBuildGraph times one whole-corpus build. The blocked case has the
-// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10) and
-// also reports the two halves of the per-vertex loop, each timed on its own
-// over the built index: choosing a vertex's candidates (block union, sample,
-// sort) and scoring one candidate pair at the MinWeight floor.
+// BenchmarkBuildGraph times one whole-corpus build over a corpus with the
+// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10),
+// blocked on the topics and with LSH band keys. Each case also reports the
+// two halves of the per-vertex loop, each timed on its own over the built
+// index: choosing a vertex's candidates (block union, sample, sort) and
+// scoring one candidate pair at the MinWeight floor.
 func BenchmarkBuildGraph(b *testing.B) {
-	b.Run("allpairs", func(b *testing.B) {
-		vecs, scales := benchGraphInputs(b, 600)
-		cfg := GraphConfig{K: 8, Seed: 3, Workers: 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := BuildGraph(context.Background(), cfg, vecs, scales); err != nil {
-				b.Fatal(err)
+	s, vecs := curateShapeVecs(20000, 53)
+	scales := feature.FitScales(s, vecs)
+	for _, tc := range []struct {
+		name string
+		cfg  GraphConfig
+	}{
+		{"blocked", GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}},
+		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 1, LSH: LSHConfig{Enable: true}, MaxCandidates: 200}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var bld *Builder
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if bld, err = NewBuilder(s, tc.cfg, scales); err != nil {
+					b.Fatal(err)
+				}
+				if err := bld.ApplyDelta(context.Background(), vecs); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		s, vecs := curateShapeVecs(20000, 53)
-		scales := feature.FitScales(s, vecs)
-		cfg := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}
-		var bld *Builder
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if bld, err = NewBuilder(s, cfg, scales); err != nil {
-				b.Fatal(err)
+			b.StopTimer()
+			order := make([]int, len(vecs))
+			for i := range order {
+				order[i] = i
 			}
-			if err := bld.ApplyDelta(context.Background(), vecs); err != nil {
-				b.Fatal(err)
+			slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bld.groupOf[x], bld.groupOf[y]) })
+			sc := newVertexScratch(len(vecs))
+			var choose, score time.Duration
+			pairs, union := 0, 0
+			for _, i := range order {
+				t0 := time.Now()
+				cands := bld.candidates(i, sc)
+				t1 := time.Now()
+				for _, j := range cands {
+					bld.arena.Weighted(i, int(j), bld.cfg.MinWeight)
+				}
+				score += time.Since(t1)
+				choose += t1.Sub(t0)
+				pairs += len(cands)
+				union += len(sc.seen.buf)
 			}
-		}
-		b.StopTimer()
-		order := make([]int, len(vecs))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bld.groupOf[x], bld.groupOf[y]) })
-		candidates, sc := bld.candidateFunc(), newVertexScratch(len(vecs))
-		var choose, score time.Duration
-		pairs, union := 0, 0
-		for _, i := range order {
-			t0 := time.Now()
-			cands := candidates(i, sc)
-			t1 := time.Now()
-			for _, j := range cands {
-				bld.arena.Weighted(i, int(j), bld.cfg.MinWeight)
-			}
-			score += time.Since(t1)
-			choose += t1.Sub(t0)
-			pairs += len(cands)
-			union += len(sc.seen.buf)
-		}
-		b.ReportMetric(float64(choose.Nanoseconds())/float64(len(vecs)), "candidates-ns/vertex")
-		b.ReportMetric(float64(score.Nanoseconds())/float64(pairs), "score-ns/pair")
-		b.ReportMetric(float64(union)/float64(len(vecs)), "union/vertex")
-		b.ReportMetric(float64(len(bld.groupKeys)), "keylists")
-	})
+			b.ReportMetric(float64(choose.Nanoseconds())/float64(len(vecs)), "candidates-ns/vertex")
+			b.ReportMetric(float64(score.Nanoseconds())/float64(max(pairs, 1)), "score-ns/pair")
+			b.ReportMetric(float64(union)/float64(len(vecs)), "union/vertex")
+			b.ReportMetric(float64(len(bld.groupKeys)), "keylists")
+		})
+	}
 }
 
 func BenchmarkPropagate(b *testing.B) {
-	vecs, scales := benchGraphInputs(b, 600)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 8, Seed: 3, Workers: 1}, vecs, scales)
-	if err != nil {
-		b.Fatal(err)
-	}
+	vecs, _ := clusterVecs(600, 17)
+	g := exactGraph(GraphConfig{K: 8}, vecs, feature.FitScales(schema, vecs))
 	seeds := make(map[int]float64)
 	for i := 0; i < 60; i++ {
 		seeds[i*10] = float64(i % 2)

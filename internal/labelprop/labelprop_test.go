@@ -39,10 +39,18 @@ func clusterVecs(n int, seed int64) ([]*feature.Vector, []int) {
 	return vecs, clusters
 }
 
+// TestBuildGraphExact: with every vertex in one block and the cap lifted,
+// BuildGraph is the exact kNN graph, whose neighbors come from the vertex's
+// own cluster.
 func TestBuildGraphExact(t *testing.T) {
 	vecs, clusters := clusterVecs(40, 1)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 5}, vecs, feature.FitScales(schema, vecs))
+	scales := feature.FitScales(schema, vecs)
+	cfg, blocked := oneBlock(GraphConfig{K: 5}, vecs)
+	g, err := BuildGraph(context.Background(), cfg, blocked, scales)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphEqual(exactGraph(GraphConfig{K: 5}, vecs, scales), g); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumVertices() != 40 {
@@ -85,7 +93,7 @@ func TestBuildGraphBlockedMatchesClusters(t *testing.T) {
 
 func TestGraphSymmetry(t *testing.T) {
 	vecs, _ := clusterVecs(60, 4)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 4}, vecs, nil)
+	g, err := BuildGraph(context.Background(), GraphConfig{K: 4, BlockFeatures: []string{"topic"}}, vecs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +123,7 @@ func TestBuildGraphEmpty(t *testing.T) {
 
 func TestPropagateTwoClusters(t *testing.T) {
 	vecs, clusters := clusterVecs(100, 5)
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 6}, vecs, feature.FitScales(schema, vecs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exactGraph(GraphConfig{K: 6}, vecs, feature.FitScales(schema, vecs))
 	// Seed one positive in cluster 0, one negative in cluster 1.
 	seeds := map[int]float64{}
 	for i, c := range clusters {
@@ -148,7 +153,7 @@ func TestPropagateTwoClusters(t *testing.T) {
 
 func TestPropagateClampsSeeds(t *testing.T) {
 	vecs, _ := clusterVecs(30, 6)
-	g, _ := BuildGraph(context.Background(), GraphConfig{K: 4}, vecs, nil)
+	g := exactGraph(GraphConfig{K: 4}, vecs, nil)
 	seeds := map[int]float64{0: 1, 1: 0}
 	res, err := Propagate(context.Background(), g, seeds, PropConfig{})
 	if err != nil {
@@ -161,7 +166,7 @@ func TestPropagateClampsSeeds(t *testing.T) {
 
 func TestPropagateScoresBounded(t *testing.T) {
 	vecs, _ := clusterVecs(80, 7)
-	g, _ := BuildGraph(context.Background(), GraphConfig{K: 5}, vecs, nil)
+	g := exactGraph(GraphConfig{K: 5}, vecs, nil)
 	seeds := map[int]float64{0: 1, 3: 0, 7: 1}
 	res, err := Propagate(context.Background(), g, seeds, PropConfig{shards: 3})
 	if err != nil {
@@ -176,7 +181,7 @@ func TestPropagateScoresBounded(t *testing.T) {
 
 func TestPropagateValidation(t *testing.T) {
 	vecs, _ := clusterVecs(10, 8)
-	g, _ := BuildGraph(context.Background(), GraphConfig{K: 2}, vecs, nil)
+	g := exactGraph(GraphConfig{K: 2}, vecs, nil)
 	ctx := context.Background()
 	if _, err := Propagate(ctx, g, nil, PropConfig{}); err == nil {
 		t.Error("expected error for no seeds")
@@ -196,10 +201,7 @@ func TestPropagateUnreachedStayAtPrior(t *testing.T) {
 	b := feature.NewVector(schema)
 	b.MustSet("topic", feature.CategoricalValue("b"))
 	vecs := []*feature.Vector{a, a.Clone(), b, b.Clone()}
-	g, err := BuildGraph(context.Background(), GraphConfig{K: 2, MinWeight: 0.5}, vecs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exactGraph(GraphConfig{K: 2, MinWeight: 0.5}, vecs, nil)
 	res, err := Propagate(context.Background(), g, map[int]float64{0: 1}, PropConfig{Prior: 0.25})
 	if err != nil {
 		t.Fatal(err)
@@ -216,9 +218,9 @@ func TestPropagateUnreachedStayAtPrior(t *testing.T) {
 }
 
 // TestPropagateFixedPoint checks what "converged" means on random blocked
-// graphs, warm- and cold-started: every reached non-seed vertex scores the
-// weighted mean of its neighbours' scores to within tol (one Jacobi step
-// moves nothing further than that), seeds keep their clamped value, and
+// graphs: every reached non-seed vertex scores the weighted mean of its
+// neighbours' scores to within tol (one Jacobi step moves nothing further
+// than that), seeds keep their clamped value, and
 // vertices no seed reaches — the corpus has whole unseeded topics and
 // vertices without any block key — rest exactly at the prior.
 func TestPropagateFixedPoint(t *testing.T) {
@@ -239,49 +241,43 @@ func TestPropagateFixedPoint(t *testing.T) {
 			}
 		}
 		pcfg := PropConfig{maxIters: 2000, tol: 1e-6, Prior: 0.2, shards: 3}
-		cold, err := Propagate(context.Background(), g, seeds, pcfg)
+		res, err := Propagate(context.Background(), g, seeds, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := PropagateWarm(context.Background(), g, seeds, pcfg, cold.Scores[:300])
-		if err != nil {
-			t.Fatal(err)
+		if res.Iters >= pcfg.maxIters {
+			t.Fatalf("seed %d: no convergence in %d iterations", seed, res.Iters)
 		}
-		for name, res := range map[string]*Result{"cold": cold, "warm": warm} {
-			if res.Iters >= pcfg.maxIters {
-				t.Fatalf("seed %d %s: no convergence in %d iterations", seed, name, res.Iters)
-			}
-			reached, unreached := 0, 0
-			for i, score := range res.Scores {
-				want, isSeed := seeds[i]
-				switch {
-				case isSeed:
-					if score != want || !res.Reached[i] {
-						t.Fatalf("seed %d %s: seed vertex %d scores %v (reached %v), clamped at %v", seed, name, i, score, res.Reached[i], want)
+		reached, unreached := 0, 0
+		for i, score := range res.Scores {
+			want, isSeed := seeds[i]
+			switch {
+			case isSeed:
+				if score != want || !res.Reached[i] {
+					t.Fatalf("seed %d: seed vertex %d scores %v (reached %v), clamped at %v", seed, i, score, res.Reached[i], want)
+				}
+			case !res.Reached[i]:
+				unreached++
+				if score != pcfg.Prior {
+					t.Fatalf("seed %d: unreached vertex %d scores %v, prior %v", seed, i, score, pcfg.Prior)
+				}
+			default:
+				reached++
+				var num, den float64
+				for _, e := range g.Neighbors(i) {
+					if !res.Reached[e.To] {
+						t.Fatalf("seed %d: reached vertex %d has unreached neighbour %d", seed, i, e.To)
 					}
-				case !res.Reached[i]:
-					unreached++
-					if score != pcfg.Prior {
-						t.Fatalf("seed %d %s: unreached vertex %d scores %v, prior %v", seed, name, i, score, pcfg.Prior)
-					}
-				default:
-					reached++
-					var num, den float64
-					for _, e := range g.Neighbors(i) {
-						if !res.Reached[e.To] {
-							t.Fatalf("seed %d %s: reached vertex %d has unreached neighbour %d", seed, name, i, e.To)
-						}
-						num += e.Weight * res.Scores[e.To]
-						den += e.Weight
-					}
-					if d := math.Abs(score - num/den); !(d <= pcfg.tol) {
-						t.Fatalf("seed %d %s: vertex %d scores %v, neighbour mean %v (off by %v > tol)", seed, name, i, score, num/den, d)
-					}
+					num += e.Weight * res.Scores[e.To]
+					den += e.Weight
+				}
+				if d := math.Abs(score - num/den); !(d <= pcfg.tol) {
+					t.Fatalf("seed %d: vertex %d scores %v, neighbour mean %v (off by %v > tol)", seed, i, score, num/den, d)
 				}
 			}
-			if reached < 100 || unreached < 50 {
-				t.Fatalf("seed %d %s: %d reached, %d unreached non-seeds; the case lost a side", seed, name, reached, unreached)
-			}
+		}
+		if reached < 100 || unreached < 50 {
+			t.Fatalf("seed %d: %d reached, %d unreached non-seeds; the case lost a side", seed, reached, unreached)
 		}
 	}
 }

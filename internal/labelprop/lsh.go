@@ -8,22 +8,23 @@ import (
 	"crossmodal/internal/xrand"
 )
 
-// MinHash-LSH approximate candidate generation for BuildGraph. The blocked
-// path scans every vertex sharing a blocking category, so its per-vertex
-// cost grows with block size — O(n²/blocks)-flavored on corpora whose
-// blocking features are coarse. LSH replaces the block scan with bucket
-// lookups: each vertex's categorical sets (the sets feature.SimKernel
+// MinHash-LSH approximate candidate generation for BuildGraph. Blocking on
+// categorical features scans every vertex sharing a blocking category, so
+// its per-vertex cost grows with block size — O(n²/blocks)-flavored on
+// corpora whose blocking features are coarse. LSH blocks on band keys
+// instead: each vertex's categorical sets (the sets feature.SimKernel
 // intersects, hashed by category string) are MinHash-signed, the signature
-// is cut into bands, and only vertices colliding in at least one band become
-// candidates. Candidates are still re-scored with the exact kernel, so
-// edge weights are bit-identical to the exact paths — only recall over
-// which edges exist can differ.
+// is cut into bands, and each band's hash is one of the vertex's block keys
+// — so only vertices colliding in at least one band become candidates. The
+// Builder's one block index, candidate enumerator and sampler serve both key
+// kinds, and candidates are scored with the same kernel, so edge weights
+// are bit-identical — only recall over which edges exist can differ.
 
 // LSHConfig configures approximate candidate generation. The zero value is
 // disabled, so existing GraphConfigs (and recorded golden outputs) are
 // untouched.
 type LSHConfig struct {
-	// Enable turns the LSH candidate path on.
+	// Enable makes a vertex's block keys its signature band keys.
 	Enable bool
 }
 
@@ -36,17 +37,6 @@ type LSHConfig struct {
 // junk-suppressing banding that still catches pairs at the target with high
 // probability.
 const lshBands, lshRows = 21, 3
-
-// lshIndex holds per-vertex band keys and the bucket table mapping a band
-// key to the vertices that produced it. Builder.ApplyDelta grows it in
-// place: the hash salts depend only on the graph seed (never on corpus
-// size), and buckets append vertices in ascending order, so an
-// incrementally grown index is identical to one built from scratch.
-type lshIndex struct {
-	keys    []uint64 // vertex i's band keys at [i*lshBands, (i+1)*lshBands)
-	indexed []bool   // false: no hashed elements (vertex gets no candidates)
-	buckets map[uint64][]int32
-}
 
 // lshHasher is the corpus-independent signing state: which categorical
 // features feed signatures and the per-hash/band/feature salts, all
@@ -92,8 +82,7 @@ func newLSHHasher(schema *feature.Schema, cfg GraphConfig) (*lshHasher, error) {
 
 // sign MinHash-signs one vector and returns its band keys, or nil when the
 // vector has no hashed categorical content (such vertices get no
-// candidates, matching the blocked path's treatment of unblockable
-// vertices).
+// candidates, like a vertex with no category on any blocking feature).
 func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	sig := make([]uint64, lshBands*lshRows)
 	for k := range sig {
@@ -125,25 +114,6 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 		keys[b] = key
 	}
 	return keys
-}
-
-// candidates enumerates vertex i's LSH candidates: the union of its band
-// buckets, deduplicated through the worker's epoch-stamped set. The builder
-// caps it with the same deterministic per-vertex sampling the blocked path
-// uses — so worker invariance and seed determinism carry over unchanged.
-func (x *lshIndex) candidates(i int, sc *vertexScratch) []int32 {
-	if !x.indexed[i] {
-		return nil
-	}
-	sc.seen.reset()
-	for b := 0; b < lshBands; b++ {
-		for _, j := range x.buckets[x.keys[i*lshBands+b]] {
-			if j != int32(i) {
-				sc.seen.add(j)
-			}
-		}
-	}
-	return sc.seen.buf
 }
 
 // Recall reports the fraction of ref's edges also present in g — the

@@ -70,25 +70,16 @@ func sweepVecs(n int, seed int64) []*feature.Vector {
 	return vecs
 }
 
-// TestLSHRecallFloor is the quality gate the ISSUE pins: at the default
-// threshold, LSH must recover at least 95% of the edges the exact blocked
-// path finds (blocking on the coarse topic, candidate cap lifted so the
-// reference is sampling-free), and every edge both graphs share must carry
-// the identical weight — LSH changes candidate generation, never scoring.
+// TestLSHRecallFloor is LSH's quality gate: at the default banding, LSH must
+// recover at least 95% of the exact kNN graph's edges, and every edge both
+// graphs share must carry the identical weight — LSH keys change candidate
+// generation, never scoring.
 func TestLSHRecallFloor(t *testing.T) {
 	const n = 960
 	vecs := sweepVecs(n, 41)
 	scales := feature.FitScales(sweepSchema, vecs)
-	exact := GraphConfig{
-		K: 10, Seed: 5, BlockFeatures: []string{"topic"}, MaxCandidates: n,
-	}
-	ref, err := BuildGraph(context.Background(), exact, vecs, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx := exact
-	approx.BlockFeatures = nil
-	approx.LSH = LSHConfig{Enable: true}
+	ref := exactGraph(GraphConfig{K: 10}, vecs, scales)
+	approx := GraphConfig{K: 10, Seed: 5, MaxCandidates: n, LSH: LSHConfig{Enable: true}}
 	g, err := BuildGraph(context.Background(), approx, vecs, scales)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +323,7 @@ func TestDedupeSetFloodAndWraparound(t *testing.T) {
 	}
 }
 
-// sweepRefs caches the sampling-free exact reference graph per corpus size
+// sweepRefs caches the sampling-free blocked reference graph per corpus size
 // so recall is computed once per size, not once per bench iteration.
 var sweepRefs = map[int]*Graph{}
 
@@ -351,34 +342,27 @@ func sweepRecallRef(b *testing.B, n int, vecs []*feature.Vector, scales feature.
 	return ref
 }
 
-// BenchmarkBuildGraphSweep sizes BuildGraph across 10³–10⁵ vertices for the
-// three candidate paths. Blocked and LSH run their production configs
-// (candidate cap 300); the reported "recall" metric compares each against
-// the sampling-free exact blocked reference (computed for n ≤ 10⁴, where
-// the reference is affordable). The LSH column also runs n = 10⁵, where
-// block scans are the dominant blocked-path cost and bucket lookups keep
-// per-vertex work near subcluster size.
+// BenchmarkBuildGraphSweep sizes BuildGraph across 10³–10⁵ vertices for
+// both key kinds, each at its default candidate cap (300); the reported
+// "recall" metric compares each against the sampling-free blocked reference
+// (computed for n ≤ 10⁴, where the reference is affordable). The LSH column
+// also runs n = 10⁵, where block scans are the dominant blocked-path cost
+// and band blocks keep per-vertex work near subcluster size.
 func BenchmarkBuildGraphSweep(b *testing.B) {
 	for _, n := range []int{1000, 10000, 50000, 100000} {
 		vecs := sweepVecs(n, 21)
 		scales := feature.FitScales(sweepSchema, vecs)
-		for _, mode := range []string{"allpairs", "blocked", "lsh"} {
-			if mode == "allpairs" && n > 1000 {
-				continue // O(n²): unaffordable beyond the smallest size
-			}
+		for _, mode := range []string{"blocked", "lsh"} {
 			if mode == "blocked" && n > 50000 {
 				continue // block scans already dominate at 5·10⁴
 			}
-			cfg := GraphConfig{K: 10, Seed: 7, Workers: 1}
-			switch mode {
-			case "blocked":
-				cfg.BlockFeatures = []string{"topic"}
-			case "lsh":
+			cfg := GraphConfig{K: 10, Seed: 7, Workers: 1, BlockFeatures: []string{"topic"}}
+			if mode == "lsh" {
 				cfg.LSH = LSHConfig{Enable: true}
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", mode, n), func(b *testing.B) {
 				var ref *Graph
-				if mode != "allpairs" && n <= 10000 {
+				if n <= 10000 {
 					ref = sweepRecallRef(b, n, vecs, scales)
 				}
 				b.ReportAllocs()

@@ -58,17 +58,6 @@ type Result struct {
 // fixed label score in [0,1] (1 = positive, 0 = negative); every other
 // vertex converges to the weighted average of its neighbors.
 func Propagate(ctx context.Context, g *Graph, seeds map[int]float64, cfg PropConfig) (*Result, error) {
-	return PropagateWarm(ctx, g, seeds, cfg, nil)
-}
-
-// PropagateWarm is Propagate with a warm start: non-seed vertex i begins at
-// prev[i] (its score from an earlier propagation over a prefix of this
-// graph) instead of the prior when i < len(prev) and prev[i] lies in [0,1].
-// The clamped system has a unique fixed point on the reached component, so
-// the converged result matches a cold Propagate to within tol — warm
-// starting only cuts the iterations needed to get there, which is what lets
-// the streaming pipeline restart propagation cheaply after each graph delta.
-func PropagateWarm(ctx context.Context, g *Graph, seeds map[int]float64, cfg PropConfig, prev []float64) (*Result, error) {
 	cfg = cfg.withDefaults()
 	n := g.NumVertices()
 	if n == 0 {
@@ -97,14 +86,7 @@ func PropagateWarm(ctx context.Context, g *Graph, seeds map[int]float64, cfg Pro
 	// replaces a per-vertex-per-iteration map lookup.
 	isSeed := make([]bool, n)
 	for i := range cur {
-		if i < len(prev) && prev[i] >= 0 && prev[i] <= 1 {
-			cur[i] = prev[i]
-		} else {
-			cur[i] = cfg.Prior
-		}
-	}
-	if len(prev) > 0 {
-		span.SetInt("warm_scores", int64(len(prev)))
+		cur[i] = cfg.Prior
 	}
 	for v, s := range seeds {
 		cur[v] = s

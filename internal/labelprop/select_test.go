@@ -24,11 +24,10 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 	if err := b.ApplyDelta(context.Background(), vecs); err != nil {
 		t.Fatal(err)
 	}
-	candidates := b.candidateFunc()
 	sc := newVertexScratch(len(vecs))
 	for i := range vecs {
 		var want []Edge
-		for _, j := range candidates(i, sc) {
+		for _, j := range b.candidates(i, sc) {
 			if w := feature.WeightedSimilarity(vecs[i], vecs[j], scales, cfg.Weights); w >= b.cfg.MinWeight {
 				want = append(want, Edge{To: int(j), Weight: w})
 			}
@@ -56,29 +55,43 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 }
 
 // TestSelectionMatchesBruteForce runs the reference comparison over random
-// corpora in all three candidate modes, with candidate sampling forced
-// (MaxCandidates below the block size), learned-style feature weights, and
-// a MinWeight high enough to filter real candidates.
+// corpora with categorical and LSH block keys, with candidate sampling
+// forced (MaxCandidates below the block size), learned-style feature
+// weights, and a MinWeight high enough to filter real candidates. The
+// allpairs cases put every vertex in one block with the cap lifted, so the
+// graph must also equal the exact reference.
 func TestSelectionMatchesBruteForce(t *testing.T) {
 	weights := feature.Weights{"topic": 0.3, "tags": 2.5, "score": 0.02, "emb": 1.2}
 	for _, tc := range []struct {
-		name string
-		cfg  GraphConfig
+		name     string
+		cfg      GraphConfig
+		allPairs bool
 	}{
-		{"allpairs", GraphConfig{K: 6, Workers: 2}},
-		{"allpairs-weighted", GraphConfig{K: 3, Workers: 2, Weights: weights, MinWeight: 0.5}},
-		{"blocked", GraphConfig{K: 6, Workers: 2, BlockFeatures: []string{"topic", "tags"}, MaxCandidates: 25}},
-		{"blocked-weighted", GraphConfig{K: 10, Workers: 2, BlockFeatures: []string{"topic"}, Weights: weights, MinWeight: 0.4}},
-		{"lsh", GraphConfig{K: 6, Workers: 2, LSH: LSHConfig{Enable: true}, MaxCandidates: 12}},
-		{"lsh-weighted", GraphConfig{K: 4, Workers: 2, LSH: LSHConfig{Enable: true}, Weights: weights, MinWeight: 0.6}},
+		{"allpairs", GraphConfig{K: 6, Workers: 2}, true},
+		{"allpairs-weighted", GraphConfig{K: 3, Workers: 2, Weights: weights, MinWeight: 0.5}, true},
+		{"blocked", GraphConfig{K: 6, Workers: 2, BlockFeatures: []string{"topic", "tags"}, MaxCandidates: 25}, false},
+		{"blocked-weighted", GraphConfig{K: 10, Workers: 2, BlockFeatures: []string{"topic"}, Weights: weights, MinWeight: 0.4}, false},
+		{"lsh", GraphConfig{K: 6, Workers: 2, LSH: LSHConfig{Enable: true}, MaxCandidates: 12}, false},
+		{"lsh-weighted", GraphConfig{K: 4, Workers: 2, LSH: LSHConfig{Enable: true}, Weights: weights, MinWeight: 0.6}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				vecs := sweepVecs(200, 90+seed)
-				tc.cfg.Seed = seed
-				b := checkSelections(t, tc.cfg, vecs, feature.FitScales(sweepSchema, vecs))
+				scales := feature.FitScales(sweepSchema, vecs)
+				cfg := tc.cfg
+				cfg.Seed = seed
+				built := vecs
+				if tc.allPairs {
+					cfg, built = oneBlock(cfg, vecs)
+				}
+				b := checkSelections(t, cfg, built, scales)
 				if b.Graph().NumEdges() == 0 {
 					t.Fatal("graph has no edges; test has no teeth")
+				}
+				if tc.allPairs {
+					if err := graphEqual(exactGraph(tc.cfg, vecs, scales), b.Graph()); err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
 				}
 			}
 		})
@@ -141,12 +154,11 @@ func TestSelectionExactTies(t *testing.T) {
 
 // TestSelectionMinWeightExcludesAll sets MinWeight above every possible
 // weight: every directed selection stays nil (not an empty slice) and the
-// graph has no edges, in all three modes.
+// graph has no edges, with either key kind.
 func TestSelectionMinWeightExcludesAll(t *testing.T) {
 	vecs := sweepVecs(60, 5)
 	scales := feature.FitScales(sweepSchema, vecs)
 	for _, cfg := range []GraphConfig{
-		{MinWeight: 2},
 		{MinWeight: 2, BlockFeatures: []string{"topic"}},
 		{MinWeight: 2, LSH: LSHConfig{Enable: true}},
 	} {
@@ -158,9 +170,9 @@ func TestSelectionMinWeightExcludesAll(t *testing.T) {
 }
 
 // TestBlockKeysOrder pins the block-key contract candidate sampling depends
-// on: features in configured order, categories in the order the value lists
-// them (not sorted intern-ID order), duplicates kept, missing and unknown
-// features skipped.
+// on: features in configured order (their cfg position in the high word),
+// categories in the order the value lists them (not sorted intern-ID
+// order), duplicates kept, missing features skipped.
 func TestBlockKeysOrder(t *testing.T) {
 	first, second := "blockkeys-first", "blockkeys-second"
 	idFirst, idSecond := feature.InternID(first), feature.InternID(second)
@@ -175,12 +187,31 @@ func TestBlockKeysOrder(t *testing.T) {
 	v := feature.NewVector(s)
 	v.MustSet("a", feature.CategoricalValue(second, first, second))
 	v.MustSet("c", feature.CategoricalValue(first))
-	got := blockKeys(v, []string{"c", "b", "nope", "a"})
+	slots, err := blockSlots(s, []string{"c", "b", "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := blockKeys(v, slots)
 	want := []uint64{
 		0<<32 | uint64(idFirst),
-		3<<32 | uint64(idSecond), 3<<32 | uint64(idFirst), 3<<32 | uint64(idSecond),
+		2<<32 | uint64(idSecond), 2<<32 | uint64(idFirst), 2<<32 | uint64(idSecond),
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("blockKeys = %v, want %v", got, want)
+	}
+}
+
+// TestNewBuilderRejectsUnusableBlockFeatures: a blocking feature name the
+// schema lacks, or one naming a non-categorical feature, blocks nothing, so
+// the graph would come out edgeless without a word; NewBuilder refuses it,
+// and refuses an empty list unless LSH supplies the keys.
+func TestNewBuilderRejectsUnusableBlockFeatures(t *testing.T) {
+	for _, feats := range [][]string{nil, {"topic", "topik"}, {"score"}, {"topic", "emb"}} {
+		if _, err := NewBuilder(schema, GraphConfig{BlockFeatures: feats}, nil); err == nil {
+			t.Errorf("BlockFeatures %q: NewBuilder accepted it", feats)
+		}
+	}
+	if _, err := NewBuilder(schema, GraphConfig{LSH: LSHConfig{Enable: true}}, nil); err != nil {
+		t.Errorf("LSH without BlockFeatures: %v", err)
 	}
 }

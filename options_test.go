@@ -32,7 +32,6 @@ var optionAllow = map[string]string{
 	"core.Options.Prop":                      "read by bench/'s stage replay (ROADMAP item 2); curation sets its one exported field, Prior, to the dev base rate",
 	"core.StreamOptions.ChunkHook":           "injection seam: the crash / resume suite's per-chunk hook",
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
-	"core.StreamOptions.WarmPropagate":       "streaming mode: re-propagate warm after every graph delta; the stream suite checks it against a cold run",
 	"core.TrainSpec.IncludeModalityFeatures": "copied from core.Options by DefaultTrainSpec",
 	"disk.Options.Shards":                    "on-disk layout: segments record nshards and Open checks each segment's shard against it; the disk, lf and mining suites vary it",
 	"labelprop.GraphConfig.MinWeight":        "graph hyperparameter: the edge-weight floor (default 0.05); the selection tests vary it",
