@@ -62,8 +62,8 @@ gate-full:
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
-	$(GO) test -run xxx -fuzz FuzzShardHeader -fuzztime 5s ./internal/featurestore/disk/
-	$(GO) test -run xxx -fuzz FuzzShardLoad -fuzztime 5s ./internal/featurestore/disk/
+	$(GO) test -run xxx -fuzz FuzzSegmentHeader -fuzztime 5s ./internal/featurestore/disk/
+	$(GO) test -run xxx -fuzz FuzzSegmentLoad -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzScanFirstMatchesScanProjected -fuzztime 5s ./internal/featurestore/disk/
 	$(GO) test -run xxx -fuzz FuzzColumnVotesMatchClosures -fuzztime 5s ./internal/lf/
 	$(GO) test -run xxx -fuzz FuzzEvaluateAllMatchesColumns -fuzztime 5s ./internal/lf/

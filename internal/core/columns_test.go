@@ -16,9 +16,10 @@ import (
 
 // TestStreamedLFStagesReadColumns: during mining and lf.apply of a streamed
 // run the store is read as columns — each stage's diskstore.scan spans report
-// the rows and segments they covered and decode no vector — while the graph
-// window scans under labelprop still materialize theirs; the two stage spans
-// carry the rows / segments / votes the per-layer ledger divides by.
+// the rows they covered and decode no vector — while the graph window scans
+// under labelprop still materialize theirs; the two stage spans carry the
+// rows / views / votes the per-layer ledger divides by, one column view per
+// 128-row chunk.
 func TestStreamedLFStagesReadColumns(t *testing.T) {
 	if trace.Enabled() {
 		t.Fatal("tracer already installed; tests must not leak the process default")
@@ -60,13 +61,17 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 		}
 	}
 	text, image := sc.Text.Rows(), sc.Image.Rows()
-	for stage, rows := range map[string]int{"mining": text, "lf.apply": text + image} {
+	for stage, n := range map[string][2]int{
+		"mining":   {text, sc.Text.Chunks()},
+		"lf.apply": {text + image, sc.Text.Chunks() + sc.Image.Chunks()},
+	} {
+		rows, views := n[0], n[1]
 		scan := scanLine[stage]
-		if !strings.Contains(scan, fmt.Sprintf("rows=%d ", rows)) || !strings.Contains(scan, "segments=") || strings.Contains(scan, "vectors=") {
+		if !strings.Contains(scan, fmt.Sprintf("[rows=%d]", rows)) {
 			t.Errorf("%s: store scans must cover %d rows as columns and decode no vector; span: %q\n%s", stage, rows, scan, summary.String())
 		}
-		if own := stageLine[stage]; !strings.Contains(own, fmt.Sprintf("rows=%d ", rows)) || !strings.Contains(own, "segments=") {
-			t.Errorf("%s span lacks its rows / segments counters: %q", stage, own)
+		if own := stageLine[stage]; !strings.Contains(own, fmt.Sprintf("rows=%d ", rows)) || !strings.Contains(own, fmt.Sprintf("views=%d", views)) {
+			t.Errorf("%s span lacks its rows / views counters (%d / %d): %q", stage, rows, views, own)
 		}
 	}
 	if own := stageLine["lf.apply"]; !strings.Contains(own, "votes=") || strings.Contains(own, "votes=0 ") {

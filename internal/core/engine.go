@@ -250,7 +250,7 @@ func (r *curateRun) apply(ctx context.Context, lfs []*lf.LF, c corpus, stage str
 		matrix.Votes, cast = plan.Vote(mapreduce.Config{Workers: r.p.opts.Workers}, parts, len(labels), matrix.Votes)
 		trace.Count(ctx, "rows", int64(len(labels)))
 		trace.Count(ctx, "votes", int64(cast))
-		trace.Count(ctx, "segments", int64(len(parts)))
+		trace.Count(ctx, "views", int64(len(parts)))
 		return runChunkHook(r.chunkHook, stage, seq)
 	})
 	return matrix, err

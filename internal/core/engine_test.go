@@ -75,7 +75,7 @@ func TestMemCorpusMatchesDiskStore(t *testing.T) {
 	}
 	labels := synth.Labels(pts)
 
-	store, err := disk.Open(t.TempDir(), p.lib.Schema(), disk.Options{Shards: 2})
+	store, err := disk.Open(t.TempDir(), p.lib.Schema(), disk.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // StreamOptions configures the disk-backed streaming curation path
 // (Pipeline.CurateStreamed): generation, featurization, LF mining,
 // propagation, and denoising run in fixed-size chunks that spill to a
-// sharded feature store, so memory stays bounded by the chunk size and the
+// chunked feature store, so memory stays bounded by the chunk size and the
 // graph window instead of the corpus size.
 type StreamOptions struct {
 	// Dir is the feature-store root; the text and image corpora land in

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -296,16 +298,13 @@ func TestCurateStreamedResumeAfterBitFlip(t *testing.T) {
 	if err := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128}).Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "image", "c000001-s*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no image chunk 1 segments (err %v)", err)
-	}
-	data, err := os.ReadFile(segs[0])
+	seg := filepath.Join(dir, "image", "c000001.seg")
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)-5] ^= 0x01 // the last payload byte; the trailing four are its CRC
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -317,6 +316,72 @@ func TestCurateStreamedResumeAfterBitFlip(t *testing.T) {
 	if want := 7 + 1; resumed.ReusedChunks != want { // all text chunks, image chunk 0
 		t.Errorf("resume reused %d chunks, want %d", resumed.ReusedChunks, want)
 	}
+}
+
+// TestCurateStreamedResumeOverFormat1Store: a store written in segment
+// format 1 (one cNNNNNN-sNNN.seg per shard, a 48-byte version-1 header, a row
+// ordinal column) opens empty with every file quarantined, so a Resume run
+// over it re-featurizes every chunk and lands bit-identical to a clean run.
+func TestCurateStreamedResumeOverFormat1Store(t *testing.T) {
+	opts := streamOptions()
+	clean := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
+
+	dir := t.TempDir()
+	if err := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]int{}
+	for _, corpus := range []string{"text", "image"} {
+		files[corpus] = 2 * format1Store(t, filepath.Join(dir, corpus))
+	}
+
+	resumed := runStreamed(t, opts, StreamOptions{Dir: dir, ChunkSize: 128, Resume: true})
+	streamedEqual(t, resumed, clean)
+	if resumed.ReusedChunks != 0 {
+		t.Errorf("resume reused %d format-1 chunks, want 0", resumed.ReusedChunks)
+	}
+	for corpus, st := range map[string]*disk.Store{"text": resumed.Text, "image": resumed.Image} {
+		if q := st.Quarantined(); len(q) != files[corpus] {
+			t.Errorf("%s: quarantined %d files, want all %d format-1 files: %v", corpus, len(q), files[corpus], q)
+		}
+	}
+}
+
+// format1Store rewrites every segment of the store at dir into format 1 as
+// shard 0 of 1, under its format-1 name, and returns how many it rewrote.
+func format1Store(t *testing.T, dir string) int {
+	t.Helper()
+	le := binary.LittleEndian
+	segs, err := filepath.Glob(filepath.Join(dir, "c*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments under %s (err %v)", dir, err)
+	}
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := int(le.Uint32(data[16:]))
+		payload := data[40 : len(data)-4]
+		v1 := append([]byte(nil), payload[:8*rows]...) // IDs, then ordinals
+		for r := 0; r < rows; r++ {
+			v1 = le.AppendUint32(v1, uint32(r))
+		}
+		v1 = append(v1, payload[8*rows:]...)
+		out := append([]byte(nil), data[:8]...)                               // magic
+		out = le.AppendUint32(le.AppendUint32(le.AppendUint32(out, 1), 0), 1) // version, shard, nshards
+		out = append(out, data[12:28]...)                                     // chunk, rows, schema hash
+		out = le.AppendUint64(out, uint64(len(v1)))
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(out))
+		out = le.AppendUint32(append(out, v1...), crc32.ChecksumIEEE(v1))
+		if err := os.WriteFile(strings.TrimSuffix(path, ".seg")+"-s000.seg", out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(segs)
 }
 
 // TestCurateStreamedWindowed: a graph window smaller than the corpus still

@@ -9,8 +9,9 @@ package feature
 type Columns interface {
 	// Rows returns the number of rows in the view.
 	Rows() int
-	// Ord returns row r's ordinal within its chunk: the views of one chunk
-	// carry disjoint ordinals that together cover [0, chunk rows).
+	// Ord returns row r's ordinal within its chunk. The views of one chunk
+	// are consecutive runs in order: view k's row r is ordinal base_k + r,
+	// and the runs together cover [0, chunk rows) ascending.
 	Ord(r int) int
 	// Present reports whether row r holds a value in col.
 	Present(col, r int) bool
@@ -23,10 +24,11 @@ type Columns interface {
 	CatIDs(col, r int, buf []uint32) []uint32
 }
 
-// vectorPartRows is how many vectors one VectorColumns view covers: enough
-// views for a chunk's kernels to spread over the workers, few enough that the
-// per-view cost stays invisible.
-const vectorPartRows = 512
+// ViewRows is how many rows one column view of a chunk covers, in
+// VectorColumns and in the disk store's ScanColumns: enough views for a
+// chunk's kernels to spread over the workers, few enough that the per-view
+// cost stays invisible.
+const ViewRows = 512
 
 // vecColumns is the Columns view of a run of vectors, addressed under schema.
 type vecColumns struct {
@@ -55,11 +57,11 @@ func VectorColumns(schema *Schema, vecs []*Vector) []Columns {
 		}
 		cols[j] = i
 	}
-	views := make([]vecColumns, (len(vecs)+vectorPartRows-1)/vectorPartRows)
+	views := make([]vecColumns, (len(vecs)+ViewRows-1)/ViewRows)
 	parts := make([]Columns, len(views))
 	for p := range views {
-		lo := p * vectorPartRows
-		views[p] = vecColumns{schema: schema, vecs: vecs[lo:min(lo+vectorPartRows, len(vecs))], base: lo, src: src, cols: cols}
+		lo := p * ViewRows
+		views[p] = vecColumns{schema: schema, vecs: vecs[lo:min(lo+ViewRows, len(vecs))], base: lo, src: src, cols: cols}
 		parts[p] = &views[p]
 	}
 	return parts

@@ -20,7 +20,7 @@ func TestVectorColumns(t *testing.T) {
 		Def{Name: "ghost", Kind: Categorical},
 		Def{Name: "topic", Kind: Categorical},
 	)
-	n := 2*vectorPartRows + 17
+	n := 2*ViewRows + 17
 	vecs := make([]*Vector, n)
 	for i := range vecs {
 		v := NewVector(own)

@@ -1,25 +1,19 @@
 package disk
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestShardReadAllocs pins the zero-allocation contract of the segment
-// read hot path: scanning a mapped segment's columns must not allocate,
-// or million-row scans turn into GC storms.
+// read hot path: scanning a committed chunk's mapped segment must not
+// allocate, or million-row scans turn into GC storms.
 func TestShardReadAllocs(t *testing.T) {
 	schema := testSchema()
-	dir := t.TempDir()
-	path := filepath.Join(dir, segName(0, 0))
-	if err := writeFile(path, encodeTestSegment(t, schema, 128, 11)); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := openSegment(path, schema, SchemaHash(schema))
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
-		t.Fatalf("openSegment: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	defer seg.Close()
+	defer s.Close()
+	appendTestChunk(t, s, 0, 128, 11)
+	seg := s.chunks[0]
 
 	embCol := schemaIndex(t, schema, "emb")
 	topicCol := schemaIndex(t, schema, "topic")
@@ -32,9 +26,9 @@ func TestShardReadAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"ids+ords+labels", func() {
+		{"ids+labels", func() {
 			for r := 0; r < seg.Rows(); r++ {
-				sink += float64(seg.ID(r)) + float64(seg.Ord(r)) + float64(seg.Label(r))
+				sink += float64(seg.ID(r)) + float64(seg.Label(r))
 			}
 		}},
 		{"numeric", func() {

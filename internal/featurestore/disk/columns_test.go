@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -15,17 +13,18 @@ import (
 // TestScanColumnsMatchesScanProjected: the column views of a scan answer
 // Present / Num / CatIDs for every (column, row) exactly as the vectors the
 // same scan decodes — under the store schema, a reordered sub-schema, and one
-// naming a feature the store lacks — with labels and ordinals in append order.
+// naming a feature the store lacks — with labels and ordinals in append order,
+// over chunks of one view, of two full views and of views with a short tail.
 func TestScanColumnsMatchesScanProjected(t *testing.T) {
 	ctx := context.Background()
 	schema := testSchema()
-	s, err := Open(t.TempDir(), schema, Options{Shards: 4})
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for c := 0; c < 3; c++ {
-		appendTestChunk(t, s, 1000*c, 90+37*c, int64(c))
+	for c, n := range []int{90, 2 * feature.ViewRows, 2*feature.ViewRows + 76} {
+		appendTestChunk(t, s, 10000*c, n, int64(c))
 	}
 	for name, target := range map[string]*feature.Schema{
 		"store": schema,
@@ -96,88 +95,42 @@ func TestScanColumnsMatchesScanProjected(t *testing.T) {
 	}
 }
 
-// TestRepeatedOrdinalFailsEveryReader: a two-segment chunk in which one
-// segment repeats a row ordinal (every per-segment check passes: the damage
-// only shows across segments) is ErrCorrupt to every reader — the vector
-// scan, the column scan, Find, and a ScanFirst window that ends before the
-// damaged ordinals — never a silently defaulted row.
-func TestRepeatedOrdinalFailsEveryReader(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	schema := testSchema()
-	s, err := Open(dir, schema, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, _, _ := appendTestChunk(t, s, 0, 40, 1)
-	segs := s.Segments(0)
-	if len(segs) != 2 {
-		t.Fatalf("%d segments, want 2", len(segs))
-	}
-	// Re-encode shard 1's rows with its last ordinal replaced by shard 0's
-	// last: in range, properly checksummed, but repeated within the chunk.
-	seg := segs[1]
-	var segIDs []uint64
-	var ords []uint32
-	var labels []int8
-	var vecs []*feature.Vector
-	proj, err := newProjection(schema, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := rowDecoder{seg: seg, proj: proj}
-	for r := 0; r < seg.Rows(); r++ {
-		v := feature.NewVector(schema)
-		if err := dec.row(r, v); err != nil {
-			t.Fatal(err)
-		}
-		segIDs, ords = append(segIDs, seg.ID(r)), append(ords, uint32(seg.Ord(r)))
-		labels, vecs = append(labels, seg.Label(r)), append(vecs, v)
-	}
-	last := len(ords) - 1
-	window := min(int(ords[last]), segs[0].Ord(segs[0].Rows()-1)) // rows below both damaged ordinals
-	ords[last] = uint32(segs[0].Ord(segs[0].Rows() - 1))
-	if window == 0 {
-		t.Fatal("damaged ordinal 0: no window ends before it")
-	}
-	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 1, 2, 0, segIDs, ords, labels, vecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := seg.Path()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err = Open(dir, schema, Options{Shards: 2})
+// TestScanColumnsViewsAreConsecutiveRuns: ScanColumns hands out a chunk as
+// consecutive views of feature.ViewRows rows, the last one shorter, whose
+// ordinals run ascending from 0 and together cover [0, rows) once.
+func TestScanColumnsViewsAreConsecutiveRuns(t *testing.T) {
+	s, err := Open(t.TempDir(), testSchema(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Chunks() != 1 || len(s.Quarantined()) != 0 {
-		t.Fatalf("crafted chunk did not open: %d chunks, quarantined %v", s.Chunks(), s.Quarantined())
+	sizes := []int{1, feature.ViewRows, 3*feature.ViewRows + 1, 2*feature.ViewRows - 7}
+	for c, n := range sizes {
+		appendTestChunk(t, s, 10000*c, n, int64(c))
 	}
-	var ce *ErrCorrupt
-	for name, read := range map[string]func() error{
-		"ScanChunks": func() error {
-			return s.ScanChunks(ctx, func(int, []int, []int8, []*feature.Vector) error { return nil })
-		},
-		"ScanColumns": func() error {
-			return s.ScanColumns(ctx, schema, func(int, []int8, []feature.Columns) error { return nil })
-		},
-		"Find": func() error { _, err := s.Find(ctx, ids[:3]); return err },
-		"ScanFirst": func() error {
-			var buf []feature.Vector
-			return s.ScanFirst(ctx, schema, window, &buf, func(int, []int, []int8, []*feature.Vector) error {
-				t.Error("ScanFirst handed out rows of a corrupt chunk")
-				return nil
-			})
-		},
-	} {
-		if err := read(); !errors.As(err, &ce) || filepath.Base(ce.Path) != filepath.Base(path) {
-			t.Errorf("%s over a repeated ordinal: err = %v, want ErrCorrupt naming %s", name, err, filepath.Base(path))
+	err = s.ScanColumns(context.Background(), s.Schema(), func(seq int, labels []int8, parts []feature.Columns) error {
+		rows := sizes[seq]
+		if len(labels) != rows || len(parts) != (rows+feature.ViewRows-1)/feature.ViewRows {
+			t.Fatalf("chunk %d of %d rows: %d labels, %d views", seq, rows, len(labels), len(parts))
 		}
+		next := 0
+		for k, c := range parts {
+			if want := min(feature.ViewRows, rows-next); c.Rows() != want {
+				t.Fatalf("chunk %d view %d: %d rows, want %d", seq, k, c.Rows(), want)
+			}
+			for r := 0; r < c.Rows(); r++ {
+				if c.Ord(r) != next {
+					t.Fatalf("chunk %d view %d row %d: ordinal %d, want %d", seq, k, r, c.Ord(r), next)
+				}
+				next++
+			}
+		}
+		if next != rows {
+			t.Fatalf("chunk %d: views cover %d of %d rows", seq, next, rows)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

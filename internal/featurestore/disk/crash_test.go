@@ -26,7 +26,7 @@ func reopen(t *testing.T, dir string, opts Options) *Store {
 // seedStore writes nChunks committed chunks and closes the store.
 func seedStore(t *testing.T, dir string, nChunks int) {
 	t.Helper()
-	s, err := Open(dir, testSchema(), Options{Shards: 3})
+	s, err := Open(dir, testSchema(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -40,7 +40,7 @@ func seedStore(t *testing.T, dir string, nChunks int) {
 // the store still scans clean end to end.
 func wantRecovery(t *testing.T, dir string, wantChunks, wantQuarantined int) *Store {
 	t.Helper()
-	s := reopen(t, dir, Options{Shards: 3})
+	s := reopen(t, dir, Options{})
 	if got := s.Chunks(); got != wantChunks {
 		t.Fatalf("recovered %d chunks, want %d (quarantined: %v)", got, wantChunks, s.Quarantined())
 	}
@@ -62,35 +62,35 @@ func wantRecovery(t *testing.T, dir string, wantChunks, wantQuarantined int) *St
 	return s
 }
 
-func segPaths(t *testing.T, dir string, chunk int) []string {
+// segPath returns the path of chunk's segment, which must exist.
+func segPath(t *testing.T, dir string, chunk int) string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("c%06d-s*.seg", chunk)))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no segments for chunk %d (err %v)", chunk, err)
+	path := filepath.Join(dir, segName(chunk))
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("no segment for chunk %d: %v", chunk, err)
 	}
-	return paths
+	return path
 }
 
 func TestCrashTornSegmentWrite(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 3)
-	// Truncate one chunk-1 segment mid-payload: a torn write that the
+	// Truncate the chunk-1 segment mid-payload: a torn write that the
 	// rename protocol can't produce but disk corruption can.
-	path := segPaths(t, dir, 1)[0]
+	path := segPath(t, dir, 1)
 	st, _ := os.Stat(path)
 	if err := os.Truncate(path, st.Size()-7); err != nil {
 		t.Fatal(err)
 	}
 	// Chunk 0 survives; chunk 1 (torn) and chunk 2 (past the break) are
-	// quarantined in full.
-	n := len(segPaths(t, dir, 1)) + len(segPaths(t, dir, 2)) + 2 // + two markers
-	wantRecovery(t, dir, 1, n)
+	// quarantined in full: two segments and two markers.
+	wantRecovery(t, dir, 1, 4)
 }
 
 func TestCrashBitFlipCaughtByCRC(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 2)
-	path := segPaths(t, dir, 1)[0]
+	path := segPath(t, dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +99,13 @@ func TestCrashBitFlipCaughtByCRC(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n := len(segPaths(t, dir, 1)) + 1
-	wantRecovery(t, dir, 1, n)
+	wantRecovery(t, dir, 1, 2)
 }
 
 func TestCrashZeroLengthSegment(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 2)
-	path := segPaths(t, dir, 0)[0]
+	path := segPath(t, dir, 0)
 	if err := os.Truncate(path, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +117,9 @@ func TestCrashZeroLengthSegment(t *testing.T) {
 func TestCrashPartialRename(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 2)
-	// Simulate a crash between segment renames and the marker rename of a
-	// third chunk: segments present, no marker.
-	seedOne := filepath.Join(dir, segName(2, 0))
+	// Simulate a crash between the segment rename and the marker rename of
+	// a third chunk: segment present, no marker.
+	seedOne := filepath.Join(dir, segName(2))
 	if err := os.WriteFile(seedOne, encodeTestSegment(t, testSchema(), 5, 99), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +155,11 @@ func TestCrashMarkerWithoutSegments(t *testing.T) {
 	wantRecovery(t, dir, 1, 1)
 }
 
-// TestCrashInjectedAtEveryCommitPoint drives AppendChunk with a hook that
-// fails at the k'th rename, for every k, and checks the invariant the
-// streaming pipeline depends on: after any mid-commit crash, reopening
-// recovers exactly the chunks whose markers landed, and the next append
-// continues the sequence.
+// TestCrashInjectedAtEveryCommitPoint drives three AppendChunks — six
+// renames, segment then marker per chunk — with a hook that fails at the
+// k'th rename, for every k, and checks the invariant the streaming pipeline
+// depends on: after any mid-commit crash, reopening recovers exactly the
+// chunks whose markers landed, and the next append continues the sequence.
 func TestCrashInjectedAtEveryCommitPoint(t *testing.T) {
 	boom := errors.New("injected crash")
 	for fail := 1; fail <= 6; fail++ {
@@ -169,39 +168,38 @@ func TestCrashInjectedAtEveryCommitPoint(t *testing.T) {
 			seedStore(t, dir, 1)
 
 			calls := 0
-			s, err := Open(dir, testSchema(), Options{Shards: 3, CommitHook: func(op, path string) error {
-				calls++
-				if calls == fail {
+			s, err := Open(dir, testSchema(), Options{CommitHook: func(op, path string) error {
+				if calls++; calls == fail {
 					return boom
+				}
+				if want := [2]string{"segment", "marker"}[(calls-1)%2]; op != want {
+					t.Errorf("rename %d is a %s, want a %s", calls, op, want)
 				}
 				return nil
 			}})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			vecs := makeVecs(t, s.Schema(), 40, 1)
-			ids := make([]int, 40)
-			labels := make([]int8, 40)
-			for i := range ids {
-				ids[i] = 5000 + i
+			for c := 0; c < 3 && calls < fail; c++ {
+				vecs := makeVecs(t, s.Schema(), 40, int64(c))
+				ids := make([]int, 40)
+				for i := range ids {
+					ids[i] = 5000 + 100*c + i
+				}
+				err = s.AppendChunk(context.Background(), ids, make([]int8, 40), vecs)
+				if calls < fail && err != nil {
+					t.Fatalf("AppendChunk %d: %v", c, err)
+				}
 			}
-			err = s.AppendChunk(context.Background(), ids, labels, vecs)
 			s.Close()
-			injected := calls >= fail
-			if injected && !errors.Is(err, boom) {
+			if !errors.Is(err, boom) {
 				t.Fatalf("AppendChunk error = %v, want injected crash", err)
 			}
-			if !injected && err != nil {
-				t.Fatalf("AppendChunk: %v", err)
-			}
 
-			// Whatever the crash point, recovery yields chunk 0 plus chunk 1
-			// iff its marker rename ran.
-			wantChunks := 1
-			if !injected {
-				wantChunks = 2
-			}
-			s2 := reopen(t, dir, Options{Shards: 3})
+			// Whatever the crash point, recovery yields chunk 0 plus every
+			// appended chunk whose marker rename ran (the even renames).
+			wantChunks := 1 + (fail-1)/2
+			s2 := reopen(t, dir, Options{})
 			if got := s2.Chunks(); got != wantChunks {
 				t.Fatalf("recovered %d chunks, want %d", got, wantChunks)
 			}
@@ -222,16 +220,16 @@ func TestCrashInjectedAtEveryCommitPoint(t *testing.T) {
 func TestQuarantineIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 2)
-	path := segPaths(t, dir, 1)[0]
+	path := segPath(t, dir, 1)
 	st, _ := os.Stat(path)
 	if err := os.Truncate(path, st.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	s := wantRecovery(t, dir, 1, len(segPaths(t, dir, 1))+1)
+	s := wantRecovery(t, dir, 1, 2)
 	s.Close()
 	// A second recovery pass finds the debris already renamed and leaves
 	// it alone — no error, no double-quarantine.
-	s2 := reopen(t, dir, Options{Shards: 3})
+	s2 := reopen(t, dir, Options{})
 	if got := s2.Chunks(); got != 1 {
 		t.Fatalf("second recovery: %d chunks, want 1", got)
 	}
@@ -241,20 +239,18 @@ func TestQuarantineIdempotent(t *testing.T) {
 }
 
 // TestAppendRefusedAfterLostCommit: a chunk whose marker lands but whose
-// segments cannot be reopened is committed on disk and unknown in memory.
+// segment cannot be reopened is committed on disk and unknown in memory.
 // The store must refuse the next append — which would otherwise reuse the
 // chunk's sequence number and silently replace it — until it is reopened.
 func TestAppendRefusedAfterLostCommit(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 1)
 	truncated := false
-	s, err := Open(dir, testSchema(), Options{Shards: 3, CommitHook: func(op, path string) error {
+	s, err := Open(dir, testSchema(), Options{CommitHook: func(op, path string) error {
 		if op == "marker" && !truncated {
 			truncated = true
-			for _, seg := range segPaths(t, dir, 1) {
-				if err := os.Truncate(seg, 0); err != nil {
-					return err
-				}
+			if err := os.Truncate(segPath(t, dir, 1), 0); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -278,7 +274,7 @@ func TestAppendRefusedAfterLostCommit(t *testing.T) {
 	}
 
 	// Reopening quarantines the unreadable chunk; appends resume after chunk 0.
-	s2 := wantRecovery(t, dir, 1, len(segPaths(t, dir, 1))+1)
+	s2 := wantRecovery(t, dir, 1, 2)
 	appendTestChunk(t, s2, 9000, 25, 7)
 	if got, err := s2.Find(context.Background(), []int{5000, 6000, 9000}); err != nil || len(got) != 1 || got[9000] == nil {
 		t.Fatalf("Find after recovery: %v, hits %v, want only 9000", err, got)

@@ -128,15 +128,13 @@ func wantSameVector(t *testing.T, where string, a, b *feature.Vector) {
 func encodeTestSegment(t testing.TB, schema *feature.Schema, rows int, seed int64) []byte {
 	t.Helper()
 	vecs := makeVecs(t, schema, rows, seed)
-	ids := make([]uint64, rows)
-	ords := make([]uint32, rows)
+	ids := make([]int, rows)
 	labels := make([]int8, rows)
 	for i := range ids {
-		ids[i] = uint64(1000 + i)
-		ords[i] = uint32(i)
+		ids[i] = 1000 + i
 		labels[i] = int8(i%3 - 1)
 	}
-	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 0, 1, 0, ids, ords, labels, vecs)
+	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 0, ids, labels, vecs)
 	if err != nil {
 		t.Fatalf("encodeSegment: %v", err)
 	}

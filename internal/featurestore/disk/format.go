@@ -3,37 +3,33 @@
 // item 1: the paper's Expander-scale deployment curates 18–26M text and
 // ~7.4M image points; our in-memory slices top out around 10⁵).
 //
-// A store is a directory of shard segment files. Rows are routed to shards
-// by entity-hash (splitmix64 of the point ID), and writes are append-only:
-// the pipeline appends one *chunk* of rows at a time, which fans out into
-// at most one new segment file per shard. Each segment is written to a
-// temp file and atomically renamed into place; a chunk becomes durable
-// only when its commit marker (`cNNNNNN.ok`) is renamed last. A crash at
-// any point therefore leaves either a fully committed chunk or loose
-// un-marked files, which Open detects and quarantines — the same crash
-// model the fusion artifact format uses, extended from one file to a
-// multi-file commit.
+// A store is a directory of segment files, one per chunk. Writes are
+// append-only: the pipeline appends one *chunk* of rows at a time, and the
+// chunk's rows land in one segment (`cNNNNNN.seg`) in append order. The
+// segment is written to a temp file and atomically renamed into place; the
+// chunk becomes durable only when its commit marker (`cNNNNNN.ok`) is
+// renamed after it. A crash at any point therefore leaves either a fully
+// committed chunk or loose un-marked files, which Open detects and
+// quarantines — the same crash model the fusion artifact format uses,
+// extended from one file to a two-file commit.
 //
 // Segment layout (all integers little-endian), mirroring the hardened
 // XMODART1 artifact format — versioned magic, length validation before any
 // allocation, CRC over the payload:
 //
 //	magic      [8]byte  "XMODFST1"
-//	version    uint32   format version (1)
-//	shard      uint32   shard index this segment belongs to
-//	nshards    uint32   shard count of the owning store
+//	version    uint32   format version (2)
 //	chunk      uint32   chunk sequence number
 //	rows       uint32   row count
 //	schemaHash uint64   FNV-64a fingerprint of the feature schema
 //	payloadLen uint64   byte length of the columnar payload
-//	headerCRC  uint32   IEEE CRC-32 of the 44 header bytes above
+//	headerCRC  uint32   IEEE CRC-32 of the 36 header bytes above
 //	payload    [payloadLen]byte
 //	payloadCRC uint32   IEEE CRC-32 of the payload
 //
-// The payload is columnar:
+// The payload is columnar, rows in append order:
 //
 //	ids    rows × uint64   point IDs
-//	ords   rows × uint32   row's ordinal within its chunk (restores append order)
 //	labels rows × int8     ground-truth labels (diagnostics; pipelines gate reads)
 //	then, per schema feature in order:
 //	  presence bitmap, ceil(rows/8) bytes (bit r set ⇒ row r non-missing)
@@ -45,6 +41,11 @@
 //	    offsets (rows+1) × uint32 into the local-ID array
 //	    localIDs offsets[rows] × uint32 — per-row category IDs in the
 //	      value's original order, duplicates preserved
+//
+// Format 1 (48-byte header with a shard index and count, a per-row ordinal
+// column, one segment per shard named `cNNNNNN-sNNN.seg`) is not read: its
+// files match no segment name, so Open quarantines them and the store starts
+// empty.
 //
 // Floats round-trip as raw bits and categorical values keep their exact
 // order and multiplicity, so a vector read back is bit-identical to the
@@ -67,8 +68,8 @@ import (
 )
 
 const (
-	formatVersion = 1
-	headerSize    = 48
+	formatVersion = 2
+	headerSize    = 40
 
 	// Hard caps, validated before any size-driven allocation so a corrupt
 	// or adversarial header cannot force a huge allocation (the fusion.LoadLineage
@@ -123,8 +124,6 @@ func SchemaHash(schema *feature.Schema) uint64 {
 
 // header is the decoded fixed-size segment header.
 type header struct {
-	Shard      int
-	NShards    int
 	Chunk      int
 	Rows       int
 	SchemaHash uint64
@@ -138,13 +137,11 @@ func putHeader(h header) []byte {
 	copy(buf, segmentMagic[:])
 	le := binary.LittleEndian
 	le.PutUint32(buf[8:], formatVersion)
-	le.PutUint32(buf[12:], uint32(h.Shard))
-	le.PutUint32(buf[16:], uint32(h.NShards))
-	le.PutUint32(buf[20:], uint32(h.Chunk))
-	le.PutUint32(buf[24:], uint32(h.Rows))
-	le.PutUint64(buf[28:], h.SchemaHash)
-	le.PutUint64(buf[36:], uint64(h.PayloadLen))
-	le.PutUint32(buf[44:], crc32.ChecksumIEEE(buf[:44]))
+	le.PutUint32(buf[12:], uint32(h.Chunk))
+	le.PutUint32(buf[16:], uint32(h.Rows))
+	le.PutUint64(buf[20:], h.SchemaHash)
+	le.PutUint64(buf[28:], uint64(h.PayloadLen))
+	le.PutUint32(buf[36:], crc32.ChecksumIEEE(buf[:36]))
 	return buf
 }
 
@@ -159,21 +156,16 @@ func parseHeader(data []byte) (header, error) {
 		return h, corrupt("bad magic %q", data[:8])
 	}
 	le := binary.LittleEndian
-	if got := le.Uint32(data[44:]); got != crc32.ChecksumIEEE(data[:44]) {
-		return h, corrupt("header CRC mismatch")
-	}
 	if v := le.Uint32(data[8:]); v != formatVersion {
 		return h, corrupt("version %d, want %d", v, formatVersion)
 	}
-	h.Shard = int(le.Uint32(data[12:]))
-	h.NShards = int(le.Uint32(data[16:]))
-	h.Chunk = int(le.Uint32(data[20:]))
-	h.Rows = int(le.Uint32(data[24:]))
-	h.SchemaHash = le.Uint64(data[28:])
-	payloadLen := le.Uint64(data[36:])
-	if h.NShards <= 0 || h.Shard < 0 || h.Shard >= h.NShards {
-		return h, corrupt("shard %d of %d out of range", h.Shard, h.NShards)
+	if got := le.Uint32(data[36:]); got != crc32.ChecksumIEEE(data[:36]) {
+		return h, corrupt("header CRC mismatch")
 	}
+	h.Chunk = int(le.Uint32(data[12:]))
+	h.Rows = int(le.Uint32(data[16:]))
+	h.SchemaHash = le.Uint64(data[20:])
+	payloadLen := le.Uint64(data[28:])
 	if h.Rows <= 0 || h.Rows > maxRows {
 		return h, corrupt("implausible row count %d", h.Rows)
 	}
@@ -209,7 +201,6 @@ type colMeta struct {
 func payloadLayout(payload []byte, schema *feature.Schema, rows int) ([]colMeta, error) {
 	cur := cursor{b: payload}
 	cur.skip(8 * rows) // ids
-	cur.skip(4 * rows) // ords
 	cur.skip(rows)     // labels
 	bitmapLen := (rows + 7) / 8
 	cols := make([]colMeta, schema.Len())
@@ -348,11 +339,9 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// encoder is the scratch a Store encodes its segments in — the chunk's shard
-// partitions, the file image and the per-column dictionary state — kept
-// across segments and chunks.
+// encoder is the scratch a Store encodes its segments in — the file image
+// and the per-column dictionary state — kept across chunks.
 type encoder struct {
-	parts    []part
 	buf      []byte
 	dictIdx  map[string]uint32
 	dict     []string
@@ -360,49 +349,13 @@ type encoder struct {
 	localIDs []uint32
 }
 
-// part is one shard's rows of a chunk, each with its chunk ordinal.
-type part struct {
-	ids    []uint64
-	ords   []uint32
-	labels []int8
-	vecs   []*feature.Vector
-}
-
-// partition routes a chunk's rows to shards by entity hash, refilling the
-// partitions of the previous chunk.
-func (e *encoder) partition(shards int, ids []int, labels []int8, vecs []*feature.Vector) []part {
-	if len(e.parts) != shards {
-		e.parts = make([]part, shards)
-	}
-	for sh := range e.parts {
-		p := &e.parts[sh]
-		p.ids, p.ords, p.labels, p.vecs = p.ids[:0], p.ords[:0], p.labels[:0], p.vecs[:0]
-	}
-	for r, id := range ids {
-		p := &e.parts[shardOf(uint64(id), shards)]
-		p.ids = append(p.ids, uint64(id))
-		p.ords = append(p.ords, uint32(r))
-		p.labels = append(p.labels, labels[r])
-		p.vecs = append(p.vecs, vecs[r])
-	}
-	return e.parts
-}
-
-// release drops the partitions' references to the chunk's vectors, which
-// belong to the caller once AppendChunk returns.
-func (e *encoder) release() {
-	for sh := range e.parts {
-		clear(e.parts[sh].vecs)
-	}
-}
-
-// encodeSegment serializes one shard's slice of a chunk. ids, ords,
-// labels, and vecs are parallel; every vector must carry schema. The whole
-// file image — header, payload, payload CRC — is appended into the encoder's
-// buffer, sized up front, the header filled in last once the payload length
-// is known. The returned bytes alias that buffer: they are valid until the
-// next encodeSegment, by when atomicWrite has consumed them.
-func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, shard, nshards, chunk int, ids []uint64, ords []uint32, labels []int8, vecs []*feature.Vector) ([]byte, error) {
+// encodeSegment serializes one chunk. ids, labels, and vecs are parallel;
+// every vector must carry schema. The whole file image — header, payload,
+// payload CRC — is appended into the encoder's buffer, sized up front, the
+// header filled in last once the payload length is known. The returned bytes
+// alias that buffer: they are valid until the next encodeSegment, by when
+// atomicWrite has consumed them.
+func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, chunk int, ids []int, labels []int8, vecs []*feature.Vector) ([]byte, error) {
 	rows := len(vecs)
 	if rows == 0 || rows > maxRows {
 		return nil, fmt.Errorf("disk: segment row count %d out of range", rows)
@@ -411,7 +364,7 @@ func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, shard
 	// Fixed-width columns are sized exactly; a categorical column is guessed
 	// at two categories a row plus a small dictionary, and append grows the
 	// buffer if a segment turns out denser.
-	size := headerSize + 13*rows + 4
+	size := headerSize + 9*rows + 4
 	for i := 0; i < schema.Len(); i++ {
 		size += bitmapLen
 		switch d := schema.Def(i); d.Kind {
@@ -431,10 +384,7 @@ func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, shard
 	dictIdx, dict, offsets, localIDs := e.dictIdx, e.dict, e.offsets, e.localIDs
 	defer func() { e.buf, e.dict, e.offsets, e.localIDs = out[:0], dict, offsets, localIDs }()
 	for _, id := range ids {
-		out = le.AppendUint64(out, id)
-	}
-	for _, o := range ords {
-		out = le.AppendUint32(out, o)
+		out = le.AppendUint64(out, uint64(id))
 	}
 	for _, l := range labels {
 		out = append(out, byte(l))
@@ -513,10 +463,7 @@ func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, shard
 	if payloadLen > maxPayload {
 		return nil, fmt.Errorf("disk: segment payload %d bytes exceeds cap", payloadLen)
 	}
-	copy(out, putHeader(header{
-		Shard: shard, NShards: nshards, Chunk: chunk,
-		Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen,
-	}))
+	copy(out, putHeader(header{Chunk: chunk, Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen}))
 	out = le.AppendUint32(out, crc32.ChecksumIEEE(out[headerSize:]))
 	return out, nil
 }

@@ -14,10 +14,31 @@ import (
 	"crossmodal/internal/xrand"
 )
 
-// fuzzSeeds builds the seed corpus for FuzzShardLoad: a real encoded
+// format1Segment rewrites a format-2 segment image into the format-1 layout
+// it replaced: a 48-byte version-1 header naming shard 0 of 1, and a row
+// ordinal column after the point IDs.
+func format1Segment(data []byte) []byte {
+	le := binary.LittleEndian
+	rows := int(le.Uint32(data[16:]))
+	payload := data[headerSize : len(data)-4]
+	v1 := append([]byte(nil), payload[:8*rows]...)
+	for r := 0; r < rows; r++ {
+		v1 = le.AppendUint32(v1, uint32(r))
+	}
+	v1 = append(v1, payload[8*rows:]...)
+	out := append([]byte(nil), data[:8]...)           // magic
+	out = le.AppendUint32(out, 1)                     // version
+	out = le.AppendUint32(le.AppendUint32(out, 0), 1) // shard, nshards
+	out = append(out, data[12:28]...)                 // chunk, rows, schema hash
+	out = le.AppendUint64(out, uint64(len(v1)))
+	out = le.AppendUint32(out, crc32.ChecksumIEEE(out))
+	return le.AppendUint32(append(out, v1...), crc32.ChecksumIEEE(v1))
+}
+
+// fuzzSeeds builds the seed corpus for FuzzSegmentLoad: a real encoded
 // segment plus the classic corruption shapes — flipped payload bits,
 // lying length fields (with recomputed header CRC so the lie survives the
-// first gate), truncation, and an empty file.
+// first gate), truncation, an empty file — and the same rows in format 1.
 func fuzzSeeds(f *testing.F) {
 	schema := testSchema()
 	good := encodeTestSegment(f, schema, 32, 3)
@@ -28,13 +49,13 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(flip)
 
 	lying := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(lying[24:], 1<<25) // rows claims 32M
-	binary.LittleEndian.PutUint32(lying[44:], crc32.ChecksumIEEE(lying[:44]))
+	binary.LittleEndian.PutUint32(lying[16:], 1<<25) // rows claims 32M
+	binary.LittleEndian.PutUint32(lying[36:], crc32.ChecksumIEEE(lying[:36]))
 	f.Add(lying)
 
 	lyingLen := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(lyingLen[36:], uint64(maxPayload)) // payloadLen lies huge
-	binary.LittleEndian.PutUint32(lyingLen[44:], crc32.ChecksumIEEE(lyingLen[:44]))
+	binary.LittleEndian.PutUint64(lyingLen[28:], uint64(maxPayload)) // payloadLen lies huge
+	binary.LittleEndian.PutUint32(lyingLen[36:], crc32.ChecksumIEEE(lyingLen[:36]))
 	f.Add(lyingLen)
 
 	f.Add(good[:len(good)/2]) // truncated mid-payload
@@ -42,16 +63,17 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})           // zero-length file
 	f.Add([]byte("XMODFST1"))
 	f.Add(encodeTestSegment(f, schema, 1, 4))
+	f.Add(format1Segment(good))
 }
 
-// FuzzShardLoad feeds arbitrary bytes through the full segment-open path
+// FuzzSegmentLoad feeds arbitrary bytes through the full segment-open path
 // (mmap + header + CRC + column layout). Corrupt inputs must come back as
 // ErrCorrupt — never a panic, never an allocation driven by a length field
 // rather than by bytes actually present in the file, and never a category
 // interned from a file that was then rejected. Accepted inputs must decode:
 // every accessor and the projected slab decoder stay in bounds over every
 // row, and the slab decode agrees with the row-at-a-time decode.
-func FuzzShardLoad(f *testing.F) {
+func FuzzSegmentLoad(f *testing.F) {
 	fuzzSeeds(f)
 	schema := testSchema()
 	hash := SchemaHash(schema)
@@ -67,7 +89,7 @@ func FuzzShardLoad(f *testing.F) {
 	}
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(dir, segName(0, 0))
+		path := filepath.Join(dir, segName(0))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +118,6 @@ func FuzzShardLoad(f *testing.F) {
 		// Accepted: every accessor over every row must stay in bounds.
 		for r := 0; r < seg.Rows(); r++ {
 			_ = seg.ID(r)
-			_ = seg.Ord(r)
 			_ = seg.Label(r)
 		}
 		for _, proj := range []*projection{identity, subset} {
@@ -121,23 +142,27 @@ func FuzzShardLoad(f *testing.F) {
 	})
 }
 
-// FuzzShardHeader fuzzes the fixed-header parser in isolation: arbitrary
+// FuzzSegmentHeader fuzzes the fixed-header parser in isolation: arbitrary
 // byte strings must parse or fail cleanly, and every accepted header must
-// re-encode to the same 48 bytes (parse∘encode is the identity on valid
-// headers).
-func FuzzShardHeader(f *testing.F) {
+// re-encode to the same 40 bytes (parse∘encode is the identity on valid
+// headers). A format-1 header never parses.
+func FuzzSegmentHeader(f *testing.F) {
 	schema := testSchema()
 	good := encodeTestSegment(f, schema, 8, 5)
 	f.Add(good[:headerSize+12+4])
 	f.Add(good[:headerSize])
 	f.Add([]byte{})
-	f.Add([]byte("XMODFST1\x01\x00\x00\x00"))
+	f.Add([]byte("XMODFST1\x02\x00\x00\x00"))
 	bad := append([]byte(nil), good[:headerSize]...)
 	bad[9] = 0xff // version
 	f.Add(bad)
+	f.Add(format1Segment(good))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := parseHeader(data)
+		if len(data) >= 12 && binary.LittleEndian.Uint32(data[8:]) == 1 && err == nil {
+			t.Fatalf("parseHeader accepted a format-1 header %+v", h)
+		}
 		if err != nil {
 			var ce *ErrCorrupt
 			if !errors.As(err, &ce) {
@@ -157,23 +182,22 @@ func FuzzShardHeader(f *testing.F) {
 	})
 }
 
-// FuzzScanFirstMatchesScanProjected: for any row count, chunk size, shard
-// count and n, ScanFirst hands out exactly the first n rows ScanProjected
-// yields — under the store schema and a reordered sub-schema naming a
-// feature the store lacks — both into a fresh buffer and into the one the
-// previous scan filled.
+// FuzzScanFirstMatchesScanProjected: for any row count, chunk size and n,
+// ScanFirst hands out exactly the first n rows ScanProjected yields — under
+// the store schema and a reordered sub-schema naming a feature the store
+// lacks — both into a fresh buffer and into the one the previous scan filled.
 func FuzzScanFirstMatchesScanProjected(f *testing.F) {
-	f.Add(int64(1), uint16(100), uint8(30), uint8(4), uint16(45))
-	f.Add(int64(2), uint16(1), uint8(1), uint8(1), uint16(0))
-	f.Add(int64(3), uint16(257), uint8(64), uint8(8), uint16(300))
-	f.Add(int64(4), uint16(90), uint8(29), uint8(3), uint16(30))
+	f.Add(int64(1), uint16(100), uint8(30), uint16(45))
+	f.Add(int64(2), uint16(1), uint8(1), uint16(0))
+	f.Add(int64(3), uint16(257), uint8(64), uint16(300))
+	f.Add(int64(4), uint16(90), uint8(29), uint16(30))
 	schema := testSchema()
 	sub := feature.MustSchema(schema.Def(3), feature.Def{Name: "absent", Kind: feature.Categorical}, schema.Def(1))
-	f.Fuzz(func(t *testing.T, seed int64, rows uint16, chunk, shards uint8, n uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, chunk uint8, n uint16) {
 		nRows := 1 + int(rows)%300
 		size := max(1+int(chunk), (nRows+15)/16) // at most 16 chunks
 		nScan := int(n) % (nRows + 6)
-		s, err := Open(t.TempDir(), schema, Options{Shards: 1 + int(shards)%8})
+		s, err := Open(t.TempDir(), schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func wantIdentical(t *testing.T, where string, want, got *feature.Vector) {
 func TestScanProjectedMatchesReproject(t *testing.T) {
 	ctx := context.Background()
 	schema := testSchema()
-	s, err := Open(t.TempDir(), schema, Options{Shards: 3})
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -260,24 +260,20 @@ func checkScanFirst(t *testing.T, s *Store, target *feature.Schema, n int, buf *
 	}
 }
 
-// TestScanFirstMatchesScanProjected: the first n rows of a 4-shard store,
-// whose chunks interleave their ordinals across segments, are the first n
-// rows ScanProjected yields, for n at and around every chunk boundary and
+// TestScanFirstMatchesScanProjected: the first n rows of a store are the
+// first n rows ScanProjected yields, for n at and around every chunk boundary and
 // past the end. One buffer serves every call: refilled in place while it
 // has room, replaced when the target schema changes.
 func TestScanFirstMatchesScanProjected(t *testing.T) {
 	const chunk, chunks = 60, 3
 	schema := testSchema()
-	s, err := Open(t.TempDir(), schema, Options{Shards: 4})
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	for c := 0; c < chunks; c++ {
 		appendTestChunk(t, s, 1000*c, chunk, int64(40+c))
-	}
-	if len(s.Segments(0)) != 4 {
-		t.Fatalf("chunk 0 landed in %d segments, want 4", len(s.Segments(0)))
 	}
 	all := s.Rows()
 	want := scanRows(t, s, schema)
@@ -310,9 +306,9 @@ func TestScanFirstMatchesScanProjected(t *testing.T) {
 	}
 }
 
-// TestScanAllocsPerChunk: a scan allocates per chunk and per segment (the
-// slabs and arenas), never per row — two stores with the same chunk and
-// segment counts but 16x the rows cost the same number of allocations. A
+// TestScanAllocsPerChunk: a scan allocates per chunk (the slabs and arenas),
+// never per row — two stores with the same chunk count but 16x the rows cost
+// the same number of allocations. A
 // ScanFirst refilling a buffer an earlier scan sized allocates the same count
 // for a 64- and a 1024-row window of one chunk at either size, and fewer
 // than one decoding into fresh slabs; Find decodes 512 hits with the
@@ -325,16 +321,13 @@ func TestScanAllocsPerChunk(t *testing.T) {
 	lf := feature.MustSchema(schema.Def(schemaIndex(t, schema, "topic")), schema.Def(schemaIndex(t, schema, "emb")))
 	type counts struct{ identity, projected, fresh, window64, window1024 float64 }
 	allocs := func(rowsPerChunk int) (c counts) {
-		s, err := Open(t.TempDir(), schema, Options{Shards: 4})
+		s, err := Open(t.TempDir(), schema, Options{})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer s.Close()
 		for c := 0; c < 2; c++ {
 			appendTestChunk(t, s, c*rowsPerChunk, rowsPerChunk, int64(31+c))
-		}
-		if got := len(s.Segments(0)) + len(s.Segments(1)); got != 8 {
-			t.Fatalf("%d rows per chunk landed in %d segments, want 8", rowsPerChunk, got)
 		}
 		rows := 0
 		count := func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
@@ -374,14 +367,14 @@ func TestScanAllocsPerChunk(t *testing.T) {
 	}
 	small, large := allocs(128), allocs(2048)
 	if small.identity != large.identity || small.projected != large.projected {
-		t.Fatalf("allocations grew with rows per segment: identity %v -> %v, projected %v -> %v",
+		t.Fatalf("allocations grew with rows per chunk: identity %v -> %v, projected %v -> %v",
 			small.identity, large.identity, small.projected, large.projected)
 	}
 	// 2 chunks x (6 slabs + 3 payload arrays + the decoder's scratch, grown a
 	// few times) plus the projection and span: 36 when written, against the 44
 	// of the per-segment arenas this replaced. Nowhere near rows.
 	if large.identity > 44 {
-		t.Fatalf("a scan of 2 chunks x 4 segments allocated %v times", large.identity)
+		t.Fatalf("a scan of 2 chunks allocated %v times", large.identity)
 	}
 	// One chunk each; at 128 rows a chunk the 1024-row window is both chunks.
 	if w := large.window64; small.window64 != w || large.window1024 != w || w >= large.fresh {
@@ -389,7 +382,7 @@ func TestScanAllocsPerChunk(t *testing.T) {
 			small.window64, w, large.window1024, large.fresh)
 	}
 
-	s, err := Open(t.TempDir(), schema, Options{Shards: 4})
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,29 +401,25 @@ func TestScanAllocsPerChunk(t *testing.T) {
 	}
 }
 
-// TestEncodeSegmentBytesPinned pins the on-disk bytes of a fixed
-// multi-shard chunk: format version 1, column order, dictionary
-// first-appearance order and both CRCs. The digest was computed at the
-// commit before encodeSegment was rewritten to append into one buffer; a
-// change here is a format change and needs a version bump, not a new digest.
+// TestEncodeSegmentBytesPinned pins the on-disk bytes of two fixed chunks:
+// format version 2, file names, column order, dictionary first-appearance
+// order and both CRCs. A change here is a format change and needs a version
+// bump, not a new digest.
 func TestEncodeSegmentBytesPinned(t *testing.T) {
-	const want = "d914f07222a4cc7c764042ea518f17223fba590d2d1dbc400d6e696a6800af0f"
+	const want = "32d4fdc06f79e4543d2e736da611b04a4b82e13c2dd7637340ed3d9eacc4d7d9"
 	dir := t.TempDir()
-	s, err := Open(dir, testSchema(), Options{Shards: 4})
+	s, err := Open(dir, testSchema(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
 	appendTestChunk(t, s, 5000, 257, 19)
-	appendTestChunk(t, s, 9000, 3, 23) // a chunk smaller than the shard count
+	appendTestChunk(t, s, 9000, 3, 23)
 	names, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(names)
-	if len(names) < 5 {
-		t.Fatalf("expected a multi-shard chunk, got segments %v", names)
-	}
 	h := sha256.New()
 	for _, name := range names {
 		data, err := os.ReadFile(name)
@@ -451,7 +440,7 @@ func TestEncodeSegmentBytesPinned(t *testing.T) {
 func TestEmptyCategoricalRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	schema := testSchema()
-	s, err := Open(t.TempDir(), schema, Options{Shards: 2})
+	s, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -499,34 +488,35 @@ func TestEmptyCategoricalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadChunkPayloadOverflow: a chunk whose validated per-segment counts
+// TestReadChunkPayloadOverflow: a chunk whose validated per-column counts
 // add up past what a slab's 32-bit payload windows address is reported as
 // corrupt before anything is allocated from those counts — never wrapped —
 // by the whole-chunk decode, the sized window and Find alike.
 func TestReadChunkPayloadOverflow(t *testing.T) {
 	ctx := context.Background()
-	schema := feature.MustSchema(feature.Def{Name: "topic", Kind: feature.Categorical})
-	// Seventeen one-row segments, row i at ordinal i with point ID i, each
-	// categorical offsets column ending at maxCatIDs, the most payloadLayout
+	// One one-row segment, point ID 0, whose seventeen categorical columns
+	// share one offsets array ending at maxCatIDs, the most payloadLayout
 	// admits per column: any sixteen of them overflow uint32.
 	le := binary.LittleEndian
-	cs := &chunkSet{rows: 17}
-	ids := make([]int, cs.rows)
-	for i := range ids {
-		ids[i] = i
-		payload := le.AppendUint32(le.AppendUint64(nil, uint64(i)), uint32(i)) // ID, ordinal
-		payload = append(payload, 0)                                           // label
-		payload = le.AppendUint32(le.AppendUint32(payload, 0), maxCatIDs)      // offsets
-		cs.segs = append(cs.segs, &Segment{path: "huge.seg", rows: 1, payload: payload, cols: []colMeta{{kind: feature.Categorical, data: 13}}})
+	defs := make([]feature.Def, 17)
+	cols := make([]colMeta, len(defs))
+	for i := range defs {
+		defs[i] = feature.Def{Name: fmt.Sprintf("topic%d", i), Kind: feature.Categorical}
+		cols[i] = colMeta{kind: feature.Categorical, data: 9}
 	}
-	s := &Store{schema: schema, chunks: []*chunkSet{cs}, rows: cs.rows}
+	schema := feature.MustSchema(defs...)
+	payload := append(le.AppendUint64(nil, 0), 0)                     // ID, label
+	payload = le.AppendUint32(le.AppendUint32(payload, 0), maxCatIDs) // offsets
+	seg := &Segment{path: "huge.seg", rows: 1, payload: payload, cols: cols}
+	s := &Store{schema: schema, chunks: []*Segment{seg}, rows: 1}
+	ids := []int{0}
 	var buf []feature.Vector
 	called := false
 	fn := func(int, []int, []int8, []*feature.Vector) error { called = true; return nil }
 	var ce *ErrCorrupt
 	for name, read := range map[string]func() error{
 		"ScanProjected": func() error { return s.ScanProjected(ctx, schema, fn) },
-		"ScanFirst":     func() error { return s.ScanFirst(ctx, schema, 16, &buf, fn) },
+		"ScanFirst":     func() error { return s.ScanFirst(ctx, schema, 1, &buf, fn) },
 		"Find":          func() error { _, err := s.Find(ctx, ids); return err },
 	} {
 		if err := read(); !errors.As(err, &ce) || !strings.Contains(ce.Detail, "overflows a vector slab") {

@@ -10,13 +10,13 @@ import (
 	"crossmodal/internal/feature"
 )
 
-// Segment is one immutable, mmap-backed shard segment. Row accessors
-// perform no allocations and no copies: they decode little-endian values
-// straight out of the mapped payload (asserted by AllocsPerRun tests), so
-// scans over millions of rows cost only the page-ins.
+// Segment is one committed chunk's immutable, mmap-backed segment, rows in
+// append order. Row accessors perform no allocations and no copies: they
+// decode little-endian values straight out of the mapped payload (asserted
+// by AllocsPerRun tests), so scans over millions of rows cost only the
+// page-ins.
 type Segment struct {
 	path    string
-	shard   int
 	chunk   int
 	rows    int
 	payload []byte
@@ -84,7 +84,6 @@ func openSegment(path string, schema *feature.Schema, schemaHash uint64) (seg *S
 	}
 	return &Segment{
 		path:    path,
-		shard:   h.Shard,
 		chunk:   h.Chunk,
 		rows:    h.Rows,
 		payload: payload,
@@ -99,29 +98,23 @@ func (s *Segment) Close() error { return s.unmap() }
 // Rows returns the segment's row count.
 func (s *Segment) Rows() int { return s.rows }
 
-// Shard returns the shard index the segment belongs to.
-func (s *Segment) Shard() int { return s.shard }
-
-// Chunk returns the chunk sequence number the segment belongs to.
-func (s *Segment) Chunk() int { return s.chunk }
-
-// Path returns the segment's file path.
-func (s *Segment) Path() string { return s.path }
-
 // ID returns row r's point ID.
 func (s *Segment) ID(r int) uint64 {
 	return binary.LittleEndian.Uint64(s.payload[8*r:])
 }
 
-// Ord returns row r's ordinal within its chunk (its position in the
-// original append order).
-func (s *Segment) Ord(r int) int {
-	return int(binary.LittleEndian.Uint32(s.payload[8*s.rows+4*r:]))
-}
-
 // Label returns row r's stored ground-truth label.
 func (s *Segment) Label(r int) int8 {
-	return int8(s.payload[12*s.rows+r])
+	return int8(s.payload[8*s.rows+r])
+}
+
+// labels copies the label column out of the mapping, in append order.
+func (s *Segment) labels() []int8 {
+	labels := make([]int8, s.rows)
+	for r := range labels {
+		labels[r] = s.Label(r)
+	}
+	return labels
 }
 
 // Present reports whether feature col is non-missing on row r.
@@ -198,27 +191,30 @@ func newProjection(stored, target *feature.Schema) (*projection, error) {
 	return p, nil
 }
 
-// segColumns is the feature.Columns view of one segment under a projection:
-// no row is decoded, every read goes to the mapped payload.
+// segColumns is the feature.Columns view of the rows [base, base+rows) of one
+// segment under a projection: no row is decoded, every read goes to the
+// mapped payload.
 type segColumns struct {
-	seg  *Segment
-	cols []int // projection.cols
+	seg        *Segment
+	cols       []int // projection.cols
+	base, rows int
 }
 
-func (c *segColumns) Rows() int     { return c.seg.rows }
-func (c *segColumns) Ord(r int) int { return c.seg.Ord(r) }
+func (c *segColumns) Rows() int     { return c.rows }
+func (c *segColumns) Ord(r int) int { return c.base + r }
 
 func (c *segColumns) Present(col, r int) bool {
 	sc := c.cols[col]
-	return sc >= 0 && c.seg.Present(sc, r)
+	return sc >= 0 && c.seg.Present(sc, c.base+r)
 }
 
-func (c *segColumns) Num(col, r int) float64 { return c.seg.Numeric(c.cols[col], r) }
+func (c *segColumns) Num(col, r int) float64 { return c.seg.Numeric(c.cols[col], c.base+r) }
 
 func (c *segColumns) CatIDs(col, r int, buf []uint32) []uint32 {
 	if !c.Present(col, r) {
 		return buf
 	}
+	r += c.base
 	s, m := c.seg, &c.seg.cols[c.cols[col]]
 	le := binary.LittleEndian
 	for k, end := le.Uint32(s.payload[m.data+4*r:]), le.Uint32(s.payload[m.data+4*(r+1):]); k < end; k++ {

@@ -7,19 +7,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
 	"crossmodal/internal/feature"
 	"crossmodal/internal/trace"
-	"crossmodal/internal/xrand"
 )
 
 // Options configures a store.
 type Options struct {
-	// Shards is the shard count rows are hash-routed across (default 8).
-	// Segments recorded with a different count are rejected as corrupt.
-	Shards int
 	// CommitHook, when set, runs immediately before each atomic rename
 	// during AppendChunk: op is "segment" or "marker", path the final
 	// destination. Returning an error aborts the append mid-commit — the
@@ -27,22 +24,7 @@ type Options struct {
 	CommitHook func(op, path string) error
 }
 
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	return o
-}
-
-// chunkSet is one committed chunk's open segments (only shards that
-// received rows have one), ascending by shard.
-type chunkSet struct {
-	seq  int
-	segs []*Segment
-	rows int
-}
-
-// Store is an append-only, chunk-committed collection of shard segments
+// Store is an append-only collection of committed chunks, one segment each,
 // under one directory. Safe for concurrent reads; AppendChunk callers must
 // serialize among themselves (the streaming pipeline appends from one
 // goroutine).
@@ -59,14 +41,14 @@ type Store struct {
 	lost error
 
 	mu          sync.RWMutex
-	chunks      []*chunkSet
+	chunks      []*Segment // committed chunk seq is chunks[seq]
 	rows        int
 	quarantined []string
 }
 
-// segName returns the segment filename for (chunk, shard).
-func segName(chunk, shard int) string {
-	return fmt.Sprintf("c%06d-s%03d.seg", chunk, shard)
+// segName returns a chunk's segment filename.
+func segName(chunk int) string {
+	return fmt.Sprintf("c%06d.seg", chunk)
 }
 
 // markerName returns the commit-marker filename for a chunk.
@@ -74,24 +56,18 @@ func markerName(chunk int) string {
 	return fmt.Sprintf("c%06d.ok", chunk)
 }
 
-// shardOf routes a point ID to its shard by entity hash.
-func shardOf(id uint64, shards int) int {
-	return int(xrand.Mix(id) % uint64(shards))
-}
-
 // Open opens (creating if needed) the store at dir for schema.
 //
 // Recovery model: a chunk exists iff its commit marker does, and the
 // committed prefix is the longest contiguous run of valid chunks from 0.
 // Everything else on disk is debris from a crash or corruption — un-marked
-// segments (torn writes, partial multi-shard renames), zero-length or
-// CRC-failing segments, markers past a gap — and is quarantined: renamed
-// to "<name>.quarantined" so it can never be mistaken for data, while
-// remaining available for inspection. Open never fails because of debris;
+// segments (torn writes, a crash between the segment and marker renames),
+// zero-length or CRC-failing segments, markers past a gap, files of another
+// format — and is quarantined: renamed to "<name>.quarantined" so it can
+// never be mistaken for data, while remaining available for inspection. Open never fails because of debris;
 // Quarantined reports what was set aside, and appends resume from the
 // first uncommitted chunk.
 func Open(dir string, schema *feature.Schema, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if schema == nil || schema.Len() == 0 {
 		return nil, fmt.Errorf("disk: store needs a non-empty schema")
 	}
@@ -106,18 +82,17 @@ func Open(dir string, schema *feature.Schema, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	markers := make(map[int]bool)
-	segFiles := make(map[int][]string) // chunk -> segment filenames
+	markers, segFiles := make(map[int]bool), make(map[int]bool)
 	var stray []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() {
 			continue
 		}
-		var chunk, shard int
+		var chunk int
 		switch {
-		case parseName(name, "c%06d-s%03d.seg", &chunk, &shard):
-			segFiles[chunk] = append(segFiles[chunk], name)
+		case parseName(name, "c%06d.seg", &chunk):
+			segFiles[chunk] = true
 		case parseName(name, "c%06d.ok", &chunk):
 			markers[chunk] = true
 		case filepath.Ext(name) == ".quarantined":
@@ -128,43 +103,26 @@ func Open(dir string, schema *feature.Schema, opts Options) (*Store, error) {
 	}
 
 	// Walk the contiguous committed prefix, opening and validating each
-	// chunk's segments. The first missing marker or invalid segment ends
-	// the prefix; the broken chunk and everything after it is debris.
+	// chunk's segment. The first missing marker or invalid segment ends the
+	// prefix; the broken chunk and everything after it is debris.
 	committed := 0
-	for markers[committed] {
-		names := segFiles[committed]
-		sort.Strings(names)
-		cs := &chunkSet{seq: committed}
-		ok := len(names) > 0
-		for _, name := range names {
-			seg, err := openSegment(filepath.Join(dir, name), schema, s.schemaHash)
-			if err != nil {
-				ok = false
-				break
-			}
-			if seg.Chunk() != committed || seg.Shard() >= opts.Shards || segName(seg.Chunk(), seg.Shard()) != name {
-				seg.Close()
-				ok = false
-				break
-			}
-			cs.segs = append(cs.segs, seg)
-			cs.rows += seg.Rows()
-		}
-		if !ok {
-			for _, seg := range cs.segs {
-				seg.Close()
-			}
+	for ; markers[committed] && segFiles[committed]; committed++ {
+		seg, err := openSegment(filepath.Join(dir, segName(committed)), schema, s.schemaHash)
+		if err != nil {
 			break
 		}
-		s.chunks = append(s.chunks, cs)
-		s.rows += cs.rows
-		committed++
+		if seg.chunk != committed {
+			seg.Close()
+			break
+		}
+		s.chunks = append(s.chunks, seg)
+		s.rows += seg.Rows()
 	}
 
 	// Quarantine everything past the committed prefix.
-	for chunk, names := range segFiles {
+	for chunk := range segFiles {
 		if chunk >= committed {
-			stray = append(stray, names...)
+			stray = append(stray, segName(chunk))
 		}
 	}
 	for chunk := range markers {
@@ -189,22 +147,11 @@ func Open(dir string, schema *feature.Schema, opts Options) (*Store, error) {
 }
 
 // parseName strictly matches name against a zero-padded Sprintf pattern:
-// the parsed values must render back to exactly name, so "c1-s2.seg" or
-// trailing garbage never passes as a segment.
-func parseName(name, pattern string, out ...*int) bool {
-	args := make([]any, len(out))
-	for i := range out {
-		args[i] = out[i]
-	}
-	n, err := fmt.Sscanf(name, pattern, args...)
-	if err != nil || n != len(out) {
-		return false
-	}
-	vals := make([]any, len(out))
-	for i := range out {
-		vals[i] = *out[i]
-	}
-	return fmt.Sprintf(pattern, vals...) == name
+// the parsed value must render back to exactly name, so "c1.seg", a
+// format-1 "c000001-s002.seg" or trailing garbage never passes as a segment.
+func parseName(name, pattern string, out *int) bool {
+	n, err := fmt.Sscanf(name, pattern, out)
+	return err == nil && n == 1 && fmt.Sprintf(pattern, *out) == name
 }
 
 // Schema returns the store's schema.
@@ -243,11 +190,9 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	for _, cs := range s.chunks {
-		for _, seg := range cs.segs {
-			if err := seg.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, seg := range s.chunks {
+		if err := seg.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	s.chunks = nil
@@ -255,14 +200,14 @@ func (s *Store) Close() error {
 	return first
 }
 
-// AppendChunk routes one chunk of rows to shard segments and commits them
-// atomically: each segment lands via temp-file + rename, and the chunk's
-// commit marker is renamed into place only after every segment — a crash
-// anywhere leaves no committed partial chunk, and Open quarantines the
-// debris. Vectors must carry the store's schema; ids, labels, and vecs are
+// AppendChunk writes one chunk of rows as one segment and commits it
+// atomically: the segment lands via temp-file + rename, and the chunk's
+// commit marker is renamed into place only after it — a crash anywhere
+// leaves no committed partial chunk, and Open quarantines the debris.
+// Vectors must carry the store's schema; ids, labels, and vecs are
 // parallel and their append order is preserved by ScanChunks. None of them is
 // retained: the caller may refill them once AppendChunk returns. A chunk that
-// commits but whose segments fail to reopen is on disk and not in the store,
+// commits but whose segment fails to reopen is on disk and not in the store,
 // so the store refuses every later append until it is opened again.
 func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs []*feature.Vector) error {
 	if len(ids) != len(vecs) || len(labels) != len(vecs) {
@@ -290,53 +235,30 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 	defer span.End()
 	seq := s.Chunks()
 
-	parts := s.enc.partition(s.opts.Shards, ids, labels, vecs)
-	defer s.enc.release()
-
-	var bytesOut int
-	written := make([]string, 0, s.opts.Shards)
-	for sh := range parts {
-		p := &parts[sh]
-		if len(p.vecs) == 0 {
-			continue
-		}
-		data, err := s.enc.encodeSegment(s.schema, s.schemaHash, sh, s.opts.Shards, seq, p.ids, p.ords, p.labels, p.vecs)
-		if err != nil {
-			return err
-		}
-		final := filepath.Join(s.dir, segName(seq, sh))
-		if err := s.atomicWrite(final, data, "segment"); err != nil {
-			return err
-		}
-		written = append(written, final)
-		bytesOut += len(data)
-	}
-	// The marker commits the whole chunk; its content is irrelevant
-	// (rename atomicity is the commit), only its existence matters.
-	marker := filepath.Join(s.dir, markerName(seq))
-	if err := s.atomicWrite(marker, []byte("ok\n"), "marker"); err != nil {
+	data, err := s.enc.encodeSegment(s.schema, s.schemaHash, seq, ids, labels, vecs)
+	if err != nil {
 		return err
 	}
-
-	cs := &chunkSet{seq: seq}
-	for _, path := range written {
-		seg, err := openSegment(path, s.schema, s.schemaHash)
-		if err != nil {
-			for _, open := range cs.segs {
-				open.Close()
-			}
-			s.lost = fmt.Errorf("disk: chunk %d committed but not reopened, reopen the store to append: %w", seq, err)
-			return s.lost
-		}
-		cs.segs = append(cs.segs, seg)
-		cs.rows += seg.Rows()
+	path := filepath.Join(s.dir, segName(seq))
+	if err := s.atomicWrite(path, data, "segment"); err != nil {
+		return err
+	}
+	// The marker commits the chunk; its content is irrelevant (rename
+	// atomicity is the commit), only its existence matters.
+	if err := s.atomicWrite(filepath.Join(s.dir, markerName(seq)), []byte("ok\n"), "marker"); err != nil {
+		return err
+	}
+	seg, err := openSegment(path, s.schema, s.schemaHash)
+	if err != nil {
+		s.lost = fmt.Errorf("disk: chunk %d committed but not reopened, reopen the store to append: %w", seq, err)
+		return s.lost
 	}
 	s.mu.Lock()
-	s.chunks = append(s.chunks, cs)
-	s.rows += cs.rows
+	s.chunks = append(s.chunks, seg)
+	s.rows += seg.Rows()
 	s.mu.Unlock()
 	span.Add("rows", int64(len(vecs)))
-	span.Add("bytes", int64(bytesOut))
+	span.Add("bytes", int64(len(data)))
 	return nil
 }
 
@@ -397,24 +319,24 @@ func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn fu
 var errScanDone = errors.New("disk: scan done")
 
 // ScanFirst is ScanProjected over the first n rows in append order: the chunk
-// holding row n-1 is decoded only up to it (every ordinal of it is still
-// validated) and no later chunk is read. With buf nil each chunk gets fresh
-// slabs owned by fn. Otherwise every chunk is decoded into *buf, refilled by
-// feature.ReuseVectors (replaced only when it lacks room or holds another
-// schema), and the vectors are valid only until fn returns: a caller that
-// keeps nothing decodes each scan into the memory of the last.
+// holding row n-1 is decoded only up to it and no later chunk is read. With
+// buf nil each chunk gets fresh slabs owned by fn. Otherwise every chunk is
+// decoded into *buf, refilled by feature.ReuseVectors (replaced only when it
+// lacks room or holds another schema), and the vectors are valid only until
+// fn returns: a caller that keeps nothing decodes each scan into the memory
+// of the last.
 func (s *Store) ScanFirst(ctx context.Context, target *feature.Schema, n int, buf *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
 	if n <= 0 {
 		_, err := newProjection(s.schema, target)
 		return err
 	}
-	err := s.scan(ctx, target, func(ctx context.Context, cs *chunkSet, proj *projection) error {
-		ids, labels, vecs, err := s.readChunk(cs, proj, n, buf)
+	err := s.scan(ctx, target, func(ctx context.Context, seg *Segment, proj *projection) error {
+		ids, labels, vecs, err := readChunk(seg, proj, n, buf)
 		if err != nil {
 			return err
 		}
 		trace.Count(ctx, "vectors", int64(len(vecs)))
-		if err := fn(cs.seq, ids, labels, vecs); err != nil {
+		if err := fn(seg.chunk, ids, labels, vecs); err != nil {
 			return err
 		}
 		if n -= len(vecs); n == 0 {
@@ -429,33 +351,30 @@ func (s *Store) ScanFirst(ctx context.Context, target *feature.Schema, n int, bu
 }
 
 // ScanColumns is ScanProjected without the vectors: fn gets each chunk's
-// labels in append order and one column view per segment, straight over the
-// mapped bytes and addressed by target's positions, valid until fn returns.
-// Ordinals are validated per chunk as readChunk does; everything else a view
-// reads was validated when its segment opened.
+// labels in append order and the chunk as consecutive column views of
+// feature.ViewRows rows (the last one shorter), straight over the mapped
+// bytes and addressed by target's positions, valid until fn returns. Every
+// byte a view reads was validated when its segment opened.
 func (s *Store) ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error {
 	var views []segColumns
 	var parts []feature.Columns
-	return s.scan(ctx, target, func(_ context.Context, cs *chunkSet, proj *projection) error {
-		labels, err := cs.order()
-		if err != nil {
-			return err
-		}
-		views, parts = views[:0], parts[:0]
-		for _, seg := range cs.segs {
-			views = append(views, segColumns{seg, proj.cols})
+	return s.scan(ctx, target, func(_ context.Context, seg *Segment, proj *projection) error {
+		n := (seg.rows + feature.ViewRows - 1) / feature.ViewRows
+		views, parts = slices.Grow(views[:0], n), slices.Grow(parts[:0], n)
+		for lo := 0; lo < seg.rows; lo += feature.ViewRows {
+			views = append(views, segColumns{seg, proj.cols, lo, min(feature.ViewRows, seg.rows-lo)})
 		}
 		for i := range views {
 			parts = append(parts, &views[i])
 		}
-		return fn(cs.seq, labels, parts)
+		return fn(seg.chunk, seg.labels(), parts)
 	})
 }
 
 // scan is the store's one scan loop: fn on every committed chunk in sequence
-// order, under a diskstore.scan span (fn's ctx) counting the rows and
-// segments read; ScanFirst adds the vectors it decoded.
-func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx context.Context, cs *chunkSet, proj *projection) error) error {
+// order, under a diskstore.scan span (fn's ctx) counting the rows read;
+// ScanFirst adds the vectors it decoded.
+func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx context.Context, seg *Segment, proj *projection) error) error {
 	proj, err := newProjection(s.schema, target)
 	if err != nil {
 		return err
@@ -467,55 +386,27 @@ func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx co
 			return err
 		}
 		s.mu.RLock()
-		cs := s.chunks[seq]
+		seg := s.chunks[seq]
 		s.mu.RUnlock()
-		span.Add("rows", int64(cs.rows))
-		span.Add("segments", int64(len(cs.segs)))
-		if err := fn(ctx, cs, proj); err != nil {
+		span.Add("rows", int64(seg.rows))
+		if err := fn(ctx, seg, proj); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// order validates the chunk's row ordinals for every reader — each in range
-// and none repeated, so the segments' rows are exactly the chunk's rows — and
-// gathers the label column in append order.
-func (cs *chunkSet) order() ([]int8, error) {
-	labels := make([]int8, cs.rows)
-	seen := make([]bool, cs.rows)
-	for _, seg := range cs.segs {
-		for r := 0; r < seg.Rows(); r++ {
-			ord := seg.Ord(r)
-			if ord < 0 || ord >= cs.rows || seen[ord] {
-				return nil, &ErrCorrupt{Path: seg.Path(), Detail: fmt.Sprintf("row ordinal %d invalid for chunk of %d rows", ord, cs.rows)}
-			}
-			seen[ord], labels[ord] = true, seg.Label(r)
-		}
-	}
-	return labels, nil
-}
-
-// readChunk materializes the rows of one committed chunk whose ordinal is
-// below take, in append order: into *buf, refilled, when buf is set, else
-// into fresh slabs. The payload is sized for exactly those rows before the
-// first is decoded.
-func (s *Store) readChunk(cs *chunkSet, proj *projection, take int, buf *[]feature.Vector) ([]int, []int8, []*feature.Vector, error) {
-	take = min(take, cs.rows)
+// readChunk materializes the first take rows of one committed chunk, in
+// append order: into *buf, refilled, when buf is set, else into fresh slabs.
+// The payload is sized for exactly those rows before the first is decoded.
+func readChunk(seg *Segment, proj *projection, take int, buf *[]feature.Vector) ([]int, []int8, []*feature.Vector, error) {
+	take = min(take, seg.rows)
 	var nCats, nEmbs uint64
-	for _, seg := range cs.segs {
-		for r := 0; r < seg.Rows(); r++ {
-			if seg.Ord(r) < take {
-				c, e := seg.rowPayloadSize(proj, r)
-				nCats, nEmbs = nCats+c, nEmbs+e
-			}
-		}
+	for r := 0; r < take; r++ {
+		c, e := seg.rowPayloadSize(proj, r)
+		nCats, nEmbs = nCats+c, nEmbs+e
 	}
-	if err := checkSlabPayload(cs.segs[0].Path(), nCats, nEmbs); err != nil {
-		return nil, nil, nil, err
-	}
-	labels, err := cs.order()
-	if err != nil {
+	if err := checkSlabPayload(seg.path, nCats, nEmbs); err != nil {
 		return nil, nil, nil, err
 	}
 	var slab []feature.Vector
@@ -528,22 +419,14 @@ func (s *Store) readChunk(cs *chunkSet, proj *projection, take int, buf *[]featu
 	slab[0].Grow(int(nCats), int(nEmbs))
 	ids := make([]int, take)
 	vecs := make([]*feature.Vector, take)
-	dec := rowDecoder{proj: proj}
-	for _, seg := range cs.segs {
-		dec.seg = seg // the scratch buffers carry over
-		for r := 0; r < seg.Rows(); r++ {
-			ord := seg.Ord(r)
-			if ord >= take {
-				continue
-			}
-			ids[ord] = int(seg.ID(r))
-			vecs[ord] = &slab[ord]
-			if err := dec.row(r, vecs[ord]); err != nil {
-				return nil, nil, nil, err
-			}
+	dec := rowDecoder{seg: seg, proj: proj}
+	for r := range vecs {
+		ids[r], vecs[r] = int(seg.ID(r)), &slab[r]
+		if err := dec.row(r, vecs[r]); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	return ids, labels[:take], vecs, nil
+	return ids, seg.labels()[:take], vecs, nil
 }
 
 // checkSlabPayload reports a payload of cats category entries and embs
@@ -582,20 +465,15 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 	s.mu.RLock()
 	chunks := s.chunks
 	s.mu.RUnlock()
-	for _, cs := range chunks {
+	for _, seg := range chunks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := cs.order(); err != nil {
-			return nil, err
-		}
-		for _, seg := range cs.segs {
-			for r := 0; r < seg.Rows(); r++ {
-				if want[seg.ID(r)] {
-					hits = append(hits, hit{seg, r})
-					c, e := seg.rowPayloadSize(proj, r)
-					nCats, nEmbs = nCats+c, nEmbs+e
-				}
+		for r := 0; r < seg.rows; r++ {
+			if want[seg.ID(r)] {
+				hits = append(hits, hit{seg, r})
+				c, e := seg.rowPayloadSize(proj, r)
+				nCats, nEmbs = nCats+c, nEmbs+e
 			}
 		}
 	}
@@ -603,7 +481,7 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 	if len(hits) == 0 {
 		return out, nil
 	}
-	if err := checkSlabPayload(hits[0].seg.Path(), nCats, nEmbs); err != nil {
+	if err := checkSlabPayload(hits[0].seg.path, nCats, nEmbs); err != nil {
 		return nil, err
 	}
 	slab := feature.NewVectors(s.schema, len(hits))
@@ -617,12 +495,4 @@ func (s *Store) Find(ctx context.Context, ids []int) (map[int]*feature.Vector, e
 		out[int(h.seg.ID(h.r))] = &slab[i]
 	}
 	return out, nil
-}
-
-// Segments returns the open segments of committed chunk seq (ascending
-// shard order). Exposed for the zero-alloc read-path tests and benchmarks.
-func (s *Store) Segments(seq int) []*Segment {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.chunks[seq].segs
 }

@@ -3,12 +3,14 @@ package disk
 import (
 	"context"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"crossmodal/internal/feature"
-	"crossmodal/internal/xrand"
 )
 
 // appendTestChunk appends one deterministic chunk of n rows starting at
@@ -31,7 +33,7 @@ func appendTestChunk(t *testing.T, s *Store, base, n int, seed int64) ([]int, []
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	schema := testSchema()
-	s, err := Open(dir, schema, Options{Shards: 4})
+	s, err := Open(dir, schema, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -85,7 +87,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	s2, err := Open(dir, schema, Options{Shards: 4})
+	s2, err := Open(dir, schema, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -109,29 +111,37 @@ func TestStoreRoundTrip(t *testing.T) {
 	wantSameVector(t, "Find", want[2].vecs[82], got[20082])
 }
 
-func TestStoreShardRouting(t *testing.T) {
+// TestOneSegmentPerChunk: every committed chunk is exactly one segment file
+// and one commit marker, named for its sequence number, whatever its size.
+func TestOneSegmentPerChunk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, testSchema(), Options{Shards: 4})
+	s, err := Open(dir, testSchema(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
-	ids, _, _ := appendTestChunk(t, s, 0, 200, 1)
-	segs := s.Segments(0)
-	if len(segs) < 2 {
-		t.Fatalf("200 rows over 4 shards produced %d segments; routing is degenerate", len(segs))
+	sizes := []int{1, 200, 1100}
+	for c, n := range sizes {
+		appendTestChunk(t, s, 10000*c, n, int64(c))
 	}
-	total := 0
-	for _, seg := range segs {
-		total += seg.Rows()
-		for r := 0; r < seg.Rows(); r++ {
-			if got := shardOf(seg.ID(r), 4); got != seg.Shard() {
-				t.Fatalf("id %d in shard %d, hash says %d", seg.ID(r), seg.Shard(), got)
-			}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	var want []string
+	for c, n := range sizes {
+		want = append(want, segName(c), markerName(c))
+		if got := s.ChunkRows(c); got != n {
+			t.Errorf("chunk %d holds %d rows, appended %d", c, got, n)
 		}
 	}
-	if total != len(ids) {
-		t.Fatalf("segments hold %d rows, appended %d", total, len(ids))
+	sort.Strings(want)
+	if !slices.Equal(names, want) {
+		t.Fatalf("store files %v, want %v", names, want)
 	}
 }
 
@@ -184,7 +194,7 @@ func TestStoreRejectsBadAppends(t *testing.T) {
 
 func TestStoreSchemaMismatchOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, testSchema(), Options{Shards: 2})
+	s, err := Open(dir, testSchema(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -197,7 +207,7 @@ func TestStoreSchemaMismatchOnOpen(t *testing.T) {
 		feature.Def{Name: "topic", Kind: feature.Categorical, Set: "A", Servable: true},
 		feature.Def{Name: "tags", Kind: feature.Categorical, Set: "C"},
 	)
-	s2, err := Open(dir, other, Options{Shards: 2})
+	s2, err := Open(dir, other, Options{})
 	if err != nil {
 		t.Fatalf("Open under changed schema: %v", err)
 	}
@@ -216,7 +226,7 @@ func TestSegmentAccessors(t *testing.T) {
 	schema := testSchema()
 	dir := t.TempDir()
 	data := encodeTestSegment(t, schema, 64, 9)
-	path := filepath.Join(dir, segName(0, 0))
+	path := filepath.Join(dir, segName(0))
 	if err := writeFile(path, data); err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +239,8 @@ func TestSegmentAccessors(t *testing.T) {
 	embCol := schemaIndex(t, schema, "emb")
 	topicCol := schemaIndex(t, schema, "topic")
 	for r := 0; r < seg.Rows(); r++ {
-		if seg.ID(r) != uint64(1000+r) || seg.Ord(r) != r || seg.Label(r) != int8(r%3-1) {
-			t.Fatalf("row %d: id/ord/label = %d/%d/%d", r, seg.ID(r), seg.Ord(r), seg.Label(r))
+		if seg.ID(r) != uint64(1000+r) || seg.Label(r) != int8(r%3-1) {
+			t.Fatalf("row %d: id/label = %d/%d", r, seg.ID(r), seg.Label(r))
 		}
 		want := vecs[r]
 		if tv := want.Get("topic"); !tv.Missing {
@@ -296,18 +306,4 @@ func TestSchemaHashSensitivity(t *testing.T) {
 	if SchemaHash(testSchema()) != h {
 		t.Fatal("SchemaHash is not deterministic")
 	}
-}
-
-func TestShardOfDistribution(t *testing.T) {
-	const n, shards = 10000, 8
-	counts := make([]int, shards)
-	for id := 0; id < n; id++ {
-		counts[shardOf(uint64(id), shards)]++
-	}
-	for sh, c := range counts {
-		if c < n/shards/2 || c > n/shards*2 {
-			t.Fatalf("shard %d holds %d of %d rows; hash routing is skewed: %v", sh, c, n, counts)
-		}
-	}
-	_ = xrand.Mix // routing is pinned to xrand.Mix; keep the import honest
 }

@@ -126,9 +126,9 @@ func colRows(n int, seed int64) ([]*feature.Vector, []int8) {
 }
 
 // colStore spills vecs into a fresh store, chunk rows a chunk (<= 0: one).
-func colStore(tb testing.TB, vecs []*feature.Vector, labels []int8, shards, chunk int) *disk.Store {
+func colStore(tb testing.TB, vecs []*feature.Vector, labels []int8, chunk int) *disk.Store {
 	tb.Helper()
-	s, err := disk.Open(tb.TempDir(), vecs[0].Schema(), disk.Options{Shards: shards})
+	s, err := disk.Open(tb.TempDir(), vecs[0].Schema(), disk.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func pinnedLFs(tb testing.TB) []pinnedLF {
 }
 
 // TestColumnVotesMatchClosures pins the vote kernel — over the disk store's
-// column views at every shard count and chunk size, and over the vector
+// column views at every chunk size, and over the vector
 // adapter — to the closures applied to each row's LF-schema vector, the way
 // votes were cast before LFs were data.
 func TestColumnVotesMatchClosures(t *testing.T) {
@@ -241,13 +241,12 @@ func TestColumnVotesMatchClosures(t *testing.T) {
 		}
 	}
 	plan := Compile(lfs, colLFSchema)
-	for _, shards := range []int{1, 8} {
-		for _, chunk := range []int{257, 2048, 0} {
-			s := colStore(t, vecs, labels, shards, chunk)
-			for _, workers := range []int{1, 3} {
-				got, cast := voteStore(t, s, plan, colLFSchema, workers)
-				check(fmt.Sprintf("store shards=%d chunk=%d workers=%d", shards, chunk, workers), got, cast)
-			}
+	// One view a chunk, then 4 + 2 views, then 6 views with a short tail.
+	for _, chunk := range []int{257, 2048, 0} {
+		s := colStore(t, vecs, labels, chunk)
+		for _, workers := range []int{1, 3} {
+			got, cast := voteStore(t, s, plan, colLFSchema, workers)
+			check(fmt.Sprintf("store chunk=%d workers=%d", chunk, workers), got, cast)
 		}
 	}
 	// The adapter reads the full-schema vectors where they are.
@@ -264,13 +263,14 @@ func TestColumnVotesMatchClosures(t *testing.T) {
 }
 
 // FuzzColumnVotesMatchClosures: random schemas and rows written through the
-// store's segment encoder and read back as column views must vote exactly as
-// the closures do on the decoded vectors.
+// store's segment encoder, in one to three chunks of up to three column views
+// each, and read back as column views must vote exactly as the closures do
+// on the decoded vectors.
 func FuzzColumnVotesMatchClosures(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(40), uint8(1))
-	f.Add(int64(7), uint8(6), uint8(200), uint8(8))
+	f.Add(int64(1), uint8(3), uint8(40), uint8(0))
+	f.Add(int64(7), uint8(6), uint8(200), uint8(1))
 	f.Add(int64(-3), uint8(1), uint8(1), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nFeats, nRows, shards uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nFeats, nRows, chunks uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		defs := make([]feature.Def, 1+int(nFeats)%8)
 		for i := range defs {
@@ -278,7 +278,7 @@ func FuzzColumnVotesMatchClosures(f *testing.F) {
 		}
 		schema := feature.MustSchema(defs...)
 		cat := func() string { return fmt.Sprintf("c%d", rng.Intn(5)) }
-		vecs := make([]*feature.Vector, 1+int(nRows))
+		vecs := make([]*feature.Vector, 1+5*int(nRows))
 		for r := range vecs {
 			v := feature.NewVector(schema)
 			for i, d := range defs {
@@ -322,15 +322,18 @@ func FuzzColumnVotesMatchClosures(f *testing.F) {
 		for j, p := range pinned {
 			lfs[j] = p.lf
 		}
-		s := colStore(t, vecs, make([]int8, len(vecs)), 1+int(shards)%8, 0)
+		k := 1 + int(chunks)%3
+		s := colStore(t, vecs, make([]int8, len(vecs)), (len(vecs)+k-1)/k)
 		got, _ := voteStore(t, s, Compile(lfs, schema), schema, 2)
+		i := 0
 		err := s.ScanChunks(context.Background(), func(_ int, _ []int, _ []int8, decoded []*feature.Vector) error {
-			for i, v := range decoded {
+			for _, v := range decoded {
 				for j, p := range pinned {
 					if want := p.ref(v); got[i][j] != want {
 						t.Fatalf("row %d %v: %s votes %d on the column view, closure votes %d", i, v, p.lf.Name, got[i][j], want)
 					}
 				}
+				i++
 			}
 			return nil
 		})
@@ -341,8 +344,8 @@ func FuzzColumnVotesMatchClosures(f *testing.F) {
 }
 
 // TestApplyColumnsAllocsPerChunk: voting a store's chunks allocates a fixed
-// number of objects per chunk (labels, ordinal marks, the vote slab, one
-// scratch per segment) and nothing per row.
+// number of objects per chunk (labels, the vote slab, one scratch slab for
+// every view) and nothing per row or per view.
 func TestApplyColumnsAllocsPerChunk(t *testing.T) {
 	pinned := pinnedLFs(t)
 	lfs := make([]*LF, len(pinned))
@@ -352,7 +355,7 @@ func TestApplyColumnsAllocsPerChunk(t *testing.T) {
 	plan := Compile(lfs, colLFSchema)
 	perChunk := func(rows int) float64 {
 		vecs, labels := colRows(4*rows, 5)
-		s := colStore(t, vecs, labels, 8, rows)
+		s := colStore(t, vecs, labels, rows)
 		votes := make([][]int8, 0, s.Rows())
 		return testing.AllocsPerRun(5, func() {
 			_ = s.ScanColumns(context.Background(), colLFSchema, func(_ int, labels []int8, parts []feature.Columns) error {
@@ -363,7 +366,7 @@ func TestApplyColumnsAllocsPerChunk(t *testing.T) {
 	}
 	small, large := perChunk(256), perChunk(4096)
 	t.Logf("allocations per chunk: %.1f at 256 rows, %.1f at 4096 rows", small, large)
-	if large > small+8 { // the per-segment ID scratch may grow a step or two further
+	if large > small+8 { // a value with more categories than its scratch holds grows it
 		t.Errorf("allocations grow with the chunk: %.1f per 256-row chunk, %.1f per 4096-row chunk", small, large)
 	}
 	if large > 40 {
@@ -381,7 +384,7 @@ func BenchmarkApplyLFs(b *testing.B) {
 		lfs = append(lfs, p.lf)
 	}
 	plan := Compile(lfs, colLFSchema)
-	s := colStore(b, vecs, labels, 8, 4096)
+	s := colStore(b, vecs, labels, 4096)
 	for name, vote := range map[string]func() [][]int8{
 		"vector": func() [][]int8 {
 			votes, _ := plan.Vote(mapreduce.Config{Workers: 1}, feature.VectorColumns(colLFSchema, vecs), len(vecs), nil)

@@ -69,19 +69,26 @@ func Compile(lfs []*LF, schema *feature.Schema) *Plan {
 	return p
 }
 
+// voteScratch is how many category IDs of one value a view's vote scratch
+// holds before it grows.
+const voteScratch = 16
+
 // Vote is the vote kernel: every LF on one chunk of rows rows, read through
-// the chunk's column views, which write disjoint ordinals and are fanned over
-// cfg's workers. The chunk's vote rows, in ordinal order, are appended to
+// the chunk's column views, consecutive runs of ordinals fanned over cfg's
+// workers. The chunk's vote rows, in ordinal order, are appended to
 // votes; they are carved from one flat slab with room for one more column,
 // which curation keeps through its in-place LF dedupe and fills with the
 // propagation LF without reallocating. The second result counts the votes cast.
 func (p *Plan) Vote(cfg mapreduce.Config, parts []feature.Columns, rows int, votes [][]int8) ([][]int8, int) {
 	n, stride := len(p.tests), len(p.tests)+1
 	slab := make([]int8, rows*stride)
-	// The mapper never errors and the context never cancels.
-	cast, _ := mapreduce.Map(nil, cfg, parts, func(c feature.Columns) (int, error) {
-		var buf []uint32
-		cast := 0
+	// Each view's scratch for one value's category IDs is carved from one
+	// slab; a value with more than voteScratch categories grows its own.
+	scratch := make([]uint32, len(parts)*voteScratch)
+	cast := make([]int, len(parts))
+	mapreduce.ForChunks(cfg, len(parts), 1, func(i, _ int) {
+		c, buf := parts[i], scratch[i*voteScratch:i*voteScratch:(i+1)*voteScratch]
+		votes := 0
 		for j := range p.tests {
 			t := &p.tests[j]
 			if t.dead {
@@ -90,11 +97,11 @@ func (p *Plan) Vote(cfg mapreduce.Config, parts []feature.Columns, rows int, vot
 			for r, nr := 0, c.Rows(); r < nr; r++ {
 				if t.holds(c, r, &buf) {
 					slab[c.Ord(r)*stride+j] = t.vote
-					cast++
+					votes++
 				}
 			}
 		}
-		return cast, nil
+		cast[i] = votes
 	})
 	total := 0
 	for i := 0; i < rows; i++ {

@@ -26,9 +26,9 @@ func storeScan(store *disk.Store, schema *feature.Schema) ColumnScan {
 }
 
 // spill writes the dev set into a fresh store, chunk rows a chunk (<= 0: one).
-func spill(tb testing.TB, vecs []*feature.Vector, labels []int8, shards, chunk int) *disk.Store {
+func spill(tb testing.TB, vecs []*feature.Vector, labels []int8, chunk int) *disk.Store {
 	tb.Helper()
-	s, err := disk.Open(tb.TempDir(), vecs[0].Schema(), disk.Options{Shards: shards})
+	s, err := disk.Open(tb.TempDir(), vecs[0].Schema(), disk.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -110,7 +110,7 @@ var edgeSchema = feature.MustSchema(
 )
 
 // TestColumnCountsMatchMine pins the counting kernel — over the disk store's
-// column views at every shard count and chunk size, and over the vector
+// column views at every chunk size, and over the vector
 // adapter — to the string-keyed vector counts, and the LFs mined from the
 // store to Mine over the same rows in memory.
 func TestColumnCountsMatchMine(t *testing.T) {
@@ -140,10 +140,9 @@ func TestColumnCountsMatchMine(t *testing.T) {
 		"vector adapter":             vectorScan(schemaCorpus{&chunkedCorpus{vecs: vecs, labels: labels, chunk: 700}, edgeSchema}),
 		"vector adapter, own schema": vectorScan(&sliceCorpus{vecs: projected, labels: labels}),
 	}
-	for _, shards := range []int{1, 8} {
-		for _, chunk := range []int{257, 2048, 0} {
-			corpora[fmt.Sprintf("store shards=%d chunk=%d", shards, chunk)] = storeScan(spill(t, vecs, labels, shards, chunk), edgeSchema)
-		}
+	// One view a chunk, then 4 + 2 views, then 6 views with a short tail.
+	for _, chunk := range []int{257, 2048, 0} {
+		corpora[fmt.Sprintf("store chunk=%d", chunk)] = storeScan(spill(t, vecs, labels, chunk), edgeSchema)
 	}
 	for name, corpus := range corpora {
 		for _, workers := range []int{1, 3} {
@@ -209,7 +208,7 @@ func BenchmarkCountOrder1(b *testing.B) {
 	vecs, labels := edgeDev(32768, 9)
 	for name, corpus := range map[string]ColumnScan{
 		"vector":  vectorScan(&chunkedCorpus{vecs: vecs, labels: labels, chunk: 4096}),
-		"columns": storeScan(spill(b, vecs, labels, 8, 4096), schema),
+		"columns": storeScan(spill(b, vecs, labels, 4096), schema),
 	} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -27,11 +27,7 @@ type counter struct {
 	count1    [2][][]int // [class][column][intern ID], grown on demand
 	candCount []int      // per candidate idx
 	observed  [][]numObs // per column, in corpus order
-	// Per-column scratch: a value's category IDs, and the chunk's numeric
-	// values by row ordinal (observed is appended from them in order).
-	bufs [][]uint32
-	vals [][]float64
-	has  [][]bool
+	bufs      [][]uint32 // per-column scratch: a value's category IDs
 }
 
 // candidate is one itemset of a column as intern IDs; idx keys candCount.
@@ -45,7 +41,6 @@ func (k *counter) scan(ctx context.Context, corpus ColumnScan) error {
 	n := k.schema.Len()
 	k.count1[0], k.count1[1] = make([][]int, n), make([][]int, n)
 	k.observed, k.bufs = make([][]numObs, n), make([][]uint32, n)
-	k.vals, k.has = make([][]float64, n), make([][]bool, n)
 	return corpus(ctx, func(labels []int8, parts []feature.Columns) error {
 		for _, l := range labels {
 			k.rows[class(l)]++
@@ -59,7 +54,7 @@ func (k *counter) scan(ctx context.Context, corpus ColumnScan) error {
 			}
 		})
 		trace.Count(ctx, "rows", int64(len(labels)))
-		trace.Count(ctx, "segments", int64(len(parts)))
+		trace.Count(ctx, "views", int64(len(parts)))
 		return nil
 	})
 }
@@ -109,30 +104,27 @@ func containsAll(have, ids []uint32) bool {
 	return true
 }
 
-// observeColumn appends one chunk of numeric column col to its observations,
-// in corpus order whatever order the views hold the rows in.
+// observeColumn appends one chunk of numeric column col to its
+// observations, grown once to the chunk's present count. The views are
+// consecutive runs of the chunk, so reading them in order is corpus order.
 func (k *counter) observeColumn(col int, labels []int8, parts []feature.Columns) {
-	if len(k.vals[col]) < len(labels) {
-		k.vals[col], k.has[col] = make([]float64, len(labels)), make([]bool, len(labels))
-	}
-	vals, has := k.vals[col], k.has[col]
 	present := 0
 	for _, c := range parts {
 		for r, n := 0, c.Rows(); r < n; r++ {
 			if c.Present(col, r) {
-				ord := c.Ord(r)
-				vals[ord], has[ord] = c.Num(col, r), true
 				present++
 			}
 		}
 	}
-	k.observed[col] = slices.Grow(k.observed[col], present)
-	for ord, ok := range has[:len(labels)] {
-		if ok {
-			k.observed[col] = append(k.observed[col], numObs{vals[ord], labels[ord]})
-			has[ord] = false
+	obs := slices.Grow(k.observed[col], present)
+	for _, c := range parts {
+		for r, n := 0, c.Rows(); r < n; r++ {
+			if c.Present(col, r) {
+				obs = append(obs, numObs{c.Num(col, r), labels[c.Ord(r)]})
+			}
 		}
 	}
+	k.observed[col] = obs
 }
 
 // order1Keys turns one class's order-1 tables into the miner's "feat|cat" keys.

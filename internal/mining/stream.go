@@ -22,7 +22,7 @@ type Corpus interface {
 // ColumnScan is one pass over a labeled development corpus as column views:
 // fn gets each chunk's labels in row order and the chunk's views, opened for
 // the schema being mined. The disk feature store backs it straight with its
-// segments, vectorScan with any Corpus; the miner itself never sees a Vector.
+// chunk segments, vectorScan with any Corpus; the miner itself never sees a Vector.
 type ColumnScan func(ctx context.Context, fn func(labels []int8, parts []feature.Columns) error) error
 
 // sliceCorpus adapts the classic in-memory dev set to Corpus.

@@ -33,7 +33,6 @@ var optionAllow = map[string]string{
 	"core.StreamOptions.ChunkHook":           "injection seam: the crash / resume suite's per-chunk hook",
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
 	"core.TrainSpec.IncludeModalityFeatures": "copied from core.Options by DefaultTrainSpec",
-	"disk.Options.Shards":                    "on-disk layout: segments record nshards and Open checks each segment's shard against it; the disk, lf and mining suites vary it",
 	"labelprop.GraphConfig.MinWeight":        "graph hyperparameter: the edge-weight floor (default 0.05); the selection tests vary it",
 	"mining.Config":                          "paper hyperparameter: the mining thresholds (§4.3); internal/experiments sets only MaxOrder, bench/ only NumericQuantiles",
 	"model.Config":                           "paper hyperparameter: the end model; the model suite varies BatchSize, L2 and PositiveWeight",
