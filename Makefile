@@ -72,6 +72,7 @@ gate-full:
 	$(GO) test -run xxx -fuzz FuzzPackedVectorMatchesReference -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzSparseRowMatchesDense -fuzztime 5s ./internal/feature/
 	$(GO) test -run xxx -fuzz FuzzShuffleIntsMatchesMathRand -fuzztime 5s ./internal/xrand/
+	$(GO) test -run xxx -fuzz FuzzShuffleIntsDownToMatchesFull -fuzztime 5s ./internal/xrand/
 	$(GO) test -run xxx -fuzz FuzzFeaturizeMatchesReference -fuzztime 5s ./internal/resource/
 	$(GO) test -run xxx -fuzz FuzzHandlePredict -fuzztime 5s -fuzzminimizetime 10x ./internal/serve/
 	CROSSMODAL_SCALE_SMOKE=1 CROSSMODAL_SCALE_N=$(SCALE_N) \

@@ -368,6 +368,9 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 		}
 		return b.ApplyDelta(ctx, proj)
 	})
+	if err == nil {
+		err = b.Flush(ctx)
+	}
 	if err != nil {
 		return labelprop.Cuts{}, 0, fmt.Errorf("core: build graph: %w", err)
 	}

@@ -1,6 +1,14 @@
 package disk
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"crossmodal/internal/feature"
+)
 
 // TestShardReadAllocs pins the zero-allocation contract of the segment
 // read hot path: scanning a committed chunk's mapped segment must not
@@ -65,4 +73,41 @@ func TestShardReadAllocs(t *testing.T) {
 	}
 	_ = sink
 	_ = cats
+}
+
+// TestEncodeKeepsNoChunkImage: a segment streams to its file through the
+// encoder's fixed write buffer, so encoding a chunk whose file is several
+// times that buffer allocates far less than the file — the encoder builds no
+// image of it. The GC is off while it counts: a cycle adds stray mallocs.
+func TestEncodeKeepsNoChunkImage(t *testing.T) {
+	schema := feature.MustSchema(
+		feature.Def{Name: "score", Kind: feature.Numeric},
+		feature.Def{Name: "emb", Kind: feature.Embedding, Dim: 32},
+		feature.Def{Name: "topic", Kind: feature.Categorical},
+	)
+	const rows = 4096
+	ids, labels, vecs := make([]int, rows), make([]int8, rows), make([]*feature.Vector, rows)
+	for r := range vecs {
+		v := feature.NewVector(schema)
+		v.MustSet("score", feature.NumericValue(float64(r)))
+		v.MustSet("emb", feature.EmbeddingValue(make([]float64, 32)))
+		v.MustSet("topic", feature.CategoricalValue(fmt.Sprintf("t%d", r%7)))
+		ids[r], vecs[r] = r, v
+	}
+	f, err := os.CreateTemp(t.TempDir(), "seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	size, err := new(encoder).encodeSegment(f, schema, SchemaHash(schema), 0, ids, labels, vecs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; size < 16*writeBuffer || alloc > uint64(size)/4 {
+		t.Errorf("encoding a %d-byte segment allocated %d bytes, want under a quarter of it", size, alloc)
+	}
 }

@@ -134,9 +134,17 @@ func encodeTestSegment(t testing.TB, schema *feature.Schema, rows int, seed int6
 		ids[i] = 1000 + i
 		labels[i] = int8(i%3 - 1)
 	}
-	data, err := new(encoder).encodeSegment(schema, SchemaHash(schema), 0, ids, labels, vecs)
+	f, err := os.CreateTemp(t.TempDir(), "seg")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := new(encoder).encodeSegment(f, schema, SchemaHash(schema), 0, ids, labels, vecs); err != nil {
 		t.Fatalf("encodeSegment: %v", err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return data
 }

@@ -56,13 +56,16 @@
 package disk
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
-	"slices"
+	"os"
 
 	"crossmodal/internal/feature"
 )
@@ -339,131 +342,180 @@ func (c *cursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// encoder is the scratch a Store encodes its segments in — the file image
-// and the per-column dictionary state — kept across chunks.
+// writeBuffer is the size of the buffer a segment streams through: the
+// encoder's whole share of a chunk's file image.
+const writeBuffer = 64 << 10
+
+// encoder is the scratch a Store encodes its segments in — the write buffer,
+// one column's presence bitmap and the per-column dictionary state — kept
+// across chunks.
 type encoder struct {
-	buf      []byte
+	crc      hash.Hash32
+	bw       *bufio.Writer // over the file and crc
+	pres     []byte
 	dictIdx  map[string]uint32
 	dict     []string
 	offsets  []uint32
 	localIDs []uint32
 }
 
-// encodeSegment serializes one chunk. ids, labels, and vecs are parallel;
-// every vector must carry schema. The whole file image — header, payload,
-// payload CRC — is appended into the encoder's buffer, sized up front, the
-// header filled in last once the payload length is known. The returned bytes
-// alias that buffer: they are valid until the next encodeSegment, by when
-// atomicWrite has consumed them.
-func (e *encoder) encodeSegment(schema *feature.Schema, schemaHash uint64, chunk int, ids []int, labels []int8, vecs []*feature.Vector) ([]byte, error) {
+// encodeSegment serializes one chunk into f, a fresh file, and returns the
+// file's size. ids, labels, and vecs are parallel; every vector must carry
+// schema. The payload streams from offset headerSize through a bufio.Writer,
+// its CRC computed as the bytes go out; the payload CRC follows it, and the
+// header, which records the payload length, is written last at offset 0.
+func (e *encoder) encodeSegment(f *os.File, schema *feature.Schema, schemaHash uint64, chunk int, ids []int, labels []int8, vecs []*feature.Vector) (int, error) {
 	rows := len(vecs)
 	if rows == 0 || rows > maxRows {
-		return nil, fmt.Errorf("disk: segment row count %d out of range", rows)
+		return 0, fmt.Errorf("disk: segment row count %d out of range", rows)
 	}
-	bitmapLen := (rows + 7) / 8
-	// Fixed-width columns are sized exactly; a categorical column is guessed
-	// at two categories a row plus a small dictionary, and append grows the
-	// buffer if a segment turns out denser.
-	size := headerSize + 9*rows + 4
-	for i := 0; i < schema.Len(); i++ {
-		size += bitmapLen
-		switch d := schema.Def(i); d.Kind {
-		case feature.Numeric:
-			size += 8 * rows
-		case feature.Embedding:
-			size += 8 * rows * d.Dim
-		case feature.Categorical:
-			size += 4 + 1024 + 4*(rows+1) + 8*rows
-		}
+	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
+		return 0, err
 	}
-	le := binary.LittleEndian
-	out := slices.Grow(e.buf[:0], size)[:headerSize]
-	if e.dictIdx == nil {
+	if e.bw == nil {
+		e.crc = crc32.NewIEEE()
+		e.bw = bufio.NewWriterSize(nil, writeBuffer)
 		e.dictIdx = make(map[string]uint32)
 	}
-	dictIdx, dict, offsets, localIDs := e.dictIdx, e.dict, e.offsets, e.localIDs
-	defer func() { e.buf, e.dict, e.offsets, e.localIDs = out[:0], dict, offsets, localIDs }()
+	e.crc.Reset()
+	e.bw.Reset(io.MultiWriter(f, e.crc))
+	// out is the bytes appended since the last bw.Write, in bw's free space:
+	// a local, so the column loops keep it in registers.
+	out := e.bw.AvailableBuffer()
+	le := binary.LittleEndian
 	for _, id := range ids {
+		out = e.room(out, 8)
 		out = le.AppendUint64(out, uint64(id))
 	}
 	for _, l := range labels {
+		out = e.room(out, 1)
 		out = append(out, byte(l))
+	}
+	// Every column opens with its presence bitmap, so one row-major pass
+	// fills all of them before any column's bytes go out.
+	bitmapLen := (rows + 7) / 8
+	e.pres = append(e.pres[:0], make([]byte, schema.Len()*bitmapLen)...)
+	for r, v := range vecs {
+		for i := 0; i < schema.Len(); i++ {
+			if v.Present(i) {
+				e.pres[i*bitmapLen+r/8] |= 1 << (r % 8)
+			}
+		}
 	}
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
-		// The presence bitmap is reserved here and its bits are set by the
-		// column loop below, which reads each cell once.
-		pres := len(out)
-		out = append(out, make([]byte, bitmapLen)...)
+		if d.Kind == feature.Categorical {
+			if err := e.dictionary(d.Name, i, vecs); err != nil {
+				return 0, err
+			}
+		}
+		out = e.room(out, bitmapLen)
+		out = append(out, e.pres[i*bitmapLen:][:bitmapLen]...)
 		switch d.Kind {
 		case feature.Numeric:
-			for r, v := range vecs {
-				if v.Present(i) {
-					out[pres+r/8] |= 1 << (r % 8)
-				}
+			for _, v := range vecs {
+				out = e.room(out, 8)
 				out = le.AppendUint64(out, math.Float64bits(v.Num(i)))
 			}
 		case feature.Embedding:
-			for r, v := range vecs {
-				if !v.Present(i) {
-					out = append(out, make([]byte, 8*d.Dim)...)
-					continue
+			for _, v := range vecs {
+				vec := v.Vec(i) // nil when missing: zeros
+				if v.Present(i) && len(vec) != d.Dim {
+					return 0, fmt.Errorf("disk: feature %q: embedding dim %d, schema wants %d", d.Name, len(vec), d.Dim)
 				}
-				out[pres+r/8] |= 1 << (r % 8)
-				vec := v.Vec(i)
-				if len(vec) != d.Dim {
-					return nil, fmt.Errorf("disk: feature %q: embedding dim %d, schema wants %d", d.Name, len(vec), d.Dim)
-				}
-				for _, x := range vec {
-					out = le.AppendUint64(out, math.Float64bits(x))
+				out = e.room(out, 8*d.Dim)
+				for k := 0; k < d.Dim; k++ {
+					var x uint64
+					if k < len(vec) {
+						x = math.Float64bits(vec[k])
+					}
+					out = le.AppendUint64(out, x)
 				}
 			}
 		case feature.Categorical:
-			clear(dictIdx)
-			dict, localIDs = dict[:0], localIDs[:0]
-			offsets = append(offsets[:0], 0)
-			for r, v := range vecs {
-				if v.Present(i) {
-					out[pres+r/8] |= 1 << (r % 8)
-					for _, cat := range v.Categories(i) {
-						id, ok := dictIdx[cat]
-						if !ok {
-							id = uint32(len(dict))
-							dictIdx[cat] = id
-							dict = append(dict, cat)
-						}
-						localIDs = append(localIDs, id)
-					}
-				}
-				offsets = append(offsets, uint32(len(localIDs)))
+			out = e.room(out, 4)
+			out = le.AppendUint32(out, uint32(len(e.dict)))
+			for _, s := range e.dict {
+				out = e.room(out, 2+len(s))
+				out = append(le.AppendUint16(out, uint16(len(s))), s...)
 			}
-			if len(dict) > maxDictEntries {
-				return nil, fmt.Errorf("disk: feature %q: dictionary overflows %d entries", d.Name, maxDictEntries)
-			}
-			if len(localIDs) > maxCatIDs {
-				return nil, fmt.Errorf("disk: feature %q: category IDs overflow %d", d.Name, maxCatIDs)
-			}
-			out = le.AppendUint32(out, uint32(len(dict)))
-			for _, s := range dict {
-				if len(s) > math.MaxUint16 {
-					return nil, fmt.Errorf("disk: feature %q: category longer than %d bytes", d.Name, math.MaxUint16)
-				}
-				out = le.AppendUint16(out, uint16(len(s)))
-				out = append(out, s...)
-			}
-			for _, o := range offsets {
+			for _, o := range e.offsets {
+				out = e.room(out, 4)
 				out = le.AppendUint32(out, o)
 			}
-			for _, id := range localIDs {
+			for _, id := range e.localIDs {
+				out = e.room(out, 4)
 				out = le.AppendUint32(out, id)
 			}
 		}
 	}
-	payloadLen := len(out) - headerSize
-	if payloadLen > maxPayload {
-		return nil, fmt.Errorf("disk: segment payload %d bytes exceeds cap", payloadLen)
+	e.bw.Write(out)
+	if err := e.bw.Flush(); err != nil {
+		return 0, err
 	}
-	copy(out, putHeader(header{Chunk: chunk, Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen}))
-	out = le.AppendUint32(out, crc32.ChecksumIEEE(out[headerSize:]))
-	return out, nil
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	if end-headerSize > maxPayload {
+		return 0, fmt.Errorf("disk: segment payload %d bytes exceeds cap", end-headerSize)
+	}
+	payloadLen := int(end) - headerSize
+	if _, err := f.Write(le.AppendUint32(e.pres[:0], e.crc.Sum32())); err != nil {
+		return 0, err
+	}
+	if _, err := f.WriteAt(putHeader(header{Chunk: chunk, Rows: rows, SchemaHash: schemaHash, PayloadLen: payloadLen}), 0); err != nil {
+		return 0, err
+	}
+	return headerSize + payloadLen + 4, nil
+}
+
+// dictionary builds categorical column i's segment-local dictionary, in
+// first-appearance order, and its per-row offsets and local IDs.
+func (e *encoder) dictionary(name string, i int, vecs []*feature.Vector) error {
+	clear(e.dictIdx)
+	e.dict, e.localIDs = e.dict[:0], e.localIDs[:0]
+	e.offsets = append(e.offsets[:0], 0)
+	for _, v := range vecs {
+		if v.Present(i) {
+			for _, cat := range v.Categories(i) {
+				id, ok := e.dictIdx[cat]
+				if !ok {
+					if len(cat) > math.MaxUint16 {
+						return fmt.Errorf("disk: feature %q: category longer than %d bytes", name, math.MaxUint16)
+					}
+					id = uint32(len(e.dict))
+					e.dictIdx[cat] = id
+					e.dict = append(e.dict, cat)
+				}
+				e.localIDs = append(e.localIDs, id)
+			}
+		}
+		e.offsets = append(e.offsets, uint32(len(e.localIDs)))
+	}
+	if len(e.dict) > maxDictEntries {
+		return fmt.Errorf("disk: feature %q: dictionary overflows %d entries", name, maxDictEntries)
+	}
+	if len(e.localIDs) > maxCatIDs {
+		return fmt.Errorf("disk: feature %q: category IDs overflow %d", name, maxCatIDs)
+	}
+	return nil
+}
+
+// room returns out with room for n more bytes: when they would not fit, it
+// hands out to the bufio.Writer, flushes that, and continues in its free
+// space. (A run longer than the whole buffer then grows out past it, which
+// bw.Write copies.) A write error is kept by the writer and returned by
+// encodeSegment's final Flush.
+func (e *encoder) room(out []byte, n int) []byte {
+	if cap(out)-len(out) >= n {
+		return out
+	}
+	return e.spill(out) // out of line, so room inlines into the column loops
+}
+
+func (e *encoder) spill(out []byte) []byte {
+	e.bw.Write(out)
+	e.bw.Flush()
+	return e.bw.AvailableBuffer()
 }

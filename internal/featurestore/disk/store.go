@@ -235,17 +235,20 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 	defer span.End()
 	seq := s.Chunks()
 
-	data, err := s.enc.encodeSegment(s.schema, s.schemaHash, seq, ids, labels, vecs)
-	if err != nil {
-		return err
-	}
 	path := filepath.Join(s.dir, segName(seq))
-	if err := s.atomicWrite(path, data, "segment"); err != nil {
+	var size int
+	if err := s.atomicWrite(path, "segment", func(f *os.File) (err error) {
+		size, err = s.enc.encodeSegment(f, s.schema, s.schemaHash, seq, ids, labels, vecs)
+		return err
+	}); err != nil {
 		return err
 	}
 	// The marker commits the chunk; its content is irrelevant (rename
 	// atomicity is the commit), only its existence matters.
-	if err := s.atomicWrite(filepath.Join(s.dir, markerName(seq)), []byte("ok\n"), "marker"); err != nil {
+	if err := s.atomicWrite(filepath.Join(s.dir, markerName(seq)), "marker", func(f *os.File) error {
+		_, err := f.WriteString("ok\n")
+		return err
+	}); err != nil {
 		return err
 	}
 	seg, err := openSegment(path, s.schema, s.schemaHash)
@@ -258,13 +261,13 @@ func (s *Store) AppendChunk(ctx context.Context, ids []int, labels []int8, vecs 
 	s.rows += seg.Rows()
 	s.mu.Unlock()
 	span.Add("rows", int64(len(vecs)))
-	span.Add("bytes", int64(len(data)))
+	span.Add("bytes", int64(size))
 	return nil
 }
 
-// atomicWrite lands data at path via temp file + rename, running the
-// commit hook (fault seam) just before the rename.
-func (s *Store) atomicWrite(path string, data []byte, op string) (err error) {
+// atomicWrite lands what write puts in a temp file at path via rename,
+// running the commit hook (fault seam) just before the rename.
+func (s *Store) atomicWrite(path, op string, write func(f *os.File) error) (err error) {
 	f, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return err
@@ -275,7 +278,7 @@ func (s *Store) atomicWrite(path string, data []byte, op string) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if _, err = f.Write(data); err != nil {
+	if err = write(f); err != nil {
 		f.Close()
 		return err
 	}

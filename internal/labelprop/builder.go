@@ -13,6 +13,11 @@ import (
 	"crossmodal/internal/xrand"
 )
 
+// tileLen caps how many vertices of one group are selected together: a
+// tile's slot index fits a byte, and its candidate pairs number at most
+// tileLen × MaxCandidates.
+const tileLen = 128
+
 // Builder constructs a similarity graph incrementally. Feeding the whole
 // corpus through one ApplyDelta is exactly BuildGraph (which is implemented
 // this way); feeding it in chunks produces a bit-identical graph, because
@@ -20,6 +25,10 @@ import (
 // edge scoring, top-K truncation — depends only on (Seed, vertex index,
 // final block index state), and the block index grows append-only in
 // vertex order.
+//
+// Selection is deferred: ApplyDelta only grows the vertex store and the
+// index, and Flush (or Graph) selects every vertex the deltas since the last
+// flush made dirty, once, over the index as it then stands.
 //
 // There is one candidate path: a vertex's candidates are the vertices
 // sharing one of its block keys. Only the key function varies, chosen once
@@ -39,11 +48,16 @@ type Builder struct {
 
 	// The block index: block key → vertices, and the vertices grouped by
 	// their ordered key list. Vertices of one group enumerate the same block
-	// union, so a delta builds it once per group, not once per vertex.
+	// union, so a flush builds it once per tile, not once per vertex. Blocks
+	// grow in vertex order, so each is ascending.
 	blockIndex map[uint64][]int32
 	groupOf    []int32          // vertex → group
 	groupKeys  [][]uint64       // group → its ordered block keys
 	groupIDs   map[string]int32 // a key list's bytes → group
+
+	// flushed is the vertex count at the last Flush: a vertex below it keeps
+	// its selection unless its group is dirty (see dirtyTiles).
+	flushed int
 }
 
 // NewBuilder prepares an incremental builder for vectors of the given
@@ -78,42 +92,35 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 // NumVertices returns the number of vertices applied so far.
 func (b *Builder) NumVertices() int { return b.arena.Len() }
 
-// Graph returns the graph over all applied vertices. The same *Graph is
-// updated in place by subsequent deltas.
-func (b *Builder) Graph() *Graph { return b.g }
+// Graph flushes any pending deltas and returns the graph over all applied
+// vertices. The same *Graph is updated in place by later flushes.
+func (b *Builder) Graph() *Graph {
+	// Flush fails only when its context ends, and this one never does.
+	_ = b.Flush(context.Background())
+	return b.g
+}
 
-// ApplyDelta appends newVecs as vertices and updates the graph: each new
-// vertex joins its blocks, then directed edges are recomputed for the new
-// vertices and for every existing vertex sharing a block key with one.
+// ApplyDelta appends newVecs as vertices: each joins the arena, its blocks
+// and its key-list group. No vertex is selected until the next Flush.
 func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) error {
 	if len(newVecs) == 0 {
 		return nil
 	}
-	ctx, span := trace.Start(ctx, "labelprop.apply_delta")
+	_, span := trace.Start(ctx, "labelprop.apply_delta")
 	defer span.End()
 	base := b.arena.Len()
 	b.arena.Append(newVecs...)
-	n := b.arena.Len()
-
 	// Grow the block index serially in vertex order — the order a one-shot
 	// build uses, so block contents (and hence candidate enumeration) match
-	// it exactly. recompute collects the existing vertices whose candidate
-	// set the new vertices changed, then the new vertices themselves.
-	var recompute []int
-	mark := make([]bool, base)
+	// it exactly.
 	var listKey []byte
 	for k, v := range newVecs {
+		i := int32(base + k)
 		keys := b.keys(v)
 		listKey = listKey[:0]
 		for _, key := range keys {
 			listKey = binary.LittleEndian.AppendUint64(listKey, key)
-			for _, j := range b.blockIndex[key] {
-				if int(j) < base && !mark[j] {
-					mark[j] = true
-					recompute = append(recompute, int(j))
-				}
-			}
-			b.blockIndex[key] = append(b.blockIndex[key], int32(base+k))
+			b.blockIndex[key] = append(b.blockIndex[key], i)
 		}
 		g, ok := b.groupIDs[string(listKey)]
 		if !ok {
@@ -123,32 +130,223 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 		}
 		b.groupOf = append(b.groupOf, g)
 	}
-	updated := len(recompute)
-	for i := base; i < n; i++ {
-		recompute = append(recompute, i)
-	}
-	// Vertices of one group sit together, so the worker that claims a run of
-	// them builds their shared block union once (see blockCandidates).
-	groupOf := b.groupOf
-	slices.SortFunc(recompute, func(x, y int) int {
-		return cmp.Or(cmp.Compare(groupOf[x], groupOf[y]), cmp.Compare(x, y))
-	})
+	span.SetInt("added", int64(len(newVecs)))
+	span.SetInt("vertices", int64(b.arena.Len()))
+	return nil
+}
 
+// Flush selects every dirty vertex once, over the index as it stands, then
+// rebuilds the symmetric adjacency. A vertex is dirty when it is new since
+// the last Flush or shares a block key with one: only then can its block
+// union, and so its selection, have changed. The span counts the vertices
+// selected and the candidate pairs scored.
+func (b *Builder) Flush(ctx context.Context) error {
+	n := b.arena.Len()
+	if n == b.flushed {
+		return nil
+	}
+	ctx, span := trace.Start(ctx, "labelprop.flush")
+	defer span.End()
 	g := b.g
-	g.dir = append(g.dir, make([]Edge, (n-base)*g.k)...)
-	g.dirLen = append(g.dirLen, make([]int32, n-base)...)
-	scratch := sync.Pool{New: func() any { return newVertexScratch(n) }}
-	k, minWeight := b.cfg.K, b.cfg.MinWeight
-	_, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, recompute, func(i int) (struct{}, error) {
-		sc := scratch.Get().(*vertexScratch)
+	// Grown from the slab's own length, so a Flush retried after a canceled
+	// one grows nothing twice.
+	g.dir = append(g.dir, make([]Edge, n*g.k-len(g.dir))...)
+	g.dirLen = append(g.dirLen, make([]int32, n-len(g.dirLen))...)
+
+	tiles, selected := b.dirtyTiles()
+	scratch := sync.Pool{New: func() any { return newTileScratch(n) }}
+	pairs, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, tiles, func(t []int32) (int, error) {
+		sc := scratch.Get().(*tileScratch)
 		defer scratch.Put(sc)
-		// top is a heap of the best <= K edges so far with the worst at the
-		// root, kept in the vertex's own slot of the directed slab. Once it is
-		// full, the root's weight is the floor a candidate must reach, which
-		// lets the kernel abandon hopeless pairs early.
-		top := g.dir[i*k : i*k : (i+1)*k]
-		for _, c := range b.candidates(i, sc) {
-			j := int(c)
+		b.sampleTile(t, sc)
+		return b.scoreTile(t, sc), nil
+	})
+	if err != nil {
+		return err
+	}
+	g.symmetrize()
+	b.flushed = n
+	total := 0
+	for _, p := range pairs {
+		total += p
+	}
+	span.Add("selected", int64(selected))
+	span.Add("pairs", int64(total))
+	span.SetInt("vertices", int64(n))
+	return nil
+}
+
+// dirtyTiles returns the dirty vertices cut into tiles — runs of at most
+// tileLen vertices of one group, selected together — and their count. A
+// group is dirty when it gained a vertex, or one of its blocks did, since the
+// last Flush; blocks grow in vertex order, so a block's last entry tells.
+// The vertices are counting-sorted by group, ascending within a group, so
+// the worker that claims a run of one group's tiles builds their shared
+// block union once.
+func (b *Builder) dirtyTiles() ([][]int32, int) {
+	dirty := make([]bool, len(b.groupKeys))
+	for _, gr := range b.groupOf[b.flushed:] {
+		dirty[gr] = true
+	}
+	for gr, keys := range b.groupKeys {
+		for k := 0; k < len(keys) && !dirty[gr]; k++ {
+			blk := b.blockIndex[keys[k]]
+			dirty[gr] = int(blk[len(blk)-1]) >= b.flushed
+		}
+	}
+	at := make([]int32, len(dirty)+1)
+	for _, gr := range b.groupOf {
+		if dirty[gr] {
+			at[gr+1]++
+		}
+	}
+	for gr := range dirty {
+		at[gr+1] += at[gr]
+	}
+	order := make([]int32, at[len(dirty)])
+	for v, gr := range b.groupOf {
+		if dirty[gr] {
+			order[at[gr]] = int32(v)
+			at[gr]++
+		}
+	}
+	// at[gr] is now the end of group gr's run.
+	var tiles [][]int32
+	lo := int32(0)
+	for _, hi := range at[:len(dirty)] {
+		for t := lo; t < hi; t += tileLen {
+			tiles = append(tiles, order[t:min(t+tileLen, hi)])
+		}
+		lo = hi
+	}
+	return tiles, len(order)
+}
+
+// tileScratch is one worker's reusable selection state, valid for one Flush.
+type tileScratch struct {
+	// seen.buf is the block union of group (-1: none) and seen.buf[:head] its
+	// first block, which holds every member of the group, ascending.
+	seen  dedupeSet
+	group int32
+	head  int
+	perm  []int32 // one vertex's union positions, shuffled
+	pos   []int32 // each tile slot's union positions, at a fixed stride
+	// The tile's candidate pairs bucketed by union position: the tile slots
+	// are owner, and position p's bucket ends at at[p].
+	at    []int32
+	owner []uint8
+}
+
+func newTileScratch(n int) *tileScratch {
+	return &tileScratch{seen: newDedupeSet(n), group: -1}
+}
+
+// union returns group gr's block union: its blocks in key order, each in
+// vertex order, first occurrence kept. It stays in the scratch until the
+// worker reaches another group.
+func (b *Builder) union(gr int32, sc *tileScratch) []int32 {
+	if gr != sc.group {
+		sc.group, sc.head = gr, 0
+		sc.seen.reset()
+		for k, key := range b.groupKeys[gr] {
+			for _, j := range b.blockIndex[key] {
+				sc.seen.add(j)
+			}
+			if k == 0 {
+				sc.head = len(sc.seen.buf)
+			}
+		}
+	}
+	return sc.seen.buf
+}
+
+// sample writes vertex i's candidates to dst as positions into its group's
+// union (i itself excluded) and returns them. A union with more than
+// MaxCandidates other vertices is cut to a sample drawn from the vertex's own
+// stream (Seed, vertex index). Recorded outputs depend on which candidates
+// that is, so the sample must stay, as a set, draw-for-draw
+// rand.New(src).Shuffle's over the union in order (xrand.ShuffleInts);
+// shuffling positions instead of vertices permutes the same way, and the
+// steps ShuffleIntsDownTo skips only reorder the sample. dst needs room for
+// min(MaxCandidates, len(union)) positions.
+func (b *Builder) sample(i int, sc *tileScratch, dst []int32) []int32 {
+	union := b.union(b.groupOf[i], sc)
+	// A vertex is in its first block; a key-less one has an empty union.
+	own, _ := slices.BinarySearch(union[:sc.head], int32(i))
+	m := b.cfg.MaxCandidates
+	if len(union)-1 <= m {
+		return positionsExcept(dst[:0], len(union), own)
+	}
+	sc.perm = positionsExcept(sc.perm[:0], len(union), own)
+	var src xrand.Source
+	src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
+	src.ShuffleIntsDownTo(sc.perm, m)
+	return append(dst[:0], sc.perm[:m]...)
+}
+
+// positionsExcept appends 0..u-1 without own to dst.
+func positionsExcept(dst []int32, u, own int) []int32 {
+	for p := 0; p < own; p++ {
+		dst = append(dst, int32(p))
+	}
+	for p := own + 1; p < u; p++ {
+		dst = append(dst, int32(p))
+	}
+	return dst
+}
+
+// sampleTile draws every tile vertex's candidates and buckets the tile's
+// (slot, position) pairs by position with a counting sort, so scoreTile can
+// walk the union once.
+func (b *Builder) sampleTile(t []int32, sc *tileScratch) {
+	u := len(b.union(b.groupOf[t[0]], sc))
+	stride := min(b.cfg.MaxCandidates, u)
+	sc.pos = slices.Grow(sc.pos[:0], len(t)*stride)[:len(t)*stride]
+	sc.at = slices.Grow(sc.at[:0], u+1)[:u+1]
+	clear(sc.at)
+	var npos [tileLen]int32
+	total := 0
+	for s, i := range t {
+		ps := b.sample(int(i), sc, sc.pos[s*stride:(s+1)*stride])
+		npos[s] = int32(len(ps))
+		total += len(ps)
+		for _, p := range ps {
+			sc.at[p+1]++
+		}
+	}
+	for p := 1; p <= u; p++ {
+		sc.at[p] += sc.at[p-1]
+	}
+	// at[p] is now bucket p's start; filling advances it to the bucket's end.
+	sc.owner = slices.Grow(sc.owner[:0], total)[:total]
+	for s := range t {
+		for _, p := range sc.pos[s*stride:][:npos[s]] {
+			sc.owner[sc.at[p]] = uint8(s)
+			sc.at[p]++
+		}
+	}
+}
+
+// scoreTile walks the union once and scores each candidate against every
+// tile vertex that sampled it while the candidate's arena record is hot,
+// and returns the pairs scored. Each vertex keeps a heap of its best <= K
+// edges so far with the worst at the root, in its own slot of the directed
+// slab; once it is full, the root's weight is the floor a candidate must
+// reach, which lets the kernel abandon hopeless pairs early. The kernel drops
+// a pair only when it is provably below that floor, and the floor only
+// rises, so the selection does not depend on the order candidates arrive in.
+func (b *Builder) scoreTile(t []int32, sc *tileScratch) int {
+	g, k, minWeight := b.g, b.cfg.K, b.cfg.MinWeight
+	union := sc.seen.buf
+	for _, i := range t {
+		g.dirLen[i] = 0
+	}
+	lo := int32(0)
+	for p, hi := range sc.at[:len(union)] {
+		j := int(union[p])
+		for _, s := range sc.owner[lo:hi] {
+			i := int(t[s])
+			top := g.dir[i*k : i*k+int(g.dirLen[i])]
 			floor := minWeight
 			if len(top) == k {
 				floor = top[0].Weight
@@ -161,79 +359,19 @@ func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) err
 			switch {
 			case len(top) < k:
 				top = append(top, e)
+				g.dirLen[i]++
 				siftUp(top, len(top)-1)
 			case rankEdges(e, top[0]) < 0:
 				top[0] = e
 				siftDown(top, 0)
 			}
 		}
-		slices.SortFunc(top, rankEdges)
-		g.dirLen[i] = int32(len(top))
-		return struct{}{}, nil
-	})
-	if err != nil {
-		return err
+		lo = hi
 	}
-	g.symmetrize()
-	span.SetInt("added", int64(len(newVecs)))
-	span.SetInt("updated", int64(updated))
-	span.SetInt("vertices", int64(n))
-	return nil
-}
-
-// candidates returns vertex i's block candidates capped at MaxCandidates: a
-// longer list is cut to a sorted sample drawn from the vertex's own stream
-// (Seed, vertex index). Recorded outputs depend on which candidates that is,
-// so the sampler must stay draw-for-draw rand.New(src).Shuffle (see
-// xrand.ShuffleInts).
-func (b *Builder) candidates(i int, sc *vertexScratch) []int32 {
-	out := b.blockCandidates(i, sc)
-	if len(out) > b.cfg.MaxCandidates {
-		var src xrand.Source
-		src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
-		src.ShuffleInts(out)
-		out = out[:b.cfg.MaxCandidates]
-		slices.Sort(out)
+	for _, i := range t {
+		slices.SortFunc(g.directed(int(i)), rankEdges)
 	}
-	return out
-}
-
-// blockCandidates enumerates the vertices sharing a block key with i: i's
-// blocks in key order, each in vertex order, first occurrence kept, i
-// itself dropped. Everything but the last step depends only on i's group,
-// so the deduplicated union stays in the worker's scratch until the worker
-// reaches a vertex of another group.
-func (b *Builder) blockCandidates(i int, sc *vertexScratch) []int32 {
-	if g := b.groupOf[i]; g != sc.group {
-		sc.group = g
-		sc.seen.reset()
-		for _, key := range b.groupKeys[g] {
-			for _, j := range b.blockIndex[key] {
-				sc.seen.add(j)
-			}
-		}
-	}
-	out := sc.cand[:0]
-	for _, j := range sc.seen.buf {
-		if j != int32(i) {
-			out = append(out, j)
-		}
-	}
-	sc.cand = out
-	return out
-}
-
-// vertexScratch is one worker's reusable candidate state, valid for one
-// ApplyDelta: the stamp set, the group whose block union seen.buf holds
-// (-1: none) and the buffer a vertex's own candidate list is cut in.
-type vertexScratch struct {
-	seen  dedupeSet
-	group int32
-	cand  []int32
-}
-
-func newVertexScratch(n int) *vertexScratch {
-	return &vertexScratch{seen: dedupeSet{stamp: make([]int32, n)}, group: -1}
+	return len(sc.owner)
 }
 
 // rankEdges is the selection order of a vertex's directed edges: weight

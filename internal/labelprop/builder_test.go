@@ -5,11 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crossmodal/internal/feature"
+	"crossmodal/internal/trace"
 )
 
 // applyChunked feeds vecs to a fresh Builder in chunks of the given size
@@ -107,6 +111,76 @@ func TestBuilderPrefixesMatchBuildGraph(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFlushSelectsEachVertexOnce: deferred selection does a one-shot build's
+// work however the corpus arrives. A 20-delta build's one Flush (through
+// Graph) selects every vertex once and scores exactly the candidate pairs the
+// one-shot build scores — one per sampled candidate — and the graphs match.
+func TestFlushSelectsEachVertexOnce(t *testing.T) {
+	if trace.Enabled() {
+		t.Fatal("tracer already installed; tests must not leak the process default")
+	}
+	s, vecs := curateShapeVecs(2000, 53)
+	scales := feature.FitScales(s, vecs)
+	cfg := GraphConfig{K: 10, Seed: 3, Workers: 2, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}
+	build := func(deltas int) (string, *Builder) {
+		tr := trace.New()
+		trace.SetDefault(tr)
+		defer trace.SetDefault(nil)
+		b := applyChunked(t, cfg, vecs, scales, len(vecs)/deltas)
+		b.Graph()
+		var summary strings.Builder
+		if err := tr.WriteSummary(&summary); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(summary.String(), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "labelprop.flush ") {
+				return line[strings.Index(line, "["):], b
+			}
+		}
+		t.Fatalf("%d deltas: no labelprop.flush span in\n%s", deltas, summary.String())
+		return "", nil
+	}
+	oneShot, b := build(1)
+	chunked, bc := build(20)
+	sc, buf := newTileScratch(len(vecs)), make([]int32, len(vecs))
+	pairs := 0
+	for i := range vecs {
+		pairs += len(candidateIDs(b, i, sc, buf))
+	}
+	want := fmt.Sprintf("[selected=%d pairs=%d vertices=%d]", len(vecs), pairs, len(vecs))
+	if oneShot != want || chunked != want {
+		t.Errorf("flush spans: one-shot %s, 20 deltas %s; want %s each", oneShot, chunked, want)
+	}
+	if err := graphEqual(b.Graph(), bc.Graph()); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFlushAfterCanceledFlush: a Flush whose context is canceled fails with
+// the context's error and leaves the deltas pending, so the next Flush builds
+// the one-shot graph.
+func TestFlushAfterCanceledFlush(t *testing.T) {
+	vecs := sweepVecs(200, 79)
+	scales := feature.FitScales(sweepSchema, vecs)
+	cfg := GraphConfig{K: 4, Seed: 5, Workers: 2, BlockFeatures: []string{"topic"}, MaxCandidates: 30}
+	want, err := BuildGraph(context.Background(), cfg, vecs, scales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := applyChunked(t, cfg, vecs, scales, 70)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := b.Flush(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Flush under a canceled context returned %v", err)
+	}
+	if err := b.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := graphEqual(want, b.Graph()); err != nil {
+		t.Error(err)
 	}
 }
 

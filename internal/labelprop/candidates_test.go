@@ -64,16 +64,40 @@ func keyLists(vecs []*feature.Vector, keys func(*feature.Vector) []uint64) [][][
 	return lists
 }
 
-// checkCandidates requires the builder's generator to return, for every
-// vertex in the order given, exactly the reference list.
+// candidateIDs returns vertex i's candidates as vertex indexes, ascending:
+// the builder's sample mapped through its group's union. buf is the
+// sample's buffer, reused.
+func candidateIDs(b *Builder, i int, sc *tileScratch, buf []int32) []int32 {
+	ps := b.sample(i, sc, buf[:cap(buf)])
+	for k, p := range ps {
+		ps[k] = sc.seen.buf[p]
+	}
+	slices.Sort(ps)
+	return ps
+}
+
+// allTiles returns every vertex's tile, as a first Flush would cut them.
+func allTiles(b *Builder) [][]int32 {
+	flushed := b.flushed
+	b.flushed = 0
+	tiles, _ := b.dirtyTiles()
+	b.flushed = flushed
+	return tiles
+}
+
+// checkCandidates requires the builder's sampler to return, for every vertex
+// in the order given, exactly the reference set (both compared sorted: the
+// order candidates are scored in does not reach the selection).
 func checkCandidates(t *testing.T, b *Builder, order []int, lists [][][]int32) (sampled, whole int) {
 	t.Helper()
 	n := b.NumVertices()
-	sc := newVertexScratch(n)
+	sc := newTileScratch(n)
+	buf := make([]int32, n)
 	ref := &refCandidates{stamp: make([]int32, n)}
 	for _, i := range order {
 		want := ref.of(i, lists[i], b.cfg.MaxCandidates, b.cfg.Seed)
-		got := b.candidates(i, sc)
+		sort.Ints(want)
+		got := candidateIDs(b, i, sc, buf)
 		if len(got) != len(want) {
 			t.Fatalf("%d vertices, vertex %d: %d candidates, reference %d", n, i, len(got), len(want))
 		}
@@ -174,8 +198,8 @@ func TestBlockedCandidatesMatchPerVertexReference(t *testing.T) {
 				checkCandidates(t, b, order, lists)
 				sampled, whole = sampled+sa, whole+wh
 				for i := 3; i < hi; i += 17 {
-					if len(b.groupKeys[b.groupOf[i]]) != 0 || b.g.directed(i) != nil {
-						t.Fatalf("vertex %d has no block key but keys %v, selection %v", i, b.groupKeys[b.groupOf[i]], b.g.directed(i))
+					if len(b.groupKeys[b.groupOf[i]]) != 0 || b.Graph().directed(i) != nil {
+						t.Fatalf("vertex %d has no block key but keys %v, selection %v", i, b.groupKeys[b.groupOf[i]], b.Graph().directed(i))
 					}
 				}
 			}
@@ -209,9 +233,10 @@ func TestLSHCandidatesMatchPerVertexReference(t *testing.T) {
 	}
 }
 
-// TestSampledCandidatesAllocateNothing: cutting a union to a sample builds no
-// *rand.Rand and no source on the heap — the per-vertex loop allocates only
-// when a scratch buffer grows.
+// TestSampledCandidatesAllocateNothing: with a worker's scratch warmed by one
+// pass, sampling and scoring every tile again allocates nothing — no
+// *rand.Rand, no source, no per-vertex edge list or buffer — and rewrites
+// the same selections.
 func TestSampledCandidatesAllocateNothing(t *testing.T) {
 	s, vecs := blockCorpus(700, 31)
 	cfg := GraphConfig{K: 4, Seed: 53, BlockFeatures: []string{"topic", "coarse"}, MaxCandidates: 20}
@@ -222,13 +247,21 @@ func TestSampledCandidatesAllocateNothing(t *testing.T) {
 	if err := b.ApplyDelta(context.Background(), vecs); err != nil {
 		t.Fatal(err)
 	}
-	sc := newVertexScratch(len(vecs))
-	i := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		if i = (i + 1) % len(vecs); i%17 != 3 && len(b.candidates(i, sc)) != cfg.MaxCandidates {
-			t.Fatalf("vertex %d was not sampled", i)
+	want := adjacencyDigest(b.Graph())
+	tiles := allTiles(b)
+	sc := newTileScratch(len(vecs))
+	pass := func() {
+		for _, tl := range tiles {
+			b.sampleTile(tl, sc)
+			b.scoreTile(tl, sc)
 		}
-	}); allocs != 0 {
-		t.Errorf("%v allocations per sampled candidate list, want 0", allocs)
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Errorf("%v allocations per pass over %d tiles, want 0", allocs, len(tiles))
+	}
+	b.g.symmetrize()
+	if got := adjacencyDigest(b.g); got != want {
+		t.Errorf("re-selecting every tile moved the graph: %s, flushed %s", got, want)
 	}
 }

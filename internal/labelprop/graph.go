@@ -77,11 +77,11 @@ type Edge struct {
 
 // Graph is a symmetric weighted kNN graph over data points, held in two
 // flat edge slabs. The directed per-vertex selections are retained alongside
-// the symmetrized adjacency so a Builder delta can fold in new vertices
-// without recomputing old selections.
+// the symmetrized adjacency so a Builder flush re-selects only the vertices
+// its deltas touched and keeps every other selection.
 type Graph struct {
 	// Vertex i's directed selection, best first, is dir[i*k : i*k+dirLen[i]]:
-	// a fixed stride of K slots per vertex, so a delta rewrites the affected
+	// a fixed stride of K slots per vertex, so a flush rewrites the dirty
 	// vertices in place and appends the new ones.
 	k      int
 	dir    []Edge
@@ -108,32 +108,29 @@ func (g *Graph) directed(i int) []Edge {
 	return g.dir[i*g.k : i*g.k+int(g.dirLen[i])]
 }
 
-// dedupeSet is a reusable epoch-stamped membership set: stamp[j] == epoch
-// means j is in the set. Bumping the epoch clears the set in O(1), so one
-// allocation serves every vertex a worker processes — the per-vertex
-// map[int]bool this replaces was the blocked path's main allocation churn.
+// dedupeSet is a reusable membership set over vertex indexes: one bit per
+// vertex, and the members in insertion order. reset clears only the members'
+// bits, so one n/8-byte allocation serves every union a worker builds.
 type dedupeSet struct {
-	stamp []int32
-	epoch int32
-	buf   []int32 // members in insertion order
+	bits []uint64
+	buf  []int32 // members in insertion order
 }
 
+func newDedupeSet(n int) dedupeSet { return dedupeSet{bits: make([]uint64, (n+63)/64)} }
+
 func (s *dedupeSet) reset() {
-	s.epoch++
-	if s.epoch == 0 { // wrapped: clear stamps once every 2^31 resets
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
+	for _, j := range s.buf {
+		s.bits[j>>6] &^= 1 << (j & 63)
 	}
 	s.buf = s.buf[:0]
 }
 
 func (s *dedupeSet) add(j int32) bool {
-	if s.stamp[j] == s.epoch {
+	w, bit := j>>6, uint64(1)<<(j&63)
+	if s.bits[w]&bit != 0 {
 		return false
 	}
-	s.stamp[j] = s.epoch
+	s.bits[w] |= bit
 	s.buf = append(s.buf, j)
 	return true
 }
@@ -142,7 +139,7 @@ func (s *dedupeSet) add(j int32) bool {
 // share one schema. Scales should be fitted on the same corpus
 // (feature.FitScales) so numeric similarities are calibrated. It is one
 // Builder delta over the whole corpus; chunked construction through
-// Builder.ApplyDelta yields a bit-identical graph.
+// Builder.ApplyDelta and one Flush yields a bit-identical graph.
 func BuildGraph(ctx context.Context, cfg GraphConfig, vecs []*feature.Vector, scales feature.Scales) (*Graph, error) {
 	n := len(vecs)
 	if n == 0 {
@@ -158,7 +155,10 @@ func BuildGraph(ctx context.Context, cfg GraphConfig, vecs []*feature.Vector, sc
 	if err := b.ApplyDelta(ctx, vecs); err != nil {
 		return nil, err
 	}
-	g := b.Graph()
+	if err := b.Flush(ctx); err != nil {
+		return nil, err
+	}
+	g := b.g
 	span.SetInt("edges", int64(g.NumEdges()))
 	return g, nil
 }
@@ -169,10 +169,10 @@ func BuildGraph(ctx context.Context, cfg GraphConfig, vecs []*feature.Vector, sc
 // deduplicated after a per-vertex sort — no global pair-keyed map.
 // Similarity is symmetric, so when both directions selected an edge the
 // duplicate entries carry equal weights and collapsing keeps either.
-// Rebuilding is O(edges) — independent of how small the delta was — which
-// keeps the incremental path exactly equivalent to a full build; the savings
-// live in not re-scoring unaffected vertices' candidates, which is where
-// construction time actually goes.
+// Rebuilding is O(edges) — independent of how few vertices the flush
+// re-selected — which keeps the incremental path exactly equivalent to a
+// full build; the savings live in not re-scoring unaffected vertices'
+// candidates, which is where construction time actually goes.
 func (g *Graph) symmetrize() {
 	n := g.NumVertices()
 	off := make([]int, n+1) // counts at i+1, then starts, then (after the fill) ends

@@ -1,10 +1,8 @@
 package labelprop
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -210,19 +208,23 @@ func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
 
 // BenchmarkBuildGraph times one whole-corpus build over a corpus with the
 // curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10),
-// blocked on the topics and with LSH band keys. Each case also reports the
-// two halves of the per-vertex loop, each timed on its own over the built
-// index: choosing a vertex's candidates (block union, sample, sort) and
-// scoring one candidate pair at the MinWeight floor.
+// blocked on the topics, the same fed as 20 deltas before Graph() (the
+// streamed pipeline's path), and with LSH band keys. Each case also reports
+// the two halves of the tiled selection loop, each timed on its own over the
+// built index: choosing (block union, samples, bucketing by union position)
+// per vertex and scoring per candidate pair.
 func BenchmarkBuildGraph(b *testing.B) {
 	s, vecs := curateShapeVecs(20000, 53)
 	scales := feature.FitScales(s, vecs)
+	blocked := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}
 	for _, tc := range []struct {
-		name string
-		cfg  GraphConfig
+		name   string
+		cfg    GraphConfig
+		deltas int
 	}{
-		{"blocked", GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}},
-		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 1, LSH: LSHConfig{Enable: true}, MaxCandidates: 200}},
+		{"blocked", blocked, 1},
+		{"blocked-chunked", blocked, 20},
+		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 1, LSH: LSHConfig{Enable: true}, MaxCandidates: 200}, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var bld *Builder
@@ -232,30 +234,26 @@ func BenchmarkBuildGraph(b *testing.B) {
 				if bld, err = NewBuilder(s, tc.cfg, scales); err != nil {
 					b.Fatal(err)
 				}
-				if err := bld.ApplyDelta(context.Background(), vecs); err != nil {
-					b.Fatal(err)
+				step := len(vecs) / tc.deltas
+				for lo := 0; lo < len(vecs); lo += step {
+					if err := bld.ApplyDelta(context.Background(), vecs[lo:min(lo+step, len(vecs))]); err != nil {
+						b.Fatal(err)
+					}
 				}
+				bld.Graph()
 			}
 			b.StopTimer()
-			order := make([]int, len(vecs))
-			for i := range order {
-				order[i] = i
-			}
-			slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(bld.groupOf[x], bld.groupOf[y]) })
-			sc := newVertexScratch(len(vecs))
+			sc := newTileScratch(len(vecs))
 			var choose, score time.Duration
 			pairs, union := 0, 0
-			for _, i := range order {
+			for _, tl := range allTiles(bld) {
 				t0 := time.Now()
-				cands := bld.candidates(i, sc)
+				bld.sampleTile(tl, sc)
 				t1 := time.Now()
-				for _, j := range cands {
-					bld.arena.Weighted(i, int(j), bld.cfg.MinWeight)
-				}
+				pairs += bld.scoreTile(tl, sc)
 				score += time.Since(t1)
 				choose += t1.Sub(t0)
-				pairs += len(cands)
-				union += len(sc.seen.buf)
+				union += len(sc.seen.buf) * len(tl)
 			}
 			b.ReportMetric(float64(choose.Nanoseconds())/float64(len(vecs)), "candidates-ns/vertex")
 			b.ReportMetric(float64(score.Nanoseconds())/float64(max(pairs, 1)), "score-ns/pair")

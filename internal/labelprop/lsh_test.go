@@ -274,52 +274,37 @@ func TestSymmetrizeEdgeCases(t *testing.T) {
 	}
 }
 
-// TestDedupeSetFloodAndWraparound covers the epoch-stamped set directly: a
-// flood of duplicate adds keeps one copy, and the epoch wrapping through
-// int32 overflow clears stamps instead of resurrecting stale membership.
-func TestDedupeSetFloodAndWraparound(t *testing.T) {
-	s := &dedupeSet{stamp: make([]int32, 4)}
-	s.reset()
+// TestDedupeSetFloodAndReset covers the bit set directly: a flood of
+// duplicate adds keeps one copy, a reset forgets every member (across word
+// boundaries) and leaves no other bit behind, and a set reused after reset
+// takes every element afresh.
+func TestDedupeSetFloodAndReset(t *testing.T) {
+	s := newDedupeSet(130)
 	for i := 0; i < 1000; i++ {
 		s.add(2)
 	}
 	if len(s.buf) != 1 || s.buf[0] != 2 {
 		t.Fatalf("duplicate flood produced buf %v", s.buf)
 	}
+	for _, j := range []int32{63, 64, 129, 0, 64} {
+		s.add(j)
+	}
+	if want := []int32{2, 63, 64, 129, 0}; !slices.Equal(s.buf, want) {
+		t.Fatalf("members %v, want %v in insertion order", s.buf, want)
+	}
 	s.reset()
 	if len(s.buf) != 0 {
 		t.Fatal("reset did not clear the buffer")
 	}
-	if !s.add(2) {
-		t.Fatal("element from the previous epoch still marked present")
+	for w, bits := range s.bits {
+		if bits != 0 {
+			t.Fatalf("word %d still holds %#x after reset", w, bits)
+		}
 	}
-
-	// Drive the epoch to the wraparound: stamp an element at the last
-	// positive epoch, overflow into negative epochs, and ensure no reset
-	// between now and the epoch's reuse ever sees the stale stamp.
-	s = &dedupeSet{stamp: make([]int32, 2), epoch: (1 << 31) - 2}
-	s.reset() // epoch = MaxInt32
-	s.add(1)
-	stale := s.stamp[1]
-	s.reset() // epoch overflows to MinInt32
-	if s.epoch == stale {
-		t.Fatalf("epoch %d collides with stale stamp immediately after overflow", s.epoch)
-	}
-	if !s.add(1) {
-		t.Fatal("post-overflow epoch rejects a fresh element")
-	}
-	// The wrap to zero must clear stamps and restart at 1, so the stale
-	// MaxInt32 stamp can never match a future epoch.
-	s = &dedupeSet{stamp: []int32{0, (1 << 31) - 1}, epoch: -1}
-	s.reset()
-	if s.epoch != 1 {
-		t.Fatalf("epoch after zero-wrap = %d, want 1", s.epoch)
-	}
-	if s.stamp[1] != 0 {
-		t.Fatalf("zero-wrap did not clear stamps: %v", s.stamp)
-	}
-	if !s.add(1) {
-		t.Fatal("cleared element still marked present")
+	for _, j := range []int32{2, 129, 64} {
+		if !s.add(j) {
+			t.Fatalf("element %d from before the reset still marked present", j)
+		}
 	}
 }
 

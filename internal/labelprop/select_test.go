@@ -24,10 +24,12 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 	if err := b.ApplyDelta(context.Background(), vecs); err != nil {
 		t.Fatal(err)
 	}
-	sc := newVertexScratch(len(vecs))
+	g := b.Graph()
+	sc := newTileScratch(len(vecs))
+	buf := make([]int32, len(vecs))
 	for i := range vecs {
 		var want []Edge
-		for _, j := range b.candidates(i, sc) {
+		for _, j := range candidateIDs(b, i, sc, buf) {
 			if w := feature.WeightedSimilarity(vecs[i], vecs[j], scales, cfg.Weights); w >= b.cfg.MinWeight {
 				want = append(want, Edge{To: int(j), Weight: w})
 			}
@@ -41,7 +43,7 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 		if len(want) > b.cfg.K {
 			want = want[:b.cfg.K]
 		}
-		got := b.g.directed(i)
+		got := g.directed(i)
 		if (got == nil) != (want == nil) || len(got) != len(want) {
 			t.Fatalf("vertex %d: selection %v, reference %v", i, got, want)
 		}

@@ -99,8 +99,15 @@ func HashString(seed uint64, s string) uint64 { return Mix(seed ^ Hash(s)) }
 // uint32(Int63()>>31), and Int63 is Uint64()>>1), multiply-shift, and the
 // thresh rejection loop that removes the bias. Sampled candidate sets recorded in golden outputs depend
 // on this equivalence; TestShuffleIntsMatchesMathRand pins it.
-func (s *Source) ShuffleInts(p []int32) {
-	for i := len(p) - 1; i > 0; i-- {
+func (s *Source) ShuffleInts(p []int32) { s.ShuffleIntsDownTo(p, 1) }
+
+// ShuffleIntsDownTo runs ShuffleInts's descending steps i = len(p)-1 … m
+// only, with the same draws, and skips the rest. Every skipped step swaps two
+// entries of p[:m], so p[:m] already holds, as a set, exactly what ShuffleInts
+// leaves there: a draw-for-draw sample of m of p's entries, in another order.
+// TestShuffleIntsDownToMatchesFull pins the equivalence.
+func (s *Source) ShuffleIntsDownTo(p []int32, m int) {
+	for i := len(p) - 1; i >= max(m, 1); i-- {
 		n := uint32(i + 1)
 		prod := (s.Uint64() >> 32) * uint64(n)
 		if low := uint32(prod); low < n {

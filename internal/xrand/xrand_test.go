@@ -214,6 +214,59 @@ func FuzzShuffleIntsMatchesMathRand(f *testing.F) {
 	})
 }
 
+// stoppedPair shuffles 0..n-1 with ShuffleInts and with ShuffleIntsDownTo(p,
+// m) from the same seed and requires the two to agree on p[m:] element for
+// element. Both are permutations of 0..n-1, so p[:m] then holds the same set.
+func stoppedPair(t testing.TB, seed int64, n, m int) {
+	t.Helper()
+	full, got := make([]int32, n), make([]int32, n)
+	for i := range full {
+		full[i], got[i] = int32(i), int32(i)
+	}
+	NewSource(seed).ShuffleInts(full)
+	NewSource(seed).ShuffleIntsDownTo(got, m)
+	for i := max(m, 0); i < n; i++ {
+		if got[i] != full[i] {
+			t.Fatalf("seed %d len %d stopped at %d: position %d holds %d, the full shuffle put %d", seed, n, m, i, got[i], full[i])
+		}
+	}
+}
+
+// TestShuffleIntsDownToMatchesFull: for every length up to 300 and every stop
+// m from 0 to the length, the stopped shuffle leaves in p[:m] the set the full
+// shuffle leaves there — including the rejection-loop pairs
+// TestShuffleIntsMatchesMathRand pins.
+func TestShuffleIntsDownToMatchesFull(t *testing.T) {
+	for s := 0; s < 5; s++ {
+		seed := int64(s)*0x9e3779b9 + 11
+		for n := 0; n <= 300; n++ {
+			for m := 0; m <= n; m++ {
+				stoppedPair(t, seed, n, m)
+			}
+		}
+	}
+	for _, c := range []struct {
+		seed int64
+		n    int
+	}{{1197, 5000}, {35039, 1500}} {
+		for _, m := range []int{0, 1, 200, c.n / 2, c.n - 1, c.n} {
+			stoppedPair(t, c.seed, c.n, m)
+		}
+	}
+}
+
+// FuzzShuffleIntsDownToMatchesFull is the same agreement over arbitrary
+// seeds, lengths and stops (a stop past the length stops at once).
+func FuzzShuffleIntsDownToMatchesFull(f *testing.F) {
+	f.Add(int64(0), uint16(0), uint16(0))
+	f.Add(int64(3), uint16(3300), uint16(200))
+	f.Add(int64(1197), uint16(5000), uint16(4999))
+	f.Add(int64(-5), uint16(10), uint16(40))
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint16) {
+		stoppedPair(t, seed, int(n), int(m))
+	})
+}
+
 func BenchmarkShuffleInts(b *testing.B) {
 	p := make([]int32, 3300)
 	src := NewSource(1)
