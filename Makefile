@@ -40,7 +40,9 @@ cover-check:
 ## -timeout so a hang fails with a goroutine dump,
 ## then the short tests natively for 32-bit 386 (every package but
 ## internal/core, whose expert-LF digest differs there: ROADMAP item 15b),
-## then
+## then the arm64 fused multiply-add census: each package that still has
+## sites the compiler may fuse (which can move bits there: ROADMAP item 15c)
+## fails once it has more than it has now, so the count only falls, then
 ## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
 ## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
 ## /predict one bounds minimization: its oversize-body seed grows whitespace
@@ -60,6 +62,11 @@ gate-full:
 	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
 	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
+	@for bound in model:16 feature:12 synth:8 resource:5 labelmodel:2 labelprop:1; do \
+		pkg=$${bound%:*}; max=$${bound#*:}; \
+		n=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1 | grep -cE '\sFN?M(ADD|SUB)[SD]\s'); \
+		[ "$$n" -le "$$max" ] || { echo "gate-full: internal/$$pkg has $$n arm64 fused multiply-adds, at most $$max allowed"; exit 1; }; \
+	done
 	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
 	$(GO) test -run xxx -fuzz FuzzSegmentHeader -fuzztime 5s ./internal/featurestore/disk/

@@ -105,14 +105,14 @@ func checkPackedPair(t *testing.T, seed int64, nFeat int, floor float64) {
 	vecs := []*Vector{a, b}
 	for _, p := range [][2]int{{0, 1}, {1, 0}, {0, 0}} {
 		want := WeightedSimilarity(vecs[p[0]], vecs[p[1]], scales, weights)
-		got, ok := arena.Weighted(p[0], p[1], 0)
+		got, ok := weighted(arena, p[0], p[1], 0)
 		if !ok || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("seed %d n %d pair %v: packed (%v, %v), WeightedSimilarity %v\nweights %v scales %v\na %v\nb %v",
 				seed, nFeat, p, got, ok, want, weights, scales, a, b)
 		}
 		// The pair's own weight is the tightest floor that must not prune.
 		for _, fl := range []float64{floor, want} {
-			got, ok := arena.Weighted(p[0], p[1], fl)
+			got, ok := weighted(arena, p[0], p[1], fl)
 			switch {
 			case ok && math.Float64bits(got) != math.Float64bits(want):
 				t.Fatalf("seed %d n %d pair %v floor %v: survivor %v != %v", seed, nFeat, p, fl, got, want)
@@ -123,11 +123,14 @@ func checkPackedPair(t *testing.T, seed int64, nFeat int, floor float64) {
 	}
 }
 
-// packedFuzzSeeds is FuzzPackedWeighted's seed corpus. The last three cases
-// were picked for the categorical pairs they score (catPairClasses): Weighted
+// packedFuzzSeeds is FuzzPackedWeighted's seed corpus. Three cases were
+// picked for the categorical pairs they score (catPairClasses): Weighted
 // answers two singleton sets without a merge, and every neighbouring shape —
 // singleton against a larger, an empty or an absent set — must still reach
-// JaccardIDs or be skipped.
+// JaccardIDs or be skipped. The last pins a tiny weight (~9.1e-9) at floor =
+// weight: an exit that tested the lost weight Σw(1−s) against T(1−floor)
+// compares two numbers near T whose difference is the whole answer, cancels
+// catastrophically there, and drops the pair.
 var packedFuzzSeeds = []struct {
 	seed  int64
 	nFeat uint8
@@ -137,6 +140,7 @@ var packedFuzzSeeds = []struct {
 	{100, 13, 0.2}, // 1/-, 1/n
 	{103, 13, 0.4}, // 1/0, 1/n, 1≠1
 	{127, 13, 0.6}, // 1=1
+	{-101, 2, 0.5},
 }
 
 // FuzzPackedWeighted fuzzes the packed kernel against the reference over
@@ -182,7 +186,7 @@ func checkArenaSplits(t *testing.T, seed int64, nFeat int) {
 		for j := range vecs {
 			want := WeightedSimilarity(vecs[i], vecs[j], scales, weights)
 			for name, a := range map[string]*Arena{"batch": batch, "split": split, "single": single} {
-				if got, ok := a.Weighted(i, j, 0); !ok || math.Float64bits(got) != math.Float64bits(want) {
+				if got, ok := weighted(a, i, j, 0); !ok || math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d n %d: %s arena pair (%d, %d) = (%v, %v), WeightedSimilarity %v", seed, nFeat, name, i, j, got, ok, want)
 				}
 			}
@@ -260,6 +264,34 @@ func TestPackedWeightedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestArenaTinyWeightsSurviveTheirFloor scores pairs whose features are all
+// present on both sides (so T equals the shared weight) with similarities
+// near exp(-20): summed heaviest first, wsum often rounds an ulp past T,
+// and without the bound's max(0, T − wsum) clamp that ulp outweighs the
+// pair's whole tiny weight and drops it at floor = its weight.
+func TestArenaTinyWeightsSurviveTheirFloor(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		defs := make([]Def, 2+rng.Intn(12))
+		weights := Weights{}
+		for i := range defs {
+			defs[i] = Def{Name: fmt.Sprintf("n%d", i), Kind: Numeric}
+			weights[defs[i].Name] = rng.Float64() * 2
+		}
+		schema := MustSchema(defs...)
+		a, b := NewVector(schema), NewVector(schema)
+		for _, d := range defs {
+			a.MustSet(d.Name, NumericValue(0))
+			b.MustSet(d.Name, NumericValue(20+rng.Float64()*10))
+		}
+		arena := packPair(NewSimKernel(schema, nil, weights), a, b)
+		want := WeightedSimilarity(a, b, nil, weights)
+		if got, ok := weighted(arena, 0, 1, want); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d: (%v, %v) at floor = weight %v", seed, got, ok, want)
+		}
+	}
+}
+
 // TestArenaLayoutEdgeCases pins each layout rule with a hand-computed value.
 func TestArenaLayoutEdgeCases(t *testing.T) {
 	schema := MustSchema(
@@ -275,7 +307,7 @@ func TestArenaLayoutEdgeCases(t *testing.T) {
 
 	score := func(a, b *Vector) float64 {
 		t.Helper()
-		got, ok := packPair(kern, a, b).Weighted(0, 1, 0)
+		got, ok := weighted(packPair(kern, a, b), 0, 1, 0)
 		if want := WeightedSimilarity(a, b, nil, weights); !ok || got != want {
 			t.Fatalf("packed (%v, %v), reference %v", got, ok, want)
 		}
@@ -335,8 +367,9 @@ func TestArenaLayoutEdgeCases(t *testing.T) {
 }
 
 // TestArenaWideSchema covers a schema wider than one mask word: features on
-// both sides of the 64-bit boundary must count, and the pair call must stay
-// allocation-free.
+// both sides of the 64-bit boundary must count, the heaviest (scored first)
+// sit past it, a survivor at floor = its own weight must keep it bit for bit,
+// and the pair call must stay allocation-free.
 func TestArenaWideSchema(t *testing.T) {
 	const n = 70
 	defs := make([]Def, n)
@@ -344,21 +377,25 @@ func TestArenaWideSchema(t *testing.T) {
 		defs[i] = Def{Name: fmt.Sprintf("n%d", i), Kind: Numeric}
 	}
 	schema := MustSchema(defs...)
+	weights := Weights{"n69": 3, "n64": 2}
 	a, b := NewVector(schema), NewVector(schema)
 	for _, i := range []int{0, 63, 64, 69} {
 		a.MustSet(defs[i].Name, NumericValue(float64(i)))
 		b.MustSet(defs[i].Name, NumericValue(float64(i)+0.5))
 	}
 	a.MustSet("n10", NumericValue(1)) // present on one side only
-	arena := packPair(NewSimKernel(schema, nil, nil), a, b)
+	arena := packPair(NewSimKernel(schema, nil, weights), a, b)
 	if arena.words != 2 {
 		t.Fatalf("mask words = %d, want 2", arena.words)
 	}
-	want := WeightedSimilarity(a, b, nil, nil)
-	if got, ok := arena.Weighted(0, 1, 0); !ok || got != want || math.Abs(got-math.Exp(-0.5)) > 1e-15 {
-		t.Fatalf("wide pair = (%v, %v), want %v", got, ok, want)
+	want := WeightedSimilarity(a, b, nil, weights)
+	sims := arena.SimScratch()
+	for _, floor := range []float64{0, want} {
+		if got, ok := arena.Weighted(0, 1, floor, sims); !ok || math.Float64bits(got) != math.Float64bits(want) || math.Abs(got-math.Exp(-0.5)) > 1e-15 {
+			t.Fatalf("wide pair at floor %v = (%v, %v), want %v", floor, got, ok, want)
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { arena.Weighted(0, 1, 0.2) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { arena.Weighted(0, 1, 0.2, sims) }); allocs != 0 {
 		t.Errorf("%v allocs per wide pair, want 0", allocs)
 	}
 }

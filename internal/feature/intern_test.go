@@ -102,6 +102,11 @@ func packPair(kern *SimKernel, a, b *Vector) *Arena {
 	return arena
 }
 
+// weighted scores one pair with fresh scratch.
+func weighted(a *Arena, i, j int, floor float64) (float64, bool) {
+	return a.Weighted(i, j, floor, a.SimScratch())
+}
+
 // TestSimKernelMatchesWeightedSimilarity checks the compiled kernel and its
 // packed arena are bit-identical to the map-keyed Similarity and
 // WeightedSimilarity for random vectors, scales, and weights (including
@@ -121,7 +126,7 @@ func TestSimKernelMatchesWeightedSimilarity(t *testing.T) {
 		kern := NewSimKernel(schema, scales, weights)
 		a, b := randomVector(t, rng, schema), randomVector(t, rng, schema)
 		want := WeightedSimilarity(a, b, scales, weights)
-		if got, ok := packPair(kern, a, b).Weighted(0, 1, 0); !ok || got != want {
+		if got, ok := weighted(packPair(kern, a, b), 0, 1, 0); !ok || got != want {
 			t.Fatalf("trial %d: kernel %v != WeightedSimilarity %v (weights %v)", trial, got, want, weights)
 		}
 		for i := 0; i < schema.Len(); i++ {
@@ -146,12 +151,13 @@ func TestSimilarityPairAllocFree(t *testing.T) {
 	scales := Scales{"num": 2}
 	weights := Weights{"cat": 2, "num": 0.5}
 	arena := packPair(NewSimKernel(schema, scales, weights), a, b)
+	sims := arena.SimScratch()
 	cats := []string{"x", "y", "x"}
 	for name, fn := range map[string]func(){
 		"Jaccard":            func() { Jaccard(cats, cats) },
 		"JaccardIDs":         func() { JaccardIDs(a.CategoryIDs(0), b.CategoryIDs(0)) },
 		"WeightedSimilarity": func() { WeightedSimilarity(a, b, scales, weights) },
-		"Arena.Weighted":     func() { arena.Weighted(0, 1, 0.3) },
+		"Arena.Weighted":     func() { arena.Weighted(0, 1, 0.3, sims) },
 	} {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs per pair, want 0", name, allocs)
@@ -220,13 +226,20 @@ func BenchmarkWeightedSimilarity(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaWeighted scores one pair at the floor the graph builder
+// passes until a vertex's heap fills (its default MinWeight), which the pair
+// clears, and at floor 1, which drops it once the bound falls short.
 func BenchmarkArenaWeighted(b *testing.B) {
 	va, vb, scales, weights := benchVectors(b)
 	arena := packPair(NewSimKernel(va.Schema(), scales, weights), va, vb)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.Weighted(0, 1, 0)
+	sims := arena.SimScratch()
+	for _, floor := range []float64{0.05, 1} {
+		b.Run(fmt.Sprintf("floor=%v", floor), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arena.Weighted(0, 1, floor, sims)
+			}
+		})
 	}
 }
 

@@ -259,7 +259,7 @@ func checkPair(t *testing.T, where string, a, b twin, scales Scales, weights Wei
 	if got := WeightedSimilarity(a.got, b.got, scales, weights); !sameBits(got, want) {
 		t.Fatalf("%s: WeightedSimilarity %v, reference %v", where, got, want)
 	}
-	if got, ok := packPair(kern, a.got, b.got).Weighted(0, 1, 0); !ok || !sameBits(got, want) {
+	if got, ok := weighted(packPair(kern, a.got, b.got), 0, 1, 0); !ok || !sameBits(got, want) {
 		t.Fatalf("%s: Arena.Weighted (%v, %v), reference %v", where, got, ok, want)
 	}
 }
@@ -578,7 +578,7 @@ func TestConcurrentSlabReaders(t *testing.T) {
 				p.MustSetAt(g%2, CategoricalValue(fmt.Sprintf("g%d", g)))
 				arena.Append(v)
 			}
-			if got, ok := arena.Weighted(0, 1, 0); !ok || got != WeightedSimilarity(want[0], want[1], Scales{"num": 2}, nil) {
+			if got, ok := weighted(arena, 0, 1, 0); !ok || got != WeightedSimilarity(want[0], want[1], Scales{"num": 2}, nil) {
 				t.Errorf("goroutine %d: packed pair %v disagrees with the written vectors", g, got)
 			}
 		}()

@@ -148,13 +148,13 @@ func (b *Builder) Flush(ctx context.Context) error {
 	ctx, span := trace.Start(ctx, "labelprop.flush")
 	defer span.End()
 	g := b.g
-	// Grown from the slab's own length, so a Flush retried after a canceled
-	// one grows nothing twice.
-	g.dir = append(g.dir, make([]Edge, n*g.k-len(g.dir))...)
-	g.dirLen = append(g.dirLen, make([]int32, n-len(g.dirLen))...)
+	// Extended to n vertices, so a Flush retried after a canceled one grows
+	// nothing twice.
+	g.dir = extend(g.dir, n*g.k)
+	g.dirLen = extend(g.dirLen, n)
 
 	tiles, selected := b.dirtyTiles()
-	scratch := sync.Pool{New: func() any { return newTileScratch(n) }}
+	scratch := sync.Pool{New: func() any { return b.newTileScratch() }}
 	pairs, err := mapreduce.Map(ctx, mapreduce.Config{Workers: b.cfg.Workers}, tiles, func(t []int32) (int, error) {
 		sc := scratch.Get().(*tileScratch)
 		defer scratch.Put(sc)
@@ -174,6 +174,16 @@ func (b *Builder) Flush(ctx context.Context) error {
 	span.Add("pairs", int64(total))
 	span.SetInt("vertices", int64(n))
 	return nil
+}
+
+// extend returns s lengthened to n. When it must reallocate it at least
+// doubles the capacity, so flushing after every delta reallocates O(log n)
+// times.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*cap(s))-len(s))
+	}
+	return s[:n]
 }
 
 // dirtyTiles returns the dirty vertices cut into tiles — runs of at most
@@ -229,16 +239,18 @@ type tileScratch struct {
 	seen  dedupeSet
 	group int32
 	head  int
+	asc   []int32 // 0, 1, 2, …: at least as long as the union
 	perm  []int32 // one vertex's union positions, shuffled
 	pos   []int32 // each tile slot's union positions, at a fixed stride
 	// The tile's candidate pairs bucketed by union position: the tile slots
 	// are owner, and position p's bucket ends at at[p].
 	at    []int32
 	owner []uint8
+	sims  []float64 // the kernel's per-feature scratch
 }
 
-func newTileScratch(n int) *tileScratch {
-	return &tileScratch{seen: newDedupeSet(n), group: -1}
+func (b *Builder) newTileScratch() *tileScratch {
+	return &tileScratch{seen: newDedupeSet(b.arena.Len()), group: -1, sims: b.arena.SimScratch()}
 }
 
 // union returns group gr's block union: its blocks in key order, each in
@@ -254,6 +266,12 @@ func (b *Builder) union(gr int32, sc *tileScratch) []int32 {
 			}
 			if k == 0 {
 				sc.head = len(sc.seen.buf)
+			}
+		}
+		if u := len(sc.seen.buf); len(sc.asc) < u {
+			sc.asc = make([]int32, max(u, 2*len(sc.asc)))
+			for p := range sc.asc {
+				sc.asc[p] = int32(p)
 			}
 		}
 	}
@@ -275,24 +293,19 @@ func (b *Builder) sample(i int, sc *tileScratch, dst []int32) []int32 {
 	own, _ := slices.BinarySearch(union[:sc.head], int32(i))
 	m := b.cfg.MaxCandidates
 	if len(union)-1 <= m {
-		return positionsExcept(dst[:0], len(union), own)
+		return positionsExcept(dst[:0], sc.asc[:len(union)], own)
 	}
-	sc.perm = positionsExcept(sc.perm[:0], len(union), own)
+	sc.perm = positionsExcept(sc.perm[:0], sc.asc[:len(union)], own)
 	var src xrand.Source
 	src.Seed(b.cfg.Seed ^ int64(i)*0x9e3779b9)
 	src.ShuffleIntsDownTo(sc.perm, m)
 	return append(dst[:0], sc.perm[:m]...)
 }
 
-// positionsExcept appends 0..u-1 without own to dst.
-func positionsExcept(dst []int32, u, own int) []int32 {
-	for p := 0; p < own; p++ {
-		dst = append(dst, int32(p))
-	}
-	for p := own + 1; p < u; p++ {
-		dst = append(dst, int32(p))
-	}
-	return dst
+// positionsExcept appends the positions asc = 0..u-1 without own to dst
+// (own = 0 of an empty union: a key-less vertex).
+func positionsExcept(dst, asc []int32, own int) []int32 {
+	return append(append(dst, asc[:own]...), asc[min(own+1, len(asc)):]...)
 }
 
 // sampleTile draws every tile vertex's candidates and buckets the tile's
@@ -351,7 +364,7 @@ func (b *Builder) scoreTile(t []int32, sc *tileScratch) int {
 			if len(top) == k {
 				floor = top[0].Weight
 			}
-			w, ok := b.arena.Weighted(i, j, floor)
+			w, ok := b.arena.Weighted(i, j, floor, sc.sims)
 			if !ok || !(w >= minWeight) { // written so a NaN weight is dropped too
 				continue
 			}

@@ -145,7 +145,7 @@ func TestFlushSelectsEachVertexOnce(t *testing.T) {
 	}
 	oneShot, b := build(1)
 	chunked, bc := build(20)
-	sc, buf := newTileScratch(len(vecs)), make([]int32, len(vecs))
+	sc, buf := b.newTileScratch(), make([]int32, len(vecs))
 	pairs := 0
 	for i := range vecs {
 		pairs += len(candidateIDs(b, i, sc, buf))

@@ -91,7 +91,7 @@ func allTiles(b *Builder) [][]int32 {
 func checkCandidates(t *testing.T, b *Builder, order []int, lists [][][]int32) (sampled, whole int) {
 	t.Helper()
 	n := b.NumVertices()
-	sc := newTileScratch(n)
+	sc := b.newTileScratch()
 	buf := make([]int32, n)
 	ref := &refCandidates{stamp: make([]int32, n)}
 	for _, i := range order {
@@ -249,7 +249,7 @@ func TestSampledCandidatesAllocateNothing(t *testing.T) {
 	}
 	want := adjacencyDigest(b.Graph())
 	tiles := allTiles(b)
-	sc := newTileScratch(len(vecs))
+	sc := b.newTileScratch()
 	pass := func() {
 		for _, tl := range tiles {
 			b.sampleTile(tl, sc)

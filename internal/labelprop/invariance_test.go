@@ -206,17 +206,29 @@ func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
 	return s, vecs
 }
 
+// curateShapeWeights are edge weights shaped like the ones the in-memory
+// curation benchmark learns (FitFeatureWeights): a few heavy categoricals
+// late in schema order, several near the 0.02 floor early, light numerics,
+// and the embedding left at the default 1. Uniform weights would score in
+// schema order whatever order the kernel chose.
+var curateShapeWeights = feature.Weights{
+	"topic": 1.25, "topic_coarse": 0.99, "objects": 0.62,
+	"cat0": 0.096, "cat1": 0.02, "cat2": 1.01, "cat3": 0.02, "cat4": 0.02,
+	"cat5": 4.63, "cat6": 0.705, "cat7": 2.46, "cat8": 3.18, "cat9": 0.02,
+	"num0": 0.02, "num1": 0.059, "num2": 0.02, "num3": 0,
+}
+
 // BenchmarkBuildGraph times one whole-corpus build over a corpus with the
-// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10),
-// blocked on the topics, the same fed as 20 deltas before Graph() (the
-// streamed pipeline's path), and with LSH band keys. Each case also reports
-// the two halves of the tiled selection loop, each timed on its own over the
-// built index: choosing (block union, samples, bucketing by union position)
-// per vertex and scoring per candidate pair.
+// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10,
+// curateShapeWeights), blocked on the topics, the same fed as 20 deltas
+// before Graph() (the streamed pipeline's path), and with LSH band keys.
+// Each case also reports the two halves of the tiled selection loop, each
+// timed on its own over the built index: choosing (block union, samples,
+// bucketing by union position) per vertex and scoring per candidate pair.
 func BenchmarkBuildGraph(b *testing.B) {
 	s, vecs := curateShapeVecs(20000, 53)
 	scales := feature.FitScales(s, vecs)
-	blocked := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200}
+	blocked := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200, Weights: curateShapeWeights}
 	for _, tc := range []struct {
 		name   string
 		cfg    GraphConfig
@@ -224,7 +236,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}{
 		{"blocked", blocked, 1},
 		{"blocked-chunked", blocked, 20},
-		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 1, LSH: LSHConfig{Enable: true}, MaxCandidates: 200}, 1},
+		{"lsh", GraphConfig{K: 10, Seed: 3, Workers: 1, LSH: LSHConfig{Enable: true}, MaxCandidates: 200, Weights: curateShapeWeights}, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var bld *Builder
@@ -243,7 +255,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 				bld.Graph()
 			}
 			b.StopTimer()
-			sc := newTileScratch(len(vecs))
+			sc := bld.newTileScratch()
 			var choose, score time.Duration
 			pairs, union := 0, 0
 			for _, tl := range allTiles(bld) {

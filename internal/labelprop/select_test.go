@@ -25,7 +25,7 @@ func checkSelections(t *testing.T, cfg GraphConfig, vecs []*feature.Vector, scal
 		t.Fatal(err)
 	}
 	g := b.Graph()
-	sc := newTileScratch(len(vecs))
+	sc := b.newTileScratch()
 	buf := make([]int32, len(vecs))
 	for i := range vecs {
 		var want []Edge
