@@ -4,6 +4,7 @@ GO ?= go
 
 ## gate-fast: the tier-1 gate — build everything, vet it (also for 32-bit
 ## 386, where an int holds no more than math.MaxInt32), run every test,
+## run every examples/ program (each must exit 0; no test executes them),
 ## hold every internal/ package at its coverage floor. `go test ./...` runs
 ## TestContract, which recomputes the behaviour contract in
 ## testdata/contract.json.
@@ -12,6 +13,9 @@ gate-fast:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	$(GO) test ./...
+	@for ex in examples/*/; do \
+		echo "run ./$$ex"; $(GO) run ./$$ex >/dev/null || { echo "gate-fast: ./$$ex failed"; exit 1; }; \
+	done
 	@$(MAKE) --no-print-directory cover-check
 
 check: gate-fast

@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6) plus per-stage microbenchmarks. Each experiment benchmark performs
 // one full regeneration per iteration at a reduced corpus scale; the
-// full-scale numbers in EXPERIMENTS.md come from cmd/experiments.
+// full-scale numbers come from cmd/experiments (EXPERIMENTS.md,
+// "Regenerating the numbers").
 //
 //	go test -bench=. -benchmem
 package crossmodal_test

@@ -160,7 +160,7 @@ func pipelineReport(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	rep := res.Report
+	rep := res.Curation.Report
 	fmt.Printf("\ncuration: %s\n", rep.Mining)
 	fmt.Printf("labeling functions: %d (coverage %.1f%%)\n", rep.LFCount, 100*rep.WSCoverage)
 	if opts.UseLabelProp {

@@ -5,20 +5,21 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|table2|table3|figure5|figure6|figure7|fusion|lfgen|ablations|rawvsfeat]
-//	            [-scale 1.0] [-seed 17] [-tasks CT1,CT2,...] [-o out.md]
-//	            [-store dir] [-trace trace.json] [-trace-summary]
+//	experiments [-run all|<experiment>,...] [-scale 1.0] [-seed 17]
+//	            [-tasks CT1,CT2,...] [-o out.md] [-store dir]
+//	            [-trace trace.json] [-trace-summary]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -scale shrinks every corpus for fast smoke runs; the headline numbers use
-// scale 1.0 (see EXPERIMENTS.md). -store routes curation through the
-// disk-backed feature store rooted at the given directory: a second run at
-// the same scale and seed reuses the featurized chunks instead of
-// recomputing them, with bit-identical results. -trace writes a Chrome
-// trace_event JSON file loadable in chrome://tracing or ui.perfetto.dev;
-// -trace-summary prints the aggregated stage tree to stderr on exit. Each
-// experiment's wall time goes to stderr too, so same-seed outputs are
-// byte-identical.
+// -h lists the experiment names -run accepts. -scale shrinks every corpus
+// for fast smoke runs; the headline numbers use the defaults, scale 1.0 and
+// seed 17 (EXPERIMENTS.md, "Regenerating the numbers"). -store routes
+// curation through the disk-backed feature store rooted at the given
+// directory: a second run at the same scale and seed reuses the featurized
+// chunks instead of recomputing them, with bit-identical results. -trace
+// writes a Chrome trace_event JSON file loadable in chrome://tracing or
+// ui.perfetto.dev; -trace-summary prints the aggregated stage tree to stderr
+// on exit. Each experiment's wall time goes to stderr too, so same-seed
+// outputs are byte-identical.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -58,14 +60,10 @@ func (c runConfig) validate() error {
 	if c.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", c.workers)
 	}
-	known := map[string]bool{"all": true}
-	for _, name := range experiments.ExperimentNames() {
-		known[name] = true
-	}
 	for _, name := range strings.Split(c.run, ",") {
-		if !known[strings.TrimSpace(name)] {
-			return fmt.Errorf("unknown experiment %q (known: all, %s)",
-				strings.TrimSpace(name), strings.Join(experiments.ExperimentNames(), ", "))
+		if !slices.Contains(runNames(), strings.TrimSpace(name)) {
+			return fmt.Errorf("unknown experiment %q (known: %s)",
+				strings.TrimSpace(name), strings.Join(runNames(), ", "))
 		}
 	}
 	if c.tasks != "" {
@@ -81,6 +79,11 @@ func (c runConfig) validate() error {
 		}
 	}
 	return nil
+}
+
+// runNames lists what -run accepts: "all", then the manifest's experiments.
+func runNames() []string {
+	return append([]string{"all"}, experiments.ExperimentNames()...)
 }
 
 // taskList resolves the -tasks flag to the task subset to run.
@@ -99,7 +102,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var cfg runConfig
-	flag.StringVar(&cfg.run, "run", "all", "experiments to run, comma-separated (all, table1, table2, table3, figure5, figure6, figure7, fusion, lfgen, ablations, rawvsfeat)")
+	flag.StringVar(&cfg.run, "run", "all", "experiments to run, comma-separated ("+strings.Join(runNames(), ", ")+")")
 	flag.Float64Var(&cfg.scale, "scale", 1.0, "corpus scale factor")
 	flag.Int64Var(&cfg.seed, "seed", 17, "random seed")
 	flag.StringVar(&cfg.tasks, "tasks", "", "comma-separated task subset (default: all five)")

@@ -18,9 +18,9 @@
 //     modality.
 //
 // Because the paper's corpora and services are Google-internal, this package
-// ships a synthetic latent-world substrate (see DESIGN.md for the
-// substitution argument): hidden entities are rendered into text and image
-// (and video) modalities through noisy observation channels, and simulated
+// ships a synthetic latent-world substrate (DESIGN.md, "Substitutions", has
+// the argument): hidden entities are rendered into text and image (and
+// video) modalities through noisy observation channels, and simulated
 // organizational services recover shared structure from either modality.
 //
 // # Quickstart

@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := res.Report
+	rep := res.Curation.Report
 	fmt.Printf("\nbootstrap without a single image label:\n")
 	fmt.Printf("  %s\n", rep.Mining)
 	fmt.Printf("  label propagation recovered borderline examples in %d iterations\n", rep.PropIters)

@@ -51,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("weak supervision: %d LFs, %.0f%% coverage, label F1 %.3f\n",
-		res.Report.LFCount, 100*res.Report.WSCoverage, res.Report.WSF1)
+		res.Curation.Report.LFCount, 100*res.Curation.Report.WSCoverage, res.Curation.Report.WSF1)
 
 	auprc, err := pipe.EvaluateAUPRC(ctx, res.Predictor, ds.TestImage)
 	if err != nil {

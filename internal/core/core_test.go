@@ -86,15 +86,15 @@ func TestPipelineEndToEnd(t *testing.T) {
 	_, ds := testEnv(t)
 	p, res := runPipeline(t, smallOptions())
 
-	if res.Report.LFCount == 0 {
+	if res.Curation.Report.LFCount == 0 {
 		t.Fatal("pipeline generated no LFs")
 	}
-	if res.Report.WSCoverage == 0 {
+	if res.Curation.Report.WSCoverage == 0 {
 		t.Fatal("weak supervision covered nothing")
 	}
 	baseRate := metrics.BaseRate(synth.Labels(ds.UnlabeledImage))
-	if res.Report.WSPrecision < 2*baseRate {
-		t.Errorf("WS precision %.3f below 2x base rate %.3f", res.Report.WSPrecision, baseRate)
+	if res.Curation.Report.WSPrecision < 2*baseRate {
+		t.Errorf("WS precision %.3f below 2x base rate %.3f", res.Curation.Report.WSPrecision, baseRate)
 	}
 	auprc, err := p.EvaluateAUPRC(context.Background(), res.Predictor, ds.TestImage)
 	if err != nil {
@@ -114,12 +114,12 @@ func TestPipelineLabelPropImprovesRecall(t *testing.T) {
 	without.UseLabelProp = false
 	_, resNo := runPipeline(t, without)
 	_, resYes := runPipeline(t, smallOptions())
-	if resYes.Report.WSRecall < resNo.Report.WSRecall {
+	if resYes.Curation.Report.WSRecall < resNo.Curation.Report.WSRecall {
 		t.Errorf("label propagation reduced WS recall: %.4f -> %.4f",
-			resNo.Report.WSRecall, resYes.Report.WSRecall)
+			resNo.Curation.Report.WSRecall, resYes.Curation.Report.WSRecall)
 	}
-	if resYes.Report.LFCount != resNo.Report.LFCount+1 {
-		t.Errorf("labelprop LF not appended: %d vs %d", resYes.Report.LFCount, resNo.Report.LFCount)
+	if resYes.Curation.Report.LFCount != resNo.Curation.Report.LFCount+1 {
+		t.Errorf("labelprop LF not appended: %d vs %d", resYes.Curation.Report.LFCount, resNo.Curation.Report.LFCount)
 	}
 }
 
@@ -130,10 +130,10 @@ func TestPipelineMajorityVoteFallback(t *testing.T) {
 	opts := smallOptions()
 	opts.UseGenerative = false
 	_, res := runPipeline(t, opts)
-	if res.Report.LabelModel != nil {
+	if res.Curation.Report.LabelModel != nil {
 		t.Error("majority-vote run should not fit a generative model")
 	}
-	if res.Report.WSCoverage == 0 {
+	if res.Curation.Report.WSCoverage == 0 {
 		t.Error("majority vote produced no coverage")
 	}
 }

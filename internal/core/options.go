@@ -68,7 +68,7 @@ type Options struct {
 	// UseEMLabelModel fits the label model by unsupervised EM on the
 	// new-modality vote matrix instead of anchoring it on the labeled dev
 	// matrix (ablation; dev anchoring is the default and the better
-	// choice — see EXPERIMENTS.md).
+	// choice: EXPERIMENTS.md, "Design-choice ablations (-run ablations)").
 	UseEMLabelModel bool
 	// UniformGraphWeights disables the dev-learned per-feature edge
 	// weights in the propagation graph (ablation).

@@ -92,14 +92,6 @@ type Result struct {
 	// corpora; reuse it with Train to fit further model variants without
 	// repeating the curation stages.
 	Curation *Curation
-	// ProbLabels are the weak-supervision probabilistic labels for the
-	// unlabeled new-modality corpus, aligned with Dataset.UnlabeledImage.
-	ProbLabels []float64
-	// Covered marks which unlabeled points received at least one LF vote
-	// (only covered points join end-model training).
-	Covered []bool
-	// Report carries diagnostics of every stage.
-	Report Report
 }
 
 // Curation is the output of the feature-generation and training-data
@@ -112,9 +104,14 @@ type Curation struct {
 	TextVecs   []*feature.Vector
 	ImageVecs  []*feature.Vector
 	TextLabels []int8
+	// ProbLabels are the weak-supervision probabilistic labels for the
+	// unlabeled new-modality corpus, aligned with Dataset.UnlabeledImage.
 	ProbLabels []float64
-	Covered    []bool
-	Report     Report
+	// Covered marks which unlabeled points received at least one LF vote
+	// (only covered points join end-model training).
+	Covered []bool
+	// Report carries diagnostics of every stage.
+	Report Report
 }
 
 // Report summarizes a pipeline run's curation stages.
@@ -159,13 +156,7 @@ func (p *Pipeline) Run(ctx context.Context, ds *synth.Dataset) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Predictor:  predictor,
-		Curation:   cur,
-		ProbLabels: cur.ProbLabels,
-		Covered:    cur.Covered,
-		Report:     cur.Report,
-	}, nil
+	return &Result{Predictor: predictor, Curation: cur}, nil
 }
 
 // Curate runs feature generation and training-data curation (stages A and B)

@@ -18,11 +18,11 @@ type AblationRow struct {
 	EndAUPRC float64
 }
 
-// Ablations runs the design-choice ablations DESIGN.md calls out, on one
-// task: the dev-anchored label model vs unsupervised EM vs majority vote,
-// learned vs uniform propagation-graph feature weights, LF deduplication on
-// vs off, and order-1 vs order-2 itemset mining. Each variant is the suite's
-// curation with a single switch flipped.
+// Ablations runs the design-choice ablations (DESIGN.md, "Calibration
+// decisions") on one task: the dev-anchored label model vs unsupervised EM
+// vs majority vote, learned vs uniform propagation-graph feature weights, LF
+// deduplication on vs off, and order-1 vs order-2 itemset mining. Each
+// variant is the suite's curation with a single switch flipped.
 func (s *Suite) Ablations(ctx context.Context, taskName string) ([]AblationRow, error) {
 	tc, err := s.ctxFor(ctx, taskName)
 	if err != nil {

@@ -69,7 +69,7 @@ func RenderFusion(w io.Writer, rows []FusionRow) {
 // on one task (paper §6.7.1). CorpusExamined captures the paper's central
 // asymmetry: the miner scans the full labeled corpus, the expert a small
 // sample; wall-clock authoring time cannot be reproduced and is reported as
-// this coverage asymmetry instead (see DESIGN.md).
+// this coverage asymmetry instead (DESIGN.md, "Out of scope").
 type LFGenResult struct {
 	Source         string
 	LFCount        int

@@ -10,7 +10,7 @@
 // supervised image model trained on only the pre-trained image embedding
 // (§6.3). Absolute values depend on the synthetic substrate; the paper's
 // qualitative shape — who wins, roughly by what factor, where cross-overs
-// fall — is the reproduction target (see DESIGN.md).
+// fall — is the reproduction target (DESIGN.md, "Substitutions").
 package experiments
 
 import (

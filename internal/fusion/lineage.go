@@ -46,8 +46,6 @@ type Lineage struct {
 	Parent string `json:"parent,omitempty"`
 	// Seed is the dataset seed the retraining corpus was drawn with.
 	Seed int64 `json:"seed,omitempty"`
-	// Extra carries free-form annotations (shadow metrics, schedule name).
-	Extra map[string]string `json:"extra,omitempty"`
 }
 
 const artifactVersionLineage = 2

@@ -3,6 +3,7 @@ package fusion
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -53,6 +54,19 @@ func TestSaveNilLineageIsVersion1(t *testing.T) {
 	}
 }
 
+// withLineageJSON replaces the lineage section of a version-2 artifact with
+// meta and its checksum.
+func withLineageJSON(t *testing.T, raw, meta []byte) []byte {
+	t.Helper()
+	kindLen := int(binary.LittleEndian.Uint32(raw[12:]))
+	header := 16 + kindLen + 8
+	end := header + int(binary.LittleEndian.Uint64(raw[16+kindLen:])) + 4
+	out := append([]byte(nil), raw[:end]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(meta)))
+	out = append(out, meta...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(meta))
+}
+
 func TestLineageRoundTrip(t *testing.T) {
 	m := lineageTestModel(t)
 	want := &Lineage{
@@ -61,27 +75,32 @@ func TestLineageRoundTrip(t *testing.T) {
 		Window:  7,
 		Parent:  "artifacts/model-0001.bin",
 		Seed:    42,
-		Extra:   map[string]string{"schedule": "smoke"},
 	}
 	var buf bytes.Buffer
 	if err := SaveLineage(&buf, m, want); err != nil {
 		t.Fatal(err)
 	}
-	p, kind, got, err := LoadLineage(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != KindEarly {
-		t.Fatalf("kind = %q", kind)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("lineage round trip:\ngot  %+v\nwant %+v", got, want)
-	}
-	// The model payload survives intact alongside the metadata.
-	test, _ := corpusFor("lineage-test", 100, true, 0.15, 32)
-	for i, v := range test.Vectors {
-		if w, g := m.Predict(v), p.Predict(v); w != g {
-			t.Fatalf("vector %d: Predict %v != %v after lineage round trip", i, w, g)
+	// Artifacts written while Lineage still had an "extra" annotation map
+	// load too: the decoder ignores keys it does not know.
+	legacy := withLineageJSON(t, buf.Bytes(), []byte(`{"task":"CT1","trigger":"drift:reports,serve_score",`+
+		`"window":7,"parent":"artifacts/model-0001.bin","seed":42,"extra":{"schedule":"smoke"}}`))
+	for name, raw := range map[string][]byte{"saved": buf.Bytes(), "with extra": legacy} {
+		p, kind, got, err := LoadLineage(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if kind != KindEarly {
+			t.Fatalf("%s: kind = %q", name, kind)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: lineage round trip:\ngot  %+v\nwant %+v", name, got, want)
+		}
+		// The model payload survives intact alongside the metadata.
+		test, _ := corpusFor("lineage-test", 100, true, 0.15, 32)
+		for i, v := range test.Vectors {
+			if w, g := m.Predict(v), p.Predict(v); w != g {
+				t.Fatalf("%s: vector %d: Predict %v != %v after lineage round trip", name, i, w, g)
+			}
 		}
 	}
 }

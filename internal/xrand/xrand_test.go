@@ -7,8 +7,8 @@ import (
 
 // TestGoldenStream pins the splitmix64 output for a fixed seed. Recorded
 // experiment expectations depend on these streams: if this test fails, the
-// generator changed and every recorded metric must be regenerated (see
-// EXPERIMENTS.md).
+// generator changed and every recorded metric must be regenerated
+// (EXPERIMENTS.md, "Regenerating the numbers").
 func TestGoldenStream(t *testing.T) {
 	s := NewSource(1)
 	want := []uint64{
