@@ -54,8 +54,11 @@ cover-check:
 ## 10^5-entity streamed curation driven through injected commit crashes with
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
 ## zero-drift control through cmd/lifecycle (the command itself fails unless
-## the first promotes and the second never detects); and a real Chrome trace from
-## cmd/experiments that names every pipeline stage. The bit-identity of the
+## the first promotes and the second never detects); a real Chrome trace from
+## cmd/experiments that names every pipeline stage; and EXPERIMENTS_RAW.md
+## regenerated into bin/ with its documented command (the whole suite at
+## scale 1, about 30-40 s) and compared byte for byte with the checked-in
+## file. The bit-identity of the
 ## pipeline, the fusion artifacts and the cmd/ outputs is TestContract's, in
 ## both gates; `go test -run TestContract -update .` is the one command that
 ## moves a digest in testdata/contract.json.
@@ -97,3 +100,6 @@ gate-full:
 		grep -q "\"name\": \"$$stage\"" bin/trace-smoke.json \
 			|| { echo "gate-full: stage $$stage missing from trace"; exit 1; }; \
 	done
+	$(GO) run ./cmd/experiments -run all -o bin/EXPERIMENTS_RAW.md
+	@cmp bin/EXPERIMENTS_RAW.md EXPERIMENTS_RAW.md \
+		|| { echo "gate-full: EXPERIMENTS_RAW.md is stale; rerun go run ./cmd/experiments -run all -o EXPERIMENTS_RAW.md"; exit 1; }

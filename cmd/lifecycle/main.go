@@ -3,7 +3,8 @@
 // serves it over HTTP, replays a seeded drift schedule through the server,
 // and lets the lifecycle controller detect the shift, re-mine and retrain on
 // a fresh window, shadow-score the candidate, and hot-swap it through the
-// canary-gated /admin/reload — printing the deterministic event log.
+// canary-gated /admin/reload — printing the deterministic event log. The
+// episode itself is wired by lifecycle.Bootstrap.
 //
 // Usage:
 //
@@ -27,15 +28,8 @@ import (
 	"log"
 	"net"
 	"os"
-	"path/filepath"
-	"time"
 
-	"crossmodal/internal/core"
-	"crossmodal/internal/featurestore"
-	"crossmodal/internal/fusion"
 	"crossmodal/internal/lifecycle"
-	"crossmodal/internal/model"
-	"crossmodal/internal/resource"
 	"crossmodal/internal/serve"
 	"crossmodal/internal/synth"
 )
@@ -43,60 +37,72 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lifecycle: ")
-	var (
-		taskName    = flag.String("task", "CT1", "classification task (CT1..CT5)")
-		seed        = flag.Int64("seed", 17, "seed for the world, schedule, and every controller decision")
-		window      = flag.Int("window", 300, "traffic points per observation window")
-		windows     = flag.Int("windows", 8, "total observation windows to replay")
-		driftWindow = flag.Int("drift-window", 3, "window index where the shifted regime begins")
-		shift       = flag.Float64("shift", 2.5, "topic-prior shift magnitude at the changepoint")
-		decay       = flag.Float64("decay", 0.35, "per-attribute observation decay in the shifted regime")
-		simDrift    = flag.Bool("simulate-drift", true, "inject the drift episode (false: static world, loop must stay quiet)")
-		scale       = flag.Float64("scale", 0.05, "training corpus scale factor for bootstrap and retrains")
-		workers     = flag.Int("workers", 1, "worker goroutines per parallel stage (results do not depend on it)")
-		artifacts   = flag.String("artifacts", "", "artifact directory (default: a fresh temp dir)")
-		outPath     = flag.String("out", "", "write the run result (event log + counters) as JSON here")
-	)
+	var c runConfig
+	flag.StringVar(&c.taskName, "task", "CT1", "classification task (CT1..CT5)")
+	flag.Int64Var(&c.seed, "seed", 17, "seed for the world, schedule, and every controller decision")
+	flag.IntVar(&c.window, "window", 300, "traffic points per observation window")
+	flag.IntVar(&c.windows, "windows", 8, "total observation windows to replay")
+	flag.IntVar(&c.driftWindow, "drift-window", 3, "window index where the shifted regime begins")
+	flag.Float64Var(&c.shift, "shift", 2.5, "topic-prior shift magnitude at the changepoint")
+	flag.Float64Var(&c.decay, "decay", 0.35, "per-attribute observation decay in the shifted regime")
+	flag.BoolVar(&c.simDrift, "simulate-drift", true, "inject the drift episode (false: static world, loop must stay quiet)")
+	flag.Float64Var(&c.scale, "scale", 0.05, "training corpus scale factor for bootstrap and retrains")
+	flag.IntVar(&c.workers, "workers", 1, "worker goroutines per parallel stage (0 = GOMAXPROCS; results do not depend on it)")
+	flag.StringVar(&c.artifacts, "artifacts", "", "artifact directory (default: a fresh temp dir)")
+	flag.StringVar(&c.outPath, "out", "", "write the run result (event log + counters) as JSON here")
 	flag.Parse()
-	if err := run(*taskName, *seed, *window, *windows, *driftWindow, *shift, *decay,
-		*simDrift, *scale, *workers, *artifacts, *outPath); err != nil {
+	if err := run(c); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(taskName string, seed int64, window, windows, driftWindow int,
-	shift, decay float64, simDrift bool, scale float64, workers int,
-	artifacts, outPath string) error {
+type runConfig struct {
+	taskName, artifacts, outPath          string
+	seed                                  int64
+	window, windows, driftWindow, workers int
+	shift, decay, scale                   float64
+	simDrift                              bool
+}
+
+// validate rejects flag combinations before the world is built or a model
+// trained, with a message naming the offending flag.
+func (c runConfig) validate() error {
 	switch {
-	case window <= 0 || windows <= 0:
-		return fmt.Errorf("-window and -windows must be > 0")
-	case simDrift && (driftWindow <= 0 || driftWindow >= windows):
-		return fmt.Errorf("-drift-window %d must fall inside (0, %d)", driftWindow, windows)
-	case scale <= 0:
-		return fmt.Errorf("-scale must be > 0")
+	case c.window <= 0 || c.windows <= 0:
+		return fmt.Errorf("-window %d, -windows %d: must be > 0", c.window, c.windows)
+	case c.simDrift && (c.driftWindow <= 0 || c.driftWindow >= c.windows):
+		return fmt.Errorf("-drift-window %d: must fall inside (0, %d)", c.driftWindow, c.windows)
+	case c.scale <= 0:
+		return fmt.Errorf("-scale %v: must be > 0", c.scale)
+	case c.workers < 0:
+		return fmt.Errorf("-workers %d: must be >= 0", c.workers)
 	}
-	task, err := synth.TaskByName(taskName)
-	if err != nil {
+	if _, err := synth.TaskByName(c.taskName); err != nil {
+		return fmt.Errorf("-task %q: %w", c.taskName, err)
+	}
+	return nil
+}
+
+func run(c runConfig) error {
+	if err := c.validate(); err != nil {
 		return err
 	}
-	if artifacts == "" {
+	if c.artifacts == "" {
 		dir, err := os.MkdirTemp("", "lifecycle-artifacts-")
 		if err != nil {
 			return err
 		}
 		defer os.RemoveAll(dir)
-		artifacts = dir
+		c.artifacts = dir
 	}
 
-	world, err := synth.NewWorld(synth.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	sched := synth.DriftSchedule{Seed: seed, Epochs: []synth.Epoch{{N: windows * window}}}
-	if simDrift {
+	task, _ := synth.TaskByName(c.taskName) // validate checked the name
+	world := synth.MustWorld(synth.DefaultConfig())
+	sched := synth.DriftSchedule{Seed: c.seed, Epochs: []synth.Epoch{{N: c.windows * c.window}}}
+	if c.simDrift {
 		sched.Epochs = []synth.Epoch{
-			{N: driftWindow * window},
-			{N: (windows - driftWindow) * window, TopicShift: shift, URLShift: shift * 0.75, Decay: decay},
+			{N: c.driftWindow * c.window},
+			{N: (c.windows - c.driftWindow) * c.window, TopicShift: c.shift, URLShift: c.shift * 0.75, Decay: c.decay},
 		}
 	}
 	traffic, err := synth.NewTraffic(world, task, sched)
@@ -104,69 +110,12 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 		return err
 	}
 
-	lib, err := resource.StandardLibrary(world)
-	if err != nil {
-		return err
-	}
-	store, err := featurestore.New(lib, 65536)
-	if err != nil {
-		return err
-	}
-
-	opts := core.DefaultOptions()
-	opts.StreamMining = true
-	opts.Workers = workers
-	opts.Seed = seed
-	opts.MaxGraphSeeds = 1200
-	opts.GraphDevNodes = 500
-	opts.Graph.MaxCandidates = 120
-	opts.Model = model.Config{Epochs: 5, LearningRate: 0.02, Seed: seed, Workers: workers}
-	pipe, err := core.NewPipeline(lib, opts)
-	if err != nil {
-		return err
-	}
-
-	dsCfg := synth.DefaultDatasetConfig().Scaled(scale, 1)
-	dsCfg.Seed = seed
-
 	ctx := context.Background()
-	log.Printf("bootstrapping %s model (scale %.2f, stream-mined)", taskName, scale)
-	ds, err := traffic.FreshDataset(0, dsCfg)
-	if err != nil {
-		return err
-	}
-	cur, err := pipe.Curate(ctx, ds)
-	if err != nil {
-		return err
-	}
-	incumbent, err := pipe.Train(ctx, cur, pipe.DefaultTrainSpec())
-	if err != nil {
-		return err
-	}
-	bootPath := filepath.Join(artifacts, "bootstrap.xma")
-	if err := fusion.SaveFileLineage(bootPath, incumbent, &fusion.Lineage{
-		Task: task.Name, Trigger: "bootstrap", Seed: seed,
-	}); err != nil {
-		return err
-	}
-
-	// Canary IDs sit far past the schedule, where the final regime persists:
-	// they never collide with live window points, and after a promotion they
-	// exercise the candidate on current-regime traffic.
-	canary := make([]*synth.Point, 48)
-	for i := range canary {
-		canary[i] = traffic.Point(1<<30 + i)
-	}
-	srv, err := serve.New(serve.Config{
-		Store:   store,
-		World:   world,
-		Seed:    seed,
-		Workers: workers,
-		Timeout: 5 * time.Second,
-		PointSource: func(id int, _ synth.Modality, _ int) *synth.Point {
-			return traffic.Point(id)
-		},
-	}, canary)
+	log.Printf("bootstrapping %s model (scale %.2f, stream-mined)", c.taskName, c.scale)
+	cfg, srv, err := lifecycle.Bootstrap(ctx, world, lifecycle.Config{
+		Traffic: traffic, WindowSize: c.window, Retrain: synth.DefaultDatasetConfig().Scaled(c.scale, 1),
+		ArtifactDir: c.artifacts, Seed: c.seed,
+	}, c.workers)
 	if err != nil {
 		return err
 	}
@@ -179,25 +128,10 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 	hs := serve.NewHTTPServer("", srv.Handler())
 	go hs.Serve(ln)
 	defer hs.Close()
+	cfg.BaseURL = "http://" + ln.Addr().String()
+	log.Printf("serving on %s; replaying %d windows x %d points", cfg.BaseURL, c.windows, c.window)
 
-	if _, err := srv.Registry().LoadArtifact(bootPath); err != nil {
-		return fmt.Errorf("install bootstrap artifact: %w", err)
-	}
-	baseURL := "http://" + ln.Addr().String()
-	log.Printf("serving on %s; replaying %d windows x %d points", baseURL, windows, window)
-
-	ctrl, err := lifecycle.New(lifecycle.Config{
-		Traffic:       traffic,
-		Store:         store,
-		Pipe:          pipe,
-		BaseURL:       baseURL,
-		Incumbent:     incumbent,
-		IncumbentPath: bootPath,
-		WindowSize:    window,
-		Retrain:       dsCfg,
-		ArtifactDir:   artifacts,
-		Seed:          seed,
-	})
+	ctrl, err := lifecycle.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -222,17 +156,17 @@ func run(taskName string, seed int64, window, windows, driftWindow int,
 	log.Printf("windows=%d detections=%d retrains=%d promotions=%d rejections=%d final_seq=%d",
 		res.Windows, res.Detections, res.Retrains, res.Promotions, res.Rejections, res.FinalSeq)
 
-	if outPath != "" {
+	if c.outPath != "" {
 		raw, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(c.outPath, append(raw, '\n'), 0o644); err != nil {
 			return err
 		}
-		log.Printf("wrote %s", outPath)
+		log.Printf("wrote %s", c.outPath)
 	}
-	return checkResult(res, simDrift)
+	return checkResult(res, c.simDrift)
 }
 
 // checkResult is the episode's own verdict: a drift run must promote a

@@ -65,8 +65,11 @@ func (s *Suite) Figure5(ctx context.Context, taskName string) ([]Figure5Series, 
 
 // RenderFigure5 writes the series as markdown tables.
 func RenderFigure5(w io.Writer, series []Figure5Series) {
-	for _, s := range series {
-		fmt.Fprintf(w, "\nEnd-model features %s — cross-modal relative AUPRC %.2f", s.Label, s.CrossModal)
+	for i, s := range series {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "End-model features %s — cross-modal relative AUPRC %.2f", s.Label, s.CrossModal)
 		if s.CrossOver > 0 {
 			fmt.Fprintf(w, ", cross-over at %d hand-labeled examples\n", s.CrossOver)
 		} else {

@@ -28,13 +28,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"crossmodal/internal/core"
 	"crossmodal/internal/feature"
 	"crossmodal/internal/featurestore"
 	"crossmodal/internal/fusion"
 	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/model"
 	"crossmodal/internal/monitor"
+	"crossmodal/internal/resource"
 	"crossmodal/internal/serve"
 	"crossmodal/internal/synth"
 )
@@ -73,7 +76,7 @@ type Config struct {
 	// (featurization is deterministic in the point, so an evicted entry
 	// recomputes to the same values).
 	Store *featurestore.Store
-	// Pipe re-mines and retrains candidates (StreamMining should be on).
+	// Pipe re-mines and retrains candidates (Bootstrap's stream-mines).
 	Pipe *core.Pipeline
 	// BaseURL is the serving endpoint ("http://127.0.0.1:port").
 	BaseURL string
@@ -191,6 +194,64 @@ func New(cfg Config) (*Controller, error) {
 		incumbentPath: cfg.IncumbentPath,
 		needRef:       true,
 	}, nil
+}
+
+// Bootstrap wires the drift episode cmd/lifecycle and this package's tests
+// replay: over cfg.Traffic, drawn from the base world, it builds the
+// stream-mining retraining pipeline, trains the bootstrap incumbent on epoch
+// 0 (a cfg.Retrain-sized draw at cfg.Seed) and serves it. The caller sets
+// cfg's Traffic, WindowSize, Retrain, ArtifactDir and Seed; Bootstrap
+// returns cfg with Store, Pipe, Incumbent and IncumbentPath filled, and the
+// server whose Handler the caller exposes at cfg.BaseURL and then closes.
+func Bootstrap(ctx context.Context, world *synth.World, cfg Config, workers int) (Config, *serve.Server, error) {
+	lib, err := resource.StandardLibrary(world)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	if cfg.Store, err = featurestore.New(lib, 65536); err != nil {
+		return Config{}, nil, err
+	}
+	opts := core.DefaultOptions()
+	opts.StreamMining, opts.Workers, opts.Seed = true, workers, cfg.Seed
+	opts.MaxGraphSeeds, opts.GraphDevNodes, opts.Graph.MaxCandidates = 1200, 500, 120
+	opts.Model = model.Config{Epochs: 5, LearningRate: 0.02, Seed: cfg.Seed, Workers: workers}
+	if cfg.Pipe, err = core.NewPipeline(lib, opts); err != nil {
+		return Config{}, nil, err
+	}
+	cfg.Retrain.Seed = cfg.Seed
+	ds, err := cfg.Traffic.FreshDataset(0, cfg.Retrain)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	boot, err := cfg.Pipe.Run(ctx, ds)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	cfg.Incumbent, cfg.IncumbentPath = boot.Predictor, filepath.Join(cfg.ArtifactDir, "bootstrap.xma")
+	lg := &fusion.Lineage{Task: cfg.Traffic.Task().Name, Trigger: "bootstrap", Seed: cfg.Seed}
+	if err := fusion.SaveFileLineage(cfg.IncumbentPath, cfg.Incumbent, lg); err != nil {
+		return Config{}, nil, err
+	}
+
+	// Canary IDs sit far past the schedule, where the final regime persists:
+	// they never collide with live window points, and after a promotion they
+	// exercise the candidate on current-regime traffic.
+	canary := make([]*synth.Point, 48)
+	for i := range canary {
+		canary[i] = cfg.Traffic.Point(1<<30 + i)
+	}
+	srv, err := serve.New(serve.Config{
+		Store: cfg.Store, World: world, Seed: cfg.Seed, Workers: workers, Timeout: 5 * time.Second,
+		PointSource: func(id int, _ synth.Modality, _ int) *synth.Point { return cfg.Traffic.Point(id) },
+	}, canary)
+	if err != nil {
+		return Config{}, nil, err
+	}
+	if _, err := srv.Registry().LoadArtifact(cfg.IncumbentPath); err != nil {
+		srv.Close()
+		return Config{}, nil, fmt.Errorf("install bootstrap artifact: %w", err)
+	}
+	return cfg, srv, nil
 }
 
 // Run replays the full traffic schedule window by window and returns the

@@ -13,13 +13,9 @@ import (
 	"strings"
 	"testing"
 
-	"crossmodal/internal/core"
-	"crossmodal/internal/featurestore"
 	"crossmodal/internal/fusion"
 	"crossmodal/internal/mapreduce"
-	"crossmodal/internal/model"
 	"crossmodal/internal/monitor"
-	"crossmodal/internal/resource"
 	"crossmodal/internal/serve"
 	"crossmodal/internal/synth"
 )
@@ -38,21 +34,10 @@ const (
 	epDecay       = 0.35
 )
 
-// episode is one fully wired drift episode: drifting traffic, a serving
-// stack replaying it, a pipeline for retraining, and a bootstrap incumbent
-// installed through the registry.
-type episode struct {
-	traffic  *synth.Traffic
-	store    *featurestore.Store
-	pipe     *core.Pipeline
-	srv      *serve.Server
-	ts       *httptest.Server
-	inc      fusion.Predictor
-	bootPath string
-	dir      string
-}
-
-func newEpisode(t *testing.T, simDrift bool) *episode {
+// newEpisode bootstraps the cmd/lifecycle episode at its default flags
+// (-scale 0.05, -workers 1) and serves it on an httptest server. It returns
+// the controller config pointed at that server, and the server.
+func newEpisode(t *testing.T, simDrift bool) (Config, *serve.Server) {
 	t.Helper()
 	task, err := synth.TaskByName("CT1")
 	if err != nil {
@@ -70,100 +55,21 @@ func newEpisode(t *testing.T, simDrift bool) *episode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := resource.StandardLibrary(world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := featurestore.New(lib, 65536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.DefaultOptions()
-	opts.StreamMining = true
-	opts.Workers = 1
-	opts.Seed = epSeed
-	opts.MaxGraphSeeds = 1200
-	opts.GraphDevNodes = 500
-	opts.Graph.MaxCandidates = 120
-	opts.Model = model.Config{Epochs: 5, LearningRate: 0.02, Seed: epSeed, Workers: 1}
-	pipe, err := core.NewPipeline(lib, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	ds, err := traffic.FreshDataset(0, epDatasetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := pipe.Curate(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := pipe.Train(ctx, cur, pipe.DefaultTrainSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	bootPath := filepath.Join(dir, "bootstrap.xma")
-	if err := fusion.SaveFileLineage(bootPath, inc, &fusion.Lineage{
-		Task: task.Name, Trigger: "bootstrap", Seed: epSeed,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	canary := make([]*synth.Point, 48)
-	for i := range canary {
-		canary[i] = traffic.Point(1<<30 + i)
-	}
-	srv, err := serve.New(serve.Config{
-		Store:   store,
-		World:   world,
-		Seed:    epSeed,
-		Workers: 1,
-		PointSource: func(id int, _ synth.Modality, _ int) *synth.Point {
-			return traffic.Point(id)
-		},
-	}, canary)
+	cfg, srv, err := Bootstrap(context.Background(), world, Config{
+		Traffic:     traffic,
+		WindowSize:  epWindow,
+		Retrain:     synth.DefaultDatasetConfig().Scaled(0.05, 1),
+		ArtifactDir: t.TempDir(),
+		Seed:        epSeed,
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	if _, err := srv.Registry().LoadArtifact(bootPath); err != nil {
-		t.Fatal(err)
-	}
-	return &episode{
-		traffic: traffic, store: store, pipe: pipe, srv: srv, ts: ts,
-		inc: inc, bootPath: bootPath, dir: dir,
-	}
-}
-
-// epDatasetConfig mirrors cmd/lifecycle's -scale 0.05 sizing.
-func epDatasetConfig() synth.DatasetConfig {
-	cfg := synth.DefaultDatasetConfig()
-	cfg.Seed = epSeed
-	cfg.NumText = 1000
-	cfg.NumUnlabeledImage = 400
-	cfg.NumHandLabelPool = 400
-	cfg.NumTest = 250
-	return cfg
-}
-
-func (ep *episode) controllerConfig() Config {
-	return Config{
-		Traffic:       ep.traffic,
-		Store:         ep.store,
-		Pipe:          ep.pipe,
-		BaseURL:       ep.ts.URL,
-		Incumbent:     ep.inc,
-		IncumbentPath: ep.bootPath,
-		WindowSize:    epWindow,
-		Retrain:       epDatasetConfig(),
-		ArtifactDir:   ep.dir,
-		Seed:          epSeed,
-	}
+	cfg.BaseURL = ts.URL
+	return cfg, srv
 }
 
 // TestLifecycleGolden replays the fixed-seed drift episode end to end and
@@ -173,8 +79,8 @@ func TestLifecycleGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ep := newEpisode(t, true)
-	ctrl, err := New(ep.controllerConfig())
+	cfg, srv := newEpisode(t, true)
+	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +101,7 @@ func TestLifecycleGolden(t *testing.T) {
 
 	// The hot swap must be visible in the serving registry, carrying the
 	// drift lineage.
-	cur := ep.srv.Registry().Current()
+	cur := srv.Registry().Current()
 	if cur == nil {
 		t.Fatal("registry empty after run")
 	}
@@ -208,8 +114,8 @@ func TestLifecycleGolden(t *testing.T) {
 	if !strings.HasPrefix(cur.Lineage.Trigger, "drift:") {
 		t.Errorf("promoted lineage trigger %q, want drift:*", cur.Lineage.Trigger)
 	}
-	if cur.Lineage.Parent != ep.bootPath {
-		t.Errorf("promoted lineage parent %q, want %q", cur.Lineage.Parent, ep.bootPath)
+	if cur.Lineage.Parent != cfg.IncumbentPath {
+		t.Errorf("promoted lineage parent %q, want %q", cur.Lineage.Parent, cfg.IncumbentPath)
 	}
 
 	got, err := json.MarshalIndent(res.Events, "", "  ")
@@ -242,8 +148,8 @@ func TestLifecycleZeroDriftStaysQuiet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ep := newEpisode(t, false)
-	ctrl, err := New(ep.controllerConfig())
+	cfg, srv := newEpisode(t, false)
+	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +166,7 @@ func TestLifecycleZeroDriftStaysQuiet(t *testing.T) {
 			t.Errorf("unexpected %s event on static world: %+v", e.Type, e)
 		}
 	}
-	if got := ep.srv.Registry().Current().Seq; got != 1 {
+	if got := srv.Registry().Current().Seq; got != 1 {
 		t.Errorf("registry seq %d after quiet run, want 1 (bootstrap untouched)", got)
 	}
 }
@@ -273,8 +179,7 @@ func TestLifecycleCrashMidRetrainConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ep := newEpisode(t, true)
-	cfg := ep.controllerConfig()
+	cfg, srv := newEpisode(t, true)
 	var crashes int
 	firstTrip := -1
 	cfg.RetrainHook = func(window, attempt int) error {
@@ -318,7 +223,7 @@ func TestLifecycleCrashMidRetrainConverges(t *testing.T) {
 	}
 	// The incumbent was never displaced by a crashed attempt: every serving
 	// generation in the registry came from a completed, checksummed artifact.
-	cur := ep.srv.Registry().Current()
+	cur := srv.Registry().Current()
 	if cur == nil {
 		t.Fatal("registry empty after crash run")
 	}
@@ -335,6 +240,28 @@ func TestControllerConfigValidation(t *testing.T) {
 	ep := Config{BaseURL: "x", ArtifactDir: "y"}
 	if _, err := New(ep); err == nil {
 		t.Error("config without traffic accepted")
+	}
+}
+
+// TestBootstrapFailures: a bootstrap that cannot draw, curate or save its
+// incumbent returns the error and no server.
+func TestBootstrapFailures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	good, _ := newEpisode(t, false)
+	noDraw, noDir := good, good
+	noDraw.Retrain = synth.DatasetConfig{}
+	noDir.ArtifactDir = filepath.Join(good.ArtifactDir, "missing")
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx context.Context
+		cfg Config
+	}{"empty draw": {context.Background(), noDraw}, "canceled": {canceled, good}, "no artifact dir": {context.Background(), noDir}} {
+		if _, srv, err := Bootstrap(tc.ctx, synth.MustWorld(synth.DefaultConfig()), tc.cfg, 1); err == nil || srv != nil {
+			t.Errorf("%s: Bootstrap = %v, %v; want an error and no server", name, srv, err)
+		}
 	}
 }
 
@@ -380,30 +307,30 @@ func TestStepReadsBackServedVectors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	ep := newEpisode(t, false)
-	ctrl, err := New(ep.controllerConfig())
+	cfg, _ := newEpisode(t, false)
+	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	pts := ep.traffic.Window(0, epWindow)
-	h0, m0, _ := ep.store.Stats()
+	pts := cfg.Traffic.Window(0, epWindow)
+	h0, m0, _ := cfg.Store.Stats()
 	_, vecs, err := ctrl.observe(ctx, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, m1, _ := ep.store.Stats()
+	h1, m1, _ := cfg.Store.Stats()
 	// Serving the window and reading it back touch every point twice; the
 	// server's pass takes all the misses there are to take.
 	if h1-h0+m1-m0 != 2*epWindow || h1-h0 < epWindow {
 		t.Fatalf("window cost %d hits / %d misses, want the %d-point read-back to be all hits",
 			h1-h0, m1-m0, epWindow)
 	}
-	direct, err := ep.store.Featurize(ctx, mapreduce.Config{Workers: 1}, pts)
+	direct, err := cfg.Store.Featurize(ctx, mapreduce.Config{Workers: 1}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, m2, _ := ep.store.Stats(); m2 != m1 {
+	if _, m2, _ := cfg.Store.Stats(); m2 != m1 {
 		t.Fatalf("direct featurization of the served window missed %d times", m2-m1)
 	}
 	if len(vecs) != len(direct) {
