@@ -4,18 +4,15 @@ GO ?= go
 
 ## gate-fast: the tier-1 gate — build everything, vet it (also for 32-bit
 ## 386, where an int holds no more than math.MaxInt32), run every test,
-## run every examples/ program (each must exit 0; no test executes them),
 ## hold every internal/ package at its coverage floor. `go test ./...` runs
 ## TestContract, which recomputes the behaviour contract in
-## testdata/contract.json.
+## testdata/contract.json, and the root package's Example_* scenarios, whose
+## printed output it checks.
 gate-fast:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	$(GO) test ./...
-	@for ex in examples/*/; do \
-		echo "run ./$$ex"; $(GO) run ./$$ex >/dev/null || { echo "gate-fast: ./$$ex failed"; exit 1; }; \
-	done
 	@$(MAKE) --no-print-directory cover-check
 
 check: gate-fast
@@ -69,7 +66,7 @@ gate-full:
 	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
 	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
-	@for bound in model:16 feature:12 synth:8 resource:5 labelmodel:2 labelprop:1; do \
+	@for bound in model:16 feature:12 synth:8 resource:0 labelmodel:0 labelprop:0; do \
 		pkg=$${bound%:*}; max=$${bound#*:}; \
 		n=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1 | grep -cE '\sFN?M(ADD|SUB)[SD]\s'); \
 		[ "$$n" -le "$$max" ] || { echo "gate-full: internal/$$pkg has $$n arm64 fused multiply-adds, at most $$max allowed"; exit 1; }; \

@@ -25,17 +25,14 @@
 //
 // # Quickstart
 //
-//	world := crossmodal.MustWorld(crossmodal.DefaultWorldConfig())
-//	lib, _ := crossmodal.StandardLibrary(world)
-//	task, _ := crossmodal.TaskByName("CT1")
-//	ds, _ := crossmodal.BuildDataset(world, task, crossmodal.DefaultDatasetConfig())
-//	pipe, _ := crossmodal.NewPipeline(lib, crossmodal.DefaultOptions())
-//	res, _ := pipe.Run(context.Background(), ds)
-//	auprc, _ := pipe.EvaluateAUPRC(context.Background(), res.Predictor, ds.TestImage)
-//
-// The runnable programs under examples/ and cmd/ exercise the full surface;
-// internal/experiments regenerates every table and figure of the paper's
-// evaluation.
+// Example_quickstart runs the pipeline end to end on one task: world,
+// standard library, dataset, [NewPipeline], [Pipeline.Run] and an AUPRC on
+// the never-labeled image modality. The other Example_* functions are the
+// paper's scenarios (§1 moderation, §3.1.1 video frames, §6.7.1 mined vs
+// expert LFs, §7.4 monitored parallel deployment); `go test` checks what
+// each prints. The programs under cmd/ run the pipeline, serve a model and
+// drive a drift episode from the command line; internal/experiments
+// regenerates every table and figure of the paper's evaluation.
 package crossmodal
 
 import (
@@ -193,7 +190,7 @@ func Labels(pts []*Point) []int8 { return synth.Labels(pts) }
 func PositiveRate(pts []*Point) float64 { return synth.PositiveRate(pts) }
 
 // Weak-supervision building blocks, exposed for programmatic use (the
-// pipeline drives them automatically; see examples/lfmining for direct use).
+// pipeline drives them automatically; Example_lfmining uses them directly).
 type (
 	// LabelingFunction is one programmatic labeler over the common
 	// feature space.

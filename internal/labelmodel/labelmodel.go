@@ -82,8 +82,8 @@ type Model struct {
 // model and its prior — the scalar Snorkel-style diagnostic.
 func (mod *Model) Accuracy(j int) float64 {
 	p := mod.Prior
-	correct := p*mod.ThetaPos[j][0] + (1-p)*mod.ThetaNeg[j][1]
-	voted := p*(mod.ThetaPos[j][0]+mod.ThetaPos[j][1]) + (1-p)*(mod.ThetaNeg[j][0]+mod.ThetaNeg[j][1])
+	correct := float64(p*mod.ThetaPos[j][0]) + float64((1-p)*mod.ThetaNeg[j][1])
+	voted := float64(p*(mod.ThetaPos[j][0]+mod.ThetaPos[j][1])) + float64((1-p)*(mod.ThetaNeg[j][0]+mod.ThetaNeg[j][1]))
 	if voted == 0 {
 		return 0
 	}

@@ -121,7 +121,7 @@ func Propagate(ctx context.Context, g *Graph, seeds map[int]float64, cfg PropCon
 				hit := false
 				for _, e := range g.Neighbors(i) {
 					if reached[e.To] {
-						num += e.Weight * cur[e.To]
+						num += float64(e.Weight * cur[e.To])
 						den += e.Weight
 						hit = true
 					}

@@ -244,7 +244,7 @@ func (s *BucketService) Observe(dst *feature.Vector, i int, e *synth.Entity, m s
 	if rng.Float64() < p.Dropout {
 		return
 	}
-	v := s.extract(s.world, e) + rng.NormFloat64()*p.Noise
+	v := s.extract(s.world, e) + float64(rng.NormFloat64()*p.Noise)
 	k := 0
 	for k < len(s.cuts) && v >= s.cuts[k] {
 		k++
@@ -274,7 +274,7 @@ func (s *StatService) Observe(dst *feature.Vector, i int, e *synth.Entity, m syn
 	if rng.Float64() < p.Dropout {
 		return
 	}
-	dst.SetNum(i, s.extract(s.world, e)+rng.NormFloat64()*p.Noise)
+	dst.SetNum(i, s.extract(s.world, e)+float64(rng.NormFloat64()*p.Noise))
 }
 
 // RuleService is a rule-based resource: a heuristic predicate a team wrote
@@ -343,7 +343,7 @@ func (s *EmbeddingService) Observe(dst *feature.Vector, i int, e *synth.Entity, 
 		}
 	}
 	for k := range vec {
-		vec[k] += rng.NormFloat64() * s.noise
+		vec[k] += float64(rng.NormFloat64() * s.noise)
 	}
 	must(dst.SetVec(i, vec))
 }
@@ -536,7 +536,7 @@ func StandardLibrary(w *synth.World) (*Library, error) {
 			feature.Def{Name: "img_quality", Set: ImageSet, Servable: true},
 			w, imageOnly,
 			map[synth.Modality]ObsParams{synth.Image: {Fidelity: 1, Noise: 1.0}},
-			func(_ *synth.World, e *synth.Entity) float64 { return 0.1*e.Eps + 1 }),
+			func(_ *synth.World, e *synth.Entity) float64 { return float64(0.1*e.Eps) + 1 }),
 		NewSetService(
 			feature.Def{Name: "img_ocr", Set: ImageSet, Servable: true},
 			cfg.NumKeywords, "kw", imageOnly,
@@ -557,7 +557,7 @@ func StandardLibrary(w *synth.World) (*Library, error) {
 					kw += w.KeywordRisk(k)
 				}
 				kw /= float64(len(e.Keywords))
-				return 2*kw + 0.5*math.Tanh(e.Eps)
+				return float64(2*kw) + float64(0.5*math.Tanh(e.Eps))
 			}),
 		NewStatService(
 			feature.Def{Name: "text_wordcount", Set: TextSet, Servable: true},

@@ -36,6 +36,7 @@ var optionAllow = map[string]string{
 	"labelprop.GraphConfig.MinWeight":        "graph hyperparameter: the edge-weight floor (default 0.05); the selection tests vary it",
 	"mining.Config":                          "paper hyperparameter: the mining thresholds (§4.3); internal/experiments sets only MaxOrder, bench/ only NumericQuantiles",
 	"model.Config":                           "paper hyperparameter: the end model; the model suite varies BatchSize, L2 and PositiveWeight",
+	"monitor.Config.Budget":                  "public option (crossmodal.MonitorConfig): a comparison's human-review budget (default 200); Example_lifecycle sets it",
 	"monitor.DriftConfig.Consecutive":        "drift-detector setting (default 2 windows); the drift suite sets it only to its default",
 	"monitor.DriftConfig.MinSamples":         "drift-detector setting (default 50 samples); nothing sets it yet",
 	"synth.Config":                           "the synthetic world's definition",
