@@ -223,14 +223,25 @@ func (v Value) HasCategory(c string) bool {
 // zero cell is Missing.
 type cell struct {
 	w    uint64 // Numeric: the float's bits; Categorical, Embedding: payload offset<<32 | length
-	m    uint32 // Categorical: count of distinct intern IDs (<= length)
+	m    uint32 // Categorical: count of distinct intern IDs (<= length; see set)
 	kind uint8  // 0: Missing; otherwise 1 + the Kind the value was stored under
 }
 
 func present(k Kind) uint8 { return 1 + uint8(k) }
 
-// window returns the payload range of a categorical or embedding cell.
+// window returns the payload range of a categorical or embedding cell (a
+// categorical one's IDs in written order).
 func (c cell) window() (off, end int) { return int(c.w >> 32), int(c.w>>32) + int(uint32(c.w)) }
+
+// set returns the payload range of a categorical cell's sorted, distinct
+// IDs: right after the written IDs when there are several, else those.
+func (c cell) set() (off, end int) {
+	off, end = c.window()
+	if end-off > 1 {
+		off = end
+	}
+	return off, off + int(c.m)
+}
 
 // packWindow is the w of a value occupying n payload slots from off on; a
 // window 32 bits cannot address is an error, never a wrap-around.
@@ -242,19 +253,21 @@ func packWindow(off, n int) (uint64, error) {
 }
 
 // payload is the append-only store behind the cells of one vector, or of
-// every vector of one NewVectors slab.
+// every vector of one NewVectors slab. It holds no pointers, so the garbage
+// collector never scans it: a category is its intern ID, and its name lives
+// once, in the process-wide interner.
 type payload struct {
-	cats []string
-	// ids runs parallel to cats: the value at cats[off:off+n] keeps its m
-	// sorted, distinct intern IDs at ids[off:off+m], so the similarity hot
-	// path intersects integer sets and never hashes strings.
+	// ids holds the categorical values: a cell's n intern IDs in written
+	// order at ids[off:off+n], and, when n > 1, its m sorted distinct IDs
+	// right after them at ids[off+n:off+n+m] (one ID is its own set), so the
+	// similarity hot path intersects integer sets and never hashes strings.
 	ids  []uint32
 	embs []float64
 }
 
 // Vector is one data point's feature values under a Schema, indexed in
-// schema order: one cell per feature over a payload of category strings,
-// intern IDs and embedding floats.
+// schema order: one cell per feature over a payload of category intern IDs
+// and embedding floats.
 //
 // Ownership and concurrency: a vector — or a whole NewVectors slab — is
 // written by the goroutine that created it, before it is shared; after that
@@ -302,7 +315,7 @@ func ReuseVectors(slab []Vector, schema *Schema, n int) []Vector {
 			clear(slab[r].cells)
 		}
 		p := slab[0].pay
-		p.cats, p.ids, p.embs = p.cats[:0], p.ids[:0], p.embs[:0]
+		p.ids, p.embs = p.ids[:0], p.embs[:0]
 		return slab
 	}
 	width := schema.Len()
@@ -315,18 +328,28 @@ func ReuseVectors(slab []Vector, schema *Schema, n int) []Vector {
 	return vecs
 }
 
-// Grow reserves room in v's payload (its slab's, for a slab vector) for cats
-// more category strings and embs more embedding floats.
-func (v *Vector) Grow(cats, embs int) {
+// Grow reserves room in v's payload (its slab's, for a slab vector) for ids
+// more category ID slots (CategorySlots counts them per value) and embs more
+// embedding floats.
+func (v *Vector) Grow(ids, embs int) {
 	p := v.own()
-	p.cats = slices.Grow(p.cats, cats)
-	p.ids = slices.Grow(p.ids, cats)
+	p.ids = slices.Grow(p.ids, ids)
 	p.embs = slices.Grow(p.embs, embs)
 }
 
-// PayloadLen returns how many category strings and embedding floats v's
+// CategorySlots returns how many payload ID slots a categorical value of n
+// categories takes at most: its n IDs, and as many again for the sorted set
+// when n > 1.
+func CategorySlots(n int) int {
+	if n > 1 {
+		return 2 * n
+	}
+	return n
+}
+
+// PayloadLen returns how many category ID slots and embedding floats v's
 // payload holds — what keeping v alive keeps alive: a NewVectors slab's all.
-func (v *Vector) PayloadLen() (cats, embs int) { return len(v.pay.cats), len(v.pay.embs) }
+func (v *Vector) PayloadLen() (ids, embs int) { return len(v.pay.ids), len(v.pay.embs) }
 
 // own returns the payload v may append to, first moving a borrowed vector
 // to a private copy of the windows its cells use.
@@ -358,7 +381,15 @@ func (v *Vector) SetAt(i int, val Value) error {
 	case d.Kind == Numeric:
 		v.SetNum(i, val.Num)
 	case d.Kind == Categorical:
-		return v.SetCategories(i, val.Categories, nil)
+		// Interned in order, duplicates kept (an empty set stays distinct
+		// from Missing). Producers that hold intern IDs already call
+		// SetCategoryIDs.
+		var buf [8]uint32
+		ids := buf[:0]
+		for _, c := range val.Categories {
+			ids = append(ids, InternID(c))
+		}
+		return v.SetCategoryIDs(i, ids)
 	case d.Kind == Embedding:
 		return v.SetVec(i, val.Vec)
 	default:
@@ -372,29 +403,23 @@ func (v *Vector) SetNum(i int, x float64) {
 	v.cells[i] = cell{w: math.Float64bits(x), kind: present(Numeric)}
 }
 
-// SetCategories stores a present categorical value at position i: a copy of
-// cats, order and duplicates kept (an empty set stays distinct from Missing).
-// ids is nil, or holds InternID(cats[k]) at k for a caller that interned a
-// whole dictionary once (the disk decoder) rather than per category per row.
-func (v *Vector) SetCategories(i int, cats []string, ids []uint32) error {
-	if ids != nil && len(ids) != len(cats) {
-		return fmt.Errorf("feature: %d intern IDs for %d categories", len(ids), len(cats))
-	}
+// SetCategoryIDs stores a present categorical value at position i from its
+// categories' intern IDs: a copy of ids, order and duplicates kept, and for
+// more than one ID the sorted distinct set beside them.
+func (v *Vector) SetCategoryIDs(i int, ids []uint32) error {
 	p := v.own()
-	off := len(p.cats)
-	w, err := packWindow(off, len(cats))
-	if err != nil {
+	off, n := len(p.ids), len(ids)
+	if _, err := packWindow(off, CategorySlots(n)); err != nil {
 		return err
 	}
-	p.cats = append(p.cats, cats...)
-	if ids == nil {
-		for _, c := range cats {
-			p.ids = append(p.ids, InternID(c))
-		}
-	} else {
+	p.ids = append(p.ids, ids...)
+	m := n
+	if n > 1 {
 		p.ids = append(p.ids, ids...)
+		m = len(sortedIDSet(p.ids[off+n:]))
+		p.ids = p.ids[:off+n+m]
 	}
-	v.cells[i] = cell{w: w, m: uint32(len(sortedIDSet(p.ids[off:]))), kind: present(Categorical)}
+	v.cells[i] = cell{w: uint64(off)<<32 | uint64(n), m: uint32(m), kind: present(Categorical)}
 	return nil
 }
 
@@ -434,8 +459,8 @@ func (v *Vector) Unset(i int) {
 	p := v.pay
 	switch off, end := c.window(); c.kind {
 	case present(Categorical):
-		if end == len(p.cats) {
-			p.cats, p.ids = p.cats[:off], p.ids[:off]
+		if _, setEnd := c.set(); max(end, setEnd) == len(p.ids) {
+			p.ids = p.ids[:off]
 		}
 	case present(Embedding):
 		if end == len(p.embs) {
@@ -473,25 +498,39 @@ func (v *Vector) Num(i int) float64 {
 	return 0
 }
 
-// Categories returns the category strings at position i, in written order
-// with duplicates; nil for an empty set.
-func (v *Vector) Categories(i int) []string {
+// CategoryList returns the intern IDs of the categories at position i, in
+// written order with duplicates; nil for an empty set.
+func (v *Vector) CategoryList(i int) []uint32 {
 	c := v.cells[i]
 	if off, end := c.window(); c.kind == present(Categorical) && end > off {
-		return v.pay.cats[off:end:end]
+		return v.pay.ids[off:end:end]
 	}
 	return nil
 }
 
 // CategoryIDs returns the categories at position i as sorted, distinct
-// intern IDs: the sets the similarity kernels intersect, exposed so
-// MinHash-LSH (internal/labelprop) hashes exactly what they compare.
+// intern IDs: the sets the similarity kernels intersect.
 func (v *Vector) CategoryIDs(i int) []uint32 {
 	c := v.cells[i]
-	if off, m := int(c.w>>32), int(c.m); c.kind == present(Categorical) && m > 0 {
-		return v.pay.ids[off : off+m : off+m]
+	if off, end := c.set(); c.kind == present(Categorical) && end > off {
+		return v.pay.ids[off:end:end]
 	}
 	return nil
+}
+
+// CategoryNames returns the category names at position i, in written order
+// with duplicates; nil for an empty set. It allocates the slice, so it is
+// for display, export and tests: hot paths read CategoryList.
+func (v *Vector) CategoryNames(i int) []string {
+	ids := v.CategoryList(i)
+	if ids == nil {
+		return nil
+	}
+	names := make([]string, len(ids))
+	for k, id := range ids {
+		names[k] = InternedCategory(id)
+	}
+	return names
 }
 
 // Vec returns the embedding at position i.
@@ -519,7 +558,7 @@ func (v *Vector) At(i int) Value {
 	case present(Numeric):
 		return Value{Num: v.Num(i)}
 	case present(Categorical):
-		return Value{Categories: v.Categories(i)}
+		return Value{Categories: v.CategoryNames(i)}
 	default:
 		return Value{Vec: v.Vec(i)}
 	}
@@ -545,7 +584,7 @@ func (v *Vector) Clone() *Vector {
 	for i, c := range v.cells {
 		switch c.kind { // neither write can fail: the copy's windows are no larger than the source's
 		case present(Categorical):
-			_ = out.SetCategories(i, v.Categories(i), nil)
+			_ = out.SetCategoryIDs(i, v.CategoryList(i))
 		case present(Embedding):
 			_ = out.setVec(i, v.Vec(i))
 		default:
@@ -565,7 +604,7 @@ func (v *Vector) Equal(o *Vector) bool {
 	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for i := range v.cells {
 		if v.cells[i].kind != o.cells[i].kind || !bits(v.Num(i), o.Num(i)) ||
-			!slices.Equal(v.Categories(i), o.Categories(i)) || !slices.EqualFunc(v.Vec(i), o.Vec(i), bits) {
+			!slices.Equal(v.CategoryList(i), o.CategoryList(i)) || !slices.EqualFunc(v.Vec(i), o.Vec(i), bits) {
 			return false
 		}
 	}

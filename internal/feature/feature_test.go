@@ -150,8 +150,9 @@ func TestVectorUnset(t *testing.T) {
 	v.MustSet("reports", NumericValue(7))
 	v.MustSet("emb", EmbeddingValue([]float64{1, 2, 3}))
 	v.Unset(0) // not the last categorical write: its room stays
-	if cats, embs := v.PayloadLen(); cats != 3 || embs != 3 || v.Present(0) {
-		t.Fatalf("after Unset(topic): payload %d/%d, present %v", cats, embs, v.Present(0))
+	// topic's one ID, then objects' two IDs and their sorted set
+	if ids, embs := v.PayloadLen(); ids != 5 || embs != 3 || v.Present(0) {
+		t.Fatalf("after Unset(topic): payload %d/%d, present %v", ids, embs, v.Present(0))
 	}
 	v.Unset(1)
 	v.Unset(2)

@@ -81,20 +81,15 @@ func (vz *Vectorizer) GobDecode(data []byte) error {
 	if err := json.Unmarshal(w.SchemaJSON, schema); err != nil {
 		return err
 	}
+	words := make(map[string][]string, len(w.Vocabs))
+	for _, vw := range w.Vocabs {
+		words[vw.Name] = vw.Words
+	}
 	decoded := &Vectorizer{
 		schema: schema,
 		vocabs: make(map[string]*Vocabulary, len(w.Vocabs)),
 		stats:  make(map[string]numericStats, len(w.Stats)),
 		maxVoc: w.MaxVoc,
-	}
-	for _, vw := range w.Vocabs {
-		// Rebuild the index directly from the slot order rather than via
-		// NewVocabulary: slot positions must survive the round trip exactly.
-		v := &Vocabulary{index: make(map[string]int, len(vw.Words)), words: vw.Words}
-		for i, word := range vw.Words {
-			v.index[word] = i
-		}
-		decoded.vocabs[vw.Name] = v
 	}
 	for _, sw := range w.Stats {
 		decoded.stats[sw.Name] = numericStats{mean: sw.Mean, std: sw.Std}
@@ -105,13 +100,23 @@ func (vz *Vectorizer) GobDecode(data []byte) error {
 		d := schema.Def(i)
 		switch d.Kind {
 		case Categorical:
-			if decoded.vocabs[d.Name] == nil {
+			if _, ok := words[d.Name]; !ok {
 				return fmt.Errorf("feature: decode vectorizer: no vocabulary for %q", d.Name)
 			}
 		case Numeric:
 			if _, ok := decoded.stats[d.Name]; !ok {
 				return fmt.Errorf("feature: decode vectorizer: no stats for %q", d.Name)
 			}
+		}
+	}
+	// Index the schema's vocabularies only now that the payload has passed
+	// every check, since indexing interns each word: a rejected artifact
+	// must not grow the process-wide intern table. The index is rebuilt
+	// from the slot order rather than via NewVocabulary, so slot positions
+	// survive the round trip exactly.
+	for i := 0; i < schema.Len(); i++ {
+		if d := schema.Def(i); d.Kind == Categorical {
+			decoded.vocabs[d.Name] = vocabulary(words[d.Name])
 		}
 	}
 	decoded.layout()

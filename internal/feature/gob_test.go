@@ -3,6 +3,7 @@ package feature
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -79,5 +80,41 @@ func TestVectorizerGobDecodeRejectsGarbage(t *testing.T) {
 	var vz Vectorizer
 	if err := vz.GobDecode([]byte("garbage")); err == nil {
 		t.Fatal("garbage payload accepted")
+	}
+}
+
+// TestVectorizerGobDecodeRejectionInternsNothing: indexing a vocabulary
+// interns its words, so a payload that fails validation must be rejected
+// before any vocabulary is indexed — including vocabularies for names the
+// schema does not have.
+func TestVectorizerGobDecodeRejectionInternsNothing(t *testing.T) {
+	schema := MustSchema(
+		Def{Name: "topic", Kind: Categorical, Set: "C"},
+		Def{Name: "score", Kind: Numeric, Set: "A"},
+	)
+	schemaJSON, err := json.Marshal(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := vectorizerWireV1{
+		Version:    vectorizerWireVersion,
+		SchemaJSON: schemaJSON,
+		Vocabs: []vocabWire{
+			{Name: "topic", Words: []string{"gob-reject-topic-a", "gob-reject-topic-b"}},
+			{Name: "stray", Words: []string{"gob-reject-stray"}},
+		},
+		// No stats for "score": the payload must be rejected.
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	interned := InternCount()
+	var vz Vectorizer
+	if err := vz.GobDecode(buf.Bytes()); err == nil {
+		t.Fatal("payload without numeric stats accepted")
+	}
+	if got := InternCount(); got != interned {
+		t.Fatalf("rejecting a vectorizer interned %d categories", got-interned)
 	}
 }

@@ -20,8 +20,11 @@ import (
 // behind an atomic pointer: no lock, and no shared cache line written (an
 // RWMutex reader count is one, and every categorical value of every row
 // crosses this function). Assignment stays under one mutex so IDs are dense.
+// The ID → name direction reads the names slice as last published: it only
+// ever grows, and every ID is published before InternID returns it.
 var interner = struct {
-	snap atomic.Pointer[map[string]uint32] // immutable once stored; nil until the first publish
+	snap  atomic.Pointer[map[string]uint32] // immutable once stored; nil until the first publish
+	named atomic.Pointer[[]string]          // names as of the last assignment; entries never change
 
 	mu     sync.Mutex
 	ids    map[string]uint32 // every assignment; guarded by mu
@@ -46,6 +49,8 @@ func InternID(c string) uint32 {
 		id = uint32(len(interner.ids))
 		interner.ids[c] = id
 		interner.names = append(interner.names, c)
+		names := interner.names
+		interner.named.Store(&names)
 	}
 	// Republish once the lookups that had to lock add up to the table size:
 	// the copy is then amortised O(1) per locked lookup, and a category that
@@ -67,13 +72,11 @@ func InternCount() int {
 	return len(interner.ids)
 }
 
-// InternedCategory returns the category InternID assigned id to: how a table
-// counted by intern ID (the miner's supports) gets its strings back.
-func InternedCategory(id uint32) string {
-	interner.mu.Lock()
-	defer interner.mu.Unlock()
-	return interner.names[id]
-}
+// InternedCategory returns the category InternID assigned id to, without a
+// lock or an allocation: how a value stored as IDs gets its names back where
+// bytes must carry them (segment dictionaries, vocabularies, LSH hashing).
+// id must have come from InternID.
+func InternedCategory(id uint32) string { return (*interner.named.Load())[id] }
 
 // internCategories returns the sorted, deduplicated intern IDs of cats, or
 // nil when cats is empty.

@@ -184,10 +184,10 @@ func TestInternedValueCopySemantics(t *testing.T) {
 	}
 	c := v.Clone()
 	c.MustSet("cat", CategoricalValue("mutated", "y"))
-	if got, ok := Similarity(c, v, 0, nil); !ok || got != Jaccard(c.Categories(0), v.Categories(0)) || got != 1.0/3 {
+	if got, ok := Similarity(c, v, 0, nil); !ok || got != Jaccard(c.CategoryNames(0), v.CategoryNames(0)) || got != 1.0/3 {
 		t.Errorf("rewritten clone similarity %v, want the string path's 1/3", got)
 	}
-	if !slices.Equal(v.Categories(0), []string{"x", "y"}) || !slices.Equal(v.CategoryIDs(0), want) {
+	if !slices.Equal(v.CategoryNames(0), []string{"x", "y"}) || !slices.Equal(v.CategoryIDs(0), want) {
 		t.Errorf("rewriting the clone moved the original: %v", v)
 	}
 }
@@ -309,7 +309,7 @@ func TestInternConcurrentAgreement(t *testing.T) {
 }
 
 // TestSetAtMatchesSet: addressing by index, carving vectors from a slab and
-// handing SetCategories pre-interned IDs are all representations of the same
+// handing SetCategoryIDs pre-interned IDs are all representations of the same
 // vector that Set-by-name builds.
 func TestSetAtMatchesSet(t *testing.T) {
 	schema := internTestSchema(t)
@@ -331,7 +331,7 @@ func TestSetAtMatchesSet(t *testing.T) {
 				for k, c := range val.Categories {
 					ids[k] = InternID(c)
 				}
-				err = slab[r].SetCategories(i, val.Categories, ids)
+				err = slab[r].SetCategoryIDs(i, ids)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -347,9 +347,6 @@ func TestSetAtMatchesSet(t *testing.T) {
 				}
 			}
 		}
-	}
-	if err := slab[0].SetCategories(0, []string{"a", "b"}, []uint32{1}); err == nil {
-		t.Fatal("SetCategories accepted IDs that do not pair up with the categories")
 	}
 	if err := slab[0].SetAt(3, EmbeddingValue(make([]float64, 3))); err == nil {
 		t.Fatal("SetAt accepted an embedding of the wrong dimension")
@@ -391,7 +388,7 @@ func TestReuseVectors(t *testing.T) {
 	slab := NewVectors(schema, n)
 	fill(slab)
 	pay := slab[0].pay
-	cats, embs := cap(pay.cats), cap(pay.embs)
+	ids, embs := cap(pay.ids), cap(pay.embs)
 
 	reused := ReuseVectors(slab, schema, n-1)
 	if len(reused) != n-1 || &reused[0] != &slab[0] || reused[0].pay != pay {
@@ -404,9 +401,9 @@ func TestReuseVectors(t *testing.T) {
 			}
 		}
 	}
-	if c, e := reused[0].PayloadLen(); c != 0 || e != 0 || cap(pay.cats) != cats || cap(pay.embs) != embs {
-		t.Fatalf("reused payload holds %d categories / %d floats with capacity %d / %d, want none with %d / %d",
-			c, e, cap(pay.cats), cap(pay.embs), cats, embs)
+	if c, e := reused[0].PayloadLen(); c != 0 || e != 0 || cap(pay.ids) != ids || cap(pay.embs) != embs {
+		t.Fatalf("reused payload holds %d category IDs / %d floats with capacity %d / %d, want none with %d / %d",
+			c, e, cap(pay.ids), cap(pay.embs), ids, embs)
 	}
 	fill(reused)
 	// The slab's capacity is n: all n rows are reusable after n-1 were asked for.

@@ -221,9 +221,9 @@ func (tw twin) check(t *testing.T, where string) {
 			t.Fatalf("%s: Get(%q) = %+v, reference %+v", where, name, got, want.Value)
 		}
 		if tw.got.Present(i) == want.Missing || !sameBits(tw.got.Num(i), want.Num) ||
-			!slices.Equal(tw.got.Categories(i), want.Categories) || !slices.EqualFunc(tw.got.Vec(i), want.Vec, sameBits) {
+			!slices.Equal(tw.got.CategoryNames(i), want.Categories) || !slices.EqualFunc(tw.got.Vec(i), want.Vec, sameBits) {
 			t.Fatalf("%s: typed readers at %d give (%v, %v, %v, %v), reference %+v", where, i,
-				tw.got.Present(i), tw.got.Num(i), tw.got.Categories(i), tw.got.Vec(i), want.Value)
+				tw.got.Present(i), tw.got.Num(i), tw.got.CategoryNames(i), tw.got.Vec(i), want.Value)
 		}
 		ids := want.internedCategories()
 		if got := tw.got.CategoryIDs(i); !slices.Equal(got, ids) {
@@ -315,8 +315,10 @@ func randomDef(rng *rand.Rand, name string) Def {
 // through steps random writes, reprojections and clones in both
 // representations, re-checking every live vector after each step — so a
 // write that leaks from a reprojection or clone into its source, or the
-// other way, is caught on the vector that did not ask for it.
-func checkPackedVector(t *testing.T, seed int64, nFeat, steps int) {
+// other way, is caught on the vector that did not ask for it. lists are
+// categorical values written first, in turn into the schema's categorical
+// features of the first pair, before any random step.
+func checkPackedVector(t *testing.T, seed int64, nFeat, steps int, lists [][]string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	defs := make([]Def, nFeat)
@@ -335,6 +337,29 @@ func checkPackedVector(t *testing.T, seed int64, nFeat, steps int) {
 	// Each group is two twins under one schema, so pair scores are defined.
 	schema := MustSchema(defs...)
 	groups := [][2]twin{{{NewVector(schema), newRefVector(schema)}, {NewVector(schema), newRefVector(schema)}}}
+	var catPos []int
+	for i, d := range defs {
+		if d.Kind == Categorical {
+			catPos = append(catPos, i)
+		}
+	}
+	for k, list := range lists {
+		if len(catPos) == 0 {
+			break
+		}
+		tw, i := groups[0][k%2], catPos[k%len(catPos)]
+		if err := tw.got.SetAt(i, CategoricalValue(list...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.want.SetAt(i, CategoricalValue(list...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(lists) > 0 {
+		groups[0][0].check(t, "after the listed writes a")
+		groups[0][1].check(t, "after the listed writes b")
+		checkPair(t, "after the listed writes", groups[0][0], groups[0][1], scales, weights)
+	}
 	for step := 0; step < steps; step++ {
 		g := rng.Intn(len(groups))
 		schema := groups[g][0].want.schema
@@ -387,20 +412,43 @@ func checkPackedVector(t *testing.T, seed int64, nFeat, steps int) {
 func TestPackedVectorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 150; trial++ {
-		checkPackedVector(t, rng.Int63(), rng.Intn(71), 25)
+		checkPackedVector(t, rng.Int63(), rng.Intn(71), 25, nil)
 	}
 }
 
 // FuzzPackedVectorMatchesReference fuzzes the packed vector against the
-// []Value-backed reference over random schemas and operation sequences.
+// []Value-backed reference over random schemas and operation sequences,
+// after writing the categorical values lists spells (see categoryLists).
 func FuzzPackedVectorMatchesReference(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(20))
-	f.Add(int64(2), uint8(18), uint8(60))
-	f.Add(int64(3), uint8(70), uint8(30))
-	f.Add(int64(4), uint8(0), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, nFeat, steps uint8) {
-		checkPackedVector(t, seed, int(nFeat%71), int(steps%64))
+	f.Add(int64(1), uint8(4), uint8(20), []byte(nil))
+	f.Add(int64(2), uint8(18), uint8(60), []byte(nil))
+	f.Add(int64(3), uint8(70), uint8(30), []byte(nil))
+	f.Add(int64(4), uint8(0), uint8(5), []byte(nil))
+	f.Add(int64(5), uint8(6), uint8(10), []byte{3, 3, 3, 0xff, 0xff, 1, 2, 1, 0xff})   // duplicates, an empty list
+	f.Add(int64(6), uint8(12), uint8(0), []byte{0xff, 0xff, 0xff, 5, 5})               // empty lists only, then a duplicate pair
+	f.Add(int64(7), uint8(9), uint8(8), []byte{6, 0, 6, 0, 0xff, 4, 0xff, 2, 2, 2, 2}) // repeats out of order
+	f.Fuzz(func(t *testing.T, seed int64, nFeat, steps uint8, lists []byte) {
+		checkPackedVector(t, seed, int(nFeat%71), int(steps%64), categoryLists(lists))
 	})
+}
+
+// categoryLists decodes fuzz bytes into category lists: 0xff ends a list
+// (so two in a row spell an empty one) and any other byte b is "c<b%7>", so
+// duplicates are common.
+func categoryLists(b []byte) [][]string {
+	if len(b) == 0 {
+		return nil
+	}
+	lists := [][]string{{}}
+	for _, x := range b {
+		if x == 0xff {
+			lists = append(lists, []string{})
+			continue
+		}
+		last := len(lists) - 1
+		lists[last] = append(lists[last], fmt.Sprintf("c%d", x%7))
+	}
+	return lists
 }
 
 // TestCellLayout guards the slab's two properties: 16 bytes a cell, and no
@@ -414,24 +462,47 @@ func TestCellLayout(t *testing.T) {
 	if got, want := unsafe.Sizeof(Vector{}), 6*unsafe.Sizeof(uintptr(0)); got != want {
 		t.Errorf("Vector is %d bytes, want %d", got, want)
 	}
-	var walk func(reflect.Type)
-	walk = func(ty reflect.Type) {
-		switch ty.Kind() {
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(ty.Field(i).Type)
-			}
-		case reflect.Array:
-			walk(ty.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
-			reflect.Chan, reflect.Func, reflect.Interface:
-			t.Errorf("cell contains pointer-bearing type %v", ty)
-		}
+	if ty := pointerBearing(reflect.TypeOf(cell{})); ty != nil {
+		t.Errorf("cell contains pointer-bearing type %v", ty)
 	}
-	walk(reflect.TypeOf(cell{}))
 	if v := NewVectors(MustSchema(Def{Name: "n", Kind: Numeric}), 3); v[2].Present(0) {
 		t.Error("the zero cell is not Missing")
 	}
+}
+
+// TestPayloadHoldsNoPointers: every payload field is a slice of pointer-free
+// elements, so the arrays behind a slab's values — one per kind, the bulk of
+// a corpus held in memory — are never scanned by the garbage collector. A
+// category is its intern ID; its name lives once, in the interner.
+func TestPayloadHoldsNoPointers(t *testing.T) {
+	ty := reflect.TypeOf(payload{})
+	for i := 0; i < ty.NumField(); i++ {
+		f := ty.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Errorf("payload field %s is a %v, want a slice", f.Name, f.Type)
+		} else if elem := pointerBearing(f.Type.Elem()); elem != nil {
+			t.Errorf("payload field %s holds pointer-bearing %v", f.Name, elem)
+		}
+	}
+}
+
+// pointerBearing returns the first type within ty that holds a pointer, or
+// nil when ty holds none.
+func pointerBearing(ty reflect.Type) reflect.Type {
+	switch ty.Kind() {
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			if p := pointerBearing(ty.Field(i).Type); p != nil {
+				return p
+			}
+		}
+	case reflect.Array:
+		return pointerBearing(ty.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		return ty
+	}
+	return nil
 }
 
 // TestSetAtCopiesPayload: a vector owns what it was given. Mutating the
@@ -472,7 +543,7 @@ func TestReprojectAndCloneIsolation(t *testing.T) {
 	src.MustSet("emb", EmbeddingValue([]float64{1, 2, 3, 4, 5, 6, 7, 8}))
 	before := src.Clone()
 	proj := src.Reproject(schema)
-	if &proj.pay.cats[0] != &src.pay.cats[0] {
+	if &proj.pay.ids[0] != &src.pay.ids[0] {
 		t.Fatal("Reproject copied the payload instead of sharing it")
 	}
 	proj.MustSet("cat", CategoricalValue("p"))
@@ -480,8 +551,8 @@ func TestReprojectAndCloneIsolation(t *testing.T) {
 	if !src.Equal(before) {
 		t.Fatalf("writing the reprojection changed its source: %v, was %v", src, before)
 	}
-	if len(src.pay.cats) != 2 {
-		t.Fatalf("the reprojection appended to the payload it borrowed: %v", src.pay.cats)
+	if len(src.pay.ids) != 4 { // two IDs and their sorted set
+		t.Fatalf("the reprojection appended to the payload it borrowed: %v", src.pay.ids)
 	}
 	if got := proj.Vec(3); !slices.Equal(got, src.Vec(3)) {
 		t.Fatalf("the reprojection lost the embedding it carried: %v", got)
@@ -523,7 +594,7 @@ func TestPayloadWindowLimits(t *testing.T) {
 	}
 	v := NewVector(internTestSchema(t))
 	v.MustSet("cat", CategoricalValue())
-	if !v.Present(0) || v.Categories(0) != nil || v.CategoryIDs(0) != nil || v.At(0).Missing {
+	if !v.Present(0) || v.CategoryNames(0) != nil || v.CategoryIDs(0) != nil || v.At(0).Missing {
 		t.Errorf("an empty set is not a present, empty value: %+v", v.At(0))
 	}
 	if err := v.SetAt(3, EmbeddingValue(make([]float64, 7))); err == nil {

@@ -30,7 +30,7 @@ func refTransformInto(vz *Vectorizer, v *Vector, row []float64) {
 				continue
 			}
 			for _, c := range val.Categories {
-				if slot, ok := voc.Index(c); ok {
+				if slot := slices.Index(voc.words, c); slot >= 0 {
 					row[off+slot] = 1
 				} else {
 					row[off+voc.Len()] = 1 // OOV
@@ -319,7 +319,7 @@ func adversarialSparseBatch(rng *rand.Rand, n int) []*Vector {
 		v := randomSparseVector(rng, schema)
 		if j, ok := schema.Index("tags"); ok && rng.Intn(3) == 0 {
 			// Every category repeated, with words the vocabulary never saw.
-			cats := append(v.Categories(j), "zz", "zz", "yy")
+			cats := append(v.CategoryNames(j), "zz", "zz", "yy")
 			v.MustSetAt(j, CategoricalValue(append(cats, cats...)...))
 		}
 		if j, ok := schema.Index("emb"); ok && rng.Intn(3) == 0 {

@@ -10,12 +10,12 @@ import (
 	"crossmodal/internal/sparse"
 )
 
-// Vocabulary maps the category strings observed for one categorical feature
-// to dense one-hot indices. Categories outside the vocabulary map to a shared
-// out-of-vocabulary slot so that inference-time inputs never change the
-// encoded width.
+// Vocabulary maps the categories observed for one categorical feature to
+// dense one-hot indices, keyed by intern ID so encoding a row hashes no
+// string. Categories outside the vocabulary map to a shared out-of-vocabulary
+// slot so that inference-time inputs never change the encoded width.
 type Vocabulary struct {
-	index map[string]int
+	slots map[uint32]int // intern ID → slot
 	words []string
 }
 
@@ -31,21 +31,20 @@ func NewVocabulary(categories []string) *Vocabulary {
 		words = append(words, c)
 	}
 	sort.Strings(words)
-	v := &Vocabulary{index: make(map[string]int, len(words)), words: words}
+	return vocabulary(words)
+}
+
+// vocabulary indexes words in slot order, interning each.
+func vocabulary(words []string) *Vocabulary {
+	v := &Vocabulary{slots: make(map[uint32]int, len(words)), words: words}
 	for i, w := range words {
-		v.index[w] = i
+		v.slots[InternID(w)] = i
 	}
 	return v
 }
 
 // Len returns the number of in-vocabulary categories.
 func (v *Vocabulary) Len() int { return len(v.words) }
-
-// Index returns the slot for category c and whether c is in-vocabulary.
-func (v *Vocabulary) Index(c string) (int, bool) {
-	i, ok := v.index[c]
-	return i, ok
-}
 
 // Words returns the vocabulary contents in slot order.
 func (v *Vocabulary) Words() []string {
@@ -126,14 +125,14 @@ func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *V
 		opt(vz)
 	}
 	type acc struct {
-		counts     map[string]int
+		counts     map[uint32]int // by intern ID
 		sum, sumSq float64
 		n          int
 	}
 	accs := make([]acc, schema.Len())
 	for i := range accs {
 		if schema.defs[i].Kind == Categorical {
-			accs[i].counts = make(map[string]int)
+			accs[i].counts = make(map[uint32]int)
 		}
 	}
 	var cm colMap
@@ -145,8 +144,8 @@ func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *V
 			a := &accs[i]
 			switch schema.defs[i].Kind {
 			case Categorical:
-				for _, c := range v.Categories(j) {
-					a.counts[c]++
+				for _, id := range v.CategoryList(j) {
+					a.counts[id]++
 				}
 			case Numeric:
 				x := v.Num(j)
@@ -160,7 +159,11 @@ func FitVectorizer(schema *Schema, train []*Vector, opts ...VectorizerOption) *V
 		d := schema.Def(i)
 		switch d.Kind {
 		case Categorical:
-			vz.vocabs[d.Name] = fitVocab(a.counts, vz.maxVoc)
+			named := make(map[string]int, len(a.counts))
+			for id, n := range a.counts {
+				named[InternedCategory(id)] = n
+			}
+			vz.vocabs[d.Name] = fitVocab(named, vz.maxVoc)
 		case Numeric:
 			st := numericStats{mean: 0, std: 1}
 			if a.n > 0 {
@@ -268,8 +271,8 @@ func (vz *Vectorizer) appendRow(e *Encoder, v *Vector) {
 				continue
 			}
 			from := len(e.Cols)
-			for _, c := range v.Categories(j) {
-				slot, ok := f.voc.index[c]
+			for _, id := range v.CategoryList(j) {
+				slot, ok := f.voc.slots[id]
 				if !ok {
 					slot = f.voc.Len() // OOV
 				}
@@ -356,7 +359,7 @@ func (vz *Vectorizer) rowBound(src []int, v *Vector) int {
 		if j >= 0 && v.Present(j) {
 			switch f := &vz.enc[i]; f.kind {
 			case Categorical:
-				n += len(v.Categories(j)) - 1
+				n += len(v.CategoryList(j)) - 1
 			case Embedding:
 				n += f.dim - 1
 			}

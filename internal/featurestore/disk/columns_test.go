@@ -67,7 +67,7 @@ func TestScanColumnsMatchesScanProjected(t *testing.T) {
 							}
 						case feature.Categorical:
 							var wantIDs []uint32
-							for _, cat := range v.Categories(col) {
+							for _, cat := range v.CategoryNames(col) {
 								wantIDs = append(wantIDs, feature.InternID(cat))
 							}
 							if got := c.CatIDs(col, r, nil); !slices.Equal(got, wantIDs) {

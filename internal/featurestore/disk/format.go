@@ -188,10 +188,10 @@ func parseHeader(data []byte) (header, error) {
 type colMeta struct {
 	kind feature.Kind
 	dim  int
-	pres int // presence bitmap offset
-	data int // numeric/embedding data, or the cat offsets array
-	ids  int // categorical local-ID array offset
-	dict []string
+	pres int      // presence bitmap offset
+	data int      // numeric/embedding data, or the cat offsets array
+	ids  int      // categorical local-ID array offset
+	dict []string // the dictionary as read; openSegment interns it and drops it
 	// dictIDs[k] is feature.InternID(dict[k]); filled by openSegment once the
 	// segment is fully validated.
 	dictIDs []uint32
@@ -353,8 +353,8 @@ type encoder struct {
 	crc      hash.Hash32
 	bw       *bufio.Writer // over the file and crc
 	pres     []byte
-	dictIdx  map[string]uint32
-	dict     []string
+	dictIdx  map[uint32]uint32 // intern ID → segment-local ID
+	dict     []uint32          // intern IDs in local-ID order
 	offsets  []uint32
 	localIDs []uint32
 }
@@ -375,7 +375,7 @@ func (e *encoder) encodeSegment(f *os.File, schema *feature.Schema, schemaHash u
 	if e.bw == nil {
 		e.crc = crc32.NewIEEE()
 		e.bw = bufio.NewWriterSize(nil, writeBuffer)
-		e.dictIdx = make(map[string]uint32)
+		e.dictIdx = make(map[uint32]uint32)
 	}
 	e.crc.Reset()
 	e.bw.Reset(io.MultiWriter(f, e.crc))
@@ -435,7 +435,8 @@ func (e *encoder) encodeSegment(f *os.File, schema *feature.Schema, schemaHash u
 		case feature.Categorical:
 			out = e.room(out, 4)
 			out = le.AppendUint32(out, uint32(len(e.dict)))
-			for _, s := range e.dict {
+			for _, id := range e.dict {
+				s := feature.InternedCategory(id)
 				out = e.room(out, 2+len(s))
 				out = append(le.AppendUint16(out, uint16(len(s))), s...)
 			}
@@ -471,17 +472,18 @@ func (e *encoder) encodeSegment(f *os.File, schema *feature.Schema, schemaHash u
 }
 
 // dictionary builds categorical column i's segment-local dictionary, in
-// first-appearance order, and its per-row offsets and local IDs.
+// first-appearance order, and its per-row offsets and local IDs. It keys the
+// dictionary by intern ID: names are looked up only for its entries.
 func (e *encoder) dictionary(name string, i int, vecs []*feature.Vector) error {
 	clear(e.dictIdx)
 	e.dict, e.localIDs = e.dict[:0], e.localIDs[:0]
 	e.offsets = append(e.offsets[:0], 0)
 	for _, v := range vecs {
 		if v.Present(i) {
-			for _, cat := range v.Categories(i) {
+			for _, cat := range v.CategoryList(i) {
 				id, ok := e.dictIdx[cat]
 				if !ok {
-					if len(cat) > math.MaxUint16 {
+					if len(feature.InternedCategory(cat)) > math.MaxUint16 {
 						return fmt.Errorf("disk: feature %q: category longer than %d bytes", name, math.MaxUint16)
 					}
 					id = uint32(len(e.dict))

@@ -463,7 +463,7 @@ func TestEmptyCategoricalRoundTrip(t *testing.T) {
 	}
 	check := func(where string, r int, v *feature.Vector) {
 		t.Helper()
-		if !v.Present(topic) || v.At(topic).Missing || v.Categories(topic) != nil {
+		if !v.Present(topic) || v.At(topic).Missing || v.CategoryNames(topic) != nil {
 			t.Fatalf("%s row %d: empty topic decoded as %+v", where, r, v.At(topic))
 		}
 		if v.Present(tags) != (r%2 == 0) {

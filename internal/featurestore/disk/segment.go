@@ -80,6 +80,7 @@ func openSegment(path string, schema *feature.Schema, schemaHash uint64) (seg *S
 			for k, cat := range c.dict {
 				c.dictIDs[k] = feature.InternID(cat)
 			}
+			c.dict = nil
 		}
 	}
 	return &Segment{
@@ -149,14 +150,13 @@ func (s *Segment) NumCategories(col, r int) int {
 }
 
 // Category returns the k'th category string of row r for feature col, in
-// the value's original order. The string aliases the segment's decoded
-// dictionary; no per-call allocation.
+// the value's original order: the interned name, so no per-call allocation.
 func (s *Segment) Category(col, r, k int) string {
 	c := &s.cols[col]
 	le := binary.LittleEndian
 	start := int(le.Uint32(s.payload[c.data+4*r:]))
 	id := le.Uint32(s.payload[c.ids+4*(start+k):])
-	return c.dict[id]
+	return feature.InternedCategory(c.dictIDs[id])
 }
 
 // projection maps a consumer's schema onto a store's columns, so a scan
@@ -225,17 +225,16 @@ func (c *segColumns) CatIDs(col, r int, buf []uint32) []uint32 {
 
 // rowDecoder decodes rows of one segment into vectors of a projection's
 // target schema: the one decoder behind ScanProjected, Find and VectorAt.
-// cats, ids and emb are scratch one value is gathered in before the vector
-// copies it into its payload.
+// ids and emb are scratch one value is gathered in before the vector copies
+// it into its payload.
 type rowDecoder struct {
 	seg  *Segment
 	proj *projection
-	cats []string
 	ids  []uint32
 	emb  []float64
 }
 
-// rowPayloadSize returns how many category entries and embedding floats
+// rowPayloadSize bounds how many category ID slots and embedding floats
 // decoding row r under proj appends to a vector payload, from quantities
 // payloadLayout already checked against the bytes present (each projected
 // categorical column's monotone offsets, each embedding column's presence
@@ -249,7 +248,8 @@ func (s *Segment) rowPayloadSize(proj *projection, r int) (cats, embs uint64) {
 		}
 		switch c := &s.cols[col]; c.kind {
 		case feature.Categorical:
-			cats += uint64(le.Uint32(s.payload[c.data+4*(r+1):]) - le.Uint32(s.payload[c.data+4*r:]))
+			n := le.Uint32(s.payload[c.data+4*(r+1):]) - le.Uint32(s.payload[c.data+4*r:]) // <= maxCatIDs
+			cats += uint64(feature.CategorySlots(int(n)))
 		case feature.Embedding:
 			if s.Present(col, r) {
 				embs += uint64(c.dim)
@@ -280,13 +280,12 @@ func (d *rowDecoder) row(r int, v *feature.Vector) error {
 			d.emb = s.EmbeddingInto(col, r, d.emb[:0])
 			err = v.SetVec(j, d.emb) // the projection matched this column's Dim
 		case feature.Categorical:
-			d.cats, d.ids = d.cats[:0], d.ids[:0]
+			d.ids = d.ids[:0]
 			start, end := le.Uint32(s.payload[c.data+4*r:]), le.Uint32(s.payload[c.data+4*(r+1):])
 			for k := start; k < end; k++ {
-				local := le.Uint32(s.payload[c.ids+4*int(k):])
-				d.cats, d.ids = append(d.cats, c.dict[local]), append(d.ids, c.dictIDs[local])
+				d.ids = append(d.ids, c.dictIDs[le.Uint32(s.payload[c.ids+4*int(k):])])
 			}
-			err = v.SetCategories(j, d.cats, d.ids)
+			err = v.SetCategoryIDs(j, d.ids)
 		}
 		if err != nil {
 			return &ErrCorrupt{Path: s.path, Detail: err.Error()}

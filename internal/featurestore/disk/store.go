@@ -432,7 +432,7 @@ func readChunk(seg *Segment, proj *projection, take int, buf *[]feature.Vector) 
 	return ids, seg.labels()[:take], vecs, nil
 }
 
-// checkSlabPayload reports a payload of cats category entries and embs
+// checkSlabPayload reports a payload of cats category ID slots and embs
 // floats that one slab's 32-bit windows cannot address as corrupt, before
 // anything is sized from it. The counts come from validated segment bytes,
 // so only a damaged or hostile store gets here.

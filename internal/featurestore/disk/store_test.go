@@ -263,13 +263,18 @@ func TestSegmentAccessors(t *testing.T) {
 		}
 	}
 	// Dictionary is segment-local, deduplicated, first-appearance ordered.
-	dict := seg.cols[topicCol].dict
-	seen := map[string]bool{}
-	for _, cat := range dict {
-		if seen[cat] {
+	// Opening interns it once: the names live on only as intern IDs.
+	dictIDs := seg.cols[topicCol].dictIDs
+	if len(dictIDs) == 0 {
+		t.Fatal("topic dictionary is empty")
+	}
+	seen := map[uint32]bool{}
+	for _, id := range dictIDs {
+		cat := feature.InternedCategory(id)
+		if seen[id] {
 			t.Fatalf("dictionary has duplicate %q", cat)
 		}
-		seen[cat] = true
+		seen[id] = true
 		if !strings.HasPrefix(cat, "t") {
 			t.Fatalf("unexpected dictionary entry %q", cat)
 		}

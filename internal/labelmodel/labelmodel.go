@@ -201,16 +201,24 @@ func normalize3(v [3]float64, total float64) [3]float64 {
 
 // posterior fills out[i] = P(y_i = +1 | votes_i) under the current
 // parameters, in log space for stability. Abstains carry (weak) evidence
-// through the abstain slots of θ.
+// through the abstain slots of θ. θ has three values per LF and class, so
+// their logs are taken once per call into a table, not once per row.
 func (mod *Model) posterior(m *lf.Matrix, out []float64) {
 	logPrior := math.Log(mod.Prior)
 	logPriorNeg := math.Log(1 - mod.Prior)
+	logs := make([][2][3]float64, len(mod.ThetaPos)) // [j][class][vote]: log θ
+	for j := range logs {
+		for v := 0; v < 3; v++ {
+			logs[j][0][v] = math.Log(mod.ThetaPos[j][v])
+			logs[j][1][v] = math.Log(mod.ThetaNeg[j][v])
+		}
+	}
 	for i := range m.Votes {
 		lp, ln := logPrior, logPriorNeg
 		for j, v := range m.Votes[i] {
 			vi := voteIndex(v)
-			lp += math.Log(mod.ThetaPos[j][vi])
-			ln += math.Log(mod.ThetaNeg[j][vi])
+			lp += logs[j][0][vi]
+			ln += logs[j][1][vi]
 		}
 		out[i] = 1 / (1 + math.Exp(ln-lp))
 	}

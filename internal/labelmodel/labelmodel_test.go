@@ -260,3 +260,26 @@ func TestFitDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPosteriorMatchesPerRowLogs: reading log θ from the per-call table sums
+// the same floats in the same order as taking both logs per (row, LF), so
+// the posteriors are bit-identical.
+func TestPosteriorMatchesPerRowLogs(t *testing.T) {
+	m, _ := plant(3000, []float64{0.9, 0.7, 0.55, 0.8, 0.95}, []float64{0.3, 0.6, 0.9, 0.05, 0.01}, 0.1, 23)
+	fitted, err := FitGenerative(ctxbg, m, Config{maxIters: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, m.NumPoints())
+	fitted.posterior(m, got)
+	for i, row := range m.Votes {
+		lp, ln := math.Log(fitted.Prior), math.Log(1-fitted.Prior)
+		for j, v := range row {
+			lp += math.Log(fitted.ThetaPos[j][voteIndex(v)])
+			ln += math.Log(fitted.ThetaNeg[j][voteIndex(v)])
+		}
+		if want := 1 / (1 + math.Exp(ln-lp)); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: posterior %v, per-row logs %v", i, got[i], want)
+		}
+	}
+}

@@ -243,8 +243,8 @@ func blockSlots(schema *feature.Schema, feats []string) ([]int, error) {
 func blockKeys(v *feature.Vector, slots []int) []uint64 {
 	var keys []uint64
 	for pos, i := range slots {
-		for _, c := range v.Categories(i) {
-			keys = append(keys, uint64(pos)<<32|uint64(feature.InternID(c)))
+		for _, id := range v.CategoryList(i) {
+			keys = append(keys, uint64(pos)<<32|uint64(id))
 		}
 	}
 	return keys

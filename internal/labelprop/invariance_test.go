@@ -159,8 +159,24 @@ func TestPropagateShardInvariance(t *testing.T) {
 // (all singletons but one), 168 fine topics nested in 6 coarse ones — so
 // blocking on both gives ~170 distinct key lists and a block union of ~n/6 —
 // four numerics and a 16-d embedding that only the later ("image") half of
-// the vertices carries.
+// the vertices carries. The pinned digests build from it.
 func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
+	return curateCorpus(n, seed, false)
+}
+
+// curateMixVecs is curateShapeVecs with the feature mix measured on the
+// curation's own arena, which BenchmarkBuildGraph scores: cat8 (weight 3.18,
+// the second heaviest) multi-valued on 62 % of vertices with 1.67 IDs on
+// average, cat2 (weight 1.01) multi-valued on 71 %, and the embedding present
+// on 80 % of vertices. On curateShapeVecs's singletons most pairs stop at
+// their first feature, which the curation's pairs do not.
+func curateMixVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
+	return curateCorpus(n, seed, true)
+}
+
+// curateCorpus builds both corpora; mix draws from its own generator, so the
+// unmixed corpus stays what the digests pinned.
+func curateCorpus(n int, seed int64, mix bool) (*feature.Schema, []*feature.Vector) {
 	defs := []feature.Def{
 		{Name: "topic", Kind: feature.Categorical},
 		{Name: "topic_coarse", Kind: feature.Categorical},
@@ -174,7 +190,20 @@ func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
 	}
 	defs = append(defs, feature.Def{Name: "emb", Kind: feature.Embedding, Dim: 16})
 	s := feature.MustSchema(defs...)
-	rng := xrand.New(seed)
+	rng, mixRng := xrand.New(seed), xrand.New(seed^0x5bd1e995)
+	// size draws a categorical's value count in the measured mix: one, else
+	// two, else (one draw in twelve of the multi-valued) three.
+	size := func(multi float64) int {
+		switch {
+		case mixRng.Float64() >= multi:
+			return 1
+		case mixRng.Intn(12) > 0:
+			return 2
+		default:
+			return 3
+		}
+	}
+	multi := map[int]float64{2: 0.71, 8: 0.62}
 	vecs := make([]*feature.Vector, n)
 	for i := range vecs {
 		v := feature.NewVector(s)
@@ -189,12 +218,19 @@ func curateShapeVecs(n int, seed int64) (*feature.Schema, []*feature.Vector) {
 		}
 		v.MustSet("objects", feature.CategoricalValue(objects...))
 		for c := 0; c < 10; c++ {
-			v.MustSet(fmt.Sprintf("cat%d", c), feature.CategoricalValue(fmt.Sprintf("v%d", (topic+rng.Intn(2+c))%(3+2*c))))
+			first := (topic + rng.Intn(2+c)) % (3 + 2*c)
+			vals := []string{fmt.Sprintf("v%d", first)}
+			if p, ok := multi[c]; ok && mix {
+				for k := size(p); k > 1; k-- { // distinct: the next values round the domain
+					vals = append(vals, fmt.Sprintf("v%d", (first+k-1)%(3+2*c)))
+				}
+			}
+			v.MustSet(fmt.Sprintf("cat%d", c), feature.CategoricalValue(vals...))
 		}
 		for c := 0; c < 4; c++ {
 			v.MustSet(fmt.Sprintf("num%d", c), feature.NumericValue(float64(topic%(7+c))+rng.NormFloat64()))
 		}
-		if i >= n/2 {
+		if i >= n/2 || mix && mixRng.Float64() < 0.6 { // mixed: 50 % + 60 % of the other half
 			emb := make([]float64, 16)
 			for d := range emb {
 				emb[d] = float64((topic>>(d%8))&1) + rng.NormFloat64()*0.3
@@ -219,14 +255,15 @@ var curateShapeWeights = feature.Weights{
 }
 
 // BenchmarkBuildGraph times one whole-corpus build over a corpus with the
-// curation benchmark's shape (20 000 vertices, MaxCandidates 200, K 10,
-// curateShapeWeights), blocked on the topics, the same fed as 20 deltas
+// curation benchmark's shape and feature mix (curateMixVecs: 20 000
+// vertices; MaxCandidates 200, K 10, curateShapeWeights), blocked on the
+// topics, the same fed as 20 deltas
 // before Graph() (the streamed pipeline's path), and with LSH band keys.
 // Each case also reports the two halves of the tiled selection loop, each
 // timed on its own over the built index: choosing (block union, samples,
 // bucketing by union position) per vertex and scoring per candidate pair.
 func BenchmarkBuildGraph(b *testing.B) {
-	s, vecs := curateShapeVecs(20000, 53)
+	s, vecs := curateMixVecs(20000, 53)
 	scales := feature.FitScales(s, vecs)
 	blocked := GraphConfig{K: 10, Seed: 3, Workers: 1, BlockFeatures: []string{"topic", "topic_coarse"}, MaxCandidates: 200, Weights: curateShapeWeights}
 	for _, tc := range []struct {

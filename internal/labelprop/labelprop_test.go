@@ -236,7 +236,7 @@ func TestPropagateFixedPoint(t *testing.T) {
 		for len(seeds) < 25 {
 			// Topics t8 and t9 get no seed; blocking on the topic confines
 			// edges to it, so their vertices stay unreached.
-			if i := rng.Intn(len(vecs)); len(g.Neighbors(i)) > 0 && vecs[i].Categories(0)[0] < "t8" {
+			if i := rng.Intn(len(vecs)); len(g.Neighbors(i)) > 0 && vecs[i].CategoryNames(0)[0] < "t8" {
 				seeds[i] = float64(rng.Intn(2))
 			}
 		}

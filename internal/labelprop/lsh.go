@@ -90,11 +90,11 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	}
 	any := false
 	for fi, f := range h.feats {
-		// Elements are hashed by category string: intern IDs follow the order
+		// Elements are hashed by category name: intern IDs follow the order
 		// featurization happened to run in, so they are not reproducible.
-		for _, c := range v.Categories(f) {
+		for _, id := range v.CategoryList(f) {
 			any = true
-			elem := xrand.HashString(h.featSalt[fi], c)
+			elem := xrand.HashString(h.featSalt[fi], feature.InternedCategory(id))
 			for k, salt := range h.salts {
 				if hv := xrand.Mix(elem ^ salt); hv < sig[k] {
 					sig[k] = hv

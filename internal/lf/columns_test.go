@@ -17,7 +17,7 @@ import (
 
 func refCategory(featName, category string, vote int8) func(*feature.Vector) int8 {
 	return func(v *feature.Vector) int8 {
-		if i, ok := v.Schema().Index(featName); ok && slices.Contains(v.Categories(i), category) {
+		if i, ok := v.Schema().Index(featName); ok && slices.Contains(v.CategoryNames(i), category) {
 			return vote
 		}
 		return Abstain
@@ -27,7 +27,7 @@ func refCategory(featName, category string, vote int8) func(*feature.Vector) int
 func refConjunction(preds [][2]string, vote int8) func(*feature.Vector) int8 {
 	return func(v *feature.Vector) int8 {
 		for _, p := range preds {
-			if i, ok := v.Schema().Index(p[0]); !ok || !slices.Contains(v.Categories(i), p[1]) {
+			if i, ok := v.Schema().Index(p[0]); !ok || !slices.Contains(v.CategoryNames(i), p[1]) {
 				return Abstain
 			}
 		}
@@ -51,7 +51,7 @@ func refItemset(feat string, cats []string, vote int8) func(*feature.Vector) int
 	return func(v *feature.Vector) int8 {
 		if i, ok := v.Schema().Index(feat); ok {
 			for _, c := range cats {
-				if !slices.Contains(v.Categories(i), c) {
+				if !slices.Contains(v.CategoryNames(i), c) {
 					return Abstain
 				}
 			}

@@ -64,7 +64,7 @@ func refCounts(schema *feature.Schema, vecs []*feature.Vector, labels []int8, cl
 			if d.Kind != feature.Categorical || !ok {
 				continue
 			}
-			cats := slices.Clone(v.Categories(vi))
+			cats := slices.Clone(v.CategoryNames(vi))
 			sort.Strings(cats)
 			for _, c := range slices.Compact(cats) {
 				order1[itemset{d.Name, []string{c}}.key()]++

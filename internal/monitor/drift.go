@@ -60,27 +60,34 @@ type CatSnapshot map[string]map[string]float64
 
 // CategoricalSnapshot counts every category token of every non-missing
 // categorical channel of vecs, keyed by feature name. Vectors must share a
-// schema. Channels with no observed tokens are omitted.
+// schema. Channels with no observed tokens are omitted. Tokens are counted
+// by intern ID; each distinct one is named once, at the end.
 func CategoricalSnapshot(vecs []*feature.Vector) CatSnapshot {
 	snap := make(CatSnapshot)
 	if len(vecs) == 0 {
 		return snap
 	}
 	schema := vecs[0].Schema()
+	byID := make(map[uint32]float64)
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
 		if d.Kind != feature.Categorical {
 			continue
 		}
-		counts := make(map[string]float64)
+		clear(byID)
 		for _, v := range vecs {
-			for _, cat := range v.Categories(i) {
-				counts[cat]++
+			for _, id := range v.CategoryList(i) {
+				byID[id]++
 			}
 		}
-		if len(counts) > 0 {
-			snap[d.Name] = counts
+		if len(byID) == 0 {
+			continue
 		}
+		counts := make(map[string]float64, len(byID))
+		for id, n := range byID {
+			counts[feature.InternedCategory(id)] = n
+		}
+		snap[d.Name] = counts
 	}
 	return snap
 }
@@ -230,10 +237,18 @@ func KSStat(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
+	return ksSorted(sortedCopy(a), sortedCopy(b))
+}
+
+// sortedCopy returns xs sorted ascending, leaving xs as it was.
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
+// ksSorted is KSStat over two non-empty samples already sorted ascending.
+func ksSorted(sa, sb []float64) float64 {
 	var i, j int
 	var d float64
 	na, nb := float64(len(sa)), float64(len(sb))
@@ -297,8 +312,12 @@ func HistEdges(ref []float64, bins int) []float64 {
 	if bins < 2 || len(ref) == 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), ref...)
-	sort.Float64s(sorted)
+	return edgesSorted(sortedCopy(ref), bins)
+}
+
+// edgesSorted is HistEdges over a non-empty reference already sorted
+// ascending.
+func edgesSorted(sorted []float64, bins int) []float64 {
 	var edges []float64
 	for k := 1; k < bins; k++ {
 		cut := sorted[len(sorted)*k/bins]
@@ -401,13 +420,68 @@ func DetectDrift(cfg DriftConfig, ref, cur Snapshot) []Verdict {
 	return verdicts
 }
 
+// refChannel is the reference-side work of one channel's tests: its sample
+// sorted, its PSI edges and its counts over them.
+type refChannel struct {
+	n      int
+	sorted []float64
+	edges  []float64
+	counts []float64
+}
+
+// newRefChannel does r's side of the tests; a sample under minSamples (a
+// defaulted DriftConfig's, so at least 1) is never tested, so only its size
+// is kept.
+func newRefChannel(r []float64, minSamples int) *refChannel {
+	rc := &refChannel{n: len(r)}
+	if len(r) >= minSamples {
+		rc.sorted = sortedCopy(r)
+		rc.edges = edgesSorted(rc.sorted, psiBins)
+		rc.counts = HistCounts(rc.edges, r)
+	}
+	return rc
+}
+
+// detect is DetectDrift with the reference side read from its refChannel:
+// the same verdicts, in the same order, without sorting or binning the
+// reference again.
+func detect(cfg DriftConfig, refs map[string]*refChannel, cur Snapshot) []Verdict {
+	names := make([]string, 0, len(cur))
+	for name := range cur {
+		if _, ok := refs[name]; ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	verdicts := make([]Verdict, 0, len(names))
+	var sorted []float64
+	for _, name := range names {
+		r, c := refs[name], cur[name]
+		v := Verdict{Channel: name, N: len(c)}
+		if r.n >= cfg.MinSamples && len(c) >= cfg.MinSamples {
+			sorted = append(sorted[:0], c...) // MinSamples >= 1: neither side is empty
+			sort.Float64s(sorted)
+			v.KS = ksSorted(r.sorted, sorted)
+			v.KSP = KSPValue(v.KS, r.n, len(c))
+			if len(r.edges) > 0 {
+				v.PSI = PSI(r.counts, HistCounts(r.edges, c))
+			}
+			v.Drifted = v.KSP < ksAlpha || v.PSI > psiThreshold
+		} else {
+			v.KSP = 1
+		}
+		verdicts = append(verdicts, v)
+	}
+	return verdicts
+}
+
 // Tracker accumulates per-channel drift streaks across windows against a
 // fixed reference snapshot. It trips when any channel drifts Consecutive
 // windows in a row — one noisy window self-heals, a sustained shift does
 // not. Not safe for concurrent use.
 type Tracker struct {
 	cfg    DriftConfig
-	ref    Snapshot
+	ref    map[string]*refChannel // nil until SetReference
 	streak map[string]int
 }
 
@@ -416,21 +490,30 @@ func NewTracker(cfg DriftConfig) *Tracker {
 	return &Tracker{cfg: cfg.withDefaults(), streak: make(map[string]int)}
 }
 
-// SetReference installs the baseline window and clears all streaks.
+// SetReference installs the baseline window and clears all streaks. It reads
+// ref once, sorting and binning each channel, so every Observe repeats only
+// the current window's side of DetectDrift.
 func (t *Tracker) SetReference(ref Snapshot) {
-	t.ref = ref
+	t.ref = nil
+	if ref != nil {
+		t.ref = make(map[string]*refChannel, len(ref))
+		for name, r := range ref {
+			t.ref[name] = newRefChannel(r, t.cfg.MinSamples)
+		}
+	}
 	t.streak = make(map[string]int)
 }
 
-// Observe scores one window against the reference. extra verdicts (e.g.
-// computed from a serving-metrics histogram rather than raw samples) join
-// streak tracking under their own channel names. Returns all verdicts and
+// Observe scores one window against the reference, with DetectDrift's
+// verdicts. extra verdicts (e.g. computed from a serving-metrics histogram
+// rather than raw samples) join streak tracking under their own channel
+// names. Returns all verdicts and
 // whether any channel's streak has reached Consecutive.
 func (t *Tracker) Observe(cur Snapshot, extra ...Verdict) ([]Verdict, bool) {
 	if t.ref == nil {
 		panic("monitor: Tracker.Observe before SetReference")
 	}
-	verdicts := DetectDrift(t.cfg, t.ref, cur)
+	verdicts := detect(t.cfg, t.ref, cur)
 	verdicts = append(verdicts, extra...)
 	tripped := false
 	for _, v := range verdicts {

@@ -181,6 +181,62 @@ func TestTrackerTripsWithinConsecutiveWindows(t *testing.T) {
 	}
 }
 
+// TestTrackerMatchesDetectDrift: the tracker does the reference side once,
+// at SetReference, and its verdicts are DetectDrift's bit for bit over random
+// windows — heavy ties, channels too small to test, channels on one side
+// only — and the caller mutating its reference afterwards changes nothing.
+func TestTrackerMatchesDetectDrift(t *testing.T) {
+	rng := xrand.New(97)
+	sample := func(n int) []float64 {
+		xs := window(rng.Int63(), n, rng.Float64())
+		if rng.Intn(3) == 0 { // ties: round to a coarse grid
+			for i := range xs {
+				xs[i] = math.Round(xs[i] * 2)
+			}
+		}
+		return xs
+	}
+	snapshot := func() Snapshot {
+		snap := Snapshot{}
+		for c := 0; c < 5; c++ {
+			if rng.Intn(4) > 0 {
+				snap[fmt.Sprintf("ch%d", c)] = sample([]int{0, 1, 20, 49, 50, 80, 300}[rng.Intn(7)])
+			}
+		}
+		return snap
+	}
+	for trial := 0; trial < 40; trial++ {
+		cfg := DriftConfig{MinSamples: []int{0, 1, 30}[trial%3]}
+		ref := snapshot()
+		kept := Snapshot{}
+		for name, r := range ref {
+			kept[name] = append([]float64(nil), r...)
+		}
+		tr := NewTracker(cfg)
+		tr.SetReference(ref)
+		for name := range ref { // the tracker has read its reference already
+			ref[name] = window(rng.Int63(), 60, 3)
+		}
+		for w := 0; w < 6; w++ {
+			cur := snapshot()
+			got, _ := tr.Observe(cur)
+			want := DetectDrift(cfg, kept, cur)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d window %d: %d verdicts, DetectDrift %d", trial, w, len(got), len(want))
+			}
+			for k := range want {
+				g, d := got[k], want[k]
+				if g.Channel != d.Channel || g.N != d.N || g.Drifted != d.Drifted ||
+					math.Float64bits(g.KS) != math.Float64bits(d.KS) ||
+					math.Float64bits(g.KSP) != math.Float64bits(d.KSP) ||
+					math.Float64bits(g.PSI) != math.Float64bits(d.PSI) {
+					t.Fatalf("trial %d window %d: tracker %+v, DetectDrift %+v", trial, w, g, d)
+				}
+			}
+		}
+	}
+}
+
 func TestTrackerStreakResetsOnCleanWindow(t *testing.T) {
 	tr := NewTracker(DriftConfig{Consecutive: 2})
 	tr.SetReference(Snapshot{"x": window(1, 300, 0)})

@@ -66,7 +66,7 @@ func refObserve(r Resource, e *synth.Entity, m synth.Modality, rng *rand.Rand) f
 		for i < len(s.cuts) && v >= s.cuts[i] {
 			i++
 		}
-		return feature.CategoricalValue(s.names.names[i])
+		return feature.CategoricalValue(feature.InternedCategory(s.names.ids[i]))
 	case *StatService:
 		p := s.params[channelOf(m)]
 		if rng.Float64() < p.Dropout {
@@ -266,9 +266,9 @@ func TestDirectWriteMatchesReference(t *testing.T) {
 			sameVector(t, where+" "+r.Def().Name, one, ref)
 			// A video point's frames give their payload room back: the
 			// vector keeps only the merged value.
-			if cats, embs := one.PayloadLen(); cats != len(one.Categories(i)) || embs != len(one.Vec(i)) {
-				t.Fatalf("%s %s: payload holds %d categories / %d floats for a value of %d / %d",
-					where, r.Def().Name, cats, embs, len(one.Categories(i)), len(one.Vec(i)))
+			if ids, embs := one.PayloadLen(); ids != idSlots(one, i) || embs != len(one.Vec(i)) {
+				t.Fatalf("%s %s: payload holds %d category IDs / %d floats for a value of %d / %d",
+					where, r.Def().Name, ids, embs, idSlots(one, i), len(one.Vec(i)))
 			}
 			if one.Present(i) {
 				present[i]++
@@ -407,4 +407,14 @@ func TestFeaturizeAllocsPerBlock(t *testing.T) {
 			t.Errorf("%s: refilling a Batch made %v allocations for %d blocks, want <= 8 (and so none per block)", name, got, blocks)
 		}
 	}
+}
+
+// idSlots is how many payload ID slots position i of v uses: its IDs in
+// written order, and its sorted set beside them when it has several.
+func idSlots(v *feature.Vector, i int) int {
+	n := len(v.CategoryList(i))
+	if n > 1 {
+		n += len(v.CategoryIDs(i))
+	}
+	return n
 }

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"crossmodal/internal/feature"
@@ -85,20 +85,21 @@ func NewLibrary(world *synth.World, resources ...Resource) (*Library, error) {
 }
 
 // reserve is the payload room n points like p are expected to fill, erring
-// high so append never regrows a slab: a category and a quarter per
-// categorical service that applies (most write one, a few two or three).
-func (l *Library) reserve(p *synth.Point, n int) (cats, embs int) {
+// high so append never regrows a slab: an ID and a half per categorical
+// service that applies (most write one ID; the few that write two or three
+// take as many again for the sorted set).
+func (l *Library) reserve(p *synth.Point, n int) (ids, embs int) {
 	for i, r := range l.resources {
 		if !Applicable(r, p) {
 			continue
 		}
 		if d := l.schema.Def(i); d.Kind == feature.Categorical {
-			cats += 5 // quarters
+			ids += 6 // quarters
 		} else {
 			embs += d.Dim // 0 for a numeric
 		}
 	}
-	return n * cats / 4, n * embs
+	return n * ids / 4, n * embs
 }
 
 // Schema returns the feature schema induced by the library.
@@ -171,7 +172,7 @@ func (l *Library) FeaturizePointWith(p *synth.Point, rng *rand.Rand) *feature.Ve
 // the kinds the feature is not) and unset, which gives its payload room back.
 func observeVideo(dst *feature.Vector, i int, r Resource, p *synth.Point, rng *rand.Rand) {
 	d := r.Def()
-	seen := make(map[string]bool)
+	var seen []uint32 // distinct category IDs, first-seen order
 	acc := make([]float64, d.Dim)
 	var sum float64
 	n := 0
@@ -182,8 +183,10 @@ func observeVideo(dst *feature.Vector, i int, r Resource, p *synth.Point, rng *r
 			continue
 		}
 		n++
-		for _, c := range dst.Categories(i) {
-			seen[c] = true
+		for _, id := range dst.CategoryList(i) {
+			if !slices.Contains(seen, id) {
+				seen = append(seen, id)
+			}
 		}
 		sum += dst.Num(i)
 		for k, x := range dst.Vec(i) {
@@ -194,12 +197,10 @@ func observeVideo(dst *feature.Vector, i int, r Resource, p *synth.Point, rng *r
 	switch {
 	case n == 0: // every frame dropped out: i stays Missing
 	case d.Kind == feature.Categorical:
-		cats := make([]string, 0, len(seen))
-		for c := range seen {
-			cats = append(cats, c)
-		}
-		sort.Strings(cats)
-		must(dst.SetCategories(i, cats, nil))
+		slices.SortFunc(seen, func(a, b uint32) int {
+			return strings.Compare(feature.InternedCategory(a), feature.InternedCategory(b))
+		})
+		must(dst.SetCategoryIDs(i, seen))
 	case d.Kind == feature.Numeric:
 		dst.SetNum(i, sum/float64(n))
 	default:

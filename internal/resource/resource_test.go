@@ -351,8 +351,8 @@ func TestCategoryNamesMatchSprintf(t *testing.T) {
 	}{{"t", 24}, {"url", 60}, {"kw", 80}, {"obj", 40}, {"set", 8}, {"x", 0}, {"", 3}} {
 		names := newCategoryNames(tc.prefix, tc.n)
 		for i := -2; i < tc.n+3; i++ {
-			if got, want := names.name(i), fmt.Sprintf("%s%d", tc.prefix, i); got != want {
-				t.Fatalf("newCategoryNames(%q, %d).name(%d) = %q, want %q", tc.prefix, tc.n, i, got, want)
+			if got, want := feature.InternedCategory(names.at(i)[0]), fmt.Sprintf("%s%d", tc.prefix, i); got != want {
+				t.Fatalf("newCategoryNames(%q, %d).at(%d) names %q, want %q", tc.prefix, tc.n, i, got, want)
 			}
 		}
 	}

@@ -46,12 +46,11 @@ func (s *baseService) Def() feature.Def { return s.def }
 
 func (s *baseService) Supports(m synth.Modality) bool { return s.supports[channelOf(m)] }
 
-// vocab is a categorical service's value table with every entry's intern ID
-// beside it, interned once at construction: writing a value copies a string
-// header and an ID out of the two tables and never touches the interner.
+// vocab is a categorical service's value table as intern IDs, interned once
+// at construction: writing a value copies an ID out of the table and never
+// touches the interner.
 type vocab struct {
 	prefix string // of a "<prefix><i>" table, for a value past its end
-	names  []string
 	ids    []uint32
 }
 
@@ -60,12 +59,12 @@ func newVocab(prefix string, names []string) vocab {
 	for k, name := range names {
 		ids[k] = feature.InternID(name)
 	}
-	return vocab{prefix, names, ids}
+	return vocab{prefix, ids}
 }
 
 // newCategoryNames is the vocabulary "<prefix><i>" for i in [0, n), formatted
-// once so Observe indexes a table instead of formatting a string per
-// observation.
+// and interned once so Observe indexes a table instead of formatting a string
+// per observation.
 func newCategoryNames(prefix string, n int) vocab {
 	table := make([]string, max(n, 0))
 	for i := range table {
@@ -74,28 +73,19 @@ func newCategoryNames(prefix string, n int) vocab {
 	return newVocab(prefix, table)
 }
 
-// name returns "<prefix><i>"; an index outside the table (an extract function
-// that strays past n) is formatted on the spot, as every index once was.
-func (v vocab) name(i int) string {
-	if i >= 0 && i < len(v.names) {
-		return v.names[i]
+// at returns value k as a one-element list of its intern ID: a sub-slice of
+// the table, or, outside it (an extract function that strays past n),
+// "<prefix><k>" formatted and interned on the spot, as every index once was.
+func (v vocab) at(k int) []uint32 {
+	if k >= 0 && k < len(v.ids) {
+		return v.ids[k : k+1]
 	}
-	return fmt.Sprintf("%s%d", v.prefix, i)
-}
-
-// at returns value k as one-element lists of its name and intern ID:
-// sub-slices of the two tables, or, outside them, interned on the spot.
-func (v vocab) at(k int) ([]string, []uint32) {
-	if k >= 0 && k < len(v.names) {
-		return v.names[k : k+1], v.ids[k : k+1]
-	}
-	return []string{v.name(k)}, []uint32{feature.InternID(v.name(k))}
+	return []uint32{feature.InternID(fmt.Sprintf("%s%d", v.prefix, k))}
 }
 
 // write stores the single value k at position i of dst.
 func (v vocab) write(dst *feature.Vector, i, k int) {
-	cats, ids := v.at(k)
-	must(dst.SetCategories(i, cats, ids))
+	must(dst.SetCategoryIDs(i, v.at(k)))
 }
 
 // must panics on a write a service's own value fails only past 32-bit windows.
@@ -200,21 +190,18 @@ func (s *SetService) Observe(dst *feature.Vector, i int, e *synth.Entity, m synt
 	if rng.Float64() < p.Dropout {
 		return
 	}
-	// The detected elements gather on the stack; SetCategories copies them.
-	var catBuf [8]string
+	// The detected elements gather on the stack; SetCategoryIDs copies them.
 	var idBuf [8]uint32
-	cats, ids := catBuf[:0], idBuf[:0]
+	ids := idBuf[:0]
 	for _, idx := range s.extract(e) {
 		if rng.Float64() < p.Fidelity {
-			c, id := s.names.at(idx)
-			cats, ids = append(cats, c...), append(ids, id...)
+			ids = append(ids, s.names.at(idx)...)
 		}
 	}
 	if rng.Float64() < p.FalsePositive {
-		c, id := s.names.at(rng.Intn(s.n))
-		cats, ids = append(cats, c...), append(ids, id...)
+		ids = append(ids, s.names.at(rng.Intn(s.n))...)
 	}
-	must(dst.SetCategories(i, cats, ids))
+	must(dst.SetCategoryIDs(i, ids))
 }
 
 // BucketService observes a latent scalar quantized into named buckets, with
