@@ -39,28 +39,28 @@ type Store struct {
 	capacity int
 
 	mu        sync.Mutex
-	entries   map[pointKey]*list.Element // point → LRU element
-	lru       *list.List                 // front = most recent
+	entries   map[Key]*list.Element // point → LRU element
+	lru       *list.List            // front = most recent
 	hits      int
 	misses    int
 	evicted   int
 	coalesced int
 }
 
-// pointKey is the cache key: a point's rendering. One ID names one entity,
-// but its modality and frame count change what the resources observe, so
-// two renderings of an ID are two vectors.
-type pointKey struct {
-	id       int
-	modality synth.Modality
-	frames   int
+// Key is the cache key: a point's rendering. One ID names one entity, but
+// its modality and frame count change what the resources observe, so two
+// renderings of an ID are two vectors.
+type Key struct {
+	ID       int
+	Modality synth.Modality
+	Frames   int
 }
 
-func keyOf(p *synth.Point) pointKey { return pointKey{p.ID, p.Modality, p.Frames} }
+func keyOf(p *synth.Point) Key { return Key{p.ID, p.Modality, p.Frames} }
 
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
-	key pointKey
+	key Key
 	vec *feature.Vector
 }
 
@@ -73,7 +73,7 @@ func New(lib *resource.Library, capacity int) (*Store, error) {
 	return &Store{
 		lib:      lib,
 		capacity: capacity,
-		entries:  make(map[pointKey]*list.Element),
+		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),
 	}, nil
 }
@@ -105,7 +105,7 @@ func (s *Store) Coalesced() int {
 
 // insertLocked stores a vector under a point key, evicting the least
 // recently used entry when over capacity. The caller holds s.mu.
-func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
+func (s *Store) insertLocked(key Key, vec *feature.Vector) {
 	if el, ok := s.entries[key]; ok {
 		el.Value.(*cacheEntry).vec = vec
 		s.lru.MoveToFront(el)
@@ -132,50 +132,79 @@ func (s *Store) insertLocked(key pointKey, vec *feature.Vector) {
 // per block, and each missed vector owns its payload. A nil ctx is treated
 // as context.Background(); a canceled ctx fails the call and caches nothing.
 func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) ([]*feature.Vector, error) {
+	return s.featurize(ctx, cfg, len(pts),
+		func(i int) Key { return keyOf(pts[i]) },
+		func(i int) *synth.Point { return pts[i] })
+}
+
+// FeaturizeKeys is Featurize for a caller that holds keys, not points: it
+// calls point(i) only for a keys[i] that misses, once per distinct missed
+// key and outside the store's lock, and the point must render keys[i].
+func (s *Store) FeaturizeKeys(ctx context.Context, cfg mapreduce.Config, keys []Key, point func(i int) *synth.Point) ([]*feature.Vector, error) {
+	return s.featurize(ctx, cfg, len(keys), func(i int) Key { return keys[i] }, point)
+}
+
+// scanMisses is how many distinct misses one call dedupes by a scan before
+// it indexes them in a map: a request-sized batch builds no map, and a large
+// miss batch stays linear.
+const scanMisses = 64
+
+// featurize is the one lookup, coalescing and insert body behind Featurize
+// and FeaturizeKeys: request i has key key(i), and point(i) renders it.
+func (s *Store) featurize(ctx context.Context, cfg mapreduce.Config, n int, key func(i int) Key, point func(i int) *synth.Point) ([]*feature.Vector, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ctx, span := trace.Start(ctx, "featurestore.featurize")
 	defer span.End()
-	span.Add("points", int64(len(pts)))
-	out := make([]*feature.Vector, len(pts))
+	span.Add("points", int64(n))
+	out := make([]*feature.Vector, n)
 	var (
-		miss  []*synth.Point   // distinct missed keys, computed below
-		slot  map[pointKey]int // missed key → its index in miss
-		fills []fill           // every missed lookup
+		miss  []missed    // distinct missed keys, computed below
+		slot  map[Key]int // missed key → its index in miss, once miss outgrows a scan
+		fills []fill      // every missed lookup
 	)
 	s.mu.Lock()
-	for i, p := range pts {
-		key := keyOf(p)
-		if el, ok := s.entries[key]; ok {
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if el, ok := s.entries[k]; ok {
 			s.hits++
 			s.lru.MoveToFront(el)
 			out[i] = el.Value.(*cacheEntry).vec
 			continue
 		}
 		s.misses++
-		if slot == nil { // the first miss sizes the bookkeeping for the rest
-			left := len(pts) - i
-			slot = make(map[pointKey]int, left)
-			miss = make([]*synth.Point, 0, left)
-			fills = make([]fill, 0, left)
+		if miss == nil { // the first miss sizes the bookkeeping for the rest
+			miss = make([]missed, 0, n-i)
+			fills = make([]fill, 0, n-i)
 		}
-		j, ok := slot[key]
-		if ok {
+		j := indexOf(miss, slot, k)
+		if j >= 0 {
 			s.coalesced++
 		} else {
 			j = len(miss)
-			slot[key] = j
-			miss = append(miss, p)
+			miss = append(miss, missed{key: k, at: i})
+			switch {
+			case slot != nil:
+				slot[k] = j
+			case len(miss) > scanMisses:
+				slot = make(map[Key]int, len(miss)+n-i)
+				for j, m := range miss {
+					slot[m.key] = j
+				}
+			}
 		}
 		fills = append(fills, fill{out: i, miss: j})
 	}
 	s.mu.Unlock()
 	span.Add("misses", int64(len(miss)))
 	span.Add("coalesced", int64(len(fills)-len(miss)))
-	span.Add("hits", int64(len(pts)-len(fills)))
+	span.Add("hits", int64(n-len(fills)))
 	if len(miss) == 0 {
 		return out, nil
+	}
+	for j := range miss {
+		miss[j].p = point(miss[j].at)
 	}
 	// Point by point, never Library.Featurize: a cached vector outlives its
 	// request, so each owns its payload rather than pinning a batch slab.
@@ -190,7 +219,7 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 				return nil
 			default:
 			}
-			vecs[j] = s.lib.FeaturizePointWith(miss[j], rng)
+			vecs[j] = s.lib.FeaturizePointWith(miss[j].p, rng)
 		}
 		return nil
 	})
@@ -198,14 +227,39 @@ func (s *Store) Featurize(ctx context.Context, cfg mapreduce.Config, pts []*synt
 		return nil, err
 	}
 	s.mu.Lock()
-	for j, p := range miss {
-		s.insertLocked(keyOf(p), vecs[j])
+	for j, m := range miss {
+		s.insertLocked(m.key, vecs[j])
 	}
 	s.mu.Unlock()
 	for _, f := range fills {
 		out[f.out] = vecs[f.miss]
 	}
 	return out, nil
+}
+
+// missed is one distinct missed key, the first request that named it, and
+// the point that request renders.
+type missed struct {
+	key Key
+	at  int
+	p   *synth.Point
+}
+
+// indexOf returns k's index in miss, or -1: through slot once it exists,
+// else by a scan.
+func indexOf(miss []missed, slot map[Key]int, k Key) int {
+	if slot != nil {
+		if j, ok := slot[k]; ok {
+			return j
+		}
+		return -1
+	}
+	for j := range miss {
+		if miss[j].key == k {
+			return j
+		}
+	}
+	return -1
 }
 
 // fill is one missed lookup: the out position and the miss that fills it.

@@ -71,10 +71,10 @@ type Config struct {
 	// points.
 	Traffic *synth.Traffic
 	// Store is the serving featurestore. After scoring a window the
-	// controller reads the window's vectors back through it for the
-	// feature-drift snapshots: cache hits on the very vectors just served
-	// (featurization is deterministic in the point, so an evicted entry
-	// recomputes to the same values).
+	// controller reads the window's vectors back from it by key for the
+	// feature-drift snapshots: cache hits on the very vectors just served.
+	// Only an evicted entry's point is derived again, and featurization is
+	// deterministic in the point, so it recomputes to the same values.
 	Store *featurestore.Store
 	// Pipe re-mines and retrains candidates (Bootstrap's stream-mines).
 	Pipe *core.Pipeline
@@ -176,7 +176,8 @@ type Controller struct {
 	cooldown int
 	needRef  bool // rebaseline on the next window (startup, post-promotion)
 
-	body, reply bytes.Buffer // post's request and reply bodies, reused
+	body, reply bytes.Buffer       // post's request and reply bodies, reused
+	keys        []featurestore.Key // observe's store keys, reused
 
 	res Result
 }
@@ -277,8 +278,8 @@ func (c *Controller) Run(ctx context.Context) (*Result, error) {
 
 // step observes one traffic window and reacts.
 func (c *Controller) step(ctx context.Context, w int) error {
-	pts := c.cfg.Traffic.Window(w*c.cfg.WindowSize, c.cfg.WindowSize)
-	scores, vecs, err := c.observe(ctx, pts)
+	first, n := w*c.cfg.WindowSize, c.cfg.WindowSize
+	scores, vecs, err := c.observe(ctx, first, n, c.cfg.Traffic.Point)
 	if err != nil {
 		return err
 	}
@@ -293,7 +294,7 @@ func (c *Controller) step(ctx context.Context, w int) error {
 		c.refCounts = counts
 		c.needRef = false
 		c.emit(Event{Window: w, Type: EventReference,
-			Detail: fmt.Sprintf("%d channels, %d points", len(snap)+len(cat), len(pts))})
+			Detail: fmt.Sprintf("%d channels, %d points", len(snap)+len(cat), n)})
 		return nil
 	}
 
@@ -316,18 +317,26 @@ func (c *Controller) step(ctx context.Context, w int) error {
 	c.res.Detections++
 	c.emit(Event{Window: w, Type: EventDrift, Channel: channels,
 		Detail: monitor.Summarize(verdicts)})
+	// Only the shadow comparison needs the points themselves, for labels.
+	pts := c.cfg.Traffic.Window(first, n)
 	return c.retrainAndMaybePromote(ctx, w, pts, vecs, channels)
 }
 
-// observe serves pts through /predict and reads the vectors the server
-// featurized for them back through the shared store: the server put exactly
-// these IDs there a moment ago, so the read-back is all cache hits.
-func (c *Controller) observe(ctx context.Context, pts []*synth.Point) ([]float64, []*feature.Vector, error) {
-	scores, err := c.scoreWindow(ctx, pts)
+// observe serves traffic IDs [first, first+n) through /predict and reads the
+// vectors the server featurized for them back from the shared store by key.
+// The server stored exactly these keys a moment ago, so point derives only
+// a point whose entry was evicted since.
+func (c *Controller) observe(ctx context.Context, first, n int, point func(id int) *synth.Point) ([]float64, []*feature.Vector, error) {
+	scores, err := c.scoreWindow(ctx, first, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	vecs, err := c.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: c.cfg.Pipe.Options().Workers}, pts)
+	c.keys = c.keys[:0]
+	for id := first; id < first+n; id++ {
+		c.keys = append(c.keys, featurestore.Key{ID: id, Modality: synth.Image})
+	}
+	vecs, err := c.cfg.Store.FeaturizeKeys(ctx, mapreduce.Config{Workers: c.cfg.Pipe.Options().Workers}, c.keys,
+		func(i int) *synth.Point { return point(first + i) })
 	return scores, vecs, err
 }
 
@@ -450,19 +459,20 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 	return nil
 }
 
-// scoreWindow posts the window's points through /predict in batchSize
-// chunks and returns their scores in traffic order. One request slice serves
+// scoreWindow posts traffic IDs [first, first+n) through /predict in
+// batchSize chunks and returns their scores in traffic order. Traffic points
+// are image points, so an ID is the whole request. One request slice serves
 // every chunk, and each reply decodes straight into the tail of scores.
-func (c *Controller) scoreWindow(ctx context.Context, pts []*synth.Point) ([]float64, error) {
-	scores := make([]float64, 0, len(pts))
+func (c *Controller) scoreWindow(ctx context.Context, first, n int) ([]float64, error) {
+	scores := make([]float64, 0, n)
 	batch := struct {
 		Points []serve.PointRequest `json:"points"`
-	}{Points: make([]serve.PointRequest, 0, min(batchSize, len(pts)))}
-	for lo := 0; lo < len(pts); lo += batchSize {
-		hi := min(lo+batchSize, len(pts))
+	}{Points: make([]serve.PointRequest, 0, min(batchSize, n))}
+	for lo := first; lo < first+n; lo += batchSize {
+		hi := min(lo+batchSize, first+n)
 		batch.Points = batch.Points[:0]
-		for _, p := range pts[lo:hi] {
-			batch.Points = append(batch.Points, serve.PointRequest{ID: p.ID, Modality: string(p.Modality)})
+		for id := lo; id < hi; id++ {
+			batch.Points = append(batch.Points, serve.PointRequest{ID: id, Modality: string(synth.Image)})
 		}
 		// Unmarshal appends to a slice it empties first, so the reply lands
 		// in scores' spare capacity unless it is longer than the batch.

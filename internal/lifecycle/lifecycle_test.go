@@ -302,7 +302,9 @@ func TestScoreHistMatchesServeHistogram(t *testing.T) {
 
 // TestStepReadsBackServedVectors pins the one observation path: the vectors
 // a window's snapshots are taken from are the very vectors the server put in
-// the shared store while scoring that window, read back without one miss.
+// the shared store while scoring that window, read back without one miss and
+// without deriving one point: the server derives each point once, to
+// featurize it, and the controller none.
 func TestStepReadsBackServedVectors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -315,9 +317,16 @@ func TestStepReadsBackServedVectors(t *testing.T) {
 	ctx := context.Background()
 	pts := cfg.Traffic.Window(0, epWindow)
 	h0, m0, _ := cfg.Store.Stats()
-	_, vecs, err := ctrl.observe(ctx, pts)
+	derived := 0
+	_, vecs, err := ctrl.observe(ctx, 0, epWindow, func(id int) *synth.Point {
+		derived++
+		return cfg.Traffic.Point(id)
+	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if derived != 0 {
+		t.Fatalf("the controller derived %d of the window's points, want 0", derived)
 	}
 	h1, m1, _ := cfg.Store.Stats()
 	// Serving the window and reading it back touch every point twice; the

@@ -45,42 +45,36 @@ func wireController(f *fakePredict) *Controller {
 	return &Controller{cfg: Config{BaseURL: "http://predict.test", Client: &http.Client{Transport: f}}}
 }
 
-// wirePoints returns n image points with IDs above 255, which the map form
-// boxes one by one.
-func wirePoints(n int) []*synth.Point {
-	pts := make([]*synth.Point, n)
-	for i := range pts {
-		pts[i] = &synth.Point{ID: 1000 + 37*i, Modality: synth.Image}
-	}
-	return pts
-}
+// wireFirst is the first traffic ID the wire tests score: IDs above 255,
+// which the map form boxes one by one.
+const wireFirst = 1000
 
 // TestPredictBodyMatchesMapForm: each /predict body scoreWindow sends is,
 // byte for byte, the encoding of the per-point maps it replaced — for a
 // full 32-point batch and for the window's short last batch.
 func TestPredictBodyMatchesMapForm(t *testing.T) {
 	f := &fakePredict{keep: true}
-	pts := wirePoints(40)
-	scores, err := wireController(f).scoreWindow(context.Background(), pts)
+	const n = 40
+	scores, err := wireController(f).scoreWindow(context.Background(), wireFirst, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores) != len(pts) || len(f.bodies) != 2 {
-		t.Fatalf("%d scores in %d requests, want %d in 2", len(scores), len(f.bodies), len(pts))
+	if len(scores) != n || len(f.bodies) != 2 {
+		t.Fatalf("%d scores in %d requests, want %d in 2", len(scores), len(f.bodies), n)
 	}
-	for k, batch := range [][]*synth.Point{pts[:32], pts[32:]} {
+	for k, ids := range [][2]int{{wireFirst, wireFirst + 32}, {wireFirst + 32, wireFirst + n}} {
 		var old struct {
 			Points []map[string]any `json:"points"`
 		}
-		for _, p := range batch {
-			old.Points = append(old.Points, map[string]any{"id": p.ID, "modality": string(p.Modality)})
+		for id := ids[0]; id < ids[1]; id++ {
+			old.Points = append(old.Points, map[string]any{"id": id, "modality": string(synth.Image)})
 		}
 		want, err := json.Marshal(old)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := f.bodies[k]; !bytes.Equal(got, want) {
-			t.Errorf("%d-point body:\n got %s\nwant %s", len(batch), got, want)
+			t.Errorf("%d-point body:\n got %s\nwant %s", ids[1]-ids[0], got, want)
 		}
 	}
 }
@@ -95,9 +89,8 @@ func TestScoreWindowAllocsPerRequest(t *testing.T) {
 	c := wireController(&fakePredict{})
 	ctx := context.Background()
 	allocs := func(n int) float64 {
-		pts := wirePoints(n)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := c.scoreWindow(ctx, pts); err != nil {
+			if _, err := c.scoreWindow(ctx, wireFirst, n); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -27,19 +27,29 @@ import (
 type Snapshot map[string][]float64
 
 // NumericSnapshot collects every non-missing numeric channel of vecs into a
-// snapshot keyed by feature name. Vectors must share a schema.
+// snapshot keyed by feature name. Vectors must share a schema. Every channel
+// is a window of one slab, capped at len(vecs), so filling one never grows
+// into the next.
 func NumericSnapshot(vecs []*feature.Vector) Snapshot {
-	snap := make(Snapshot)
 	if len(vecs) == 0 {
-		return snap
+		return make(Snapshot)
 	}
 	schema := vecs[0].Schema()
+	numeric := 0
+	for i := 0; i < schema.Len(); i++ {
+		if schema.Def(i).Kind == feature.Numeric {
+			numeric++
+		}
+	}
+	snap := make(Snapshot, numeric)
+	slab := make([]float64, numeric*len(vecs))
 	for i := 0; i < schema.Len(); i++ {
 		d := schema.Def(i)
 		if d.Kind != feature.Numeric {
 			continue
 		}
-		var vals []float64
+		vals := slab[:0:len(vecs)]
+		slab = slab[len(vecs):]
 		for _, v := range vecs {
 			if v.Present(i) {
 				vals = append(vals, v.Num(i))

@@ -340,6 +340,40 @@ func TestNumericSnapshot(t *testing.T) {
 	}
 }
 
+// TestNumericSnapshotAllocsPerWindow: channels are windows of one slab, so
+// a snapshot's allocations do not grow with the window, and each window is
+// capped: appending to one channel leaves the next one's values alone.
+func TestNumericSnapshotAllocsPerWindow(t *testing.T) {
+	schema := feature.MustSchema(
+		feature.Def{Name: "a", Kind: feature.Numeric, Set: "D", Servable: true},
+		feature.Def{Name: "topic", Kind: feature.Categorical, Set: "C", Servable: true},
+		feature.Def{Name: "b", Kind: feature.Numeric, Set: "D", Servable: true},
+	)
+	vectors := func(n int) []*feature.Vector {
+		vecs := make([]*feature.Vector, n)
+		for i := range vecs {
+			vecs[i] = feature.NewVector(schema)
+			vecs[i].MustSet("a", feature.NumericValue(float64(i)))
+			vecs[i].MustSet("b", feature.NumericValue(float64(-i)))
+		}
+		return vecs
+	}
+	small, large := vectors(8), vectors(512)
+	snap := NumericSnapshot(small)
+	b := append([]float64(nil), snap["b"]...)
+	_ = append(snap["a"], 99)
+	if !reflect.DeepEqual(snap["b"], b) {
+		t.Fatalf("appending to channel a moved channel b: %v, was %v", snap["b"], b)
+	}
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations")
+	}
+	s := testing.AllocsPerRun(10, func() { NumericSnapshot(small) })
+	if l := testing.AllocsPerRun(10, func() { NumericSnapshot(large) }); l != s {
+		t.Errorf("a 512-vector snapshot allocates %v times, an 8-vector one %v", l, s)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	vs := []Verdict{{Drifted: true}, {Drifted: false}, {Drifted: true}}
 	if got := Summarize(vs); got != "2/3 channels drifted" {

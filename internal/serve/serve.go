@@ -182,10 +182,12 @@ func (s *Server) Close() { s.bat.Close() }
 // synth.PointSeed, the seed corpus points carry, so the same ID always
 // featurizes identically — in this process, in a restarted one, and
 // in a test comparing against in-process Predict. cmd/serve uses it to build
-// the canary batch before the server exists.
+// the canary batch before the server exists. The entity is drawn from a
+// pooled generator, so deriving a point allocates no generator.
 func DerivePoint(w *synth.World, baseSeed int64, id int, m synth.Modality, frames int) *synth.Point {
 	seed := synth.PointSeed(baseSeed, id)
-	rng := xrand.New(int64(seed))
+	rng := xrand.Get(int64(seed))
+	defer xrand.Put(rng)
 	return &synth.Point{
 		ID:       id,
 		Entity:   w.SampleEntity(rng, m, id),

@@ -152,14 +152,16 @@ func (t *Traffic) WorldAt(epoch int) *World { return t.worlds[epoch] }
 // Point renders traffic ordinal id: entity sampled from its epoch's shifted
 // prior, labeled against the true entity, then decayed per the epoch's
 // fidelity. The entity is the point's own, so it is decayed in place once
-// Label has read it, and one generator serves both draws: reseeded to the
-// "synth.decay" channel, it draws the stream DecayPoints would. Point seeds
-// are PointSeed's, as everywhere, so featurestore caching by ID stays sound.
+// Label has read it, and one pooled generator serves both draws: reseeded to
+// the "synth.decay" channel, it draws the stream DecayPoints would. Point
+// seeds are PointSeed's, as everywhere, so featurestore caching by ID stays
+// sound.
 func (t *Traffic) Point(id int) *Point {
 	ep := t.EpochOf(id)
 	w := t.worlds[ep]
 	seed := PointSeed(t.sched.Seed, id)
-	rng := xrand.New(int64(seed))
+	rng := xrand.Get(int64(seed))
+	defer xrand.Put(rng)
 	e := w.SampleEntity(rng, Image, id)
 	p := &Point{
 		ID:       id,
@@ -218,8 +220,11 @@ func DecayPoints(pts []*Point, w *World, decay float64) {
 	if decay <= 0 {
 		return
 	}
+	rng := xrand.Get(0)
+	defer xrand.Put(rng)
 	for _, p := range pts {
-		p.Entity = decayEntity(xrand.New(decaySeed(p.Seed)), w, p.Entity, decay)
+		rng.Seed(decaySeed(p.Seed))
+		p.Entity = decayEntity(rng, w, p.Entity, decay)
 	}
 }
 

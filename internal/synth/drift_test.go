@@ -302,10 +302,10 @@ func TestTrafficPointMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTrafficPointAllocs: decaying a point costs no allocation — no second
-// generator and no copy of the entity — so a decayed point allocates what
-// the same point does clean: the generator, the entity and its two lists,
-// and the point.
+// TestTrafficPointAllocs: a point allocates its entity, the entity's two
+// lists once each (sized before they fill) and the point — four objects, and
+// no generator (pooled) — and decaying it costs nothing more: no second
+// generator and no copy of the entity.
 func TestTrafficPointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime adds allocations")
@@ -320,30 +320,11 @@ func TestTrafficPointAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range 20 {
-		c := testing.AllocsPerRun(20, func() { clean.Point(id) })
-		e := clean.Point(id).Entity
-		// Objects and Keywords grow by append from nil, as grown here.
-		lists := testing.AllocsPerRun(20, func() {
-			grownInts = appendInts(len(e.Objects))
-			grownInts = appendInts(len(e.Keywords))
-		})
-		if want := 3 + lists; c != want {
-			t.Errorf("clean point %d: %v allocations, want %v", id, c, want)
+		if c := testing.AllocsPerRun(20, func() { clean.Point(id) }); c != 4 {
+			t.Errorf("clean point %d: %v allocations, want 4", id, c)
 		}
-		if d := testing.AllocsPerRun(20, func() { decayed.Point(id) }); d != c {
-			t.Errorf("decayed point %d: %v allocations, clean %v", id, d, c)
+		if d := testing.AllocsPerRun(20, func() { decayed.Point(id) }); d != 4 {
+			t.Errorf("decayed point %d: %v allocations, want 4", id, d)
 		}
 	}
-}
-
-// grownInts keeps appendInts' slices on the heap, where the entity's are.
-var grownInts []int
-
-// appendInts appends n ints one by one to a nil slice.
-func appendInts(n int) []int {
-	var s []int
-	for i := range n {
-		s = append(s, i)
-	}
-	return s
 }

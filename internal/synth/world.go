@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -280,7 +281,8 @@ func (w *World) SampleEntity(rng *rand.Rand, m Modality, id int) *Entity {
 }
 
 // sampleInto is SampleEntity overwriting e, whose Objects and Keywords
-// arrays it refills: the same draws, without a new entity.
+// arrays it refills: the same draws, without a new entity. Each list is sized
+// to its drawn length before it fills, so a fresh one is one allocation.
 func (w *World) sampleInto(e *Entity, rng *rand.Rand, m Modality, id int) {
 	pop := w.topicPopText
 	if m == Image || m == Video {
@@ -302,6 +304,7 @@ func (w *World) sampleInto(e *Entity, rng *rand.Rand, m Modality, id int) {
 	// Objects co-occur with the topic: half drawn from a topic-conditioned
 	// block, half uniform.
 	nObj := 1 + rng.Intn(3)
+	e.Objects = slices.Grow(e.Objects, nObj)
 	for len(e.Objects) < nObj {
 		var o int
 		if rng.Float64() < 0.5 {
@@ -315,6 +318,7 @@ func (w *World) sampleInto(e *Entity, rng *rand.Rand, m Modality, id int) {
 	}
 	sort.Ints(e.Objects)
 	nKw := 1 + rng.Intn(4)
+	e.Keywords = slices.Grow(e.Keywords, nKw)
 	for len(e.Keywords) < nKw {
 		var k int
 		if rng.Float64() < 0.5 {

@@ -19,7 +19,10 @@
 // experiment expectations depend on them.
 package xrand
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // gamma is the golden-ratio Weyl increment of splitmix64.
 const gamma = 0x9e3779b97f4a7c15
@@ -50,6 +53,22 @@ func New(seed int64) *rand.Rand {
 	g.rnd = *rand.New(&g.src)
 	return &g.rnd
 }
+
+// pool recycles New's generators for Get.
+var pool = sync.Pool{New: func() any { return New(0) }}
+
+// Get returns a pooled generator seeded with seed. It draws exactly New(seed)'s
+// stream whatever it drew before: rand.Rand.Seed resets the source's state and
+// the Rand's own read position. A per-item path that would build one generator
+// per item takes one here and hands it back with Put once its last draw is done.
+func Get(seed int64) *rand.Rand {
+	r := pool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
+// Put returns a generator that Get handed out; the caller draws no more from it.
+func Put(r *rand.Rand) { pool.Put(r) }
 
 // Uint64 advances the Weyl sequence and returns the mixed state.
 func (s *Source) Uint64() uint64 {

@@ -49,6 +49,34 @@ func TestSeedResets(t *testing.T) {
 	}
 }
 
+// TestPooledMatchesNew: a pooled generator yields New(seed)'s stream
+// whatever it drew before Put — a partial Read included, which leaves the
+// Rand holding unread bytes of its own.
+func TestPooledMatchesNew(t *testing.T) {
+	var used [3]byte
+	for seed := int64(-3); seed < 40; seed++ {
+		r := Get(seed * 7919)
+		r.Intn(10)
+		r.NormFloat64()
+		r.Read(used[:])
+		Put(r)
+
+		got, want := Get(seed), New(seed)
+		var gb, wb [5]byte
+		got.Read(gb[:])
+		want.Read(wb[:])
+		if gb != wb {
+			t.Fatalf("seed %d: pooled Read %x, New's %x", seed, gb, wb)
+		}
+		for i := 0; i < 64; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: pooled %#x, New's %#x", seed, i, g, w)
+			}
+		}
+		Put(got)
+	}
+}
+
 func TestInt63NonNegative(t *testing.T) {
 	s := NewSource(-99)
 	for i := 0; i < 1000; i++ {
