@@ -44,10 +44,12 @@ cover-check:
 ## then the arm64 fused multiply-add census: each package that still has
 ## sites the compiler may fuse (which can move bits there: ROADMAP item 15c)
 ## fails once it has more than it has now, so the count only falls, then
-## what `go test` alone does not reach — a fuzz smoke of every fuzzer in the
-## module (TestGateFullRunsEveryFuzzer holds the list to the code; the
-## /predict one bounds minimization: its oversize-body seed grows whitespace
-## inputs that would take the whole budget to shrink); the
+## what `go test` alone does not reach — a 5 s fuzz smoke of every fuzzer
+## `go test -list '^Fuzz'` finds in each package, printing how many ran and
+## failing when fewer than 15 did (a package that no longer lists its
+## fuzzers; lower the 15 when a fuzzer is deleted); minimization is bounded
+## for all of them, since the /predict fuzzer's oversize-body seed grows
+## whitespace inputs that would take the whole budget to shrink; the
 ## 10^5-entity streamed curation driven through injected commit crashes with
 ## resume after each (shrink with SCALE_N); one seeded drift episode and its
 ## zero-drift control through cmd/lifecycle (the command itself fails unless
@@ -71,21 +73,16 @@ gate-full:
 		n=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1 | grep -cE '\sFN?M(ADD|SUB)[SD]\s'); \
 		[ "$$n" -le "$$max" ] || { echo "gate-full: internal/$$pkg has $$n arm64 fused multiply-adds, at most $$max allowed"; exit 1; }; \
 	done
-	$(GO) test -run xxx -fuzz FuzzArtifactLoad -fuzztime 5s ./internal/fusion/
-	$(GO) test -run xxx -fuzz FuzzEarlyModelGobDecode -fuzztime 5s ./internal/fusion/
-	$(GO) test -run xxx -fuzz FuzzSegmentHeader -fuzztime 5s ./internal/featurestore/disk/
-	$(GO) test -run xxx -fuzz FuzzSegmentLoad -fuzztime 5s ./internal/featurestore/disk/
-	$(GO) test -run xxx -fuzz FuzzScanFirstMatchesScanProjected -fuzztime 5s ./internal/featurestore/disk/
-	$(GO) test -run xxx -fuzz FuzzColumnVotesMatchClosures -fuzztime 5s ./internal/lf/
-	$(GO) test -run xxx -fuzz FuzzEvaluateAllMatchesColumns -fuzztime 5s ./internal/lf/
-	$(GO) test -run xxx -fuzz FuzzBuilderDeltaMatchesOneShot -fuzztime 5s ./internal/labelprop/
-	$(GO) test -run xxx -fuzz FuzzPackedWeighted -fuzztime 5s ./internal/feature/
-	$(GO) test -run xxx -fuzz FuzzPackedVectorMatchesReference -fuzztime 5s ./internal/feature/
-	$(GO) test -run xxx -fuzz FuzzSparseRowMatchesDense -fuzztime 5s ./internal/feature/
-	$(GO) test -run xxx -fuzz FuzzShuffleIntsMatchesMathRand -fuzztime 5s ./internal/xrand/
-	$(GO) test -run xxx -fuzz FuzzShuffleIntsDownToMatchesFull -fuzztime 5s ./internal/xrand/
-	$(GO) test -run xxx -fuzz FuzzFeaturizeMatchesReference -fuzztime 5s ./internal/resource/
-	$(GO) test -run xxx -fuzz FuzzHandlePredict -fuzztime 5s -fuzzminimizetime 10x ./internal/serve/
+	@n=0; for pkg in $$($(GO) list ./...); do \
+		fuzzers=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$fuzzers"; exit 1; }; \
+		for f in $$(echo "$$fuzzers" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f"; \
+			$(GO) test -run xxx -fuzz "^$$f$$" -fuzztime 5s -fuzzminimizetime 10x $$pkg || exit 1; \
+			n=$$((n+1)); \
+		done; \
+	done; \
+	echo "gate-full: fuzzed $$n fuzzers"; \
+	[ "$$n" -ge 15 ] || { echo "gate-full: found $$n fuzzers, want at least 15"; exit 1; }
 	CROSSMODAL_SCALE_SMOKE=1 CROSSMODAL_SCALE_N=$(SCALE_N) \
 		$(GO) test -race -count=1 -run TestScaleSmokeStreamed -v -timeout 30m ./internal/core/
 	mkdir -p bin

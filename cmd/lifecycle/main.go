@@ -111,7 +111,7 @@ func run(c runConfig) error {
 	}
 
 	ctx := context.Background()
-	log.Printf("bootstrapping %s model (scale %.2f, stream-mined)", c.taskName, c.scale)
+	log.Printf("bootstrapping %s model (scale %.2f)", c.taskName, c.scale)
 	cfg, srv, err := lifecycle.Bootstrap(ctx, world, lifecycle.Config{
 		Traffic: traffic, WindowSize: c.window, Retrain: synth.DefaultDatasetConfig().Scaled(c.scale, 1),
 		ArtifactDir: c.artifacts, Seed: c.seed,

@@ -218,12 +218,6 @@ func TestEndSchemaRespectsServability(t *testing.T) {
 	if _, ok := schema.Index("img_embedding"); !ok {
 		t.Error("modality features missing from default end schema")
 	}
-	noMod := DefaultOptions()
-	noMod.IncludeModalityFeatures = false
-	p2, _ := NewPipeline(lib, noMod)
-	if _, ok := p2.EndSchema().Index("img_embedding"); ok {
-		t.Error("modality features present despite IncludeModalityFeatures=false")
-	}
 }
 
 func TestEmbeddingOnlySchema(t *testing.T) {

@@ -28,46 +28,31 @@ type corpus interface {
 	Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error)
 }
 
-// memCorpus is the in-memory corpus: all rows as one chunk, or chunk-row
-// chunks when chunk > 0. Row index is point ID. Column scans read the vectors
+// memCorpus is the in-memory corpus: all rows as one chunk, seq 0 (no chunk
+// when it is empty). Row index is point ID. Column scans read the vectors
 // where they are; each ScanFirst target is projected once and kept for the
-// run — the stages scan the image corpus in the graph schema three times — so
-// ScanFirst slices that projection and never needs a buffer.
+// run — the stages scan the image corpus in the graph schema three times —
+// so ScanFirst slices that projection and never needs a buffer.
 type memCorpus struct {
 	vecs   []*feature.Vector
 	labels []int8
-	chunk  int
 	proj   map[*feature.Schema][]*feature.Vector
 }
 
 func (c *memCorpus) Rows() int { return len(c.vecs) }
 
-// chunks calls fn with the bounds of every chunk of the first n rows in
-// order.
-func (c *memCorpus) chunks(ctx context.Context, n int, fn func(seq, lo, hi int) error) error {
-	size := c.chunk
-	if size <= 0 {
-		size = len(c.vecs)
-	}
-	n = min(n, len(c.vecs))
-	for seq, lo := 0, 0; lo < n; seq, lo = seq+1, lo+size {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := fn(seq, lo, min(lo+size, n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (c *memCorpus) ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error {
-	return c.chunks(ctx, len(c.vecs), func(seq, lo, hi int) error {
-		return fn(seq, c.labels[lo:hi], feature.VectorColumns(target, c.vecs[lo:hi]))
-	})
+	if err := ctx.Err(); err != nil || len(c.vecs) == 0 {
+		return err
+	}
+	return fn(0, c.labels, feature.VectorColumns(target, c.vecs))
 }
 
 func (c *memCorpus) ScanFirst(ctx context.Context, target *feature.Schema, n int, _ *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
+	n = min(n, len(c.vecs))
+	if err := ctx.Err(); err != nil || n <= 0 {
+		return err
+	}
 	vecs, ok := c.proj[target]
 	if !ok {
 		vecs = make([]*feature.Vector, len(c.vecs))
@@ -79,10 +64,8 @@ func (c *memCorpus) ScanFirst(ctx context.Context, target *feature.Schema, n int
 		}
 		c.proj[target] = vecs
 	}
-	return c.chunks(ctx, n, func(seq, lo, hi int) error {
-		// Point IDs are the row indices lo..hi-1; no stage reads them.
-		return fn(seq, nil, c.labels[lo:hi], vecs[lo:hi])
-	})
+	// Point IDs are the row indices 0..n-1; no stage reads them.
+	return fn(0, nil, c.labels[:n], vecs[:n])
 }
 
 func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector, error) {
@@ -210,7 +193,7 @@ func (r *curateRun) buildLFs(ctx context.Context, report *Report) ([]*lf.LF, err
 	report.LFExamined = r.text.Rows()
 	if r.p.opts.LFSource == ExpertLFs {
 		// The simulated expert samples the whole dev set, so it is gathered
-		// in memory — why CurateStreamed refuses ExpertLFs.
+		// in memory from whichever corpus backs the run.
 		expert := lf.DefaultExpert()
 		report.LFExamined = min(expert.SampleSize, r.text.Rows())
 		devVecs, err := allRows(ctx, r.text, r.lfSchema)

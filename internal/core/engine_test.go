@@ -175,7 +175,7 @@ func TestMemCorpusProjectsOncePerSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := &memCorpus{vecs: vecs, labels: make([]int8, len(vecs)), chunk: 16}
+	mem := &memCorpus{vecs: vecs, labels: make([]int8, len(vecs))}
 	lfSchema, graphSchema := p.lfSchema(), p.graphSchema()
 	first, _ := scanAll(t, mem, lfSchema)
 	other, _ := scanAll(t, mem, graphSchema)
@@ -190,42 +190,44 @@ func TestMemCorpusProjectsOncePerSchema(t *testing.T) {
 	}
 }
 
-// memCorpus must deliver every row exactly once, in order, for any chunk
-// size — including sizes that do not divide the corpus length — and stop on
-// a cancelled context.
-func TestChunkedCorpusScan(t *testing.T) {
+// TestMemCorpusScansOneChunk: memCorpus hands every row to each scan as one
+// chunk, seq 0 (TestMemCorpusMatchesDiskStore checks the rows); an empty
+// corpus yields no chunk, and a cancelled context stops a scan before it
+// starts.
+func TestMemCorpusScansOneChunk(t *testing.T) {
 	p := newStreamPipeline(t, streamOptions())
 	vecs, err := p.Featurize(context.Background(), streamDataset(t).LabeledText[:100])
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := make([]int8, len(vecs))
-	for i := range labels {
-		labels[i] = int8(i % 3)
-	}
 	target := p.lfSchema()
-	want, _ := scanAll(t, &memCorpus{vecs: vecs, labels: labels}, target)
-	for _, chunk := range []int{1, 7, 100, 1000, 0} {
-		gotVecs, gotLabels := scanAll(t, &memCorpus{vecs: vecs, labels: labels, chunk: chunk}, target)
-		if len(gotVecs) != len(vecs) || len(gotLabels) != len(labels) {
-			t.Fatalf("chunk %d: scanned %d vecs / %d labels, want %d", chunk, len(gotVecs), len(gotLabels), len(vecs))
-		}
-		for i := range labels {
-			if gotLabels[i] != labels[i] {
-				t.Fatalf("chunk %d: label %d out of order", chunk, i)
+	c := &memCorpus{vecs: vecs, labels: make([]int8, len(vecs))}
+	for name, ctx := range map[string]context.Context{"live": context.Background(), "canceled": canceledCtx()} {
+		for _, corpus := range []*memCorpus{c, {}} {
+			var chunks []string
+			colErr := corpus.ScanColumns(ctx, target, func(seq int, ls []int8, _ []feature.Columns) error {
+				chunks = append(chunks, fmt.Sprintf("columns %d:%d", seq, len(ls)))
+				return nil
+			})
+			vecErr := corpus.ScanFirst(ctx, target, len(vecs), nil, func(seq int, _ []int, ls []int8, vs []*feature.Vector) error {
+				chunks = append(chunks, fmt.Sprintf("vectors %d:%d", seq, len(vs)))
+				return nil
+			})
+			var want []string
+			if name == "live" && corpus.Rows() > 0 {
+				want = []string{"columns 0:100", "vectors 0:100"}
 			}
-			if !gotVecs[i].Equal(want[i]) {
-				t.Fatalf("chunk %d: row %d out of order", chunk, i)
+			if !reflect.DeepEqual(chunks, want) || (colErr == nil) != (name == "live") || (vecErr == nil) != (name == "live") {
+				t.Errorf("%s scans of %d rows: chunks %v, errors %v / %v; want chunks %v", name, corpus.Rows(), chunks, colErr, vecErr, want)
 			}
 		}
 	}
+}
 
+func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &memCorpus{vecs: vecs, labels: labels, chunk: 10}
-	if err := c.ScanFirst(ctx, target, c.Rows(), nil, func(int, []int, []int8, []*feature.Vector) error { return nil }); err == nil {
-		t.Error("canceled scan returned nil error")
-	}
+	return ctx
 }
 
 // TestCurateExpertLFsThroughEngine: the simulated-expert LF source runs

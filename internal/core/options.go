@@ -48,13 +48,11 @@ type Options struct {
 	// LFSets are the service sets whose features feed labeling functions
 	// (nonservable features included — LFs run offline, §4.1) and, servable
 	// features only, the discriminative end model (TrainSpec.ModelSets
-	// varies the latter per variant). Default: A, B, C, D.
+	// varies the latter per variant). The end model also reads the
+	// modality-specific sets (pre-trained image embeddings, text-only
+	// features), the paper's T+... and I+... configurations. Default: A, B,
+	// C, D.
 	LFSets []string
-	// IncludeModalityFeatures adds the modality-specific feature sets
-	// (pre-trained image embeddings, text-only features) to the end
-	// model, matching the paper's T+... and I+... configurations.
-	// Default true.
-	IncludeModalityFeatures bool
 
 	// LFSource selects mined or simulated-expert LFs. Default MinedLFs.
 	LFSource LFSource
@@ -98,11 +96,9 @@ type Options struct {
 	// target for the negative cut. Defaults 6 and 0.97.
 	PosCutLift, NegCutPrecision float64
 
-	// StreamMining makes Curate hand the miner the in-memory dev corpus in
-	// 2048-row chunks instead of one whole-corpus chunk. Results are
-	// identical (MineStream's contract); the lifecycle controller turns
-	// this on so retraining exercises the same chunk-merge path a
-	// production re-mine over the disk store would.
+	// StreamMining selects nothing: Curate scans its in-memory corpora as
+	// one chunk each, and CurateStreamed runs the miner's chunk merge over
+	// the disk stores. Kept because bench/ sets it (ROADMAP item 2).
 	StreamMining bool
 
 	// MaxVocab caps one-hot vocabularies in the end model (default 0:
@@ -120,20 +116,19 @@ type Options struct {
 // modalities.
 func DefaultOptions() Options {
 	return Options{
-		LFSets:                  resource.ABCD,
-		IncludeModalityFeatures: true,
-		LFSource:                MinedLFs,
-		UseLabelProp:            true,
-		UseGenerative:           true,
-		Fusion:                  EarlyFusion,
-		Mining:                  mining.DefaultConfig(),
-		Graph:                   defaultGraph(),
-		MaxGraphSeeds:           3000,
-		GraphDevNodes:           1000,
-		PosCutLift:              6,
-		NegCutPrecision:         0.97,
-		Model:                   model.Config{Epochs: 6, LearningRate: 0.02, Seed: 11},
-		Seed:                    11,
+		LFSets:          resource.ABCD,
+		LFSource:        MinedLFs,
+		UseLabelProp:    true,
+		UseGenerative:   true,
+		Fusion:          EarlyFusion,
+		Mining:          mining.DefaultConfig(),
+		Graph:           defaultGraph(),
+		MaxGraphSeeds:   3000,
+		GraphDevNodes:   1000,
+		PosCutLift:      6,
+		NegCutPrecision: 0.97,
+		Model:           model.Config{Epochs: 6, LearningRate: 0.02, Seed: 11},
+		Seed:            11,
 	}
 }
 

@@ -59,14 +59,10 @@ func (p *Pipeline) featurizeInto(ctx context.Context, pts []*synth.Point, b *res
 }
 
 // EndSchema returns the feature schema the discriminative end model trains
-// on: the servable features of the LF sets, plus the modality-specific sets
-// when enabled.
+// on: the servable features of the LF sets plus the modality-specific sets
+// (the paper's T+… and I+… configurations).
 func (p *Pipeline) EndSchema() *feature.Schema {
-	sets := append([]string{}, p.opts.LFSets...)
-	if p.opts.IncludeModalityFeatures {
-		sets = append(sets, resource.ImageSet, resource.TextSet)
-	}
-	return p.lib.Schema().Sets(sets...).Servable()
+	return p.SchemaFor(p.opts.LFSets, true, true)
 }
 
 // lfSchema returns the feature space LFs may read: the LF sets, including
@@ -180,15 +176,10 @@ func (p *Pipeline) Curate(ctx context.Context, ds *synth.Dataset) (*Curation, er
 	}
 	textLabels, imageTruth := synth.Labels(ds.LabeledText), synth.Labels(ds.UnlabeledImage)
 
-	text := &memCorpus{vecs: textVecs, labels: textLabels}
-	if p.opts.StreamMining {
-		// The miner (and the dev LF apply) see the corpus in chunks, so the
-		// chunk-merge path runs instead of one whole-corpus chunk.
-		text.chunk = 2048
-	}
 	r := &curateRun{
 		p: p, task: ds.Task.Name,
-		text: text, image: &memCorpus{vecs: imageVecs, labels: imageTruth},
+		text:       &memCorpus{vecs: textVecs, labels: textLabels},
+		image:      &memCorpus{vecs: imageVecs, labels: imageTruth},
 		textLabels: textLabels, imageTruth: imageTruth,
 	}
 	probs, covered, report, err := r.curate(ctx)
@@ -404,10 +395,9 @@ func (p *Pipeline) denoise(ctx context.Context, matrix, devMatrix *lf.Matrix, te
 // weakly labeled images, every example weighted alike.
 type TrainSpec struct {
 	// ModelSets are the organizational service sets available to the
-	// model (servable features only).
+	// model (servable features only), joined by the image- and
+	// text-specific sets.
 	ModelSets []string
-	// IncludeModalityFeatures adds the image- and text-specific sets.
-	IncludeModalityFeatures bool
 	// UseText / UseImage select the training corpora.
 	UseText, UseImage bool
 	// Fusion selects the architecture.
@@ -423,12 +413,11 @@ type TrainSpec struct {
 // both modalities' corpora.
 func (p *Pipeline) DefaultTrainSpec() TrainSpec {
 	return TrainSpec{
-		ModelSets:               p.opts.LFSets,
-		IncludeModalityFeatures: p.opts.IncludeModalityFeatures,
-		UseText:                 true,
-		UseImage:                true,
-		Fusion:                  p.opts.Fusion,
-		Model:                   p.opts.Model,
+		ModelSets: p.opts.LFSets,
+		UseText:   true,
+		UseImage:  true,
+		Fusion:    p.opts.Fusion,
+		Model:     p.opts.Model,
 	}
 }
 
@@ -451,7 +440,7 @@ func (p *Pipeline) Train(ctx context.Context, cur *Curation, spec TrainSpec) (fu
 	span.SetStr("fusion", string(spec.Fusion))
 	schema := spec.Schema
 	if schema == nil {
-		schema = p.SchemaFor(spec.ModelSets, spec.IncludeModalityFeatures, spec.IncludeModalityFeatures)
+		schema = p.SchemaFor(spec.ModelSets, true, true)
 	}
 	cfg := fusion.Config{Schema: schema, Model: p.modelConfig(spec.Model), MaxVocab: p.opts.MaxVocab}
 	var corpora []fusion.Corpus

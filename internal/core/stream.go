@@ -125,9 +125,6 @@ func (p *Pipeline) CurateStreamed(ctx context.Context, w *synth.World, task *syn
 	if sopts.Dir == "" {
 		return nil, fmt.Errorf("core: StreamOptions.Dir is required")
 	}
-	if p.opts.LFSource == ExpertLFs {
-		return nil, fmt.Errorf("core: streamed curation supports mined LFs only")
-	}
 	ctx, span := trace.Start(ctx, "pipeline.curate_streamed")
 	defer span.End()
 

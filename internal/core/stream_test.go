@@ -116,6 +116,9 @@ func streamedEqual(t *testing.T, got, want *StreamedCuration) {
 	exact("ws_recall", g.WSRecall, w.WSRecall)
 	exact("ws_f1", g.WSF1, w.WSF1)
 	exact("ws_coverage", g.WSCoverage, w.WSCoverage)
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("report drift:\n  got  %+v\n  want %+v", g, w)
+	}
 }
 
 // asStreamed carries an in-memory curation's outputs for streamedEqual.
@@ -126,7 +129,9 @@ func asStreamed(cur *Curation) *StreamedCuration {
 // TestCurateStreamedMatchesCurate: the streamed path and the in-memory path
 // must produce bit-identical curations at the same configuration — the
 // package-internal version of the contract's streamed runs, comparing every
-// probabilistic label instead of a digest.
+// probabilistic label and the whole report instead of a digest. Expert LFs
+// stream too: the expert gathers its dev rows from the text store, whether
+// that holds one chunk or several.
 func TestCurateStreamedMatchesCurate(t *testing.T) {
 	_, w, task := streamEnv(t)
 	opts := streamOptions()
@@ -139,6 +144,19 @@ func TestCurateStreamedMatchesCurate(t *testing.T) {
 	cur, err := p.Curate(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	expert := streamOptions()
+	expert.LFSource = ExpertLFs
+	expertCur, err := newStreamPipeline(t, expert).Curate(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := streamDSConfig().NumText // one chunk holds the whole text corpus
+	for _, chunk := range []int{all, 257} {
+		t.Run(fmt.Sprintf("expert/chunk=%d", chunk), func(t *testing.T) {
+			streamedEqual(t, runStreamed(t, expert, StreamOptions{Dir: t.TempDir(), ChunkSize: chunk}), asStreamed(expertCur))
+		})
 	}
 
 	sc := runStreamed(t, opts, StreamOptions{Dir: t.TempDir(), ChunkSize: 128})
@@ -190,20 +208,12 @@ func TestCurateStreamedRefusesDirtyStore(t *testing.T) {
 	}
 }
 
-// TestCurateStreamedRequiresDir and mined-LF gating.
+// TestCurateStreamedConfigErrors: a streamed curation needs a store Dir.
 func TestCurateStreamedConfigErrors(t *testing.T) {
-	opts := streamOptions()
-	p := newStreamPipeline(t, opts)
+	p := newStreamPipeline(t, streamOptions())
 	_, w, task := streamEnv(t)
 	if _, err := p.CurateStreamed(context.Background(), w, task, streamDSConfig(), StreamOptions{}); err == nil {
 		t.Fatal("missing Dir accepted")
-	}
-
-	opts.LFSource = ExpertLFs
-	pe := newStreamPipeline(t, opts)
-	_, err := pe.CurateStreamed(context.Background(), w, task, streamDSConfig(), StreamOptions{Dir: t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "mined LFs only") {
-		t.Fatalf("expert LFs not rejected: %v", err)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // TestStoreDirBitIdentityAndReuse pins the -store contract: a suite routed
 // through a disk-backed feature store produces bit-identical curations to
-// the regenerating in-memory suite, later runs over the same store (and every
-// other mined-LF variant) reuse the featurized chunks instead of recomputing
-// them, and an expert-LF variant — which cannot stream — curates in memory.
+// the regenerating in-memory suite, and later runs over the same store — every
+// other variant, the expert-LF one included — reuse the featurized chunks
+// instead of recomputing them.
 func TestStoreDirBitIdentityAndReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds several curations")
@@ -80,14 +80,14 @@ func TestStoreDirBitIdentityAndReuse(t *testing.T) {
 		t.Error("second no-prop lookup curated again instead of hitting the cache")
 	}
 
-	// Expert LFs cannot stream: under a store the expert variant curates in
-	// memory, touches no chunk, and matches the in-memory suite's.
+	// The expert-LF variant streams too: it reuses the same chunks and
+	// matches the in-memory suite's curation.
 	expWarm, err := warm.curation(ctx, tcWarm, expertNoPropVariant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.ReusedChunks() != afterNoProp {
-		t.Errorf("expert variant read the store: %d reused chunks, want %d", warm.ReusedChunks(), afterNoProp)
+	if warm.ReusedChunks() <= afterNoProp {
+		t.Errorf("expert variant reused no chunks: %d after vs %d before", warm.ReusedChunks(), afterNoProp)
 	}
 	expMem, err := mem.curation(ctx, tcMem, expertNoPropVariant)
 	if err != nil {

@@ -221,10 +221,9 @@ func (s *Suite) curation(ctx context.Context, tc *taskContext, v variant) (*core
 // featurized chunks under StoreDir/<task> and, on later runs against the
 // same store (including every other variant, whose featurization is
 // identical), reuses committed chunks instead of recomputing them; with
-// GraphWindow 0 its output is bit-identical to Pipeline.Curate. The streamed
-// path mines its LFs, so expert-LF variants always curate in memory.
+// GraphWindow 0 its output is bit-identical to Pipeline.Curate.
 func (s *Suite) curate(ctx context.Context, pipe *core.Pipeline, ds *synth.Dataset) (*core.Curation, error) {
-	if s.cfg.StoreDir == "" || pipe.Options().LFSource == core.ExpertLFs {
+	if s.cfg.StoreDir == "" {
 		return pipe.Curate(ctx, ds)
 	}
 	sc, err := pipe.CurateStreamed(ctx, s.world, ds.Task, s.datasetConfig(), core.StreamOptions{

@@ -1,16 +1,15 @@
 // Package lifecycle closes the loop the paper's deployment story assumes
 // around the static pipeline: a controller that watches serving-time feature
-// and score distributions for drift, triggers streamed re-mining and
-// retraining on a fresh window when a detector trips, shadow-scores the
-// candidate against the incumbent on live-replayed traffic, and promotes it
-// through the serving registry's canary-validated hot swap only on metric
-// non-regression. Snorkel DryBell runs on TFX precisely so models are
-// re-mined and refreshed as the organization's data shifts (§2.4);
-// "Changing Modalities" treats that shift as the normal operating
-// condition. This package is the composition layer over internal/monitor
-// (detection + shadow comparison), internal/core (re-mine + retrain),
-// internal/fusion (lineage-stamped artifacts), and internal/serve
-// (canary-gated /admin/reload).
+// and score distributions for drift, triggers re-mining and retraining on a
+// fresh window when a detector trips, shadow-scores the candidate against the
+// incumbent on live-replayed traffic, and promotes it through the serving
+// registry's canary-validated hot swap only on metric non-regression.
+// Snorkel DryBell runs on TFX precisely so models are re-mined and refreshed
+// as the organization's data shifts (§2.4); "Changing Modalities" treats that
+// shift as the normal operating condition. This package is the composition
+// layer over internal/monitor (detection + shadow comparison), internal/core
+// (re-mine + retrain), internal/fusion (lineage-stamped artifacts), and
+// internal/serve (canary-gated /admin/reload).
 //
 // Everything is virtual-time deterministic: windows are counted, not
 // clocked; every seed derives from (Config.Seed, window, attempt); events
@@ -76,7 +75,7 @@ type Config struct {
 	// Only an evicted entry's point is derived again, and featurization is
 	// deterministic in the point, so it recomputes to the same values.
 	Store *featurestore.Store
-	// Pipe re-mines and retrains candidates (Bootstrap's stream-mines).
+	// Pipe re-mines and retrains candidates.
 	Pipe *core.Pipeline
 	// BaseURL is the serving endpoint ("http://127.0.0.1:port").
 	BaseURL string
@@ -199,8 +198,8 @@ func New(cfg Config) (*Controller, error) {
 
 // Bootstrap wires the drift episode cmd/lifecycle and this package's tests
 // replay: over cfg.Traffic, drawn from the base world, it builds the
-// stream-mining retraining pipeline, trains the bootstrap incumbent on epoch
-// 0 (a cfg.Retrain-sized draw at cfg.Seed) and serves it. The caller sets
+// retraining pipeline, trains the bootstrap incumbent on epoch 0 (a
+// cfg.Retrain-sized draw at cfg.Seed) and serves it. The caller sets
 // cfg's Traffic, WindowSize, Retrain, ArtifactDir and Seed; Bootstrap
 // returns cfg with Store, Pipe, Incumbent and IncumbentPath filled, and the
 // server whose Handler the caller exposes at cfg.BaseURL and then closes.
@@ -213,7 +212,7 @@ func Bootstrap(ctx context.Context, world *synth.World, cfg Config, workers int)
 		return Config{}, nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.StreamMining, opts.Workers, opts.Seed = true, workers, cfg.Seed
+	opts.Workers, opts.Seed = workers, cfg.Seed
 	opts.MaxGraphSeeds, opts.GraphDevNodes, opts.Graph.MaxCandidates = 1200, 500, 120
 	opts.Model = model.Config{Epochs: 5, LearningRate: 0.02, Seed: cfg.Seed, Workers: workers}
 	if cfg.Pipe, err = core.NewPipeline(lib, opts); err != nil {
@@ -319,7 +318,7 @@ func (c *Controller) step(ctx context.Context, w int) error {
 		Detail: monitor.Summarize(verdicts)})
 	// Only the shadow comparison needs the points themselves, for labels.
 	pts := c.cfg.Traffic.Window(first, n)
-	return c.retrainAndMaybePromote(ctx, w, pts, vecs, channels)
+	return c.retrainAndMaybePromote(ctx, w, pts, vecs, scores, channels)
 }
 
 // observe serves traffic IDs [first, first+n) through /predict and reads the
@@ -342,7 +341,7 @@ func (c *Controller) observe(ctx context.Context, first, n int, point func(id in
 
 // retrainAndMaybePromote runs the re-mine → retrain → shadow → promote arm
 // of the loop, retrying training up to maxRetrainAttempts.
-func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string) error {
+func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, scores []float64, channels string) error {
 	for attempt := 1; attempt <= maxRetrainAttempts; attempt++ {
 		if hook := c.cfg.RetrainHook; hook != nil {
 			if err := hook(w, attempt); err != nil {
@@ -363,7 +362,7 @@ func (c *Controller) retrainAndMaybePromote(ctx context.Context, w int, pts []*s
 		c.res.Retrains++
 		c.emit(Event{Window: w, Type: EventRetrain,
 			Detail: fmt.Sprintf("attempt %d, %d LFs", attempt, lfCount)})
-		return c.shadowAndPromote(ctx, w, pts, vecs, channels, cand)
+		return c.shadowAndPromote(ctx, w, pts, vecs, scores, channels, cand)
 	}
 	// Out of attempts: give up until the next trip. The streak persists,
 	// so a sustained shift re-trips on the next window.
@@ -393,16 +392,18 @@ func (c *Controller) retrain(ctx context.Context, w, attempt int) (fusion.Predic
 }
 
 // shadowAndPromote compares the candidate against the incumbent on the
-// tripped window's live traffic (pts and the vecs served for them) and
-// promotes through /admin/reload on non-regression.
-func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, channels string, cand fusion.Predictor) error {
+// tripped window's live traffic (pts, the vecs served for them and the
+// incumbent's served scores) and promotes through /admin/reload on
+// non-regression.
+func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.Point, vecs []*feature.Vector, scores []float64, channels string, cand fusion.Predictor) error {
 	// A fixed 0.5 cut can sit above everything a low-base-rate model emits,
 	// making every estimate vacuously zero. Anchor the flag threshold to the
 	// incumbent's own score distribution on this window instead: flag its
-	// top decile.
+	// top decile. The server scored the window with the incumbent, and a
+	// served score is PredictBatch's bit for bit.
 	shadowCfg := monitor.Config{
 		Seed:      c.cfg.Seed ^ int64(w)<<16,
-		Threshold: scoreQuantile(c.incumbent.PredictBatch(vecs), 0.9),
+		Threshold: scoreQuantile(scores, 0.9),
 	}
 	cmp, err := monitor.Compare("incumbent", c.incumbent, "candidate", cand,
 		pts, vecs, func(p *synth.Point) int8 { return p.Label }, shadowCfg)

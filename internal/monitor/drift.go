@@ -161,8 +161,7 @@ func CatPSI(ref, cur map[string]float64) float64 {
 // the reference, one verdict per channel present in both, in channel-name
 // order. KS does not apply to unordered categories, so KSP is pinned to 1
 // and the PSI threshold alone decides. Pure, like DetectDrift.
-func DetectCategoricalDrift(cfg DriftConfig, ref, cur CatSnapshot) []Verdict {
-	cfg = cfg.withDefaults()
+func DetectCategoricalDrift(_ DriftConfig, ref, cur CatSnapshot) []Verdict {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := ref[name]; ok {
@@ -180,7 +179,7 @@ func DetectCategoricalDrift(cfg DriftConfig, ref, cur CatSnapshot) []Verdict {
 			curTot += n
 		}
 		v := Verdict{Channel: name, N: int(curTot), KSP: 1}
-		if int(refTot) >= cfg.MinSamples && int(curTot) >= cfg.MinSamples {
+		if int(refTot) >= minSamples && int(curTot) >= minSamples {
 			v.PSI = CatPSI(ref[name], cur[name])
 			v.Drifted = v.PSI > psiThreshold
 		}
@@ -208,27 +207,18 @@ const (
 	// psiBins is the histogram resolution for PSI, with edges at reference
 	// quantiles.
 	psiBins = 10
+	// minSamples skips channels with fewer samples than this on either
+	// side: tiny windows make both tests meaningless.
+	minSamples = 50
+	// consecutive is how many successive drifted windows a channel needs
+	// before a Tracker trips: a single odd window self-heals.
+	consecutive = 2
 )
 
-// DriftConfig tunes the detectors.
-type DriftConfig struct {
-	// MinSamples skips channels with fewer samples than this on either
-	// side — tiny windows make both tests meaningless (default 50).
-	MinSamples int
-	// Consecutive is how many successive drifted windows a channel needs
-	// before a Tracker trips (default 2; a single odd window self-heals).
-	Consecutive int
-}
-
-func (c DriftConfig) withDefaults() DriftConfig {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 50
-	}
-	if c.Consecutive <= 0 {
-		c.Consecutive = 2
-	}
-	return c
-}
+// DriftConfig selects nothing: the detectors' sample floor and the
+// Tracker's streak length are the constants minSamples and consecutive. It
+// is kept because bench/ passes DriftConfig{} (ROADMAP item 2).
+type DriftConfig struct{}
 
 // Verdict is one channel's drift decision for one window.
 type Verdict struct {
@@ -402,10 +392,9 @@ func PSIFromSamples(ref, cur []float64, bins int) float64 {
 // DetectDrift compares the current window against the reference window
 // channel by channel and returns a verdict per channel present in both, in
 // channel-name order. A channel drifts when the KS test rejects at ksAlpha
-// or the PSI exceeds psiThreshold. Pure: the same (cfg, ref, cur) always
+// or the PSI exceeds psiThreshold. Pure: the same (ref, cur) always
 // returns the same verdicts.
-func DetectDrift(cfg DriftConfig, ref, cur Snapshot) []Verdict {
-	cfg = cfg.withDefaults()
+func DetectDrift(_ DriftConfig, ref, cur Snapshot) []Verdict {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := ref[name]; ok {
@@ -417,7 +406,7 @@ func DetectDrift(cfg DriftConfig, ref, cur Snapshot) []Verdict {
 	for _, name := range names {
 		r, c := ref[name], cur[name]
 		v := Verdict{Channel: name, N: len(c)}
-		if len(r) >= cfg.MinSamples && len(c) >= cfg.MinSamples {
+		if len(r) >= minSamples && len(c) >= minSamples {
 			v.KS = KSStat(r, c)
 			v.KSP = KSPValue(v.KS, len(r), len(c))
 			v.PSI = PSIFromSamples(r, c, psiBins)
@@ -439,10 +428,9 @@ type refChannel struct {
 	counts []float64
 }
 
-// newRefChannel does r's side of the tests; a sample under minSamples (a
-// defaulted DriftConfig's, so at least 1) is never tested, so only its size
-// is kept.
-func newRefChannel(r []float64, minSamples int) *refChannel {
+// newRefChannel does r's side of the tests; a sample under minSamples is
+// never tested, so only its size is kept.
+func newRefChannel(r []float64) *refChannel {
 	rc := &refChannel{n: len(r)}
 	if len(r) >= minSamples {
 		rc.sorted = sortedCopy(r)
@@ -455,7 +443,7 @@ func newRefChannel(r []float64, minSamples int) *refChannel {
 // detect is DetectDrift with the reference side read from its refChannel:
 // the same verdicts, in the same order, without sorting or binning the
 // reference again.
-func detect(cfg DriftConfig, refs map[string]*refChannel, cur Snapshot) []Verdict {
+func detect(refs map[string]*refChannel, cur Snapshot) []Verdict {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		if _, ok := refs[name]; ok {
@@ -468,8 +456,8 @@ func detect(cfg DriftConfig, refs map[string]*refChannel, cur Snapshot) []Verdic
 	for _, name := range names {
 		r, c := refs[name], cur[name]
 		v := Verdict{Channel: name, N: len(c)}
-		if r.n >= cfg.MinSamples && len(c) >= cfg.MinSamples {
-			sorted = append(sorted[:0], c...) // MinSamples >= 1: neither side is empty
+		if r.n >= minSamples && len(c) >= minSamples {
+			sorted = append(sorted[:0], c...) // minSamples >= 1: neither side is empty
 			sort.Float64s(sorted)
 			v.KS = ksSorted(r.sorted, sorted)
 			v.KSP = KSPValue(v.KS, r.n, len(c))
@@ -486,18 +474,17 @@ func detect(cfg DriftConfig, refs map[string]*refChannel, cur Snapshot) []Verdic
 }
 
 // Tracker accumulates per-channel drift streaks across windows against a
-// fixed reference snapshot. It trips when any channel drifts Consecutive
+// fixed reference snapshot. It trips when any channel drifts consecutive
 // windows in a row — one noisy window self-heals, a sustained shift does
 // not. Not safe for concurrent use.
 type Tracker struct {
-	cfg    DriftConfig
 	ref    map[string]*refChannel // nil until SetReference
 	streak map[string]int
 }
 
 // NewTracker builds a tracker; call SetReference before Observe.
-func NewTracker(cfg DriftConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), streak: make(map[string]int)}
+func NewTracker(DriftConfig) *Tracker {
+	return &Tracker{streak: make(map[string]int)}
 }
 
 // SetReference installs the baseline window and clears all streaks. It reads
@@ -508,7 +495,7 @@ func (t *Tracker) SetReference(ref Snapshot) {
 	if ref != nil {
 		t.ref = make(map[string]*refChannel, len(ref))
 		for name, r := range ref {
-			t.ref[name] = newRefChannel(r, t.cfg.MinSamples)
+			t.ref[name] = newRefChannel(r)
 		}
 	}
 	t.streak = make(map[string]int)
@@ -518,18 +505,18 @@ func (t *Tracker) SetReference(ref Snapshot) {
 // verdicts. extra verdicts (e.g. computed from a serving-metrics histogram
 // rather than raw samples) join streak tracking under their own channel
 // names. Returns all verdicts and
-// whether any channel's streak has reached Consecutive.
+// whether any channel's streak has reached consecutive.
 func (t *Tracker) Observe(cur Snapshot, extra ...Verdict) ([]Verdict, bool) {
 	if t.ref == nil {
 		panic("monitor: Tracker.Observe before SetReference")
 	}
-	verdicts := detect(t.cfg, t.ref, cur)
+	verdicts := detect(t.ref, cur)
 	verdicts = append(verdicts, extra...)
 	tripped := false
 	for _, v := range verdicts {
 		if v.Drifted {
 			t.streak[v.Channel]++
-			if t.streak[v.Channel] >= t.cfg.Consecutive {
+			if t.streak[v.Channel] >= consecutive {
 				tripped = true
 			}
 		} else {
@@ -544,7 +531,7 @@ func (t *Tracker) Observe(cur Snapshot, extra ...Verdict) ([]Verdict, bool) {
 func (t *Tracker) TrippedChannels() []string {
 	var out []string
 	for name, n := range t.streak {
-		if n >= t.cfg.Consecutive {
+		if n >= consecutive {
 			out = append(out, name)
 		}
 	}

@@ -158,11 +158,11 @@ func TestInjectedShiftAlwaysDetected(t *testing.T) {
 	}
 }
 
-// A tracker trips only after Consecutive drifted windows, and always within
+// A tracker trips only after consecutive (2) drifted windows, and always within
 // them once the shift is sustained.
 func TestTrackerTripsWithinConsecutiveWindows(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		tr := NewTracker(DriftConfig{Consecutive: 2})
+		tr := NewTracker(DriftConfig{})
 		tr.SetReference(Snapshot{"x": window(seed*100+1, 300, 0)})
 
 		// One clean window, then a sustained shift.
@@ -170,7 +170,7 @@ func TestTrackerTripsWithinConsecutiveWindows(t *testing.T) {
 			t.Fatalf("seed %d: tripped on a clean window", seed)
 		}
 		if _, tripped := tr.Observe(Snapshot{"x": window(seed*100+3, 300, 1.0)}); tripped {
-			t.Fatalf("seed %d: tripped after a single drifted window with Consecutive=2", seed)
+			t.Fatalf("seed %d: tripped after a single drifted window with consecutive=2", seed)
 		}
 		if _, tripped := tr.Observe(Snapshot{"x": window(seed*100+4, 300, 1.0)}); !tripped {
 			t.Fatalf("seed %d: not tripped after 2 consecutive drifted windows", seed)
@@ -183,8 +183,9 @@ func TestTrackerTripsWithinConsecutiveWindows(t *testing.T) {
 
 // TestTrackerMatchesDetectDrift: the tracker does the reference side once,
 // at SetReference, and its verdicts are DetectDrift's bit for bit over random
-// windows — heavy ties, channels too small to test, channels on one side
-// only — and the caller mutating its reference afterwards changes nothing.
+// windows — heavy ties, channels below and above minSamples, channels on one
+// side only — and the caller mutating its reference afterwards changes
+// nothing.
 func TestTrackerMatchesDetectDrift(t *testing.T) {
 	rng := xrand.New(97)
 	sample := func(n int) []float64 {
@@ -205,14 +206,14 @@ func TestTrackerMatchesDetectDrift(t *testing.T) {
 		}
 		return snap
 	}
+	var small, tested int // current-window verdicts below minSamples, and ones tested
 	for trial := 0; trial < 40; trial++ {
-		cfg := DriftConfig{MinSamples: []int{0, 1, 30}[trial%3]}
 		ref := snapshot()
 		kept := Snapshot{}
 		for name, r := range ref {
 			kept[name] = append([]float64(nil), r...)
 		}
-		tr := NewTracker(cfg)
+		tr := NewTracker(DriftConfig{})
 		tr.SetReference(ref)
 		for name := range ref { // the tracker has read its reference already
 			ref[name] = window(rng.Int63(), 60, 3)
@@ -220,7 +221,7 @@ func TestTrackerMatchesDetectDrift(t *testing.T) {
 		for w := 0; w < 6; w++ {
 			cur := snapshot()
 			got, _ := tr.Observe(cur)
-			want := DetectDrift(cfg, kept, cur)
+			want := DetectDrift(DriftConfig{}, kept, cur)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d window %d: %d verdicts, DetectDrift %d", trial, w, len(got), len(want))
 			}
@@ -232,13 +233,21 @@ func TestTrackerMatchesDetectDrift(t *testing.T) {
 					math.Float64bits(g.PSI) != math.Float64bits(d.PSI) {
 					t.Fatalf("trial %d window %d: tracker %+v, DetectDrift %+v", trial, w, g, d)
 				}
+				if d.N < minSamples {
+					small++
+				} else if d.KS != 0 {
+					tested++
+				}
 			}
 		}
+	}
+	if small == 0 || tested == 0 {
+		t.Fatalf("%d verdicts below minSamples, %d tested: the windows miss one side of the floor", small, tested)
 	}
 }
 
 func TestTrackerStreakResetsOnCleanWindow(t *testing.T) {
-	tr := NewTracker(DriftConfig{Consecutive: 2})
+	tr := NewTracker(DriftConfig{})
 	tr.SetReference(Snapshot{"x": window(1, 300, 0)})
 	tr.Observe(Snapshot{"x": window(2, 300, 1.0)}) // streak 1
 	tr.Observe(Snapshot{"x": window(3, 300, 0)})   // clean: resets
@@ -248,7 +257,7 @@ func TestTrackerStreakResetsOnCleanWindow(t *testing.T) {
 }
 
 func TestTrackerExtraVerdictsJoinStreaks(t *testing.T) {
-	tr := NewTracker(DriftConfig{Consecutive: 2})
+	tr := NewTracker(DriftConfig{})
 	tr.SetReference(Snapshot{"x": window(1, 300, 0)})
 	hist := Verdict{Channel: "scores_hist", PSI: 0.9, Drifted: true}
 	clean := Snapshot{"x": window(2, 300, 0)}
@@ -308,7 +317,7 @@ func TestDetectDriftSkipsSmallChannels(t *testing.T) {
 	cur := Snapshot{"x": window(2, 20, 5)} // huge shift, tiny window
 	vs := DetectDrift(DriftConfig{}, ref, cur)
 	if vs[0].Drifted {
-		t.Error("drifted on a window below MinSamples")
+		t.Error("drifted on a window below minSamples")
 	}
 	if vs[0].KSP != 1 {
 		t.Errorf("skipped channel KSP = %v, want 1", vs[0].KSP)
@@ -505,7 +514,7 @@ func TestDetectCategoricalDriftTripsOnMixShift(t *testing.T) {
 
 func TestDetectCategoricalDriftGates(t *testing.T) {
 	cfg := DriftConfig{}
-	// Under MinSamples on either side: verdict is emitted but never drifts.
+	// Under minSamples on either side: verdict is emitted but never drifts.
 	tiny := CatSnapshot{"topic": {"a": 3, "b": 2}}
 	big := CatSnapshot{"topic": {"a": 500, "b": 10}}
 	for _, pair := range [][2]CatSnapshot{{tiny, big}, {big, tiny}} {

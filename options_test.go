@@ -23,7 +23,6 @@ import (
 // ("pkg.Type.Field") that stay without a caller outside their package, each
 // with the reason. Anything else nobody sets becomes a constant beside its use.
 var optionAllow = map[string]string{
-	"core.Options.IncludeModalityFeatures":   "paper hyperparameter: the T+… / I+… end-model feature sets; the core suite turns it off",
 	"core.Options.LFSets":                    "read by bench/'s stage replay, which rebuilds the LF and graph schemas from it (ROADMAP item 2)",
 	"core.Options.LabelModel":                "read by bench/'s stage replay (ROADMAP item 2); its one exported field, ClassBalance, defaults to the dev base rate",
 	"core.Options.MaxVocab":                  "end-model vocabulary cap passed to fusion.Config; nothing sets it yet (0: unlimited)",
@@ -32,13 +31,10 @@ var optionAllow = map[string]string{
 	"core.Options.Prop":                      "read by bench/'s stage replay (ROADMAP item 2); curation sets its one exported field, Prior, to the dev base rate",
 	"core.StreamOptions.ChunkHook":           "injection seam: the crash / resume suite's per-chunk hook",
 	"core.StreamOptions.CommitHook":          "injection seam: passes through to disk.Options.CommitHook",
-	"core.TrainSpec.IncludeModalityFeatures": "copied from core.Options by DefaultTrainSpec",
 	"labelprop.GraphConfig.MinWeight":        "graph hyperparameter: the edge-weight floor (default 0.05); the selection tests vary it",
 	"mining.Config":                          "paper hyperparameter: the mining thresholds (§4.3); internal/experiments sets only MaxOrder, bench/ only NumericQuantiles",
 	"model.Config":                           "paper hyperparameter: the end model; the model suite varies BatchSize, L2 and PositiveWeight",
 	"monitor.Config.Budget":                  "public option (crossmodal.MonitorConfig): a comparison's human-review budget (default 200); Example_lifecycle sets it",
-	"monitor.DriftConfig.Consecutive":        "drift-detector setting (default 2 windows); the drift suite sets it only to its default",
-	"monitor.DriftConfig.MinSamples":         "drift-detector setting (default 50 samples); nothing sets it yet",
 	"synth.Config":                           "the synthetic world's definition",
 	"synth.DatasetConfig.CalibrationSamples": "the synthetic world's definition: task-threshold calibration size",
 }
