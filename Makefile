@@ -35,9 +35,11 @@ cover-check:
 ## then the serving tests twenty more times under it (concurrent requests
 ## share the feature store and the scorer pool, so one pass sees few
 ## interleavings), the streamed-ingest tests ten more times (its three
-## stages hand chunks forward and recycled buffers back across goroutines)
-## and the feature store's concurrency tests ten more times (each block of a
-## miss shares one generator across its points), each under a 5-minute
+## stages hand chunks forward and recycled buffers back across goroutines),
+## the feature store's concurrency tests ten more times (each block of a
+## miss shares one generator across its points) and the lifecycle
+## controller's wire tests and golden episode ten more times (a window's
+## /predict chunks ride two concurrent lanes), each under a 5-minute
 ## -timeout so a hang fails with a goroutine dump,
 ## then the short tests natively for 32-bit 386 (every package but
 ## internal/core, whose expert-LF digest differs there: ROADMAP item 15b),
@@ -67,6 +69,7 @@ gate-full:
 	$(GO) test -race -timeout 5m -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
 	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
 	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
+	$(GO) test -race -timeout 5m -count=10 -run 'ScoreWindow|PredictBody|LifecycleGolden' ./internal/lifecycle/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
 	@for bound in model:16 feature:12 synth:8 resource:0 labelmodel:0 labelprop:0; do \
 		pkg=$${bound%:*}; max=$${bound#*:}; \

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"crossmodal/internal/mapreduce"
+	"crossmodal/internal/synth"
 )
 
 // TestFeaturizeMissAllocsPerBatch: an all-miss batch allocates, beyond each
-// point's own vector and its cache entry (an LRU element and its payload),
-// a budget that does not grow with the batch — no generator per point and no
-// bookkeeping that regrows as misses pile up.
+// point's own vector, a budget that does not grow with the batch — no
+// generator per point, no heap object per cache entry, and no bookkeeping
+// that regrows as misses pile up.
 func TestFeaturizeMissAllocsPerBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime adds allocations")
@@ -30,8 +31,40 @@ func TestFeaturizeMissAllocsPerBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}) - newStore
-		if extra := got - vecs - 2*float64(n); extra > perCall {
-			t.Errorf("%d-point miss: %v allocations, %v beyond the vectors and entries (budget %d)", n, got, extra, perCall)
+		if extra := got - vecs; extra > perCall {
+			t.Errorf("%d-point miss: %v allocations, %v beyond the vectors (budget %d)", n, got, extra, perCall)
 		}
+	}
+}
+
+// TestEvictingInsertAllocsNothing: once a store is full, an insert reuses the
+// evicted entry's slot, so it allocates nothing beyond the vector the caller
+// brings.
+func TestEvictingInsertAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds allocations")
+	}
+	lib, pts := env(t)
+	const capacity = pageSlots + 64
+	s, err := New(lib, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := lib.FeaturizePoint(pts[0])
+	id := 0
+	insert := func() {
+		s.mu.Lock()
+		s.insertLocked(Key{ID: id, Modality: synth.Image}, vec)
+		s.mu.Unlock()
+		id++
+	}
+	for range 4 * capacity {
+		insert()
+	}
+	if got := testing.AllocsPerRun(1000, insert); got != 0 {
+		t.Errorf("an evicting insert allocates %v times", got)
+	}
+	if s.Len() != capacity {
+		t.Errorf("%d entries, capacity %d", s.Len(), capacity)
 	}
 }

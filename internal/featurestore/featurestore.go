@@ -7,9 +7,9 @@
 package featurestore
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"crossmodal/internal/feature"
@@ -38,13 +38,14 @@ type Store struct {
 	lib      *resource.Library
 	capacity int
 
-	mu        sync.Mutex
-	entries   map[Key]*list.Element // point → LRU element
-	lru       *list.List            // front = most recent
-	hits      int
-	misses    int
-	evicted   int
-	coalesced int
+	mu         sync.Mutex
+	entries    map[Key]int32 // point → its slot in the slab
+	pages      [][]entry     // the slab: slot i is pages[i/pageSlots][i%pageSlots]
+	head, tail int32         // most and least recently used slot, -1 when empty
+	hits       int
+	misses     int
+	evicted    int
+	coalesced  int
 }
 
 // Key is the cache key: a point's rendering. One ID names one entity, but
@@ -58,24 +59,35 @@ type Key struct {
 
 func keyOf(p *synth.Point) Key { return Key{p.ID, p.Modality, p.Frames} }
 
-// cacheEntry is one LRU slot.
-type cacheEntry struct {
-	key Key
-	vec *feature.Vector
+// entry is one slot of the store's slab, linked to its neighbours in
+// recency order by slot index (-1 ends the list). A full store reuses its
+// least recently used slot for the next insert, so a steady-state insert
+// allocates nothing for its entry.
+type entry struct {
+	key        Key
+	vec        *feature.Vector
+	prev, next int32
 }
 
+// pageSlots is how many slots one page of the slab holds. The slab grows a
+// page at a time, so a store allocates only for about as many entries as it
+// holds, and no growth copies an entry.
+const pageSlots = 1024
+
+// slot returns slot i's entry.
+func (s *Store) slot(i int32) *entry { return &s.pages[i/pageSlots][i%pageSlots] }
+
 // New builds a store over lib holding at most capacity vectors (capacity <=
-// 0 means unbounded).
+// 0 means unbounded). A slot is an int32 index, so capacity is at most
+// math.MaxInt32.
 func New(lib *resource.Library, capacity int) (*Store, error) {
 	if lib == nil {
 		return nil, fmt.Errorf("featurestore: nil library")
 	}
-	return &Store{
-		lib:      lib,
-		capacity: capacity,
-		entries:  make(map[Key]*list.Element),
-		lru:      list.New(),
-	}, nil
+	if capacity > math.MaxInt32 {
+		return nil, fmt.Errorf("featurestore: capacity %d above %d", capacity, math.MaxInt32)
+	}
+	return &Store{lib: lib, capacity: capacity, entries: make(map[Key]int32), head: -1, tail: -1}, nil
 }
 
 // Library returns the wrapped resource library.
@@ -106,18 +118,65 @@ func (s *Store) Coalesced() int {
 // insertLocked stores a vector under a point key, evicting the least
 // recently used entry when over capacity. The caller holds s.mu.
 func (s *Store) insertLocked(key Key, vec *feature.Vector) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).vec = vec
-		s.lru.MoveToFront(el)
+	if i, ok := s.entries[key]; ok {
+		s.slot(i).vec = vec
+		s.touchLocked(i)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&cacheEntry{key: key, vec: vec})
-	if s.capacity > 0 && s.lru.Len() > s.capacity {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
+	// Every slot holds a live key, so the entry count is the next free slot.
+	i := int32(len(s.entries))
+	if s.capacity > 0 && len(s.entries) >= s.capacity {
+		i = s.tail
+		s.unlinkLocked(i)
+		delete(s.entries, s.slot(i).key)
 		s.evicted++
+	} else if i%pageSlots == 0 {
+		n := pageSlots
+		if s.capacity > 0 {
+			n = min(n, s.capacity-int(i)) // the last page holds what the capacity leaves
+		}
+		s.pages = append(s.pages, make([]entry, n))
 	}
+	e := s.slot(i)
+	e.key, e.vec = key, vec
+	s.entries[key] = i
+	s.pushFrontLocked(i)
+}
+
+// touchLocked marks slot i most recently used. The caller holds s.mu.
+func (s *Store) touchLocked(i int32) {
+	if s.head != i {
+		s.unlinkLocked(i)
+		s.pushFrontLocked(i)
+	}
+}
+
+// unlinkLocked takes slot i out of the recency list. The caller holds s.mu.
+func (s *Store) unlinkLocked(i int32) {
+	e := s.slot(i)
+	if e.prev >= 0 {
+		s.slot(e.prev).next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.slot(e.next).prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+// pushFrontLocked links slot i in as the most recently used. The caller
+// holds s.mu.
+func (s *Store) pushFrontLocked(i int32) {
+	e := s.slot(i)
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.slot(s.head).prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }
 
 // Featurize returns feature vectors for pts, computing only cache misses
@@ -167,10 +226,10 @@ func (s *Store) featurize(ctx context.Context, cfg mapreduce.Config, n int, key 
 	s.mu.Lock()
 	for i := 0; i < n; i++ {
 		k := key(i)
-		if el, ok := s.entries[k]; ok {
+		if j, ok := s.entries[k]; ok {
 			s.hits++
-			s.lru.MoveToFront(el)
-			out[i] = el.Value.(*cacheEntry).vec
+			s.touchLocked(j)
+			out[i] = s.slot(j).vec
 			continue
 		}
 		s.misses++

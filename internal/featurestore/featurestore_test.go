@@ -3,6 +3,9 @@ package featurestore
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -159,6 +162,58 @@ func TestLRUOrdering(t *testing.T) {
 	}
 }
 
+// TestLRUMatchesReference: random inserts and hits leave the store's slab
+// recency list, walked both ways, in the order a move-to-front slice keeps,
+// and evict the keys that slice drops — on one short page and across a full
+// page into a short last one.
+func TestLRUMatchesReference(t *testing.T) {
+	lib, pts := env(t)
+	vec := lib.FeaturizePoint(pts[0])
+	for _, capacity := range []int{5, pageSlots + 5} {
+		s, err := New(lib, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := capacity + capacity/2 + 2
+		var ref, fwd, back []Key // ref most recent first
+		evicted := 0
+		rng := rand.New(rand.NewSource(7))
+		for op := 0; op < 4*keys; op++ {
+			k := Key{ID: rng.Intn(keys), Modality: synth.Image}
+			at := slices.Index(ref, k)
+			s.mu.Lock()
+			if i, ok := s.entries[k]; ok && rng.Intn(2) == 0 {
+				s.touchLocked(i) // the hit path
+			} else {
+				s.insertLocked(k, vec)
+				if at < 0 && len(ref) == capacity {
+					ref = ref[:capacity-1]
+					evicted++
+				}
+			}
+			if at >= 0 {
+				ref = slices.Delete(ref, at, at+1)
+			}
+			ref = slices.Insert(ref, 0, k)
+			fwd, back = fwd[:0], back[:0]
+			for i := s.head; i >= 0; i = s.slot(i).next {
+				fwd = append(fwd, s.slot(i).key)
+			}
+			for i := s.tail; i >= 0; i = s.slot(i).prev {
+				back = append(back, s.slot(i).key)
+			}
+			s.mu.Unlock()
+			slices.Reverse(back)
+			if !slices.Equal(fwd, ref) || !slices.Equal(back, ref) || s.Len() != len(ref) {
+				t.Fatalf("capacity %d, op %d: head→tail %v, tail→head %v, %d entries; reference %v", capacity, op, fwd, back, s.Len(), ref)
+			}
+		}
+		if _, _, got := s.Stats(); got != evicted || evicted == 0 {
+			t.Errorf("capacity %d: evicted %d, reference %d", capacity, got, evicted)
+		}
+	}
+}
+
 func mustFeaturize(t *testing.T, s *Store, ctx context.Context, cfg mapreduce.Config, pts []*synth.Point) {
 	t.Helper()
 	if _, err := s.Featurize(ctx, cfg, pts); err != nil {
@@ -169,6 +224,12 @@ func mustFeaturize(t *testing.T, s *Store, ctx context.Context, cfg mapreduce.Co
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 0); err == nil {
 		t.Error("expected error for nil library")
+	}
+	lib, _ := env(t)
+	over := math.MaxInt32
+	over++ // wraps negative, which is unbounded, where int has 32 bits
+	if _, err := New(lib, over); over > 0 && err == nil {
+		t.Error("expected error for a capacity past an int32 slot index")
 	}
 }
 

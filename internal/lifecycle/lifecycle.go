@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"crossmodal/internal/core"
@@ -120,6 +121,10 @@ func (c Config) withDefaults() Config {
 const (
 	// batchSize is how many points ride one /predict request.
 	batchSize = 32
+	// lanes is how many /predict requests scoreWindow keeps in flight. It is
+	// net/http's DefaultMaxIdleConnsPerHost, so the default client keeps one
+	// connection alive per lane between windows.
+	lanes = 2
 	// precisionMargin and recallMargin bound the regression a candidate may
 	// show in shadow scoring and still promote.
 	precisionMargin = 0.1
@@ -175,8 +180,8 @@ type Controller struct {
 	cooldown int
 	needRef  bool // rebaseline on the next window (startup, post-promotion)
 
-	body, reply bytes.Buffer       // post's request and reply bodies, reused
-	keys        []featurestore.Key // observe's store keys, reused
+	lane [lanes]lane        // scoreWindow's request streams; lane 0 also posts reloads
+	keys []featurestore.Key // observe's store keys, reused
 
 	res Result
 }
@@ -400,12 +405,14 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 	// making every estimate vacuously zero. Anchor the flag threshold to the
 	// incumbent's own score distribution on this window instead: flag its
 	// top decile. The server scored the window with the incumbent, and a
-	// served score is PredictBatch's bit for bit.
+	// served score is PredictBatch's bit for bit, so the served scores are
+	// also the incumbent's side of the comparison: only the candidate scores
+	// the window here.
 	shadowCfg := monitor.Config{
 		Seed:      c.cfg.Seed ^ int64(w)<<16,
 		Threshold: scoreQuantile(scores, 0.9),
 	}
-	cmp, err := monitor.Compare("incumbent", c.incumbent, "candidate", cand,
+	cmp, err := monitor.CompareScored("incumbent", scores, "candidate", cand,
 		pts, vecs, func(p *synth.Point) int8 { return p.Label }, shadowCfg)
 	if err != nil {
 		return err
@@ -462,33 +469,67 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 
 // scoreWindow posts traffic IDs [first, first+n) through /predict in
 // batchSize chunks and returns their scores in traffic order. Traffic points
-// are image points, so an ID is the whole request. One request slice serves
-// every chunk, and each reply decodes straight into the tail of scores.
+// are image points, so an ID is the whole request. Chunk k rides lane k mod
+// lanes, each lane with one request in flight, and its reply decodes straight
+// into scores[k·batchSize:], so the order of the scores is fixed by offset,
+// not by which reply lands first. The first error cancels the other lane and
+// is the one returned; either way scoreWindow returns only after both lanes
+// are done, so windows never overlap.
 func (c *Controller) scoreWindow(ctx context.Context, first, n int) ([]float64, error) {
-	scores := make([]float64, 0, n)
-	batch := struct {
-		Points []serve.PointRequest `json:"points"`
-	}{Points: make([]serve.PointRequest, 0, min(batchSize, n))}
-	for lo := first; lo < first+n; lo += batchSize {
-		hi := min(lo+batchSize, first+n)
-		batch.Points = batch.Points[:0]
-		for id := lo; id < hi; id++ {
-			batch.Points = append(batch.Points, serve.PointRequest{ID: id, Modality: string(synth.Image)})
-		}
-		// Unmarshal appends to a slice it empties first, so the reply lands
-		// in scores' spare capacity unless it is longer than the batch.
-		pr := struct {
-			Scores []float64 `json:"scores"`
-		}{Scores: scores[len(scores):]}
-		if err := c.post(ctx, "/predict", &batch, &pr); err != nil {
-			return nil, fmt.Errorf("predict: %w", err)
-		}
-		if len(pr.Scores) != hi-lo {
-			return nil, fmt.Errorf("predict returned %d scores for %d points", len(pr.Scores), hi-lo)
-		}
-		scores = append(scores, pr.Scores...)
+	scores := make([]float64, n)
+	chunks := (n + batchSize - 1) / batchSize
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var wg sync.WaitGroup
+	for l := range min(lanes, chunks) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := l; k < chunks; k += lanes {
+				lo := k * batchSize
+				if err := c.scoreChunk(ctx, &c.lane[l], first+lo, scores[lo:min(lo+batchSize, n)]); err != nil {
+					cancel(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	return scores, nil
+}
+
+// lane is one stream of /predict requests: its request slice and its request
+// and reply bodies are reused from chunk to chunk.
+type lane struct {
+	batch struct {
+		Points []serve.PointRequest `json:"points"`
+	}
+	body, reply bytes.Buffer
+}
+
+// scoreChunk posts IDs [first, first+len(out)) on lane l and decodes their
+// scores into out.
+func (c *Controller) scoreChunk(ctx context.Context, l *lane, first int, out []float64) error {
+	l.batch.Points = l.batch.Points[:0]
+	for id := first; id < first+len(out); id++ {
+		l.batch.Points = append(l.batch.Points, serve.PointRequest{ID: id, Modality: string(synth.Image)})
+	}
+	// Unmarshal appends to a slice it empties first, and out's capacity ends
+	// at its length, so a reply of the right length lands in out itself and
+	// a longer one in a fresh array, never in another chunk's scores.
+	pr := struct {
+		Scores []float64 `json:"scores"`
+	}{Scores: out[:0:len(out)]}
+	if err := c.post(ctx, l, "/predict", &l.batch, &pr); err != nil {
+		return fmt.Errorf("predict: %w", err)
+	}
+	if len(pr.Scores) != len(out) {
+		return fmt.Errorf("predict returned %d scores for %d points", len(pr.Scores), len(out))
+	}
+	return nil
 }
 
 // reload POSTs /admin/reload and returns the new serving generation.
@@ -496,20 +537,20 @@ func (c *Controller) reload(ctx context.Context, path string) (uint64, error) {
 	var rr struct {
 		Seq uint64 `json:"seq"`
 	}
-	err := c.post(ctx, "/admin/reload", map[string]string{"path": path}, &rr)
+	err := c.post(ctx, &c.lane[0], "/admin/reload", map[string]string{"path": path}, &rr)
 	return rr.Seq, err
 }
 
 // post sends in as a JSON POST to the serving endpoint and decodes a 200
 // reply into out; any other status is an error carrying the reply body. The
-// request and reply bodies reuse the controller's two buffers.
-func (c *Controller) post(ctx context.Context, path string, in, out any) error {
-	c.body.Reset()
-	if err := json.NewEncoder(&c.body).Encode(in); err != nil {
+// request and reply bodies reuse lane l's two buffers.
+func (c *Controller) post(ctx context.Context, l *lane, path string, in, out any) error {
+	l.body.Reset()
+	if err := json.NewEncoder(&l.body).Encode(in); err != nil {
 		return err
 	}
-	c.body.Truncate(c.body.Len() - 1) // Encode's newline: send what Marshal would
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(c.body.Bytes()))
+	l.body.Truncate(l.body.Len() - 1) // Encode's newline: send what Marshal would
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(l.body.Bytes()))
 	if err != nil {
 		return err
 	}
@@ -518,16 +559,16 @@ func (c *Controller) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	c.reply.Reset()
-	_, err = c.reply.ReadFrom(resp.Body)
+	l.reply.Reset()
+	_, err = l.reply.ReadFrom(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(c.reply.Bytes()))
+		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(l.reply.Bytes()))
 	}
-	return json.Unmarshal(c.reply.Bytes(), out)
+	return json.Unmarshal(l.reply.Bytes(), out)
 }
 
 // scoreQuantile returns the q-quantile of scores (sorted copy, nearest

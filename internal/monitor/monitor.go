@@ -78,15 +78,21 @@ type Comparison struct {
 // per the sampling scheme, and returns weighted estimates. Traffic vectors
 // must align with points.
 func Compare(nameA string, a fusion.Predictor, nameB string, b fusion.Predictor, traffic []*synth.Point, vecs []*feature.Vector, oracle Oracle, cfg Config) (*Comparison, error) {
+	return CompareScored(nameA, a.PredictBatch(vecs), nameB, b, traffic, vecs, oracle, cfg)
+}
+
+// CompareScored is Compare for a caller that already holds candidate A's
+// scores on the traffic — a server's replies, say — so only B scores vecs.
+// scoresA must align with points.
+func CompareScored(nameA string, scoresA []float64, nameB string, b fusion.Predictor, traffic []*synth.Point, vecs []*feature.Vector, oracle Oracle, cfg Config) (*Comparison, error) {
 	cfg = cfg.withDefaults()
-	if len(traffic) == 0 || len(traffic) != len(vecs) {
-		return nil, fmt.Errorf("monitor: traffic %d points vs %d vectors", len(traffic), len(vecs))
+	if len(traffic) == 0 || len(traffic) != len(vecs) || len(traffic) != len(scoresA) {
+		return nil, fmt.Errorf("monitor: traffic %d points vs %d vectors and %d scores", len(traffic), len(vecs), len(scoresA))
 	}
 	if oracle == nil {
 		return nil, fmt.Errorf("monitor: nil oracle")
 	}
 	n := len(traffic)
-	scoresA := a.PredictBatch(vecs)
 	scoresB := b.PredictBatch(vecs)
 	flagsA := make([]bool, n)
 	flagsB := make([]bool, n)

@@ -135,6 +135,30 @@ func TestCompareIsBitDeterministic(t *testing.T) {
 	}
 }
 
+// TestCompareScoredMatchesCompare: handing CompareScored model A's scores
+// returns Compare's Comparison field for field, at default and custom
+// thresholds and budgets — the lifecycle controller passes the served scores
+// instead of re-scoring the incumbent.
+func TestCompareScoredMatchesCompare(t *testing.T) {
+	pts, vecs, good, bad := env(t, 3000, 0.08, 0.9, 0.7, 14)
+	for _, cfg := range []Config{{Seed: 1}, {Budget: 600, Seed: 13}, {Budget: 150, Threshold: 0.72, Seed: 5}} {
+		want, err := Compare("a", good, "b", bad, pts, vecs, truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompareScored("a", good.PredictBatch(vecs), "b", bad, pts, vecs, truth, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Errorf("%+v: CompareScored %+v, Compare %+v", cfg, *got, *want)
+		}
+	}
+	if _, err := CompareScored("a", good.scores[:5], "b", bad, pts, vecs, truth, Config{}); err == nil {
+		t.Error("expected error for a score per point missing")
+	}
+}
+
 func TestCompareValidation(t *testing.T) {
 	pts, vecs, good, bad := env(t, 10, 0.5, 0.9, 0.5, 7)
 	if _, err := Compare("a", good, "b", bad, nil, nil, truth, Config{}); err == nil {
