@@ -67,7 +67,7 @@ SCALE_N ?= 100000
 gate-full:
 	$(GO) test -race ./...
 	$(GO) test -race -timeout 5m -count=20 -run 'Batcher|Predict|HotSwap|Submit|ScoreConcurrently|DeadlineShed|RefusesFIFO' ./internal/serve/
-	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate' ./internal/core/
+	$(GO) test -race -timeout 5m -count=10 -run 'IngestOverlapFailures|CurateStreamedResume|CurateStreamedChunkInvariance|CurateStreamedMatchesCurate|CurateStreamedWindowed' ./internal/core/
 	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
 	$(GO) test -race -timeout 5m -count=10 -run 'ScoreWindow|PredictBody|LifecycleGolden' ./internal/lifecycle/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')

@@ -169,8 +169,14 @@ func Example_lfmining() {
 
 	// Expert LF authorship: a small sample, by hand (§6.7.1).
 	expert := crossmodal.DefaultExpert()
-	authored := must(expert.Develop(devVecs, devLabels, rand.New(rand.NewSource(7))))
-	fmt.Printf("expert examined %d sampled points: %d LFs\n", expert.SampleSize, len(authored))
+	rng := rand.New(rand.NewSource(7))
+	var sample []*crossmodal.Vector
+	var sampleLabels []int8
+	for _, i := range expert.Sample(len(devVecs), rng) {
+		sample, sampleLabels = append(sample, devVecs[i]), append(sampleLabels, devLabels[i])
+	}
+	authored := must(expert.Develop(sample, sampleLabels, rng))
+	fmt.Printf("expert examined %d sampled points: %d LFs\n", len(sample), len(authored))
 
 	for _, side := range []struct {
 		name string

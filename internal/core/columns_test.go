@@ -14,10 +14,10 @@ import (
 	"crossmodal/internal/trace"
 )
 
-// TestStreamedLFStagesReadColumns: during mining and lf.apply of a streamed
-// run the store is read as columns — each stage's diskstore.scan spans report
-// the rows they covered and decode no vector — while the graph window scans
-// under labelprop still materialize theirs; the two stage spans carry the
+// TestStreamedLFStagesReadColumns: during mining, lf.apply and labelprop of
+// a streamed run the store is read as columns — each stage's diskstore.scan
+// spans report the rows they covered and decode no vector, and the graph
+// window scans stop at the window's chunk; the two LF stage spans carry the
 // rows / views / votes the per-layer ledger divides by, one column view per
 // 128-row chunk.
 func TestStreamedLFStagesReadColumns(t *testing.T) {
@@ -77,10 +77,10 @@ func TestStreamedLFStagesReadColumns(t *testing.T) {
 	if own := stageLine["lf.apply"]; !strings.Contains(own, "votes=") || strings.Contains(own, "votes=0 ") {
 		t.Errorf("lf.apply span lacks a votes counter: %q", own)
 	}
-	// The three graph window scans (scales:means, scales:devs, graph) decode
-	// the window's rows and nothing past it, though its chunk is longer.
-	if scan := scanLine["labelprop"]; !strings.Contains(scan, fmt.Sprintf("vectors=%d]", 3*window)) {
-		t.Errorf("labelprop: the graph window scans must decode %d vectors; span: %q", 3*window, scan)
+	// The three graph window scans (scales:means, scales:devs, graph) read
+	// the window's one chunk as columns, decode no vector and stop there.
+	if scan := scanLine["labelprop"]; !strings.Contains(scan, "[rows=384]") {
+		t.Errorf("labelprop: the graph window scans must read 3 × 128 rows of one chunk as columns; span: %q", scan)
 	}
 }
 

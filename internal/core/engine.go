@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"crossmodal/internal/feature"
@@ -15,28 +16,22 @@ import (
 )
 
 // corpus is what the curation stages need from a featurized corpus: its row
-// count, an in-order chunked scan in the schema the stage works in — as
-// column views for the LF stages (mining, LF apply), decoded into vectors of
-// the first n rows for the graph stages, optionally into a buffer the caller
-// keeps across scans — and random access by point ID. *disk.Store satisfies
-// it as is; memCorpus backs it with slices. Every scan must yield the same
-// rows in the same order, and the stages never depend on where chunks break.
+// count, an in-order chunked scan as column views in the schema the stage
+// works in, and random access by point ID. *disk.Store satisfies it as is;
+// memCorpus backs it with slices. Every scan must yield the same rows in the
+// same order, and the stages never depend on where chunks break.
 type corpus interface {
 	Rows() int
 	ScanColumns(ctx context.Context, target *feature.Schema, fn func(seq int, labels []int8, parts []feature.Columns) error) error
-	ScanFirst(ctx context.Context, target *feature.Schema, n int, buf *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error
 	Find(ctx context.Context, ids []int) (map[int]*feature.Vector, error)
 }
 
 // memCorpus is the in-memory corpus: all rows as one chunk, seq 0 (no chunk
-// when it is empty). Row index is point ID. Column scans read the vectors
-// where they are; each ScanFirst target is projected once and kept for the
-// run — the stages scan the image corpus in the graph schema three times —
-// so ScanFirst slices that projection and never needs a buffer.
+// when it is empty), read as column views over the vectors where they are.
+// Row index is point ID.
 type memCorpus struct {
 	vecs   []*feature.Vector
 	labels []int8
-	proj   map[*feature.Schema][]*feature.Vector
 }
 
 func (c *memCorpus) Rows() int { return len(c.vecs) }
@@ -46,26 +41,6 @@ func (c *memCorpus) ScanColumns(ctx context.Context, target *feature.Schema, fn 
 		return err
 	}
 	return fn(0, c.labels, feature.VectorColumns(target, c.vecs))
-}
-
-func (c *memCorpus) ScanFirst(ctx context.Context, target *feature.Schema, n int, _ *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
-	n = min(n, len(c.vecs))
-	if err := ctx.Err(); err != nil || n <= 0 {
-		return err
-	}
-	vecs, ok := c.proj[target]
-	if !ok {
-		vecs = make([]*feature.Vector, len(c.vecs))
-		for i, v := range c.vecs {
-			vecs[i] = v.Reproject(target)
-		}
-		if c.proj == nil {
-			c.proj = make(map[*feature.Schema][]*feature.Vector)
-		}
-		c.proj[target] = vecs
-	}
-	// Point IDs are the row indices 0..n-1; no stage reads them.
-	return fn(0, nil, c.labels[:n], vecs[:n])
 }
 
 func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector, error) {
@@ -78,13 +53,16 @@ func (c *memCorpus) Find(_ context.Context, ids []int) (map[int]*feature.Vector,
 	return out, nil
 }
 
-// allRows gathers every row of c, decoded into schema, in memory.
-func allRows(ctx context.Context, c corpus, schema *feature.Schema) ([]*feature.Vector, error) {
-	out := make([]*feature.Vector, 0, c.Rows())
-	err := c.ScanFirst(ctx, schema, c.Rows(), nil, func(_ int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		out = append(out, vecs...)
-		return nil
-	})
+// findRows fetches the rows of c with the given point IDs, in ids order; a
+// missing ID is an error.
+func findRows(ctx context.Context, c corpus, ids []int) ([]*feature.Vector, error) {
+	found, err := c.Find(ctx, ids)
+	out := make([]*feature.Vector, len(ids))
+	for i, id := range ids {
+		if out[i] = found[id]; out[i] == nil && err == nil {
+			err = fmt.Errorf("core: row %d missing from corpus", id)
+		}
+	}
 	return out, err
 }
 
@@ -106,10 +84,8 @@ type curateRun struct {
 	window    int
 	chunkHook func(stage string, chunk int) error
 
-	// Composed once per run: memCorpus keys its projections by pointer.
+	// Composed once per run.
 	lfSchema, graphSchema *feature.Schema
-	// windowSlab is the slab every graph window scan decodes into.
-	windowSlab []feature.Vector
 }
 
 // runChunkHook runs a StreamOptions.ChunkHook, if any, after a
@@ -192,15 +168,22 @@ func (r *curateRun) curate(ctx context.Context) ([]float64, []bool, Report, erro
 func (r *curateRun) buildLFs(ctx context.Context, report *Report) ([]*lf.LF, error) {
 	report.LFExamined = r.text.Rows()
 	if r.p.opts.LFSource == ExpertLFs {
-		// The simulated expert samples the whole dev set, so it is gathered
-		// in memory from whichever corpus backs the run.
+		// The simulated expert examines only its sample of the dev set: the
+		// sampled rows are fetched by ID, in the order drawn, and seen
+		// through the LF schema.
 		expert := lf.DefaultExpert()
-		report.LFExamined = min(expert.SampleSize, r.text.Rows())
-		devVecs, err := allRows(ctx, r.text, r.lfSchema)
+		rng := xrand.New(r.p.opts.Seed ^ 0xe4be27)
+		ids := expert.Sample(r.text.Rows(), rng)
+		report.LFExamined = len(ids)
+		sample, err := findRows(ctx, r.text, ids)
 		if err != nil {
 			return nil, fmt.Errorf("core: expert LFs: %w", err)
 		}
-		lfs, err := expert.Develop(devVecs, r.textLabels, xrand.New(r.p.opts.Seed^0xe4be27))
+		labels := make([]int8, len(ids))
+		for i, id := range ids {
+			sample[i], labels[i] = sample[i].Reproject(r.lfSchema), r.textLabels[id]
+		}
+		lfs, err := expert.Develop(sample, labels, rng)
 		if err != nil {
 			return nil, fmt.Errorf("core: expert LFs: %w", err)
 		}
@@ -239,17 +222,48 @@ func (r *curateRun) apply(ctx context.Context, lfs []*lf.LF, c corpus, stage str
 	return matrix, err
 }
 
-// scanWindow replays the image rows inside the graph window in append
-// order, decoded into the graph schema and into r.windowSlab: fn must not
-// keep the vectors.
-func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]*feature.Vector) error) error {
-	return r.image.ScanFirst(ctx, r.graphSchema, r.window, &r.windowSlab, func(seq int, _ []int, _ []int8, vecs []*feature.Vector) error {
-		if err := fn(vecs); err != nil {
+// errWindowDone ends a graph window scan at the window's last chunk.
+var errWindowDone = errors.New("core: graph window scanned")
+
+// scanWindow replays the image rows inside the graph window in append order,
+// as column views under the graph schema: the view holding the window's last
+// row is capped at it, and no later chunk is read. fn must not keep the
+// views.
+func (r *curateRun) scanWindow(ctx context.Context, stage string, fn func([]feature.Columns) error) error {
+	left := r.window
+	err := r.image.ScanColumns(ctx, r.graphSchema, func(seq int, _ []int8, parts []feature.Columns) error {
+		for k, c := range parts {
+			if n := c.Rows(); n < left {
+				left -= n
+				continue
+			}
+			if c.Rows() > left {
+				c = headColumns{c, left}
+			}
+			parts, left = append(parts[:k:k], c), 0
+			break
+		}
+		if err := fn(parts); err != nil {
 			return err
 		}
-		return runChunkHook(r.chunkHook, stage, seq)
+		if err := runChunkHook(r.chunkHook, stage, seq); err != nil || left > 0 {
+			return err
+		}
+		return errWindowDone
 	})
+	if errors.Is(err, errWindowDone) {
+		return nil
+	}
+	return err
 }
+
+// headColumns is a view cut to its first rows rows.
+type headColumns struct {
+	feature.Columns
+	rows int
+}
+
+func (c headColumns) Rows() int { return c.rows }
 
 // fitGraphWeights learns per-feature edge weights from the seeded labeled
 // nodes so discriminative features dominate the graph. A fit that cannot run
@@ -285,18 +299,11 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 	nSeeds, nDev := len(seedIdx), len(devIdx)
 
 	textIdx := append(append(make([]int, 0, nSeeds+nDev), seedIdx...), devIdx...)
-	found, err := r.text.Find(ctx, textIdx)
+	textVecs, err := findRows(ctx, r.text, textIdx)
 	if err != nil {
 		return labelprop.Cuts{}, 0, fmt.Errorf("core: fetch graph seeds: %w", err)
 	}
-	textNodes := make([]*feature.Vector, len(textIdx))
-	for i, ti := range textIdx {
-		v, ok := found[ti]
-		if !ok {
-			return labelprop.Cuts{}, 0, fmt.Errorf("core: text row %d missing from corpus", ti)
-		}
-		textNodes[i] = v.Reproject(gSchema)
-	}
+	textNodes := feature.VectorColumns(gSchema, textVecs)
 
 	seeds := make(map[int]float64, nSeeds)
 	seedLabels := make([]int8, nSeeds)
@@ -314,20 +321,17 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 	// Scales over the full node list in node order: the chunked accumulator
 	// is bit-identical to feature.FitScales over the assembled nodes.
 	acc := feature.NewScalesAccum(gSchema)
-	acc.AddMeans(textNodes)
-	if err := r.scanWindow(ctx, "scales:means", func(proj []*feature.Vector) error {
-		acc.AddMeans(proj)
-		return nil
-	}); err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
-	}
-	acc.FinishMeans()
-	acc.AddDevs(textNodes)
-	if err := r.scanWindow(ctx, "scales:devs", func(proj []*feature.Vector) error {
-		acc.AddDevs(proj)
-		return nil
-	}); err != nil {
-		return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+	for _, stage := range []string{"scales:means", "scales:devs"} {
+		if stage == "scales:devs" {
+			acc.FinishMeans()
+		}
+		acc.AddColumns(textNodes)
+		if err := r.scanWindow(ctx, stage, func(parts []feature.Columns) error {
+			acc.AddColumns(parts)
+			return nil
+		}); err != nil {
+			return labelprop.Cuts{}, 0, fmt.Errorf("core: fit scales: %w", err)
+		}
 	}
 	scales := acc.Scales()
 
@@ -335,7 +339,11 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 	gcfg.Seed = p.opts.Seed ^ 0x6a7f
 	gcfg.Workers = p.opts.Workers
 	if gcfg.Weights == nil && !p.opts.UniformGraphWeights {
-		gcfg.Weights = fitGraphWeights(ctx, textNodes[:nSeeds], seedLabels, scales, p.opts.Seed^0x77)
+		seedNodes := make([]*feature.Vector, nSeeds)
+		for i, v := range textVecs[:nSeeds] {
+			seedNodes[i] = v.Reproject(gSchema)
+		}
+		gcfg.Weights = fitGraphWeights(ctx, seedNodes, seedLabels, scales, p.opts.Seed^0x77)
 	}
 	b, err := labelprop.NewBuilder(gSchema, gcfg, scales)
 	if err != nil {
@@ -345,11 +353,11 @@ func (r *curateRun) propagate(ctx context.Context, matrix, devMatrix *lf.Matrix)
 	// The text nodes ride in the first image chunk's delta, so a one-chunk
 	// corpus is one delta over the whole node list.
 	pending := textNodes
-	err = r.scanWindow(ctx, "graph", func(proj []*feature.Vector) error {
+	err = r.scanWindow(ctx, "graph", func(parts []feature.Columns) error {
 		if pending != nil {
-			proj, pending = append(pending, proj...), nil
+			parts, pending = append(pending, parts...), nil
 		}
-		return b.ApplyDelta(ctx, proj)
+		return b.ApplyColumns(ctx, parts)
 	})
 	if err == nil {
 		err = b.Flush(ctx)

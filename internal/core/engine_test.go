@@ -28,21 +28,57 @@ func streamDataset(t *testing.T) *synth.Dataset {
 	return ds
 }
 
-// scanAll concatenates one full ScanFirst pass.
+// viewRows copies rows [0, c.Rows()) of a column view into vectors of
+// target, value by value, so views compare as vectors.
+func viewRows(t *testing.T, target *feature.Schema, c feature.Columns) []*feature.Vector {
+	t.Helper()
+	out := make([]*feature.Vector, c.Rows())
+	for r := range out {
+		v := feature.NewVector(target)
+		for col := 0; col < target.Len(); col++ {
+			if !c.Present(col, r) {
+				continue
+			}
+			var err error
+			switch target.Def(col).Kind {
+			case feature.Numeric:
+				v.SetNum(col, c.Num(col, r))
+			case feature.Categorical:
+				err = v.SetCategoryIDs(col, c.CatIDs(col, r, nil))
+			case feature.Embedding:
+				err = v.SetVec(col, c.Emb(col, r, nil))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[r] = v
+	}
+	return out
+}
+
+// scanAll concatenates one full ScanColumns pass, read back as vectors.
 func scanAll(t *testing.T, c corpus, target *feature.Schema) ([]*feature.Vector, []int8) {
 	t.Helper()
 	var vecs []*feature.Vector
 	var labels []int8
 	wantSeq := 0
-	err := c.ScanFirst(context.Background(), target, c.Rows(), nil, func(seq int, _ []int, ls []int8, vs []*feature.Vector) error {
+	err := c.ScanColumns(context.Background(), target, func(seq int, ls []int8, parts []feature.Columns) error {
 		if seq != wantSeq {
 			t.Fatalf("chunk sequence %d, want %d", seq, wantSeq)
 		}
 		wantSeq++
-		if len(ls) != len(vs) {
-			t.Fatalf("chunk %d: %d labels for %d vectors", seq, len(ls), len(vs))
+		rows := 0
+		for _, part := range parts {
+			if part.Ord(0) != rows {
+				t.Fatalf("chunk %d: a view starts at ordinal %d, want %d", seq, part.Ord(0), rows)
+			}
+			vecs = append(vecs, viewRows(t, target, part)...)
+			rows += part.Rows()
 		}
-		vecs = append(vecs, vs...)
+		if len(ls) != rows {
+			t.Fatalf("chunk %d: %d labels for %d rows", seq, len(ls), rows)
+		}
 		labels = append(labels, ls...)
 		return nil
 	})
@@ -118,28 +154,40 @@ func TestMemCorpusMatchesDiskStore(t *testing.T) {
 		}
 	}
 
-	// Graph windows: the first n rows of either backing, the store's decoded
-	// into one buffer every window scan refills.
+	// Graph windows: exactly the first n rows of either backing — capped
+	// inside the memory corpus's one view and at or inside a store chunk —
+	// and no chunk past the window's last.
 	graph := targets["graph"]
 	all, _ := scanAll(t, mem, graph)
-	var buf []feature.Vector
-	for _, n := range []int{1, 99, 100, 101, 300, 301} {
+	for _, n := range []int{1, 99, 100, 101, 300} {
 		for name, c := range map[string]corpus{"memory": mem, "disk": store} {
-			got := 0
-			if err := c.ScanFirst(ctx, graph, n, &buf, func(_ int, _ []int, ls []int8, vs []*feature.Vector) error {
-				for i, v := range vs {
-					sameVectorBits(t, fmt.Sprintf("%s window %d row %d", name, n, got), all[got], v)
-					if ls[i] != labels[got] {
-						t.Fatalf("%s window %d row %d: label %d, want %d", name, n, got, ls[i], labels[got])
-					}
-					got++
+			r := &curateRun{image: c, graphSchema: graph, window: n}
+			var got []*feature.Vector
+			var stages []string
+			r.chunkHook = func(stage string, chunk int) error {
+				stages = append(stages, fmt.Sprintf("%s[%d]", stage, chunk))
+				return nil
+			}
+			if err := r.scanWindow(ctx, "graph", func(parts []feature.Columns) error {
+				for _, part := range parts {
+					got = append(got, viewRows(t, graph, part)...)
 				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if got != min(n, len(vecs)) {
-				t.Fatalf("%s window %d: scanned %d rows", name, n, got)
+			if len(got) != n {
+				t.Fatalf("%s window %d: scanned %d rows", name, n, len(got))
+			}
+			for i, v := range got {
+				sameVectorBits(t, fmt.Sprintf("%s window %d row %d", name, n, i), all[i], v)
+			}
+			chunks := 1
+			if name == "disk" {
+				chunks = (n + 99) / 100
+			}
+			if len(stages) != chunks {
+				t.Fatalf("%s window %d: read chunks %v, want the first %d", name, n, stages, chunks)
 			}
 		}
 	}
@@ -165,31 +213,6 @@ func TestMemCorpusMatchesDiskStore(t *testing.T) {
 	}
 }
 
-// TestMemCorpusProjectsOncePerSchema: re-scanning one schema must hand back
-// the same vectors, not fresh projections — the stage sequence scans the
-// image corpus in the graph schema three times, and projecting per scan costs
-// +18% allocation on the curate_mem workload.
-func TestMemCorpusProjectsOncePerSchema(t *testing.T) {
-	p := newStreamPipeline(t, streamOptions())
-	vecs, err := p.Featurize(context.Background(), streamDataset(t).LabeledText[:50])
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := &memCorpus{vecs: vecs, labels: make([]int8, len(vecs))}
-	lfSchema, graphSchema := p.lfSchema(), p.graphSchema()
-	first, _ := scanAll(t, mem, lfSchema)
-	other, _ := scanAll(t, mem, graphSchema)
-	again, _ := scanAll(t, mem, lfSchema)
-	for i := range first {
-		if first[i] != again[i] {
-			t.Fatalf("row %d re-projected on the second scan of one schema", i)
-		}
-		if first[i] == other[i] {
-			t.Fatalf("row %d shared between two target schemas", i)
-		}
-	}
-}
-
 // TestMemCorpusScansOneChunk: memCorpus hands every row to each scan as one
 // chunk, seq 0 (TestMemCorpusMatchesDiskStore checks the rows); an empty
 // corpus yields no chunk, and a cancelled context stops a scan before it
@@ -209,16 +232,12 @@ func TestMemCorpusScansOneChunk(t *testing.T) {
 				chunks = append(chunks, fmt.Sprintf("columns %d:%d", seq, len(ls)))
 				return nil
 			})
-			vecErr := corpus.ScanFirst(ctx, target, len(vecs), nil, func(seq int, _ []int, ls []int8, vs []*feature.Vector) error {
-				chunks = append(chunks, fmt.Sprintf("vectors %d:%d", seq, len(vs)))
-				return nil
-			})
 			var want []string
 			if name == "live" && corpus.Rows() > 0 {
-				want = []string{"columns 0:100", "vectors 0:100"}
+				want = []string{"columns 0:100"}
 			}
-			if !reflect.DeepEqual(chunks, want) || (colErr == nil) != (name == "live") || (vecErr == nil) != (name == "live") {
-				t.Errorf("%s scans of %d rows: chunks %v, errors %v / %v; want chunks %v", name, corpus.Rows(), chunks, colErr, vecErr, want)
+			if !reflect.DeepEqual(chunks, want) || (colErr == nil) != (name == "live") {
+				t.Errorf("%s scans of %d rows: chunks %v, error %v; want chunks %v", name, corpus.Rows(), chunks, colErr, want)
 			}
 		}
 	}
@@ -228,6 +247,22 @@ func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	return ctx
+}
+
+// labelDigest is the FNV-64a digest of a curation's probabilistic labels
+// (float bits) and coverage flags, row by row.
+func labelDigest(probs []float64, covered []bool) string {
+	h := fnv.New64a()
+	var row [9]byte
+	for i, pr := range probs {
+		binary.LittleEndian.PutUint64(row[:8], math.Float64bits(pr))
+		row[8] = 0
+		if covered[i] {
+			row[8] = 1
+		}
+		h.Write(row[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestCurateExpertLFsThroughEngine: the simulated-expert LF source runs
@@ -241,18 +276,8 @@ func TestCurateExpertLFsThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := fnv.New64a()
-	var row [9]byte
-	for i, pr := range cur.ProbLabels {
-		binary.LittleEndian.PutUint64(row[:8], math.Float64bits(pr))
-		row[8] = 0
-		if cur.Covered[i] {
-			row[8] = 1
-		}
-		h.Write(row[:])
-	}
 	const want = "be95cd9cee446c11"
-	if got := fmt.Sprintf("%016x", h.Sum64()); len(cur.ProbLabels) != 400 || got != want {
+	if got := labelDigest(cur.ProbLabels, cur.Covered); len(cur.ProbLabels) != 400 || got != want {
 		t.Fatalf("expert-LF curation drifted: %d labels, digest %s, want 400 labels, digest %s", len(cur.ProbLabels), got, want)
 	}
 	if cur.Report.LFCount != 26 {
@@ -320,5 +345,48 @@ func TestFitGraphWeightsFallbackIsRecorded(t *testing.T) {
 		if (weights != nil) != tc.fitted || !strings.Contains(summary.String(), want) {
 			t.Errorf("labels %v: weights %v, span summary lacks %q:\n%s", tc.labels, weights, want, summary.String())
 		}
+	}
+}
+
+// TestCurateAllocsPerImageRow: curating an image row allocates well under one
+// object beyond what featurizing it does — the stages read the corpus as
+// column views over the featurized vectors, and the graph builder copies each
+// window row into its arena and its block keys into one reused buffer, never
+// into a reprojected vector or a key list of the row's own. Two corpora
+// differing only in their image rows price one row.
+func TestCurateAllocsPerImageRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates where a plain build does not")
+	}
+	_, w, task := streamEnv(t)
+	p := newStreamPipeline(t, streamOptions())
+	ctx := context.Background()
+	perRun := func(images int) (curate, featurize float64) {
+		cfg := streamDSConfig()
+		cfg.NumUnlabeledImage = images
+		ds, err := synth.BuildDataset(w, task, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curate = testing.AllocsPerRun(2, func() {
+			if _, err := p.Curate(ctx, ds); err != nil {
+				t.Fatal(err)
+			}
+		})
+		featurize = testing.AllocsPerRun(2, func() {
+			if _, err := p.Featurize(ctx, ds.UnlabeledImage); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return curate, featurize
+	}
+	const small, large = 400, 2000
+	c0, f0 := perRun(small)
+	c1, f1 := perRun(large)
+	perRow := ((c1 - c0) - (f1 - f0)) / (large - small)
+	t.Logf("curate: %.0f / %.0f objects, featurize: %.0f / %.0f at %d / %d image rows: %.2f a row beyond featurizing",
+		c0, c1, f0, f1, small, large, perRow)
+	if perRow >= 1 {
+		t.Errorf("Curate allocates %.2f objects per image row beyond featurizing it, want < 1", perRow)
 	}
 }

@@ -92,18 +92,20 @@ func (sc *StreamedCuration) Close() error {
 // on a materialized curation matches training on the in-memory pipeline's
 // output.
 func (sc *StreamedCuration) Materialize(ctx context.Context) (*Curation, error) {
-	textVecs, err := allRows(ctx, sc.Text, sc.Text.Schema())
-	if err != nil {
-		return nil, fmt.Errorf("core: materialize text: %w", err)
-	}
-	imageVecs, err := allRows(ctx, sc.Image, sc.Image.Schema())
-	if err != nil {
-		return nil, fmt.Errorf("core: materialize image: %w", err)
+	var vecs [2][]*feature.Vector // text, image
+	for i, s := range []*disk.Store{sc.Text, sc.Image} {
+		vecs[i] = make([]*feature.Vector, 0, s.Rows())
+		if err := s.ScanProjected(ctx, s.Schema(), func(_ int, _ []int, _ []int8, vs []*feature.Vector) error {
+			vecs[i] = append(vecs[i], vs...)
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("core: materialize: %w", err)
+		}
 	}
 	return &Curation{
 		Dataset:    &synth.Dataset{Task: sc.task, HandLabelPool: sc.Pool, TestImage: sc.Test},
-		TextVecs:   textVecs,
-		ImageVecs:  imageVecs,
+		TextVecs:   vecs[0],
+		ImageVecs:  vecs[1],
 		TextLabels: sc.TextLabels,
 		ProbLabels: sc.ProbLabels,
 		Covered:    sc.Covered,

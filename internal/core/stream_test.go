@@ -413,6 +413,12 @@ func TestCurateStreamedWindowed(t *testing.T) {
 	if c := windowed.Report.WSCoverage; c <= 0 || c > 1 {
 		t.Errorf("windowed coverage %v out of range", c)
 	}
+	// The window ends 22 rows into the second chunk, inside its one view:
+	// the graph reads exactly rows [0, 150), bit for bit.
+	const want = "c9ef552b0e882e32"
+	if got := labelDigest(windowed.ProbLabels, windowed.Covered); got != want {
+		t.Errorf("windowed curation drifted: digest %s, want %s", got, want)
+	}
 }
 
 // streamedPeakHeap runs a streamed curation over a corpus scaled by mult and

@@ -97,24 +97,31 @@ func (k *SimKernel) NewArena() *Arena {
 // Len returns the number of vectors appended so far.
 func (a *Arena) Len() int { return len(a.catPos) }
 
-// Append packs vs as the next vertices, in order. Each must carry the
-// kernel's schema. One pass counts the batch's category IDs and embedding
-// floats, so every column grows at most once per call, not once per vertex,
-// and at least doubles when it does, so a stream of small calls reallocates
-// each column O(log n) times.
-func (a *Arena) Append(vs ...*Vector) {
-	var ids, floats int
-	for _, v := range vs {
-		for _, f := range a.feats {
-			switch f.kind {
-			case Categorical:
-				ids += len(v.CategoryIDs(f.schemaIdx))
-			case Embedding:
-				floats += len(v.Vec(f.schemaIdx))
+// Append packs the rows of parts, column views under the kernel's schema, as
+// the next vertices, in order. Each categorical cell is sorted and
+// deduplicated into the ID set Weighted intersects. One pass counts the
+// batch's category IDs and embedding floats, so every column grows at most
+// once per call, not once per vertex, and at least doubles when it does, so
+// a stream of small calls reallocates each column O(log n) times.
+func (a *Arena) Append(parts ...Columns) {
+	var n, ids, floats int
+	var idBuf []uint32
+	var embBuf []float64
+	for _, c := range parts {
+		for r := range c.Rows() {
+			for _, f := range a.feats {
+				switch f.kind {
+				case Categorical:
+					idBuf = c.CatIDs(f.schemaIdx, r, idBuf[:0])
+					ids += len(idBuf)
+				case Embedding:
+					embBuf = c.Emb(f.schemaIdx, r, embBuf[:0])
+					floats += len(embBuf)
+				}
 			}
 		}
+		n += c.Rows()
 	}
-	n := len(vs)
 	a.masks = grow(a.masks, n*a.words)
 	a.nums = grow(a.nums, n*a.nNum)
 	a.catPos = grow(a.catPos, n)
@@ -123,42 +130,54 @@ func (a *Arena) Append(vs ...*Vector) {
 	a.embNorm = grow(a.embNorm, n*a.nEmb)
 	a.embData = grow(a.embData, floats)
 	a.wsum = grow(a.wsum, n)
-	for _, v := range vs {
-		maskBase, numBase, recBase := len(a.masks), len(a.nums), len(a.catRec)
-		a.masks = append(a.masks, make([]uint64, a.words)...)
-		a.nums = append(a.nums, make([]float64, a.nNum)...)
-		a.catPos = append(a.catPos, recBase)
-		a.catRec = append(a.catRec, make([]uint32, a.nCat)...)
-		idBase := len(a.catRec)
-
-		// Features are visited in schema order, so categorical and embedding
-		// columns fill in column order and their offsets stay monotone, and
-		// the weight total adds in WeightedSimilarity's order.
-		var wsum float64
-		for s, f := range a.feats {
-			if v.Present(f.schemaIdx) {
-				a.masks[maskBase+s/64] |= 1 << (s % 64)
-				wsum += f.weight
-			}
-			switch f.kind {
-			case Numeric:
-				a.nums[numBase+f.col] = v.Num(f.schemaIdx)
-			case Categorical:
-				a.catRec = append(a.catRec, v.CategoryIDs(f.schemaIdx)...)
-				a.catRec[recBase+f.col] = uint32(len(a.catRec) - idBase)
-			case Embedding:
-				vec := v.Vec(f.schemaIdx)
-				var norm float64
-				for _, x := range vec {
-					norm += x * x
-				}
-				a.embData = append(a.embData, vec...)
-				a.embOff = append(a.embOff, len(a.embData))
-				a.embNorm = append(a.embNorm, norm)
-			}
+	for _, c := range parts {
+		for r := range c.Rows() {
+			a.appendRow(c, r)
 		}
-		a.wsum = append(a.wsum, wsum)
 	}
+}
+
+// appendRow packs row r of c as the next vertex.
+func (a *Arena) appendRow(c Columns, r int) {
+	maskBase, numBase, recBase := len(a.masks), len(a.nums), len(a.catRec)
+	a.masks = append(a.masks, make([]uint64, a.words)...)
+	a.nums = append(a.nums, make([]float64, a.nNum)...)
+	a.catPos = append(a.catPos, recBase)
+	a.catRec = append(a.catRec, make([]uint32, a.nCat)...)
+	idBase := len(a.catRec)
+
+	// Features are visited in schema order, so categorical and embedding
+	// columns fill in column order and their offsets stay monotone, and
+	// the weight total adds in WeightedSimilarity's order.
+	var wsum float64
+	for s, f := range a.feats {
+		present := c.Present(f.schemaIdx, r)
+		if present {
+			a.masks[maskBase+s/64] |= 1 << (s % 64)
+			wsum += f.weight
+		}
+		switch f.kind {
+		case Numeric:
+			if present {
+				a.nums[numBase+f.col] = c.Num(f.schemaIdx, r)
+			}
+		case Categorical:
+			at := len(a.catRec)
+			a.catRec = c.CatIDs(f.schemaIdx, r, a.catRec)
+			a.catRec = a.catRec[:at+len(sortedIDSet(a.catRec[at:]))]
+			a.catRec[recBase+f.col] = uint32(len(a.catRec) - idBase)
+		case Embedding:
+			at := len(a.embData)
+			a.embData = c.Emb(f.schemaIdx, r, a.embData)
+			var norm float64
+			for _, x := range a.embData[at:] {
+				norm += x * x
+			}
+			a.embOff = append(a.embOff, len(a.embData))
+			a.embNorm = append(a.embNorm, norm)
+		}
+	}
+	a.wsum = append(a.wsum, wsum)
 }
 
 // grow returns s with room for n more elements. When it must reallocate it

@@ -173,14 +173,14 @@ func checkArenaSplits(t *testing.T, seed int64, nFeat int) {
 	}
 	kern := NewSimKernel(schema, scales, weights)
 	batch, split, single := kern.NewArena(), kern.NewArena(), kern.NewArena()
-	batch.Append(vecs...)
+	appendVecs(batch, vecs...)
 	for lo := 0; lo < len(vecs); {
 		hi := lo + rng.Intn(len(vecs)-lo+1) // an empty split included
-		split.Append(vecs[lo:hi]...)
+		appendVecs(split, vecs[lo:hi]...)
 		lo = hi
 	}
 	for _, v := range vecs {
-		single.Append(v)
+		appendVecs(single, v)
 	}
 	for i := range vecs {
 		for j := range vecs {
@@ -191,6 +191,13 @@ func checkArenaSplits(t *testing.T, seed int64, nFeat int) {
 				}
 			}
 		}
+	}
+}
+
+// appendVecs appends vs to a through the vector adapter.
+func appendVecs(a *Arena, vs ...*Vector) {
+	if len(vs) > 0 {
+		a.Append(VectorColumns(vs[0].Schema(), vs)...)
 	}
 }
 
@@ -222,7 +229,7 @@ func TestArenaAppendAllocsPerBatch(t *testing.T) {
 	}
 	allocs := func(n int) float64 {
 		kern, vecs := arenaBatch(n)
-		return testing.AllocsPerRun(10, func() { kern.NewArena().Append(vecs...) })
+		return testing.AllocsPerRun(10, func() { appendVecs(kern.NewArena(), vecs...) })
 	}
 	if small, large := allocs(300), allocs(3000); small != large {
 		t.Errorf("Append into an empty arena: %v allocations at 300 vertices, %v at 3000", small, large)
@@ -234,7 +241,7 @@ func BenchmarkArenaAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kern.NewArena().Append(vecs...)
+		appendVecs(kern.NewArena(), vecs...)
 	}
 }
 

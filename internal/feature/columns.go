@@ -1,8 +1,8 @@
 package feature
 
-// Columns is a read-only columnar view of a run of rows: what the LF stages
-// (mining's support counting, lf's vote kernel) read instead of one Vector
-// per row. col is a position in the schema the view was opened for; a feature
+// Columns is a read-only columnar view of a run of rows: what the curation
+// stages (mining's support counting, lf's vote kernel, the scales fit and the
+// graph builder's arena) read instead of one Vector per row. col is a position in the schema the view was opened for; a feature
 // the backing lacks is never Present. The disk store backs it straight with a
 // mapped segment, VectorColumns with in-memory vectors. A view holds no read
 // state: any number of goroutines may read it at once.
@@ -19,9 +19,12 @@ type Columns interface {
 	// Present and that the schema defines col as Numeric.
 	Num(col, r int) float64
 	// CatIDs appends to buf the intern IDs of row r's categories in
-	// categorical column col — in no particular order, repeats allowed,
-	// nothing when the value is missing — and returns the extended slice.
+	// categorical column col — in written order, repeats included, nothing
+	// when the value is missing — and returns the extended slice.
 	CatIDs(col, r int, buf []uint32) []uint32
+	// Emb appends to buf row r's embedding in embedding column col — nothing
+	// when the value is missing — and returns the extended slice.
+	Emb(col, r int, buf []float64) []float64
 }
 
 // ViewRows is how many rows one column view of a chunk covers, in
@@ -101,5 +104,13 @@ func (c *vecColumns) CatIDs(col, r int, buf []uint32) []uint32 {
 	if i < 0 {
 		return buf
 	}
-	return append(buf, v.CategoryIDs(i)...)
+	return append(buf, v.CategoryList(i)...)
+}
+
+func (c *vecColumns) Emb(col, r int, buf []float64) []float64 {
+	v, i := c.cell(col, r)
+	if i < 0 {
+		return buf
+	}
+	return append(buf, v.Vec(i)...)
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // TestVectorColumns: the adapter answers every (column, row) under the target
-// schema from vectors left in their own — matched by name, also for a vector
+// schema — categories in written order, repeats included — from vectors left
+// in their own — matched by name, also for a vector
 // under a third schema mid-run — in views whose ordinals tile the chunk.
 func TestVectorColumns(t *testing.T) {
 	own := MustSchema(
@@ -19,6 +20,7 @@ func TestVectorColumns(t *testing.T) {
 		Def{Name: "score", Kind: Numeric},
 		Def{Name: "ghost", Kind: Categorical},
 		Def{Name: "topic", Kind: Categorical},
+		Def{Name: "emb", Kind: Embedding, Dim: 2},
 	)
 	n := 2*ViewRows + 17
 	vecs := make([]*Vector, n)
@@ -29,6 +31,9 @@ func TestVectorColumns(t *testing.T) {
 		}
 		if i%3 != 0 {
 			v.MustSet("score", NumericValue(float64(i)))
+		}
+		if i%5 != 0 && v.Schema() == own {
+			v.MustSet("emb", EmbeddingValue([]float64{float64(i), -1}))
 		}
 		switch i % 4 {
 		case 0:
@@ -55,9 +60,9 @@ func TestVectorColumns(t *testing.T) {
 			next++
 			for col := 0; col < target.Len(); col++ {
 				if c.Present(col, r) != want.Present(col) || c.Num(col, r) != want.Num(col) ||
-					!slices.Equal(c.CatIDs(col, r, nil), want.CategoryIDs(col)) {
-					t.Fatalf("row %d col %d: view (%v, %v, %v), vector %v", next-1, col,
-						c.Present(col, r), c.Num(col, r), c.CatIDs(col, r, nil), want)
+					!slices.Equal(c.CatIDs(col, r, nil), want.CategoryList(col)) || !slices.Equal(c.Emb(col, r, nil), want.Vec(col)) {
+					t.Fatalf("row %d col %d: view (%v, %v, %v, %v), vector %v", next-1, col,
+						c.Present(col, r), c.Num(col, r), c.CatIDs(col, r, nil), c.Emb(col, r, nil), want)
 				}
 			}
 		}

@@ -97,8 +97,8 @@ func randomVector(t *testing.T, rng *rand.Rand, schema *Schema) *Vector {
 // packPair packs a and b into a fresh arena of kern as vertices 0 and 1.
 func packPair(kern *SimKernel, a, b *Vector) *Arena {
 	arena := kern.NewArena()
-	arena.Append(a)
-	arena.Append(b)
+	appendVecs(arena, a)
+	appendVecs(arena, b)
 	return arena
 }
 

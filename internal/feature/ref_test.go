@@ -647,7 +647,7 @@ func TestConcurrentSlabReaders(t *testing.T) {
 				}
 				p := v.Reproject(onlyCats)
 				p.MustSetAt(g%2, CategoricalValue(fmt.Sprintf("g%d", g)))
-				arena.Append(v)
+				appendVecs(arena, v)
 			}
 			if got, ok := weighted(arena, 0, 1, 0); !ok || got != WeightedSimilarity(want[0], want[1], Scales{"num": 2}, nil) {
 				t.Errorf("goroutine %d: packed pair %v disagrees with the written vectors", g, got)

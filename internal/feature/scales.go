@@ -2,20 +2,20 @@ package feature
 
 import "math"
 
-// ScalesAccum computes FitScales incrementally, so the streaming pipeline
-// can fit similarity scales over a corpus it only ever sees in chunks.
-// FitScales is a two-pass statistic (mean, then mean absolute deviation),
-// so the accumulator is driven in two passes as well:
+// ScalesAccum computes FitScales incrementally, so the curation can fit
+// similarity scales over a corpus it only ever sees in chunks of column
+// views. FitScales is a two-pass statistic (mean, then mean absolute
+// deviation), so the same chunks are fed twice, in the same order:
 //
 //	acc := NewScalesAccum(schema)
-//	for each chunk { acc.AddMeans(chunk) }
+//	for each chunk { acc.AddColumns(views) }
 //	acc.FinishMeans()
-//	for each chunk { acc.AddDevs(chunk) }
+//	for each chunk { acc.AddColumns(views) }
 //	scales := acc.Scales()
 //
-// Each numeric feature keeps an independent running sum in vector order —
-// the exact float additions FitScales performs — so the result is
-// bit-identical to FitScales over the concatenated chunks.
+// Each numeric feature keeps an independent running sum in row order — the
+// exact float additions FitScales performs — so the result is bit-identical
+// to FitScales over the concatenated chunks.
 type ScalesAccum struct {
 	schema *Schema
 	cols   []int // schema positions of numeric features
@@ -42,23 +42,44 @@ func NewScalesAccum(schema *Schema) *ScalesAccum {
 	return a
 }
 
-// AddMeans feeds one chunk to the first (mean) pass.
-func (a *ScalesAccum) AddMeans(vectors []*Vector) {
-	if a.phase != 0 {
-		panic("feature: ScalesAccum.AddMeans after FinishMeans")
+// AddColumns feeds one chunk, as views under the accumulator's schema, to
+// the current pass: the means until FinishMeans, then the deviations.
+func (a *ScalesAccum) AddColumns(parts []Columns) {
+	if a.phase == 2 {
+		panic("feature: ScalesAccum.AddColumns after Scales")
 	}
 	for j, col := range a.cols {
-		for _, v := range vectors {
-			if v.Present(col) {
-				a.sum[j] += v.Num(col)
-				a.n[j]++
+		if a.phase == 1 && a.n[j] == 0 {
+			continue
+		}
+		for _, c := range parts {
+			for r := range c.Rows() {
+				switch {
+				case !c.Present(col, r):
+				case a.phase == 0:
+					a.sum[j] += c.Num(col, r)
+					a.n[j]++
+				default:
+					a.dev[j] += math.Abs(c.Num(col, r) - a.mean[j])
+				}
 			}
 		}
 	}
 }
 
-// FinishMeans closes the first pass; the same chunks must then be fed to
-// AddDevs in the same order.
+// AddMeans and AddDevs are AddColumns over vectors, in the pass each names;
+// only bench/ still calls them.
+func (a *ScalesAccum) AddMeans(vectors []*Vector) { a.addVectors(0, vectors) }
+func (a *ScalesAccum) AddDevs(vectors []*Vector)  { a.addVectors(1, vectors) }
+
+func (a *ScalesAccum) addVectors(phase int, vectors []*Vector) {
+	if a.phase != phase {
+		panic("feature: ScalesAccum fed vectors outside their pass")
+	}
+	a.AddColumns(VectorColumns(a.schema, vectors))
+}
+
+// FinishMeans closes the first pass.
 func (a *ScalesAccum) FinishMeans() {
 	if a.phase != 0 {
 		panic("feature: ScalesAccum.FinishMeans called twice")
@@ -69,23 +90,6 @@ func (a *ScalesAccum) FinishMeans() {
 		}
 	}
 	a.phase = 1
-}
-
-// AddDevs feeds one chunk to the second (deviation) pass.
-func (a *ScalesAccum) AddDevs(vectors []*Vector) {
-	if a.phase != 1 {
-		panic("feature: ScalesAccum.AddDevs outside the deviation pass")
-	}
-	for j, col := range a.cols {
-		if a.n[j] == 0 {
-			continue
-		}
-		for _, v := range vectors {
-			if v.Present(col) {
-				a.dev[j] += math.Abs(v.Num(col) - a.mean[j])
-			}
-		}
-	}
 }
 
 // Scales finalizes the fit. The result is bit-identical to

@@ -3,6 +3,7 @@ package disk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -10,9 +11,39 @@ import (
 	"crossmodal/internal/feature"
 )
 
+// sameRow asserts that row r of view c answers Present / Num / CatIDs / Emb
+// for every column of target exactly as v, a decoded row: float bits equal,
+// categories in written order with repeats.
+func sameRow(t *testing.T, where string, target *feature.Schema, c feature.Columns, r int, v *feature.Vector) {
+	t.Helper()
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for col := 0; col < target.Len(); col++ {
+		if c.Present(col, r) != v.Present(col) {
+			t.Fatalf("%s col %d: Present %v, vector %v", where, col, c.Present(col, r), v.Present(col))
+		}
+		if !v.Present(col) {
+			continue
+		}
+		switch target.Def(col).Kind {
+		case feature.Numeric:
+			if !bits(c.Num(col, r), v.Num(col)) {
+				t.Fatalf("%s col %d: Num %v, vector %v", where, col, c.Num(col, r), v.Num(col))
+			}
+		case feature.Categorical:
+			if got := c.CatIDs(col, r, nil); !slices.Equal(got, v.CategoryList(col)) {
+				t.Fatalf("%s col %d: CatIDs %v, vector's %v", where, col, got, v.CategoryList(col))
+			}
+		case feature.Embedding:
+			if got := c.Emb(col, r, nil); !slices.EqualFunc(got, v.Vec(col), bits) {
+				t.Fatalf("%s col %d: Emb %v, vector's %v", where, col, got, v.Vec(col))
+			}
+		}
+	}
+}
+
 // TestScanColumnsMatchesScanProjected: the column views of a scan answer
-// Present / Num / CatIDs for every (column, row) exactly as the vectors the
-// same scan decodes — under the store schema, a reordered sub-schema, and one
+// Present / Num / CatIDs / Emb for every (column, row) exactly as the vectors
+// the same scan decodes — under the store schema, a reordered sub-schema, and one
 // naming a feature the store lacks — with labels and ordinals in append order,
 // over chunks of one view, of two full views and of views with a short tail.
 func TestScanColumnsMatchesScanProjected(t *testing.T) {
@@ -55,26 +86,7 @@ func TestScanColumnsMatchesScanProjected(t *testing.T) {
 						t.Fatalf("%s chunk %d: ordinal %d twice", name, seq, ord)
 					}
 					seen[ord] = true
-					v := w.vecs[ord]
-					for col := 0; col < target.Len(); col++ {
-						if c.Present(col, r) != v.Present(col) {
-							t.Fatalf("%s chunk %d row %d col %d: Present %v, vector %v", name, seq, ord, col, c.Present(col, r), v.Present(col))
-						}
-						switch target.Def(col).Kind {
-						case feature.Numeric:
-							if v.Present(col) && math.Float64bits(c.Num(col, r)) != math.Float64bits(v.Num(col)) {
-								t.Fatalf("%s chunk %d row %d col %d: Num %v, vector %v", name, seq, ord, col, c.Num(col, r), v.Num(col))
-							}
-						case feature.Categorical:
-							var wantIDs []uint32
-							for _, cat := range v.CategoryNames(col) {
-								wantIDs = append(wantIDs, feature.InternID(cat))
-							}
-							if got := c.CatIDs(col, r, nil); !slices.Equal(got, wantIDs) {
-								t.Fatalf("%s chunk %d row %d col %d: CatIDs %v, vector's %v", name, seq, ord, col, got, wantIDs)
-							}
-						}
-					}
+					sameRow(t, fmt.Sprintf("%s chunk %d row %d", name, seq, ord), target, c, r, w.vecs[ord])
 				}
 			}
 			if slices.Contains(seen, false) {

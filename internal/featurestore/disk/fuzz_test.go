@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -182,21 +183,24 @@ func FuzzSegmentHeader(f *testing.F) {
 	})
 }
 
-// FuzzScanFirstMatchesScanProjected: for any row count, chunk size and n,
-// ScanFirst hands out exactly the first n rows ScanProjected yields — under
-// the store schema and a reordered sub-schema naming a feature the store
-// lacks — both into a fresh buffer and into the one the previous scan filled.
-func FuzzScanFirstMatchesScanProjected(f *testing.F) {
+// FuzzScanColumnsMatchesScanProjected: for any row count, chunk size and
+// cap, the column views of a scan agree with ScanProjected's decoded rows on
+// presence, numbers, categories and embeddings, row for row in append order
+// with labels and chunk sequence — under the store schema and a reordered
+// sub-schema naming a feature the store lacks — and a callback error at the
+// chunk holding row cap ends the scan there, returned as is.
+func FuzzScanColumnsMatchesScanProjected(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(30), uint16(45))
 	f.Add(int64(2), uint16(1), uint8(1), uint16(0))
 	f.Add(int64(3), uint16(257), uint8(64), uint16(300))
 	f.Add(int64(4), uint16(90), uint8(29), uint16(30))
 	schema := testSchema()
 	sub := feature.MustSchema(schema.Def(3), feature.Def{Name: "absent", Kind: feature.Categorical}, schema.Def(1))
-	f.Fuzz(func(t *testing.T, seed int64, rows uint16, chunk uint8, n uint16) {
+	stop := errors.New("cap reached")
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, chunk uint8, limit uint16) {
 		nRows := 1 + int(rows)%300
 		size := max(1+int(chunk), (nRows+15)/16) // at most 16 chunks
-		nScan := int(n) % (nRows + 6)
+		nCap := int(limit) % (nRows + 6)
 		s, err := Open(t.TempDir(), schema, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -214,11 +218,34 @@ func FuzzScanFirstMatchesScanProjected(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		var buf []feature.Vector
 		for _, target := range []*feature.Schema{schema, sub} {
 			want := scanRows(t, s, target)
-			checkScanFirst(t, s, target, nScan, &buf, want)
-			checkScanFirst(t, s, target, nScan, &buf, want)
+			got := 0
+			err := s.ScanColumns(context.Background(), target, func(seq int, labels []int8, parts []feature.Columns) error {
+				for _, c := range parts {
+					for r := range c.Rows() {
+						w := want[got+c.Ord(r)]
+						if seq != w.seq || labels[c.Ord(r)] != w.label {
+							t.Fatalf("row %d: chunk %d label %d, want chunk %d label %d", got+c.Ord(r), seq, labels[c.Ord(r)], w.seq, w.label)
+						}
+						sameRow(t, fmt.Sprintf("row %d", got+c.Ord(r)), target, c, r, w.vec)
+					}
+				}
+				if got += len(labels); got > nCap {
+					return stop
+				}
+				return nil
+			})
+			var wantErr error
+			if nCap < nRows {
+				wantErr = stop
+			}
+			if err != wantErr {
+				t.Fatalf("cap %d of %d rows: scan returned %v, want %v", nCap, nRows, err, wantErr)
+			}
+			if read := min(nRows, (nCap/size+1)*size); got != read {
+				t.Fatalf("cap %d: the scan read %d rows, want the %d up to the chunk holding it", nCap, got, read)
+			}
 		}
 	})
 }

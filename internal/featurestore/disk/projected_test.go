@@ -227,99 +227,17 @@ func scanRows(t *testing.T, s *Store, target *feature.Schema) []scannedRow {
 	return rows
 }
 
-// checkScanFirst asserts that ScanFirst of n rows under target into buf hands
-// fn exactly the first n rows of want (a ScanProjected pass under target):
-// the same vectors, point IDs, labels and chunk sequence, and never a row
-// more.
-func checkScanFirst(t *testing.T, s *Store, target *feature.Schema, n int, buf *[]feature.Vector, want []scannedRow) {
-	t.Helper()
-	got := 0
-	err := s.ScanFirst(context.Background(), target, n, buf, func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error {
-		if len(ids) != len(vecs) || len(labels) != len(vecs) {
-			t.Fatalf("n=%d chunk %d: %d ids / %d labels for %d vectors", n, seq, len(ids), len(labels), len(vecs))
-		}
-		if got+len(vecs) > n {
-			t.Fatalf("n=%d: fn saw %d rows", n, got+len(vecs))
-		}
-		for r, v := range vecs {
-			w := want[got]
-			where := fmt.Sprintf("n=%d row %d", n, got)
-			if seq != w.seq || ids[r] != w.id || labels[r] != w.label {
-				t.Fatalf("%s: chunk %d id %d label %d, want chunk %d id %d label %d", where, seq, ids[r], labels[r], w.seq, w.id, w.label)
-			}
-			wantIdentical(t, where, w.vec, v)
-			got++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("n=%d: ScanFirst: %v", n, err)
-	}
-	if got != min(n, len(want)) {
-		t.Fatalf("n=%d: ScanFirst handed out %d rows, want %d", n, got, min(n, len(want)))
-	}
-}
-
-// TestScanFirstMatchesScanProjected: the first n rows of a store are the
-// first n rows ScanProjected yields, for n at and around every chunk boundary and
-// past the end. One buffer serves every call: refilled in place while it
-// has room, replaced when the target schema changes.
-func TestScanFirstMatchesScanProjected(t *testing.T) {
-	const chunk, chunks = 60, 3
-	schema := testSchema()
-	s, err := Open(t.TempDir(), schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for c := 0; c < chunks; c++ {
-		appendTestChunk(t, s, 1000*c, chunk, int64(40+c))
-	}
-	all := s.Rows()
-	want := scanRows(t, s, schema)
-	var buf []feature.Vector
-	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, all, all + 5} {
-		checkScanFirst(t, s, schema, n, &buf, want)
-	}
-	slab := &buf[0]
-	checkScanFirst(t, s, schema, all, &buf, want)
-	if &buf[0] != slab {
-		t.Fatal("a scan into a buffer with room replaced it")
-	}
-
-	other := feature.MustSchema(schema.Def(3), feature.Def{Name: "absent", Kind: feature.Numeric}, schema.Def(1))
-	checkScanFirst(t, s, other, chunk+1, &buf, scanRows(t, s, other))
-	if &buf[0] == slab || buf[0].Schema() != other {
-		t.Fatal("a scan under another target schema refilled the old slab")
-	}
-	checkScanFirst(t, s, schema, all, &buf, want)
-
-	called := false
-	bad := feature.MustSchema(feature.Def{Name: "score", Kind: feature.Categorical})
-	for _, n := range []int{0, 1} {
-		if err := s.ScanFirst(context.Background(), bad, n, &buf, func(int, []int, []int8, []*feature.Vector) error {
-			called = true
-			return nil
-		}); err == nil || called {
-			t.Fatalf("n=%d: a target redefining a stored feature: err = %v, rows read = %v", n, err, called)
-		}
-	}
-}
-
 // TestScanAllocsPerChunk: a scan allocates per chunk (the slabs and arenas),
 // never per row — two stores with the same chunk count but 16x the rows cost
-// the same number of allocations. A
-// ScanFirst refilling a buffer an earlier scan sized allocates the same count
-// for a 64- and a 1024-row window of one chunk at either size, and fewer
-// than one decoding into fresh slabs; Find decodes 512 hits with the
-// allocations of 32.
+// the same number of allocations; Find decodes 512 hits with the allocations
+// of 32.
 func TestScanAllocsPerChunk(t *testing.T) {
 	// A GC cycle mid-run adds stray mallocs of its own; counts must be exact.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
 	schema := testSchema()
 	lf := feature.MustSchema(schema.Def(schemaIndex(t, schema, "topic")), schema.Def(schemaIndex(t, schema, "emb")))
-	type counts struct{ identity, projected, fresh, window64, window1024 float64 }
+	type counts struct{ identity, projected float64 }
 	allocs := func(rowsPerChunk int) (c counts) {
 		s, err := Open(t.TempDir(), schema, Options{})
 		if err != nil {
@@ -347,22 +265,6 @@ func TestScanAllocsPerChunk(t *testing.T) {
 		if rows != 12*2*rowsPerChunk {
 			t.Fatalf("scans saw %d rows, want %d", rows, 12*2*rowsPerChunk)
 		}
-		var buf []feature.Vector
-		first := func(n int, buf *[]feature.Vector) float64 {
-			scan := func() {
-				rows = 0
-				if err := s.ScanFirst(ctx, lf, n, buf, count); err != nil {
-					t.Fatal(err)
-				}
-				if rows != min(n, 2*rowsPerChunk) {
-					t.Fatalf("ScanFirst(%d) saw %d rows", n, rows)
-				}
-			}
-			scan() // sizes the buffer
-			return testing.AllocsPerRun(5, scan)
-		}
-		c.fresh = first(64, nil)
-		c.window64, c.window1024 = first(64, &buf), first(1024, &buf)
 		return c
 	}
 	small, large := allocs(128), allocs(2048)
@@ -375,11 +277,6 @@ func TestScanAllocsPerChunk(t *testing.T) {
 	// of the per-segment arenas this replaced. Nowhere near rows.
 	if large.identity > 44 {
 		t.Fatalf("a scan of 2 chunks allocated %v times", large.identity)
-	}
-	// One chunk each; at 128 rows a chunk the 1024-row window is both chunks.
-	if w := large.window64; small.window64 != w || large.window1024 != w || w >= large.fresh {
-		t.Fatalf("a one-chunk window into a sized buffer allocated %v / %v times at 128 / 2048 rows a chunk and %v for 1024 rows, against %v into fresh slabs",
-			small.window64, w, large.window1024, large.fresh)
 	}
 
 	s, err := Open(t.TempDir(), schema, Options{})
@@ -491,7 +388,7 @@ func TestEmptyCategoricalRoundTrip(t *testing.T) {
 // TestReadChunkPayloadOverflow: a chunk whose validated per-column counts
 // add up past what a slab's 32-bit payload windows address is reported as
 // corrupt before anything is allocated from those counts — never wrapped —
-// by the whole-chunk decode, the sized window and Find alike.
+// by the whole-chunk decode and Find alike.
 func TestReadChunkPayloadOverflow(t *testing.T) {
 	ctx := context.Background()
 	// One one-row segment, point ID 0, whose seventeen categorical columns
@@ -510,20 +407,18 @@ func TestReadChunkPayloadOverflow(t *testing.T) {
 	seg := &Segment{path: "huge.seg", rows: 1, payload: payload, cols: cols}
 	s := &Store{schema: schema, chunks: []*Segment{seg}, rows: 1}
 	ids := []int{0}
-	var buf []feature.Vector
 	called := false
 	fn := func(int, []int, []int8, []*feature.Vector) error { called = true; return nil }
 	var ce *ErrCorrupt
 	for name, read := range map[string]func() error{
 		"ScanProjected": func() error { return s.ScanProjected(ctx, schema, fn) },
-		"ScanFirst":     func() error { return s.ScanFirst(ctx, schema, 1, &buf, fn) },
 		"Find":          func() error { _, err := s.Find(ctx, ids); return err },
 	} {
 		if err := read(); !errors.As(err, &ce) || !strings.Contains(ce.Detail, "overflows a vector slab") {
 			t.Errorf("%s of an overflowing chunk: err = %v, want the slab overflow *ErrCorrupt", name, err)
 		}
 	}
-	if called || buf != nil {
-		t.Fatalf("a slab was sized from overflowing counts: fn called %v, buffer of %d", called, len(buf))
+	if called {
+		t.Fatal("a slab was sized from overflowing counts: fn called")
 	}
 }

@@ -223,8 +223,15 @@ func (c *segColumns) CatIDs(col, r int, buf []uint32) []uint32 {
 	return buf
 }
 
+func (c *segColumns) Emb(col, r int, buf []float64) []float64 {
+	if !c.Present(col, r) {
+		return buf
+	}
+	return c.seg.EmbeddingInto(c.cols[col], c.base+r, buf)
+}
+
 // rowDecoder decodes rows of one segment into vectors of a projection's
-// target schema: the one decoder behind ScanProjected, Find and VectorAt.
+// target schema: the one decoder behind ScanProjected and Find.
 // ids and emb are scratch one value is gathered in before the vector copies
 // it into its payload.
 type rowDecoder struct {

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -309,48 +308,20 @@ func (s *Store) ScanChunks(ctx context.Context, fn func(seq int, ids []int, labe
 // Reprojecting every vector would give, without building the full-schema
 // vector.
 //
-// It is ScanFirst over every row without a buffer: a chunk is materialized as
-// a few chunk-level slabs (one []Vector, one pointer-free cell slab and one
-// payload of category strings, intern IDs and embeddings sized before the
-// first row), freshly allocated per chunk and owned by fn: retaining any
-// vector keeps its chunk's slabs alive. Memory stays O(chunk), never O(store).
+// A chunk is materialized as a few chunk-level slabs (one []Vector, one
+// pointer-free cell slab and one payload of intern IDs and embeddings sized
+// before the first row), freshly allocated per chunk and owned by fn:
+// retaining any vector keeps its chunk's slabs alive. Memory stays O(chunk),
+// never O(store).
 func (s *Store) ScanProjected(ctx context.Context, target *feature.Schema, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
-	return s.ScanFirst(ctx, target, math.MaxInt, nil, fn)
-}
-
-// errScanDone ends ScanFirst's scan once its n rows were handed out.
-var errScanDone = errors.New("disk: scan done")
-
-// ScanFirst is ScanProjected over the first n rows in append order: the chunk
-// holding row n-1 is decoded only up to it and no later chunk is read. With
-// buf nil each chunk gets fresh slabs owned by fn. Otherwise every chunk is
-// decoded into *buf, refilled by feature.ReuseVectors (replaced only when it
-// lacks room or holds another schema), and the vectors are valid only until
-// fn returns: a caller that keeps nothing decodes each scan into the memory
-// of the last.
-func (s *Store) ScanFirst(ctx context.Context, target *feature.Schema, n int, buf *[]feature.Vector, fn func(seq int, ids []int, labels []int8, vecs []*feature.Vector) error) error {
-	if n <= 0 {
-		_, err := newProjection(s.schema, target)
-		return err
-	}
-	err := s.scan(ctx, target, func(ctx context.Context, seg *Segment, proj *projection) error {
-		ids, labels, vecs, err := readChunk(seg, proj, n, buf)
+	return s.scan(ctx, target, func(ctx context.Context, seg *Segment, proj *projection) error {
+		ids, labels, vecs, err := readChunk(seg, proj)
 		if err != nil {
 			return err
 		}
 		trace.Count(ctx, "vectors", int64(len(vecs)))
-		if err := fn(seg.chunk, ids, labels, vecs); err != nil {
-			return err
-		}
-		if n -= len(vecs); n == 0 {
-			return errScanDone
-		}
-		return nil
+		return fn(seg.chunk, ids, labels, vecs)
 	})
-	if errors.Is(err, errScanDone) {
-		return nil
-	}
-	return err
 }
 
 // ScanColumns is ScanProjected without the vectors: fn gets each chunk's
@@ -376,7 +347,7 @@ func (s *Store) ScanColumns(ctx context.Context, target *feature.Schema, fn func
 
 // scan is the store's one scan loop: fn on every committed chunk in sequence
 // order, under a diskstore.scan span (fn's ctx) counting the rows read;
-// ScanFirst adds the vectors it decoded.
+// ScanProjected adds the vectors it decoded.
 func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx context.Context, seg *Segment, proj *projection) error) error {
 	proj, err := newProjection(s.schema, target)
 	if err != nil {
@@ -399,29 +370,21 @@ func (s *Store) scan(ctx context.Context, target *feature.Schema, fn func(ctx co
 	return nil
 }
 
-// readChunk materializes the first take rows of one committed chunk, in
-// append order: into *buf, refilled, when buf is set, else into fresh slabs.
-// The payload is sized for exactly those rows before the first is decoded.
-func readChunk(seg *Segment, proj *projection, take int, buf *[]feature.Vector) ([]int, []int8, []*feature.Vector, error) {
-	take = min(take, seg.rows)
+// readChunk materializes one committed chunk, in append order, into fresh
+// slabs whose payload is sized for its rows before the first is decoded.
+func readChunk(seg *Segment, proj *projection) ([]int, []int8, []*feature.Vector, error) {
 	var nCats, nEmbs uint64
-	for r := 0; r < take; r++ {
+	for r := 0; r < seg.rows; r++ {
 		c, e := seg.rowPayloadSize(proj, r)
 		nCats, nEmbs = nCats+c, nEmbs+e
 	}
 	if err := checkSlabPayload(seg.path, nCats, nEmbs); err != nil {
 		return nil, nil, nil, err
 	}
-	var slab []feature.Vector
-	if buf != nil {
-		slab = feature.ReuseVectors(*buf, proj.target, take)
-		*buf = slab
-	} else {
-		slab = feature.NewVectors(proj.target, take)
-	}
+	slab := feature.NewVectors(proj.target, seg.rows)
 	slab[0].Grow(int(nCats), int(nEmbs))
-	ids := make([]int, take)
-	vecs := make([]*feature.Vector, take)
+	ids := make([]int, seg.rows)
+	vecs := make([]*feature.Vector, seg.rows)
 	dec := rowDecoder{seg: seg, proj: proj}
 	for r := range vecs {
 		ids[r], vecs[r] = int(seg.ID(r)), &slab[r]
@@ -429,7 +392,7 @@ func readChunk(seg *Segment, proj *projection, take int, buf *[]feature.Vector) 
 			return nil, nil, nil, err
 		}
 	}
-	return ids, seg.labels()[:take], vecs, nil
+	return ids, seg.labels(), vecs, nil
 }
 
 // checkSlabPayload reports a payload of cats category ID slots and embs

@@ -19,14 +19,14 @@ import (
 const tileLen = 128
 
 // Builder constructs a similarity graph incrementally. Feeding the whole
-// corpus through one ApplyDelta is exactly BuildGraph (which is implemented
+// corpus through one ApplyColumns is exactly BuildGraph (which is implemented
 // this way); feeding it in chunks produces a bit-identical graph, because
 // every per-vertex decision — candidate enumeration order, sampling RNG,
 // edge scoring, top-K truncation — depends only on (Seed, vertex index,
 // final block index state), and the block index grows append-only in
 // vertex order.
 //
-// Selection is deferred: ApplyDelta only grows the vertex store and the
+// Selection is deferred: ApplyColumns only grows the vertex store and the
 // index, and Flush (or Graph) selects every vertex the deltas since the last
 // flush made dirty, once, over the index as it then stands.
 //
@@ -39,12 +39,15 @@ const tileLen = 128
 // window into the propagation graph without rebuilding from scratch.
 type Builder struct {
 	cfg GraphConfig
-	// arena is the vertex store: every applied vector lives here in packed
+	// arena is the vertex store: every applied row lives here in packed
 	// form and pairs are scored by vertex index, so the builder keeps no
-	// reference to the caller's vectors.
-	arena *feature.Arena
-	g     *Graph
-	keys  func(v *feature.Vector) []uint64
+	// reference to the caller's views.
+	arena  *feature.Arena
+	g      *Graph
+	schema *feature.Schema
+	// keys appends row r's block keys to dst; ids is its category scratch.
+	keys func(c feature.Columns, r int, dst []uint64) []uint64
+	ids  []uint32
 
 	// The block index: block key → vertices, and the vertices grouped by
 	// their ordered key list. Vertices of one group enumerate the same block
@@ -70,6 +73,7 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 		cfg:        cfg,
 		arena:      feature.NewSimKernel(schema, scales, cfg.Weights).NewArena(),
 		g:          &Graph{k: cfg.K},
+		schema:     schema,
 		blockIndex: make(map[uint64][]int32),
 		groupIDs:   make(map[string]int32),
 	}
@@ -78,14 +82,14 @@ func NewBuilder(schema *feature.Schema, cfg GraphConfig, scales feature.Scales) 
 		if err != nil {
 			return nil, err
 		}
-		b.keys = h.sign
+		b.keys = func(c feature.Columns, r int, dst []uint64) []uint64 { return h.sign(c, r, &b.ids, dst) }
 		return b, nil
 	}
 	slots, err := blockSlots(schema, cfg.BlockFeatures)
 	if err != nil {
 		return nil, err
 	}
-	b.keys = func(v *feature.Vector) []uint64 { return blockKeys(v, slots) }
+	b.keys = func(c feature.Columns, r int, dst []uint64) []uint64 { return blockKeys(c, r, slots, &b.ids, dst) }
 	return b, nil
 }
 
@@ -100,39 +104,47 @@ func (b *Builder) Graph() *Graph {
 	return b.g
 }
 
-// ApplyDelta appends newVecs as vertices: each joins the arena, its blocks
-// and its key-list group. No vertex is selected until the next Flush.
-func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) error {
-	if len(newVecs) == 0 {
-		return nil
-	}
+// ApplyColumns appends the rows of parts, column views under the builder's
+// schema, as vertices: each joins the arena, its blocks and its key-list
+// group. No vertex is selected until the next Flush.
+func (b *Builder) ApplyColumns(ctx context.Context, parts []feature.Columns) error {
 	_, span := trace.Start(ctx, "labelprop.apply_delta")
 	defer span.End()
 	base := b.arena.Len()
-	b.arena.Append(newVecs...)
+	b.arena.Append(parts...)
 	// Grow the block index serially in vertex order — the order a one-shot
 	// build uses, so block contents (and hence candidate enumeration) match
 	// it exactly.
+	var keys []uint64
 	var listKey []byte
-	for k, v := range newVecs {
-		i := int32(base + k)
-		keys := b.keys(v)
-		listKey = listKey[:0]
-		for _, key := range keys {
-			listKey = binary.LittleEndian.AppendUint64(listKey, key)
-			b.blockIndex[key] = append(b.blockIndex[key], i)
+	i := int32(base)
+	for _, c := range parts {
+		for r := range c.Rows() {
+			keys = b.keys(c, r, keys[:0])
+			listKey = listKey[:0]
+			for _, key := range keys {
+				listKey = binary.LittleEndian.AppendUint64(listKey, key)
+				b.blockIndex[key] = append(b.blockIndex[key], i)
+			}
+			g, ok := b.groupIDs[string(listKey)]
+			if !ok {
+				g = int32(len(b.groupKeys))
+				b.groupIDs[string(listKey)] = g
+				b.groupKeys = append(b.groupKeys, slices.Clone(keys))
+			}
+			b.groupOf = append(b.groupOf, g)
+			i++
 		}
-		g, ok := b.groupIDs[string(listKey)]
-		if !ok {
-			g = int32(len(b.groupKeys))
-			b.groupIDs[string(listKey)] = g
-			b.groupKeys = append(b.groupKeys, keys)
-		}
-		b.groupOf = append(b.groupOf, g)
 	}
-	span.SetInt("added", int64(len(newVecs)))
+	span.SetInt("added", int64(b.arena.Len()-base))
 	span.SetInt("vertices", int64(b.arena.Len()))
 	return nil
+}
+
+// ApplyDelta is ApplyColumns over vectors of the builder's schema; only
+// BuildGraph and bench/ still call it.
+func (b *Builder) ApplyDelta(ctx context.Context, newVecs []*feature.Vector) error {
+	return b.ApplyColumns(ctx, feature.VectorColumns(b.schema, newVecs))
 }
 
 // Flush selects every dirty vertex once, over the index as it stands, then

@@ -43,6 +43,11 @@ func (r *refCandidates) of(i int, lists [][]int32, maxCandidates int, seed int64
 	return out
 }
 
+// rowOf is v as a one-row column view under its own schema.
+func rowOf(v *feature.Vector) feature.Columns {
+	return feature.VectorColumns(v.Schema(), []*feature.Vector{v})[0]
+}
+
 // keyLists rebuilds a block index over vecs from nothing — no Builder state
 // — under the given key function, and returns each vertex's blocks in its
 // key order.
@@ -181,7 +186,7 @@ func TestBlockedCandidatesMatchPerVertexReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := func(v *feature.Vector) []uint64 { return blockKeys(v, slots) }
+			keys := func(v *feature.Vector) []uint64 { return blockKeys(rowOf(v), 0, slots, new([]uint32), nil) }
 			sampled, whole := 0, 0
 			for lo := 0; lo < len(vecs); lo += chunk {
 				hi := min(lo+chunk, len(vecs))
@@ -228,7 +233,7 @@ func TestLSHCandidatesMatchPerVertexReference(t *testing.T) {
 	for i := range order {
 		order[i] = i
 	}
-	if sampled, whole := checkCandidates(t, b, order, keyLists(vecs, h.sign)); sampled == 0 || whole == 0 {
+	if sampled, whole := checkCandidates(t, b, order, keyLists(vecs, func(v *feature.Vector) []uint64 { return h.sign(rowOf(v), 0, new([]uint32), nil) })); sampled == 0 || whole == 0 {
 		t.Errorf("%d sampled, %d whole lists; the case lost a side", sampled, whole)
 	}
 }

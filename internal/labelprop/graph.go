@@ -235,17 +235,17 @@ func blockSlots(schema *feature.Schema, feats []string) ([]int, error) {
 	return slots, nil
 }
 
-// blockKeys returns v's block-table keys: for each blocking feature slot,
-// in cfg order, one key per category in the order the value lists them
-// (the feature's cfg position in the high word, the category's intern ID in
-// the low). Candidate enumeration walks keys in this order, so it must not
-// follow the sorted ID set instead.
-func blockKeys(v *feature.Vector, slots []int) []uint64 {
-	var keys []uint64
+// blockKeys appends row r's block-table keys to dst: for each blocking
+// feature slot, in cfg order, one key per category in the order the value
+// lists them (the feature's cfg position in the high word, the category's
+// intern ID in the low). Candidate enumeration walks keys in this order, so
+// it must not follow the sorted ID set instead. ids is CatIDs scratch.
+func blockKeys(c feature.Columns, r int, slots []int, ids *[]uint32, dst []uint64) []uint64 {
 	for pos, i := range slots {
-		for _, id := range v.CategoryList(i) {
-			keys = append(keys, uint64(pos)<<32|uint64(id))
+		*ids = c.CatIDs(i, r, (*ids)[:0])
+		for _, id := range *ids {
+			dst = append(dst, uint64(pos)<<32|uint64(id))
 		}
 	}
-	return keys
+	return dst
 }

@@ -80,10 +80,11 @@ func newLSHHasher(schema *feature.Schema, cfg GraphConfig) (*lshHasher, error) {
 	return h, nil
 }
 
-// sign MinHash-signs one vector and returns its band keys, or nil when the
-// vector has no hashed categorical content (such vertices get no
-// candidates, like a vertex with no category on any blocking feature).
-func (h *lshHasher) sign(v *feature.Vector) []uint64 {
+// sign MinHash-signs row r of c and appends its band keys to dst, or
+// nothing when the row has no hashed categorical content (such vertices get
+// no candidates, like a vertex with no category on any blocking feature).
+// ids is CatIDs scratch.
+func (h *lshHasher) sign(c feature.Columns, r int, ids *[]uint32, dst []uint64) []uint64 {
 	sig := make([]uint64, lshBands*lshRows)
 	for k := range sig {
 		sig[k] = math.MaxUint64
@@ -92,7 +93,8 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 	for fi, f := range h.feats {
 		// Elements are hashed by category name: intern IDs follow the order
 		// featurization happened to run in, so they are not reproducible.
-		for _, id := range v.CategoryList(f) {
+		*ids = c.CatIDs(f, r, (*ids)[:0])
+		for _, id := range *ids {
 			any = true
 			elem := xrand.HashString(h.featSalt[fi], feature.InternedCategory(id))
 			for k, salt := range h.salts {
@@ -103,17 +105,16 @@ func (h *lshHasher) sign(v *feature.Vector) []uint64 {
 		}
 	}
 	if !any {
-		return nil
+		return dst
 	}
-	keys := make([]uint64, lshBands)
 	for b := 0; b < lshBands; b++ {
 		key := h.bandSalt[b]
 		for r := 0; r < lshRows; r++ {
 			key = xrand.Mix(key ^ sig[b*lshRows+r])
 		}
-		keys[b] = key
+		dst = append(dst, key)
 	}
-	return keys
+	return dst
 }
 
 // Recall reports the fraction of ref's edges also present in g — the

@@ -394,7 +394,7 @@ func TestLSHBandKeysPinned(t *testing.T) {
 		0xc9f919dde5bb0e78, 0x121335e3ee942e85, 0x638c0ff6f29f9259,
 		0xb3b7f054dce5d0a1, 0x1381928b3feea188, 0x8ea9257c65d4a42b,
 	}
-	if got := h.sign(v); !slices.Equal(got, want) {
+	if got := h.sign(rowOf(v), 0, new([]uint32), nil); !slices.Equal(got, want) {
 		t.Fatalf("band keys %#x, pinned %#x", got, want)
 	}
 }

@@ -193,7 +193,7 @@ func TestBlockKeysOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := blockKeys(v, slots)
+	got := blockKeys(rowOf(v), 0, slots, new([]uint32), nil)
 	want := []uint64{
 		0<<32 | uint64(idFirst),
 		2<<32 | uint64(idSecond), 2<<32 | uint64(idFirst), 2<<32 | uint64(idSecond),

@@ -77,22 +77,30 @@ func (p patternStat) precision(positiveClass bool) float64 {
 	return float64(p.neg) / float64(total)
 }
 
-// Develop writes LFs from a labeled development corpus. The expert inspects
-// at most SampleSize random points and proposes positive LFs for
-// high-sample-precision feature values (plus occasional conjunctions) and
-// negative LFs for values that look strongly negative.
+// Sample draws the points the expert examines from a development set of n
+// points: SampleSize distinct indices (all n when SampleSize is not positive
+// or exceeds n), in the order drawn from rng.
+func (e Expert) Sample(n int, rng *rand.Rand) []int {
+	size := e.SampleSize
+	if size <= 0 || size > n {
+		size = n
+	}
+	return rng.Perm(n)[:size]
+}
+
+// Develop writes LFs from the sample the expert examined (Sample's points,
+// in the order drawn, and their labels), drawing its conjunction choices
+// from rng after Sample did: it proposes positive LFs for high-sample-precision
+// feature values (plus occasional conjunctions) and negative LFs for values
+// that look strongly negative.
 func (e Expert) Develop(vecs []*feature.Vector, labels []int8, rng *rand.Rand) ([]*LF, error) {
 	if len(vecs) != len(labels) {
 		return nil, fmt.Errorf("lf: %d vectors vs %d labels", len(vecs), len(labels))
 	}
 	if len(vecs) == 0 {
-		return nil, fmt.Errorf("lf: empty development set")
+		return nil, fmt.Errorf("lf: empty development sample")
 	}
-	sampleSize := e.SampleSize
-	if sampleSize <= 0 || sampleSize > len(vecs) {
-		sampleSize = len(vecs)
-	}
-	perm := rng.Perm(len(vecs))[:sampleSize]
+	sampleSize := len(vecs)
 
 	allowed := map[string]bool{}
 	for _, f := range e.Features {
@@ -102,7 +110,7 @@ func (e Expert) Develop(vecs []*feature.Vector, labels []int8, rng *rand.Rand) (
 
 	stats := map[string]*patternStat{}
 	var posRate float64
-	for _, i := range perm {
+	for i, v := range vecs {
 		if labels[i] > 0 {
 			posRate++
 		}
@@ -114,7 +122,7 @@ func (e Expert) Develop(vecs []*feature.Vector, labels []int8, rng *rand.Rand) (
 			if len(allowed) > 0 && !allowed[d.Name] {
 				continue
 			}
-			val := vecs[i].At(fi)
+			val := v.At(fi)
 			if val.Missing {
 				continue
 			}

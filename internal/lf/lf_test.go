@@ -219,7 +219,23 @@ func TestExpertDevelop(t *testing.T) {
 		}
 	}
 	e := DefaultExpert()
-	lfs, err := e.Develop(vecs, labels, rng)
+	ids := e.Sample(len(vecs), rng)
+	sample, sampleLabels := make([]*feature.Vector, len(ids)), make([]int8, len(ids))
+	seen := map[int]bool{}
+	for k, i := range ids {
+		if seen[i] || i < 0 || i >= len(vecs) {
+			t.Fatalf("sample index %d repeated or out of range", i)
+		}
+		seen[i] = true
+		sample[k], sampleLabels[k] = vecs[i], labels[i]
+	}
+	if len(ids) != e.SampleSize {
+		t.Fatalf("sampled %d of %d points, want %d", len(ids), len(vecs), e.SampleSize)
+	}
+	if all := (Expert{}).Sample(len(vecs), rng); len(all) != len(vecs) {
+		t.Fatalf("an unbounded expert sampled %d of %d points", len(all), len(vecs))
+	}
+	lfs, err := e.Develop(sample, sampleLabels, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,11 @@ type Config struct {
 	// Client performs HTTP; nil uses http.DefaultClient.
 	Client *http.Client
 
-	// Incumbent is the currently serving model (the bootstrap artifact),
-	// and IncumbentPath its artifact path — the shadow baseline and the
-	// Parent stamped into candidate lineage.
+	// Incumbent is the model serving when the controller starts (the
+	// bootstrap artifact); the controller never scores it, since a shadow
+	// run compares the candidate with the scores the server returned. It is
+	// kept because bench/ sets it (ROADMAP item 2). IncumbentPath is its
+	// artifact path, the Parent stamped into candidate lineage.
 	Incumbent     fusion.Predictor
 	IncumbentPath string
 
@@ -171,8 +173,7 @@ type Controller struct {
 	cfg     Config
 	tracker *monitor.Tracker
 
-	incumbent     fusion.Predictor
-	incumbentPath string
+	incumbentPath string // the serving artifact: the next candidate's lineage parent
 
 	catRef    monitor.CatSnapshot // reference categorical frequencies
 	refCounts []float64           // reference window's per-bucket score counts
@@ -195,7 +196,6 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{
 		cfg:           cfg,
 		tracker:       monitor.NewTracker(monitor.DriftConfig{}),
-		incumbent:     cfg.Incumbent,
 		incumbentPath: cfg.IncumbentPath,
 		needRef:       true,
 	}, nil
@@ -456,7 +456,6 @@ func (c *Controller) shadowAndPromote(ctx context.Context, w int, pts []*synth.P
 	}
 	c.res.Promotions++
 	c.res.FinalSeq = seq
-	c.incumbent = cand
 	c.incumbentPath = path
 	c.cooldown = cooldownWindows
 	// The world under the model changed and so did the model: rebaseline

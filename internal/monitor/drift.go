@@ -230,16 +230,6 @@ type Verdict struct {
 	Drifted bool    `json:"drifted"`
 }
 
-// KSStat returns the two-sample Kolmogorov–Smirnov statistic: the maximum
-// distance between the empirical CDFs of a and b. Inputs are not modified.
-// Returns 0 when either sample is empty.
-func KSStat(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	return ksSorted(sortedCopy(a), sortedCopy(b))
-}
-
 // sortedCopy returns xs sorted ascending, leaving xs as it was.
 func sortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
@@ -247,7 +237,9 @@ func sortedCopy(xs []float64) []float64 {
 	return s
 }
 
-// ksSorted is KSStat over two non-empty samples already sorted ascending.
+// ksSorted returns the two-sample Kolmogorov–Smirnov statistic of two
+// non-empty samples sorted ascending: the maximum distance between their
+// empirical CDFs.
 func ksSorted(sa, sb []float64) float64 {
 	var i, j int
 	var d float64
@@ -305,18 +297,10 @@ func KSPValue(d float64, na, nb int) float64 {
 	return p
 }
 
-// HistEdges returns bins-1 interior cut points at the quantiles of ref, for
-// binning both windows on the reference distribution's own scale. Duplicate
-// cuts (heavy ties) are collapsed.
-func HistEdges(ref []float64, bins int) []float64 {
-	if bins < 2 || len(ref) == 0 {
-		return nil
-	}
-	return edgesSorted(sortedCopy(ref), bins)
-}
-
-// edgesSorted is HistEdges over a non-empty reference already sorted
-// ascending.
+// edgesSorted returns bins-1 interior cut points at the quantiles of a
+// non-empty reference sorted ascending, for binning both windows on the
+// reference distribution's own scale. Duplicate cuts (heavy ties) are
+// collapsed.
 func edgesSorted(sorted []float64, bins int) []float64 {
 	var edges []float64
 	for k := 1; k < bins; k++ {
@@ -379,44 +363,19 @@ func PSI(refCounts, curCounts []float64) float64 {
 	return psi
 }
 
-// PSIFromSamples bins both windows on ref's quantile edges and returns their
-// PSI.
-func PSIFromSamples(ref, cur []float64, bins int) float64 {
-	edges := HistEdges(ref, bins)
-	if len(edges) == 0 {
-		return 0
-	}
-	return PSI(HistCounts(edges, ref), HistCounts(edges, cur))
-}
-
 // DetectDrift compares the current window against the reference window
 // channel by channel and returns a verdict per channel present in both, in
 // channel-name order. A channel drifts when the KS test rejects at ksAlpha
 // or the PSI exceeds psiThreshold. Pure: the same (ref, cur) always
 // returns the same verdicts.
 func DetectDrift(_ DriftConfig, ref, cur Snapshot) []Verdict {
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		if _, ok := ref[name]; ok {
-			names = append(names, name)
+	refs := make(map[string]*refChannel, len(ref))
+	for name, r := range ref {
+		if _, ok := cur[name]; ok {
+			refs[name] = newRefChannel(r)
 		}
 	}
-	sort.Strings(names)
-	verdicts := make([]Verdict, 0, len(names))
-	for _, name := range names {
-		r, c := ref[name], cur[name]
-		v := Verdict{Channel: name, N: len(c)}
-		if len(r) >= minSamples && len(c) >= minSamples {
-			v.KS = KSStat(r, c)
-			v.KSP = KSPValue(v.KS, len(r), len(c))
-			v.PSI = PSIFromSamples(r, c, psiBins)
-			v.Drifted = v.KSP < ksAlpha || v.PSI > psiThreshold
-		} else {
-			v.KSP = 1
-		}
-		verdicts = append(verdicts, v)
-	}
-	return verdicts
+	return detect(refs, cur)
 }
 
 // refChannel is the reference-side work of one channel's tests: its sample
@@ -440,9 +399,9 @@ func newRefChannel(r []float64) *refChannel {
 	return rc
 }
 
-// detect is DetectDrift with the reference side read from its refChannel:
-// the same verdicts, in the same order, without sorting or binning the
-// reference again.
+// detect is DetectDrift over reference channels newRefChannel already
+// sorted and binned, so a Tracker scores every window without doing the
+// reference side again.
 func detect(refs map[string]*refChannel, cur Snapshot) []Verdict {
 	names := make([]string, 0, len(cur))
 	for name := range cur {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"crossmodal/internal/feature"
@@ -20,18 +21,78 @@ func window(seed int64, n int, mean float64) []float64 {
 	return out
 }
 
+// ksStat, histEdges, psiFromSamples and detectReference are the detectors
+// as DetectDrift used to compute them, sorting and binning the reference
+// window per call: the independent form DetectDrift and the Tracker, which
+// read the reference from a refChannel, are checked against.
+
+// ksStat returns the two-sample Kolmogorov–Smirnov statistic: the maximum
+// distance between the empirical CDFs of a and b. Inputs are not modified.
+// Returns 0 when either sample is empty.
+func ksStat(a, b []float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	return ksSorted(sortedCopy(a), sortedCopy(b))
+}
+
+// histEdges returns bins-1 interior cut points at the quantiles of ref.
+func histEdges(ref []float64, bins int) []float64 {
+	if bins < 2 || len(ref) == 0 {
+		return nil
+	}
+	return edgesSorted(sortedCopy(ref), bins)
+}
+
+// psiFromSamples bins both windows on ref's quantile edges and returns their
+// PSI.
+func psiFromSamples(ref, cur []float64, bins int) float64 {
+	edges := histEdges(ref, bins)
+	if len(edges) == 0 {
+		return 0
+	}
+	return PSI(HistCounts(edges, ref), HistCounts(edges, cur))
+}
+
+// detectReference is DetectDrift with both windows' sides recomputed per
+// channel.
+func detectReference(ref, cur Snapshot) []Verdict {
+	names := make([]string, 0, len(cur))
+	for name := range cur {
+		if _, ok := ref[name]; ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	verdicts := make([]Verdict, 0, len(names))
+	for _, name := range names {
+		r, c := ref[name], cur[name]
+		v := Verdict{Channel: name, N: len(c)}
+		if len(r) >= minSamples && len(c) >= minSamples {
+			v.KS = ksStat(r, c)
+			v.KSP = KSPValue(v.KS, len(r), len(c))
+			v.PSI = psiFromSamples(r, c, psiBins)
+			v.Drifted = v.KSP < ksAlpha || v.PSI > psiThreshold
+		} else {
+			v.KSP = 1
+		}
+		verdicts = append(verdicts, v)
+	}
+	return verdicts
+}
+
 func TestKSStatBounds(t *testing.T) {
 	a := window(1, 200, 0)
-	if d := KSStat(a, a); d != 0 {
+	if d := ksStat(a, a); d != 0 {
 		t.Errorf("KS of a sample against itself = %v, want 0", d)
 	}
 	// Disjoint supports: empirical CDFs separate completely.
 	lo := []float64{1, 2, 3, 4, 5}
 	hi := []float64{10, 11, 12, 13, 14}
-	if d := KSStat(lo, hi); d != 1 {
+	if d := ksStat(lo, hi); d != 1 {
 		t.Errorf("KS of disjoint samples = %v, want 1", d)
 	}
-	if d := KSStat(nil, hi); d != 0 {
+	if d := ksStat(nil, hi); d != 0 {
 		t.Errorf("KS with empty sample = %v, want 0", d)
 	}
 }
@@ -39,7 +100,7 @@ func TestKSStatBounds(t *testing.T) {
 func TestKSStatDoesNotMutateInputs(t *testing.T) {
 	a := []float64{3, 1, 2}
 	b := []float64{5, 4}
-	KSStat(a, b)
+	ksStat(a, b)
 	if !reflect.DeepEqual(a, []float64{3, 1, 2}) || !reflect.DeepEqual(b, []float64{5, 4}) {
 		t.Fatalf("KSStat mutated its inputs: %v %v", a, b)
 	}
@@ -61,7 +122,7 @@ func TestKSPValueSanity(t *testing.T) {
 
 func TestPSIIdenticalIsZero(t *testing.T) {
 	a := window(7, 500, 0)
-	if psi := PSIFromSamples(a, a, 10); psi > 1e-9 {
+	if psi := psiFromSamples(a, a, 10); psi > 1e-9 {
 		t.Errorf("PSI of identical windows = %v, want ~0", psi)
 	}
 	if psi := PSI([]float64{10, 20, 30}, []float64{10, 20, 30}); psi != 0 {
@@ -72,7 +133,7 @@ func TestPSIIdenticalIsZero(t *testing.T) {
 func TestPSIDetectsMixShift(t *testing.T) {
 	ref := window(11, 500, 0)
 	cur := window(12, 500, 1.2)
-	if psi := PSIFromSamples(ref, cur, 10); psi < 0.25 {
+	if psi := psiFromSamples(ref, cur, 10); psi < 0.25 {
 		t.Errorf("PSI of a 1.2σ mean shift = %v, want > 0.25", psi)
 	}
 }
@@ -105,7 +166,7 @@ func TestScoreEdges(t *testing.T) {
 
 func TestHistEdgesCollapsesTies(t *testing.T) {
 	ref := []float64{1, 1, 1, 1, 1, 1, 1, 1, 2, 3}
-	edges := HistEdges(ref, 10)
+	edges := histEdges(ref, 10)
 	for i := 1; i < len(edges); i++ {
 		if edges[i] <= edges[i-1] {
 			t.Fatalf("edges not strictly increasing: %v", edges)
@@ -182,10 +243,10 @@ func TestTrackerTripsWithinConsecutiveWindows(t *testing.T) {
 }
 
 // TestTrackerMatchesDetectDrift: the tracker does the reference side once,
-// at SetReference, and its verdicts are DetectDrift's bit for bit over random
-// windows — heavy ties, channels below and above minSamples, channels on one
-// side only — and the caller mutating its reference afterwards changes
-// nothing.
+// at SetReference, and its verdicts — and DetectDrift's — are
+// detectReference's bit for bit over random windows — heavy ties, channels
+// below and above minSamples, channels on one side only — and the caller
+// mutating its reference afterwards changes nothing.
 func TestTrackerMatchesDetectDrift(t *testing.T) {
 	rng := xrand.New(97)
 	sample := func(n int) []float64 {
@@ -220,19 +281,23 @@ func TestTrackerMatchesDetectDrift(t *testing.T) {
 		}
 		for w := 0; w < 6; w++ {
 			cur := snapshot()
-			got, _ := tr.Observe(cur)
-			want := DetectDrift(DriftConfig{}, kept, cur)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d window %d: %d verdicts, DetectDrift %d", trial, w, len(got), len(want))
-			}
-			for k := range want {
-				g, d := got[k], want[k]
-				if g.Channel != d.Channel || g.N != d.N || g.Drifted != d.Drifted ||
-					math.Float64bits(g.KS) != math.Float64bits(d.KS) ||
-					math.Float64bits(g.KSP) != math.Float64bits(d.KSP) ||
-					math.Float64bits(g.PSI) != math.Float64bits(d.PSI) {
-					t.Fatalf("trial %d window %d: tracker %+v, DetectDrift %+v", trial, w, g, d)
+			tracked, _ := tr.Observe(cur)
+			want := detectReference(kept, cur)
+			for name, got := range map[string][]Verdict{"tracker": tracked, "DetectDrift": DetectDrift(DriftConfig{}, kept, cur)} {
+				if len(got) != len(want) {
+					t.Fatalf("trial %d window %d: %d %s verdicts, reference %d", trial, w, len(got), name, len(want))
 				}
+				for k := range want {
+					g, d := got[k], want[k]
+					if g.Channel != d.Channel || g.N != d.N || g.Drifted != d.Drifted ||
+						math.Float64bits(g.KS) != math.Float64bits(d.KS) ||
+						math.Float64bits(g.KSP) != math.Float64bits(d.KSP) ||
+						math.Float64bits(g.PSI) != math.Float64bits(d.PSI) {
+						t.Fatalf("trial %d window %d: %s %+v, reference %+v", trial, w, name, g, d)
+					}
+				}
+			}
+			for _, d := range want {
 				if d.N < minSamples {
 					small++
 				} else if d.KS != 0 {
