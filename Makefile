@@ -71,7 +71,7 @@ gate-full:
 	$(GO) test -race -timeout 5m -count=10 -run 'Concurrent|Canceled|Coalesces' ./internal/featurestore/
 	$(GO) test -race -timeout 5m -count=10 -run 'ScoreWindow|PredictBody|LifecycleGolden' ./internal/lifecycle/
 	GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '^crossmodal/internal/core$$')
-	@for bound in model:16 feature:12 synth:8 resource:0 labelmodel:0 labelprop:0; do \
+	@for bound in model:15 feature:12 synth:8 resource:0 labelmodel:0 labelprop:0; do \
 		pkg=$${bound%:*}; max=$${bound#*:}; \
 		n=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1 | grep -cE '\sFN?M(ADD|SUB)[SD]\s'); \
 		[ "$$n" -le "$$max" ] || { echo "gate-full: internal/$$pkg has $$n arm64 fused multiply-adds, at most $$max allowed"; exit 1; }; \

@@ -26,7 +26,9 @@ func TestShardReadAllocs(t *testing.T) {
 	embCol := schemaIndex(t, schema, "emb")
 	topicCol := schemaIndex(t, schema, "topic")
 	scoreCol := schemaIndex(t, schema, "score")
+	view := wholeSegment(t, seg, schema)
 	buf := make([]float64, 0, 8)
+	ids := make([]uint32, 0, 64)
 	var sink float64
 	var cats int
 
@@ -56,13 +58,8 @@ func TestShardReadAllocs(t *testing.T) {
 		}},
 		{"categorical", func() {
 			for r := 0; r < seg.Rows(); r++ {
-				if !seg.Present(topicCol, r) {
-					continue
-				}
-				n := seg.NumCategories(topicCol, r)
-				for k := 0; k < n; k++ {
-					cats += len(seg.Category(topicCol, r, k))
-				}
+				ids = view.CatIDs(topicCol, r, ids[:0])
+				cats += len(ids)
 			}
 		}},
 	}

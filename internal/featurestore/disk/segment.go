@@ -141,24 +141,6 @@ func (s *Segment) EmbeddingInto(col, r int, buf []float64) []float64 {
 	return buf
 }
 
-// NumCategories returns how many category entries row r carries for
-// categorical feature col (duplicates included).
-func (s *Segment) NumCategories(col, r int) int {
-	c := &s.cols[col]
-	le := binary.LittleEndian
-	return int(le.Uint32(s.payload[c.data+4*(r+1):]) - le.Uint32(s.payload[c.data+4*r:]))
-}
-
-// Category returns the k'th category string of row r for feature col, in
-// the value's original order: the interned name, so no per-call allocation.
-func (s *Segment) Category(col, r, k int) string {
-	c := &s.cols[col]
-	le := binary.LittleEndian
-	start := int(le.Uint32(s.payload[c.data+4*r:]))
-	id := le.Uint32(s.payload[c.ids+4*(start+k):])
-	return feature.InternedCategory(c.dictIDs[id])
-}
-
 // projection maps a consumer's schema onto a store's columns, so a scan
 // decodes straight into the schema its consumer works in (the LF or graph
 // sub-schema) and never touches columns that consumer does not read.

@@ -238,17 +238,19 @@ func TestSegmentAccessors(t *testing.T) {
 	vecs := makeVecs(t, schema, 64, 9)
 	embCol := schemaIndex(t, schema, "emb")
 	topicCol := schemaIndex(t, schema, "topic")
+	view := wholeSegment(t, seg, schema)
 	for r := 0; r < seg.Rows(); r++ {
 		if seg.ID(r) != uint64(1000+r) || seg.Label(r) != int8(r%3-1) {
 			t.Fatalf("row %d: id/label = %d/%d", r, seg.ID(r), seg.Label(r))
 		}
 		want := vecs[r]
 		if tv := want.Get("topic"); !tv.Missing {
-			if got := seg.NumCategories(topicCol, r); got != len(tv.Categories) {
-				t.Fatalf("row %d: %d topic categories, want %d", r, got, len(tv.Categories))
+			ids := view.CatIDs(topicCol, r, nil)
+			if len(ids) != len(tv.Categories) {
+				t.Fatalf("row %d: %d topic categories, want %d", r, len(ids), len(tv.Categories))
 			}
-			for k := range tv.Categories {
-				if got := seg.Category(topicCol, r, k); got != tv.Categories[k] {
+			for k, id := range ids {
+				if got := feature.InternedCategory(id); got != tv.Categories[k] {
 					t.Fatalf("row %d topic[%d] = %q, want %q", r, k, got, tv.Categories[k])
 				}
 			}
@@ -279,6 +281,16 @@ func TestSegmentAccessors(t *testing.T) {
 			t.Fatalf("unexpected dictionary entry %q", cat)
 		}
 	}
+}
+
+// wholeSegment is the column view of every row of seg under its own schema.
+func wholeSegment(t *testing.T, seg *Segment, schema *feature.Schema) *segColumns {
+	t.Helper()
+	proj, err := newProjection(schema, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &segColumns{seg: seg, cols: proj.cols, rows: seg.Rows()}
 }
 
 func TestSchemaHashSensitivity(t *testing.T) {

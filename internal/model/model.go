@@ -198,26 +198,55 @@ func (s *scratch) output() float64 {
 
 // forward computes all layer activations into s from one input row's
 // entries (cols ascending and below inDim — see sparse.Rows.Validate).
+//
+// Each layer computes four output units per pass over its input entries, so
+// the four sums are independent add chains rather than one serial chain per
+// unit; the units left over take one pass each. Every unit still sums
+// bias + Σ_k W[o][c_k]·v_k in entry order, and each product is rounded on
+// its own (float64(w*v)) so no platform fuses it into the add: the bits are
+// those of a per-unit loop.
 func (m *MLP) forward(cols []int32, vals []float64, s *scratch) {
 	last := len(m.weights) - 1
 	for l, W := range m.weights {
-		out, bias, width := s.acts[l+1], m.biases[l], m.sizes[l]
-		for o := range out {
+		out, bias, width, head := s.acts[l+1], m.biases[l], m.sizes[l], l == last
+		o := 0
+		for ; o+4 <= len(out); o += 4 {
+			r0 := W[o*width : (o+1)*width]
+			r1 := W[(o+1)*width : (o+2)*width]
+			r2 := W[(o+2)*width : (o+3)*width]
+			r3 := W[(o+3)*width : (o+4)*width]
+			z0, z1, z2, z3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
+			for k, c := range cols {
+				v := vals[k]
+				z0 += float64(r0[c] * v)
+				z1 += float64(r1[c] * v)
+				z2 += float64(r2[c] * v)
+				z3 += float64(r3[c] * v)
+			}
+			out[o], out[o+1], out[o+2], out[o+3] = activate(z0, head), activate(z1, head), activate(z2, head), activate(z3, head)
+		}
+		for ; o < len(out); o++ {
 			row := W[o*width : (o+1)*width]
 			z := bias[o]
 			for k, c := range cols {
-				z += row[c] * vals[k]
+				z += float64(row[c] * vals[k])
 			}
-			switch {
-			case l == last:
-				out[o] = sigmoid(z)
-			case z > 0:
-				out[o] = z
-			default:
-				out[o] = 0 // buffers are reused, so write the ReLU zero
-			}
+			out[o] = activate(z, head)
 		}
 		cols, vals = m.allCols[:len(out)], out // the next layer reads every column
+	}
+}
+
+// activate is a unit's output for pre-activation z: the sigmoid on the head
+// layer, ReLU below it (buffers are reused, so ReLU writes its zero).
+func activate(z float64, head bool) float64 {
+	switch {
+	case head:
+		return sigmoid(z)
+	case z > 0:
+		return z
+	default:
+		return 0
 	}
 }
 

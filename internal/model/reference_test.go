@@ -2,7 +2,9 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crossmodal/internal/feature"
@@ -336,5 +338,74 @@ func TestTrainRejectsMalformedRows(t *testing.T) {
 	}
 	if _, err := TrainRows(ctxbg, &sparse.Rows{}, nil, nil, Config{}); err == nil {
 		t.Error("empty block accepted")
+	}
+}
+
+// perUnitForward is forward with one pass over the input entries per output
+// unit: the loop the blocked kernel replaced, kept as its reference.
+func perUnitForward(m *MLP, cols []int32, vals []float64, s *scratch) {
+	last := len(m.weights) - 1
+	for l, W := range m.weights {
+		out, bias, width := s.acts[l+1], m.biases[l], m.sizes[l]
+		for o := range out {
+			row := W[o*width : (o+1)*width]
+			z := bias[o]
+			for k, c := range cols {
+				z += float64(row[c] * vals[k])
+			}
+			out[o] = activate(z, l == last)
+		}
+		cols, vals = m.allCols[:len(out)], out
+	}
+}
+
+// TestBlockedForwardMatchesPerUnit: the four-unit forward kernel leaves every
+// activation of every layer bit-identical to the per-unit loop, at widths
+// that fill no block, exactly one, one and a remainder, and several, on rows
+// with no entries, one, and the CT1 design's 28.
+func TestBlockedForwardMatchesPerUnit(t *testing.T) {
+	const width = 431
+	rng := rand.New(rand.NewSource(5))
+	type row struct {
+		cols []int32
+		vals []float64
+	}
+	var rows []row
+	for _, nnz := range []int{0, 1, 28} {
+		for range 4 {
+			cols := make([]int32, 0, nnz)
+			for _, c := range rng.Perm(width)[:nnz] {
+				cols = append(cols, int32(c))
+			}
+			slices.Sort(cols)
+			vals := make([]float64, nnz)
+			for k := range vals {
+				vals[k] = rng.NormFloat64()
+			}
+			rows = append(rows, row{cols, vals})
+		}
+	}
+	for _, h := range []int{1, 3, 4, 5, 16, 17} {
+		for _, hidden := range [][]int{{h}, {h, h}} {
+			m, err := New(width, hidden, int64(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range m.params { // non-zero biases, so a dropped bias shows
+				m.params[j] += 0.01 * rng.NormFloat64()
+			}
+			got, want := m.newScratch(), m.newScratch()
+			for i, r := range rows {
+				m.forward(r.cols, r.vals, got)
+				perUnitForward(m, r.cols, r.vals, want)
+				for l := 1; l < len(got.acts); l++ {
+					for o := range got.acts[l] {
+						if g, w := got.acts[l][o], want.acts[l][o]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("hidden=%v row %d (%d entries): layer %d unit %d = %x, per-unit %x", hidden, i, len(r.cols), l-1, o, g, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -8,12 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crossmodal/internal/synth"
 	"crossmodal/internal/trace"
 )
 
 // The batcher is the serving path's admission gate: a request takes one of
-// GOMAXPROCS run slots and calls the ExecFunc with all of its points on its
+// GOMAXPROCS run slots and calls the ExecFunc with all of its items on its
 // own goroutine, under its own context, so one model generation scores it.
 // At most QueueDepth requests wait for a slot; excess load is shed at once
 // with a retryable error instead of building an unbounded backlog.
@@ -42,16 +41,18 @@ type BatcherConfig struct {
 	QueueDepth int
 }
 
-// ExecFunc scores pts into scores (len(scores) == len(pts)), returning the
-// sequence number of the model that produced them. It runs on the submitting
-// goroutine under the submitter's ctx, which carries the request's scoring
-// budget, so it must honor ctx.
-type ExecFunc func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error)
+// ExecFunc scores items into scores (len(scores) == len(items)), returning
+// the sequence number of the model that produced them. It runs on the
+// submitting goroutine under the submitter's ctx, which carries the
+// request's scoring budget, so it must honor ctx. The server's items are
+// feature-store keys; T is a parameter so an executor over points type-checks
+// too.
+type ExecFunc[T any] func(ctx context.Context, items []T, scores []float64) (uint64, error)
 
 // Batcher admits requests and runs each on its submitter's goroutine. Create
 // with NewBatcher, feed with SubmitPoints or Submit, stop with Close.
-type Batcher struct {
-	exec    ExecFunc
+type Batcher[T any] struct {
+	exec    ExecFunc[T]
 	met     *Metrics
 	depth   int64
 	slots   chan struct{} // one buffered place per run slot: sending into it takes one
@@ -62,7 +63,7 @@ type Batcher struct {
 
 // NewBatcher builds a batcher with runtime.GOMAXPROCS(0) run slots; it starts
 // no goroutine. A nil met counts into a private metric set.
-func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
+func NewBatcher[T any](cfg BatcherConfig, exec ExecFunc[T], met *Metrics) *Batcher[T] {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
@@ -70,7 +71,7 @@ func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 		met = NewMetrics()
 	}
 	n := runtime.GOMAXPROCS(0)
-	return &Batcher{
+	return &Batcher[T]{
 		exec:   exec,
 		met:    met,
 		depth:  int64(cfg.QueueDepth),
@@ -81,14 +82,14 @@ func NewBatcher(cfg BatcherConfig, exec ExecFunc, met *Metrics) *Batcher {
 }
 
 // QueueDepth reports how many admitted requests are waiting for a run slot.
-func (b *Batcher) QueueDepth() int { return int(b.waiting.Load()) }
+func (b *Batcher[T]) QueueDepth() int { return int(b.waiting.Load()) }
 
-// SubmitPoints scores pts into scores (len(scores) >= len(pts)) as one
+// SubmitPoints scores items into scores (len(scores) >= len(items)) as one
 // request and returns the sequence number of the one model that scored them
 // all. It returns once the ExecFunc has, or when the request is shed: the
 // queue is full, deadline (zero means none beyond ctx) passed before a slot
 // freed up, ctx ended while waiting, or the batcher was closed.
-func (b *Batcher) SubmitPoints(ctx context.Context, pts []*synth.Point, scores []float64, deadline time.Time) (uint64, error) {
+func (b *Batcher[T]) SubmitPoints(ctx context.Context, items []T, scores []float64, deadline time.Time) (uint64, error) {
 	if err := b.acquire(ctx); err != nil {
 		return 0, err
 	}
@@ -101,21 +102,21 @@ func (b *Batcher) SubmitPoints(ctx context.Context, pts []*synth.Point, scores [
 	}
 	ctx, span := trace.Start(ctx, "serve.batch")
 	defer span.End()
-	span.Add("items", int64(len(pts)))
-	b.met.BatchSize.Observe(float64(len(pts)))
-	return b.exec(ctx, pts, scores[:len(pts)])
+	span.Add("items", int64(len(items)))
+	b.met.BatchSize.Observe(float64(len(items)))
+	return b.exec(ctx, items, scores[:len(items)])
 }
 
-// Submit scores one point: the one-point case of SubmitPoints.
-func (b *Batcher) Submit(ctx context.Context, pt *synth.Point, deadline time.Time) (float64, uint64, error) {
+// Submit scores one item: the one-item case of SubmitPoints.
+func (b *Batcher[T]) Submit(ctx context.Context, item T, deadline time.Time) (float64, uint64, error) {
 	scores := []float64{0}
-	seq, err := b.SubmitPoints(ctx, []*synth.Point{pt}, scores, deadline)
+	seq, err := b.SubmitPoints(ctx, []T{item}, scores, deadline)
 	return scores[0], seq, err
 }
 
 // acquire takes a run slot, waiting for one if none is free and fewer than
 // QueueDepth requests already wait.
-func (b *Batcher) acquire(ctx context.Context) error {
+func (b *Batcher[T]) acquire(ctx context.Context) error {
 	select {
 	case <-b.stop:
 		return ErrStopped
@@ -143,7 +144,7 @@ func (b *Batcher) acquire(ctx context.Context) error {
 // Close stops the batcher: later requests, and those still waiting, fail with
 // ErrStopped. It takes every run slot for good, so it returns only after the
 // requests already scoring have.
-func (b *Batcher) Close() {
+func (b *Batcher[T]) Close() {
 	close(b.stop)
 	for range b.nslots {
 		b.slots <- struct{}{}

@@ -56,7 +56,7 @@ func wedgedExec() *countingExec {
 // occupy takes every run slot of b with a request held inside exec (a
 // wedgedExec) and returns once all of them are running; the returned wait
 // blocks until they have all returned, and fails t if one was not scored.
-func occupy(t *testing.T, b *Batcher, exec *countingExec) (wait func()) {
+func occupy(t *testing.T, b *Batcher[*synth.Point], exec *countingExec) (wait func()) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := range cap(b.slots) {

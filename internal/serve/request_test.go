@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ import (
 
 // useExec replaces s's batcher with one that runs exec; the server's Close
 // stops it.
-func useExec(s *Server, exec ExecFunc) {
+func useExec(s *Server, exec ExecFunc[featurestore.Key]) {
 	s.bat.Close()
 	s.bat = NewBatcher(BatcherConfig{}, exec, s.met)
 }
@@ -39,11 +40,11 @@ func TestPredictRequestIsOneBatch(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []int
-	useExec(s, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+	useExec(s, func(ctx context.Context, keys []featurestore.Key, scores []float64) (uint64, error) {
 		mu.Lock()
-		calls = append(calls, len(pts))
+		calls = append(calls, len(keys))
 		mu.Unlock()
-		return s.execBatch(ctx, pts, scores)
+		return s.execBatch(ctx, keys, scores)
 	})
 	for _, n := range []int{8, 100} {
 		mu.Lock()
@@ -85,8 +86,8 @@ func TestHotSwapMidRequestScoresOneGeneration(t *testing.T) {
 	}
 	held := make(chan struct{}, 1)
 	release := make(chan struct{})
-	useExec(s, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
-		seq, err := s.execBatch(ctx, pts, scores)
+	useExec(s, func(ctx context.Context, keys []featurestore.Key, scores []float64) (uint64, error) {
+		seq, err := s.execBatch(ctx, keys, scores)
 		select {
 		case held <- struct{}{}: // the first request holds until release
 			<-release
@@ -248,6 +249,133 @@ func BenchmarkColdPredict(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 		})
 	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and drops
+// the body, so a loop of in-process requests counts only the handler's work.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// hitPredict sends s an 8-point /predict for IDs first..first+7 through its
+// Handler, so the store holds every key, and returns a function that sends
+// the same request again, reusing one request value, body reader and writer.
+func hitPredict(tb testing.TB, s *Server, first int) func() {
+	tb.Helper()
+	req := predictRequest{Points: make([]PointRequest, 8)}
+	for i := range req.Points {
+		req.Points[i].ID = first + i
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	r := httptest.NewRequest(http.MethodPost, "/predict", rd)
+	w := &discardWriter{header: http.Header{}}
+	h := s.Handler()
+	send := func() {
+		rd.Reset(body)
+		w.status = http.StatusOK
+		h.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			tb.Fatalf("hit predict answered %d", w.status)
+		}
+	}
+	send()
+	return send
+}
+
+// newHitServer builds a server over a fresh store of the fixture's library,
+// serving model A, with the given PointSource (nil derives by DerivePoint).
+func newHitServer(tb testing.TB, source func(int, synth.Modality, int) *synth.Point) *Server {
+	tb.Helper()
+	fixture(tb)
+	store, err := featurestore.New(fx.store.Library(), 4096)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New(Config{Store: store, World: fx.world, Seed: fxSeed, Timeout: 10 * time.Second, PointSource: source}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	if _, err := s.Registry().Install(fx.modelA, ""); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestPredictHitDerivesNothing: a request point is derived only when its key
+// misses the store. N distinct keys derive N points; the same request again
+// derives none. Both replies equal in-process PredictBatch of DerivePoint's
+// points bit for bit.
+func TestPredictHitDerivesNothing(t *testing.T) {
+	var derived atomic.Int32
+	s := newHitServer(t, func(id int, m synth.Modality, frames int) *synth.Point {
+		derived.Add(1)
+		return DerivePoint(fx.world, fxSeed, id, m, frames)
+	})
+	reqs := []PointRequest{{ID: 80001}, {ID: 80002}, {ID: 80003, Modality: "text"},
+		{ID: 80003, Modality: "video", Frames: 2}, {ID: 80004}, {ID: 80005}}
+	vecs := make([]*feature.Vector, len(reqs))
+	for i, r := range reqs {
+		m, _ := parseModality(r.Modality)
+		vecs[i] = fx.store.Library().FeaturizePoint(DerivePoint(fx.world, fxSeed, r.ID, m, r.Frames))
+	}
+	want := fx.modelA.PredictBatch(vecs)
+	body, err := json.Marshal(predictRequest{Points: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, wantDerived := range []int32{int32(len(reqs)), 0} {
+		derived.Store(0)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader(body)))
+		var pr predictResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &pr) != nil {
+			t.Fatalf("round %d: %d %s", round, rec.Code, rec.Body.Bytes())
+		}
+		if n := derived.Load(); n != wantDerived {
+			t.Errorf("round %d: %d points derived for %d distinct keys, want %d", round, n, len(reqs), wantDerived)
+		}
+		for i := range want {
+			if math.Float64bits(pr.Scores[i]) != math.Float64bits(want[i]) {
+				t.Errorf("round %d: %+v served %v, in-process %v", round, reqs[i], pr.Scores[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPredictHitAllocs pins the allocations of a warm 8-point /predict whose
+// points all hit the store, through Handler: decode, keys, lookups, scoring
+// and encode, with no point derived: 26 allocations; 58 means every point is
+// derived again.
+func TestPredictHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds bookkeeping allocations")
+	}
+	send := hitPredict(t, newHitServer(t, nil), 81000)
+	if allocs := testing.AllocsPerRun(100, send); allocs > 26 {
+		t.Errorf("%v allocs per warm 8-point hit /predict, want at most 26", allocs)
+	}
+}
+
+// BenchmarkHotPredict: one in-process /predict naming 8 points the store
+// already holds — decode, lookups, scoring and encode, nothing derived.
+func BenchmarkHotPredict(b *testing.B) {
+	send := hitPredict(b, newHitServer(b, nil), 82000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8), "ns/point")
 }
 
 // TestPredictRejectsUnboundedFrames: a point's frame count is bounded before

@@ -56,8 +56,10 @@ type Config struct {
 	// PointSource, when set, overrides the default static-world derivation
 	// of request points: the lifecycle simulator plugs in time-varying
 	// traffic (synth.Traffic.Point) here so the same server stack serves a
-	// drifting world. It is consulted on every request point and must be
-	// deterministic in its arguments — the featurestore keys vectors by them.
+	// drifting world. It is consulted only for a request point whose key
+	// misses the featurestore, and must be deterministic in its arguments
+	// and return a point with that ID, modality and frame count — the
+	// featurestore keys vectors by them.
 	PointSource func(id int, m synth.Modality, frames int) *synth.Point
 	// Timeout is the per-request scoring budget; a request that cannot be
 	// scored inside it is shed (default 500ms).
@@ -113,7 +115,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 type Server struct {
 	cfg Config
 	reg *Registry
-	bat *Batcher
+	bat *Batcher[featurestore.Key]
 	met *Metrics
 	mux *http.ServeMux
 }
@@ -200,7 +202,7 @@ func DerivePoint(w *synth.World, baseSeed int64, id int, m synth.Modality, frame
 // BuildPoint renders a request into the data point it names: the
 // PointSource's point when one is set, else DerivePoint's under the server's
 // base seed. Each call derives afresh; the featurestore is serving's only
-// memo.
+// memo, and execBatch calls BuildPoint only for a key that misses it.
 func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 	if s.cfg.PointSource != nil {
 		return s.cfg.PointSource(id, m, frames)
@@ -208,26 +210,30 @@ func (s *Server) BuildPoint(id int, m synth.Modality, frames int) *synth.Point {
 	return DerivePoint(s.cfg.World, s.cfg.Seed, id, m, frames)
 }
 
-// execBatch is the batcher's ExecFunc: snapshot the model once, featurize
-// the request's points through the store under its deadline, and score them
+// execBatch is the batcher's ExecFunc: snapshot the model once, look the
+// request's keys up in the store under its deadline, and score the vectors
 // into the response buffer through the scorer the registry installed with
-// the model. A request under 2*pointsPerWorker points featurizes on the
-// calling goroutine — its handler — and wakes no other.
-func (s *Server) execBatch(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+// the model. A point is derived (BuildPoint) only for a key that misses, so a
+// hit costs a lookup and the model's arithmetic. A request under
+// 2*pointsPerWorker points featurizes its misses on the calling goroutine —
+// its handler — and wakes no other.
+func (s *Server) execBatch(ctx context.Context, keys []featurestore.Key, scores []float64) (uint64, error) {
 	cur := s.reg.Current()
 	if cur == nil {
 		return 0, errNotReady
 	}
 	workers := 1
-	if len(pts) >= 2*pointsPerWorker {
-		workers = min(len(pts)/pointsPerWorker, runtime.GOMAXPROCS(0))
+	if len(keys) >= 2*pointsPerWorker {
+		workers = min(len(keys)/pointsPerWorker, runtime.GOMAXPROCS(0))
 	}
-	vecs, err := s.cfg.Store.Featurize(ctx, mapreduce.Config{Workers: workers}, pts)
+	vecs, err := s.cfg.Store.FeaturizeKeys(ctx, mapreduce.Config{Workers: workers}, keys, func(i int) *synth.Point {
+		return s.BuildPoint(keys[i].ID, keys[i].Modality, keys[i].Frames)
+	})
 	if err != nil {
 		return 0, err
 	}
 	cur.scoreInto(vecs, scores)
-	for _, sc := range scores[:len(pts)] {
+	for _, sc := range scores[:len(keys)] {
 		s.met.Scores.Observe(sc)
 	}
 	return cur.Seq, nil
@@ -294,7 +300,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			http.StatusRequestEntityTooLarge)
 		return
 	}
-	pts := make([]*synth.Point, len(req.Points))
+	keys := make([]featurestore.Key, len(req.Points))
 	for i, p := range req.Points {
 		m, err := parseModality(p.Modality)
 		if err == nil && (p.Frames < 0 || p.Frames > maxFramesPerPoint) {
@@ -305,15 +311,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		pts[i] = s.BuildPoint(p.ID, m, p.Frames)
+		keys[i] = featurestore.Key{ID: p.ID, Modality: m, Frames: p.Frames}
 	}
 	deadline := start.Add(s.cfg.Timeout)
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
 
 	// The whole request is one ExecFunc call, scored by one model generation.
-	resp := predictResponse{Scores: make([]float64, len(pts))}
-	seq, err := s.bat.SubmitPoints(ctx, pts, resp.Scores, deadline)
+	resp := predictResponse{Scores: make([]float64, len(keys))}
+	seq, err := s.bat.SubmitPoints(ctx, keys, resp.Scores, deadline)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return

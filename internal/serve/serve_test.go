@@ -458,10 +458,10 @@ func TestPredictShedsWith429(t *testing.T) {
 	s.bat.Close()
 	slots := cap(s.bat.slots)
 	entered := make(chan struct{}, slots+1)
-	s.bat = NewBatcher(BatcherConfig{QueueDepth: 1}, func(ctx context.Context, pts []*synth.Point, scores []float64) (uint64, error) {
+	s.bat = NewBatcher(BatcherConfig{QueueDepth: 1}, func(ctx context.Context, keys []featurestore.Key, scores []float64) (uint64, error) {
 		entered <- struct{}{}
 		<-block
-		return s.execBatch(ctx, pts, scores)
+		return s.execBatch(ctx, keys, scores)
 	}, s.met)
 	defer func() {
 		select {
